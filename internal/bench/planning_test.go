@@ -55,39 +55,38 @@ func BenchmarkPlanCache(b *testing.B) {
 	}
 }
 
-// TestPlanCacheSpeedup is the CI gate on the planning hot path: with 1k
-// cached templates, cache-hit planning must beat the dynamic program by at
-// least 10x per plan. The measured gap is far larger; 10x leaves headroom
-// for noisy CI machines.
-func TestPlanCacheSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
+// TestPlanCacheSkipsTheSearch is the CI gate on the planning hot path, in
+// the quantity the cache exists to remove: with 1k cached templates, every
+// template's cache-hit plan is produced without evaluating a single
+// candidate plan, and is the plan the dynamic program searches for. (Plans per second are measured
+// by BenchmarkPlanCache/BenchmarkDPPlanner and FigPlan, not asserted here.)
+func TestPlanCacheSkipsTheSearch(t *testing.T) {
 	env := planningBenchEnv(t, 1000)
 	cache, err := env.warmCache()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := env.planDP(i % len(env.bound)); err != nil {
-				b.Fatal(err)
-			}
+	for i := range env.bound {
+		hit, err := env.planCached(cache, i)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	hit := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := env.planCached(cache, i%len(env.bound)); err != nil {
-				b.Fatal(err)
-			}
+		if hit.Counters.PlansEvaluated != 0 {
+			t.Fatalf("template %d: a cache hit evaluated %d candidate plans, want 0", i, hit.Counters.PlansEvaluated)
 		}
-	})
-	dpNs := float64(dp.NsPerOp())
-	hitNs := float64(hit.NsPerOp())
-	t.Logf("dp %.0f ns/plan, cache hit %.0f ns/plan (%.1fx)", dpNs, hitNs, dpNs/hitNs)
-	if dpNs < 10*hitNs {
-		t.Fatalf("cache-hit planning only %.1fx faster than DP at 1k templates (dp %.0f ns, hit %.0f ns); want >= 10x",
-			dpNs/hitNs, dpNs, hitNs)
+		if i%10 != 0 {
+			continue // the search is the slow side: compare on a sample
+		}
+		dp, err := env.planDP(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dp.Counters.PlansEvaluated == 0 {
+			t.Fatalf("template %d: the DP reports no plans evaluated", i)
+		}
+		if hit.String() != dp.String() {
+			t.Fatalf("template %d: cached plan %s, DP plan %s", i, hit, dp)
+		}
 	}
 }
 

@@ -331,13 +331,19 @@ func retryAfter(d time.Duration) string {
 
 // setRetryAfter writes a jittered Retry-After hint: the base spread ±25%,
 // so a burst of simultaneously shed clients does not return as a
-// synchronized stampede exactly one hint later.
-func (s *Server) setRetryAfter(w http.ResponseWriter, base time.Duration) {
+// synchronized stampede exactly one hint later. With atMost the upper half
+// of the spread is folded onto the lower (−25%..0): the hint never exceeds
+// base.
+func (s *Server) setRetryAfter(w http.ResponseWriter, base time.Duration, atMost bool) {
 	rnd := s.cfg.Jitter
 	if rnd == nil {
 		rnd = rand.Float64
 	}
-	w.Header().Set("Retry-After", retryAfter(overload.Jitter(base, retryJitterFrac, rnd)))
+	d := overload.Jitter(base, retryJitterFrac, rnd)
+	if atMost && d > base {
+		d = 2*base - d
+	}
+	w.Header().Set("Retry-After", retryAfter(d))
 }
 
 // deadlineFor resolves one request's deadline, tightest declaration wins
@@ -367,7 +373,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Gate 0: lifecycle. A draining daemon sheds everything new instantly.
 	if !s.beginRequest() {
 		s.countShed(ShedDraining)
-		s.setRetryAfter(w, s.cfg.RetryAfter)
+		s.setRetryAfter(w, s.cfg.RetryAfter, false)
 		writeError(w, http.StatusServiceUnavailable, errors.New("daemon: draining for shutdown"))
 		return
 	}
@@ -391,7 +397,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Gate 2: per-tenant rate limit.
 	if ok, wait := ten.Allow(s.now()); !ok {
 		s.countShed(ShedRateLimit)
-		s.setRetryAfter(w, wait)
+		s.setRetryAfter(w, wait, false)
 		writeError(w, http.StatusTooManyRequests, tenant.ErrRateLimited)
 		return
 	}
@@ -411,7 +417,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	release, reason := s.shed.admit(ctx, tolerance)
 	if reason != "" {
 		s.countShed(reason)
-		s.setRetryAfter(w, s.cfg.RetryAfter)
+		s.setRetryAfter(w, s.cfg.RetryAfter, false)
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Errorf("daemon: overloaded, query shed (%s)", reason))
 		return
@@ -435,10 +441,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		// A breaker refusal (every route to the data is short-circuiting)
 		// is a temporary outage, not a gateway error: tell the tenant when
-		// the circuit will next admit a probe.
+		// the circuit will next admit a probe — never later than that, or the
+		// hint would stretch the outage past the breaker's own cooldown.
 		var coe *payless.CircuitOpenError
 		if errors.As(err, &coe) {
-			s.setRetryAfter(w, coe.RetryAfter)
+			s.setRetryAfter(w, coe.RetryAfter, true)
 		}
 		writeError(w, statusOf(err), err)
 		return

@@ -12,6 +12,7 @@ import (
 
 	"payless"
 	"payless/internal/catalog"
+	"payless/internal/daemon"
 	"payless/internal/market"
 	"payless/internal/tenant"
 )
@@ -38,34 +39,50 @@ func singleTenant(t *testing.T) *tenant.Registry {
 // gateway error with no guidance.
 func TestCircuitOpenReturns503WithRetryAfter(t *testing.T) {
 	m := rangeMarket(t)
-	client, err := payless.Open(payless.Config{
-		Tables:               m.ExportCatalog(),
-		Caller:               downCaller{},
-		TuplesPerTransaction: map[string]int{"DS": 10},
-	}, payless.WithBreaker(1, 30*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newDaemon(t, client, singleTenant(t), nil)
-	h := srv.Handler()
+	// Both ends and the middle of the jitter draw, then the real source: a
+	// circuit-open hint is spread downward only, so it never exceeds the
+	// breaker's 30 s cooldown (−25 % of it is 22.5 s, sent as 23).
+	for _, tc := range []struct {
+		name     string
+		jitter   func() float64
+		min, max int
+	}{
+		{"draw 0", func() float64 { return 0 }, 23, 23},
+		{"draw 0.5", func() float64 { return 0.5 }, 30, 30},
+		{"draw just under 1", func() float64 { return 1 - 1e-12 }, 23, 23},
+		{"math/rand", nil, 23, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, err := payless.Open(payless.Config{
+				Tables:               m.ExportCatalog(),
+				Caller:               downCaller{},
+				TuplesPerTransaction: map[string]int{"DS": 10},
+			}, payless.WithBreaker(1, 30*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := newDaemon(t, client, singleTenant(t), func(c *daemon.Config) { c.Jitter = tc.jitter })
+			h := srv.Handler()
 
-	const sql = "SELECT v FROM T WHERE a >= 1 AND a <= 20"
-	// First query trips the breaker; it fails downstream, not short-circuited.
-	if code, _, _ := post(h, "demo", sql); code == http.StatusServiceUnavailable {
-		t.Fatalf("first query short-circuited before the threshold (status %d)", code)
-	}
-	// Second query hits the open breaker: 503 + Retry-After.
-	code, _, rec := post(h, "demo", sql)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("open breaker returned %d, want 503", code)
-	}
-	ra := rec.Header().Get("Retry-After")
-	if ra == "" {
-		t.Fatal("503 without a Retry-After header")
-	}
-	secs, err := strconv.Atoi(ra)
-	if err != nil || secs < 1 || secs > 30 {
-		t.Fatalf("Retry-After %q not within the breaker cooldown (1..30s)", ra)
+			const sql = "SELECT v FROM T WHERE a >= 1 AND a <= 20"
+			// First query trips the breaker; it fails downstream, not short-circuited.
+			if code, _, _ := post(h, "demo", sql); code == http.StatusServiceUnavailable {
+				t.Fatalf("first query short-circuited before the threshold (status %d)", code)
+			}
+			// Second query hits the open breaker: 503 + Retry-After.
+			code, _, rec := post(h, "demo", sql)
+			if code != http.StatusServiceUnavailable {
+				t.Fatalf("open breaker returned %d, want 503", code)
+			}
+			ra := rec.Header().Get("Retry-After")
+			if ra == "" {
+				t.Fatal("503 without a Retry-After header")
+			}
+			secs, err := strconv.Atoi(ra)
+			if err != nil || secs < tc.min || secs > tc.max {
+				t.Fatalf("Retry-After %q not within %d..%ds of the 30s breaker cooldown", ra, tc.min, tc.max)
+			}
+		})
 	}
 }
 

@@ -99,9 +99,24 @@ func (e *Engine) Execute(plan *core.Plan) (storage.Relation, Report, error) {
 func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.Relation, Report, error) {
 	var report Report
 	b := plan.Bound
+	if len(plan.Steps) == 0 {
+		return storage.Relation{}, report, fmt.Errorf("plan has no steps")
+	}
+	quals := make([]value.Schema, len(plan.Steps))
+	for i, step := range plan.Steps {
+		rel := b.Rels[step.Rel]
+		quals[i] = qualify(rel.Alias(), rel.Table.Schema)
+	}
+	// Nothing but the aggregate reads the last join of an aggregate query
+	// (a cross residual would: it filters joined rows), so that join streams
+	// into it; every join before it copies only the columns the plan reads.
+	streamLast := len(plan.Steps) > 1 && b.Query.HasAggregates() && len(b.CrossResidual) == 0
+	var need map[string]bool
+	if len(plan.Steps) > 2 || (len(plan.Steps) == 2 && !streamLast) {
+		need = neededColumns(b, quals)
+	}
 	var cur storage.Relation
-	started := false
-	for _, step := range plan.Steps {
+	for i, step := range plan.Steps {
 		rel := b.Rels[step.Rel]
 		fetched, err := e.fetch(ctx, rel, step, cur, b, &report)
 		if err != nil {
@@ -115,20 +130,20 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 			return storage.Relation{}, report, err
 		}
 		fetched = applyResidual(fetched, rel)
-		fetched.Schema = qualify(rel.Alias(), fetched.Schema)
-		if !started {
+		fetched.Schema = quals[i]
+		if i == 0 {
 			cur = fetched
-			started = true
 			continue
 		}
 		lc, rc, err := joinColumns(b, step, cur.Schema, fetched.Schema)
 		if err != nil {
 			return storage.Relation{}, report, err
 		}
-		cur = storage.HashJoin(cur, fetched, lc, rc)
-	}
-	if !started {
-		return storage.Relation{}, report, fmt.Errorf("plan has no steps")
+		if streamLast && i == len(plan.Steps)-1 {
+			out, err := aggregateJoin(cur, fetched, lc, rc, b)
+			return out, report, err
+		}
+		cur = storage.HashJoinKeep(cur, fetched, lc, rc, keepColumns(need, cur.Schema, fetched.Schema))
 	}
 	cur, err := applyCrossResidual(cur, b)
 	if err != nil {
@@ -139,6 +154,78 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 		return storage.Relation{}, report, err
 	}
 	return out, report, nil
+}
+
+// neededColumns resolves, once per plan, every column reference evaluated
+// after the scans — join edges (bind joins read theirs from the prefix),
+// cross residuals, the SELECT list and GROUP BY; HAVING and ORDER BY address
+// the output — against the concatenation of every step's qualified schema
+// (what the last join would produce if nothing were dropped), by the rules
+// the operators themselves use (resolveQualified). It returns the names of
+// the columns hit. Nil means every column is needed: SELECT *, or a
+// reference that does not resolve — the operator that owns it reports that
+// error, at the point it always has.
+func neededColumns(b *core.BoundQuery, quals []value.Schema) map[string]bool {
+	q := b.Query
+	var full value.Schema
+	for _, s := range quals {
+		full = append(full, s...)
+	}
+	need := make(map[string]bool)
+	ok := true
+	hit := func(idx int, err error) {
+		if err != nil || idx < 0 {
+			ok = false
+			return
+		}
+		need[full[idx].Name] = true
+	}
+	for _, j := range b.Joins {
+		hit(prefixColumn(full, b.Rels[j.L].Alias(), j.LAttr), nil)
+		hit(prefixColumn(full, b.Rels[j.R].Alias(), j.RAttr), nil)
+	}
+	for _, cond := range b.CrossResidual {
+		hit(resolveQualified(full, b, cond.Left))
+		hit(resolveQualified(full, b, *cond.RightCol))
+	}
+	for _, item := range q.Select {
+		switch {
+		case item.Star:
+			ok = false
+		case !item.AggStar:
+			hit(resolveQualified(full, b, item.Col))
+		}
+	}
+	for _, g := range q.GroupBy {
+		hit(resolveQualified(full, b, g))
+	}
+	if !ok {
+		return nil
+	}
+	return need
+}
+
+// keepColumns lists the needed columns of a join's concatenated schema l++r,
+// or nil when all of them are.
+func keepColumns(need map[string]bool, l, r value.Schema) []int {
+	if need == nil {
+		return nil
+	}
+	keep := make([]int, 0, len(need))
+	for i, c := range l {
+		if need[c.Name] {
+			keep = append(keep, i)
+		}
+	}
+	for i, c := range r {
+		if need[c.Name] {
+			keep = append(keep, len(l)+i)
+		}
+	}
+	if len(keep) == len(l)+len(r) {
+		return nil
+	}
+	return keep
 }
 
 // fetch obtains the rows of one relation according to its access path.
@@ -180,17 +267,30 @@ func (e *Engine) storedScan(rel *core.Rel) (storage.Relation, error) {
 	if e.Store == nil {
 		return storage.Relation{}, fmt.Errorf("no semantic store for covered table %s", rel.Table.Name)
 	}
-	out := storage.Relation{Schema: rel.Table.Schema.Clone()}
-	for _, ab := range rel.AccessBoxes() {
-		got, err := e.Store.RowsIn(rel.Table, ab)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		out.Rows = append(out.Rows, got.Rows...)
+	out, err := e.storedRows(rel.Table, rel.AccessBoxes())
+	if err != nil {
+		return storage.Relation{}, err
 	}
 	// A fully covered market relation is a zero-price access (Theorem 2):
 	// the whole read is a semantic-store hit.
 	e.Trace.AddStoreHit(int64(len(out.Rows)))
+	return out, nil
+}
+
+// storedRows reads the store's rows inside each box, in box order. A single
+// box's rows come back as the store handed them out, uncopied.
+func (e *Engine) storedRows(meta *catalog.Table, boxes []region.Box) (storage.Relation, error) {
+	out := storage.Relation{Schema: meta.Schema}
+	for _, ab := range boxes {
+		got, err := e.Store.RowsIn(meta, ab)
+		if err != nil {
+			return storage.Relation{}, err
+		}
+		if len(boxes) == 1 {
+			return got, nil
+		}
+		out.Rows = append(out.Rows, got.Rows...)
+	}
 	return out, nil
 }
 
@@ -230,12 +330,9 @@ func (e *Engine) marketScan(ctx context.Context, rel *core.Rel, report *Report) 
 	if err != nil {
 		return storage.Relation{}, err
 	}
-	for _, ab := range boxes {
-		got, err := e.Store.RowsIn(rel.Table, ab)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		out.Rows = append(out.Rows, got.Rows...)
+	out, err = e.storedRows(rel.Table, boxes)
+	if err != nil {
+		return storage.Relation{}, err
 	}
 	e.noteStoreServed(len(specs), len(out.Rows), results)
 	return out, nil
@@ -349,14 +446,13 @@ func (e *Engine) bindScan(ctx context.Context, rel *core.Rel, step core.Step, pr
 	if err != nil {
 		return storage.Relation{}, err
 	}
+	var pointBoxes []region.Box
 	for _, coord := range coords {
-		for _, pb := range pointBoxesOf(coord) {
-			got, err := e.Store.RowsIn(rel.Table, pb)
-			if err != nil {
-				return storage.Relation{}, err
-			}
-			out.Rows = append(out.Rows, got.Rows...)
-		}
+		pointBoxes = append(pointBoxes, pointBoxesOf(coord)...)
+	}
+	out, err = e.storedRows(rel.Table, pointBoxes)
+	if err != nil {
+		return storage.Relation{}, err
 	}
 	e.noteStoreServed(len(specs), len(out.Rows), results)
 	return out, nil
@@ -487,9 +583,13 @@ func applyResidual(rel storage.Relation, r *core.Rel) storage.Relation {
 	if len(r.Residual) == 0 {
 		return rel
 	}
+	cols := make([]int, len(r.Residual))
+	for i, cond := range r.Residual {
+		cols[i] = rel.Schema.IndexOf(cond.Left.Column)
+	}
 	return rel.Select(func(row value.Row) bool {
-		for _, cond := range r.Residual {
-			idx := rel.Schema.IndexOf(cond.Left.Column)
+		for i, cond := range r.Residual {
+			idx := cols[i]
 			if idx < 0 {
 				return false
 			}
@@ -630,111 +730,145 @@ func resolveQualified(schema value.Schema, b *core.BoundQuery, ref sqlparse.ColR
 	return found, nil
 }
 
+// aggregatePlan resolves the GROUP BY columns and the SELECT list's
+// aggregates against the schema of the rows to be aggregated.
+func aggregatePlan(schema value.Schema, b *core.BoundQuery) (groupIdx []int, aggs []storage.AggSpec, err error) {
+	q := b.Query
+	for _, g := range q.GroupBy {
+		idx, err := resolveQualified(schema, b, g)
+		if err != nil {
+			return nil, nil, err
+		}
+		groupIdx = append(groupIdx, idx)
+	}
+	for _, item := range q.Select {
+		if item.Agg == sqlparse.AggNone {
+			continue
+		}
+		// Name the output column by its alias or its SELECT-list text,
+		// so HAVING and ORDER BY can address it.
+		spec := storage.AggSpec{Col: -1, As: item.Alias}
+		if spec.As == "" {
+			spec.As = item.String()
+		}
+		switch item.Agg {
+		case sqlparse.AggCount:
+			spec.Func = storage.Count
+		case sqlparse.AggSum:
+			spec.Func = storage.Sum
+		case sqlparse.AggAvg:
+			spec.Func = storage.Avg
+		case sqlparse.AggMin:
+			spec.Func = storage.Min
+		case sqlparse.AggMax:
+			spec.Func = storage.Max
+		}
+		if !item.AggStar {
+			idx, err := resolveQualified(schema, b, item.Col)
+			if err != nil {
+				return nil, nil, err
+			}
+			spec.Col = idx
+		}
+		aggs = append(aggs, spec)
+	}
+	return groupIdx, aggs, nil
+}
+
+// aggregateJoin is project over HashJoin(l, r, lc, rc) for an aggregate
+// query, without the joined relation in between.
+func aggregateJoin(l, r storage.Relation, lc, rc []int, b *core.BoundQuery) (storage.Relation, error) {
+	joined := append(l.Schema.Clone(), r.Schema...)
+	groupIdx, aggs, err := aggregatePlan(joined, b)
+	if err != nil {
+		return storage.Relation{}, err
+	}
+	agg := storage.NewAggregator(joined, groupIdx, aggs)
+	storage.EachJoined(l, r, lc, rc, agg.Add)
+	return finishAggregate(agg.Result(), b)
+}
+
+// finishAggregate turns the aggregator's output into the query's: group
+// columns under their query-text names, HAVING, then ORDER BY and LIMIT.
+func finishAggregate(out storage.Relation, b *core.BoundQuery) (storage.Relation, error) {
+	q := b.Query
+	// Non-aggregate select items must be group-by columns; the grouped
+	// output carries them first, in GROUP BY order, renamed to their
+	// query-text form (e.g. "City" instead of the internal qualified
+	// "Station.City").
+	for i, g := range q.GroupBy {
+		out.Schema[i].Name = g.String()
+	}
+	if len(q.Having) > 0 {
+		var err error
+		if out, err = applyHaving(out, q.Having); err != nil {
+			return storage.Relation{}, err
+		}
+	}
+	return orderLimit(out, b)
+}
+
 // project applies the SELECT list: aggregation with GROUP BY, or plain
 // projection, then ORDER BY and LIMIT.
 func project(rel storage.Relation, b *core.BoundQuery) (storage.Relation, error) {
 	q := b.Query
-	var out storage.Relation
-	var err error
 	if q.HasAggregates() {
-		var groupIdx []int
-		for _, g := range q.GroupBy {
-			idx, err := resolveQualified(rel.Schema, b, g)
-			if err != nil {
-				return storage.Relation{}, err
-			}
-			groupIdx = append(groupIdx, idx)
+		groupIdx, aggs, err := aggregatePlan(rel.Schema, b)
+		if err != nil {
+			return storage.Relation{}, err
 		}
-		var aggs []storage.AggSpec
-		for _, item := range q.Select {
-			if item.Agg == sqlparse.AggNone {
-				continue
-			}
-			// Name the output column by its alias or its SELECT-list text,
-			// so HAVING and ORDER BY can address it.
-			spec := storage.AggSpec{Col: -1, As: item.Alias}
-			if spec.As == "" {
-				spec.As = item.String()
-			}
-			switch item.Agg {
-			case sqlparse.AggCount:
-				spec.Func = storage.Count
-			case sqlparse.AggSum:
-				spec.Func = storage.Sum
-			case sqlparse.AggAvg:
-				spec.Func = storage.Avg
-			case sqlparse.AggMin:
-				spec.Func = storage.Min
-			case sqlparse.AggMax:
-				spec.Func = storage.Max
-			}
-			if !item.AggStar {
-				idx, err := resolveQualified(rel.Schema, b, item.Col)
-				if err != nil {
-					return storage.Relation{}, err
-				}
-				spec.Col = idx
-			}
-			aggs = append(aggs, spec)
-		}
-		// Non-aggregate select items must be group-by columns; the grouped
-		// output carries them first, in GROUP BY order.
-		out = storage.Aggregate(rel, groupIdx, aggs)
-		// Rename group columns to their query-text form (e.g. "City"
-		// instead of the internal qualified "Station.City").
-		for i, g := range q.GroupBy {
-			out.Schema[i].Name = g.String()
-		}
-		if len(q.Having) > 0 {
-			out, err = applyHaving(out, q.Having)
-			if err != nil {
-				return storage.Relation{}, err
-			}
-		}
-	} else {
-		if len(q.Having) > 0 {
-			return storage.Relation{}, fmt.Errorf("HAVING requires aggregation")
-		}
-		var idx []int
-		star := false
-		for _, item := range q.Select {
-			if item.Star {
-				star = true
-				break
-			}
-		}
-		if star {
-			// SELECT * output order follows the FROM clause, not the join
-			// order the optimizer happened to choose.
-			var starIdx []int
-			for _, r := range b.Rels {
-				prefix := strings.ToLower(r.Alias()) + "."
-				for i, c := range rel.Schema {
-					if strings.HasPrefix(strings.ToLower(c.Name), prefix) {
-						starIdx = append(starIdx, i)
-					}
-				}
-			}
-			out = rel.Project(starIdx)
-		} else {
-			for _, item := range q.Select {
-				i, err := resolveQualified(rel.Schema, b, item.Col)
-				if err != nil {
-					return storage.Relation{}, err
-				}
-				idx = append(idx, i)
-			}
-			out = rel.Project(idx)
-			for i, item := range q.Select {
-				if item.Alias != "" {
-					out.Schema[i].Name = item.Alias
-				}
-			}
-		}
-		if q.Distinct {
-			out = out.Distinct()
+		return finishAggregate(storage.Aggregate(rel, groupIdx, aggs), b)
+	}
+	if len(q.Having) > 0 {
+		return storage.Relation{}, fmt.Errorf("HAVING requires aggregation")
+	}
+	var out storage.Relation
+	star := false
+	for _, item := range q.Select {
+		if item.Star {
+			star = true
+			break
 		}
 	}
+	if star {
+		// SELECT * output order follows the FROM clause, not the join
+		// order the optimizer happened to choose.
+		var starIdx []int
+		for _, r := range b.Rels {
+			prefix := strings.ToLower(r.Alias()) + "."
+			for i, c := range rel.Schema {
+				if strings.HasPrefix(strings.ToLower(c.Name), prefix) {
+					starIdx = append(starIdx, i)
+				}
+			}
+		}
+		out = rel.Project(starIdx)
+	} else {
+		var idx []int
+		for _, item := range q.Select {
+			i, err := resolveQualified(rel.Schema, b, item.Col)
+			if err != nil {
+				return storage.Relation{}, err
+			}
+			idx = append(idx, i)
+		}
+		out = rel.Project(idx)
+		for i, item := range q.Select {
+			if item.Alias != "" {
+				out.Schema[i].Name = item.Alias
+			}
+		}
+	}
+	if q.Distinct {
+		out = out.Distinct()
+	}
+	return orderLimit(out, b)
+}
+
+// orderLimit applies ORDER BY, resolved against the output columns, and
+// LIMIT.
+func orderLimit(out storage.Relation, b *core.BoundQuery) (storage.Relation, error) {
+	q := b.Query
 	if len(q.OrderBy) > 0 {
 		var cols []int
 		var desc []bool

@@ -163,7 +163,7 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Errorf("result round trip: %+v", res2)
 	}
 	for i := range res.Rows {
-		if !res.Rows[i].Equal(res2.Rows[i]) {
+		if !value.ExactKey.EqualRows(res.Rows[i], res2.Rows[i]) {
 			t.Errorf("row %d: %v vs %v", i, res.Rows[i], res2.Rows[i])
 		}
 	}

@@ -1,7 +1,9 @@
 package semstore
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +12,16 @@ import (
 	"payless/internal/storage"
 	"payless/internal/value"
 )
+
+// rowKey renders a row exactly (kind and quoted payload per value): the
+// tests' collision-free stand-in for the string keys the store once used.
+func rowKey(r value.Row) string {
+	var b strings.Builder
+	for _, v := range r {
+		fmt.Fprintf(&b, "%d:%q ", v.K, v.String())
+	}
+	return b.String()
+}
 
 // naiveStore replicates the pre-index, pre-compaction semantic store: one
 // entry per recorded call forever, remainders via full-scan subtraction,
@@ -33,7 +45,7 @@ func (n *naiveStore) record(meta *catalog.Table, b region.Box, rows []value.Row,
 		n.ats = append(n.ats, at)
 	}
 	for _, r := range rows {
-		k := r.Key()
+		k := rowKey(r)
 		if _, dup := n.seen[k]; dup {
 			continue
 		}
@@ -177,7 +189,7 @@ func TestDifferentialOracle(t *testing.T) {
 						trial, rec, q, len(gotRows.Rows), len(wantRows))
 				}
 				for i := range wantRows {
-					if gotRows.Rows[i].Key() != wantRows[i].Key() {
+					if rowKey(gotRows.Rows[i]) != rowKey(wantRows[i]) {
 						t.Fatalf("trial %d rec %d: RowsIn(%v) row %d differs (order must match the naive scan)",
 							trial, rec, q, i)
 					}

@@ -193,9 +193,7 @@ func (s *Store) EnableDurability(dir string, opts DurableOptions) (RecoveryInfo,
 			info.BadSnapshots++
 			continue
 		}
-		if err := s.apply(st); err != nil {
-			return info, fmt.Errorf("semstore: apply snapshot %d: %w", seq, err)
-		}
+		s.apply(st)
 		info.SnapshotSeq = seq
 		info.SnapshotRecords = st.records
 		break
@@ -278,7 +276,8 @@ func (s *Store) replayRecord(rec *walRecord, lookup func(string) (*catalog.Table
 		return err
 	}
 	var res RecordResult
-	return s.applyRecord(meta, b, rows, coords, rec.At, &res)
+	s.applyRecord(meta, b, rows, coords, rec.At, &res)
+	return nil
 }
 
 // record is the durable Record path: append to the log, then apply, then
@@ -309,11 +308,7 @@ func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []va
 	if m := s.metrics; m != nil {
 		m.ObserveWALAppend(len(payload), synced, res.WALMicros)
 	}
-	if err := s.applyRecord(meta, b, rows, coords, at, &res); err != nil {
-		// The log holds the record even though this process failed to apply
-		// it; recovery will. Surface the apply error as-is.
-		return res, err
-	}
+	s.applyRecord(meta, b, rows, coords, at, &res)
 	d.sinceCkpt++
 	if d.ckptEvery > 0 && d.sinceCkpt >= d.ckptEvery {
 		// A failed checkpoint must not fail the Record: the log still holds

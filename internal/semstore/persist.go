@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"payless/internal/catalog"
 	"payless/internal/region"
-	"payless/internal/storage"
 	"payless/internal/value"
 )
 
@@ -36,7 +34,7 @@ type persistFile struct {
 }
 
 type persistTable struct {
-	// Table is the market table name (without the local-DB prefix).
+	// Table is the market table name.
 	Table   string         `json:"table"`
 	Kinds   []string       `json:"kinds"`
 	Entries []persistEntry `json:"entries"`
@@ -76,8 +74,8 @@ func (s *Store) Save(w io.Writer) error {
 // cumulative record count. The snapshot never mutates, so no lock is needed.
 func saveSnap(w io.Writer, snap *storeSnap, records int64) error {
 	out := persistFile{Magic: snapshotMagic, Version: persistVersion, Records: records}
-	for key, ts := range snap.tables {
-		pt := persistTable{Table: strings.TrimPrefix(key, tablePrefix)}
+	for name, ts := range snap.tables {
+		pt := persistTable{Table: name}
 		for _, c := range ts.meta.Schema {
 			pt.Kinds = append(pt.Kinds, c.Type.String())
 		}
@@ -181,13 +179,9 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 		if err != nil {
 			return nil, err
 		}
-		coords := make([][]int64, len(rows))
-		for i, row := range rows {
-			cs, err := rowCoords(meta, row)
-			if err != nil {
-				return nil, err
-			}
-			coords[i] = cs
+		coords, err := rowCoords(meta, rows)
+		if err != nil {
+			return nil, err
 		}
 		st.tables = append(st.tables, stagedTable{meta: meta, entries: pt.Entries, rows: rows, coords: coords})
 	}
@@ -227,27 +221,8 @@ func encodeRows(rows []value.Row) [][]string {
 	return out
 }
 
-// apply installs a fully validated snapshot. The local-DB inserts run
-// before the in-memory mutation, so a DB failure leaves the store's
-// semantic state (coverage, materialised rows, Save output) untouched.
-func (s *Store) apply(st *stagedSnapshot) error {
-	type pending struct {
-		tbl  *storage.Table
-		rows []value.Row
-	}
-	tabs := make([]pending, len(st.tables))
-	for i, t := range st.tables {
-		tbl, err := s.db.Ensure(LocalTableName(t.meta.Name), t.meta.Schema)
-		if err != nil {
-			return err
-		}
-		tabs[i] = pending{tbl: tbl, rows: t.rows}
-	}
-	for _, p := range tabs {
-		if _, err := p.tbl.Insert(p.rows); err != nil {
-			return err
-		}
-	}
+// apply installs a fully validated snapshot; nothing in it can fail.
+func (s *Store) apply(st *stagedSnapshot) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	// Adopt the snapshot's record history so save -> load -> save is a
@@ -278,16 +253,10 @@ func (s *Store) apply(st *stagedSnapshot) error {
 			}
 		}
 		for i, row := range t.rows {
-			k := row.Key()
-			if _, dup := ts.seen[k]; dup {
-				continue
-			}
-			ts.seen[k] = struct{}{}
-			ts.addRow(row.Clone(), t.coords[i])
+			ts.addRow(row, t.coords[i])
 		}
 	}
 	s.publish(snap, staged...)
-	return nil
 }
 
 // Load restores a saved store. lookup resolves table names to their catalog
@@ -309,7 +278,8 @@ func (s *Store) Load(r io.Reader, lookup func(table string) (*catalog.Table, boo
 	if err != nil {
 		return err
 	}
-	return s.apply(st)
+	s.apply(st)
+	return nil
 }
 
 func kindOf(s string) (value.Kind, error) {

@@ -234,10 +234,10 @@ func TestSaveLoadRoundTripAllKinds(t *testing.T) {
 	}
 	want := map[string]bool{}
 	for _, r := range rows {
-		want[r.Key()] = true
+		want[rowKey(r)] = true
 	}
 	for _, r := range got.Rows {
-		if !want[r.Key()] {
+		if !want[rowKey(r)] {
 			t.Errorf("row %v corrupted in round trip", r)
 		}
 		// Float cells must survive with full precision.

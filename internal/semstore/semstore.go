@@ -2,7 +2,7 @@
 // §4.2): every RESTful query issued to the data market is remembered as a
 // box over the table's queryable space, and its result rows are materialised
 // (deduplicated, never evicted — "we deliberately use cheap storage space to
-// store all intermediate results") in the buyer's local DBMS.
+// store all intermediate results") exactly once, inside the store itself.
 //
 // The store answers the two questions semantic query rewriting needs:
 // which part of a prospective call's box is already covered (the remainder
@@ -31,6 +31,7 @@ package semstore
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,13 +43,6 @@ import (
 	"payless/internal/storage"
 	"payless/internal/value"
 )
-
-// tablePrefix namespaces materialised market tables inside the local DBMS.
-const tablePrefix = "market_"
-
-// LocalTableName returns the DBMS table name holding the materialised rows
-// of the given market table.
-func LocalTableName(table string) string { return tablePrefix + table }
 
 // bigBoxLimit is how many of the largest stored boxes are kept in the
 // containment fast-path list checked before any index walk.
@@ -106,11 +100,12 @@ type tableStore struct {
 	// big lists up to bigBoxLimit largest live boxes by volume — the O(1)
 	// containment fast path for queries inside a large stored region.
 	big []int
-	// rows mirrors the deduplicated materialised rows with their queryable
-	// coordinates precomputed; rowIdx indexes them per dimension.
+	// rows holds the deduplicated materialised rows — the only copy of them —
+	// with their queryable coordinates precomputed; seen indexes them by
+	// value.ExactKey hash for deduplication and rowIdx per dimension.
 	rows   []value.Row
 	coords [][]int64
-	seen   map[string]struct{}
+	seen   *value.HashIndex
 	rowIdx []rowDim
 	// epoch counts the Records applied to this table (including WAL replay).
 	// The plan cache snapshots it at compile time and discards any skeleton
@@ -118,7 +113,7 @@ type tableStore struct {
 	epoch uint64
 }
 
-// storeSnap is one immutable published state of the store: a map from local
+// storeSnap is one immutable published state of the store: a map from market
 // table name to an immutable tableStore. Readers load the current snapshot
 // with a single atomic pointer read and never take a lock; writers build the
 // next snapshot from a clone and install it atomically. A reader therefore
@@ -159,7 +154,7 @@ type Store struct {
 	recorded atomic.Int64
 }
 
-// New returns a semantic store materialising rows into db.
+// New returns an empty semantic store beside db, the buyer's own tables.
 func New(db *storage.DB) *Store {
 	s := &Store{db: db}
 	s.snap.Store(&storeSnap{tables: make(map[string]*tableStore)})
@@ -170,27 +165,27 @@ func New(db *storage.DB) *Store {
 // reported to it. Call before the store is shared across goroutines.
 func (s *Store) SetMetrics(m *obs.Metrics) { s.metrics = m }
 
-// DB exposes the underlying local DBMS (PayLess offloads final query
-// processing to it).
+// DB exposes the buyer's local tables, which queries join against the
+// purchased ones.
 func (s *Store) DB() *storage.DB { return s.db }
 
 // table returns the published tableStore for a market table name, or nil.
 // The result is immutable; callers read it without locking.
 func (s *Store) table(table string) *tableStore {
-	return s.snap.Load().tables[LocalTableName(table)]
+	return s.snap.Load().tables[table]
 }
 
 // cloneTableFor returns a writable copy of the table's published state (or a
 // fresh empty one) for the writer to mutate before publishing. Caller holds
 // s.wmu.
 func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
-	if ts, ok := snap.tables[LocalTableName(meta.Name)]; ok {
+	if ts, ok := snap.tables[meta.Name]; ok {
 		return ts.clone()
 	}
 	d := len(meta.QueryableAttrs())
 	return &tableStore{
 		meta:   meta,
-		seen:   make(map[string]struct{}),
+		seen:   value.NewHashIndex(0),
 		dims:   make([]dimIdx, d),
 		rowIdx: make([]rowDim, d),
 	}
@@ -201,7 +196,7 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 // AND tombstoned), edge indexes, the big-box list, the sorted row indexes —
 // is deep-copied. rows and coords are append-only, so the clone shares their
 // backing arrays: a writer appending at index len(published) never touches a
-// slot any published snapshot can read. The seen map is writer-only state
+// slot any published snapshot can read. The seen index is writer-only state
 // (readers never consult it) and is shared across clones.
 func (ts *tableStore) clone() *tableStore {
 	cp := &tableStore{
@@ -241,7 +236,7 @@ func (s *Store) publish(prev *storeSnap, updated ...*tableStore) {
 		next.tables[k] = v
 	}
 	for _, ts := range updated {
-		next.tables[LocalTableName(ts.meta.Name)] = ts
+		next.tables[ts.meta.Name] = ts
 	}
 	s.snap.Store(next)
 }
@@ -277,7 +272,8 @@ type RecordResult struct {
 func (r RecordResult) Compacted() int { return r.Absorbed + r.Merged }
 
 // Record stores the outcome of an executed call: its box, its exact row
-// count, and the rows themselves (deduplicated into the local DBMS).
+// count, and the rows themselves (copied and deduplicated; the caller keeps
+// ownership of rows).
 //
 // Record is atomic with respect to the coverage index: every row's
 // coordinates are validated up front, and only when all of them resolve are
@@ -293,9 +289,7 @@ func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at t
 	if d := s.dur; d != nil {
 		return d.record(s, meta, b, rows, coords, at)
 	}
-	if err := s.applyRecord(meta, b, rows, coords, at, &res); err != nil {
-		return res, err
-	}
+	s.applyRecord(meta, b, rows, coords, at, &res)
 	s.recorded.Add(1)
 	return res, nil
 }
@@ -307,44 +301,27 @@ func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) ([][]int6
 	if b.Empty() && len(rows) > 0 {
 		return nil, fmt.Errorf("semstore: non-empty result for empty box on %s", meta.Name)
 	}
-	coords := make([][]int64, len(rows))
-	for i, row := range rows {
+	for _, row := range rows {
 		if len(row) != len(meta.Schema) {
 			return nil, fmt.Errorf("semstore: %s: row has %d values, schema has %d",
 				meta.Name, len(row), len(meta.Schema))
 		}
-		cs, err := rowCoords(meta, row)
-		if err != nil {
-			return nil, err
-		}
-		coords[i] = cs
 	}
-	return coords, nil
+	return rowCoords(meta, rows)
 }
 
 // applyRecord installs one validated call — the state-mutating half of
 // Record, also the WAL replay entry point (replay must not re-append).
-func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row, coords [][]int64, at time.Time, res *RecordResult) error {
-	tbl, err := s.db.Ensure(LocalTableName(meta.Name), meta.Schema)
-	if err != nil {
-		return err
-	}
-	if _, err := tbl.Insert(rows); err != nil {
-		return err
-	}
+func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row, coords [][]int64, at time.Time, res *RecordResult) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	snap := s.snap.Load()
 	ts := cloneTableFor(snap, meta)
 	ts.epoch++
 	for i, row := range rows {
-		k := row.Key()
-		if _, dup := ts.seen[k]; dup {
-			continue
+		if ts.addRow(row, coords[i]) {
+			res.Added++
 		}
-		ts.seen[k] = struct{}{}
-		ts.addRow(row.Clone(), coords[i])
-		res.Added++
 	}
 	if !b.Empty() {
 		res.Dropped, res.Absorbed, res.Merged = ts.insertEntry(b.Clone(), at, int64(len(rows)))
@@ -361,16 +338,21 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 		}
 	}
 	s.publish(snap, ts)
-	return nil
 }
 
-// addRow appends a validated, deduplicated row and indexes its coordinates.
-func (ts *tableStore) addRow(row value.Row, cs []int64) {
-	id := len(ts.rows)
-	ts.rows = append(ts.rows, row)
+// addRow stores a copy of a validated row and indexes its coordinates, unless
+// the table already holds the row (value.ExactKey); it reports whether the
+// row was new.
+func (ts *tableStore) addRow(row value.Row, cs []int64) bool {
+	h := value.ExactKey.HashRow(row)
+	if ts.seen.Lookup(value.ExactKey, ts.rows, row, h) >= 0 {
+		return false
+	}
+	id := ts.seen.Add(h) // == len(ts.rows): every stored row is indexed
+	ts.rows = append(ts.rows, row.Clone())
 	ts.coords = append(ts.coords, cs)
 	if len(cs) != len(ts.rowIdx) {
-		return // dimensionality drift; such rows are only found by full scans
+		return true // dimensionality drift; such rows are only found by full scans
 	}
 	for d := range ts.rowIdx {
 		ri := &ts.rowIdx[d]
@@ -382,6 +364,7 @@ func (ts *tableStore) addRow(row value.Row, cs []int64) {
 		copy(ri.ids[pos+1:], ri.ids[pos:])
 		ri.ids[pos] = id
 	}
+	return true
 }
 
 // insertEntry adds a coverage box, compacting as it goes. Caller holds the
@@ -817,29 +800,36 @@ func (s *Store) Covered(table string, q region.Box, since time.Time) bool {
 	return len(s.Remainder(table, q, since)) == 0
 }
 
-// rowCoords maps a row onto its queryable-space coordinates.
-func rowCoords(meta *catalog.Table, row value.Row) ([]int64, error) {
+// rowCoords maps each row onto its queryable-space coordinates. The rows of
+// one batch share one backing array; coordinates are never written again.
+func rowCoords(meta *catalog.Table, rows []value.Row) ([][]int64, error) {
 	qidx := meta.QueryableIdx()
 	qa := meta.QueryableAttrs()
-	cs := make([]int64, len(qa))
-	for i, a := range qa {
-		c, err := a.Coord(row[qidx[i]])
-		if err != nil {
-			return nil, err
+	d := len(qa)
+	flat := make([]int64, len(rows)*d)
+	coords := make([][]int64, len(rows))
+	for r, row := range rows {
+		cs := flat[r*d : (r+1)*d : (r+1)*d]
+		for i, a := range qa {
+			c, err := a.Coord(row[qidx[i]])
+			if err != nil {
+				return nil, err
+			}
+			cs[i] = c
 		}
-		cs[i] = c
+		coords[r] = cs
 	}
-	return cs, nil
+	return coords, nil
 }
 
 // RowBox maps a row of the table onto its point box in queryable space.
 func RowBox(meta *catalog.Table, row value.Row) (region.Box, error) {
-	cs, err := rowCoords(meta, row)
+	coords, err := rowCoords(meta, []value.Row{row})
 	if err != nil {
 		return region.Box{}, err
 	}
-	dims := make([]region.Interval, len(cs))
-	for i, c := range cs {
+	dims := make([]region.Interval, len(coords[0]))
+	for i, c := range coords[0] {
 		dims[i] = region.Point(c)
 	}
 	return region.Box{Dims: dims}, nil
@@ -860,64 +850,89 @@ func (ts *tableStore) rowMatches(id int, q region.Box) bool {
 	return true
 }
 
-// rowCandidates returns the ids of materialised rows inside q, in insertion
-// order, using the narrowest per-dimension coordinate range. ok is false
-// when the row index is unusable for q (fall back to a full scan).
-func (ts *tableStore) rowCandidates(q region.Box) (ids []int, ok bool) {
+// rowSegment returns the row ids, in coordinate order, of the narrowest
+// per-dimension coordinate range q selects: every row inside q is among
+// them. ok is false when the row index is unusable for q and every row has
+// to be looked at.
+func (ts *tableStore) rowSegment(q region.Box) (ids []int, ok bool) {
 	d := len(ts.rowIdx)
 	if q.D() != d || d == 0 {
 		return nil, false
 	}
-	best := -1
-	var seg *rowDim
-	var lo, hi int
 	for k := 0; k < d; k++ {
 		ri := &ts.rowIdx[k]
 		qd := q.Dims[k]
 		l := sort.Search(len(ri.coords), func(i int) bool { return ri.coords[i] >= qd.Lo })
 		h := sort.Search(len(ri.coords), func(i int) bool { return ri.coords[i] >= qd.Hi })
-		if best < 0 || h-l < best {
-			best, seg, lo, hi = h-l, ri, l, h
+		if !ok || h-l < len(ids) {
+			ids, ok = ri.ids[l:h], true
 		}
 	}
-	if best < 0 {
-		return nil, false
-	}
-	for _, id := range seg.ids[lo:hi] {
-		if ts.rowMatches(id, q) {
-			ids = append(ids, id)
+	return ids, ok
+}
+
+// rowsIn returns the rows inside q in insertion order (the order a scan of
+// the whole table finds them in) without sorting the table's worth of ids a
+// large read used to. A candidate segment of more than 1/64 of the table
+// marks its matches in a transient bitset over the table — one bit per row,
+// so never more memory than the ids themselves — and reads that back in
+// order; a smaller one collects and sorts its few matches, which is cheaper
+// than clearing and walking table-sized bits for a handful of rows.
+func (ts *tableStore) rowsIn(q region.Box) []value.Row {
+	seg, ok := ts.rowSegment(q)
+	n := len(ts.rows)
+	var out []value.Row
+	switch {
+	case !ok:
+		for id := range ts.rows {
+			if ts.rowMatches(id, q) {
+				out = append(out, ts.rows[id])
+			}
+		}
+	case 64*len(seg) > n:
+		bits := make([]uint64, (n+63)/64)
+		count := 0
+		for _, id := range seg {
+			if ts.rowMatches(id, q) {
+				bits[id/64] |= 1 << (id % 64)
+				count++
+			}
+		}
+		if count == 0 {
+			return nil
+		}
+		out = make([]value.Row, 0, count)
+		for w, word := range bits {
+			for ; word != 0; word &= word - 1 {
+				out = append(out, ts.rows[w*64+mathbits.TrailingZeros64(word)])
+			}
+		}
+	default:
+		ids := make([]int, 0, len(seg))
+		for _, id := range seg {
+			if ts.rowMatches(id, q) {
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) == 0 {
+			return nil
+		}
+		sort.Ints(ids)
+		out = make([]value.Row, len(ids))
+		for i, id := range ids {
+			out[i] = ts.rows[id]
 		}
 	}
-	sort.Ints(ids) // emit in insertion order, as a full scan would
-	return ids, true
+	return out
 }
 
 // RowsIn returns the materialised rows of the table whose queryable
-// coordinates fall inside box q, in insertion order.
+// coordinates fall inside box q, in insertion order. The rows are the
+// store's own: callers must not write to them.
 func (s *Store) RowsIn(meta *catalog.Table, q region.Box) (storage.Relation, error) {
 	out := storage.Relation{Schema: meta.Schema.Clone()}
-	ts := s.table(meta.Name)
-	if ts == nil {
-		return out, nil
-	}
-	if ids, usable := ts.rowCandidates(q); usable {
-		for _, id := range ids {
-			out.Rows = append(out.Rows, ts.rows[id])
-		}
-		return out, nil
-	}
-	d := q.D()
-scan:
-	for i, cs := range ts.coords {
-		if len(cs) != d {
-			continue
-		}
-		for k := 0; k < d; k++ {
-			if !q.Dims[k].ContainsCoord(cs[k]) {
-				continue scan
-			}
-		}
-		out.Rows = append(out.Rows, ts.rows[i])
+	if ts := s.table(meta.Name); ts != nil {
+		out.Rows = ts.rowsIn(q)
 	}
 	return out, nil
 }
@@ -929,33 +944,30 @@ func (s *Store) CountIn(meta *catalog.Table, q region.Box) (int64, error) {
 	if ts == nil {
 		return 0, nil
 	}
-	if ids, usable := ts.rowCandidates(q); usable {
-		return int64(len(ids)), nil
-	}
 	var n int64
-	d := q.D()
-scan:
-	for _, cs := range ts.coords {
-		if len(cs) != d {
-			continue
-		}
-		for k := 0; k < d; k++ {
-			if !q.Dims[k].ContainsCoord(cs[k]) {
-				continue scan
+	if seg, ok := ts.rowSegment(q); ok {
+		for _, id := range seg {
+			if ts.rowMatches(id, q) {
+				n++
 			}
 		}
-		n++
+		return n, nil
+	}
+	for id := range ts.rows {
+		if ts.rowMatches(id, q) {
+			n++
+		}
 	}
 	return n, nil
 }
 
 // StoredRowCount returns the total number of materialised rows for a table.
 func (s *Store) StoredRowCount(table string) int {
-	tbl, ok := s.db.Lookup(LocalTableName(table))
-	if !ok {
+	ts := s.table(table)
+	if ts == nil {
 		return 0
 	}
-	return tbl.Len()
+	return len(ts.rows)
 }
 
 // Stats is a point-in-time snapshot of the store's size and its lifetime

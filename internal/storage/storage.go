@@ -35,7 +35,7 @@ func (db *DB) Create(name string, schema value.Schema) (*Table, error) {
 	if _, ok := db.tables[key]; ok {
 		return nil, fmt.Errorf("table %s already exists", name)
 	}
-	t := &Table{name: name, schema: schema.Clone(), index: make(map[string]struct{})}
+	t := newTable(name, schema)
 	db.tables[key] = t
 	return t, nil
 }
@@ -52,7 +52,7 @@ func (db *DB) Ensure(name string, schema value.Schema) (*Table, error) {
 		}
 		return t, nil
 	}
-	t := &Table{name: name, schema: schema.Clone(), index: make(map[string]struct{})}
+	t := newTable(name, schema)
 	db.tables[key] = t
 	return t, nil
 }
@@ -78,7 +78,11 @@ type Table struct {
 	name   string
 	schema value.Schema
 	rows   []value.Row
-	index  map[string]struct{}
+	index  *value.HashIndex // over rows, under value.ExactKey
+}
+
+func newTable(name string, schema value.Schema) *Table {
+	return &Table{name: name, schema: schema.Clone(), index: value.NewHashIndex(0)}
 }
 
 // Name returns the table name.
@@ -104,11 +108,11 @@ func (t *Table) Insert(rows []value.Row) (int, error) {
 		if len(r) != len(t.schema) {
 			return added, fmt.Errorf("table %s: row width %d, want %d", t.name, len(r), len(t.schema))
 		}
-		k := r.Key()
-		if _, dup := t.index[k]; dup {
+		h := value.ExactKey.HashRow(r)
+		if t.index.Lookup(value.ExactKey, t.rows, r, h) >= 0 {
 			continue
 		}
-		t.index[k] = struct{}{}
+		t.index.Add(h)
 		t.rows = append(t.rows, r.Clone())
 		added++
 	}
@@ -146,111 +150,136 @@ func (r Relation) Select(pred func(value.Row) bool) Relation {
 
 // Project returns the relation restricted to the given column indexes.
 func (r Relation) Project(idx []int) Relation {
-	sch := make(value.Schema, len(idx))
-	for i, j := range idx {
-		sch[i] = r.Schema[j]
-	}
-	out := Relation{Schema: sch, Rows: make([]value.Row, 0, len(r.Rows))}
-	for _, row := range r.Rows {
-		out.Rows = append(out.Rows, value.Project(row, idx))
+	out := Relation{Schema: projectSchema(r.Schema, idx), Rows: make([]value.Row, len(r.Rows))}
+	w := len(idx)
+	vals := make([]value.Value, len(r.Rows)*w)
+	for i, row := range r.Rows {
+		p := vals[i*w : (i+1)*w : (i+1)*w]
+		for k, j := range idx {
+			p[k] = row[j]
+		}
+		out.Rows[i] = p
 	}
 	return out
 }
 
-// Distinct removes duplicate rows, preserving first-seen order.
+func projectSchema(s value.Schema, idx []int) value.Schema {
+	out := make(value.Schema, len(idx))
+	for i, j := range idx {
+		out[i] = s[j]
+	}
+	return out
+}
+
+// Distinct removes duplicate rows (value.ExactKey), preserving first-seen
+// order.
 func (r Relation) Distinct() Relation {
-	seen := make(map[string]struct{}, len(r.Rows))
+	seen := value.NewHashIndex(0)
 	out := Relation{Schema: r.Schema}
 	for _, row := range r.Rows {
-		k := row.Key()
-		if _, dup := seen[k]; dup {
+		h := value.ExactKey.HashRow(row)
+		if seen.Lookup(value.ExactKey, out.Rows, row, h) >= 0 {
 			continue
 		}
-		seen[k] = struct{}{}
+		seen.Add(h)
 		out.Rows = append(out.Rows, row)
 	}
 	return out
 }
 
-// DistinctValues returns the distinct values of one column in first-seen
-// order — used to collect bind-join binding values.
+// DistinctValues returns the distinct values (value.ExactKey) of one column
+// in first-seen order — used to collect bind-join binding values.
 func (r Relation) DistinctValues(col int) []value.Value {
-	seen := make(map[string]struct{})
 	var out []value.Value
-	for _, row := range r.Rows {
-		v := row[col]
-		k := fmt.Sprintf("%d|%s", v.K, v.String())
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, v)
+	for _, row := range r.Project([]int{col}).Distinct().Rows {
+		out = append(out, row[0])
 	}
 	return out
 }
 
-// HashJoin equi-joins r and s on the given column pairs (r.Rows x s.Rows
-// where r[lc[i]] == s[rc[i]] for all i). The output schema is the
-// concatenation of both schemas.
-func HashJoin(r, s Relation, lc, rc []int) Relation {
-	out := Relation{Schema: append(r.Schema.Clone(), s.Schema.Clone()...)}
+// EachJoined calls emit(l, r) for every row l of left and row r of right
+// whose key columns agree (left[lc[i]] meets right[rc[i]] for all i under
+// value.NumericKey). The hash table is built over the smaller input (right on
+// a tie) and the other one probes it: pairs come in probe-row order, each
+// probe row's matches in build-row order. With no key columns, or lists of
+// different lengths, every pair is emitted, left-major.
+func EachJoined(left, right Relation, lc, rc []int, emit func(l, r value.Row)) {
 	if len(lc) != len(rc) || len(lc) == 0 {
-		return Cross(r, s)
-	}
-	// Build on the smaller side.
-	build, probe := s, r
-	bc, pc := rc, lc
-	swapped := false
-	if len(r.Rows) < len(s.Rows) {
-		build, probe = r, s
-		bc, pc = lc, rc
-		swapped = true
-	}
-	ht := make(map[string][]value.Row, len(build.Rows))
-	for _, row := range build.Rows {
-		ht[joinKey(row, bc)] = append(ht[joinKey(row, bc)], row)
-	}
-	for _, prow := range probe.Rows {
-		for _, brow := range ht[joinKey(prow, pc)] {
-			var joined value.Row
-			if swapped {
-				// build side is r, probe side is s.
-				joined = append(append(value.Row{}, brow...), prow...)
-			} else {
-				joined = append(append(value.Row{}, prow...), brow...)
+		for _, l := range left.Rows {
+			for _, r := range right.Rows {
+				emit(l, r)
 			}
-			out.Rows = append(out.Rows, joined)
+		}
+		return
+	}
+	build, probe, bc, pc := right.Rows, left.Rows, rc, lc
+	swapped := len(left.Rows) < len(right.Rows)
+	if swapped {
+		build, probe, bc, pc = left.Rows, right.Rows, lc, rc
+	}
+	ht := value.NewHashIndex(len(build))
+	for _, row := range build {
+		ht.Add(value.NumericKey.HashCols(row, bc))
+	}
+	for _, prow := range probe {
+		for id := ht.First(value.NumericKey.HashCols(prow, pc)); id >= 0; id = ht.Next(id) {
+			brow := build[id]
+			if !value.NumericKey.EqualCols(prow, pc, brow, bc) {
+				continue // a hash collision
+			}
+			if swapped {
+				emit(brow, prow)
+			} else {
+				emit(prow, brow)
+			}
 		}
 	}
+}
+
+// HashJoin equi-joins r and s on the given column pairs, in EachJoined's
+// order. The output schema is the concatenation of both schemas.
+func HashJoin(r, s Relation, lc, rc []int) Relation {
+	return HashJoinKeep(r, s, lc, rc, nil)
+}
+
+// HashJoinKeep is HashJoin restricted to the columns keep of the
+// concatenated schema, in that order; nil keeps every column. Output rows
+// are carved out of shared slabs that start at a few rows and double, so a
+// join allocates O(log n) times; like every relation's rows they must not be
+// written to.
+func HashJoinKeep(r, s Relation, lc, rc, keep []int) Relation {
+	sch := append(r.Schema.Clone(), s.Schema...)
+	if keep != nil {
+		sch = projectSchema(sch, keep)
+	}
+	out := Relation{Schema: sch}
+	w := len(sch)
+	var slab []value.Value
+	EachJoined(r, s, lc, rc, func(l, r value.Row) {
+		if len(out.Rows) == cap(out.Rows) {
+			n := max(4, 2*cap(out.Rows))
+			out.Rows = append(make([]value.Row, 0, n), out.Rows...)
+			slab = make([]value.Value, 0, (n-len(out.Rows))*w)
+		}
+		row := slab[len(slab) : len(slab)+w : len(slab)+w]
+		slab = slab[:len(slab)+w]
+		if keep == nil {
+			copy(row[copy(row, l):], r)
+		}
+		for i, c := range keep {
+			row[i] = pairAt(l, r, c)
+		}
+		out.Rows = append(out.Rows, row)
+	})
 	return out
 }
 
-func joinKey(row value.Row, cols []int) string {
-	var b strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte(0x1f)
-		}
-		v := row[c]
-		// Normalise numerics so Int(2) joins Float(2.0).
-		if v.K == value.Float && v.F == float64(int64(v.F)) {
-			v = value.NewInt(int64(v.F))
-		}
-		b.WriteByte(byte(v.K) + '0')
-		b.WriteString(v.String())
+// pairAt is column c of the row l++r.
+func pairAt(l, r value.Row, c int) value.Value {
+	if c < len(l) {
+		return l[c]
 	}
-	return b.String()
-}
-
-// Cross returns the cartesian product of r and s.
-func Cross(r, s Relation) Relation {
-	out := Relation{Schema: append(r.Schema.Clone(), s.Schema.Clone()...)}
-	for _, a := range r.Rows {
-		for _, b := range s.Rows {
-			out.Rows = append(out.Rows, append(append(value.Row{}, a...), b...))
-		}
-	}
-	return out
+	return r[c-len(l)]
 }
 
 // AggFunc enumerates the supported aggregate functions.
@@ -296,23 +325,36 @@ type aggState struct {
 	sum   float64
 	min   value.Value
 	max   value.Value
-	seen  bool
 }
 
-// Aggregate groups r by the given columns and computes the aggregates.
-// The output schema is the group-by columns followed by one column per
-// aggregate. With no group-by columns a single global row is produced
-// (even over an empty input, for COUNT to report 0).
-func Aggregate(r Relation, groupBy []int, aggs []AggSpec) Relation {
+// Aggregator groups the rows it is fed and folds the aggregates as they
+// arrive, so its input never has to exist as a relation. Groups are matched
+// under value.NumericKey and reported in first-seen order with the first
+// row's key values; sums accumulate in arrival order.
+type Aggregator struct {
+	schema  value.Schema // of the result
+	groupBy []int
+	aggs    []AggSpec
+	groups  *value.HashIndex
+	keys    []value.Value // len(groupBy) per group
+	states  []aggState    // len(aggs) per group
+	key     value.Row     // scratch: the current row's group key
+}
+
+// NewAggregator prepares to aggregate rows of the schema in, grouped by the
+// columns groupBy. The result schema is the group-by columns followed by one
+// column per aggregate. With no group-by columns a single global row is
+// produced (even over an empty input, for COUNT to report 0).
+func NewAggregator(in value.Schema, groupBy []int, aggs []AggSpec) *Aggregator {
 	sch := make(value.Schema, 0, len(groupBy)+len(aggs))
 	for _, g := range groupBy {
-		sch = append(sch, r.Schema[g])
+		sch = append(sch, in[g])
 	}
 	for _, a := range aggs {
 		name := a.As
 		if name == "" {
 			if a.Col >= 0 {
-				name = fmt.Sprintf("%s(%s)", a.Func, r.Schema[a.Col].Name)
+				name = fmt.Sprintf("%s(%s)", a.Func, in[a.Col].Name)
 			} else {
 				name = fmt.Sprintf("%s(*)", a.Func)
 			}
@@ -321,95 +363,108 @@ func Aggregate(r Relation, groupBy []int, aggs []AggSpec) Relation {
 		if a.Func == Count {
 			typ = value.Int
 		} else if a.Col >= 0 && (a.Func == Min || a.Func == Max) {
-			typ = r.Schema[a.Col].Type
+			typ = in[a.Col].Type
 		}
 		sch = append(sch, value.Column{Name: name, Type: typ})
 	}
+	a := &Aggregator{schema: sch, groupBy: groupBy, aggs: aggs, key: make(value.Row, len(groupBy))}
+	if len(groupBy) == 0 {
+		a.states = make([]aggState, len(aggs))
+	} else {
+		a.groups = value.NewHashIndex(0)
+	}
+	return a
+}
 
-	groups := make(map[string][]*aggState)
-	keys := make(map[string]value.Row)
-	var order []string
-	for _, row := range r.Rows {
-		gk := joinKey(row, groupBy)
-		states, ok := groups[gk]
-		if !ok {
-			states = make([]*aggState, len(aggs))
-			for i := range states {
-				states[i] = &aggState{}
-			}
-			groups[gk] = states
-			keys[gk] = value.Project(row, groupBy)
-			order = append(order, gk)
+// Add feeds one input row, given as the two halves l++r of a joined pair. A
+// whole row is Add(row, nil).
+func (a *Aggregator) Add(l, r value.Row) {
+	g := 0
+	if k := len(a.groupBy); k > 0 {
+		for i, c := range a.groupBy {
+			a.key[i] = pairAt(l, r, c)
 		}
-		for i, a := range aggs {
-			st := states[i]
-			if a.Col < 0 {
-				st.count++
-				continue
-			}
-			v := row[a.Col]
-			if v.IsNull() {
-				continue
-			}
+		h := value.NumericKey.HashRow(a.key)
+		g = a.groups.First(h)
+		for g >= 0 && !value.NumericKey.EqualRows(a.keys[g*k:(g+1)*k], a.key) {
+			g = a.groups.Next(g)
+		}
+		if g < 0 {
+			g = a.groups.Add(h)
+			a.keys = append(a.keys, a.key...)
+			a.states = append(a.states, make([]aggState, len(a.aggs))...)
+		}
+	}
+	states := a.states[g*len(a.aggs):]
+	for i, spec := range a.aggs {
+		st := &states[i]
+		if spec.Col < 0 {
 			st.count++
-			st.sum += v.AsFloat()
-			if !st.seen || v.Compare(st.min) < 0 {
-				st.min = v
-			}
-			if !st.seen || v.Compare(st.max) > 0 {
-				st.max = v
-			}
-			st.seen = true
+			continue
+		}
+		v := pairAt(l, r, spec.Col)
+		if v.IsNull() {
+			continue
+		}
+		first := st.count == 0
+		st.count++
+		st.sum += v.AsFloat()
+		if first || v.Compare(st.min) < 0 {
+			st.min = v
+		}
+		if first || v.Compare(st.max) > 0 {
+			st.max = v
 		}
 	}
-	if len(groupBy) == 0 && len(order) == 0 {
-		// Global aggregate over empty input.
-		groups[""] = make([]*aggState, len(aggs))
-		for i := range groups[""] {
-			groups[""][i] = &aggState{}
-		}
-		keys[""] = value.Row{}
-		order = append(order, "")
-	}
+}
 
-	out := Relation{Schema: sch}
-	for _, gk := range order {
-		states := groups[gk]
-		row := append(value.Row{}, keys[gk]...)
-		for i, a := range aggs {
-			st := states[i]
-			switch a.Func {
-			case Count:
-				row = append(row, value.NewInt(st.count))
-			case Sum:
-				if st.count == 0 {
-					row = append(row, value.NewNull())
-				} else {
-					row = append(row, value.NewFloat(st.sum))
-				}
-			case Avg:
-				if st.count == 0 {
-					row = append(row, value.NewNull())
-				} else {
-					row = append(row, value.NewFloat(st.sum/float64(st.count)))
-				}
-			case Min:
-				if !st.seen {
-					row = append(row, value.NewNull())
-				} else {
-					row = append(row, st.min)
-				}
-			case Max:
-				if !st.seen {
-					row = append(row, value.NewNull())
-				} else {
-					row = append(row, st.max)
-				}
+// Result returns one row per group.
+func (a *Aggregator) Result() Relation {
+	k, n := len(a.groupBy), len(a.aggs)
+	groups := 1
+	if k > 0 {
+		groups = a.groups.Len()
+	}
+	out := Relation{Schema: a.schema}
+	if groups == 0 {
+		return out
+	}
+	out.Rows = make([]value.Row, groups)
+	vals := make([]value.Value, 0, groups*(k+n))
+	for g := range out.Rows {
+		vals = append(vals, a.keys[g*k:(g+1)*k]...)
+		for i, spec := range a.aggs {
+			st := &a.states[g*n+i]
+			v := value.NewNull()
+			switch {
+			case spec.Func == Count:
+				v = value.NewInt(st.count)
+			case st.count == 0:
+				// SUM, AVG, MIN and MAX over no non-null value are NULL.
+			case spec.Func == Sum:
+				v = value.NewFloat(st.sum)
+			case spec.Func == Avg:
+				v = value.NewFloat(st.sum / float64(st.count))
+			case spec.Func == Min:
+				v = st.min
+			case spec.Func == Max:
+				v = st.max
 			}
+			vals = append(vals, v)
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[g] = vals[len(vals)-k-n : len(vals) : len(vals)]
 	}
 	return out
+}
+
+// Aggregate groups r by the given columns and computes the aggregates; see
+// NewAggregator for the result's shape.
+func Aggregate(r Relation, groupBy []int, aggs []AggSpec) Relation {
+	a := NewAggregator(r.Schema, groupBy, aggs)
+	for _, row := range r.Rows {
+		a.Add(row, nil)
+	}
+	return a.Result()
 }
 
 // OrderBy sorts the relation by the given columns; desc[i] flips column i.
@@ -439,41 +494,4 @@ func (r Relation) Limit(n int) Relation {
 		return r
 	}
 	return Relation{Schema: r.Schema, Rows: r.Rows[:n]}
-}
-
-// MergeJoin equi-joins r and s on single columns lc/rc by sorting both
-// sides — the classic alternative to HashJoin, preferable when inputs are
-// already ordered or memory for a hash table is tight. The output schema
-// and row multiset match HashJoin's.
-func MergeJoin(r, s Relation, lc, rc int) Relation {
-	out := Relation{Schema: append(r.Schema.Clone(), s.Schema.Clone()...)}
-	left := r.OrderBy([]int{lc}, nil)
-	right := s.OrderBy([]int{rc}, nil)
-	i, j := 0, 0
-	for i < len(left.Rows) && j < len(right.Rows) {
-		cmp := left.Rows[i][lc].Compare(right.Rows[j][rc])
-		switch {
-		case cmp < 0:
-			i++
-		case cmp > 0:
-			j++
-		default:
-			// Emit the cross product of the equal runs.
-			iEnd := i
-			for iEnd < len(left.Rows) && left.Rows[iEnd][lc].Compare(right.Rows[j][rc]) == 0 {
-				iEnd++
-			}
-			jEnd := j
-			for jEnd < len(right.Rows) && left.Rows[i][lc].Compare(right.Rows[jEnd][rc]) == 0 {
-				jEnd++
-			}
-			for a := i; a < iEnd; a++ {
-				for b := j; b < jEnd; b++ {
-					out.Rows = append(out.Rows, append(append(value.Row{}, left.Rows[a]...), right.Rows[b]...))
-				}
-			}
-			i, j = iEnd, jEnd
-		}
-	}
-	return out
 }

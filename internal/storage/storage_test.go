@@ -152,9 +152,13 @@ func TestHashJoinNoKeysFallsBackToCross(t *testing.T) {
 func TestCross(t *testing.T) {
 	l := Relation{Schema: sch("a"), Rows: []value.Row{intRow(1), intRow(2)}}
 	r := Relation{Schema: sch("b"), Rows: []value.Row{intRow(3), intRow(4)}}
-	c := Cross(l, r)
+	c := HashJoin(l, r, nil, nil)
 	if c.Len() != 4 || len(c.Schema) != 2 {
 		t.Errorf("Cross: %v", c)
+	}
+	// Left-major: (1,3) (1,4) (2,3) (2,4).
+	if c.Rows[1][0].I != 1 || c.Rows[1][1].I != 4 || c.Rows[2][0].I != 2 {
+		t.Errorf("Cross order: %v", c.Rows)
 	}
 }
 
@@ -263,50 +267,6 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
-	f := func(ls, rs []uint8) bool {
-		l := Relation{Schema: sch("a", "x")}
-		for i, v := range ls {
-			l.Rows = append(l.Rows, intRow(int64(v%6), int64(i)))
-		}
-		r := Relation{Schema: sch("b", "y")}
-		for i, v := range rs {
-			r.Rows = append(r.Rows, intRow(int64(v%6), int64(100+i)))
-		}
-		h := HashJoin(l, r, []int{0}, []int{0})
-		m := MergeJoin(l, r, 0, 0)
-		if h.Len() != m.Len() {
-			return false
-		}
-		// Compare as multisets.
-		count := make(map[string]int)
-		for _, row := range h.Rows {
-			count[row.Key()]++
-		}
-		for _, row := range m.Rows {
-			count[row.Key()]--
-		}
-		for _, c := range count {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMergeJoinDuplicateRuns(t *testing.T) {
-	l := Relation{Schema: sch("a"), Rows: []value.Row{intRow(2), intRow(2), intRow(3)}}
-	r := Relation{Schema: sch("b"), Rows: []value.Row{intRow(2), intRow(2), intRow(2)}}
-	m := MergeJoin(l, r, 0, 0)
-	if m.Len() != 6 {
-		t.Errorf("duplicate runs: %d rows, want 6", m.Len())
-	}
-}
-
 func BenchmarkHashJoin(b *testing.B) {
 	l := Relation{Schema: sch("a", "x")}
 	r := Relation{Schema: sch("b", "y")}
@@ -317,18 +277,5 @@ func BenchmarkHashJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		HashJoin(l, r, []int{0}, []int{0})
-	}
-}
-
-func BenchmarkMergeJoin(b *testing.B) {
-	l := Relation{Schema: sch("a", "x")}
-	r := Relation{Schema: sch("b", "y")}
-	for i := 0; i < 5000; i++ {
-		l.Rows = append(l.Rows, intRow(int64(i%500), int64(i)))
-		r.Rows = append(r.Rows, intRow(int64(i%500), int64(i)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeJoin(l, r, 0, 0)
 	}
 }

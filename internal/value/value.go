@@ -3,13 +3,12 @@
 // optimizer and the execution engine.
 //
 // Values are a small tagged union rather than an interface so that rows are
-// cache-friendly, comparable and cheap to hash. Dates are represented as
+// cache-friendly, comparable and cheap to hash (see Key). Dates are represented as
 // int64 in YYYYMMDD form, following the paper's examples (e.g. 20140601).
 package value
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -155,33 +154,6 @@ func (v Value) Compare(w Value) int {
 // Equal reports whether v and w compare equal.
 func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }
 
-// Hash mixes the value into a 64-bit FNV-1a hash.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
-	buf[0] = byte(v.K)
-	switch v.K {
-	case Int:
-		u := uint64(v.I)
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(u >> (8 * i))
-		}
-		h.Write(buf[:9])
-	case Float:
-		u := math.Float64bits(v.F)
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(u >> (8 * i))
-		}
-		h.Write(buf[:9])
-	case String:
-		h.Write(buf[:1])
-		h.Write([]byte(v.S))
-	default:
-		h.Write(buf[:1])
-	}
-	return h.Sum64()
-}
-
 // Row is a tuple of values laid out in schema order.
 type Row []Value
 
@@ -190,43 +162,6 @@ func (r Row) Clone() Row {
 	c := make(Row, len(r))
 	copy(c, r)
 	return c
-}
-
-// Hash combines the hashes of all values in the row.
-func (r Row) Hash() uint64 {
-	var h uint64 = 1469598103934665603 // FNV offset basis
-	for _, v := range r {
-		h ^= v.Hash()
-		h *= 1099511628211 // FNV prime
-	}
-	return h
-}
-
-// Equal reports whether two rows have identical length and values.
-func (r Row) Equal(s Row) bool {
-	if len(r) != len(s) {
-		return false
-	}
-	for i := range r {
-		if !r[i].Equal(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Key renders the row as a canonical string, usable as a map key for
-// row-level deduplication in the semantic store.
-func (r Row) Key() string {
-	var b strings.Builder
-	for i, v := range r {
-		if i > 0 {
-			b.WriteByte(0x1f)
-		}
-		b.WriteByte(byte(v.K) + '0')
-		b.WriteString(v.String())
-	}
-	return b.String()
 }
 
 // Column describes one attribute of a schema.
@@ -263,15 +198,6 @@ func (s Schema) Clone() Schema {
 	c := make(Schema, len(s))
 	copy(c, s)
 	return c
-}
-
-// Project returns the sub-row of r at the given column indexes.
-func Project(r Row, idx []int) Row {
-	out := make(Row, len(idx))
-	for i, j := range idx {
-		out[i] = r[j]
-	}
-	return out
 }
 
 // Parse converts a wire string back into a Value of the given kind.

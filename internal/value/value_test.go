@@ -95,58 +95,12 @@ func TestCompareAntisymmetric(t *testing.T) {
 	}
 }
 
-func TestHashEqualValuesEqualHashes(t *testing.T) {
-	f := func(i int64) bool {
-		return NewInt(i).Hash() == NewInt(i).Hash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if NewInt(1).Hash() == NewInt(2).Hash() {
-		t.Error("unexpectedly colliding hashes for 1 and 2")
-	}
-	if NewString("a").Hash() == NewInt(97).Hash() {
-		t.Error("string and int with same bytes should hash differently (kind tag)")
-	}
-}
-
 func TestRowCloneIndependence(t *testing.T) {
 	r := Row{NewInt(1), NewString("x")}
 	c := r.Clone()
 	c[0] = NewInt(9)
 	if r[0].I != 1 {
 		t.Error("Clone shares storage")
-	}
-}
-
-func TestRowEqualAndHash(t *testing.T) {
-	a := Row{NewInt(1), NewString("x")}
-	b := Row{NewInt(1), NewString("x")}
-	c := Row{NewInt(2), NewString("x")}
-	if !a.Equal(b) {
-		t.Error("equal rows not Equal")
-	}
-	if a.Equal(c) {
-		t.Error("different rows Equal")
-	}
-	if a.Equal(a[:1]) {
-		t.Error("rows of different length Equal")
-	}
-	if a.Hash() != b.Hash() {
-		t.Error("equal rows with different hashes")
-	}
-}
-
-func TestRowKeyDistinguishesKinds(t *testing.T) {
-	a := Row{NewInt(1)}
-	b := Row{NewString("1")}
-	if a.Key() == b.Key() {
-		t.Error("Key must embed the kind tag")
-	}
-	c := Row{NewString("a"), NewString("b")}
-	d := Row{NewString("a\x1fb")} // separator collision guard differs by kind count
-	if len(c) != 2 || c.Key() == d.Key() {
-		t.Error("Key collision across row shapes")
 	}
 }
 
@@ -169,14 +123,6 @@ func TestSchemaClone(t *testing.T) {
 	c[0].Name = "B"
 	if s[0].Name != "A" {
 		t.Error("Clone shares storage")
-	}
-}
-
-func TestProject(t *testing.T) {
-	r := Row{NewInt(1), NewInt(2), NewInt(3)}
-	p := Project(r, []int{2, 0})
-	if p[0].I != 3 || p[1].I != 1 {
-		t.Errorf("Project: %v", p)
 	}
 }
 

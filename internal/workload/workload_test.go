@@ -45,7 +45,7 @@ func TestGenerateWHWShape(t *testing.T) {
 	}
 	// Deterministic for a fixed seed.
 	w2 := GenerateWHW(cfg)
-	if len(w2.StationRows) != len(w.StationRows) || !w2.StationRows[0].Equal(w.StationRows[0]) {
+	if len(w2.StationRows) != len(w.StationRows) || !value.ExactKey.EqualRows(w2.StationRows[0], w.StationRows[0]) {
 		t.Error("generation must be deterministic")
 	}
 	// Metadata consistency: every row satisfies its own table's domains.
