@@ -192,15 +192,35 @@ func QueryForBox(t *Table, b region.Box) (AccessQuery, error) {
 	return q, nil
 }
 
-// MatchesRow reports whether a row of the table satisfies the call's
-// predicates. Unknown attributes never match.
-func MatchesRow(t *Table, q AccessQuery, row value.Row) bool {
-	for _, p := range q.Preds {
-		i := t.Schema.IndexOf(p.Attr)
-		if i < 0 {
+// Filter is an AccessQuery's conjunction compiled against one table: each
+// predicate carries its schema column, resolved once (-1 for an attribute the
+// table does not have, which matches nothing), so matching a row costs only
+// the comparisons. The zero Filter matches every row.
+type Filter []colPred
+
+type colPred struct {
+	col int
+	Pred
+}
+
+// CompileFilter resolves q's predicates against t's schema (attribute names
+// match case-insensitively, like everywhere else in the catalog).
+func CompileFilter(t *Table, q AccessQuery) Filter {
+	f := make(Filter, len(q.Preds))
+	for i, p := range q.Preds {
+		f[i] = colPred{t.Schema.IndexOf(p.Attr), p}
+	}
+	return f
+}
+
+// Matches reports whether a row of the table the filter was compiled against
+// satisfies every predicate.
+func (f Filter) Matches(row value.Row) bool {
+	for _, p := range f {
+		if p.col < 0 {
 			return false
 		}
-		v := row[i]
+		v := row[p.col]
 		if p.Eq != nil {
 			if !v.Equal(*p.Eq) {
 				return false

@@ -261,6 +261,112 @@ func TestQueryForBoxErrors(t *testing.T) {
 	}
 }
 
+// matchesRowNaive is the filter as it was before it was compiled: every
+// predicate's column found again, by a case-insensitive name scan, for every
+// row. The tests keep it as CompileFilter's reference.
+func matchesRowNaive(t *Table, q AccessQuery, row value.Row) bool {
+	for _, p := range q.Preds {
+		i := t.Schema.IndexOf(p.Attr)
+		if i < 0 {
+			return false
+		}
+		v := row[i]
+		if p.Eq != nil {
+			if !v.Equal(*p.Eq) {
+				return false
+			}
+			continue
+		}
+		if p.Lo != nil && v.AsInt() < *p.Lo {
+			return false
+		}
+		if p.Hi != nil && v.AsInt() > *p.Hi {
+			return false
+		}
+	}
+	return true
+}
+
+// MatchesRow is what the callers do: compile once, match.
+func MatchesRow(t *Table, q AccessQuery, row value.Row) bool {
+	return CompileFilter(t, q).Matches(row)
+}
+
+// TestCompileFilterAgreesWithNaive: over random tables, rows and access
+// queries — equality, ranges open at either end, NULL cells, attribute names
+// in the wrong case and names the table does not have — the compiled filter
+// and the per-row reference give the same verdict.
+func TestCompileFilterAgreesWithNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	names := []string{"Alpha", "beta", "GAMMA", "Delta", "epsilon"}
+	recase := func(s string) string {
+		switch rng.Intn(4) {
+		case 0:
+			return strings.ToUpper(s)
+		case 1:
+			return strings.ToLower(s)
+		}
+		return s
+	}
+	randVal := func(k value.Kind) value.Value {
+		switch {
+		case rng.Intn(10) == 0:
+			return value.NewNull()
+		case k == value.Int:
+			return value.NewInt(int64(rng.Intn(20)))
+		case k == value.Float:
+			return value.NewFloat(float64(rng.Intn(40)) / 2)
+		}
+		return value.NewString(string(rune('a' + rng.Intn(5))))
+	}
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 400; trial++ {
+		tbl := &Table{Name: "T"}
+		for _, n := range names[:1+rng.Intn(len(names))] {
+			tbl.Schema = append(tbl.Schema, value.Column{Name: n, Type: value.Kind(1 + rng.Intn(3))})
+		}
+		var q AccessQuery
+		for i := 0; i < rng.Intn(4); i++ {
+			attr := "Ghost"
+			kind := value.Int
+			if rng.Intn(8) != 0 {
+				c := tbl.Schema[rng.Intn(len(tbl.Schema))]
+				attr, kind = recase(c.Name), c.Type
+			}
+			p := Pred{Attr: attr}
+			switch rng.Intn(4) {
+			case 0:
+				p.Eq = ValPtr(randVal(kind))
+			case 1:
+				p.Lo = IntPtr(int64(rng.Intn(20)))
+			case 2:
+				p.Hi = IntPtr(int64(rng.Intn(20)))
+			default:
+				p.Lo, p.Hi = IntPtr(int64(rng.Intn(10))), IntPtr(int64(10+rng.Intn(10)))
+			}
+			q.Preds = append(q.Preds, p)
+		}
+		f := CompileFilter(tbl, q)
+		for r := 0; r < 20; r++ {
+			row := make(value.Row, len(tbl.Schema))
+			for i, c := range tbl.Schema {
+				row[i] = randVal(c.Type)
+			}
+			got, want := f.Matches(row), matchesRowNaive(tbl, q, row)
+			if got != want {
+				t.Fatalf("trial %d: compiled %v, naive %v (schema %v, q %v, row %v)", trial, got, want, tbl.Schema, q, row)
+			}
+			verdicts[got]++
+		}
+	}
+	if verdicts[true] < 500 || verdicts[false] < 500 {
+		t.Fatalf("lopsided sample: %v", verdicts)
+	}
+	if !Filter(nil).Matches(nil) {
+		t.Error("the zero filter must match every row")
+	}
+}
+
 func TestMatchesRow(t *testing.T) {
 	w := weatherTable()
 	row := value.Row{value.NewString("United States"), value.NewInt(3817), value.NewInt(20140615), value.NewFloat(21.5)}

@@ -189,8 +189,8 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // exponentially — unless the response named a Retry-After, which is honoured
 // capped at backoffMax; permanent 4xx responses and parent-context
 // cancellation return immediately. callID, when non-empty, travels as the
-// X-Call-Id idempotency header on every attempt.
-func (c *Client) get(ctx context.Context, path, callID string, out any) error {
+// X-Call-Id idempotency header on every attempt. decode reads a 200's body.
+func (c *Client) get(ctx context.Context, path, callID string, decode func(body []byte) error) error {
 	var lastErr error
 	var retryAfter time.Duration
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -249,7 +249,7 @@ func (c *Client) get(ctx context.Context, path, callID string, out any) error {
 			lastErr = se
 			continue
 		}
-		if err := json.Unmarshal(body, out); err != nil {
+		if err := decode(body); err != nil {
 			// A 200 with an undecodable body is a corrupted or truncated
 			// response, not a server verdict: retry it like a transport
 			// error. The idempotency ID makes the retry billing-safe.
@@ -340,7 +340,7 @@ func (c *Client) Catalog() ([]*catalog.Table, error) {
 // CatalogContext is Catalog under a caller-supplied context.
 func (c *Client) CatalogContext(ctx context.Context) ([]*catalog.Table, error) {
 	var wire []market.WireTable
-	if err := c.get(ctx, "/v1/catalog", "", &wire); err != nil {
+	if err := c.get(ctx, "/v1/catalog", "", jsonInto(&wire)); err != nil {
 		return nil, err
 	}
 	out := make([]*catalog.Table, 0, len(wire))
@@ -364,7 +364,7 @@ func (c *Client) TuplesPerTransaction(dataset string) (int, error) {
 // pending retry wait.
 func (c *Client) TuplesPerTransactionContext(ctx context.Context, dataset string) (int, error) {
 	var wire []market.WireTable
-	if err := c.get(ctx, "/v1/catalog", "", &wire); err != nil {
+	if err := c.get(ctx, "/v1/catalog", "", jsonInto(&wire)); err != nil {
 		return 0, err
 	}
 	for _, wt := range wire {
@@ -383,8 +383,14 @@ func (c *Client) Meter() (market.Meter, error) {
 // MeterContext is Meter under a caller-supplied context.
 func (c *Client) MeterContext(ctx context.Context) (market.Meter, error) {
 	var m market.Meter
-	err := c.get(ctx, "/v1/meter", "", &m)
+	err := c.get(ctx, "/v1/meter", "", jsonInto(&m))
 	return m, err
+}
+
+// jsonInto decodes a body into v with encoding/json: fine for the catalog
+// and the meter, which are fetched once in a while, not once per row.
+func jsonInto(v any) func([]byte) error {
+	return func(body []byte) error { return json.Unmarshal(body, v) }
 }
 
 // Call executes one RESTful data call under ctx. It implements the unified
@@ -421,25 +427,28 @@ func (c *Client) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		ds = "-" // the server resolves "-" by unique table name
 	}
 	base := "/v1/data/" + url.PathEscape(ds) + "/" + url.PathEscape(q.Table)
-	var combined market.WireResult
-	page := 0
-	for {
+	// Page 0 carries the schema and the bill; later pages only add rows. Each
+	// page is decoded inside get, so a page that does not decode is retried.
+	var res market.Result
+	for page := 0; ; {
 		params.Set("page", strconv.Itoa(page))
-		path := base + "?" + params.Encode()
-		var wr market.WireResult
-		if err := c.get(ctx, path, q.CallID, &wr); err != nil {
+		var part market.Result
+		var next int
+		err := c.get(ctx, base+"?"+params.Encode(), q.CallID, func(body []byte) (err error) {
+			part, next, err = market.DecodeResultPage(body)
+			return err
+		})
+		if err != nil {
 			return market.Result{}, err
 		}
 		if page == 0 {
-			combined = wr
+			res = part
 		} else {
-			combined.Rows = append(combined.Rows, wr.Rows...)
+			res.Rows = append(res.Rows, part.Rows...)
 		}
-		if wr.NextPage == 0 {
-			break
+		if next == 0 {
+			return res, nil
 		}
-		page = wr.NextPage
+		page = next
 	}
-	combined.NextPage = 0
-	return market.ResultOfWire(combined)
 }

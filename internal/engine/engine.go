@@ -254,12 +254,7 @@ func (e *Engine) localScan(rel *core.Rel) (storage.Relation, error) {
 	if !ok {
 		return storage.Relation{}, fmt.Errorf("local table %s not loaded", rel.Table.Name)
 	}
-	relData := tbl.Relation()
-	meta := rel.Table
-	q := rel.Query
-	return relData.Select(func(row value.Row) bool {
-		return catalog.MatchesRow(meta, q, row)
-	}), nil
+	return tbl.Relation().Select(catalog.CompileFilter(rel.Table, rel.Query).Matches), nil
 }
 
 // storedScan serves a fully covered market relation from the semantic store.

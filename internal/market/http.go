@@ -10,8 +10,8 @@ import (
 	"payless/internal/value"
 )
 
-// Wire types shared by the HTTP server and the connector client. Rows travel
-// as arrays of strings; the schema's kind tags recover typed values.
+// Wire types shared by the HTTP server and the connector client. A data
+// call's body has its own hand-written codec in wire.go.
 
 // WireColumn is the JSON form of one column with its access metadata.
 type WireColumn struct {
@@ -32,19 +32,6 @@ type WireTable struct {
 	PricePerTransaction  float64      `json:"pricePerTransaction"`
 	TuplesPerTransaction int          `json:"tuplesPerTransaction"`
 	Columns              []WireColumn `json:"columns"`
-}
-
-// WireResult is the JSON form of a call result. Large results are paged:
-// NextPage carries the (0-based) index of the next page when more rows
-// remain; the client re-issues the call with page=N to continue. Billing
-// happens once, on the first page.
-type WireResult struct {
-	Schema       []WireColumn `json:"schema"`
-	Rows         [][]string   `json:"rows"`
-	Records      int          `json:"records"`
-	Transactions int64        `json:"transactions"`
-	Price        float64      `json:"price"`
-	NextPage     int          `json:"nextPage,omitempty"`
 }
 
 // PageRows is the HTTP transport's page size in rows. It is a transport
@@ -172,51 +159,6 @@ func TableOfWire(wt WireTable) (*catalog.Table, error) {
 	return t, nil
 }
 
-// WireResultOf encodes a Result.
-func WireResultOf(r Result) WireResult {
-	wr := WireResult{Records: r.Records, Transactions: r.Transactions, Price: r.Price, Rows: make([][]string, 0, len(r.Rows))}
-	for _, c := range r.Schema {
-		wr.Schema = append(wr.Schema, WireColumn{Name: c.Name, Type: kindName(c.Type)})
-	}
-	for _, row := range r.Rows {
-		enc := make([]string, len(row))
-		for i, v := range row {
-			enc[i] = v.String()
-		}
-		wr.Rows = append(wr.Rows, enc)
-	}
-	return wr
-}
-
-// ResultOfWire decodes a WireResult.
-func ResultOfWire(wr WireResult) (Result, error) {
-	r := Result{Records: wr.Records, Transactions: wr.Transactions, Price: wr.Price}
-	kinds := make([]value.Kind, len(wr.Schema))
-	for i, wc := range wr.Schema {
-		k, err := KindOf(wc.Type)
-		if err != nil {
-			return Result{}, err
-		}
-		kinds[i] = k
-		r.Schema = append(r.Schema, value.Column{Name: wc.Name, Type: k})
-	}
-	for _, enc := range wr.Rows {
-		if len(enc) != len(kinds) {
-			return Result{}, fmt.Errorf("row width %d, want %d", len(enc), len(kinds))
-		}
-		row := make(value.Row, len(enc))
-		for i, s := range enc {
-			v, err := value.Parse(kinds[i], s)
-			if err != nil {
-				return Result{}, err
-			}
-			row[i] = v
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	return r, nil
-}
-
 // AuthHeader carries the buyer's account key on every HTTP request.
 const AuthHeader = "X-Account-Key"
 
@@ -316,25 +258,15 @@ func (m *Market) Handler() http.Handler {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		wr := WireResultOf(res)
-		if page > 0 {
-			// The bill was charged on page 0.
-			wr.Transactions, wr.Price = 0, 0
+		start := min(page*PageRows, len(res.Rows))
+		end := min(start+PageRows, len(res.Rows))
+		next := 0
+		if end < len(res.Rows) {
+			next = page + 1
 		}
-		start := page * PageRows
-		end := start + PageRows
-		if start > len(wr.Rows) {
-			start = len(wr.Rows)
-		}
-		if end > len(wr.Rows) {
-			end = len(wr.Rows)
-		}
-		paged := wr
-		paged.Rows = wr.Rows[start:end]
-		if end < len(wr.Rows) {
-			paged.NextPage = page + 1
-		}
-		writeJSON(w, paged)
+		w.Header().Set("Content-Type", "application/json")
+		// Headers are sent; nothing more to do about a failed write.
+		_, _ = w.Write(AppendResultPage(nil, res, start, end, next))
 	})
 	return mux
 }

@@ -13,7 +13,11 @@ import (
 
 func newTestServer(t *testing.T, n int) (*httptest.Server, *Market) {
 	t.Helper()
-	m := newTestMarket(t, n)
+	return newTestServerFor(t, newTestMarket(t, n))
+}
+
+func newTestServerFor(t *testing.T, m *Market) (*httptest.Server, *Market) {
+	t.Helper()
 	srv := httptest.NewServer(m.Handler())
 	t.Cleanup(srv.Close)
 	return srv, m
@@ -44,16 +48,12 @@ func TestHTTPDataCall(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var wr WireResult
-	if err := json.Unmarshal(body, &wr); err != nil {
-		t.Fatal(err)
-	}
-	if wr.Records != 250 || wr.Transactions != 3 {
-		t.Errorf("records=%d trans=%d", wr.Records, wr.Transactions)
-	}
-	res, err := ResultOfWire(wr)
+	res, next, err := DecodeResultPage(body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Records != 250 || res.Transactions != 3 || next != 0 {
+		t.Errorf("records=%d trans=%d next=%d", res.Records, res.Transactions, next)
 	}
 	if len(res.Rows) != 250 || res.Rows[0][1].K != value.Int {
 		t.Errorf("decoded rows: %d, kind %v", len(res.Rows), res.Rows[0][1].K)
@@ -66,10 +66,8 @@ func TestHTTPEqualityParam(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var wr WireResult
-	json.Unmarshal(body, &wr)
-	if wr.Records != 10 {
-		t.Errorf("records=%d, want 10", wr.Records)
+	if res, _, err := DecodeResultPage(body); err != nil || res.Records != 10 {
+		t.Errorf("records=%d (%v), want 10", res.Records, err)
 	}
 }
 
@@ -154,8 +152,7 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 
 	res := Result{Schema: meta.Schema, Rows: rows, Records: len(rows), Transactions: 1, Price: 1}
-	wr := WireResultOf(res)
-	res2, err := ResultOfWire(wr)
+	res2, _, err := DecodeResultPage(AppendResultPage(nil, res, 0, len(rows), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,20 +176,14 @@ func TestWireDecodeErrors(t *testing.T) {
 	if _, err := ClassOf("z"); err == nil {
 		t.Error("ClassOf invalid")
 	}
-	if _, err := ResultOfWire(WireResult{Schema: []WireColumn{{Name: "a", Type: "nope"}}}); err == nil {
-		t.Error("bad schema type")
-	}
-	if _, err := ResultOfWire(WireResult{
-		Schema: []WireColumn{{Name: "a", Type: "int"}},
-		Rows:   [][]string{{"1", "2"}},
-	}); err == nil {
-		t.Error("row width mismatch")
-	}
-	if _, err := ResultOfWire(WireResult{
-		Schema: []WireColumn{{Name: "a", Type: "int"}},
-		Rows:   [][]string{{"xyz"}},
-	}); err == nil {
-		t.Error("bad cell value")
+	for what, body := range map[string]string{
+		"bad schema type":    `{"schema":[{"name":"a","type":"nope"}]}`,
+		"row width mismatch": `{"schema":[{"name":"a","type":"int"}],"rows":[["1","2"]]}`,
+		"bad cell value":     `{"schema":[{"name":"a","type":"int"}],"rows":[["xyz"]]}`,
+	} {
+		if _, _, err := DecodeResultPage([]byte(body)); err == nil {
+			t.Error(what)
+		}
 	}
 	if _, err := TableOfWire(WireTable{Columns: []WireColumn{{Name: "a", Type: "zzz"}}}); err == nil {
 		t.Error("bad column type")

@@ -57,35 +57,6 @@ func (f CallerFunc) Call(ctx context.Context, q catalog.AccessQuery) (Result, er
 	return f(ctx, q)
 }
 
-// ContextCaller is the pre-unification name for the context-aware caller.
-// The dual Caller/ContextCaller split is gone: Caller itself is context-first.
-//
-// Deprecated: use Caller.
-type ContextCaller = Caller
-
-// LegacyCaller is the pre-unification context-free caller shape. Nothing in
-// this module implements it any more; it exists so external callers written
-// against the old interface migrate mechanically through Legacy.
-//
-// Deprecated: implement Caller directly.
-type LegacyCaller interface {
-	Call(q catalog.AccessQuery) (Result, error)
-}
-
-// Legacy adapts a pre-unification context-free caller to the unified
-// interface. The context only gates admission — a legacy call in flight
-// cannot be interrupted.
-//
-// Deprecated: implement Caller directly.
-func Legacy(c LegacyCaller) Caller {
-	return CallerFunc(func(ctx context.Context, q catalog.AccessQuery) (Result, error) {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		return c.Call(q)
-	})
-}
-
 // Do dispatches one call through c. A nil or already-cancelled context fails
 // before any money is spent. Kept as a convenience for call sites that may
 // hold a nil context; everything else should call c.Call directly.
@@ -514,17 +485,18 @@ func (mt *marketTable) scan(q catalog.AccessQuery) []value.Row {
 	if idxAttr != "" {
 		candidates = mt.indexLookup(idxAttr, idxVal)
 	}
+	f := catalog.CompileFilter(mt.meta, q)
 	var out []value.Row
 	if candidates != nil {
 		for _, i := range candidates {
-			if catalog.MatchesRow(mt.meta, q, mt.rows[i]) {
+			if f.Matches(mt.rows[i]) {
 				out = append(out, mt.rows[i])
 			}
 		}
 		return out
 	}
 	for _, r := range mt.rows {
-		if catalog.MatchesRow(mt.meta, q, r) {
+		if f.Matches(r) {
 			out = append(out, r)
 		}
 	}

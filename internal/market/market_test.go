@@ -183,8 +183,9 @@ func TestIndexMatchesFullScan(t *testing.T) {
 	_, rows := testTable(997)
 	meta, _ := testTable(0)
 	want := 0
+	f := catalog.CompileFilter(meta, q)
 	for _, r := range rows {
-		if catalog.MatchesRow(meta, q, r) {
+		if f.Matches(r) {
 			want++
 		}
 	}

@@ -361,8 +361,9 @@ func (s *Scheduler) mergeSavings(f *flight, res market.Result) int64 {
 	var parts int64
 	for _, src := range f.sources {
 		n := int64(0)
+		part := catalog.CompileFilter(f.meta, src.Query)
 		for _, row := range res.Rows {
-			if catalog.MatchesRow(f.meta, src.Query, row) {
+			if part.Matches(row) {
 				n++
 			}
 		}
@@ -433,8 +434,9 @@ func (s *Scheduler) wait(ctx context.Context, req Request, f *flight, info Info)
 
 func filterRows(meta *catalog.Table, q catalog.AccessQuery, rows []value.Row) []value.Row {
 	out := make([]value.Row, 0, len(rows))
+	f := catalog.CompileFilter(meta, q)
 	for _, row := range rows {
-		if catalog.MatchesRow(meta, q, row) {
+		if f.Matches(row) {
 			out = append(out, row)
 		}
 	}

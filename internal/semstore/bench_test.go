@@ -95,18 +95,10 @@ func BenchmarkSemstoreRowsIn(b *testing.B) {
 		b.Run(fmt.Sprintf("naive/rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				count := 0
-				d := q.D()
-			scan:
-				for _, cs := range ts.coords {
-					if len(cs) != d {
-						continue
+				for id := range ts.rows {
+					if ts.rowMatches(id, q) {
+						count++
 					}
-					for k := 0; k < d; k++ {
-						if !q.Dims[k].ContainsCoord(cs[k]) {
-							continue scan
-						}
-					}
-					count++
 				}
 				if count == 0 {
 					b.Fatal("probe found no rows")
@@ -137,5 +129,46 @@ func TestIndexedRemainderPrunes(t *testing.T) {
 	}
 	if got, want := s.Remainder("Grid", q, time.Time{}), naiveRemainder(s, "Grid", q); !semanticallyEqual(got, want) {
 		t.Fatalf("indexed remainder %v, naive %v", got, want)
+	}
+}
+
+// BenchmarkSemstoreRecord is the write-side guard: one Record of 100 fresh
+// rows into a table that already stores 1 k / 10 k / 100 k. A purchase costs
+// what it buys, so ns/op and B/op must be flat in the size of the table.
+func BenchmarkSemstoreRecord(b *testing.B) {
+	const batch, span = 100, 1 << 20
+	at := time.Unix(1700000000, 0)
+	rowsAt := func(from, n int) []value.Row {
+		rows := make([]value.Row, n)
+		for i := range rows {
+			// Scattered on x, ascending on y: one dimension arrives sorted,
+			// the other does not.
+			id := int64(from + i)
+			rows[i] = gridRow(id*7919%span, id)
+		}
+		return rows
+	}
+	for _, stored := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("stored=%d", stored), func(b *testing.B) {
+			meta := gridMeta(span)
+			full := meta.FullBox()
+			s := New(storage.NewDB())
+			for from := 0; from < stored; from += batch {
+				if _, err := s.Record(meta, full, rowsAt(from, batch), at); err != nil {
+					b.Fatal(err)
+				}
+			}
+			batches := make([][]value.Row, b.N)
+			for i := range batches {
+				batches[i] = rowsAt(stored+i*batch, batch)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, rows := range batches {
+				if res, err := s.Record(meta, full, rows, at); err != nil || res.Added != batch {
+					b.Fatalf("added %d (%v), want %d", res.Added, err, batch)
+				}
+			}
+		})
 	}
 }

@@ -116,98 +116,131 @@ func semanticallyEqual(a, b []region.Box) bool {
 // TestDifferentialOracle drives the indexed+compacted store and the naive
 // reference through the same randomized workload and asserts they agree on
 // Remainder (semantically — decompositions may differ in geometry, never in
-// the region they describe), Covered, CountIn and the exact RowsIn output.
+// the region they describe), Covered, CountIn and the exact RowsIn output,
+// after every Record. Two schedules: "sparse" records a few rows per call, so
+// coverage compaction does the work; "bulk" starts from one whole-table
+// Record and follows it with hundreds of calls of 1–100 rows, many of them
+// rows the store already holds, so the row index lives in many runs and
+// merges them again and again.
 func TestDifferentialOracle(t *testing.T) {
 	const (
-		trials   = 20
-		records  = 60
-		probes   = 8
 		span     = 120
 		maxWidth = 30
 	)
-	rng := rand.New(rand.NewSource(99))
-	base := time.Unix(1700000000, 0)
-	randBox := func() region.Box {
-		x := rng.Int63n(span)
-		y := rng.Int63n(span)
-		return box2(x, x+1+rng.Int63n(maxWidth), y, y+1+rng.Int63n(maxWidth))
-	}
-	for trial := 0; trial < trials; trial++ {
-		meta := gridMeta(span + maxWidth + 2)
-		idx := New(storage.NewDB())
-		ref := newNaiveStore()
-		var times []time.Time
-		for rec := 0; rec < records; rec++ {
-			b := randBox()
-			// Mostly advancing timestamps with occasional out-of-order
-			// arrivals, exercising drop-new vs. absorb decisions.
-			at := base.Add(time.Duration(rec) * time.Minute)
-			if rng.Intn(5) == 0 {
-				at = base.Add(time.Duration(rng.Intn(records)) * time.Minute)
+	for _, sched := range []struct {
+		name                    string
+		trials, records, probes int
+		maxRows                 int // rows per Record: uniform in [0, maxRows)
+		wholeTable              int // rows of the whole-table Record each trial starts with
+	}{
+		{name: "sparse", trials: 20, records: 60, probes: 8, maxRows: 4},
+		{name: "bulk", trials: 2, records: 250, probes: 4, maxRows: 101, wholeTable: 4000},
+	} {
+		t.Run(sched.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(99))
+			base := time.Unix(1700000000, 0)
+			randBox := func() region.Box {
+				x := rng.Int63n(span)
+				y := rng.Int63n(span)
+				return box2(x, x+1+rng.Int63n(maxWidth), y, y+1+rng.Int63n(maxWidth))
 			}
-			times = append(times, at)
-			// Sample a few grid points inside the box as result rows.
-			var rows []value.Row
-			for i := 0; i < rng.Intn(4); i++ {
-				x := b.Dims[0].Lo + rng.Int63n(b.Dims[0].Width())
-				y := b.Dims[1].Lo + rng.Int63n(b.Dims[1].Width())
-				rows = append(rows, gridRow(x, y))
+			// rowsInside samples n grid points of b, repeats allowed.
+			rowsInside := func(b region.Box, n int) []value.Row {
+				var rows []value.Row
+				for i := 0; i < n; i++ {
+					x := b.Dims[0].Lo + rng.Int63n(b.Dims[0].Width())
+					y := b.Dims[1].Lo + rng.Int63n(b.Dims[1].Width())
+					rows = append(rows, gridRow(x, y))
+				}
+				return rows
 			}
-			if _, err := idx.Record(meta, b, rows, at); err != nil {
-				t.Fatalf("trial %d rec %d: %v", trial, rec, err)
-			}
-			if err := ref.record(meta, b, rows, at); err != nil {
-				t.Fatalf("trial %d rec %d (naive): %v", trial, rec, err)
-			}
+			maxRuns := 0
+			for trial := 0; trial < sched.trials; trial++ {
+				meta := gridMeta(span + maxWidth + 2)
+				idx := New(storage.NewDB())
+				ref := newNaiveStore()
+				var times []time.Time
+				for rec := 0; rec < sched.records; rec++ {
+					b := randBox()
+					rows := rowsInside(b, rng.Intn(sched.maxRows))
+					// Mostly advancing timestamps with occasional out-of-order
+					// arrivals, exercising drop-new vs. absorb decisions.
+					at := base.Add(time.Duration(rec) * time.Minute)
+					if rng.Intn(5) == 0 {
+						at = base.Add(time.Duration(rng.Intn(sched.records)) * time.Minute)
+					}
+					if rec == 0 && sched.wholeTable > 0 {
+						b = meta.FullBox()
+						rows = rowsInside(box2(0, span+maxWidth, 0, span+maxWidth), sched.wholeTable)
+					}
+					times = append(times, at)
+					if _, err := idx.Record(meta, b, rows, at); err != nil {
+						t.Fatalf("trial %d rec %d: %v", trial, rec, err)
+					}
+					if err := ref.record(meta, b, rows, at); err != nil {
+						t.Fatalf("trial %d rec %d (naive): %v", trial, rec, err)
+					}
+					checkRunInvariants(t, idx, "Grid")
+					for _, c := range runCounts(idx, "Grid") {
+						maxRuns = max(maxRuns, c)
+					}
 
-			for p := 0; p < probes; p++ {
-				q := randBox()
-				if p == 0 {
-					q = b // always probe the box just recorded
-				}
-				var since time.Time
-				if rng.Intn(3) == 0 && len(times) > 0 {
-					since = times[rng.Intn(len(times))]
-				}
-				gotRem := idx.Remainder("Grid", q, since)
-				wantRem := ref.remainder(q, since)
-				if !semanticallyEqual(gotRem, wantRem) {
-					t.Fatalf("trial %d rec %d: Remainder(%v, since=%v) disagrees:\nindexed %v\nnaive   %v",
-						trial, rec, q, since, gotRem, wantRem)
-				}
-				if got, want := idx.Covered("Grid", q, since), len(wantRem) == 0; got != want {
-					t.Fatalf("trial %d rec %d: Covered(%v, since=%v) = %v, naive %v",
-						trial, rec, q, since, got, want)
-				}
-				gotRows, err := idx.RowsIn(meta, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantRows := ref.rowsIn(q)
-				if len(gotRows.Rows) != len(wantRows) {
-					t.Fatalf("trial %d rec %d: RowsIn(%v) = %d rows, naive %d",
-						trial, rec, q, len(gotRows.Rows), len(wantRows))
-				}
-				for i := range wantRows {
-					if rowKey(gotRows.Rows[i]) != rowKey(wantRows[i]) {
-						t.Fatalf("trial %d rec %d: RowsIn(%v) row %d differs (order must match the naive scan)",
-							trial, rec, q, i)
+					for p := 0; p < sched.probes; p++ {
+						q := randBox()
+						if p == 0 {
+							q = b // always probe the box just recorded
+						}
+						var since time.Time
+						if rng.Intn(3) == 0 && len(times) > 0 {
+							since = times[rng.Intn(len(times))]
+						}
+						gotRem := idx.Remainder("Grid", q, since)
+						wantRem := ref.remainder(q, since)
+						if !semanticallyEqual(gotRem, wantRem) {
+							t.Fatalf("trial %d rec %d: Remainder(%v, since=%v) disagrees:\nindexed %v\nnaive   %v",
+								trial, rec, q, since, gotRem, wantRem)
+						}
+						if got, want := idx.Covered("Grid", q, since), len(wantRem) == 0; got != want {
+							t.Fatalf("trial %d rec %d: Covered(%v, since=%v) = %v, naive %v",
+								trial, rec, q, since, got, want)
+						}
+						gotRows, err := idx.RowsIn(meta, q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantRows := ref.rowsIn(q)
+						if len(gotRows.Rows) != len(wantRows) {
+							t.Fatalf("trial %d rec %d: RowsIn(%v) = %d rows, naive %d",
+								trial, rec, q, len(gotRows.Rows), len(wantRows))
+						}
+						for i := range wantRows {
+							if rowKey(gotRows.Rows[i]) != rowKey(wantRows[i]) {
+								t.Fatalf("trial %d rec %d: RowsIn(%v) row %d differs (order must match the naive scan)",
+									trial, rec, q, i)
+							}
+						}
+						gotN, err := idx.CountIn(meta, q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if gotN != int64(len(wantRows)) {
+							t.Fatalf("trial %d rec %d: CountIn(%v) = %d, naive %d", trial, rec, q, gotN, len(wantRows))
+						}
 					}
 				}
-				gotN, err := idx.CountIn(meta, q)
-				if err != nil {
-					t.Fatal(err)
+				// The whole point: compaction keeps live entries at or below the
+				// naive one-entry-per-call count.
+				if idx.EntryCount("Grid") > len(ref.boxes) {
+					t.Fatalf("trial %d: compacted store has %d entries, naive %d",
+						trial, idx.EntryCount("Grid"), len(ref.boxes))
 				}
-				if gotN != int64(len(wantRows)) {
-					t.Fatalf("trial %d rec %d: CountIn(%v) = %d, naive %d", trial, rec, q, gotN, len(wantRows))
+				if dup := sched.wholeTable + sched.records*sched.maxRows/2 - idx.StoredRowCount("Grid"); sched.wholeTable > 0 && dup < 1000 {
+					t.Fatalf("trial %d: about %d of the recorded rows were duplicates; the schedule wants thousands", trial, dup)
 				}
 			}
-		}
-		// The whole point: compaction keeps live entries at or below the
-		// naive one-entry-per-call count.
-		if idx.EntryCount("Grid") > len(ref.boxes) {
-			t.Fatalf("trial %d: compacted store has %d entries, naive %d",
-				trial, idx.EntryCount("Grid"), len(ref.boxes))
-		}
+			if sched.wholeTable > 0 && maxRuns < 4 {
+				t.Fatalf("the row index never had more than %d runs", maxRuns)
+			}
+		})
 	}
 }

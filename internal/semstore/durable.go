@@ -283,7 +283,7 @@ func (s *Store) replayRecord(rec *walRecord, lookup func(string) (*catalog.Table
 // record is the durable Record path: append to the log, then apply, then
 // maybe checkpoint — all under the durability mutex so the log order is the
 // application order and checkpoints see a record-aligned state.
-func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []value.Row, coords [][]int64, at time.Time) (RecordResult, error) {
+func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []value.Row, coords []int64, at time.Time) (RecordResult, error) {
 	var res RecordResult
 	d.mu.Lock()
 	defer d.mu.Unlock()

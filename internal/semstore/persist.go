@@ -109,7 +109,7 @@ type stagedTable struct {
 	meta    *catalog.Table
 	entries []persistEntry
 	rows    []value.Row
-	coords  [][]int64
+	coords  []int64
 }
 
 // stagedSnapshot is a decoded, fully validated snapshot.
@@ -252,9 +252,7 @@ func (s *Store) apply(st *stagedSnapshot) {
 				s.rebuilds.Add(1)
 			}
 		}
-		for i, row := range t.rows {
-			ts.addRow(row, t.coords[i])
-		}
+		ts.addRows(t.rows, t.coords)
 	}
 	s.publish(snap, staged...)
 }

@@ -11,7 +11,9 @@ import (
 )
 
 // scatteredGrid records n distinct random points of a span×span grid, in
-// random order over several calls, and returns them in insertion order.
+// random order over calls of four sizes (half, a quarter, an eighth of them,
+// then two sixteenths), so the row index ends up as several runs, and returns
+// them in insertion order.
 func scatteredGrid(t testing.TB, s *Store, n int, span int64) []value.Row {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
@@ -26,14 +28,19 @@ func scatteredGrid(t testing.TB, s *Store, n int, span int64) []value.Row {
 		}
 	}
 	full := box2(0, span, 0, span)
-	for i := 0; i < 4; i++ {
-		batch := rows[i*n/4 : (i+1)*n/4]
-		if i > 0 {
+	from := 0
+	for _, to := range []int{n / 2, n * 3 / 4, n * 7 / 8, n * 15 / 16, n} {
+		batch := rows[from:to]
+		if from > 0 {
 			batch = append(batch[:len(batch):len(batch)], rows[0]) // a duplicate: stored once
 		}
 		if _, err := s.Record(meta, full, batch, time.Unix(1700000000, 0)); err != nil {
 			t.Fatal(err)
 		}
+		from = to
+	}
+	if runs := len(s.table("Grid").rowIdx[0]); runs < 3 {
+		t.Fatalf("the table's index has %d runs; these tests want several", runs)
 	}
 	return rows
 }
@@ -89,7 +96,8 @@ func TestRowsInOrderAcrossStrategies(t *testing.T) {
 
 // TestRowsInAllocations is the deterministic guard on the read path: a
 // RowsIn allocates its schema, its output and at most one transient index
-// (bitset or id list), whatever the size of the read.
+// (bitset or id list), whatever the size of the read and however many runs
+// the row index is in.
 func TestRowsInAllocations(t *testing.T) {
 	const n, span = 20000, 1000
 	s := New(storage.NewDB())

@@ -21,7 +21,8 @@
 //     stored boxes to those overlapping the query before any subtraction,
 //     with a fast path when a single stored box contains the query outright.
 //   - RowsIn/CountIn use per-dimension sorted coordinate indexes instead of
-//     scanning every materialised row.
+//     scanning every materialised row; the indexes are log-structured, so a
+//     Record costs what it adds, not what the table already holds.
 //
 // Compaction and indexing never change answers: the union of stored
 // coverage is preserved exactly, and freshness is only ever lost downward
@@ -30,8 +31,10 @@
 package semstore
 
 import (
+	"cmp"
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,11 +84,72 @@ type dimIdx struct {
 	maxWidth int64
 }
 
-// rowDim is the sorted coordinate index of the materialised rows on one
-// queryable dimension: coords is sorted ascending with ids parallel to it.
-type rowDim struct {
-	coords []int64
-	ids    []int
+// rowEntry places one materialised row on one dimension.
+type rowEntry struct {
+	coord int64
+	id    int
+}
+
+// rowRun is one sorted run of a dimension's coordinate index: the entries of
+// a contiguous range of row ids in (coord, id) order. A run is never written
+// once its table is published, so any number of snapshots may share it.
+type rowRun []rowEntry
+
+func byCoordThenID(a, b rowEntry) int {
+	if c := cmp.Compare(a.coord, b.coord); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// span returns the run's entries whose coordinate lies in iv.
+func (r rowRun) span(iv region.Interval) rowRun {
+	l := sort.Search(len(r), func(i int) bool { return r[i].coord >= iv.Lo })
+	h := l + sort.Search(len(r)-l, func(i int) bool { return r[l+i].coord >= iv.Hi })
+	return r[l:h]
+}
+
+// rowDim is the coordinate index of the materialised rows on one queryable
+// dimension: sorted runs, oldest first, each more than twice as long as the
+// next (the logarithmic method), so n rows make at most ⌊log₂ n⌋+1 runs.
+type rowDim []rowRun
+
+// push appends a batch's run and merges the tail while the run before it is
+// at most twice as long, in one pass over every run that ends up fused. Each
+// row is therefore copied O(log n) times over the life of the table, and a
+// merge leaves only the exact-size merged run behind.
+func (rd rowDim) push(run rowRun) rowDim {
+	rd = append(rd, run)
+	j, total := len(rd)-1, len(run)
+	for j > 0 && len(rd[j-1]) <= 2*total {
+		j--
+		total += len(rd[j])
+	}
+	if j == len(rd)-1 {
+		return rd
+	}
+	rd[j] = mergeRuns(rd[j:], total)
+	clear(rd[j+1:]) // or the header array would keep the inputs alive
+	return rd[:j+1]
+}
+
+// mergeRuns merges adjacent runs, oldest first, into one run of total rows.
+// Later runs hold higher ids, so taking the earliest run on a coordinate tie
+// keeps equal coordinates in id order.
+func mergeRuns(runs []rowRun, total int) rowRun {
+	runs = slices.Clone(runs) // consumed from the front below
+	out := make(rowRun, 0, total)
+	for len(out) < total {
+		best := -1
+		for r, run := range runs {
+			if len(run) > 0 && (best < 0 || run[0].coord < runs[best][0].coord) {
+				best = r
+			}
+		}
+		out = append(out, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
+	return out
 }
 
 type tableStore struct {
@@ -101,10 +165,12 @@ type tableStore struct {
 	// containment fast path for queries inside a large stored region.
 	big []int
 	// rows holds the deduplicated materialised rows — the only copy of them —
-	// with their queryable coordinates precomputed; seen indexes them by
-	// value.ExactKey hash for deduplication and rowIdx per dimension.
+	// with their queryable coordinates precomputed: row id's are
+	// coords[id*d:(id+1)*d], d = len(rowIdx) (validateRows resolves exactly
+	// one per dimension). seen indexes the rows by value.ExactKey hash for
+	// deduplication and rowIdx per dimension.
 	rows   []value.Row
-	coords [][]int64
+	coords []int64
 	seen   *value.HashIndex
 	rowIdx []rowDim
 	// epoch counts the Records applied to this table (including WAL replay).
@@ -193,11 +259,12 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 
 // clone returns a writable copy of an immutable published tableStore.
 // Everything the mutation path touches in place — coverage entries (appended
-// AND tombstoned), edge indexes, the big-box list, the sorted row indexes —
-// is deep-copied. rows and coords are append-only, so the clone shares their
-// backing arrays: a writer appending at index len(published) never touches a
-// slot any published snapshot can read. The seen index is writer-only state
-// (readers never consult it) and is shared across clones.
+// AND tombstoned), edge indexes, the big-box list — is deep-copied. rows and
+// coords are append-only, so the clone shares their backing arrays: a writer
+// appending at index len(published) never touches a slot any published
+// snapshot can read. The row index's runs are immutable, so only the list of
+// run headers is copied. The seen index is writer-only state (readers never
+// consult it) and is shared across clones.
 func (ts *tableStore) clone() *tableStore {
 	cp := &tableStore{
 		meta:    ts.meta,
@@ -220,10 +287,7 @@ func (ts *tableStore) clone() *tableStore {
 		}
 	}
 	for d := range ts.rowIdx {
-		cp.rowIdx[d] = rowDim{
-			coords: append([]int64(nil), ts.rowIdx[d].coords...),
-			ids:    append([]int(nil), ts.rowIdx[d].ids...),
-		}
+		cp.rowIdx[d] = append(rowDim(nil), ts.rowIdx[d]...)
 	}
 	return cp
 }
@@ -297,7 +361,7 @@ func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at t
 // validateRows checks a Record call's shape and resolves every row's
 // queryable coordinates without touching any state: a bad batch fails here
 // or not at all.
-func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) ([][]int64, error) {
+func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) ([]int64, error) {
 	if b.Empty() && len(rows) > 0 {
 		return nil, fmt.Errorf("semstore: non-empty result for empty box on %s", meta.Name)
 	}
@@ -312,17 +376,13 @@ func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) ([][]int6
 
 // applyRecord installs one validated call — the state-mutating half of
 // Record, also the WAL replay entry point (replay must not re-append).
-func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row, coords [][]int64, at time.Time, res *RecordResult) {
+func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row, coords []int64, at time.Time, res *RecordResult) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	snap := s.snap.Load()
 	ts := cloneTableFor(snap, meta)
 	ts.epoch++
-	for i, row := range rows {
-		if ts.addRow(row, coords[i]) {
-			res.Added++
-		}
-	}
+	res.Added = ts.addRows(rows, coords)
 	if !b.Empty() {
 		res.Dropped, res.Absorbed, res.Merged = ts.insertEntry(b.Clone(), at, int64(len(rows)))
 		if res.Dropped {
@@ -340,31 +400,41 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 	s.publish(snap, ts)
 }
 
-// addRow stores a copy of a validated row and indexes its coordinates, unless
-// the table already holds the row (value.ExactKey); it reports whether the
-// row was new.
-func (ts *tableStore) addRow(row value.Row, cs []int64) bool {
-	h := value.ExactKey.HashRow(row)
-	if ts.seen.Lookup(value.ExactKey, ts.rows, row, h) >= 0 {
-		return false
+// addRows stores the validated rows the table does not hold yet
+// (value.ExactKey) and indexes them as one batch: the new rows are copied
+// into one slab and sorted into one run per dimension. It returns how many
+// rows were new.
+func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
+	first, d := len(ts.rows), len(ts.rowIdx)
+	for i, row := range rows {
+		h := value.ExactKey.HashRow(row)
+		if ts.seen.Lookup(value.ExactKey, ts.rows, row, h) >= 0 {
+			continue
+		}
+		ts.seen.Add(h) // id == len(ts.rows): every stored row is indexed
+		ts.rows = append(ts.rows, row)
+		ts.coords = append(ts.coords, coords[i*d:(i+1)*d]...)
 	}
-	id := ts.seen.Add(h) // == len(ts.rows): every stored row is indexed
-	ts.rows = append(ts.rows, row.Clone())
-	ts.coords = append(ts.coords, cs)
-	if len(cs) != len(ts.rowIdx) {
-		return true // dimensionality drift; such rows are only found by full scans
+	fresh := ts.rows[first:]
+	if len(fresh) == 0 {
+		return 0
 	}
-	for d := range ts.rowIdx {
-		ri := &ts.rowIdx[d]
-		pos := sort.Search(len(ri.coords), func(i int) bool { return ri.coords[i] > cs[d] })
-		ri.coords = append(ri.coords, 0)
-		copy(ri.coords[pos+1:], ri.coords[pos:])
-		ri.coords[pos] = cs[d]
-		ri.ids = append(ri.ids, 0)
-		copy(ri.ids[pos+1:], ri.ids[pos:])
-		ri.ids[pos] = id
+	// The caller keeps its rows: replace them by the store's own copies. No
+	// published snapshot reaches an index at or past first.
+	slab := make([]value.Value, 0, len(fresh)*len(ts.meta.Schema))
+	for i, row := range fresh {
+		slab = append(slab, row...)
+		fresh[i] = slab[len(slab)-len(row) : len(slab) : len(slab)]
 	}
-	return true
+	for k := range ts.rowIdx {
+		run := make(rowRun, len(fresh))
+		for i := range run {
+			run[i] = rowEntry{ts.coords[(first+i)*d+k], first + i}
+		}
+		slices.SortFunc(run, byCoordThenID)
+		ts.rowIdx[k] = ts.rowIdx[k].push(run)
+	}
+	return len(fresh)
 }
 
 // insertEntry adds a coverage box, compacting as it goes. Caller holds the
@@ -453,7 +523,7 @@ func mergeBoxes(a, b region.Box) (region.Box, bool) {
 		return region.Box{}, false
 	}
 	out := a.Clone()
-	out.Dims[diff] = region.Interval{Lo: min64(x.Lo, y.Lo), Hi: max64(x.Hi, y.Hi)}
+	out.Dims[diff] = region.Interval{Lo: min(x.Lo, y.Lo), Hi: max(x.Hi, y.Hi)}
 	return out, true
 }
 
@@ -800,24 +870,20 @@ func (s *Store) Covered(table string, q region.Box, since time.Time) bool {
 	return len(s.Remainder(table, q, since)) == 0
 }
 
-// rowCoords maps each row onto its queryable-space coordinates. The rows of
-// one batch share one backing array; coordinates are never written again.
-func rowCoords(meta *catalog.Table, rows []value.Row) ([][]int64, error) {
+// rowCoords maps each row onto its queryable-space coordinates, one after
+// the other in a single array: len(meta.QueryableAttrs()) per row.
+func rowCoords(meta *catalog.Table, rows []value.Row) ([]int64, error) {
 	qidx := meta.QueryableIdx()
 	qa := meta.QueryableAttrs()
-	d := len(qa)
-	flat := make([]int64, len(rows)*d)
-	coords := make([][]int64, len(rows))
-	for r, row := range rows {
-		cs := flat[r*d : (r+1)*d : (r+1)*d]
+	coords := make([]int64, 0, len(rows)*len(qa))
+	for _, row := range rows {
 		for i, a := range qa {
 			c, err := a.Coord(row[qidx[i]])
 			if err != nil {
 				return nil, err
 			}
-			cs[i] = c
+			coords = append(coords, c)
 		}
-		coords[r] = cs
 	}
 	return coords, nil
 }
@@ -828,8 +894,8 @@ func RowBox(meta *catalog.Table, row value.Row) (region.Box, error) {
 	if err != nil {
 		return region.Box{}, err
 	}
-	dims := make([]region.Interval, len(coords[0]))
-	for i, c := range coords[0] {
+	dims := make([]region.Interval, len(coords))
+	for i, c := range coords {
 		dims[i] = region.Point(c)
 	}
 	return region.Box{Dims: dims}, nil
@@ -838,64 +904,60 @@ func RowBox(meta *catalog.Table, row value.Row) (region.Box, error) {
 // rowMatches reports whether row id's coordinates fall inside q (which must
 // have the table's dimensionality).
 func (ts *tableStore) rowMatches(id int, q region.Box) bool {
-	cs := ts.coords[id]
-	if len(cs) != q.D() {
-		return false
-	}
-	for k := range cs {
-		if !q.Dims[k].ContainsCoord(cs[k]) {
+	d := len(q.Dims)
+	for k, c := range ts.coords[id*d : (id+1)*d] {
+		if !q.Dims[k].ContainsCoord(c) {
 			return false
 		}
 	}
 	return true
 }
 
-// rowSegment returns the row ids, in coordinate order, of the narrowest
-// per-dimension coordinate range q selects: every row inside q is among
-// them. ok is false when the row index is unusable for q and every row has
-// to be looked at.
-func (ts *tableStore) rowSegment(q region.Box) (ids []int, ok bool) {
-	d := len(ts.rowIdx)
-	if q.D() != d || d == 0 {
-		return nil, false
-	}
-	for k := 0; k < d; k++ {
-		ri := &ts.rowIdx[k]
-		qd := q.Dims[k]
-		l := sort.Search(len(ri.coords), func(i int) bool { return ri.coords[i] >= qd.Lo })
-		h := sort.Search(len(ri.coords), func(i int) bool { return ri.coords[i] >= qd.Hi })
-		if !ok || h-l < len(ids) {
-			ids, ok = ri.ids[l:h], true
+// narrowest returns the dimension on which q's coordinate range selects the
+// fewest rows, and how many: every row inside q is among them. q must have
+// the table's dimensionality, which must not be zero. It only counts —
+// callers walk the chosen dimension's runs again — so a read over many runs
+// allocates nothing here.
+func (ts *tableStore) narrowest(q region.Box) (dim, n int) {
+	n = -1
+	for k, rd := range ts.rowIdx {
+		c := 0
+		for _, run := range rd {
+			c += len(run.span(q.Dims[k]))
+		}
+		if n < 0 || c < n {
+			dim, n = k, c
 		}
 	}
-	return ids, ok
+	return dim, n
 }
 
 // rowsIn returns the rows inside q in insertion order (the order a scan of
 // the whole table finds them in) without sorting the table's worth of ids a
-// large read used to. A candidate segment of more than 1/64 of the table
-// marks its matches in a transient bitset over the table — one bit per row,
-// so never more memory than the ids themselves — and reads that back in
-// order; a smaller one collects and sorts its few matches, which is cheaper
-// than clearing and walking table-sized bits for a handful of rows.
+// large read used to. A candidate set of more than 1/64 of the table marks
+// its matches in a transient bitset over the table — one bit per row, so
+// never more memory than the ids themselves — and reads that back in order;
+// a smaller one collects and sorts its few matches, which is cheaper than
+// clearing and walking table-sized bits for a handful of rows.
 func (ts *tableStore) rowsIn(q region.Box) []value.Row {
-	seg, ok := ts.rowSegment(q)
+	if q.D() != len(ts.rowIdx) {
+		return nil // no row has a box of another dimensionality's coordinates
+	}
+	if q.D() == 0 {
+		return append([]value.Row(nil), ts.rows...)
+	}
+	dim, cand := ts.narrowest(q)
 	n := len(ts.rows)
 	var out []value.Row
-	switch {
-	case !ok:
-		for id := range ts.rows {
-			if ts.rowMatches(id, q) {
-				out = append(out, ts.rows[id])
-			}
-		}
-	case 64*len(seg) > n:
+	if 64*cand > n {
 		bits := make([]uint64, (n+63)/64)
 		count := 0
-		for _, id := range seg {
-			if ts.rowMatches(id, q) {
-				bits[id/64] |= 1 << (id % 64)
-				count++
+		for _, run := range ts.rowIdx[dim] {
+			for _, e := range run.span(q.Dims[dim]) {
+				if ts.rowMatches(e.id, q) {
+					bits[e.id/64] |= 1 << (e.id % 64)
+					count++
+				}
 			}
 		}
 		if count == 0 {
@@ -907,21 +969,23 @@ func (ts *tableStore) rowsIn(q region.Box) []value.Row {
 				out = append(out, ts.rows[w*64+mathbits.TrailingZeros64(word)])
 			}
 		}
-	default:
-		ids := make([]int, 0, len(seg))
-		for _, id := range seg {
-			if ts.rowMatches(id, q) {
-				ids = append(ids, id)
+		return out
+	}
+	ids := make([]int, 0, cand)
+	for _, run := range ts.rowIdx[dim] {
+		for _, e := range run.span(q.Dims[dim]) {
+			if ts.rowMatches(e.id, q) {
+				ids = append(ids, e.id)
 			}
 		}
-		if len(ids) == 0 {
-			return nil
-		}
-		sort.Ints(ids)
-		out = make([]value.Row, len(ids))
-		for i, id := range ids {
-			out[i] = ts.rows[id]
-		}
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	sort.Ints(ids)
+	out = make([]value.Row, len(ids))
+	for i, id := range ids {
+		out[i] = ts.rows[id]
 	}
 	return out
 }
@@ -944,18 +1008,19 @@ func (s *Store) CountIn(meta *catalog.Table, q region.Box) (int64, error) {
 	if ts == nil {
 		return 0, nil
 	}
+	if q.D() != len(ts.rowIdx) {
+		return 0, nil
+	}
+	if q.D() == 0 {
+		return int64(len(ts.rows)), nil
+	}
 	var n int64
-	if seg, ok := ts.rowSegment(q); ok {
-		for _, id := range seg {
-			if ts.rowMatches(id, q) {
+	dim, _ := ts.narrowest(q)
+	for _, run := range ts.rowIdx[dim] {
+		for _, e := range run.span(q.Dims[dim]) {
+			if ts.rowMatches(e.id, q) {
 				n++
 			}
-		}
-		return n, nil
-	}
-	for id := range ts.rows {
-		if ts.rowMatches(id, q) {
-			n++
 		}
 	}
 	return n, nil
@@ -1007,18 +1072,4 @@ func (s *Store) Stats() Stats {
 		st.Rows += len(ts.rows)
 	}
 	return st
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
