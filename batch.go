@@ -1,11 +1,11 @@
 package payless
 
 import (
+	"context"
 	"sort"
 	"time"
 
 	"payless/internal/core"
-	"payless/internal/engine"
 	"payless/internal/region"
 	"payless/internal/rewrite"
 	"payless/internal/sqlparse"
@@ -31,6 +31,8 @@ type BatchResult struct {
 // QueryBatch therefore orders statements by descending estimated price
 // before executing them, re-estimating after each execution (the semantic
 // store grows as the batch runs). Results are returned in submission order.
+// Each statement is admitted, executed and booked exactly as Query would:
+// Budget and Admitter reservations, failed-statement spend, metrics, audit.
 func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 	if err := c.begin(); err != nil {
 		return nil, err
@@ -79,37 +81,13 @@ func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 		})
 		pick := plans[0]
 
-		eng := engine.Engine{Catalog: c.cat, Store: c.store, Stats: c.stats, Caller: c.caller, Sched: c.sched, Options: opts, Concurrency: c.cfg.fetchConcurrency()}
-		execStart := time.Now()
-		rel, report, err := eng.Execute(pick.plan)
+		// The latency histogram counts the statement's own optimization, as
+		// Query's does.
+		sql := sqls[pick.p.idx]
+		res, err := c.execute(context.Background(), sql, pick.plan, opts, c.beginTrace(sql), time.Now().Add(-pick.plan.Optimized))
 		if err != nil {
-			c.metrics.ObserveQueryError()
-			return nil, &BatchError{Index: pick.p.idx, Err: stageErr(StageExecute, err)}
+			return nil, &BatchError{Index: pick.p.idx, Err: err}
 		}
-		c.metrics.ObserveQuery(time.Since(execStart)+pick.plan.Optimized, pick.plan.Optimized,
-			report.Calls, report.Records, report.Transactions, report.Price)
-		c.mu.Lock()
-		c.total.Add(report)
-		c.counters.Add(pick.plan.Counters)
-		c.queries++
-		c.mu.Unlock()
-
-		res := &Result{
-			Columns:         rel.Schema.Names(),
-			Report:          report,
-			EstTransactions: pick.plan.EstTrans,
-			Counters:        pick.plan.Counters,
-			Plan:            pick.plan.String(),
-			OptimizeTime:    pick.plan.Optimized,
-		}
-		for _, row := range rel.Rows {
-			enc := make([]string, len(row))
-			for i, v := range row {
-				enc[i] = v.String()
-			}
-			res.Rows = append(res.Rows, enc)
-		}
-		c.writeAudit(sqls[pick.p.idx], res)
 		results = append(results, BatchResult{Index: pick.p.idx, Result: res})
 
 		// Drop the executed statement.

@@ -1,6 +1,7 @@
 package payless
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -178,5 +179,43 @@ func TestStatsAVIConfig(t *testing.T) {
 	}
 	if r1.Report.Transactions == 0 || r2.Report.Transactions != 0 {
 		t.Errorf("AVI-backed client must behave: %d then %d", r1.Report.Transactions, r2.Report.Transactions)
+	}
+}
+
+// TestQueryBatchHonoursBudget: a batch statement is admitted like a Query —
+// one estimated above the per-query budget is refused before any call.
+func TestQueryBatchHonoursBudget(t *testing.T) {
+	client, m, w := testSetup(t, func(c *Config) { c.Budget = Budget{PerQuery: 1, Total: 1} })
+	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
+		w.Dates[0], w.Dates[len(w.Dates)-1])
+	if _, err := client.QueryBatch([]string{sql}); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("want ErrOverBudget, got %v", err)
+	}
+	if meter, _ := m.MeterOf("acct"); meter.Calls != 0 {
+		t.Fatalf("over-budget batch made %d market calls", meter.Calls)
+	}
+}
+
+// TestQueryBatchBooksFailedSpend: a batch statement that dies mid-plan has
+// still paid for its first call; that spend is booked in TotalSpend and the
+// failed-spend metrics, exactly as for Query.
+func TestQueryBatchBooksFailedSpend(t *testing.T) {
+	client, fc, w := flakySetup(t)
+	// The bind join's Station call succeeds; its Weather calls fail.
+	sql := fmt.Sprintf(
+		"SELECT Temperature FROM Station, Weather "+
+			"WHERE City = 'Seattle' AND Station.Country = Weather.Country = 'United States' "+
+			"AND Date >= %d AND Date <= %d AND Station.StationID = Weather.StationID",
+		w.Dates[0], w.Dates[29])
+	fc.arm(2)
+	if _, err := client.QueryBatch([]string{sql}); !errors.Is(err, errMarketDown) {
+		t.Fatalf("mid-plan outage must surface: %v", err)
+	}
+	spent := client.TotalSpend().Transactions
+	if spent == 0 {
+		t.Fatal("the failed statement's paid call is missing from TotalSpend")
+	}
+	if failed := client.Metrics().FailedQuerySpendTransactions; failed != spent {
+		t.Fatalf("failed-spend metric %d, TotalSpend %d", failed, spent)
 	}
 }

@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"payless/internal/engine"
+	"sync"
 )
 
 // ErrOverBudget is returned (wrapped, with details) when executing a query
@@ -24,57 +23,54 @@ type Budget struct {
 	Total int64
 }
 
-// Admitter is a spend-admission hook consulted around every query, in
-// addition to Config.Budget. Reserve is called with the plan's estimated
-// transactions before any market call (an error rejects the query
-// unbilled); Settle is called exactly once per successful Reserve with the
-// same estimate and the transactions actually billed (zero when the query
-// failed before spending). The daemon's tenant layer implements it to
-// enforce per-tenant budgets and attribute spend to the querying tenant.
+// Admitter is a spend-admission hook consulted around every query, after
+// Config.Budget. Reserve is called with the plan's estimated transactions
+// before any market call (an error rejects the query unbilled); Settle is
+// called exactly once per successful Reserve with the same estimate and the
+// transactions actually billed (zero when the query failed before
+// spending). The daemon's tenant layer implements it to enforce per-tenant
+// budgets and attribute spend to the querying tenant.
 type Admitter interface {
 	Reserve(ctx context.Context, estTransactions int64) error
 	Settle(ctx context.Context, estTransactions, actualTransactions int64)
 }
 
-// reserveBudget admits a plan estimate against the configured budget and
-// holds the estimate as a reservation until settleBudget. The headroom
-// check and the reservation are one critical section: two concurrent
-// queries can never both be admitted against the same remaining budget,
-// which is the check-then-execute race the old unreserved check had.
-func (c *Client) reserveBudget(est int64) error {
-	b := c.cfg.Budget
-	if b.PerQuery > 0 && est > b.PerQuery {
+// budgetAdmitter is Config.Budget as an Admitter, enforced by reservation:
+// a query's estimate is held from admission to settlement, and the
+// headroom check and the reservation are one critical section, so two
+// concurrent queries can never both be admitted against the same remaining
+// budget.
+type budgetAdmitter struct {
+	limit Budget
+
+	mu sync.Mutex
+	// spent is every transaction billed so far, failed queries included;
+	// reserved is the estimated spend of queries admitted but not yet
+	// settled.
+	spent, reserved int64
+}
+
+func (b *budgetAdmitter) Reserve(_ context.Context, est int64) error {
+	if b.limit.PerQuery > 0 && est > b.limit.PerQuery {
 		return fmt.Errorf("%w: estimated %d transactions, per-query budget %d",
-			ErrOverBudget, est, b.PerQuery)
+			ErrOverBudget, est, b.limit.PerQuery)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b.Total > 0 {
-		spent := c.total.Transactions
-		if spent+c.reserved+est > b.Total {
-			return fmt.Errorf("%w: estimated %d transactions on top of %d already spent and %d reserved, total budget %d",
-				ErrOverBudget, est, spent, c.reserved, b.Total)
-		}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.limit.Total > 0 && b.spent+b.reserved+est > b.limit.Total {
+		return fmt.Errorf("%w: estimated %d transactions on top of %d already spent and %d reserved, total budget %d",
+			ErrOverBudget, est, b.spent, b.reserved, b.limit.Total)
 	}
-	c.reserved += est
+	b.reserved += est
 	return nil
 }
 
-// releaseBudget drops a reservation that never executed (admission failed
-// after the budget was reserved).
-func (c *Client) releaseBudget(est int64) {
-	c.mu.Lock()
-	c.reserved -= est
-	c.mu.Unlock()
-}
-
-// settleBudget releases a reservation and folds the actual spend into the
-// client totals in one critical section, so the headroom freed by the
-// estimate and the headroom consumed by the real bill move together — a
-// concurrent reserveBudget sees either both or neither.
-func (c *Client) settleBudget(est int64, report engine.Report) {
-	c.mu.Lock()
-	c.reserved -= est
-	c.total.Add(report)
-	c.mu.Unlock()
+// Settle releases the reservation and books the actual spend in one
+// critical section, so the headroom freed by the estimate and the headroom
+// consumed by the bill move together.
+func (b *budgetAdmitter) Settle(_ context.Context, est, actual int64) {
+	b.mu.Lock()
+	b.reserved -= est
+	b.spent += actual
+	b.mu.Unlock()
 }

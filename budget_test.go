@@ -67,10 +67,11 @@ func TestExplainVerbose(t *testing.T) {
 			"WHERE City = 'Seattle' AND Station.Country = Weather.Country = 'United States' "+
 			"AND Date >= %d AND Date <= %d AND Station.StationID = Weather.StationID",
 		w.Dates[0], w.Dates[10])
-	out, err := client.ExplainVerbose(sql)
+	res, err := client.Explain(sql, Verbose())
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := res.PlanDetail
 	for _, want := range []string{"plan:", "Station", "Weather", "join"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
@@ -79,10 +80,10 @@ func TestExplainVerbose(t *testing.T) {
 	if !strings.Contains(out, "bind join") && !strings.Contains(out, "market scan") {
 		t.Errorf("explain should name access paths:\n%s", out)
 	}
-	if _, err := client.ExplainVerbose("garbage"); err == nil {
+	if _, err := client.Explain("garbage", Verbose()); err == nil {
 		t.Error("parse error expected")
 	}
-	if _, err := client.ExplainVerbose("SELECT * FROM Ghost"); err == nil {
+	if _, err := client.Explain("SELECT * FROM Ghost", Verbose()); err == nil {
 		t.Error("bind error expected")
 	}
 }
@@ -94,18 +95,18 @@ func TestExplainVerboseZeroPriceAndLocal(t *testing.T) {
 	if _, err := client.Query(sql); err != nil {
 		t.Fatal(err)
 	}
-	out, err := client.ExplainVerbose(sql)
+	res, err := client.Explain(sql, Verbose())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "semantic store scan") {
+	if out := res.PlanDetail; !strings.Contains(out, "semantic store scan") {
 		t.Errorf("covered relation should show as store scan:\n%s", out)
 	}
-	out2, err := client.ExplainVerbose("SELECT * FROM ZipMap")
+	res2, err := client.Explain("SELECT * FROM ZipMap", Verbose())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out2, "local table scan") {
+	if out2 := res2.PlanDetail; !strings.Contains(out2, "local table scan") {
 		t.Errorf("local table should show as local scan:\n%s", out2)
 	}
 }

@@ -59,7 +59,7 @@ func main() {
 		key         = flag.String("key", "demo", "buyer account key at the market")
 		endpoints   = flag.String("endpoints", "", "federate across market mirrors: comma-separated name=url[@priceFactor[@latencyHint]] entries (overrides -market)")
 		hedge       = flag.Duration("hedge-after", 0, "race the next-cheapest endpoint when a call exceeds this duration (federated only, 0 disables)")
-		brkN        = flag.Int("breaker-threshold", 0, "consecutive failures before a circuit breaker opens (0 disables; federated: per endpoint x dataset)")
+		brkN        = flag.Int("breaker-threshold", 0, "consecutive failures before a circuit breaker opens, per endpoint x dataset (0 disables)")
 		brkCool     = flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a probe call")
 		tenants     = flag.String("tenants", "demo:demo", "comma-separated tenants, each name:key[:budget[:rate]]")
 		tenantsFile = flag.String("tenants-file", "", "JSON tenant file (overrides -tenants; SIGHUP reloads it live)")
@@ -72,7 +72,7 @@ func main() {
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long SIGTERM waits for in-flight queries before giving up")
 		retryAfter  = flag.Duration("retry-after", time.Second, "base Retry-After hint on shed responses (jittered ±25%)")
 		storeDir    = flag.String("store-dir", "", "durable semantic store directory (empty = in-memory)")
-		window      = flag.Duration("coalesce-window", 2*time.Millisecond, "call-scheduler coalesce window (0 disables the scheduler)")
+		window      = flag.Duration("coalesce-window", 2*time.Millisecond, "call-scheduler coalesce window (0 = no window; concurrent identical calls still single-flight)")
 		planLRU     = flag.Int("plan-cache", 256, "plan-template cache size (0 disables)")
 	)
 	flag.Parse()
@@ -95,10 +95,7 @@ func main() {
 		log.Fatalf("build tenant registry: %v", err)
 	}
 
-	opts := []payless.Option{payless.WithAdmitter(reg)}
-	if *window > 0 {
-		opts = append(opts, payless.WithCallScheduler(), payless.WithCoalesceWindow(*window))
-	}
+	opts := []payless.Option{payless.WithAdmitter(reg), payless.WithCoalesceWindow(*window)}
 	if *planLRU > 0 {
 		opts = append(opts, payless.WithPlanCache(*planLRU))
 	}

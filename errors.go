@@ -21,8 +21,9 @@ import (
 //     through the execute stage (errors.As);
 //   - *PartialError surfaces a query that died part-way through its market
 //     fan-out, carrying what it billed and salvaged (errors.As);
-//   - ErrCircuitOpen means a dataset's circuit breaker short-circuited the
-//     call (only with Config.BreakerThreshold > 0).
+//   - ErrCircuitOpen means every market endpoint's circuit breaker for the
+//     dataset short-circuited the call (only with Config.BreakerThreshold > 0);
+//   - ErrRetryBudget means the query's retry budget refused another attempt.
 var (
 	// ErrParse marks a SQL syntax error.
 	ErrParse = errors.New("payless: parse error")
@@ -55,14 +56,15 @@ type StatusError = connector.StatusError
 //	if errors.As(err, &pe) { log.Printf("banked $%.2f", pe.Billed.Price) }
 type PartialError = engine.PartialError
 
-// ErrCircuitOpen marks a call short-circuited by an open circuit breaker
-// (see Config.BreakerThreshold) — per-dataset on a single-market client,
-// per-endpoint×dataset on a federated one (every endpoint refusing). It
-// surfaces wrapped in the execute stage's PartialError.
-var ErrCircuitOpen = engine.ErrCircuitOpen
+// ErrCircuitOpen marks a call short-circuited by open circuit breakers
+// (see Config.BreakerThreshold): every endpoint serving the dataset
+// refused. It surfaces wrapped in the execute stage's PartialError.
+var ErrCircuitOpen = overload.ErrCircuitOpen
 
 // ErrRetryBudget marks a retry, failover or hedge denied because the
-// query's retry-token budget ran out (see Config.RetryBudget). It is
+// query's retry-token budget ran out: transport retries, failovers and
+// hedges each spend one token from a per-query pool of
+// overload.DefaultBaseCredit plus half a token per logical call. It is
 // deliberately distinct from ErrCircuitOpen: the budget says "this query
 // has amplified enough — stop multiplying attempts", the breaker says
 // "this market is known dead — stop calling it at all". It surfaces
@@ -70,14 +72,13 @@ var ErrCircuitOpen = engine.ErrCircuitOpen
 // whatever the query billed before giving up.
 var ErrRetryBudget = overload.ErrRetryBudget
 
-// CircuitOpenError is the concrete breaker-refusal error, re-exported from
-// the engine. It matches errors.Is(err, ErrCircuitOpen) and carries how long
-// until the breaker next admits a probe — user-facing transports turn it
-// into 503 + Retry-After:
+// CircuitOpenError is the concrete breaker-refusal error. It matches
+// errors.Is(err, ErrCircuitOpen) and carries how long until a breaker next
+// admits a probe — user-facing transports turn it into 503 + Retry-After:
 //
 //	var coe *payless.CircuitOpenError
 //	if errors.As(err, &coe) { wait := coe.RetryAfter }
-type CircuitOpenError = engine.CircuitOpenError
+type CircuitOpenError = overload.CircuitOpenError
 
 // Stage names the query-processing phase an error belongs to.
 type Stage string

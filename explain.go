@@ -10,7 +10,7 @@ type explainConfig struct {
 }
 
 // Verbose makes Explain render the optimizer's step-by-step plan report
-// into Result.PlanDetail (the output ExplainVerbose used to return).
+// into Result.PlanDetail.
 func Verbose() ExplainOption {
 	return func(ec *explainConfig) { ec.verbose = true }
 }
@@ -51,16 +51,4 @@ func (c *Client) ExplainContext(ctx context.Context, sql string, opts ...Explain
 	c.finishTrace(tr)
 	res.Trace = tr
 	return res, nil
-}
-
-// ExplainVerbose optimises a statement and renders the step-by-step plan
-// report without executing it.
-//
-// Deprecated: use Explain(sql, Verbose()) and read Result.PlanDetail.
-func (c *Client) ExplainVerbose(sql string) (string, error) {
-	res, err := c.Explain(sql, Verbose())
-	if err != nil {
-		return "", err
-	}
-	return res.PlanDetail, nil
 }

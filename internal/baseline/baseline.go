@@ -131,7 +131,7 @@ func (d *DownloadAll) Query(sql string) (engine.Report, error) {
 	if err != nil {
 		return engine.Report{}, err
 	}
-	eng := engine.Engine{Catalog: d.localCat, Store: semstore.New(d.db), Stats: st, Caller: d.caller}
+	eng := engine.Engine{Catalog: d.localCat, Store: semstore.New(d.db), Stats: st}
 	if _, _, err := eng.Execute(plan); err != nil {
 		return engine.Report{}, err
 	}

@@ -83,7 +83,7 @@ func runDaemon(p DaemonParams, env *sharedEnv, n int) (meterTrans, ledgerSum int
 		Caller:                      gc,
 		DefaultTuplesPerTransaction: 100,
 		FetchConcurrency:            4,
-	}, payless.WithCallScheduler(), payless.WithAdmitter(reg))
+	}, payless.WithAdmitter(reg))
 	if err != nil {
 		return 0, 0, err
 	}

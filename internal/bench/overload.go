@@ -252,7 +252,7 @@ func FigOverload(p OverloadParams) (*Figure, error) {
 		FederationEndpoints:         eps,
 		DefaultTuplesPerTransaction: 100,
 		FetchConcurrency:            2,
-	}, payless.WithAdmitter(reg), payless.WithCallScheduler())
+	}, payless.WithAdmitter(reg))
 	if err != nil {
 		return nil, err
 	}

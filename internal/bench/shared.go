@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	payless "payless"
@@ -17,8 +16,8 @@ import (
 
 // SharedParams controls the cross-query sharing experiment: N concurrent
 // client streams replay the same WHW query list through ONE PayLess client,
-// once with the call scheduler and once without, and the figure reports the
-// billed transactions at each N.
+// and the figure reports the billed transactions at each N next to what N
+// independent buyers would pay.
 type SharedParams struct {
 	Cfg workload.WHWConfig
 	// Levels are the concurrent-stream counts to sweep.
@@ -77,15 +76,14 @@ func newSharedEnv(p SharedParams) (*sharedEnv, error) {
 }
 
 // sharedGate blocks every wire call on the current gate until the run
-// releases it, counting arrivals. Holding the gate pins the overlap: no
+// releases it. Holding the gate pins the overlap: no
 // stream can record its purchase while another is still planning, so "N
 // concurrent buyers of the same box" is a controlled fact of the experiment
 // rather than a scheduling accident.
 type sharedGate struct {
-	inner   market.Caller
-	arrived atomic.Int64
-	mu      sync.Mutex
-	gate    chan struct{}
+	inner market.Caller
+	mu    sync.Mutex
+	gate  chan struct{}
 }
 
 func (g *sharedGate) setGate(c chan struct{}) {
@@ -94,13 +92,10 @@ func (g *sharedGate) setGate(c chan struct{}) {
 	g.mu.Unlock()
 }
 
-func (g *sharedGate) arrivals() int64 { return g.arrived.Load() }
-
 func (g *sharedGate) Call(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
 	g.mu.Lock()
 	gate := g.gate
 	g.mu.Unlock()
-	g.arrived.Add(1)
 	if gate != nil {
 		select {
 		case <-gate:
@@ -113,19 +108,15 @@ func (g *sharedGate) Call(ctx context.Context, q catalog.AccessQuery) (market.Re
 
 // runShared replays the query list with n concurrent streams through one
 // fresh client and returns the account's billed transactions.
-func (env *sharedEnv) runShared(acct string, n int, scheduled bool) (int64, error) {
+func (env *sharedEnv) runShared(acct string, n int) (int64, error) {
 	env.m.RegisterAccount(acct)
 	gc := &sharedGate{inner: market.AccountCaller{Market: env.m, Key: acct}}
-	var opts []payless.Option
-	if scheduled {
-		opts = append(opts, payless.WithCallScheduler())
-	}
 	client, err := payless.Open(payless.Config{
 		Tables:                      append(env.m.ExportCatalog(), env.w.ZipMap),
 		Caller:                      gc,
 		DefaultTuplesPerTransaction: 100,
 		FetchConcurrency:            4,
-	}, opts...)
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -142,7 +133,6 @@ func (env *sharedEnv) runShared(acct string, n int, scheduled bool) (int64, erro
 		}
 		gate := make(chan struct{})
 		gc.setGate(gate)
-		arrBefore := gc.arrivals()
 		hitsBefore := client.Metrics().SchedSingleflightHits
 
 		var wg sync.WaitGroup
@@ -154,19 +144,11 @@ func (env *sharedEnv) runShared(acct string, n int, scheduled bool) (int64, erro
 				_, errs[i] = client.Query(sql)
 			}(i)
 		}
-		// Hold the gate until the overlap is observable: scheduled streams
-		// must have joined the one flight, unscheduled streams must each
-		// have their own wire call in flight.
-		var waitErr error
-		if scheduled {
-			waitErr = waitShared(func() bool {
-				return client.Metrics().SchedSingleflightHits >= hitsBefore+int64(n-1)
-			})
-		} else {
-			waitErr = waitShared(func() bool {
-				return gc.arrivals() >= arrBefore+int64(n)
-			})
-		}
+		// Hold the gate until the overlap is observable: every other stream
+		// must have joined the one flight.
+		waitErr := waitShared(func() bool {
+			return client.Metrics().SchedSingleflightHits >= hitsBefore+int64(n-1)
+		})
 		close(gate)
 		wg.Wait()
 		if waitErr != nil {
@@ -198,13 +180,12 @@ func waitShared(cond func() bool) error {
 	return fmt.Errorf("shared: timed out waiting for streams to overlap")
 }
 
-// FigShared measures what N concurrent identical query streams cost with
-// and without the global call scheduler. Unscheduled, every stream buys its
-// own copy of every box, so the bill grows linearly in N; scheduled, the
-// single-flight collapses the N concurrent buyers onto one wire call and
-// one bill. Two invariants are checked inline: at N=1 the scheduler must be
-// bill-neutral, and at every N it must never cost more than the
-// unscheduled run.
+// FigShared measures what N concurrent identical query streams cost through
+// one client. N independent buyers would each buy every box — N times the
+// serial bill; through one client the call scheduler's single-flight
+// collapses the N concurrent buyers of a box onto one wire call and one
+// bill. The figure errors unless every N bills exactly the serial (N=1)
+// price.
 func FigShared(p SharedParams) (*Figure, error) {
 	env, err := newSharedEnv(p)
 	if err != nil {
@@ -216,28 +197,25 @@ func FigShared(p SharedParams) (*Figure, error) {
 			len(env.sql)),
 		XLabel: "clients",
 	}
-	unsched := Series{System: "PayLess unscheduled"}
-	sched := Series{System: "PayLess + call scheduler"}
-	for _, n := range p.Levels {
-		bu, err := env.runShared(fmt.Sprintf("unsched-%d", n), n, false)
-		if err != nil {
-			return nil, fmt.Errorf("unscheduled n=%d: %w", n, err)
-		}
-		bs, err := env.runShared(fmt.Sprintf("sched-%d", n), n, true)
-		if err != nil {
-			return nil, fmt.Errorf("scheduled n=%d: %w", n, err)
-		}
-		if n == 1 && bs != bu {
-			return nil, fmt.Errorf("scheduler changed the N=1 bill: %d vs %d transactions", bs, bu)
-		}
-		if bs > bu {
-			return nil, fmt.Errorf("scheduler cost more at n=%d: %d vs %d transactions", n, bs, bu)
-		}
-		unsched.X = append(unsched.X, n)
-		unsched.Y = append(unsched.Y, bu)
-		sched.X = append(sched.X, n)
-		sched.Y = append(sched.Y, bs)
+	serial, err := env.runShared("serial", 1)
+	if err != nil {
+		return nil, fmt.Errorf("serial: %w", err)
 	}
-	fig.Series = append(fig.Series, unsched, sched)
+	independent := Series{System: "N independent buyers (N x serial)"}
+	shared := Series{System: "PayLess, one shared client"}
+	for _, n := range p.Levels {
+		bill, err := env.runShared(fmt.Sprintf("shared-%d", n), n)
+		if err != nil {
+			return nil, fmt.Errorf("n=%d: %w", n, err)
+		}
+		if bill != serial {
+			return nil, fmt.Errorf("%d concurrent streams billed %d transactions, the serial run %d", n, bill, serial)
+		}
+		independent.X = append(independent.X, n)
+		independent.Y = append(independent.Y, int64(n)*serial)
+		shared.X = append(shared.X, n)
+		shared.Y = append(shared.Y, bill)
+	}
+	fig.Series = append(fig.Series, independent, shared)
 	return fig, nil
 }

@@ -403,7 +403,11 @@ func (c *Client) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		// assigned it (the federation fan-out).
 		overload.Grant(ctx, overload.GrantPerCall)
 	}
-	if !c.noCallIDs {
+	if c.noCallIDs {
+		// The ablation sends no ID at all, not even one assigned above the
+		// transport (federation assigns one to every call).
+		q.CallID = ""
+	} else {
 		// One idempotency ID per logical call, shared by every retry of
 		// every page: the market bills it once and replays thereafter.
 		market.EnsureCallID(&q)

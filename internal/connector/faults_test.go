@@ -12,6 +12,7 @@ import (
 
 	"payless/internal/catalog"
 	"payless/internal/market"
+	"payless/internal/overload"
 )
 
 // recordSleeps replaces the client's backoff sleep with a fake clock that
@@ -203,5 +204,16 @@ func TestWithoutCallIDsSendsNoHeader(t *testing.T) {
 	c := New(srv.URL, "k", WithoutCallIDs(), fastBackoff())
 	if _, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"}); err != nil {
 		t.Fatal(err)
+	}
+	// A call that arrives carrying an ID — federation assigns one above the
+	// transport — must not send it either, and, already funded by the layer
+	// that assigned it, must not deposit into the retry budget again.
+	b := overload.NewRetryBudget(0)
+	ctx := overload.WithBudget(context.Background(), b)
+	if _, err := c.Call(ctx, catalog.AccessQuery{Dataset: "DS", Table: "T", CallID: "assigned-above"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, granted, _, _ := b.Stats(); granted != 0 {
+		t.Fatalf("inherited-ID call granted %v tokens, want 0", granted)
 	}
 }

@@ -168,7 +168,8 @@ func (s *Server) handleAdminTenant(w http.ResponseWriter, r *http.Request) {
 // handleAdminEndpoints serves PUT /v1/admin/endpoints: hot-swap the
 // federation pool on the shared client. In-flight calls finish on the old
 // endpoints; observed latency/health state carries over for endpoints that
-// stay by name. 400 when the client is not federated.
+// stay by name. 400 when the client was opened on a single market caller
+// rather than on federation endpoints.
 func (s *Server) handleAdminEndpoints(w http.ResponseWriter, r *http.Request) {
 	if !s.adminAuth(w, r) {
 		return

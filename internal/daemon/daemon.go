@@ -187,20 +187,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// healthResponse is the /healthz JSON body. Endpoints is present only for
-// federated clients: one entry per market mirror with its breaker and
-// latency state.
+// healthResponse is the /healthz JSON body: the status plus one entry per
+// market endpoint (a single-market daemon has one, named "market") with its
+// breaker and latency state.
 type healthResponse struct {
 	Status    string                   `json:"status"`
 	Endpoints []payless.EndpointHealth `json:"endpoints,omitempty"`
 }
 
 // handleHealthz answers "ok" while the daemon can serve, and surfaces
-// per-endpoint federation health so orchestrators can see a dead mirror
-// without grepping metrics. A federated daemon is "degraded" (still 200 —
-// it keeps serving through the healthy mirrors) when any endpoint has open
-// circuits, and 503 "down" when every endpoint does. A draining daemon is
-// 503 "draining" so load balancers stop routing to it during shutdown.
+// per-endpoint health so orchestrators can see a dead market without
+// grepping metrics. The daemon is "degraded" (still 200 — it keeps serving
+// through the healthy mirrors) when some endpoint has open circuits, and
+// 503 "down" when every endpoint does — for a single-market daemon, as
+// soon as its market's breaker opens. A draining daemon is 503 "draining"
+// so load balancers stop routing to it during shutdown.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.lifemu.Lock()
 	draining := s.draining
@@ -211,21 +212,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := healthResponse{Status: "ok", Endpoints: s.cfg.Client.FederationHealth()}
 	status := http.StatusOK
-	if len(resp.Endpoints) > 0 {
-		healthy := 0
-		for _, ep := range resp.Endpoints {
-			if ep.Healthy {
-				healthy++
-			}
+	healthy := 0
+	for _, ep := range resp.Endpoints {
+		if ep.Healthy {
+			healthy++
 		}
-		switch healthy {
-		case len(resp.Endpoints):
-		case 0:
-			resp.Status = "down"
-			status = http.StatusServiceUnavailable
-		default:
-			resp.Status = "degraded"
-		}
+	}
+	switch healthy {
+	case len(resp.Endpoints):
+	case 0:
+		resp.Status = "down"
+		status = http.StatusServiceUnavailable
+	default:
+		resp.Status = "degraded"
 	}
 	writeJSON(w, status, resp)
 }

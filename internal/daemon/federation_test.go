@@ -157,14 +157,41 @@ func TestHealthzReportsPerEndpointHealth(t *testing.T) {
 	}
 }
 
-// TestHealthzNonFederatedStaysPlain pins the pre-federation contract: a
-// single-market daemon keeps answering a bare 200 "ok" with no endpoint
-// list.
+// TestHealthzNonFederatedStaysPlain pins the single-market contract: a
+// fresh daemon on one market answers 200 "ok", reporting that market as its
+// one endpoint.
 func TestHealthzNonFederatedStaysPlain(t *testing.T) {
 	m := rangeMarket(t, "acct")
 	srv := newDaemon(t, openClient(t, m, "acct"), singleTenant(t), nil)
 	code, body := healthz(t, srv.Handler())
-	if code != http.StatusOK || body.Status != "ok" || len(body.Endpoints) != 0 {
-		t.Fatalf("/healthz = %d %+v, want bare 200 ok", code, body)
+	if code != http.StatusOK || body.Status != "ok" || len(body.Endpoints) != 1 || body.Endpoints[0].Name != "market" {
+		t.Fatalf("/healthz = %d %+v, want 200 ok with the one endpoint \"market\"", code, body)
+	}
+}
+
+// TestHealthzNonFederatedDownWhenBreakerOpen: once a single-market daemon's
+// breaker opens, every query short-circuits with 503 — and /healthz says so
+// with 503 "down" instead of a healthy 200.
+func TestHealthzNonFederatedDownWhenBreakerOpen(t *testing.T) {
+	m := rangeMarket(t)
+	client, err := payless.Open(payless.Config{
+		Tables:               m.ExportCatalog(),
+		Caller:               downCaller{},
+		TuplesPerTransaction: map[string]int{"DS": 10},
+	}, payless.WithBreaker(1, 30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newDaemon(t, client, singleTenant(t), nil).Handler()
+	post(h, "demo", "SELECT v FROM T WHERE a >= 1 AND a <= 20") // fails and trips the breaker
+	if code, _, _ := post(h, "demo", "SELECT v FROM T WHERE a >= 1 AND a <= 20"); code != http.StatusServiceUnavailable {
+		t.Fatalf("query against the open breaker: HTTP %d, want 503", code)
+	}
+	code, body := healthz(t, h)
+	if code != http.StatusServiceUnavailable || body.Status != "down" {
+		t.Fatalf("/healthz with the market's breaker open = %d %q, want 503 down", code, body.Status)
+	}
+	if len(body.Endpoints) != 1 || body.Endpoints[0].Healthy || body.Endpoints[0].OpenCircuits == 0 {
+		t.Fatalf("endpoint report: %+v", body.Endpoints)
 	}
 }

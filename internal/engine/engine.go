@@ -1,5 +1,5 @@
 // Package engine executes PayLess plans (paper §3, steps 4–9): it issues
-// the plan's RESTful calls through a market.Caller, records every call and
+// the plan's RESTful calls through the call scheduler, records every call and
 // its result in the semantic store, feeds row counts back to the statistics,
 // materialises bind joins one call per distinct binding value, and offloads
 // joins, residual predicates, grouping and ordering to the local DBMS.
@@ -56,12 +56,10 @@ type Engine struct {
 	Store *semstore.Store
 	// Stats receives execution feedback; may be nil.
 	Stats stats.Estimator
-	// Caller issues the RESTful calls.
-	Caller market.Caller
-	// Sched, when non-nil, routes market fetches through the global call
-	// scheduler: identical concurrent calls are single-flighted and
-	// adjacent cross-query remainders may be merged. Nil issues every call
-	// directly through Caller.
+	// Sched issues the RESTful calls: the client's global call scheduler,
+	// which single-flights identical concurrent calls, may merge adjacent
+	// cross-query remainders, and hands each wire call to the market caller
+	// below it (federation → transport).
 	Sched *sched.Scheduler
 	// Options mirrors the optimizer's toggles (SQR, consistency window).
 	Options core.Options
@@ -72,11 +70,6 @@ type Engine struct {
 	// plan-merge order) plus semantic-store hit accounting. Nil disables
 	// tracing at the cost of one nil check per instrumentation point.
 	Trace *obs.Trace
-	// Breakers short-circuits calls to datasets whose endpoints keep
-	// failing; nil disables circuit breaking. The set outlives any single
-	// engine — it belongs to the client, so breaker state carries across
-	// queries.
-	Breakers *BreakerSet
 	// Now stamps semantic-store entries; nil means time.Now.
 	Now func() time.Time
 }

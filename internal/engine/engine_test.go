@@ -9,6 +9,7 @@ import (
 	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/region"
+	"payless/internal/sched"
 	"payless/internal/semstore"
 	"payless/internal/sqlparse"
 	"payless/internal/stats"
@@ -18,11 +19,11 @@ import (
 
 // fixture: a market with one numeric table R(a,b) plus a local table L(a,c).
 type fixture struct {
-	cat    *catalog.Catalog
-	store  *semstore.Store
-	st     *stats.Store
-	caller market.Caller
-	m      *market.Market
+	cat   *catalog.Catalog
+	store *semstore.Store
+	st    *stats.Store
+	sched *sched.Scheduler
+	m     *market.Market
 }
 
 func rTable() *catalog.Table {
@@ -89,11 +90,11 @@ func newFixture(t *testing.T) *fixture {
 		{value.NewInt(150), value.NewInt(99)}, // outside R.a's domain
 	})
 	return &fixture{
-		cat:    cat,
-		store:  semstore.New(db),
-		st:     st,
-		caller: market.AccountCaller{Market: m, Key: "k"},
-		m:      m,
+		cat:   cat,
+		store: semstore.New(db),
+		st:    st,
+		sched: sched.New(market.AccountCaller{Market: m, Key: "k"}, sched.Config{}),
+		m:     m,
 	}
 }
 
@@ -112,7 +113,7 @@ func (f *fixture) run(t *testing.T, sql string, opts core.Options) (storage.Rela
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Caller: f.caller, Options: opts}
+	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched, Options: opts}
 	rel, rep, err := e.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +218,7 @@ func TestProjectionAlias(t *testing.T) {
 
 func TestExecuteEmptyPlanErrors(t *testing.T) {
 	f := newFixture(t)
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Caller: f.caller}
+	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched}
 	if _, _, err := e.Execute(&core.Plan{Bound: &core.BoundQuery{}}); err == nil {
 		t.Error("empty plan should error")
 	}
@@ -282,7 +283,7 @@ func TestCoalesceBindingsRespectsGaps(t *testing.T) {
 	mid := tb.FullBox()
 	mid.Dims[0] = region.Interval{Lo: 10, Hi: 40}
 	f.st.Feedback("R", mid, 50000)
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Caller: f.caller}
+	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched}
 	rel := &core.Rel{Table: tb}
 	rel.Box = tb.FullBox()
 	attr, _ := tb.Attr("a")
@@ -348,7 +349,7 @@ func TestHavingErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Caller: f.caller}
+	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched}
 	if _, _, err := e.Execute(plan); err == nil {
 		t.Error("unknown HAVING column should error")
 	}
@@ -362,7 +363,7 @@ func TestFetchErrorPaths(t *testing.T) {
 	bq := &core.BoundQuery{Rels: []*core.Rel{rel}}
 
 	// Engine without a store cannot serve covered or local scans.
-	noStore := Engine{Catalog: f.cat, Stats: f.st, Caller: f.caller}
+	noStore := Engine{Catalog: f.cat, Stats: f.st, Sched: f.sched}
 	if _, err := noStore.fetch(context.Background(), rel, core.Step{Kind: core.LocalScan}, storage.Relation{}, bq, &Report{}); err == nil {
 		t.Error("covered scan without store should error")
 	}
@@ -371,7 +372,7 @@ func TestFetchErrorPaths(t *testing.T) {
 		t.Error("local scan without store should error")
 	}
 	// Unknown access kind.
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Caller: f.caller}
+	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched}
 	if _, err := e.fetch(context.Background(), rel, core.Step{Kind: core.AccessKind(99)}, storage.Relation{}, bq, &Report{}); err == nil {
 		t.Error("unknown kind should error")
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/obs"
+	"payless/internal/overload"
 	"payless/internal/region"
 	"payless/internal/rewrite"
 	"payless/internal/sched"
@@ -101,17 +101,18 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 	results := make([]*market.Result, len(specs))
 	errs := make([]error, len(specs))
 	// Per-call trace records live alongside the results. Each record is
-	// written only by the goroutine running its call (latency, transport
-	// retries via obs.ContextWithCall) and appended to the trace in the
-	// plan-order merge below, so traced call order is deterministic at
-	// every concurrency level.
+	// written by its own call only — the wire call the scheduler runs for it
+	// (transport retries and routing, via obs.ContextWithCall) finishes
+	// before Fetch returns, then the fetching goroutine stamps the latency —
+	// and is appended to the trace in the plan-order merge below, so traced
+	// call order is deterministic at every concurrency level.
 	traced := e.Trace != nil
 	var recs []*obs.CallRecord
 	if traced {
 		recs = make([]*obs.CallRecord, len(specs))
 	}
 	// infos holds the scheduler's verdict per call (shared, merged,
-	// recorded-on-our-behalf); zero values when no scheduler is wired.
+	// recorded-on-our-behalf).
 	infos := make([]sched.Info, len(specs))
 	var failed atomic.Bool
 	sem := make(chan struct{}, e.concurrency(len(specs)))
@@ -132,16 +133,6 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 				<-sem
 				wg.Done()
 			}()
-			// Ask the dataset's circuit breaker before spending anything: an
-			// open circuit fails the call without a network round-trip or a
-			// billable request.
-			release, berr := e.Breakers.Acquire(specs[i].meta.Dataset)
-			if berr != nil {
-				errs[i] = fmt.Errorf("dataset %s: %w", specs[i].meta.Dataset, berr)
-				failed.Store(true)
-				cancel()
-				return
-			}
 			callCtx := cctx
 			var start time.Time
 			if traced {
@@ -153,22 +144,16 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 				callCtx = obs.ContextWithCall(cctx, recs[i])
 				start = time.Now()
 			}
-			var res market.Result
-			var err error
-			if e.Sched != nil {
-				res, infos[i], err = e.Sched.Fetch(callCtx, sched.Request{
-					Meta:   specs[i].meta,
-					Box:    specs[i].box,
-					Query:  specs[i].q,
-					Record: specs[i].record && e.Store != nil,
-				})
-			} else {
-				res, err = market.Do(callCtx, e.Caller, specs[i].q)
-			}
+			res, info, err := e.Sched.Fetch(callCtx, sched.Request{
+				Meta:   specs[i].meta,
+				Box:    specs[i].box,
+				Query:  specs[i].q,
+				Record: specs[i].record && e.Store != nil,
+			})
+			infos[i] = info
 			if traced {
 				recs[i].Latency = time.Since(start)
 			}
-			release(err)
 			if err != nil {
 				errs[i] = err
 				failed.Store(true)
@@ -226,7 +211,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 			switch {
 			case results[i] != nil:
 				pe.Salvaged++
-			case errs[i] != nil && !isContextErr(errs[i]) && !errors.Is(errs[i], ErrCircuitOpen):
+			case errs[i] != nil && !isContextErr(errs[i]) && !errors.Is(errs[i], overload.ErrCircuitOpen):
 				pe.Failed++
 			default:
 				// Never issued: cancelled before launch, torn down in

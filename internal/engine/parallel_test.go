@@ -10,6 +10,7 @@ import (
 	"payless/internal/catalog"
 	"payless/internal/market"
 	"payless/internal/region"
+	"payless/internal/sched"
 )
 
 // poolCaller records in-flight concurrency and fails chosen calls.
@@ -55,10 +56,12 @@ func testSpecs(n int) []callSpec {
 	meta := rTable()
 	specs := make([]callSpec, n)
 	for i := range specs {
+		lo, hi := int64(i), int64(i)+1
 		specs[i] = callSpec{
 			meta: meta,
-			box:  region.Box{Dims: []region.Interval{{Lo: int64(i), Hi: int64(i) + 1}}},
-			q:    catalog.AccessQuery{Dataset: "DS", Table: "R"},
+			box:  region.Box{Dims: []region.Interval{{Lo: lo, Hi: hi}}},
+			// Distinct queries, or the scheduler would single-flight them.
+			q: catalog.AccessQuery{Dataset: "DS", Table: "R", Preds: []catalog.Pred{{Attr: "a", Lo: &lo, Hi: &hi}}},
 		}
 	}
 	return specs
@@ -66,7 +69,7 @@ func testSpecs(n int) []callSpec {
 
 func TestRunBatchBoundsConcurrency(t *testing.T) {
 	pc := &poolCaller{delay: 5 * time.Millisecond}
-	e := &Engine{Caller: pc, Concurrency: 3}
+	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 3}
 	var rep Report
 	results, err := e.runBatch(context.Background(), testSpecs(10), &rep)
 	if err != nil {
@@ -89,7 +92,7 @@ func TestRunBatchBoundsConcurrency(t *testing.T) {
 func TestRunBatchSerialFailsFast(t *testing.T) {
 	boom := errors.New("boom")
 	pc := &poolCaller{failAt: map[int]error{2: boom}}
-	e := &Engine{Caller: pc, Concurrency: 1}
+	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 1}
 	var rep Report
 	_, err := e.runBatch(context.Background(), testSpecs(6), &rep)
 	if !errors.Is(err, boom) {
@@ -110,7 +113,7 @@ func TestRunBatchSurfacesRootCauseNotCancellation(t *testing.T) {
 	// The first call fails fast while its five siblings sleep; their
 	// cancellation errors must not mask the root cause.
 	pc := &poolCaller{delay: 20 * time.Millisecond, failAt: map[int]error{1: boom}}
-	e := &Engine{Caller: pc, Concurrency: 6}
+	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 6}
 	var rep Report
 	_, err := e.runBatch(context.Background(), testSpecs(6), &rep)
 	if !errors.Is(err, boom) {
@@ -121,7 +124,7 @@ func TestRunBatchSurfacesRootCauseNotCancellation(t *testing.T) {
 func TestRunBatchKeepsPaidResultsOnFailure(t *testing.T) {
 	boom := errors.New("boom")
 	pc := &poolCaller{failAt: map[int]error{4: boom}}
-	e := &Engine{Caller: pc, Concurrency: 2}
+	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 2}
 	var rep Report
 	_, err := e.runBatch(context.Background(), testSpecs(8), &rep)
 	if !errors.Is(err, boom) {
@@ -139,7 +142,7 @@ func TestRunBatchKeepsPaidResultsOnFailure(t *testing.T) {
 
 func TestRunBatchHonorsParentCancellation(t *testing.T) {
 	pc := &poolCaller{delay: time.Second}
-	e := &Engine{Caller: pc, Concurrency: 4}
+	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 4}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	var rep Report
@@ -154,7 +157,7 @@ func TestRunBatchHonorsParentCancellation(t *testing.T) {
 }
 
 func TestRunBatchEmpty(t *testing.T) {
-	e := &Engine{Caller: &poolCaller{}, Concurrency: 4}
+	e := &Engine{Sched: sched.New(&poolCaller{}, sched.Config{}), Concurrency: 4}
 	var rep Report
 	results, err := e.runBatch(context.Background(), nil, &rep)
 	if err != nil || results != nil {

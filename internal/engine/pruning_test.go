@@ -10,6 +10,7 @@ import (
 	"payless/internal/catalog"
 	"payless/internal/core"
 	"payless/internal/market"
+	"payless/internal/sched"
 	"payless/internal/semstore"
 	"payless/internal/sqlparse"
 	"payless/internal/stats"
@@ -88,7 +89,7 @@ func newSide(t *testing.T, m *market.Market, key string, locals []localRows) *si
 		}
 	}
 	s.store = semstore.New(db)
-	s.eng = Engine{Catalog: s.cat, Store: s.store, Stats: s.st, Caller: market.AccountCaller{Market: m, Key: key},
+	s.eng = Engine{Catalog: s.cat, Store: s.store, Stats: s.st, Sched: sched.New(market.AccountCaller{Market: m, Key: key}, sched.Config{}),
 		Options: core.Options{DefaultTuplesPerTransaction: tuplesPerTransaction}}
 	return s
 }

@@ -11,6 +11,10 @@
 //
 //	engine → sched → federation.Caller → connector(endpoint 1..N)
 //
+// It is the only path to the market: a client opened on a single market is
+// a federation of one endpoint, so this package is also the one home of
+// the circuit breakers.
+//
 // Per call it (a) ranks endpoints by a price+latency+health cost model,
 // (b) fails over to the next-cheapest healthy endpoint on a hard error —
 // with circuit breakers keyed endpoint×dataset, so one dead mirror never
@@ -34,7 +38,6 @@ import (
 	"time"
 
 	"payless/internal/catalog"
-	"payless/internal/engine"
 	"payless/internal/market"
 	"payless/internal/obs"
 	"payless/internal/overload"
@@ -139,7 +142,7 @@ func (e *endpoint) stats() (calls, failures, streak int64, ewma time.Duration) {
 // Caller is the federated market.Caller.
 type Caller struct {
 	cfg      Config
-	breakers *engine.BreakerSet // keyed endpoint + "|" + dataset
+	breakers *BreakerSet // keyed endpoint + "|" + dataset
 
 	// mu guards eps for hot reload: UpdateEndpoints swaps the slice
 	// wholesale (never mutates entries in place), so readers that copied
@@ -179,14 +182,14 @@ func New(eps []Endpoint, cfg Config) (*Caller, error) {
 		}
 		f.eps = append(f.eps, &endpoint{Endpoint: e})
 	}
-	f.breakers = engine.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown).
+	f.breakers = NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown).
 		WithMetrics(cfg.Metrics)
 	return f, nil
 }
 
 // breakerKey qualifies the breaker by endpoint AND dataset: a dead mirror
 // trips only its own breakers, never the dataset's standing at healthy
-// mirrors (the PR 4 per-dataset breaker, migrated).
+// mirrors.
 func breakerKey(endpointName, dataset string) string {
 	return endpointName + "|" + dataset
 }
@@ -235,6 +238,14 @@ func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 			}
 		}
 		_, _, streak, _ := ep.stats()
+		if streak > 0 && f.breakers != nil {
+			// A tripped endpoint whose cooldown has elapsed competes at its
+			// own terms: the streak that ranked it down must not also keep
+			// the breaker's probe from ever reaching it.
+			if st := f.breakers.For(breakerKey(ep.Name, q.Dataset)).Status(); st.State == "open" && st.RetryIn == 0 {
+				streak = 0
+			}
+		}
 		score := factor * (1 + lat.Seconds()/latencyUnit.Seconds()) * float64(1+streak)
 		cands = append(cands, candidate{ep: ep, score: score})
 	}
@@ -292,9 +303,13 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		lastErr   error
 	)
 
-	// launchNext starts the next endpoint whose breaker admits the call.
-	// It reports whether an attempt was actually launched.
-	launchNext := func(isHedge bool) bool {
+	// launch starts the next endpoint whose breaker admits the call and
+	// reports whether it did. An extra attempt — a failover or a hedge —
+	// must be funded by the query's retry budget, or layered retries
+	// multiply; the token is spent only once an endpoint is there to try,
+	// so a call with nowhere left to go is never charged (denied reports a
+	// refused token).
+	launch := func(extra, isHedge bool) (launched, denied bool) {
 		for next < len(ranked) {
 			ep := ranked[next].ep
 			next++
@@ -302,12 +317,16 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 			if berr != nil {
 				refused++
 				lastErr = fmt.Errorf("federation: endpoint %s: %w", ep.Name, berr)
-				var coe *engine.CircuitOpenError
+				var coe *overload.CircuitOpenError
 				if errors.As(berr, &coe) && coe.RetryAfter > 0 &&
 					(minRetry < 0 || coe.RetryAfter < minRetry) {
 					minRetry = coe.RetryAfter
 				}
 				continue
+			}
+			if extra && !overload.Spend(ctx, 1) {
+				release(context.Canceled) // never attempted: no verdict on the endpoint
+				return false, true
 			}
 			inflight++
 			go func() {
@@ -317,12 +336,12 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 				release(err)
 				results <- attemptResult{ep: ep, res: res, err: err, hedge: isHedge}
 			}()
-			return true
+			return true, false
 		}
-		return false
+		return false, false
 	}
 
-	if !launchNext(false) {
+	if launched, _ := launch(false, false); !launched {
 		// Every endpoint refused up front: all breakers open.
 		return market.Result{}, f.exhausted(q, len(ranked), refused, minRetry, lastErr)
 	}
@@ -347,7 +366,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 			// A hedge is speculation, not necessity: when the shared retry
 			// budget is empty it is skipped silently and the primary
 			// attempt keeps running alone.
-			if overload.Spend(ctx, 1) && launchNext(true) {
+			if launched, _ := launch(true, true); launched {
 				hedged = true
 				f.cfg.Metrics.ObserveFederationHedge()
 			}
@@ -374,28 +393,26 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 				return market.Result{}, r.err
 			}
 			lastErr = fmt.Errorf("federation: endpoint %s: %w", r.ep.Name, r.err)
-			failovers++
-			f.cfg.Metrics.ObserveFederationFailover()
-			// Fail over only when nothing else is racing: with a hedge in
-			// flight, the hedge already is the next endpoint. A failover is
-			// an extra attempt like any other — it must be funded by the
-			// query's retry budget, or layered retries multiply.
+			// With a hedge in flight, the hedge already is the next endpoint.
 			if inflight == 0 {
-				if !overload.Spend(ctx, 1) {
+				launched, denied := launch(true, false)
+				if denied {
 					return market.Result{}, fmt.Errorf("federation: not failing over for %s.%s: %w (last error: %v)",
 						q.Dataset, q.Table, overload.ErrRetryBudget, lastErr)
 				}
-				if !launchNext(false) {
+				if !launched {
 					return market.Result{}, f.exhausted(q, len(ranked), refused, minRetry, lastErr)
 				}
 			}
+			failovers++
+			f.cfg.Metrics.ObserveFederationFailover()
 		}
 	}
 }
 
 // exhausted builds the terminal error once every eligible endpoint refused
 // or failed. When breakers refused them all, the error carries the soonest
-// re-probe time and matches errors.Is(err, engine.ErrCircuitOpen) so
+// re-probe time and matches errors.Is(err, overload.ErrCircuitOpen) so
 // user-facing transports can answer 503 + Retry-After.
 func (f *Caller) exhausted(q catalog.AccessQuery, total, refused int, minRetry time.Duration, lastErr error) error {
 	f.cfg.Metrics.ObserveFederationExhausted()
@@ -404,7 +421,7 @@ func (f *Caller) exhausted(q catalog.AccessQuery, total, refused int, minRetry t
 			minRetry = 0
 		}
 		return fmt.Errorf("federation: all %d endpoints for dataset %s refused: %w",
-			total, q.Dataset, &engine.CircuitOpenError{RetryAfter: minRetry})
+			total, q.Dataset, &overload.CircuitOpenError{RetryAfter: minRetry})
 	}
 	if lastErr == nil {
 		lastErr = errors.New("no endpoint available")

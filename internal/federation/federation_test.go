@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"payless/internal/catalog"
-	"payless/internal/engine"
 	"payless/internal/market"
 	"payless/internal/obs"
+	"payless/internal/overload"
 )
 
 // countingCaller serves every call with a fixed one-transaction result and
@@ -199,10 +199,10 @@ func TestAllEndpointsOpenReturnsCircuitOpenWithRetryAfter(t *testing.T) {
 	// Second call: both refused — a circuit-open error carrying the soonest
 	// re-probe time, for the daemon's 503 + Retry-After.
 	_, err = f.Call(context.Background(), q("DS", "T"))
-	if !errors.Is(err, engine.ErrCircuitOpen) {
+	if !errors.Is(err, overload.ErrCircuitOpen) {
 		t.Fatalf("want ErrCircuitOpen, got %v", err)
 	}
-	var coe *engine.CircuitOpenError
+	var coe *overload.CircuitOpenError
 	if !errors.As(err, &coe) || coe.RetryAfter <= 0 {
 		t.Fatalf("want CircuitOpenError with positive RetryAfter, got %v", err)
 	}

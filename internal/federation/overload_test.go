@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,6 +44,35 @@ func TestRetryBudgetBoundsFailovers(t *testing.T) {
 	}
 	if c.calls.Load() != 1 {
 		t.Fatalf("endpoint c calls = %d, want 1 without a budget", c.calls.Load())
+	}
+}
+
+// TestFinalFailureSpendsNoToken: with two failing endpoints and a budget
+// that covers exactly one failover, the failover is funded, and the final
+// failure — with no endpoint left to try — neither spends a token nor turns
+// the seller's error into ErrRetryBudget.
+func TestFinalFailureSpendsNoToken(t *testing.T) {
+	a := &countingCaller{name: "a"}
+	b := &countingCaller{name: "b"}
+	a.fail.Store(true)
+	b.fail.Store(true)
+	f, err := New([]Endpoint{
+		{Name: "a", Caller: a, PriceFactor: 1},
+		{Name: "b", Caller: b, PriceFactor: 2},
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := overload.NewRetryBudget(1)
+	_, cerr := f.Call(overload.WithBudget(context.Background(), budget), q("DS", "T"))
+	if cerr == nil || errors.Is(cerr, overload.ErrRetryBudget) || !strings.Contains(cerr.Error(), "endpoint b down") {
+		t.Fatalf("err = %v, want the last endpoint's error", cerr)
+	}
+	if a.calls.Load() != 1 || b.calls.Load() != 1 {
+		t.Fatalf("calls a=%d b=%d, want 1 1", a.calls.Load(), b.calls.Load())
+	}
+	if _, _, spent, denied := budget.Stats(); spent != 1 || denied != 0 {
+		t.Fatalf("budget spent %d, denied %d; want the one failover only", spent, denied)
 	}
 }
 

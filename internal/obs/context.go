@@ -24,7 +24,7 @@ func CallFromContext(ctx context.Context) *CallRecord {
 }
 
 // AddRetry counts one extra transport attempt. Safe on a nil receiver; a
-// call record is only ever touched by the goroutine running its call.
+// call record is only ever touched by the wire call it describes.
 func (r *CallRecord) AddRetry() {
 	if r == nil {
 		return

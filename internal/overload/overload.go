@@ -34,9 +34,39 @@ import (
 // ErrRetryBudget means the query's retry budget is exhausted: the failing
 // call could have been retried (or failed over), but the query already
 // spent its attempt allowance across all layers. Distinct from
-// engine.ErrCircuitOpen — a breaker refuses calls to a known-bad dataset,
-// the budget refuses retries regardless of destination.
+// ErrCircuitOpen — a breaker refuses calls to a known-bad dataset, the
+// budget refuses retries regardless of destination.
 var ErrRetryBudget = errors.New("overload: retry budget exhausted")
+
+// ErrCircuitOpen is returned (wrapped) for calls short-circuited by an open
+// circuit breaker: the endpoint failed repeatedly for the dataset and the
+// breaker refuses calls until its cooldown elapses. The query fails fast
+// instead of burning retries — and money — against a seller that is down.
+// It lives here, beside ErrRetryBudget, so the engine can classify breaker
+// refusals without importing the federation layer that trips them.
+var ErrCircuitOpen = errors.New("circuit breaker open")
+
+// CircuitOpenError is the concrete error a breaker refusal carries: it
+// matches errors.Is(err, ErrCircuitOpen) and adds how long until the breaker
+// will next admit a probe, so transports facing end users (the daemon) can
+// emit an honest Retry-After instead of a generic failure.
+type CircuitOpenError struct {
+	// RetryAfter is the time remaining until the cooldown elapses. Zero
+	// means a probe is already deciding (half-open): retrying immediately
+	// is allowed but only useful once the probe resolves.
+	RetryAfter time.Duration
+}
+
+// Error implements error.
+func (e *CircuitOpenError) Error() string {
+	if e.RetryAfter > 0 {
+		return "circuit breaker open (retry in " + e.RetryAfter.String() + ")"
+	}
+	return "circuit breaker open (probe in flight)"
+}
+
+// Unwrap makes errors.Is(err, ErrCircuitOpen) hold.
+func (e *CircuitOpenError) Unwrap() error { return ErrCircuitOpen }
 
 // GrantPerCall is the credit each fresh logical market call deposits into
 // the query's budget. At 0.5 a query issuing C calls may spend roughly
@@ -44,9 +74,9 @@ var ErrRetryBudget = errors.New("overload: retry budget exhausted")
 // calls × 1.5" once the base is amortised.
 const GrantPerCall = 0.5
 
-// DefaultBaseCredit is the budget's starting credit when the client does
-// not configure one: enough to ride out a couple of transient faults on a
-// small query without enabling a storm on a large one.
+// DefaultBaseCredit is every query's starting credit: enough to ride out a
+// couple of transient faults on a small query without enabling a storm on
+// a large one.
 const DefaultBaseCredit = 3.0
 
 // RetryBudget is one query's shared attempt allowance. Connector retries,

@@ -31,10 +31,15 @@
 //
 // Recording to the semantic store happens exactly once per wire call. For a
 // call with a single live requester the scheduler leaves recording to that
-// requester's engine — the N=1 path is byte-identical to an unscheduled
-// run. For shared, merged, or abandoned (all waiters detached after the
-// money was spent) calls, the scheduler records the fetched box itself and
-// tells requesters via Info.Recorded so their engines skip the duplicate.
+// requester's engine, in plan order — a lone query's bill and store geometry
+// are exactly what its plan says. For shared, merged, or abandoned (all
+// waiters detached after the money was spent) calls, the scheduler records
+// the fetched box itself and tells requesters via Info.Recorded so their
+// engines skip the duplicate.
+//
+// A wire call runs under its launching request's context values — the
+// query's retry budget and trace record reach the transport — but not under
+// its cancellation: it is torn down only when its last waiter detaches.
 package sched
 
 import (
@@ -254,7 +259,7 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 	// parking it would spend its entire remaining budget waiting for
 	// company it will never get to bill with.
 	if s.cfg.Window > 0 && s.parkable(req) && !overload.ShortOf(ctx, s.cfg.Window) {
-		pr := s.park(req)
+		pr := s.park(ctx, req)
 		s.mu.Unlock()
 		s.delayedCalls.Add(1)
 		s.cfg.Metrics.ObserveSchedDelayedCall()
@@ -274,7 +279,7 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 		return s.wait(ctx, req, pr.fl, Info{Delayed: true})
 	}
 	// 4. Launch a fresh wire call.
-	f := s.launch(req.Meta, req.Box, req.Query, req.Record, nil)
+	f := s.launch(ctx, req.Meta, req.Box, req.Query, req.Record, nil)
 	s.mu.Unlock()
 	return s.wait(ctx, req, f, Info{})
 }
@@ -293,10 +298,13 @@ func (f *flight) join(record bool) {
 	}
 }
 
-// launch registers and starts a wire call for the given box. Caller holds
-// s.mu. sources is non-nil only for merged flights.
-func (s *Scheduler) launch(meta *catalog.Table, box region.Box, q catalog.AccessQuery, record bool, sources []Request) *flight {
-	ctx, cancel := context.WithCancel(context.Background())
+// launch registers and starts a wire call for the given box on behalf of
+// the request whose context is reqCtx. The call keeps reqCtx's values (the
+// query's retry budget, its trace record) but not its cancellation: other
+// requesters may join, so only the last waiter detaching cancels it. Caller
+// holds s.mu. sources is non-nil only for merged flights.
+func (s *Scheduler) launch(reqCtx context.Context, meta *catalog.Table, box region.Box, q catalog.AccessQuery, record bool, sources []Request) *flight {
+	ctx, cancel := context.WithCancel(context.WithoutCancel(reqCtx))
 	f := &flight{
 		meta:    meta,
 		box:     box,
@@ -342,8 +350,8 @@ func (s *Scheduler) run(ctx context.Context, f *flight) {
 		// engines cannot: a shared call would be double-recorded, a merged
 		// call's union box belongs to no single requester, and an abandoned
 		// call has no engine left to salvage the paid-for rows. The sole
-		// live requester of a plain call records through its own engine,
-		// keeping the N=1 path byte-identical to an unscheduled run.
+		// live requester of a plain call records through its own engine, in
+		// its plan order.
 		if f.record && s.cfg.Store != nil && (sharedEver || f.merged || abandoned) {
 			if _, rerr := s.cfg.Store.Record(f.meta, f.box, res.Rows, s.now()); rerr == nil {
 				f.recorded = true
@@ -383,10 +391,19 @@ func (s *Scheduler) wait(ctx context.Context, req Request, f *flight, info Info)
 	select {
 	case <-f.done:
 	case <-ctx.Done():
+		// Joins happen under s.mu, so detaching under it too decides "last
+		// waiter" atomically with respect to new joiners.
+		s.mu.Lock()
 		f.mu.Lock()
 		f.waiters--
 		last := f.waiters == 0
 		f.mu.Unlock()
+		if last && s.inflight[f.key] == f {
+			// A torn-down call takes no new joiners: they would inherit a
+			// cancellation that is not theirs.
+			delete(s.inflight, f.key)
+		}
+		s.mu.Unlock()
 		if last {
 			// The last waiter detaching tears the wire call down; if the
 			// money was already spent, run() salvages the rows into the
@@ -460,6 +477,9 @@ type group struct {
 
 // parked is one request sitting in the coalesce window.
 type parked struct {
+	// ctx is the request's context; the flight a cluster launches runs
+	// under its first live member's.
+	ctx context.Context
 	req Request
 	g   *group
 	// fl is assigned under s.mu when the window fires; ready closes right
@@ -482,7 +502,7 @@ func (s *Scheduler) parkable(req Request) bool {
 
 // park adds the request to its table's pending group, starting the window
 // timer when the group is new. Caller holds s.mu.
-func (s *Scheduler) park(req Request) *parked {
+func (s *Scheduler) park(ctx context.Context, req Request) *parked {
 	key := tableKey(req.Meta)
 	g, ok := s.pending[key]
 	if !ok {
@@ -490,7 +510,7 @@ func (s *Scheduler) park(req Request) *parked {
 		s.pending[key] = g
 		g.timer = time.AfterFunc(s.cfg.Window, func() { s.fire(g) })
 	}
-	pr := &parked{req: req, g: g, ready: make(chan struct{})}
+	pr := &parked{ctx: ctx, req: req, g: g, ready: make(chan struct{})}
 	g.reqs = append(g.reqs, pr)
 	g.live++
 	return pr
@@ -630,7 +650,7 @@ func (s *Scheduler) dispatchCluster(cl *mergeCluster) {
 			s.singleflightHits.Add(1)
 			s.cfg.Metrics.ObserveSchedSingleflightHit()
 		} else {
-			f = s.launch(cl.meta, cl.box, q, record, nil)
+			f = s.launch(cl.prs[0].ctx, cl.meta, cl.box, q, record, nil)
 		}
 	} else {
 		q, err := catalog.QueryForBox(cl.meta, cl.box)
@@ -650,7 +670,7 @@ func (s *Scheduler) dispatchCluster(cl *mergeCluster) {
 			}
 			f = ex
 		} else {
-			f = s.launch(cl.meta, cl.box, q, record, sources)
+			f = s.launch(cl.prs[0].ctx, cl.meta, cl.box, q, record, sources)
 		}
 	}
 	for _, pr := range cl.prs {

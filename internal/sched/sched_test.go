@@ -10,6 +10,8 @@ import (
 
 	"payless/internal/catalog"
 	"payless/internal/market"
+	"payless/internal/obs"
+	"payless/internal/overload"
 	"payless/internal/region"
 	"payless/internal/semstore"
 	"payless/internal/storage"
@@ -222,6 +224,77 @@ func TestLastWaiterCancelTearsDownTheCall(t *testing.T) {
 	// The wire call's context dies with its last waiter, so the flight
 	// drains from the in-flight table.
 	waitFor(t, func() bool { return inflightCount(s) == 0 })
+}
+
+// TestFlightCarriesTheLaunchingRequestsValues: a wire call runs under its
+// launching request's context values — the query's retry budget and trace
+// record reach the transport — whether it launched at once or was fired by
+// the coalesce window.
+func TestFlightCarriesTheLaunchingRequestsValues(t *testing.T) {
+	meta := tTable()
+	for _, window := range []time.Duration{0, time.Millisecond} {
+		budget := overload.NewRetryBudget(1)
+		rec := &obs.CallRecord{}
+		ctx := obs.ContextWithCall(overload.WithBudget(context.Background(), budget), rec)
+		var sawBudget, sawRec bool
+		caller := market.CallerFunc(func(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
+			sawBudget = overload.BudgetFrom(ctx) == budget
+			sawRec = obs.CallFromContext(ctx) == rec
+			obs.CallFromContext(ctx).AddRetry() // what a retrying transport does
+			return (&fakeCaller{meta: meta, t: 10}).Call(ctx, q)
+		})
+		s := newSched(caller, Config{Window: window})
+		if _, _, err := s.Fetch(ctx, reqFor(t, meta, 1, 5, false)); err != nil {
+			t.Fatal(err)
+		}
+		if !sawBudget || !sawRec || rec.Retries != 1 {
+			t.Fatalf("window %v: wire call saw budget=%v record=%v, record retries %d (want true true 1)",
+				window, sawBudget, sawRec, rec.Retries)
+		}
+	}
+}
+
+// TestRequestAfterTeardownLaunchesAFreshCall: once the last waiter has
+// detached, an identical request must not join the dying call — it would
+// fail with a cancellation it did not cause — but launch its own.
+func TestRequestAfterTeardownLaunchesAFreshCall(t *testing.T) {
+	meta := tTable()
+	release := make(chan struct{})
+	var calls atomic.Int64
+	caller := market.CallerFunc(func(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
+		if calls.Add(1) == 1 {
+			<-release // a transport that notices the cancellation late
+			return market.Result{}, ctx.Err()
+		}
+		return (&fakeCaller{meta: meta, t: 10}).Call(ctx, q)
+	})
+	s := newSched(caller, Config{})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := s.Fetch(ctx, reqFor(t, meta, 1, 10, false))
+		errc <- err
+	}()
+	waitFor(t, func() bool { return calls.Load() == 1 })
+	cancel()
+	if err := <-errc; err != context.Canceled {
+		t.Fatalf("detached waiter: %v", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		res, _, err := s.Fetch(context.Background(), reqFor(t, meta, 1, 10, false))
+		if err == nil && res.Records != 10 {
+			err = fmt.Errorf("records = %d, want 10", res.Records)
+		}
+		done <- err
+	}()
+	waitFor(t, func() bool { return calls.Load() == 2 })
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("request after teardown: %v", err)
+	}
 }
 
 func TestPiggybackOnContainingInFlightCall(t *testing.T) {

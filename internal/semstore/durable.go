@@ -89,11 +89,11 @@ type RecoveryInfo struct {
 type walRecord struct {
 	// Seq is the cumulative record number (1-based) across the store's
 	// lifetime — replay skips frames at or below the snapshot's Records.
-	Seq   int64      `json:"seq"`
-	Table string     `json:"table"`
-	Dims  [][2]int64 `json:"dims,omitempty"`
-	At    time.Time  `json:"at"`
-	Rows  [][]string `json:"rows,omitempty"`
+	Seq   int64       `json:"seq"`
+	Table string      `json:"table"`
+	Dims  [][2]int64  `json:"dims,omitempty"`
+	At    time.Time   `json:"at"`
+	Rows  [][]*string `json:"rows,omitempty"`
 }
 
 // durState is the store's durability attachment. Its mutex serialises log

@@ -85,6 +85,43 @@ func TestDurableRoundTripAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestDurableReplayKeepsNulls: NULL cells of every kind come back from WAL
+// replay as NULL — not as a parse failure, and not as the string "NULL".
+func TestDurableReplayKeepsNulls(t *testing.T) {
+	meta := kindsMeta()
+	lookup := func(table string) (*catalog.Table, bool) { return meta, table == meta.Name }
+	rows := []value.Row{
+		{value.NewString("plain"), value.NewInt(1), value.NewNull(), value.NewNull(), value.NewNull()},
+		{value.NewString("plain"), value.NewInt(2), value.NewFloat(0.5), value.NewString("NULL"), value.NewNull()},
+	}
+	fs := diskfault.New()
+	s1, _ := durableStore(t, fs, DurableOptions{Policy: wal.SyncPerCall, CheckpointEvery: -1, Lookup: lookup})
+	if _, err := s1.Record(meta, meta.FullBox(), rows, time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, info := durableStore(t, fs, DurableOptions{Policy: wal.SyncPerCall, Lookup: lookup})
+	if info.Replayed != 1 {
+		t.Fatalf("recovery: %+v, want 1 replayed", info)
+	}
+	got, err := s2.RowsIn(meta, meta.FullBox())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{rowKey(rows[0]): true, rowKey(rows[1]): true}
+	if len(got.Rows) != len(rows) {
+		t.Fatalf("replayed %d rows, want %d", len(got.Rows), len(rows))
+	}
+	for _, r := range got.Rows {
+		if !want[rowKey(r)] {
+			t.Errorf("row %v changed in WAL replay", r)
+		}
+	}
+}
+
 func TestDurableCheckpointTruncatesLog(t *testing.T) {
 	fs := diskfault.New()
 	s, _ := durableStore(t, fs, DurableOptions{Policy: wal.SyncPerCall, CheckpointEvery: -1})

@@ -38,7 +38,7 @@ type persistTable struct {
 	Table   string         `json:"table"`
 	Kinds   []string       `json:"kinds"`
 	Entries []persistEntry `json:"entries"`
-	Rows    [][]string     `json:"rows"`
+	Rows    [][]*string    `json:"rows"` // see encodeRows
 }
 
 type persistEntry struct {
@@ -89,13 +89,7 @@ func saveSnap(w io.Writer, snap *storeSnap, records int64) error {
 			}
 			pt.Entries = append(pt.Entries, pe)
 		}
-		for _, row := range ts.rows {
-			enc := make([]string, len(row))
-			for i, v := range row {
-				enc[i] = v.String()
-			}
-			pt.Rows = append(pt.Rows, enc)
-		}
+		pt.Rows = encodeRows(ts.rows)
 		out.Tables = append(out.Tables, pt)
 	}
 	sort.Slice(out.Tables, func(i, j int) bool { return out.Tables[i].Table < out.Tables[j].Table })
@@ -188,8 +182,9 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 	return st, nil
 }
 
-// decodeRows parses string-encoded rows against the table's kinds.
-func decodeRows(meta *catalog.Table, kinds []value.Kind, enc [][]string) ([]value.Row, error) {
+// decodeRows parses encoded rows (see encodeRows) against the table's
+// kinds.
+func decodeRows(meta *catalog.Table, kinds []value.Kind, enc [][]*string) ([]value.Row, error) {
 	rows := make([]value.Row, 0, len(enc))
 	for _, cells := range enc {
 		if len(cells) != len(kinds) {
@@ -197,7 +192,12 @@ func decodeRows(meta *catalog.Table, kinds []value.Kind, enc [][]string) ([]valu
 		}
 		row := make(value.Row, len(cells))
 		for i, cell := range cells {
-			v, err := value.Parse(kinds[i], cell)
+			// Files written before NULL was encoded as null spell it "NULL",
+			// which no number parses as.
+			if cell == nil || (*cell == "NULL" && kinds[i] != value.String) {
+				continue // the zero Value is NULL
+			}
+			v, err := value.Parse(kinds[i], *cell)
 			if err != nil {
 				return nil, fmt.Errorf("semstore: table %s: %w", meta.Name, err)
 			}
@@ -208,15 +208,32 @@ func decodeRows(meta *catalog.Table, kinds []value.Kind, enc [][]string) ([]valu
 	return rows, nil
 }
 
-// encodeRows renders rows in the snapshot/WAL string encoding.
-func encodeRows(rows []value.Row) [][]string {
-	out := make([][]string, len(rows))
+// encodeRows renders rows in the snapshot/WAL encoding: each cell as its
+// string rendering, NULL as JSON null — so a NULL of any kind survives the
+// trip, distinct from the string "NULL". The cells of all rows share one
+// slab.
+func encodeRows(rows []value.Row) [][]*string {
+	if len(rows) == 0 {
+		return nil
+	}
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	strs := make([]string, n)
+	cells := make([]*string, n)
+	out := make([][]*string, len(rows))
+	k := 0
 	for i, row := range rows {
-		enc := make([]string, len(row))
-		for j, v := range row {
-			enc[j] = v.String()
+		start := k
+		for _, v := range row {
+			if v.K != value.Null {
+				strs[k] = v.String()
+				cells[k] = &strs[k]
+			}
+			k++
 		}
-		out[i] = enc
+		out[i] = cells[start:k:k]
 	}
 	return out
 }

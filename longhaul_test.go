@@ -1,6 +1,7 @@
 package payless
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -83,15 +84,15 @@ func TestLongHaulChaosWorkload(t *testing.T) {
 		WithLatency(2 * time.Millisecond)
 	client, m, w := testSetup(t, func(cfg *Config) {
 		cfg.Caller = chaos.Caller{Inner: cfg.Caller, Schedule: sched}
-		cfg.QueryDeadline = 30 * time.Second
-		cfg.RetryBudget = 3
 	})
 	queries := workload.Mix(w.Templates(), 8, 2031) // 40 mixed queries
 
 	prevCoverage := map[string]int{}
 	var reported, succeeded, failed int64
 	for i, sql := range queries {
-		res, err := client.Query(sql)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		res, err := client.QueryContext(ctx, sql)
+		cancel()
 		if err != nil {
 			failed++
 		} else {

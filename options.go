@@ -25,7 +25,7 @@ func WithBudget(b Budget) Option {
 }
 
 // WithAdmitter installs an external admission hook consulted after the
-// client's own budget reservation: multi-tenant front ends (cmd/paylessd)
+// client's own Budget: multi-tenant front ends (cmd/paylessd)
 // use it to bind per-tenant and global budgets onto one shared client. The
 // admitter sees the query's context, so per-caller identity can ride on it.
 func WithAdmitter(a Admitter) Option {
@@ -69,10 +69,10 @@ func WithCheckpointEvery(records int) Option {
 	return func(c *Config) { c.CheckpointEvery = records }
 }
 
-// WithBreaker enables per-dataset circuit breaking: after threshold
-// consecutive call failures against one dataset, calls to it short-circuit
-// with ErrCircuitOpen until cooldown elapses and a probe call succeeds.
-// cooldown 0 defaults to 5s.
+// WithBreaker enables circuit breaking per endpoint×dataset: after
+// threshold consecutive call failures against one dataset at one endpoint,
+// calls to it there short-circuit with ErrCircuitOpen until cooldown
+// elapses and a probe call succeeds. cooldown 0 defaults to 5s.
 func WithBreaker(threshold int, cooldown time.Duration) Option {
 	return func(c *Config) {
 		c.BreakerThreshold = threshold
@@ -83,10 +83,8 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 // WithFederation federates the client across N mirrors of the same logical
 // market: calls route to the endpoint minimizing a price+latency+health
 // cost model and fail over to the next-cheapest healthy endpoint on error.
-// With WithBreaker, breakers are kept per endpoint×dataset, so one dead
-// mirror never blacklists a dataset healthy mirrors still serve. Endpoints
-// need pre-built Callers under Open; OpenFederated builds HTTP connectors
-// from BaseURL.
+// Endpoints need pre-built Callers under Open; OpenFederated builds HTTP
+// connectors from BaseURL.
 func WithFederation(endpoints ...MarketEndpoint) Option {
 	return func(c *Config) { c.FederationEndpoints = endpoints }
 }
@@ -101,26 +99,6 @@ func WithHedgeAfter(d time.Duration) Option {
 			c.HedgeAfter = d
 		}
 	}
-}
-
-// WithQueryDeadline bounds each query's wall-clock time when the caller's
-// context carries no deadline of its own. The deadline propagates: retry
-// backoffs, hedge timers and coalesce parking all check the remaining
-// budget before sleeping. d <= 0 keeps the default (no deadline).
-func WithQueryDeadline(d time.Duration) Option {
-	return func(c *Config) {
-		if d > 0 {
-			c.QueryDeadline = d
-		}
-	}
-}
-
-// WithRetryBudget sets the base credit of the per-query retry-token budget
-// shared by connector retries, federation failovers and hedges (each spends
-// one token; every fresh logical call deposits half a token). base 0 keeps
-// the default credit (3); negative disables budgeting entirely.
-func WithRetryBudget(base float64) Option {
-	return func(c *Config) { c.RetryBudget = base }
 }
 
 // WithStatistics selects the updatable statistic implementation.
@@ -171,66 +149,25 @@ func WithPlanCache(size int) Option {
 	}
 }
 
-// WithCallScheduler enables the global market-call scheduler: concurrent
-// queries needing the same box share one wire call and one bill, and a
-// request canceled while waiting detaches without killing the shared call.
-// A single query's bill is unchanged.
+// WithCallScheduler is a no-op: every client runs the call scheduler.
+//
+// Deprecated: drop the option; single-flight is always on, and
+// WithCoalesceWindow sets the merge window.
 func WithCallScheduler() Option {
-	return func(c *Config) { c.CallScheduler = true }
+	return func(*Config) {}
 }
 
-// WithCoalesceWindow enables the scheduler (implies WithCallScheduler) and
-// lets it park sub-transaction-size fetches up to d, merging adjacent
-// cross-query remainder boxes into one call when ceil pricing makes the
-// union no more expensive than the parts. d <= 0 keeps the zero-delay
-// default: dispatch immediately, single-flight only.
+// WithCoalesceWindow lets the call scheduler park sub-transaction-size
+// fetches up to d, merging adjacent cross-query remainder boxes into one
+// call when ceil pricing makes the union no more expensive than the parts.
+// d <= 0 keeps the default: no window, fetches dispatch immediately (and
+// concurrent identical fetches still single-flight).
 func WithCoalesceWindow(d time.Duration) Option {
 	return func(c *Config) {
-		c.CallScheduler = true
 		if d > 0 {
 			c.CoalesceWindow = d
 		}
 	}
-}
-
-// WithCallRetries bounds transport retries per HTTP market call (OpenHTTP
-// only). n <= 0 disables retries; the connector default is 2.
-func WithCallRetries(n int) Option {
-	return func(c *Config) {
-		if n <= 0 {
-			n = -1
-		}
-		c.CallRetries = n
-	}
-}
-
-// WithPerCallTimeout bounds each HTTP call attempt (OpenHTTP only).
-// d <= 0 explicitly disables the per-attempt deadline so only the caller's
-// context bounds the call; the connector default is 30s.
-func WithPerCallTimeout(d time.Duration) Option {
-	return func(c *Config) {
-		if d <= 0 {
-			d = -1
-		}
-		c.PerCallTimeout = d
-	}
-}
-
-// WithCallBackoff shapes the HTTP connector's exponential retry backoff
-// (OpenHTTP only); non-positive values keep the connector defaults
-// (100ms base, 2s cap).
-func WithCallBackoff(base, max time.Duration) Option {
-	return func(c *Config) {
-		c.CallBackoffBase = base
-		c.CallBackoffMax = max
-	}
-}
-
-// WithoutCallIDs disables the HTTP connector's idempotent call IDs
-// (OpenHTTP only) for servers that reject unknown parameters; retried
-// calls may then double-bill.
-func WithoutCallIDs() Option {
-	return func(c *Config) { c.DisableCallIDs = true }
 }
 
 // WithGreedyPlanner enables the greedy join-ordering fast path. margin is

@@ -3,7 +3,11 @@ package payless
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -124,9 +128,37 @@ func TestOpenHTTPAcceptsTypedAndLegacyOptions(t *testing.T) {
 	}
 }
 
+// TestConfigSurface pins the size of the configuration surface: the
+// exported Config fields and the With* options. A new knob fails here until
+// the change that justifies it raises the pin.
+func TestConfigSurface(t *testing.T) {
+	const wantFields, wantOptions = 26, 21
+	fields := 0
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		if ct.Field(i).IsExported() {
+			fields++
+		}
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	options := 0
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "With") {
+			options++
+		}
+	}
+	if fields != wantFields || options != wantOptions {
+		t.Fatalf("Config has %d exported fields and options.go %d With* options, pinned at %d / %d",
+			fields, options, wantFields, wantOptions)
+	}
+}
+
 // TestExplainVariants pins the folded Explain API: plain Explain fills the
-// summary, Verbose() adds PlanDetail, ExplainContext honours cancellation,
-// and the deprecated ExplainVerbose returns the same detail text.
+// summary, Verbose() adds PlanDetail, and ExplainContext honours
+// cancellation.
 func TestExplainVariants(t *testing.T) {
 	client, w := optionsSetup(t)
 	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
@@ -149,23 +181,6 @@ func TestExplainVariants(t *testing.T) {
 	}
 	if verbose.PlanDetail == "" {
 		t.Fatal("Verbose() must fill PlanDetail")
-	}
-
-	//lint:ignore SA1019 the deprecated wrapper is exactly what is under test
-	old, err := client.ExplainVerbose(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The header embeds the optimize wall-clock time, so compare the
-	// deterministic step listing below it.
-	steps := func(s string) string {
-		if _, rest, ok := strings.Cut(s, "\n"); ok {
-			return rest
-		}
-		return s
-	}
-	if steps(old) != steps(verbose.PlanDetail) {
-		t.Errorf("ExplainVerbose %q vs PlanDetail %q", old, verbose.PlanDetail)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

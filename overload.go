@@ -1,37 +1,13 @@
 package payless
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"payless/internal/catalog"
 	"payless/internal/connector"
 	"payless/internal/federation"
-	"payless/internal/overload"
 )
-
-// queryScope derives the per-query context every query runs under: the
-// configured QueryDeadline is applied when the caller supplied no deadline
-// of its own, and a fresh retry-token budget is attached so transport
-// retries, federation failovers and hedges across the whole query share one
-// pool instead of multiplying independently per layer.
-func (c *Client) queryScope(ctx context.Context) (context.Context, context.CancelFunc) {
-	cancel := context.CancelFunc(func() {})
-	if d := c.cfg.QueryDeadline; d > 0 {
-		if _, has := ctx.Deadline(); !has {
-			ctx, cancel = context.WithTimeout(ctx, d)
-		}
-	}
-	if c.cfg.RetryBudget >= 0 {
-		base := c.cfg.RetryBudget
-		if base == 0 {
-			base = overload.DefaultBaseCredit
-		}
-		ctx = overload.WithBudget(ctx, overload.NewRetryBudget(base))
-	}
-	return ctx, cancel
-}
 
 // AddQueueDepth moves the client's admission-queue-depth gauge
 // (payless_queue_depth) by delta. The daemon's load shedder feeds it as
@@ -121,11 +97,12 @@ func (mt *mirrorTable) sync(prevNames []string, eps []MarketEndpoint) {
 // table — the OpenFederated default) are rewritten to the new pool's terms;
 // mirror sets pinned to an endpoint subset keep their pinning. Endpoints
 // without a pre-built Caller get an HTTP connector from BaseURL using the
-// client's transport knobs. Returns an error — leaving the pool untouched —
-// on a non-federated client or an invalid endpoint set.
+// connector defaults. Returns an error — leaving the pool untouched — on an
+// invalid endpoint set, or on a client opened on one Config.Caller: its one
+// endpoint is that caller, and there is no endpoint list to update.
 func (c *Client) UpdateFederationEndpoints(endpoints []MarketEndpoint) error {
-	if c.fed == nil {
-		return fmt.Errorf("payless: client is not federated")
+	if len(c.cfg.FederationEndpoints) == 0 {
+		return fmt.Errorf("payless: client was opened on a single Config.Caller, not on federation endpoints")
 	}
 	eps := make([]MarketEndpoint, len(endpoints))
 	copy(eps, endpoints)
@@ -138,7 +115,7 @@ func (c *Client) UpdateFederationEndpoints(endpoints []MarketEndpoint) error {
 			if eps[i].BaseURL == "" {
 				return fmt.Errorf("payless: federation endpoint %q needs a BaseURL or a Caller", eps[i].Name)
 			}
-			eps[i].Caller = connector.New(eps[i].BaseURL, eps[i].AccountKey, c.cfg.connectorOptions()...)
+			eps[i].Caller = connector.New(eps[i].BaseURL, eps[i].AccountKey)
 		}
 		built = append(built, federation.Endpoint{
 			Name:        eps[i].Name,

@@ -2,12 +2,18 @@ package payless
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/connector"
 	"payless/internal/market"
 	"payless/internal/overload"
 )
@@ -43,7 +49,6 @@ func TestQueryScopeAttachesDeadlineAndBudget(t *testing.T) {
 	client, _, w := testSetup(t, func(cfg *Config) {
 		probe.inner = cfg.Caller
 		cfg.Caller = probe
-		cfg.QueryDeadline = time.Minute
 	})
 	defer client.Close()
 
@@ -58,14 +63,9 @@ func TestQueryScopeAttachesDeadlineAndBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadlines, budgets := probe.seen()
-	if len(deadlines) == 0 {
+	_, budgets := probe.seen()
+	if len(budgets) == 0 {
 		t.Fatal("probe saw no market calls")
-	}
-	for i, has := range deadlines {
-		if !has {
-			t.Errorf("call %d ran without the configured QueryDeadline", i)
-		}
 	}
 	for i, b := range budgets {
 		if b == nil {
@@ -77,6 +77,67 @@ func TestQueryScopeAttachesDeadlineAndBudget(t *testing.T) {
 	if budgets[0] == budgets[len(budgets)-1] {
 		t.Error("two queries shared one retry budget")
 	}
+
+	// The caller's context deadline is the query's deadline: one that has
+	// already passed fails the query before any market call.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	sql3 := fmt.Sprintf("SELECT * FROM Weather WHERE Country = '%s' AND Date >= %d AND Date <= %d", w.Countries[2], w.Dates[20], w.Dates[22])
+	if _, err := client.QueryContext(ctx, sql3); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired deadline: err = %v, want DeadlineExceeded", err)
+	}
+	if _, after := probe.seen(); len(after) != len(budgets) {
+		t.Fatalf("a query past its deadline made %d market calls", len(after)-len(budgets))
+	}
+}
+
+// TestScheduledCallCarriesQueryBudgetAndTrace: the wire call the scheduler
+// runs for a query — here one fired by the coalesce window — carries that
+// query's retry budget, and the query's trace counts the connector's retry.
+func TestScheduledCallCarriesQueryBudgetAndTrace(t *testing.T) {
+	m, w := buildChaosMarket(t)
+	var failed atomic.Bool
+	inner := m.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/data/") && failed.CompareAndSwap(false, true) {
+			http.Error(rw, `{"error":"try again"}`, http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+	probe := &scopeProbe{inner: connector.New(srv.URL, "acct", connector.WithBackoff(time.Millisecond, time.Millisecond))}
+	client, err := Open(Config{Tables: m.ExportCatalog(), Caller: probe},
+		WithCoalesceWindow(time.Millisecond), WithTracer(&CollectTracer{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date = %d", w.Dates[0])
+	res, err := client.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, budgets := probe.seen()
+	if len(budgets) == 0 {
+		t.Fatal("probe saw no market calls")
+	}
+	for i, b := range budgets {
+		if b == nil {
+			t.Fatalf("scheduled call %d ran without the query's retry budget", i)
+		}
+	}
+	if _, _, spent, _ := budgets[0].Stats(); spent != 1 {
+		t.Fatalf("the connector's retry spent %d tokens, want 1", spent)
+	}
+	retries := 0
+	for _, c := range res.Trace.Calls {
+		retries += c.Retries
+	}
+	if retries != 1 {
+		t.Fatalf("trace counts %d retries, want 1", retries)
+	}
 }
 
 func TestQueryScopeKeepsCallerDeadline(t *testing.T) {
@@ -84,7 +145,6 @@ func TestQueryScopeKeepsCallerDeadline(t *testing.T) {
 	client, _, w := testSetup(t, func(cfg *Config) {
 		probe.inner = cfg.Caller
 		cfg.Caller = probe
-		cfg.QueryDeadline = time.Hour
 	})
 	defer client.Close()
 
@@ -98,32 +158,10 @@ func TestQueryScopeKeepsCallerDeadline(t *testing.T) {
 	if len(deadlines) == 0 {
 		t.Fatal("probe saw no market calls")
 	}
-	// The caller's tighter deadline must survive; queryScope only fills in a
-	// default when none exists. An hour-scale replacement would show up as a
-	// deadline beyond the caller's 30s.
+	// The caller's deadline must survive: nothing in the client replaces it.
 	d, _ := ctx.Deadline()
 	if time.Until(d) > 31*time.Second {
 		t.Fatalf("caller deadline was replaced: %v away", time.Until(d))
-	}
-}
-
-func TestNegativeRetryBudgetDisablesBudgeting(t *testing.T) {
-	probe := &scopeProbe{}
-	client, _, w := testSetup(t, func(cfg *Config) {
-		probe.inner = cfg.Caller
-		cfg.Caller = probe
-		cfg.RetryBudget = -1
-	})
-	defer client.Close()
-	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d", w.Dates[2], w.Dates[3])
-	if _, err := client.Query(sql); err != nil {
-		t.Fatal(err)
-	}
-	_, budgets := probe.seen()
-	for i, b := range budgets {
-		if b != nil {
-			t.Errorf("call %d carried a budget despite RetryBudget < 0", i)
-		}
 	}
 }
 
@@ -144,11 +182,22 @@ func TestInflightGaugeReturnsToZero(t *testing.T) {
 	}
 }
 
+// TestUpdateFederationEndpointsNonFederated: a client opened on one
+// Config.Caller is a federation of one endpoint named "market", visible in
+// FederationHealth, but it has no endpoint list to swap — even a valid
+// replacement is refused and the market endpoint stays.
 func TestUpdateFederationEndpointsNonFederated(t *testing.T) {
-	client, _, _ := testSetup(t, nil)
+	client, m, _ := testSetup(t, nil)
 	defer client.Close()
-	if err := client.UpdateFederationEndpoints([]MarketEndpoint{{Name: "x"}}); err == nil {
-		t.Fatal("non-federated client must reject endpoint updates")
+	if h := client.FederationHealth(); len(h) != 1 || h[0].Name != "market" {
+		t.Fatalf("health = %+v, want the one endpoint \"market\"", h)
+	}
+	swap := []MarketEndpoint{{Name: "x", Caller: market.AccountCaller{Market: m, Key: "acct"}}}
+	if err := client.UpdateFederationEndpoints(swap); err == nil {
+		t.Fatal("a client opened on Config.Caller must reject endpoint updates")
+	}
+	if h := client.FederationHealth(); len(h) != 1 || h[0].Name != "market" {
+		t.Fatalf("health after refused swap = %+v, want \"market\" only", h)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"payless/internal/federation"
 	"payless/internal/market"
 	"payless/internal/obs"
+	"payless/internal/overload"
 	"payless/internal/region"
 	"payless/internal/sched"
 	"payless/internal/semstore"
@@ -106,9 +107,6 @@ type Config struct {
 	// GreedyMargin is the accepted relative spend divergence for the greedy
 	// fast path; 0 uses the default (0.05).
 	GreedyMargin float64
-	// UniformStats disables the learning statistics and keeps the textbook
-	// uniform estimator (shorthand for Statistics: StatsUniform).
-	UniformStats bool
 	// Statistics selects the updatable statistic implementation; the paper
 	// plugs in ISOMER and notes any updatable statistic fits (§3).
 	Statistics StatsKind
@@ -117,10 +115,10 @@ type Config struct {
 	// query's estimate is held from admission to settlement, so concurrent
 	// queries cannot jointly overshoot Total.
 	Budget Budget
-	// Admitter, when set, is consulted around every query in addition to
-	// Budget: Reserve before execution (rejecting unbilled on error), Settle
-	// with the actual spend after. The daemon's tenant layer uses it for
-	// per-tenant budgets and billing attribution.
+	// Admitter, when set, is consulted around every query after Budget:
+	// Reserve before execution (rejecting unbilled on error), Settle with the
+	// actual spend after. The daemon's tenant layer uses it for per-tenant
+	// budgets and billing attribution.
 	Admitter Admitter
 	// FetchConcurrency bounds the number of in-flight market calls per plan
 	// step (the engine's fetch worker pool). 0 picks min(8, GOMAXPROCS);
@@ -128,34 +126,14 @@ type Config struct {
 	// batches are planned up front and merged in plan order — only
 	// wall-clock latency changes.
 	FetchConcurrency int
-	// CallScheduler enables the global market-call scheduler: concurrent
-	// queries that need the same box share one wire call and one bill
-	// (single-flight), and — with a CoalesceWindow — adjacent cross-query
-	// remainder boxes are merged into one call when ceil pricing makes the
-	// union no more expensive than the parts. A single query's bill is
-	// unchanged; only cross-query duplication gets cheaper.
-	CallScheduler bool
-	// CoalesceWindow is how long the scheduler may park a
+	// CoalesceWindow is how long the call scheduler may park a
 	// sub-transaction-size fetch waiting for mergeable company from other
-	// queries. 0 (the default) dispatches immediately — single-flighting
-	// still applies. Setting a window implies CallScheduler.
+	// queries: adjacent cross-query remainder boxes are merged into one call
+	// when ceil pricing makes the union no more expensive than the parts.
+	// 0 (the default) means no window — fetches dispatch immediately, and
+	// concurrent queries needing the same box still share one wire call and
+	// one bill (single-flight).
 	CoalesceWindow time.Duration
-	// CallRetries bounds transport retries per HTTP market call (OpenHTTP
-	// only): 0 keeps the connector default (2), negative disables retries.
-	CallRetries int
-	// PerCallTimeout bounds each HTTP call attempt (OpenHTTP only): 0 keeps
-	// the connector default (30s), negative disables the per-attempt
-	// deadline so only the caller's context bounds the call.
-	PerCallTimeout time.Duration
-	// CallBackoffBase and CallBackoffMax shape the HTTP connector's
-	// exponential retry backoff (OpenHTTP only); zero values keep the
-	// connector defaults.
-	CallBackoffBase time.Duration
-	CallBackoffMax  time.Duration
-	// DisableCallIDs turns off idempotent call IDs on the HTTP connector
-	// (OpenHTTP only) — retries may then double-bill; for servers that
-	// reject unknown parameters.
-	DisableCallIDs bool
 	// Tracer receives a per-query execution trace (spans for
 	// parse/bind/optimize/execute plus one record per market call). nil
 	// disables tracing; the disabled path costs a single nil check.
@@ -163,15 +141,15 @@ type Config struct {
 	// Result.Trace.
 	Tracer Tracer
 	// BreakerThreshold enables circuit breaking: after this many consecutive
-	// call failures against one dataset, further calls to it short-circuit
-	// with ErrCircuitOpen until BreakerCooldown elapses and a probe call
-	// succeeds. 0 (the default) disables breaking — a retried query then
-	// re-attempts the failed dataset immediately, which is the right default
-	// for transient faults; enable the breaker when a down seller should
-	// fail queries fast instead of stalling them through retries. Breaker
-	// state is shared across the client's queries. On a federated client the
-	// breakers move below source selection and are keyed endpoint×dataset,
-	// so one dead mirror never blacklists the dataset at healthy mirrors.
+	// call failures against one dataset at one market endpoint, further calls
+	// there short-circuit with ErrCircuitOpen until BreakerCooldown elapses
+	// and a probe call succeeds. 0 (the default) disables breaking — a
+	// retried query then re-attempts the failed dataset immediately, which is
+	// the right default for transient faults; enable the breaker when a down
+	// seller should fail queries fast instead of stalling them through
+	// retries. Breaker state is shared across the client's queries and keyed
+	// endpoint×dataset, so one dead mirror never blacklists the dataset at
+	// healthy mirrors.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open circuit waits before admitting a
 	// probe call; 0 defaults to 5s. Only meaningful with BreakerThreshold>0.
@@ -182,31 +160,14 @@ type Config struct {
 	// healthy endpoint on error, and (with HedgeAfter) hedges slow calls.
 	// Each endpoint needs a Name and either a pre-built Caller (Open) or a
 	// BaseURL (OpenFederated builds the HTTP connector). When set,
-	// Config.Caller may be left nil.
+	// Config.Caller may be left nil; when empty, Config.Caller is the one
+	// endpoint, named "market".
 	FederationEndpoints []MarketEndpoint
 	// HedgeAfter, on a federated client, races the next-ranked endpoint
 	// when the chosen one has not answered within this duration; the loser
 	// is cancelled and the shared idempotent CallID keeps any one endpoint
 	// from billing twice. 0 (the default) disables hedging.
 	HedgeAfter time.Duration
-	// QueryDeadline bounds each query's wall-clock time when the caller's
-	// context carries no deadline of its own. The deadline propagates through
-	// every layer — connector retry backoffs, federation hedges, and
-	// scheduler coalesce parking all check the remaining budget before
-	// sleeping, so no layer waits past a deadline the query cannot meet.
-	// A context that already has a deadline keeps it. 0 disables the default.
-	QueryDeadline time.Duration
-	// RetryBudget is the base credit of the per-query retry-token budget
-	// shared by every recovery mechanism under one query: connector
-	// transport retries, federation failovers, and hedges each spend one
-	// token, and each fresh logical market call deposits half a token, so
-	// total extra attempts stay around 1.5x the call count however retries
-	// nest across layers. Exhaustion surfaces as ErrRetryBudget (distinct
-	// from ErrCircuitOpen: the budget says "stop amplifying", the breaker
-	// says "stop calling a known-dead market"). 0 uses the default base
-	// credit (3); negative disables budgeting (unlimited retries, the
-	// pre-budget behaviour).
-	RetryBudget float64
 	// StoreDir enables durable mode: the semantic store keeps a write-ahead
 	// log and atomic snapshots in this directory, and Open recovers whatever
 	// a previous process (however it died) had made durable. Empty (the
@@ -367,24 +328,24 @@ type Result struct {
 // Client is a PayLess instance serving one data-buyer organisation. It is
 // safe for concurrent use: the paper's setting has one PayLess installation
 // serving all end users of the buyer (Fig. 2).
+//
+// Every statement reaches the market the same way — engine → sched →
+// federation → transport — and is admitted and booked by the same execute
+// step, whichever method submitted it.
 type Client struct {
 	cat     *catalog.Catalog
 	db      *storage.DB
 	store   *semstore.Store
 	stats   statsStore
-	caller  market.Caller
 	cfg     Config
 	metrics *obs.Metrics
-	// sched is the global market-call scheduler; nil when disabled. It is
-	// shared by every query of the client — that is what lets concurrent
-	// queries coalesce their calls.
+	// sched is the global market-call scheduler. It is shared by every
+	// query of the client — that is what lets concurrent queries share and
+	// merge their calls.
 	sched *sched.Scheduler
-	// breakers holds per-dataset circuit-breaker state across queries; nil
-	// when breaking is disabled or when the client is federated (the
-	// federation layer then owns per-endpoint×dataset breakers instead).
-	breakers *engine.BreakerSet
-	// fed is the federated source-selection caller; nil for single-market
-	// clients. mirrors is its mutable table→mirror view, rewritten by
+	// fed routes each wire call to a market endpoint and owns the circuit
+	// breakers; a client opened on one Config.Caller is a federation of one
+	// endpoint. mirrors is its mutable table→mirror view, rewritten by
 	// UpdateFederationEndpoints; fedmu serialises endpoint updates so the
 	// pool swap and the mirror-table rewrite stay consistent.
 	fed     *federation.Caller
@@ -392,14 +353,14 @@ type Client struct {
 	fedmu   sync.Mutex
 	// plans is the parameterized plan-template cache; nil when disabled.
 	plans *core.PlanCache
+	// admitters reserve every plan's estimate before execution and settle
+	// its actual spend after, in order: the client Budget, then
+	// Config.Admitter.
+	admitters []Admitter
 
 	mu    sync.Mutex
 	audit io.Writer
 	total engine.Report
-	// reserved is the estimated spend of queries admitted but not yet
-	// settled; budget admission checks total+reserved so concurrent queries
-	// cannot jointly overshoot Budget.Total.
-	reserved int64
 	// counters accumulates search effort across queries.
 	counters core.Counters
 	queries  int
@@ -424,12 +385,8 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 		return nil, fmt.Errorf("payless: Config.Tables is required")
 	}
 	cat := catalog.New()
-	kind := cfg.Statistics
-	if cfg.UniformStats {
-		kind = StatsUniform
-	}
 	var st statsStore
-	switch kind {
+	switch cfg.Statistics {
 	case StatsUniform:
 		st = stats.NewUniform()
 	case StatsAVI:
@@ -465,80 +422,70 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 			return nil, fmt.Errorf("payless: durable store: %w", err)
 		}
 	}
-	// A federated client inserts the source-selection caller below the
-	// scheduler; the engine's per-dataset breakers are disabled in favour of
-	// the federation layer's per-endpoint×dataset ones, so one dead mirror
-	// never blacklists a dataset that healthy mirrors still serve.
-	var fed *federation.Caller
-	var mirrors *mirrorTable
-	if len(cfg.FederationEndpoints) > 0 {
-		eps := make([]federation.Endpoint, 0, len(cfg.FederationEndpoints))
-		for i, me := range cfg.FederationEndpoints {
-			name := me.Name
-			if name == "" {
-				name = fmt.Sprintf("endpoint-%d", i)
-			}
-			if me.Caller == nil {
-				return nil, fmt.Errorf("payless: federation endpoint %q has no transport (use OpenFederated to build HTTP connectors from BaseURL)", name)
-			}
-			eps = append(eps, federation.Endpoint{
-				Name:        name,
-				Caller:      me.Caller,
-				PriceFactor: me.PriceFactor,
-				LatencyHint: me.LatencyHint,
-			})
+	endpoints := cfg.FederationEndpoints
+	if len(endpoints) == 0 {
+		// A single market is a federation of one endpoint.
+		endpoints = []MarketEndpoint{{Name: "market", Caller: cfg.Caller}}
+	}
+	eps := make([]federation.Endpoint, 0, len(endpoints))
+	for i, me := range endpoints {
+		name := me.Name
+		if name == "" {
+			name = fmt.Sprintf("endpoint-%d", i)
 		}
-		// The mirror table starts as a copy of the catalog annotations and is
-		// the one the federation layer reads from then on, so hot endpoint
-		// updates can rewrite routing terms without mutating the catalog.
-		mirrors = newMirrorTable(cfg.Tables)
-		var err error
-		fed, err = federation.New(eps, federation.Config{
-			BreakerThreshold: cfg.BreakerThreshold,
-			BreakerCooldown:  cfg.BreakerCooldown,
-			HedgeAfter:       cfg.HedgeAfter,
-			Metrics:          metrics,
-			Mirrors:          mirrors.get,
+		if me.Caller == nil {
+			return nil, fmt.Errorf("payless: federation endpoint %q has no transport (use OpenFederated to build HTTP connectors from BaseURL)", name)
+		}
+		eps = append(eps, federation.Endpoint{
+			Name:        name,
+			Caller:      me.Caller,
+			PriceFactor: me.PriceFactor,
+			LatencyHint: me.LatencyHint,
 		})
-		if err != nil {
-			return nil, err
-		}
-		cfg.Caller = fed
+	}
+	// The mirror table starts as a copy of the catalog annotations and is
+	// the one the federation layer reads from then on, so hot endpoint
+	// updates can rewrite routing terms without mutating the catalog.
+	mirrors := newMirrorTable(cfg.Tables)
+	fed, err := federation.New(eps, federation.Config{
+		BreakerThreshold: cfg.BreakerThreshold,
+		BreakerCooldown:  cfg.BreakerCooldown,
+		HedgeAfter:       cfg.HedgeAfter,
+		Metrics:          metrics,
+		Mirrors:          mirrors.get,
+	})
+	if err != nil {
+		return nil, err
 	}
 	c := &Client{
 		cat:     cat,
 		db:      db,
 		store:   store,
 		stats:   st,
-		caller:  cfg.Caller,
 		cfg:     cfg,
 		metrics: metrics,
 		fed:     fed,
 		mirrors: mirrors,
-	}
-	if fed == nil {
-		c.breakers = engine.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown).WithMetrics(metrics)
-	}
-	if cfg.PlanCacheSize > 0 {
-		c.plans = core.NewPlanCache(cfg.PlanCacheSize)
-		c.plans.SetMetrics(metrics)
-	}
-	if cfg.CallScheduler || cfg.CoalesceWindow > 0 {
-		c.sched = sched.New(cfg.Caller, sched.Config{
+		sched: sched.New(fed, sched.Config{
 			Window: cfg.CoalesceWindow,
 			TuplesPerTransaction: func(dataset string) int {
 				if t := cfg.TuplesPerTransaction[dataset]; t > 0 {
 					return t
 				}
-				if cfg.DefaultTuplesPerTransaction > 0 {
-					return cfg.DefaultTuplesPerTransaction
-				}
-				return 0
+				return cfg.DefaultTuplesPerTransaction
 			},
 			Estimate: st.Estimate,
 			Store:    store,
 			Metrics:  metrics,
-		})
+		}),
+		admitters: []Admitter{&budgetAdmitter{limit: cfg.Budget}},
+	}
+	if cfg.Admitter != nil {
+		c.admitters = append(c.admitters, cfg.Admitter)
+	}
+	if cfg.PlanCacheSize > 0 {
+		c.plans = core.NewPlanCache(cfg.PlanCacheSize)
+		c.plans.SetMetrics(metrics)
 	}
 	return c, nil
 }
@@ -596,30 +543,18 @@ func (c *Client) StoreRecovery() StoreRecoveryInfo { return c.store.Recovery() }
 
 // OpenHTTP registers with a market server over HTTP and builds a Client:
 // it fetches the public catalog and per-dataset page sizes automatically.
-// Extra local tables may be passed alongside. Options are applied before
-// the connector is built, so the connector knobs (WithCallRetries,
-// WithPerCallTimeout, WithCallBackoff, WithoutCallIDs) take effect on the
-// transport; the fetched catalog, caller, and page sizes then overwrite
-// any Tables/Caller/TuplesPerTransaction an option may have set.
+// Extra local tables may be passed alongside. The fetched catalog, caller,
+// and page sizes overwrite any Tables/Caller/TuplesPerTransaction an option
+// may have set.
 func OpenHTTP(baseURL, accountKey string, localTables []*catalog.Table, opts ...Option) (*Client, error) {
 	var cfg Config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cli := connector.New(baseURL, accountKey, cfg.connectorOptions()...)
-	tables, err := cli.Catalog()
+	cli := connector.New(baseURL, accountKey)
+	tables, tpt, err := fetchRegistration(cli)
 	if err != nil {
 		return nil, err
-	}
-	tpt := make(map[string]int)
-	for _, t := range tables {
-		if _, ok := tpt[t.Dataset]; !ok {
-			pt, err := cli.TuplesPerTransaction(t.Dataset)
-			if err != nil {
-				return nil, err
-			}
-			tpt[t.Dataset] = pt
-		}
 	}
 	cfg.Tables = append(tables, localTables...)
 	cfg.Caller = cli
@@ -652,7 +587,7 @@ func OpenFederated(endpoints []MarketEndpoint, localTables []*catalog.Table, opt
 			if eps[i].BaseURL == "" {
 				return nil, fmt.Errorf("payless: federation endpoint %q needs a BaseURL or a Caller", eps[i].Name)
 			}
-			eps[i].Caller = connector.New(eps[i].BaseURL, eps[i].AccountKey, cfg.connectorOptions()...)
+			eps[i].Caller = connector.New(eps[i].BaseURL, eps[i].AccountKey)
 		}
 	}
 	// Registration: fetch the catalog and per-dataset page sizes from the
@@ -718,50 +653,10 @@ func fetchRegistration(cli *connector.Client) ([]*catalog.Table, map[string]int,
 	return tables, tpt, nil
 }
 
-// FederationHealth reports each federation endpoint's health — calls,
-// failures, latency EWMA, open circuits — in configuration order. It
-// returns nil for non-federated clients.
-func (c *Client) FederationHealth() []EndpointHealth {
-	if c.fed == nil {
-		return nil
-	}
-	return c.fed.Health()
-}
-
-// connectorOptions derives the HTTP connector options from the config's
-// transport knobs, mapping each field's documented zero/negative semantics
-// onto the connector's explicit settings.
-func (cfg *Config) connectorOptions() []connector.Option {
-	var out []connector.Option
-	if cfg.CallRetries != 0 {
-		n := cfg.CallRetries
-		if n < 0 {
-			n = 0
-		}
-		out = append(out, connector.WithRetries(n))
-	}
-	if cfg.PerCallTimeout != 0 {
-		d := cfg.PerCallTimeout
-		if d < 0 {
-			d = 0 // connector semantics: 0 explicitly disables the deadline
-		}
-		out = append(out, connector.WithPerCallTimeout(d))
-	}
-	if cfg.CallBackoffBase > 0 || cfg.CallBackoffMax > 0 {
-		base, max := cfg.CallBackoffBase, cfg.CallBackoffMax
-		if base <= 0 {
-			base = 100 * time.Millisecond
-		}
-		if max <= 0 {
-			max = 2 * time.Second
-		}
-		out = append(out, connector.WithBackoff(base, max))
-	}
-	if cfg.DisableCallIDs {
-		out = append(out, connector.WithoutCallIDs())
-	}
-	return out
-}
+// FederationHealth reports each market endpoint's health — calls,
+// failures, latency EWMA, open circuits — in configuration order. A client
+// opened on one Config.Caller reports its one endpoint, named "market".
+func (c *Client) FederationHealth() []EndpointHealth { return c.fed.Health() }
 
 // LoadLocal loads rows into a local table so queries can join against it.
 // The table must be registered with Local=true in the config.
@@ -908,79 +803,62 @@ func (c *Client) queryCached(ctx context.Context, sql string, cache *core.PlanCa
 		return nil, err
 	}
 	defer c.done()
-	ctx, cancel := c.queryScope(ctx)
-	defer cancel()
 	start := time.Now()
 	tr := c.beginTrace(sql)
-	res, err := c.run(ctx, sql, tr, cache)
-	if err != nil {
-		c.metrics.ObserveQueryError()
-		c.finishTrace(tr)
-		return nil, err
-	}
-	report := res.Report
-	c.metrics.ObserveQuery(time.Since(start), res.OptimizeTime,
-		report.Calls, report.Records, report.Transactions, report.Price)
-	c.finishTrace(tr)
-	res.Trace = tr
-	c.writeAudit(sql, res)
-	return res, nil
-}
-
-// run executes one statement end to end, recording spans on tr.
-func (c *Client) run(ctx context.Context, sql string, tr *obs.Trace, cache *core.PlanCache) (*Result, error) {
 	plan, opts, err := c.compileCached(sql, tr, cache)
 	if err != nil {
-		return nil, err
+		return nil, c.failed(tr, err)
 	}
+	return c.execute(ctx, sql, plan, opts, tr, start)
+}
+
+// execute runs one compiled statement and books it: admission, the engine,
+// settlement of the actual spend (a failed statement's included), metrics,
+// audit and row rendering. Query and QueryBatch both end here, so every
+// statement is admitted and attributed the same way. start is when the
+// statement began (for the latency histogram); tr may be nil and is
+// finished here.
+func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts core.Options, tr *obs.Trace, start time.Time) (*Result, error) {
 	est := plan.EstTrans
-	if err := c.reserveBudget(est); err != nil {
-		return nil, err
+	if err := c.reserve(ctx, est); err != nil {
+		return nil, c.failed(tr, err)
 	}
-	if a := c.cfg.Admitter; a != nil {
-		if err := a.Reserve(ctx, est); err != nil {
-			c.releaseBudget(est)
-			return nil, err
-		}
-	}
+	// Transport retries, federation failovers and hedges anywhere under this
+	// statement draw on one fresh budget instead of multiplying per layer.
+	ctx = overload.WithBudget(ctx, overload.NewRetryBudget(overload.DefaultBaseCredit))
 	eng := engine.Engine{
 		Catalog:     c.cat,
 		Store:       c.store,
 		Stats:       c.stats,
-		Caller:      c.caller,
 		Sched:       c.sched,
 		Options:     opts,
 		Concurrency: c.cfg.fetchConcurrency(),
 		Trace:       tr,
-		Breakers:    c.breakers,
 	}
 	endExec := tr.StartSpan("execute")
 	rel, report, err := eng.ExecuteContext(ctx, plan)
 	endExec(err)
-	if err != nil {
-		// A failed query may still have spent money before dying. That spend
-		// is real — and not wasted: every salvaged call's rows were recorded
-		// into the semantic store, so a re-run pays only the remainder. Fold
-		// it into the client totals (releasing the reservation in the same
-		// critical section) and the failed-spend metrics so the bill never
-		// under-reports.
-		c.settleBudget(est, report)
-		if report != (engine.Report{}) {
-			c.metrics.ObserveFailedQuerySpend(report.Calls, report.Records, report.Transactions, report.Price)
-		}
-		if a := c.cfg.Admitter; a != nil {
-			a.Settle(ctx, est, report.Transactions)
-		}
-		return nil, stageErr(StageExecute, err)
-	}
-	c.settleBudget(est, report)
-	if a := c.cfg.Admitter; a != nil {
+	// A failed statement may still have spent money before dying. That
+	// spend is real — and not wasted: every salvaged call's rows were
+	// recorded into the semantic store, so a re-run pays only the
+	// remainder. It is settled and booked like any other, so the bill never
+	// under-reports.
+	for _, a := range c.admitters {
 		a.Settle(ctx, est, report.Transactions)
 	}
 	c.mu.Lock()
-	c.counters.Add(plan.Counters)
-	c.queries++
+	c.total.Add(report)
+	if err == nil {
+		c.counters.Add(plan.Counters)
+		c.queries++
+	}
 	c.mu.Unlock()
+	if err != nil {
+		if report != (engine.Report{}) {
+			c.metrics.ObserveFailedQuerySpend(report.Calls, report.Records, report.Transactions, report.Price)
+		}
+		return nil, c.failed(tr, stageErr(StageExecute, err))
+	}
 
 	res := &Result{
 		Columns:         rel.Schema.Names(),
@@ -998,7 +876,34 @@ func (c *Client) run(ctx context.Context, sql string, tr *obs.Trace, cache *core
 		}
 		res.Rows = append(res.Rows, enc)
 	}
+	c.metrics.ObserveQuery(time.Since(start), res.OptimizeTime,
+		report.Calls, report.Records, report.Transactions, report.Price)
+	c.finishTrace(tr)
+	res.Trace = tr
+	c.writeAudit(sql, res)
 	return res, nil
+}
+
+// reserve admits a plan's estimate with every admitter in order. When one
+// refuses, those already holding a reservation settle it unspent.
+func (c *Client) reserve(ctx context.Context, est int64) error {
+	for i, a := range c.admitters {
+		if err := a.Reserve(ctx, est); err != nil {
+			for _, held := range c.admitters[:i] {
+				held.Settle(ctx, est, 0)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// failed books a statement that returns err: the error counter and the
+// finished trace.
+func (c *Client) failed(tr *obs.Trace, err error) error {
+	c.metrics.ObserveQueryError()
+	c.finishTrace(tr)
+	return err
 }
 
 // Planner labels reported in Result.Planner, Trace and Explain output.

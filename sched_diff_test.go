@@ -1,22 +1,53 @@
 package payless
 
 import (
+	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"payless/internal/catalog"
 	"payless/internal/market"
+	"payless/internal/sched"
 )
 
-// The differential suite pins the scheduler's core promise: it can only
+// The scheduler suite pins the scheduler's core promise: it can only
 // remove cross-query duplication, never change what a single query costs.
 //
-//  1. At N=1 a scheduled client is bill- and geometry-identical to an
-//     unscheduled one over the whole WHW workload.
-//  2. With a coalesce window, an N=1 run never bills more.
-//  3. Under forced concurrent overlap, the scheduled run bills exactly the
-//     serial price while the unscheduled run pays for every duplicate.
+//  1. A lone client's calls pass through untouched: every wire call is one
+//     planned call of the query's trace, nothing is shared, merged or
+//     parked, and the reports add up to the seller meter.
+//  2. With a coalesce window, a lone client never bills more.
+//  3. Under forced concurrent overlap, the concurrent run bills exactly the
+//     serial price — less than the overlapping queries would pay apart.
+
+// wireLog records the access query of every wire call.
+type wireLog struct {
+	inner market.Caller
+
+	mu    sync.Mutex
+	calls []string
+}
+
+func (w *wireLog) Call(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
+	w.mu.Lock()
+	w.calls = append(w.calls, q.String())
+	w.mu.Unlock()
+	return w.inner.Call(ctx, q)
+}
+
+// take returns the calls logged since the last take, sorted.
+func (w *wireLog) take() []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := w.calls
+	w.calls = nil
+	sort.Strings(out)
+	return out
+}
 
 func openDiffClient(t *testing.T, m *market.Market, acct string, opts ...Option) *Client {
 	t.Helper()
@@ -32,40 +63,51 @@ func openDiffClient(t *testing.T, m *market.Market, acct string, opts ...Option)
 	return client
 }
 
+// TestSchedulerN1Differential checks a lone client against the plan
+// itself rather than against a second call path: the scheduler must hand
+// every planned call to the market as planned, once.
 func TestSchedulerN1Differential(t *testing.T) {
 	m, w := buildChaosMarket(t)
-	m.RegisterAccount("sched")
+	wire := &wireLog{inner: market.AccountCaller{Market: m, Key: "acct"}}
+	client, err := Open(Config{
+		Tables:                      m.ExportCatalog(),
+		Caller:                      wire,
+		DefaultTuplesPerTransaction: 100,
+		FetchConcurrency:            8,
+	}, WithTracer(&CollectTracer{}))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	plain := openDiffClient(t, m, "acct")
-	sched := openDiffClient(t, m, "sched", WithCallScheduler())
-
+	var reported int64
 	for _, sql := range chaosQueries(w) {
-		rp, err := plain.Query(sql)
+		res, err := client.Query(sql)
 		if err != nil {
-			t.Fatalf("plain %q: %v", sql, err)
+			t.Fatalf("%q: %v", sql, err)
 		}
-		rs, err := sched.Query(sql)
-		if err != nil {
-			t.Fatalf("sched %q: %v", sql, err)
+		var planned []string
+		var traced int64
+		for _, c := range res.Trace.Calls {
+			if c.Coalesced || c.SharedWith != 0 {
+				t.Fatalf("%q: lone call %s was shared: %+v", sql, c.Query, c)
+			}
+			planned = append(planned, c.Query)
+			traced += c.Transactions
 		}
-		if rp.Report != rs.Report {
-			t.Fatalf("N=1 bill diverged for %q:\n plain: %+v\n sched: %+v", sql, rp.Report, rs.Report)
+		sort.Strings(planned)
+		if got := wire.take(); strings.Join(got, "\n") != strings.Join(planned, "\n") {
+			t.Fatalf("%q: wire calls differ from the planned calls:\n wire:    %q\n planned: %q", sql, got, planned)
 		}
-		if !sameRows(sortedRows(rp), sortedRows(rs)) {
-			t.Fatalf("N=1 rows diverged for %q", sql)
+		if traced != res.Report.Transactions {
+			t.Fatalf("%q: trace bills %d transactions, report %d", sql, traced, res.Report.Transactions)
 		}
+		reported += res.Report.Transactions
 	}
-
-	mp, _ := m.MeterOf("acct")
-	ms, _ := m.MeterOf("sched")
-	if mp != ms {
-		t.Fatalf("N=1 meters diverged:\n plain: %+v\n sched: %+v", mp, ms)
+	if st := client.sched.Stats(); st != (sched.Stats{}) {
+		t.Fatalf("a lone client was shared, merged or parked: %+v", st)
 	}
-	// Geometry: same live coverage entries and same materialised rows.
-	sp, ss := plain.store.Stats(), sched.store.Stats()
-	if sp.Tables != ss.Tables || sp.Entries != ss.Entries || sp.Rows != ss.Rows {
-		t.Fatalf("N=1 store geometry diverged:\n plain: tables=%d entries=%d rows=%d\n sched: tables=%d entries=%d rows=%d",
-			sp.Tables, sp.Entries, sp.Rows, ss.Tables, ss.Entries, ss.Rows)
+	if meter, _ := m.MeterOf("acct"); meter.Transactions != reported {
+		t.Fatalf("seller meter %d != sum of reports %d", meter.Transactions, reported)
 	}
 }
 
@@ -92,15 +134,15 @@ func TestSchedulerWindowNeverCostsMoreAtN1(t *testing.T) {
 	}
 }
 
-// TestSchedulerConcurrentDifferentialOracle forces 4 clients' worth of
+// TestSchedulerConcurrentDifferentialOracle forces 4 queries' worth of
 // overlap round by round (the gate holds every wire call open until all
 // requesters demonstrably overlap) and checks the ordering the design
-// promises: scheduled == serial < unscheduled.
+// promises: concurrent == serial < 4 × serial.
 func TestSchedulerConcurrentDifferentialOracle(t *testing.T) {
 	const goroutines = 4
 	ranges := [][2]int{{1, 30}, {21, 50}, {41, 70}, {61, 90}}
 
-	m := stressMarket(t, "unsched", "sched", "serial")
+	m := stressMarket(t, "conc", "serial")
 
 	serial := openSchedClient(t, m, "serial", nil)
 	for _, rg := range ranges {
@@ -110,56 +152,38 @@ func TestSchedulerConcurrentDifferentialOracle(t *testing.T) {
 	}
 	serialMeter, _ := m.MeterOf("serial")
 
-	runConcurrent := func(acct string, scheduled bool) market.Meter {
-		gc := &gatedCaller{inner: market.AccountCaller{Market: m, Key: acct}}
-		var opts []Option
-		if scheduled {
-			opts = append(opts, WithCallScheduler())
+	gc := &gatedCaller{inner: market.AccountCaller{Market: m, Key: "conc"}}
+	client := openSchedClient(t, m, "conc", gc)
+	for _, rg := range ranges {
+		sql := fmt.Sprintf("SELECT v FROM T WHERE a >= %d AND a <= %d", rg[0], rg[1])
+		gate := make(chan struct{})
+		gc.setGate(gate)
+		hitsBefore := client.Metrics().SchedSingleflightHits
+		var wg sync.WaitGroup
+		for i := 0; i < goroutines; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := client.Query(sql); err != nil {
+					t.Errorf("%q: %v", sql, err)
+				}
+			}()
 		}
-		client := openSchedClient(t, m, acct, gc, opts...)
-		for _, rg := range ranges {
-			sql := fmt.Sprintf("SELECT v FROM T WHERE a >= %d AND a <= %d", rg[0], rg[1])
-			gate := make(chan struct{})
-			gc.setGate(gate)
-			arrivalsBefore := gc.arrivals()
-			hitsBefore := client.Metrics().SchedSingleflightHits
-			var wg sync.WaitGroup
-			for i := 0; i < goroutines; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if _, err := client.Query(sql); err != nil {
-						t.Errorf("%s %q: %v", acct, sql, err)
-					}
-				}()
-			}
-			if scheduled {
-				// One wire call arrives; the other three join it.
-				waitForCond(t, "joins", func() bool {
-					return client.Metrics().SchedSingleflightHits == hitsBefore+goroutines-1
-				})
-			} else {
-				// All four wire calls arrive independently.
-				waitForCond(t, "arrivals", func() bool {
-					return gc.arrivals() == arrivalsBefore+goroutines
-				})
-			}
-			close(gate)
-			wg.Wait()
-		}
-		meter, _ := m.MeterOf(acct)
-		return meter
+		// One wire call arrives; the other three join it.
+		waitForCond(t, "joins", func() bool {
+			return client.Metrics().SchedSingleflightHits == hitsBefore+goroutines-1
+		})
+		close(gate)
+		wg.Wait()
 	}
+	concMeter, _ := m.MeterOf("conc")
 
-	unschedMeter := runConcurrent("unsched", false)
-	schedMeter := runConcurrent("sched", true)
-
-	if schedMeter != serialMeter {
-		t.Fatalf("scheduled concurrent run must bill the serial price:\n sched:  %+v\n serial: %+v",
-			schedMeter, serialMeter)
+	if concMeter != serialMeter {
+		t.Fatalf("concurrent run must bill the serial price:\n concurrent: %+v\n serial:     %+v",
+			concMeter, serialMeter)
 	}
-	if schedMeter.Transactions >= unschedMeter.Transactions {
-		t.Fatalf("scheduler saved nothing under forced overlap: sched %d vs unsched %d transactions",
-			schedMeter.Transactions, unschedMeter.Transactions)
+	if concMeter.Transactions >= goroutines*serialMeter.Transactions {
+		t.Fatalf("scheduler saved nothing under forced overlap: %d transactions vs %d x serial %d",
+			concMeter.Transactions, goroutines, serialMeter.Transactions)
 	}
 }

@@ -140,7 +140,7 @@ func TestSchedulerStressMeterParityWithSerialRun(t *testing.T) {
 	m := stressMarket(t, "conc", "serial")
 
 	gc := &gatedCaller{inner: market.AccountCaller{Market: m, Key: "conc"}}
-	conc := openSchedClient(t, m, "conc", gc, WithCallScheduler())
+	conc := openSchedClient(t, m, "conc", gc)
 	serial := openSchedClient(t, m, "serial", nil)
 
 	for r := 1; r <= rounds; r++ {
@@ -270,7 +270,7 @@ func TestSchedulerStressNoLostWaitersOnCancel(t *testing.T) {
 	const goroutines = 16
 	m := stressMarket(t, "conc")
 	gc := &gatedCaller{inner: market.AccountCaller{Market: m, Key: "conc"}}
-	conc := openSchedClient(t, m, "conc", gc, WithCallScheduler())
+	conc := openSchedClient(t, m, "conc", gc)
 
 	sql := "SELECT v FROM T WHERE a >= 1 AND a <= 40"
 	gate := make(chan struct{})
