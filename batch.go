@@ -38,6 +38,8 @@ func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 		return nil, err
 	}
 	defer c.done()
+	ctx, closeQuery := c.sched.Open(context.Background())
+	defer closeQuery()
 	type pending struct {
 		idx   int
 		bound *core.BoundQuery
@@ -84,7 +86,7 @@ func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 		// The latency histogram counts the statement's own optimization, as
 		// Query's does.
 		sql := sqls[pick.p.idx]
-		res, err := c.execute(context.Background(), sql, pick.plan, opts, c.beginTrace(sql), time.Now().Add(-pick.plan.Optimized))
+		res, err := c.execute(ctx, sql, pick.plan, opts, c.beginTrace(sql), time.Now().Add(-pick.plan.Optimized))
 		if err != nil {
 			return nil, &BatchError{Index: pick.p.idx, Err: err}
 		}

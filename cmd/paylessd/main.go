@@ -72,7 +72,7 @@ func main() {
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long SIGTERM waits for in-flight queries before giving up")
 		retryAfter  = flag.Duration("retry-after", time.Second, "base Retry-After hint on shed responses (jittered ±25%)")
 		storeDir    = flag.String("store-dir", "", "durable semantic store directory (empty = in-memory)")
-		window      = flag.Duration("coalesce-window", 2*time.Millisecond, "call-scheduler coalesce window (0 = no window; concurrent identical calls still single-flight)")
+		window      = flag.Duration("coalesce-window", 2*time.Millisecond, "longest a small market call waits in the call scheduler for another open query to merge with; a lone query never waits (0 = no window; concurrent identical calls still single-flight)")
 		planLRU     = flag.Int("plan-cache", 256, "plan-template cache size (0 disables)")
 	)
 	flag.Parse()

@@ -27,6 +27,22 @@ type callSpec struct {
 	box    region.Box
 	q      catalog.AccessQuery
 	record bool
+	// parts holds the specs a fused call stands for, in plan order; nil for
+	// a call that was planned as it is issued.
+	parts []callSpec
+}
+
+// partQueries returns the access queries of a fused call's parts; nil for a
+// call that was planned as it is issued.
+func (sp callSpec) partQueries() []catalog.AccessQuery {
+	if sp.parts == nil {
+		return nil
+	}
+	qs := make([]catalog.AccessQuery, len(sp.parts))
+	for k, p := range sp.parts {
+		qs[k] = p.q
+	}
+	return qs
 }
 
 // specsForBoxes builds plain (non-recording) call specs for a set of boxes.
@@ -64,6 +80,40 @@ func (e *Engine) planRemainder(meta *catalog.Table, box region.Box) ([]callSpec,
 	return specs, nil
 }
 
+// fuse merges a record-path batch's pieces into exact unions by the
+// scheduler's own rule (sched.Fuse) before any is issued, so whether two
+// siblings share a call depends on the plan, not on the coalesce window's
+// timing. A fused call is recorded as its union box; the access still reads
+// its own boxes back from the store. Batches that do not record (no SQR, or
+// no store) concatenate per-spec rows and are issued as planned: the
+// paper's no-SQR baseline buys call by call.
+func (e *Engine) fuse(specs []callSpec) []callSpec {
+	if len(specs) < 2 || !specs[0].record {
+		return specs
+	}
+	boxes := make([]region.Box, len(specs))
+	for i, sp := range specs {
+		boxes[i] = sp.box
+	}
+	fus := e.Sched.Fuse(specs[0].meta, boxes)
+	if len(fus) == len(specs) {
+		return specs
+	}
+	out := make([]callSpec, len(fus))
+	for i, fu := range fus {
+		if len(fu.Members) == 1 {
+			out[i] = specs[fu.Members[0]]
+			continue
+		}
+		parts := make([]callSpec, len(fu.Members))
+		for k, m := range fu.Members {
+			parts[k] = specs[m]
+		}
+		out[i] = callSpec{meta: specs[0].meta, box: fu.Box, q: fu.Query, record: true, parts: parts}
+	}
+	return out
+}
+
 // concurrency returns the effective worker-pool width for a batch.
 func (e *Engine) concurrency(n int) int {
 	c := e.Concurrency
@@ -87,12 +137,13 @@ func (e *Engine) concurrency(n int) int {
 // still merged (they are paid for, and recording them lets a retry avoid
 // re-billing). At Concurrency<=1 this degrades to exactly the serial
 // engine's behavior: calls issue one at a time and stop at the first error.
-// The returned results align with specs; entries are nil only when the
-// batch failed.
+// Record-path specs are fused first (see fuse); the returned results align
+// with the calls issued, and entries are nil only when the batch failed.
 func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report) ([]*market.Result, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
+	specs = e.fuse(specs)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -149,6 +200,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 				Box:    specs[i].box,
 				Query:  specs[i].q,
 				Record: specs[i].record && e.Store != nil,
+				Parts:  specs[i].partQueries(),
 			})
 			infos[i] = info
 			if traced {
@@ -171,7 +223,15 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 			continue
 		}
 		e.account(report, *res)
-		e.feedback(spec.meta, spec.box, int64(res.Records))
+		if spec.parts == nil {
+			e.feedback(spec.meta, spec.box, int64(res.Records))
+		} else {
+			// Statistics learn what each planned piece held, as if it had
+			// been bought on its own.
+			for k, n := range sched.PartCounts(spec.meta, spec.partQueries(), res.Rows) {
+				e.feedback(spec.meta, spec.parts[k].box, n)
+			}
+		}
 		added, compacted := 0, 0
 		var walMicros int64
 		var walSynced bool

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,5 +163,56 @@ func TestRunBatchEmpty(t *testing.T) {
 	results, err := e.runBatch(context.Background(), nil, &rep)
 	if err != nil || results != nil {
 		t.Fatalf("empty batch: %v %v", results, err)
+	}
+}
+
+// TestRemainderBatchFusesTouchingPieces: two planned remainder pieces that
+// touch go out as one wire call even at fetch concurrency 1, where no window
+// could ever have merged them, bill no more than the pieces would apart, and
+// leave both covered.
+func TestRemainderBatchFusesTouchingPieces(t *testing.T) {
+	f := newFixture(t)
+	var calls atomic.Int64
+	caller := market.CallerFunc(func(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
+		calls.Add(1)
+		return market.AccountCaller{Market: f.m, Key: "k"}.Call(ctx, q)
+	})
+	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: sched.New(caller, sched.Config{}), Concurrency: 1}
+	meta, _ := f.cat.Lookup("R")
+	aRange := func(lo, hi int64) region.Box {
+		b := meta.FullBox().Clone()
+		b.Dims[0] = region.Interval{Lo: lo, Hi: hi + 1}
+		return b
+	}
+	pieces := []region.Box{aRange(1, 3), aRange(4, 6)}
+	var specs []callSpec
+	for _, b := range pieces {
+		s, err := e.planRemainder(meta, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s...)
+	}
+	if len(specs) != 2 {
+		t.Fatalf("planned %d remainder calls, want 2", len(specs))
+	}
+	var rep Report
+	if _, err := e.runBatch(context.Background(), specs, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("wire calls: %d, want 1 fused call", calls.Load())
+	}
+	// Apart, each piece's 12 rows would bill 1 transaction at t = 100.
+	if rep.Transactions != 1 || rep.Records != 24 {
+		t.Fatalf("report %+v, want 24 records for 1 transaction", rep)
+	}
+	for _, b := range pieces {
+		if !f.store.Covered("R", b, time.Time{}) {
+			t.Fatalf("piece %v not covered after the fused call", b)
+		}
+	}
+	if st := e.Sched.Stats(); st.MergedCalls != 1 || st.MergedTransactionsSaved != 1 {
+		t.Fatalf("fusion not booked as a merge: %+v", st)
 	}
 }

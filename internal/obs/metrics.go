@@ -200,9 +200,11 @@ func (m *Metrics) ObserveQueryError() {
 }
 
 // ObserveTrace folds a finished trace's per-call detail into the registry:
-// call latencies, retries and semantic-store reuse. Call/record/transaction
-// totals are NOT added here — ObserveQuery already counted them from the
-// query report — so observing both for the same query never double-counts.
+// retries and semantic-store reuse. Call/record/transaction totals are NOT
+// added here — ObserveQuery already counted them from the query report —
+// and neither are call latencies, which ObserveCallLatency takes from every
+// wire call traced or not, so observing both for the same query never
+// double-counts.
 func (m *Metrics) ObserveTrace(t *Trace) {
 	if m == nil || t == nil {
 		return
@@ -210,7 +212,6 @@ func (m *Metrics) ObserveTrace(t *Trace) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, c := range t.Calls {
-		m.callLatency.observe(c.Latency)
 		m.retries += int64(c.Retries)
 	}
 	m.storeHits += int64(t.StoreHits)
@@ -514,9 +515,9 @@ func (m *Metrics) ObserveSchedSingleflightHit() {
 	m.schedSingleflightHits++
 }
 
-// ObserveSchedMerge counts one merged wire call the scheduler fused out of
-// several cross-query remainder boxes, and how many transactions the merge
-// saved versus billing the parts separately.
+// ObserveSchedMerge counts one wire call fused out of several remainder
+// boxes — across queries in the window, or one plan's siblings — and how
+// many transactions the merge saved versus billing the parts separately.
 func (m *Metrics) ObserveSchedMerge(saved int64) {
 	if m == nil {
 		return
@@ -538,6 +539,17 @@ func (m *Metrics) ObserveSchedDelayedCall() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.schedDelayedCalls++
+}
+
+// ObserveCallLatency folds one buyer-side wire call's duration, retries and
+// paging included, into the call latency histogram.
+func (m *Metrics) ObserveCallLatency(d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.callLatency.observe(d)
 }
 
 // ObserveCall folds one served market call into the registry — the
@@ -634,9 +646,10 @@ type Snapshot struct {
 
 	// SchedSingleflightHits counts calls served by joining an identical
 	// in-flight call; SchedMergedCalls wire calls fused out of several
-	// cross-query boxes; SchedMergedTransactionsSaved the transactions the
-	// merges saved versus billing the parts; SchedDelayedCalls the fetches
-	// parked in the coalesce window.
+	// boxes (across queries or one plan's siblings);
+	// SchedMergedTransactionsSaved the transactions the merges saved versus
+	// billing the parts; SchedDelayedCalls the fetches parked in the
+	// coalesce window.
 	SchedSingleflightHits        int64
 	SchedMergedCalls             int64
 	SchedMergedTransactionsSaved int64
@@ -793,7 +806,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, prefix string) {
 	counter("plans_greedy_total", "Queries planned by the greedy fast path.", s.PlansGreedy)
 	counter("plans_dp_total", "Queries planned by the full dynamic program.", s.PlansDP)
 	counter("sched_singleflight_hits_total", "Calls served by joining an identical in-flight market call.", s.SchedSingleflightHits)
-	counter("sched_merged_calls_total", "Wire calls the scheduler fused out of several cross-query boxes.", s.SchedMergedCalls)
+	counter("sched_merged_calls_total", "Wire calls fused out of several boxes: parked together across queries, or one plan's sibling calls.", s.SchedMergedCalls)
 	counter("sched_merged_transactions_saved_total", "Transactions saved by merged calls versus billing the parts.", s.SchedMergedTransactionsSaved)
 	counter("sched_delayed_calls_total", "Fetches parked in the coalesce window to accumulate merge candidates.", s.SchedDelayedCalls)
 	counter("federation_calls_total", "Market calls routed through the federation layer.", s.FederationCalls)

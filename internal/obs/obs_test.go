@@ -99,12 +99,6 @@ func TestMetricsCountersAndPrometheus(t *testing.T) {
 	if s.Retries != 1 || s.StoreHits != 1 || s.StoreHitRows != 25 {
 		t.Errorf("trace-fed counters: %+v", s)
 	}
-	if s.CallLatency.Count != 2 {
-		t.Errorf("call latency count = %d, want 2", s.CallLatency.Count)
-	}
-	if q := s.CallLatency.Quantile(0.5); q < 4*time.Millisecond || q > 10*time.Millisecond {
-		t.Errorf("p50 call latency = %v", q)
-	}
 
 	var b strings.Builder
 	m.WritePrometheus(&b, "payless")
@@ -115,10 +109,39 @@ func TestMetricsCountersAndPrometheus(t *testing.T) {
 		"payless_calls_total 2",
 		"payless_transactions_total 3",
 		"payless_store_hit_rows_total 25",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("prometheus output missing %q", want)
+		}
+	}
+}
+
+// TestCallDurationMetricsFamilies pins payless_call_duration_seconds: one
+// observation per wire call through ObserveCallLatency, traced or not, and
+// none from ObserveTrace, so a traced call is not counted twice.
+func TestCallDurationMetricsFamilies(t *testing.T) {
+	m := NewMetrics()
+	m.ObserveCallLatency(4 * time.Millisecond)
+	m.ObserveCallLatency(6 * time.Millisecond)
+	tr := NewTrace("q")
+	tr.AddCall(CallRecord{Latency: 4 * time.Millisecond})
+	tr.AddCall(CallRecord{Latency: 6 * time.Millisecond})
+	m.ObserveTrace(tr)
+
+	s := m.Snapshot()
+	if s.CallLatency.Count != 2 {
+		t.Errorf("call latency count = %d, want 2", s.CallLatency.Count)
+	}
+	if q := s.CallLatency.Quantile(0.5); q < 4*time.Millisecond || q > 10*time.Millisecond {
+		t.Errorf("p50 call latency = %v", q)
+	}
+	var b strings.Builder
+	m.WritePrometheus(&b, "payless")
+	for _, want := range []string{
 		"payless_call_duration_seconds_count 2",
 		`payless_call_duration_seconds_bucket{le="+Inf"} 2`,
 	} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(b.String(), want) {
 			t.Errorf("prometheus output missing %q", want)
 		}
 	}

@@ -13,14 +13,16 @@
 //     waiter detaches without canceling the shared call; the call itself is
 //     torn down only when its last waiter has detached.
 //
-//   - Cross-query merging: with a coalesce window enabled, sub-transaction
-//     fetches are parked briefly and adjacent/overlapping boxes from
-//     different queries are fused into one call when the ceil-pricing cost
-//     model says the union is no more expensive than the parts. Only exact
-//     unions are fused (the bounding box adds no gap rows), which makes the
-//     merge provably never-worse under ceil pricing:
-//     ceil((a+b)/t) <= ceil(a/t) + ceil(b/t). This generalizes the paper's
-//     bind-value coalescing (Fig. 9, box B2) across query boundaries.
+//   - Cross-query merging: with a coalesce window enabled, a sub-transaction
+//     fetch is parked for the window only while another query is open (see
+//     Open) — a lone query never waits, and a parked fetch whose last
+//     company closes is released at once. Parked boxes are fused by Fuse,
+//     the same exact-union rule the engine applies to one plan's sibling
+//     calls before submission: only unions that add no gap rows and that the
+//     ceil-pricing cost model prices at no more than the parts, which makes a
+//     merge provably never-worse: ceil((a+b)/t) <= ceil(a/t) + ceil(b/t).
+//     This generalizes the paper's bind-value coalescing (Fig. 9, box B2)
+//     across query boundaries.
 //
 // Billing attribution keeps client-side accounting equal to the seller's
 // meter: exactly one participant of a shared or merged call — the first to
@@ -44,6 +46,7 @@ package sched
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,6 +70,10 @@ type Request struct {
 	// store. The scheduler uses it to decide whether a shared or abandoned
 	// call needs recording on the requesters' behalf.
 	Record bool
+	// Parts lists the planned queries a request the engine fused out of
+	// several (see Fuse) stands for; nil otherwise. The wire call that
+	// carries them books the fusion as a merge, once.
+	Parts []catalog.AccessQuery
 }
 
 // Info reports how the scheduler served a request.
@@ -89,9 +96,10 @@ type Info struct {
 
 // Config tunes a Scheduler.
 type Config struct {
-	// Window is how long a sub-transaction-size fetch may be parked waiting
-	// for mergeable company. Zero (the default) dispatches every request
-	// immediately — single-flighting still applies.
+	// Window bounds how long a sub-transaction-size fetch may be parked
+	// waiting for mergeable company from other open queries. Zero (the
+	// default) dispatches every request immediately — single-flighting still
+	// applies.
 	Window time.Duration
 	// TuplesPerTransaction returns the dataset's transaction size t; values
 	// <= 0 fall back to 100 (the market default).
@@ -115,7 +123,8 @@ type Stats struct {
 	// SingleflightHits counts requests that joined an already-in-flight
 	// wire call instead of issuing their own.
 	SingleflightHits int64
-	// MergedCalls counts wire calls that fused more than one requester box;
+	// MergedCalls counts wire calls that fused several boxes — parked
+	// together in the window, or siblings the engine fused (Request.Parts);
 	// MergedTransactionsSaved sums the transactions the fusions saved
 	// versus issuing the parts separately.
 	MergedCalls             int64
@@ -133,6 +142,8 @@ type Scheduler struct {
 	mu       sync.Mutex
 	inflight map[string]*flight
 	pending  map[string]*group
+	// open counts registered queries (see Open).
+	open int
 
 	singleflightHits atomic.Int64
 	mergedCalls      atomic.Int64
@@ -177,10 +188,11 @@ type flight struct {
 	key   string
 	// record is true when at least one source requester is on the SQR path.
 	record bool
-	// sources holds the originating requests when the flight fused several
-	// boxes (merged is then true); nil for plain flights.
-	sources []Request
-	merged  bool
+	// parts holds the planned queries the call fuses when there are
+	// several, booked as one merge when it completes; merged is true when
+	// the window fused several requesters' boxes into this call.
+	parts  []catalog.AccessQuery
+	merged bool
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -220,9 +232,44 @@ func (s *Scheduler) tuplesPer(dataset string) int {
 	return 100
 }
 
+// query is one Open registration; closed makes its close idempotent.
+type query struct{ closed bool }
+
+type queryKey struct{}
+
+// Open registers a query as open until the returned close is called and
+// returns ctx carrying the registration, which Fetch reads from there. An
+// open query is company the coalesce window may wait for: a fetch parks only
+// while another query is open. close is idempotent.
+func (s *Scheduler) Open(ctx context.Context) (context.Context, func()) {
+	q := &query{}
+	s.mu.Lock()
+	s.open++
+	s.mu.Unlock()
+	return context.WithValue(ctx, queryKey{}, q), func() { s.close(q) }
+}
+
+// close ends a registration. With at most one query left open, whatever is
+// parked belongs to that query and has no company left to wait for: it is
+// released at once.
+func (s *Scheduler) close(q *query) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if q.closed {
+		return
+	}
+	q.closed = true
+	s.open--
+	if s.open <= 1 {
+		s.fireAll()
+	}
+}
+
 // Fetch serves one engine fetch through the scheduler. It blocks until the
 // underlying wire call completes or ctx is done; cancelling ctx detaches
-// this waiter only — a call with other live waiters keeps running.
+// this waiter only — a call with other live waiters keeps running. A fetch
+// whose ctx carries no Open registration is a query of its own for as long
+// as it runs.
 func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -231,8 +278,13 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 		return market.Result{}, Info{}, err
 	}
 	key := flightKey(req.Query)
+	_, registered := ctx.Value(queryKey{}).(*query)
 
 	s.mu.Lock()
+	if !registered {
+		s.open++
+		defer s.close(&query{})
+	}
 	// 1. Identical call already in flight: join it.
 	if f, ok := s.inflight[key]; ok {
 		f.join(req.Record)
@@ -253,12 +305,12 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 			return s.wait(ctx, req, f, Info{})
 		}
 	}
-	// 3. Coalesce window: park sub-transaction fetches and let the window
-	// timer fuse whatever mergeable company shows up. A caller whose
-	// deadline cannot outlive the window is dispatched immediately instead:
-	// parking it would spend its entire remaining budget waiting for
-	// company it will never get to bill with.
-	if s.cfg.Window > 0 && s.parkable(req) && !overload.ShortOf(ctx, s.cfg.Window) {
+	// 3. Coalesce window: park a sub-transaction fetch while another open
+	// query may bring mergeable company; a lone query never waits. A caller
+	// whose deadline cannot outlive the window is dispatched immediately
+	// instead: parking it would spend its entire remaining budget waiting
+	// for company it will never get to bill with.
+	if s.cfg.Window > 0 && s.open > 1 && s.parkable(req) && !overload.ShortOf(ctx, s.cfg.Window) {
 		pr := s.park(ctx, req)
 		s.mu.Unlock()
 		s.delayedCalls.Add(1)
@@ -279,7 +331,7 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 		return s.wait(ctx, req, pr.fl, Info{Delayed: true})
 	}
 	// 4. Launch a fresh wire call.
-	f := s.launch(ctx, req.Meta, req.Box, req.Query, req.Record, nil)
+	f := s.launch(ctx, req.Meta, req.Box, req.Query, req.Record, req.Parts, 1)
 	s.mu.Unlock()
 	return s.wait(ctx, req, f, Info{})
 }
@@ -302,8 +354,9 @@ func (f *flight) join(record bool) {
 // the request whose context is reqCtx. The call keeps reqCtx's values (the
 // query's retry budget, its trace record) but not its cancellation: other
 // requesters may join, so only the last waiter detaching cancels it. Caller
-// holds s.mu. sources is non-nil only for merged flights.
-func (s *Scheduler) launch(reqCtx context.Context, meta *catalog.Table, box region.Box, q catalog.AccessQuery, record bool, sources []Request) *flight {
+// holds s.mu. parts lists the fused queries (see flight.parts); requesters
+// counts the parked requests a window merge launches for at once.
+func (s *Scheduler) launch(reqCtx context.Context, meta *catalog.Table, box region.Box, q catalog.AccessQuery, record bool, parts []catalog.AccessQuery, requesters int) *flight {
 	ctx, cancel := context.WithCancel(context.WithoutCancel(reqCtx))
 	f := &flight{
 		meta:    meta,
@@ -311,12 +364,12 @@ func (s *Scheduler) launch(reqCtx context.Context, meta *catalog.Table, box regi
 		query:   q,
 		key:     flightKey(q),
 		record:  record,
-		sources: sources,
-		merged:  len(sources) > 1,
+		parts:   parts,
+		merged:  requesters > 1,
 		cancel:  cancel,
 		done:    make(chan struct{}),
-		waiters: maxInt(1, len(sources)),
-		joiners: maxInt(1, len(sources)),
+		waiters: max(1, requesters),
+		joiners: max(1, requesters),
 	}
 	s.inflight[f.key] = f
 	go s.run(ctx, f)
@@ -326,7 +379,9 @@ func (s *Scheduler) launch(reqCtx context.Context, meta *catalog.Table, box regi
 // run issues the wire call, settles the flight, and performs the
 // scheduler-side semantic-store recording when it is the scheduler's job.
 func (s *Scheduler) run(ctx context.Context, f *flight) {
+	start := time.Now()
 	res, err := s.caller.Call(ctx, f.query)
+	s.cfg.Metrics.ObserveCallLatency(time.Since(start))
 
 	s.mu.Lock()
 	if s.inflight[f.key] == f {
@@ -340,11 +395,8 @@ func (s *Scheduler) run(ctx context.Context, f *flight) {
 	f.mu.Unlock()
 
 	if err == nil {
-		if f.merged {
-			s.mergedCalls.Add(1)
-			saved := s.mergeSavings(f, res)
-			s.cfg.Metrics.ObserveSchedMerge(saved)
-			s.mergedSaved.Add(saved)
+		if len(f.parts) > 1 {
+			s.noteMerge(f, res)
 		}
 		// Record exactly once per wire call — but only when the requesters'
 		// engines cannot: a shared call would be double-recorded, a merged
@@ -362,26 +414,33 @@ func (s *Scheduler) run(ctx context.Context, f *flight) {
 	close(f.done)
 }
 
-// mergeSavings computes how many transactions fusing the sources saved
-// versus issuing each part separately, from the actual rows delivered.
-func (s *Scheduler) mergeSavings(f *flight, res market.Result) int64 {
-	t := int64(s.tuplesPer(f.meta.Dataset))
-	var parts int64
-	for _, src := range f.sources {
-		n := int64(0)
-		part := catalog.CompileFilter(f.meta, src.Query)
-		for _, row := range res.Rows {
-			if part.Matches(row) {
-				n++
+// PartCounts counts the rows that fall in each part's query.
+func PartCounts(meta *catalog.Table, parts []catalog.AccessQuery, rows []value.Row) []int64 {
+	counts := make([]int64, len(parts))
+	for i, q := range parts {
+		f := catalog.CompileFilter(meta, q)
+		for _, row := range rows {
+			if f.Matches(row) {
+				counts[i]++
 			}
 		}
+	}
+	return counts
+}
+
+// noteMerge books one completed wire call that fused several parts: the
+// merge counters gain the transactions the fusion saved versus billing each
+// part's delivered rows on its own.
+func (s *Scheduler) noteMerge(f *flight, res market.Result) {
+	t := int64(s.tuplesPer(f.meta.Dataset))
+	var parts int64
+	for _, n := range PartCounts(f.meta, f.parts, res.Rows) {
 		parts += ceilDiv(n, t)
 	}
-	saved := parts - res.Transactions
-	if saved < 0 {
-		saved = 0
-	}
-	return saved
+	saved := max(parts-res.Transactions, 0)
+	s.mergedCalls.Add(1)
+	s.mergedSaved.Add(saved)
+	s.cfg.Metrics.ObserveSchedMerge(saved)
 }
 
 // wait blocks on the flight and assembles this requester's view of the
@@ -463,7 +522,7 @@ func filterRows(meta *catalog.Table, q catalog.AccessQuery, rows []value.Row) []
 // ---- coalesce window -------------------------------------------------
 
 // group is the set of parked requests for one table, awaiting the window
-// timer.
+// timer or the close of their last company.
 type group struct {
 	key  string
 	reqs []*parked
@@ -477,8 +536,8 @@ type group struct {
 
 // parked is one request sitting in the coalesce window.
 type parked struct {
-	// ctx is the request's context; the flight a cluster launches runs
-	// under its first live member's.
+	// ctx is the request's context; the flight a fusion launches runs
+	// under its first member's.
 	ctx context.Context
 	req Request
 	g   *group
@@ -531,71 +590,101 @@ func (s *Scheduler) abandon(pr *parked) {
 	}
 }
 
-// fire dispatches a pending group: it clusters the parked boxes into exact
-// unions the cost model approves of, then launches (or joins) one flight
-// per cluster.
+// fire dispatches a group whose window expired, unless close or abandon
+// already took it out of the pending set.
 func (s *Scheduler) fire(g *group) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pending[g.key] == g {
-		delete(s.pending, g.key)
+		s.dispatchGroup(g)
 	}
+}
+
+// fireAll dispatches every pending group now. Caller holds s.mu.
+func (s *Scheduler) fireAll() {
+	for _, g := range s.pending {
+		g.timer.Stop()
+		s.dispatchGroup(g)
+	}
+}
+
+// dispatchGroup removes a pending group — which always has a live request —
+// fuses its live requests' boxes and launches (or joins) one flight per
+// fusion. Caller holds s.mu.
+func (s *Scheduler) dispatchGroup(g *group) {
+	delete(s.pending, g.key)
 	live := g.reqs[:0]
 	for _, pr := range g.reqs {
 		if !pr.abandoned {
 			live = append(live, pr)
 		}
 	}
-	if len(live) == 0 {
-		return
+	boxes := make([]region.Box, len(live))
+	for i, pr := range live {
+		boxes[i] = pr.req.Box
 	}
-	for _, cl := range s.cluster(live) {
-		s.dispatchCluster(cl)
+	meta := live[0].req.Meta
+	for _, fu := range s.Fuse(meta, boxes) {
+		prs := make([]*parked, len(fu.Members))
+		for i, m := range fu.Members {
+			prs[i] = live[m]
+		}
+		s.dispatch(meta, fu, prs)
 	}
 }
 
-// cluster greedily fuses parked requests whose boxes form exact unions the
-// ceil cost model approves. Groups are small; the quadratic sweep is fine.
-type mergeCluster struct {
-	meta *catalog.Table
-	box  region.Box
-	prs  []*parked
+// Fusion is one call Fuse makes out of boxes: the indexes of the boxes it
+// covers, ascending, and their exact union with its access query. Query is
+// set only when there is more than one member.
+type Fusion struct {
+	Box     region.Box
+	Query   catalog.AccessQuery
+	Members []int
 }
 
-func (s *Scheduler) cluster(live []*parked) []*mergeCluster {
-	clusters := make([]*mergeCluster, 0, len(live))
-	for _, pr := range live {
-		clusters = append(clusters, &mergeCluster{meta: pr.req.Meta, box: pr.req.Box, prs: []*parked{pr}})
+// Fuse greedily clusters boxes of one table into exact unions the ceil cost
+// model approves (see fusable); a box nothing fuses with is a Fusion of its
+// own. Fusions come out in the order of their first member. The engine
+// fuses one plan's sibling calls with it before submission and the window
+// the boxes parked together, so both merge by one rule. Inputs are small;
+// the quadratic sweep is fine.
+func (s *Scheduler) Fuse(meta *catalog.Table, boxes []region.Box) []Fusion {
+	fus := make([]Fusion, len(boxes))
+	for i, b := range boxes {
+		fus[i] = Fusion{Box: b, Members: []int{i}}
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := 0; i < len(clusters) && !changed; i++ {
-			for j := i + 1; j < len(clusters); j++ {
-				u, ok := s.fusable(clusters[i].meta, clusters[i].box, clusters[j].box)
+		for i := 0; i < len(fus) && !changed; i++ {
+			for j := i + 1; j < len(fus); j++ {
+				u, q, ok := s.fusable(meta, fus[i].Box, fus[j].Box)
 				if !ok {
 					continue
 				}
-				clusters[i].box = u
-				clusters[i].prs = append(clusters[i].prs, clusters[j].prs...)
-				clusters = append(clusters[:j], clusters[j+1:]...)
+				fus[i].Box, fus[i].Query = u, q
+				fus[i].Members = append(fus[i].Members, fus[j].Members...)
+				fus = append(fus[:j], fus[j+1:]...)
 				changed = true
 				break
 			}
 		}
 	}
-	return clusters
+	for _, fu := range fus {
+		slices.Sort(fu.Members)
+	}
+	return fus
 }
 
-// fusable returns the union box of a and b when (1) it is exact — the
-// boxes differ on at most one dimension and overlap or touch on it, so the
-// bounding box buys no gap rows, (2) the union is expressible as a market
-// call (categorical axes cannot span, §4.2 Fig. 8), and (3) the ceil cost
-// model prices the union at no more than the parts. For exact unions the
-// true bill always satisfies (3); the estimate gate just avoids merges the
-// model cannot vouch for.
-func (s *Scheduler) fusable(meta *catalog.Table, a, b region.Box) (region.Box, bool) {
+// fusable returns the union box of a and b and its access query when (1)
+// the union is exact — the boxes differ on at most one dimension and
+// overlap or touch on it, so the bounding box buys no gap rows, (2) it is
+// expressible as a market call (categorical axes cannot span, §4.2 Fig. 8),
+// and (3) the ceil cost model prices it at no more than the parts. For exact
+// unions the true bill always satisfies (3); the estimate gate just avoids
+// merges the model cannot vouch for.
+func (s *Scheduler) fusable(meta *catalog.Table, a, b region.Box) (region.Box, catalog.AccessQuery, bool) {
 	if a.D() != b.D() {
-		return region.Box{}, false
+		return region.Box{}, catalog.AccessQuery{}, false
 	}
 	diff := -1
 	for i := range a.Dims {
@@ -603,7 +692,7 @@ func (s *Scheduler) fusable(meta *catalog.Table, a, b region.Box) (region.Box, b
 			continue
 		}
 		if diff >= 0 {
-			return region.Box{}, false
+			return region.Box{}, catalog.AccessQuery{}, false
 		}
 		diff = i
 	}
@@ -611,12 +700,13 @@ func (s *Scheduler) fusable(meta *catalog.Table, a, b region.Box) (region.Box, b
 	if diff >= 0 {
 		x, y := a.Dims[diff], b.Dims[diff]
 		if x.Lo > y.Hi || y.Lo > x.Hi {
-			return region.Box{}, false // gap between the parts: union not exact
+			return region.Box{}, catalog.AccessQuery{}, false // gap between the parts: union not exact
 		}
-		u.Dims[diff] = region.Interval{Lo: min64(x.Lo, y.Lo), Hi: max64(x.Hi, y.Hi)}
+		u.Dims[diff] = region.Interval{Lo: min(x.Lo, y.Lo), Hi: max(x.Hi, y.Hi)}
 	}
-	if _, err := catalog.QueryForBox(meta, u); err != nil {
-		return region.Box{}, false
+	q, err := catalog.QueryForBox(meta, u)
+	if err != nil {
+		return region.Box{}, catalog.AccessQuery{}, false
 	}
 	if s.cfg.Estimate != nil {
 		t := float64(s.tuplesPer(meta.Dataset))
@@ -624,56 +714,45 @@ func (s *Scheduler) fusable(meta *catalog.Table, a, b region.Box) (region.Box, b
 		costA := ceilF(s.cfg.Estimate(meta.Name, a) / t)
 		costB := ceilF(s.cfg.Estimate(meta.Name, b) / t)
 		if costU > costA+costB {
-			return region.Box{}, false
+			return region.Box{}, catalog.AccessQuery{}, false
 		}
 	}
-	return u, true
+	return u, q, true
 }
 
-// dispatchCluster launches one flight for a cluster (or joins an identical
-// in-flight call) and wakes the cluster's waiters. Caller holds s.mu.
-func (s *Scheduler) dispatchCluster(cl *mergeCluster) {
+// dispatch launches one flight for a fusion of parked requests (or joins an
+// identical in-flight call) and wakes their waiters. Caller holds s.mu.
+func (s *Scheduler) dispatch(meta *catalog.Table, fu Fusion, prs []*parked) {
 	record := false
-	sources := make([]Request, 0, len(cl.prs))
-	for _, pr := range cl.prs {
+	for _, pr := range prs {
 		record = record || pr.req.Record
-		sources = append(sources, pr.req)
 	}
-	var f *flight
-	if len(cl.prs) == 1 {
-		// Single request: dispatch its original query verbatim so a delayed
-		// solo fetch stays byte-identical to an undelayed one.
-		q := cl.prs[0].req.Query
-		if ex, ok := s.inflight[flightKey(q)]; ok {
-			ex.join(record)
-			f = ex
+	// A lone request keeps its original query verbatim, so a delayed solo
+	// fetch stays byte-identical to an undelayed one. A merge's parts are
+	// its members' planned queries, an engine-fused member contributing its
+	// own parts, so the call is booked as one merge of all of them.
+	q, parts := prs[0].req.Query, prs[0].req.Parts
+	if len(prs) > 1 {
+		q, parts = fu.Query, nil
+		for _, pr := range prs {
+			if pr.req.Parts != nil {
+				parts = append(parts, pr.req.Parts...)
+			} else {
+				parts = append(parts, pr.req.Query)
+			}
+		}
+	}
+	f, ok := s.inflight[flightKey(q)]
+	if ok {
+		for range prs {
+			f.join(record)
 			s.singleflightHits.Add(1)
 			s.cfg.Metrics.ObserveSchedSingleflightHit()
-		} else {
-			f = s.launch(cl.prs[0].ctx, cl.meta, cl.box, q, record, nil)
 		}
 	} else {
-		q, err := catalog.QueryForBox(cl.meta, cl.box)
-		if err != nil {
-			// fusable pre-validated the union; if conversion still fails,
-			// fall back to launching each part separately.
-			for _, pr := range cl.prs {
-				s.dispatchCluster(&mergeCluster{meta: cl.meta, box: pr.req.Box, prs: []*parked{pr}})
-			}
-			return
-		}
-		if ex, ok := s.inflight[flightKey(q)]; ok {
-			for range cl.prs {
-				ex.join(record)
-				s.singleflightHits.Add(1)
-				s.cfg.Metrics.ObserveSchedSingleflightHit()
-			}
-			f = ex
-		} else {
-			f = s.launch(cl.prs[0].ctx, cl.meta, cl.box, q, record, sources)
-		}
+		f = s.launch(prs[0].ctx, meta, fu.Box, q, record, parts, len(prs))
 	}
-	for _, pr := range cl.prs {
+	for _, pr := range prs {
 		pr.fl = f
 		close(pr.ready)
 	}
@@ -692,25 +771,4 @@ func ceilF(x float64) int64 {
 		n++
 	}
 	return n
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -229,7 +229,8 @@ func TestLastWaiterCancelTearsDownTheCall(t *testing.T) {
 // TestFlightCarriesTheLaunchingRequestsValues: a wire call runs under its
 // launching request's context values — the query's retry budget and trace
 // record reach the transport — whether it launched at once or was fired by
-// the coalesce window.
+// the coalesce window (a second open query that never fetches keeps the
+// request parked until the window expires).
 func TestFlightCarriesTheLaunchingRequestsValues(t *testing.T) {
 	meta := tTable()
 	for _, window := range []time.Duration{0, time.Millisecond} {
@@ -244,8 +245,14 @@ func TestFlightCarriesTheLaunchingRequestsValues(t *testing.T) {
 			return (&fakeCaller{meta: meta, t: 10}).Call(ctx, q)
 		})
 		s := newSched(caller, Config{Window: window})
-		if _, _, err := s.Fetch(ctx, reqFor(t, meta, 1, 5, false)); err != nil {
+		_, closeOther := s.Open(context.Background())
+		_, info, err := s.Fetch(ctx, reqFor(t, meta, 1, 5, false))
+		closeOther()
+		if err != nil {
 			t.Fatal(err)
+		}
+		if info.Delayed != (window > 0) {
+			t.Fatalf("window %v: delayed = %v", window, info.Delayed)
 		}
 		if !sawBudget || !sawRec || rec.Retries != 1 {
 			t.Fatalf("window %v: wire call saw budget=%v record=%v, record retries %d (want true true 1)",
@@ -337,17 +344,23 @@ func TestPiggybackOnContainingInFlightCall(t *testing.T) {
 	}
 }
 
+// TestWindowMergesAdjacentBoxesIntoOneCall: two open queries' fetches with
+// adjacent boxes park together and are fused when the window expires.
 func TestWindowMergesAdjacentBoxesIntoOneCall(t *testing.T) {
 	meta := tTable()
 	fc := &fakeCaller{meta: meta, t: 10}
 	s := newSched(fc, Config{Window: 30 * time.Millisecond})
+	ctxA, closeA := s.Open(context.Background())
+	defer closeA()
+	ctxB, closeB := s.Open(context.Background())
+	defer closeB()
 
 	var a, b market.Result
 	var ia, ib Info
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); a, ia, _ = s.Fetch(context.Background(), reqFor(t, meta, 1, 5, false)) }()
-	go func() { defer wg.Done(); b, ib, _ = s.Fetch(context.Background(), reqFor(t, meta, 6, 9, false)) }()
+	go func() { defer wg.Done(); a, ia, _ = s.Fetch(ctxA, reqFor(t, meta, 1, 5, false)) }()
+	go func() { defer wg.Done(); b, ib, _ = s.Fetch(ctxB, reqFor(t, meta, 6, 9, false)) }()
 	wg.Wait()
 
 	if fc.callCount() != 1 {
@@ -376,11 +389,15 @@ func TestWindowLeavesGappedBoxesAlone(t *testing.T) {
 	meta := tTable()
 	fc := &fakeCaller{meta: meta, t: 10}
 	s := newSched(fc, Config{Window: 30 * time.Millisecond})
+	ctxA, closeA := s.Open(context.Background())
+	defer closeA()
+	ctxB, closeB := s.Open(context.Background())
+	defer closeB()
 
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); s.Fetch(context.Background(), reqFor(t, meta, 1, 5, false)) }()
-	go func() { defer wg.Done(); s.Fetch(context.Background(), reqFor(t, meta, 50, 55, false)) }()
+	go func() { defer wg.Done(); s.Fetch(ctxA, reqFor(t, meta, 1, 5, false)) }()
+	go func() { defer wg.Done(); s.Fetch(ctxB, reqFor(t, meta, 50, 55, false)) }()
 	wg.Wait()
 
 	// A gap between the boxes means the union is not exact: merging would
@@ -404,11 +421,15 @@ func TestMergeRespectsCostModelVeto(t *testing.T) {
 			return 5
 		},
 	})
+	ctxA, closeA := s.Open(context.Background())
+	defer closeA()
+	ctxB, closeB := s.Open(context.Background())
+	defer closeB()
 
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); s.Fetch(context.Background(), reqFor(t, meta, 1, 5, false)) }()
-	go func() { defer wg.Done(); s.Fetch(context.Background(), reqFor(t, meta, 6, 9, false)) }()
+	go func() { defer wg.Done(); s.Fetch(ctxA, reqFor(t, meta, 1, 5, false)) }()
+	go func() { defer wg.Done(); s.Fetch(ctxB, reqFor(t, meta, 6, 9, false)) }()
 	wg.Wait()
 
 	if fc.callCount() != 2 {
@@ -439,6 +460,9 @@ func TestParkedWaiterCancelBeforeDispatch(t *testing.T) {
 	meta := tTable()
 	fc := &fakeCaller{meta: meta, t: 10}
 	s := newSched(fc, Config{Window: 50 * time.Millisecond})
+	// Another open query keeps the fetch parked.
+	_, closeOther := s.Open(context.Background())
+	defer closeOther()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -451,10 +475,136 @@ func TestParkedWaiterCancelBeforeDispatch(t *testing.T) {
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("parked waiter: %v", err)
 	}
+	if got := s.PendingGroups(); got != 0 {
+		t.Fatalf("%d pending groups after the only parked waiter left", got)
+	}
 	// Once the window fires, the abandoned request must not be bought.
 	time.Sleep(80 * time.Millisecond)
 	if fc.callCount() != 0 {
 		t.Fatalf("abandoned parked request still dispatched: %d calls", fc.callCount())
+	}
+}
+
+// The window-rule tests use an hour-long window: a fetch that waits when it
+// should not hangs the test instead of passing late.
+
+func TestLoneQueryNeverParks(t *testing.T) {
+	meta := tTable()
+	fc := &fakeCaller{meta: meta, t: 10}
+	s := newSched(fc, Config{Window: time.Hour})
+
+	ctx, closeQuery := s.Open(context.Background())
+	_, info, err := s.Fetch(ctx, reqFor(t, meta, 1, 5, false))
+	closeQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fetch outside any registered query is a lone query of its own.
+	if _, _, err := s.Fetch(context.Background(), reqFor(t, meta, 6, 9, false)); err != nil {
+		t.Fatal(err)
+	}
+	if info.Delayed || s.Stats().DelayedCalls != 0 || s.PendingGroups() != 0 {
+		t.Fatalf("a lone query parked: info %+v, stats %+v, %d pending groups", info, s.Stats(), s.PendingGroups())
+	}
+	if fc.callCount() != 2 {
+		t.Fatalf("wire calls: %d, want 2", fc.callCount())
+	}
+}
+
+// fusedReq is the request the engine issues for a plan's sibling pieces
+// fused into one union: [1,5] and [6,9] as [1,9].
+func fusedReq(t *testing.T, meta *catalog.Table) Request {
+	r := reqFor(t, meta, 1, 9, false)
+	r.Parts = []catalog.AccessQuery{reqFor(t, meta, 1, 5, false).Query, reqFor(t, meta, 6, 9, false).Query}
+	return r
+}
+
+// TestFusedRequestBookedOncePerWireCall: a call the engine fused is booked
+// as one merge by the wire call that carries it — not again by a requester
+// that joined it, and once in all when the window merges it further.
+func TestFusedRequestBookedOncePerWireCall(t *testing.T) {
+	meta := tTable()
+	fc := &fakeCaller{meta: meta, t: 10, gate: make(chan struct{})}
+	s := newSched(fc, Config{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); s.Fetch(context.Background(), fusedReq(t, meta)) }()
+	}
+	waitFor(t, func() bool { return s.Stats().SingleflightHits == 1 })
+	close(fc.gate)
+	wg.Wait()
+	// Apart, the 5 and 4 rows would bill 1 + 1; the union bills 1.
+	if st := s.Stats(); fc.callCount() != 1 || st.MergedCalls != 1 || st.MergedTransactionsSaved != 1 {
+		t.Fatalf("%d wire calls, stats %+v; want 1 call booked as 1 merge saving 1", fc.callCount(), st)
+	}
+
+	fc = &fakeCaller{meta: meta, t: 10}
+	s = newSched(fc, Config{Window: 30 * time.Millisecond})
+	ctxA, closeA := s.Open(context.Background())
+	defer closeA()
+	ctxB, closeB := s.Open(context.Background())
+	defer closeB()
+	wg.Add(2)
+	go func() { defer wg.Done(); s.Fetch(ctxA, fusedReq(t, meta)) }()
+	go func() { defer wg.Done(); s.Fetch(ctxB, reqFor(t, meta, 10, 12, false)) }()
+	wg.Wait()
+	// One wire call for [1,12]: the parts 5, 4 and 3 rows would bill 3
+	// apart, the union bills 2.
+	if st := s.Stats(); fc.callCount() != 1 || st.MergedCalls != 1 || st.MergedTransactionsSaved != 1 {
+		t.Fatalf("%d wire calls, stats %+v; want 1 call booked as 1 merge saving 1", fc.callCount(), st)
+	}
+}
+
+func TestParkedQueryReleasedWhenCompanyCloses(t *testing.T) {
+	meta := tTable()
+	fc := &fakeCaller{meta: meta, t: 10}
+	// The estimator runs under the scheduler lock just before the fetch
+	// parks, so once it has signalled, closeB cannot get in ahead of the park.
+	parking := make(chan struct{})
+	var once sync.Once
+	s := newSched(fc, Config{Window: time.Hour, Estimate: func(string, region.Box) float64 {
+		once.Do(func() { close(parking) })
+		return 1
+	}})
+
+	ctxA, closeA := s.Open(context.Background())
+	defer closeA()
+	_, closeB := s.Open(context.Background())
+	type out struct {
+		info Info
+		err  error
+	}
+	done := make(chan out, 1)
+	go func() {
+		_, info, err := s.Fetch(ctxA, reqFor(t, meta, 1, 5, false))
+		done <- out{info, err}
+	}()
+	<-parking
+	closeB() // B finishes without ever fetching: A has nobody left to wait for
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if !o.info.Delayed || o.info.Merged || fc.callCount() != 1 || s.PendingGroups() != 0 {
+		t.Fatalf("info %+v, %d wire calls, %d pending groups", o.info, fc.callCount(), s.PendingGroups())
+	}
+}
+
+func TestFuseKeepsExactUnionsOnly(t *testing.T) {
+	meta := tTable()
+	s := newSched(&fakeCaller{meta: meta, t: 10}, Config{})
+	boxes := []region.Box{boxFor(1, 5), boxFor(50, 55), boxFor(6, 9), boxFor(10, 12)}
+	fus := s.Fuse(meta, boxes)
+	if len(fus) != 2 {
+		t.Fatalf("fusions: %+v", fus)
+	}
+	// [1,5], [6,9] and [10,12] touch in a chain; [50,55] is across a gap.
+	if got := fus[0]; fmt.Sprint(got.Members) != "[0 2 3]" || !got.Box.Equal(boxFor(1, 12)) || got.Query.String() != reqFor(t, meta, 1, 12, false).Query.String() {
+		t.Fatalf("first fusion: %+v", got)
+	}
+	if got := fus[1]; fmt.Sprint(got.Members) != "[1]" || !got.Box.Equal(boxFor(50, 55)) {
+		t.Fatalf("second fusion: %+v", got)
 	}
 }
 

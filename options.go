@@ -158,10 +158,11 @@ func WithCallScheduler() Option {
 }
 
 // WithCoalesceWindow lets the call scheduler park sub-transaction-size
-// fetches up to d, merging adjacent cross-query remainder boxes into one
-// call when ceil pricing makes the union no more expensive than the parts.
-// d <= 0 keeps the default: no window, fetches dispatch immediately (and
-// concurrent identical fetches still single-flight).
+// fetches up to d while another open query may bring company, merging
+// adjacent cross-query remainder boxes into one call when ceil pricing
+// makes the union no more expensive than the parts. A lone query never
+// waits. d <= 0 keeps the default: no window, fetches dispatch
+// immediately (and concurrent identical fetches still single-flight).
 func WithCoalesceWindow(d time.Duration) Option {
 	return func(c *Config) {
 		if d > 0 {

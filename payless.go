@@ -126,13 +126,15 @@ type Config struct {
 	// batches are planned up front and merged in plan order — only
 	// wall-clock latency changes.
 	FetchConcurrency int
-	// CoalesceWindow is how long the call scheduler may park a
+	// CoalesceWindow bounds how long the call scheduler may park a
 	// sub-transaction-size fetch waiting for mergeable company from other
-	// queries: adjacent cross-query remainder boxes are merged into one call
-	// when ceil pricing makes the union no more expensive than the parts.
-	// 0 (the default) means no window — fetches dispatch immediately, and
-	// concurrent queries needing the same box still share one wire call and
-	// one bill (single-flight).
+	// open queries: adjacent cross-query remainder boxes are merged into one
+	// call when ceil pricing makes the union no more expensive than the
+	// parts. A fetch waits only while another query is open, so a lone
+	// query never waits. With SQR, one query's own sibling calls are fused
+	// before submission whatever the window. 0 (the default) means no
+	// window — fetches dispatch immediately, and concurrent queries needing
+	// the same box still share one wire call and one bill (single-flight).
 	CoalesceWindow time.Duration
 	// Tracer receives a per-query execution trace (spans for
 	// parse/bind/optimize/execute plus one record per market call). nil
@@ -803,6 +805,10 @@ func (c *Client) queryCached(ctx context.Context, sql string, cache *core.PlanCa
 		return nil, err
 	}
 	defer c.done()
+	// Open from parse on: a query still compiling may yet be company for
+	// another query's fetch in the coalesce window.
+	ctx, closeQuery := c.sched.Open(ctx)
+	defer closeQuery()
 	start := time.Now()
 	tr := c.beginTrace(sql)
 	plan, opts, err := c.compileCached(sql, tr, cache)

@@ -1,6 +1,7 @@
 package payless
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"sync"
@@ -17,7 +18,8 @@ import (
 // — post-billing (Drop/Truncate: the market billed, the response died) or
 // pre-billing (ServerError) — the connector's retry must replay, not
 // repurchase: the seller meter ends at exactly one bill for the union box,
-// and both requesters still get their rows.
+// and both requesters still get their rows. A third query held open makes
+// both fetches park, however their queries interleave.
 func TestSchedulerMidMergeFaultNeverDoubleBills(t *testing.T) {
 	kinds := []chaos.Kind{chaos.Drop, chaos.Truncate, chaos.ServerError}
 	for _, kind := range kinds {
@@ -42,6 +44,8 @@ func TestSchedulerMidMergeFaultNeverDoubleBills(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			_, closeOther := client.sched.Open(context.Background())
+			defer closeOther()
 
 			var wg sync.WaitGroup
 			rows := make([]int, 2)

@@ -11,16 +11,17 @@ import (
 
 	"payless/internal/catalog"
 	"payless/internal/market"
-	"payless/internal/sched"
 )
 
 // The scheduler suite pins the scheduler's core promise: it can only
 // remove cross-query duplication, never change what a single query costs.
 //
-//  1. A lone client's calls pass through untouched: every wire call is one
-//     planned call of the query's trace, nothing is shared, merged or
-//     parked, and the reports add up to the seller meter.
-//  2. With a coalesce window, a lone client never bills more.
+//  1. A lone client's calls pass through untouched, with or without a
+//     coalesce window: every wire call is one planned call of the query's
+//     trace, nothing is shared or parked, and the reports add up to the
+//     seller meter.
+//  2. With a coalesce window, a lone client bills exactly what it bills
+//     without one.
 //  3. Under forced concurrent overlap, the concurrent run bills exactly the
 //     serial price — less than the overlapping queries would pay apart.
 
@@ -65,8 +66,17 @@ func openDiffClient(t *testing.T, m *market.Market, acct string, opts ...Option)
 
 // TestSchedulerN1Differential checks a lone client against the plan
 // itself rather than against a second call path: the scheduler must hand
-// every planned call to the market as planned, once.
+// every planned call to the market as planned, once — also under paylessd's
+// default 2 ms coalesce window, which a lone query never waits in.
 func TestSchedulerN1Differential(t *testing.T) {
+	for _, window := range []time.Duration{0, 2 * time.Millisecond} {
+		t.Run(fmt.Sprint("window=", window), func(t *testing.T) {
+			schedulerN1Differential(t, window)
+		})
+	}
+}
+
+func schedulerN1Differential(t *testing.T, window time.Duration) {
 	m, w := buildChaosMarket(t)
 	wire := &wireLog{inner: market.AccountCaller{Market: m, Key: "acct"}}
 	client, err := Open(Config{
@@ -74,7 +84,7 @@ func TestSchedulerN1Differential(t *testing.T) {
 		Caller:                      wire,
 		DefaultTuplesPerTransaction: 100,
 		FetchConcurrency:            8,
-	}, WithTracer(&CollectTracer{}))
+	}, WithTracer(&CollectTracer{}), WithCoalesceWindow(window))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,34 +113,47 @@ func TestSchedulerN1Differential(t *testing.T) {
 		}
 		reported += res.Report.Transactions
 	}
-	if st := client.sched.Stats(); st != (sched.Stats{}) {
-		t.Fatalf("a lone client was shared, merged or parked: %+v", st)
+	// Merged calls may be non-zero: those are the plan's own sibling
+	// fusions, each one planned call of the trace.
+	if st := client.sched.Stats(); st.SingleflightHits != 0 || st.DelayedCalls != 0 {
+		t.Fatalf("a lone client was shared or parked: %+v", st)
 	}
 	if meter, _ := m.MeterOf("acct"); meter.Transactions != reported {
 		t.Fatalf("seller meter %d != sum of reports %d", meter.Transactions, reported)
 	}
 }
 
+// TestSchedulerWindowNeverCostsMoreAtN1: a lone client bills exactly the
+// same with an (hour-long) window as without one. The WithoutSQR arm pins
+// that batches which do not record are issued as planned: a window no
+// longer fuses a lone query's bind-join point calls, which before the open
+// query registry it did whenever siblings happened to park together.
 func TestSchedulerWindowNeverCostsMoreAtN1(t *testing.T) {
-	m, w := buildChaosMarket(t)
-	m.RegisterAccount("windowed")
+	for _, arm := range []struct {
+		name string
+		opts []Option
+	}{{"SQR", nil}, {"WithoutSQR", []Option{WithoutSQR()}}} {
+		t.Run(arm.name, func(t *testing.T) {
+			m, w := buildChaosMarket(t)
+			m.RegisterAccount("windowed")
 
-	plain := openDiffClient(t, m, "acct")
-	windowed := openDiffClient(t, m, "windowed", WithCoalesceWindow(5*time.Millisecond))
+			plain := openDiffClient(t, m, "acct", arm.opts...)
+			windowed := openDiffClient(t, m, "windowed", append(arm.opts, WithCoalesceWindow(time.Hour))...)
 
-	for _, sql := range chaosQueries(w) {
-		if _, err := plain.Query(sql); err != nil {
-			t.Fatalf("plain %q: %v", sql, err)
-		}
-		if _, err := windowed.Query(sql); err != nil {
-			t.Fatalf("windowed %q: %v", sql, err)
-		}
-	}
-	mp, _ := m.MeterOf("acct")
-	mw, _ := m.MeterOf("windowed")
-	if mw.Transactions > mp.Transactions {
-		t.Fatalf("window made a single-client run MORE expensive: %d > %d transactions",
-			mw.Transactions, mp.Transactions)
+			for _, sql := range chaosQueries(w) {
+				if _, err := plain.Query(sql); err != nil {
+					t.Fatalf("plain %q: %v", sql, err)
+				}
+				if _, err := windowed.Query(sql); err != nil {
+					t.Fatalf("windowed %q: %v", sql, err)
+				}
+			}
+			mp, _ := m.MeterOf("acct")
+			mw, _ := m.MeterOf("windowed")
+			if mw != mp {
+				t.Fatalf("a window changed a single-client run's bill:\n windowed: %+v\n plain:    %+v", mw, mp)
+			}
+		})
 	}
 }
 
@@ -185,5 +208,36 @@ func TestSchedulerConcurrentDifferentialOracle(t *testing.T) {
 	if concMeter.Transactions >= goroutines*serialMeter.Transactions {
 		t.Fatalf("scheduler saved nothing under forced overlap: %d transactions vs %d x serial %d",
 			concMeter.Transactions, goroutines, serialMeter.Transactions)
+	}
+}
+
+// TestCallDurationObservedPerWireCall: payless_call_duration_seconds counts
+// every wire call exactly once, whether or not a Tracer is installed.
+func TestCallDurationObservedPerWireCall(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		m, w := buildChaosMarket(t)
+		wire := &wireLog{inner: market.AccountCaller{Market: m, Key: "acct"}}
+		var opts []Option
+		if traced {
+			opts = append(opts, WithTracer(&CollectTracer{}))
+		}
+		client, err := Open(Config{
+			Tables:                      m.ExportCatalog(),
+			Caller:                      wire,
+			DefaultTuplesPerTransaction: 100,
+			FetchConcurrency:            8,
+		}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range chaosQueries(w) {
+			if _, err := client.Query(sql); err != nil {
+				t.Fatalf("%q: %v", sql, err)
+			}
+		}
+		calls := int64(len(wire.take()))
+		if got := client.Metrics().CallLatency.Count; calls == 0 || got != calls {
+			t.Fatalf("traced=%v: call duration histogram counts %d, wire calls %d", traced, got, calls)
+		}
 	}
 }

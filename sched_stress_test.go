@@ -211,13 +211,15 @@ func TestSchedulerStressMeterParityWithSerialRun(t *testing.T) {
 // requests) until the window elapses. The window is deliberately far longer
 // than the test, so a retained group is caught, and a goleak-style
 // goroutine census over many park/cancel rounds catches anything the
-// scheduler left running.
+// scheduler left running. A second query held open for the whole test is
+// the company each round's fetch parks for.
 func TestSchedulerStressCanceledWindowLeavesNoTimerOrGoroutine(t *testing.T) {
 	const rounds = 20
 	m := stressMarket(t, "conc")
 	gc := &gatedCaller{inner: market.AccountCaller{Market: m, Key: "conc"}}
 	conc := openSchedClient(t, m, "conc", gc, WithCoalesceWindow(time.Minute))
 
+	_, closeOther := conc.sched.Open(context.Background())
 	baseline := runtime.NumGoroutine()
 	for r := 0; r < rounds; r++ {
 		// Small fetch (5 rows < t=10) so the scheduler parks it; vary the box
@@ -247,6 +249,7 @@ func TestSchedulerStressCanceledWindowLeavesNoTimerOrGoroutine(t *testing.T) {
 			t.Fatalf("round %d: %d pending groups after last waiter canceled, want 0", r, got)
 		}
 	}
+	closeOther()
 	// No wire call was ever made and nothing billed for the canceled parks.
 	if got := gc.arrivals(); got != 0 {
 		t.Fatalf("canceled parked fetches reached the wire %d times", got)
