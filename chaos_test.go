@@ -388,7 +388,7 @@ func TestCancelDuringMultiPageFetch(t *testing.T) {
 	}
 	want := 0
 	for _, r := range w.StationRows {
-		if r[0].S == "United States" {
+		if r[0].Str() == "United States" {
 			want++
 		}
 	}

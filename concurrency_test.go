@@ -199,7 +199,7 @@ func TestParallelFetchStress(t *testing.T) {
 		hi := w.Dates[len(w.Dates)/2+rng.Intn(len(w.Dates)/2)]
 		want := 0
 		for _, r := range w.WeatherRows {
-			if r[0].S == country && r[2].I >= lo && r[2].I <= hi {
+			if r[0].Str() == country && r[2].Int64() >= lo && r[2].Int64() <= hi {
 				want++
 			}
 		}

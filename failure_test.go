@@ -110,7 +110,7 @@ func TestMidPlanFailureKeepsPartialResults(t *testing.T) {
 	}
 	seattle := 0
 	for _, r := range w.StationRows {
-		if r[0].S == "United States" && r[2].S == "Seattle" {
+		if r[0].Str() == "United States" && r[2].Str() == "Seattle" {
 			seattle++
 		}
 	}

@@ -24,7 +24,7 @@ func TestInDecomposesIntoOneCallPerValue(t *testing.T) {
 	}
 	want := 0
 	for _, r := range w.WeatherRows {
-		if (r[0].S == "Country01" || r[0].S == "Country02") && r[2].I >= lo && r[2].I <= hi {
+		if (r[0].Str() == "Country01" || r[0].Str() == "Country02") && r[2].Int64() >= lo && r[2].Int64() <= hi {
 			want++
 		}
 	}

@@ -99,7 +99,7 @@ func (a Attribute) Coord(v value.Value) (int64, error) {
 	if v.K != value.Int {
 		return 0, fmt.Errorf("numeric attribute %s requires int value, got %v", a.Name, v.K)
 	}
-	return v.I, nil
+	return v.Int64(), nil
 }
 
 // ValueAt maps a coordinate back to the attribute's value.

@@ -63,14 +63,14 @@ func TestAttributeDomain(t *testing.T) {
 		t.Error("numeric Coord with string should error")
 	}
 	v, err := country.ValueAt(2)
-	if err != nil || v.S != "United States" {
+	if err != nil || v.Str() != "United States" {
 		t.Errorf("ValueAt: %v %v", v, err)
 	}
 	if _, err := country.ValueAt(5); err == nil {
 		t.Error("ValueAt outside domain should error")
 	}
 	nv, _ := date.ValueAt(20140601)
-	if nv.I != 20140601 {
+	if nv.Int64() != 20140601 {
 		t.Error("numeric ValueAt")
 	}
 }
@@ -209,7 +209,7 @@ func TestBoxForAndBack(t *testing.T) {
 		t.Fatalf("QueryForBox preds: %v", back.Preds)
 	}
 	cp, _ := back.Pred("Country")
-	if cp.Eq == nil || cp.Eq.S != "United States" {
+	if cp.Eq == nil || cp.Eq.Str() != "United States" {
 		t.Errorf("country pred: %v", cp)
 	}
 	dp, _ := back.Pred("Date")

@@ -79,7 +79,7 @@ func TestClientCatalogAndCall(t *testing.T) {
 		t.Errorf("filtered call records: %d", res2.Records)
 	}
 	for _, r := range res2.Rows {
-		if r[0].S != "Canada" || r[1].I > 50 {
+		if r[0].Str() != "Canada" || r[1].Int64() > 50 {
 			t.Errorf("row violates predicate: %v", r)
 		}
 	}
@@ -211,9 +211,9 @@ func TestClientPagination(t *testing.T) {
 	// All keys present exactly once.
 	seen := make(map[int64]bool)
 	for _, r := range res.Rows {
-		if seen[r[0].I] {
-			t.Fatalf("duplicate key %d across pages", r[0].I)
+		if seen[r[0].Int64()] {
+			t.Fatalf("duplicate key %d across pages", r[0].Int64())
 		}
-		seen[r[0].I] = true
+		seen[r[0].Int64()] = true
 	}
 }

@@ -66,7 +66,7 @@ func TestNormalizeSharedShape(t *testing.T) {
 	if na.NumParams() != 2 || nb.NumParams() != 2 {
 		t.Fatalf("params: %v vs %v", na.Params, nb.Params)
 	}
-	if na.Params[0].S != "BR" || nb.Params[0].S != "US" {
+	if na.Params[0].Str() != "BR" || nb.Params[0].Str() != "US" {
 		t.Errorf("literals not kept per instance: %v vs %v", na.Params, nb.Params)
 	}
 	// Cross-rebinding builds b from a's template.

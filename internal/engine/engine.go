@@ -530,7 +530,7 @@ func (e *Engine) coalesceBindings(rel *core.Rel, attr catalog.Attribute, dim int
 // attribute truncates — join keys are normalised the same way).
 func normalizeBinding(a catalog.Attribute, v value.Value) value.Value {
 	if a.Type == value.Int && v.K == value.Float {
-		return value.NewInt(int64(v.F))
+		return value.NewInt(v.AsInt())
 	}
 	return v
 }

@@ -129,7 +129,7 @@ func TestResidualNePredicate(t *testing.T) {
 		t.Errorf("rows: %d, want 9", rel.Len())
 	}
 	for _, row := range rel.Rows {
-		if row[1].I == 2 {
+		if row[1].Int64() == 2 {
 			t.Errorf("b=2 leaked through residual: %v", row)
 		}
 	}
@@ -176,10 +176,10 @@ func TestOrderByLimit(t *testing.T) {
 	if rel.Len() != 5 {
 		t.Fatalf("rows: %d", rel.Len())
 	}
-	if rel.Rows[0][0].I != 3 || rel.Rows[0][1].I != 1 {
+	if rel.Rows[0][0].Int64() != 3 || rel.Rows[0][1].Int64() != 1 {
 		t.Errorf("order: %v", rel.Rows[0])
 	}
-	if rel.Rows[4][0].I != 2 || rel.Rows[4][1].I != 1 {
+	if rel.Rows[4][0].Int64() != 2 || rel.Rows[4][1].Int64() != 1 {
 		t.Errorf("order tail: %v", rel.Rows[4])
 	}
 }
@@ -187,7 +187,7 @@ func TestOrderByLimit(t *testing.T) {
 func TestCountStar(t *testing.T) {
 	f := newFixture(t)
 	rel, _ := f.run(t, "SELECT COUNT(*) FROM R WHERE a <= 10", core.Options{})
-	if rel.Len() != 1 || rel.Rows[0][0].I != 40 {
+	if rel.Len() != 1 || rel.Rows[0][0].Int64() != 40 {
 		t.Errorf("count: %v", rel.Rows)
 	}
 }
@@ -202,7 +202,7 @@ func TestGroupByWithAlias(t *testing.T) {
 		t.Errorf("alias: %v", rel.Schema)
 	}
 	for _, row := range rel.Rows {
-		if row[1].I != 5 {
+		if row[1].Int64() != 5 {
 			t.Errorf("group count: %v", row)
 		}
 	}

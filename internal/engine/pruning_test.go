@@ -134,7 +134,7 @@ func renderRows(rows []value.Row) []string {
 func TestPrunedExecutionMatchesUnpruned(t *testing.T) {
 	whw := workload.GenerateWHW(workload.WHWConfig{Seed: 11, Countries: 4, StationsPerCountry: 4, CitiesPerCountry: 3, Days: 40, StartDate: 20140401, Zips: 60, MaxRank: 200})
 	tpch := workload.GenerateTPCH(workload.TPCHConfig{Seed: 11, ScaleFactor: 0.2})
-	country := whw.StationRows[0][whw.Station.Schema.IndexOf("Country")].S
+	country := whw.StationRows[0][whw.Station.Schema.IndexOf("Country")].Str()
 	span := fmt.Sprintf("Weather.Date >= %d AND Weather.Date <= %d", whw.Dates[3], whw.Dates[20])
 	envs := []struct {
 		name      string

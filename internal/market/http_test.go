@@ -147,7 +147,7 @@ func TestWireRoundTrips(t *testing.T) {
 	if back.Name != meta.Name || len(back.Attrs) != len(meta.Attrs) {
 		t.Errorf("table round trip: %+v", back)
 	}
-	if back.Attrs[0].Domain[0].S != "10001" {
+	if back.Attrs[0].Domain[0].Str() != "10001" {
 		t.Errorf("domain round trip: %v", back.Attrs[0].Domain)
 	}
 

@@ -51,7 +51,7 @@ func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
 			case value.Null:
 				buf = append(buf, "null"...)
 			case value.Int:
-				buf = append(strconv.AppendInt(append(buf, '"'), v.I, 10), '"')
+				buf = append(strconv.AppendInt(append(buf, '"'), v.Int64(), 10), '"')
 			default:
 				buf = appendJSONString(buf, v.String())
 			}
@@ -91,7 +91,7 @@ func appendJSONString(buf []byte, s string) []byte {
 // value, invalid UTF-8 replaced — with one deliberate exception: a body that
 // repeats a key the decoder reads is malformed, not merged. Rows are carved
 // from one slab per page, numeric cells are parsed from the body's bytes and
-// string cells are copied out of it, so a stored row never keeps a response
+// string cells are interned from it, so a stored row never keeps a response
 // body alive.
 func DecodeResultPage(body []byte) (res Result, nextPage int, err error) {
 	d := wireDecoder{buf: body}
@@ -401,13 +401,15 @@ func (d *wireDecoder) cell(k value.Kind) (v value.Value) {
 		d.pos = start
 		v, err = value.Parse(k, d.str())
 	case k == value.Int:
-		v.K = k
-		v.I, err = strconv.ParseInt(string(raw), 10, 64)
+		var i int64
+		i, err = strconv.ParseInt(string(raw), 10, 64)
+		v = value.NewInt(i)
 	case k == value.Float:
-		v.K = k
-		v.F, err = strconv.ParseFloat(string(raw), 64)
+		var f float64
+		f, err = strconv.ParseFloat(string(raw), 64)
+		v = value.NewFloat(f)
 	case k == value.String:
-		v = value.NewString(string(raw))
+		v = value.NewStringBytes(raw)
 	}
 	if err != nil {
 		d.fail("%v", err)

@@ -92,11 +92,15 @@ func BenchmarkSemstoreRowsIn(b *testing.B) {
 		// The naive path is the pre-index linear scan over every
 		// materialised coordinate.
 		ts := s.table("Grid")
+		every := make([]int, q.D())
+		for k := range every {
+			every[k] = k
+		}
 		b.Run(fmt.Sprintf("naive/rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				count := 0
 				for id := range ts.rows {
-					if ts.rowMatches(id, q) {
+					if ts.matches(id, q, every) {
 						count++
 					}
 				}

@@ -33,6 +33,7 @@ package semstore
 import (
 	"cmp"
 	"fmt"
+	"math"
 	mathbits "math/bits"
 	"slices"
 	"sort"
@@ -901,60 +902,82 @@ func RowBox(meta *catalog.Table, row value.Row) (region.Box, error) {
 	return region.Box{Dims: dims}, nil
 }
 
-// rowMatches reports whether row id's coordinates fall inside q (which must
-// have the table's dimensionality).
-func (ts *tableStore) rowMatches(id int, q region.Box) bool {
-	d := len(q.Dims)
-	for k, c := range ts.coords[id*d : (id+1)*d] {
-		if !q.Dims[k].ContainsCoord(c) {
+// restricted appends to dims the dimensions on which q excludes some stored
+// row. A dimension whose interval holds every stored coordinate — the run
+// ends give the extremes — needs no per-row test. q must have the table's
+// dimensionality.
+func (ts *tableStore) restricted(q region.Box, dims []int) []int {
+	for k, rd := range ts.rowIdx {
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for _, run := range rd {
+			lo, hi = min(lo, run[0].coord), max(hi, run[len(run)-1].coord)
+		}
+		if lo < q.Dims[k].Lo || hi >= q.Dims[k].Hi {
+			dims = append(dims, k)
+		}
+	}
+	return dims
+}
+
+// matches reports whether row id's coordinates on dims fall inside q.
+func (ts *tableStore) matches(id int, q region.Box, dims []int) bool {
+	row := ts.coords[id*len(q.Dims):]
+	for _, k := range dims {
+		if !q.Dims[k].ContainsCoord(row[k]) {
 			return false
 		}
 	}
 	return true
 }
 
-// narrowest returns the dimension on which q's coordinate range selects the
-// fewest rows, and how many: every row inside q is among them. q must have
-// the table's dimensionality, which must not be zero. It only counts —
-// callers walk the chosen dimension's runs again — so a read over many runs
-// allocates nothing here.
-func (ts *tableStore) narrowest(q region.Box) (dim, n int) {
+// narrowest picks among dims the dimension on which q's coordinate range
+// selects the fewest rows and returns it, that count — every row inside q
+// is among them — and dims without it: the dimensions its candidates must
+// still be tested on. dims must not be empty. It only counts — callers walk
+// the chosen dimension's runs again — so a read over many runs allocates
+// nothing here.
+func (ts *tableStore) narrowest(q region.Box, dims []int) (dim, n int, rest []int) {
+	at := 0
 	n = -1
-	for k, rd := range ts.rowIdx {
+	for i, k := range dims {
 		c := 0
-		for _, run := range rd {
+		for _, run := range ts.rowIdx[k] {
 			c += len(run.span(q.Dims[k]))
 		}
 		if n < 0 || c < n {
-			dim, n = k, c
+			at, n = i, c
 		}
 	}
-	return dim, n
+	dim = dims[at]
+	return dim, n, slices.Delete(dims, at, at+1)
 }
 
 // rowsIn returns the rows inside q in insertion order (the order a scan of
 // the whole table finds them in) without sorting the table's worth of ids a
-// large read used to. A candidate set of more than 1/64 of the table marks
-// its matches in a transient bitset over the table — one bit per row, so
-// never more memory than the ids themselves — and reads that back in order;
-// a smaller one collects and sorts its few matches, which is cheaper than
-// clearing and walking table-sized bits for a handful of rows.
+// large read used to. A box that restricts no dimension gets the table's own
+// row list, uncopied. Otherwise a candidate set of more than 1/64 of the
+// table marks its matches in a transient bitset over the table — one bit per
+// row, so never more memory than the ids themselves — and reads that back in
+// order; a smaller one collects and sorts its few matches, which is cheaper
+// than clearing and walking table-sized bits for a handful of rows.
 func (ts *tableStore) rowsIn(q region.Box) []value.Row {
-	if q.D() != len(ts.rowIdx) {
+	n := len(ts.rows)
+	if q.D() != len(ts.rowIdx) || n == 0 {
 		return nil // no row has a box of another dimensionality's coordinates
 	}
-	if q.D() == 0 {
-		return append([]value.Row(nil), ts.rows...)
+	var buf [8]int
+	dims := ts.restricted(q, buf[:0])
+	if len(dims) == 0 {
+		return ts.rows[:n:n]
 	}
-	dim, cand := ts.narrowest(q)
-	n := len(ts.rows)
+	dim, cand, check := ts.narrowest(q, dims)
 	var out []value.Row
 	if 64*cand > n {
 		bits := make([]uint64, (n+63)/64)
 		count := 0
 		for _, run := range ts.rowIdx[dim] {
 			for _, e := range run.span(q.Dims[dim]) {
-				if ts.rowMatches(e.id, q) {
+				if ts.matches(e.id, q, check) {
 					bits[e.id/64] |= 1 << (e.id % 64)
 					count++
 				}
@@ -974,7 +997,7 @@ func (ts *tableStore) rowsIn(q region.Box) []value.Row {
 	ids := make([]int, 0, cand)
 	for _, run := range ts.rowIdx[dim] {
 		for _, e := range run.span(q.Dims[dim]) {
-			if ts.rowMatches(e.id, q) {
+			if ts.matches(e.id, q, check) {
 				ids = append(ids, e.id)
 			}
 		}
@@ -1011,14 +1034,19 @@ func (s *Store) CountIn(meta *catalog.Table, q region.Box) (int64, error) {
 	if q.D() != len(ts.rowIdx) {
 		return 0, nil
 	}
-	if q.D() == 0 {
+	var buf [8]int
+	dims := ts.restricted(q, buf[:0])
+	if len(dims) == 0 {
 		return int64(len(ts.rows)), nil
 	}
+	dim, cand, check := ts.narrowest(q, dims)
+	if len(check) == 0 {
+		return int64(cand), nil
+	}
 	var n int64
-	dim, _ := ts.narrowest(q)
 	for _, run := range ts.rowIdx[dim] {
 		for _, e := range run.span(q.Dims[dim]) {
-			if ts.rowMatches(e.id, q) {
+			if ts.matches(e.id, q, check) {
 				n++
 			}
 		}

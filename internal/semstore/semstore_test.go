@@ -160,7 +160,7 @@ func TestRowsInAndCountIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 1 || got.Rows[0][1].I != 10 {
+	if got.Len() != 1 || got.Rows[0][1].Int64() != 10 {
 		t.Errorf("RowsIn: %v", got.Rows)
 	}
 	n, err := s.CountIn(meta, q)

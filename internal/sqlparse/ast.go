@@ -137,7 +137,7 @@ func (c Condition) String() string {
 		parts := make([]string, len(c.InVals))
 		for i, v := range c.InVals {
 			if v.K == value.String {
-				parts[i] = quoteSQL(v.S)
+				parts[i] = quoteSQL(v.Str())
 			} else {
 				parts[i] = v.String()
 			}
@@ -150,7 +150,7 @@ func (c Condition) String() string {
 		rhs = c.RightCol.String()
 	case c.RightVal != nil:
 		if c.RightVal.K == value.String {
-			rhs = quoteSQL(c.RightVal.S)
+			rhs = quoteSQL(c.RightVal.Str())
 		} else {
 			rhs = c.RightVal.String()
 		}
@@ -177,7 +177,7 @@ type HavingCond struct {
 func (h HavingCond) String() string {
 	v := h.Val.String()
 	if h.Val.K == value.String {
-		v = quoteSQL(h.Val.S)
+		v = quoteSQL(h.Val.Str())
 	}
 	return fmt.Sprintf("%s %s %s", h.Item, h.Op, v)
 }

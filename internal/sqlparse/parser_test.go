@@ -38,7 +38,7 @@ func TestParsePaperQ1(t *testing.T) {
 		t.Errorf("join condition: %v", join)
 	}
 	lo := q.Where[2]
-	if lo.Op != OpGe || lo.RightVal.I != 20140601 {
+	if lo.Op != OpGe || lo.RightVal.Int64() != 20140601 {
 		t.Errorf("range condition: %v", lo)
 	}
 	if q.HasAggregates() {
@@ -56,7 +56,7 @@ func TestParseChainedEquality(t *testing.T) {
 	if !q.Where[0].IsJoin() {
 		t.Errorf("first conjunct should be a join: %v", q.Where[0])
 	}
-	if q.Where[1].IsJoin() || q.Where[1].RightVal.S != "United States" {
+	if q.Where[1].IsJoin() || q.Where[1].RightVal.Str() != "United States" {
 		t.Errorf("second conjunct should bind the constant: %v", q.Where[1])
 	}
 }
@@ -96,13 +96,13 @@ func TestParseTableAlias(t *testing.T) {
 
 func TestParseLiteralKinds(t *testing.T) {
 	q := mustParse(t, `SELECT * FROM T WHERE a = -5 AND b = 2.75 AND c = 'it''s'`)
-	if q.Where[0].RightVal.I != -5 {
+	if q.Where[0].RightVal.Int64() != -5 {
 		t.Errorf("negative int: %v", q.Where[0])
 	}
-	if q.Where[1].RightVal.K != value.Float || q.Where[1].RightVal.F != 2.75 {
+	if q.Where[1].RightVal.K != value.Float || q.Where[1].RightVal.Float64() != 2.75 {
 		t.Errorf("float: %v", q.Where[1])
 	}
-	if q.Where[2].RightVal.S != "it's" {
+	if q.Where[2].RightVal.Str() != "it's" {
 		t.Errorf("escaped string: %v", q.Where[2])
 	}
 }
@@ -110,7 +110,7 @@ func TestParseLiteralKinds(t *testing.T) {
 func TestParseFlippedComparison(t *testing.T) {
 	q := mustParse(t, `SELECT * FROM T WHERE 5 < a`)
 	c := q.Where[0]
-	if c.Left.Column != "a" || c.Op != OpGt || c.RightVal.I != 5 {
+	if c.Left.Column != "a" || c.Op != OpGt || c.RightVal.Int64() != 5 {
 		t.Errorf("flip: %v", c)
 	}
 }
@@ -211,7 +211,7 @@ func TestParseIn(t *testing.T) {
 		t.Fatalf("where: %v", q.Where)
 	}
 	c := q.Where[0]
-	if len(c.InVals) != 2 || c.InVals[0].S != "Canada" || c.InVals[1].S != "Germany" {
+	if len(c.InVals) != 2 || c.InVals[0].Str() != "Canada" || c.InVals[1].Str() != "Germany" {
 		t.Errorf("in values: %v", c.InVals)
 	}
 	if got := c.String(); got != "Country IN ('Canada', 'Germany')" {
@@ -219,7 +219,7 @@ func TestParseIn(t *testing.T) {
 	}
 	// Numeric IN.
 	q2 := mustParse(t, "SELECT * FROM T WHERE Rank IN (1, 2, 3)")
-	if len(q2.Where[0].InVals) != 3 || q2.Where[0].InVals[2].I != 3 {
+	if len(q2.Where[0].InVals) != 3 || q2.Where[0].InVals[2].Int64() != 3 {
 		t.Errorf("numeric in: %v", q2.Where[0].InVals)
 	}
 }
@@ -284,11 +284,11 @@ func TestParseDistinctAndHaving(t *testing.T) {
 	if len(q2.Having) != 2 {
 		t.Fatalf("having conds: %v", q2.Having)
 	}
-	if q2.Having[0].Item.Col.Column != "n" || q2.Having[0].Op != OpGe || q2.Having[0].Val.I != 10 {
+	if q2.Having[0].Item.Col.Column != "n" || q2.Having[0].Op != OpGe || q2.Having[0].Val.Int64() != 10 {
 		t.Errorf("having[0]: %+v", q2.Having[0])
 	}
 	q3 := mustParse(t, "SELECT b, AVG(v) FROM R GROUP BY b HAVING AVG(v) > 1.5")
-	if q3.Having[0].Item.Agg != AggAvg || q3.Having[0].Val.F != 1.5 {
+	if q3.Having[0].Item.Agg != AggAvg || q3.Having[0].Val.Float64() != 1.5 {
 		t.Errorf("aggregate having: %+v", q3.Having[0])
 	}
 	// Round trip.
@@ -326,7 +326,7 @@ func TestParseComments(t *testing.T) {
 	// "a - -5" is still subtraction-free arithmetic we reject, but "a >= -5"
 	// with a space keeps working.
 	q3 := mustParse(t, "SELECT * FROM T WHERE a >= -5")
-	if q3.Where[0].RightVal.I != -5 {
+	if q3.Where[0].RightVal.Int64() != -5 {
 		t.Error("negative literal after comment support")
 	}
 }

@@ -37,8 +37,8 @@ func refJoinKey(row value.Row, cols []int) string {
 		}
 		v := row[c]
 		// Normalise numerics so Int(2) joins Float(2.0).
-		if v.K == value.Float && v.F == float64(int64(v.F)) {
-			v = value.NewInt(int64(v.F))
+		if v.K == value.Float && v.Float64() == float64(int64(v.Float64())) {
+			v = value.NewInt(int64(v.Float64()))
 		}
 		b.WriteByte(byte(v.K) + '0')
 		b.WriteString(v.String())

@@ -321,10 +321,9 @@ type AggSpec struct {
 }
 
 type aggState struct {
-	count int64
-	sum   float64
-	min   value.Value
-	max   value.Value
+	count int64       // non-null inputs (every row for COUNT(*))
+	sum   float64     // SUM and AVG
+	best  value.Value // MIN and MAX
 }
 
 // Aggregator groups the rows it is fed and folds the aggregates as they
@@ -406,14 +405,18 @@ func (a *Aggregator) Add(l, r value.Row) {
 		if v.IsNull() {
 			continue
 		}
-		first := st.count == 0
 		st.count++
-		st.sum += v.AsFloat()
-		if first || v.Compare(st.min) < 0 {
-			st.min = v
-		}
-		if first || v.Compare(st.max) > 0 {
-			st.max = v
+		switch spec.Func { // fold only what the function reports
+		case Sum, Avg:
+			st.sum += v.AsFloat()
+		case Min:
+			if st.count == 1 || v.Compare(st.best) < 0 {
+				st.best = v
+			}
+		case Max:
+			if st.count == 1 || v.Compare(st.best) > 0 {
+				st.best = v
+			}
 		}
 	}
 }
@@ -445,10 +448,8 @@ func (a *Aggregator) Result() Relation {
 				v = value.NewFloat(st.sum)
 			case spec.Func == Avg:
 				v = value.NewFloat(st.sum / float64(st.count))
-			case spec.Func == Min:
-				v = st.min
-			case spec.Func == Max:
-				v = st.max
+			case spec.Func == Min || spec.Func == Max:
+				v = st.best
 			}
 			vals = append(vals, v)
 		}

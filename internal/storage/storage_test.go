@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -80,12 +81,12 @@ func TestRelationSnapshotIsolation(t *testing.T) {
 
 func TestSelectProjectDistinct(t *testing.T) {
 	rel := Relation{Schema: sch("a", "b"), Rows: []value.Row{intRow(1, 10), intRow(2, 20), intRow(2, 20), intRow(3, 10)}}
-	sel := rel.Select(func(r value.Row) bool { return r[1].I == 10 })
+	sel := rel.Select(func(r value.Row) bool { return r[1].Int64() == 10 })
 	if sel.Len() != 2 {
 		t.Errorf("Select: %d", sel.Len())
 	}
 	p := rel.Project([]int{1})
-	if p.Schema[0].Name != "b" || p.Rows[0][0].I != 10 {
+	if p.Schema[0].Name != "b" || p.Rows[0][0].Int64() != 10 {
 		t.Errorf("Project: %v", p)
 	}
 	d := rel.Distinct()
@@ -93,7 +94,7 @@ func TestSelectProjectDistinct(t *testing.T) {
 		t.Errorf("Distinct: %d", d.Len())
 	}
 	dv := rel.DistinctValues(1)
-	if len(dv) != 2 || dv[0].I != 10 || dv[1].I != 20 {
+	if len(dv) != 2 || dv[0].Int64() != 10 || dv[1].Int64() != 20 {
 		t.Errorf("DistinctValues: %v", dv)
 	}
 }
@@ -109,7 +110,7 @@ func TestHashJoin(t *testing.T) {
 		t.Errorf("join schema: %v", j.Schema)
 	}
 	for _, row := range j.Rows {
-		if row[0].I != row[2].I {
+		if row[0].Int64() != row[2].Int64() {
 			t.Errorf("join key mismatch in %v", row)
 		}
 	}
@@ -125,7 +126,7 @@ func TestHashJoinBuildSideSwap(t *testing.T) {
 		t.Fatalf("cardinality: %d", j.Len())
 	}
 	for _, row := range j.Rows {
-		if len(row) != 3 || row[0].I != 1 || row[1].I != 1 {
+		if len(row) != 3 || row[0].Int64() != 1 || row[1].Int64() != 1 {
 			t.Errorf("row layout: %v", row)
 		}
 	}
@@ -157,7 +158,7 @@ func TestCross(t *testing.T) {
 		t.Errorf("Cross: %v", c)
 	}
 	// Left-major: (1,3) (1,4) (2,3) (2,4).
-	if c.Rows[1][0].I != 1 || c.Rows[1][1].I != 4 || c.Rows[2][0].I != 2 {
+	if c.Rows[1][0].Int64() != 1 || c.Rows[1][1].Int64() != 4 || c.Rows[2][0].Int64() != 2 {
 		t.Errorf("Cross order: %v", c.Rows)
 	}
 }
@@ -175,7 +176,7 @@ func TestAggregateGlobal(t *testing.T) {
 		t.Fatalf("global aggregate rows: %d", out.Len())
 	}
 	row := out.Rows[0]
-	if row[0].I != 3 || row[1].F != 6 || row[2].F != 2 || row[3].I != 1 || row[4].I != 3 {
+	if row[0].Int64() != 3 || row[1].Float64() != 6 || row[2].Float64() != 2 || row[3].Int64() != 1 || row[4].Int64() != 3 {
 		t.Errorf("aggregate row: %v", row)
 	}
 	if out.Schema[0].Name != "COUNT(*)" || out.Schema[1].Name != "SUM(a)" {
@@ -186,7 +187,7 @@ func TestAggregateGlobal(t *testing.T) {
 func TestAggregateEmptyInput(t *testing.T) {
 	rel := Relation{Schema: sch("a")}
 	out := Aggregate(rel, nil, []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 0}, {Func: Min, Col: 0}})
-	if out.Len() != 1 || out.Rows[0][0].I != 0 {
+	if out.Len() != 1 || out.Rows[0][0].Int64() != 0 {
 		t.Fatalf("COUNT over empty input must be 0: %v", out.Rows)
 	}
 	if !out.Rows[0][1].IsNull() || !out.Rows[0][2].IsNull() {
@@ -205,10 +206,10 @@ func TestAggregateGroupBy(t *testing.T) {
 	if out.Schema[1].Name != "avg_temp" {
 		t.Errorf("alias: %v", out.Schema)
 	}
-	if out.Rows[0][0].I != 1 || out.Rows[0][1].F != 15 {
+	if out.Rows[0][0].Int64() != 1 || out.Rows[0][1].Float64() != 15 {
 		t.Errorf("group 1: %v", out.Rows[0])
 	}
-	if out.Rows[1][0].I != 2 || out.Rows[1][1].F != 30 {
+	if out.Rows[1][0].Int64() != 2 || out.Rows[1][1].Float64() != 30 {
 		t.Errorf("group 2: %v", out.Rows[1])
 	}
 }
@@ -216,23 +217,48 @@ func TestAggregateGroupBy(t *testing.T) {
 func TestAggregateNullsIgnored(t *testing.T) {
 	rel := Relation{Schema: sch("a"), Rows: []value.Row{{value.NewInt(5)}, {value.NewNull()}}}
 	out := Aggregate(rel, nil, []AggSpec{{Func: Count, Col: 0}, {Func: Avg, Col: 0}})
-	if out.Rows[0][0].I != 1 || out.Rows[0][1].F != 5 {
+	if out.Rows[0][0].Int64() != 1 || out.Rows[0][1].Float64() != 5 {
 		t.Errorf("nulls must be ignored: %v", out.Rows[0])
+	}
+	// Every function over one column with NULLs, side by side on the same
+	// groups: each folds only its own part of the state, and a group of
+	// NULLs alone reports NULL for all but the counts.
+	x, y := value.NewString("x"), value.NewString("y")
+	rel = Relation{Schema: sch("g", "a"), Rows: []value.Row{
+		{x, value.NewInt(5)}, {x, value.NewNull()}, {y, value.NewNull()}, {x, value.NewInt(2)},
+		{x, value.NewInt(9)}, {x, value.NewNull()},
+	}}
+	out = Aggregate(rel, []int{0}, []AggSpec{
+		{Func: Sum, Col: 1}, {Func: Min, Col: 1}, {Func: Max, Col: 1}, {Func: Avg, Col: 1},
+		{Func: Count, Col: 1}, {Func: Count, Col: -1},
+	})
+	want := []string{"x 16 2 9 5.333333333333333 3 5", "y NULL NULL NULL NULL 0 1"}
+	if len(out.Rows) != len(want) {
+		t.Fatalf("%d groups, want %d", len(out.Rows), len(want))
+	}
+	for i, row := range out.Rows {
+		parts := make([]string, len(row))
+		for j, v := range row {
+			parts[j] = v.String()
+		}
+		if got := strings.Join(parts, " "); got != want[i] {
+			t.Errorf("group %d = %q, want %q", i, got, want[i])
+		}
 	}
 }
 
 func TestOrderByAndLimit(t *testing.T) {
 	rel := Relation{Schema: sch("a", "b"), Rows: []value.Row{intRow(2, 1), intRow(1, 2), intRow(2, 0)}}
 	asc := rel.OrderBy([]int{0, 1}, []bool{false, false})
-	if asc.Rows[0][0].I != 1 || asc.Rows[1][1].I != 0 {
+	if asc.Rows[0][0].Int64() != 1 || asc.Rows[1][1].Int64() != 0 {
 		t.Errorf("asc order: %v", asc.Rows)
 	}
 	desc := rel.OrderBy([]int{0}, []bool{true})
-	if desc.Rows[0][0].I != 2 {
+	if desc.Rows[0][0].Int64() != 2 {
 		t.Errorf("desc order: %v", desc.Rows)
 	}
 	// Original relation untouched.
-	if rel.Rows[0][0].I != 2 {
+	if rel.Rows[0][0].Int64() != 2 {
 		t.Error("OrderBy must not mutate input")
 	}
 	if rel.Limit(2).Len() != 2 || rel.Limit(-1).Len() != 3 || rel.Limit(10).Len() != 3 {
@@ -255,7 +281,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 		want := 0
 		for _, a := range l.Rows {
 			for _, b := range r.Rows {
-				if a[0].I == b[0].I {
+				if a[0].Int64() == b[0].Int64() {
 					want++
 				}
 			}

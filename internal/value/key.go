@@ -30,48 +30,35 @@ const (
 	hashMul   = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
 )
 
-// canon reduces v to the (kind, payload) pair the key compares; strings keep
-// their payload in v.S.
+// canon reduces v to the (kind, payload) pair the key compares. A string's
+// payload is its dictionary id, which interning makes canonical.
 func (k Key) canon(v Value) (Kind, uint64) {
-	switch v.K {
-	case Int:
-		return Int, uint64(v.I)
-	case Float:
-		f := v.F
-		if k == NumericKey && f >= -(1<<63) && f < 1<<63 {
-			if i := int64(f); float64(i) == f {
-				return Int, uint64(i)
-			}
-		}
-		if math.IsNaN(f) {
-			return Float, math.Float64bits(math.NaN())
-		}
-		return Float, math.Float64bits(f)
-	default:
-		return v.K, 0
+	if v.K != Float {
+		return v.K, v.x
 	}
+	f := v.Float64()
+	if k == NumericKey && f >= -(1<<63) && f < 1<<63 {
+		if i := int64(f); float64(i) == f {
+			return Int, uint64(i)
+		}
+	}
+	if f != f { // every NaN is one key
+		return Float, math.Float64bits(math.NaN())
+	}
+	return Float, v.x
 }
 
 func (k Key) mix(h uint64, v Value) uint64 {
 	kind, bits := k.canon(v)
 	h = (h ^ uint64(kind)) * hashPrime
-	if kind == String {
-		for i := 0; i < len(v.S); i++ {
-			h = (h ^ uint64(v.S[i])) * hashPrime
-		}
-	} else {
-		h = (h ^ bits) * hashMul
-	}
+	h = (h ^ bits) * hashMul
 	return h ^ h>>32
 }
 
 func (k Key) equal(v, w Value) bool {
 	vk, vb := k.canon(v)
 	wk, wb := k.canon(w)
-	if vk != wk || vb != wb {
-		return false
-	}
-	return vk != String || v.S == w.S
+	return vk == wk && vb == wb
 }
 
 // HashRow hashes every column of r.

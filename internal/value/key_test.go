@@ -16,8 +16,8 @@ func refKey(k Key, r Row) string {
 		if i > 0 {
 			b.WriteByte(0x1f)
 		}
-		if k == NumericKey && v.K == Float && v.F == float64(int64(v.F)) {
-			v = NewInt(int64(v.F))
+		if k == NumericKey && v.K == Float && v.Float64() == float64(int64(v.Float64())) {
+			v = NewInt(int64(v.Float64()))
 		}
 		b.WriteByte(byte(v.K) + '0')
 		b.WriteString(v.String())

@@ -2,12 +2,16 @@
 // every PayLess subsystem: the data-market simulator, the local DBMS, the
 // optimizer and the execution engine.
 //
-// Values are a small tagged union rather than an interface so that rows are
-// cache-friendly, comparable and cheap to hash (see Key). Dates are represented as
+// A Value is 16 pointer-free bytes — a kind and one 64-bit payload, a
+// string's payload being its id in the process-wide dictionary (intern.go) —
+// so row slabs live in memory the garbage collector never scans, and every
+// key hashes and compares as integers (see Key). Dates are represented as
 // int64 in YYYYMMDD form, following the paper's examples (e.g. 20140601).
 package value
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -42,24 +46,44 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed scalar. The zero Value is Null.
+//
+// The payload x holds an Int's int64 bits, a Float's float64 bits or a
+// String's dictionary id; Null's is 0. Interning is canonical, so Go's ==
+// on two Values is same kind and same payload bits.
 type Value struct {
 	K Kind
-	I int64
-	F float64
-	S string
+	x uint64
 }
 
 // NewInt returns an Int value.
-func NewInt(i int64) Value { return Value{K: Int, I: i} }
+func NewInt(i int64) Value { return Value{K: Int, x: uint64(i)} }
 
 // NewFloat returns a Float value.
-func NewFloat(f float64) Value { return Value{K: Float, F: f} }
+func NewFloat(f float64) Value { return Value{K: Float, x: math.Float64bits(f)} }
 
-// NewString returns a String value.
-func NewString(s string) Value { return Value{K: String, S: s} }
+// NewString returns a String value. The dictionary keeps its own copy of s.
+func NewString(s string) Value { return Value{K: String, x: internString(s)} }
+
+// NewStringBytes returns the String value of b. Text seen before costs no
+// allocation, and b is never retained.
+func NewStringBytes(b []byte) Value { return Value{K: String, x: internBytes(b)} }
 
 // NewNull returns the Null value.
 func NewNull() Value { return Value{} }
+
+// Int64 returns an Int's payload; it is meaningless for other kinds.
+func (v Value) Int64() int64 { return int64(v.x) }
+
+// Float64 returns a Float's payload; it is meaningless for other kinds.
+func (v Value) Float64() float64 { return math.Float64frombits(v.x) }
+
+// Str returns a String's text, or "" for other kinds. It never allocates.
+func (v Value) Str() string {
+	if v.K != String {
+		return ""
+	}
+	return lookup(v.x)
+}
 
 // IsNull reports whether v is the Null value.
 func (v Value) IsNull() bool { return v.K == Null }
@@ -69,9 +93,9 @@ func (v Value) IsNull() bool { return v.K == Null }
 func (v Value) AsFloat() float64 {
 	switch v.K {
 	case Int:
-		return float64(v.I)
+		return float64(v.Int64())
 	case Float:
-		return v.F
+		return v.Float64()
 	default:
 		return math.NaN()
 	}
@@ -81,9 +105,9 @@ func (v Value) AsFloat() float64 {
 func (v Value) AsInt() int64 {
 	switch v.K {
 	case Int:
-		return v.I
+		return v.Int64()
 	case Float:
-		return int64(v.F)
+		return int64(v.Float64())
 	default:
 		return 0
 	}
@@ -95,11 +119,11 @@ func (v Value) String() string {
 	case Null:
 		return "NULL"
 	case Int:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.Int64(), 10)
 	case Float:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float64(), 'g', -1, 64)
 	case String:
-		return v.S
+		return lookup(v.x)
 	default:
 		return "?"
 	}
@@ -126,10 +150,10 @@ func (v Value) Compare(w Value) int {
 	switch {
 	case vn && wn:
 		if v.K == Int && w.K == Int {
-			switch {
-			case v.I < w.I:
+			switch a, b := v.Int64(), w.Int64(); {
+			case a < b:
 				return -1
-			case v.I > w.I:
+			case a > b:
 				return 1
 			}
 			return 0
@@ -143,7 +167,10 @@ func (v Value) Compare(w Value) int {
 		}
 		return 0
 	case v.K == String && w.K == String:
-		return strings.Compare(v.S, w.S)
+		if v.x == w.x {
+			return 0
+		}
+		return strings.Compare(lookup(v.x), lookup(w.x))
 	case vn:
 		return -1
 	default:
@@ -153,6 +180,42 @@ func (v Value) Compare(w Value) int {
 
 // Equal reports whether v and w compare equal.
 func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }
+
+// GobEncode encodes v as its kind byte followed by its payload: eight
+// little-endian bytes for Int and Float, the text for String, nothing for
+// Null. Dictionary ids never leave the process.
+func (v Value) GobEncode() ([]byte, error) {
+	switch v.K {
+	case Null:
+		return []byte{byte(Null)}, nil
+	case String:
+		s := lookup(v.x)
+		return append(append(make([]byte, 0, 1+len(s)), byte(String)), s...), nil
+	default:
+		return binary.LittleEndian.AppendUint64([]byte{byte(v.K)}, v.x), nil
+	}
+}
+
+// GobDecode is the inverse of GobEncode.
+func (v *Value) GobDecode(b []byte) error {
+	if len(b) == 0 {
+		return errors.New("value: empty gob encoding")
+	}
+	switch k := Kind(b[0]); k {
+	case Null:
+		*v = Value{}
+	case String:
+		*v = NewStringBytes(b[1:])
+	case Int, Float:
+		if len(b) != 9 {
+			return fmt.Errorf("value: %v gob encoding of %d bytes", k, len(b))
+		}
+		*v = Value{K: k, x: binary.LittleEndian.Uint64(b[1:])}
+	default:
+		return fmt.Errorf("value: gob encoding of unknown kind %d", b[0])
+	}
+	return nil
+}
 
 // Row is a tuple of values laid out in schema order.
 type Row []Value

@@ -16,13 +16,13 @@ func TestKindString(t *testing.T) {
 }
 
 func TestConstructorsAndAccessors(t *testing.T) {
-	if v := NewInt(42); v.K != Int || v.I != 42 {
+	if v := NewInt(42); v.K != Int || v.Int64() != 42 {
 		t.Errorf("NewInt: %+v", v)
 	}
-	if v := NewFloat(2.5); v.K != Float || v.F != 2.5 {
+	if v := NewFloat(2.5); v.K != Float || v.Float64() != 2.5 {
 		t.Errorf("NewFloat: %+v", v)
 	}
-	if v := NewString("x"); v.K != String || v.S != "x" {
+	if v := NewString("x"); v.K != String || v.Str() != "x" {
 		t.Errorf("NewString: %+v", v)
 	}
 	if !NewNull().IsNull() {
@@ -99,7 +99,7 @@ func TestRowCloneIndependence(t *testing.T) {
 	r := Row{NewInt(1), NewString("x")}
 	c := r.Clone()
 	c[0] = NewInt(9)
-	if r[0].I != 1 {
+	if r[0].Int64() != 1 {
 		t.Error("Clone shares storage")
 	}
 }

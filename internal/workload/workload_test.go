@@ -149,10 +149,10 @@ func TestGenerateTPCHShape(t *testing.T) {
 	// Every lineitem references an existing order and respects domains.
 	no := int64(len(d.OrdersRows))
 	for _, r := range d.LineitemRows {
-		if r[0].I < 1 || r[0].I > no {
+		if r[0].Int64() < 1 || r[0].Int64() > no {
 			t.Fatalf("lineitem orderkey out of range: %v", r[0])
 		}
-		if r[5].I < 0 || r[5].I > 10 {
+		if r[5].Int64() < 0 || r[5].Int64() > 10 {
 			t.Fatalf("discount out of range: %v", r[5])
 		}
 	}
@@ -169,7 +169,7 @@ func TestTPCHSkewConcentrates(t *testing.T) {
 	count1 := func(d *TPCH) int {
 		n := 0
 		for _, r := range d.OrdersRows {
-			if r[1].I == 1 { // CustKey 1
+			if r[1].Int64() == 1 { // CustKey 1
 				n++
 			}
 		}
@@ -253,8 +253,8 @@ func TestTemplatesProduceValidInstances(t *testing.T) {
 	stationsByCountry := map[string][]int64{}
 	cityOfStation := map[int64]string{}
 	for _, r := range w.StationRows {
-		stationsByCountry[r[0].S] = append(stationsByCountry[r[0].S], r[1].I)
-		cityOfStation[r[1].I] = r[2].S
+		stationsByCountry[r[0].Str()] = append(stationsByCountry[r[0].Str()], r[1].Int64())
+		cityOfStation[r[1].Int64()] = r[2].Str()
 	}
 
 	for _, tpl := range w.Templates() {
@@ -271,7 +271,7 @@ func TestTemplatesProduceValidInstances(t *testing.T) {
 				nonEmpty = len(stationsByCountry[country]) > 0 && lo <= hi
 			case "Q2":
 				for _, r := range w.PollutionRows {
-					if r[1].I >= lo && r[1].I <= hi {
+					if r[1].Int64() >= lo && r[1].Int64() <= hi {
 						nonEmpty = true
 						break
 					}
@@ -304,18 +304,18 @@ func extractParams(q *sqlparse.Query) (country string, lo, hi int64, zip string)
 		}
 		switch {
 		case c.Op == sqlparse.OpGe:
-			if c.RightVal.I < lo {
-				lo = c.RightVal.I
+			if c.RightVal.Int64() < lo {
+				lo = c.RightVal.Int64()
 			}
 		case c.Op == sqlparse.OpLe:
-			if c.RightVal.I > hi {
-				hi = c.RightVal.I
+			if c.RightVal.Int64() > hi {
+				hi = c.RightVal.Int64()
 			}
 		case c.Op == sqlparse.OpEq && c.RightVal.K == value.String:
 			if c.Left.Column == "ZipCode" {
-				zip = c.RightVal.S
+				zip = c.RightVal.Str()
 			} else {
-				country = c.RightVal.S
+				country = c.RightVal.Str()
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package payless
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"payless/internal/market"
@@ -11,7 +12,8 @@ import (
 
 // TestCoveredQueryAllocations pins what one fully covered TPC-H T3 (a
 // four-relation join under a GROUP BY, over a store that owns every table)
-// allocates through Client.Query with the plan cache on, as paylessd runs it.
+// allocates through Client.Query with the plan cache on, as paylessd runs it:
+// allocations and bytes, the latter bounding the cells the joins copy.
 // Allocation counts are deterministic where wall-clock ratios are not: this
 // is the regression guard on the local executor — string keys or per-row
 // join output put this query above 10 000 — and the timing itself is
@@ -50,14 +52,22 @@ func TestCoveredQueryAllocations(t *testing.T) {
 	if res.Report.Transactions != 0 || len(res.Rows) == 0 {
 		t.Fatalf("%s: billed %d transactions for %d rows, want a covered, non-empty answer", sql, res.Report.Transactions, len(res.Rows))
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := c.Query(sql); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const pinned = 400
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
+	const pinned, pinnedBytes = 400, 140 << 10
 	if allocs > pinned {
 		t.Errorf("covered T3: %v allocations per query, pinned at %d", allocs, pinned)
 	}
-	t.Logf("covered T3: %v allocations per query", allocs)
+	if bytes > pinnedBytes {
+		t.Errorf("covered T3: %d bytes per query, pinned at %d", bytes, pinnedBytes)
+	}
+	t.Logf("covered T3: %v allocations, %d bytes per query", allocs, bytes)
 }

@@ -123,7 +123,7 @@ func TestOracleDownloadAllAgrees(t *testing.T) {
 		country, lo, hi := parseQ1(t, sql)
 		want := 0
 		for _, r := range w.WeatherRows {
-			if r[0].S == country && r[2].I >= lo && r[2].I <= hi {
+			if r[0].Str() == country && r[2].Int64() >= lo && r[2].Int64() <= hi {
 				want++
 			}
 		}

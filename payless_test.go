@@ -68,7 +68,7 @@ func TestSingleTableQueryCorrectAndPriced(t *testing.T) {
 	// Expected rows by brute force over the generated data.
 	want := 0
 	for _, r := range w.WeatherRows {
-		if r[0].S == country && r[2].I >= lo && r[2].I <= hi {
+		if r[0].Str() == country && r[2].Int64() >= lo && r[2].Int64() <= hi {
 			want++
 		}
 	}
@@ -143,16 +143,16 @@ func TestJoinQueryCorrectness(t *testing.T) {
 	}
 	cityOf := make(map[int64]string)
 	for _, r := range w.StationRows {
-		if r[0].S == c {
-			cityOf[r[1].I] = r[2].S
+		if r[0].Str() == c {
+			cityOf[r[1].Int64()] = r[2].Str()
 		}
 	}
 	expect := make(map[string]*agg)
 	for _, r := range w.WeatherRows {
-		if r[0].S != c || r[2].I < lo || r[2].I > hi {
+		if r[0].Str() != c || r[2].Int64() < lo || r[2].Int64() > hi {
 			continue
 		}
-		city, ok := cityOf[r[1].I]
+		city, ok := cityOf[r[1].Int64()]
 		if !ok {
 			continue
 		}
@@ -161,7 +161,7 @@ func TestJoinQueryCorrectness(t *testing.T) {
 			a = &agg{}
 			expect[city] = a
 		}
-		a.sum += r[3].F
+		a.sum += r[3].Float64()
 		a.n++
 	}
 	if len(res.Rows) != len(expect) {
@@ -197,9 +197,9 @@ func TestSeattleBindJoinExample(t *testing.T) {
 	seattleStations := 0
 	usStations := 0
 	for _, r := range w.StationRows {
-		if r[0].S == "United States" {
+		if r[0].Str() == "United States" {
 			usStations++
-			if r[2].S == "Seattle" {
+			if r[2].Str() == "Seattle" {
 				seattleStations++
 			}
 		}

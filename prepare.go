@@ -106,7 +106,7 @@ func renderArg(arg any) (string, error) {
 		return "'" + strings.ReplaceAll(v, "'", "''") + "'", nil
 	case value.Value:
 		if v.K == value.String {
-			return "'" + strings.ReplaceAll(v.S, "'", "''") + "'", nil
+			return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'", nil
 		}
 		return v.String(), nil
 	default:

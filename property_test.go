@@ -104,7 +104,7 @@ func TestPropertyStoredRowsNeverExceedTable(t *testing.T) {
 	}
 	usRows := 0
 	for _, r := range w.WeatherRows {
-		if r[0].S == "United States" {
+		if r[0].Str() == "United States" {
 			usRows++
 		}
 	}
@@ -140,7 +140,7 @@ func TestPropertyEstimateConvergence(t *testing.T) {
 	// price after the total-cardinality feedback.
 	actualRows := 0
 	for _, r := range w.WeatherRows {
-		if r[0].S == "Country02" && r[2].I >= w.Dates[0] && r[2].I <= w.Dates[15] {
+		if r[0].Str() == "Country02" && r[2].Int64() >= w.Dates[0] && r[2].Int64() <= w.Dates[15] {
 			actualRows++
 		}
 	}
