@@ -74,7 +74,7 @@ func (c *Client) CompleteDownload(table string) (engine.Report, error) {
 	sql := fmt.Sprintf("SELECT * FROM %s", t.Name)
 	// Reuse the regular query path: a whole-table SELECT with SQR fetches
 	// exactly the remainder and records everything.
-	if c.cfg.DisableSQR || c.cfg.MinimizeCalls || c.cfg.Consistency.window < 0 {
+	if c.cfg.MinimizeCalls || c.cfg.Consistency.window < 0 {
 		return engine.Report{}, fmt.Errorf("payless: CompleteDownload requires semantic query rewriting")
 	}
 	res, err := c.Query(sql)

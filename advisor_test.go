@@ -72,7 +72,7 @@ func TestCompleteDownloadErrors(t *testing.T) {
 	if _, err := client.CompleteDownload("ZipMap"); err == nil {
 		t.Error("local table")
 	}
-	noSQR, _, _ := testSetup(t, func(c *Config) { c.DisableSQR = true })
+	noSQR, _, _ := testSetup(t, func(c *Config) { c.Consistency = Strong() })
 	if _, err := noSQR.CompleteDownload("Pollution"); err == nil {
 		t.Error("requires SQR")
 	}

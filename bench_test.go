@@ -349,7 +349,7 @@ func BenchmarkStatsAblation(b *testing.B) {
 			Statistics: kind,
 			// Estimation quality is only observable when every query pays
 			// the market (reuse would hide it), so SQR is off here.
-			DisableSQR: true,
+			Consistency: payless.Strong(),
 		})
 		if err != nil {
 			b.Fatal(err)

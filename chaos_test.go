@@ -291,7 +291,7 @@ func TestBreakerShortCircuitsDownDataset(t *testing.T) {
 	client, err := Open(Config{
 		Tables: m.ExportCatalog(),
 		Caller: fc,
-	}, WithBreaker(2, 20*time.Millisecond))
+	}, WithCallPolicy(CallPolicy{BreakAfter: 2, Cooldown: 20 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestCancelDuringMultiPageFetch(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded mid-pagination, got %v", err)
 	}
-	if n := client.StoredRows("Weather"); n != 0 {
+	if n := client.store.StoredRowCount("Weather"); n != 0 {
 		t.Fatalf("half-fetched call left %d rows in the semstore", n)
 	}
 

@@ -77,7 +77,7 @@ func TestCloseDrainsInflightQueries(t *testing.T) {
 	gc.setGate(nil)
 	re := open()
 	defer re.Close()
-	if got := re.StoredRows("T"); got != 40 {
+	if got := re.store.StoredRowCount("T"); got != 40 {
 		t.Fatalf("recovered store holds %d rows, want 40", got)
 	}
 	before, _ := m.MeterOf("acct")

@@ -129,7 +129,7 @@ func buildClient(marketURL, key, local, demo string, seed int64, noSQR, minCalls
 	// Trace every statement so \trace can replay the last one.
 	opts := []payless.Option{payless.WithTracer(&payless.CollectTracer{})}
 	if noSQR {
-		opts = append(opts, payless.WithoutSQR())
+		opts = append(opts, payless.WithConsistency(payless.Strong()))
 	}
 	if minCalls {
 		opts = append(opts, payless.WithMinimizeCalls())
@@ -144,11 +144,11 @@ func buildClient(marketURL, key, local, demo string, seed int64, noSQR, minCalls
 		opts = append(opts, payless.WithDurableStore(store))
 		switch storeSync {
 		case "per-call":
-			opts = append(opts, payless.WithStoreSync(payless.StoreSyncPerCall, 0))
+			opts = append(opts, payless.WithStoreSync(payless.StoreSyncPerCall))
 		case "batched":
-			opts = append(opts, payless.WithStoreSync(payless.StoreSyncBatched, 0))
+			opts = append(opts, payless.WithStoreSync(payless.StoreSyncBatched))
 		case "off":
-			opts = append(opts, payless.WithStoreSync(payless.StoreSyncOff, 0))
+			opts = append(opts, payless.WithStoreSync(payless.StoreSyncOff))
 		default:
 			return nil, fmt.Errorf("unknown -store-sync %q (want per-call, batched or off)", storeSync)
 		}

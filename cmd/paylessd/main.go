@@ -102,18 +102,15 @@ func main() {
 	if *storeDir != "" {
 		opts = append(opts, payless.WithDurableStore(*storeDir))
 	}
-	if *brkN > 0 {
-		opts = append(opts, payless.WithBreaker(*brkN, *brkCool))
-	}
+	opts = append(opts, payless.WithCallPolicy(payless.CallPolicy{
+		HedgeAfter: *hedge, BreakAfter: *brkN, Cooldown: *brkCool,
+	}))
 
 	var client *payless.Client
 	if *endpoints != "" {
 		eps, perr := parseEndpoints(*endpoints, *key)
 		if perr != nil {
 			log.Fatalf("parse -endpoints: %v", perr)
-		}
-		if *hedge > 0 {
-			opts = append(opts, payless.WithHedgeAfter(*hedge))
 		}
 		client, err = payless.OpenFederated(eps, nil, opts...)
 		if err != nil {

@@ -32,7 +32,7 @@ func TestOracleConcurrencyBillParity(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"payless", nil},
-		{"no-sqr", func(c *Config) { c.DisableSQR = true }},
+		{"no-sqr", func(c *Config) { c.Consistency = Strong() }},
 		{"min-calls", func(c *Config) { c.MinimizeCalls = true }},
 		{"bushy", func(c *Config) { c.DisableTheorems = true }},
 	}
@@ -101,7 +101,7 @@ func TestOracleConcurrencyBillParity(t *testing.T) {
 			s.spend[md.name] = clients[md.name].TotalSpend().Transactions
 			cover := make(map[string]int)
 			for _, tb := range m.ExportCatalog() {
-				cover[tb.Name] = clients[md.name].StoredRows(tb.Name)
+				cover[tb.Name] = clients[md.name].store.StoredRowCount(tb.Name)
 			}
 			s.stored[md.name] = cover
 		}

@@ -178,8 +178,7 @@ func TestConcurrentQueries(t *testing.T) {
 	if client.TotalSpend().Transactions <= 0 {
 		t.Error("concurrent workload should have spent something")
 	}
-	_, q := client.SearchEffort()
-	if q != 40 {
+	if q := client.Metrics().Queries; q != 40 {
 		t.Errorf("queries counted: %d, want 40", q)
 	}
 }

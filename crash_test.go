@@ -9,6 +9,7 @@ import (
 
 	"payless/internal/diskfault"
 	"payless/internal/market"
+	"payless/internal/semstore"
 	"payless/internal/workload"
 )
 
@@ -59,10 +60,8 @@ func crashClient(t *testing.T, base *Client, m *market.Market, w *workload.WHW, 
 		Caller:           market.AccountCaller{Market: m, Key: account},
 		StoreDir:         crashStoreDir,
 		StoreSync:        policy,
-		StoreBatchEvery:  batch,
 		FetchConcurrency: 1,
-		CheckpointEvery:  -1,
-		storeFS:          fsys,
+		store:            semstore.DurableOptions{FS: fsys, BatchEvery: batch, CheckpointEvery: -1},
 	})
 	if err != nil {
 		t.Fatalf("open durable client: %v", err)
@@ -159,8 +158,8 @@ func snapshotRecords(data []byte) int64 {
 // the torn model every completed op counts.
 func durableLowBound(ops []diskfault.Op, k int, strict bool) int64 {
 	var (
-		walTop     int64            // highest seq in the volatile log
-		walDurable int64            // highest seq the log guarantees
+		walTop     int64 // highest seq in the volatile log
+		walDurable int64 // highest seq the log guarantees
 		files      = map[string][]byte{}
 		renamed    = map[string]int64{} // snapshot records awaiting dir sync
 		snapRecs   int64

@@ -116,79 +116,82 @@ func TestDurableClientCheckpointAndReopen(t *testing.T) {
 	c2.Close()
 }
 
-// TestSaveStoreFileCrashSafe is the satellite regression: a writer failing
-// partway through SaveStoreFile must leave the previous good snapshot
-// byte-identical, and a later save must succeed.
-func TestSaveStoreFileCrashSafe(t *testing.T) {
-	client, _, _ := testSetup(t, nil)
-	if _, err := client.Query("SELECT * FROM Pollution WHERE Rank >= 1 AND Rank <= 20"); err != nil {
-		t.Fatal(err)
-	}
+// TestCheckpointCrashSafe: a checkpoint failing partway — a torn write or
+// a failed fsync — must leave the previous snapshot byte-identical and no
+// temp file behind, and the log must still hold what the snapshot lacks, so
+// a reopen recovers everything bought.
+func TestCheckpointCrashSafe(t *testing.T) {
+	base, m, _ := testSetup(t, nil)
 	fs := diskfault.New()
-	path := "/snaps/store.json"
-	if err := fs.MkdirAll("/snaps", 0o755); err != nil {
+	open := func(key string) *Client {
+		m.RegisterAccount(key)
+		return durableSetup(t, m, base, "/store", func(c *Config) {
+			c.Caller = market.AccountCaller{Market: m, Key: key}
+			c.store.FS = fs
+			c.store.CheckpointEvery = -1
+		})
+	}
+	first := "SELECT * FROM Pollution WHERE Rank >= 1 AND Rank <= 20"
+	second := "SELECT * FROM Pollution WHERE Rank >= 40 AND Rank <= 60"
+	c1 := open("ckpt-safe")
+	if _, err := c1.Query(first); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.saveStoreFile(fs, path); err != nil {
+	if err := c1.CheckpointStore(); err != nil {
 		t.Fatal(err)
 	}
-	good, err := readAll(fs, path)
+	const snap = "/store/snap-00000001.json"
+	good, err := readAll(fs, snap)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Query(second); err != nil {
+		t.Fatal(err)
+	}
+	for name, hook := range map[string]func(int, *diskfault.Op) error{
+		"torn write": func(_ int, op *diskfault.Op) error {
+			if op.Kind == diskfault.OpWrite && len(op.Data) > 10 {
+				op.Data = op.Data[:len(op.Data)/2]
+				return diskfault.ErrInjected
+			}
+			return nil
+		},
+		"failed fsync": func(_ int, op *diskfault.Op) error {
+			if op.Kind == diskfault.OpSync {
+				return diskfault.ErrInjected
+			}
+			return nil
+		},
+	} {
+		fs.SetHook(hook)
+		if err := c1.CheckpointStore(); !errors.Is(err, diskfault.ErrInjected) {
+			t.Fatalf("%s: failure not surfaced: %v", name, err)
+		}
+		fs.SetHook(nil)
+		if after, err := readAll(fs, snap); err != nil || !bytes.Equal(after, good) {
+			t.Fatalf("%s corrupted the previous snapshot (err %v)", name, err)
+		}
+		if _, err := fs.Stat("/store/snap-00000002.json.tmp"); !os.IsNotExist(err) {
+			t.Errorf("%s left its temp file behind: %v", name, err)
+		}
+	}
+	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Buy more coverage so the next save has different content, then fail
-	// the snapshot write partway.
-	if _, err := client.Query("SELECT * FROM Pollution WHERE Rank >= 40 AND Rank <= 60"); err != nil {
-		t.Fatal(err)
-	}
-	fs.SetHook(func(idx int, op *diskfault.Op) error {
-		if op.Kind == diskfault.OpWrite && len(op.Data) > 10 {
-			op.Data = op.Data[:len(op.Data)/2]
-			return diskfault.ErrInjected
+	c2 := open("ckpt-safe-reopen")
+	defer c2.Close()
+	for _, sql := range []string{first, second} {
+		res, err := c2.Query(sql)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err := client.saveStoreFile(fs, path); !errors.Is(err, diskfault.ErrInjected) {
-		t.Fatalf("partway failure not surfaced: %v", err)
-	}
-	fs.SetHook(nil)
-	after, err := readAll(fs, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, good) {
-		t.Fatal("failed save corrupted the previous snapshot")
-	}
-	// The torn temp file must not linger as a live snapshot target.
-	if _, err := fs.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file left behind: %v", err)
-	}
-	// And a clean save replaces the snapshot with the newer state.
-	if err := client.saveStoreFile(fs, path); err != nil {
-		t.Fatal(err)
-	}
-	newer, err := readAll(fs, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(newer, good) {
-		t.Fatal("second save should carry the extra coverage")
-	}
-
-	// Failing the fsync must also preserve the old snapshot.
-	fs.SetHook(func(idx int, op *diskfault.Op) error {
-		if op.Kind == diskfault.OpSync {
-			return diskfault.ErrInjected
+		if res.Report.Calls != 0 {
+			t.Errorf("%s: recovered store must answer for free: %+v", sql, res.Report)
 		}
-		return nil
-	})
-	if err := client.saveStoreFile(fs, path); !errors.Is(err, diskfault.ErrInjected) {
-		t.Fatalf("sync failure not surfaced: %v", err)
 	}
-	fs.SetHook(nil)
-	if got, _ := readAll(fs, path); !bytes.Equal(got, newer) {
-		t.Fatal("failed fsync corrupted the snapshot")
+	if err := c2.CheckpointStore(); err != nil {
+		t.Fatalf("a clean checkpoint after recovery: %v", err)
 	}
 }
 
@@ -255,32 +258,21 @@ func TestAuditDropCounted(t *testing.T) {
 	}
 }
 
-// TestLoadStoreFileBadSnapshot is the satellite: wrong files fail fast with
-// the typed ErrBadSnapshot.
-func TestLoadStoreFileBadSnapshot(t *testing.T) {
+// TestLoadStoreBadSnapshot: wrong input fails fast with the typed
+// ErrBadSnapshot, and so does a snapshot from before the magic header.
+func TestLoadStoreBadSnapshot(t *testing.T) {
 	client, _, _ := testSetup(t, nil)
-	dir := t.TempDir()
 	for name, content := range map[string]string{
-		"garbage.json":  "definitely not json {",
-		"wrongver.json": `{"version":99,"tables":[]}`,
-		"nomagic.json":  `{"version":3,"tables":[]}`,
-		"othermagic":    `{"magic":"some-other-format","version":3}`,
+		"garbage":    "definitely not json {",
+		"wrongver":   `{"magic":"payless-semstore","version":99,"tables":[]}`,
+		"nomagic":    `{"version":3,"tables":[]}`,
+		"othermagic": `{"magic":"some-other-format","version":3}`,
+		"v1":         `{"version":1,"tables":[]}`,
+		"v2":         `{"version":2,"tables":[]}`,
 	} {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := client.LoadStoreFile(path); !errors.Is(err, ErrBadSnapshot) {
+		if err := client.LoadStore(strings.NewReader(content)); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
 		}
-	}
-	// v1/v2 snapshots (no magic) still load.
-	legacy := filepath.Join(dir, "v1.json")
-	if err := os.WriteFile(legacy, []byte(`{"version":1,"tables":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.LoadStoreFile(legacy); err != nil {
-		t.Errorf("v1 snapshot should load: %v", err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 //   - *PartialError surfaces a query that died part-way through its market
 //     fan-out, carrying what it billed and salvaged (errors.As);
 //   - ErrCircuitOpen means every market endpoint's circuit breaker for the
-//     dataset short-circuited the call (only with Config.BreakerThreshold > 0);
+//     dataset short-circuited the call (only with Config.Calls.BreakAfter > 0);
 //   - ErrRetryBudget means the query's retry budget refused another attempt.
 var (
 	// ErrParse marks a SQL syntax error.
@@ -57,7 +57,7 @@ type StatusError = connector.StatusError
 type PartialError = engine.PartialError
 
 // ErrCircuitOpen marks a call short-circuited by open circuit breakers
-// (see Config.BreakerThreshold): every endpoint serving the dataset
+// (see Config.Calls): every endpoint serving the dataset
 // refused. It surfaces wrapped in the execute stage's PartialError.
 var ErrCircuitOpen = overload.ErrCircuitOpen
 

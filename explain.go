@@ -33,7 +33,7 @@ func (c *Client) ExplainContext(ctx context.Context, sql string, opts ...Explain
 		o(&ec)
 	}
 	tr := c.beginTrace(sql)
-	plan, _, err := c.compile(sql, tr)
+	plan, _, err := c.compile(sql, tr, c.plans)
 	if err != nil {
 		c.finishTrace(tr)
 		return nil, err
@@ -43,7 +43,7 @@ func (c *Client) ExplainContext(ctx context.Context, sql string, opts ...Explain
 		Counters:        plan.Counters,
 		Plan:            plan.String(),
 		OptimizeTime:    plan.Optimized,
-		Planner:         plannerName(plan),
+		Planner:         plan.Planner,
 	}
 	if ec.verbose {
 		res.PlanDetail = plan.Describe()

@@ -98,7 +98,7 @@ func TestMidPlanFailureKeepsPartialResults(t *testing.T) {
 	}
 	spentDuringFailure := client.TotalSpend()
 	// What was fetched before the failure is in the semantic store...
-	if client.StoredRows("Station") == 0 && client.StoredRows("Weather") == 0 {
+	if client.store.StoredRowCount("Station") == 0 && client.store.StoredRowCount("Weather") == 0 {
 		t.Fatal("partial results should be retained")
 	}
 	// ...so the retry pays only for the missing part, and the final answer

@@ -208,7 +208,7 @@ func TestFederationErroringMirror(t *testing.T) {
 	// landing there until its per-dataset breakers open — this test is about
 	// the breaker path, not streak deprioritization.
 	eps[0].PriceFactor = 0.05
-	client := openFederatedChaosClient(t, mirrors, eps, WithBreaker(2, time.Minute))
+	client := openFederatedChaosClient(t, mirrors, eps, WithCallPolicy(CallPolicy{BreakAfter: 2, Cooldown: time.Minute}))
 
 	_, w := buildChaosMarket(t)
 	for i, q := range chaosQueries(w) {
@@ -268,7 +268,7 @@ func TestFederationPartitionedMirrorMidRun(t *testing.T) {
 	// partitioned mirror keeps winning the ranking until its breakers open,
 	// which is what bounds the lost-call remainder at threshold×datasets.
 	eps[0].PriceFactor = 0.05
-	client := openFederatedChaosClient(t, mirrors, eps, WithBreaker(2, time.Minute))
+	client := openFederatedChaosClient(t, mirrors, eps, WithCallPolicy(CallPolicy{BreakAfter: 2, Cooldown: time.Minute}))
 
 	_, w := buildChaosMarket(t)
 	queries := chaosQueries(w)
@@ -333,7 +333,7 @@ func TestFederationHedgingUnderLatencyDegradation(t *testing.T) {
 			return chaos.Caller{Inner: inner, Schedule: s}
 		}
 		return inner
-	}), WithHedgeAfter(10*time.Millisecond))
+	}), WithCallPolicy(CallPolicy{HedgeAfter: 10 * time.Millisecond}))
 
 	_, w := buildChaosMarket(t)
 	for i, q := range chaosQueries(w) {

@@ -151,7 +151,7 @@ func (e *Env) NewSystem(kind SystemKind, mutate func(*payless.Config)) (Runner, 
 	}
 	switch kind {
 	case PayLessNoSQR:
-		cfg.DisableSQR = true
+		cfg.Consistency = payless.Strong()
 	case MinimizingCalls:
 		cfg.MinimizeCalls = true
 	}

@@ -102,7 +102,7 @@ func (env *concurrencyEnv) client(key string, conc int, opts ...payless.Option) 
 	c, err := payless.Open(payless.Config{
 		Tables:           append(env.m.ExportCatalog(), env.w.ZipMap),
 		Caller:           connector.New(env.srv.URL, key),
-		DisableSQR:       true,
+		Consistency:      payless.Strong(),
 		FetchConcurrency: conc,
 	}, opts...)
 	if err != nil {

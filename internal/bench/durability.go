@@ -91,7 +91,7 @@ func FigDurability(p DurabilityParams) (*Figure, error) {
 				Caller: market.AccountCaller{Market: m, Key: key},
 			},
 				payless.WithDurableStore(dir),
-				payless.WithStoreSync(pol.policy, 0),
+				payless.WithStoreSync(pol.policy),
 			)
 		}
 		c, err := open()

@@ -56,7 +56,7 @@ func TestIdleDurableStoreCostsNothing(t *testing.T) {
 	base, _ := replayAllocs(t, env, "alloc-memory")
 	durable, client := replayAllocs(t, env, "alloc-durable",
 		payless.WithDurableStore(filepath.Join(t.TempDir(), "store")),
-		payless.WithStoreSync(payless.StoreSyncOff, 0))
+		payless.WithStoreSync(payless.StoreSyncOff))
 	if m := client.Metrics(); m.WALAppends != 0 || m.WALSyncedAppends != 0 {
 		t.Fatalf("an idle durable store appended %d WAL frames and fsynced %d", m.WALAppends, m.WALSyncedAppends)
 	}

@@ -97,9 +97,9 @@ func faultRun(w *workload.WHW, sqls []string, p FaultParams, rate float64, callI
 		opts = append(opts, connector.WithoutCallIDs())
 	}
 	client, err := payless.Open(payless.Config{
-		Tables:     m.ExportCatalog(),
-		Caller:     connector.New(srv.URL, key, opts...),
-		DisableSQR: true, // every query pays its full fan-out; no semantic reuse
+		Tables:      m.ExportCatalog(),
+		Caller:      connector.New(srv.URL, key, opts...),
+		Consistency: payless.Strong(), // every query pays its full fan-out; no semantic reuse
 	})
 	if err != nil {
 		return market.Meter{}, 0, err

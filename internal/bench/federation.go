@@ -105,9 +105,8 @@ func federationRun(w *workload.WHW, sqls []string, skewPct int, seed int64) (fed
 			Tables:              mirrors[0].ExportCatalog(),
 			FederationEndpoints: eps,
 			Caller:              caller,
-			BreakerThreshold:    2,
-			BreakerCooldown:     time.Minute,
-			DisableSQR:          true, // every query pays its full fan-out
+			Calls:               payless.CallPolicy{BreakAfter: 2, Cooldown: time.Minute},
+			Consistency:         payless.Strong(), // every query pays its full fan-out
 		}
 		return payless.Open(cfg)
 	}

@@ -202,8 +202,8 @@ func Fig14(p Params, dataset string) (*Figure, error) {
 		mutate func(*payless.Config)
 	}{
 		{"PayLess", nil},
-		{"Disable SQR", func(c *payless.Config) { c.DisableSQR = true }},
-		{"Disable All", func(c *payless.Config) { c.DisableSQR = true; c.DisableTheorems = true }},
+		{"Disable SQR", func(c *payless.Config) { c.Consistency = payless.Strong() }},
+		{"Disable All", func(c *payless.Config) { c.Consistency = payless.Strong(); c.DisableTheorems = true }},
 	}
 	for _, v := range variants {
 		env, err := envFor(p, dataset)

@@ -176,7 +176,7 @@ func (e *planningEnv) planDP(i int) (*core.Plan, error) {
 
 // planGreedy runs the greedy fast path (with DP fallback) for template i.
 func (e *planningEnv) planGreedy(i int) (*core.Plan, error) {
-	o := core.Optimizer{Catalog: e.cat, Store: e.store, Stats: e.st, Greedy: true}
+	o := core.Optimizer{Catalog: e.cat, Store: e.store, Stats: e.st, GreedyMargin: core.DefaultGreedyMargin}
 	return o.Optimize(e.bound[i])
 }
 

@@ -28,7 +28,7 @@ func replayAllocs(t *testing.T, env *concurrencyEnv, key string, opts ...payless
 	client, err := payless.Open(payless.Config{
 		Tables:           append(env.m.ExportCatalog(), env.w.ZipMap),
 		Caller:           market.AccountCaller{Market: env.m, Key: key},
-		DisableSQR:       true,
+		Consistency:      payless.Strong(),
 		FetchConcurrency: 1,
 	}, opts...)
 	if err != nil {

@@ -47,7 +47,7 @@ func TestGreedyPlanWithinMarginOfDP(t *testing.T) {
 		dp := f.optimize(t, sql, Options{})
 
 		b := f.bind(t, sql)
-		o := Optimizer{Catalog: f.cat, Store: f.store, Stats: f.st, Greedy: true}
+		o := Optimizer{Catalog: f.cat, Store: f.store, Stats: f.st, GreedyMargin: DefaultGreedyMargin}
 		plan, err := o.Optimize(b)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -78,7 +78,7 @@ func TestGreedyCoveredRelationLeads(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := f.bind(t, "SELECT * FROM R, S WHERE R.a = S.c")
-	o := Optimizer{Catalog: f.cat, Store: f.store, Stats: f.st, Greedy: true}
+	o := Optimizer{Catalog: f.cat, Store: f.store, Stats: f.st, GreedyMargin: DefaultGreedyMargin}
 	plan, err := o.Optimize(b)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestGreedyDisabledUnderBushySearch(t *testing.T) {
 	f := newFixture(t, numTable("R", 1000, "a"), numTable("S", 1000, "a"))
 	b := f.bind(t, "SELECT * FROM R, S WHERE R.a = S.a")
 	o := Optimizer{Catalog: f.cat, Store: f.store, Stats: f.st,
-		Greedy: true, Options: Options{DisableTheorems: true}}
+		GreedyMargin: DefaultGreedyMargin, Options: Options{DisableTheorems: true}}
 	plan, err := o.Optimize(b)
 	if err != nil {
 		t.Fatal(err)

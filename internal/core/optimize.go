@@ -26,13 +26,11 @@ type Optimizer struct {
 	// Stats estimates row counts per (table, box).
 	Stats   stats.Estimator
 	Options Options
-	// Greedy enables the greedy join-ordering fast path: a plan built in
-	// O(n^2) candidate evaluations, accepted only when its estimated spend
-	// stays within GreedyMargin of a lower bound that also bounds the DP
-	// optimum. Otherwise Optimize falls back to the full dynamic program.
-	Greedy bool
-	// GreedyMargin is the accepted relative divergence; <=0 means
-	// DefaultGreedyMargin.
+	// GreedyMargin, when positive, enables the greedy join-ordering fast
+	// path: a plan built in O(n^2) candidate evaluations, accepted only when
+	// its estimated spend stays within this relative margin of a lower bound
+	// that also bounds the DP optimum. Otherwise, and when it is 0, Optimize
+	// runs the full dynamic program.
 	GreedyMargin float64
 	// Trace, when non-nil, receives the optimize span, the chosen plan and
 	// the search-effort counters.
@@ -74,13 +72,9 @@ func (o *Optimizer) Optimize(b *BoundQuery) (*Plan, error) {
 		// The bushy "Disable All" search is an ablation; the greedy fast
 		// path only reasons about left-deep orders, so it is skipped here.
 		plan, err = run.searchBushy()
-	case o.Greedy:
-		margin := o.GreedyMargin
-		if margin <= 0 {
-			margin = DefaultGreedyMargin
-		}
+	case o.GreedyMargin > 0:
 		if g, ok := run.searchGreedy(); ok {
-			if bound, ok := run.spendLowerBound(); ok && greedyAcceptable(g.EstTrans, bound, margin) {
+			if bound, ok := run.spendLowerBound(); ok && greedyAcceptable(g.EstTrans, bound, o.GreedyMargin) {
 				plan, planner = g, PlannerGreedy
 			}
 		}

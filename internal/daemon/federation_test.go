@@ -57,7 +57,7 @@ func TestCircuitOpenReturns503WithRetryAfter(t *testing.T) {
 				Tables:               m.ExportCatalog(),
 				Caller:               downCaller{},
 				TuplesPerTransaction: map[string]int{"DS": 10},
-			}, payless.WithBreaker(1, 30*time.Second))
+			}, payless.WithCallPolicy(payless.CallPolicy{BreakAfter: 1, Cooldown: 30 * time.Second}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestHealthzReportsPerEndpointHealth(t *testing.T) {
 			{Name: "good", Caller: market.AccountCaller{Market: m, Key: "acct"}, PriceFactor: 2},
 		},
 		TuplesPerTransaction: map[string]int{"DS": 10},
-	}, payless.WithBreaker(1, 30*time.Second))
+	}, payless.WithCallPolicy(payless.CallPolicy{BreakAfter: 1, Cooldown: 30 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestHealthzNonFederatedDownWhenBreakerOpen(t *testing.T) {
 		Tables:               m.ExportCatalog(),
 		Caller:               downCaller{},
 		TuplesPerTransaction: map[string]int{"DS": 10},
-	}, payless.WithBreaker(1, 30*time.Second))
+	}, payless.WithCallPolicy(payless.CallPolicy{BreakAfter: 1, Cooldown: 30 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,9 @@
 // Per call it (a) ranks endpoints by a price+latency+health cost model,
 // (b) fails over to the next-cheapest healthy endpoint on a hard error —
 // with circuit breakers keyed endpoint×dataset, so one dead mirror never
-// blacklists the dataset everywhere — and (c) optionally hedges a slow
-// call by racing the next endpoint after HedgeAfter, cancelling the loser.
+// blacklists the dataset everywhere — and (c) hedges a slow call by racing
+// the next endpoint, cancelling the loser. One Policy value says how hard a
+// call may fight: when it hedges and when a failing endpoint is closed to it.
 //
 // Billing stays exactly-once per endpoint: the federation layer assigns the
 // idempotent CallID once, above every retry and hedge, so a retry against
@@ -58,16 +59,30 @@ type Endpoint struct {
 	LatencyHint time.Duration
 }
 
+// Policy is how hard one call may fight for an answer: when an unanswered
+// call races the next-ranked endpoint (a hedge), and when an endpoint that
+// keeps failing one dataset is closed to it (a circuit breaker). The zero
+// value never hedges and never opens a circuit: a hedge may bill a second
+// mirror, so spending on one is opt-in.
+type Policy struct {
+	// HedgeAfter, when positive, is how long the chosen endpoint may stay
+	// silent before the next-ranked one is raced against it; <= 0 never
+	// hedges. A hedge that cannot fire before the caller's deadline is never
+	// armed: hedging exists to cut tail latency the caller will still
+	// experience.
+	HedgeAfter time.Duration
+	// BreakAfter consecutive failures of one dataset at one endpoint open
+	// that circuit; 0 never opens one.
+	BreakAfter int
+	// Cooldown is how long an open circuit refuses calls before it admits
+	// a probe; 0 is 5s.
+	Cooldown time.Duration
+}
+
 // Config tunes the federated caller.
 type Config struct {
-	// BreakerThreshold and BreakerCooldown configure the per-
-	// endpoint×dataset circuit breakers; threshold <= 0 disables breaking.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// HedgeAfter, when positive, races the next-ranked endpoint if the
-	// chosen one has not answered within this duration. Zero disables
-	// hedging.
-	HedgeAfter time.Duration
+	// Policy bounds how hard each call fights for an answer.
+	Policy Policy
 	// Mirrors, when set, returns the catalog's mirror entries for a table:
 	// a non-empty result restricts the call to the named endpoints and
 	// overrides their price factors / latency hints for that table.
@@ -182,7 +197,7 @@ func New(eps []Endpoint, cfg Config) (*Caller, error) {
 		}
 		f.eps = append(f.eps, &endpoint{Endpoint: e})
 	}
-	f.breakers = NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown).
+	f.breakers = NewBreakerSet(cfg.Policy.BreakAfter, cfg.Policy.Cooldown).
 		WithMetrics(cfg.Metrics)
 	return f, nil
 }
@@ -346,11 +361,9 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		return market.Result{}, f.exhausted(q, len(ranked), refused, minRetry, lastErr)
 	}
 
-	// A hedge that cannot fire before the caller's deadline is never armed:
-	// hedging exists to cut tail latency the caller will still experience.
 	var hedgeC <-chan time.Time
-	if f.cfg.HedgeAfter > 0 && len(ranked) > 1 && !overload.ShortOf(ctx, f.cfg.HedgeAfter) {
-		t := time.NewTimer(f.cfg.HedgeAfter)
+	if d := f.cfg.Policy.HedgeAfter; d > 0 && len(ranked) > 1 && !overload.ShortOf(ctx, d) {
+		t := time.NewTimer(d)
 		defer t.Stop()
 		hedgeC = t.C
 	}

@@ -149,7 +149,7 @@ func TestBreakerIsPerEndpointAndDataset(t *testing.T) {
 	f, err := New([]Endpoint{
 		{Name: "dead", Caller: dead, PriceFactor: 1},
 		{Name: "live", Caller: live, PriceFactor: 2},
-	}, Config{BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	}, Config{Policy: Policy{BreakAfter: 1, Cooldown: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestAllEndpointsOpenReturnsCircuitOpenWithRetryAfter(t *testing.T) {
 	f, err := New([]Endpoint{
 		{Name: "a", Caller: a},
 		{Name: "b", Caller: b},
-	}, Config{BreakerThreshold: 1, BreakerCooldown: time.Hour, Metrics: m})
+	}, Config{Policy: Policy{BreakAfter: 1, Cooldown: time.Hour}, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestBreakerTransitionsUnderConcurrentFailover(t *testing.T) {
 	f, err := New([]Endpoint{
 		{Name: "flappy", Caller: flappy, PriceFactor: 1},
 		{Name: "steady", Caller: steady, PriceFactor: 2},
-	}, Config{BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond})
+	}, Config{Policy: Policy{BreakAfter: 1, Cooldown: 20 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestHedgeWinsWhenPrimaryIsSlow(t *testing.T) {
 	f, err := New([]Endpoint{
 		{Name: "slow", Caller: slow, PriceFactor: 1},
 		{Name: "fast", Caller: fast, PriceFactor: 2},
-	}, Config{HedgeAfter: 5 * time.Millisecond, Metrics: m})
+	}, Config{Policy: Policy{HedgeAfter: 5 * time.Millisecond}, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestHedgeLosesWhenPrimaryAnswersFirst(t *testing.T) {
 	f, err := New([]Endpoint{
 		{Name: "primary", Caller: primary, PriceFactor: 1},
 		{Name: "backup", Caller: backup, PriceFactor: 2},
-	}, Config{HedgeAfter: time.Millisecond, Metrics: m})
+	}, Config{Policy: Policy{HedgeAfter: time.Millisecond}, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestCancelAbortsPromptly(t *testing.T) {
 	f, err := New([]Endpoint{
 		{Name: "a", Caller: a},
 		{Name: "b", Caller: b},
-	}, Config{HedgeAfter: time.Millisecond})
+	}, Config{Policy: Policy{HedgeAfter: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

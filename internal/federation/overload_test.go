@@ -82,7 +82,7 @@ func TestHedgeSkippedSilentlyOnEmptyBudget(t *testing.T) {
 	f, err := New([]Endpoint{
 		{Name: "slow", Caller: slow, PriceFactor: 1},
 		{Name: "backup", Caller: backup, PriceFactor: 2},
-	}, Config{HedgeAfter: 10 * time.Millisecond})
+	}, Config{Policy: Policy{HedgeAfter: 10 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestHedgeNotArmedInsideShortDeadline(t *testing.T) {
 	f, err := New([]Endpoint{
 		{Name: "slow", Caller: slow, PriceFactor: 1},
 		{Name: "backup", Caller: backup, PriceFactor: 2},
-	}, Config{HedgeAfter: time.Minute})
+	}, Config{Policy: Policy{HedgeAfter: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +124,40 @@ func TestHedgeNotArmedInsideShortDeadline(t *testing.T) {
 		t.Fatalf("a hedge that cannot fire before the deadline must not launch")
 	}
 	close(slow.block)
+}
+
+// TestZeroPolicyNeverHedges pins that hedging is opt-in: a hedge may bill a
+// second mirror, so the zero Policy leaves a slow primary unraced, with or
+// without a deadline on the call.
+func TestZeroPolicyNeverHedges(t *testing.T) {
+	for _, timeout := range []time.Duration{0, 400 * time.Millisecond} {
+		slow := &countingCaller{name: "slow", block: make(chan struct{})}
+		backup := &countingCaller{name: "backup"}
+		f, err := New([]Endpoint{
+			{Name: "slow", Caller: slow, PriceFactor: 1},
+			{Name: "backup", Caller: backup, PriceFactor: 2},
+		}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		if timeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := f.Call(ctx, q("DS", "T"))
+			done <- err
+		}()
+		time.Sleep(150 * time.Millisecond) // past any hedge a share of the deadline would arm
+		close(slow.block)
+		err = <-done
+		cancel()
+		if err != nil || backup.calls.Load() != 0 {
+			t.Fatalf("timeout %v: err %v, backup calls %d; want the primary's answer and no hedge",
+				timeout, err, backup.calls.Load())
+		}
+	}
 }
 
 func TestUpdateEndpointsPreservesObservedState(t *testing.T) {

@@ -318,7 +318,7 @@ func (m *Metrics) ObserveFederationFailover() {
 }
 
 // ObserveFederationHedge counts a hedge launched: the primary endpoint was
-// slower than HedgeAfter, so a second endpoint was raced against it.
+// slower than its hedge delay, so a second endpoint was raced against it.
 func (m *Metrics) ObserveFederationHedge() {
 	if m == nil {
 		return
@@ -658,7 +658,7 @@ type Snapshot struct {
 	// FederationCalls counts market calls routed through the federation
 	// layer; FederationFailovers endpoint attempts that hard-failed and
 	// moved the call to the next-cheapest healthy endpoint;
-	// FederationHedges hedge attempts launched after HedgeAfter;
+	// FederationHedges hedge attempts launched after the hedge delay;
 	// FederationHedgeWins hedges whose secondary answered first; and
 	// FederationExhausted calls that failed on every configured endpoint.
 	FederationCalls     int64
@@ -811,7 +811,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, prefix string) {
 	counter("sched_delayed_calls_total", "Fetches parked in the coalesce window to accumulate merge candidates.", s.SchedDelayedCalls)
 	counter("federation_calls_total", "Market calls routed through the federation layer.", s.FederationCalls)
 	counter("federation_failovers_total", "Endpoint attempts that hard-failed and failed over to the next endpoint.", s.FederationFailovers)
-	counter("federation_hedged_calls_total", "Hedge attempts launched after the primary exceeded HedgeAfter.", s.FederationHedges)
+	counter("federation_hedged_calls_total", "Hedge attempts launched after the primary exceeded its hedge delay.", s.FederationHedges)
 	counter("federation_hedge_wins_total", "Hedges whose secondary endpoint answered first.", s.FederationHedgeWins)
 	counter("federation_exhausted_total", "Calls that failed on every configured endpoint.", s.FederationExhausted)
 	gauge := func(name, help string, v int64) {

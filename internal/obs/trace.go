@@ -67,7 +67,7 @@ type CallRecord struct {
 	// Endpoint names the federation endpoint that served the call (empty
 	// when the client is not federated). Failovers counts the endpoints
 	// that hard-failed before this one answered; Hedged reports that a
-	// second endpoint was raced after HedgeAfter, and HedgeWon that the
+	// second endpoint was raced after the hedge delay, and HedgeWon that the
 	// hedge (not the primary) delivered the result.
 	Endpoint  string
 	Failovers int

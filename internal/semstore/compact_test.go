@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/obs"
 	"payless/internal/region"
 	"payless/internal/storage"
 	"payless/internal/value"
@@ -250,20 +251,23 @@ func TestRebuildCompactsTombstones(t *testing.T) {
 	now := time.Now()
 	// Each record contains all previous ones (growing nested boxes with a
 	// gap from origin so nothing merges), absorbing the prior entry.
+	absorbed := 0
 	for i := int64(1); i <= 40; i++ {
-		if _, err := s.Record(meta, box2(1, 1+10*i, 1, 1+10*i), nil, now.Add(time.Duration(i)*time.Second)); err != nil {
+		res, err := s.Record(meta, box2(1, 1+10*i, 1, 1+10*i), nil, now.Add(time.Duration(i)*time.Second))
+		if err != nil {
 			t.Fatal(err)
 		}
+		absorbed += res.Absorbed
 	}
 	if got := s.EntryCount("Grid"); got != 1 {
 		t.Errorf("EntryCount = %d, want 1", got)
 	}
-	st := s.Stats()
-	if st.Rebuilds == 0 {
-		t.Error("expected at least one index rebuild")
+	if absorbed != 39 {
+		t.Errorf("absorbed entries = %d, want 39", absorbed)
 	}
-	if st.AbsorbedEntries != 39 {
-		t.Errorf("AbsorbedEntries = %d, want 39", st.AbsorbedEntries)
+	// Without a rebuild all 39 absorbed entries would still be tombstones.
+	if dead := s.table("Grid").dead; dead >= 39 {
+		t.Errorf("%d tombstones left: expected at least one index rebuild", dead)
 	}
 	if !s.Covered("Grid", box2(1, 401, 1, 401), time.Time{}) {
 		t.Error("final box should be covered after rebuild")
@@ -276,6 +280,8 @@ func TestRebuildCompactsTombstones(t *testing.T) {
 // TestCoverageFastPath pins the containment fast path and its stats.
 func TestCoverageFastPath(t *testing.T) {
 	s := New(storage.NewDB())
+	m := obs.NewMetrics()
+	s.SetMetrics(m)
 	meta := gridMeta(10000)
 	now := time.Now()
 	// Scattered tiles plus one big region.
@@ -305,9 +311,8 @@ func TestCoverageFastPath(t *testing.T) {
 	if st.Pruned == 0 || st.Candidates >= st.Entries {
 		t.Errorf("expected pruning, stats %+v", st)
 	}
-	stats := s.Stats()
-	if stats.Lookups < 2 || stats.FastPathHits < 1 {
-		t.Errorf("Stats lookup counters = %+v", stats)
+	if snap := m.Snapshot(); snap.StoreLookups < 2 || snap.StoreFastPathHits < 1 {
+		t.Errorf("lookup metrics: %d lookups, %d fast-path hits", snap.StoreLookups, snap.StoreFastPathHits)
 	}
 }
 

@@ -85,6 +85,40 @@ func TestDurableRoundTripAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestDurableLoadSurvivesReopen: a snapshot loaded into a durable store is
+// checkpointed at once, so it survives a restart, and the record count
+// carries on from it: the next record's log frame is replayed, not skipped.
+func TestDurableLoadSurvivesReopen(t *testing.T) {
+	at := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	src := New(storage.NewDB())
+	recordN(t, src, 3, at)
+	exported := saveString(t, src)
+
+	fs := diskfault.New()
+	s1, _ := durableStore(t, fs, DurableOptions{Policy: wal.SyncPerCall, CheckpointEvery: -1})
+	recordN(t, s1, 1, at)
+	if err := s1.Load(bytes.NewReader([]byte(exported)), pollutionLookup()); err != nil {
+		t.Fatal(err)
+	}
+	meta := pollutionMeta()
+	b := region.NewBox(region.Point(2), region.Interval{Lo: 500, Hi: 510})
+	if _, err := s1.Record(meta, b, []value.Row{row("C", 505, 1)}, at); err != nil {
+		t.Fatal(err)
+	}
+	want := saveString(t, s1)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, info := durableStore(t, fs, DurableOptions{Policy: wal.SyncPerCall})
+	if info.SnapshotRecords != 4 || info.Replayed != 1 || info.Skipped != 0 {
+		t.Fatalf("recovery: %+v, want a 4-record snapshot and 1 replayed frame", info)
+	}
+	if got := saveString(t, s2); got != want {
+		t.Fatalf("recovered state differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
 // TestDurableReplayKeepsNulls: NULL cells of every kind come back from WAL
 // replay as NULL — not as a parse failure, and not as the string "NULL".
 func TestDurableReplayKeepsNulls(t *testing.T) {

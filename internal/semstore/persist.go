@@ -14,21 +14,23 @@ import (
 )
 
 // The semantic store is the buyer's asset ledger: everything in it has been
-// paid for. Save/Load serialise it so an organisation keeps its purchases
-// across restarts instead of re-buying them (the paper §3: storage is cheap
-// precisely to "eschew retrieving redundant data from the data market").
+// paid for. A durable store keeps it across restarts (durable.go) instead of
+// re-buying it (the paper §3: storage is cheap precisely to "eschew
+// retrieving redundant data from the data market"). There is one on-disk
+// format: Save writes exactly the snapshot a checkpoint writes, and Load
+// reads what Save and checkpoints write.
 
 // persistFile is the on-disk JSON envelope.
 type persistFile struct {
-	// Magic identifies the file as a semantic-store snapshot; present from
-	// version 3 on, so a wrong file fails fast with ErrBadSnapshot instead
-	// of a mid-stream garbage error.
-	Magic   string `json:"magic,omitempty"`
+	// Magic identifies the file as a semantic-store snapshot, so a wrong
+	// file fails fast with ErrBadSnapshot instead of a mid-stream garbage
+	// error.
+	Magic   string `json:"magic"`
 	Version int    `json:"version"`
-	// Records is the cumulative count of Record calls the snapshot covers
-	// (version 3+). Recovery uses it to skip WAL frames already folded into
-	// the snapshot, making replay idempotent across a crash between the
-	// snapshot rename and the log truncation.
+	// Records is the cumulative count of Record calls the snapshot covers.
+	// Recovery uses it to skip WAL frames already folded into the snapshot,
+	// making replay idempotent across a crash between the snapshot rename
+	// and the log truncation.
 	Records int64          `json:"records,omitempty"`
 	Tables  []persistTable `json:"tables"`
 }
@@ -47,14 +49,10 @@ type persistEntry struct {
 	Rows int64      `json:"rows"`
 }
 
-// persistVersion is the current on-disk format. Version 3 adds the magic
-// header and the cumulative Records count the durability layer keys replay
-// off. Version 2 persisted the compacted coverage with tables sorted by
-// name; version 1 and 2 files are still loadable (v1 entries are compacted
-// on load).
+// persistVersion is the on-disk format, the only one Load reads.
 const persistVersion = 3
 
-// snapshotMagic marks a version-3+ snapshot file.
+// snapshotMagic marks a snapshot file.
 const snapshotMagic = "payless-semstore"
 
 // ErrBadSnapshot is wrapped by Load for files that are not semantic-store
@@ -64,8 +62,9 @@ const snapshotMagic = "payless-semstore"
 var ErrBadSnapshot = errors.New("semstore: bad snapshot")
 
 // Save writes the store's full contents (stored calls and materialised
-// rows) as JSON. Output is deterministic: tables are sorted by name and
-// entries keep their (compacted) store order, so snapshots diff cleanly.
+// rows) as the same JSON snapshot a checkpoint writes. Output is
+// deterministic: tables are sorted by name and entries keep their
+// (compacted) store order, so snapshots diff cleanly.
 func (s *Store) Save(w io.Writer) error {
 	return saveSnap(w, s.snap.Load(), s.recorded.Load())
 }
@@ -112,22 +111,6 @@ type stagedSnapshot struct {
 	tables  []stagedTable
 }
 
-// checkHeader validates the envelope's magic and version. Any failure is
-// ErrBadSnapshot.
-func checkHeader(in *persistFile) error {
-	switch in.Version {
-	case 1, 2:
-		// Pre-magic formats; nothing more to check.
-	case persistVersion:
-		if in.Magic != snapshotMagic {
-			return fmt.Errorf("%w: magic %q, want %q", ErrBadSnapshot, in.Magic, snapshotMagic)
-		}
-	default:
-		return fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, in.Version)
-	}
-	return nil
-}
-
 // decodeSnapshot parses and validates a snapshot against the catalog. It
 // touches no store state: everything that can fail, fails here.
 func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool)) (*stagedSnapshot, error) {
@@ -140,8 +123,11 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 	if err := json.Unmarshal(data, &hdr); err != nil {
 		return nil, fmt.Errorf("%w: decode: %v", ErrBadSnapshot, err)
 	}
-	if err := checkHeader(&persistFile{Magic: hdr.Magic, Version: hdr.Version}); err != nil {
-		return nil, err
+	if hdr.Magic != snapshotMagic {
+		return nil, fmt.Errorf("%w: magic %q, want %q", ErrBadSnapshot, hdr.Magic, snapshotMagic)
+	}
+	if hdr.Version != persistVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, hdr.Version)
 	}
 	var in persistFile
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -259,15 +245,8 @@ func (s *Store) apply(st *stagedSnapshot) {
 			if b.Empty() {
 				continue
 			}
-			dropped, absorbed, merged := ts.insertEntry(b, pe.At, pe.Rows)
-			if dropped {
-				s.dropped.Add(1)
-			}
-			s.absorbed.Add(int64(absorbed))
-			s.merged.Add(int64(merged))
-			if ts.maybeRebuild() {
-				s.rebuilds.Add(1)
-			}
+			ts.insertEntry(b, pe.At, pe.Rows)
+			ts.maybeRebuild()
 		}
 		ts.addRows(t.rows, t.coords)
 	}
@@ -281,9 +260,16 @@ func (s *Store) apply(st *stagedSnapshot) {
 //
 // Load is atomic with respect to the store's semantic state: the whole file
 // is decoded and validated before anything is applied, so a truncated or
-// corrupt snapshot (any error return) leaves coverage and materialised rows
-// exactly as they were. Files that are not snapshots at all fail with an
-// error matching ErrBadSnapshot.
+// corrupt snapshot leaves coverage and materialised rows exactly as they
+// were. Files that are not snapshots at all fail with an error matching
+// ErrBadSnapshot.
+//
+// On a durable store the import is made durable the only way anything is:
+// the loaded state is checkpointed, its records counted on top of the
+// log's. A failed checkpoint is the one error after which the import is
+// applied: the rows are loaded in memory but not yet durable, as after a
+// failed automatic checkpoint. Retry Checkpoint, not Load, which would count
+// the records twice.
 func (s *Store) Load(r io.Reader, lookup func(table string) (*catalog.Table, bool)) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -293,7 +279,18 @@ func (s *Store) Load(r io.Reader, lookup func(table string) (*catalog.Table, boo
 	if err != nil {
 		return err
 	}
+	d := s.dur
+	if d == nil {
+		s.apply(st)
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	s.apply(st)
+	d.cum += st.records
+	if err := d.checkpointLocked(s); err != nil {
+		return fmt.Errorf("semstore: snapshot loaded in memory, not checkpointed: %w", err)
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package semstore
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -76,13 +77,14 @@ func TestLoadErrors(t *testing.T) {
 	cases := []string{
 		"not json",
 		`{"version":99}`,
-		`{"version":1,"tables":[{"table":"Ghost"}]}`,
-		`{"version":1,"tables":[{"table":"Pollution","kinds":["int"]}]}`,
-		`{"version":1,"tables":[{"table":"Pollution","kinds":["int","int","float"]}]}`,
-		`{"version":1,"tables":[{"table":"Pollution","kinds":["string","int","banana"]}]}`,
-		`{"version":1,"tables":[{"table":"Pollution","kinds":["string","int","float"],"rows":[["A"]]}]}`,
-		`{"version":1,"tables":[{"table":"Pollution","kinds":["string","int","float"],"rows":[["A","x","1"]]}]}`,
-		`{"version":1,"tables":[{"table":"Pollution","kinds":["string","int","float"],"rows":[["Z","1","1"]]}]}`,
+		`{"magic":"payless-semstore","version":99}`,
+		`{"magic":"payless-semstore","version":3,"tables":[{"table":"Ghost"}]}`,
+		`{"magic":"payless-semstore","version":3,"tables":[{"table":"Pollution","kinds":["int"]}]}`,
+		`{"magic":"payless-semstore","version":3,"tables":[{"table":"Pollution","kinds":["int","int","float"]}]}`,
+		`{"magic":"payless-semstore","version":3,"tables":[{"table":"Pollution","kinds":["string","int","banana"]}]}`,
+		`{"magic":"payless-semstore","version":3,"tables":[{"table":"Pollution","kinds":["string","int","float"],"rows":[["A"]]}]}`,
+		`{"magic":"payless-semstore","version":3,"tables":[{"table":"Pollution","kinds":["string","int","float"],"rows":[["A","x","1"]]}]}`,
+		`{"magic":"payless-semstore","version":3,"tables":[{"table":"Pollution","kinds":["string","int","float"],"rows":[["Z","1","1"]]}]}`,
 	}
 	for i, c := range cases {
 		if err := s.Load(strings.NewReader(c), lookup); err == nil {
@@ -259,13 +261,14 @@ func TestSaveLoadRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestLoadVersion1ForwardCompat pins that v1 files written before the
-// persistVersion bump still load, and come up compacted.
-func TestLoadVersion1ForwardCompat(t *testing.T) {
+// TestLoadRejectsPreVersion3Files pins that the snapshot format has one
+// version: files from before the magic header (versions 1 and 2) fail with
+// ErrBadSnapshot and leave the store untouched, while the same content as a
+// current snapshot loads and comes up compacted.
+func TestLoadRejectsPreVersion3Files(t *testing.T) {
 	meta := gridMeta(1000)
-	// A hand-written v1 file: two adjacent boxes (mergeable) plus one
-	// contained duplicate, with rows.
-	v1 := `{"version":1,"tables":[{"table":"Grid","kinds":["int","int","float"],` +
+	// Two adjacent boxes (mergeable) plus one contained duplicate, with rows.
+	body := `"tables":[{"table":"Grid","kinds":["int","int","float"],` +
 		`"entries":[` +
 		`{"dims":[[0,10],[0,10]],"at":"2024-01-01T00:00:00Z","rows":1},` +
 		`{"dims":[[10,20],[0,10]],"at":"2024-01-01T00:00:00Z","rows":1},` +
@@ -273,26 +276,26 @@ func TestLoadVersion1ForwardCompat(t *testing.T) {
 		`"rows":[["1","2","0.5"],["11","3","1.5"]]}]}`
 	s := New(storage.NewDB())
 	lookup := func(string) (*catalog.Table, bool) { return meta, true }
-	if err := s.Load(strings.NewReader(v1), lookup); err != nil {
-		t.Fatalf("v1 file must still load: %v", err)
+	for _, old := range []string{`{"version":1,` + body, `{"version":2,` + body} {
+		if err := s.Load(strings.NewReader(old), lookup); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("pre-v3 file: err = %v, want ErrBadSnapshot", err)
+		}
+	}
+	if s.EntryCount("Grid") != 0 || s.StoredRowCount("Grid") != 0 {
+		t.Fatal("a rejected file must leave the store untouched")
+	}
+	if err := s.Load(strings.NewReader(`{"magic":"payless-semstore","version":3,`+body), lookup); err != nil {
+		t.Fatal(err)
 	}
 	if !s.Covered("Grid", box2(0, 20, 0, 10), time.Time{}) {
-		t.Error("v1 coverage lost")
+		t.Error("coverage lost")
 	}
 	// The adjacent pair merges and the contained stale box is dropped: one
 	// live entry.
 	if got := s.EntryCount("Grid"); got != 1 {
-		t.Errorf("v1 entries should compact on load: %d live entries, want 1", got)
+		t.Errorf("entries should compact on load: %d live entries, want 1", got)
 	}
 	if got := s.StoredRowCount("Grid"); got != 2 {
-		t.Errorf("v1 rows = %d, want 2", got)
-	}
-	// Saving it re-emits the current version.
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"version":3`) {
-		t.Errorf("resave should upgrade to version 3: %s", buf.String())
+		t.Errorf("rows = %d, want 2", got)
 	}
 }

@@ -207,14 +207,6 @@ type Store struct {
 	// Record then appends to the log before mutating billing-visible state.
 	dur *durState
 
-	// lifetime counters; atomics so read-path lookups stay under RLock.
-	lookups      atomic.Int64
-	fastPathHits atomic.Int64
-	prunedBoxes  atomic.Int64
-	dropped      atomic.Int64
-	absorbed     atomic.Int64
-	merged       atomic.Int64
-	rebuilds     atomic.Int64
 	// recorded counts successful Record calls over the store's lifetime
 	// (including records replayed from the WAL); snapshots embed it so
 	// recovery knows which log frames a snapshot already covers.
@@ -386,14 +378,7 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 	res.Added = ts.addRows(rows, coords)
 	if !b.Empty() {
 		res.Dropped, res.Absorbed, res.Merged = ts.insertEntry(b.Clone(), at, int64(len(rows)))
-		if res.Dropped {
-			s.dropped.Add(1)
-		}
-		s.absorbed.Add(int64(res.Absorbed))
-		s.merged.Add(int64(res.Merged))
-		if ts.maybeRebuild() {
-			s.rebuilds.Add(1)
-		}
+		ts.maybeRebuild()
 		if m := s.metrics; m != nil {
 			m.ObserveStoreCompaction(res.Dropped, res.Absorbed, res.Merged)
 		}
@@ -796,14 +781,8 @@ func (s *Store) Coverage(table string, q region.Box, since time.Time) ([]region.
 			st.Pruned = 0
 		}
 	}
-	m := s.metrics
-	s.lookups.Add(1)
-	if st.FastPath {
-		s.fastPathHits.Add(1)
-	}
-	s.prunedBoxes.Add(int64(st.Pruned))
 	st.Micros = time.Since(start).Microseconds()
-	if m != nil {
+	if m := s.metrics; m != nil {
 		m.ObserveStoreLookup(st.Micros, st.Pruned, st.FastPath)
 	}
 	return out, st
@@ -1061,43 +1040,4 @@ func (s *Store) StoredRowCount(table string) int {
 		return 0
 	}
 	return len(ts.rows)
-}
-
-// Stats is a point-in-time snapshot of the store's size and its lifetime
-// lookup/compaction activity.
-type Stats struct {
-	Tables      int
-	Entries     int // live coverage entries across all tables
-	DeadEntries int // tombstoned, awaiting rebuild
-	Rows        int // materialised deduplicated rows
-
-	Lookups      int64
-	FastPathHits int64
-	PrunedBoxes  int64
-
-	DroppedEntries  int64 // new entries dropped: already covered
-	AbsorbedEntries int64 // stored entries absorbed by newer boxes
-	MergedEntries   int64 // merge steps performed
-	Rebuilds        int64
-}
-
-// Stats returns a snapshot of store size and activity counters.
-func (s *Store) Stats() Stats {
-	snap := s.snap.Load()
-	st := Stats{
-		Tables:          len(snap.tables),
-		Lookups:         s.lookups.Load(),
-		FastPathHits:    s.fastPathHits.Load(),
-		PrunedBoxes:     s.prunedBoxes.Load(),
-		DroppedEntries:  s.dropped.Load(),
-		AbsorbedEntries: s.absorbed.Load(),
-		MergedEntries:   s.merged.Load(),
-		Rebuilds:        s.rebuilds.Load(),
-	}
-	for _, ts := range snap.tables {
-		st.Entries += ts.alive
-		st.DeadEntries += ts.dead
-		st.Rows += len(ts.rows)
-	}
-	return st
 }

@@ -53,52 +53,16 @@ func WithDurableStore(dir string) Option {
 }
 
 // WithStoreSync selects the durable store's WAL fsync cadence
-// (StoreSyncPerCall, StoreSyncBatched, StoreSyncOff). batchEvery sets the
-// batched cadence; 0 keeps the default (8).
-func WithStoreSync(policy StoreSyncPolicy, batchEvery int) Option {
-	return func(c *Config) {
-		c.StoreSync = policy
-		c.StoreBatchEvery = batchEvery
-	}
+// (StoreSyncPerCall, StoreSyncBatched, StoreSyncOff).
+func WithStoreSync(policy StoreSyncPolicy) Option {
+	return func(c *Config) { c.StoreSync = policy }
 }
 
-// WithCheckpointEvery sets how many recorded calls accumulate in the WAL
-// before an automatic snapshot checkpoint; negative disables automatic
-// checkpoints.
-func WithCheckpointEvery(records int) Option {
-	return func(c *Config) { c.CheckpointEvery = records }
-}
-
-// WithBreaker enables circuit breaking per endpoint×dataset: after
-// threshold consecutive call failures against one dataset at one endpoint,
-// calls to it there short-circuit with ErrCircuitOpen until cooldown
-// elapses and a probe call succeeds. cooldown 0 defaults to 5s.
-func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(c *Config) {
-		c.BreakerThreshold = threshold
-		c.BreakerCooldown = cooldown
-	}
-}
-
-// WithFederation federates the client across N mirrors of the same logical
-// market: calls route to the endpoint minimizing a price+latency+health
-// cost model and fail over to the next-cheapest healthy endpoint on error.
-// Endpoints need pre-built Callers under Open; OpenFederated builds HTTP
-// connectors from BaseURL.
-func WithFederation(endpoints ...MarketEndpoint) Option {
-	return func(c *Config) { c.FederationEndpoints = endpoints }
-}
-
-// WithHedgeAfter, on a federated client, races the next-ranked endpoint
-// when the chosen one has not answered within d, cancelling the loser; the
-// shared idempotent CallID keeps any one endpoint from billing the call
-// twice. d <= 0 disables hedging.
-func WithHedgeAfter(d time.Duration) Option {
-	return func(c *Config) {
-		if d > 0 {
-			c.HedgeAfter = d
-		}
-	}
+// WithCallPolicy sets how hard one market call may fight for an answer:
+// when it hedges against the next-ranked mirror and when a failing mirror's
+// circuit opens. See Config.Calls.
+func WithCallPolicy(p CallPolicy) Option {
+	return func(c *Config) { c.Calls = p }
 }
 
 // WithStatistics selects the updatable statistic implementation.
@@ -112,27 +76,10 @@ func WithDefaultTuplesPerTransaction(t int) Option {
 	return func(c *Config) { c.DefaultTuplesPerTransaction = t }
 }
 
-// WithoutSQR turns off semantic query rewriting (the paper's
-// "PayLess w/o SQR" ablation).
-func WithoutSQR() Option {
-	return func(c *Config) { c.DisableSQR = true }
-}
-
 // WithMinimizeCalls optimises for the number of RESTful calls instead of
 // transactions ("Minimizing Calls" in the paper's evaluation).
 func WithMinimizeCalls() Option {
 	return func(c *Config) { c.MinimizeCalls = true }
-}
-
-// WithoutTheorems turns off the search-space reductions of Theorems 1–3
-// (the "Disable All" ablation).
-func WithoutTheorems() Option {
-	return func(c *Config) { c.DisableTheorems = true }
-}
-
-// WithoutBoxPruning turns off Algorithm 1's remainder-box pruning rules.
-func WithoutBoxPruning() Option {
-	return func(c *Config) { c.DisableBoxPruning = true }
 }
 
 // WithPlanCache enables the parameterized plan-template cache: optimized
@@ -177,7 +124,9 @@ func WithCoalesceWindow(d time.Duration) Option {
 // to the full dynamic program; margin <= 0 uses the default (0.05).
 func WithGreedyPlanner(margin float64) Option {
 	return func(c *Config) {
-		c.GreedyPlanner = true
+		if margin <= 0 {
+			margin = core.DefaultGreedyMargin
+		}
 		c.GreedyMargin = margin
 	}
 }

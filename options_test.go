@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/storage"
 	"payless/internal/workload"
@@ -53,16 +54,16 @@ func TestOptionsApply(t *testing.T) {
 		WithTracer(&CollectTracer{}),
 		WithStatistics(StatsAVI),
 		WithDefaultTuplesPerTransaction(42),
-		WithoutSQR(),
 		WithMinimizeCalls(),
-		WithoutTheorems(),
-		WithoutBoxPruning(),
+		WithStoreSync(StoreSyncBatched),
+		WithCallPolicy(CallPolicy{BreakAfter: 3}),
+		WithGreedyPlanner(0),
 	} {
 		o(&cfg)
 	}
 	if cfg.FetchConcurrency != 3 || cfg.Tracer == nil || cfg.Statistics != StatsAVI ||
-		cfg.DefaultTuplesPerTransaction != 42 || !cfg.DisableSQR || !cfg.MinimizeCalls ||
-		!cfg.DisableTheorems || !cfg.DisableBoxPruning {
+		cfg.DefaultTuplesPerTransaction != 42 || cfg.Consistency != Window(time.Hour) || !cfg.MinimizeCalls ||
+		cfg.StoreSync != StoreSyncBatched || cfg.Calls.BreakAfter != 3 || cfg.GreedyMargin != core.DefaultGreedyMargin {
 		t.Errorf("options did not stick: %+v", cfg)
 	}
 }
@@ -71,7 +72,7 @@ func TestOptionsApply(t *testing.T) {
 // observable in behaviour: the tracer traces, and WithoutSQR makes the
 // repeat of a query pay again.
 func TestOpenAppliesOptions(t *testing.T) {
-	client, w := optionsSetup(t, WithTracer(&CollectTracer{}), WithoutSQR(), WithFetchConcurrency(2))
+	client, w := optionsSetup(t, WithTracer(&CollectTracer{}), WithConsistency(Strong()), WithFetchConcurrency(2))
 	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
 		w.Dates[0], w.Dates[3])
 	first, err := client.Query(sql)
@@ -105,7 +106,7 @@ func TestOpenHTTPAcceptsTypedAndLegacyOptions(t *testing.T) {
 	m.RegisterAccount("legacy")
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
-	legacy := func(c *Config) { c.DisableSQR = true }
+	legacy := func(c *Config) { c.Consistency = Strong() }
 	client, err := OpenHTTP(srv.URL, "legacy", []*catalog.Table{w.ZipMap},
 		WithFetchConcurrency(2), legacy)
 	if err != nil {
@@ -128,11 +129,12 @@ func TestOpenHTTPAcceptsTypedAndLegacyOptions(t *testing.T) {
 	}
 }
 
-// TestConfigSurface pins the size of the configuration surface: the
-// exported Config fields and the With* options. A new knob fails here until
-// the change that justifies it raises the pin.
+// TestConfigSurface pins the size of the client's surface: the exported
+// Config fields, the With* options and the Client's exported methods. A new
+// knob or method fails here until the change that justifies it raises the
+// pin.
 func TestConfigSurface(t *testing.T) {
-	const wantFields, wantOptions = 26, 21
+	const wantFields, wantOptions, wantMethods = 20, 15, 25
 	fields := 0
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {
@@ -150,9 +152,10 @@ func TestConfigSurface(t *testing.T) {
 			options++
 		}
 	}
-	if fields != wantFields || options != wantOptions {
-		t.Fatalf("Config has %d exported fields and options.go %d With* options, pinned at %d / %d",
-			fields, options, wantFields, wantOptions)
+	methods := reflect.TypeOf(&Client{}).NumMethod()
+	if fields != wantFields || options != wantOptions || methods != wantMethods {
+		t.Fatalf("Config has %d exported fields, options.go %d With* options and Client %d methods, pinned at %d / %d / %d",
+			fields, options, methods, wantFields, wantOptions, wantMethods)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestOracleAllModesAgree(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"payless", nil},
-		{"no-sqr", func(c *Config) { c.DisableSQR = true }},
+		{"no-sqr", func(c *Config) { c.Consistency = Strong() }},
 		{"min-calls", func(c *Config) { c.MinimizeCalls = true }},
 		{"bushy", func(c *Config) { c.DisableTheorems = true }},
 	}

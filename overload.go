@@ -5,8 +5,6 @@ import (
 	"sync"
 
 	"payless/internal/catalog"
-	"payless/internal/connector"
-	"payless/internal/federation"
 )
 
 // AddQueueDepth moves the client's admission-queue-depth gauge
@@ -104,30 +102,14 @@ func (c *Client) UpdateFederationEndpoints(endpoints []MarketEndpoint) error {
 	if len(c.cfg.FederationEndpoints) == 0 {
 		return fmt.Errorf("payless: client was opened on a single Config.Caller, not on federation endpoints")
 	}
-	eps := make([]MarketEndpoint, len(endpoints))
-	copy(eps, endpoints)
-	built := make([]federation.Endpoint, 0, len(eps))
-	for i := range eps {
-		if eps[i].Name == "" {
-			eps[i].Name = fmt.Sprintf("endpoint-%d", i)
-		}
-		if eps[i].Caller == nil {
-			if eps[i].BaseURL == "" {
-				return fmt.Errorf("payless: federation endpoint %q needs a BaseURL or a Caller", eps[i].Name)
-			}
-			eps[i].Caller = connector.New(eps[i].BaseURL, eps[i].AccountKey)
-		}
-		built = append(built, federation.Endpoint{
-			Name:        eps[i].Name,
-			Caller:      eps[i].Caller,
-			PriceFactor: eps[i].PriceFactor,
-			LatencyHint: eps[i].LatencyHint,
-		})
+	eps, err := resolveEndpoints(endpoints)
+	if err != nil {
+		return err
 	}
 	c.fedmu.Lock()
 	defer c.fedmu.Unlock()
 	prevNames := c.fed.Names()
-	if err := c.fed.UpdateEndpoints(built); err != nil {
+	if err := c.fed.UpdateEndpoints(fedEndpoints(eps)); err != nil {
 		return err
 	}
 	c.mirrors.sync(prevNames, eps)

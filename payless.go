@@ -75,13 +75,14 @@ type Config struct {
 	TuplesPerTransaction map[string]int
 	// DefaultTuplesPerTransaction applies to datasets missing above; 0 = 100.
 	DefaultTuplesPerTransaction int
-	// Consistency selects result-freshness vs. price (default Weak).
+	// Consistency selects result-freshness vs. price (default Weak). Strong
+	// is also the paper's "PayLess w/o SQR" ablation: no stored result is
+	// ever reused.
 	Consistency Consistency
-	// DisableSQR turns off semantic query rewriting ("PayLess w/o SQR").
-	DisableSQR bool
 	// MinimizeCalls optimises for the number of RESTful calls instead of
 	// transactions — the behaviour of limited-access-pattern optimizers
-	// ("Minimizing Calls" in the paper's evaluation). Implies DisableSQR.
+	// ("Minimizing Calls" in the paper's evaluation). It never reuses
+	// stored results, as under Strong consistency.
 	MinimizeCalls bool
 	// DisableTheorems turns off the search-space reductions of Theorems 1–3
 	// (the "Disable All" ablation).
@@ -99,13 +100,11 @@ type Config struct {
 	// consistency bypass the cache (a moving freshness horizon cannot be
 	// captured by epochs).
 	PlanCacheSize int
-	// GreedyPlanner enables the greedy join-ordering fast path: plans are
-	// built greedily in O(n^2) candidate evaluations and accepted only when
-	// their estimated spend stays within GreedyMargin of a lower bound on
-	// the DP optimum; otherwise the full dynamic program runs as usual.
-	GreedyPlanner bool
-	// GreedyMargin is the accepted relative spend divergence for the greedy
-	// fast path; 0 uses the default (0.05).
+	// GreedyMargin, when positive, enables the greedy join-ordering fast
+	// path: plans are built greedily in O(n^2) candidate evaluations and
+	// accepted only when their estimated spend stays within this relative
+	// margin of a lower bound on the DP optimum; otherwise the full dynamic
+	// program runs as usual. 0 (the default) always runs the DP.
 	GreedyMargin float64
 	// Statistics selects the updatable statistic implementation; the paper
 	// plugs in ISOMER and notes any updatable statistic fits (§3).
@@ -142,64 +141,52 @@ type Config struct {
 	// &CollectTracer{} traces every query and attaches the trace to
 	// Result.Trace.
 	Tracer Tracer
-	// BreakerThreshold enables circuit breaking: after this many consecutive
-	// call failures against one dataset at one market endpoint, further calls
-	// there short-circuit with ErrCircuitOpen until BreakerCooldown elapses
-	// and a probe call succeeds. 0 (the default) disables breaking — a
-	// retried query then re-attempts the failed dataset immediately, which is
-	// the right default for transient faults; enable the breaker when a down
-	// seller should fail queries fast instead of stalling them through
-	// retries. Breaker state is shared across the client's queries and keyed
-	// endpoint×dataset, so one dead mirror never blacklists the dataset at
-	// healthy mirrors.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit waits before admitting a
-	// probe call; 0 defaults to 5s. Only meaningful with BreakerThreshold>0.
-	BreakerCooldown time.Duration
+	// Calls bounds how hard one market call may fight for an answer: when
+	// it races the next-ranked mirror (a hedge) and when a mirror that keeps
+	// failing one dataset short-circuits with ErrCircuitOpen (a breaker).
+	// The zero value never hedges and never opens a circuit: a hedge may
+	// bill a second mirror, so it is opt-in. Breaker state is shared across the client's queries and
+	// keyed endpoint×dataset, so one dead mirror never blacklists the
+	// dataset at healthy mirrors.
+	Calls CallPolicy
 	// FederationEndpoints federates the client across N mirrors of the same
 	// logical market: every call is routed to the endpoint minimizing a
 	// price+latency+health cost model, fails over to the next-cheapest
-	// healthy endpoint on error, and (with HedgeAfter) hedges slow calls.
-	// Each endpoint needs a Name and either a pre-built Caller (Open) or a
-	// BaseURL (OpenFederated builds the HTTP connector). When set,
+	// healthy endpoint on error, and may hedge slow calls (see Calls). Each
+	// endpoint needs a pre-built Caller or a BaseURL to build an HTTP
+	// connector from; an empty Name becomes "endpoint-<i>". When set,
 	// Config.Caller may be left nil; when empty, Config.Caller is the one
 	// endpoint, named "market".
 	FederationEndpoints []MarketEndpoint
-	// HedgeAfter, on a federated client, races the next-ranked endpoint
-	// when the chosen one has not answered within this duration; the loser
-	// is cancelled and the shared idempotent CallID keeps any one endpoint
-	// from billing twice. 0 (the default) disables hedging.
-	HedgeAfter time.Duration
 	// StoreDir enables durable mode: the semantic store keeps a write-ahead
 	// log and atomic snapshots in this directory, and Open recovers whatever
 	// a previous process (however it died) had made durable. Empty (the
-	// default) keeps the store memory-only; SaveStore/LoadStore remain
-	// available either way.
+	// default) keeps the store memory-only. The log is folded into a
+	// snapshot every 256 recorded calls and by CheckpointStore.
 	StoreDir string
 	// StoreSync selects when WAL appends are fsynced in durable mode:
 	// StoreSyncPerCall (default, every paid call durable before its rows are
-	// visible), StoreSyncBatched (every StoreBatchEvery appends), or
-	// StoreSyncOff (leave flushing to the OS).
+	// visible), StoreSyncBatched (every 8 appends), or StoreSyncOff (leave
+	// flushing to the OS).
 	StoreSync StoreSyncPolicy
-	// StoreBatchEvery is the StoreSyncBatched fsync cadence (default 8).
-	StoreBatchEvery int
-	// CheckpointEvery is how many recorded calls accumulate in the WAL
-	// before they are folded into a snapshot and the log truncated; 0 uses
-	// the store default (256), negative disables automatic checkpoints
-	// (CheckpointStore still works).
-	CheckpointEvery int
-	// storeFS overrides the durable store's filesystem; nil means the real
-	// one. Unexported: only the crash-injection suites set it.
-	storeFS wal.FS
+	// store overrides the durable store's filesystem and checkpoint cadence;
+	// the zero value is the real filesystem and the default cadence.
+	// Unexported: only the crash-injection suites set it.
+	store semstore.DurableOptions
 }
+
+// CallPolicy is how hard one market call may fight for an answer; see
+// Config.Calls. HedgeAfter <= 0 never hedges; BreakAfter 0 never opens a
+// circuit; Cooldown 0 is 5s.
+type CallPolicy = federation.Policy
 
 // MarketEndpoint configures one market mirror of a federated client.
 type MarketEndpoint struct {
 	// Name identifies the endpoint in traces, metrics, and health reports
 	// (e.g. "us-east"). Empty names are auto-filled as "endpoint-<i>".
 	Name string
-	// BaseURL and AccountKey describe the mirror's HTTP market server;
-	// OpenFederated builds a connector from them when Caller is nil.
+	// BaseURL and AccountKey describe the mirror's HTTP market server; an
+	// HTTP connector is built from them when Caller is nil.
 	BaseURL    string
 	AccountKey string
 	// Caller is a pre-built transport for the endpoint (an in-process
@@ -224,9 +211,9 @@ const (
 	// StoreSyncPerCall fsyncs every WAL append: a recorded call is durable
 	// the moment Record returns. Strongest, slowest.
 	StoreSyncPerCall = wal.SyncPerCall
-	// StoreSyncBatched fsyncs every StoreBatchEvery appends: a crash loses
-	// at most the current unsynced batch (already-billed data the WAL had
-	// not flushed — a re-run re-buys only that remainder).
+	// StoreSyncBatched fsyncs every 8 appends: a crash loses at most the
+	// current unsynced batch (already-billed data the WAL had not flushed —
+	// a re-run re-buys only that remainder).
 	StoreSyncBatched = wal.SyncBatched
 	// StoreSyncOff never fsyncs from the client; the OS flushes when it
 	// pleases. A process crash loses nothing; a power cut may lose the
@@ -363,9 +350,6 @@ type Client struct {
 	mu    sync.Mutex
 	audit io.Writer
 	total engine.Report
-	// counters accumulates search effort across queries.
-	counters core.Counters
-	queries  int
 
 	// closemu guards the close state; inflight counts executing queries so
 	// Close can drain them before closing the durable store.
@@ -411,15 +395,10 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 	if cfg.StoreDir != "" {
 		// Recovery must see the metrics sink (replay counters) and the full
 		// catalog (to re-derive row coordinates from logged rows).
-		_, err := store.EnableDurability(cfg.StoreDir, semstore.DurableOptions{
-			FS:              cfg.storeFS,
-			Policy:          cfg.StoreSync,
-			BatchEvery:      cfg.StoreBatchEvery,
-			CheckpointEvery: cfg.CheckpointEvery,
-			Lookup: func(table string) (*catalog.Table, bool) {
-				return cat.Lookup(table)
-			},
-		})
+		dopts := cfg.store
+		dopts.Policy = cfg.StoreSync
+		dopts.Lookup = func(table string) (*catalog.Table, bool) { return cat.Lookup(table) }
+		_, err := store.EnableDurability(cfg.StoreDir, dopts)
 		if err != nil {
 			return nil, fmt.Errorf("payless: durable store: %w", err)
 		}
@@ -429,32 +408,18 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 		// A single market is a federation of one endpoint.
 		endpoints = []MarketEndpoint{{Name: "market", Caller: cfg.Caller}}
 	}
-	eps := make([]federation.Endpoint, 0, len(endpoints))
-	for i, me := range endpoints {
-		name := me.Name
-		if name == "" {
-			name = fmt.Sprintf("endpoint-%d", i)
-		}
-		if me.Caller == nil {
-			return nil, fmt.Errorf("payless: federation endpoint %q has no transport (use OpenFederated to build HTTP connectors from BaseURL)", name)
-		}
-		eps = append(eps, federation.Endpoint{
-			Name:        name,
-			Caller:      me.Caller,
-			PriceFactor: me.PriceFactor,
-			LatencyHint: me.LatencyHint,
-		})
+	endpoints, err := resolveEndpoints(endpoints)
+	if err != nil {
+		return nil, err
 	}
 	// The mirror table starts as a copy of the catalog annotations and is
 	// the one the federation layer reads from then on, so hot endpoint
 	// updates can rewrite routing terms without mutating the catalog.
 	mirrors := newMirrorTable(cfg.Tables)
-	fed, err := federation.New(eps, federation.Config{
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerCooldown:  cfg.BreakerCooldown,
-		HedgeAfter:       cfg.HedgeAfter,
-		Metrics:          metrics,
-		Mirrors:          mirrors.get,
+	fed, err := federation.New(fedEndpoints(endpoints), federation.Config{
+		Policy:  cfg.Calls,
+		Metrics: metrics,
+		Mirrors: mirrors.get,
 	})
 	if err != nil {
 		return nil, err
@@ -531,8 +496,8 @@ func (c *Client) done() {
 
 // CheckpointStore folds the durable store's WAL into a snapshot (temp file,
 // fsync, atomic rename, directory fsync) and truncates the log. A no-op for
-// memory-only clients; automatic checkpoints run every
-// Config.CheckpointEvery records regardless.
+// memory-only clients; automatic checkpoints run every 256 recorded calls
+// regardless.
 func (c *Client) CheckpointStore() error { return c.store.Checkpoint() }
 
 // SyncStore forces any batched, unsynced WAL appends to disk — the manual
@@ -579,18 +544,9 @@ func OpenFederated(endpoints []MarketEndpoint, localTables []*catalog.Table, opt
 	if len(endpoints) == 0 {
 		return nil, fmt.Errorf("payless: OpenFederated requires at least one endpoint")
 	}
-	eps := make([]MarketEndpoint, len(endpoints))
-	copy(eps, endpoints)
-	for i := range eps {
-		if eps[i].Name == "" {
-			eps[i].Name = fmt.Sprintf("endpoint-%d", i)
-		}
-		if eps[i].Caller == nil {
-			if eps[i].BaseURL == "" {
-				return nil, fmt.Errorf("payless: federation endpoint %q needs a BaseURL or a Caller", eps[i].Name)
-			}
-			eps[i].Caller = connector.New(eps[i].BaseURL, eps[i].AccountKey)
-		}
+	eps, err := resolveEndpoints(endpoints)
+	if err != nil {
+		return nil, err
 	}
 	// Registration: fetch the catalog and per-dataset page sizes from the
 	// first endpoint that answers, so a down mirror cannot block startup.
@@ -636,6 +592,35 @@ func OpenFederated(endpoints []MarketEndpoint, localTables []*catalog.Table, opt
 	return Open(cfg)
 }
 
+// resolveEndpoints returns a copy of endpoints with default names
+// ("endpoint-<i>") filled in and an HTTP connector built for every endpoint
+// given only a BaseURL.
+func resolveEndpoints(endpoints []MarketEndpoint) ([]MarketEndpoint, error) {
+	eps := make([]MarketEndpoint, len(endpoints))
+	copy(eps, endpoints)
+	for i := range eps {
+		if eps[i].Name == "" {
+			eps[i].Name = fmt.Sprintf("endpoint-%d", i)
+		}
+		if eps[i].Caller == nil {
+			if eps[i].BaseURL == "" {
+				return nil, fmt.Errorf("payless: federation endpoint %q needs a BaseURL or a Caller", eps[i].Name)
+			}
+			eps[i].Caller = connector.New(eps[i].BaseURL, eps[i].AccountKey)
+		}
+	}
+	return eps, nil
+}
+
+// fedEndpoints hands resolved endpoints to the federation layer.
+func fedEndpoints(eps []MarketEndpoint) []federation.Endpoint {
+	out := make([]federation.Endpoint, len(eps))
+	for i, me := range eps {
+		out[i] = federation.Endpoint{Name: me.Name, Caller: me.Caller, PriceFactor: me.PriceFactor, LatencyHint: me.LatencyHint}
+	}
+	return out
+}
+
 // fetchRegistration pulls one endpoint's catalog and page sizes.
 func fetchRegistration(cli *connector.Client) ([]*catalog.Table, map[string]int, error) {
 	tables, err := cli.Catalog()
@@ -678,7 +663,7 @@ func (c *Client) LoadLocal(name string, rows []value.Row) error {
 // options derives the optimizer/engine options from the config.
 func (c *Client) options() core.Options {
 	opts := core.Options{
-		DisableSQR:                  c.cfg.DisableSQR || c.cfg.MinimizeCalls,
+		DisableSQR:                  c.cfg.MinimizeCalls,
 		DisableTheorems:             c.cfg.DisableTheorems,
 		DisableBoxPruning:           c.cfg.DisableBoxPruning,
 		DefaultTuplesPerTransaction: c.cfg.DefaultTuplesPerTransaction,
@@ -719,17 +704,11 @@ func (c *Client) finishTrace(tr *obs.Trace) {
 
 // compile runs the parse → bind → optimize preamble shared by Query,
 // Explain and QueryBatch: each stage is recorded as a span on tr (which
-// may be nil) and failures come back as typed *QueryError values.
-func (c *Client) compile(sql string, tr *obs.Trace) (*core.Plan, core.Options, error) {
-	return c.compileCached(sql, tr, c.plans)
-}
-
-// compileCached is compile with an explicit plan-template cache (the
-// client's, a statement's private one, or nil for none). On a cache hit the
-// optimize stage is skipped entirely: the cached skeleton is re-bound onto
-// the freshly parsed literals, which is what makes repeated query shapes
-// plan in microseconds.
-func (c *Client) compileCached(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.Plan, core.Options, error) {
+// may be nil) and failures come back as typed *QueryError values. cache is
+// the plan-template cache to use (the client's, a statement's private one,
+// or nil for none); on a hit the optimize stage is skipped entirely: the
+// cached skeleton is re-bound onto the freshly parsed literals.
+func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.Plan, core.Options, error) {
 	end := tr.StartSpan("parse")
 	parsed, err := sqlparse.Parse(sql)
 	end(err)
@@ -765,7 +744,6 @@ func (c *Client) compileCached(sql string, tr *obs.Trace, cache *core.PlanCache)
 		Store:        c.store,
 		Stats:        c.stats,
 		Options:      opts,
-		Greedy:       c.cfg.GreedyPlanner,
 		GreedyMargin: c.cfg.GreedyMargin,
 		Trace:        tr,
 	}
@@ -811,7 +789,7 @@ func (c *Client) queryCached(ctx context.Context, sql string, cache *core.PlanCa
 	defer closeQuery()
 	start := time.Now()
 	tr := c.beginTrace(sql)
-	plan, opts, err := c.compileCached(sql, tr, cache)
+	plan, opts, err := c.compile(sql, tr, cache)
 	if err != nil {
 		return nil, c.failed(tr, err)
 	}
@@ -854,10 +832,6 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 	}
 	c.mu.Lock()
 	c.total.Add(report)
-	if err == nil {
-		c.counters.Add(plan.Counters)
-		c.queries++
-	}
 	c.mu.Unlock()
 	if err != nil {
 		if report != (engine.Report{}) {
@@ -873,7 +847,7 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 		Counters:        plan.Counters,
 		Plan:            plan.String(),
 		OptimizeTime:    plan.Optimized,
-		Planner:         plannerName(plan),
+		Planner:         plan.Planner,
 	}
 	for _, row := range rel.Rows {
 		enc := make([]string, len(row))
@@ -922,15 +896,6 @@ const (
 	PlannerCached = core.PlannerCached
 )
 
-// plannerName reports a plan's planning strategy, defaulting to dp for
-// plans built before the label existed.
-func plannerName(p *core.Plan) string {
-	if p.Planner == "" {
-		return core.PlannerDP
-	}
-	return p.Planner
-}
-
 // PlanCacheStats is the plan-template cache's activity snapshot: lookup
 // hits/misses, entries discarded as stale, entries displaced by capacity,
 // and the current number of cached templates.
@@ -961,26 +926,6 @@ func (c *Client) TotalSpend() engine.Report {
 	defer c.mu.Unlock()
 	return c.total
 }
-
-// SearchEffort reports cumulative optimizer counters and the query count.
-func (c *Client) SearchEffort() (core.Counters, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters, c.queries
-}
-
-// StoredRows reports how many rows of a market table are materialised in
-// the semantic store.
-func (c *Client) StoredRows(table string) int { return c.store.StoredRowCount(table) }
-
-// StoreStats is the semantic store's size and activity snapshot: live and
-// tombstoned coverage entries, materialised rows, lookup/fast-path/pruning
-// counters and compaction totals.
-type StoreStats = semstore.Stats
-
-// StoreStats reports the semantic store's current size and its lifetime
-// lookup and compaction activity.
-func (c *Client) StoreStats() StoreStats { return c.store.Stats() }
 
 // TableInfo summarises one catalog entry for introspection (the CLI's
 // \tables command).

@@ -234,26 +234,28 @@ func TestFourWayJoinTemplateQ5(t *testing.T) {
 func TestAllTemplatesExecute(t *testing.T) {
 	client, _, w := testSetup(t, nil)
 	rng := rand.New(rand.NewSource(11))
+	plans := 0
 	for _, tpl := range w.Templates() {
 		for i := 0; i < 3; i++ {
 			sql := tpl.Instantiate(rng)
-			if _, err := client.Query(sql); err != nil {
+			res, err := client.Query(sql)
+			if err != nil {
 				t.Fatalf("%s instance %d (%s): %v", tpl.Name, i, sql, err)
 			}
+			plans += res.Counters.PlansEvaluated
 		}
 	}
 	spend := client.TotalSpend()
 	if spend.Transactions <= 0 {
 		t.Error("workload should have cost something")
 	}
-	counters, q := client.SearchEffort()
-	if q != 15 || counters.PlansEvaluated <= 0 {
-		t.Errorf("search effort: %+v queries=%d", counters, q)
+	if q := client.Metrics().Queries; q != 15 || plans <= 0 {
+		t.Errorf("search effort: %d plans evaluated, queries=%d", plans, q)
 	}
 }
 
 func TestWithoutSQRRepeatsPay(t *testing.T) {
-	client, _, w := testSetup(t, func(c *Config) { c.DisableSQR = true })
+	client, _, w := testSetup(t, func(c *Config) { c.Consistency = Strong() })
 	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
 		w.Dates[0], w.Dates[5])
 	r1, err := client.Query(sql)

@@ -1,95 +1,39 @@
 package payless
 
 import (
-	"bytes"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"payless/internal/catalog"
 	"payless/internal/semstore"
-	"payless/internal/wal"
 )
 
-// ErrBadSnapshot is wrapped by LoadStore/LoadStoreFile when the input is
-// not a semantic-store snapshot at all: unparseable JSON, a missing or
-// wrong magic header, or an unsupported version. Test with errors.Is.
+// ErrBadSnapshot is wrapped by LoadStore when the input is not a
+// semantic-store snapshot at all: unparseable JSON, a missing or wrong magic
+// header, or an unsupported version. Test with errors.Is.
 var ErrBadSnapshot = semstore.ErrBadSnapshot
 
-// SaveStore serialises the semantic store — every paid-for call and its
-// materialised rows — so the organisation's purchases survive restarts.
+// SaveStore exports the semantic store — every paid-for call and its
+// materialised rows — as the same snapshot a durable store's checkpoint
+// writes. To keep purchases across restarts, open the client with
+// WithDurableStore; SaveStore is for moving them to another client.
 func (c *Client) SaveStore(w io.Writer) error {
 	return c.store.Save(w)
 }
 
-// LoadStore restores a previously saved semantic store. Tables must exist
-// in this client's catalog with the same schemas. Queries covered by the
-// restored store are answered without paying the market again.
+// LoadStore imports a snapshot written by SaveStore or by a durable store's
+// checkpoint. Tables must exist in this client's catalog with the same
+// schemas. Queries covered by the imported store are answered without
+// paying the market again. On a durable client the import is checkpointed,
+// so it survives a restart like anything bought.
 //
-// The load is atomic: the whole snapshot is validated before anything is
-// applied, so a truncated or corrupt file leaves the store untouched. A
-// file that is not a snapshot fails with an error matching ErrBadSnapshot.
+// The whole snapshot is validated before anything is applied, so a truncated
+// or corrupt file leaves the store untouched. A file that is not a snapshot
+// fails with an error matching ErrBadSnapshot. The one error after which the
+// import is applied is a durable client's failed checkpoint: the rows are
+// loaded in memory but not yet durable. Retry CheckpointStore then, not
+// LoadStore, which would import the records twice.
 func (c *Client) LoadStore(r io.Reader) error {
 	return c.store.Load(r, func(table string) (*catalog.Table, bool) {
 		return c.cat.Lookup(table)
 	})
-}
-
-// SaveStoreFile writes the store to path crash-safely: the snapshot goes to
-// a temp file that is fsynced, atomically renamed over path, and made
-// durable with a directory fsync. A crash at any instant leaves either the
-// previous good snapshot or the new one — never a torn mix, and never
-// neither.
-func (c *Client) SaveStoreFile(path string) error {
-	return c.saveStoreFile(wal.OS, path)
-}
-
-// saveStoreFile is SaveStoreFile over an injectable filesystem, so the
-// crash suite can fail the writer partway and assert the previous snapshot
-// survives.
-func (c *Client) saveStoreFile(fsys wal.FS, path string) error {
-	var buf bytes.Buffer
-	if err := c.SaveStore(&buf); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if n, err := f.Write(buf.Bytes()); err != nil {
-		return fail(err)
-	} else if n != buf.Len() {
-		return fail(fmt.Errorf("payless: short snapshot write: %d of %d bytes", n, buf.Len()))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
-}
-
-// LoadStoreFile restores the semantic store from a file written by
-// SaveStoreFile. Wrong files fail fast with ErrBadSnapshot; any error
-// leaves the store untouched.
-func (c *Client) LoadStoreFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return c.LoadStore(f)
 }

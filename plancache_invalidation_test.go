@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"payless/internal/core"
 	"payless/internal/workload"
 )
 
@@ -35,8 +36,8 @@ func TestPlanCacheInvalidationOnCoverageFlip(t *testing.T) {
 	// the template twice more.
 	sequence := []string{
 		shape(2, 5), shape(2, 5), shape(2, 5), // run 1 misses, run 2 re-caches, run 3 hits
-		"SELECT * FROM Weather", // buys the rest of the table: epoch bump, plan flip
-		shape(1, 8),             // same shape, post-flip: must NOT serve the stale skeleton
+		"SELECT * FROM Weather",  // buys the rest of the table: epoch bump, plan flip
+		shape(1, 8),              // same shape, post-flip: must NOT serve the stale skeleton
 		shape(1, 8), shape(1, 8), // re-cached flipped plan serves from here
 	}
 
@@ -100,7 +101,7 @@ func TestPlanCacheConcurrentQueryRecord(t *testing.T) {
 	_, open, templates := newWHWOracleEnv(t)
 	client := open("inv-race", func(c *Config) {
 		c.PlanCacheSize = 32
-		c.GreedyPlanner = true
+		c.GreedyMargin = core.DefaultGreedyMargin
 	})
 
 	const workers = 8

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/storage"
 	"payless/internal/workload"
@@ -93,7 +94,7 @@ func TestSpendParityOracle(t *testing.T) {
 		t.Run(env.name, func(t *testing.T) {
 			_, open, templates := env.setup(t)
 			dp := open("parity-dp", nil)
-			greedy := open("parity-greedy", func(c *Config) { c.GreedyPlanner = true })
+			greedy := open("parity-greedy", func(c *Config) { c.GreedyMargin = core.DefaultGreedyMargin })
 			cached := open("parity-cached", func(c *Config) { c.PlanCacheSize = 256 })
 
 			// The instance list: a few draws of every template, in a fixed
@@ -132,7 +133,7 @@ func TestSpendParityOracle(t *testing.T) {
 					// accepted when its estimated spend is within the margin of
 					// a DP lower bound; billed reality must stay within 5% too
 					// (+1 transaction of ceil slack for tiny queries).
-					if allowed := want.Report.Transactions+want.Report.Transactions/20+1; g.Report.Transactions > allowed {
+					if allowed := want.Report.Transactions + want.Report.Transactions/20 + 1; g.Report.Transactions > allowed {
 						t.Errorf("pass %d query %d: greedy billed %d, dp billed %d (allowed %d)\n%s",
 							pass, qi, g.Report.Transactions, want.Report.Transactions, allowed, sql)
 					}

@@ -31,7 +31,11 @@ func TestPropertySpendNeverExceedsNoReuse(t *testing.T) {
 	tables := append(m.ExportCatalog(), w.ZipMap)
 	mk := func(key string, disableSQR bool) *Client {
 		m.RegisterAccount(key)
-		c, err := Open(Config{Tables: tables, Caller: market.AccountCaller{Market: m, Key: key}, DisableSQR: disableSQR})
+		cfg := Config{Tables: tables, Caller: market.AccountCaller{Market: m, Key: key}}
+		if disableSQR {
+			cfg.Consistency = Strong()
+		}
+		c, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +112,7 @@ func TestPropertyStoredRowsNeverExceedTable(t *testing.T) {
 			usRows++
 		}
 	}
-	if got := client.StoredRows("Weather"); got > usRows {
+	if got := client.store.StoredRowCount("Weather"); got > usRows {
 		t.Errorf("stored %d rows exceeds the %d US rows ever touchable", got, usRows)
 	}
 }

@@ -132,7 +132,7 @@ func TestSchedulerWindowNeverCostsMoreAtN1(t *testing.T) {
 	for _, arm := range []struct {
 		name string
 		opts []Option
-	}{{"SQR", nil}, {"WithoutSQR", []Option{WithoutSQR()}}} {
+	}{{"SQR", nil}, {"WithoutSQR", []Option{WithConsistency(Strong())}}} {
 		t.Run(arm.name, func(t *testing.T) {
 			m, w := buildChaosMarket(t)
 			m.RegisterAccount("windowed")

@@ -198,7 +198,7 @@ func TestTraceReproducesSQRAblation(t *testing.T) {
 		return total, storeHits
 	}
 	plSpend, plHits := spendFromTraces()
-	nsSpend, nsHits := spendFromTraces(WithoutSQR())
+	nsSpend, nsHits := spendFromTraces(WithConsistency(Strong()))
 	t.Logf("trace-summed spend: PL %d (%d store hits), w/o SQR %d (%d store hits)",
 		plSpend, plHits, nsSpend, nsHits)
 	if plSpend >= nsSpend {
