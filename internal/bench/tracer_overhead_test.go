@@ -49,8 +49,13 @@ func replayAllocs(t *testing.T, env *concurrencyEnv, key string, opts ...payless
 // TestNoopTracerAllocatesNothing is the guard on the tracing hooks: a client
 // whose Tracer declines every query runs the same nil-trace path as an
 // untraced one, so the fan-out workload allocates as much either way. (What tracing costs in time is BenchmarkFetchConcurrencyTraced's and
-// the ledger's trace.overhead_ratio to measure.)
+// the ledger's trace.overhead_ratio to measure.) The race detector makes
+// sync.Pool drop items at random, which moves the counts apart by more than
+// the comparison allows, so the gate runs only without it.
 func TestNoopTracerAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomises sync.Pool reuse, and with it allocation counts")
+	}
 	env, err := newConcurrencyEnv(smallConcurrencyParams())
 	if err != nil {
 		t.Fatal(err)

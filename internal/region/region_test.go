@@ -1,6 +1,7 @@
 package region
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,63 @@ func TestBoxContainsIntersect(t *testing.T) {
 	}
 	if _, ok := outer.Intersect(NewBox(Interval{0, 1})); ok {
 		t.Error("dim mismatch intersect")
+	}
+}
+
+// TestOverlapVolumeMatchesIntersect checks OverlapVolume against building the
+// intersection and taking its volume: the same verdict and the same float,
+// bit for bit, on random boxes of 1 to 4 dimensions, mismatched ones and
+// spans past 2⁵³.
+func TestOverlapVolumeMatchesIntersect(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	randIv := func() Interval {
+		lo := rng.Int63n(1<<uint(rng.Intn(62)+1)) - 1<<40
+		return Interval{lo, lo + rng.Int63n(1<<uint(rng.Intn(61)+1))}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a := Box{Dims: make([]Interval, 1+rng.Intn(4))}
+		b := Box{Dims: make([]Interval, len(a.Dims))}
+		if rng.Intn(50) == 0 {
+			b.Dims = b.Dims[1:]
+		}
+		for i := range a.Dims {
+			a.Dims[i] = randIv()
+		}
+		for i := range b.Dims {
+			if b.Dims[i] = randIv(); rng.Intn(3) == 0 {
+				b.Dims[i] = a.Dims[i]
+			}
+		}
+		x, ok := a.Intersect(b)
+		v, vok := a.OverlapVolume(b)
+		if ok != vok || (ok && math.Float64bits(v) != math.Float64bits(x.Volume())) {
+			t.Fatalf("%v ∩ %v: OverlapVolume %v, %v; Intersect %v, %v", a, b, v, vok, x.Volume(), ok)
+		}
+		if a.Overlaps(b) != ok {
+			t.Fatalf("%v ∩ %v: Overlaps %v, Intersect %v", a, b, !ok, ok)
+		}
+	}
+}
+
+var overlapSink float64
+
+// TestOverlapAllocatesNothing pins the overlap tests the histogram and the
+// store's side-list scan run per box at zero allocations.
+func TestOverlapAllocatesNothing(t *testing.T) {
+	a := NewBox(Interval{0, 100}, Interval{0, 100}, Interval{5, 9})
+	b := NewBox(Interval{50, 150}, Interval{-5, 5}, Interval{0, 6})
+	if allocs := testing.AllocsPerRun(100, func() {
+		v, _ := a.OverlapVolume(b)
+		overlapSink += v
+	}); allocs != 0 {
+		t.Errorf("OverlapVolume: %.0f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if a.Overlaps(b) {
+			overlapSink++
+		}
+	}); allocs != 0 {
+		t.Errorf("Overlaps: %.0f allocations, want 0", allocs)
 	}
 }
 

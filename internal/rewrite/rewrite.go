@@ -20,6 +20,7 @@ package rewrite
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"payless/internal/region"
@@ -76,7 +77,9 @@ type Plan struct {
 	Stats   Stats
 }
 
-// Estimator returns the expected number of table rows inside a box.
+// Estimator returns the expected number of table rows inside a box. It must
+// not retain the box: Algorithm 1 passes a scratch box it rewrites for the
+// next candidate.
 type Estimator func(region.Box) float64
 
 // priceOf converts an estimated row count into transactions.
@@ -132,7 +135,7 @@ func Remainders(q region.Box, covered []region.Box, cfg Config, est Estimator) P
 		elemPrice[i] = priceOf(elemRows[i], cfg.TuplesPerTransaction)
 	}
 
-	cands := enumerate(q, elems, elemRows, elemPrice, cfg, est, &plan.Stats)
+	cands := enumerate(q, elems, elemPrice, cfg, est, &plan.Stats)
 
 	// Elementary boxes themselves are always feasible remainder queries
 	// (straight decomposition, the paper's Rem1), guaranteeing a cover.
@@ -209,13 +212,11 @@ func validize(e region.Box, cfg Config) []region.Box {
 	return out
 }
 
-// enumerate runs Algorithm 1: candidate bounding boxes from separator sets,
-// filtered by the two pruning rules unless disabled.
-func enumerate(q region.Box, elems []region.Box, elemRows []float64, elemPrice []int64, cfg Config, est Estimator, stats *Stats) []candidate {
+// extentsOf returns Algorithm 1's per-dimension candidate extents, or false
+// when some dimension has none or the enumeration would exceed the cap.
+func extentsOf(q region.Box, elems []region.Box, cfg Config) ([][]region.Interval, bool) {
 	d := q.D()
 	seps := region.SeparatorSets(elems)
-
-	// Per-dimension candidate extents.
 	extents := make([][]region.Interval, d)
 	total := 1
 	for i := 0; i < d; i++ {
@@ -258,33 +259,44 @@ func enumerate(q region.Box, elems []region.Box, elemRows []float64, elemPrice [
 			}
 		}
 		if len(exts) == 0 {
-			return nil
+			return nil, false
 		}
 		extents[i] = exts
 		if total > cfg.MaxEnumeration/len(exts) {
 			// Enumeration would exceed the cap; fall back to elementary
 			// boxes only (the caller always appends them).
-			return nil
+			return nil, false
 		}
 		total *= len(exts)
 	}
+	return extents, true
+}
 
+// enumerate runs Algorithm 1: candidate bounding boxes from separator sets,
+// filtered by the two pruning rules unless disabled.
+func enumerate(q region.Box, elems []region.Box, elemPrice []int64, cfg Config, est Estimator, stats *Stats) []candidate {
+	extents, ok := extentsOf(q, elems, cfg)
+	if !ok {
+		return nil
+	}
+	d := q.D()
 	var out []candidate
-	dims := make([]region.Interval, d)
+	// Every enumerated box is tested in these two scratch buffers; only a
+	// kept candidate gets its own copies. covers never outgrows its capacity.
+	b := region.Box{Dims: make([]region.Interval, d)}
+	covers := make([]int, 0, len(elems))
 	var rec func(i int)
 	rec = func(i int) {
 		if i == d {
 			stats.Enumerated++
-			b := region.NewBox(dims...)
-			c, ok := buildCandidate(b, elems, elemRows, elemPrice, cfg, est)
-			if ok {
+			if c, ok := buildCandidate(b, covers[:0], elems, elemPrice, cfg, est); ok {
 				stats.Kept++
 				out = append(out, c)
 			}
 			return
 		}
 		for _, e := range extents[i] {
-			dims[i] = e
+			b.Dims[i] = e
 			rec(i + 1)
 		}
 	}
@@ -292,9 +304,11 @@ func enumerate(q region.Box, elems []region.Box, elemRows []float64, elemPrice [
 	return out
 }
 
-// buildCandidate applies the pruning rules to one enumerated box.
-func buildCandidate(b region.Box, elems []region.Box, elemRows []float64, elemPrice []int64, cfg Config, est Estimator) (candidate, bool) {
-	var covers []int
+// buildCandidate applies the pruning rules to one enumerated box: the
+// geometric rule 1 before the estimator is asked, the price rule 2 after. b
+// and covers (empty, with room for every elementary box) are scratch: a kept
+// candidate holds copies of them.
+func buildCandidate(b region.Box, covers []int, elems []region.Box, elemPrice []int64, cfg Config, est Estimator) (candidate, bool) {
 	var coveredSum int64
 	for i, e := range elems {
 		if b.Contains(e) {
@@ -305,32 +319,35 @@ func buildCandidate(b region.Box, elems []region.Box, elemRows []float64, elemPr
 	if len(covers) == 0 {
 		return candidate{}, false
 	}
-	rows := est(b)
-	trans := priceOf(rows, cfg.TuplesPerTransaction)
-	if cfg.DisablePruning {
-		return candidate{boxes: []region.Box{b}, rows: rows, trans: trans, covers: covers}, true
-	}
 	// Pruning rule 1: only minimum bounding boxes survive. Shrinking b to
 	// the bounding box of the elementary boxes it contains must change
 	// nothing; otherwise b retrieves redundant tuples for the same coverage.
-	mbb, ok := region.BoundingBox(sub(elems, covers))
-	if !ok || !mbb.Equal(b) {
+	if !cfg.DisablePruning && !boundsExactly(b, elems, covers) {
 		return candidate{}, false
 	}
+	rows := est(b)
+	trans := priceOf(rows, cfg.TuplesPerTransaction)
 	// Pruning rule 2: the box must be strictly cheaper than fetching its
 	// elementary boxes individually.
-	if trans >= coveredSum {
+	if !cfg.DisablePruning && trans >= coveredSum {
 		return candidate{}, false
 	}
-	return candidate{boxes: []region.Box{b}, rows: rows, trans: trans, covers: covers}, true
+	return candidate{boxes: []region.Box{b.Clone()}, rows: rows, trans: trans, covers: slices.Clone(covers)}, true
 }
 
-func sub(elems []region.Box, idx []int) []region.Box {
-	out := make([]region.Box, len(idx))
-	for i, j := range idx {
-		out[i] = elems[j]
+// boundsExactly reports whether b is the bounding box of the elementary
+// boxes it covers: on every axis some covered box reaches each of b's edges.
+func boundsExactly(b region.Box, elems []region.Box, covers []int) bool {
+	for d, iv := range b.Dims {
+		lo, hi := elems[covers[0]].Dims[d].Lo, elems[covers[0]].Dims[d].Hi
+		for _, i := range covers[1:] {
+			lo, hi = min(lo, elems[i].Dims[d].Lo), max(hi, elems[i].Dims[d].Hi)
+		}
+		if lo != iv.Lo || hi != iv.Hi {
+			return false
+		}
 	}
-	return out
+	return true
 }
 
 // exactCoverLimit bounds the elementary-box count for which the optimal

@@ -116,7 +116,7 @@ func (s *Store) Estimate(table string, b region.Box) float64 {
 	}
 	var est float64
 	for _, bk := range t.buckets {
-		x, ok := bk.box.Intersect(b)
+		xv, ok := bk.box.OverlapVolume(b)
 		if !ok {
 			continue
 		}
@@ -124,7 +124,7 @@ func (s *Store) Estimate(table string, b region.Box) float64 {
 		if bv <= 0 {
 			continue
 		}
-		est += bk.count * (x.Volume() / bv)
+		est += bk.count * (xv / bv)
 	}
 	return est
 }
@@ -146,15 +146,15 @@ func (s *Store) Feedback(table string, b region.Box, n int64) {
 	}
 	s.version.Add(1)
 	canSplit := len(t.buckets) < s.maxBuckets
-	var next []bucket
+	// A split bucket becomes at most 1+2d pieces; most buckets pass as they are.
+	next := make([]bucket, 0, len(t.buckets)+2*b.D())
 	var inside []int // indexes into next of pieces inside b
 	for _, bk := range t.buckets {
-		x, overlaps := bk.box.Intersect(b)
-		if !overlaps {
+		if !bk.box.Overlaps(b) {
 			next = append(next, bk)
 			continue
 		}
-		if x.Equal(bk.box) {
+		if b.Contains(bk.box) {
 			// Whole bucket inside b.
 			inside = append(inside, len(next))
 			next = append(next, bk)
@@ -168,6 +168,7 @@ func (s *Store) Feedback(table string, b region.Box, n int64) {
 			next = append(next, bk)
 			continue
 		}
+		x, _ := bk.box.Intersect(b)
 		bv := bk.box.Volume()
 		frac := 0.0
 		if bv > 0 {
