@@ -196,6 +196,53 @@ func TestChaosInvariants(t *testing.T) {
 	}
 }
 
+// TestCallRetriesCountedTracedOrNot: payless_call_retries_total counts the
+// transport retries of every wire call whether or not a Tracer is installed
+// (the daemons run without one). The same seeded 5xx schedule drives an
+// untraced and a traced client through the same queries; each injected 5xx
+// costs exactly one retry, and both clients must count them all.
+func TestCallRetriesCountedTracedOrNot(t *testing.T) {
+	smallPages(t, 40)
+	var counted [2]int64
+	for i, tracer := range []Tracer{nil, CollectTracer{}} {
+		m, w := buildChaosMarket(t)
+		s := chaos.NewSchedule(2).Rate(chaos.ServerError, 0.25)
+		srv := httptest.NewServer(chaos.Handler(m.Handler(), s))
+		defer srv.Close()
+		client, err := Open(Config{
+			Tables: m.ExportCatalog(),
+			Caller: connector.New(srv.URL, "acct",
+				connector.WithRetries(12),
+				connector.WithBackoff(time.Millisecond, 5*time.Millisecond)),
+			DefaultTuplesPerTransaction: 100,
+			FetchConcurrency:            1,
+			Tracer:                      tracer,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var traced int64
+		for _, q := range chaosQueries(w) {
+			res, err := client.Query(q)
+			if err != nil {
+				t.Fatalf("tracer %T: %v", tracer, err)
+			}
+			traced += res.Trace.Retries()
+		}
+		counted[i] = client.Metrics().Retries
+		if injected := s.Injected()[chaos.ServerError]; counted[i] != injected {
+			t.Errorf("tracer %T: %d retries counted, %d 5xx injected", tracer, counted[i], injected)
+		}
+		if tracer != nil && traced != counted[i] {
+			t.Errorf("traces sum %d retries, metrics count %d", traced, counted[i])
+		}
+	}
+	if counted[0] == 0 || counted[0] != counted[1] {
+		t.Fatalf("retries counted untraced %d, traced %d: want the same non-zero count", counted[0], counted[1])
+	}
+	t.Logf("%d retries counted, traced or not", counted[0])
+}
+
 // TestChaosSalvageRetryPaysRemainder pins a persistent fault onto one call
 // of a multi-call fan-out: the query fails, but its completed calls are
 // salvaged into the semantic store and their spend is accounted, so the

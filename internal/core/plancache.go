@@ -210,12 +210,6 @@ func unsatisfiedBound(rel *Rel) bool {
 	return false
 }
 
-// PlanCacheStats is a point-in-time snapshot of cache activity.
-type PlanCacheStats struct {
-	Hits, Misses, Invalidations, Evictions uint64
-	Size                                   int
-}
-
 // PlanCache is a bounded LRU of plan skeletons keyed by normalized shape.
 // Safe for concurrent use.
 type PlanCache struct {
@@ -224,8 +218,6 @@ type PlanCache struct {
 	ll      *list.List
 	entries map[string]*list.Element
 	metrics *obs.Metrics
-
-	hits, misses, invalidations, evictions uint64
 }
 
 // NewPlanCache returns an empty cache holding at most capacity skeletons;
@@ -237,8 +229,9 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{cap: capacity, ll: list.New(), entries: make(map[string]*list.Element)}
 }
 
-// SetMetrics attaches a metrics sink for hit/miss/invalidation/eviction
-// counters. Call before the cache is shared across goroutines.
+// SetMetrics attaches the metrics sink that counts hits, misses,
+// invalidations and evictions; the cache keeps no counters of its own. Call
+// before the cache is shared across goroutines.
 func (c *PlanCache) SetMetrics(m *obs.Metrics) { c.metrics = m }
 
 // Get returns the live skeleton for the key, or nil on a miss. A skeleton
@@ -248,28 +241,21 @@ func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVers
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
-		m := c.metrics
 		c.mu.Unlock()
-		m.ObservePlanCacheLookup(false, false)
+		c.metrics.ObservePlanCacheLookup(false, false)
 		return nil
 	}
 	sk := el.Value.(*PlanSkeleton)
 	if sk.stale(epochOf, statsVersion) {
 		c.ll.Remove(el)
 		delete(c.entries, key)
-		c.invalidations++
-		c.misses++
-		m := c.metrics
 		c.mu.Unlock()
-		m.ObservePlanCacheLookup(false, true)
+		c.metrics.ObservePlanCacheLookup(false, true)
 		return nil
 	}
 	c.ll.MoveToFront(el)
-	c.hits++
-	m := c.metrics
 	c.mu.Unlock()
-	m.ObservePlanCacheLookup(true, false)
+	c.metrics.ObservePlanCacheLookup(true, false)
 	return sk
 }
 
@@ -290,14 +276,12 @@ func (c *PlanCache) Put(sk *PlanSkeleton) {
 			back := c.ll.Back()
 			old := c.ll.Remove(back).(*PlanSkeleton)
 			delete(c.entries, old.Key)
-			c.evictions++
 			evicted = true
 		}
 	}
-	m := c.metrics
 	c.mu.Unlock()
 	if evicted {
-		m.ObservePlanCacheEviction()
+		c.metrics.ObservePlanCacheEviction()
 	}
 }
 
@@ -306,17 +290,4 @@ func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns the cache's activity counters and current size.
-func (c *PlanCache) Stats() PlanCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return PlanCacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Invalidations: c.invalidations,
-		Evictions:     c.evictions,
-		Size:          c.ll.Len(),
-	}
 }

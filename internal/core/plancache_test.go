@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"payless/internal/obs"
 	"payless/internal/semstore"
 	"payless/internal/sqlparse"
 	"payless/internal/storage"
@@ -24,6 +25,14 @@ func (f *fixture) bind(t *testing.T, sql string) *BoundQuery {
 	return b
 }
 
+// meteredCache returns a cache of the given capacity and the registry that
+// counts its activity.
+func meteredCache(capacity int) (*PlanCache, *obs.Metrics) {
+	cache, metrics := NewPlanCache(capacity), obs.NewMetrics()
+	cache.SetMetrics(metrics)
+	return cache, metrics
+}
+
 // epochsAt builds an epoch lookup returning one fixed value for every table.
 func epochsAt(e uint64) func(string) uint64 {
 	return func(string) uint64 { return e }
@@ -38,7 +47,7 @@ func skeletonFor(t *testing.T, f *fixture, sql, key string, epoch, statsVersion 
 
 func TestPlanCacheHitReturnsSameSkeleton(t *testing.T) {
 	f := newFixture(t, numTable("R", 1000, "a", "b"))
-	cache := NewPlanCache(4)
+	cache, metrics := meteredCache(4)
 	sk := skeletonFor(t, f, "SELECT * FROM R WHERE a >= 10", "k1", 3, 7)
 	cache.Put(sk)
 	got := cache.Get("k1", epochsAt(3), 7)
@@ -48,8 +57,8 @@ func TestPlanCacheHitReturnsSameSkeleton(t *testing.T) {
 	if cache.Get("missing", epochsAt(3), 7) != nil {
 		t.Fatal("unknown key must miss")
 	}
-	st := cache.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Invalidations != 0 {
+	st := metrics.Snapshot()
+	if st.PlanCacheHits != 1 || st.PlanCacheMisses != 1 || st.PlanCacheInvalidations != 0 {
 		t.Errorf("stats: %+v", st)
 	}
 }
@@ -66,14 +75,14 @@ func TestPlanCacheInvalidatesOnEpochAndStats(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cache := NewPlanCache(4)
+			cache, metrics := meteredCache(4)
 			cache.Put(skeletonFor(t, f, "SELECT * FROM R WHERE a >= 10", "k1", 3, 7))
 			if got := cache.Get("k1", epochsAt(tc.epoch), tc.statsVersion); got != nil {
 				t.Fatalf("stale entry served: %+v", got)
 			}
-			st := cache.Stats()
-			if st.Invalidations != 1 || st.Size != 0 {
-				t.Errorf("stale entry must be dropped: %+v", st)
+			if st := metrics.Snapshot(); st.PlanCacheInvalidations != 1 || st.PlanCacheMisses != 1 || cache.Len() != 0 {
+				t.Errorf("stale entry must be dropped: %d invalidations, %d misses, %d entries",
+					st.PlanCacheInvalidations, st.PlanCacheMisses, cache.Len())
 			}
 			// The slot is free again: a re-put at the new state hits.
 			cache.Put(skeletonFor(t, f, "SELECT * FROM R WHERE a >= 10", "k1", tc.epoch, tc.statsVersion))
@@ -86,7 +95,7 @@ func TestPlanCacheInvalidatesOnEpochAndStats(t *testing.T) {
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	f := newFixture(t, numTable("R", 1000, "a", "b"))
-	cache := NewPlanCache(2)
+	cache, metrics := meteredCache(2)
 	for i := 0; i < 3; i++ {
 		cache.Put(skeletonFor(t, f, "SELECT * FROM R WHERE a >= 10", fmt.Sprintf("k%d", i), 1, 1))
 	}
@@ -105,8 +114,8 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if cache.Get("k2", epochsAt(1), 1) != nil {
 		t.Error("LRU order must follow hits, not insertion")
 	}
-	if st := cache.Stats(); st.Evictions != 2 {
-		t.Errorf("evictions: %+v", st)
+	if n := metrics.Snapshot().PlanCacheEvictions; n != 2 {
+		t.Errorf("evictions: %d, want 2", n)
 	}
 }
 

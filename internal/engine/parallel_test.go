@@ -10,6 +10,7 @@ import (
 
 	"payless/internal/catalog"
 	"payless/internal/market"
+	"payless/internal/obs"
 	"payless/internal/region"
 	"payless/internal/sched"
 )
@@ -177,7 +178,8 @@ func TestRemainderBatchFusesTouchingPieces(t *testing.T) {
 		calls.Add(1)
 		return market.AccountCaller{Market: f.m, Key: "k"}.Call(ctx, q)
 	})
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: sched.New(caller, sched.Config{}), Concurrency: 1}
+	metrics := obs.NewMetrics()
+	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: sched.New(caller, sched.Config{Metrics: metrics}), Concurrency: 1}
 	meta, _ := f.cat.Lookup("R")
 	aRange := func(lo, hi int64) region.Box {
 		b := meta.FullBox().Clone()
@@ -212,7 +214,7 @@ func TestRemainderBatchFusesTouchingPieces(t *testing.T) {
 			t.Fatalf("piece %v not covered after the fused call", b)
 		}
 	}
-	if st := e.Sched.Stats(); st.MergedCalls != 1 || st.MergedTransactionsSaved != 1 {
+	if st := metrics.Snapshot(); st.SchedMergedCalls != 1 || st.SchedMergedTransactionsSaved != 1 {
 		t.Fatalf("fusion not booked as a merge: %+v", st)
 	}
 }

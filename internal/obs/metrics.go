@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -90,591 +92,349 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
+// Snapshot is the metric table: every counter, gauge and histogram the
+// registry keeps is one field here, and a point-in-time copy of the registry
+// is one value of it. The prom tag names the field's family (without the
+// prefix) and its Prometheus type; the help tag is its HELP text.
+// WritePrometheus renders the families in field order, so adding a metric is
+// adding a field and the Observe method that feeds it.
+type Snapshot struct {
+	// The cumulative market bill: per query on the buyer side (failed ones
+	// included), per served call on the seller side.
+	Queries      int64   `prom:"queries_total,counter" help:"Queries executed."`
+	QueryErrors  int64   `prom:"query_errors_total,counter" help:"Queries that failed."`
+	Calls        int64   `prom:"calls_total,counter" help:"RESTful market calls."`
+	Records      int64   `prom:"records_total,counter" help:"Records returned by market calls."`
+	Transactions int64   `prom:"transactions_total,counter" help:"Transactions billed (ceil(records/t) per call)."`
+	Price        float64 `prom:"price_total,counter" help:"Money billed across all calls."`
+	Retries      int64   `prom:"call_retries_total,counter" help:"Extra transport attempts beyond the first."`
+
+	// Semantic-store reuse (traced queries only), lookups and compaction.
+	StoreHits             int64 `prom:"store_hits_total,counter" help:"Plan accesses served entirely from the semantic store."`
+	StoreHitRows          int64 `prom:"store_hit_rows_total,counter" help:"Rows served from the semantic store instead of bought."`
+	StoreLookups          int64 `prom:"store_lookups_total,counter" help:"Indexed semantic-store coverage lookups."`
+	StoreLookupMicros     int64 `prom:"store_lookup_micros_total,counter" help:"Cumulative coverage-lookup wall-clock microseconds."`
+	StorePrunedBoxes      int64 `prom:"store_pruned_boxes_total,counter" help:"Stored boxes skipped by index pruning before subtraction."`
+	StoreFastPathHits     int64 `prom:"store_fastpath_total,counter" help:"Coverage lookups answered by a single containing box."`
+	StoreDroppedEntries   int64 `prom:"store_dropped_entries_total,counter" help:"New coverage entries dropped as redundant on Record."`
+	StoreCompactedEntries int64 `prom:"store_compacted_entries_total,counter" help:"Stored coverage entries absorbed or merged by compaction."`
+
+	// Failure recovery: replay ledger, circuit breakers, failed spend.
+	ReplayedCalls                int64   `prom:"replayed_calls_total,counter" help:"Retried calls served from the replay ledger without re-billing."`
+	BreakerOpens                 int64   `prom:"breaker_opens_total,counter" help:"Circuit breakers tripped open."`
+	BreakerShortCircuits         int64   `prom:"breaker_short_circuits_total,counter" help:"Calls refused locally while a dataset's breaker was open."`
+	BreakerProbes                int64   `prom:"breaker_probes_total,counter" help:"Half-open probe calls let through after a breaker cooldown."`
+	FailedQuerySpendTransactions int64   `prom:"failed_query_spend_transactions_total,counter" help:"Transactions billed to queries that ultimately failed."`
+	FailedQuerySpendPrice        float64 `prom:"failed_query_spend_price_total,counter" help:"Money billed to queries that ultimately failed."`
+
+	// Durability: WAL appends and recoveries, checkpoints, lost audits.
+	WALAppends         int64 `prom:"wal_appends_total,counter" help:"Write-ahead-log appends in durable mode."`
+	WALAppendBytes     int64 `prom:"wal_append_bytes_total,counter" help:"Payload bytes appended to the write-ahead log."`
+	WALAppendMicros    int64 `prom:"wal_append_micros_total,counter" help:"Cumulative WAL append wall-clock microseconds (including fsyncs)."`
+	WALSyncedAppends   int64 `prom:"wal_synced_appends_total,counter" help:"WAL appends fsynced before Record returned."`
+	WALReplays         int64 `prom:"wal_replays_total,counter" help:"Durable-store recoveries that replayed the log."`
+	WALReplayedRecords int64 `prom:"wal_replayed_records_total,counter" help:"WAL records applied during recovery."`
+	WALSkippedRecords  int64 `prom:"wal_skipped_records_total,counter" help:"WAL records skipped as already covered by the loaded snapshot."`
+	WALTornTails       int64 `prom:"wal_torn_tails_total,counter" help:"Recoveries that truncated a torn WAL tail."`
+	Checkpoints        int64 `prom:"checkpoints_total,counter" help:"Snapshot checkpoints completed."`
+	CheckpointFailures int64 `prom:"checkpoint_failures_total,counter" help:"Snapshot checkpoints that failed (log left intact)."`
+	CheckpointBytes    int64 `prom:"checkpoint_bytes_total,counter" help:"Bytes written by snapshot checkpoints."`
+	CheckpointMicros   int64 `prom:"checkpoint_micros_total,counter" help:"Cumulative checkpoint wall-clock microseconds."`
+	AuditDropped       int64 `prom:"audit_dropped_total,counter" help:"Audit records lost to sink write failures."`
+
+	// Planning: plan-cache lookups (an invalidation is also a miss).
+	PlanCacheHits          int64 `prom:"plan_cache_hits_total,counter" help:"Plan-template cache lookups served from cache."`
+	PlanCacheMisses        int64 `prom:"plan_cache_misses_total,counter" help:"Plan-template cache lookups that missed."`
+	PlanCacheInvalidations int64 `prom:"plan_cache_invalidations_total,counter" help:"Cached plan skeletons discarded as stale (coverage epoch or stats version moved)."`
+	PlanCacheEvictions     int64 `prom:"plan_cache_evictions_total,counter" help:"Cached plan skeletons displaced by the LRU capacity."`
+	PlansCached            int64 `prom:"plans_cached_total,counter" help:"Queries planned from the plan-template cache."`
+	PlansGreedy            int64 `prom:"plans_greedy_total,counter" help:"Queries planned by the greedy fast path."`
+	PlansDP                int64 `prom:"plans_dp_total,counter" help:"Queries planned by the full dynamic program."`
+
+	// The global call scheduler.
+	SchedSingleflightHits        int64 `prom:"sched_singleflight_hits_total,counter" help:"Calls served by joining an identical in-flight market call."`
+	SchedMergedCalls             int64 `prom:"sched_merged_calls_total,counter" help:"Wire calls fused out of several boxes: parked together across queries, or one plan's sibling calls."`
+	SchedMergedTransactionsSaved int64 `prom:"sched_merged_transactions_saved_total,counter" help:"Transactions saved by merged calls versus billing the parts."`
+	SchedDelayedCalls            int64 `prom:"sched_delayed_calls_total,counter" help:"Fetches parked in the coalesce window to accumulate merge candidates."`
+
+	// The federation layer's routing.
+	FederationCalls     int64 `prom:"federation_calls_total,counter" help:"Market calls routed through the federation layer."`
+	FederationFailovers int64 `prom:"federation_failovers_total,counter" help:"Endpoint attempts that hard-failed and failed over to the next endpoint."`
+	FederationHedges    int64 `prom:"federation_hedged_calls_total,counter" help:"Hedge attempts launched after the primary exceeded its hedge delay."`
+	FederationHedgeWins int64 `prom:"federation_hedge_wins_total,counter" help:"Hedges whose secondary endpoint answered first."`
+	FederationExhausted int64 `prom:"federation_exhausted_total,counter" help:"Calls that failed on every configured endpoint."`
+
+	// Gauges: instantaneous levels, not cumulative.
+	InflightQueries int64 `prom:"inflight_queries,gauge" help:"Queries currently executing."`
+	QueueDepth      int64 `prom:"queue_depth,gauge" help:"Requests currently queued for an execution slot."`
+
+	QueryLatency    HistogramSnapshot `prom:"query_duration_seconds,histogram" help:"End-to-end query latency."`
+	CallLatency     HistogramSnapshot `prom:"call_duration_seconds,histogram" help:"Market call latency (including retries and paging)."`
+	OptimizeLatency HistogramSnapshot `prom:"optimize_duration_seconds,histogram" help:"Optimizer latency per query."`
+}
+
 // Metrics accumulates process-wide counters and latency histograms. One
 // instance serves a Client (buyer side) or a Market (seller side); unused
-// families simply stay zero. Safe for concurrent use.
+// families simply stay zero. Safe for concurrent use; every method is a
+// no-op on a nil receiver.
 type Metrics struct {
 	mu sync.Mutex
-
-	queries     int64
-	queryErrors int64
-
-	calls        int64
-	records      int64
-	transactions int64
-	price        float64
-	retries      int64
-
-	storeHits    int64
-	storeHitRows int64
-
-	storeLookups      int64
-	storeLookupMicros int64
-	storePrunedBoxes  int64
-	storeFastPath     int64
-	storeDropped      int64
-	storeCompacted    int64
-
-	replayedCalls int64
-
-	breakerOpens         int64
-	breakerShortCircuits int64
-	breakerProbes        int64
-
-	failedQuerySpendTransactions int64
-	failedQuerySpendPrice        float64
-
-	walAppends         int64
-	walAppendBytes     int64
-	walAppendMicros    int64
-	walSyncedAppends   int64
-	walReplays         int64
-	walReplayedRecords int64
-	walSkippedRecords  int64
-	walTornTails       int64
-
-	checkpoints        int64
-	checkpointFailures int64
-	checkpointBytes    int64
-	checkpointMicros   int64
-
-	auditDropped int64
-
-	planCacheHits          int64
-	planCacheMisses        int64
-	planCacheInvalidations int64
-	planCacheEvictions     int64
-	plansCached            int64
-	plansGreedy            int64
-	plansDP                int64
-
-	schedSingleflightHits        int64
-	schedMergedCalls             int64
-	schedMergedTransactionsSaved int64
-	schedDelayedCalls            int64
-
-	federationCalls     int64
-	federationFailovers int64
-	federationHedges    int64
-	federationHedgeWins int64
-	federationExhausted int64
-
-	// Gauges (instantaneous levels, not cumulative): queries currently
-	// executing and requests currently parked in an admission queue.
-	inflight   int64
-	queueDepth int64
-
-	queryLatency    histogram
-	callLatency     histogram
-	optimizeLatency histogram
+	// s holds every counter and gauge; the histograms fill its histogram
+	// fields at Snapshot.
+	s                                          Snapshot
+	queryLatency, callLatency, optimizeLatency histogram
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics { return &Metrics{} }
 
+// update applies f to the table under the registry lock.
+func (m *Metrics) update(f func(*Snapshot)) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	f(&m.s)
+	m.mu.Unlock()
+}
+
+// b2i is 1 for true, 0 for false.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // ObserveQuery folds one finished query into the registry: its end-to-end
 // and optimize latencies plus what it cost at the market.
 func (m *Metrics) ObserveQuery(total, optimize time.Duration, calls, records, transactions int64, price float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queries++
-	m.calls += calls
-	m.records += records
-	m.transactions += transactions
-	m.price += price
-	m.queryLatency.observe(total)
-	m.optimizeLatency.observe(optimize)
+	m.update(func(s *Snapshot) {
+		s.Queries++
+		s.Calls += calls
+		s.Records += records
+		s.Transactions += transactions
+		s.Price += price
+		m.queryLatency.observe(total)
+		m.optimizeLatency.observe(optimize)
+	})
 }
 
 // ObserveQueryError counts a failed query.
-func (m *Metrics) ObserveQueryError() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queryErrors++
-}
+func (m *Metrics) ObserveQueryError() { m.update(func(s *Snapshot) { s.QueryErrors++ }) }
 
-// ObserveTrace folds a finished trace's per-call detail into the registry:
-// retries and semantic-store reuse. Call/record/transaction totals are NOT
-// added here — ObserveQuery already counted them from the query report —
-// and neither are call latencies, which ObserveCallLatency takes from every
-// wire call traced or not, so observing both for the same query never
-// double-counts.
+// ObserveTrace folds a finished trace's semantic-store reuse into the
+// registry. The bill, call latencies and retries come from every query and
+// wire call traced or not, so they are not taken from the trace.
 func (m *Metrics) ObserveTrace(t *Trace) {
-	if m == nil || t == nil {
+	if t == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range t.Calls {
-		m.retries += int64(c.Retries)
-	}
-	m.storeHits += int64(t.StoreHits)
-	m.storeHitRows += t.StoreHitRows
+	m.update(func(s *Snapshot) {
+		s.StoreHits += int64(t.StoreHits)
+		s.StoreHitRows += t.StoreHitRows
+	})
 }
 
 // ObserveStoreLookup folds one semantic-store coverage lookup into the
-// registry. Fed directly by the store (not via traces), so it counts every
-// lookup whether or not the query was traced.
+// registry. The store feeds it directly, traced query or not.
 func (m *Metrics) ObserveStoreLookup(micros int64, pruned int, fastPath bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.storeLookups++
-	m.storeLookupMicros += micros
-	m.storePrunedBoxes += int64(pruned)
-	if fastPath {
-		m.storeFastPath++
-	}
+	m.update(func(s *Snapshot) {
+		s.StoreLookups++
+		s.StoreLookupMicros += micros
+		s.StorePrunedBoxes += int64(pruned)
+		s.StoreFastPathHits += b2i(fastPath)
+	})
 }
 
-// ObserveStoreCompaction folds one Record's compaction outcome into the
-// registry: whether the new entry was dropped as redundant, and how many
-// stored entries it absorbed or merged away.
+// ObserveStoreCompaction folds one Record's compaction outcome: whether the
+// new entry was dropped as redundant, and how many stored entries it removed.
 func (m *Metrics) ObserveStoreCompaction(dropped bool, absorbed, merged int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if dropped {
-		m.storeDropped++
-	}
-	m.storeCompacted += int64(absorbed + merged)
+	m.update(func(s *Snapshot) {
+		s.StoreDroppedEntries += b2i(dropped)
+		s.StoreCompactedEntries += int64(absorbed + merged)
+	})
 }
 
-// ObserveReplayedCall counts a call served from the replay ledger instead
-// of being billed again — a retry whose first execution had already been
-// charged (seller side).
-func (m *Metrics) ObserveReplayedCall() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replayedCalls++
-}
+// ObserveReplayedCall counts a retried call the replay ledger served
+// instead of billing it again (seller side).
+func (m *Metrics) ObserveReplayedCall() { m.update(func(s *Snapshot) { s.ReplayedCalls++ }) }
 
 // ObserveBreakerOpen counts a circuit breaker tripping open for a dataset.
-func (m *Metrics) ObserveBreakerOpen() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.breakerOpens++
-}
+func (m *Metrics) ObserveBreakerOpen() { m.update(func(s *Snapshot) { s.BreakerOpens++ }) }
 
 // ObserveBreakerShortCircuit counts a market call refused locally because
-// its dataset's breaker was open — money and latency not spent on a market
-// that is known to be failing.
+// its dataset's breaker was open.
 func (m *Metrics) ObserveBreakerShortCircuit() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.breakerShortCircuits++
+	m.update(func(s *Snapshot) { s.BreakerShortCircuits++ })
 }
 
 // ObserveBreakerProbe counts a half-open probe call let through after a
 // breaker's cooldown.
-func (m *Metrics) ObserveBreakerProbe() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.breakerProbes++
-}
+func (m *Metrics) ObserveBreakerProbe() { m.update(func(s *Snapshot) { s.BreakerProbes++ }) }
 
 // ObserveFederationCall counts a market call routed through the federation
 // layer (before source selection).
-func (m *Metrics) ObserveFederationCall() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationCalls++
-}
+func (m *Metrics) ObserveFederationCall() { m.update(func(s *Snapshot) { s.FederationCalls++ }) }
 
 // ObserveFederationFailover counts one failover: an endpoint's attempt
 // hard-failed and the call moved on to the next-cheapest healthy endpoint.
 func (m *Metrics) ObserveFederationFailover() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationFailovers++
+	m.update(func(s *Snapshot) { s.FederationFailovers++ })
 }
 
 // ObserveFederationHedge counts a hedge launched: the primary endpoint was
 // slower than its hedge delay, so a second endpoint was raced against it.
-func (m *Metrics) ObserveFederationHedge() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationHedges++
-}
+func (m *Metrics) ObserveFederationHedge() { m.update(func(s *Snapshot) { s.FederationHedges++ }) }
 
 // ObserveFederationHedgeWin counts a hedge whose secondary endpoint answered
 // first (the primary was cancelled as the loser).
 func (m *Metrics) ObserveFederationHedgeWin() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationHedgeWins++
+	m.update(func(s *Snapshot) { s.FederationHedgeWins++ })
 }
 
 // ObserveFederationExhausted counts calls that failed on every configured
 // endpoint (all refused by breakers or all hard-failed).
 func (m *Metrics) ObserveFederationExhausted() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationExhausted++
+	m.update(func(s *Snapshot) { s.FederationExhausted++ })
 }
 
 // AddInflight moves the in-flight-queries gauge by delta: +1 as a query is
-// admitted, -1 as it settles. The overload-protection layers watch this
-// level to tell "busy" from "drowning".
+// admitted, -1 as it settles.
 func (m *Metrics) AddInflight(delta int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.inflight += delta
+	m.update(func(s *Snapshot) { s.InflightQueries += delta })
 }
 
 // AddQueueDepth moves the admission-queue-depth gauge by delta: +1 as a
-// request starts waiting for an execution slot, -1 as it is admitted or
-// shed. Fed by the daemon's load shedder.
-func (m *Metrics) AddQueueDepth(delta int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queueDepth += delta
-}
+// request starts waiting for an execution slot, -1 as it is admitted or shed.
+func (m *Metrics) AddQueueDepth(delta int64) { m.update(func(s *Snapshot) { s.QueueDepth += delta }) }
 
-// ObserveFailedQuerySpend folds the money a FAILED query still spent into
-// the bill counters (its salvage: the rows are in the semantic store, so a
-// retry will not re-buy them). Calls/records/transactions/price join the
-// same cumulative families ObserveQuery feeds on success; the
-// failed-query-specific transaction/price totals are additionally tracked
-// so dashboards can see how much spend sits behind failures.
+// ObserveFailedQuerySpend folds the money a FAILED query still spent (its
+// salvage: the rows are in the semantic store, so a retry will not re-buy
+// them) into the bill ObserveQuery feeds on success, and into the
+// failed-spend totals that show how much spend sits behind failures.
 func (m *Metrics) ObserveFailedQuerySpend(calls, records, transactions int64, price float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.calls += calls
-	m.records += records
-	m.transactions += transactions
-	m.price += price
-	m.failedQuerySpendTransactions += transactions
-	m.failedQuerySpendPrice += price
+	m.update(func(s *Snapshot) {
+		s.Calls += calls
+		s.Records += records
+		s.Transactions += transactions
+		s.Price += price
+		s.FailedQuerySpendTransactions += transactions
+		s.FailedQuerySpendPrice += price
+	})
 }
 
-// ObserveWALAppend folds one write-ahead-log append into the registry:
-// payload bytes, whether the append was fsynced before returning, and how
-// long the append (including any fsync) took.
+// ObserveWALAppend folds one write-ahead-log append: payload bytes, whether
+// it was fsynced before returning, and how long it took (fsync included).
 func (m *Metrics) ObserveWALAppend(bytes int, synced bool, micros int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.walAppends++
-	m.walAppendBytes += int64(bytes)
-	m.walAppendMicros += micros
-	if synced {
-		m.walSyncedAppends++
-	}
+	m.update(func(s *Snapshot) {
+		s.WALAppends++
+		s.WALAppendBytes += int64(bytes)
+		s.WALAppendMicros += micros
+		s.WALSyncedAppends += b2i(synced)
+	})
 }
 
-// ObserveWALReplay folds one recovery replay into the registry: records
-// applied, records skipped as already covered by the loaded snapshot, and
-// whether a torn tail was truncated.
+// ObserveWALReplay folds one recovery replay: records applied, records the
+// loaded snapshot already covered, and whether a torn tail was truncated.
 func (m *Metrics) ObserveWALReplay(replayed, skipped int, torn bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.walReplays++
-	m.walReplayedRecords += int64(replayed)
-	m.walSkippedRecords += int64(skipped)
-	if torn {
-		m.walTornTails++
-	}
+	m.update(func(s *Snapshot) {
+		s.WALReplays++
+		s.WALReplayedRecords += int64(replayed)
+		s.WALSkippedRecords += int64(skipped)
+		s.WALTornTails += b2i(torn)
+	})
 }
 
 // ObserveCheckpoint folds one snapshot checkpoint into the registry. Failed
 // checkpoints (ok=false) count separately; bytes/micros are then zero.
 func (m *Metrics) ObserveCheckpoint(bytes, micros int64, ok bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !ok {
-		m.checkpointFailures++
-		return
-	}
-	m.checkpoints++
-	m.checkpointBytes += bytes
-	m.checkpointMicros += micros
+	m.update(func(s *Snapshot) {
+		if !ok {
+			s.CheckpointFailures++
+			return
+		}
+		s.Checkpoints++
+		s.CheckpointBytes += bytes
+		s.CheckpointMicros += micros
+	})
 }
 
-// ObserveAuditDrop counts an audit record that could not be written to the
-// audit sink. Auditing stays non-fatal; this is how the loss is seen.
-func (m *Metrics) ObserveAuditDrop() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.auditDropped++
-}
+// ObserveAuditDrop counts an audit record the audit sink failed to take.
+func (m *Metrics) ObserveAuditDrop() { m.update(func(s *Snapshot) { s.AuditDropped++ }) }
 
-// ObservePlanCacheLookup folds one plan-template cache lookup into the
-// registry: whether it hit, and whether it found-and-discarded a stale
-// entry (an invalidation, which also counts as a miss).
+// ObservePlanCacheLookup folds one plan-template cache lookup: whether it
+// hit, and whether it discarded a stale entry (an invalidation, also a miss).
 func (m *Metrics) ObservePlanCacheLookup(hit, invalidated bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if hit {
-		m.planCacheHits++
-	} else {
-		m.planCacheMisses++
-	}
-	if invalidated {
-		m.planCacheInvalidations++
-	}
+	m.update(func(s *Snapshot) {
+		s.PlanCacheHits += b2i(hit)
+		s.PlanCacheMisses += b2i(!hit)
+		s.PlanCacheInvalidations += b2i(invalidated)
+	})
 }
 
 // ObservePlanCacheEviction counts a cached skeleton displaced by capacity.
-func (m *Metrics) ObservePlanCacheEviction() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.planCacheEvictions++
-}
+func (m *Metrics) ObservePlanCacheEviction() { m.update(func(s *Snapshot) { s.PlanCacheEvictions++ }) }
 
 // ObservePlanner counts which planning strategy produced one query's plan
 // ("cached", "greedy" or anything else, counted as dp).
 func (m *Metrics) ObservePlanner(planner string) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch planner {
-	case "cached":
-		m.plansCached++
-	case "greedy":
-		m.plansGreedy++
-	default:
-		m.plansDP++
-	}
+	m.update(func(s *Snapshot) {
+		switch planner {
+		case "cached":
+			s.PlansCached++
+		case "greedy":
+			s.PlansGreedy++
+		default:
+			s.PlansDP++
+		}
+	})
 }
 
 // ObserveSchedSingleflightHit counts a market call that joined an identical
-// (or containing) in-flight call instead of going to the wire — one bill
-// shared by several concurrent requesters.
+// (or containing) in-flight call instead of going to the wire.
 func (m *Metrics) ObserveSchedSingleflightHit() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.schedSingleflightHits++
+	m.update(func(s *Snapshot) { s.SchedSingleflightHits++ })
 }
 
-// ObserveSchedMerge counts one wire call fused out of several remainder
-// boxes — across queries in the window, or one plan's siblings — and how
-// many transactions the merge saved versus billing the parts separately.
+// ObserveSchedMerge counts one wire call fused out of several boxes and the
+// transactions the fusion saved versus billing the parts separately.
 func (m *Metrics) ObserveSchedMerge(saved int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.schedMergedCalls++
-	if saved > 0 {
-		m.schedMergedTransactionsSaved += saved
-	}
+	m.update(func(s *Snapshot) {
+		s.SchedMergedCalls++
+		s.SchedMergedTransactionsSaved += max(saved, 0)
+	})
 }
 
 // ObserveSchedDelayedCall counts a sub-transaction-size fetch the scheduler
 // parked in the coalesce window to accumulate merge candidates.
-func (m *Metrics) ObserveSchedDelayedCall() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.schedDelayedCalls++
-}
+func (m *Metrics) ObserveSchedDelayedCall() { m.update(func(s *Snapshot) { s.SchedDelayedCalls++ }) }
 
 // ObserveCallLatency folds one buyer-side wire call's duration, retries and
 // paging included, into the call latency histogram.
 func (m *Metrics) ObserveCallLatency(d time.Duration) {
-	if m == nil {
+	m.update(func(*Snapshot) { m.callLatency.observe(d) })
+}
+
+// ObserveCallRetries counts the extra transport attempts one buyer-side
+// wire call made. The scheduler feeds it for every wire call, traced or not.
+func (m *Metrics) ObserveCallRetries(n int) {
+	if n == 0 {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.callLatency.observe(d)
+	m.update(func(s *Snapshot) { s.Retries += int64(n) })
 }
 
 // ObserveCall folds one served market call into the registry — the
 // seller-side entry point used by Market.Execute.
 func (m *Metrics) ObserveCall(latency time.Duration, records, transactions int64, price float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.calls++
-	m.records += records
-	m.transactions += transactions
-	m.price += price
-	m.callLatency.observe(latency)
-}
-
-// Snapshot is a point-in-time copy of every counter and histogram.
-type Snapshot struct {
-	// Queries and QueryErrors count finished and failed queries.
-	Queries     int64
-	QueryErrors int64
-	// Calls/Records/Transactions/Price are the cumulative market bill.
-	Calls        int64
-	Records      int64
-	Transactions int64
-	Price        float64
-	// Retries counts extra transport attempts across all calls.
-	Retries int64
-	// StoreHits counts plan accesses served entirely from the semantic
-	// store; StoreHitRows the rows served locally instead of bought.
-	StoreHits    int64
-	StoreHitRows int64
-	// StoreLookups counts indexed coverage lookups, StoreLookupMicros their
-	// cumulative duration, StorePrunedBoxes the stored boxes index pruning
-	// skipped, and StoreFastPathHits lookups answered by a single containing
-	// box. StoreDroppedEntries and StoreCompactedEntries count compaction:
-	// new entries dropped as redundant and stored entries absorbed/merged.
-	StoreLookups          int64
-	StoreLookupMicros     int64
-	StorePrunedBoxes      int64
-	StoreFastPathHits     int64
-	StoreDroppedEntries   int64
-	StoreCompactedEntries int64
-
-	// ReplayedCalls counts retried calls the replay ledger served without
-	// re-billing (seller side).
-	ReplayedCalls int64
-	// BreakerOpens/BreakerShortCircuits/BreakerProbes count circuit-breaker
-	// activity in the engine's fetch path (buyer side): breakers tripping
-	// open, calls refused while open, and half-open probes let through.
-	BreakerOpens         int64
-	BreakerShortCircuits int64
-	BreakerProbes        int64
-	// FailedQuerySpendTransactions/Price total the spend of queries that
-	// ultimately failed — money salvaged into the semantic store.
-	FailedQuerySpendTransactions int64
-	FailedQuerySpendPrice        float64
-
-	// WALAppends/WALAppendBytes/WALAppendMicros count write-ahead-log
-	// appends in durable mode; WALSyncedAppends those fsynced before
-	// Record returned. WALReplays counts recoveries, WALReplayedRecords
-	// and WALSkippedRecords their applied/already-covered frames, and
-	// WALTornTails recoveries that truncated a torn log tail.
-	WALAppends         int64
-	WALAppendBytes     int64
-	WALAppendMicros    int64
-	WALSyncedAppends   int64
-	WALReplays         int64
-	WALReplayedRecords int64
-	WALSkippedRecords  int64
-	WALTornTails       int64
-	// Checkpoints/CheckpointBytes/CheckpointMicros count successful
-	// snapshot checkpoints; CheckpointFailures the attempts that failed
-	// (and left the log intact).
-	Checkpoints        int64
-	CheckpointFailures int64
-	CheckpointBytes    int64
-	CheckpointMicros   int64
-	// AuditDropped counts audit records lost to sink write failures.
-	AuditDropped int64
-
-	// PlanCacheHits/Misses count plan-template cache lookups; Invalidations
-	// entries discarded because a coverage epoch or the stats version moved;
-	// Evictions entries displaced by the LRU capacity. PlansCached/Greedy/DP
-	// count queries by the planning strategy that produced their plan.
-	PlanCacheHits          int64
-	PlanCacheMisses        int64
-	PlanCacheInvalidations int64
-	PlanCacheEvictions     int64
-	PlansCached            int64
-	PlansGreedy            int64
-	PlansDP                int64
-
-	// SchedSingleflightHits counts calls served by joining an identical
-	// in-flight call; SchedMergedCalls wire calls fused out of several
-	// boxes (across queries or one plan's siblings);
-	// SchedMergedTransactionsSaved the transactions the merges saved versus
-	// billing the parts; SchedDelayedCalls the fetches parked in the
-	// coalesce window.
-	SchedSingleflightHits        int64
-	SchedMergedCalls             int64
-	SchedMergedTransactionsSaved int64
-	SchedDelayedCalls            int64
-
-	// FederationCalls counts market calls routed through the federation
-	// layer; FederationFailovers endpoint attempts that hard-failed and
-	// moved the call to the next-cheapest healthy endpoint;
-	// FederationHedges hedge attempts launched after the hedge delay;
-	// FederationHedgeWins hedges whose secondary answered first; and
-	// FederationExhausted calls that failed on every configured endpoint.
-	FederationCalls     int64
-	FederationFailovers int64
-	FederationHedges    int64
-	FederationHedgeWins int64
-	FederationExhausted int64
-
-	// InflightQueries and QueueDepth are gauges: queries currently executing
-	// and requests currently parked waiting for an execution slot.
-	InflightQueries int64
-	QueueDepth      int64
-
-	QueryLatency    HistogramSnapshot
-	CallLatency     HistogramSnapshot
-	OptimizeLatency HistogramSnapshot
+	m.update(func(s *Snapshot) {
+		s.Calls++
+		s.Records += records
+		s.Transactions += transactions
+		s.Price += price
+		m.callLatency.observe(latency)
+	})
 }
 
 // Snapshot returns a consistent copy of the registry.
@@ -684,167 +444,47 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Snapshot{
-		Queries:               m.queries,
-		QueryErrors:           m.queryErrors,
-		Calls:                 m.calls,
-		Records:               m.records,
-		Transactions:          m.transactions,
-		Price:                 m.price,
-		Retries:               m.retries,
-		StoreHits:             m.storeHits,
-		StoreHitRows:          m.storeHitRows,
-		StoreLookups:          m.storeLookups,
-		StoreLookupMicros:     m.storeLookupMicros,
-		StorePrunedBoxes:      m.storePrunedBoxes,
-		StoreFastPathHits:     m.storeFastPath,
-		StoreDroppedEntries:   m.storeDropped,
-		StoreCompactedEntries: m.storeCompacted,
-
-		ReplayedCalls:                m.replayedCalls,
-		BreakerOpens:                 m.breakerOpens,
-		BreakerShortCircuits:         m.breakerShortCircuits,
-		BreakerProbes:                m.breakerProbes,
-		FailedQuerySpendTransactions: m.failedQuerySpendTransactions,
-		FailedQuerySpendPrice:        m.failedQuerySpendPrice,
-
-		WALAppends:         m.walAppends,
-		WALAppendBytes:     m.walAppendBytes,
-		WALAppendMicros:    m.walAppendMicros,
-		WALSyncedAppends:   m.walSyncedAppends,
-		WALReplays:         m.walReplays,
-		WALReplayedRecords: m.walReplayedRecords,
-		WALSkippedRecords:  m.walSkippedRecords,
-		WALTornTails:       m.walTornTails,
-		Checkpoints:        m.checkpoints,
-		CheckpointFailures: m.checkpointFailures,
-		CheckpointBytes:    m.checkpointBytes,
-		CheckpointMicros:   m.checkpointMicros,
-		AuditDropped:       m.auditDropped,
-
-		PlanCacheHits:          m.planCacheHits,
-		PlanCacheMisses:        m.planCacheMisses,
-		PlanCacheInvalidations: m.planCacheInvalidations,
-		PlanCacheEvictions:     m.planCacheEvictions,
-		PlansCached:            m.plansCached,
-		PlansGreedy:            m.plansGreedy,
-		PlansDP:                m.plansDP,
-
-		SchedSingleflightHits:        m.schedSingleflightHits,
-		SchedMergedCalls:             m.schedMergedCalls,
-		SchedMergedTransactionsSaved: m.schedMergedTransactionsSaved,
-		SchedDelayedCalls:            m.schedDelayedCalls,
-
-		FederationCalls:     m.federationCalls,
-		FederationFailovers: m.federationFailovers,
-		FederationHedges:    m.federationHedges,
-		FederationHedgeWins: m.federationHedgeWins,
-		FederationExhausted: m.federationExhausted,
-
-		InflightQueries: m.inflight,
-		QueueDepth:      m.queueDepth,
-
-		QueryLatency:    m.queryLatency.snapshot(),
-		CallLatency:     m.callLatency.snapshot(),
-		OptimizeLatency: m.optimizeLatency.snapshot(),
-	}
+	s := m.s
+	s.QueryLatency = m.queryLatency.snapshot()
+	s.CallLatency = m.callLatency.snapshot()
+	s.OptimizeLatency = m.optimizeLatency.snapshot()
+	return s
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format. prefix namespaces the metric families ("payless" on the buyer
-// side, "market" on the seller side).
+// format, one family per Snapshot field in field order. prefix namespaces
+// the families ("payless" on the buyer side, "market" on the seller side).
 func (m *Metrics) WritePrometheus(w io.Writer, prefix string) {
-	s := m.Snapshot()
-	counter := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s counter\n", prefix, name, help, prefix, name)
-		switch n := v.(type) {
+	s := reflect.ValueOf(m.Snapshot())
+	for i := range s.NumField() {
+		f := s.Type().Field(i)
+		family, kind, _ := strings.Cut(f.Tag.Get("prom"), ",")
+		name := prefix + "_" + family
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, f.Tag.Get("help"), name, kind)
+		switch v := s.Field(i).Interface().(type) {
 		case int64:
-			fmt.Fprintf(w, "%s_%s %d\n", prefix, name, n)
+			fmt.Fprintf(w, "%s %d\n", name, v)
 		case float64:
-			fmt.Fprintf(w, "%s_%s %g\n", prefix, name, n)
+			fmt.Fprintf(w, "%s %g\n", name, v)
+		case HistogramSnapshot:
+			for _, b := range v.Buckets {
+				fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b.Le.Seconds(), b.Count)
+			}
+			fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, v.Count)
+			fmt.Fprintf(w, "%s_sum %g\n", name, v.Sum.Seconds())
+			fmt.Fprintf(w, "%s_count %d\n", name, v.Count)
 		}
 	}
-	counter("queries_total", "Queries executed.", s.Queries)
-	counter("query_errors_total", "Queries that failed.", s.QueryErrors)
-	counter("calls_total", "RESTful market calls.", s.Calls)
-	counter("records_total", "Records returned by market calls.", s.Records)
-	counter("transactions_total", "Transactions billed (ceil(records/t) per call).", s.Transactions)
-	counter("price_total", "Money billed across all calls.", s.Price)
-	counter("call_retries_total", "Extra transport attempts beyond the first.", s.Retries)
-	counter("store_hits_total", "Plan accesses served entirely from the semantic store.", s.StoreHits)
-	counter("store_hit_rows_total", "Rows served from the semantic store instead of bought.", s.StoreHitRows)
-	counter("store_lookups_total", "Indexed semantic-store coverage lookups.", s.StoreLookups)
-	counter("store_lookup_micros_total", "Cumulative coverage-lookup wall-clock microseconds.", s.StoreLookupMicros)
-	counter("store_pruned_boxes_total", "Stored boxes skipped by index pruning before subtraction.", s.StorePrunedBoxes)
-	counter("store_fastpath_total", "Coverage lookups answered by a single containing box.", s.StoreFastPathHits)
-	counter("store_dropped_entries_total", "New coverage entries dropped as redundant on Record.", s.StoreDroppedEntries)
-	counter("store_compacted_entries_total", "Stored coverage entries absorbed or merged by compaction.", s.StoreCompactedEntries)
-	counter("replayed_calls_total", "Retried calls served from the replay ledger without re-billing.", s.ReplayedCalls)
-	counter("breaker_opens_total", "Circuit breakers tripped open.", s.BreakerOpens)
-	counter("breaker_short_circuits_total", "Calls refused locally while a dataset's breaker was open.", s.BreakerShortCircuits)
-	counter("breaker_probes_total", "Half-open probe calls let through after a breaker cooldown.", s.BreakerProbes)
-	counter("failed_query_spend_transactions_total", "Transactions billed to queries that ultimately failed.", s.FailedQuerySpendTransactions)
-	counter("failed_query_spend_price_total", "Money billed to queries that ultimately failed.", s.FailedQuerySpendPrice)
-	counter("wal_appends_total", "Write-ahead-log appends in durable mode.", s.WALAppends)
-	counter("wal_append_bytes_total", "Payload bytes appended to the write-ahead log.", s.WALAppendBytes)
-	counter("wal_append_micros_total", "Cumulative WAL append wall-clock microseconds (including fsyncs).", s.WALAppendMicros)
-	counter("wal_synced_appends_total", "WAL appends fsynced before Record returned.", s.WALSyncedAppends)
-	counter("wal_replays_total", "Durable-store recoveries that replayed the log.", s.WALReplays)
-	counter("wal_replayed_records_total", "WAL records applied during recovery.", s.WALReplayedRecords)
-	counter("wal_skipped_records_total", "WAL records skipped as already covered by the loaded snapshot.", s.WALSkippedRecords)
-	counter("wal_torn_tails_total", "Recoveries that truncated a torn WAL tail.", s.WALTornTails)
-	counter("checkpoints_total", "Snapshot checkpoints completed.", s.Checkpoints)
-	counter("checkpoint_failures_total", "Snapshot checkpoints that failed (log left intact).", s.CheckpointFailures)
-	counter("checkpoint_bytes_total", "Bytes written by snapshot checkpoints.", s.CheckpointBytes)
-	counter("checkpoint_micros_total", "Cumulative checkpoint wall-clock microseconds.", s.CheckpointMicros)
-	counter("audit_dropped_total", "Audit records lost to sink write failures.", s.AuditDropped)
-	counter("plan_cache_hits_total", "Plan-template cache lookups served from cache.", s.PlanCacheHits)
-	counter("plan_cache_misses_total", "Plan-template cache lookups that missed.", s.PlanCacheMisses)
-	counter("plan_cache_invalidations_total", "Cached plan skeletons discarded as stale (coverage epoch or stats version moved).", s.PlanCacheInvalidations)
-	counter("plan_cache_evictions_total", "Cached plan skeletons displaced by the LRU capacity.", s.PlanCacheEvictions)
-	counter("plans_cached_total", "Queries planned from the plan-template cache.", s.PlansCached)
-	counter("plans_greedy_total", "Queries planned by the greedy fast path.", s.PlansGreedy)
-	counter("plans_dp_total", "Queries planned by the full dynamic program.", s.PlansDP)
-	counter("sched_singleflight_hits_total", "Calls served by joining an identical in-flight market call.", s.SchedSingleflightHits)
-	counter("sched_merged_calls_total", "Wire calls fused out of several boxes: parked together across queries, or one plan's sibling calls.", s.SchedMergedCalls)
-	counter("sched_merged_transactions_saved_total", "Transactions saved by merged calls versus billing the parts.", s.SchedMergedTransactionsSaved)
-	counter("sched_delayed_calls_total", "Fetches parked in the coalesce window to accumulate merge candidates.", s.SchedDelayedCalls)
-	counter("federation_calls_total", "Market calls routed through the federation layer.", s.FederationCalls)
-	counter("federation_failovers_total", "Endpoint attempts that hard-failed and failed over to the next endpoint.", s.FederationFailovers)
-	counter("federation_hedged_calls_total", "Hedge attempts launched after the primary exceeded its hedge delay.", s.FederationHedges)
-	counter("federation_hedge_wins_total", "Hedges whose secondary endpoint answered first.", s.FederationHedgeWins)
-	counter("federation_exhausted_total", "Calls that failed on every configured endpoint.", s.FederationExhausted)
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s gauge\n", prefix, name, help, prefix, name)
-		fmt.Fprintf(w, "%s_%s %d\n", prefix, name, v)
-	}
-	gauge("inflight_queries", "Queries currently executing.", s.InflightQueries)
-	gauge("queue_depth", "Requests currently queued for an execution slot.", s.QueueDepth)
-	hist := func(name, help string, h HistogramSnapshot) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s histogram\n", prefix, name, help, prefix, name)
-		for _, b := range h.Buckets {
-			fmt.Fprintf(w, "%s_%s_bucket{le=\"%g\"} %d\n", prefix, name, b.Le.Seconds(), b.Count)
-		}
-		fmt.Fprintf(w, "%s_%s_bucket{le=\"+Inf\"} %d\n", prefix, name, h.Count)
-		fmt.Fprintf(w, "%s_%s_sum %g\n", prefix, name, h.Sum.Seconds())
-		fmt.Fprintf(w, "%s_%s_count %d\n", prefix, name, h.Count)
-	}
-	hist("query_duration_seconds", "End-to-end query latency.", s.QueryLatency)
-	hist("call_duration_seconds", "Market call latency (including retries and paging).", s.CallLatency)
-	hist("optimize_duration_seconds", "Optimizer latency per query.", s.OptimizeLatency)
 }
 
 // WriteCounterHead writes the HELP/TYPE preamble of one counter family in
-// the Prometheus text exposition format. Samples follow via
-// WriteLabeledCounter (or a plain fmt.Fprintf for unlabeled families).
+// the Prometheus text exposition format; its samples follow.
 func WriteCounterHead(w io.Writer, prefix, name, help string) {
 	fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s counter\n", prefix, name, help, prefix, name)
 }
 
 // WriteLabeledCounter writes one counter sample carrying a single label
-// pair. Go's %q quoting escapes backslash, double quote and newline exactly
-// as the exposition format requires. The multi-tenant daemon renders its
-// per-tenant spend families with it.
+// pair; %q escapes the value exactly as the exposition format requires.
 func WriteLabeledCounter(w io.Writer, prefix, name, label, labelValue string, v int64) {
 	fmt.Fprintf(w, "%s_%s{%s=%q} %d\n", prefix, name, label, labelValue, v)
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -86,6 +87,9 @@ func TestMetricsCountersAndPrometheus(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveQuery(10*time.Millisecond, time.Millisecond, 2, 150, 3, 3)
 	m.ObserveQueryError()
+	m.ObserveCallRetries(1)
+	// A trace contributes store reuse only: its call retries were already
+	// counted per wire call.
 	tr := NewTrace("q")
 	tr.AddCall(CallRecord{Latency: 4 * time.Millisecond, Retries: 1})
 	tr.AddCall(CallRecord{Latency: 6 * time.Millisecond})
@@ -116,9 +120,10 @@ func TestMetricsCountersAndPrometheus(t *testing.T) {
 	}
 }
 
-// TestCallDurationMetricsFamilies pins payless_call_duration_seconds: one
+// TestCallDurationMetricsFamilies pins the call-latency histogram: one
 // observation per wire call through ObserveCallLatency, traced or not, and
-// none from ObserveTrace, so a traced call is not counted twice.
+// none from ObserveTrace, so a traced call is not counted twice. The
+// exposition of payless_call_duration_seconds is pinned by TestMetricsGolden.
 func TestCallDurationMetricsFamilies(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveCallLatency(4 * time.Millisecond)
@@ -134,16 +139,6 @@ func TestCallDurationMetricsFamilies(t *testing.T) {
 	}
 	if q := s.CallLatency.Quantile(0.5); q < 4*time.Millisecond || q > 10*time.Millisecond {
 		t.Errorf("p50 call latency = %v", q)
-	}
-	var b strings.Builder
-	m.WritePrometheus(&b, "payless")
-	for _, want := range []string{
-		"payless_call_duration_seconds_count 2",
-		`payless_call_duration_seconds_bucket{le="+Inf"} 2`,
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
 	}
 }
 
@@ -169,9 +164,8 @@ func TestMetricsObserveCallSellerSide(t *testing.T) {
 	}
 }
 
-// TestFailureMetricsFamilies pins the Prometheus families the failure-
-// recovery layer exports — CI greps dashboards and alerts against these
-// names, so renaming one is a breaking change.
+// TestFailureMetricsFamilies pins what the failure-recovery observers add
+// to the snapshot; TestMetricsGolden pins the families' exposition.
 func TestFailureMetricsFamilies(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveReplayedCall()
@@ -187,31 +181,14 @@ func TestFailureMetricsFamilies(t *testing.T) {
 	if s.FailedQuerySpendTransactions != 3 || s.FailedQuerySpendPrice != 3 {
 		t.Errorf("failed-spend counters: %+v", s)
 	}
-
-	// Both deployed prefixes: "payless" on the buyer client, "market" on the
-	// seller handler.
-	for _, prefix := range []string{"payless", "market"} {
-		var b strings.Builder
-		m.WritePrometheus(&b, prefix)
-		out := b.String()
-		for _, want := range []string{
-			prefix + "_replayed_calls_total 1",
-			prefix + "_breaker_opens_total 1",
-			prefix + "_breaker_short_circuits_total 1",
-			prefix + "_breaker_probes_total 1",
-			prefix + "_failed_query_spend_transactions_total 3",
-			prefix + "_failed_query_spend_price_total 3",
-		} {
-			if !strings.Contains(out, want) {
-				t.Errorf("prometheus output missing %q", want)
-			}
-		}
+	// The failed query's spend joins the bill the successful ones feed.
+	if s.Calls != 2 || s.Records != 150 || s.Transactions != 3 || s.Price != 3 {
+		t.Errorf("bill counters: %+v", s)
 	}
 }
 
-// TestDurabilityMetricsFamilies pins the Prometheus families the durable
-// store exports — like the failure families above, renaming one breaks
-// dashboards and the crash-smoke CI greps.
+// TestDurabilityMetricsFamilies pins what the durable store's observers add
+// to the snapshot; TestMetricsGolden pins the families' exposition.
 func TestDurabilityMetricsFamilies(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveWALAppend(100, true, 40)
@@ -234,49 +211,27 @@ func TestDurabilityMetricsFamilies(t *testing.T) {
 	if s.AuditDropped != 1 {
 		t.Errorf("audit drop counter: %+v", s)
 	}
-
-	var b strings.Builder
-	m.WritePrometheus(&b, "payless")
-	out := b.String()
-	for _, want := range []string{
-		"payless_wal_appends_total 2",
-		"payless_wal_append_bytes_total 150",
-		"payless_wal_append_micros_total 50",
-		"payless_wal_synced_appends_total 1",
-		"payless_wal_replays_total 1",
-		"payless_wal_replayed_records_total 7",
-		"payless_wal_skipped_records_total 2",
-		"payless_wal_torn_tails_total 1",
-		"payless_checkpoints_total 1",
-		"payless_checkpoint_failures_total 1",
-		"payless_checkpoint_bytes_total 1000",
-		"payless_checkpoint_micros_total 300",
-		"payless_audit_dropped_total 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
-	}
 }
 
+// TestNilMetricsIsNoOp: every observer is safe on a nil registry, whose
+// snapshot stays empty.
 func TestNilMetricsIsNoOp(t *testing.T) {
 	var m *Metrics
-	m.ObserveQuery(time.Millisecond, 0, 1, 1, 1, 1)
-	m.ObserveQueryError()
-	m.ObserveTrace(NewTrace("q"))
-	m.ObserveCall(time.Millisecond, 1, 1, 1)
-	m.ObserveWALAppend(1, true, 1)
-	m.ObserveWALReplay(1, 0, false)
-	m.ObserveCheckpoint(1, 1, true)
-	m.ObserveAuditDrop()
-	if s := m.Snapshot(); s.Queries != 0 || s.WALAppends != 0 {
+	for _, o := range observers {
+		o.observe(m)
+	}
+	if s := m.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
 		t.Errorf("nil metrics snapshot: %+v", s)
+	}
+	var b strings.Builder
+	m.WritePrometheus(&b, "payless")
+	if !strings.Contains(b.String(), "payless_queries_total 0\n") {
+		t.Errorf("nil metrics exposition:\n%s", b.String())
 	}
 }
 
-// TestFederationMetricsFamilies pins the Prometheus families the federated
-// caller exports — the federation-smoke CI job and dashboards grep these
-// names, so renaming one is a breaking change.
+// TestFederationMetricsFamilies pins what the federated caller's observers
+// add to the snapshot; TestMetricsGolden pins the families' exposition.
 func TestFederationMetricsFamilies(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveFederationCall()
@@ -292,21 +247,6 @@ func TestFederationMetricsFamilies(t *testing.T) {
 		t.Errorf("federation counters: %+v", s)
 	}
 
-	var b strings.Builder
-	m.WritePrometheus(&b, "payless")
-	out := b.String()
-	for _, want := range []string{
-		"payless_federation_calls_total 2",
-		"payless_federation_failovers_total 1",
-		"payless_federation_hedged_calls_total 1",
-		"payless_federation_hedge_wins_total 1",
-		"payless_federation_exhausted_total 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
-	}
-
 	// Nil-safety of the federation observers (the federated caller takes a
 	// possibly-nil sink).
 	var nm *Metrics
@@ -320,6 +260,8 @@ func TestFederationMetricsFamilies(t *testing.T) {
 	}
 }
 
+// TestOverloadMetricsFamilies pins the overload gauges: they move both ways.
+// TestMetricsGolden pins their exposition, gauge TYPE lines included.
 func TestOverloadMetricsFamilies(t *testing.T) {
 	m := NewMetrics()
 	m.AddInflight(1)
@@ -333,22 +275,6 @@ func TestOverloadMetricsFamilies(t *testing.T) {
 	s := m.Snapshot()
 	if s.InflightQueries != 1 || s.QueueDepth != 2 {
 		t.Errorf("gauges: inflight=%d queue=%d, want 1 2", s.InflightQueries, s.QueueDepth)
-	}
-
-	var b strings.Builder
-	m.WritePrometheus(&b, "payless")
-	out := b.String()
-	// These names are scraped by dashboards: pin them exactly, including the
-	// gauge TYPE lines.
-	for _, want := range []string{
-		"# TYPE payless_inflight_queries gauge",
-		"payless_inflight_queries 1",
-		"# TYPE payless_queue_depth gauge",
-		"payless_queue_depth 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
 	}
 
 	var nm *Metrics

@@ -48,7 +48,6 @@ import (
 	"context"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"payless/internal/catalog"
@@ -112,25 +111,11 @@ type Config struct {
 	// Store, when non-nil, receives the rows of shared, merged, and
 	// abandoned record-path calls — exactly once per wire call.
 	Store *semstore.Store
-	// Metrics, when non-nil, receives the scheduler counter families.
+	// Metrics, when non-nil, receives the scheduler counter families and
+	// every wire call's latency and transport retries.
 	Metrics *obs.Metrics
 	// Now stamps semantic-store entries; nil means time.Now.
 	Now func() time.Time
-}
-
-// Stats is a snapshot of the scheduler's counters.
-type Stats struct {
-	// SingleflightHits counts requests that joined an already-in-flight
-	// wire call instead of issuing their own.
-	SingleflightHits int64
-	// MergedCalls counts wire calls that fused several boxes — parked
-	// together in the window, or siblings the engine fused (Request.Parts);
-	// MergedTransactionsSaved sums the transactions the fusions saved
-	// versus issuing the parts separately.
-	MergedCalls             int64
-	MergedTransactionsSaved int64
-	// DelayedCalls counts requests parked in the coalesce window.
-	DelayedCalls int64
 }
 
 // Scheduler coalesces market calls across concurrent queries. One scheduler
@@ -144,11 +129,6 @@ type Scheduler struct {
 	pending  map[string]*group
 	// open counts registered queries (see Open).
 	open int
-
-	singleflightHits atomic.Int64
-	mergedCalls      atomic.Int64
-	mergedSaved      atomic.Int64
-	delayedCalls     atomic.Int64
 }
 
 // New builds a scheduler issuing its wire calls through caller.
@@ -168,16 +148,6 @@ func (s *Scheduler) PendingGroups() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.pending)
-}
-
-// Stats returns a snapshot of the scheduler's counters.
-func (s *Scheduler) Stats() Stats {
-	return Stats{
-		SingleflightHits:        s.singleflightHits.Load(),
-		MergedCalls:             s.mergedCalls.Load(),
-		MergedTransactionsSaved: s.mergedSaved.Load(),
-		DelayedCalls:            s.delayedCalls.Load(),
-	}
 }
 
 // flight is one wire call and the set of requesters riding it.
@@ -200,6 +170,9 @@ type flight struct {
 	err    error
 	// recorded is set before done closes; read only after <-done.
 	recorded bool
+	// rec is the call record an untraced wire call's transport annotates,
+	// so its retries are counted like a traced call's.
+	rec obs.CallRecord
 
 	mu      sync.Mutex
 	waiters int
@@ -289,7 +262,6 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 	if f, ok := s.inflight[key]; ok {
 		f.join(req.Record)
 		s.mu.Unlock()
-		s.singleflightHits.Add(1)
 		s.cfg.Metrics.ObserveSchedSingleflightHit()
 		return s.wait(ctx, req, f, Info{})
 	}
@@ -300,7 +272,6 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 			f.box.D() == req.Box.D() && f.box.Contains(req.Box) {
 			f.join(req.Record)
 			s.mu.Unlock()
-			s.singleflightHits.Add(1)
 			s.cfg.Metrics.ObserveSchedSingleflightHit()
 			return s.wait(ctx, req, f, Info{})
 		}
@@ -313,7 +284,6 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 	if s.cfg.Window > 0 && s.open > 1 && s.parkable(req) && !overload.ShortOf(ctx, s.cfg.Window) {
 		pr := s.park(ctx, req)
 		s.mu.Unlock()
-		s.delayedCalls.Add(1)
 		s.cfg.Metrics.ObserveSchedDelayedCall()
 		select {
 		case <-pr.ready:
@@ -379,9 +349,15 @@ func (s *Scheduler) launch(reqCtx context.Context, meta *catalog.Table, box regi
 // run issues the wire call, settles the flight, and performs the
 // scheduler-side semantic-store recording when it is the scheduler's job.
 func (s *Scheduler) run(ctx context.Context, f *flight) {
+	rec := obs.CallFromContext(ctx)
+	if rec == nil {
+		rec = &f.rec
+		ctx = obs.ContextWithCall(ctx, rec)
+	}
 	start := time.Now()
 	res, err := s.caller.Call(ctx, f.query)
 	s.cfg.Metrics.ObserveCallLatency(time.Since(start))
+	s.cfg.Metrics.ObserveCallRetries(rec.Retries)
 
 	s.mu.Lock()
 	if s.inflight[f.key] == f {
@@ -430,17 +406,14 @@ func PartCounts(meta *catalog.Table, parts []catalog.AccessQuery, rows []value.R
 
 // noteMerge books one completed wire call that fused several parts: the
 // merge counters gain the transactions the fusion saved versus billing each
-// part's delivered rows on its own.
+// part's delivered rows on its own (never negative).
 func (s *Scheduler) noteMerge(f *flight, res market.Result) {
 	t := int64(s.tuplesPer(f.meta.Dataset))
 	var parts int64
 	for _, n := range PartCounts(f.meta, f.parts, res.Rows) {
 		parts += ceilDiv(n, t)
 	}
-	saved := max(parts-res.Transactions, 0)
-	s.mergedCalls.Add(1)
-	s.mergedSaved.Add(saved)
-	s.cfg.Metrics.ObserveSchedMerge(saved)
+	s.cfg.Metrics.ObserveSchedMerge(parts - res.Transactions)
 }
 
 // wait blocks on the flight and assembles this requester's view of the
@@ -746,7 +719,6 @@ func (s *Scheduler) dispatch(meta *catalog.Table, fu Fusion, prs []*parked) {
 	if ok {
 		for range prs {
 			f.join(record)
-			s.singleflightHits.Add(1)
 			s.cfg.Metrics.ObserveSchedSingleflightHit()
 		}
 	} else {

@@ -111,8 +111,15 @@ func newSched(caller market.Caller, cfg Config) *Scheduler {
 	if cfg.TuplesPerTransaction == nil {
 		cfg.TuplesPerTransaction = func(string) int { return 10 }
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewMetrics()
+	}
 	return New(caller, cfg)
 }
+
+// counters reads the scheduler counter families from the registry the
+// scheduler was configured with.
+func counters(s *Scheduler) obs.Snapshot { return s.cfg.Metrics.Snapshot() }
 
 func TestSingleFlightSharesOneCallAndOneBill(t *testing.T) {
 	meta := tTable()
@@ -135,7 +142,7 @@ func TestSingleFlightSharesOneCallAndOneBill(t *testing.T) {
 			outs[i] = out{r, inf, err}
 		}(i)
 	}
-	waitFor(t, func() bool { return s.Stats().SingleflightHits == n-1 })
+	waitFor(t, func() bool { return counters(s).SchedSingleflightHits == n-1 })
 	close(fc.gate)
 	wg.Wait()
 
@@ -185,7 +192,7 @@ func TestCanceledWaiterDetachesWithoutKillingSharedCall(t *testing.T) {
 		defer close(done)
 		res, _, err2 = s.Fetch(context.Background(), reqFor(t, meta, 1, 10, false))
 	}()
-	waitFor(t, func() bool { return s.Stats().SingleflightHits == 1 })
+	waitFor(t, func() bool { return counters(s).SchedSingleflightHits == 1 })
 
 	cancel1()
 	if err := <-errc; err != context.Canceled {
@@ -323,7 +330,7 @@ func TestPiggybackOnContainingInFlightCall(t *testing.T) {
 		defer wg.Done()
 		narrow, infoN, _ = s.Fetch(context.Background(), reqFor(t, meta, 10, 19, false))
 	}()
-	waitFor(t, func() bool { return s.Stats().SingleflightHits == 1 })
+	waitFor(t, func() bool { return counters(s).SchedSingleflightHits == 1 })
 	close(fc.gate)
 	wg.Wait()
 
@@ -376,12 +383,12 @@ func TestWindowMergesAdjacentBoxesIntoOneCall(t *testing.T) {
 	if got := a.Transactions + b.Transactions; got != 1 {
 		t.Fatalf("merged bill: %d transactions, want 1", got)
 	}
-	st := s.Stats()
-	if st.MergedCalls != 1 || st.DelayedCalls != 2 {
+	st := counters(s)
+	if st.SchedMergedCalls != 1 || st.SchedDelayedCalls != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.MergedTransactionsSaved != 1 {
-		t.Fatalf("saved: %d, want 1", st.MergedTransactionsSaved)
+	if st.SchedMergedTransactionsSaved != 1 {
+		t.Fatalf("saved: %d, want 1", st.SchedMergedTransactionsSaved)
 	}
 }
 
@@ -470,7 +477,7 @@ func TestParkedWaiterCancelBeforeDispatch(t *testing.T) {
 		_, _, err := s.Fetch(ctx, reqFor(t, meta, 1, 5, false))
 		errc <- err
 	}()
-	waitFor(t, func() bool { return s.Stats().DelayedCalls == 1 })
+	waitFor(t, func() bool { return counters(s).SchedDelayedCalls == 1 })
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("parked waiter: %v", err)
@@ -503,8 +510,8 @@ func TestLoneQueryNeverParks(t *testing.T) {
 	if _, _, err := s.Fetch(context.Background(), reqFor(t, meta, 6, 9, false)); err != nil {
 		t.Fatal(err)
 	}
-	if info.Delayed || s.Stats().DelayedCalls != 0 || s.PendingGroups() != 0 {
-		t.Fatalf("a lone query parked: info %+v, stats %+v, %d pending groups", info, s.Stats(), s.PendingGroups())
+	if info.Delayed || counters(s).SchedDelayedCalls != 0 || s.PendingGroups() != 0 {
+		t.Fatalf("a lone query parked: info %+v, stats %+v, %d pending groups", info, counters(s), s.PendingGroups())
 	}
 	if fc.callCount() != 2 {
 		t.Fatalf("wire calls: %d, want 2", fc.callCount())
@@ -531,11 +538,11 @@ func TestFusedRequestBookedOncePerWireCall(t *testing.T) {
 		wg.Add(1)
 		go func() { defer wg.Done(); s.Fetch(context.Background(), fusedReq(t, meta)) }()
 	}
-	waitFor(t, func() bool { return s.Stats().SingleflightHits == 1 })
+	waitFor(t, func() bool { return counters(s).SchedSingleflightHits == 1 })
 	close(fc.gate)
 	wg.Wait()
 	// Apart, the 5 and 4 rows would bill 1 + 1; the union bills 1.
-	if st := s.Stats(); fc.callCount() != 1 || st.MergedCalls != 1 || st.MergedTransactionsSaved != 1 {
+	if st := counters(s); fc.callCount() != 1 || st.SchedMergedCalls != 1 || st.SchedMergedTransactionsSaved != 1 {
 		t.Fatalf("%d wire calls, stats %+v; want 1 call booked as 1 merge saving 1", fc.callCount(), st)
 	}
 
@@ -551,7 +558,7 @@ func TestFusedRequestBookedOncePerWireCall(t *testing.T) {
 	wg.Wait()
 	// One wire call for [1,12]: the parts 5, 4 and 3 rows would bill 3
 	// apart, the union bills 2.
-	if st := s.Stats(); fc.callCount() != 1 || st.MergedCalls != 1 || st.MergedTransactionsSaved != 1 {
+	if st := counters(s); fc.callCount() != 1 || st.SchedMergedCalls != 1 || st.SchedMergedTransactionsSaved != 1 {
 		t.Fatalf("%d wire calls, stats %+v; want 1 call booked as 1 merge saving 1", fc.callCount(), st)
 	}
 }
@@ -624,7 +631,7 @@ func TestSharedRecordPathRecordsExactlyOnce(t *testing.T) {
 			_, infos[i], _ = s.Fetch(context.Background(), reqFor(t, meta, 1, 20, true))
 		}(i)
 	}
-	waitFor(t, func() bool { return s.Stats().SingleflightHits == n-1 })
+	waitFor(t, func() bool { return counters(s).SchedSingleflightHits == n-1 })
 	close(fc.gate)
 	wg.Wait()
 

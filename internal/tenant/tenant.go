@@ -431,6 +431,19 @@ func (r *Registry) GlobalSpend() int64 {
 	return r.globalSpent
 }
 
+// tenantFamilies are the per-tenant families WriteMetrics renders, in
+// order, each with the tenant counter it reads (under the tenant's lock).
+var tenantFamilies = [...]struct {
+	name, help string
+	value      func(*Tenant) int64
+}{
+	{"tenant_spend_total", "Transactions billed to queries this tenant triggered (first-payer attribution).", func(t *Tenant) int64 { return t.spent }},
+	{"tenant_reserved_transactions", "Estimated transactions held by this tenant's in-flight queries.", func(t *Tenant) int64 { return t.reserved }},
+	{"tenant_queries_total", "Queries admitted past this tenant's budget.", func(t *Tenant) int64 { return t.queries }},
+	{"tenant_rejected_budget_total", "Queries rejected over the tenant budget.", func(t *Tenant) int64 { return t.rejected }},
+	{"tenant_rate_limited_total", "Queries rejected by the tenant rate limit.", func(t *Tenant) int64 { return t.rateLimited }},
+}
+
 // WriteMetrics renders the per-tenant families in the Prometheus text
 // exposition format under the given prefix: spend, reserved estimates,
 // admitted queries, and budget/rate rejections, labeled by tenant, plus the
@@ -438,8 +451,8 @@ func (r *Registry) GlobalSpend() int64 {
 // cleanly.
 func (r *Registry) WriteMetrics(w io.Writer, prefix string) {
 	type row struct {
-		name                                      string
-		spent, reserved, queries, rejected, rated int64
+		name string
+		vals [len(tenantFamilies)]int64
 	}
 	r.tabmu.RLock()
 	names := make([]string, 0, len(r.byName))
@@ -451,29 +464,19 @@ func (r *Registry) WriteMetrics(w io.Writer, prefix string) {
 	for _, name := range names {
 		t := r.byName[name]
 		t.mu.Lock()
-		rows = append(rows, row{name, t.spent, t.reserved, t.queries, t.rejected, t.rateLimited})
+		x := row{name: name}
+		for i, fam := range tenantFamilies {
+			x.vals[i] = fam.value(t)
+		}
+		rows = append(rows, x)
 		t.mu.Unlock()
 	}
 	r.tabmu.RUnlock()
-	obs.WriteCounterHead(w, prefix, "tenant_spend_total", "Transactions billed to queries this tenant triggered (first-payer attribution).")
-	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_spend_total", "tenant", x.name, x.spent)
-	}
-	obs.WriteCounterHead(w, prefix, "tenant_reserved_transactions", "Estimated transactions held by this tenant's in-flight queries.")
-	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_reserved_transactions", "tenant", x.name, x.reserved)
-	}
-	obs.WriteCounterHead(w, prefix, "tenant_queries_total", "Queries admitted past this tenant's budget.")
-	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_queries_total", "tenant", x.name, x.queries)
-	}
-	obs.WriteCounterHead(w, prefix, "tenant_rejected_budget_total", "Queries rejected over the tenant budget.")
-	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_rejected_budget_total", "tenant", x.name, x.rejected)
-	}
-	obs.WriteCounterHead(w, prefix, "tenant_rate_limited_total", "Queries rejected by the tenant rate limit.")
-	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_rate_limited_total", "tenant", x.name, x.rated)
+	for i, fam := range tenantFamilies {
+		obs.WriteCounterHead(w, prefix, fam.name, fam.help)
+		for _, x := range rows {
+			obs.WriteLabeledCounter(w, prefix, fam.name, "tenant", x.name, x.vals[i])
+		}
 	}
 	r.mu.Lock()
 	spent, rejected := r.globalSpent, r.rejectedGlob

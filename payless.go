@@ -349,7 +349,6 @@ type Client struct {
 
 	mu    sync.Mutex
 	audit io.Writer
-	total engine.Report
 
 	// closemu guards the close state; inflight counts executing queries so
 	// Close can drain them before closing the durable store.
@@ -830,9 +829,6 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 	for _, a := range c.admitters {
 		a.Settle(ctx, est, report.Transactions)
 	}
-	c.mu.Lock()
-	c.total.Add(report)
-	c.mu.Unlock()
 	if err != nil {
 		if report != (engine.Report{}) {
 			c.metrics.ObserveFailedQuerySpend(report.Calls, report.Records, report.Transactions, report.Price)
@@ -896,35 +892,21 @@ const (
 	PlannerCached = core.PlannerCached
 )
 
-// PlanCacheStats is the plan-template cache's activity snapshot: lookup
-// hits/misses, entries discarded as stale, entries displaced by capacity,
-// and the current number of cached templates.
-type PlanCacheStats = core.PlanCacheStats
-
-// PlanCacheStats reports the client's plan-template cache activity; the
-// zero value when the cache is disabled.
-func (c *Client) PlanCacheStats() PlanCacheStats {
-	if c.plans == nil {
-		return PlanCacheStats{}
-	}
-	return c.plans.Stats()
-}
-
 // Metrics returns a snapshot of the client's cumulative counters and
-// latency histograms: queries, market bill, retries, semantic-store reuse
-// and query/call/optimize latency distributions. Render it for scraping
-// with WriteMetrics.
+// latency histograms: queries, market bill, retries, semantic-store reuse,
+// plan-template cache activity (PlanCache*) and query/call/optimize latency
+// distributions. Render it for scraping with WriteMetrics.
 func (c *Client) Metrics() MetricsSnapshot { return c.metrics.Snapshot() }
 
 // WriteMetrics renders the client's metrics in the Prometheus text
 // exposition format under the "payless" namespace.
 func (c *Client) WriteMetrics(w io.Writer) { c.metrics.WritePrometheus(w, "payless") }
 
-// TotalSpend reports the cumulative market cost across all queries.
+// TotalSpend reports the cumulative market cost across all queries, failed
+// ones included: the bill the metrics registry keeps.
 func (c *Client) TotalSpend() engine.Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
+	s := c.metrics.Snapshot()
+	return engine.Report{Calls: s.Calls, Records: s.Records, Transactions: s.Transactions, Price: s.Price}
 }
 
 // TableInfo summarises one catalog entry for introspection (the CLI's

@@ -87,9 +87,8 @@ func TestPlanCacheInvalidationOnCoverageFlip(t *testing.T) {
 	if hotSpend != coldSpend {
 		t.Errorf("bill parity broken: cached client %d transactions, cache-less %d", hotSpend, coldSpend)
 	}
-	st := hot.PlanCacheStats()
-	if st.Invalidations == 0 {
-		t.Errorf("expected stale-entry invalidations, cache stats: %+v", st)
+	if n := hot.Metrics().PlanCacheInvalidations; n == 0 {
+		t.Errorf("expected stale-entry invalidations, got %d", n)
 	}
 }
 
@@ -135,7 +134,7 @@ func TestPlanCacheConcurrentQueryRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := client.PlanCacheStats(); st.Hits == 0 {
-		t.Errorf("no cache hits after concurrent warmup: %+v", st)
+	if st := client.Metrics(); st.PlanCacheHits == 0 {
+		t.Errorf("no cache hits after concurrent warmup: %d misses", st.PlanCacheMisses)
 	}
 }

@@ -175,9 +175,8 @@ func TestSpendParityOracle(t *testing.T) {
 			t.Logf("greedy-planned queries: %d, pass-3 cache hits: %d/%d", greedyPlans, cacheHits, len(queries))
 
 			// The money trail must agree with the per-query reports.
-			var stats PlanCacheStats = cached.PlanCacheStats()
-			if stats.Hits == 0 {
-				t.Errorf("plan cache reports zero hits: %+v", stats)
+			if st := cached.Metrics(); st.PlanCacheHits == 0 {
+				t.Errorf("plan cache reports zero hits (%d misses)", st.PlanCacheMisses)
 			}
 		})
 	}

@@ -115,8 +115,9 @@ func schedulerN1Differential(t *testing.T, window time.Duration) {
 	}
 	// Merged calls may be non-zero: those are the plan's own sibling
 	// fusions, each one planned call of the trace.
-	if st := client.sched.Stats(); st.SingleflightHits != 0 || st.DelayedCalls != 0 {
-		t.Fatalf("a lone client was shared or parked: %+v", st)
+	if st := client.Metrics(); st.SchedSingleflightHits != 0 || st.SchedDelayedCalls != 0 {
+		t.Fatalf("a lone client was shared or parked: %d single-flight hits, %d delayed calls",
+			st.SchedSingleflightHits, st.SchedDelayedCalls)
 	}
 	if meter, _ := m.MeterOf("acct"); meter.Transactions != reported {
 		t.Fatalf("seller meter %d != sum of reports %d", meter.Transactions, reported)
