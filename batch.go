@@ -84,9 +84,12 @@ func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 		pick := plans[0]
 
 		// The latency histogram counts the statement's own optimization, as
-		// Query's does.
+		// Query's does. Only the executed plan is booked, not the rounds'
+		// re-optimizations.
 		sql := sqls[pick.p.idx]
-		res, err := c.execute(ctx, sql, pick.plan, opts, c.beginTrace(sql), time.Now().Add(-pick.plan.Optimized))
+		tr := c.beginTrace(sql)
+		c.bookPlan(tr, pick.plan)
+		res, err := c.execute(ctx, sql, pick.plan, opts, tr, time.Now().Add(-pick.plan.Optimized))
 		if err != nil {
 			return nil, &BatchError{Index: pick.p.idx, Err: err}
 		}

@@ -37,6 +37,32 @@ func TestQueryBatchResultsMatchSequential(t *testing.T) {
 	}
 }
 
+// TestQueryBatchBooksEachPlan: every executed batch statement is booked as
+// planned exactly once — in the planner metrics and on its trace — however
+// many rounds re-optimized it before it ran.
+func TestQueryBatchBooksEachPlan(t *testing.T) {
+	client, _, w := testSetup(t, func(c *Config) { c.Tracer = &CollectTracer{} })
+	sqls := []string{
+		fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d", w.Dates[2], w.Dates[6]),
+		fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d", w.Dates[0], w.Dates[10]),
+		"SELECT COUNT(ZipCode) FROM Pollution WHERE Rank >= 1 AND Rank <= 50",
+	}
+	batch, err := client.QueryBatch(sqls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := client.Metrics()
+	if st.Queries != int64(len(sqls)) || st.PlansDP != int64(len(sqls)) || st.PlansCached != 0 {
+		t.Errorf("batch of %d booked %d queries, %d dp plans, %d cached plans",
+			len(sqls), st.Queries, st.PlansDP, st.PlansCached)
+	}
+	for _, br := range batch {
+		if br.Trace == nil || br.Trace.Plan != br.Plan || br.Trace.Planner != PlannerDP {
+			t.Errorf("statement %d: trace %+v does not book plan %q", br.Index, br.Trace, br.Plan)
+		}
+	}
+}
+
 func TestQueryBatchSubsumedQueryIsFree(t *testing.T) {
 	client, _, w := testSetup(t, nil)
 	small := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d", w.Dates[5], w.Dates[8])

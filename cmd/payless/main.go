@@ -42,14 +42,13 @@ func main() {
 		noSQR     = flag.Bool("no-sqr", false, "disable semantic query rewriting")
 		minCalls  = flag.Bool("min-calls", false, "optimize for number of calls instead of price")
 		planCache = flag.Int("plan-cache", 0, "plan-template cache capacity; 0 disables, negative uses the default size")
-		greedy    = flag.Bool("greedy", false, "enable the greedy join-ordering fast path (falls back to full DP when its spend estimate diverges)")
 		store     = flag.String("store", "", "durable store directory: purchases are WAL-logged and snapshotted there, and recovered on startup")
 		storeSync = flag.String("store-sync", "per-call", "durable store WAL fsync policy: per-call, batched or off")
 		execute   = flag.String("e", "", "execute one statement and exit")
 	)
 	flag.Parse()
 
-	client, err := buildClient(*marketURL, *key, *local, *demo, *seed, *noSQR, *minCalls, *planCache, *greedy, *store, *storeSync)
+	client, err := buildClient(*marketURL, *key, *local, *demo, *seed, *noSQR, *minCalls, *planCache, *store, *storeSync)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func main() {
 	}
 }
 
-func buildClient(marketURL, key, local, demo string, seed int64, noSQR, minCalls bool, planCache int, greedy bool, store, storeSync string) (*payless.Client, error) {
+func buildClient(marketURL, key, local, demo string, seed int64, noSQR, minCalls bool, planCache int, store, storeSync string) (*payless.Client, error) {
 	// Trace every statement so \trace can replay the last one.
 	opts := []payless.Option{payless.WithTracer(&payless.CollectTracer{})}
 	if noSQR {
@@ -136,9 +135,6 @@ func buildClient(marketURL, key, local, demo string, seed int64, noSQR, minCalls
 	}
 	if planCache != 0 {
 		opts = append(opts, payless.WithPlanCache(planCache))
-	}
-	if greedy {
-		opts = append(opts, payless.WithGreedyPlanner(0))
 	}
 	if store != "" {
 		opts = append(opts, payless.WithDurableStore(store))

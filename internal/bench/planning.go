@@ -1,8 +1,8 @@
-// Planning hot path experiment: how many plans per second each planning
-// strategy produces over a pool of distinct query templates. The cached
-// series measures exactly what the plan-template cache substitutes for the
-// dynamic program on a hit — normalize + lookup + skeleton instantiation —
-// so the ratio to the DP series is the end-to-end planning speedup.
+// Planning hot path experiment: how many plans per second the dynamic
+// program and the plan-template cache produce over a pool of distinct query
+// templates. The cached series measures exactly what the cache substitutes
+// for the dynamic program on a hit — normalize + lookup + instantiation — so
+// the ratio to the DP series is the end-to-end planning speedup.
 package bench
 
 import (
@@ -174,14 +174,8 @@ func (e *planningEnv) planDP(i int) (*core.Plan, error) {
 	return o.Optimize(e.bound[i])
 }
 
-// planGreedy runs the greedy fast path (with DP fallback) for template i.
-func (e *planningEnv) planGreedy(i int) (*core.Plan, error) {
-	o := core.Optimizer{Catalog: e.cat, Store: e.store, Stats: e.st, GreedyMargin: core.DefaultGreedyMargin}
-	return o.Optimize(e.bound[i])
-}
-
 // warmCache optimizes every template once and fills a cache with the
-// skeletons, exactly as the client does on a miss.
+// plans, exactly as the client does on a miss.
 func (e *planningEnv) warmCache() (*core.PlanCache, error) {
 	cache := core.NewPlanCache(len(e.bound))
 	for i := range e.bound {
@@ -190,29 +184,30 @@ func (e *planningEnv) warmCache() (*core.PlanCache, error) {
 			return nil, err
 		}
 		key := core.Normalize(e.parsed[i]).Key
-		cache.Put(core.NewSkeleton(key, plan, e.store.Epoch, e.st.Version()))
+		cache.Put(key, plan, e.store.Epoch, e.st.Version())
 	}
 	return cache, nil
 }
 
 // planCached is the cache-hit planning path for template i: normalize the
-// parsed statement, look the shape up, re-bind the skeleton.
+// parsed statement, look the shape up, re-bind the cached plan.
 func (e *planningEnv) planCached(cache *core.PlanCache, i int) (*core.Plan, error) {
 	norm := core.Normalize(e.parsed[i])
-	sk := cache.Get(norm.Key, e.store.Epoch, e.st.Version())
-	if sk == nil {
+	cp := cache.Get(norm.Key, e.store.Epoch, e.st.Version())
+	if cp == nil {
 		return nil, fmt.Errorf("template %d missed a warmed cache", i)
 	}
 	opts := core.Options{}
-	plan, ok := sk.Instantiate(e.bound[i], e.store, &opts)
+	plan, ok := cp.Instantiate(e.bound[i], e.store, &opts)
 	if !ok {
-		return nil, fmt.Errorf("template %d skeleton refused to instantiate", i)
+		return nil, fmt.Errorf("template %d cached plan refused to instantiate", i)
 	}
 	return plan, nil
 }
 
 // FigPlan sweeps the template-pool size and reports plans per second for
-// the three planning strategies (EXPERIMENTS.md: paylessbench -fig plan).
+// the dynamic program and the cache-hit path (EXPERIMENTS.md: paylessbench
+// -fig plan).
 func FigPlan(p PlanParams) (*Figure, error) {
 	if len(p.Sizes) == 0 {
 		p = DefaultPlanParams()
@@ -222,11 +217,10 @@ func FigPlan(p PlanParams) (*Figure, error) {
 	}
 	fig := &Figure{
 		ID:     "FigPlan",
-		Title:  "Planning hot path (plans/sec by strategy)",
+		Title:  "Planning hot path (plans/sec, DP vs plan-template cache)",
 		XLabel: "templates",
 	}
 	dp := Series{System: "DP"}
-	greedy := Series{System: "Greedy"}
 	cached := Series{System: "Cached"}
 	for _, n := range p.Sizes {
 		env, err := newPlanningEnv(p, n)
@@ -269,15 +263,11 @@ func FigPlan(p PlanParams) (*Figure, error) {
 			return nil, err
 		}
 		add(&dp, rate)
-		if rate, err = perSec(env.planGreedy); err != nil {
-			return nil, err
-		}
-		add(&greedy, rate)
 		if rate, err = perSec(func(i int) (*core.Plan, error) { return env.planCached(cache, i) }); err != nil {
 			return nil, err
 		}
 		add(&cached, rate)
 	}
-	fig.Series = []Series{dp, greedy, cached}
+	fig.Series = []Series{dp, cached}
 	return fig, nil
 }

@@ -28,19 +28,8 @@ func BenchmarkDPPlanner(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyPlanner times the greedy fast path (with DP fallback).
-func BenchmarkGreedyPlanner(b *testing.B) {
-	env := planningBenchEnv(b, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.planGreedy(i % len(env.bound)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlanCache times the cache-hit path at 1k cached templates:
-// normalize + lookup + skeleton instantiation.
+// normalize + lookup + instantiation.
 func BenchmarkPlanCache(b *testing.B) {
 	env := planningBenchEnv(b, 1000)
 	cache, err := env.warmCache()
@@ -90,6 +79,27 @@ func TestPlanCacheSkipsTheSearch(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHitAllocs gates the garbage of the cache-hit planning path:
+// normalizing a 4-relation template, looking its shape up and instantiating
+// the cached plan makes at most 11 allocations.
+func TestPlanCacheHitAllocs(t *testing.T) {
+	env := planningBenchEnv(t, 16)
+	cache, err := env.warmCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := env.planCached(cache, i%len(env.bound)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 11 {
+		t.Errorf("cache-hit planning made %.1f allocations per plan, want <= 11", allocs)
+	}
+}
+
 // TestPlanningTemplatesDistinct guards the generator the sweep relies on:
 // every generated template must normalize to its own cache key (otherwise
 // the "1k cached templates" claim would be quietly measuring fewer).
@@ -116,7 +126,7 @@ func TestFigPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Series) != 3 {
+	if len(fig.Series) != 2 {
 		t.Fatalf("series: %d", len(fig.Series))
 	}
 	for _, s := range fig.Series {

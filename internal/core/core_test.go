@@ -367,14 +367,6 @@ func TestRewriteConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestCountersAdd(t *testing.T) {
-	a := Counters{PlansEvaluated: 1, BoxesEnumerated: 2, BoxesKept: 3}
-	a.Add(Counters{PlansEvaluated: 10, BoxesEnumerated: 20, BoxesKept: 30})
-	if a.PlansEvaluated != 11 || a.BoxesEnumerated != 22 || a.BoxesKept != 33 {
-		t.Errorf("Add: %+v", a)
-	}
-}
-
 func TestAccessKindString(t *testing.T) {
 	if LocalScan.String() != "local" || MarketScan.String() != "scan" || MarketBind.String() != "bind" || AccessKind(9).String() != "?" {
 		t.Error("AccessKind strings")

@@ -3,7 +3,7 @@
 // join order and access paths except the literal constant values. Two
 // instantiations of one application template ("parameterized queries issued
 // by specifying the parameter values", paper §2.2) normalize to the same
-// key, so the second one can reuse the first one's plan skeleton instead of
+// key, so the second one can reuse the first one's cached plan instead of
 // re-running the dynamic program.
 package core
 

@@ -21,19 +21,13 @@ const invalidCost = math.MaxInt64 / 4
 // Optimizer derives minimum-price left-deep plans (Algorithm 2).
 type Optimizer struct {
 	Catalog *catalog.Catalog
-	// Store is the semantic store; nil behaves like an empty store.
+	// Store is the semantic store. Required.
 	Store *semstore.Store
-	// Stats estimates row counts per (table, box).
+	// Stats estimates row counts per (table, box). Required.
 	Stats   stats.Estimator
 	Options Options
-	// GreedyMargin, when positive, enables the greedy join-ordering fast
-	// path: a plan built in O(n^2) candidate evaluations, accepted only when
-	// its estimated spend stays within this relative margin of a lower bound
-	// that also bounds the DP optimum. Otherwise, and when it is 0, Optimize
-	// runs the full dynamic program.
-	GreedyMargin float64
-	// Trace, when non-nil, receives the optimize span, the chosen plan and
-	// the search-effort counters.
+	// Trace, when non-nil, receives the optimize span and the planning-time
+	// store lookups.
 	Trace *obs.Trace
 }
 
@@ -66,22 +60,10 @@ func (o *Optimizer) Optimize(b *BoundQuery) (*Plan, error) {
 	}
 	var plan *Plan
 	var err error
-	planner := PlannerDP
-	switch {
-	case o.Options.DisableTheorems:
-		// The bushy "Disable All" search is an ablation; the greedy fast
-		// path only reasons about left-deep orders, so it is skipped here.
+	if o.Options.DisableTheorems {
+		// The bushy "Disable All" search of the Fig. 14 ablation.
 		plan, err = run.searchBushy()
-	case o.GreedyMargin > 0:
-		if g, ok := run.searchGreedy(); ok {
-			if bound, ok := run.spendLowerBound(); ok && greedyAcceptable(g.EstTrans, bound, o.GreedyMargin) {
-				plan, planner = g, PlannerGreedy
-			}
-		}
-		if plan == nil {
-			plan, err = run.searchLeftDeep()
-		}
-	default:
+	} else {
 		plan, err = run.searchLeftDeep()
 	}
 	if err != nil {
@@ -89,13 +71,10 @@ func (o *Optimizer) Optimize(b *BoundQuery) (*Plan, error) {
 		return nil, err
 	}
 	plan.Bound = b
-	plan.Planner = planner
+	plan.Planner = PlannerDP
 	plan.Counters = run.counters
 	plan.Optimized = time.Since(start)
 	endSpan(nil)
-	o.Trace.SetPlanner(planner)
-	o.Trace.SetPlan(plan.String(), plan.EstTrans)
-	o.Trace.SetCounters(plan.Counters.PlansEvaluated, plan.Counters.BoxesEnumerated, plan.Counters.BoxesKept)
 	return plan, nil
 }
 
@@ -130,7 +109,7 @@ func (r *optRun) prepRel(i int) {
 	}
 	t := opts.tptOf(rel.Table.Dataset)
 
-	if opts.DisableSQR || r.o.Store == nil {
+	if opts.DisableSQR {
 		info.plainValid = len(info.boundAttrs) == 0
 		if info.plainValid {
 			// One call per access box; transactions are billed per call, so
@@ -191,10 +170,8 @@ func (r *optRun) prepRel(i int) {
 
 // localRows returns the actual cardinality of a local table when available.
 func (r *optRun) localRows(rel *Rel) float64 {
-	if r.o.Store != nil {
-		if tbl, ok := r.o.Store.DB().Lookup(rel.Table.Name); ok {
-			return float64(tbl.Len())
-		}
+	if tbl, ok := r.o.Store.DB().Lookup(rel.Table.Name); ok {
+		return float64(tbl.Len())
 	}
 	if rel.Table.Cardinality > 0 {
 		return float64(rel.Table.Cardinality)
@@ -346,7 +323,7 @@ func (r *optRun) bindCost(i int, attr string, nb float64) (int64, bool) {
 	}
 	// Rows still missing from the semantic store.
 	remRows := info.estRows
-	if !r.o.Options.DisableSQR && r.o.Store != nil {
+	if !r.o.Options.DisableSQR {
 		remRows = info.remainder.EstRows
 	}
 	perBind := remRows / w

@@ -1,28 +1,28 @@
 // Parameterized plan-template cache. Queries that share a normalized shape
 // (see normalize.go) share their optimal join order and access paths almost
 // always — the literals move the boxes, not the structure — so the client
-// caches the *skeleton* of an optimized plan under the shape key and
-// re-binds fresh literals into it, skipping the per-relation coverage
-// rewrites and the dynamic program entirely.
+// caches the optimized plan under the shape key and re-binds fresh literals
+// into it, skipping the per-relation coverage rewrites and the dynamic
+// program entirely.
 //
-// What makes skeleton reuse sound here is that the execution engine never
+// What makes plan reuse sound here is that the execution engine never
 // trusts a plan's costed remainder: every MarketScan re-derives the
 // remainder of its access boxes against the live semantic store at fetch
 // time, and every MarketBind re-checks coverage per binding value. The
-// skeleton therefore only pins structure — join order, access kinds, join
+// cached plan therefore only pins structure — join order, access kinds, join
 // edges — all of which are functions of the query shape, with two
 // literal-dependent exceptions re-verified at instantiation time:
 //
 //   - a LocalScan over a market table was chosen because the warm query's
 //     boxes were fully covered (Theorem 2); the fresh literals' boxes must
-//     be covered too, or the skeleton is rejected;
+//     be covered too, or the cached plan is refused;
 //   - a MarketScan over a relation with an unsatisfied bound attribute was
 //     only valid because it was fully covered; same re-check.
 //
-// Staleness is handled at lookup: each skeleton snapshots the semantic
-// store's per-table coverage epochs and the statistics version at compile
-// time, and a lookup discards the entry when either moved — new coverage or
-// new estimates can flip the winning plan, exactly the situations the
+// Staleness is handled at lookup: each entry snapshots the semantic store's
+// per-table coverage epochs and the statistics version at compile time, and
+// a lookup discards the entry when either moved — new coverage or new
+// estimates can flip the winning plan, exactly the situations the
 // invalidation regression tests pin.
 package core
 
@@ -40,88 +40,35 @@ import (
 // configured.
 const DefaultPlanCacheSize = 1024
 
-// SkeletonStep is one plan step with everything literal-dependent stripped:
-// the costed remainder is gone (the engine recomputes it at fetch time) and
-// the estimates are carried over as advisory values.
-type SkeletonStep struct {
-	Rel      int
-	Kind     AccessKind
-	BindJoin int
-	Joins    []int
-	EstTrans int64
-	EstRows  float64
-}
-
 // tableEpoch snapshots one market table's coverage epoch at compile time.
 type tableEpoch struct {
 	table string
 	epoch uint64
 }
 
-// PlanSkeleton is a cached plan template: the structure of an optimized
-// plan, keyed by the normalized query shape, plus the invalidation
-// snapshot it was compiled under.
-type PlanSkeleton struct {
-	// Key is the normalized shape the skeleton was compiled for.
-	Key string
-	// Planner names the strategy that produced the original plan.
-	Planner string
-	Steps   []SkeletonStep
-	// EstTrans and EstRows are the warm query's estimates — advisory for
-	// instances with different literals.
-	EstTrans int64
-	EstRows  float64
+// CachedPlan is one plan-cache entry: an optimized plan without its bound
+// query and costed remainders, plus the invalidation snapshot it was
+// compiled under.
+type CachedPlan struct {
+	key string
+	// plan is the template every instance copies: Bound nil, remainders
+	// cleared, Planner PlannerCached, no search counters or timing. Its
+	// steps are shared read-only by every instance.
+	plan *Plan
 	// numRels/numJoins guard against key collisions: an instantiation whose
-	// bound arity differs is rejected outright.
+	// bound arity differs is refused outright.
 	numRels, numJoins int
 	// epochs and statsVersion are the invalidation snapshot.
 	epochs       []tableEpoch
 	statsVersion uint64
 }
 
-// NewSkeleton strips a freshly optimized plan to its cacheable template.
-// epochOf reports the current coverage epoch of a market table (the
-// caller snapshots it BEFORE executing the plan, so the plan's own
-// purchases invalidate the entry — a skeleton must describe the store state
-// it was costed against). statsVersion is the statistics mutation counter
-// at the same instant.
-func NewSkeleton(key string, p *Plan, epochOf func(table string) uint64, statsVersion uint64) *PlanSkeleton {
-	sk := &PlanSkeleton{
-		Key:          key,
-		Planner:      p.Planner,
-		EstTrans:     p.EstTrans,
-		EstRows:      p.EstRows,
-		numRels:      len(p.Bound.Rels),
-		numJoins:     len(p.Bound.Joins),
-		statsVersion: statsVersion,
-	}
-	for _, s := range p.Steps {
-		sk.Steps = append(sk.Steps, SkeletonStep{
-			Rel:      s.Rel,
-			Kind:     s.Kind,
-			BindJoin: s.BindJoin,
-			Joins:    append([]int(nil), s.Joins...),
-			EstTrans: s.EstTrans,
-			EstRows:  s.EstRows,
-		})
-	}
-	seen := make(map[string]bool)
-	for _, rel := range p.Bound.Rels {
-		if rel.Table.Local || seen[rel.Table.Name] {
-			continue
-		}
-		seen[rel.Table.Name] = true
-		sk.epochs = append(sk.epochs, tableEpoch{table: rel.Table.Name, epoch: epochOf(rel.Table.Name)})
-	}
-	return sk
-}
-
-// stale reports whether the skeleton's invalidation snapshot has moved.
-func (sk *PlanSkeleton) stale(epochOf func(table string) uint64, statsVersion uint64) bool {
-	if sk.statsVersion != statsVersion {
+// stale reports whether the entry's invalidation snapshot has moved.
+func (cp *CachedPlan) stale(epochOf func(table string) uint64, statsVersion uint64) bool {
+	if cp.statsVersion != statsVersion {
 		return true
 	}
-	for _, e := range sk.epochs {
+	for _, e := range cp.epochs {
 		if epochOf(e.table) != e.epoch {
 			return true
 		}
@@ -129,25 +76,24 @@ func (sk *PlanSkeleton) stale(epochOf func(table string) uint64, statsVersion ui
 	return false
 }
 
-// Instantiate rebinds the skeleton onto a freshly bound instance of the
+// Instantiate rebinds the cached plan onto a freshly bound instance of the
 // same shape. It returns ok=false — caller falls back to the optimizer —
 // when the bound arity does not match or a coverage-dependent access choice
 // no longer holds for the new literals. The returned plan carries empty
 // remainders; the engine re-derives them against the live store.
-func (sk *PlanSkeleton) Instantiate(b *BoundQuery, store *semstore.Store, opts *Options) (*Plan, bool) {
-	if len(b.Rels) != sk.numRels || len(b.Joins) != sk.numJoins {
+func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Options) (*Plan, bool) {
+	if len(b.Rels) != cp.numRels || len(b.Joins) != cp.numJoins {
 		return nil, false
 	}
 	covered := func(rel *Rel) bool {
 		for _, ab := range rel.AccessBoxes() {
-			if store == nil || opts.DisableSQR || !store.Covered(rel.Table.Name, ab, opts.Since) {
+			if opts.DisableSQR || !store.Covered(rel.Table.Name, ab, opts.Since) {
 				return false
 			}
 		}
 		return true
 	}
-	steps := make([]Step, 0, len(sk.Steps))
-	for _, s := range sk.Steps {
+	for _, s := range cp.plan.Steps {
 		if s.Rel < 0 || s.Rel >= len(b.Rels) {
 			return nil, false
 		}
@@ -177,23 +123,10 @@ func (sk *PlanSkeleton) Instantiate(b *BoundQuery, store *semstore.Store, opts *
 				return nil, false
 			}
 		}
-		steps = append(steps, Step{
-			Rel:       s.Rel,
-			Kind:      s.Kind,
-			BindJoin:  s.BindJoin,
-			Joins:     append([]int(nil), s.Joins...),
-			Remainder: rewrite.Plan{},
-			EstTrans:  s.EstTrans,
-			EstRows:   s.EstRows,
-		})
 	}
-	return &Plan{
-		Bound:    b,
-		Steps:    steps,
-		EstTrans: sk.EstTrans,
-		EstRows:  sk.EstRows,
-		Planner:  PlannerCached,
-	}, true
+	p := *cp.plan
+	p.Bound = b
+	return &p, true
 }
 
 // unsatisfiedBound reports whether the relation has a bound attribute with
@@ -210,7 +143,7 @@ func unsatisfiedBound(rel *Rel) bool {
 	return false
 }
 
-// PlanCache is a bounded LRU of plan skeletons keyed by normalized shape.
+// PlanCache is a bounded LRU of optimized plans keyed by normalized shape.
 // Safe for concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
@@ -220,7 +153,7 @@ type PlanCache struct {
 	metrics *obs.Metrics
 }
 
-// NewPlanCache returns an empty cache holding at most capacity skeletons;
+// NewPlanCache returns an empty cache holding at most capacity plans;
 // capacity <= 0 means DefaultPlanCacheSize.
 func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
@@ -234,10 +167,10 @@ func NewPlanCache(capacity int) *PlanCache {
 // before the cache is shared across goroutines.
 func (c *PlanCache) SetMetrics(m *obs.Metrics) { c.metrics = m }
 
-// Get returns the live skeleton for the key, or nil on a miss. A skeleton
-// whose invalidation snapshot moved (epochOf/statsVersion disagree with
-// compile time) is discarded and counted as an invalidation plus a miss.
-func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVersion uint64) *PlanSkeleton {
+// Get returns the live entry for the key, or nil on a miss. An entry whose
+// invalidation snapshot moved (epochOf/statsVersion disagree with compile
+// time) is discarded and counted as an invalidation plus a miss.
+func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVersion uint64) *CachedPlan {
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if !ok {
@@ -245,8 +178,8 @@ func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVers
 		c.metrics.ObservePlanCacheLookup(false, false)
 		return nil
 	}
-	sk := el.Value.(*PlanSkeleton)
-	if sk.stale(epochOf, statsVersion) {
+	cp := el.Value.(*CachedPlan)
+	if cp.stale(epochOf, statsVersion) {
 		c.ll.Remove(el)
 		delete(c.entries, key)
 		c.mu.Unlock()
@@ -256,26 +189,47 @@ func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVers
 	c.ll.MoveToFront(el)
 	c.mu.Unlock()
 	c.metrics.ObservePlanCacheLookup(true, false)
-	return sk
+	return cp
 }
 
-// Put inserts or replaces the skeleton under its Key, evicting the least
-// recently used entry when over capacity.
-func (c *PlanCache) Put(sk *PlanSkeleton) {
-	if sk == nil || sk.Key == "" {
-		return
+// Put caches a freshly optimized plan under key, replacing any entry there
+// and evicting the least recently used one when over capacity. epochOf
+// reports the current coverage epoch of a market table (the caller
+// snapshots it BEFORE executing the plan, so the plan's own purchases
+// invalidate the entry — a cached plan must describe the store state it was
+// costed against). statsVersion is the statistics mutation counter at the
+// same instant. p itself is not modified.
+func (c *PlanCache) Put(key string, p *Plan, epochOf func(table string) uint64, statsVersion uint64) {
+	steps := make([]Step, len(p.Steps))
+	copy(steps, p.Steps)
+	for i := range steps {
+		steps[i].Remainder = rewrite.Plan{}
+	}
+	cp := &CachedPlan{
+		key:          key,
+		plan:         &Plan{Steps: steps, EstTrans: p.EstTrans, EstRows: p.EstRows, Planner: PlannerCached},
+		numRels:      len(p.Bound.Rels),
+		numJoins:     len(p.Bound.Joins),
+		statsVersion: statsVersion,
+	}
+	seen := make(map[string]bool)
+	for _, rel := range p.Bound.Rels {
+		if rel.Table.Local || seen[rel.Table.Name] {
+			continue
+		}
+		seen[rel.Table.Name] = true
+		cp.epochs = append(cp.epochs, tableEpoch{table: rel.Table.Name, epoch: epochOf(rel.Table.Name)})
 	}
 	c.mu.Lock()
 	var evicted bool
-	if el, ok := c.entries[sk.Key]; ok {
-		el.Value = sk
+	if el, ok := c.entries[key]; ok {
+		el.Value = cp
 		c.ll.MoveToFront(el)
 	} else {
-		c.entries[sk.Key] = c.ll.PushFront(sk)
+		c.entries[key] = c.ll.PushFront(cp)
 		if c.ll.Len() > c.cap {
-			back := c.ll.Back()
-			old := c.ll.Remove(back).(*PlanSkeleton)
-			delete(c.entries, old.Key)
+			old := c.ll.Remove(c.ll.Back()).(*CachedPlan)
+			delete(c.entries, old.key)
 			evicted = true
 		}
 	}
@@ -285,7 +239,7 @@ func (c *PlanCache) Put(sk *PlanSkeleton) {
 	}
 }
 
-// Len returns the number of cached skeletons.
+// Len returns the number of cached plans.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -38,20 +38,18 @@ func epochsAt(e uint64) func(string) uint64 {
 	return func(string) uint64 { return e }
 }
 
-// skeletonFor optimizes sql and captures its skeleton under the given epochs.
-func skeletonFor(t *testing.T, f *fixture, sql, key string, epoch, statsVersion uint64) *PlanSkeleton {
+// putPlan optimizes sql and caches its plan under key at the given epochs.
+func putPlan(t *testing.T, f *fixture, cache *PlanCache, sql, key string, epoch, statsVersion uint64) {
 	t.Helper()
-	plan := f.optimize(t, sql, Options{})
-	return NewSkeleton(key, plan, epochsAt(epoch), statsVersion)
+	cache.Put(key, f.optimize(t, sql, Options{}), epochsAt(epoch), statsVersion)
 }
 
 func TestPlanCacheHitReturnsSameSkeleton(t *testing.T) {
 	f := newFixture(t, numTable("R", 1000, "a", "b"))
 	cache, metrics := meteredCache(4)
-	sk := skeletonFor(t, f, "SELECT * FROM R WHERE a >= 10", "k1", 3, 7)
-	cache.Put(sk)
+	putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k1", 3, 7)
 	got := cache.Get("k1", epochsAt(3), 7)
-	if got != sk {
+	if got == nil || got.key != "k1" {
 		t.Fatalf("fresh entry must hit: %v", got)
 	}
 	if cache.Get("missing", epochsAt(3), 7) != nil {
@@ -76,7 +74,7 @@ func TestPlanCacheInvalidatesOnEpochAndStats(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cache, metrics := meteredCache(4)
-			cache.Put(skeletonFor(t, f, "SELECT * FROM R WHERE a >= 10", "k1", 3, 7))
+			putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k1", 3, 7)
 			if got := cache.Get("k1", epochsAt(tc.epoch), tc.statsVersion); got != nil {
 				t.Fatalf("stale entry served: %+v", got)
 			}
@@ -85,7 +83,7 @@ func TestPlanCacheInvalidatesOnEpochAndStats(t *testing.T) {
 					st.PlanCacheInvalidations, st.PlanCacheMisses, cache.Len())
 			}
 			// The slot is free again: a re-put at the new state hits.
-			cache.Put(skeletonFor(t, f, "SELECT * FROM R WHERE a >= 10", "k1", tc.epoch, tc.statsVersion))
+			putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k1", tc.epoch, tc.statsVersion)
 			if cache.Get("k1", epochsAt(tc.epoch), tc.statsVersion) == nil {
 				t.Error("re-cached entry must hit")
 			}
@@ -97,7 +95,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	f := newFixture(t, numTable("R", 1000, "a", "b"))
 	cache, metrics := meteredCache(2)
 	for i := 0; i < 3; i++ {
-		cache.Put(skeletonFor(t, f, "SELECT * FROM R WHERE a >= 10", fmt.Sprintf("k%d", i), 1, 1))
+		putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", fmt.Sprintf("k%d", i), 1, 1)
 	}
 	if cache.Len() != 2 {
 		t.Fatalf("capacity 2, holds %d", cache.Len())
@@ -110,7 +108,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 	// k2 and k1 were both touched; inserting k3 now evicts the least
 	// recently used key, k2.
-	cache.Put(skeletonFor(t, f, "SELECT * FROM R WHERE a >= 10", "k3", 1, 1))
+	putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k3", 1, 1)
 	if cache.Get("k2", epochsAt(1), 1) != nil {
 		t.Error("LRU order must follow hits, not insertion")
 	}
@@ -119,18 +117,36 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestSkeletonInstantiateMatchesPlan: instantiating a skeleton onto a fresh
-// binding of another instance reproduces the plan structurally and labels it
-// as cache-served.
+// cachedFor caches plan under key at the store's current epochs and returns
+// the entry a lookup serves.
+func cachedFor(t *testing.T, f *fixture, plan *Plan) *CachedPlan {
+	t.Helper()
+	cache := NewPlanCache(1)
+	cache.Put("k", plan, f.store.Epoch, 1)
+	cp := cache.Get("k", f.store.Epoch, 1)
+	if cp == nil {
+		t.Fatal("a fresh entry must hit")
+	}
+	return cp
+}
+
+// TestSkeletonInstantiateMatchesPlan: instantiating a cached plan onto a
+// fresh binding of another instance reproduces the plan structurally, with
+// the remainders cleared, and labels it as cache-served; caching leaves the
+// original plan untouched.
 func TestSkeletonInstantiateMatchesPlan(t *testing.T) {
 	f := newFixture(t, numTable("R", 1000, "a", "b"), numTable("S", 500, "a", "c"))
 	sql := "SELECT * FROM R, S WHERE R.a = S.a AND R.b >= 10 AND R.b <= 30"
 	plan := f.optimize(t, sql, Options{})
-	sk := NewSkeleton("k", plan, f.store.Epoch, 1)
+	before := plan.Describe()
+	cp := cachedFor(t, f, plan)
+	if plan.Describe() != before {
+		t.Error("caching a plan must not modify it")
+	}
 
 	other := f.bind(t, "SELECT * FROM R, S WHERE R.a = S.a AND R.b >= 40 AND R.b <= 55")
 	opts := Options{}
-	got, ok := sk.Instantiate(other, f.store, &opts)
+	got, ok := cp.Instantiate(other, f.store, &opts)
 	if !ok {
 		t.Fatal("same-shape instantiation must succeed")
 	}
@@ -144,17 +160,23 @@ func TestSkeletonInstantiateMatchesPlan(t *testing.T) {
 		if got.Steps[i].Rel != plan.Steps[i].Rel || got.Steps[i].Kind != plan.Steps[i].Kind {
 			t.Errorf("step %d diverged: %+v vs %+v", i, got.Steps[i], plan.Steps[i])
 		}
+		if len(got.Steps[i].Remainder.Boxes) != 0 {
+			t.Errorf("step %d carries a costed remainder", i)
+		}
+	}
+	if got.Bound != other || got.Counters != (Counters{}) || got.Optimized != 0 {
+		t.Errorf("instance: bound %p (want %p), counters %+v, optimized %v", got.Bound, other, got.Counters, got.Optimized)
 	}
 	// A shape with a different relation count must be rejected outright.
-	if _, ok := sk.Instantiate(f.bind(t, "SELECT * FROM R WHERE R.b >= 1"), f.store, &opts); ok {
+	if _, ok := cp.Instantiate(f.bind(t, "SELECT * FROM R WHERE R.b >= 1"), f.store, &opts); ok {
 		t.Error("arity mismatch must reject")
 	}
 }
 
-// TestSkeletonInstantiateRejectsUncoveredLocalScan: a skeleton whose plan
+// TestSkeletonInstantiateRejectsUncoveredLocalScan: a cached plan that
 // leaned on semantic-store coverage (a zero-price LocalScan over a market
 // table) must refuse to instantiate when the store no longer backs it —
-// otherwise a stale skeleton would silently return incomplete rows.
+// otherwise a stale entry would silently return incomplete rows.
 func TestSkeletonInstantiateRejectsUncoveredLocalScan(t *testing.T) {
 	r := numTable("R", 1000, "a", "b")
 	s := numTable("S", 1000, "c", "d")
@@ -167,21 +189,21 @@ func TestSkeletonInstantiateRejectsUncoveredLocalScan(t *testing.T) {
 	if plan.Steps[0].Kind != LocalScan {
 		t.Fatalf("setup: covered R must plan as LocalScan, got %v", plan.Steps[0].Kind)
 	}
-	sk := NewSkeleton("k", plan, f.store.Epoch, 1)
+	cp := cachedFor(t, f, plan)
 	opts := Options{}
 
 	// Same store: fine.
-	if _, ok := sk.Instantiate(f.bind(t, sql), f.store, &opts); !ok {
+	if _, ok := cp.Instantiate(f.bind(t, sql), f.store, &opts); !ok {
 		t.Fatal("covered instantiation must succeed")
 	}
 	// Empty store: the LocalScan has nothing behind it.
 	empty := semstore.New(storage.NewDB())
-	if _, ok := sk.Instantiate(f.bind(t, sql), empty, &opts); ok {
+	if _, ok := cp.Instantiate(f.bind(t, sql), empty, &opts); ok {
 		t.Error("uncovered LocalScan must reject")
 	}
 	// SQR disabled: coverage may not be consulted, so the plan is invalid too.
 	noSQR := Options{DisableSQR: true}
-	if _, ok := sk.Instantiate(f.bind(t, sql), f.store, &noSQR); ok {
+	if _, ok := cp.Instantiate(f.bind(t, sql), f.store, &noSQR); ok {
 		t.Error("DisableSQR must reject store-backed LocalScan")
 	}
 }

@@ -52,9 +52,9 @@ func (r *Report) Add(o Report) {
 // Engine executes optimized plans.
 type Engine struct {
 	Catalog *catalog.Catalog
-	// Store is the semantic store; nil disables storing (and SQR fetching).
+	// Store is the semantic store and local DBMS. Required.
 	Store *semstore.Store
-	// Stats receives execution feedback; may be nil.
+	// Stats receives execution feedback. Required.
 	Stats stats.Estimator
 	// Sched issues the RESTful calls: the client's global call scheduler,
 	// which single-flights identical concurrent calls, may merge adjacent
@@ -70,6 +70,9 @@ type Engine struct {
 	// plan-merge order) plus semantic-store hit accounting. Nil disables
 	// tracing at the cost of one nil check per instrumentation point.
 	Trace *obs.Trace
+	// Metrics, when non-nil, counts the rows the semantic store served,
+	// traced or not.
+	Metrics *obs.Metrics
 	// Now stamps semantic-store entries; nil means time.Now.
 	Now func() time.Time
 }
@@ -240,9 +243,6 @@ func (e *Engine) fetch(ctx context.Context, rel *core.Rel, step core.Step, prefi
 
 // localScan reads a local DBMS table and applies the pushable predicates.
 func (e *Engine) localScan(rel *core.Rel) (storage.Relation, error) {
-	if e.Store == nil {
-		return storage.Relation{}, fmt.Errorf("no local DBMS for table %s", rel.Table.Name)
-	}
 	tbl, ok := e.Store.DB().Lookup(rel.Table.Name)
 	if !ok {
 		return storage.Relation{}, fmt.Errorf("local table %s not loaded", rel.Table.Name)
@@ -252,16 +252,13 @@ func (e *Engine) localScan(rel *core.Rel) (storage.Relation, error) {
 
 // storedScan serves a fully covered market relation from the semantic store.
 func (e *Engine) storedScan(rel *core.Rel) (storage.Relation, error) {
-	if e.Store == nil {
-		return storage.Relation{}, fmt.Errorf("no semantic store for covered table %s", rel.Table.Name)
-	}
 	out, err := e.storedRows(rel.Table, rel.AccessBoxes())
 	if err != nil {
 		return storage.Relation{}, err
 	}
 	// A fully covered market relation is a zero-price access (Theorem 2):
 	// the whole read is a semantic-store hit.
-	e.Trace.AddStoreHit(int64(len(out.Rows)))
+	e.storeServed(true, int64(len(out.Rows)))
 	return out, nil
 }
 
@@ -289,7 +286,7 @@ func (e *Engine) storedRows(meta *catalog.Table, boxes []region.Box) (storage.Re
 func (e *Engine) marketScan(ctx context.Context, rel *core.Rel, report *Report) (storage.Relation, error) {
 	out := storage.Relation{Schema: rel.Table.Schema.Clone()}
 	boxes := rel.AccessBoxes()
-	if e.Options.DisableSQR || e.Store == nil {
+	if e.Options.DisableSQR {
 		specs, err := specsForBoxes(rel.Table, boxes)
 		if err != nil {
 			return storage.Relation{}, err
@@ -396,7 +393,7 @@ func (e *Engine) bindScan(ctx context.Context, rel *core.Rel, step core.Step, pr
 		return boxes
 	}
 
-	if e.Options.DisableSQR || e.Store == nil {
+	if e.Options.DisableSQR {
 		var pointBoxes []region.Box
 		for _, coord := range coords {
 			pointBoxes = append(pointBoxes, pointBoxesOf(coord)...)
@@ -452,11 +449,8 @@ func (e *Engine) bindScan(ctx context.Context, rel *core.Rel, step core.Step, pr
 // the store served approximately the rows beyond the fresh records (an
 // estimate: overlap dedup can make fresh rows and stored rows coincide).
 func (e *Engine) noteStoreServed(specCount, outRows int, results []*market.Result) {
-	if e.Trace == nil {
-		return
-	}
 	if specCount == 0 {
-		e.Trace.AddStoreHit(int64(outRows))
+		e.storeServed(true, int64(outRows))
 		return
 	}
 	var fresh int
@@ -465,7 +459,18 @@ func (e *Engine) noteStoreServed(specCount, outRows int, results []*market.Resul
 			fresh += res.Records
 		}
 	}
-	e.Trace.AddStoreRows(int64(outRows - fresh))
+	e.storeServed(false, int64(outRows-fresh))
+}
+
+// storeServed books rows the semantic store served one access on the trace
+// and the metrics; hit marks an access served entirely from the store.
+func (e *Engine) storeServed(hit bool, rows int64) {
+	if hit {
+		e.Trace.AddStoreHit(rows)
+	} else {
+		e.Trace.AddStoreRows(rows)
+	}
+	e.Metrics.ObserveStoreServed(hit, rows)
 }
 
 // coalesceBindings groups sorted binding coordinates into call boxes.
@@ -479,7 +484,7 @@ func (e *Engine) coalesceBindings(rel *core.Rel, attr catalog.Attribute, dim int
 		b.Dims[dim] = region.Interval{Lo: lo, Hi: hi + 1}
 		return b
 	}
-	if attr.Class == catalog.CategoricalAttr || e.Stats == nil {
+	if attr.Class == catalog.CategoricalAttr {
 		out := make([]region.Box, 0, len(coords))
 		for _, c := range coords {
 			out = append(out, boxFor(c, c))
@@ -550,19 +555,6 @@ func (e *Engine) account(report *Report, res market.Result) {
 	report.Records += int64(res.Records)
 	report.Transactions += res.Transactions
 	report.Price += res.Price
-}
-
-func (e *Engine) feedback(meta *catalog.Table, box region.Box, n int64) {
-	if e.Stats != nil {
-		e.Stats.Feedback(meta.Name, box, n)
-	}
-}
-
-func (e *Engine) estimator(table string) func(region.Box) float64 {
-	if e.Stats == nil {
-		return func(region.Box) float64 { return 0 }
-	}
-	return func(b region.Box) float64 { return e.Stats.Estimate(table, b) }
 }
 
 // applyResidual filters fetched rows by the relation's non-pushable

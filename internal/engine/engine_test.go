@@ -362,15 +362,6 @@ func TestFetchErrorPaths(t *testing.T) {
 	rel.Box = tb.FullBox()
 	bq := &core.BoundQuery{Rels: []*core.Rel{rel}}
 
-	// Engine without a store cannot serve covered or local scans.
-	noStore := Engine{Catalog: f.cat, Stats: f.st, Sched: f.sched}
-	if _, err := noStore.fetch(context.Background(), rel, core.Step{Kind: core.LocalScan}, storage.Relation{}, bq, &Report{}); err == nil {
-		t.Error("covered scan without store should error")
-	}
-	lrel := &core.Rel{Table: mustTable(t, f, "L")}
-	if _, err := noStore.fetch(context.Background(), lrel, core.Step{Kind: core.LocalScan}, storage.Relation{}, bq, &Report{}); err == nil {
-		t.Error("local scan without store should error")
-	}
 	// Unknown access kind.
 	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched}
 	if _, err := e.fetch(context.Background(), rel, core.Step{Kind: core.AccessKind(99)}, storage.Relation{}, bq, &Report{}); err == nil {

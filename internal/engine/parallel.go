@@ -68,7 +68,7 @@ func (e *Engine) planRemainder(meta *catalog.Table, box region.Box) ([]callSpec,
 		return nil, nil // a single stored box contains the access: nothing to buy
 	}
 	cfg := core.RewriteConfig(meta, &e.Options)
-	plan := rewrite.Remainders(box, covered, cfg, e.estimator(meta.Name))
+	plan := rewrite.Remainders(box, covered, cfg, func(b region.Box) float64 { return e.Stats.Estimate(meta.Name, b) })
 	specs := make([]callSpec, 0, len(plan.Boxes))
 	for _, rb := range plan.Boxes {
 		q, err := catalog.QueryForBox(meta, rb)
@@ -199,7 +199,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 				Meta:   specs[i].meta,
 				Box:    specs[i].box,
 				Query:  specs[i].q,
-				Record: specs[i].record && e.Store != nil,
+				Record: specs[i].record,
 				Parts:  specs[i].partQueries(),
 			})
 			infos[i] = info
@@ -224,22 +224,21 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 		}
 		e.account(report, *res)
 		if spec.parts == nil {
-			e.feedback(spec.meta, spec.box, int64(res.Records))
+			e.Stats.Feedback(spec.meta.Name, spec.box, int64(res.Records))
 		} else {
 			// Statistics learn what each planned piece held, as if it had
 			// been bought on its own.
 			for k, n := range sched.PartCounts(spec.meta, spec.partQueries(), res.Rows) {
-				e.feedback(spec.meta, spec.parts[k].box, n)
+				e.Stats.Feedback(spec.meta.Name, spec.parts[k].box, n)
 			}
 		}
 		added, compacted := 0, 0
 		var walMicros int64
 		var walSynced bool
-		recorded := spec.record && e.Store != nil
 		// The scheduler records shared/merged/abandoned calls itself,
 		// exactly once per wire call; recording here again would duplicate
 		// the rows' coverage entry.
-		if recorded && !infos[i].Recorded {
+		if spec.record && !infos[i].Recorded {
 			rr, err := e.Store.Record(spec.meta, spec.box, res.Rows, e.now())
 			added, compacted = rr.Added, rr.Compacted()
 			walMicros, walSynced = rr.WALMicros, rr.Synced
@@ -252,7 +251,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 			rec.Records = int64(res.Records)
 			rec.Transactions = res.Transactions
 			rec.Price = res.Price
-			rec.Recorded = recorded
+			rec.Recorded = spec.record
 			rec.Coalesced = infos[i].Shared || infos[i].Merged
 			rec.SharedWith = infos[i].SharedWith
 			rec.NewRows = added

@@ -13,6 +13,7 @@ import (
 	"payless/internal/obs"
 	"payless/internal/region"
 	"payless/internal/sched"
+	"payless/internal/stats"
 )
 
 // poolCaller records in-flight concurrency and fails chosen calls.
@@ -71,7 +72,7 @@ func testSpecs(n int) []callSpec {
 
 func TestRunBatchBoundsConcurrency(t *testing.T) {
 	pc := &poolCaller{delay: 5 * time.Millisecond}
-	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 3}
+	e := &Engine{Stats: stats.New(), Sched: sched.New(pc, sched.Config{}), Concurrency: 3}
 	var rep Report
 	results, err := e.runBatch(context.Background(), testSpecs(10), &rep)
 	if err != nil {
@@ -94,7 +95,7 @@ func TestRunBatchBoundsConcurrency(t *testing.T) {
 func TestRunBatchSerialFailsFast(t *testing.T) {
 	boom := errors.New("boom")
 	pc := &poolCaller{failAt: map[int]error{2: boom}}
-	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 1}
+	e := &Engine{Stats: stats.New(), Sched: sched.New(pc, sched.Config{}), Concurrency: 1}
 	var rep Report
 	_, err := e.runBatch(context.Background(), testSpecs(6), &rep)
 	if !errors.Is(err, boom) {
@@ -115,7 +116,7 @@ func TestRunBatchSurfacesRootCauseNotCancellation(t *testing.T) {
 	// The first call fails fast while its five siblings sleep; their
 	// cancellation errors must not mask the root cause.
 	pc := &poolCaller{delay: 20 * time.Millisecond, failAt: map[int]error{1: boom}}
-	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 6}
+	e := &Engine{Stats: stats.New(), Sched: sched.New(pc, sched.Config{}), Concurrency: 6}
 	var rep Report
 	_, err := e.runBatch(context.Background(), testSpecs(6), &rep)
 	if !errors.Is(err, boom) {
@@ -126,7 +127,7 @@ func TestRunBatchSurfacesRootCauseNotCancellation(t *testing.T) {
 func TestRunBatchKeepsPaidResultsOnFailure(t *testing.T) {
 	boom := errors.New("boom")
 	pc := &poolCaller{failAt: map[int]error{4: boom}}
-	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 2}
+	e := &Engine{Stats: stats.New(), Sched: sched.New(pc, sched.Config{}), Concurrency: 2}
 	var rep Report
 	_, err := e.runBatch(context.Background(), testSpecs(8), &rep)
 	if !errors.Is(err, boom) {
@@ -144,7 +145,7 @@ func TestRunBatchKeepsPaidResultsOnFailure(t *testing.T) {
 
 func TestRunBatchHonorsParentCancellation(t *testing.T) {
 	pc := &poolCaller{delay: time.Second}
-	e := &Engine{Sched: sched.New(pc, sched.Config{}), Concurrency: 4}
+	e := &Engine{Stats: stats.New(), Sched: sched.New(pc, sched.Config{}), Concurrency: 4}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	var rep Report
@@ -159,7 +160,7 @@ func TestRunBatchHonorsParentCancellation(t *testing.T) {
 }
 
 func TestRunBatchEmpty(t *testing.T) {
-	e := &Engine{Sched: sched.New(&poolCaller{}, sched.Config{}), Concurrency: 4}
+	e := &Engine{Stats: stats.New(), Sched: sched.New(&poolCaller{}, sched.Config{}), Concurrency: 4}
 	var rep Report
 	results, err := e.runBatch(context.Background(), nil, &rep)
 	if err != nil || results != nil {

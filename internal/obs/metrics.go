@@ -109,7 +109,7 @@ type Snapshot struct {
 	Price        float64 `prom:"price_total,counter" help:"Money billed across all calls."`
 	Retries      int64   `prom:"call_retries_total,counter" help:"Extra transport attempts beyond the first."`
 
-	// Semantic-store reuse (traced queries only), lookups and compaction.
+	// Semantic-store reuse, lookups and compaction.
 	StoreHits             int64 `prom:"store_hits_total,counter" help:"Plan accesses served entirely from the semantic store."`
 	StoreHitRows          int64 `prom:"store_hit_rows_total,counter" help:"Rows served from the semantic store instead of bought."`
 	StoreLookups          int64 `prom:"store_lookups_total,counter" help:"Indexed semantic-store coverage lookups."`
@@ -148,7 +148,6 @@ type Snapshot struct {
 	PlanCacheInvalidations int64 `prom:"plan_cache_invalidations_total,counter" help:"Cached plan skeletons discarded as stale (coverage epoch or stats version moved)."`
 	PlanCacheEvictions     int64 `prom:"plan_cache_evictions_total,counter" help:"Cached plan skeletons displaced by the LRU capacity."`
 	PlansCached            int64 `prom:"plans_cached_total,counter" help:"Queries planned from the plan-template cache."`
-	PlansGreedy            int64 `prom:"plans_greedy_total,counter" help:"Queries planned by the greedy fast path."`
 	PlansDP                int64 `prom:"plans_dp_total,counter" help:"Queries planned by the full dynamic program."`
 
 	// The global call scheduler.
@@ -223,16 +222,14 @@ func (m *Metrics) ObserveQuery(total, optimize time.Duration, calls, records, tr
 // ObserveQueryError counts a failed query.
 func (m *Metrics) ObserveQueryError() { m.update(func(s *Snapshot) { s.QueryErrors++ }) }
 
-// ObserveTrace folds a finished trace's semantic-store reuse into the
-// registry. The bill, call latencies and retries come from every query and
-// wire call traced or not, so they are not taken from the trace.
-func (m *Metrics) ObserveTrace(t *Trace) {
-	if t == nil {
-		return
-	}
+// ObserveStoreServed folds the rows the semantic store served one plan
+// access: hit marks an access served entirely from the store, otherwise the
+// rows are the owned part of a partially bought access. The engine feeds it
+// for every access, traced or not.
+func (m *Metrics) ObserveStoreServed(hit bool, rows int64) {
 	m.update(func(s *Snapshot) {
-		s.StoreHits += int64(t.StoreHits)
-		s.StoreHitRows += t.StoreHitRows
+		s.StoreHits += b2i(hit)
+		s.StoreHitRows += max(rows, 0)
 	})
 }
 
@@ -373,19 +370,16 @@ func (m *Metrics) ObservePlanCacheLookup(hit, invalidated bool) {
 	})
 }
 
-// ObservePlanCacheEviction counts a cached skeleton displaced by capacity.
+// ObservePlanCacheEviction counts a cached plan displaced by capacity.
 func (m *Metrics) ObservePlanCacheEviction() { m.update(func(s *Snapshot) { s.PlanCacheEvictions++ }) }
 
-// ObservePlanner counts which planning strategy produced one query's plan
-// ("cached", "greedy" or anything else, counted as dp).
+// ObservePlanner counts where one query's plan came from ("cached", or
+// anything else, counted as dp).
 func (m *Metrics) ObservePlanner(planner string) {
 	m.update(func(s *Snapshot) {
-		switch planner {
-		case "cached":
+		if planner == "cached" {
 			s.PlansCached++
-		case "greedy":
-			s.PlansGreedy++
-		default:
+		} else {
 			s.PlansDP++
 		}
 	})

@@ -30,10 +30,8 @@ func fillEveryFamily(m *Metrics) {
 	m.ObserveCall(7*time.Millisecond, 97, 4, 4.75)
 
 	m.ObserveCallRetries(23)
-	tr := NewTrace("q")
-	repeat(4, func() { tr.AddStoreHit(100) })
-	tr.AddStoreRows(33)
-	m.ObserveTrace(tr)
+	repeat(4, func() { m.ObserveStoreServed(true, 100) })
+	m.ObserveStoreServed(false, 33)
 
 	for i := 0; i < 6; i++ {
 		m.ObserveStoreLookup(int64(60+i), 9, i < 5)
@@ -60,7 +58,6 @@ func fillEveryFamily(m *Metrics) {
 	repeat(27, func() { m.ObservePlanCacheLookup(false, true) })
 	repeat(24, m.ObservePlanCacheEviction)
 	repeat(29, func() { m.ObservePlanner("cached") })
-	repeat(30, func() { m.ObservePlanner("greedy") })
 	repeat(31, func() { m.ObservePlanner("dp") })
 
 	repeat(32, m.ObserveSchedSingleflightHit)
@@ -123,7 +120,7 @@ var observers = []struct {
 }{
 	{"ObserveQuery", func(m *Metrics) { m.ObserveQuery(time.Millisecond, time.Microsecond, 1, 100, 1, 1) }},
 	{"ObserveQueryError", (*Metrics).ObserveQueryError},
-	{"ObserveTrace", func(m *Metrics) { m.ObserveTrace(traceWithHits) }},
+	{"ObserveStoreServed", func(m *Metrics) { m.ObserveStoreServed(true, 10) }},
 	{"ObserveStoreLookup", func(m *Metrics) { m.ObserveStoreLookup(5, 2, true) }},
 	{"ObserveStoreCompaction", func(m *Metrics) { m.ObserveStoreCompaction(true, 1, 1) }},
 	{"ObserveReplayedCall", (*Metrics).ObserveReplayedCall},
@@ -144,7 +141,7 @@ var observers = []struct {
 	{"ObserveAuditDrop", (*Metrics).ObserveAuditDrop},
 	{"ObservePlanCacheLookup", func(m *Metrics) { m.ObservePlanCacheLookup(false, true) }},
 	{"ObservePlanCacheEviction", (*Metrics).ObservePlanCacheEviction},
-	{"ObservePlanner", func(m *Metrics) { m.ObservePlanner("greedy") }},
+	{"ObservePlanner", func(m *Metrics) { m.ObservePlanner("cached") }},
 	{"ObserveSchedSingleflightHit", (*Metrics).ObserveSchedSingleflightHit},
 	{"ObserveSchedMerge", func(m *Metrics) { m.ObserveSchedMerge(1) }},
 	{"ObserveSchedDelayedCall", (*Metrics).ObserveSchedDelayedCall},
@@ -152,8 +149,6 @@ var observers = []struct {
 	{"ObserveCallRetries", func(m *Metrics) { m.ObserveCallRetries(2) }},
 	{"ObserveCall", func(m *Metrics) { m.ObserveCall(time.Millisecond, 100, 1, 1) }},
 }
-
-var traceWithHits = &Trace{StoreHits: 1, StoreHitRows: 10}
 
 // TestObserversAllocateNothing: the observers sit on every query's and
 // every wire call's path, so none of them may allocate. The table must list

@@ -88,20 +88,14 @@ func TestMetricsCountersAndPrometheus(t *testing.T) {
 	m.ObserveQuery(10*time.Millisecond, time.Millisecond, 2, 150, 3, 3)
 	m.ObserveQueryError()
 	m.ObserveCallRetries(1)
-	// A trace contributes store reuse only: its call retries were already
-	// counted per wire call.
-	tr := NewTrace("q")
-	tr.AddCall(CallRecord{Latency: 4 * time.Millisecond, Retries: 1})
-	tr.AddCall(CallRecord{Latency: 6 * time.Millisecond})
-	tr.AddStoreHit(25)
-	m.ObserveTrace(tr)
+	m.ObserveStoreServed(true, 25)
 
 	s := m.Snapshot()
 	if s.Queries != 1 || s.QueryErrors != 1 || s.Calls != 2 || s.Transactions != 3 {
 		t.Errorf("snapshot counters: %+v", s)
 	}
 	if s.Retries != 1 || s.StoreHits != 1 || s.StoreHitRows != 25 {
-		t.Errorf("trace-fed counters: %+v", s)
+		t.Errorf("retry and store counters: %+v", s)
 	}
 
 	var b strings.Builder
@@ -121,17 +115,12 @@ func TestMetricsCountersAndPrometheus(t *testing.T) {
 }
 
 // TestCallDurationMetricsFamilies pins the call-latency histogram: one
-// observation per wire call through ObserveCallLatency, traced or not, and
-// none from ObserveTrace, so a traced call is not counted twice. The
+// observation per wire call through ObserveCallLatency, traced or not. The
 // exposition of payless_call_duration_seconds is pinned by TestMetricsGolden.
 func TestCallDurationMetricsFamilies(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveCallLatency(4 * time.Millisecond)
 	m.ObserveCallLatency(6 * time.Millisecond)
-	tr := NewTrace("q")
-	tr.AddCall(CallRecord{Latency: 4 * time.Millisecond})
-	tr.AddCall(CallRecord{Latency: 6 * time.Millisecond})
-	m.ObserveTrace(tr)
 
 	s := m.Snapshot()
 	if s.CallLatency.Count != 2 {

@@ -87,8 +87,8 @@ type Trace struct {
 	// Total is the end-to-end query duration, set by Finish.
 	Total time.Duration
 	// Plan is the optimizer's chosen plan, EstTransactions its price
-	// estimate. Planner names the strategy that produced the plan
-	// ("dp", "greedy" or "cached").
+	// estimate. Planner names where the plan came from ("dp" or
+	// "cached").
 	Plan            string
 	Planner         string
 	EstTransactions int64

@@ -234,7 +234,7 @@ type tableStore struct {
 	seen   *value.HashIndex
 	rowIdx []rowDim
 	// epoch counts the Records applied to this table (including WAL replay).
-	// The plan cache snapshots it at compile time and discards any skeleton
+	// The plan cache snapshots it at compile time and discards any plan
 	// whose tables have moved on — new coverage can flip the winning plan.
 	epoch uint64
 }
@@ -882,7 +882,7 @@ func (s *Store) EntryCount(table string) int {
 
 // Epoch returns the table's coverage epoch: the number of Records applied
 // to it over the store's lifetime (including WAL replay). It only ever
-// increases; a cached plan skeleton compiled at epoch e is stale once the
+// increases; a cached plan compiled at epoch e is stale once the
 // table's epoch differs. Unknown tables are at epoch 0.
 func (s *Store) Epoch(table string) uint64 {
 	ts := s.table(table)

@@ -55,7 +55,7 @@ type Store struct {
 	maxBuckets int
 	// version counts mutations (Register and effective Feedback). The plan
 	// cache snapshots it: a moved version means estimates may have changed
-	// enough to flip the winning plan, so cached skeletons are discarded.
+	// enough to flip the winning plan, so cached plans are discarded.
 	version atomic.Uint64
 }
 

@@ -117,16 +117,3 @@ func WithCoalesceWindow(d time.Duration) Option {
 		}
 	}
 }
-
-// WithGreedyPlanner enables the greedy join-ordering fast path. margin is
-// the accepted relative divergence between the greedy plan's estimated
-// spend and a lower bound on the DP optimum before the optimizer falls back
-// to the full dynamic program; margin <= 0 uses the default (0.05).
-func WithGreedyPlanner(margin float64) Option {
-	return func(c *Config) {
-		if margin <= 0 {
-			margin = core.DefaultGreedyMargin
-		}
-		c.GreedyMargin = margin
-	}
-}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"payless/internal/catalog"
-	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/storage"
 	"payless/internal/workload"
@@ -57,13 +56,12 @@ func TestOptionsApply(t *testing.T) {
 		WithMinimizeCalls(),
 		WithStoreSync(StoreSyncBatched),
 		WithCallPolicy(CallPolicy{BreakAfter: 3}),
-		WithGreedyPlanner(0),
 	} {
 		o(&cfg)
 	}
 	if cfg.FetchConcurrency != 3 || cfg.Tracer == nil || cfg.Statistics != StatsAVI ||
 		cfg.DefaultTuplesPerTransaction != 42 || cfg.Consistency != Window(time.Hour) || !cfg.MinimizeCalls ||
-		cfg.StoreSync != StoreSyncBatched || cfg.Calls.BreakAfter != 3 || cfg.GreedyMargin != core.DefaultGreedyMargin {
+		cfg.StoreSync != StoreSyncBatched || cfg.Calls.BreakAfter != 3 {
 		t.Errorf("options did not stick: %+v", cfg)
 	}
 }
@@ -134,7 +132,7 @@ func TestOpenHTTPAcceptsTypedAndLegacyOptions(t *testing.T) {
 // knob or method fails here until the change that justifies it raises the
 // pin.
 func TestConfigSurface(t *testing.T) {
-	const wantFields, wantOptions, wantMethods = 20, 15, 24
+	const wantFields, wantOptions, wantMethods = 19, 14, 24
 	fields := 0
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {

@@ -92,7 +92,7 @@ type Config struct {
 	// PlanCacheSize enables the parameterized plan-template cache when
 	// positive: optimized plans are cached by normalized query shape (an LRU
 	// of at most this many templates) and repeated shapes skip optimization
-	// entirely. Cached skeletons are invalidated when semantic-store
+	// entirely. Cached plans are invalidated when semantic-store
 	// coverage or statistics change, and coverage-dependent access choices
 	// are re-verified per instantiation, so cached plans never bill more
 	// than a re-optimized run would beyond the shape-reuse assumption
@@ -100,12 +100,6 @@ type Config struct {
 	// consistency bypass the cache (a moving freshness horizon cannot be
 	// captured by epochs).
 	PlanCacheSize int
-	// GreedyMargin, when positive, enables the greedy join-ordering fast
-	// path: plans are built greedily in O(n^2) candidate evaluations and
-	// accepted only when their estimated spend stays within this relative
-	// margin of a lower bound on the DP optimum; otherwise the full dynamic
-	// program runs as usual. 0 (the default) always runs the DP.
-	GreedyMargin float64
 	// Statistics selects the updatable statistic implementation; the paper
 	// plugs in ISOMER and notes any updatable statistic fits (§3).
 	Statistics StatsKind
@@ -261,7 +255,7 @@ type statsStore interface {
 	stats.Estimator
 	Register(table string, full region.Box, card int64)
 	// Version is the estimator's mutation counter; the plan cache uses it
-	// to discard skeletons costed under superseded estimates.
+	// to discard plans costed under superseded estimates.
 	Version() uint64
 }
 
@@ -305,9 +299,8 @@ type Result struct {
 	PlanDetail string
 	// OptimizeTime is how long optimization took.
 	OptimizeTime time.Duration
-	// Planner names the strategy that produced the plan: "dp" (the full
-	// dynamic program), "greedy" (the fast path) or "cached" (instantiated
-	// from the plan-template cache).
+	// Planner names where the plan came from: "dp" (the dynamic program)
+	// or "cached" (instantiated from the plan-template cache).
 	Planner string
 	// Trace is the query's execution trace when a Tracer was configured
 	// and chose to trace this query; nil otherwise.
@@ -697,7 +690,6 @@ func (c *Client) finishTrace(tr *obs.Trace) {
 		return
 	}
 	tr.Finish()
-	c.metrics.ObserveTrace(tr)
 	c.cfg.Tracer.Finish(tr)
 }
 
@@ -706,7 +698,7 @@ func (c *Client) finishTrace(tr *obs.Trace) {
 // may be nil) and failures come back as typed *QueryError values. cache is
 // the plan-template cache to use (the client's, a statement's private one,
 // or nil for none); on a hit the optimize stage is skipped entirely: the
-// cached skeleton is re-bound onto the freshly parsed literals.
+// cached plan is re-bound onto the freshly parsed literals.
 func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.Plan, core.Options, error) {
 	end := tr.StartSpan("parse")
 	parsed, err := sqlparse.Parse(sql)
@@ -729,36 +721,39 @@ func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*cor
 		return nil, core.Options{}, stageErr(StageBind, err)
 	}
 	if norm != nil {
-		if sk := cache.Get(norm.Key, c.store.Epoch, c.stats.Version()); sk != nil {
-			if plan, ok := sk.Instantiate(bound, c.store, &opts); ok {
-				tr.SetPlanner(core.PlannerCached)
-				tr.SetPlan(plan.String(), plan.EstTrans)
-				c.metrics.ObservePlanner(core.PlannerCached)
+		if cp := cache.Get(norm.Key, c.store.Epoch, c.stats.Version()); cp != nil {
+			if plan, ok := cp.Instantiate(bound, c.store, &opts); ok {
+				c.bookPlan(tr, plan)
 				return plan, opts, nil
 			}
 		}
 	}
-	opt := core.Optimizer{
-		Catalog:      c.cat,
-		Store:        c.store,
-		Stats:        c.stats,
-		Options:      opts,
-		GreedyMargin: c.cfg.GreedyMargin,
-		Trace:        tr,
-	}
+	opt := core.Optimizer{Catalog: c.cat, Store: c.store, Stats: c.stats, Options: opts, Trace: tr}
 	plan, err := opt.Optimize(bound)
 	if err != nil {
 		return nil, core.Options{}, stageErr(StageOptimize, err)
 	}
-	c.metrics.ObservePlanner(plan.Planner)
+	c.bookPlan(tr, plan)
 	if norm != nil {
 		// The epochs snapshot is taken here, BEFORE execution: if this very
 		// query buys data, its purchases bump the table epochs and the entry
-		// correctly invalidates — the skeleton describes the store state it
+		// correctly invalidates — the cached plan describes the store state it
 		// was costed against, nothing newer.
-		cache.Put(core.NewSkeleton(norm.Key, plan, c.store.Epoch, c.stats.Version()))
+		cache.Put(norm.Key, plan, c.store.Epoch, c.stats.Version())
 	}
 	return plan, opts, nil
+}
+
+// bookPlan records the plan a statement will run: its plan line, planner
+// and search counters on tr (which may be nil), and the planner count in
+// the metrics. Every compiled statement is booked here exactly once.
+func (c *Client) bookPlan(tr *obs.Trace, plan *core.Plan) {
+	if tr != nil {
+		tr.SetPlanner(plan.Planner)
+		tr.SetPlan(plan.String(), plan.EstTrans)
+		tr.SetCounters(plan.Counters.PlansEvaluated, plan.Counters.BoxesEnumerated, plan.Counters.BoxesKept)
+	}
+	c.metrics.ObservePlanner(plan.Planner)
 }
 
 // Query parses, optimises and executes one SQL statement.
@@ -817,6 +812,7 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 		Options:     opts,
 		Concurrency: c.cfg.fetchConcurrency(),
 		Trace:       tr,
+		Metrics:     c.metrics,
 	}
 	endExec := tr.StartSpan("execute")
 	rel, report, err := eng.ExecuteContext(ctx, plan)
@@ -884,10 +880,8 @@ func (c *Client) failed(tr *obs.Trace, err error) error {
 
 // Planner labels reported in Result.Planner, Trace and Explain output.
 const (
-	// PlannerDP marks a plan produced by the full dynamic program.
+	// PlannerDP marks a plan produced by the dynamic program.
 	PlannerDP = core.PlannerDP
-	// PlannerGreedy marks a plan produced by the greedy fast path.
-	PlannerGreedy = core.PlannerGreedy
 	// PlannerCached marks a plan instantiated from the plan-template cache.
 	PlannerCached = core.PlannerCached
 )

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"payless/internal/core"
 	"payless/internal/workload"
 )
 
@@ -98,10 +97,7 @@ func TestPlanCacheInvalidationOnCoverageFlip(t *testing.T) {
 // store, so this is the Get/Put/invalidate race the -race build must clear.
 func TestPlanCacheConcurrentQueryRecord(t *testing.T) {
 	_, open, templates := newWHWOracleEnv(t)
-	client := open("inv-race", func(c *Config) {
-		c.PlanCacheSize = 32
-		c.GreedyMargin = core.DefaultGreedyMargin
-	})
+	client := open("inv-race", func(c *Config) { c.PlanCacheSize = 32 })
 
 	const workers = 8
 	var wg sync.WaitGroup

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/storage"
 	"payless/internal/workload"
@@ -75,11 +74,11 @@ func newTPCHOracleEnv(t *testing.T) (*market.Market, func(key string, mutate fun
 	return m, open, d.Templates()
 }
 
-// TestSpendParityOracle is the fast-path spend oracle: the same workload runs
-// three ways against one market — full DP, the greedy fast path, and a
-// plan-cached client — and the fast paths must return byte-identical rows
-// while never billing more than 5% over DP per query. Re-running the whole
-// workload must cost every system exactly the same (everything is covered by
+// TestSpendParityOracle is the plan-cache spend oracle: the same workload
+// runs two ways against one market — the DP on every query, and a
+// plan-cached client — and the cached client must return byte-identical rows
+// and bill exactly what the DP does, query by query. Re-running the whole
+// workload must cost both systems exactly the same (everything is covered by
 // then), and by the third pass the cached system must actually serve from the
 // cache.
 func TestSpendParityOracle(t *testing.T) {
@@ -94,11 +93,10 @@ func TestSpendParityOracle(t *testing.T) {
 		t.Run(env.name, func(t *testing.T) {
 			_, open, templates := env.setup(t)
 			dp := open("parity-dp", nil)
-			greedy := open("parity-greedy", func(c *Config) { c.GreedyMargin = core.DefaultGreedyMargin })
 			cached := open("parity-cached", func(c *Config) { c.PlanCacheSize = 256 })
 
 			// The instance list: a few draws of every template, in a fixed
-			// order shared by all three systems and all passes.
+			// order shared by both systems and all passes.
 			rng := rand.New(rand.NewSource(7))
 			var queries []string
 			for _, tpl := range templates {
@@ -107,9 +105,9 @@ func TestSpendParityOracle(t *testing.T) {
 				}
 			}
 
-			greedyPlans, cacheHits := 0, 0
+			cacheHits := 0
 			for pass := 1; pass <= 3; pass++ {
-				var dpTx, greedyTx, cachedTx int64
+				var dpTx, cachedTx int64
 				for qi, sql := range queries {
 					want, err := dp.Query(sql)
 					if err != nil {
@@ -117,26 +115,6 @@ func TestSpendParityOracle(t *testing.T) {
 					}
 					wantRows := canon(want.Rows)
 					dpTx += want.Report.Transactions
-
-					g, err := greedy.Query(sql)
-					if err != nil {
-						t.Fatalf("pass %d greedy query %d: %v\n%s", pass, qi, err, sql)
-					}
-					if canon(g.Rows) != wantRows {
-						t.Fatalf("pass %d query %d: greedy rows diverge from dp\n%s", pass, qi, sql)
-					}
-					if g.Planner == PlannerGreedy {
-						greedyPlans++
-					}
-					greedyTx += g.Report.Transactions
-					// Per-query spend parity: the greedy fast path may only be
-					// accepted when its estimated spend is within the margin of
-					// a DP lower bound; billed reality must stay within 5% too
-					// (+1 transaction of ceil slack for tiny queries).
-					if allowed := want.Report.Transactions + want.Report.Transactions/20 + 1; g.Report.Transactions > allowed {
-						t.Errorf("pass %d query %d: greedy billed %d, dp billed %d (allowed %d)\n%s",
-							pass, qi, g.Report.Transactions, want.Report.Transactions, allowed, sql)
-					}
 
 					cres, err := cached.Query(sql)
 					if err != nil {
@@ -149,7 +127,7 @@ func TestSpendParityOracle(t *testing.T) {
 						cacheHits++
 					}
 					cachedTx += cres.Report.Transactions
-					// A cache hit replays the very skeleton DP produced, so the
+					// A cache hit replays the very plan DP produced, so the
 					// cached system must bill exactly what the DP system does —
 					// per query, not just in aggregate.
 					if cres.Report.Transactions != want.Report.Transactions {
@@ -160,19 +138,15 @@ func TestSpendParityOracle(t *testing.T) {
 				// Aggregate re-runs are exact: once pass 1 has populated each
 				// system's semantic store, replays are fully covered and every
 				// system settles on the same (zero-price) spend.
-				if pass > 1 && (greedyTx != dpTx || cachedTx != dpTx) {
-					t.Errorf("pass %d aggregate spend diverges: dp=%d greedy=%d cached=%d",
-						pass, dpTx, greedyTx, cachedTx)
+				if pass > 1 && cachedTx != dpTx {
+					t.Errorf("pass %d aggregate spend diverges: dp=%d cached=%d", pass, dpTx, cachedTx)
 				}
-				t.Logf("pass %d: dp=%d greedy=%d cached=%d transactions", pass, dpTx, greedyTx, cachedTx)
-			}
-			if greedyPlans == 0 {
-				t.Errorf("greedy fast path was never taken — the oracle exercised nothing")
+				t.Logf("pass %d: dp=%d cached=%d transactions", pass, dpTx, cachedTx)
 			}
 			if cacheHits < len(queries)/2 {
 				t.Errorf("pass 3 served only %d/%d queries from the plan cache", cacheHits, len(queries))
 			}
-			t.Logf("greedy-planned queries: %d, pass-3 cache hits: %d/%d", greedyPlans, cacheHits, len(queries))
+			t.Logf("pass-3 cache hits: %d/%d", cacheHits, len(queries))
 
 			// The money trail must agree with the per-query reports.
 			if st := cached.Metrics(); st.PlanCacheHits == 0 {

@@ -155,6 +155,35 @@ func TestTraceStoreHit(t *testing.T) {
 	}
 }
 
+// TestStoreHitMetricsUntraced: the store-reuse counters come from the
+// engine, so an untraced client reports exactly what a traced one does on
+// the same workload.
+func TestStoreHitMetricsUntraced(t *testing.T) {
+	traced, _, w := testSetup(t, func(c *Config) { c.Tracer = &CollectTracer{} })
+	untraced, _, _ := testSetup(t, nil)
+	var sqls []string
+	for _, win := range [][2]int{{0, 6}, {0, 6}, {2, 9}} {
+		sqls = append(sqls, fmt.Sprintf(
+			"SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
+			w.Dates[win[0]], w.Dates[win[1]]))
+	}
+	for _, c := range []*Client{traced, untraced} {
+		for _, sql := range sqls {
+			if _, err := c.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, got := traced.Metrics(), untraced.Metrics()
+	if want.StoreHits == 0 || want.StoreHitRows == 0 {
+		t.Fatalf("traced client reports no store reuse: %d hits, %d rows", want.StoreHits, want.StoreHitRows)
+	}
+	if got.StoreHits != want.StoreHits || got.StoreHitRows != want.StoreHitRows {
+		t.Errorf("untraced client: %d hits, %d rows; traced: %d hits, %d rows",
+			got.StoreHits, got.StoreHitRows, want.StoreHits, want.StoreHitRows)
+	}
+}
+
 // TestTraceReproducesSQRAblation rebuilds the paper's Fig. 10-style
 // "PayLess vs PayLess w/o SQR" comparison using nothing but Trace output:
 // cumulative spend is summed from per-call records (never from Report),
