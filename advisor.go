@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"payless/internal/engine"
+	"payless/internal/rewrite"
 )
 
 // Advice is the download advisor's verdict for one market table. The paper
@@ -46,15 +47,7 @@ func (c *Client) spentPerTable() map[string]int64 {
 		if t.Local {
 			continue
 		}
-		rows := c.store.StoredRowCount(t.Name)
-		tpt := opts.TuplesPerTransaction[t.Dataset]
-		if tpt <= 0 {
-			tpt = opts.DefaultTuplesPerTransaction
-		}
-		if tpt <= 0 {
-			tpt = 100
-		}
-		out[t.Name] = int64((rows + tpt - 1) / tpt)
+		out[t.Name] = rewrite.Price(float64(c.store.StoredRowCount(t.Name)), opts.TuplesPer(t.Dataset))
 	}
 	return out
 }

@@ -13,12 +13,12 @@ package baseline
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"payless/internal/catalog"
 	"payless/internal/core"
 	"payless/internal/engine"
 	"payless/internal/market"
+	"payless/internal/rewrite"
 	"payless/internal/semstore"
 	"payless/internal/sqlparse"
 	"payless/internal/stats"
@@ -155,7 +155,7 @@ func UpfrontCost(tables []*catalog.Table, tuplesPerTransaction int) int64 {
 		if t.Local {
 			continue
 		}
-		total += int64(math.Ceil(float64(t.Cardinality) / float64(tuplesPerTransaction)))
+		total += rewrite.Price(float64(t.Cardinality), tuplesPerTransaction)
 	}
 	return total
 }

@@ -128,9 +128,6 @@ type Mirror struct {
 	// LatencyHint is the static expected round-trip to this mirror, used by
 	// the source-selection cost model until observed latencies accumulate.
 	LatencyHint time.Duration
-	// AccountKey is the buyer's account key at this mirror, when it differs
-	// from the endpoint's default credential.
-	AccountKey string
 }
 
 // Table describes one dataset table registered with PayLess.
@@ -148,21 +145,10 @@ type Table struct {
 	Local bool
 	// PricePerTransaction is the seller's price p for one transaction.
 	PricePerTransaction float64
-	// Mirrors lists the market endpoints offering this table. Empty means
-	// the table is available from every configured endpoint at its default
-	// terms (the single-market degenerate case needs no mirror metadata).
+	// Mirrors pins the table to the market endpoints listed, at the terms
+	// given there. Empty means every endpoint offers it at the endpoint's
+	// own terms. The client reads it once at Open and never writes it.
 	Mirrors []Mirror
-}
-
-// MirrorFor returns the table's mirror entry for the named endpoint, if the
-// table restricts or re-prices its availability there.
-func (t *Table) MirrorFor(endpoint string) (Mirror, bool) {
-	for _, m := range t.Mirrors {
-		if m.Endpoint == endpoint {
-			return m, true
-		}
-	}
-	return Mirror{}, false
 }
 
 // QueryableIdx returns the schema indexes of attributes that participate in

@@ -2,7 +2,6 @@ package connector
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -103,32 +102,6 @@ func TestParseRetryAfter(t *testing.T) {
 	past := time.Now().Add(-10 * time.Second).UTC().Format(http.TimeFormat)
 	if d := parseRetryAfter(mk(past)); d != 0 {
 		t.Fatalf("past HTTP-date: %v, want 0", d)
-	}
-}
-
-func TestCancelDuringBackoffSleep(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-
-	// Backoff far longer than the context deadline: the cancellation must
-	// land during the sleep, not during an HTTP attempt.
-	c := New(srv.URL, "k", WithRetries(5), WithBackoff(10*time.Second, 10*time.Second))
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Call(ctx, catalog.AccessQuery{Dataset: "DS", Table: "T"})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded out of the backoff sleep, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("backoff sleep ignored cancellation: took %v", elapsed)
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("attempts after cancel: %d, want 1", hits.Load())
 	}
 }
 

@@ -107,7 +107,7 @@ func (r *optRun) prepRel(i int) {
 	for _, ab := range boxes {
 		info.estRows += r.o.Stats.Estimate(rel.Table.Name, ab)
 	}
-	t := opts.tptOf(rel.Table.Dataset)
+	t := opts.TuplesPer(rel.Table.Dataset)
 
 	if opts.DisableSQR {
 		info.plainValid = len(info.boundAttrs) == 0
@@ -185,10 +185,7 @@ func (r *optRun) price(rows float64, t int, calls int64) int64 {
 	if r.o.Options.CostModel == CostCalls {
 		return calls
 	}
-	if rows <= 0 {
-		return 0
-	}
-	return int64(math.Ceil(rows / float64(t)))
+	return rewrite.Price(rows, t)
 }
 
 // RewriteConfig builds the Algorithm 1 configuration for a table under the
@@ -196,7 +193,7 @@ func (r *optRun) price(rows float64, t int, calls int64) int64 {
 // and executed remainders agree.
 func RewriteConfig(t *catalog.Table, opts *Options) rewrite.Config {
 	return rewrite.Config{
-		TuplesPerTransaction: opts.tptOf(t.Dataset),
+		TuplesPerTransaction: opts.TuplesPer(t.Dataset),
 		Full:                 t.FullBox(),
 		DimKinds:             dimKinds(t),
 		DisablePruning:       opts.DisableBoxPruning,
@@ -327,14 +324,8 @@ func (r *optRun) bindCost(i int, attr string, nb float64) (int64, bool) {
 		remRows = info.remainder.EstRows
 	}
 	perBind := remRows / w
-	t := r.o.Options.tptOf(rel.Table.Dataset)
-	var per int64
-	if r.o.Options.CostModel == CostCalls {
-		per = 1
-	} else if perBind > 0 {
-		per = int64(math.Ceil(perBind / float64(t)))
-	}
-	return int64(nb) * per, true
+	t := r.o.Options.TuplesPer(rel.Table.Dataset)
+	return int64(nb) * r.price(perBind, t, 1), true
 }
 
 // dpEntry is the best plan found for one relation subset.

@@ -25,6 +25,7 @@ import (
 	"payless/internal/market"
 	"payless/internal/obs"
 	"payless/internal/region"
+	"payless/internal/rewrite"
 	"payless/internal/sched"
 	"payless/internal/semstore"
 	"payless/internal/sqlparse"
@@ -491,19 +492,9 @@ func (e *Engine) coalesceBindings(rel *core.Rel, attr catalog.Attribute, dim int
 		}
 		return out
 	}
-	t := e.Options.TuplesPerTransaction[rel.Table.Dataset]
-	if t <= 0 {
-		t = e.Options.DefaultTuplesPerTransaction
-	}
-	if t <= 0 {
-		t = 100
-	}
+	t := e.Options.TuplesPer(rel.Table.Dataset)
 	price := func(b region.Box) int64 {
-		rows := e.Stats.Estimate(rel.Table.Name, b)
-		if rows <= 0 {
-			return 0
-		}
-		return int64((rows + float64(t) - 1) / float64(t))
+		return rewrite.Price(e.Stats.Estimate(rel.Table.Name, b), t)
 	}
 	var out []region.Box
 	i := 0

@@ -427,3 +427,47 @@ func TestHavingColumnResolution(t *testing.T) {
 		t.Errorf("missing: %d", got)
 	}
 }
+
+// TestCoalesceBindingsPricesSubRowEstimates: R2 has one row per odd a, so a
+// single binding is estimated at half a row. Eq. 1 bills that as a whole
+// transaction (⌈0.5/t⌉ = 1), and consecutive bindings then coalesce into one
+// range call. Rounding such an estimate down to 0 makes every merge look
+// dearer than its free parts, so the bind join pays once per fragment.
+func TestCoalesceBindingsPricesSubRowEstimates(t *testing.T) {
+	f := newFixture(t)
+	r2 := &catalog.Table{
+		Name: "R2", Dataset: "DS",
+		Schema: value.Schema{{Name: "a", Type: value.Int}, {Name: "v", Type: value.Float}},
+		Attrs: []catalog.Attribute{
+			{Name: "a", Type: value.Int, Binding: catalog.Bound, Class: catalog.NumericAttr, Min: 1, Max: 50},
+			{Name: "v", Type: value.Float, Binding: catalog.Output},
+		},
+	}
+	var rows []value.Row
+	for a := int64(1); a <= 50; a += 2 {
+		rows = append(rows, value.Row{value.NewInt(a), value.NewFloat(float64(a))})
+	}
+	ds, _ := f.m.Dataset("DS")
+	if err := ds.AddTable(r2, rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range f.m.ExportCatalog() {
+		if tb.Name == "R2" {
+			f.cat.Register(tb)
+			f.st.Register(tb.Name, tb.FullBox(), tb.Cardinality)
+		}
+	}
+	ltbl, _ := f.store.DB().Lookup("L")
+	var dense []value.Row
+	for a := int64(1); a <= 20; a++ {
+		dense = append(dense, value.Row{value.NewInt(a), value.NewInt(a)})
+	}
+	ltbl.Insert(dense)
+
+	f.run(t, "SELECT * FROM R2 WHERE a >= 9 AND a <= 10", core.Options{})
+	_, rep := f.run(t, "SELECT * FROM L, R2 WHERE L.a = R2.a", core.Options{})
+	if rep.Transactions != 1 || rep.Calls != 1 {
+		t.Errorf("bind join over a = 1..20 minus the bought 9..10 billed %d transactions in %d calls, want 1 in 1",
+			rep.Transactions, rep.Calls)
+	}
+}

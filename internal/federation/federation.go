@@ -83,10 +83,12 @@ type Policy struct {
 type Config struct {
 	// Policy bounds how hard each call fights for an answer.
 	Policy Policy
-	// Mirrors, when set, returns the catalog's mirror entries for a table:
-	// a non-empty result restricts the call to the named endpoints and
-	// overrides their price factors / latency hints for that table.
-	Mirrors func(table string) []catalog.Mirror
+	// Mirrors holds the pinned tables: a table listed here is offered only
+	// by the named endpoints, at the terms its entries give (a zero factor
+	// or hint falls back to the endpoint's own). A table not listed is
+	// offered by every endpoint at the endpoint's terms. New copies it; a
+	// later UpdateEndpoints changes the pool, never these lists.
+	Mirrors map[string][]catalog.Mirror
 	// Metrics receives the payless_federation_* counter families; nil is a
 	// valid no-op sink.
 	Metrics *obs.Metrics
@@ -158,6 +160,9 @@ func (e *endpoint) stats() (calls, failures, streak int64, ewma time.Duration) {
 type Caller struct {
 	cfg      Config
 	breakers *BreakerSet // keyed endpoint + "|" + dataset
+	// pinned is Config.Mirrors indexed table → endpoint name; fixed at New,
+	// so rank reads it without a lock.
+	pinned map[string]map[string]catalog.Mirror
 
 	// mu guards eps for hot reload: UpdateEndpoints swaps the slice
 	// wholesale (never mutates entries in place), so readers that copied
@@ -176,11 +181,40 @@ func (f *Caller) endpoints() []*endpoint {
 // New builds a federated caller over the given endpoints. At least one
 // endpoint with a non-nil transport and a unique non-empty name is required.
 func New(eps []Endpoint, cfg Config) (*Caller, error) {
+	pool, err := buildPool(eps, nil)
+	if err != nil {
+		return nil, err
+	}
+	f := &Caller{cfg: cfg, eps: pool, pinned: make(map[string]map[string]catalog.Mirror, len(cfg.Mirrors))}
+	for table, ms := range cfg.Mirrors {
+		if len(ms) == 0 {
+			continue
+		}
+		byName := make(map[string]catalog.Mirror, len(ms))
+		for _, m := range ms {
+			byName[m.Endpoint] = m
+		}
+		f.pinned[table] = byName
+	}
+	f.breakers = NewBreakerSet(cfg.Policy.BreakAfter, cfg.Policy.Cooldown).
+		WithMetrics(cfg.Metrics)
+	return f, nil
+}
+
+// buildPool validates an endpoint set and builds its runtime state: names
+// must be non-empty and unique, every endpoint needs a transport, and a
+// PriceFactor <= 0 becomes 1. An endpoint whose name is in old carries its
+// observed health (latency EWMA, counters, streak) over.
+func buildPool(eps []Endpoint, old []*endpoint) ([]*endpoint, error) {
 	if len(eps) == 0 {
 		return nil, errors.New("federation: no endpoints configured")
 	}
+	prev := make(map[string]*endpoint, len(old))
+	for _, e := range old {
+		prev[e.Name] = e
+	}
 	seen := make(map[string]bool, len(eps))
-	f := &Caller{cfg: cfg}
+	pool := make([]*endpoint, 0, len(eps))
 	for _, e := range eps {
 		if e.Name == "" {
 			return nil, errors.New("federation: endpoint with empty name")
@@ -195,11 +229,13 @@ func New(eps []Endpoint, cfg Config) (*Caller, error) {
 		if e.PriceFactor <= 0 {
 			e.PriceFactor = 1
 		}
-		f.eps = append(f.eps, &endpoint{Endpoint: e})
+		ne := &endpoint{Endpoint: e}
+		if p, ok := prev[e.Name]; ok {
+			ne.calls, ne.failures, ne.streak, ne.ewma = p.stats()
+		}
+		pool = append(pool, ne)
 	}
-	f.breakers = NewBreakerSet(cfg.Policy.BreakAfter, cfg.Policy.Cooldown).
-		WithMetrics(cfg.Metrics)
-	return f, nil
+	return pool, nil
 }
 
 // breakerKey qualifies the breaker by endpoint AND dataset: a dead mirror
@@ -223,18 +259,10 @@ type candidate struct {
 // where latency is the endpoint's observed EWMA (falling back to its static
 // hint) and failureStreak is the run of consecutive hard failures — a
 // flaky-but-not-yet-tripped mirror is deprioritized before its breaker ever
-// opens. Catalog mirror entries restrict eligibility and override terms for
-// the specific table.
+// opens. A pinned table (Config.Mirrors) is offered only by its listed
+// endpoints still in the pool, at the terms its entries override.
 func (f *Caller) rank(q catalog.AccessQuery) []candidate {
-	var mirrors map[string]catalog.Mirror
-	if f.cfg.Mirrors != nil {
-		if ms := f.cfg.Mirrors(q.Table); len(ms) > 0 {
-			mirrors = make(map[string]catalog.Mirror, len(ms))
-			for _, m := range ms {
-				mirrors[m.Endpoint] = m
-			}
-		}
-	}
+	mirrors := f.pinned[q.Table]
 	eps := f.endpoints()
 	cands := make([]candidate, 0, len(eps))
 	for _, ep := range eps {
@@ -474,55 +502,20 @@ type EndpointHealth struct {
 // outcomes settle into the old state structs and drain normally), while
 // every later rank() sees the new pool. Endpoints surviving the swap by
 // name keep their observed health — latency EWMA, failure counters,
-// streak — so a reload never resets source selection to cold hints.
-// Validation mirrors New; on error the pool is left untouched. Breakers
-// keyed to removed endpoints linger unused until the set is next tripped.
+// streak — so a reload never resets source selection to cold hints. The
+// pinned tables of Config.Mirrors are untouched: a pinned endpoint that
+// leaves the pool stops offering its tables until it comes back. On an
+// invalid set (see New) the pool is left untouched. Breakers keyed to
+// removed endpoints linger unused until the set is next tripped.
 func (f *Caller) UpdateEndpoints(eps []Endpoint) error {
-	if len(eps) == 0 {
-		return errors.New("federation: no endpoints configured")
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	old := make(map[string]*endpoint, len(f.eps))
-	for _, e := range f.eps {
-		old[e.Name] = e
+	pool, err := buildPool(eps, f.eps)
+	if err != nil {
+		return err
 	}
-	seen := make(map[string]bool, len(eps))
-	built := make([]*endpoint, 0, len(eps))
-	for _, e := range eps {
-		if e.Name == "" {
-			return errors.New("federation: endpoint with empty name")
-		}
-		if seen[e.Name] {
-			return fmt.Errorf("federation: duplicate endpoint %q", e.Name)
-		}
-		if e.Caller == nil {
-			return fmt.Errorf("federation: endpoint %q has no transport", e.Name)
-		}
-		seen[e.Name] = true
-		if e.PriceFactor <= 0 {
-			e.PriceFactor = 1
-		}
-		ne := &endpoint{Endpoint: e}
-		if prev, ok := old[e.Name]; ok {
-			prev.mu.Lock()
-			ne.ewma, ne.calls, ne.failures, ne.streak = prev.ewma, prev.calls, prev.failures, prev.streak
-			prev.mu.Unlock()
-		}
-		built = append(built, ne)
-	}
-	f.eps = built
+	f.eps = pool
 	return nil
-}
-
-// Names lists the current endpoint pool's names in configuration order.
-func (f *Caller) Names() []string {
-	eps := f.endpoints()
-	out := make([]string, 0, len(eps))
-	for _, ep := range eps {
-		out = append(out, ep.Name)
-	}
-	return out
 }
 
 // Health reports every endpoint's state, in configuration order.

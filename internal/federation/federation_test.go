@@ -366,7 +366,7 @@ func TestMirrorsRestrictEligibility(t *testing.T) {
 	f, err := New([]Endpoint{
 		{Name: "a", Caller: a, PriceFactor: 1},
 		{Name: "b", Caller: b, PriceFactor: 2},
-	}, Config{Mirrors: func(table string) []catalog.Mirror { return mirrors[table] }})
+	}, Config{Mirrors: mirrors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,9 +394,7 @@ func TestMirrorsRestrictEligibility(t *testing.T) {
 func TestNoEligibleEndpointFails(t *testing.T) {
 	a := &countingCaller{name: "a"}
 	f, err := New([]Endpoint{{Name: "a", Caller: a}}, Config{
-		Mirrors: func(table string) []catalog.Mirror {
-			return []catalog.Mirror{{Endpoint: "elsewhere"}}
-		},
+		Mirrors: map[string][]catalog.Mirror{"T": {{Endpoint: "elsewhere"}}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -194,8 +194,8 @@ func TestUpdateEndpointsPreservesObservedState(t *testing.T) {
 	if h[0].Name != "a" || h[0].Calls != 3 {
 		t.Fatalf("endpoint a lost its observed state across the swap: %+v", h[0])
 	}
-	if got := f.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Names() = %v, want [a b]", got)
+	if h[1].Name != "b" {
+		t.Fatalf("health after hot-add = %+v, want [a b]", h)
 	}
 
 	// Remove "a": calls now route to "b" only.
@@ -228,8 +228,8 @@ func TestUpdateEndpointsValidation(t *testing.T) {
 		}
 	}
 	// The failed updates must leave the pool untouched.
-	if got := f.Names(); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("pool after failed updates = %v, want [a]", got)
+	if h := f.Health(); len(h) != 1 || h[0].Name != "a" {
+		t.Fatalf("pool after failed updates = %+v, want [a]", h)
 	}
 }
 

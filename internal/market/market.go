@@ -91,6 +91,21 @@ type Dataset struct {
 	tables              map[string]*marketTable
 }
 
+// bill is the seller's meter for one call returning rows: Eq. 1's
+// ⌈records/t⌉ transactions at p each. It is kept apart from the buyer's
+// estimate (rewrite.Price) on purpose: it is the ground truth the spend
+// oracles check the buyer against.
+func (ds *Dataset) bill(schema value.Schema, rows []value.Row) Result {
+	trans := int64((len(rows) + ds.TuplesPerTransaction - 1) / ds.TuplesPerTransaction)
+	return Result{
+		Schema:       schema,
+		Rows:         rows,
+		Records:      len(rows),
+		Transactions: trans,
+		Price:        float64(trans) * ds.PricePerTransaction,
+	}
+}
+
 type marketTable struct {
 	// mu guards meta and rows: shared by concurrent scans, exclusive for
 	// owner-side appends.
@@ -401,22 +416,8 @@ func (m *Market) execute(accountKey string, q catalog.AccessQuery) (Result, bool
 		mt.mu.RUnlock()
 		return Result{}, false, err
 	}
-	rows := mt.scan(q)
-	schema := mt.meta.Schema.Clone()
+	res := ds.bill(mt.meta.Schema.Clone(), mt.scan(q))
 	mt.mu.RUnlock()
-	records := len(rows)
-	trans := int64(0)
-	if records > 0 {
-		trans = int64((records + ds.TuplesPerTransaction - 1) / ds.TuplesPerTransaction)
-	}
-	price := float64(trans) * ds.PricePerTransaction
-	res := Result{
-		Schema:       schema,
-		Rows:         rows,
-		Records:      records,
-		Transactions: trans,
-		Price:        price,
-	}
 
 	// Re-resolve the account under the write lock: billing must hit the
 	// account's current meter even if it was re-registered mid-call, and the
@@ -434,15 +435,15 @@ func (m *Market) execute(accountKey string, q catalog.AccessQuery) (Result, bool
 			}
 		}
 		acc.meter.Calls++
-		acc.meter.Records += int64(records)
-		acc.meter.Transactions += trans
-		acc.meter.Price += price
+		acc.meter.Records += int64(res.Records)
+		acc.meter.Transactions += res.Transactions
+		acc.meter.Price += res.Price
 		if q.CallID != "" {
 			acc.ledger.put(q.CallID, res)
 		}
 	}
 	m.accMu.Unlock()
-	m.metrics.ObserveCall(time.Since(start), int64(records), trans, price)
+	m.metrics.ObserveCall(time.Since(start), int64(res.Records), res.Transactions, res.Price)
 
 	return res, false, nil
 }
@@ -551,19 +552,7 @@ func (m *Market) executeUnbilled(accountKey string, q catalog.AccessQuery) (Resu
 	if err := catalog.ValidateBinding(mt.meta, q); err != nil {
 		return Result{}, err
 	}
-	rows := mt.scan(q)
-	records := len(rows)
-	trans := int64(0)
-	if records > 0 {
-		trans = int64((records + ds.TuplesPerTransaction - 1) / ds.TuplesPerTransaction)
-	}
-	return Result{
-		Schema:       mt.meta.Schema.Clone(),
-		Rows:         rows,
-		Records:      records,
-		Transactions: trans,
-		Price:        float64(trans) * ds.PricePerTransaction,
-	}, nil
+	return ds.bill(mt.meta.Schema.Clone(), mt.scan(q)), nil
 }
 
 // AccountCaller binds a Market and an account key into a Caller — the

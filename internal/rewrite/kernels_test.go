@@ -29,7 +29,7 @@ func estimateFirstRemainders(q region.Box, covered []region.Box, cfg Config, est
 		rows := est(q)
 		plan.Boxes = []region.Box{q}
 		plan.EstRows = rows
-		plan.Transactions = priceOf(rows, cfg.TuplesPerTransaction)
+		plan.Transactions = Price(rows, cfg.TuplesPerTransaction)
 		plan.Stats.Enumerated = 1
 		plan.Stats.Kept = 1
 		return plan
@@ -38,7 +38,7 @@ func estimateFirstRemainders(q region.Box, covered []region.Box, cfg Config, est
 	elemRows := make([]float64, len(elems))
 	for i, e := range elems {
 		elemRows[i] = est(e)
-		elemPrice[i] = priceOf(elemRows[i], cfg.TuplesPerTransaction)
+		elemPrice[i] = Price(elemRows[i], cfg.TuplesPerTransaction)
 	}
 	var cands []candidate
 	if extents, ok := extentsOf(q, elems, cfg); ok {
@@ -70,7 +70,7 @@ func estimateFirstRemainders(q region.Box, covered []region.Box, cfg Config, est
 			for _, b := range boxes {
 				r := est(b)
 				rows += r
-				trans += priceOf(r, cfg.TuplesPerTransaction)
+				trans += Price(r, cfg.TuplesPerTransaction)
 			}
 		}
 		cands = append(cands, candidate{boxes: boxes, rows: rows, trans: trans, covers: []int{i}})
@@ -98,7 +98,7 @@ func estimateFirstCandidate(b region.Box, elems []region.Box, elemPrice []int64,
 		return candidate{}, false
 	}
 	rows := est(b)
-	trans := priceOf(rows, cfg.TuplesPerTransaction)
+	trans := Price(rows, cfg.TuplesPerTransaction)
 	if cfg.DisablePruning {
 		return candidate{boxes: []region.Box{b}, rows: rows, trans: trans, covers: covers}, true
 	}

@@ -82,8 +82,14 @@ type Plan struct {
 // next candidate.
 type Estimator func(region.Box) float64
 
-// priceOf converts an estimated row count into transactions.
-func priceOf(rows float64, t int) int64 {
+// DefaultTuplesPerTransaction is the page size t assumed for a dataset
+// whose own is unknown.
+const DefaultTuplesPerTransaction = 100
+
+// Price is the buyer's Eq. 1 transaction count for an estimated row count:
+// ⌈rows/t⌉, and 0 for no rows. Every buyer-side cost — plans, remainders,
+// bind joins, merges — is priced through it.
+func Price(rows float64, t int) int64 {
 	if rows <= 0 {
 		return 0
 	}
@@ -105,7 +111,7 @@ type candidate struct {
 // fully covered and the call is free.
 func Remainders(q region.Box, covered []region.Box, cfg Config, est Estimator) Plan {
 	if cfg.TuplesPerTransaction <= 0 {
-		cfg.TuplesPerTransaction = 100
+		cfg.TuplesPerTransaction = DefaultTuplesPerTransaction
 	}
 	if cfg.MaxEnumeration <= 0 {
 		cfg.MaxEnumeration = defaultMaxEnumeration
@@ -122,7 +128,7 @@ func Remainders(q region.Box, covered []region.Box, cfg Config, est Estimator) P
 		rows := est(q)
 		plan.Boxes = []region.Box{q}
 		plan.EstRows = rows
-		plan.Transactions = priceOf(rows, cfg.TuplesPerTransaction)
+		plan.Transactions = Price(rows, cfg.TuplesPerTransaction)
 		plan.Stats.Enumerated = 1
 		plan.Stats.Kept = 1
 		return plan
@@ -132,7 +138,7 @@ func Remainders(q region.Box, covered []region.Box, cfg Config, est Estimator) P
 	elemRows := make([]float64, len(elems))
 	for i, e := range elems {
 		elemRows[i] = est(e)
-		elemPrice[i] = priceOf(elemRows[i], cfg.TuplesPerTransaction)
+		elemPrice[i] = Price(elemRows[i], cfg.TuplesPerTransaction)
 	}
 
 	cands := enumerate(q, elems, elemPrice, cfg, est, &plan.Stats)
@@ -153,7 +159,7 @@ func Remainders(q region.Box, covered []region.Box, cfg Config, est Estimator) P
 			for _, b := range boxes {
 				r := est(b)
 				rows += r
-				trans += priceOf(r, cfg.TuplesPerTransaction)
+				trans += Price(r, cfg.TuplesPerTransaction)
 			}
 		}
 		cands = append(cands, candidate{boxes: boxes, rows: rows, trans: trans, covers: []int{i}})
@@ -326,7 +332,7 @@ func buildCandidate(b region.Box, covers []int, elems []region.Box, elemPrice []
 		return candidate{}, false
 	}
 	rows := est(b)
-	trans := priceOf(rows, cfg.TuplesPerTransaction)
+	trans := Price(rows, cfg.TuplesPerTransaction)
 	// Pruning rule 2: the box must be strictly cheaper than fetching its
 	// elementary boxes individually.
 	if !cfg.DisablePruning && trans >= coveredSum {

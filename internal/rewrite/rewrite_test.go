@@ -213,7 +213,7 @@ func TestCoverProperty(t *testing.T) {
 		}
 		var straight int64
 		for _, e := range elems {
-			straight += priceOf(est(e), cfg.TuplesPerTransaction)
+			straight += Price(est(e), cfg.TuplesPerTransaction)
 		}
 		if plan.Transactions > straight {
 			t.Fatalf("trial %d: plan %d transactions worse than straight %d", trial, plan.Transactions, straight)

@@ -55,6 +55,7 @@ import (
 	"payless/internal/obs"
 	"payless/internal/overload"
 	"payless/internal/region"
+	"payless/internal/rewrite"
 	"payless/internal/semstore"
 	"payless/internal/value"
 )
@@ -100,8 +101,8 @@ type Config struct {
 	// default) dispatches every request immediately — single-flighting still
 	// applies.
 	Window time.Duration
-	// TuplesPerTransaction returns the dataset's transaction size t; values
-	// <= 0 fall back to 100 (the market default).
+	// TuplesPerTransaction returns the dataset's transaction size t; nil or
+	// values <= 0 fall back to rewrite.DefaultTuplesPerTransaction.
 	TuplesPerTransaction func(dataset string) int
 	// Estimate returns the estimated row count of a box, for the merge cost
 	// model and the sub-transaction parking gate. Nil means unknown sizes:
@@ -202,7 +203,7 @@ func (s *Scheduler) tuplesPer(dataset string) int {
 			return t
 		}
 	}
-	return 100
+	return rewrite.DefaultTuplesPerTransaction
 }
 
 // query is one Open registration; closed makes its close idempotent.
@@ -408,10 +409,10 @@ func PartCounts(meta *catalog.Table, parts []catalog.AccessQuery, rows []value.R
 // merge counters gain the transactions the fusion saved versus billing each
 // part's delivered rows on its own (never negative).
 func (s *Scheduler) noteMerge(f *flight, res market.Result) {
-	t := int64(s.tuplesPer(f.meta.Dataset))
+	t := s.tuplesPer(f.meta.Dataset)
 	var parts int64
 	for _, n := range PartCounts(f.meta, f.parts, res.Rows) {
-		parts += ceilDiv(n, t)
+		parts += rewrite.Price(float64(n), t)
 	}
 	s.cfg.Metrics.ObserveSchedMerge(parts - res.Transactions)
 }
@@ -682,11 +683,9 @@ func (s *Scheduler) fusable(meta *catalog.Table, a, b region.Box) (region.Box, c
 		return region.Box{}, catalog.AccessQuery{}, false
 	}
 	if s.cfg.Estimate != nil {
-		t := float64(s.tuplesPer(meta.Dataset))
-		costU := ceilF(s.cfg.Estimate(meta.Name, u) / t)
-		costA := ceilF(s.cfg.Estimate(meta.Name, a) / t)
-		costB := ceilF(s.cfg.Estimate(meta.Name, b) / t)
-		if costU > costA+costB {
+		t := s.tuplesPer(meta.Dataset)
+		price := func(x region.Box) int64 { return rewrite.Price(s.cfg.Estimate(meta.Name, x), t) }
+		if price(u) > price(a)+price(b) {
 			return region.Box{}, catalog.AccessQuery{}, false
 		}
 	}
@@ -728,19 +727,4 @@ func (s *Scheduler) dispatch(meta *catalog.Table, fu Fusion, prs []*parked) {
 		pr.fl = f
 		close(pr.ready)
 	}
-}
-
-func ceilDiv(n, t int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return (n + t - 1) / t
-}
-
-func ceilF(x float64) int64 {
-	n := int64(x)
-	if float64(n) < x {
-		n++
-	}
-	return n
 }

@@ -243,25 +243,3 @@ func TestUpdateFederationEndpointsHotSwap(t *testing.T) {
 		t.Fatalf("removed endpoint kept billing: %d -> %d", m0.Transactions, m0b.Transactions)
 	}
 }
-
-func TestMirrorTableSync(t *testing.T) {
-	tables := []*catalog.Table{
-		{Name: "Auto", Mirrors: []catalog.Mirror{{Endpoint: "a", PriceFactor: 1}, {Endpoint: "b", PriceFactor: 2}}},
-		{Name: "Pinned", Mirrors: []catalog.Mirror{{Endpoint: "a", PriceFactor: 1}}},
-	}
-	mt := newMirrorTable(tables)
-	mt.sync([]string{"a", "b"}, []MarketEndpoint{
-		{Name: "b", PriceFactor: 3},
-		{Name: "c", PriceFactor: 4},
-	})
-	// Auto named the full previous pool: rewritten to the new pool's terms.
-	got := mt.get("Auto")
-	if len(got) != 2 || got[0].Endpoint != "b" || got[0].PriceFactor != 3 || got[1].Endpoint != "c" {
-		t.Fatalf("auto-annotated set not rewritten: %+v", got)
-	}
-	// Pinned named a subset: it keeps its pinning, minus dead endpoints —
-	// here its only endpoint is gone, so the set empties.
-	if got := mt.get("Pinned"); len(got) != 0 {
-		t.Fatalf("pinned set should drop removed endpoints only: %+v", got)
-	}
-}

@@ -326,13 +326,9 @@ type Client struct {
 	// merge their calls.
 	sched *sched.Scheduler
 	// fed routes each wire call to a market endpoint and owns the circuit
-	// breakers; a client opened on one Config.Caller is a federation of one
-	// endpoint. mirrors is its mutable table→mirror view, rewritten by
-	// UpdateFederationEndpoints; fedmu serialises endpoint updates so the
-	// pool swap and the mirror-table rewrite stay consistent.
-	fed     *federation.Caller
-	mirrors *mirrorTable
-	fedmu   sync.Mutex
+	// breakers and the routing terms; a client opened on one Config.Caller
+	// is a federation of one endpoint.
+	fed *federation.Caller
 	// plans is the parameterized plan-template cache; nil when disabled.
 	plans *core.PlanCache
 	// admitters reserve every plan's estimate before execution and settle
@@ -404,41 +400,40 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The mirror table starts as a copy of the catalog annotations and is
-	// the one the federation layer reads from then on, so hot endpoint
-	// updates can rewrite routing terms without mutating the catalog.
-	mirrors := newMirrorTable(cfg.Tables)
+	// Tables pinned to some mirrors hand their lists to the federation once;
+	// every other table is offered by the whole pool, whatever it becomes.
+	pinned := make(map[string][]catalog.Mirror)
+	for _, t := range cfg.Tables {
+		if len(t.Mirrors) > 0 {
+			pinned[t.Name] = t.Mirrors
+		}
+	}
 	fed, err := federation.New(fedEndpoints(endpoints), federation.Config{
 		Policy:  cfg.Calls,
 		Metrics: metrics,
-		Mirrors: mirrors.get,
+		Mirrors: pinned,
 	})
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{
-		cat:     cat,
-		db:      db,
-		store:   store,
-		stats:   st,
-		cfg:     cfg,
-		metrics: metrics,
-		fed:     fed,
-		mirrors: mirrors,
-		sched: sched.New(fed, sched.Config{
-			Window: cfg.CoalesceWindow,
-			TuplesPerTransaction: func(dataset string) int {
-				if t := cfg.TuplesPerTransaction[dataset]; t > 0 {
-					return t
-				}
-				return cfg.DefaultTuplesPerTransaction
-			},
-			Estimate: st.Estimate,
-			Store:    store,
-			Metrics:  metrics,
-		}),
+		cat:       cat,
+		db:        db,
+		store:     store,
+		stats:     st,
+		cfg:       cfg,
+		metrics:   metrics,
+		fed:       fed,
 		admitters: []Admitter{&budgetAdmitter{limit: cfg.Budget}},
 	}
+	pages := c.options()
+	c.sched = sched.New(fed, sched.Config{
+		Window:               cfg.CoalesceWindow,
+		TuplesPerTransaction: pages.TuplesPer,
+		Estimate:             st.Estimate,
+		Store:                store,
+		Metrics:              metrics,
+	})
 	if cfg.Admitter != nil {
 		c.admitters = append(c.admitters, cfg.Admitter)
 	}
@@ -525,9 +520,9 @@ func OpenHTTP(baseURL, accountKey string, localTables []*catalog.Table, opts ...
 // connector per endpoint (endpoints with a pre-built Caller keep it),
 // bootstraps the catalog and page sizes from the first endpoint that
 // answers — registration itself fails over — and opens a Client whose calls
-// are routed by the federation layer. Every market table is annotated with
-// a catalog Mirror entry per endpoint, recording the terms (price factor,
-// latency hint, account key) the source-selection cost model uses.
+// are routed by the federation layer. Tables are never modified: one with
+// no Mirrors is offered by every endpoint at the endpoint's own terms, and
+// one with Mirrors is pinned to the endpoints it names, at its own terms.
 func OpenFederated(endpoints []MarketEndpoint, localTables []*catalog.Table, opts ...Option) (*Client, error) {
 	var cfg Config
 	for _, o := range opts {
@@ -563,21 +558,6 @@ func OpenFederated(endpoints []MarketEndpoint, localTables []*catalog.Table, opt
 				lastErr = fmt.Errorf("no HTTP endpoint to register with (pass Tables via options for in-process callers)")
 			}
 			return nil, fmt.Errorf("payless: federated registration failed: %w", lastErr)
-		}
-	}
-	// Annotate each market table with its mirrors so the catalog records —
-	// and the cost model sees — which endpoints offer it and at what terms.
-	for _, t := range cfg.Tables {
-		if t.Local || len(t.Mirrors) > 0 {
-			continue
-		}
-		for _, ep := range eps {
-			t.Mirrors = append(t.Mirrors, catalog.Mirror{
-				Endpoint:    ep.Name,
-				PriceFactor: ep.PriceFactor,
-				LatencyHint: ep.LatencyHint,
-				AccountKey:  ep.AccountKey,
-			})
 		}
 	}
 	cfg.FederationEndpoints = eps
