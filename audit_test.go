@@ -116,3 +116,39 @@ func TestAuditWriterFailureDoesNotFailQuery(t *testing.T) {
 		t.Errorf("writer called %d times after being detached, want 1", bw.writes)
 	}
 }
+
+func TestAuditLog(t *testing.T) {
+	client, _, w := testSetup(t, nil)
+	var buf bytes.Buffer
+	client.SetAuditLog(&buf)
+	sql := fmt.Sprintf("SELECT COUNT(*) FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
+		w.Dates[0], w.Dates[3])
+	if _, err := client.Query(sql); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Query(sql); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("audit lines: %d", len(lines))
+	}
+	var rec AuditRecord
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.SQL != sql || rec.Transactions <= 0 || rec.Plan == "" {
+		t.Errorf("first record: %+v", rec)
+	}
+	var rec2 AuditRecord
+	json.Unmarshal([]byte(lines[1]), &rec2)
+	if rec2.Transactions != 0 {
+		t.Errorf("second run should audit as free: %+v", rec2)
+	}
+	// Turning the log off stops writing.
+	client.SetAuditLog(nil)
+	client.Query(sql)
+	if got := strings.Count(buf.String(), "\n"); got != 2 {
+		t.Errorf("log should be off: %d lines", got)
+	}
+}

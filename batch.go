@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"payless/internal/core"
-	"payless/internal/region"
-	"payless/internal/rewrite"
 	"payless/internal/sqlparse"
 )
 
@@ -115,46 +113,33 @@ type TableCoverage struct {
 	StoredCalls int
 	// StoredRows is the number of materialised (deduplicated) rows.
 	StoredRows int
-	// CoveredFraction estimates the fraction of the table's rows already in
-	// the semantic store, per the current statistics.
+	// CoveredFraction is the stored rows divided by the table's published
+	// cardinality, capped at 1.
 	CoveredFraction float64
 	// FullyCovered reports whether the whole queryable space is covered
 	// (further whole-table queries are free).
 	FullyCovered bool
-	// RemainderTransactions estimates what completing the table download
-	// would cost from here — the "is it worth finishing the download?"
-	// number the paper's Download-All discussion turns on.
-	RemainderTransactions int64
 }
 
-// Coverage reports the semantic store's coverage of every market table —
-// useful for deciding whether finishing the download outright would pay off.
+// Coverage reports the semantic store's coverage of every market table. It
+// only reads the store; it prices nothing.
 func (c *Client) Coverage() []TableCoverage {
 	var out []TableCoverage
 	for _, t := range c.cat.Tables() {
 		if t.Local {
 			continue
 		}
-		full := t.FullBox()
 		tc := TableCoverage{
 			Table:        t.Name,
 			StoredCalls:  c.store.EntryCount(t.Name),
 			StoredRows:   c.store.StoredRowCount(t.Name),
-			FullyCovered: c.store.Covered(t.Name, full, c.options().Since),
+			FullyCovered: c.store.Covered(t.Name, t.FullBox(), c.options().Since),
 		}
 		if t.Cardinality > 0 {
 			tc.CoveredFraction = float64(tc.StoredRows) / float64(t.Cardinality)
 			if tc.CoveredFraction > 1 {
 				tc.CoveredFraction = 1
 			}
-		}
-		if !tc.FullyCovered {
-			opts := c.options()
-			covered, _ := c.store.Coverage(t.Name, full, opts.Since)
-			plan := rewrite.Remainders(full, covered, core.RewriteConfig(t, &opts), func(b region.Box) float64 {
-				return c.stats.Estimate(t.Name, b)
-			})
-			tc.RemainderTransactions = plan.Transactions
 		}
 		out = append(out, tc)
 	}

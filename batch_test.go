@@ -153,61 +153,6 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
-func TestCoverageRemainderForecast(t *testing.T) {
-	client, _, w := testSetup(t, nil)
-	before := coverageOf(t, client, "Weather")
-	if before.RemainderTransactions <= 0 {
-		t.Fatalf("fresh table should forecast a positive completion cost: %+v", before)
-	}
-	// Buying a slice shrinks the forecast.
-	if _, err := client.Query(fmt.Sprintf(
-		"SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
-		w.Dates[0], w.Dates[20])); err != nil {
-		t.Fatal(err)
-	}
-	after := coverageOf(t, client, "Weather")
-	if after.RemainderTransactions >= before.RemainderTransactions {
-		t.Errorf("forecast should shrink as coverage grows: %d then %d",
-			before.RemainderTransactions, after.RemainderTransactions)
-	}
-	// A fully covered table forecasts zero.
-	if _, err := client.Query("SELECT * FROM Pollution WHERE Rank >= 1 AND Rank <= 100"); err != nil {
-		t.Fatal(err)
-	}
-	pol := coverageOf(t, client, "Pollution")
-	if !pol.FullyCovered || pol.RemainderTransactions != 0 {
-		t.Errorf("covered table forecast: %+v", pol)
-	}
-}
-
-func coverageOf(t *testing.T, c *Client, table string) TableCoverage {
-	t.Helper()
-	for _, tc := range c.Coverage() {
-		if tc.Table == table {
-			return tc
-		}
-	}
-	t.Fatalf("table %s not in coverage", table)
-	return TableCoverage{}
-}
-
-func TestStatsAVIConfig(t *testing.T) {
-	client, _, w := testSetup(t, func(c *Config) { c.Statistics = StatsAVI })
-	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
-		w.Dates[0], w.Dates[4])
-	r1, err := client.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := client.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Report.Transactions == 0 || r2.Report.Transactions != 0 {
-		t.Errorf("AVI-backed client must behave: %d then %d", r1.Report.Transactions, r2.Report.Transactions)
-	}
-}
-
 // TestQueryBatchHonoursBudget: a batch statement is admitted like a Query —
 // one estimated above the per-query budget is refused before any call.
 func TestQueryBatchHonoursBudget(t *testing.T) {

@@ -329,65 +329,6 @@ func BenchmarkQueryEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsAblation compares learning vs uniform statistics
-// (DESIGN.md §4.6). Statistics drive the optimizer's price estimates; the
-// honest measurement is estimation error: for each query of a skewed
-// workload, compare the plan's estimated transactions against the price
-// actually billed. Feedback-refined statistics must track reality much more
-// closely than the cold uniform assumption.
-func BenchmarkStatsAblation(b *testing.B) {
-	run := func(kind payless.StatsKind) (avgErr float64) {
-		d := workload.GenerateTPCH(workload.TPCHConfig{Seed: 5, ScaleFactor: 0.3, Zipf: 1})
-		m := market.New()
-		if err := d.Install(m, storage.NewDB(), 100, 1); err != nil {
-			b.Fatal(err)
-		}
-		m.RegisterAccount("k")
-		client, err := payless.Open(payless.Config{
-			Tables:     append(m.ExportCatalog(), d.Nation, d.Region),
-			Caller:     market.AccountCaller{Market: m, Key: "k"},
-			Statistics: kind,
-			// Estimation quality is only observable when every query pays
-			// the market (reuse would hide it), so SQR is off here.
-			Consistency: payless.Strong(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		client.LoadLocal("Nation", d.NationRows)
-		client.LoadLocal("Region", d.RegionRows)
-		var totalErr float64
-		queries := workload.Mix(d.Templates(), 6, 77)
-		for _, sql := range queries {
-			res, err := client.Query(sql)
-			if err != nil {
-				b.Fatal(err)
-			}
-			actual := float64(res.Report.Transactions)
-			est := float64(res.EstTransactions)
-			denom := actual
-			if denom < 1 {
-				denom = 1
-			}
-			diff := est - actual
-			if diff < 0 {
-				diff = -diff
-			}
-			totalErr += diff / denom
-		}
-		return totalErr / float64(len(queries))
-	}
-	var learned, avi, uniform float64
-	for i := 0; i < b.N; i++ {
-		learned = run(payless.StatsFeedback)
-		avi = run(payless.StatsAVI)
-		uniform = run(payless.StatsUniform)
-	}
-	b.ReportMetric(learned, "feedback_relerr")
-	b.ReportMetric(avi, "avi_relerr")
-	b.ReportMetric(uniform, "uniform_relerr")
-}
-
 // BenchmarkTPCHBindJoin exercises the bind-join access path on TPC-H-shaped
 // data: a selective Supplier predicate feeds SuppKey bindings into Lineitem,
 // which must beat the Lineitem scan by roughly the selectivity ratio.

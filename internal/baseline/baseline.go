@@ -125,7 +125,7 @@ func (d *DownloadAll) Query(sql string) (engine.Report, error) {
 	if err != nil {
 		return engine.Report{}, err
 	}
-	st := stats.NewUniform()
+	st := stats.New()
 	opt := core.Optimizer{Catalog: d.localCat, Store: semstore.New(d.db), Stats: st}
 	plan, err := opt.Optimize(bound)
 	if err != nil {

@@ -44,6 +44,14 @@ func TestFig10RealShape(t *testing.T) {
 			}
 		}
 	}
+	// The tiny-scale bill, pinned to the transaction.
+	for sys, want := range map[string]int64{
+		"PayLess": 31, "PayLess w/o SQR": 40, "Minimizing Calls": 58, "Download All": 89,
+	} {
+		if final[sys] != want {
+			t.Errorf("%s final = %d, want %d", sys, final[sys], want)
+		}
+	}
 	// Orderings from Fig. 10a: PayLess <= w/o SQR <= Minimizing Calls, and
 	// PayLess below Download All on the real workload.
 	if final["PayLess"] > final["PayLess w/o SQR"] {
@@ -59,6 +67,36 @@ func TestFig10RealShape(t *testing.T) {
 	out := fig.Render()
 	if !strings.Contains(out, "PayLess") || !strings.Contains(out, "#queries") {
 		t.Errorf("render: %s", out)
+	}
+}
+
+// TestPayLessBillPinned owns the default bill: PayLess's final cumulative
+// transactions at DefaultParams, per dataset and seed. Seed 4 on real is the
+// one run where the estimator's choices cost money against exact counts.
+func TestPayLessBillPinned(t *testing.T) {
+	for _, c := range []struct {
+		dataset string
+		seed    int64
+		want    int64
+	}{
+		{"real", 4, 436},
+		{"tpch", 42, 392},
+		{"tpch-skew", 42, 286},
+		{"tpch-skew", 4, 211},
+	} {
+		p := DefaultParams()
+		p.Seed = c.seed
+		env, err := envFor(p, c.dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := env.Cumulative(PayLess, p.SampleEvery, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Y[len(s.Y)-1]; got != c.want {
+			t.Errorf("%s seed %d: PayLess final = %d, want %d", c.dataset, c.seed, got, c.want)
+		}
 	}
 }
 

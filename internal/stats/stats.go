@@ -43,13 +43,12 @@ type tableStats struct {
 	buckets []bucket
 }
 
-// Store is the default Estimator. With learning enabled it refines bucket
-// partitions from feedback; with learning disabled it behaves as the plain
-// uniform estimator the paper uses before any statistics are collected.
+// Store is the feedback-histogram Estimator. It refines bucket partitions
+// from feedback; before any feedback it is the plain uniform estimator the
+// paper uses before any statistics are collected.
 type Store struct {
-	mu       sync.RWMutex
-	tables   map[string]*tableStats
-	learning bool
+	mu     sync.RWMutex
+	tables map[string]*tableStats
 	// maxBuckets caps the partition size per table; feedback that would
 	// exceed the cap degrades to proportional rescaling without splitting.
 	maxBuckets int
@@ -59,15 +58,9 @@ type Store struct {
 	version atomic.Uint64
 }
 
-// New returns a learning statistics store (feedback refines estimates).
+// New returns an empty statistics store.
 func New() *Store {
-	return &Store{tables: make(map[string]*tableStats), learning: true, maxBuckets: 8192}
-}
-
-// NewUniform returns a store that ignores feedback and always estimates by
-// the uniform-distribution assumption over the published cardinality.
-func NewUniform() *Store {
-	return &Store{tables: make(map[string]*tableStats), learning: false, maxBuckets: 1}
+	return &Store{tables: make(map[string]*tableStats), maxBuckets: 8192}
 }
 
 // Register declares a table's queryable space and published cardinality.
@@ -82,8 +75,7 @@ func (s *Store) Register(table string, full region.Box, card int64) {
 	s.version.Add(1)
 }
 
-// Version returns the store's mutation counter. NewUniform stores never
-// learn, so their version only moves on Register.
+// Version returns the store's mutation counter.
 func (s *Store) Version() uint64 { return s.version.Load() }
 
 // Registered reports whether the table is known to the store.
@@ -135,9 +127,6 @@ func (s *Store) Estimate(table string, b region.Box) float64 {
 // When the partition cap is reached, only rescaling happens (no splits), so
 // memory stays bounded at the cost of precision.
 func (s *Store) Feedback(table string, b region.Box, n int64) {
-	if !s.learning {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tables[table]

@@ -11,7 +11,7 @@ import (
 func box1d(lo, hi int64) region.Box { return region.NewBox(region.Interval{Lo: lo, Hi: hi}) }
 
 func TestUniformEstimate(t *testing.T) {
-	s := NewUniform()
+	s := New()
 	s.Register("R", box1d(0, 100), 1000)
 	if !s.Registered("R") || s.Registered("X") {
 		t.Error("Registered")
@@ -30,11 +30,6 @@ func TestUniformEstimate(t *testing.T) {
 	}
 	if got := s.Estimate("R", box1d(5, 5)); got != 0 {
 		t.Errorf("empty box: %v", got)
-	}
-	// Uniform store ignores feedback.
-	s.Feedback("R", box1d(0, 10), 900)
-	if got := s.Estimate("R", box1d(0, 10)); got != 100 {
-		t.Errorf("uniform must ignore feedback: %v", got)
 	}
 }
 

@@ -65,11 +65,6 @@ func WithCallPolicy(p CallPolicy) Option {
 	return func(c *Config) { c.Calls = p }
 }
 
-// WithStatistics selects the updatable statistic implementation.
-func WithStatistics(kind StatsKind) Option {
-	return func(c *Config) { c.Statistics = kind }
-}
-
 // WithDefaultTuplesPerTransaction sets the page size t for datasets that
 // don't declare their own.
 func WithDefaultTuplesPerTransaction(t int) Option {

@@ -51,7 +51,6 @@ func TestOptionsApply(t *testing.T) {
 		WithBudget(Budget{PerQuery: 7}),
 		WithFetchConcurrency(3),
 		WithTracer(&CollectTracer{}),
-		WithStatistics(StatsAVI),
 		WithDefaultTuplesPerTransaction(42),
 		WithMinimizeCalls(),
 		WithStoreSync(StoreSyncBatched),
@@ -59,7 +58,7 @@ func TestOptionsApply(t *testing.T) {
 	} {
 		o(&cfg)
 	}
-	if cfg.FetchConcurrency != 3 || cfg.Tracer == nil || cfg.Statistics != StatsAVI ||
+	if cfg.FetchConcurrency != 3 || cfg.Tracer == nil ||
 		cfg.DefaultTuplesPerTransaction != 42 || cfg.Consistency != Window(time.Hour) || !cfg.MinimizeCalls ||
 		cfg.StoreSync != StoreSyncBatched || cfg.Calls.BreakAfter != 3 {
 		t.Errorf("options did not stick: %+v", cfg)
@@ -132,7 +131,7 @@ func TestOpenHTTPAcceptsTypedAndLegacyOptions(t *testing.T) {
 // knob or method fails here until the change that justifies it raises the
 // pin.
 func TestConfigSurface(t *testing.T) {
-	const wantFields, wantOptions, wantMethods = 19, 14, 24
+	const wantFields, wantOptions, wantMethods = 18, 13, 22
 	fields := 0
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {

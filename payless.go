@@ -35,7 +35,6 @@ import (
 	"payless/internal/market"
 	"payless/internal/obs"
 	"payless/internal/overload"
-	"payless/internal/region"
 	"payless/internal/sched"
 	"payless/internal/semstore"
 	"payless/internal/sqlparse"
@@ -100,9 +99,6 @@ type Config struct {
 	// consistency bypass the cache (a moving freshness horizon cannot be
 	// captured by epochs).
 	PlanCacheSize int
-	// Statistics selects the updatable statistic implementation; the paper
-	// plugs in ISOMER and notes any updatable statistic fits (§3).
-	Statistics StatsKind
 	// Budget caps spending; over-budget queries fail with ErrOverBudget
 	// before any call is made. The budget is enforced by reservation: a
 	// query's estimate is held from admission to settlement, so concurrent
@@ -236,29 +232,6 @@ func (cfg *Config) fetchConcurrency() int {
 	return c
 }
 
-// StatsKind names a statistics implementation.
-type StatsKind int
-
-const (
-	// StatsFeedback is the default: a consistent multidimensional feedback
-	// histogram (the repository's ISOMER stand-in).
-	StatsFeedback StatsKind = iota
-	// StatsUniform never learns: the textbook cold-start estimator.
-	StatsUniform
-	// StatsAVI keeps one feedback histogram per attribute, combined under
-	// the attribute-value-independence assumption.
-	StatsAVI
-)
-
-// statsStore is what the client needs from a statistics implementation.
-type statsStore interface {
-	stats.Estimator
-	Register(table string, full region.Box, card int64)
-	// Version is the estimator's mutation counter; the plan cache uses it
-	// to discard plans costed under superseded estimates.
-	Version() uint64
-}
-
 // Observability types, re-exported from the internal obs package so users
 // outside this module can name them.
 type (
@@ -318,7 +291,7 @@ type Client struct {
 	cat     *catalog.Catalog
 	db      *storage.DB
 	store   *semstore.Store
-	stats   statsStore
+	stats   *stats.Store
 	cfg     Config
 	metrics *obs.Metrics
 	// sched is the global market-call scheduler. It is shared by every
@@ -359,15 +332,7 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 		return nil, fmt.Errorf("payless: Config.Tables is required")
 	}
 	cat := catalog.New()
-	var st statsStore
-	switch cfg.Statistics {
-	case StatsUniform:
-		st = stats.NewUniform()
-	case StatsAVI:
-		st = stats.NewAVI()
-	default:
-		st = stats.New()
-	}
+	st := stats.New()
 	for _, t := range cfg.Tables {
 		if err := cat.Register(t); err != nil {
 			return nil, err
