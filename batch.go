@@ -30,7 +30,7 @@ type BatchResult struct {
 // before executing them, re-estimating after each execution (the semantic
 // store grows as the batch runs). Results are returned in submission order.
 // Each statement is admitted, executed and booked exactly as Query would:
-// Budget and Admitter reservations, failed-statement spend, metrics, audit.
+// the Admitter's reservation, failed-statement spend, metrics, audit.
 func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 	if err := c.begin(); err != nil {
 		return nil, err

@@ -1,10 +1,12 @@
 package payless
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -153,17 +155,59 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
-// TestQueryBatchHonoursBudget: a batch statement is admitted like a Query —
-// one estimated above the per-query budget is refused before any call.
+// errOverCap is capAdmitter's refusal.
+var errOverCap = errors.New("estimate over cap")
+
+// capAdmitter is an Admitter that refuses any estimate above max and
+// records every reservation it grants and every settlement.
+type capAdmitter struct {
+	max int64
+
+	mu       sync.Mutex
+	reserved []int64
+	settled  int
+}
+
+func (a *capAdmitter) Reserve(_ context.Context, est int64) error {
+	if est > a.max {
+		return errOverCap
+	}
+	a.mu.Lock()
+	a.reserved = append(a.reserved, est)
+	a.mu.Unlock()
+	return nil
+}
+
+func (a *capAdmitter) Settle(context.Context, int64, int64) {
+	a.mu.Lock()
+	a.settled++
+	a.mu.Unlock()
+}
+
+// TestQueryBatchHonoursBudget: each batch statement is admitted on its own,
+// like a Query — one estimated above the admitter's cap is refused before
+// any call, and every admitted statement is settled once.
 func TestQueryBatchHonoursBudget(t *testing.T) {
-	client, m, w := testSetup(t, func(c *Config) { c.Budget = Budget{PerQuery: 1, Total: 1} })
+	adm := &capAdmitter{max: 1}
+	client, m, w := testSetup(t, func(c *Config) { c.Admitter = adm })
 	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
 		w.Dates[0], w.Dates[len(w.Dates)-1])
-	if _, err := client.QueryBatch([]string{sql}); !errors.Is(err, ErrOverBudget) {
-		t.Fatalf("want ErrOverBudget, got %v", err)
+	if _, err := client.QueryBatch([]string{sql}); !errors.Is(err, errOverCap) {
+		t.Fatalf("want errOverCap, got %v", err)
 	}
 	if meter, _ := m.MeterOf("acct"); meter.Calls != 0 {
 		t.Fatalf("over-budget batch made %d market calls", meter.Calls)
+	}
+	cheap := []string{
+		"SELECT COUNT(ZipCode) FROM Pollution WHERE Rank >= 1 AND Rank <= 2",
+		"SELECT COUNT(ZipCode) FROM Pollution WHERE Rank >= 51 AND Rank <= 52",
+	}
+	if _, err := client.QueryBatch(cheap); err != nil {
+		t.Fatal(err)
+	}
+	if len(adm.reserved) != len(cheap) || adm.settled != len(cheap) {
+		t.Fatalf("batch of %d made %d reservations and %d settlements, want one each per statement",
+			len(cheap), len(adm.reserved), adm.settled)
 	}
 }
 

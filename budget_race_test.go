@@ -1,17 +1,20 @@
 package payless
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"payless/internal/market"
+	"payless/internal/tenant"
 )
 
 // TestBudgetReservationBlocksConcurrentOverspend is the regression test for
-// the budget TOCTOU: two concurrent queries, each estimated at 4
-// transactions, race a total budget of 4. The unreserved check-then-execute
+// the budget TOCTOU: two concurrent queries of one tenant, each estimated
+// at 4 transactions, race the tenant's budget of 4 through the client's
+// Admitter. The unreserved check-then-execute
 // admitted both (each saw zero spent before either settled) and jointly
 // billed 8; the reservation admits exactly one. The wire call is gated so
 // the admitted query demonstrably has not settled while the second query is
@@ -19,15 +22,21 @@ import (
 func TestBudgetReservationBlocksConcurrentOverspend(t *testing.T) {
 	m := stressMarket(t, "acct")
 	gc := &gatedCaller{inner: market.AccountCaller{Market: m, Key: "acct"}}
+	reg, err := tenant.NewRegistry(0, tenant.Config{Name: "a", Key: "ka", Budget: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	client, err := Open(Config{
 		Tables:               m.ExportCatalog(),
 		Caller:               gc,
 		TuplesPerTransaction: map[string]int{"DS": 10},
-		Budget:               Budget{Total: 4},
+		Admitter:             reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ten, _ := reg.Lookup("a")
+	ctx := tenant.WithTenant(context.Background(), ten)
 	gate := make(chan struct{})
 	gc.setGate(gate)
 
@@ -44,7 +53,7 @@ func TestBudgetReservationBlocksConcurrentOverspend(t *testing.T) {
 		wg.Add(1)
 		go func(i int, sql string) {
 			defer wg.Done()
-			_, errs[i] = client.Query(sql)
+			_, errs[i] = client.QueryContext(ctx, sql)
 			if errs[i] != nil {
 				failed.Add(1)
 			}
@@ -63,7 +72,7 @@ func TestBudgetReservationBlocksConcurrentOverspend(t *testing.T) {
 		switch {
 		case err == nil:
 			ok++
-		case errors.Is(err, ErrOverBudget):
+		case errors.Is(err, tenant.ErrTenantOverBudget):
 			over++
 		default:
 			t.Fatalf("query %d failed outside the budget: %v", i, err)
@@ -72,8 +81,8 @@ func TestBudgetReservationBlocksConcurrentOverspend(t *testing.T) {
 	if ok != 1 || over != 1 {
 		t.Fatalf("budget of 4 admitted %d queries (%d over-budget); want exactly 1 admitted", ok, over)
 	}
-	if spent := client.TotalSpend().Transactions; spent > 4 {
-		t.Fatalf("client overspent its budget: %d transactions, budget 4", spent)
+	if spent := client.TotalSpend().Transactions; spent > 4 || ten.Spend() != spent {
+		t.Fatalf("client spent %d transactions and the tenant ledger holds %d, budget 4", spent, ten.Spend())
 	}
 	meter, _ := m.MeterOf("acct")
 	if meter.Transactions > 4 {
@@ -83,7 +92,7 @@ func TestBudgetReservationBlocksConcurrentOverspend(t *testing.T) {
 	// admitted box is free and must pass the check.
 	for i, err := range errs {
 		if err == nil {
-			if _, err := client.Query(sqls[i]); err != nil {
+			if _, err := client.QueryContext(ctx, sqls[i]); err != nil {
 				t.Fatalf("covered re-read rejected: %v", err)
 			}
 		}

@@ -1,41 +1,64 @@
 package payless
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
+
+	"payless/internal/market"
+	"payless/internal/tenant"
+	"payless/internal/workload"
 )
 
+// tenantSetup opens the standard test client with a tenant registry as its
+// Admitter, one tenant capped at budget, and returns a query context
+// carrying that tenant.
+func tenantSetup(t *testing.T, budget int64) (*Client, *market.Market, *workload.WHW, context.Context) {
+	t.Helper()
+	reg, err := tenant.NewRegistry(0, tenant.Config{Name: "a", Key: "ka", Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, m, w := testSetup(t, func(c *Config) { c.Admitter = reg })
+	ten, _ := reg.Lookup("a")
+	return client, m, w, tenant.WithTenant(context.Background(), ten)
+}
+
+// TestPerQueryBudgetBlocksBeforeSpending: a query whose estimate exceeds
+// the admitter's headroom is refused before any market call, and a query
+// that fits still runs.
 func TestPerQueryBudgetBlocksBeforeSpending(t *testing.T) {
-	client, m, w := testSetup(t, func(c *Config) { c.Budget = Budget{PerQuery: 1} })
+	client, m, w, ctx := tenantSetup(t, 1)
 	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
 		w.Dates[0], w.Dates[len(w.Dates)-1])
-	_, err := client.Query(sql)
-	if !errors.Is(err, ErrOverBudget) {
-		t.Fatalf("want ErrOverBudget, got %v", err)
+	_, err := client.QueryContext(ctx, sql)
+	if !errors.Is(err, tenant.ErrTenantOverBudget) {
+		t.Fatalf("want ErrTenantOverBudget, got %v", err)
 	}
 	meter, _ := m.MeterOf("acct")
 	if meter.Calls != 0 {
 		t.Error("budget must block before any market call")
 	}
 	// A cheap query still runs.
-	cheap := fmt.Sprintf("SELECT COUNT(ZipCode) FROM Pollution WHERE Rank >= 1 AND Rank <= 2")
-	if _, err := client.Query(cheap); err != nil {
+	cheap := "SELECT COUNT(ZipCode) FROM Pollution WHERE Rank >= 1 AND Rank <= 2"
+	if _, err := client.QueryContext(ctx, cheap); err != nil {
 		t.Fatalf("cheap query blocked: %v", err)
 	}
 }
 
+// TestTotalBudgetAccumulates: spend accumulates across queries until the
+// admitter refuses, and never overshoots the budget.
 func TestTotalBudgetAccumulates(t *testing.T) {
-	client, _, w := testSetup(t, func(c *Config) { c.Budget = Budget{Total: 12} })
+	client, _, w, ctx := tenantSetup(t, 12)
 	q := func(i int) string {
 		return fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
 			w.Dates[i], w.Dates[i+1])
 	}
 	ranOut := false
 	for i := 0; i < 20; i += 2 {
-		_, err := client.Query(q(i))
-		if errors.Is(err, ErrOverBudget) {
+		_, err := client.QueryContext(ctx, q(i))
+		if errors.Is(err, tenant.ErrTenantOverBudget) {
 			ranOut = true
 			break
 		}
@@ -49,64 +72,19 @@ func TestTotalBudgetAccumulates(t *testing.T) {
 	if spent := client.TotalSpend().Transactions; spent > 12 {
 		t.Errorf("spent %d beyond total budget 12", spent)
 	}
+	ten, _ := tenant.From(ctx)
+	if spent, total := ten.Spend(), client.TotalSpend().Transactions; spent != total {
+		t.Errorf("tenant ledger %d != client spend %d", spent, total)
+	}
 }
 
+// TestZeroBudgetIsUnlimited: a client without an Admitter admits
+// everything.
 func TestZeroBudgetIsUnlimited(t *testing.T) {
 	client, _, w := testSetup(t, nil)
 	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
 		w.Dates[0], w.Dates[10])
 	if _, err := client.Query(sql); err != nil {
 		t.Fatalf("unlimited budget blocked a query: %v", err)
-	}
-}
-
-func TestExplainVerbose(t *testing.T) {
-	client, _, w := testSetup(t, nil)
-	sql := fmt.Sprintf(
-		"SELECT Temperature FROM Station, Weather "+
-			"WHERE City = 'Seattle' AND Station.Country = Weather.Country = 'United States' "+
-			"AND Date >= %d AND Date <= %d AND Station.StationID = Weather.StationID",
-		w.Dates[0], w.Dates[10])
-	res, err := client.Explain(sql, Verbose())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.PlanDetail
-	for _, want := range []string{"plan:", "Station", "Weather", "join"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explain output missing %q:\n%s", want, out)
-		}
-	}
-	if !strings.Contains(out, "bind join") && !strings.Contains(out, "market scan") {
-		t.Errorf("explain should name access paths:\n%s", out)
-	}
-	if _, err := client.Explain("garbage", Verbose()); err == nil {
-		t.Error("parse error expected")
-	}
-	if _, err := client.Explain("SELECT * FROM Ghost", Verbose()); err == nil {
-		t.Error("bind error expected")
-	}
-}
-
-func TestExplainVerboseZeroPriceAndLocal(t *testing.T) {
-	client, _, w := testSetup(t, nil)
-	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
-		w.Dates[0], w.Dates[3])
-	if _, err := client.Query(sql); err != nil {
-		t.Fatal(err)
-	}
-	res, err := client.Explain(sql, Verbose())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := res.PlanDetail; !strings.Contains(out, "semantic store scan") {
-		t.Errorf("covered relation should show as store scan:\n%s", out)
-	}
-	res2, err := client.Explain("SELECT * FROM ZipMap", Verbose())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2 := res2.PlanDetail; !strings.Contains(out2, "local table scan") {
-		t.Errorf("local table should show as local scan:\n%s", out2)
 	}
 }

@@ -29,8 +29,9 @@
 // (new queries answer 503), finishes every in-flight query, checkpoints the
 // durable store and exits; nothing in flight is lost and nothing billed
 // goes unrecorded. SIGHUP reloads -tenants-file live (add, reconfigure,
-// remove tenants without a restart); with -admin-key the same CRUD — plus
-// federation endpoint swaps — is available over /v1/admin/*.
+// remove tenants without a restart); the file is the one source of truth
+// for tenants. With -admin-key, PUT /v1/admin/endpoints swaps the
+// federation endpoints live.
 package main
 
 import (
@@ -68,7 +69,7 @@ func main() {
 		maxQueue    = flag.Int("max-queue", 0, "max requests queued for an execution slot (0 = 4x max-inflight)")
 		shedTarget  = flag.Duration("shed-target", 50*time.Millisecond, "slot-wait tolerance before load shedding (scaled by tenant weight)")
 		deadline    = flag.Duration("deadline", 0, "default per-query deadline (0 = none; tenants and X-Deadline-Ms override)")
-		adminKey    = flag.String("admin-key", "", "bearer key for /v1/admin/* (empty disables the admin API)")
+		adminKey    = flag.String("admin-key", "", "bearer key for PUT /v1/admin/endpoints, the federation endpoint swap (empty disables the admin API; tenants change only through -tenants-file and SIGHUP)")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long SIGTERM waits for in-flight queries before giving up")
 		retryAfter  = flag.Duration("retry-after", time.Second, "base Retry-After hint on shed responses (jittered ±25%)")
 		storeDir    = flag.String("store-dir", "", "durable semantic store directory (empty = in-memory)")
@@ -195,9 +196,8 @@ func main() {
 	}
 }
 
-// loadTenantsFile reads a JSON array of tenant specs (the same shape the
-// admin API speaks: name, key, budget, rate_per_sec, burst, weight,
-// deadline_ms).
+// loadTenantsFile reads a JSON array of tenant specs (name, key, budget,
+// rate_per_sec, burst, weight, deadline_ms).
 func loadTenantsFile(path string) ([]tenant.Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

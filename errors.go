@@ -15,8 +15,6 @@ import (
 //
 //   - ErrParse / ErrBind / ErrOptimize / ErrExecute identify the query
 //     stage that failed (carried by *QueryError);
-//   - ErrOverBudget (budget.go) means the optimizer's estimate exceeded
-//     the configured spending budget before any money was spent;
 //   - *StatusError surfaces a non-2xx HTTP response from the market
 //     through the execute stage (errors.As);
 //   - *PartialError surfaces a query that died part-way through its market

@@ -173,30 +173,11 @@ func p99(samples []time.Duration) time.Duration {
 	return sorted[(len(sorted)*99)/100]
 }
 
-// adminPutTenant hot-adds one tenant over the daemon's admin API — the
-// same live-reconfiguration path SIGHUP drives.
-func adminPutTenant(base, adminKey, name, body string) error {
-	req, err := http.NewRequest(http.MethodPut, base+"/v1/admin/tenants/"+name, strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Authorization", "Bearer "+adminKey)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("admin PUT %s: HTTP %d: %s", name, resp.StatusCode, b)
-	}
-	return nil
-}
-
 // FigOverload is the end-to-end overload soak. Phase 1 drives the
-// undersized daemon at 4× capacity; mid-soak a tenant is hot-added over
-// the admin API (the SIGHUP path) and phase 2 adds its workers to the
-// herd; finally the daemon drains gracefully with queries still arriving.
+// undersized daemon at 4× capacity; mid-soak a tenant is hot-added with
+// Registry.Apply (what paylessd's SIGHUP reload runs) and phase 2 adds its
+// workers to the herd; finally the daemon drains gracefully with queries
+// still arriving.
 // Gates enforced inline, all exact:
 //
 //   - every response is 200, 429 (shed), or 503 (draining) — overload
@@ -262,7 +243,6 @@ func FigOverload(p OverloadParams) (*Figure, error) {
 		MaxInflight: p.MaxInflight,
 		MaxQueue:    p.MaxQueue,
 		ShedTarget:  p.ShedTarget,
-		AdminKey:    "admin-key",
 		RetryAfter:  50 * time.Millisecond,
 	})
 	if err != nil {
@@ -287,7 +267,8 @@ func FigOverload(p OverloadParams) (*Figure, error) {
 	phase1 := driver.snapshot()
 
 	// Mid-soak hot reload: add a tenant while the daemon keeps serving.
-	if err := adminPutTenant(ts.URL, "admin-key", "late", `{"key": "key-late", "weight": 2}`); err != nil {
+	tenants = append(tenants, tenant.Config{Name: "late", Key: "key-late", Weight: 2})
+	if err := reg.Apply(0, tenants); err != nil {
 		return nil, err
 	}
 	herd = append(herd, overloadWorker{key: "key-late"}, overloadWorker{key: "key-late"})
@@ -363,11 +344,8 @@ func FigOverload(p OverloadParams) (*Figure, error) {
 			meterTrans, reported, failedSpend)
 	}
 	var ledger int64
-	for _, c := range reg.Configs() {
-		t, ok := reg.Lookup(c.Name)
-		if !ok {
-			continue
-		}
+	for _, c := range tenants {
+		t, _ := reg.Lookup(c.Name)
 		ledger += t.Spend()
 	}
 	if ledger != meterTrans {

@@ -71,8 +71,9 @@ type Config struct {
 	// declares its own or the request carries X-Deadline-Ms. 0 means no
 	// default deadline.
 	DefaultDeadline time.Duration
-	// AdminKey guards the /v1/admin/* endpoints (tenant CRUD, federation
-	// endpoint reload). Empty disables them entirely (404).
+	// AdminKey guards the admin API (PUT /v1/admin/endpoints, the
+	// federation endpoint swap). Empty disables it entirely (404). Tenants
+	// have no admin route: Registry.Apply is the tenant table's one writer.
 	AdminKey string
 	// RetryAfter is the base Retry-After hint when the shedder rejects;
 	// 0 means 1s. Hints are jittered ±25% so shed clients desynchronize.
@@ -181,8 +182,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/v1/admin/tenants", s.handleAdminTenants)
-	mux.HandleFunc("/v1/admin/tenants/", s.handleAdminTenant)
 	mux.HandleFunc("/v1/admin/endpoints", s.handleAdminEndpoints)
 	return mux
 }
@@ -492,8 +491,7 @@ func readSQL(r *http.Request) (string, error) {
 func statusOf(err error) int {
 	switch {
 	case errors.Is(err, tenant.ErrTenantOverBudget),
-		errors.Is(err, tenant.ErrGlobalOverBudget),
-		errors.Is(err, payless.ErrOverBudget):
+		errors.Is(err, tenant.ErrGlobalOverBudget):
 		return http.StatusPaymentRequired
 	case errors.Is(err, payless.ErrParse),
 		errors.Is(err, payless.ErrBind),

@@ -199,13 +199,6 @@ func (m *FS) Ops() []Op {
 	return out
 }
 
-// OpCount returns how many mutating operations have been recorded.
-func (m *FS) OpCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.ops)
-}
-
 // step runs the hook and records the op. Caller holds the lock. The
 // returned error (if any) must fail the operation; for OpWrite the caller
 // must still apply op.Data (possibly hook-shortened) before failing.

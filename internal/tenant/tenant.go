@@ -61,19 +61,48 @@ type Config struct {
 	Deadline time.Duration
 }
 
+// account is one spending cap enforced by reservation: a query's estimate
+// is held from admission to settlement, so concurrent queries can never
+// jointly overshoot the limit. It has no lock of its own; callers hold the
+// lock that guards it.
+type account struct {
+	limit    int64 // cap in transactions; 0 unlimited
+	spent    int64 // transactions actually billed
+	reserved int64 // estimates of admitted, unsettled queries
+	rejected int64 // reservations refused over the limit
+}
+
+// reserve holds est against the limit. Check and hold are one step under
+// the caller's lock, so two queries cannot both be admitted against the
+// same headroom. A refusal is counted and says what headroom was missing.
+func (a *account) reserve(est int64) error {
+	if a.limit > 0 && a.spent+a.reserved+est > a.limit {
+		a.rejected++
+		return fmt.Errorf("estimated %d on top of %d spent and %d reserved, budget %d",
+			est, a.spent, a.reserved, a.limit)
+	}
+	a.reserved += est
+	return nil
+}
+
+// settle releases a reservation and books the actual bill in one step, so
+// the headroom freed by the estimate and the headroom taken by the bill
+// move together.
+func (a *account) settle(est, actual int64) {
+	a.reserved -= est
+	a.spent += actual
+}
+
 // Tenant is one authenticated account's live state. All fields are guarded
 // by mu; methods are safe for concurrent use.
 type Tenant struct {
 	name string
 
 	mu       sync.Mutex
-	budget   int64
+	account  // the tenant budget and its spend
 	weight   float64
 	deadline time.Duration
-	spent    int64 // transactions actually billed to this tenant's queries
-	reserved int64 // estimates of admitted, unsettled queries
-	queries  int64 // queries admitted past the budget
-	rejected int64 // queries rejected over budget
+	queries  int64 // queries admitted past the tenant and global budgets
 
 	// Token bucket. rate<=0 disables limiting.
 	rate        float64
@@ -140,62 +169,28 @@ func (t *Tenant) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, wait
 }
 
-// reserve admits an estimate against the tenant budget, holding it until
-// settle. Check and reservation are one critical section: two concurrent
-// queries cannot both be admitted against the same headroom.
-func (t *Tenant) reserve(est int64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.budget > 0 && t.spent+t.reserved+est > t.budget {
-		t.rejected++
-		return fmt.Errorf("%w: tenant %s estimated %d on top of %d spent and %d reserved, budget %d",
-			ErrTenantOverBudget, t.name, est, t.spent, t.reserved, t.budget)
-	}
-	t.reserved += est
-	t.queries++
-	return nil
-}
-
-// settle releases a reservation and books the actual bill.
-func (t *Tenant) settle(est, actual int64) {
-	t.mu.Lock()
-	t.reserved -= est
-	t.spent += actual
-	t.mu.Unlock()
-}
-
 // Registry is the daemon's tenant table plus the global budget. It
 // implements the payless Admitter interface: the tenant is carried on the
 // query context (WithTenant/From), so one shared client serves every tenant.
 type Registry struct {
-	// tabmu guards the tenant table (byKey/byName/specs). It is separate
-	// from mu (the global-budget lock) so admission hot paths and admin CRUD
-	// never contend on one lock; reads vastly outnumber writes, hence RW.
+	// tabmu guards the tenant table (byKey/byName). It is separate from mu
+	// (the global-budget lock) so admission hot paths and a reload never
+	// contend on one lock; reads vastly outnumber writes, hence RW.
 	tabmu  sync.RWMutex
 	byKey  map[string]*Tenant
 	byName map[string]*Tenant
-	specs  map[string]Config // declared configuration, for admin listing
 
-	mu           sync.Mutex
-	globalBudget int64
-	globalSpent  int64
-	globalRes    int64
-	rejectedGlob int64
+	mu     sync.Mutex
+	global account
 }
 
-// newTenant builds a tenant's live state from its declaration.
+// newTenant builds a tenant's live state from its declaration, with a full
+// token bucket.
 func newTenant(c Config) *Tenant {
-	burst := float64(c.Burst)
-	if burst <= 0 && c.RatePerSec > 0 {
-		burst = c.RatePerSec
-		if burst < 1 {
-			burst = 1
-		}
-	}
-	return &Tenant{
-		name: c.Name, budget: c.Budget, weight: c.Weight, deadline: c.Deadline,
-		rate: c.RatePerSec, burst: burst, tokens: burst,
-	}
+	t := &Tenant{name: c.Name}
+	t.reconfigure(c)
+	t.tokens = t.burst
+	return t
 }
 
 // reconfigure updates a live tenant's declared knobs in place, preserving
@@ -211,7 +206,7 @@ func (t *Tenant) reconfigure(c Config) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.budget = c.Budget
+	t.limit = c.Budget
 	t.weight = c.Weight
 	t.deadline = c.Deadline
 	t.rate = c.RatePerSec
@@ -244,20 +239,9 @@ func validate(cfgs []Config) error {
 // NewRegistry builds a registry from tenant declarations. globalBudget caps
 // the daemon's combined spend in transactions (0 unlimited).
 func NewRegistry(globalBudget int64, tenants ...Config) (*Registry, error) {
-	if err := validate(tenants); err != nil {
+	r := &Registry{}
+	if err := r.Apply(globalBudget, tenants); err != nil {
 		return nil, err
-	}
-	r := &Registry{
-		byKey:        make(map[string]*Tenant, len(tenants)),
-		byName:       make(map[string]*Tenant, len(tenants)),
-		specs:        make(map[string]Config, len(tenants)),
-		globalBudget: globalBudget,
-	}
-	for _, c := range tenants {
-		t := newTenant(c)
-		r.byKey[c.Key] = t
-		r.byName[c.Name] = t
-		r.specs[c.Name] = c
 	}
 	return r, nil
 }
@@ -281,64 +265,9 @@ func (r *Registry) Lookup(name string) (*Tenant, bool) {
 	return t, ok
 }
 
-// Configs lists the declared tenant configurations in name order — what the
-// admin API serves. Live counters are not included; those are metrics.
-func (r *Registry) Configs() []Config {
-	r.tabmu.RLock()
-	defer r.tabmu.RUnlock()
-	out := make([]Config, 0, len(r.specs))
-	for _, c := range r.specs {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Upsert adds a tenant or reconfigures an existing one (matched by name) at
-// runtime. A reconfigured tenant keeps its spend, reservations and counters
-// — only the declared knobs (key, budget, rate, weight, deadline) change.
-// The key must not belong to a different tenant. In-flight queries holding
-// the *Tenant keep settling against it either way.
-func (r *Registry) Upsert(c Config) error {
-	if err := validate([]Config{c}); err != nil {
-		return err
-	}
-	r.tabmu.Lock()
-	defer r.tabmu.Unlock()
-	if other, ok := r.byKey[c.Key]; ok && other.name != c.Name {
-		return fmt.Errorf("tenant: key already belongs to %q", other.name)
-	}
-	t, exists := r.byName[c.Name]
-	if exists {
-		delete(r.byKey, r.specs[c.Name].Key)
-		t.reconfigure(c)
-	} else {
-		t = newTenant(c)
-		r.byName[c.Name] = t
-	}
-	r.byKey[c.Key] = t
-	r.specs[c.Name] = c
-	return nil
-}
-
-// Remove deletes a tenant by name, reporting whether it existed. Queries
-// already in flight hold the *Tenant pointer and settle normally; new
-// requests with its key fail authentication immediately.
-func (r *Registry) Remove(name string) bool {
-	r.tabmu.Lock()
-	defer r.tabmu.Unlock()
-	c, ok := r.specs[name]
-	if !ok {
-		return false
-	}
-	delete(r.byKey, c.Key)
-	delete(r.byName, name)
-	delete(r.specs, name)
-	return true
-}
-
-// Apply replaces the whole tenant table and the global budget in one swap —
-// the SIGHUP hot-reload path. Tenants matched by name carry their live
+// Apply replaces the whole tenant table and the global budget in one swap.
+// It is the table's one writer: NewRegistry builds through it and
+// paylessd's SIGHUP reload runs it. Tenants matched by name carry their live
 // state (spend, reservations, counters) across the swap; tenants absent
 // from the new set are removed; new names start fresh. The set is validated
 // first, so a bad reload leaves the registry untouched.
@@ -349,7 +278,6 @@ func (r *Registry) Apply(globalBudget int64, cfgs []Config) error {
 	r.tabmu.Lock()
 	byKey := make(map[string]*Tenant, len(cfgs))
 	byName := make(map[string]*Tenant, len(cfgs))
-	specs := make(map[string]Config, len(cfgs))
 	for _, c := range cfgs {
 		t, exists := r.byName[c.Name]
 		if exists {
@@ -359,12 +287,11 @@ func (r *Registry) Apply(globalBudget int64, cfgs []Config) error {
 		}
 		byKey[c.Key] = t
 		byName[c.Name] = t
-		specs[c.Name] = c
 	}
-	r.byKey, r.byName, r.specs = byKey, byName, specs
+	r.byKey, r.byName = byKey, byName
 	r.tabmu.Unlock()
 	r.mu.Lock()
-	r.globalBudget = globalBudget
+	r.global.limit = globalBudget
 	r.mu.Unlock()
 	return nil
 }
@@ -384,28 +311,29 @@ func From(ctx context.Context) (*Tenant, bool) {
 }
 
 // Reserve implements the payless Admitter hook: the estimate is reserved
-// against the querying tenant's budget first, then the global budget; a
-// global rejection releases the tenant reservation, so a failed admission
-// leaves no residue.
+// against the querying tenant's budget first, then the global budget. The
+// tenant's lock is held across both, so a global rejection releases the
+// tenant reservation before anyone can see it, and a query is counted
+// admitted only once both accounts hold it. Lock order is tenant, then
+// global.
 func (r *Registry) Reserve(ctx context.Context, est int64) error {
 	t, ok := From(ctx)
 	if !ok {
 		return ErrNoTenant
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err := t.reserve(est); err != nil {
-		return err
+		return fmt.Errorf("%w: tenant %s %v", ErrTenantOverBudget, t.name, err)
 	}
 	r.mu.Lock()
-	if r.globalBudget > 0 && r.globalSpent+r.globalRes+est > r.globalBudget {
-		spent, reserved := r.globalSpent, r.globalRes
-		r.rejectedGlob++
-		r.mu.Unlock()
-		t.settle(est, 0)
-		return fmt.Errorf("%w: estimated %d on top of %d spent and %d reserved, budget %d",
-			ErrGlobalOverBudget, est, spent, reserved, r.globalBudget)
-	}
-	r.globalRes += est
+	err := r.global.reserve(est)
 	r.mu.Unlock()
+	if err != nil {
+		t.settle(est, 0)
+		return fmt.Errorf("%w: %v", ErrGlobalOverBudget, err)
+	}
+	t.queries++
 	return nil
 }
 
@@ -417,10 +345,11 @@ func (r *Registry) Settle(ctx context.Context, est, actual int64) {
 	if !ok {
 		return
 	}
+	t.mu.Lock()
 	t.settle(est, actual)
+	t.mu.Unlock()
 	r.mu.Lock()
-	r.globalRes -= est
-	r.globalSpent += actual
+	r.global.settle(est, actual)
 	r.mu.Unlock()
 }
 
@@ -428,7 +357,7 @@ func (r *Registry) Settle(ctx context.Context, est, actual int64) {
 func (r *Registry) GlobalSpend() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.globalSpent
+	return r.global.spent
 }
 
 // tenantFamilies are the per-tenant families WriteMetrics renders, in
@@ -439,7 +368,7 @@ var tenantFamilies = [...]struct {
 }{
 	{"tenant_spend_total", "Transactions billed to queries this tenant triggered (first-payer attribution).", func(t *Tenant) int64 { return t.spent }},
 	{"tenant_reserved_transactions", "Estimated transactions held by this tenant's in-flight queries.", func(t *Tenant) int64 { return t.reserved }},
-	{"tenant_queries_total", "Queries admitted past this tenant's budget.", func(t *Tenant) int64 { return t.queries }},
+	{"tenant_queries_total", "Queries admitted past this tenant's and the global budget.", func(t *Tenant) int64 { return t.queries }},
 	{"tenant_rejected_budget_total", "Queries rejected over the tenant budget.", func(t *Tenant) int64 { return t.rejected }},
 	{"tenant_rate_limited_total", "Queries rejected by the tenant rate limit.", func(t *Tenant) int64 { return t.rateLimited }},
 }
@@ -479,7 +408,7 @@ func (r *Registry) WriteMetrics(w io.Writer, prefix string) {
 		}
 	}
 	r.mu.Lock()
-	spent, rejected := r.globalSpent, r.rejectedGlob
+	spent, rejected := r.global.spent, r.global.rejected
 	r.mu.Unlock()
 	obs.WriteCounterHead(w, prefix, "global_spend_total", "Transactions billed across all tenants.")
 	fmt.Fprintf(w, "%s_global_spend_total %d\n", prefix, spent)

@@ -129,6 +129,36 @@ func TestGlobalBudgetReleasesTenantReservation(t *testing.T) {
 	}
 }
 
+// TestGlobalRejectionIsNotCountedAdmitted: a query the global budget
+// refuses was never admitted, so it must not show in the tenant's admitted
+// count — only in the global rejection count.
+func TestGlobalRejectionIsNotCountedAdmitted(t *testing.T) {
+	r := testRegistry(t, 5,
+		Config{Name: "a", Key: "ka"},
+		Config{Name: "b", Key: "kb"},
+	)
+	a, _ := r.Lookup("a")
+	b, _ := r.Lookup("b")
+	if err := r.Reserve(WithTenant(context.Background(), a), 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Reserve(WithTenant(context.Background(), b), 2); !errors.Is(err, ErrGlobalOverBudget) {
+		t.Fatalf("global overshoot admitted: %v", err)
+	}
+	var sb strings.Builder
+	r.WriteMetrics(&sb, "paylessd")
+	out := sb.String()
+	for _, want := range []string{
+		`paylessd_tenant_queries_total{tenant="a"} 1`,
+		`paylessd_tenant_queries_total{tenant="b"} 0`,
+		`paylessd_global_rejected_budget_total 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestReserveWithoutTenantFails(t *testing.T) {
 	r := testRegistry(t, 0, Config{Name: "a", Key: "k"})
 	if err := r.Reserve(context.Background(), 1); !errors.Is(err, ErrNoTenant) {
@@ -199,89 +229,6 @@ func TestWriteMetricsAttributesSpendPerTenant(t *testing.T) {
 	}
 }
 
-func TestUpsertAddsAndReconfigures(t *testing.T) {
-	r := testRegistry(t, 0, Config{Name: "alice", Key: "key-a", Budget: 10})
-
-	// Add a new tenant at runtime.
-	if err := r.Upsert(Config{Name: "bob", Key: "key-b", Weight: 2, Deadline: time.Second}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Authenticate("key-b")
-	if err != nil || b.Name() != "bob" {
-		t.Fatalf("key-b -> %v, %v", b, err)
-	}
-	if b.Weight() != 2 || b.Deadline() != time.Second {
-		t.Fatalf("weight=%v deadline=%v, want 2 1s", b.Weight(), b.Deadline())
-	}
-
-	// Spend some budget, then reconfigure: counters must survive, knobs
-	// must change, and the old key must stop working after rotation.
-	a, _ := r.Authenticate("key-a")
-	ctx := WithTenant(context.Background(), a)
-	if err := r.Reserve(ctx, 4); err != nil {
-		t.Fatal(err)
-	}
-	r.Settle(ctx, 4, 4)
-	if err := r.Upsert(Config{Name: "alice", Key: "key-a2", Budget: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Authenticate("key-a"); !errors.Is(err, ErrBadKey) {
-		t.Fatalf("rotated-away key still works: %v", err)
-	}
-	a2, err := r.Authenticate("key-a2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2 != a {
-		t.Fatal("reconfigure must keep the live tenant, not mint a new one")
-	}
-	if a2.Spend() != 4 {
-		t.Fatalf("spend after reconfigure = %d, want 4 (preserved)", a2.Spend())
-	}
-	// New budget 5 with 4 already spent: a 2-transaction estimate must be
-	// rejected under the reloaded budget.
-	if err := r.Reserve(WithTenant(context.Background(), a2), 2); !errors.Is(err, ErrTenantOverBudget) {
-		t.Fatalf("reloaded budget not enforced: %v", err)
-	}
-}
-
-func TestUpsertRejectsForeignKey(t *testing.T) {
-	r := testRegistry(t, 0,
-		Config{Name: "alice", Key: "key-a"},
-		Config{Name: "bob", Key: "key-b"},
-	)
-	if err := r.Upsert(Config{Name: "alice", Key: "key-b"}); err == nil {
-		t.Fatal("stealing another tenant's key must fail")
-	}
-	if a, err := r.Authenticate("key-a"); err != nil || a.Name() != "alice" {
-		t.Fatalf("failed upsert must leave the table untouched: %v %v", a, err)
-	}
-}
-
-func TestRemoveTenant(t *testing.T) {
-	r := testRegistry(t, 0, Config{Name: "alice", Key: "key-a"})
-	a, _ := r.Authenticate("key-a")
-	ctx := WithTenant(context.Background(), a)
-	if err := r.Reserve(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Remove("alice") {
-		t.Fatal("remove reported the tenant missing")
-	}
-	if r.Remove("alice") {
-		t.Fatal("second remove must report false")
-	}
-	if _, err := r.Authenticate("key-a"); !errors.Is(err, ErrBadKey) {
-		t.Fatalf("removed tenant still authenticates: %v", err)
-	}
-	// The in-flight query settles against its held pointer; global spend
-	// still books it.
-	r.Settle(ctx, 3, 3)
-	if got := r.GlobalSpend(); got != 3 {
-		t.Fatalf("global spend = %d, want 3 (in-flight settle after removal)", got)
-	}
-}
-
 func TestApplyHotReload(t *testing.T) {
 	r := testRegistry(t, 100,
 		Config{Name: "alice", Key: "key-a", Budget: 10},
@@ -315,9 +262,14 @@ func TestApplyHotReload(t *testing.T) {
 	if _, err := r.Authenticate("key-c"); err != nil {
 		t.Fatalf("carol must exist after the reload: %v", err)
 	}
-	cfgs := r.Configs()
-	if len(cfgs) != 2 || cfgs[0].Name != "alice" || cfgs[1].Name != "carol" {
-		t.Fatalf("Configs() = %+v", cfgs)
+	if _, ok := r.Lookup("bob"); ok {
+		t.Fatal("bob must be gone from the name table after the reload")
+	}
+	if c, ok := r.Lookup("carol"); !ok || c.Name() != "carol" {
+		t.Fatalf("carol must be in the name table after the reload: %v %v", c, ok)
+	}
+	if l, ok := r.Lookup("alice"); !ok || l != a {
+		t.Fatal("alice must be in the name table as the same live tenant")
 	}
 
 	// An invalid reload leaves everything untouched.

@@ -3,7 +3,6 @@ package wal
 import (
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // FS is the filesystem surface the durability layer needs. Production code
@@ -120,6 +119,3 @@ func ReadAll(fs FS, name string) ([]byte, error) {
 	defer f.Close()
 	return io.ReadAll(f)
 }
-
-// DirOf returns the directory containing name, for SyncDir calls.
-func DirOf(name string) string { return filepath.Dir(name) }

@@ -18,16 +18,10 @@ func WithConsistency(cons Consistency) Option {
 	return func(c *Config) { c.Consistency = cons }
 }
 
-// WithBudget caps spending; over-budget queries fail with ErrOverBudget
-// before any call is made.
-func WithBudget(b Budget) Option {
-	return func(c *Config) { c.Budget = b }
-}
-
-// WithAdmitter installs an external admission hook consulted after the
-// client's own Budget: multi-tenant front ends (cmd/paylessd)
-// use it to bind per-tenant and global budgets onto one shared client. The
-// admitter sees the query's context, so per-caller identity can ride on it.
+// WithAdmitter installs the client's spend gate: multi-tenant front ends
+// (cmd/paylessd) use it to bind per-tenant and global budgets onto one
+// shared client. The admitter sees the query's context, so per-caller
+// identity can ride on it.
 func WithAdmitter(a Admitter) Option {
 	return func(c *Config) { c.Admitter = a }
 }

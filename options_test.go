@@ -48,7 +48,6 @@ func TestOptionsApply(t *testing.T) {
 	var cfg Config
 	for _, o := range []Option{
 		WithConsistency(Window(time.Hour)),
-		WithBudget(Budget{PerQuery: 7}),
 		WithFetchConcurrency(3),
 		WithTracer(&CollectTracer{}),
 		WithDefaultTuplesPerTransaction(42),
@@ -131,7 +130,7 @@ func TestOpenHTTPAcceptsTypedAndLegacyOptions(t *testing.T) {
 // knob or method fails here until the change that justifies it raises the
 // pin.
 func TestConfigSurface(t *testing.T) {
-	const wantFields, wantOptions, wantMethods = 18, 13, 22
+	const wantFields, wantOptions, wantMethods = 17, 12, 22
 	fields := 0
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {

@@ -99,15 +99,10 @@ type Config struct {
 	// consistency bypass the cache (a moving freshness horizon cannot be
 	// captured by epochs).
 	PlanCacheSize int
-	// Budget caps spending; over-budget queries fail with ErrOverBudget
-	// before any call is made. The budget is enforced by reservation: a
-	// query's estimate is held from admission to settlement, so concurrent
-	// queries cannot jointly overshoot Total.
-	Budget Budget
-	// Admitter, when set, is consulted around every query after Budget:
-	// Reserve before execution (rejecting unbilled on error), Settle with the
-	// actual spend after. The daemon's tenant layer uses it for per-tenant
-	// budgets and billing attribution.
+	// Admitter is the client's one spend gate: Reserve before execution
+	// (rejecting unbilled on error), Settle with the actual spend after.
+	// The daemon's tenant layer uses it for per-tenant and global budgets
+	// and billing attribution. nil admits everything.
 	Admitter Admitter
 	// FetchConcurrency bounds the number of in-flight market calls per plan
 	// step (the engine's fetch worker pool). 0 picks min(8, GOMAXPROCS);
@@ -304,10 +299,9 @@ type Client struct {
 	fed *federation.Caller
 	// plans is the parameterized plan-template cache; nil when disabled.
 	plans *core.PlanCache
-	// admitters reserve every plan's estimate before execution and settle
-	// its actual spend after, in order: the client Budget, then
-	// Config.Admitter.
-	admitters []Admitter
+	// admit reserves every plan's estimate before execution and settles
+	// its actual spend after; nil admits everything.
+	admit Admitter
 
 	mu    sync.Mutex
 	audit io.Writer
@@ -382,14 +376,14 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		cat:       cat,
-		db:        db,
-		store:     store,
-		stats:     st,
-		cfg:       cfg,
-		metrics:   metrics,
-		fed:       fed,
-		admitters: []Admitter{&budgetAdmitter{limit: cfg.Budget}},
+		cat:     cat,
+		db:      db,
+		store:   store,
+		stats:   st,
+		cfg:     cfg,
+		metrics: metrics,
+		fed:     fed,
+		admit:   cfg.Admitter,
 	}
 	pages := c.options()
 	c.sched = sched.New(fed, sched.Config{
@@ -399,9 +393,6 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 		Store:                store,
 		Metrics:              metrics,
 	})
-	if cfg.Admitter != nil {
-		c.admitters = append(c.admitters, cfg.Admitter)
-	}
 	if cfg.PlanCacheSize > 0 {
 		c.plans = core.NewPlanCache(cfg.PlanCacheSize)
 		c.plans.SetMetrics(metrics)
@@ -743,8 +734,10 @@ func (c *Client) queryCached(ctx context.Context, sql string, cache *core.PlanCa
 // finished here.
 func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts core.Options, tr *obs.Trace, start time.Time) (*Result, error) {
 	est := plan.EstTrans
-	if err := c.reserve(ctx, est); err != nil {
-		return nil, c.failed(tr, err)
+	if c.admit != nil {
+		if err := c.admit.Reserve(ctx, est); err != nil {
+			return nil, c.failed(tr, err)
+		}
 	}
 	// Transport retries, federation failovers and hedges anywhere under this
 	// statement draw on one fresh budget instead of multiplying per layer.
@@ -767,8 +760,8 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 	// recorded into the semantic store, so a re-run pays only the
 	// remainder. It is settled and booked like any other, so the bill never
 	// under-reports.
-	for _, a := range c.admitters {
-		a.Settle(ctx, est, report.Transactions)
+	if c.admit != nil {
+		c.admit.Settle(ctx, est, report.Transactions)
 	}
 	if err != nil {
 		if report != (engine.Report{}) {
@@ -799,20 +792,6 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 	res.Trace = tr
 	c.writeAudit(sql, res)
 	return res, nil
-}
-
-// reserve admits a plan's estimate with every admitter in order. When one
-// refuses, those already holding a reservation settle it unspent.
-func (c *Client) reserve(ctx context.Context, est int64) error {
-	for i, a := range c.admitters {
-		if err := a.Reserve(ctx, est); err != nil {
-			for _, held := range c.admitters[:i] {
-				held.Settle(ctx, est, 0)
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // failed books a statement that returns err: the error counter and the
