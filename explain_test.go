@@ -56,3 +56,29 @@ func TestExplainVerboseZeroPriceAndLocal(t *testing.T) {
 		t.Errorf("local table should show as local scan:\n%s", out2)
 	}
 }
+
+// TestExplainStepsIndependentOfPlanner: a plan renders the same steps
+// whether the DP just made it or the plan cache handed it back.
+func TestExplainStepsIndependentOfPlanner(t *testing.T) {
+	client, _, w := testSetup(t, WithPlanCache(16))
+	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
+		w.Dates[0], w.Dates[3])
+	var steps [2]string
+	for i, want := range []string{"dp", "cached"} {
+		res, err := client.Explain(sql, Verbose())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Planner != want {
+			t.Fatalf("explain %d: planner %q, want %q", i+1, res.Planner, want)
+		}
+		for _, line := range strings.SplitAfter(res.PlanDetail, "\n") {
+			if !strings.HasPrefix(line, "plan:") && !strings.HasPrefix(line, " planner=") {
+				steps[i] += line
+			}
+		}
+	}
+	if !strings.Contains(steps[0], "market scan") || steps[0] != steps[1] {
+		t.Errorf("step lines differ by planner:\ndp:\n%scached:\n%s", steps[0], steps[1])
+	}
+}

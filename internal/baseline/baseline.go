@@ -131,8 +131,8 @@ func (d *DownloadAll) Query(sql string) (engine.Report, error) {
 	if err != nil {
 		return engine.Report{}, err
 	}
-	eng := engine.Engine{Catalog: d.localCat, Store: semstore.New(d.db), Stats: st}
-	if _, _, err := eng.Execute(plan); err != nil {
+	eng := engine.Engine{Store: semstore.New(d.db), Stats: st}
+	if _, _, err := eng.ExecuteContext(context.Background(), plan); err != nil {
 		return engine.Report{}, err
 	}
 	marginal := engine.Report{

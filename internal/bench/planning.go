@@ -183,17 +183,15 @@ func (e *planningEnv) warmCache() (*core.PlanCache, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := core.Normalize(e.parsed[i]).Key
-		cache.Put(key, plan, e.store.Epoch, e.st.Version())
+		cache.Put(core.Normalize(e.parsed[i]), plan, e.store.Epoch, e.st.Version())
 	}
 	return cache, nil
 }
 
 // planCached is the cache-hit planning path for template i: normalize the
-// parsed statement, look the shape up, re-bind the cached plan.
+// parsed statement, look the shape up, instantiate the cached plan.
 func (e *planningEnv) planCached(cache *core.PlanCache, i int) (*core.Plan, error) {
-	norm := core.Normalize(e.parsed[i])
-	cp := cache.Get(norm.Key, e.store.Epoch, e.st.Version())
+	cp := cache.Get(core.Normalize(e.parsed[i]), e.store.Epoch, e.st.Version())
 	if cp == nil {
 		return nil, fmt.Errorf("template %d missed a warmed cache", i)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"payless/internal/sqlparse"
-	"payless/internal/value"
 )
 
 // normalizeCorpus exercises every literal position the normalizer strips:
@@ -20,36 +19,39 @@ var normalizeCorpus = []string{
 	"SELECT * FROM R WHERE R.a = S.a AND R.b IN (1, 2, 3) AND S.c < 4.25",
 }
 
-// TestNormalizeRoundTrip is the normalize-then-rebind property: stripping a
-// query's literals and reinstating them must reproduce the original query
-// exactly, and the reconstruction must normalize back to the same key.
+// checkNormalize is the key-stability property: re-parsing a statement's
+// own rendering normalizes to the same key, and Normalize leaves its input
+// as it found it.
+func checkNormalize(t *testing.T, q *sqlparse.Query) {
+	t.Helper()
+	orig := q.String()
+	key := Normalize(q)
+	if q.String() != orig {
+		t.Fatalf("Normalize mutated its input:\nwas %s\nnow %s", orig, q.String())
+	}
+	rq, err := sqlparse.Parse(orig)
+	if err != nil {
+		t.Fatalf("rendering does not re-parse: %v\n%s", err, orig)
+	}
+	if k := Normalize(rq); k != key {
+		t.Fatalf("key not stable under re-parse:\n in: %s\nout: %s", key, k)
+	}
+}
+
+// TestNormalizeRoundTrip checks the key-stability property on a corpus
+// that covers every literal position: WHERE, IN, HAVING and LIMIT.
 func TestNormalizeRoundTrip(t *testing.T) {
 	for _, sql := range normalizeCorpus {
 		q, err := sqlparse.Parse(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		orig := q.String()
-		n := Normalize(q)
-		rb, err := n.Rebind(n.Params)
-		if err != nil {
-			t.Fatalf("%s: rebind own params: %v", sql, err)
-		}
-		if got := rb.String(); got != orig {
-			t.Errorf("round trip diverged:\n in: %s\nout: %s", orig, got)
-		}
-		n2 := Normalize(rb)
-		if n2.Key != n.Key {
-			t.Errorf("re-normalized key diverged:\n in: %s\nout: %s", n.Key, n2.Key)
-		}
-		if q.String() != orig {
-			t.Errorf("Normalize mutated its input: %s", q.String())
-		}
+		checkNormalize(t, q)
 	}
 }
 
 // TestNormalizeSharedShape: two instantiations of one template collide on
-// the key (that is the point of the cache) while keeping their own params.
+// the key — that is the point of the cache.
 func TestNormalizeSharedShape(t *testing.T) {
 	a, err := sqlparse.Parse("SELECT * FROM Weather WHERE Country = 'BR' AND Date >= 20140601")
 	if err != nil {
@@ -59,23 +61,8 @@ func TestNormalizeSharedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	na, nb := Normalize(a), Normalize(b)
-	if na.Key != nb.Key {
-		t.Fatalf("same template, different keys:\n%s\n%s", na.Key, nb.Key)
-	}
-	if na.NumParams() != 2 || nb.NumParams() != 2 {
-		t.Fatalf("params: %v vs %v", na.Params, nb.Params)
-	}
-	if na.Params[0].Str() != "BR" || nb.Params[0].Str() != "US" {
-		t.Errorf("literals not kept per instance: %v vs %v", na.Params, nb.Params)
-	}
-	// Cross-rebinding builds b from a's template.
-	rb, err := na.Rebind(nb.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.String() != b.String() {
-		t.Errorf("cross rebind:\nwant %s\n got %s", b.String(), rb.String())
+	if ka, kb := Normalize(a), Normalize(b); ka != kb {
+		t.Fatalf("same template, different keys:\n%s\n%s", ka, kb)
 	}
 }
 
@@ -110,7 +97,7 @@ func TestNormalizeDistinctShapesDistinctKeys(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		key := Normalize(q).Key
+		key := Normalize(q)
 		if prev, dup := seen[key]; dup {
 			t.Errorf("key collision between %q and %q: %s", prev, sql, key)
 		}
@@ -118,25 +105,8 @@ func TestNormalizeDistinctShapesDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestRebindValidation: parameter lists that don't fit the template are
-// rejected instead of silently building a wrong query.
-func TestRebindValidation(t *testing.T) {
-	q, err := sqlparse.Parse("SELECT * FROM R WHERE a = 1 AND b = 'x'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := Normalize(q)
-	if _, err := n.Rebind(n.Params[:1]); err == nil {
-		t.Error("short parameter list must error")
-	}
-	swapped := []value.Value{n.Params[1], n.Params[0]}
-	if _, err := n.Rebind(swapped); err == nil {
-		t.Error("kind mismatch must error")
-	}
-}
-
-// FuzzNormalize fuzzes the normalize/rebind pair through the real parser:
-// whatever parses must strip and reconstruct losslessly.
+// FuzzNormalize checks the key-stability property on whatever the real
+// parser accepts.
 func FuzzNormalize(f *testing.F) {
 	for _, sql := range normalizeCorpus {
 		f.Add(sql)
@@ -147,17 +117,6 @@ func FuzzNormalize(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		orig := q.String()
-		n := Normalize(q)
-		rb, err := n.Rebind(n.Params)
-		if err != nil {
-			t.Fatalf("rebind own params: %v\n%s", err, sql)
-		}
-		if got := rb.String(); got != orig {
-			t.Fatalf("round trip diverged:\n in: %s\nout: %s", orig, got)
-		}
-		if n2 := Normalize(rb); n2.Key != n.Key {
-			t.Fatalf("key not stable:\n in: %s\nout: %s", n.Key, n2.Key)
-		}
+		checkNormalize(t, q)
 	})
 }

@@ -197,7 +197,6 @@ func RewriteConfig(t *catalog.Table, opts *Options) rewrite.Config {
 		Full:                 t.FullBox(),
 		DimKinds:             dimKinds(t),
 		DisablePruning:       opts.DisableBoxPruning,
-		MaxEnumeration:       opts.MaxEnumeration,
 	}
 }
 
@@ -432,7 +431,7 @@ func (r *optRun) searchLeftDeep() (*Plan, error) {
 				if rows < 0 {
 					rows = 0
 				}
-				step := Step{Rel: i, Kind: c.kind, BindJoin: c.bindJoin, Joins: edges, Remainder: r.info[i].remainder, EstTrans: c.cost, EstRows: r.info[i].estRows}
+				step := Step{Rel: i, Kind: c.kind, BindJoin: c.bindJoin, Joins: edges, EstTrans: c.cost, EstRows: r.info[i].estRows}
 				steps := make([]Step, len(prev.steps), len(prev.steps)+1)
 				copy(steps, prev.steps)
 				best = dpEntry{valid: true, cost: total, rows: rows, steps: append(steps, step)}
@@ -582,7 +581,7 @@ func (r *optRun) searchBushy() (*Plan, error) {
 			valid: valid,
 			cost:  cost,
 			rows:  info.estRows,
-			steps: []Step{{Rel: i, Kind: kind, BindJoin: -1, Remainder: info.remainder, EstTrans: cost, EstRows: info.estRows}},
+			steps: []Step{{Rel: i, Kind: kind, BindJoin: -1, EstTrans: cost, EstRows: info.estRows}},
 		}
 	}
 	for mask := 1; mask < 1<<n; mask++ {
@@ -631,7 +630,7 @@ func (r *optRun) searchBushy() (*Plan, error) {
 					rows := left.rows * r.info[i].estRows * r.joinSelectivity(edges)
 					steps := make([]Step, len(left.steps), len(left.steps)+1)
 					copy(steps, left.steps)
-					steps = append(steps, Step{Rel: i, Kind: MarketBind, BindJoin: c.bindJoin, Joins: edges, Remainder: r.info[i].remainder, EstTrans: c.cost, EstRows: r.info[i].estRows})
+					steps = append(steps, Step{Rel: i, Kind: MarketBind, BindJoin: c.bindJoin, Joins: edges, EstTrans: c.cost, EstRows: r.info[i].estRows})
 					best = dpEntry{valid: true, cost: total, rows: rows, steps: steps}
 				}
 			}

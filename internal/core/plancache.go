@@ -1,17 +1,17 @@
 // Parameterized plan-template cache. Queries that share a normalized shape
 // (see normalize.go) share their optimal join order and access paths almost
 // always — the literals move the boxes, not the structure — so the client
-// caches the optimized plan under the shape key and re-binds fresh literals
-// into it, skipping the per-relation coverage rewrites and the dynamic
-// program entirely.
+// caches the optimized plan's steps under the shape key and lays them over
+// each freshly bound instance, skipping the per-relation coverage rewrites
+// and the dynamic program entirely.
 //
-// What makes plan reuse sound here is that the execution engine never
-// trusts a plan's costed remainder: every MarketScan re-derives the
-// remainder of its access boxes against the live semantic store at fetch
-// time, and every MarketBind re-checks coverage per binding value. The
-// cached plan therefore only pins structure — join order, access kinds, join
-// edges — all of which are functions of the query shape, with two
-// literal-dependent exceptions re-verified at instantiation time:
+// What makes plan reuse sound here is that a plan carries no remainder
+// boxes: every MarketScan derives the remainder of its access boxes against
+// the live semantic store at fetch time, and every MarketBind re-checks
+// coverage per binding value. The cached steps are the DP's steps as made,
+// and they pin only structure — join order, access kinds, join edges — all
+// of which are functions of the query shape, with two literal-dependent
+// exceptions re-verified at instantiation time:
 //
 //   - a LocalScan over a market table was chosen because the warm query's
 //     boxes were fully covered (Theorem 2); the fresh literals' boxes must
@@ -32,7 +32,6 @@ import (
 
 	"payless/internal/catalog"
 	"payless/internal/obs"
-	"payless/internal/rewrite"
 	"payless/internal/semstore"
 )
 
@@ -47,13 +46,12 @@ type tableEpoch struct {
 }
 
 // CachedPlan is one plan-cache entry: an optimized plan without its bound
-// query and costed remainders, plus the invalidation snapshot it was
-// compiled under.
+// query, plus the invalidation snapshot it was compiled under.
 type CachedPlan struct {
 	key string
-	// plan is the template every instance copies: Bound nil, remainders
-	// cleared, Planner PlannerCached, no search counters or timing. Its
-	// steps are shared read-only by every instance.
+	// plan is the template every instance copies: Bound nil, Planner
+	// PlannerCached, no search counters or timing. Its steps are the
+	// optimizer's own, shared read-only by every instance.
 	plan *Plan
 	// numRels/numJoins guard against key collisions: an instantiation whose
 	// bound arity differs is refused outright.
@@ -79,8 +77,7 @@ func (cp *CachedPlan) stale(epochOf func(table string) uint64, statsVersion uint
 // Instantiate rebinds the cached plan onto a freshly bound instance of the
 // same shape. It returns ok=false — caller falls back to the optimizer —
 // when the bound arity does not match or a coverage-dependent access choice
-// no longer holds for the new literals. The returned plan carries empty
-// remainders; the engine re-derives them against the live store.
+// no longer holds for the new literals.
 func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Options) (*Plan, bool) {
 	if len(b.Rels) != cp.numRels || len(b.Joins) != cp.numJoins {
 		return nil, false
@@ -200,14 +197,9 @@ func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVers
 // costed against). statsVersion is the statistics mutation counter at the
 // same instant. p itself is not modified.
 func (c *PlanCache) Put(key string, p *Plan, epochOf func(table string) uint64, statsVersion uint64) {
-	steps := make([]Step, len(p.Steps))
-	copy(steps, p.Steps)
-	for i := range steps {
-		steps[i].Remainder = rewrite.Plan{}
-	}
 	cp := &CachedPlan{
 		key:          key,
-		plan:         &Plan{Steps: steps, EstTrans: p.EstTrans, EstRows: p.EstRows, Planner: PlannerCached},
+		plan:         &Plan{Steps: p.Steps, EstTrans: p.EstTrans, EstRows: p.EstRows, Planner: PlannerCached},
 		numRels:      len(p.Bound.Rels),
 		numJoins:     len(p.Bound.Joins),
 		statsVersion: statsVersion,

@@ -4,8 +4,10 @@
 // materialises bind joins one call per distinct binding value, and offloads
 // joins, residual predicates, grouping and ordering to the local DBMS.
 //
-// Independent calls of one plan step — the remainder boxes of a direct
-// access, the per-binding calls of a bind join — fan out to a bounded
+// A plan names access paths, not boxes: every market access goes through
+// one routine, buy, which plans the remainder of its call boxes against the
+// live store (§4.2 applied at execution) — the access boxes of a scan, the
+// coalesced binding groups of a bind join. Those calls fan out to a bounded
 // worker pool (see parallel.go). Each batch is planned up front against a
 // snapshot of the store and statistics and merged back in plan order, so
 // billing, coverage geometry and feedback-histogram state are identical at
@@ -18,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"payless/internal/catalog"
 	"payless/internal/core"
@@ -52,7 +53,6 @@ func (r *Report) Add(o Report) {
 
 // Engine executes optimized plans.
 type Engine struct {
-	Catalog *catalog.Catalog
 	// Store is the semantic store and local DBMS. Required.
 	Store *semstore.Store
 	// Stats receives execution feedback. Required.
@@ -74,25 +74,12 @@ type Engine struct {
 	// Metrics, when non-nil, counts the rows the semantic store served,
 	// traced or not.
 	Metrics *obs.Metrics
-	// Now stamps semantic-store entries; nil means time.Now.
-	Now func() time.Time
 }
 
-func (e *Engine) now() time.Time {
-	if e.Now != nil {
-		return e.Now()
-	}
-	return time.Now()
-}
-
-// Execute runs the plan and returns the final result relation plus the
-// market cost actually incurred.
-func (e *Engine) Execute(plan *core.Plan) (storage.Relation, Report, error) {
-	return e.ExecuteContext(context.Background(), plan)
-}
-
-// ExecuteContext runs the plan under ctx: cancelling it stops in-flight
-// market fan-out, keeping whatever partial results were already paid for.
+// ExecuteContext runs the plan under ctx and returns the final result
+// relation plus the market cost actually incurred. Cancelling ctx stops
+// in-flight market fan-out, keeping whatever partial results were already
+// paid for.
 func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.Relation, Report, error) {
 	var report Report
 	b := plan.Bound
@@ -232,9 +219,16 @@ func (e *Engine) fetch(ctx context.Context, rel *core.Rel, step core.Step, prefi
 		if rel.Table.Local {
 			return e.localScan(rel)
 		}
-		return e.storedScan(rel)
+		// A fully covered market relation is a zero-price access (Theorem
+		// 2): the whole read is a semantic-store hit.
+		out, err := e.storedRows(rel.Table, rel.AccessBoxes())
+		if err == nil {
+			e.storeServed(true, int64(len(out.Rows)))
+		}
+		return out, err
 	case core.MarketScan:
-		return e.marketScan(ctx, rel, report)
+		boxes := rel.AccessBoxes()
+		return e.buy(ctx, rel.Table, boxes, boxes, report)
 	case core.MarketBind:
 		return e.bindScan(ctx, rel, step, prefix, b, report)
 	default:
@@ -249,18 +243,6 @@ func (e *Engine) localScan(rel *core.Rel) (storage.Relation, error) {
 		return storage.Relation{}, fmt.Errorf("local table %s not loaded", rel.Table.Name)
 	}
 	return tbl.Relation().Select(catalog.CompileFilter(rel.Table, rel.Query).Matches), nil
-}
-
-// storedScan serves a fully covered market relation from the semantic store.
-func (e *Engine) storedScan(rel *core.Rel) (storage.Relation, error) {
-	out, err := e.storedRows(rel.Table, rel.AccessBoxes())
-	if err != nil {
-		return storage.Relation{}, err
-	}
-	// A fully covered market relation is a zero-price access (Theorem 2):
-	// the whole read is a semantic-store hit.
-	e.storeServed(true, int64(len(out.Rows)))
-	return out, nil
 }
 
 // storedRows reads the store's rows inside each box, in box order. A single
@@ -280,15 +262,17 @@ func (e *Engine) storedRows(meta *catalog.Table, boxes []region.Box) (storage.Re
 	return out, nil
 }
 
-// marketScan fetches a relation's remainder from the market. With SQR the
-// remainder boxes are recomputed against the current store state; without
-// SQR the full access query is sent as-is. All calls of the scan are
-// planned first, then issued as one batch through the worker pool.
-func (e *Engine) marketScan(ctx context.Context, rel *core.Rel, report *Report) (storage.Relation, error) {
-	out := storage.Relation{Schema: rel.Table.Schema.Clone()}
-	boxes := rel.AccessBoxes()
+// buy obtains one market relation's rows inside the reads boxes. With SQR
+// (§4.2) it plans the remainder of each calls box against the live store,
+// buys and records those remainders as one batch through the worker pool,
+// then reads the rows back from the store over reads; a plan holds no
+// remainders, so a cached plan and a fresh one buy alike. A scan's calls
+// are its reads; a bind join's calls are its coalesced binding groups.
+// Without SQR each read box is issued as-is and the rows are concatenated:
+// the paper's baseline buys call by call.
+func (e *Engine) buy(ctx context.Context, meta *catalog.Table, calls, reads []region.Box, report *Report) (storage.Relation, error) {
 	if e.Options.DisableSQR {
-		specs, err := specsForBoxes(rel.Table, boxes)
+		specs, err := specsForBoxes(meta, reads)
 		if err != nil {
 			return storage.Relation{}, err
 		}
@@ -296,17 +280,19 @@ func (e *Engine) marketScan(ctx context.Context, rel *core.Rel, report *Report) 
 		if err != nil {
 			return storage.Relation{}, err
 		}
+		out := storage.Relation{Schema: meta.Schema.Clone()}
 		for _, res := range results {
 			out.Rows = append(out.Rows, res.Rows...)
 		}
 		return out, nil
 	}
-	// Access boxes are pairwise disjoint (IN-lists split the access region
-	// into separate intervals), so their remainder plans cannot overlap and
-	// one coverage snapshot serves them all.
+	// Call boxes are pairwise disjoint (IN lists split an access region into
+	// separate intervals; binding groups are distinct on the bind dimension),
+	// so their remainder plans cannot overlap and one coverage snapshot
+	// serves them all.
 	var specs []callSpec
-	for _, ab := range boxes {
-		s, err := e.planRemainder(rel.Table, ab)
+	for _, cb := range calls {
+		s, err := e.planRemainder(meta, cb)
 		if err != nil {
 			return storage.Relation{}, err
 		}
@@ -316,7 +302,7 @@ func (e *Engine) marketScan(ctx context.Context, rel *core.Rel, report *Report) 
 	if err != nil {
 		return storage.Relation{}, err
 	}
-	out, err = e.storedRows(rel.Table, boxes)
+	out, err := e.storedRows(meta, reads)
 	if err != nil {
 		return storage.Relation{}, err
 	}
@@ -359,89 +345,46 @@ func (e *Engine) bindScan(ctx context.Context, rel *core.Rel, step core.Step, pr
 	// Values outside the attribute's domain or the relation's own predicate
 	// range are skipped: the join would reject their rows anyway.
 	var coords []int64
-	valueOf := make(map[int64]value.Value)
+	seen := make(map[int64]bool)
 	for _, v := range bindings {
-		nv := normalizeBinding(attr, v)
-		coord, err := attr.Coord(nv)
+		coord, err := attr.Coord(normalizeBinding(attr, v))
 		if err != nil {
 			continue
 		}
 		if _, ok := region.Point(coord).Intersect(rel.Box.Dims[dim]); !ok {
 			continue
 		}
-		if _, dup := valueOf[coord]; dup {
+		if seen[coord] {
 			continue
 		}
-		valueOf[coord] = nv
+		seen[coord] = true
 		coords = append(coords, coord)
 	}
 	sort.Slice(coords, func(i, j int) bool { return coords[i] < coords[j] })
 
-	out := storage.Relation{Schema: rel.Table.Schema.Clone()}
-	// pointBoxesOf intersects the binding coordinate with every access box
+	// Each binding coordinate reads its point box within every access box
 	// (IN predicates may split the relation's access region).
-	pointBoxesOf := func(coord int64) []region.Box {
-		var boxes []region.Box
+	var reads []region.Box
+	for _, coord := range coords {
 		for _, ab := range rel.AccessBoxes() {
 			iv, ok := region.Point(coord).Intersect(ab.Dims[dim])
 			if !ok {
 				continue
 			}
-			b := ab.Clone()
-			b.Dims[dim] = iv
-			boxes = append(boxes, b)
+			pb := ab.Clone()
+			pb.Dims[dim] = iv
+			reads = append(reads, pb)
 		}
-		return boxes
 	}
-
-	if e.Options.DisableSQR {
-		var pointBoxes []region.Box
-		for _, coord := range coords {
-			pointBoxes = append(pointBoxes, pointBoxesOf(coord)...)
-		}
-		specs, err := specsForBoxes(rel.Table, pointBoxes)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		results, err := e.runBatch(ctx, specs, report)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		for _, res := range results {
-			out.Rows = append(out.Rows, res.Rows...)
-		}
-		return out, nil
-	}
-
 	// With SQR, adjacent binding values may be coalesced into a single
 	// range call when the merged box is estimated cheaper than per-value
 	// calls — the paper's Fig. 9 bounding box B2 spanning known values.
-	// Categorical bind attributes cannot express ranges (Fig. 8). The
-	// groups are disjoint on the bind dimension, so one coverage snapshot
-	// serves every group's remainder plan.
-	groups := e.coalesceBindings(rel, attr, dim, coords)
-	var specs []callSpec
-	for _, g := range groups {
-		s, err := e.planRemainder(rel.Table, g)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		specs = append(specs, s...)
+	// Categorical bind attributes cannot express ranges (Fig. 8).
+	calls := reads
+	if !e.Options.DisableSQR {
+		calls = e.coalesceBindings(rel, attr, dim, coords)
 	}
-	results, err := e.runBatch(ctx, specs, report)
-	if err != nil {
-		return storage.Relation{}, err
-	}
-	var pointBoxes []region.Box
-	for _, coord := range coords {
-		pointBoxes = append(pointBoxes, pointBoxesOf(coord)...)
-	}
-	out, err = e.storedRows(rel.Table, pointBoxes)
-	if err != nil {
-		return storage.Relation{}, err
-	}
-	e.noteStoreServed(len(specs), len(out.Rows), results)
-	return out, nil
+	return e.buy(ctx, rel.Table, calls, reads, report)
 }
 
 // noteStoreServed attributes a SQR access's output rows between freshly

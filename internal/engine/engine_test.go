@@ -113,8 +113,8 @@ func (f *fixture) run(t *testing.T, sql string, opts core.Options) (storage.Rela
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched, Options: opts}
-	rel, rep, err := e.Execute(plan)
+	e := Engine{Store: f.store, Stats: f.st, Sched: f.sched, Options: opts}
+	rel, rep, err := e.ExecuteContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +218,8 @@ func TestProjectionAlias(t *testing.T) {
 
 func TestExecuteEmptyPlanErrors(t *testing.T) {
 	f := newFixture(t)
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched}
-	if _, _, err := e.Execute(&core.Plan{Bound: &core.BoundQuery{}}); err == nil {
+	e := Engine{Store: f.store, Stats: f.st, Sched: f.sched}
+	if _, _, err := e.ExecuteContext(context.Background(), &core.Plan{Bound: &core.BoundQuery{}}); err == nil {
 		t.Error("empty plan should error")
 	}
 }
@@ -283,7 +283,7 @@ func TestCoalesceBindingsRespectsGaps(t *testing.T) {
 	mid := tb.FullBox()
 	mid.Dims[0] = region.Interval{Lo: 10, Hi: 40}
 	f.st.Feedback("R", mid, 50000)
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched}
+	e := Engine{Store: f.store, Stats: f.st, Sched: f.sched}
 	rel := &core.Rel{Table: tb}
 	rel.Box = tb.FullBox()
 	attr, _ := tb.Attr("a")
@@ -349,8 +349,8 @@ func TestHavingErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched}
-	if _, _, err := e.Execute(plan); err == nil {
+	e := Engine{Store: f.store, Stats: f.st, Sched: f.sched}
+	if _, _, err := e.ExecuteContext(context.Background(), plan); err == nil {
 		t.Error("unknown HAVING column should error")
 	}
 }
@@ -363,7 +363,7 @@ func TestFetchErrorPaths(t *testing.T) {
 	bq := &core.BoundQuery{Rels: []*core.Rel{rel}}
 
 	// Unknown access kind.
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: f.sched}
+	e := Engine{Store: f.store, Stats: f.st, Sched: f.sched}
 	if _, err := e.fetch(context.Background(), rel, core.Step{Kind: core.AccessKind(99)}, storage.Relation{}, bq, &Report{}); err == nil {
 		t.Error("unknown kind should error")
 	}

@@ -239,7 +239,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 		// exactly once per wire call; recording here again would duplicate
 		// the rows' coverage entry.
 		if spec.record && !infos[i].Recorded {
-			rr, err := e.Store.Record(spec.meta, spec.box, res.Rows, e.now())
+			rr, err := e.Store.Record(spec.meta, spec.box, res.Rows, time.Now())
 			added, compacted = rr.Added, rr.Compacted()
 			walMicros, walSynced = rr.WALMicros, rr.Synced
 			if err != nil && mergeErr == nil {

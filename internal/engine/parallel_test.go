@@ -180,7 +180,7 @@ func TestRemainderBatchFusesTouchingPieces(t *testing.T) {
 		return market.AccountCaller{Market: f.m, Key: "k"}.Call(ctx, q)
 	})
 	metrics := obs.NewMetrics()
-	e := Engine{Catalog: f.cat, Store: f.store, Stats: f.st, Sched: sched.New(caller, sched.Config{Metrics: metrics}), Concurrency: 1}
+	e := Engine{Store: f.store, Stats: f.st, Sched: sched.New(caller, sched.Config{Metrics: metrics}), Concurrency: 1}
 	meta, _ := f.cat.Lookup("R")
 	aRange := func(lo, hi int64) region.Box {
 		b := meta.FullBox().Clone()

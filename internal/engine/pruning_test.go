@@ -89,7 +89,7 @@ func newSide(t *testing.T, m *market.Market, key string, locals []localRows) *si
 		}
 	}
 	s.store = semstore.New(db)
-	s.eng = Engine{Catalog: s.cat, Store: s.store, Stats: s.st, Sched: sched.New(market.AccountCaller{Market: m, Key: key}, sched.Config{}),
+	s.eng = Engine{Store: s.store, Stats: s.st, Sched: sched.New(market.AccountCaller{Market: m, Key: key}, sched.Config{}),
 		Options: core.Options{DefaultTuplesPerTransaction: tuplesPerTransaction}}
 	return s
 }

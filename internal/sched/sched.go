@@ -115,8 +115,6 @@ type Config struct {
 	// Metrics, when non-nil, receives the scheduler counter families and
 	// every wire call's latency and transport retries.
 	Metrics *obs.Metrics
-	// Now stamps semantic-store entries; nil means time.Now.
-	Now func() time.Time
 }
 
 // Scheduler coalesces market calls across concurrent queries. One scheduler
@@ -189,13 +187,6 @@ func flightKey(q catalog.AccessQuery) string {
 }
 
 func tableKey(t *catalog.Table) string { return t.Dataset + "\x00" + t.Name }
-
-func (s *Scheduler) now() time.Time {
-	if s.cfg.Now != nil {
-		return s.cfg.Now()
-	}
-	return time.Now()
-}
 
 func (s *Scheduler) tuplesPer(dataset string) int {
 	if s.cfg.TuplesPerTransaction != nil {
@@ -382,7 +373,7 @@ func (s *Scheduler) run(ctx context.Context, f *flight) {
 		// live requester of a plain call records through its own engine, in
 		// its plan order.
 		if f.record && s.cfg.Store != nil && (sharedEver || f.merged || abandoned) {
-			if _, rerr := s.cfg.Store.Record(f.meta, f.box, res.Rows, s.now()); rerr == nil {
+			if _, rerr := s.cfg.Store.Record(f.meta, f.box, res.Rows, time.Now()); rerr == nil {
 				f.recorded = true
 			}
 		}

@@ -646,9 +646,9 @@ func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*cor
 	// A moving consistency horizon (Window) makes coverage decisions
 	// time-dependent in a way epochs cannot capture; those queries always
 	// re-optimize.
-	var norm *core.NormalizedQuery
+	var key string
 	if cache != nil && opts.Since.IsZero() {
-		norm = core.Normalize(parsed)
+		key = core.Normalize(parsed)
 	}
 	end = tr.StartSpan("bind")
 	bound, err := core.Bind(parsed, c.cat)
@@ -656,8 +656,8 @@ func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*cor
 	if err != nil {
 		return nil, core.Options{}, stageErr(StageBind, err)
 	}
-	if norm != nil {
-		if cp := cache.Get(norm.Key, c.store.Epoch, c.stats.Version()); cp != nil {
+	if key != "" {
+		if cp := cache.Get(key, c.store.Epoch, c.stats.Version()); cp != nil {
 			if plan, ok := cp.Instantiate(bound, c.store, &opts); ok {
 				c.bookPlan(tr, plan)
 				return plan, opts, nil
@@ -670,12 +670,12 @@ func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*cor
 		return nil, core.Options{}, stageErr(StageOptimize, err)
 	}
 	c.bookPlan(tr, plan)
-	if norm != nil {
+	if key != "" {
 		// The epochs snapshot is taken here, BEFORE execution: if this very
 		// query buys data, its purchases bump the table epochs and the entry
 		// correctly invalidates — the cached plan describes the store state it
 		// was costed against, nothing newer.
-		cache.Put(norm.Key, plan, c.store.Epoch, c.stats.Version())
+		cache.Put(key, plan, c.store.Epoch, c.stats.Version())
 	}
 	return plan, opts, nil
 }
@@ -743,7 +743,6 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 	// statement draw on one fresh budget instead of multiplying per layer.
 	ctx = overload.WithBudget(ctx, overload.NewRetryBudget(overload.DefaultBaseCredit))
 	eng := engine.Engine{
-		Catalog:     c.cat,
 		Store:       c.store,
 		Stats:       c.stats,
 		Sched:       c.sched,
