@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"payless/internal/bench"
 )
@@ -39,105 +40,22 @@ func main() {
 	p.Seed = *seed
 	p.SampleEvery = *sample
 
-	figures := []string{"10", "11", "12", "13", "14", "15", "conc", "shared", "daemon", "store", "faults", "durability", "plan", "federation", "overload"}
+	var figures, datasets []string // empty: every figure, every dataset
 	if *fig != "all" {
 		figures = []string{*fig}
 	}
-	datasets := []string{"real", "tpch", "tpch-skew"}
 	if *dataset != "all" {
 		datasets = []string{*dataset}
 	}
 
 	req := bench.Request{Params: p, Figures: figures, Datasets: datasets, ConcTrace: *trace}
-	if !*markdown {
-		if err := bench.RenderAll(req, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
+	var err error
+	if *markdown {
+		err = bench.Each(req, func(f *bench.Figure, _ time.Duration) { fmt.Println(f.Markdown()) })
+	} else {
+		err = bench.RenderAll(req, os.Stdout)
 	}
-	for _, f := range figures {
-		for _, ds := range datasets {
-			out, err := one(f, ds, req)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if out != nil {
-				fmt.Println(out.Markdown())
-			}
-		}
-	}
-}
-
-// one regenerates a single figure for the markdown path.
-func one(f, ds string, req bench.Request) (*bench.Figure, error) {
-	if f == "13" && ds == "real" {
-		return nil, nil
-	}
-	p := req.Params
-	switch f {
-	case "10":
-		return bench.Fig10(p, ds)
-	case "11":
-		return bench.Fig11(p, ds, []int{50, 100, 500})
-	case "12":
-		if ds == "real" {
-			return bench.Fig12(p, ds, []int{10, 20, 30})
-		}
-		return bench.Fig12(p, ds, []int{5, 10, 20})
-	case "13":
-		return bench.Fig13(p, ds, []float64{0.5, 1, 2})
-	case "14":
-		return bench.Fig14(p, ds)
-	case "15":
-		return bench.Fig15(p, ds)
-	case "conc":
-		if ds != "real" && ds != "all" {
-			return nil, nil // the latency sweep runs on the real workload only
-		}
-		cp := bench.DefaultConcurrencyParams()
-		cp.Trace = req.ConcTrace
-		return bench.FigConcurrency(cp)
-	case "shared":
-		if ds != "real" && ds != "all" {
-			return nil, nil // the sharing sweep runs on the real workload only
-		}
-		return bench.FigShared(bench.DefaultSharedParams())
-	case "daemon":
-		if ds != "real" && ds != "all" {
-			return nil, nil // the daemon sweep runs on the real workload only
-		}
-		return bench.FigDaemon(bench.DefaultDaemonParams())
-	case "store":
-		if ds != "real" && ds != "all" {
-			return nil, nil // the store sweep uses its own synthetic grid
-		}
-		return bench.FigStore(bench.DefaultStoreParams())
-	case "faults":
-		if ds != "real" && ds != "all" {
-			return nil, nil // the fault sweep runs on the real workload only
-		}
-		return bench.FigFaults(bench.DefaultFaultParams())
-	case "durability":
-		if ds != "real" && ds != "all" {
-			return nil, nil // the durability sweep runs on the real workload only
-		}
-		return bench.FigDurability(bench.DefaultDurabilityParams())
-	case "plan":
-		if ds != "real" && ds != "all" {
-			return nil, nil // the planning sweep runs on the real schema only
-		}
-		return bench.FigPlan(bench.DefaultPlanParams())
-	case "federation":
-		if ds != "real" && ds != "all" {
-			return nil, nil // the federation sweep runs on the real workload only
-		}
-		return bench.FigFederation(bench.DefaultFederationParams())
-	case "overload":
-		if ds != "real" && ds != "all" {
-			return nil, nil // the overload soak runs on the real workload only
-		}
-		return bench.FigOverload(bench.DefaultOverloadParams())
-	default:
-		return nil, fmt.Errorf("unknown figure %q", f)
+	if err != nil {
+		log.Fatal(err)
 	}
 }

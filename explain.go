@@ -1,6 +1,10 @@
 package payless
 
-import "context"
+import (
+	"context"
+
+	"payless/internal/core"
+)
 
 // ExplainOption adjusts what Explain reports.
 type ExplainOption func(*explainConfig)
@@ -25,6 +29,12 @@ func (c *Client) Explain(sql string, opts ...ExplainOption) (*Result, error) {
 
 // ExplainContext is Explain under a caller-supplied context.
 func (c *Client) ExplainContext(ctx context.Context, sql string, opts ...ExplainOption) (*Result, error) {
+	return c.explain(ctx, sql, c.plans, opts...)
+}
+
+// explain plans sql through cache — the cache the statement's executions
+// plan through — so the plan reported is the plan a query would run.
+func (c *Client) explain(ctx context.Context, sql string, cache *core.PlanCache, opts ...ExplainOption) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -33,7 +43,7 @@ func (c *Client) ExplainContext(ctx context.Context, sql string, opts ...Explain
 		o(&ec)
 	}
 	tr := c.beginTrace(sql)
-	plan, _, err := c.compile(sql, tr, c.plans)
+	plan, _, err := c.compile(sql, tr, cache)
 	if err != nil {
 		c.finishTrace(tr)
 		return nil, err

@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"payless/internal/workload"
 )
@@ -277,9 +278,27 @@ func TestRenderAllSkipsFig13Real(t *testing.T) {
 	}
 }
 
+// TestEachRunsDatasetFreeFigureOnce: a figure that does not run per dataset
+// is emitted exactly once, whichever datasets the request names.
+func TestEachRunsDatasetFreeFigureOnce(t *testing.T) {
+	defer func(saved []runner) { runners = saved }(runners)
+	runs := 0
+	runners = []runner{{"store", false, func(Request, string) (*Figure, error) {
+		runs++
+		return &Figure{ID: "FigStore"}, nil
+	}}}
+	var emitted []string
+	err := Each(Request{Figures: []string{"store"}, Datasets: []string{"tpch"}}, func(f *Figure, _ time.Duration) {
+		emitted = append(emitted, f.ID)
+	})
+	if err != nil || runs != 1 || len(emitted) != 1 || emitted[0] != "FigStore" {
+		t.Fatalf("runs %d, emitted %v, err %v", runs, emitted, err)
+	}
+}
+
 func TestRequestDefaults(t *testing.T) {
 	var r Request
-	if len(r.figures()) != 6 || len(r.datasets()) != 3 {
+	if len(r.figures()) != len(runners) || len(r.datasets()) != 3 {
 		t.Error("defaults")
 	}
 	if got := r.qValues("real"); got[0] != 10 {

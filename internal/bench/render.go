@@ -3,12 +3,14 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
-// Request selects which figures and datasets RenderAll regenerates.
+// Request selects which figures and datasets Each regenerates.
 type Request struct {
-	// Figures lists figure numbers ("10".."15"); empty means all.
+	// Figures lists figure names ("10".."15", "conc", "store", ...); empty
+	// means all of them.
 	Figures []string
 	// Datasets lists "real", "tpch", "tpch-skew"; empty means all.
 	Datasets []string
@@ -28,7 +30,11 @@ func (r *Request) figures() []string {
 	if len(r.Figures) > 0 {
 		return r.Figures
 	}
-	return []string{"10", "11", "12", "13", "14", "15"}
+	names := make([]string, len(runners))
+	for i, rn := range runners {
+		names[i] = rn.name
+	}
+	return names
 }
 
 func (r *Request) datasets() []string {
@@ -65,133 +71,78 @@ func (r *Request) dValues() []float64 {
 	return []float64{0.5, 1, 2}
 }
 
-// RenderAll regenerates the requested figures and writes their rendered
-// series to w — the engine behind cmd/paylessbench.
-func RenderAll(req Request, w io.Writer) error {
-	for _, f := range req.figures() {
-		if f == "store" {
-			start := time.Now()
-			fig, err := FigStore(DefaultStoreParams())
-			if err != nil {
-				return fmt.Errorf("fig store: %w", err)
-			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-			continue
+// runner regenerates one figure. A per-dataset runner runs once for each
+// requested dataset and may return a nil figure to skip one; the others run
+// once per request and get an empty dataset.
+type runner struct {
+	name       string
+	perDataset bool
+	run        func(req Request, ds string) (*Figure, error)
+}
+
+// runners is every figure paylessbench regenerates, in "all" order.
+var runners = []runner{
+	{"10", true, func(r Request, ds string) (*Figure, error) { return Fig10(r.Params, ds) }},
+	{"11", true, func(r Request, ds string) (*Figure, error) { return Fig11(r.Params, ds, r.tValues()) }},
+	{"12", true, func(r Request, ds string) (*Figure, error) { return Fig12(r.Params, ds, r.qValues(ds)) }},
+	{"13", true, func(r Request, ds string) (*Figure, error) {
+		if ds == "real" {
+			return nil, nil // Fig. 13 varies the synthetic data size only
 		}
-		if f == "faults" {
-			start := time.Now()
-			fig, err := FigFaults(DefaultFaultParams())
-			if err != nil {
-				return fmt.Errorf("fig faults: %w", err)
-			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-			continue
+		return Fig13(r.Params, ds, r.dValues())
+	}},
+	{"14", true, func(r Request, ds string) (*Figure, error) { return Fig14(r.Params, ds) }},
+	{"15", true, func(r Request, ds string) (*Figure, error) { return Fig15(r.Params, ds) }},
+	{"conc", false, func(r Request, _ string) (*Figure, error) {
+		cp := DefaultConcurrencyParams()
+		cp.Trace = r.ConcTrace
+		return FigConcurrency(cp)
+	}},
+	{"shared", false, func(Request, string) (*Figure, error) { return FigShared(DefaultSharedParams()) }},
+	{"daemon", false, func(Request, string) (*Figure, error) { return FigDaemon(DefaultDaemonParams()) }},
+	{"store", false, func(Request, string) (*Figure, error) { return FigStore(DefaultStoreParams()) }},
+	{"faults", false, func(Request, string) (*Figure, error) { return FigFaults(DefaultFaultParams()) }},
+	{"durability", false, func(Request, string) (*Figure, error) { return FigDurability(DefaultDurabilityParams()) }},
+	{"plan", false, func(Request, string) (*Figure, error) { return FigPlan(DefaultPlanParams()) }},
+	{"federation", false, func(Request, string) (*Figure, error) { return FigFederation(DefaultFederationParams()) }},
+	{"overload", false, func(Request, string) (*Figure, error) { return FigOverload(DefaultOverloadParams()) }},
+}
+
+// Each regenerates the requested figures in request order and hands each
+// to emit with the time it took to regenerate.
+func Each(req Request, emit func(fig *Figure, took time.Duration)) error {
+	for _, name := range req.figures() {
+		i := slices.IndexFunc(runners, func(rn runner) bool { return rn.name == name })
+		if i < 0 {
+			return fmt.Errorf("unknown figure %q", name)
 		}
-		if f == "durability" {
-			start := time.Now()
-			fig, err := FigDurability(DefaultDurabilityParams())
-			if err != nil {
-				return fmt.Errorf("fig durability: %w", err)
-			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-			continue
+		rn, datasets := runners[i], []string{""}
+		if rn.perDataset {
+			datasets = req.datasets()
 		}
-		if f == "plan" {
+		for _, ds := range datasets {
 			start := time.Now()
-			fig, err := FigPlan(DefaultPlanParams())
-			if err != nil {
-				return fmt.Errorf("fig plan: %w", err)
+			fig, err := rn.run(req, ds)
+			switch {
+			case err != nil && ds != "":
+				return fmt.Errorf("fig %s (%s): %w", name, ds, err)
+			case err != nil:
+				return fmt.Errorf("fig %s: %w", name, err)
+			case fig != nil:
+				emit(fig, time.Since(start))
 			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
-		if f == "shared" {
-			start := time.Now()
-			fig, err := FigShared(DefaultSharedParams())
-			if err != nil {
-				return fmt.Errorf("fig shared: %w", err)
-			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
-		if f == "daemon" {
-			start := time.Now()
-			fig, err := FigDaemon(DefaultDaemonParams())
-			if err != nil {
-				return fmt.Errorf("fig daemon: %w", err)
-			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
-		if f == "federation" {
-			start := time.Now()
-			fig, err := FigFederation(DefaultFederationParams())
-			if err != nil {
-				return fmt.Errorf("fig federation: %w", err)
-			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
-		if f == "overload" {
-			start := time.Now()
-			fig, err := FigOverload(DefaultOverloadParams())
-			if err != nil {
-				return fmt.Errorf("fig overload: %w", err)
-			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
-		if f == "conc" {
-			start := time.Now()
-			cp := DefaultConcurrencyParams()
-			cp.Trace = req.ConcTrace
-			fig, err := FigConcurrency(cp)
-			if err != nil {
-				return fmt.Errorf("fig conc: %w", err)
-			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
-		for _, ds := range req.datasets() {
-			if f == "13" && ds == "real" {
-				continue // Fig. 13 varies the synthetic data size only
-			}
-			start := time.Now()
-			var fig *Figure
-			var err error
-			switch f {
-			case "10":
-				fig, err = Fig10(req.Params, ds)
-			case "11":
-				fig, err = Fig11(req.Params, ds, req.tValues())
-			case "12":
-				fig, err = Fig12(req.Params, ds, req.qValues(ds))
-			case "13":
-				fig, err = Fig13(req.Params, ds, req.dValues())
-			case "14":
-				fig, err = Fig14(req.Params, ds)
-			case "15":
-				fig, err = Fig15(req.Params, ds)
-			default:
-				return fmt.Errorf("unknown figure %q", f)
-			}
-			if err != nil {
-				return fmt.Errorf("fig %s (%s): %w", f, ds, err)
-			}
-			fmt.Fprint(w, fig.Render())
-			fmt.Fprintf(w, "   (regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
 		}
 	}
 	return nil
+}
+
+// RenderAll regenerates the requested figures and writes their rendered
+// series to w.
+func RenderAll(req Request, w io.Writer) error {
+	return Each(req, func(fig *Figure, took time.Duration) {
+		fmt.Fprint(w, fig.Render())
+		fmt.Fprintf(w, "   (regenerated in %v)\n\n", took.Round(time.Millisecond))
+	})
 }
 
 // Markdown renders a figure as a GitHub-flavoured markdown table.

@@ -175,6 +175,21 @@ func (t *Table) QueryableAttrs() []Attribute {
 	return out
 }
 
+// Dim returns the box dimension of the named attribute and its metadata;
+// dim is -1 when the table has no such queryable attribute.
+func (t *Table) Dim(name string) (dim int, attr Attribute) {
+	for _, a := range t.Attrs {
+		if a.Binding == Output {
+			continue
+		}
+		if strings.EqualFold(a.Name, name) {
+			return dim, a
+		}
+		dim++
+	}
+	return -1, Attribute{}
+}
+
 // Attr returns the attribute metadata for the named column.
 func (t *Table) Attr(name string) (Attribute, bool) {
 	for _, a := range t.Attrs {

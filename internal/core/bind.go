@@ -51,6 +51,22 @@ func (r *Rel) AccessBoxes() []region.Box {
 	return []region.Box{r.Box}
 }
 
+// UnboundAttrs lists the table's bound attributes that no pushed predicate
+// gives a value; a plain market scan of the relation is invalid while any
+// remain.
+func (r *Rel) UnboundAttrs() []string {
+	var out []string
+	for _, a := range r.Table.Attrs {
+		if a.Binding != catalog.Bound {
+			continue
+		}
+		if _, ok := r.Query.Pred(a.Name); !ok {
+			out = append(out, a.Name)
+		}
+	}
+	return out
+}
+
 // InPred is a pushable membership predicate on one attribute.
 type InPred struct {
 	Attr   string
@@ -75,6 +91,15 @@ type Join struct {
 	L, R int
 	// LAttr and RAttr are the joined column names on each side.
 	LAttr, RAttr string
+}
+
+// Toward orients the edge from relation rel: rel's joined attribute, the
+// relation at the other end and that relation's attribute.
+func (j Join) Toward(rel int) (attr string, other int, otherAttr string) {
+	if j.L == rel {
+		return j.LAttr, j.R, j.RAttr
+	}
+	return j.RAttr, j.L, j.LAttr
 }
 
 // BoundQuery is the binder's output: the query with every name resolved.
@@ -274,16 +299,8 @@ func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 func expandInBoxes(r *Rel) error {
 	boxes := []region.Box{r.Box}
 	var kept []InPred
-	qa := r.Table.QueryableAttrs()
 	for _, p := range r.In {
-		dim := -1
-		var attr catalog.Attribute
-		for i, a := range qa {
-			if strings.EqualFold(a.Name, p.Attr) {
-				dim, attr = i, a
-				break
-			}
-		}
+		dim, attr := r.Table.Dim(p.Attr)
 		if dim < 0 {
 			return fmt.Errorf("IN attribute %s is not queryable", p.Attr)
 		}

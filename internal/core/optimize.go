@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 	"time"
 
 	"payless/internal/catalog"
@@ -33,14 +34,17 @@ type Optimizer struct {
 
 // relInfo caches per-relation facts the DP consults repeatedly.
 type relInfo struct {
-	estRows    float64
-	remainder  rewrite.Plan
+	estRows float64
+	// remBoxes, remTrans and remRows total the remainder plans of the
+	// relation's access boxes.
+	remBoxes   int
+	remTrans   int64
+	remRows    float64
 	plainCost  int64
 	plainValid bool
 	zeroPrice  bool
-	// boundAttrs lists bound attributes that still lack a value; a plain
-	// scan is invalid while this is non-empty.
-	boundAttrs []string
+	// unbound is the relation's UnboundAttrs.
+	unbound []string
 }
 
 type optRun struct {
@@ -84,17 +88,7 @@ func (r *optRun) prepRel(i int) {
 	rel := r.b.Rels[i]
 	info := &r.info[i]
 	opts := &r.o.Options
-
-	// Unsatisfied bound attributes.
-	for _, a := range rel.Table.Attrs {
-		if a.Binding != catalog.Bound {
-			continue
-		}
-		if _, ok := rel.Query.Pred(a.Name); !ok {
-			info.boundAttrs = append(info.boundAttrs, a.Name)
-		}
-	}
-
+	info.unbound = rel.UnboundAttrs()
 	if rel.Table.Local {
 		info.zeroPrice = true
 		info.plainValid = true
@@ -110,7 +104,7 @@ func (r *optRun) prepRel(i int) {
 	t := opts.TuplesPer(rel.Table.Dataset)
 
 	if opts.DisableSQR {
-		info.plainValid = len(info.boundAttrs) == 0
+		info.plainValid = len(info.unbound) == 0
 		if info.plainValid {
 			// One call per access box; transactions are billed per call, so
 			// the ceil applies per box.
@@ -131,37 +125,23 @@ func (r *optRun) prepRel(i int) {
 
 	// SemanticRewrite(Ci, V, M) — Algorithm 2, line 4 — applied to each
 	// access box; IN predicates decompose a relation into several boxes.
-	// Coverage prunes the stored boxes to those overlapping each box before
-	// rewriting, and short-circuits when a single stored box contains it.
 	cfg := RewriteConfig(rel.Table, opts)
-	table := rel.Table.Name
 	for _, ab := range boxes {
-		covered, st := r.o.Store.Coverage(table, ab, opts.Since)
-		r.o.Trace.AddStoreLookup(st.Micros, st.Pruned, st.FastPath)
-		if st.FastPath {
-			continue // fully covered: no remainder, nothing enumerated
-		}
-		pl := rewrite.Remainders(ab, covered, cfg, func(b region.Box) float64 {
-			return r.o.Stats.Estimate(table, b)
-		})
-		info.remainder.Boxes = append(info.remainder.Boxes, pl.Boxes...)
-		info.remainder.Transactions += pl.Transactions
-		info.remainder.EstRows += pl.EstRows
-		info.remainder.Stats.Elementary += pl.Stats.Elementary
-		info.remainder.Stats.Enumerated += pl.Stats.Enumerated
-		info.remainder.Stats.Kept += pl.Stats.Kept
+		pl := Remainder(r.o.Store, r.o.Stats, rel.Table.Name, ab, cfg, opts.Since, r.o.Trace)
+		info.remBoxes += len(pl.Boxes)
+		info.remTrans += pl.Transactions
+		info.remRows += pl.EstRows
+		r.counters.BoxesEnumerated += pl.Stats.Enumerated
+		r.counters.BoxesKept += pl.Stats.Kept
 	}
-	r.counters.BoxesEnumerated += info.remainder.Stats.Enumerated
-	r.counters.BoxesKept += info.remainder.Stats.Kept
-
-	fullyCovered := len(info.remainder.Boxes) == 0
-	info.plainValid = len(info.boundAttrs) == 0 || fullyCovered
+	fullyCovered := info.remBoxes == 0
+	info.plainValid = len(info.unbound) == 0 || fullyCovered
 	if !info.plainValid {
 		info.plainCost = invalidCost
 	} else if opts.CostModel == CostCalls {
-		info.plainCost = int64(len(info.remainder.Boxes))
+		info.plainCost = int64(info.remBoxes)
 	} else {
-		info.plainCost = info.remainder.Transactions
+		info.plainCost = info.remTrans
 	}
 	// Theorem 2 / Algorithm 2 line 5: relations whose required tuples are
 	// already in the semantic store become zero-price and join first.
@@ -188,9 +168,23 @@ func (r *optRun) price(rows float64, t int, calls int64) int64 {
 	return rewrite.Price(rows, t)
 }
 
+// Remainder is SemanticRewrite(Ci, V, M) of §4.2 for one access box: the
+// store's coverage of box, then nothing to buy when one stored box contains
+// it (the fast path), else Algorithm 1 over the covered boxes. It is the one
+// routine behind both runs of the rewrite: the optimizer prices its result
+// (Algorithm 2, line 4) and the engine buys it at fetch time. cfg comes
+// from RewriteConfig, built once per relation by the caller.
+func Remainder(store *semstore.Store, est stats.Estimator, table string, box region.Box, cfg rewrite.Config, since time.Time, trace *obs.Trace) rewrite.Plan {
+	covered, st := store.Coverage(table, box, since)
+	trace.AddStoreLookup(st.Micros, st.Pruned, st.FastPath)
+	if st.FastPath {
+		return rewrite.Plan{}
+	}
+	return rewrite.Remainders(box, covered, cfg, func(b region.Box) float64 { return est.Estimate(table, b) })
+}
+
 // RewriteConfig builds the Algorithm 1 configuration for a table under the
-// given options; the optimizer and the execution engine share it so costed
-// and executed remainders agree.
+// given options.
 func RewriteConfig(t *catalog.Table, opts *Options) rewrite.Config {
 	return rewrite.Config{
 		TuplesPerTransaction: opts.TuplesPer(t.Dataset),
@@ -228,35 +222,14 @@ func (r *optRun) distinctBase(relIdx int, attr string) float64 {
 // relation's box (its domain width when unconstrained), or 0 when the
 // attribute is not queryable.
 func (r *optRun) attrWidth(rel *Rel, attr string) float64 {
-	qa := rel.Table.QueryableAttrs()
-	for i, a := range qa {
-		if equalFold(a.Name, attr) {
-			if i < rel.Box.D() {
-				return float64(rel.Box.Dims[i].Width())
-			}
-			return float64(a.DomainWidth())
-		}
+	switch i, a := rel.Table.Dim(attr); {
+	case i < 0:
+		return 0
+	case i < rel.Box.D():
+		return float64(rel.Box.Dims[i].Width())
+	default:
+		return float64(a.DomainWidth())
 	}
-	return 0
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // joinSelectivity estimates the selectivity of applying the given join
@@ -302,8 +275,8 @@ func (r *optRun) bindCost(i int, attr string, nb float64) (int64, bool) {
 	}
 	// Every bound attribute must be satisfied by a predicate or by being
 	// the bind attribute itself.
-	for _, ba := range info.boundAttrs {
-		if !equalFold(ba, attr) {
+	for _, ba := range info.unbound {
+		if !strings.EqualFold(ba, attr) {
 			return invalidCost, false
 		}
 	}
@@ -320,7 +293,7 @@ func (r *optRun) bindCost(i int, attr string, nb float64) (int64, bool) {
 	// Rows still missing from the semantic store.
 	remRows := info.estRows
 	if !r.o.Options.DisableSQR {
-		remRows = info.remainder.EstRows
+		remRows = info.remRows
 	}
 	perBind := remRows / w
 	t := r.o.Options.TuplesPer(rel.Table.Dataset)
@@ -466,14 +439,7 @@ func (r *optRun) accessCandidates(i int, prefixRows float64, edges []int) []acce
 		out = append(out, accessCandidate{kind: MarketScan, bindJoin: -1, cost: info.plainCost})
 	}
 	for _, e := range edges {
-		j := r.b.Joins[e]
-		var myAttr, otherAttr string
-		var other int
-		if j.L == i {
-			myAttr, otherAttr, other = j.LAttr, j.RAttr, j.R
-		} else {
-			myAttr, otherAttr, other = j.RAttr, j.LAttr, j.L
-		}
+		myAttr, other, otherAttr := r.b.Joins[e].Toward(i)
 		nb := math.Min(r.distinctBase(other, otherAttr), math.Max(prefixRows, 1))
 		cost, ok := r.bindCost(i, myAttr, nb)
 		if !ok {

@@ -30,7 +30,6 @@ import (
 	"container/list"
 	"sync"
 
-	"payless/internal/catalog"
 	"payless/internal/obs"
 	"payless/internal/semstore"
 )
@@ -107,7 +106,7 @@ func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Op
 		case MarketScan:
 			// A plain scan is invalid while a bound attribute lacks a value —
 			// unless the store covers the boxes so no call is ever issued.
-			if unsatisfiedBound(rel) && len(rel.AccessBoxes()) > 0 && !covered(rel) {
+			if len(rel.UnboundAttrs()) > 0 && len(rel.AccessBoxes()) > 0 && !covered(rel) {
 				return nil, false
 			}
 		case MarketBind:
@@ -124,20 +123,6 @@ func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Op
 	p := *cp.plan
 	p.Bound = b
 	return &p, true
-}
-
-// unsatisfiedBound reports whether the relation has a bound attribute with
-// no predicate supplying its value (re-derived exactly as prepRel does).
-func unsatisfiedBound(rel *Rel) bool {
-	for _, a := range rel.Table.Attrs {
-		if a.Binding != catalog.Bound {
-			continue
-		}
-		if _, ok := rel.Query.Pred(a.Name); !ok {
-			return true
-		}
-	}
-	return false
 }
 
 // PlanCache is a bounded LRU of optimized plans keyed by normalized shape.

@@ -6,7 +6,8 @@
 //
 // A plan names access paths, not boxes: every market access goes through
 // one routine, buy, which plans the remainder of its call boxes against the
-// live store (§4.2 applied at execution) — the access boxes of a scan, the
+// live store (§4.2 applied at execution) with core.Remainder, the routine
+// the optimizer priced them with — the access boxes of a scan, the
 // coalesced binding groups of a bind join. Those calls fan out to a bounded
 // worker pool (see parallel.go). Each batch is planned up front against a
 // snapshot of the store and statistics and merged back in plan order, so
@@ -272,7 +273,7 @@ func (e *Engine) storedRows(meta *catalog.Table, boxes []region.Box) (storage.Re
 // the paper's baseline buys call by call.
 func (e *Engine) buy(ctx context.Context, meta *catalog.Table, calls, reads []region.Box, report *Report) (storage.Relation, error) {
 	if e.Options.DisableSQR {
-		specs, err := specsForBoxes(meta, reads)
+		specs, err := specsForBoxes(meta, reads, false)
 		if err != nil {
 			return storage.Relation{}, err
 		}
@@ -290,13 +291,14 @@ func (e *Engine) buy(ctx context.Context, meta *catalog.Table, calls, reads []re
 	// separate intervals; binding groups are distinct on the bind dimension),
 	// so their remainder plans cannot overlap and one coverage snapshot
 	// serves them all.
-	var specs []callSpec
+	cfg := core.RewriteConfig(meta, &e.Options)
+	var rem []region.Box
 	for _, cb := range calls {
-		s, err := e.planRemainder(meta, cb)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		specs = append(specs, s...)
+		rem = append(rem, core.Remainder(e.Store, e.Stats, meta.Name, cb, cfg, e.Options.Since, e.Trace).Boxes...)
+	}
+	specs, err := specsForBoxes(meta, rem, true)
+	if err != nil {
+		return storage.Relation{}, err
 	}
 	results, err := e.runBatch(ctx, specs, report)
 	if err != nil {
@@ -318,25 +320,14 @@ func (e *Engine) bindScan(ctx context.Context, rel *core.Rel, step core.Step, pr
 	if step.BindJoin < 0 || step.BindJoin >= len(b.Joins) {
 		return storage.Relation{}, fmt.Errorf("bind join index out of range")
 	}
-	j := b.Joins[step.BindJoin]
-	var myAttr, otherAttr string
-	var other int
-	if j.L == step.Rel {
-		myAttr, otherAttr, other = j.LAttr, j.RAttr, j.R
-	} else {
-		myAttr, otherAttr, other = j.RAttr, j.LAttr, j.L
-	}
+	myAttr, other, otherAttr := b.Joins[step.BindJoin].Toward(step.Rel)
 	srcCol := prefixColumn(prefix.Schema, b.Rels[other].Alias(), otherAttr)
 	if srcCol < 0 {
 		return storage.Relation{}, fmt.Errorf("binding column %s.%s not in prefix", b.Rels[other].Alias(), otherAttr)
 	}
 	bindings := prefix.DistinctValues(srcCol)
 
-	attr, ok := rel.Table.Attr(myAttr)
-	if !ok {
-		return storage.Relation{}, fmt.Errorf("table %s has no attribute %s", rel.Table.Name, myAttr)
-	}
-	dim := bindDim(rel.Table, myAttr)
+	dim, attr := rel.Table.Dim(myAttr)
 	if dim < 0 {
 		return storage.Relation{}, fmt.Errorf("attribute %s.%s is not queryable", rel.Table.Name, myAttr)
 	}
@@ -474,16 +465,6 @@ func normalizeBinding(a catalog.Attribute, v value.Value) value.Value {
 	return v
 }
 
-// bindDim returns the box-dimension index of the named attribute.
-func bindDim(t *catalog.Table, attr string) int {
-	for i, a := range t.QueryableAttrs() {
-		if strings.EqualFold(a.Name, attr) {
-			return i
-		}
-	}
-	return -1
-}
-
 func (e *Engine) account(report *Report, res market.Result) {
 	report.Calls++
 	report.Records += int64(res.Records)
@@ -566,18 +547,9 @@ func prefixColumn(schema value.Schema, alias, attr string) int {
 // the prefix schema and the newly fetched relation's schema.
 func joinColumns(b *core.BoundQuery, step core.Step, prefixSchema, newSchema value.Schema) (lc, rc []int, err error) {
 	for _, eIdx := range step.Joins {
-		j := b.Joins[eIdx]
-		var prefixRel, newRel int
-		var prefixAttr, newAttr string
-		if j.L == step.Rel {
-			newRel, newAttr = j.L, j.LAttr
-			prefixRel, prefixAttr = j.R, j.RAttr
-		} else {
-			newRel, newAttr = j.R, j.RAttr
-			prefixRel, prefixAttr = j.L, j.LAttr
-		}
+		newAttr, prefixRel, prefixAttr := b.Joins[eIdx].Toward(step.Rel)
 		pc := prefixColumn(prefixSchema, b.Rels[prefixRel].Alias(), prefixAttr)
-		nc := prefixColumn(newSchema, b.Rels[newRel].Alias(), newAttr)
+		nc := prefixColumn(newSchema, b.Rels[step.Rel].Alias(), newAttr)
 		if pc < 0 || nc < 0 {
 			return nil, nil, fmt.Errorf("join columns not found for edge %d", eIdx)
 		}

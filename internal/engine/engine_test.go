@@ -2,7 +2,7 @@ package engine
 
 import (
 	"context"
-
+	"strings"
 	"testing"
 
 	"payless/internal/catalog"
@@ -240,6 +240,52 @@ func TestStatsFeedbackImprovesEstimates(t *testing.T) {
 	after := f.st.Estimate("R", mustBox(t, f, "R", 1, 10))
 	if after != 40 {
 		t.Errorf("after feedback the estimate must be exact: %v (before %v)", after, before)
+	}
+}
+
+// TestScanBuysThePricedRemainder: for a partially covered access, the
+// remainder boxes the optimizer priced are the boxes the engine issues.
+func TestScanBuysThePricedRemainder(t *testing.T) {
+	f := newFixture(t)
+	f.run(t, "SELECT * FROM R WHERE a >= 10 AND a <= 20", core.Options{})
+	q, err := sqlparse.Parse("SELECT * FROM R WHERE a >= 5 AND a <= 30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.Bind(q, f.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts core.Options
+	o := core.Optimizer{Catalog: f.cat, Store: f.store, Stats: f.st, Options: opts}
+	plan, err := o.Optimize(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := b.Rels[0]
+	priced := core.Remainder(f.store, f.st, "R", rel.Box, core.RewriteConfig(rel.Table, &opts), opts.Since, nil)
+	if len(priced.Boxes) == 0 || plan.Steps[0].Kind != core.MarketScan || plan.Steps[0].EstTrans != priced.Transactions {
+		t.Fatalf("plan %+v does not price the remainder %+v", plan.Steps[0], priced)
+	}
+	var issued []string
+	caller := market.CallerFunc(func(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
+		issued = append(issued, q.String())
+		return market.AccountCaller{Market: f.m, Key: "k"}.Call(ctx, q)
+	})
+	e := Engine{Store: f.store, Stats: f.st, Sched: sched.New(caller, sched.Config{}), Options: opts}
+	if _, _, err := e.ExecuteContext(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, rb := range priced.Boxes {
+		q, err := catalog.QueryForBox(rel.Table, rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, q.String())
+	}
+	if strings.Join(issued, "; ") != strings.Join(want, "; ") {
+		t.Errorf("issued %v, priced %v", issued, want)
 	}
 }
 

@@ -8,12 +8,10 @@ import (
 	"time"
 
 	"payless/internal/catalog"
-	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/obs"
 	"payless/internal/overload"
 	"payless/internal/region"
-	"payless/internal/rewrite"
 	"payless/internal/sched"
 )
 
@@ -45,37 +43,15 @@ func (sp callSpec) partQueries() []catalog.AccessQuery {
 	return qs
 }
 
-// specsForBoxes builds plain (non-recording) call specs for a set of boxes.
-func specsForBoxes(meta *catalog.Table, boxes []region.Box) ([]callSpec, error) {
+// specsForBoxes builds one call spec per box; record marks the SQR path.
+func specsForBoxes(meta *catalog.Table, boxes []region.Box, record bool) ([]callSpec, error) {
 	specs := make([]callSpec, 0, len(boxes))
 	for _, b := range boxes {
 		q, err := catalog.QueryForBox(meta, b)
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, callSpec{meta: meta, box: b, q: q})
-	}
-	return specs, nil
-}
-
-// planRemainder computes the remainder calls needed to make box fully
-// covered, against the store's current coverage snapshot. It issues no
-// calls itself.
-func (e *Engine) planRemainder(meta *catalog.Table, box region.Box) ([]callSpec, error) {
-	covered, st := e.Store.Coverage(meta.Name, box, e.Options.Since)
-	e.Trace.AddStoreLookup(st.Micros, st.Pruned, st.FastPath)
-	if st.FastPath {
-		return nil, nil // a single stored box contains the access: nothing to buy
-	}
-	cfg := core.RewriteConfig(meta, &e.Options)
-	plan := rewrite.Remainders(box, covered, cfg, func(b region.Box) float64 { return e.Stats.Estimate(meta.Name, b) })
-	specs := make([]callSpec, 0, len(plan.Boxes))
-	for _, rb := range plan.Boxes {
-		q, err := catalog.QueryForBox(meta, rb)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, callSpec{meta: meta, box: rb, q: q, record: true})
+		specs = append(specs, callSpec{meta: meta, box: b, q: q, record: record})
 	}
 	return specs, nil
 }

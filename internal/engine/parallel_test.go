@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/obs"
 	"payless/internal/region"
@@ -188,13 +189,14 @@ func TestRemainderBatchFusesTouchingPieces(t *testing.T) {
 		return b
 	}
 	pieces := []region.Box{aRange(1, 3), aRange(4, 6)}
-	var specs []callSpec
+	cfg := core.RewriteConfig(meta, &e.Options)
+	var rem []region.Box
 	for _, b := range pieces {
-		s, err := e.planRemainder(meta, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs = append(specs, s...)
+		rem = append(rem, core.Remainder(f.store, f.st, "R", b, cfg, time.Time{}, nil).Boxes...)
+	}
+	specs, err := specsForBoxes(meta, rem, true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(specs) != 2 {
 		t.Fatalf("planned %d remainder calls, want 2", len(specs))

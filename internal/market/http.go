@@ -46,22 +46,6 @@ type WireError struct {
 
 func kindName(k value.Kind) string { return k.String() }
 
-// KindOf parses a wire type name back into a value kind.
-func KindOf(s string) (value.Kind, error) {
-	switch s {
-	case "null":
-		return value.Null, nil
-	case "int":
-		return value.Int, nil
-	case "float":
-		return value.Float, nil
-	case "string":
-		return value.String, nil
-	default:
-		return 0, fmt.Errorf("unknown type %q", s)
-	}
-}
-
 func bindingName(b catalog.BindingClass) string { return b.String() }
 
 // BindingOf parses a wire binding tag.
@@ -133,7 +117,7 @@ func TableOfWire(wt WireTable) (*catalog.Table, error) {
 		PricePerTransaction: wt.PricePerTransaction,
 	}
 	for _, wc := range wt.Columns {
-		k, err := KindOf(wc.Type)
+		k, err := value.ParseKind(wc.Type)
 		if err != nil {
 			return nil, err
 		}

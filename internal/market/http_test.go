@@ -167,8 +167,8 @@ func TestWireRoundTrips(t *testing.T) {
 }
 
 func TestWireDecodeErrors(t *testing.T) {
-	if _, err := KindOf("banana"); err == nil {
-		t.Error("KindOf invalid")
+	if _, err := value.ParseKind("banana"); err == nil {
+		t.Error("ParseKind invalid")
 	}
 	if _, err := BindingOf("z"); err == nil {
 		t.Error("BindingOf invalid")

@@ -341,7 +341,7 @@ func (d *wireDecoder) schema() (value.Schema, []value.Kind) {
 				col[field] = d.str()
 			}
 		})
-		k, err := KindOf(col[1])
+		k, err := value.ParseKind(col[1])
 		if err != nil {
 			d.fail("column %q: %v", col[0], err)
 		}

@@ -33,7 +33,7 @@ func refResultOfWire(wr refWireResult) (Result, error) {
 	r := Result{Records: wr.Records, Transactions: wr.Transactions, Price: wr.Price}
 	kinds := make([]value.Kind, len(wr.Schema))
 	for i, wc := range wr.Schema {
-		k, err := KindOf(wc.Type)
+		k, err := value.ParseKind(wc.Type)
 		if err != nil {
 			return Result{}, err
 		}

@@ -46,7 +46,6 @@ type persistTable struct {
 type persistEntry struct {
 	Dims [][2]int64 `json:"dims"`
 	At   time.Time  `json:"at"`
-	Rows int64      `json:"rows"`
 }
 
 // persistVersion is the on-disk format, the only one Load reads.
@@ -82,7 +81,7 @@ func saveSnap(w io.Writer, snap *storeSnap, records int64) error {
 			if e.dead {
 				continue
 			}
-			pe := persistEntry{At: e.at, Rows: e.rows}
+			pe := persistEntry{At: e.at}
 			for _, iv := range e.box.Dims {
 				pe.Dims = append(pe.Dims, [2]int64{iv.Lo, iv.Hi})
 			}
@@ -145,7 +144,7 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 		}
 		kinds := make([]value.Kind, len(pt.Kinds))
 		for i, k := range pt.Kinds {
-			kind, err := kindOf(k)
+			kind, err := value.ParseKind(k)
 			if err != nil {
 				return nil, fmt.Errorf("semstore: table %s: %w", pt.Table, err)
 			}
@@ -245,7 +244,7 @@ func (s *Store) apply(st *stagedSnapshot) {
 			if b.Empty() {
 				continue
 			}
-			ts.insertEntry(b, pe.At, pe.Rows)
+			ts.insertEntry(b, pe.At)
 			ts.maybeRebuild()
 		}
 		ts.addRows(t.rows, t.coords)
@@ -292,19 +291,4 @@ func (s *Store) Load(r io.Reader, lookup func(table string) (*catalog.Table, boo
 		return fmt.Errorf("semstore: snapshot loaded in memory, not checkpointed: %w", err)
 	}
 	return nil
-}
-
-func kindOf(s string) (value.Kind, error) {
-	switch s {
-	case "null":
-		return value.Null, nil
-	case "int":
-		return value.Int, nil
-	case "float":
-		return value.Float, nil
-	case "string":
-		return value.String, nil
-	default:
-		return 0, fmt.Errorf("unknown kind %q", s)
-	}
 }

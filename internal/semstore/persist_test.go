@@ -268,6 +268,8 @@ func TestSaveLoadRoundTripAllKinds(t *testing.T) {
 func TestLoadRejectsPreVersion3Files(t *testing.T) {
 	meta := gridMeta(1000)
 	// Two adjacent boxes (mergeable) plus one contained duplicate, with rows.
+	// The entries carry the per-entry "rows" count snapshots used to write;
+	// Load ignores it, so those snapshots still load.
 	body := `"tables":[{"table":"Grid","kinds":["int","int","float"],` +
 		`"entries":[` +
 		`{"dims":[[0,10],[0,10]],"at":"2024-01-01T00:00:00Z","rows":1},` +

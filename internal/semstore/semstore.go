@@ -20,7 +20,7 @@
 //   - Lookups are indexed: per-table per-dimension edge indexes prune the
 //     stored boxes to those overlapping the query before any subtraction,
 //     with a fast path when a single stored box contains the query outright.
-//   - RowsIn/CountIn use per-dimension sorted coordinate indexes instead of
+//   - RowsIn uses per-dimension sorted coordinate indexes instead of
 //     scanning every materialised row; the indexes are log-structured, so a
 //     Record costs what it adds, not what the table already holds.
 //
@@ -64,9 +64,6 @@ const (
 type entry struct {
 	box region.Box
 	at  time.Time
-	// rows is the exact number of market rows inside box at fetch time;
-	// it gives the optimizer exact (not estimated) prices for covered space.
-	rows int64
 	// dead marks an entry absorbed or merged away by compaction. Tombstones
 	// keep entry ids stable between index rebuilds.
 	dead bool
@@ -250,9 +247,10 @@ type storeSnap struct {
 }
 
 // Store is the semantic store. It is safe for concurrent use: reads
-// (Coverage, Remainder, RowsIn, CountIn, Boxes, Stats, Save) are lock-free
-// snapshot reads that scale with cores, writes (Record, Load) serialise on a
-// writer mutex and publish copy-on-write snapshots.
+// (Coverage, Remainder, Covered, RowsIn, Boxes, Save and the entry, epoch
+// and row counts) are lock-free snapshot reads that scale with cores,
+// writes (Record, Load) serialise on a writer mutex and publish
+// copy-on-write snapshots.
 type Store struct {
 	db      *storage.DB
 	metrics *obs.Metrics
@@ -387,9 +385,9 @@ type RecordResult struct {
 // Compacted is the total number of stored entries the call removed.
 func (r RecordResult) Compacted() int { return r.Absorbed + r.Merged }
 
-// Record stores the outcome of an executed call: its box, its exact row
-// count, and the rows themselves (copied and deduplicated; the caller keeps
-// ownership of rows).
+// Record stores the outcome of an executed call: its box as coverage, and
+// the rows themselves (copied and deduplicated; the caller keeps ownership
+// of rows).
 //
 // Record is atomic with respect to the coverage index: every row's
 // coordinates are validated up front, and only when all of them resolve are
@@ -436,7 +434,7 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 	ts.epoch++
 	res.Added = ts.addRows(rows, coords)
 	if !b.Empty() {
-		res.Dropped, res.Absorbed, res.Merged = ts.insertEntry(b.Clone(), at, int64(len(rows)))
+		res.Dropped, res.Absorbed, res.Merged = ts.insertEntry(b.Clone(), at)
 		ts.maybeRebuild()
 		if m := s.metrics; m != nil {
 			m.ObserveStoreCompaction(res.Dropped, res.Absorbed, res.Merged)
@@ -484,11 +482,11 @@ func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
 
 // insertEntry adds a coverage box, compacting as it goes. Caller holds the
 // write lock and passes an owned (cloned) box.
-func (ts *tableStore) insertEntry(b region.Box, at time.Time, rows int64) (dropped bool, absorbed, merged int) {
+func (ts *tableStore) insertEntry(b region.Box, at time.Time) (dropped bool, absorbed, merged int) {
 	if b.D() != len(ts.dims) {
 		// Mismatched dimensionality: store un-indexed, skip compaction.
 		id := len(ts.entries)
-		ts.entries = append(ts.entries, entry{box: b, at: at, rows: rows})
+		ts.entries = append(ts.entries, entry{box: b, at: at})
 		ts.alive++
 		ts.misc = append(ts.misc, id)
 		return false, 0, 0
@@ -510,7 +508,7 @@ func (ts *tableStore) insertEntry(b region.Box, at time.Time, rows int64) (dropp
 			absorbed++
 		}
 	}
-	cur := ts.addEntry(b, at, rows)
+	cur := ts.addEntry(b, at)
 	// Merge cascade: fuse with axis-adjacent boxes (equal on all dimensions
 	// but one, touching on that one) until no neighbour fits. The merged
 	// entry keeps the older timestamp — freshness is only ever understated.
@@ -538,7 +536,7 @@ func (ts *tableStore) insertEntry(b region.Box, at time.Time, rows int64) (dropp
 		}
 		ts.tombstone(cur)
 		ts.tombstone(found)
-		cur = ts.addEntry(mergedBox, mergedAt, e.rows+o.rows)
+		cur = ts.addEntry(mergedBox, mergedAt)
 		merged++
 	}
 }
@@ -588,9 +586,9 @@ func expand(b region.Box) region.Box {
 }
 
 // addEntry appends a live entry and indexes it. Caller holds the write lock.
-func (ts *tableStore) addEntry(b region.Box, at time.Time, rows int64) int {
+func (ts *tableStore) addEntry(b region.Box, at time.Time) int {
 	id := len(ts.entries)
-	ts.entries = append(ts.entries, entry{box: b, at: at, rows: rows})
+	ts.entries = append(ts.entries, entry{box: b, at: at})
 	ts.alive++
 	for d := range ts.dims {
 		di := &ts.dims[d]
@@ -1061,36 +1059,6 @@ func (s *Store) RowsIn(meta *catalog.Table, q region.Box) (storage.Relation, err
 		out.Rows = ts.rowsIn(q)
 	}
 	return out, nil
-}
-
-// CountIn returns the number of materialised rows inside box q. When q is
-// fully covered by stored boxes this is the exact market-side count.
-func (s *Store) CountIn(meta *catalog.Table, q region.Box) (int64, error) {
-	ts := s.table(meta.Name)
-	if ts == nil {
-		return 0, nil
-	}
-	if q.D() != len(ts.rowIdx) {
-		return 0, nil
-	}
-	var buf [8]int
-	dims := ts.restricted(q, buf[:0])
-	if len(dims) == 0 {
-		return int64(len(ts.rows)), nil
-	}
-	dim, cand, check := ts.narrowest(q, dims)
-	if len(check) == 0 {
-		return int64(cand), nil
-	}
-	var n int64
-	for _, run := range ts.rowIdx[dim] {
-		for _, e := range run.span(q.Dims[dim]) {
-			if ts.matches(e.id, q, check) {
-				n++
-			}
-		}
-	}
-	return n, nil
 }
 
 // StoredRowCount returns the total number of materialised rows for a table.

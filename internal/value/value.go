@@ -45,6 +45,16 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind is the inverse of Kind.String for the four kinds.
+func ParseKind(s string) (Kind, error) {
+	for _, k := range []Kind{Null, Int, Float, String} {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown kind %q", s)
+}
+
 // Value is a dynamically typed scalar. The zero Value is Null.
 //
 // The payload x holds an Int's int64 bits, a Float's float64 bits or a

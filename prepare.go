@@ -129,11 +129,12 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Result, error) {
 	return s.client.queryCached(ctx, sql, s.cache)
 }
 
-// Explain optimises the instantiated statement without executing it.
+// Explain optimises the instantiated statement without executing it,
+// through the plan cache Query uses.
 func (s *Stmt) Explain(args ...any) (*Result, error) {
 	sql, err := s.render(args)
 	if err != nil {
 		return nil, err
 	}
-	return s.client.Explain(sql)
+	return s.client.explain(context.Background(), sql, s.cache)
 }

@@ -149,3 +149,28 @@ func TestStmtPlansOncePerTemplate(t *testing.T) {
 		t.Errorf("%d optimize spans across 10 executions, want exactly 1", optimizeSpans)
 	}
 }
+
+// TestStmtExplainUsesStatementCache: on a client without a client-wide plan
+// cache, Explain reports the plan Query runs — the statement's own cache's.
+func TestStmtExplainUsesStatementCache(t *testing.T) {
+	client, _, _ := testSetup(t, nil)
+	stmt, err := client.Prepare("SELECT COUNT(*) FROM Pollution WHERE Rank >= ? AND Rank <= ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var planners []string
+	for i := 0; i < 3; i++ {
+		res, err := stmt.Query(1, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planners = append(planners, res.Planner)
+	}
+	ex, err := stmt.Explain(1, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planners[2] != PlannerCached || ex.Planner != planners[2] {
+		t.Errorf("Query planners %v, Explain planner %q", planners, ex.Planner)
+	}
+}
