@@ -10,6 +10,7 @@ import (
 
 	"payless/internal/catalog"
 	"payless/internal/connector"
+	"payless/internal/engine"
 	"payless/internal/market"
 	"payless/internal/storage"
 	"payless/internal/value"
@@ -185,4 +186,48 @@ func TestBatchErrorCarriesIndex(t *testing.T) {
 	if !strings.HasPrefix(err.Error(), "payless: batch statement 1: parse: ") {
 		t.Errorf("message %q", err.Error())
 	}
+}
+
+// TestInvalidStatementBillsNothing: a statement with a column reference that
+// cannot answer — unknown, ambiguous, or not in the output — fails at bind,
+// through Query, Explain and QueryBatch, before anything is bought.
+func TestInvalidStatementBillsNothing(t *testing.T) {
+	_, _, w := testSetup(t, nil)
+	where := fmt.Sprintf(" WHERE Weather.Country = 'United States' AND Date >= %d AND Date <= %d", w.Dates[0], w.Dates[3])
+	join := " FROM Station, Weather" + where + " AND Station.StationID = Weather.StationID"
+	noSpend := func(t *testing.T, client *Client, m *market.Market) {
+		t.Helper()
+		if meter, _ := m.MeterOf("acct"); meter != (market.Meter{}) {
+			t.Errorf("market meter %+v, want nothing billed", meter)
+		}
+		if spent := client.TotalSpend(); spent != (engine.Report{}) {
+			t.Errorf("TotalSpend %+v, want 0", spent)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT NoSuchCol FROM Weather" + where,
+		"SELECT COUNT(*) FROM Weather" + where + " GROUP BY NoSuchCol",
+		"SELECT SUM(NoSuchCol) FROM Weather" + where,
+		"SELECT X.Temperature FROM Weather W" + strings.ReplaceAll(where, "Weather.", "W."),
+		"SELECT Country" + join,
+		"SELECT City" + join + " ORDER BY Temperature",
+		"SELECT City" + join + " HAVING City > 'A'",
+		"SELECT City, COUNT(*)" + join + " GROUP BY City HAVING NoSuchCol > 1",
+	} {
+		client, m, _ := testSetup(t, nil)
+		if _, err := client.Query(sql); !errors.Is(err, ErrBind) {
+			t.Errorf("Query(%q) = %v, want ErrBind", sql, err)
+		}
+		if _, err := client.Explain(sql); !errors.Is(err, ErrBind) {
+			t.Errorf("Explain(%q) = %v, want ErrBind", sql, err)
+		}
+		noSpend(t, client, m)
+	}
+	client, m, _ := testSetup(t, nil)
+	_, err := client.QueryBatch([]string{"SELECT AVG(Temperature) FROM Weather" + where, "SELECT NoSuchCol FROM Weather" + where})
+	var be *BatchError
+	if !errors.As(err, &be) || be.Index != 1 || !errors.Is(err, ErrBind) {
+		t.Errorf("QueryBatch = %v, want a bind error at statement 1", err)
+	}
+	noSpend(t, client, m)
 }

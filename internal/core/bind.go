@@ -110,72 +110,104 @@ type BoundQuery struct {
 	// CrossResidual holds column-to-column conditions that are not simple
 	// equi-joins; they are applied after joining.
 	CrossResidual []sqlparse.Condition
+	// Cols maps every column reference read after the scans — join edges,
+	// cross residuals, the SELECT list with aggregate arguments, GROUP BY —
+	// to its joined-schema name, "alias.Column".
+	Cols map[sqlparse.ColRef]string
+	// Star lists every joined-schema name in FROM order when a plain
+	// SELECT list has a *; nil otherwise.
+	Star []string
+	// Output names the result's columns, in order.
+	Output []string
+	// OrderIdx and HavingIdx give the Output position each ORDER BY item
+	// and each HAVING conjunct reads.
+	OrderIdx, HavingIdx []int
 }
 
 // RelIndex returns the index of the relation the (possibly unqualified)
-// column reference resolves to, and the attribute name.
-func (b *BoundQuery) RelIndex(ref sqlparse.ColRef) (int, string, error) {
+// column reference resolves to, and the column's index in its schema.
+func (b *BoundQuery) RelIndex(ref sqlparse.ColRef) (rel, col int, err error) {
 	if ref.Table != "" {
 		for i, r := range b.Rels {
 			if strings.EqualFold(r.Alias(), ref.Table) {
-				if r.Table.Schema.IndexOf(ref.Column) < 0 {
-					return 0, "", fmt.Errorf("table %s has no column %s", r.Alias(), ref.Column)
+				c := r.Table.Schema.IndexOf(ref.Column)
+				if c < 0 {
+					return 0, 0, fmt.Errorf("table %s has no column %s", r.Alias(), ref.Column)
 				}
-				return i, ref.Column, nil
+				return i, c, nil
 			}
 		}
-		return 0, "", fmt.Errorf("unknown table %s", ref.Table)
+		return 0, 0, fmt.Errorf("unknown table %s", ref.Table)
 	}
-	found := -1
+	rel, col = -1, -1
 	for i, r := range b.Rels {
-		if r.Table.Schema.IndexOf(ref.Column) >= 0 {
-			if found >= 0 {
-				return 0, "", fmt.Errorf("ambiguous column %s", ref.Column)
+		if c := r.Table.Schema.IndexOf(ref.Column); c >= 0 {
+			if rel >= 0 {
+				return 0, 0, fmt.Errorf("ambiguous column %s", ref.Column)
 			}
-			found = i
+			rel, col = i, c
 		}
 	}
-	if found < 0 {
-		return 0, "", fmt.Errorf("unknown column %s", ref.Column)
+	if rel < 0 {
+		return 0, 0, fmt.Errorf("unknown column %s", ref.Column)
 	}
-	return found, ref.Column, nil
+	return rel, col, nil
+}
+
+// read resolves a reference evaluated after the scans and records its
+// joined-schema name in Cols.
+func (b *BoundQuery) read(ref sqlparse.ColRef) (int, error) {
+	rel, col, err := b.RelIndex(ref)
+	if err != nil {
+		return 0, err
+	}
+	if _, ok := b.Cols[ref]; !ok {
+		r := b.Rels[rel]
+		b.Cols[ref] = r.Alias() + "." + r.Table.Schema[col].Name
+	}
+	return rel, nil
 }
 
 // Bind resolves a parsed query against the catalog: tables, join edges,
-// pushable constant predicates and residual conditions.
+// pushable constant predicates and residual conditions, then every column
+// the local operators read and the output they produce. A statement with an
+// unknown or ambiguous reference fails here, before it is planned or spends.
 func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("query has no FROM clause")
 	}
-	b := &BoundQuery{Query: q}
-	seen := make(map[string]bool)
+	b := &BoundQuery{Query: q, Cols: make(map[sqlparse.ColRef]string)}
 	for _, ref := range q.From {
 		t, ok := cat.Lookup(ref.Name)
 		if !ok {
 			return nil, fmt.Errorf("unknown table %s", ref.Name)
 		}
 		r := &Rel{Ref: ref, Table: t, Query: catalog.AccessQuery{Dataset: t.Dataset, Table: t.Name}}
-		alias := strings.ToLower(r.Alias())
-		if seen[alias] {
-			return nil, fmt.Errorf("duplicate table alias %s", r.Alias())
+		for _, o := range b.Rels {
+			if strings.EqualFold(o.Alias(), r.Alias()) {
+				return nil, fmt.Errorf("duplicate table alias %s", r.Alias())
+			}
 		}
-		seen[alias] = true
 		b.Rels = append(b.Rels, r)
 	}
-	// Range accumulation per (relation, attribute).
-	type rangeKey struct {
-		rel  int
-		attr string
+	// Range accumulation per (relation, attribute), kept in the order the
+	// attribute's first constant non-IN condition appears in WHERE: that is
+	// the order the ranges join the access query's predicates.
+	type rangeAcc struct {
+		rel    int
+		attr   string
+		ranged bool
+		p      catalog.Pred
 	}
-	ranges := make(map[rangeKey]*catalog.Pred)
+	var ranges []rangeAcc
 
 	for _, cond := range q.Where {
 		if cond.IsJoin() {
-			li, lattr, err := b.RelIndex(cond.Left)
+			li, err := b.read(cond.Left)
 			if err != nil {
 				return nil, err
 			}
-			ri, rattr, err := b.RelIndex(*cond.RightCol)
+			ri, err := b.read(*cond.RightCol)
 			if err != nil {
 				return nil, err
 			}
@@ -183,6 +215,7 @@ func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 				b.CrossResidual = append(b.CrossResidual, cond)
 				continue
 			}
+			lattr, rattr := cond.Left.Column, cond.RightCol.Column
 			if li > ri {
 				li, ri = ri, li
 				lattr, rattr = rattr, lattr
@@ -190,12 +223,12 @@ func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 			b.Joins = append(b.Joins, Join{L: li, R: ri, LAttr: lattr, RAttr: rattr})
 			continue
 		}
-		ri, attr, err := b.RelIndex(cond.Left)
+		ri, _, err := b.RelIndex(cond.Left)
 		if err != nil {
 			return nil, err
 		}
 		rel := b.Rels[ri]
-		a, _ := rel.Table.Attr(attr)
+		a, _ := rel.Table.Attr(cond.Left.Column)
 		if cond.IsIn() {
 			if pushableIn(a, cond) {
 				rel.In = append(rel.In, InPred{Attr: a.Name, Values: dedupValues(cond.InVals)})
@@ -203,6 +236,17 @@ func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 				rel.Residual = append(rel.Residual, cond)
 			}
 			continue
+		}
+		acc := -1
+		for i := range ranges {
+			if ranges[i].rel == ri && strings.EqualFold(ranges[i].attr, cond.Left.Column) {
+				acc = i
+				break
+			}
+		}
+		if acc < 0 {
+			acc = len(ranges)
+			ranges = append(ranges, rangeAcc{rel: ri, attr: cond.Left.Column})
 		}
 		if !pushable(a, cond) {
 			rel.Residual = append(rel.Residual, cond)
@@ -213,52 +257,28 @@ func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 			rel.Query.Preds = append(rel.Query.Preds, catalog.Pred{Attr: a.Name, Eq: &v})
 			continue
 		}
-		key := rangeKey{ri, strings.ToLower(a.Name)}
-		p := ranges[key]
-		if p == nil {
-			p = &catalog.Pred{Attr: a.Name}
-			ranges[key] = p
+		r := &ranges[acc]
+		if !r.ranged {
+			r.ranged, r.p = true, catalog.Pred{Attr: a.Name}
 		}
 		v := cond.RightVal.AsInt()
 		switch cond.Op {
 		case sqlparse.OpGe:
-			setLo(p, v)
+			setLo(&r.p, v)
 		case sqlparse.OpGt:
-			setLo(p, v+1)
+			setLo(&r.p, v+1)
 		case sqlparse.OpLe:
-			setHi(p, v)
+			setHi(&r.p, v)
 		case sqlparse.OpLt:
-			setHi(p, v-1)
+			setHi(&r.p, v-1)
 		}
 	}
-	// Attach accumulated ranges in deterministic order (by WHERE appearance
-	// via re-walk of conditions).
-	attached := make(map[rangeKey]bool)
-	for _, cond := range q.Where {
-		if cond.IsJoin() || cond.RightVal == nil || cond.IsIn() {
-			continue
+	for _, r := range ranges {
+		if r.ranged {
+			b.Rels[r.rel].Query.Preds = append(b.Rels[r.rel].Query.Preds, r.p)
 		}
-		ri, attr, err := b.RelIndex(cond.Left)
-		if err != nil {
-			return nil, err
-		}
-		key := rangeKey{ri, strings.ToLower(attr)}
-		p, ok := ranges[key]
-		if !ok || attached[key] {
-			continue
-		}
-		attached[key] = true
-		b.Rels[ri].Query.Preds = append(b.Rels[ri].Query.Preds, *p)
 	}
-	// Validate and compute boxes.
 	for _, r := range b.Rels {
-		if err := catalog.ValidateBinding(r.Table, r.Query); err != nil {
-			// Bound attributes may be satisfiable only through a bind join;
-			// box computation still needs a best-effort box over the free
-			// predicates, so drop the validation error here — the market
-			// itself re-validates every real call.
-			_ = err
-		}
 		// Equality predicates on values outside the attribute's domain can
 		// never match; the relation contributes no rows and no calls.
 		emptyMatch := false
@@ -289,7 +309,120 @@ func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 			return nil, fmt.Errorf("table %s: %w", r.Alias(), err)
 		}
 	}
+	if err := b.bindOutput(); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// bindOutput resolves the SELECT list and GROUP BY, names the output
+// columns, and points every ORDER BY item and HAVING conjunct at one.
+// Group columns are named by their query text and aggregates by their alias
+// or SELECT text; an aggregate query drops plain items that are not
+// grouped. A plain item is named by its alias or joined-schema name, and
+// SELECT * lists every column in FROM order.
+func (b *BoundQuery) bindOutput() error {
+	q := b.Query
+	agg := q.HasAggregates()
+	if !agg && len(q.Having) > 0 {
+		return fmt.Errorf("HAVING requires aggregation")
+	}
+	b.Output = make([]string, 0, len(q.GroupBy)+len(q.Select))
+	for _, g := range q.GroupBy {
+		if _, err := b.read(g); err != nil {
+			return err
+		}
+		if agg {
+			b.Output = append(b.Output, g.String())
+		}
+	}
+	star := false
+	for _, item := range q.Select {
+		if item.Star {
+			star = true
+			continue
+		}
+		if !item.AggStar {
+			if _, err := b.read(item.Col); err != nil {
+				return err
+			}
+		}
+		// An aggregate query outputs its aggregates after the group columns
+		// and drops plain items; a plain query outputs its plain items.
+		name := item.Alias
+		switch {
+		case agg != (item.Agg != sqlparse.AggNone):
+			continue
+		case name == "" && agg:
+			name = item.String()
+		case name == "":
+			name = b.Cols[item.Col]
+		}
+		b.Output = append(b.Output, name)
+	}
+	if star && !agg {
+		for _, r := range b.Rels {
+			for _, c := range r.Table.Schema {
+				b.Star = append(b.Star, r.Alias()+"."+c.Name)
+			}
+		}
+		b.Output = b.Star
+	}
+	for _, h := range q.Having {
+		i := b.outputIndex(h.Item.String())
+		if i < 0 && h.Item.Agg == sqlparse.AggNone {
+			// A plain column may appear qualified in the output.
+			if i = b.outputIndex(h.Item.Col.Column); i < 0 {
+				i, _ = b.outputSuffix(h.Item.Col.Column)
+			}
+		}
+		if i < 0 {
+			return fmt.Errorf("HAVING column %s not in output", h.Item)
+		}
+		b.HavingIdx = append(b.HavingIdx, i)
+	}
+	for _, o := range q.OrderBy {
+		i := b.outputIndex(o.Col.Column)
+		if i < 0 && o.Col.Table != "" {
+			i = b.outputIndex(o.Col.String())
+		} else if i < 0 {
+			if j, n := b.outputSuffix(o.Col.Column); n == 1 {
+				i = j
+			}
+		}
+		if i < 0 {
+			return fmt.Errorf("ORDER BY column %s not in output", o.Col)
+		}
+		b.OrderIdx = append(b.OrderIdx, i)
+	}
+	return nil
+}
+
+// outputIndex returns the position of the first output column named name,
+// ignoring case, or -1.
+func (b *BoundQuery) outputIndex(name string) int {
+	for i, n := range b.Output {
+		if strings.EqualFold(n, name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// outputSuffix finds the output columns named "<anything>.col", ignoring
+// case: the first one's position (-1 if none) and how many there are.
+func (b *BoundQuery) outputSuffix(col string) (first, n int) {
+	first = -1
+	for i, name := range b.Output {
+		k := len(name) - len(col)
+		if k > 0 && name[k-1] == '.' && strings.EqualFold(name[k:], col) {
+			if n == 0 {
+				first = i
+			}
+			n++
+		}
+	}
+	return first, n
 }
 
 // expandInBoxes decomposes the relation's base box along its IN predicates

@@ -127,11 +127,48 @@ func TestBindErrors(t *testing.T) {
 			t.Errorf("Bind(%q) should fail", sql)
 		}
 	}
-	// Ambiguous unqualified column across two tables.
+	// Ambiguous unqualified column across two tables, in WHERE or SELECT.
 	f2 := newFixture(t, numTable("A", 10, "x"), numTable("B", 10, "x"))
-	q, _ := sqlparse.Parse("SELECT * FROM A, B WHERE x = 1")
-	if _, err := Bind(q, f2.cat); err == nil {
-		t.Error("ambiguous column should fail")
+	for _, sql := range []string{"SELECT * FROM A, B WHERE x = 1", "SELECT x FROM A, B WHERE A.x = B.x"} {
+		q, _ := sqlparse.Parse(sql)
+		if _, err := Bind(q, f2.cat); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+			t.Errorf("Bind(%q) = %v, want an ambiguous-column error", sql, err)
+		}
+	}
+}
+
+// TestHavingColumnResolution: a HAVING conjunct reads the output column
+// named by its text or alias, then by its bare name, then the first one
+// whose name ends in ".name".
+func TestHavingColumnResolution(t *testing.T) {
+	f := newFixture(t, numTable("Station", 10, "City", "Country"))
+	const sql = "SELECT COUNT(*) AS n FROM Station GROUP BY City, Station.Country HAVING "
+	for _, tc := range []struct {
+		having string
+		want   int
+	}{
+		{"n > 1", 2},
+		{"City > 1", 0},
+		{"Country > 1", 1},
+		{"missing > 1", -1},
+	} {
+		q, err := sqlparse.Parse(sql + tc.having)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Bind(q, f.cat)
+		if tc.want < 0 {
+			if err == nil || !strings.Contains(err.Error(), "HAVING column missing not in output") {
+				t.Errorf("%s: bind error %v", tc.having, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.having, err)
+		}
+		if got := b.HavingIdx; len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%s: reads output %v of %v, want %d", tc.having, got, b.Output, tc.want)
+		}
 	}
 }
 

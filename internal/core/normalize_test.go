@@ -1,9 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"payless/internal/catalog"
 	"payless/internal/sqlparse"
+	"payless/internal/workload"
 )
 
 // normalizeCorpus exercises every literal position the normalizer strips:
@@ -118,5 +121,57 @@ func FuzzNormalize(f *testing.F) {
 			t.Skip()
 		}
 		checkNormalize(t, q)
+	})
+}
+
+// FuzzBind checks that Bind never panics on what the parser accepts, and
+// that a statement it binds names only columns of its FROM relations and
+// orders and filters only by output columns.
+func FuzzBind(f *testing.F) {
+	for _, sql := range normalizeCorpus {
+		f.Add(sql)
+	}
+	f.Add("SELECT City, AVG(Temperature) AS t FROM Station S, Weather W WHERE S.StationID = W.StationID AND W.Date >= 20140402 GROUP BY City HAVING t > 1 ORDER BY City DESC")
+	f.Add("SELECT * FROM Weather, Station WHERE Weather.StationID < Station.StationID ORDER BY Country LIMIT 3")
+	whw := workload.GenerateWHW(workload.WHWConfig{Seed: 1, Countries: 2, StationsPerCountry: 2, CitiesPerCountry: 2, Days: 3, StartDate: 20140401, Zips: 4, MaxRank: 10})
+	cat := catalog.New()
+	for _, tb := range []*catalog.Table{whw.Station, whw.Weather, whw.Pollution, whw.ZipMap} {
+		if err := cat.Register(tb); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		q, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Skip()
+		}
+		b, err := Bind(q, cat)
+		if err != nil {
+			return
+		}
+		names := map[string]bool{}
+		for _, r := range b.Rels {
+			for _, c := range r.Table.Schema {
+				names[r.Alias()+"."+c.Name] = true
+			}
+		}
+		for ref, name := range b.Cols {
+			if !names[name] {
+				t.Fatalf("%s: %s recorded as %q, not a FROM column", sql, ref, name)
+			}
+		}
+		for _, name := range b.Star {
+			if !names[name] {
+				t.Fatalf("%s: SELECT * lists %q, not a FROM column", sql, name)
+			}
+		}
+		if len(b.OrderIdx) != len(q.OrderBy) || len(b.HavingIdx) != len(q.Having) {
+			t.Fatalf("%s: %d ORDER BY and %d HAVING positions", sql, len(b.OrderIdx), len(b.HavingIdx))
+		}
+		for _, i := range append(append([]int(nil), b.OrderIdx...), b.HavingIdx...) {
+			if i < 0 || i >= len(b.Output) {
+				t.Fatalf("%s: position %d outside output %s", sql, i, strings.Join(b.Output, ", "))
+			}
+		}
 	})
 }

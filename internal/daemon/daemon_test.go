@@ -441,3 +441,42 @@ func TestDaemonBudgetRejections(t *testing.T) {
 		t.Fatalf("parse error: HTTP %d, want 400", code)
 	}
 }
+
+// TestDaemonUnknownColumnIs400AndFree: a statement naming a column no FROM
+// table has fails at bind, so the tenant gets 400 and nothing is bought.
+func TestDaemonUnknownColumnIs400AndFree(t *testing.T) {
+	w := workload.GenerateWHW(workload.WHWConfig{
+		Seed: 7, Countries: 2, StationsPerCountry: 8, CitiesPerCountry: 2,
+		Days: 8, StartDate: 20140601, Zips: 20, MaxRank: 100,
+	})
+	m := market.New()
+	if err := w.Install(m, storage.NewDB(), 100, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	m.RegisterAccount("acct")
+	reg, err := tenant.NewRegistry(0, tenant.Config{Name: "solo", Key: "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := payless.Open(payless.Config{
+		Tables: m.ExportCatalog(),
+		Caller: market.AccountCaller{Market: m, Key: "acct"},
+	}, payless.WithAdmitter(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	h := newDaemon(t, client, reg, nil).Handler()
+
+	sql := fmt.Sprintf("SELECT NoSuchCol FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d", w.Dates[0], w.Dates[5])
+	if code, _, rec := post(h, "k", sql); code != http.StatusBadRequest {
+		t.Fatalf("unknown column: HTTP %d (%s), want 400", code, rec.Body.String())
+	}
+	solo, _ := reg.Lookup("solo")
+	if spent := solo.Spend(); spent != 0 {
+		t.Errorf("tenant booked %d transactions", spent)
+	}
+	if meter := meterOf(t, m, "acct"); meter != (market.Meter{}) {
+		t.Errorf("seller meter %+v, want nothing billed", meter)
+	}
+}

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"payless/internal/catalog"
 	"payless/internal/core"
@@ -87,18 +86,17 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 	if len(plan.Steps) == 0 {
 		return storage.Relation{}, report, fmt.Errorf("plan has no steps")
 	}
-	quals := make([]value.Schema, len(plan.Steps))
-	for i, step := range plan.Steps {
-		rel := b.Rels[step.Rel]
-		quals[i] = qualify(rel.Alias(), rel.Table.Schema)
-	}
 	// Nothing but the aggregate reads the last join of an aggregate query
 	// (a cross residual would: it filters joined rows), so that join streams
-	// into it; every join before it copies only the columns the plan reads.
+	// into it; every join before it copies only the columns the binder
+	// recorded as read after the scans (SELECT * reads them all).
 	streamLast := len(plan.Steps) > 1 && b.Query.HasAggregates() && len(b.CrossResidual) == 0
 	var need map[string]bool
-	if len(plan.Steps) > 2 || (len(plan.Steps) == 2 && !streamLast) {
-		need = neededColumns(b, quals)
+	if b.Star == nil && (len(plan.Steps) > 2 || (len(plan.Steps) == 2 && !streamLast)) {
+		need = make(map[string]bool, len(b.Cols))
+		for _, name := range b.Cols {
+			need[name] = true
+		}
 	}
 	var cur storage.Relation
 	for i, step := range plan.Steps {
@@ -115,7 +113,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 			return storage.Relation{}, report, err
 		}
 		fetched = applyResidual(fetched, rel)
-		fetched.Schema = quals[i]
+		fetched.Schema = qualify(rel.Alias(), rel.Table.Schema)
 		if i == 0 {
 			cur = fetched
 			continue
@@ -125,69 +123,11 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 			return storage.Relation{}, report, err
 		}
 		if streamLast && i == len(plan.Steps)-1 {
-			out, err := aggregateJoin(cur, fetched, lc, rc, b)
-			return out, report, err
+			return aggregateJoin(cur, fetched, lc, rc, b), report, nil
 		}
 		cur = storage.HashJoinKeep(cur, fetched, lc, rc, keepColumns(need, cur.Schema, fetched.Schema))
 	}
-	cur, err := applyCrossResidual(cur, b)
-	if err != nil {
-		return storage.Relation{}, report, err
-	}
-	out, err := project(cur, b)
-	if err != nil {
-		return storage.Relation{}, report, err
-	}
-	return out, report, nil
-}
-
-// neededColumns resolves, once per plan, every column reference evaluated
-// after the scans — join edges (bind joins read theirs from the prefix),
-// cross residuals, the SELECT list and GROUP BY; HAVING and ORDER BY address
-// the output — against the concatenation of every step's qualified schema
-// (what the last join would produce if nothing were dropped), by the rules
-// the operators themselves use (resolveQualified). It returns the names of
-// the columns hit. Nil means every column is needed: SELECT *, or a
-// reference that does not resolve — the operator that owns it reports that
-// error, at the point it always has.
-func neededColumns(b *core.BoundQuery, quals []value.Schema) map[string]bool {
-	q := b.Query
-	var full value.Schema
-	for _, s := range quals {
-		full = append(full, s...)
-	}
-	need := make(map[string]bool)
-	ok := true
-	hit := func(idx int, err error) {
-		if err != nil || idx < 0 {
-			ok = false
-			return
-		}
-		need[full[idx].Name] = true
-	}
-	for _, j := range b.Joins {
-		hit(prefixColumn(full, b.Rels[j.L].Alias(), j.LAttr), nil)
-		hit(prefixColumn(full, b.Rels[j.R].Alias(), j.RAttr), nil)
-	}
-	for _, cond := range b.CrossResidual {
-		hit(resolveQualified(full, b, cond.Left))
-		hit(resolveQualified(full, b, *cond.RightCol))
-	}
-	for _, item := range q.Select {
-		switch {
-		case item.Star:
-			ok = false
-		case !item.AggStar:
-			hit(resolveQualified(full, b, item.Col))
-		}
-	}
-	for _, g := range q.GroupBy {
-		hit(resolveQualified(full, b, g))
-	}
-	if !ok {
-		return nil
-	}
-	return need
+	return project(applyCrossResidual(cur, b), b), report, nil
 }
 
 // keepColumns lists the needed columns of a join's concatenated schema l++r,
@@ -561,25 +501,18 @@ func joinColumns(b *core.BoundQuery, step core.Step, prefixSchema, newSchema val
 
 // applyCrossResidual evaluates non-equi column-to-column conditions on the
 // joined relation.
-func applyCrossResidual(rel storage.Relation, b *core.BoundQuery) (storage.Relation, error) {
+func applyCrossResidual(rel storage.Relation, b *core.BoundQuery) storage.Relation {
 	if len(b.CrossResidual) == 0 {
-		return rel, nil
+		return rel
 	}
 	type pair struct {
 		l, r int
 		op   sqlparse.CompareOp
 	}
-	var pairs []pair
-	for _, cond := range b.CrossResidual {
-		li, err := resolveQualified(rel.Schema, b, cond.Left)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		ri, err := resolveQualified(rel.Schema, b, *cond.RightCol)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		pairs = append(pairs, pair{l: li, r: ri, op: cond.Op})
+	pairs := make([]pair, len(b.CrossResidual))
+	for i, cond := range b.CrossResidual {
+		l, r := b.Cols[cond.Left], b.Cols[*cond.RightCol]
+		pairs[i] = pair{l: rel.Schema.IndexOf(l), r: rel.Schema.IndexOf(r), op: cond.Op}
 	}
 	return rel.Select(func(row value.Row) bool {
 		for _, p := range pairs {
@@ -588,162 +521,85 @@ func applyCrossResidual(rel storage.Relation, b *core.BoundQuery) (storage.Relat
 			}
 		}
 		return true
-	}), nil
+	})
 }
 
-// resolveQualified finds a column reference in a qualified joined schema.
-func resolveQualified(schema value.Schema, b *core.BoundQuery, ref sqlparse.ColRef) (int, error) {
-	if ref.Table != "" {
-		idx := schema.IndexOf(ref.Table + "." + ref.Column)
-		if idx < 0 {
-			return 0, fmt.Errorf("column %s not found", ref)
-		}
-		return idx, nil
-	}
-	found := -1
-	suffix := "." + strings.ToLower(ref.Column)
-	for i, c := range schema {
-		if strings.HasSuffix(strings.ToLower(c.Name), suffix) {
-			if found >= 0 {
-				return 0, fmt.Errorf("ambiguous column %s", ref)
-			}
-			found = i
-		}
-	}
-	if found < 0 {
-		return 0, fmt.Errorf("column %s not found", ref)
-	}
-	return found, nil
+// aggFuncs maps the SQL aggregates onto the local aggregator's.
+var aggFuncs = map[sqlparse.AggName]storage.AggFunc{
+	sqlparse.AggCount: storage.Count, sqlparse.AggSum: storage.Sum, sqlparse.AggAvg: storage.Avg,
+	sqlparse.AggMin: storage.Min, sqlparse.AggMax: storage.Max,
 }
 
-// aggregatePlan resolves the GROUP BY columns and the SELECT list's
-// aggregates against the schema of the rows to be aggregated.
-func aggregatePlan(schema value.Schema, b *core.BoundQuery) (groupIdx []int, aggs []storage.AggSpec, err error) {
+// aggregatePlan locates the GROUP BY columns and the SELECT list's
+// aggregates in the schema of the rows to be aggregated.
+func aggregatePlan(schema value.Schema, b *core.BoundQuery) (groupIdx []int, aggs []storage.AggSpec) {
 	q := b.Query
 	for _, g := range q.GroupBy {
-		idx, err := resolveQualified(schema, b, g)
-		if err != nil {
-			return nil, nil, err
-		}
-		groupIdx = append(groupIdx, idx)
+		groupIdx = append(groupIdx, schema.IndexOf(b.Cols[g]))
 	}
 	for _, item := range q.Select {
 		if item.Agg == sqlparse.AggNone {
 			continue
 		}
-		// Name the output column by its alias or its SELECT-list text,
-		// so HAVING and ORDER BY can address it.
-		spec := storage.AggSpec{Col: -1, As: item.Alias}
-		if spec.As == "" {
-			spec.As = item.String()
-		}
-		switch item.Agg {
-		case sqlparse.AggCount:
-			spec.Func = storage.Count
-		case sqlparse.AggSum:
-			spec.Func = storage.Sum
-		case sqlparse.AggAvg:
-			spec.Func = storage.Avg
-		case sqlparse.AggMin:
-			spec.Func = storage.Min
-		case sqlparse.AggMax:
-			spec.Func = storage.Max
-		}
+		spec := storage.AggSpec{Func: aggFuncs[item.Agg], Col: -1, As: b.Output[len(groupIdx)+len(aggs)]}
 		if !item.AggStar {
-			idx, err := resolveQualified(schema, b, item.Col)
-			if err != nil {
-				return nil, nil, err
-			}
-			spec.Col = idx
+			spec.Col = schema.IndexOf(b.Cols[item.Col])
 		}
 		aggs = append(aggs, spec)
 	}
-	return groupIdx, aggs, nil
+	return groupIdx, aggs
 }
 
 // aggregateJoin is project over HashJoin(l, r, lc, rc) for an aggregate
 // query, without the joined relation in between.
-func aggregateJoin(l, r storage.Relation, lc, rc []int, b *core.BoundQuery) (storage.Relation, error) {
+func aggregateJoin(l, r storage.Relation, lc, rc []int, b *core.BoundQuery) storage.Relation {
 	joined := append(l.Schema.Clone(), r.Schema...)
-	groupIdx, aggs, err := aggregatePlan(joined, b)
-	if err != nil {
-		return storage.Relation{}, err
-	}
+	groupIdx, aggs := aggregatePlan(joined, b)
 	agg := storage.NewAggregator(joined, groupIdx, aggs)
 	storage.EachJoined(l, r, lc, rc, agg.Add)
 	return finishAggregate(agg.Result(), b)
 }
 
-// finishAggregate turns the aggregator's output into the query's: group
-// columns under their query-text names, HAVING, then ORDER BY and LIMIT.
-func finishAggregate(out storage.Relation, b *core.BoundQuery) (storage.Relation, error) {
-	q := b.Query
-	// Non-aggregate select items must be group-by columns; the grouped
-	// output carries them first, in GROUP BY order, renamed to their
-	// query-text form (e.g. "City" instead of the internal qualified
-	// "Station.City").
-	for i, g := range q.GroupBy {
-		out.Schema[i].Name = g.String()
+// finishAggregate turns the aggregator's output into the query's: the
+// binder's output names, HAVING, then ORDER BY and LIMIT.
+func finishAggregate(out storage.Relation, b *core.BoundQuery) storage.Relation {
+	for i, name := range b.Output {
+		out.Schema[i].Name = name
 	}
-	if len(q.Having) > 0 {
-		var err error
-		if out, err = applyHaving(out, q.Having); err != nil {
-			return storage.Relation{}, err
-		}
+	if having := b.Query.Having; len(having) > 0 {
+		out = out.Select(func(row value.Row) bool {
+			for i, h := range having {
+				if !evalCompare(row[b.HavingIdx[i]], h.Op, h.Val) {
+					return false
+				}
+			}
+			return true
+		})
 	}
 	return orderLimit(out, b)
 }
 
 // project applies the SELECT list: aggregation with GROUP BY, or plain
 // projection, then ORDER BY and LIMIT.
-func project(rel storage.Relation, b *core.BoundQuery) (storage.Relation, error) {
+func project(rel storage.Relation, b *core.BoundQuery) storage.Relation {
 	q := b.Query
 	if q.HasAggregates() {
-		groupIdx, aggs, err := aggregatePlan(rel.Schema, b)
-		if err != nil {
-			return storage.Relation{}, err
-		}
+		groupIdx, aggs := aggregatePlan(rel.Schema, b)
 		return finishAggregate(storage.Aggregate(rel, groupIdx, aggs), b)
 	}
-	if len(q.Having) > 0 {
-		return storage.Relation{}, fmt.Errorf("HAVING requires aggregation")
-	}
-	var out storage.Relation
-	star := false
-	for _, item := range q.Select {
-		if item.Star {
-			star = true
-			break
+	// SELECT * output order follows the FROM clause, not the join order the
+	// optimizer happened to choose.
+	idx := make([]int, len(b.Output))
+	for i := range idx {
+		if b.Star != nil {
+			idx[i] = rel.Schema.IndexOf(b.Star[i])
+		} else {
+			idx[i] = rel.Schema.IndexOf(b.Cols[q.Select[i].Col])
 		}
 	}
-	if star {
-		// SELECT * output order follows the FROM clause, not the join
-		// order the optimizer happened to choose.
-		var starIdx []int
-		for _, r := range b.Rels {
-			prefix := strings.ToLower(r.Alias()) + "."
-			for i, c := range rel.Schema {
-				if strings.HasPrefix(strings.ToLower(c.Name), prefix) {
-					starIdx = append(starIdx, i)
-				}
-			}
-		}
-		out = rel.Project(starIdx)
-	} else {
-		var idx []int
-		for _, item := range q.Select {
-			i, err := resolveQualified(rel.Schema, b, item.Col)
-			if err != nil {
-				return storage.Relation{}, err
-			}
-			idx = append(idx, i)
-		}
-		out = rel.Project(idx)
-		for i, item := range q.Select {
-			if item.Alias != "" {
-				out.Schema[i].Name = item.Alias
-			}
-		}
+	out := rel.Project(idx)
+	for i, name := range b.Output {
+		out.Schema[i].Name = name
 	}
 	if q.Distinct {
 		out = out.Distinct()
@@ -751,76 +607,19 @@ func project(rel storage.Relation, b *core.BoundQuery) (storage.Relation, error)
 	return orderLimit(out, b)
 }
 
-// orderLimit applies ORDER BY, resolved against the output columns, and
-// LIMIT.
-func orderLimit(out storage.Relation, b *core.BoundQuery) (storage.Relation, error) {
+// orderLimit applies ORDER BY, at the output positions the binder resolved,
+// and LIMIT.
+func orderLimit(out storage.Relation, b *core.BoundQuery) storage.Relation {
 	q := b.Query
 	if len(q.OrderBy) > 0 {
-		var cols []int
-		var desc []bool
-		for _, o := range q.OrderBy {
-			idx := out.Schema.IndexOf(o.Col.Column)
-			if idx < 0 {
-				if i, err := resolveQualified(out.Schema, b, o.Col); err == nil {
-					idx = i
-				} else {
-					return storage.Relation{}, fmt.Errorf("ORDER BY column %s not in output", o.Col)
-				}
-			}
-			cols = append(cols, idx)
-			desc = append(desc, o.Desc)
+		desc := make([]bool, len(q.OrderBy))
+		for i, o := range q.OrderBy {
+			desc[i] = o.Desc
 		}
-		out = out.OrderBy(cols, desc)
+		out = out.OrderBy(b.OrderIdx, desc)
 	}
 	if q.Limit >= 0 {
 		out = out.Limit(q.Limit)
 	}
-	return out, nil
-}
-
-// applyHaving filters aggregated groups by the HAVING conjuncts, matching
-// each condition to an output column by alias, SELECT-list text, or plain
-// column name.
-func applyHaving(rel storage.Relation, conds []sqlparse.HavingCond) (storage.Relation, error) {
-	type check struct {
-		col int
-		op  sqlparse.CompareOp
-		val value.Value
-	}
-	var checks []check
-	for _, h := range conds {
-		idx := havingColumn(rel.Schema, h.Item)
-		if idx < 0 {
-			return storage.Relation{}, fmt.Errorf("HAVING column %s not in output", h.Item)
-		}
-		checks = append(checks, check{col: idx, op: h.Op, val: h.Val})
-	}
-	return rel.Select(func(row value.Row) bool {
-		for _, c := range checks {
-			if !evalCompare(row[c.col], c.op, c.val) {
-				return false
-			}
-		}
-		return true
-	}), nil
-}
-
-// havingColumn locates the output column a HAVING item refers to.
-func havingColumn(schema value.Schema, item sqlparse.SelectItem) int {
-	if idx := schema.IndexOf(item.String()); idx >= 0 {
-		return idx
-	}
-	if item.Agg == sqlparse.AggNone {
-		// A plain column may appear qualified in the output.
-		if idx := schema.IndexOf(item.Col.Column); idx >= 0 {
-			return idx
-		}
-		suffix := "." + strings.ToLower(item.Col.Column)
-		for i, c := range schema {
-			if strings.HasSuffix(strings.ToLower(c.Name), suffix) {
-				return i
-			}
-		}
-	}
-	return -1
+	return out
 }
