@@ -224,11 +224,11 @@ type tableStore struct {
 	// rows holds the deduplicated materialised rows — the only copy of them —
 	// with their queryable coordinates precomputed: row id's are
 	// coords[id*d:(id+1)*d], d = len(rowIdx) (validateRows resolves exactly
-	// one per dimension). seen indexes the rows by value.ExactKey hash for
+	// one per dimension). seen keys the rows under value.ExactKey for
 	// deduplication and rowIdx per dimension.
 	rows   []value.Row
 	coords []int64
-	seen   *value.HashIndex
+	seen   *value.KeyTable
 	rowIdx []rowDim
 	// epoch counts the Records applied to this table (including WAL replay).
 	// The plan cache snapshots it at compile time and discards any plan
@@ -301,7 +301,7 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 	d := len(meta.QueryableAttrs())
 	return &tableStore{
 		meta:   meta,
-		seen:   value.NewHashIndex(0),
+		seen:   value.NewKeyTable(value.ExactKey, nil, 0),
 		dims:   make([]dimIdx, d),
 		rowIdx: make([]rowDim, d),
 	}
@@ -449,12 +449,11 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 // rows were new.
 func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
 	first, d := len(ts.rows), len(ts.rowIdx)
+	ts.seen.Grow(len(rows))
 	for i, row := range rows {
-		h := value.ExactKey.HashRow(row)
-		if ts.seen.Lookup(value.ExactKey, ts.rows, row, h) >= 0 {
+		if ts.seen.Insert(ts.rows, row, len(ts.rows)) >= 0 {
 			continue
 		}
-		ts.seen.Add(h) // id == len(ts.rows): every stored row is indexed
 		ts.rows = append(ts.rows, row)
 		ts.coords = append(ts.coords, coords[i*d:(i+1)*d]...)
 	}

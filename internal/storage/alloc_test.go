@@ -1,23 +1,36 @@
 package storage_test
 
 import (
+	"runtime"
 	"testing"
 
 	"payless/internal/storage"
+	"payless/internal/value"
 	"payless/internal/workload"
 )
+
+// allocated runs f as testing.AllocsPerRun does and returns its allocations
+// and bytes per run.
+func allocated(runs int, f func()) (allocs float64, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / uint64(runs+1) // AllocsPerRun adds a warm-up run
+}
 
 // TestHashJoinAllocations is the deterministic regression guard for the join
 // (wall-clock ratios belong to benchmarks/run.sh): joining SF-1 Orders with
 // Lineitem — 8 000 build rows, 30 000 probe rows, 30 000 twelve-column output
-// rows — allocates the hash table and a logarithmic number of row slabs, not
-// two objects per output row.
+// rows — allocates the key table, the match list and the output once, not
+// two objects per output row, and its bytes stay within 15 % of the output's
+// own slab and row headers.
 func TestHashJoinAllocations(t *testing.T) {
 	d := workload.GenerateTPCH(workload.DefaultTPCHConfig())
 	orders := storage.Relation{Schema: d.Orders.Schema, Rows: d.OrdersRows}
 	lineitem := storage.Relation{Schema: d.Lineitem.Schema, Rows: d.LineitemRows}
 	var out storage.Relation
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs, bytes := allocated(5, func() {
 		out = storage.HashJoin(orders, lineitem, []int{0}, []int{0})
 	})
 	if out.Len() != len(d.LineitemRows) {
@@ -26,5 +39,104 @@ func TestHashJoinAllocations(t *testing.T) {
 	if allocs > 64 {
 		t.Errorf("HashJoin(Orders, Lineitem): %v allocations, want at most 64", allocs)
 	}
-	t.Logf("HashJoin(Orders, Lineitem): %v allocations for %d rows", allocs, out.Len())
+	w := len(out.Schema)
+	exact := uint64(out.Len()) * uint64(w*16+24) // slab + row headers
+	if bytes > exact*115/100 {
+		t.Errorf("HashJoin(Orders, Lineitem): %d bytes, want at most 1.15 x the output's %d", bytes, exact)
+	}
+	t.Logf("HashJoin(Orders, Lineitem): %v allocations, %d bytes (%.3f x output) for %d rows", allocs, bytes, float64(bytes)/float64(exact), out.Len())
+}
+
+// TestStreamedGroupByAllocations gates the aggregating plan's last step, a
+// T5-shaped Customer ⋈ Orders streamed into a GROUP BY NationKey: its
+// allocations are the key tables and the groups, so they do not grow with
+// the input. The race detector adds allocations of its own, so the gate
+// runs only without it.
+func TestStreamedGroupByAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	run := func(scale float64) float64 {
+		d := workload.GenerateTPCH(workload.TPCHConfig{Seed: 1, ScaleFactor: scale})
+		cust := storage.Relation{Schema: d.Customer.Schema, Rows: d.CustomerRows}
+		orders := storage.Relation{Schema: d.Orders.Schema, Rows: d.OrdersRows}
+		joined := append(cust.Schema.Clone(), orders.Schema...)
+		var res storage.Relation
+		allocs := testing.AllocsPerRun(5, func() {
+			agg := storage.NewAggregator(joined, []int{1}, []storage.AggSpec{{Func: storage.Count, Col: -1}})
+			storage.EachJoined(cust, orders, []int{0}, []int{1}, agg.Add)
+			res = agg.Result()
+		})
+		if res.Len() != 25 {
+			t.Fatalf("scale %v: %d groups, want one per nation (25)", scale, res.Len())
+		}
+		var n int64
+		for _, row := range res.Rows {
+			n += row[1].Int64()
+		}
+		if n != int64(len(d.OrdersRows)) {
+			t.Fatalf("scale %v: counted %d joined rows, want one per order (%d)", scale, n, len(d.OrdersRows))
+		}
+		return allocs
+	}
+	if one, four := run(1), run(4); one != four {
+		t.Errorf("streamed GROUP BY: %v allocations at 1x input, %v at 4x; want the same", one, four)
+	} else {
+		t.Logf("streamed GROUP BY: %v allocations at 1x and 4x input", one)
+	}
+}
+
+var sink storage.Relation
+
+// BenchmarkJoinTPCH times the joins of the covered TPC-H templates at SF 1:
+// a T5-shaped Customer ⋈ Orders keeping the two columns the plan reads on,
+// T4's Part ⋈ PartSupp and T2's Orders ⋈ Lineitem.
+func BenchmarkJoinTPCH(b *testing.B) {
+	d := workload.GenerateTPCH(workload.DefaultTPCHConfig())
+	rel := func(s value.Schema, rows []value.Row) storage.Relation {
+		return storage.Relation{Schema: s, Rows: rows}
+	}
+	cust, orders := rel(d.Customer.Schema, d.CustomerRows), rel(d.Orders.Schema, d.OrdersRows)
+	for _, c := range []struct {
+		name         string
+		l, r         storage.Relation
+		lc, rc, keep []int
+	}{
+		{"CustomerOrdersKeep2", cust, orders, []int{0}, []int{1}, []int{1, 6}},
+		{"PartPartSupp", rel(d.Part.Schema, d.PartRows), rel(d.PartSupp.Schema, d.PartSuppRows), []int{0}, []int{0}, nil},
+		{"OrdersLineitem", orders, rel(d.Lineitem.Schema, d.LineitemRows), []int{0}, []int{0}, nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = storage.HashJoinKeep(c.l, c.r, c.lc, c.rc, c.keep)
+			}
+		})
+	}
+}
+
+// BenchmarkAggregateGroupBy times GROUP BY at SF 1: T5's Customer ⋈ Orders
+// streamed into a one-column group key (25 groups), and Lineitem grouped on
+// a two-column key (SuppKey, Discount: 880 groups).
+func BenchmarkAggregateGroupBy(b *testing.B) {
+	d := workload.GenerateTPCH(workload.DefaultTPCHConfig())
+	cust := storage.Relation{Schema: d.Customer.Schema, Rows: d.CustomerRows}
+	orders := storage.Relation{Schema: d.Orders.Schema, Rows: d.OrdersRows}
+	lineitem := storage.Relation{Schema: d.Lineitem.Schema, Rows: d.LineitemRows}
+	joined := append(cust.Schema.Clone(), orders.Schema...)
+	count := []storage.AggSpec{{Func: storage.Count, Col: -1}, {Func: storage.Sum, Col: 6}}
+	b.Run("StreamedJoin", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			agg := storage.NewAggregator(joined, []int{1}, count)
+			storage.EachJoined(cust, orders, []int{0}, []int{1}, agg.Add)
+			sink = agg.Result()
+		}
+	})
+	b.Run("Lineitem2Col", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = storage.Aggregate(lineitem, []int{2, 5}, count)
+		}
+	})
 }

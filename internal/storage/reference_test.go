@@ -343,3 +343,67 @@ func TestKeysDoNotCollideAcrossColumns(t *testing.T) {
 		t.Errorf("Table.Insert added %d rows (%v), want 2", n, err)
 	}
 }
+
+// scaleRelation is a relation of n rows for TestTypedKeysMatchStringKeysAtScale.
+// Column 0 holds integers sharing their low 20 bits, some written as the
+// equal Float, and column 1 mixes every kind; hot rows, spread evenly, all
+// take one key in both. Column 2 has four values, so whole rows repeat.
+func scaleRelation(rng *rand.Rand, prefix string, n, keys, hot int) Relation {
+	mixed := []value.Value{value.NewNull(), value.NewInt(1), value.NewFloat(1), value.NewFloat(2.5), value.NewString("a"), value.NewString("1")}
+	rel := randomRelation(rng, prefix, 3, 0, 0)
+	for i := 0; i < n; i++ {
+		k, m := int64(rng.Intn(keys))<<20, mixed[rng.Intn(len(mixed))]
+		if i%(n/hot) == 0 {
+			k, m = 7<<20, mixed[4]
+		}
+		key := value.NewInt(k)
+		if rng.Intn(4) == 0 {
+			key = value.NewFloat(float64(k))
+		}
+		rel.Rows = append(rel.Rows, value.Row{key, m, value.NewInt(int64(rng.Intn(4)))})
+	}
+	return rel
+}
+
+// TestTypedKeysMatchStringKeysAtScale is TestTypedKeysMatchStringKeys at the
+// sizes where the key table grows and probes run long: thousands of rows,
+// one hot key repeated hundreds of times on both sides, keys sharing their
+// low bits, multi-column keys over mixed kinds, and either side the build.
+func TestTypedKeysMatchStringKeysAtScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, c := range []struct {
+		ln, rn, keys, lhot, rhot int
+		lc, rc                   []int
+	}{
+		{3000, 400, 2000, 100, 150, []int{0}, []int{0}},
+		{400, 3000, 2000, 150, 100, []int{0, 1}, []int{0, 1}},
+		{2500, 2500, 500, 100, 120, []int{1, 0}, []int{1, 0}},
+		{300, 200, 50, 100, 100, []int{1}, []int{1}},
+	} {
+		l := scaleRelation(rng, "l", c.ln, c.keys, c.lhot)
+		r := scaleRelation(rng, "r", c.rn, c.keys, c.rhot)
+		what := fmt.Sprintf("%d x %d rows, lc=%v rc=%v", l.Len(), r.Len(), c.lc, c.rc)
+
+		want := refHashJoin(l, r, c.lc, c.rc)
+		sameRelation(t, what+" HashJoin", HashJoin(l, r, c.lc, c.rc), want)
+		keep := []int{4, 0, 2}
+		sameRelation(t, what+" HashJoinKeep", HashJoinKeep(l, r, c.lc, c.rc, keep), want.Project(keep))
+
+		aggs := []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 2}, {Func: Min, Col: 4}, {Func: Max, Col: 1}}
+		for _, groupBy := range [][]int{{0}, {1, 5}, {3, 1, 2}} {
+			wantAgg := refAggregate(want, groupBy, aggs)
+			sameRelation(t, fmt.Sprintf("%s Aggregate by %v", what, groupBy), Aggregate(want, groupBy, aggs), wantAgg)
+			streamed := NewAggregator(want.Schema, groupBy, aggs)
+			EachJoined(l, r, c.lc, c.rc, streamed.Add)
+			sameRelation(t, fmt.Sprintf("%s streamed Aggregate by %v", what, groupBy), streamed.Result(), wantAgg)
+		}
+
+		sameRelation(t, what+" Distinct", l.Distinct(), refDistinct(l))
+		for col := range l.Schema {
+			got, wantVals := l.DistinctValues(col), refDistinctValues(l, col)
+			if g, w := render([]value.Row{got}), render([]value.Row{wantVals}); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s DistinctValues(%d): got %q want %q", what, col, g, w)
+			}
+		}
+	}
+}

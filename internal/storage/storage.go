@@ -78,11 +78,11 @@ type Table struct {
 	name   string
 	schema value.Schema
 	rows   []value.Row
-	index  *value.HashIndex // over rows, under value.ExactKey
+	index  *value.KeyTable // over rows, under value.ExactKey
 }
 
 func newTable(name string, schema value.Schema) *Table {
-	return &Table{name: name, schema: schema.Clone(), index: value.NewHashIndex(0)}
+	return &Table{name: name, schema: schema.Clone(), index: value.NewKeyTable(value.ExactKey, nil, 0)}
 }
 
 // Name returns the table name.
@@ -108,24 +108,22 @@ func (t *Table) Insert(rows []value.Row) (int, error) {
 		if len(r) != len(t.schema) {
 			return added, fmt.Errorf("table %s: row width %d, want %d", t.name, len(r), len(t.schema))
 		}
-		h := value.ExactKey.HashRow(r)
-		if t.index.Lookup(value.ExactKey, t.rows, r, h) >= 0 {
+		if t.index.Insert(t.rows, r, len(t.rows)) >= 0 {
 			continue
 		}
-		t.index.Add(h)
 		t.rows = append(t.rows, r.Clone())
 		added++
 	}
 	return added, nil
 }
 
-// Relation snapshots the table contents as an immutable relation.
+// Relation snapshots the table as an immutable relation: rows are only ever
+// appended, so it shares the row list, capped at its current length.
 func (t *Table) Relation() Relation {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rows := make([]value.Row, len(t.rows))
-	copy(rows, t.rows)
-	return Relation{Schema: t.schema.Clone(), Rows: rows}
+	n := len(t.rows)
+	return Relation{Schema: t.schema.Clone(), Rows: t.rows[:n:n]}
 }
 
 // Relation is an immutable materialised result: a schema plus rows.
@@ -174,15 +172,12 @@ func projectSchema(s value.Schema, idx []int) value.Schema {
 // Distinct removes duplicate rows (value.ExactKey), preserving first-seen
 // order.
 func (r Relation) Distinct() Relation {
-	seen := value.NewHashIndex(0)
+	seen := value.NewKeyTable(value.ExactKey, nil, 0)
 	out := Relation{Schema: r.Schema}
-	for _, row := range r.Rows {
-		h := value.ExactKey.HashRow(row)
-		if seen.Lookup(value.ExactKey, out.Rows, row, h) >= 0 {
-			continue
+	for i, row := range r.Rows {
+		if seen.Insert(r.Rows, row, i) < 0 {
+			out.Rows = append(out.Rows, row)
 		}
-		seen.Add(h)
-		out.Rows = append(out.Rows, row)
 	}
 	return out
 }
@@ -190,9 +185,12 @@ func (r Relation) Distinct() Relation {
 // DistinctValues returns the distinct values (value.ExactKey) of one column
 // in first-seen order — used to collect bind-join binding values.
 func (r Relation) DistinctValues(col int) []value.Value {
+	seen := value.NewKeyTable(value.ExactKey, []int{col}, 0)
 	var out []value.Value
-	for _, row := range r.Project([]int{col}).Distinct().Rows {
-		out = append(out, row[0])
+	for i, row := range r.Rows {
+		if seen.Insert(r.Rows, row, i) < 0 {
+			out = append(out, row[col])
+		}
 	}
 	return out
 }
@@ -204,33 +202,44 @@ func (r Relation) DistinctValues(col int) []value.Value {
 // probe row's matches in build-row order. With no key columns, or lists of
 // different lengths, every pair is emitted, left-major.
 func EachJoined(left, right Relation, lc, rc []int, emit func(l, r value.Row)) {
-	if len(lc) != len(rc) || len(lc) == 0 {
-		for _, l := range left.Rows {
-			for _, r := range right.Rows {
-				emit(l, r)
-			}
-		}
-		return
+	match(left, right, lc, rc).each(emit)
+}
+
+// matches are EachJoined's pairs: probe row p meets build rows first[p],
+// next[first[p]] and so on, until -1.
+type matches struct {
+	build, probe []value.Row
+	first, next  []int32
+	swapped      bool // the build side is the left input
+}
+
+func match(left, right Relation, lc, rc []int) matches {
+	m := matches{build: right.Rows, probe: left.Rows}
+	bc, pc := rc, lc
+	if len(lc) != len(rc) || len(lc) == 0 { // the empty key: every row meets every row
+		bc, pc = []int{}, []int{}
+	} else if m.swapped = len(left.Rows) < len(right.Rows); m.swapped {
+		m.build, m.probe, bc, pc = left.Rows, right.Rows, lc, rc
 	}
-	build, probe, bc, pc := right.Rows, left.Rows, rc, lc
-	swapped := len(left.Rows) < len(right.Rows)
-	if swapped {
-		build, probe, bc, pc = left.Rows, right.Rows, lc, rc
+	// Filled from the back, the table ends up holding each key's first
+	// build row, and next[i] is the build row after i with its key.
+	ht := value.NewKeyTable(value.NumericKey, bc, len(m.build))
+	links := make([]int32, len(m.build)+len(m.probe))
+	m.next, m.first = links[:len(m.build)], links[len(m.build):]
+	for i := len(m.build) - 1; i >= 0; i-- {
+		m.next[i] = int32(ht.Put(m.build, m.build[i], i))
 	}
-	ht := value.NewHashIndex(len(build))
-	for _, row := range build {
-		ht.Add(value.NumericKey.HashCols(row, bc))
-	}
-	for _, prow := range probe {
-		for id := ht.First(value.NumericKey.HashCols(prow, pc)); id >= 0; id = ht.Next(id) {
-			brow := build[id]
-			if !value.NumericKey.EqualCols(prow, pc, brow, bc) {
-				continue // a hash collision
-			}
-			if swapped {
-				emit(brow, prow)
+	ht.Find(m.build, m.probe, pc, m.first)
+	return m
+}
+
+func (m matches) each(emit func(l, r value.Row)) {
+	for p, b := range m.first {
+		for ; b >= 0; b = m.next[b] {
+			if m.swapped {
+				emit(m.build[b], m.probe[p])
 			} else {
-				emit(prow, brow)
+				emit(m.probe[p], m.build[b])
 			}
 		}
 	}
@@ -243,26 +252,22 @@ func HashJoin(r, s Relation, lc, rc []int) Relation {
 }
 
 // HashJoinKeep is HashJoin restricted to the columns keep of the
-// concatenated schema, in that order; nil keeps every column. Output rows
-// are carved out of shared slabs that start at a few rows and double, so a
-// join allocates O(log n) times; like every relation's rows they must not be
+// concatenated schema, in that order; nil keeps every column. It counts the
+// matching pairs first, then carves every output row out of one slab of
+// exactly the output's size; like every relation's rows they must not be
 // written to.
 func HashJoinKeep(r, s Relation, lc, rc, keep []int) Relation {
 	sch := append(r.Schema.Clone(), s.Schema...)
 	if keep != nil {
 		sch = projectSchema(sch, keep)
 	}
-	out := Relation{Schema: sch}
-	w := len(sch)
-	var slab []value.Value
-	EachJoined(r, s, lc, rc, func(l, r value.Row) {
-		if len(out.Rows) == cap(out.Rows) {
-			n := max(4, 2*cap(out.Rows))
-			out.Rows = append(make([]value.Row, 0, n), out.Rows...)
-			slab = make([]value.Value, 0, (n-len(out.Rows))*w)
-		}
-		row := slab[len(slab) : len(slab)+w : len(slab)+w]
-		slab = slab[:len(slab)+w]
+	m, n, w := match(r, s, lc, rc), 0, len(sch)
+	m.each(func(l, r value.Row) { n++ })
+	out := Relation{Schema: sch, Rows: make([]value.Row, 0, n)}
+	slab := make([]value.Value, n*w)
+	m.each(func(l, r value.Row) {
+		row := slab[:w:w]
+		slab = slab[w:]
 		if keep == nil {
 			copy(row[copy(row, l):], r)
 		}
@@ -334,10 +339,11 @@ type Aggregator struct {
 	schema  value.Schema // of the result
 	groupBy []int
 	aggs    []AggSpec
-	groups  *value.HashIndex
-	keys    []value.Value // len(groupBy) per group
-	states  []aggState    // len(aggs) per group
-	key     value.Row     // scratch: the current row's group key
+	groups  *value.KeyTable // over keys
+	keys    []value.Row     // each group's key, carved from slab
+	slab    []value.Value
+	states  []aggState // len(aggs) per group
+	key     value.Row  // scratch: the current row's group key
 }
 
 // NewAggregator prepares to aggregate rows of the schema in, grouped by the
@@ -367,10 +373,10 @@ func NewAggregator(in value.Schema, groupBy []int, aggs []AggSpec) *Aggregator {
 		sch = append(sch, value.Column{Name: name, Type: typ})
 	}
 	a := &Aggregator{schema: sch, groupBy: groupBy, aggs: aggs, key: make(value.Row, len(groupBy))}
-	if len(groupBy) == 0 {
-		a.states = make([]aggState, len(aggs))
+	if len(groupBy) == 0 { // one global group, with the empty key
+		a.keys, a.states = []value.Row{nil}, make([]aggState, len(aggs))
 	} else {
-		a.groups = value.NewHashIndex(0)
+		a.groups = value.NewKeyTable(value.NumericKey, nil, 0)
 	}
 	return a
 }
@@ -383,14 +389,13 @@ func (a *Aggregator) Add(l, r value.Row) {
 		for i, c := range a.groupBy {
 			a.key[i] = pairAt(l, r, c)
 		}
-		h := value.NumericKey.HashRow(a.key)
-		g = a.groups.First(h)
-		for g >= 0 && !value.NumericKey.EqualRows(a.keys[g*k:(g+1)*k], a.key) {
-			g = a.groups.Next(g)
-		}
-		if g < 0 {
-			g = a.groups.Add(h)
-			a.keys = append(a.keys, a.key...)
+		if g = a.groups.Insert(a.keys, a.key, len(a.keys)); g < 0 {
+			g = len(a.keys)
+			if cap(a.slab)-len(a.slab) < k {
+				a.slab = make([]value.Value, 0, k*max(8, len(a.keys)))
+			}
+			a.slab = append(a.slab, a.key...)
+			a.keys = append(a.keys, a.slab[len(a.slab)-k:len(a.slab):len(a.slab)])
 			a.states = append(a.states, make([]aggState, len(a.aggs))...)
 		}
 	}
@@ -424,10 +429,7 @@ func (a *Aggregator) Add(l, r value.Row) {
 // Result returns one row per group.
 func (a *Aggregator) Result() Relation {
 	k, n := len(a.groupBy), len(a.aggs)
-	groups := 1
-	if k > 0 {
-		groups = a.groups.Len()
-	}
+	groups := len(a.keys)
 	out := Relation{Schema: a.schema}
 	if groups == 0 {
 		return out
@@ -435,7 +437,7 @@ func (a *Aggregator) Result() Relation {
 	out.Rows = make([]value.Row, groups)
 	vals := make([]value.Value, 0, groups*(k+n))
 	for g := range out.Rows {
-		vals = append(vals, a.keys[g*k:(g+1)*k]...)
+		vals = append(vals, a.keys[g]...)
 		for i, spec := range a.aggs {
 			st := &a.states[g*n+i]
 			v := value.NewNull()

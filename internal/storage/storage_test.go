@@ -79,6 +79,25 @@ func TestRelationSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestRelationAllocatesNoRowHeaders: a snapshot shares the table's row
+// list, so it costs the schema copy alone, and rows appended to it on
+// either side stay apart.
+func TestRelationAllocatesNoRowHeaders(t *testing.T) {
+	tb, _ := NewDB().Create("T", sch("a"))
+	for i := 0; i < 1000; i++ {
+		tb.Insert([]value.Row{intRow(int64(i))})
+	}
+	var rel Relation
+	if n := testing.AllocsPerRun(10, func() { rel = tb.Relation() }); n > 1 {
+		t.Errorf("Relation of %d rows: %v allocations, want 1 (the schema)", rel.Len(), n)
+	}
+	mine := append(rel.Rows, intRow(-1))
+	tb.Insert([]value.Row{intRow(1000)})
+	if mine[1000][0].Int64() != -1 || tb.Relation().Rows[1000][0].Int64() != 1000 {
+		t.Error("a row appended to a snapshot and one inserted into the table share a slot")
+	}
+}
+
 func TestSelectProjectDistinct(t *testing.T) {
 	rel := Relation{Schema: sch("a", "b"), Rows: []value.Row{intRow(1, 10), intRow(2, 20), intRow(2, 20), intRow(3, 10)}}
 	sel := rel.Select(func(r value.Row) bool { return r[1].Int64() == 10 })

@@ -104,79 +104,138 @@ func (k Key) EqualCols(a Row, ac []int, b Row, bc []int) bool {
 	return true
 }
 
-// HashIndex is a chained hash table from 64-bit key hashes to dense ids
-// 0, 1, 2, ... handed out in insertion order. It stores no keys: the caller
-// keeps the keyed things in a slice indexed by id and confirms each
-// candidate with the matching Key equality. Chains run through one int32
-// slice — no per-entry allocation — and list ids in insertion order.
-type HashIndex struct {
-	heads, tails []int32 // bucket -> id+1 of its first and last entry, 0 = empty
-	next         []int32 // id -> id+1 of the next entry in its bucket, 0 = end
-	hashes       []uint64
+// KeyTable is an open-addressing hash table from row keys to ids below 2^29
+// that the caller assigns; id stands for rows[id] of the rows it passes in,
+// keyed on the table's columns (nil: the whole row). A slot holds its key
+// inline: a one-column key's canonical (kind, payload), so a hit reads no
+// row, or a wider key's 64-bit hash, checked on the row. Slots are 12 bytes,
+// probed linearly, at most 3/4 full as the table grows and 1/3 full in a
+// join's build side, sized up front, where most probes miss.
+type KeyTable struct {
+	key   Key
+	cols  []int
+	slots []keySlot
+	n     int
 }
 
-// NewHashIndex returns an index sized for n entries; it grows past that.
-func NewHashIndex(n int) *HashIndex {
-	size := 8
-	for size < n {
-		size <<= 1
-	}
-	return &HashIndex{
-		heads: make([]int32, size), tails: make([]int32, size),
-		next: make([]int32, 0, n), hashes: make([]uint64, 0, n),
+// keySlot holds a key's payload or hash in lo and hi, and in tag the id+1
+// above the bit inline and the payload's kind; tag 0 is an empty slot.
+type keySlot struct{ lo, hi, tag uint32 }
+
+const inline = 4
+
+// NewKeyTable returns a table for n entries keyed under k on cols.
+func NewKeyTable(k Key, cols []int, n int) *KeyTable {
+	return &KeyTable{key: k, cols: cols, slots: make([]keySlot, max(8, 3*n))}
+}
+
+// Find sets ids[p] to the id under probe[p]'s key on rc (paired with the
+// table's columns), or -1.
+func (t *KeyTable) Find(rows, probe []Row, rc []int, ids []int32) {
+	for p, r := range probe {
+		var s *keySlot
+		if len(rc) == 1 {
+			s, _ = t.inlineSlot(r[rc[0]])
+		} else {
+			s, _ = t.slot(rows, r, rc)
+		}
+		ids[p] = int32(s.tag>>3) - 1
 	}
 }
 
-// Len returns the number of entries, which is also the next id.
-func (x *HashIndex) Len() int { return len(x.hashes) }
+// Insert stores id under r's key unless it holds one, and returns the id it
+// held, or -1; a new rows[id] must have r's key before the next call.
+func (t *KeyTable) Insert(rows []Row, r Row, id int) int { return t.put(rows, r, id, false) }
 
-// Add appends an entry with hash h and returns its id.
-func (x *HashIndex) Add(h uint64) int {
-	if len(x.hashes) == len(x.heads) { // full: re-add everything to twice the buckets
-		old := x.hashes
-		*x = *NewHashIndex(2 * len(old))
-		for _, oh := range old {
-			x.Add(oh)
+// Put is Insert, except that id replaces the id the key holds.
+func (t *KeyTable) Put(rows []Row, r Row, id int) int { return t.put(rows, r, id, true) }
+
+// Grow makes room for m more entries, sizing the table for them at once.
+func (t *KeyTable) Grow(m int) {
+	if 4*(t.n+m) <= 3*len(t.slots) {
+		return
+	}
+	old, n := t.slots, t.n+m
+	t.slots = make([]keySlot, max(2*len(old), n+n/3+1))
+	for _, s := range old {
+		if s.tag != 0 { // s's id bits match no slot: match finds a free one
+			t.slots[t.match(t.home(s.hash()), s)] = s
 		}
 	}
-	id := len(x.hashes)
-	x.hashes, x.next = append(x.hashes, h), append(x.next, 0)
-	b := h & uint64(len(x.heads)-1)
-	if t := x.tails[b]; t != 0 {
-		x.next[t-1] = int32(id + 1)
-	} else {
-		x.heads[b] = int32(id + 1)
+}
+
+func (t *KeyTable) put(rows []Row, r Row, id int, replace bool) int {
+	if 4*t.n >= 3*len(t.slots) {
+		t.Grow(1)
 	}
-	x.tails[b] = int32(id + 1)
-	return id
+	s, key := t.slot(rows, r, t.cols)
+	was := int(s.tag>>3) - 1
+	if was < 0 {
+		t.n++
+	} else if !replace {
+		return was
+	}
+	key.tag |= uint32(id+1) << 3
+	*s = key
+	return was
 }
 
-// First returns the lowest id whose hash is h, or -1.
-func (x *HashIndex) First(h uint64) int {
-	return x.scan(x.heads[h&uint64(len(x.heads)-1)], h)
+// hash is the hash of a slot's key: a wide key's slot holds its hash, and a
+// one-column key's payload is mixed by one multiplication.
+func (s keySlot) hash() uint64 {
+	h := uint64(s.hi)<<32 | uint64(s.lo)
+	if s.tag&inline != 0 {
+		h = (h ^ hashSeed) * hashMul
+	}
+	return h
 }
 
-// Next returns the next id after id with the same hash, or -1.
-func (x *HashIndex) Next(id int) int {
-	return x.scan(x.next[id], x.hashes[id])
-}
-
-func (x *HashIndex) scan(link int32, h uint64) int {
-	for link != 0 {
-		if x.hashes[link-1] == h {
-			return int(link - 1)
+// slot returns the slot holding the key r has on its columns rc, or the
+// empty slot where it would go, and that key as a slot holds it, id unset.
+func (t *KeyTable) slot(rows []Row, r Row, rc []int) (*keySlot, keySlot) {
+	var key keySlot
+	switch {
+	case len(rc) == 1:
+		return t.inlineSlot(r[rc[0]])
+	case rc == nil && len(r) == 1:
+		return t.inlineSlot(r[0])
+	case rc == nil:
+		key.lo, key.hi = split(t.key.HashRow(r))
+	default:
+		key.lo, key.hi = split(t.key.HashCols(r, rc))
+	}
+	for i := t.match(t.home(key.hash()), key); ; i = t.match(t.after(i), key) {
+		s := &t.slots[i]
+		if s.tag == 0 || rc == nil && t.key.EqualRows(rows[s.tag>>3-1], r) ||
+			rc != nil && t.key.EqualCols(rows[s.tag>>3-1], t.cols, r, rc) {
+			return s, key
 		}
-		link = x.next[link-1]
 	}
-	return -1
 }
 
-// Lookup returns the id of the entry with hash h whose row — rows is indexed
-// by id — equals r under k, or -1.
-func (x *HashIndex) Lookup(k Key, rows []Row, r Row, h uint64) int {
-	id := x.First(h)
-	for id >= 0 && !k.EqualRows(rows[id], r) {
-		id = x.Next(id)
+// inlineSlot is slot for the one-column key v, held inline.
+func (t *KeyTable) inlineSlot(v Value) (*keySlot, keySlot) {
+	kind, bits := t.key.canon(v)
+	key := keySlot{uint32(bits), uint32(bits >> 32), uint32(kind) | inline}
+	return &t.slots[t.match(t.home(key.hash()), key)], key
+}
+
+func split(h uint64) (lo, hi uint32) { return uint32(h), uint32(h >> 32) }
+
+// match returns the first slot from i on that is empty or holds key's bits.
+func (t *KeyTable) match(i int, key keySlot) int {
+	for s := &t.slots[i]; s.tag != 0 && (s.lo != key.lo || s.hi != key.hi || s.tag&7 != key.tag); s = &t.slots[i] {
+		i = t.after(i)
 	}
-	return id
+	return i
+}
+
+// home scales h's top 32 bits to a slot number.
+func (t *KeyTable) home(h uint64) int { return int((h >> 32) * uint64(len(t.slots)) >> 32) }
+
+func (t *KeyTable) after(i int) int {
+	if i++; i == len(t.slots) {
+		return 0
+	}
+	return i
 }

@@ -116,51 +116,106 @@ func TestKeysDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestHashIndexAgainstMap drives the index through growth with many
-// duplicate and colliding hashes and checks ids, chain order and lookups
-// against a map.
-func TestHashIndexAgainstMap(t *testing.T) {
+// TestKeyTableAgainstMap drives the table through growth from its smallest
+// size with many duplicate keys and keys sharing their low bits, on both of
+// its paths: one-column keys stored inline, and wider keys stored by hash
+// and confirmed against rows, each over a column that mixes kinds, named or
+// as whole rows. Every key must keep the id of its first insertion, and
+// lookups by a probe row holding the key elsewhere must find it.
+func TestKeyTableAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	x := NewHashIndex(0)
-	want := map[uint64][]int{}
-	for i := 0; i < 5000; i++ {
-		h := uint64(rng.Intn(700)) << uint(rng.Intn(3)*8) // shared low bits: long bucket chains
-		if id := x.Add(h); id != i {
-			t.Fatalf("Add returned id %d, want %d", id, i)
+	for _, c := range []struct {
+		cols, pc []int // nil: the whole row
+		width    int
+	}{{[]int{0}, []int{4}, 3}, {[]int{2, 0}, []int{3, 4}, 3}, {nil, nil, 3}, {nil, nil, 1}} {
+		keyOf := func(r Row, cols []int) Row {
+			if cols == nil {
+				return r
+			}
+			k := make(Row, len(cols))
+			for i, col := range cols {
+				k[i] = r[col]
+			}
+			return k
 		}
-		want[h] = append(want[h], i)
-	}
-	if x.Len() != 5000 {
-		t.Fatalf("Len = %d", x.Len())
-	}
-	for h, ids := range want {
-		var got []int
-		for id := x.First(h); id >= 0; id = x.Next(id) {
-			got = append(got, id)
+		x := NewKeyTable(NumericKey, c.cols, 0)
+		var rows []Row
+		want := map[string]int{}
+		for i := 0; i < 5000; i++ {
+			k := int64(rng.Intn(700)) << uint(rng.Intn(3)*16) // shared low bits
+			// NULL, or Int(k) or Float(k), which meet, or a string.
+			var mixed Value
+			switch rng.Intn(4) {
+			case 1:
+				mixed = NewInt(k)
+			case 2:
+				mixed = NewFloat(float64(k))
+			case 3:
+				mixed = NewString(string(rune('a' + k%3)))
+			}
+			r := Row{mixed, NewInt(k), NewInt(k % 5)}[:c.width]
+			name := refKey(NumericKey, keyOf(r, c.cols))
+			first, seen := want[name]
+			if !seen {
+				first = len(rows)
+				want[name] = first
+			}
+			if got := x.Insert(rows, r, len(rows)); got != first && (seen || got != -1) {
+				t.Fatalf("cols %v: Insert(%v) = %d, want %d", c.cols, r, got, first)
+			}
+			if !seen {
+				rows = append(rows, r)
+			}
+			if i == 2500 {
+				x.Grow(5000) // one batch's worth at once
+			}
 		}
-		if len(got) != len(ids) {
-			t.Fatalf("hash %d: ids %v, want %v", h, got, ids)
+		if len(rows) != len(want) {
+			t.Fatalf("cols %v: %d rows, want %d keys", c.cols, len(rows), len(want))
 		}
-		for i := range ids {
-			if got[i] != ids[i] {
-				t.Fatalf("hash %d: ids %v, want insertion order %v", h, got, ids)
+		probe := func(key Row) Row {
+			if c.pc == nil {
+				return key.Clone()
+			}
+			p := make(Row, 5)
+			for i, col := range c.pc {
+				p[col] = key[i]
+			}
+			return p
+		}
+		var probes []Row
+		for id := range rows {
+			probes = append(probes, probe(keyOf(rows[id], c.cols)))
+		}
+		absent := Row{NewInt(1 << 40), NewInt(1), NewInt(1)}[:len(keyOf(rows[0], c.cols))]
+		probes = append(probes, probe(absent))
+		ids := make([]int32, len(probes))
+		x.Find(rows, probes, c.pc, ids)
+		for p, got := range ids {
+			want := p
+			if p == len(rows) {
+				want = -1
+			}
+			if int(got) != want {
+				t.Fatalf("cols %v: Find(%v) = %d, want %d", c.cols, probes[p], got, want)
 			}
 		}
 	}
-	if x.First(1<<40+1) != -1 {
-		t.Error("First of an absent hash")
+
+	// A 64-bit hash shared by two keys: the slot of {1, 2} is made to stand
+	// for {3, 4}, so that {1, 2} meets a slot with its hash and another row.
+	rows := []Row{{NewInt(1), NewInt(2)}}
+	x := NewKeyTable(ExactKey, nil, 0)
+	x.Insert(rows, rows[0], 0)
+	rows = []Row{{NewInt(3), NewInt(4)}, {NewInt(1), NewInt(2)}}
+	ids := []int32{7}
+	if x.Find(rows, rows[1:], nil, ids); ids[0] != -1 {
+		t.Errorf("a key found through another key's row: id %d", ids[0])
 	}
-	rows := []Row{{NewString("x")}, {NewString("y")}}
-	ix := NewHashIndex(len(rows))
-	for range rows {
-		ix.Add(7) // every row collides
+	if got := x.Insert(rows, rows[1], 1); got != -1 {
+		t.Errorf("Insert past a shared hash = %d, want -1", got)
 	}
-	for i, r := range rows {
-		if got := ix.Lookup(ExactKey, rows, r, 7); got != i {
-			t.Errorf("Lookup(%v) = %d, want %d", r, got, i)
-		}
-	}
-	if got := ix.Lookup(ExactKey, rows, Row{NewString("z")}, 7); got != -1 {
-		t.Errorf("Lookup of an absent row = %d", got)
+	if x.Find(rows, rows[1:], nil, ids); ids[0] != 1 {
+		t.Errorf("Find past a shared hash = %d, want 1", ids[0])
 	}
 }

@@ -62,7 +62,7 @@ func TestCoveredQueryAllocations(t *testing.T) {
 	})
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
-	const pinned, pinnedBytes = 400, 140 << 10
+	const pinned, pinnedBytes = 400, 124 << 10
 	if allocs > pinned {
 		t.Errorf("covered T3: %v allocations per query, pinned at %d", allocs, pinned)
 	}
