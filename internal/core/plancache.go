@@ -28,6 +28,7 @@ package core
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"payless/internal/obs"
@@ -58,6 +59,11 @@ type CachedPlan struct {
 	// epochs and statsVersion are the invalidation snapshot.
 	epochs       []tableEpoch
 	statsVersion uint64
+	// line is the compiled plan's String, and aliases the relation aliases
+	// it names. Normalize lowercases names, so an instance may spell them
+	// differently; only one that spells them the same reuses the line.
+	line    string
+	aliases []string
 }
 
 // stale reports whether the entry's invalidation snapshot has moved.
@@ -122,6 +128,9 @@ func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Op
 	}
 	p := *cp.plan
 	p.Bound = b
+	if slices.EqualFunc(b.Rels, cp.aliases, func(rel *Rel, alias string) bool { return rel.Alias() == alias }) {
+		p.line = cp.line
+	}
 	return &p, true
 }
 
@@ -188,6 +197,11 @@ func (c *PlanCache) Put(key string, p *Plan, epochOf func(table string) uint64, 
 		numRels:      len(p.Bound.Rels),
 		numJoins:     len(p.Bound.Joins),
 		statsVersion: statsVersion,
+		line:         p.String(),
+		aliases:      make([]string, len(p.Bound.Rels)),
+	}
+	for i, rel := range p.Bound.Rels {
+		cp.aliases[i] = rel.Alias()
 	}
 	seen := make(map[string]bool)
 	for _, rel := range p.Bound.Rels {

@@ -204,3 +204,27 @@ func TestSkeletonInstantiateRejectsUncoveredLocalScan(t *testing.T) {
 		t.Error("DisableSQR must reject store-backed LocalScan")
 	}
 }
+
+// TestInstanceNamesItsOwnAliases: a cache hit reuses the entry's plan line
+// only when it spells every alias as the entry does. Normalize lowercases
+// names, so a hit may spell them otherwise, and then it renders its own.
+func TestInstanceNamesItsOwnAliases(t *testing.T) {
+	f := newFixture(t, numTable("R", 1000, "a", "b"), numTable("S", 500, "a", "c"))
+	plan := f.optimize(t, "SELECT * FROM R, S WHERE R.a = S.a AND R.b >= 10 AND R.b <= 30", Options{})
+	cp := cachedFor(t, f, plan)
+	opts := Options{}
+	for _, sql := range []string{
+		"SELECT * FROM R, S WHERE R.a = S.a AND R.b >= 40 AND R.b <= 55",
+		"SELECT * FROM r, s WHERE r.a = s.a AND r.b >= 40 AND r.b <= 55",
+		"SELECT * FROM R, s WHERE R.a = s.a AND R.b >= 40 AND R.b <= 55",
+	} {
+		got, ok := cp.Instantiate(f.bind(t, sql), f.store, &opts)
+		if !ok {
+			t.Fatalf("%s: same-shape instantiation must succeed", sql)
+		}
+		fresh := &Plan{Bound: got.Bound, Steps: got.Steps, EstTrans: got.EstTrans}
+		if got.String() != fresh.String() {
+			t.Errorf("%s: plan line %q, its own aliases render %q", sql, got.String(), fresh.String())
+		}
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -151,7 +152,8 @@ type QueryRequest struct {
 
 // QueryResponse is the successful query envelope. Rows use the same string
 // rendering as the in-process client, so a daemon response and a direct
-// Query result compare byte-for-byte.
+// Query result compare byte-for-byte. The 200 body is this struct as
+// encoding/json writes it, appended by hand (appendQueryResponse).
 type QueryResponse struct {
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`
@@ -383,6 +385,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sql, err := readSQL(r)
+	if errors.Is(err, errBodyTooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -448,23 +454,105 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Columns:         res.Columns,
-		Rows:            res.Rows,
-		Calls:           res.Report.Calls,
-		Records:         res.Report.Records,
-		Transactions:    res.Report.Transactions,
-		Price:           res.Report.Price,
-		EstTransactions: res.EstTransactions,
-		Planner:         res.Planner,
-	})
+	bp := bodyPool.Get().(*[]byte)
+	body, err := appendQueryResponse((*bp)[:0], res)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // headers are sent; nothing more to do about a failed write
+	if cap(body) <= maxPooledBody {
+		*bp = body
+		bodyPool.Put(bp)
+	}
 }
+
+// bodyPool holds the buffers 200 responses are appended into; one bigger
+// than maxPooledBody is left to the collector rather than kept.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
+
+// appendQueryResponse appends res's 200 body to buf: exactly what
+// encoding/json's Encoder writes for the QueryResponse of res, trailing
+// newline included, with no reflection and no allocation per cell. Like
+// encoding/json, it refuses a non-finite price.
+func appendQueryResponse(buf []byte, res *payless.Result) ([]byte, error) {
+	price := res.Report.Price
+	if math.IsNaN(price) || math.IsInf(price, 0) {
+		return buf, fmt.Errorf("daemon: cannot encode price %v", price)
+	}
+	buf = appendStrings(append(buf, `{"columns":`...), res.Columns)
+	buf = append(buf, `,"rows":`...)
+	if res.Rows == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i, row := range res.Rows {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendStrings(buf, row)
+		}
+		buf = append(buf, ']')
+	}
+	buf = strconv.AppendInt(append(buf, `,"calls":`...), res.Report.Calls, 10)
+	buf = strconv.AppendInt(append(buf, `,"records":`...), res.Report.Records, 10)
+	buf = strconv.AppendInt(append(buf, `,"transactions":`...), res.Report.Transactions, 10)
+	buf = appendJSONFloat(append(buf, `,"price":`...), price)
+	buf = strconv.AppendInt(append(buf, `,"est_transactions":`...), res.EstTransactions, 10)
+	buf = market.AppendJSONString(append(buf, `,"planner":`...), res.Planner)
+	return append(buf, "}\n"...), nil
+}
+
+// appendStrings appends ss as a JSON array of strings, or null for a nil
+// slice, as encoding/json does.
+func appendStrings(buf []byte, ss []string) []byte {
+	if ss == nil {
+		return append(buf, "null"...)
+	}
+	buf = append(buf, '[')
+	for i, s := range ss {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = market.AppendJSONString(buf, s)
+	}
+	return append(buf, ']')
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// plain decimal in [1e-6, 1e21) and zero, exponent form outside it with a
+// two-digit negative exponent's leading zero dropped (1e-07 becomes 1e-7).
+func appendJSONFloat(buf []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		buf = strconv.AppendFloat(buf, f, 'e', -1, 64)
+		if n := len(buf); n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+			buf[n-2] = buf[n-1]
+			buf = buf[:n-1]
+		}
+		return buf
+	}
+	return strconv.AppendFloat(buf, f, 'f', -1, 64)
+}
+
+// maxBody bounds a query body. A longer one is refused whole (413): a
+// truncated statement could parse, and answer a different query.
+const maxBody = 1 << 20
+
+// errBodyTooLarge is readSQL's refusal of a body over maxBody.
+var errBodyTooLarge = fmt.Errorf("daemon: query body over %d bytes", maxBody)
 
 // readSQL accepts {"sql": "..."} JSON or a bare text/plain SQL body.
 func readSQL(r *http.Request) (string, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
 	if err != nil {
 		return "", fmt.Errorf("daemon: read body: %w", err)
+	}
+	if len(body) > maxBody {
+		return "", errBodyTooLarge
 	}
 	text := strings.TrimSpace(string(body))
 	if text == "" {

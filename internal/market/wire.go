@@ -33,8 +33,8 @@ func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendJSONString(append(buf, `{"name":`...), c.Name)
-		buf = appendJSONString(append(buf, `,"type":`...), c.Type.String())
+		buf = AppendJSONString(append(buf, `{"name":`...), c.Name)
+		buf = AppendJSONString(append(buf, `,"type":`...), c.Type.String())
 		buf = append(buf, '}')
 	}
 	buf = append(buf, `],"rows":[`...)
@@ -50,10 +50,10 @@ func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
 			switch v.K {
 			case value.Null:
 				buf = append(buf, "null"...)
-			case value.Int:
-				buf = append(strconv.AppendInt(append(buf, '"'), v.Int64(), 10), '"')
+			case value.String:
+				buf = AppendJSONString(buf, v.Str())
 			default:
-				buf = appendJSONString(buf, v.String())
+				buf = append(v.AppendText(append(buf, '"')), '"')
 			}
 		}
 		buf = append(buf, ']')
@@ -69,17 +69,57 @@ func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
 	return append(buf, "}\n"...)
 }
 
-// appendJSONString appends s as a JSON string: verbatim between quotes when
-// it is printable ASCII with nothing to escape, through encoding/json (which
-// also replaces invalid UTF-8) otherwise.
-func appendJSONString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(buf, quoted...)
+// AppendJSONString appends s as a JSON string, byte for byte as
+// encoding/json writes it: `"` and `\` escaped, \b \f \n \r \t short and
+// other control characters as \u00XX, <, > and & as \u003c, \u003e and
+// \u0026, invalid UTF-8 as \ufffd, and U+2028 and U+2029 escaped.
+func AppendJSONString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0 // s[start:i] is yet to be copied
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				buf = append(buf, '\\', c)
+			case '\b':
+				buf = append(buf, '\\', 'b')
+			case '\f':
+				buf = append(buf, '\\', 'f')
+			case '\n':
+				buf = append(buf, '\\', 'n')
+			case '\r':
+				buf = append(buf, '\\', 'r')
+			case '\t':
+				buf = append(buf, '\\', 't')
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
 		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if (r != utf8.RuneError || size != 1) && r != '\u2028' && r != '\u2029' {
+			i += size
+			continue
+		}
+		buf = append(buf, s[start:i]...)
+		if r == utf8.RuneError {
+			buf = append(buf, `\ufffd`...)
+		} else {
+			buf = append(buf, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		}
+		i += size
+		start = i
 	}
-	return append(append(append(buf, '"'), s...), '"')
+	return append(append(buf, s[start:]...), '"')
 }
 
 // DecodeResultPage decodes one page of a data call from its wire body: the

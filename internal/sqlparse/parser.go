@@ -63,7 +63,22 @@ var reservedWords = map[string]bool{
 	"distinct": true, "having": true,
 }
 
-func isReserved(s string) bool { return reservedWords[strings.ToLower(s)] }
+// isReserved reports whether s is a reserved word in any case. It lowers s
+// into a stack buffer, so an identifier costs no allocation.
+func isReserved(s string) bool {
+	var lower [len("distinct")]byte // the longest reserved word
+	if len(s) > len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		lower[i] = c
+	}
+	return reservedWords[string(lower[:len(s)])]
+}
 
 func aggNameOf(s string) (AggName, bool) {
 	switch strings.ToUpper(s) {

@@ -330,3 +330,27 @@ func TestParseComments(t *testing.T) {
 		t.Error("negative literal after comment support")
 	}
 }
+
+// TestParseAllocations pins what parsing the WHW Q4 text allocates: tokens,
+// the AST and its slices, nothing per identifier. A reserved-word check
+// that lowercased through the heap cost one allocation per mixed-case
+// identifier (72 in all). The race detector adds allocations of its own, so
+// the gate runs only without it.
+func TestParseAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	const q4 = "SELECT Temperature FROM Station, Weather, ZipMap " +
+		"WHERE Station.Country = Weather.Country = 'United States' AND ZipMap.ZipCode = '98101' " +
+		"AND Weather.Date >= 20140601 AND Weather.Date <= 20140614 " +
+		"AND Station.StationID = Weather.StationID AND Station.City = ZipMap.City"
+	const pinned = 58
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Parse(q4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > pinned {
+		t.Errorf("parsing WHW Q4: %v allocations, pinned at %d", allocs, pinned)
+	}
+}

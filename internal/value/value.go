@@ -123,19 +123,33 @@ func (v Value) AsInt() int64 {
 	}
 }
 
-// String renders the value for display and wire encoding.
+// String renders the value for display and wire encoding: the text
+// AppendText appends. A String's text is the dictionary's own.
 func (v Value) String() string {
 	switch v.K {
 	case Null:
 		return "NULL"
-	case Int:
-		return strconv.FormatInt(v.Int64(), 10)
-	case Float:
-		return strconv.FormatFloat(v.Float64(), 'g', -1, 64)
 	case String:
 		return lookup(v.x)
+	}
+	var buf [32]byte // the longest Int or Float text is 24 bytes
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends v's String rendering to buf and returns the extended
+// buffer.
+func (v Value) AppendText(buf []byte) []byte {
+	switch v.K {
+	case Null:
+		return append(buf, "NULL"...)
+	case Int:
+		return strconv.AppendInt(buf, v.Int64(), 10)
+	case Float:
+		return strconv.AppendFloat(buf, v.Float64(), 'g', -1, 64)
+	case String:
+		return append(buf, lookup(v.x)...)
 	default:
-		return "?"
+		return append(buf, '?')
 	}
 }
 
@@ -188,8 +202,14 @@ func (v Value) Compare(w Value) int {
 	}
 }
 
-// Equal reports whether v and w compare equal.
-func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }
+// Equal reports whether v and w compare equal. Two strings are equal when
+// their dictionary ids are: each text has exactly one.
+func (v Value) Equal(w Value) bool {
+	if v.K == String && w.K == String {
+		return v.x == w.x
+	}
+	return v.Compare(w) == 0
+}
 
 // GobEncode encodes v as its kind byte followed by its payload: eight
 // little-endian bytes for Int and Float, the text for String, nothing for

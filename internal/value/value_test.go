@@ -85,6 +85,44 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestEqualAgreesWithCompare: Equal's by-id shortcut for two strings must
+// answer what Compare does, for every pair of kinds and the float corners.
+func TestEqualAgreesWithCompare(t *testing.T) {
+	vals := []Value{
+		NewNull(), NewInt(0), NewInt(-1), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN()),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(-1), NewFloat(0.5),
+		NewString(""), NewString("a"), NewString("b"), NewString("0"), NewString("NULL"),
+		NewStringBytes([]byte("a")), NewStringBytes([]byte("")), NewStringBytes([]byte("eq-bytes-only")),
+		NewString("eq-bytes-only"), NewStringBytes([]byte("\xff\x00")),
+	}
+	for _, v := range vals {
+		for _, w := range vals {
+			if got, want := v.Equal(w), v.Compare(w) == 0; got != want {
+				t.Errorf("%v(%v).Equal(%v(%v)) = %v, Compare says %v", v.K, v, w.K, w, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendTextIsString: AppendText appends exactly String's text, after
+// whatever the buffer already holds.
+func TestAppendTextIsString(t *testing.T) {
+	for _, v := range []Value{
+		NewNull(), NewInt(7), NewInt(-42), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(1.5), NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN()),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(-1.0000000000000002e-300),
+		NewString(""), NewString("Seattle"), {K: Kind(9)},
+	} {
+		if got := string(v.AppendText([]byte("x"))); got != "x"+v.String() {
+			t.Errorf("%+v: AppendText gives %q, String %q", v, got, v.String())
+		}
+	}
+	if got := (Value{K: Kind(9)}).String(); got != "?" {
+		t.Errorf("unknown kind renders %q", got)
+	}
+}
+
 func TestCompareAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := NewInt(a), NewInt(b)

@@ -1,12 +1,16 @@
 package payless
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"payless/internal/market"
 	"payless/internal/storage"
+	"payless/internal/value"
 	"payless/internal/workload"
 )
 
@@ -70,4 +74,56 @@ func TestCoveredQueryAllocations(t *testing.T) {
 		t.Errorf("covered T3: %d bytes per query, pinned at %d", bytes, pinnedBytes)
 	}
 	t.Logf("covered T3: %v allocations, %d bytes per query", allocs, bytes)
+}
+
+// TestRenderRowsIsValueString: the slab rendering of a result equals the
+// per-cell value.Value.String rendering, over random relations of every
+// kind and the float and integer corners, and keeps rows apart: appending
+// to one row never writes into the next.
+func TestRenderRowsIsValueString(t *testing.T) {
+	corners := []value.Value{
+		value.NewNull(), value.NewInt(0), value.NewInt(math.MaxInt64), value.NewInt(math.MinInt64),
+		value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)),
+		value.NewFloat(math.Copysign(0, -1)), value.NewFloat(-1.2345678901234567e-300),
+		value.NewString(""), value.NewString("NULL"), value.NewString("héllo \"<&>\""),
+	}
+	rng := rand.New(rand.NewSource(1))
+	cell := func() value.Value {
+		switch rng.Intn(4) {
+		case 0:
+			return corners[rng.Intn(len(corners))]
+		case 1:
+			return value.NewInt(rng.Int63() - rng.Int63())
+		case 2:
+			return value.NewFloat(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)))
+		default:
+			return value.NewString(fmt.Sprintf("s%d", rng.Intn(100)))
+		}
+	}
+	if got := renderRows(nil); got != nil {
+		t.Fatalf("no rows render as %#v, want nil", got)
+	}
+	for trial := 0; trial < 200; trial++ {
+		width, n := rng.Intn(6), rng.Intn(300)+1
+		rows := make([]value.Row, n)
+		want := make([][]string, n)
+		for r := range rows {
+			rows[r] = make(value.Row, width)
+			want[r] = make([]string, width)
+			for i := range rows[r] {
+				rows[r][i] = cell()
+				want[r][i] = rows[r][i].String()
+			}
+		}
+		got := renderRows(rows)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: rendered\n%q\nwant\n%q", trial, got, want)
+		}
+		if n > 1 {
+			_ = append(got[0], "appended")
+			if !reflect.DeepEqual(got[1], want[1]) {
+				t.Fatalf("trial %d: appending to row 0 overwrote row 1: %q", trial, got[1])
+			}
+		}
+	}
 }
