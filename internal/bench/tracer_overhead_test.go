@@ -17,13 +17,24 @@ type noopTracer struct{}
 func (noopTracer) Begin(string) *payless.Trace { return nil }
 func (noopTracer) Finish(*payless.Trace)       {}
 
+// warmEnvs records the environments the workload has been replayed on once.
+var warmEnvs = map[*concurrencyEnv]bool{}
+
 // replayAllocs returns what one full pass over the fan-out workload
 // allocates on a fresh client built with opts. The client calls the market
 // in process and one call at a time, so — unlike a wall-clock ratio, which a
 // loaded host moves by tens of percent — the count repeats to within a
 // couple of allocations in six thousand (a GC emptying a sync.Pool mid-run).
+// The first client on an environment also pays one-time costs as its calls
+// first run concurrently (threads, goroutine stacks, per-P pools), about 20
+// allocations over a measured run, so the first call on each environment
+// replays the workload once unmeasured before it measures.
 func replayAllocs(t *testing.T, env *concurrencyEnv, key string, opts ...payless.Option) (float64, *payless.Client) {
 	t.Helper()
+	if !warmEnvs[env] {
+		warmEnvs[env] = true
+		replayAllocs(t, env, "alloc-warmup")
+	}
 	env.m.RegisterAccount(key)
 	client, err := payless.Open(payless.Config{
 		Tables:           append(env.m.ExportCatalog(), env.w.ZipMap),

@@ -1,8 +1,9 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 
 	"payless/internal/region"
@@ -26,18 +27,28 @@ type Pred struct {
 func (p Pred) IsPoint() bool { return p.Eq != nil }
 
 // String renders the predicate for logs and wire encoding.
-func (p Pred) String() string {
+func (p Pred) String() string { return string(p.appendText(nil)) }
+
+// appendText appends p's String rendering: "Attr=v" for an equality and
+// "Attr in [lo,hi]" for a range, an open end as -inf or +inf.
+func (p Pred) appendText(buf []byte) []byte {
+	buf = append(buf, p.Attr...)
 	if p.Eq != nil {
-		return fmt.Sprintf("%s=%s", p.Attr, p.Eq.String())
+		return p.Eq.AppendText(append(buf, '='))
 	}
-	lo, hi := "-inf", "+inf"
+	buf = append(buf, " in ["...)
 	if p.Lo != nil {
-		lo = fmt.Sprintf("%d", *p.Lo)
+		buf = strconv.AppendInt(buf, *p.Lo, 10)
+	} else {
+		buf = append(buf, "-inf"...)
 	}
+	buf = append(buf, ',')
 	if p.Hi != nil {
-		hi = fmt.Sprintf("%d", *p.Hi)
+		buf = strconv.AppendInt(buf, *p.Hi, 10)
+	} else {
+		buf = append(buf, "+inf"...)
 	}
-	return fmt.Sprintf("%s in [%s,%s]", p.Attr, lo, hi)
+	return append(buf, ']')
 }
 
 // AccessQuery is the specification of one RESTful GET call to the data
@@ -68,14 +79,36 @@ func (q AccessQuery) Pred(attr string) (Pred, bool) {
 }
 
 // String renders the call in the paper's tuple notation, e.g.
-// Weather('United States', -, [20140601,20140630]).
+// Weather('United States', -, [20140601,20140630]), its predicates sorted.
+// The scheduler keys every wire call by it, so the predicates are rendered
+// into one buffer and sorted as spans of it.
 func (q AccessQuery) String() string {
-	var parts []string
+	var text [256]byte
+	var spans [8][2]int
+	buf, parts := text[:0], spans[:0]
 	for _, p := range q.Preds {
-		parts = append(parts, p.String())
+		start := len(buf)
+		buf = p.appendText(buf)
+		parts = append(parts, [2]int{start, len(buf)})
 	}
-	sort.Strings(parts)
-	return fmt.Sprintf("%s(%s)", q.Table, strings.Join(parts, ", "))
+	part := func(i int) []byte { return buf[parts[i][0]:parts[i][1]] }
+	for i := 1; i < len(parts); i++ {
+		for j := i; j > 0 && bytes.Compare(part(j), part(j-1)) < 0; j-- {
+			parts[j], parts[j-1] = parts[j-1], parts[j]
+		}
+	}
+	var b strings.Builder
+	b.Grow(len(q.Table) + len(buf) + 2*len(parts) + 2)
+	b.WriteString(q.Table)
+	b.WriteByte('(')
+	for i := range parts {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.Write(part(i))
+	}
+	b.WriteByte(')')
+	return b.String()
 }
 
 // ValidateBinding checks the call against the table's binding pattern:
@@ -117,13 +150,15 @@ func ValidateBinding(t *Table, q AccessQuery) error {
 // to the domain. An error is returned for predicates whose values fall
 // outside a categorical domain.
 func BoxFor(t *Table, q AccessQuery) (region.Box, error) {
-	qa := t.QueryableAttrs()
-	dims := make([]region.Interval, len(qa))
-	for i, a := range qa {
+	dims := make([]region.Interval, 0, t.NumDims())
+	for _, a := range t.Attrs {
+		if a.Binding == Output {
+			continue
+		}
 		full := a.FullInterval()
 		p, ok := q.Pred(a.Name)
 		if !ok {
-			dims[i] = full
+			dims = append(dims, full)
 			continue
 		}
 		switch {
@@ -136,7 +171,7 @@ func BoxFor(t *Table, q AccessQuery) (region.Box, error) {
 			if !ok {
 				return region.Box{}, fmt.Errorf("value %v outside domain of %s.%s", *p.Eq, t.Name, a.Name)
 			}
-			dims[i] = iv
+			dims = append(dims, iv)
 		default:
 			iv := full
 			if p.Lo != nil && *p.Lo > iv.Lo {
@@ -148,7 +183,7 @@ func BoxFor(t *Table, q AccessQuery) (region.Box, error) {
 			if iv.Empty() {
 				return region.Box{}, fmt.Errorf("empty range on %s.%s", t.Name, a.Name)
 			}
-			dims[i] = iv
+			dims = append(dims, iv)
 		}
 	}
 	return region.Box{Dims: dims}, nil
@@ -161,12 +196,16 @@ func BoxFor(t *Table, q AccessQuery) (region.Box, error) {
 // A multi-value, non-full span on a categorical attribute is rejected
 // because the market cannot express it (§4.2, Fig. 8).
 func QueryForBox(t *Table, b region.Box) (AccessQuery, error) {
-	qa := t.QueryableAttrs()
-	if b.D() != len(qa) {
-		return AccessQuery{}, fmt.Errorf("box dimensionality %d does not match table %s (%d)", b.D(), t.Name, len(qa))
+	if b.D() != t.NumDims() {
+		return AccessQuery{}, fmt.Errorf("box dimensionality %d does not match table %s (%d)", b.D(), t.Name, t.NumDims())
 	}
 	q := AccessQuery{Dataset: t.Dataset, Table: t.Name}
-	for i, a := range qa {
+	i := -1
+	for _, a := range t.Attrs {
+		if a.Binding == Output {
+			continue
+		}
+		i++
 		iv := b.Dims[i]
 		full := a.FullInterval()
 		if iv.Equal(full) {

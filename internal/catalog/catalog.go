@@ -151,28 +151,16 @@ type Table struct {
 	Mirrors []Mirror
 }
 
-// QueryableIdx returns the schema indexes of attributes that participate in
-// the access pattern (Bound or Free) — the box dimensions of the table.
-func (t *Table) QueryableIdx() []int {
-	var idx []int
-	for i, a := range t.Attrs {
-		if a.Binding != Output {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// QueryableAttrs returns the attributes that form the table's box axes,
-// in schema order.
-func (t *Table) QueryableAttrs() []Attribute {
-	var out []Attribute
+// NumDims returns the number of attributes that participate in the access
+// pattern (Bound or Free): the dimensionality of the table's boxes.
+func (t *Table) NumDims() int {
+	n := 0
 	for _, a := range t.Attrs {
 		if a.Binding != Output {
-			out = append(out, a)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // Dim returns the box dimension of the named attribute and its metadata;
@@ -204,10 +192,11 @@ func (t *Table) Attr(name string) (Attribute, bool) {
 // the region retrieved by a call with no predicates ("download the whole
 // table by not specifying any value to any attribute", §1).
 func (t *Table) FullBox() region.Box {
-	qa := t.QueryableAttrs()
-	dims := make([]region.Interval, len(qa))
-	for i, a := range qa {
-		dims[i] = a.FullInterval()
+	dims := make([]region.Interval, 0, t.NumDims())
+	for _, a := range t.Attrs {
+		if a.Binding != Output {
+			dims = append(dims, a.FullInterval())
+		}
 	}
 	return region.Box{Dims: dims}
 }

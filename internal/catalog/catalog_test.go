@@ -1,7 +1,10 @@
 package catalog
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -77,11 +80,11 @@ func TestAttributeDomain(t *testing.T) {
 
 func TestTableAccessors(t *testing.T) {
 	w := weatherTable()
-	if got := w.QueryableIdx(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Errorf("QueryableIdx: %v", got)
+	if got := w.NumDims(); got != 3 {
+		t.Errorf("NumDims: %d", got)
 	}
-	if got := w.QueryableAttrs(); len(got) != 3 || got[2].Name != "Date" {
-		t.Errorf("QueryableAttrs: %v", got)
+	if dim, a := w.Dim("date"); dim != 2 || a.Name != "Date" {
+		t.Errorf("Dim(date): %d %v", dim, a.Name)
 	}
 	if _, ok := w.Attr("Temperature"); !ok {
 		t.Error("Attr lookup")
@@ -478,6 +481,80 @@ func TestMatchesRowAgreesWithBox(t *testing.T) {
 		matches := MatchesRow(w, q, row)
 		if inBox != matches {
 			t.Fatalf("trial %d: box says %v, MatchesRow says %v (q=%v row=%v)", trial, inBox, matches, q, row)
+		}
+	}
+}
+
+// fmtQueryString is how AccessQuery.String rendered a call through fmt: each
+// predicate Sprintf'd on its own, the parts sorted and joined.
+func fmtQueryString(q AccessQuery) string {
+	var parts []string
+	for _, p := range q.Preds {
+		if p.Eq != nil {
+			parts = append(parts, fmt.Sprintf("%s=%s", p.Attr, p.Eq.String()))
+			continue
+		}
+		lo, hi := "-inf", "+inf"
+		if p.Lo != nil {
+			lo = fmt.Sprintf("%d", *p.Lo)
+		}
+		if p.Hi != nil {
+			hi = fmt.Sprintf("%d", *p.Hi)
+		}
+		parts = append(parts, fmt.Sprintf("%s in [%s,%s]", p.Attr, lo, hi))
+	}
+	sort.Strings(parts)
+	return fmt.Sprintf("%s(%s)", q.Table, strings.Join(parts, ", "))
+}
+
+// TestQueryStringIsFmtRendering: the scheduler keys calls by
+// AccessQuery.String, so it must render exactly what the fmt version did, on
+// random calls: equalities of every kind, ranges with open ends and negative
+// bounds, repeated attributes, and more predicates or text than its stack
+// buffers hold.
+func TestQueryStringIsFmtRendering(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	attrs := []string{"Country", "Date", "StationID", "D", "date", "Date ", "", strings.Repeat("Wide", 40)}
+	bound := func() *int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return nil
+		case 1:
+			return IntPtr(-rng.Int63n(1 << 40))
+		case 2:
+			return IntPtr([]int64{math.MinInt64, math.MaxInt64, 0, -1}[rng.Intn(4)])
+		}
+		return IntPtr(rng.Int63n(30000000))
+	}
+	eq := func() *value.Value {
+		switch rng.Intn(5) {
+		case 0:
+			return ValPtr(value.NewInt(rng.Int63n(2000) - 1000))
+		case 1:
+			return ValPtr(value.NewFloat(rng.NormFloat64() * 1e3))
+		case 2:
+			return ValPtr(value.NewNull())
+		}
+		return ValPtr(value.NewString([]string{"United States", "Canada", "", "a, b", "Z"}[rng.Intn(5)]))
+	}
+	for i := 0; i < 2000; i++ {
+		q := AccessQuery{Table: []string{"Weather", "Station", ""}[rng.Intn(3)]}
+		for n := rng.Intn(12); n > 0; n-- {
+			p := Pred{Attr: attrs[rng.Intn(len(attrs))]}
+			if rng.Intn(2) == 0 {
+				p.Eq = eq()
+			} else {
+				p.Lo, p.Hi = bound(), bound()
+			}
+			q.Preds = append(q.Preds, p)
+		}
+		if got, want := q.String(), fmtQueryString(q); got != want {
+			t.Fatalf("String() = %q, fmt rendered %q", got, want)
+		}
+		for _, p := range q.Preds {
+			if got, want := p.String(), fmtQueryString(AccessQuery{Preds: []Pred{p}}); "("+got+")" != want {
+				t.Fatalf("Pred.String() = %q, fmt rendered %q", got, want)
+			}
 		}
 	}
 }

@@ -196,12 +196,16 @@ func RewriteConfig(t *catalog.Table, opts *Options) rewrite.Config {
 
 // dimKinds maps a table's queryable attributes to rewrite dimension kinds.
 func dimKinds(t *catalog.Table) []rewrite.DimKind {
-	qa := t.QueryableAttrs()
-	out := make([]rewrite.DimKind, len(qa))
-	for i, a := range qa {
-		if a.Class == catalog.CategoricalAttr {
-			out[i] = rewrite.Categorical
+	out := make([]rewrite.DimKind, 0, t.NumDims())
+	for _, a := range t.Attrs {
+		if a.Binding == catalog.Output {
+			continue
 		}
+		kind := rewrite.Numeric
+		if a.Class == catalog.CategoricalAttr {
+			kind = rewrite.Categorical
+		}
+		out = append(out, kind)
 	}
 	return out
 }

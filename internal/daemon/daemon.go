@@ -42,6 +42,7 @@ import (
 	"payless/internal/obs"
 	"payless/internal/overload"
 	"payless/internal/tenant"
+	"payless/internal/value"
 )
 
 // retryJitterFrac is the ± fraction applied to every Retry-After hint, so a
@@ -503,7 +504,7 @@ func appendQueryResponse(buf []byte, res *payless.Result) ([]byte, error) {
 	buf = strconv.AppendInt(append(buf, `,"transactions":`...), res.Report.Transactions, 10)
 	buf = appendJSONFloat(append(buf, `,"price":`...), price)
 	buf = strconv.AppendInt(append(buf, `,"est_transactions":`...), res.EstTransactions, 10)
-	buf = market.AppendJSONString(append(buf, `,"planner":`...), res.Planner)
+	buf = value.AppendJSONString(append(buf, `,"planner":`...), res.Planner)
 	return append(buf, "}\n"...), nil
 }
 
@@ -518,7 +519,7 @@ func appendStrings(buf []byte, ss []string) []byte {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = market.AppendJSONString(buf, s)
+		buf = value.AppendJSONString(buf, s)
 	}
 	return append(buf, ']')
 }

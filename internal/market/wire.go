@@ -33,8 +33,8 @@ func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = AppendJSONString(append(buf, `{"name":`...), c.Name)
-		buf = AppendJSONString(append(buf, `,"type":`...), c.Type.String())
+		buf = value.AppendJSONString(append(buf, `{"name":`...), c.Name)
+		buf = value.AppendJSONString(append(buf, `,"type":`...), c.Type.String())
 		buf = append(buf, '}')
 	}
 	buf = append(buf, `],"rows":[`...)
@@ -42,21 +42,7 @@ func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
 		if r > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, '[')
-		for i, v := range row {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			switch v.K {
-			case value.Null:
-				buf = append(buf, "null"...)
-			case value.String:
-				buf = AppendJSONString(buf, v.Str())
-			default:
-				buf = append(v.AppendText(append(buf, '"')), '"')
-			}
-		}
-		buf = append(buf, ']')
+		buf = row.AppendJSON(buf)
 	}
 	buf = strconv.AppendInt(append(buf, `],"records":`...), int64(res.Records), 10)
 	if from == 0 {
@@ -67,59 +53,6 @@ func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
 		buf = strconv.AppendInt(append(buf, `,"nextPage":`...), int64(nextPage), 10)
 	}
 	return append(buf, "}\n"...)
-}
-
-// AppendJSONString appends s as a JSON string, byte for byte as
-// encoding/json writes it: `"` and `\` escaped, \b \f \n \r \t short and
-// other control characters as \u00XX, <, > and & as \u003c, \u003e and
-// \u0026, invalid UTF-8 as \ufffd, and U+2028 and U+2029 escaped.
-func AppendJSONString(buf []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	buf = append(buf, '"')
-	start := 0 // s[start:i] is yet to be copied
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				buf = append(buf, '\\', c)
-			case '\b':
-				buf = append(buf, '\\', 'b')
-			case '\f':
-				buf = append(buf, '\\', 'f')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if (r != utf8.RuneError || size != 1) && r != '\u2028' && r != '\u2029' {
-			i += size
-			continue
-		}
-		buf = append(buf, s[start:i]...)
-		if r == utf8.RuneError {
-			buf = append(buf, `\ufffd`...)
-		} else {
-			buf = append(buf, '\\', 'u', '2', '0', '2', hex[r&0xf])
-		}
-		i += size
-		start = i
-	}
-	return append(append(buf, s[start:]...), '"')
 }
 
 // DecodeResultPage decodes one page of a data call from its wire body: the

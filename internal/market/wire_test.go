@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
@@ -375,45 +374,4 @@ func TestDecodeResultPageAllocations(t *testing.T) {
 		t.Errorf("decoding %d rows: %v allocations, pinned at %d (none per string cell)", rows, allocs, pinned)
 	}
 	t.Logf("%v allocations for %d string cells", allocs, rows*stringCols)
-}
-
-// TestAppendJSONStringIsEncodingJSON: the hand-written string encoder the
-// wire and paylessd's responses share writes what encoding/json writes, byte
-// for byte: quotes, backslashes, every control character, HTML's <>&,
-// invalid UTF-8, U+2028/U+2029 and multi-byte text, then random bytes.
-func TestAppendJSONStringIsEncodingJSON(t *testing.T) {
-	corpus := []string{
-		"", "plain", `"quoted"`, `back\slash`, "<a href='x'>&amp;</a>", "\x7f\x80\xff",
-		"tab\tnl\nret\rbs\bff\f", "\u2028\u2029", "héllo wörld ✓ 😀", "\xed\xa0\x80", "\xef\xbf\xbd",
-		"trailing \xe2\x82", "NULL",
-	}
-	for c := 0; c < 0x20; c++ {
-		corpus = append(corpus, string(rune(c))+"x")
-	}
-	check := func(s string) bool {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := AppendJSONString([]byte("prefix"), s)
-		if string(got) != "prefix"+string(want) {
-			t.Errorf("%q: got %s, encoding/json writes %s", s, got[len("prefix"):], want)
-			return false
-		}
-		return true
-	}
-	for _, s := range corpus {
-		check(s)
-	}
-	rng := rand.New(rand.NewSource(1))
-	alphabet := []byte("a\"\\<>&\x00\x1f\x7f\xc3\xa9\xe2\x80\xa8\xf0\x9f\x98\x80\xff")
-	for i := 0; i < 2000; i++ {
-		b := make([]byte, rng.Intn(12))
-		for j := range b {
-			b[j] = alphabet[rng.Intn(len(alphabet))]
-		}
-		if !check(string(b)) {
-			break
-		}
-	}
 }

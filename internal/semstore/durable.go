@@ -1,11 +1,11 @@
 package semstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -84,7 +84,8 @@ type RecoveryInfo struct {
 	Micros int64
 }
 
-// walRecord is one logged Record call. Rows use the same string encoding as
+// walRecord is one logged Record call, the schema replay decodes frames
+// through (appendWALRecord writes them). Rows use the same cell encoding as
 // snapshots; coordinates are re-derived from the catalog on replay.
 type walRecord struct {
 	// Seq is the cumulative record number (1-based) across the store's
@@ -287,26 +288,28 @@ func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []va
 	var res RecordResult
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rec := walRecord{Seq: d.cum + 1, Table: meta.Name, At: at, Rows: encodeRows(rows)}
-	for _, iv := range b.Dims {
-		rec.Dims = append(rec.Dims, [2]int64{iv.Lo, iv.Hi})
-	}
-	payload, err := json.Marshal(rec)
+	// The only field that can fail to encode is the time: refuse it before
+	// anything is appended.
+	var text [40]byte
+	atJSON, err := appendJSONTime(text[:0], at)
 	if err != nil {
 		return res, fmt.Errorf("semstore: encode wal record: %w", err)
 	}
+	seq := d.cum + 1
 	start := time.Now()
-	synced, err := d.w.Append(payload)
+	synced, n, err := d.w.AppendFunc(func(buf []byte) []byte {
+		return appendWALRecord(buf, seq, meta.Name, b, atJSON, rows)
+	})
 	res.WALMicros = time.Since(start).Microseconds()
 	if err != nil {
 		return res, fmt.Errorf("semstore: wal append: %w", err)
 	}
 	res.Synced = synced
-	res.WALBytes = len(payload)
-	d.cum = rec.Seq
+	res.WALBytes = n
+	d.cum = seq
 	s.recorded.Store(d.cum)
 	if m := s.metrics; m != nil {
-		m.ObserveWALAppend(len(payload), synced, res.WALMicros)
+		m.ObserveWALAppend(n, synced, res.WALMicros)
 	}
 	s.applyRecord(meta, b, rows, coords, at, &res)
 	d.sinceCkpt++
@@ -322,6 +325,26 @@ func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []va
 	return res, nil
 }
 
+// appendWALRecord appends the frame payload of one Record call, byte for
+// byte what json.Marshal writes for its walRecord: dims and rows omitted when
+// empty. at is the time already in its JSON form.
+func appendWALRecord(buf []byte, seq int64, table string, b region.Box, at []byte, rows []value.Row) []byte {
+	buf = strconv.AppendInt(append(buf, `{"seq":`...), seq, 10)
+	buf = value.AppendJSONString(append(buf, `,"table":`...), table)
+	if len(b.Dims) > 0 {
+		buf = appendDims(append(buf, `,"dims":`...), b.Dims)
+	}
+	buf = append(append(buf, `,"at":`...), at...)
+	if len(rows) > 0 {
+		buf = append(buf, `,"rows":`...)
+		for i, row := range rows {
+			buf = row.AppendJSON(listSep(buf, i))
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, '}')
+}
+
 // checkpointLocked folds the store into a new snapshot: temp file, fsync,
 // atomic rename, directory fsync — then truncates the log and removes older
 // snapshots. Caller holds d.mu.
@@ -331,20 +354,16 @@ func (d *durState) checkpointLocked(s *Store) error {
 	final := filepath.Join(d.dir, snapName(seq))
 	tmp := final + tmpSuffix
 
-	// The published snapshot is immutable and — because applyRecord installs
-	// its new snapshot before record() returns, and all records serialise on
-	// d.mu — covers exactly records 1..d.cum at this point.
-	var buf bytes.Buffer
-	err := saveSnap(&buf, s.snap.Load(), d.cum)
-	if err != nil {
-		return fmt.Errorf("semstore: checkpoint encode: %w", err)
-	}
 	f, err := d.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("semstore: checkpoint open: %w", err)
 	}
 	cleanup := func() { f.Close(); _ = d.fs.Remove(tmp) }
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	// The published snapshot is immutable and, because applyRecord installs
+	// its new snapshot before record() returns and all records serialise on
+	// d.mu, covers exactly records 1..d.cum at this point.
+	size, err := saveSnap(f, s.snap.Load(), d.cum)
+	if err != nil {
 		cleanup()
 		return fmt.Errorf("semstore: checkpoint write: %w", err)
 	}
@@ -387,7 +406,7 @@ func (d *durState) checkpointLocked(s *Store) error {
 		}
 	}
 	if m := s.metrics; m != nil {
-		m.ObserveCheckpoint(int64(buf.Len()), time.Since(start).Microseconds(), true)
+		m.ObserveCheckpoint(size, time.Since(start).Microseconds(), true)
 	}
 	return nil
 }

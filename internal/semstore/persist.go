@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"payless/internal/catalog"
@@ -40,7 +41,7 @@ type persistTable struct {
 	Table   string         `json:"table"`
 	Kinds   []string       `json:"kinds"`
 	Entries []persistEntry `json:"entries"`
-	Rows    [][]*string    `json:"rows"` // see encodeRows
+	Rows    [][]*string    `json:"rows"` // cells as value.Value.AppendJSON writes them
 }
 
 type persistEntry struct {
@@ -63,36 +64,137 @@ var ErrBadSnapshot = errors.New("semstore: bad snapshot")
 // Save writes the store's full contents (stored calls and materialised
 // rows) as the same JSON snapshot a checkpoint writes. Output is
 // deterministic: tables are sorted by name and entries keep their
-// (compacted) store order, so snapshots diff cleanly.
+// (compacted) store order, so snapshots diff cleanly. On an error w may
+// hold a prefix of the snapshot.
 func (s *Store) Save(w io.Writer) error {
-	return saveSnap(w, s.snap.Load(), s.recorded.Load())
+	_, err := saveSnap(w, s.snap.Load(), s.recorded.Load())
+	return err
 }
 
-// saveSnap renders the envelope for one immutable snapshot with the given
-// cumulative record count. The snapshot never mutates, so no lock is needed.
-func saveSnap(w io.Writer, snap *storeSnap, records int64) error {
-	out := persistFile{Magic: snapshotMagic, Version: persistVersion, Records: records}
-	for name, ts := range snap.tables {
-		pt := persistTable{Table: name}
-		for _, c := range ts.meta.Schema {
-			pt.Kinds = append(pt.Kinds, c.Type.String())
+// The snapshot and log encoders append typed values into bytes, writing
+// exactly what encoding/json writes for persistFile (Encoder.Encode, so
+// with a trailing newline) and walRecord (Marshal): the decoders read them
+// back through those structs. Cells are value.Value.AppendJSON's, the
+// market wire's encoding.
+
+// snapChunk is how much snapshot text saveSnap buffers before writing it
+// out: a snapshot streams through one buffer whatever the store's size.
+const snapChunk = 32 << 10
+
+// saveSnap writes the envelope for one immutable snapshot with the given
+// cumulative record count and returns the bytes written. The snapshot never
+// mutates, so no lock is needed.
+func saveSnap(w io.Writer, snap *storeSnap, records int64) (int64, error) {
+	names := make([]string, 0, len(snap.tables))
+	for name := range snap.tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	c := chunkWriter{w: w, buf: make([]byte, 0, 2*snapChunk)}
+	c.buf = value.AppendJSONString(append(c.buf, `{"magic":`...), snapshotMagic)
+	c.buf = strconv.AppendInt(append(c.buf, `,"version":`...), persistVersion, 10)
+	if records != 0 {
+		c.buf = strconv.AppendInt(append(c.buf, `,"records":`...), records, 10)
+	}
+	c.buf = append(c.buf, `,"tables":`...)
+	for i, name := range names {
+		ts := snap.tables[name]
+		c.buf = value.AppendJSONString(append(listSep(c.buf, i), `{"table":`...), name)
+		c.buf = append(c.buf, `,"kinds":`...)
+		for k, col := range ts.meta.Schema {
+			c.buf = value.AppendJSONString(listSep(c.buf, k), col.Type.String())
 		}
+		c.buf = append(listEnd(c.buf, len(ts.meta.Schema)), `,"entries":`...)
+		live := 0
 		for _, e := range ts.entries {
 			if e.dead {
 				continue
 			}
-			pe := persistEntry{At: e.at}
-			for _, iv := range e.box.Dims {
-				pe.Dims = append(pe.Dims, [2]int64{iv.Lo, iv.Hi})
+			c.buf = appendDims(append(listSep(c.buf, live), `{"dims":`...), e.box.Dims)
+			var err error
+			if c.buf, err = appendJSONTime(append(c.buf, `,"at":`...), e.at); err != nil {
+				return c.n, err
 			}
-			pt.Entries = append(pt.Entries, pe)
+			c.buf = append(c.buf, '}')
+			live++
+			c.spill(snapChunk)
 		}
-		pt.Rows = encodeRows(ts.rows)
-		out.Tables = append(out.Tables, pt)
+		c.buf = append(listEnd(c.buf, live), `,"rows":`...)
+		for k, row := range ts.rows {
+			c.buf = row.AppendJSON(listSep(c.buf, k))
+			c.spill(snapChunk)
+		}
+		c.buf = append(listEnd(c.buf, len(ts.rows)), '}')
 	}
-	sort.Slice(out.Tables, func(i, j int) bool { return out.Tables[i].Table < out.Tables[j].Table })
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	c.buf = append(listEnd(c.buf, len(names)), "}\n"...)
+	c.spill(1)
+	return c.n, c.err
+}
+
+// listSep opens a JSON list before its element i = 0 and separates the
+// others; listEnd closes a list of n elements, or writes null for none, as
+// encoding/json writes a nil slice. Every list a snapshot holds is nil when
+// empty.
+func listSep(buf []byte, i int) []byte {
+	if i == 0 {
+		return append(buf, '[')
+	}
+	return append(buf, ',')
+}
+
+func listEnd(buf []byte, n int) []byte {
+	if n == 0 {
+		return append(buf, "null"...)
+	}
+	return append(buf, ']')
+}
+
+// chunkWriter buffers appended text and writes it out in chunks.
+type chunkWriter struct {
+	w   io.Writer
+	buf []byte
+	n   int64 // bytes written
+	err error // the first write error; later spills write nothing
+}
+
+// spill writes the buffer out once it holds at least atLeast bytes, or
+// after a write error drops it, so a failed snapshot never buffers the rest.
+func (c *chunkWriter) spill(atLeast int) {
+	if len(c.buf) < atLeast {
+		return
+	}
+	if c.err == nil {
+		var n int
+		n, c.err = c.w.Write(c.buf)
+		c.n += int64(n)
+		if c.err == nil && n < len(c.buf) {
+			c.err = io.ErrShortWrite
+		}
+	}
+	c.buf = c.buf[:0]
+}
+
+// appendDims appends a box's dimensions as [[lo,hi],…] pairs, or null for
+// none.
+func appendDims(buf []byte, dims []region.Interval) []byte {
+	for i, iv := range dims {
+		buf = strconv.AppendInt(append(listSep(buf, i), '['), iv.Lo, 10)
+		buf = append(strconv.AppendInt(append(buf, ','), iv.Hi, 10), ']')
+	}
+	return listEnd(buf, len(dims))
+}
+
+// appendJSONTime appends t as encoding/json writes a time.Time: RFC 3339
+// with nanoseconds and t's own zone offset, in quotes. A time that form
+// cannot express (a year outside [0, 9999], or a zone offset of a day or
+// more) appends nothing and fails with the error encoding/json returns.
+func appendJSONTime(buf []byte, t time.Time) ([]byte, error) {
+	if _, off := t.Zone(); t.Year() < 0 || t.Year() > 9999 || off <= -86400 || off >= 86400 {
+		if _, err := json.Marshal(t); err != nil {
+			return buf, err
+		}
+	}
+	return append(t.AppendFormat(append(buf, '"'), time.RFC3339Nano), '"'), nil
 }
 
 // stagedTable is one table's fully validated snapshot content, ready to
@@ -167,8 +269,8 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 	return st, nil
 }
 
-// decodeRows parses encoded rows (see encodeRows) against the table's
-// kinds.
+// decodeRows parses encoded rows (see value.Value.AppendJSON) against the
+// table's kinds.
 func decodeRows(meta *catalog.Table, kinds []value.Kind, enc [][]*string) ([]value.Row, error) {
 	rows := make([]value.Row, 0, len(enc))
 	for _, cells := range enc {
@@ -191,36 +293,6 @@ func decodeRows(meta *catalog.Table, kinds []value.Kind, enc [][]*string) ([]val
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// encodeRows renders rows in the snapshot/WAL encoding: each cell as its
-// string rendering, NULL as JSON null — so a NULL of any kind survives the
-// trip, distinct from the string "NULL". The cells of all rows share one
-// slab.
-func encodeRows(rows []value.Row) [][]*string {
-	if len(rows) == 0 {
-		return nil
-	}
-	n := 0
-	for _, row := range rows {
-		n += len(row)
-	}
-	strs := make([]string, n)
-	cells := make([]*string, n)
-	out := make([][]*string, len(rows))
-	k := 0
-	for i, row := range rows {
-		start := k
-		for _, v := range row {
-			if v.K != value.Null {
-				strs[k] = v.String()
-				cells[k] = &strs[k]
-			}
-			k++
-		}
-		out[i] = cells[start:k:k]
-	}
-	return out
 }
 
 // apply installs a fully validated snapshot; nothing in it can fail.

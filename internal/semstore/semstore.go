@@ -298,7 +298,7 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 	if ts, ok := snap.tables[meta.Name]; ok {
 		return ts.clone()
 	}
-	d := len(meta.QueryableAttrs())
+	d := meta.NumDims()
 	return &tableStore{
 		meta:   meta,
 		seen:   value.NewKeyTable(value.ExactKey, nil, 0),
@@ -908,14 +908,16 @@ func (s *Store) Covered(table string, q region.Box, since time.Time) bool {
 }
 
 // rowCoords maps each row onto its queryable-space coordinates, one after
-// the other in a single array: len(meta.QueryableAttrs()) per row.
+// the other in a single array: meta.NumDims() per row.
 func rowCoords(meta *catalog.Table, rows []value.Row) ([]int64, error) {
-	qidx := meta.QueryableIdx()
-	qa := meta.QueryableAttrs()
-	coords := make([]int64, 0, len(rows)*len(qa))
+	coords := make([]int64, 0, len(rows)*meta.NumDims())
 	for _, row := range rows {
-		for i, a := range qa {
-			c, err := a.Coord(row[qidx[i]])
+		for i := range meta.Attrs {
+			a := &meta.Attrs[i]
+			if a.Binding == catalog.Output {
+				continue
+			}
+			c, err := a.Coord(row[i])
 			if err != nil {
 				return nil, err
 			}

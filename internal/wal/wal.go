@@ -110,47 +110,52 @@ func NewWriter(fsys FS, path string, size int64, policy SyncPolicy, batchEvery i
 // the writer turns sticky-broken: all further appends fail until the log is
 // re-opened through recovery.
 func (w *Writer) Append(payload []byte) (synced bool, err error) {
+	synced, _, err = w.AppendFunc(func(buf []byte) []byte { return append(buf, payload...) })
+	return synced, err
+}
+
+// AppendFunc is Append with the payload appended by fill to the buffer it is
+// handed, the writer's own frame buffer, so a caller encodes its record
+// straight into the frame with no payload of its own. n is the payload's
+// length.
+func (w *Writer) AppendFunc(fill func(buf []byte) []byte) (synced bool, n int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
-		return false, fmt.Errorf("wal: log broken by earlier failure: %w", w.broken)
+		return false, 0, fmt.Errorf("wal: log broken by earlier failure: %w", w.broken)
 	}
+	w.buf = fill(append(w.buf[:0], make([]byte, headerSize)...))
+	frame, payload := w.buf, w.buf[headerSize:]
 	if len(payload) > maxFrame {
-		return false, fmt.Errorf("wal: payload %d bytes exceeds frame limit", len(payload))
+		return false, 0, fmt.Errorf("wal: payload %d bytes exceeds frame limit", len(payload))
 	}
-	need := headerSize + len(payload)
-	if cap(w.buf) < need {
-		w.buf = make([]byte, need)
-	}
-	frame := w.buf[:need]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[headerSize:], payload)
 	start := w.size
-	n, werr := w.f.Write(frame)
-	if werr != nil || n != len(frame) {
+	written, werr := w.f.Write(frame)
+	if werr != nil || written != len(frame) {
 		if werr == nil {
-			werr = fmt.Errorf("wal: short write: %d of %d bytes", n, len(frame))
+			werr = fmt.Errorf("wal: short write: %d of %d bytes", written, len(frame))
 		}
 		// Roll the file back to the frame boundary so the log stays
 		// replayable past this failure.
 		if terr := w.f.Truncate(start); terr != nil {
 			w.broken = fmt.Errorf("append failed (%v) and rollback failed (%v)", werr, terr)
 		}
-		return false, fmt.Errorf("wal: append: %w", werr)
+		return false, 0, fmt.Errorf("wal: append: %w", werr)
 	}
-	w.size += int64(n)
+	w.size += int64(written)
 	w.appends++
 	w.pending++
 	switch w.policy {
 	case SyncPerCall:
-		return true, w.syncLocked()
+		return true, len(payload), w.syncLocked()
 	case SyncBatched:
 		if w.pending >= w.batchEvery {
-			return true, w.syncLocked()
+			return true, len(payload), w.syncLocked()
 		}
 	}
-	return false, nil
+	return false, len(payload), nil
 }
 
 func (w *Writer) syncLocked() error {
