@@ -1,0 +1,206 @@
+package connector
+
+import (
+	"context"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httptrace"
+	"reflect"
+	"runtime"
+	"strconv"
+	"sync/atomic"
+	"testing"
+
+	"payless/internal/catalog"
+	"payless/internal/market"
+	"payless/internal/value"
+)
+
+// fullPage returns the wire body of one full transport page: PageRows rows
+// of an int key, a string, a float and a date-like int.
+func fullPage() []byte {
+	res := market.Result{Schema: value.Schema{
+		{Name: "K", Type: value.Int},
+		{Name: "Flag", Type: value.String},
+		{Name: "Price", Type: value.Float},
+		{Name: "Day", Type: value.Int},
+	}}
+	for i := range market.PageRows {
+		res.Rows = append(res.Rows, value.Row{
+			value.NewInt(int64(i)),
+			value.NewString([]string{"A", "N", "R"}[i%3]),
+			value.NewFloat(float64(i) / 7),
+			value.NewInt(int64(1 + i%2400)),
+		})
+	}
+	res.Records, res.Transactions, res.Price = len(res.Rows), 50, 50
+	return market.AppendResultPage(nil, res, 0, len(res.Rows), 0)
+}
+
+// pageServer serves body to every request: with its Content-Length, as the
+// market sends a page, or chunked with no length, as a market that streams
+// its pages would.
+func pageServer(body []byte, withLength bool) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if withLength {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body)
+			return
+		}
+		half := len(body) / 2
+		w.Write(body[:half])
+		w.(http.Flusher).Flush() // headers go out now, so no length can follow
+		w.Write(body[half:])
+	}))
+}
+
+// allocatedPerRun is the bytes the process allocates per run of f: the
+// in-process server's share is a few kilobytes per request.
+func allocatedPerRun(runs int, f func()) uint64 {
+	f() // warm up: the connection, the transport's buffers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestKnownLengthPageReadOnce: a full page served with its Content-Length is
+// read into one buffer of exactly its size. What a Call allocates beyond
+// decoding the page stays under 1.25 bodies; reading it through a buffer
+// grown as the bytes arrive costs nearly five. The connection is reused from
+// call to call, so the exact read still sees the body's end.
+func TestKnownLengthPageReadOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	body := fullPage()
+	srv := pageServer(body, true)
+	defer srv.Close()
+	c := New(srv.URL, "k", WithHTTPClient(srv.Client()))
+	reused := 0
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if info.Reused {
+				reused++
+			}
+		},
+	})
+	const runs = 20
+	call := func() {
+		if _, err := c.Call(ctx, catalog.AccessQuery{Dataset: "DS", Table: "T"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perCall := allocatedPerRun(runs, call)
+	decode := allocatedPerRun(runs, func() {
+		if _, _, err := market.DecodeResultPage(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	over := perCall - decode
+	t.Logf("%d-byte page: a Call allocates %d bytes, %d beyond its decode (%.2f bodies)",
+		len(body), perCall, over, float64(over)/float64(len(body)))
+	if limit := uint64(len(body) + len(body)/4); over > limit {
+		t.Errorf("a Call allocates %d bytes beyond decoding its %d-byte page; want at most %d",
+			over, len(body), limit)
+	}
+	if reused != runs {
+		t.Errorf("%d of %d calls after the first reused the connection", reused, runs)
+	}
+}
+
+// TestChunkedPageDecodesIdentically: a page of unknown length is read as it
+// arrives and decodes to the same result as the same page with a length.
+func TestChunkedPageDecodesIdentically(t *testing.T) {
+	body := fullPage()
+	results := make([]market.Result, 2)
+	for i, withLength := range []bool{true, false} {
+		srv := pageServer(body, withLength)
+		resp, err := srv.Client().Get(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if known := resp.ContentLength >= 0; known != withLength {
+			t.Fatalf("served with length %v, but the client sees Content-Length %d", withLength, resp.ContentLength)
+		}
+		c := New(srv.URL, "k", WithHTTPClient(srv.Client()))
+		results[i], err = c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"})
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(results[0].Rows) != market.PageRows {
+		t.Fatalf("decoded %d rows, want %d", len(results[0].Rows), market.PageRows)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Error("the chunked page decodes differently from the same page with a Content-Length")
+	}
+}
+
+// TestShortBodyRetriedBilledOnce: a page cut short of its Content-Length is
+// an unexpected EOF, retried under the same call ID, and the market bills
+// the call once.
+func TestShortBodyRetriedBilledOnce(t *testing.T) {
+	m := newMarket(t)
+	inner := m.Handler()
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) > 1 {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		for k, vs := range rec.Header() {
+			w.Header()[k] = vs // Content-Length included: it will not be met
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes()[:rec.Body.Len()/2])
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler) // cut the connection mid-body
+	}))
+	defer srv.Close()
+
+	c := New(srv.URL, "k", WithHTTPClient(srv.Client()), WithRetries(2), fastBackoff())
+	res, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "WHW", Table: "Station"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits.Load() != 2 {
+		t.Errorf("attempts: %d, want 2 (the short body, then its retry)", hits.Load())
+	}
+	if res.Records != 150 || res.Transactions != 2 {
+		t.Errorf("result: %d records, %d transactions; want 150 and 2", res.Records, res.Transactions)
+	}
+	if meter, _ := m.MeterOf("k"); meter.Calls != 1 || meter.Transactions != 2 {
+		t.Errorf("market meter: %d calls, %d transactions; want the call billed once: 1 call, 2 transactions",
+			meter.Calls, meter.Transactions)
+	}
+}
+
+// TestOversizedContentLengthIsNotPreallocated: a Content-Length beyond
+// maxExactRead is not allocated up front (a terabyte would kill the
+// process); the body is read as it arrives, and one that stops short is a
+// transport error.
+func TestOversizedContentLengthIsNotPreallocated(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(1<<40))
+		w.Write([]byte(`{"schema":`))
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	defer srv.Close()
+	c := New(srv.URL, "k", WithHTTPClient(srv.Client()), WithRetries(0))
+	_, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a body that stops short of a terabyte Content-Length: %v, want an unexpected EOF", err)
+	}
+}

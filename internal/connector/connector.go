@@ -324,11 +324,35 @@ func (c *Client) attempt(ctx context.Context, path, callID string) ([]byte, int,
 		return nil, 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	return body, resp.StatusCode, resp.Header, nil
+}
+
+// maxExactRead bounds the Content-Length readBody trusts with an up-front
+// allocation: a larger claim is read as it arrives instead.
+const maxExactRead = 64 << 20
+
+// readBody reads a response body. A body of known length — what the market
+// sends — is read into one buffer of exactly that size; a body of unknown
+// length (a third-party market, or a proxy that strips the header) grows as
+// it arrives. A body shorter than its length is io.ErrUnexpectedEOF: a
+// transport error, which get retries under the same call ID.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxExactRead {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		if err == io.EOF { // nothing at all arrived
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return body, nil
 }
 
 // Catalog fetches the market's public table metadata — the registration

@@ -248,9 +248,13 @@ func (m *Market) Handler() http.Handler {
 		if end < len(res.Rows) {
 			next = page + 1
 		}
+		body := AppendResultPage(nil, res, start, end, next)
 		w.Header().Set("Content-Type", "application/json")
+		// The whole page is in hand: its length lets the buyer read it into
+		// one buffer of exactly that size.
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		// Headers are sent; nothing more to do about a failed write.
-		_, _ = w.Write(AppendResultPage(nil, res, start, end, next))
+		_, _ = w.Write(body)
 	})
 	return mux
 }

@@ -2,6 +2,7 @@ package market
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -37,9 +38,11 @@ func get(t *testing.T, srv *httptest.Server, path, key string) (*http.Response, 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var buf [1 << 20]byte
-	nr, _ := resp.Body.Read(buf[:])
-	return resp, buf[:nr]
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
 }
 
 func TestHTTPDataCall(t *testing.T) {

@@ -49,13 +49,9 @@ func (n *naiveStore) record(meta *catalog.Table, b region.Box, rows []value.Row,
 		if _, dup := n.seen[k]; dup {
 			continue
 		}
-		rb, err := RowBox(meta, r)
+		cs, err := rowCoords(meta, []value.Row{r})
 		if err != nil {
 			return err
-		}
-		cs := make([]int64, rb.D())
-		for i, iv := range rb.Dims {
-			cs[i] = iv.Lo
 		}
 		n.seen[k] = struct{}{}
 		n.rows = append(n.rows, r.Clone())

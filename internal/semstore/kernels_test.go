@@ -58,10 +58,18 @@ func coordDrawers(rng *rand.Rand) map[string]func() int64 {
 }
 
 // TestSortRunMatchesSortFunc checks sortRun against the comparison sort it
-// replaces, on batches on both sides of radixCutoff.
+// replaces, on batches on both sides of radixCutoff, sorting in a scratch
+// buffer that is longer than the run and left dirty between trials, as
+// addRows' per-batch buffer is between dimensions: the sort must not read
+// what it finds there, nor write past len(run) of it.
 func TestSortRunMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sizes := []int{0, 1, 2, 17, radixCutoff - 1, radixCutoff, radixCutoff + 1, 1000, 5000}
+	sentinel := rowEntry{coord: -7, id: -7}
+	scratch := make(rowRun, 5000+1)
+	for i := range scratch {
+		scratch[i] = rowEntry{coord: rng.Int63(), id: i}
+	}
 	for name, coord := range coordDrawers(rng) {
 		for _, n := range sizes {
 			for trial := 0; trial < 4; trial++ {
@@ -69,16 +77,20 @@ func TestSortRunMatchesSortFunc(t *testing.T) {
 				want := slices.Clone(in)
 				slices.SortFunc(want, byCoordThenID)
 				got := slices.Clone(in)
-				sortRun(got)
+				scratch[n] = sentinel
+				sortRun(got, scratch)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s, %d entries: sortRun differs from SortFunc(byCoordThenID)", name, n)
 				}
 				if n > 0 { // below the cutoff too
 					radix := slices.Clone(in)
-					radixSort(radix)
+					radixSort(radix, scratch)
 					if !slices.Equal(radix, want) {
 						t.Fatalf("%s, %d entries: radixSort differs from SortFunc(byCoordThenID)", name, n)
 					}
+				}
+				if scratch[n] != sentinel {
+					t.Fatalf("%s, %d entries: the sort wrote past its run's length of scratch", name, n)
 				}
 			}
 		}
@@ -97,7 +109,7 @@ func TestMergeRunsMatchesKWayMerge(t *testing.T) {
 			for r := range runs {
 				n := 1 + rng.Intn(300)
 				runs[r] = randomRun(next, n, coord)
-				sortRun(runs[r])
+				sortRun(runs[r], make(rowRun, n))
 				next += n
 				total += n
 			}
@@ -123,13 +135,13 @@ func BenchmarkSortRun(b *testing.B) {
 		for _, n := range []int{16, 32, 64, 128, 512} {
 			rng := rand.New(rand.NewSource(1))
 			in := randomRun(0, n, func() int64 { return rng.Int63n(span) })
-			run := make(rowRun, n)
+			run, scratch := make(rowRun, n), make(rowRun, n)
 			for _, k := range []struct {
 				name string
 				sort func(rowRun)
 			}{
 				{"sortfunc", func(r rowRun) { slices.SortFunc(r, byCoordThenID) }},
-				{"radix", radixSort},
+				{"radix", func(r rowRun) { radixSort(r, scratch) }},
 			} {
 				b.Run(fmt.Sprintf("span=%d/n=%d/%s", span, n, k.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {

@@ -270,14 +270,17 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 }
 
 // decodeRows parses encoded rows (see value.Value.AppendJSON) against the
-// table's kinds.
+// table's kinds, carving them from one slab: the store keeps an all-new
+// batch as it is handed in.
 func decodeRows(meta *catalog.Table, kinds []value.Kind, enc [][]*string) ([]value.Row, error) {
+	w := len(kinds)
 	rows := make([]value.Row, 0, len(enc))
-	for _, cells := range enc {
-		if len(cells) != len(kinds) {
-			return nil, fmt.Errorf("semstore: table %s: row width %d, want %d", meta.Name, len(cells), len(kinds))
+	slab := make([]value.Value, len(enc)*w)
+	for r, cells := range enc {
+		if len(cells) != w {
+			return nil, fmt.Errorf("semstore: table %s: row width %d, want %d", meta.Name, len(cells), w)
 		}
-		row := make(value.Row, len(cells))
+		row := value.Row(slab[r*w : (r+1)*w : (r+1)*w])
 		for i, cell := range cells {
 			// Files written before NULL was encoded as null spell it "NULL",
 			// which no number parses as.

@@ -115,8 +115,9 @@ type rowDim []rowRun
 // push appends a batch's run and merges the tail while the run before it is
 // at most twice as long, newest first (mergeRuns). The runs shrink
 // geometrically towards the tail, so every row is copied O(log n) times over
-// the life of the table, and a merge leaves only the exact-size merged run
-// behind.
+// the life of the table. run is the caller's scratch and is never kept: push
+// allocates only what it publishes, an exact copy of a run that stands alone
+// or the exact-size merged run.
 func (rd rowDim) push(run rowRun) rowDim {
 	rd = append(rd, run)
 	j, total := len(rd)-1, len(run)
@@ -125,6 +126,7 @@ func (rd rowDim) push(run rowRun) rowDim {
 		total += len(rd[j])
 	}
 	if j == len(rd)-1 {
+		rd[j] = slices.Clone(run)
 		return rd
 	}
 	rd[j] = mergeRuns(rd[j:], total)
@@ -166,18 +168,20 @@ func mergeRuns(runs []rowRun, total int) rowRun {
 const radixCutoff = 64
 
 // sortRun sorts a batch's run, built in id order, into (coord, id) order.
-func sortRun(run rowRun) {
+// scratch holds at least len(run) entries, which the radix sort overwrites.
+func sortRun(run, scratch rowRun) {
 	if len(run) < radixCutoff {
 		slices.SortFunc(run, byCoordThenID)
 		return
 	}
-	radixSort(run)
+	radixSort(run, scratch)
 }
 
 // radixSort is an LSD radix sort of run on coord−min, one byte per pass over
-// the bytes the run's span needs. It is stable, so a run built in id order
+// the bytes the run's span needs, ping-ponging between run and the first
+// len(run) entries of scratch. It is stable, so a run built in id order
 // comes out in (coord, id) order.
-func radixSort(run rowRun) {
+func radixSort(run, scratch rowRun) {
 	lo, hi := run[0].coord, run[0].coord
 	for _, e := range run {
 		lo, hi = min(lo, e.coord), max(hi, e.coord)
@@ -186,7 +190,7 @@ func radixSort(run rowRun) {
 		return // one coordinate, as on a single-value categorical axis: id order is the order
 	}
 	span := uint64(hi - lo) // exact even when hi−lo overflows int64
-	src, dst := run, make(rowRun, len(run))
+	src, dst := run, scratch[:len(run)]
 	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
 		var count [256]int
 		for _, e := range src {
@@ -386,8 +390,12 @@ type RecordResult struct {
 func (r RecordResult) Compacted() int { return r.Absorbed + r.Merged }
 
 // Record stores the outcome of an executed call: its box as coverage, and
-// the rows themselves (copied and deduplicated; the caller keeps ownership
-// of rows).
+// the rows themselves, deduplicated. Rows are immutable once handed in (see
+// DESIGN "Immutability"): when every row is new the store keeps the caller's
+// rows as they are, each capped at its length, so the caller must not write
+// to them afterwards; a batch with duplicates has its new rows copied into
+// one slab, so the store never pins a page it mostly discarded. The rows
+// slice itself stays the caller's.
 //
 // Record is atomic with respect to the coverage index: every row's
 // coordinates are validated up front, and only when all of them resolve are
@@ -444,9 +452,9 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 }
 
 // addRows stores the validated rows the table does not hold yet
-// (value.ExactKey) and indexes them as one batch: the new rows are copied
-// into one slab and sorted into one run per dimension. It returns how many
-// rows were new.
+// (value.ExactKey) and indexes them as one batch, sorted into one run per
+// dimension. An all-new batch is kept as handed in; a batch with duplicates
+// has its new rows copied into one slab. It returns how many rows were new.
 func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
 	first, d := len(ts.rows), len(ts.rowIdx)
 	ts.seen.Grow(len(rows))
@@ -458,25 +466,38 @@ func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
 		ts.coords = append(ts.coords, coords[i*d:(i+1)*d]...)
 	}
 	fresh := ts.rows[first:]
-	if len(fresh) == 0 {
+	n := len(fresh)
+	if n == 0 {
 		return 0
 	}
-	// The caller keeps its rows: replace them by the store's own copies. No
-	// published snapshot reaches an index at or past first.
-	slab := make([]value.Value, 0, len(fresh)*len(ts.meta.Schema))
-	for i, row := range fresh {
-		slab = append(slab, row...)
-		fresh[i] = slab[len(slab)-len(row) : len(slab) : len(slab)]
+	// No published snapshot reaches an index at or past first, so the new
+	// rows are rewritten in place: capped at their length when the whole
+	// batch is kept, or replaced by copies in one slab when some of it was
+	// not, so the discarded duplicates' backing array is not pinned.
+	if n == len(rows) {
+		for i, row := range fresh {
+			fresh[i] = row[:len(row):len(row)]
+		}
+	} else {
+		slab := make([]value.Value, 0, n*len(ts.meta.Schema))
+		for i, row := range fresh {
+			slab = append(slab, row...)
+			fresh[i] = slab[len(slab)-len(row) : len(slab) : len(slab)]
+		}
 	}
+	// One buffer per batch holds each dimension's run in turn and the sort's
+	// scratch; push copies out only what it publishes, so the buffer dies
+	// with the batch.
+	buf := make(rowRun, 2*n)
+	run, scratch := buf[:n], buf[n:]
 	for k := range ts.rowIdx {
-		run := make(rowRun, len(fresh))
 		for i := range run {
 			run[i] = rowEntry{ts.coords[(first+i)*d+k], first + i}
 		}
-		sortRun(run)
+		sortRun(run, scratch)
 		ts.rowIdx[k] = ts.rowIdx[k].push(run)
 	}
-	return len(fresh)
+	return n
 }
 
 // insertEntry adds a coverage box, compacting as it goes. Caller holds the
@@ -925,19 +946,6 @@ func rowCoords(meta *catalog.Table, rows []value.Row) ([]int64, error) {
 		}
 	}
 	return coords, nil
-}
-
-// RowBox maps a row of the table onto its point box in queryable space.
-func RowBox(meta *catalog.Table, row value.Row) (region.Box, error) {
-	coords, err := rowCoords(meta, []value.Row{row})
-	if err != nil {
-		return region.Box{}, err
-	}
-	dims := make([]region.Interval, len(coords))
-	for i, c := range coords {
-		dims[i] = region.Point(c)
-	}
-	return region.Box{Dims: dims}, nil
 }
 
 // restricted appends to dims the dimensions on which q excludes some stored

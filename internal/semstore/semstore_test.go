@@ -1,6 +1,7 @@
 package semstore
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -134,17 +135,16 @@ func TestConsistencyWindow(t *testing.T) {
 	}
 }
 
-func TestRowBox(t *testing.T) {
+func TestRowCoords(t *testing.T) {
 	meta := pollutionMeta()
-	rb, err := RowBox(meta, row("B", 42, 9.5))
+	got, err := rowCoords(meta, []value.Row{row("B", 42, 9.5), row("A", 7, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := region.NewBox(region.Point(1), region.Point(42))
-	if !rb.Equal(want) {
-		t.Errorf("RowBox: %v, want %v", rb, want)
+	if want := []int64{1, 42, 0, 7}; !slices.Equal(got, want) {
+		t.Errorf("rowCoords: %v, want %v", got, want)
 	}
-	if _, err := RowBox(meta, row("Z", 42, 9.5)); err == nil {
+	if _, err := rowCoords(meta, []value.Row{row("Z", 42, 9.5)}); err == nil {
 		t.Error("out-of-domain row should error")
 	}
 }
