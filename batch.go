@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"payless/internal/core"
-	"payless/internal/sqlparse"
 )
 
 // BatchResult is the outcome of one statement inside a batch.
@@ -44,13 +43,9 @@ func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 	}
 	var todo []pending
 	for i, sql := range sqls {
-		parsed, err := sqlparse.Parse(sql)
+		bound, _, err := c.front(sql, nil, c.plans)
 		if err != nil {
-			return nil, &BatchError{Index: i, Err: stageErr(StageParse, err)}
-		}
-		bound, err := core.Bind(parsed, c.cat)
-		if err != nil {
-			return nil, &BatchError{Index: i, Err: stageErr(StageBind, err)}
+			return nil, &BatchError{Index: i, Err: err}
 		}
 		todo = append(todo, pending{idx: i, bound: bound})
 	}

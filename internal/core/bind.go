@@ -24,6 +24,9 @@ type Rel struct {
 	Ref sqlparse.TableRef
 	// Table is the catalog metadata.
 	Table *catalog.Table
+	// Schema is Table's schema with every column named "alias.Column": the
+	// names its rows carry once fetched. Instances of one shape share it.
+	Schema value.Schema
 	// Query carries the constant predicates pushable to the data market.
 	Query catalog.AccessQuery
 	// Box is the bounding box of the relation's access region.
@@ -162,10 +165,36 @@ func (b *BoundQuery) read(ref sqlparse.ColRef) (int, error) {
 		return 0, err
 	}
 	if _, ok := b.Cols[ref]; !ok {
-		r := b.Rels[rel]
-		b.Cols[ref] = r.Alias() + "." + r.Table.Schema[col].Name
+		b.Cols[ref] = b.Rels[rel].Schema[col].Name
 	}
 	return rel, nil
+}
+
+// Shape is the half of binding that no literal moves: the relations, join
+// edges, cross residuals, every column read after the scans and the output,
+// plus where each constant WHERE condition applies. One statement shape
+// binds once; Shape.Bind then derives predicates and boxes per instance. A
+// Shape is immutable, so instances share it and everything it resolved.
+type Shape struct {
+	// proto is every instance's BoundQuery but for Query and Rels; its Rels
+	// carry only Ref, Table and Schema.
+	proto BoundQuery
+	// consts are the constant WHERE conditions; ranges the number of range
+	// accumulators they fill.
+	consts []constCond
+	ranges int
+	// err is the output's binding error, which Bind reports after any error
+	// of the literal half, as a single pass over the statement would.
+	err error
+}
+
+// constCond is one constant WHERE condition: its position, its relation,
+// the attribute it compares (zero for a column that is not one) and, for a
+// non-IN condition, its range accumulator — one per (relation, attribute),
+// numbered in order of first appearance.
+type constCond struct {
+	cond, rel, acc int
+	attr           catalog.Attribute
 }
 
 // Bind resolves a parsed query against the catalog: tables, join edges,
@@ -173,35 +202,38 @@ func (b *BoundQuery) read(ref sqlparse.ColRef) (int, error) {
 // the local operators read and the output they produce. A statement with an
 // unknown or ambiguous reference fails here, before it is planned or spends.
 func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
+	s, err := NewShape(q, cat)
+	if err != nil {
+		return nil, err
+	}
+	return s.Bind(q)
+}
+
+// NewShape binds the literal-free half of q: every name it uses.
+func NewShape(q *sqlparse.Query, cat *catalog.Catalog) (*Shape, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("query has no FROM clause")
 	}
-	b := &BoundQuery{Query: q, Cols: make(map[sqlparse.ColRef]string)}
+	s := &Shape{proto: BoundQuery{Query: q, Cols: make(map[sqlparse.ColRef]string)}}
+	b := &s.proto
 	for _, ref := range q.From {
 		t, ok := cat.Lookup(ref.Name)
 		if !ok {
 			return nil, fmt.Errorf("unknown table %s", ref.Name)
 		}
-		r := &Rel{Ref: ref, Table: t, Query: catalog.AccessQuery{Dataset: t.Dataset, Table: t.Name}}
+		r := &Rel{Ref: ref, Table: t}
 		for _, o := range b.Rels {
 			if strings.EqualFold(o.Alias(), r.Alias()) {
 				return nil, fmt.Errorf("duplicate table alias %s", r.Alias())
 			}
 		}
+		r.Schema = make(value.Schema, len(t.Schema))
+		for i, c := range t.Schema {
+			r.Schema[i] = value.Column{Name: r.Alias() + "." + c.Name, Type: c.Type}
+		}
 		b.Rels = append(b.Rels, r)
 	}
-	// Range accumulation per (relation, attribute), kept in the order the
-	// attribute's first constant non-IN condition appears in WHERE: that is
-	// the order the ranges join the access query's predicates.
-	type rangeAcc struct {
-		rel    int
-		attr   string
-		ranged bool
-		p      catalog.Pred
-	}
-	var ranges []rangeAcc
-
-	for _, cond := range q.Where {
+	for i, cond := range q.Where {
 		if cond.IsJoin() {
 			li, err := b.read(cond.Left)
 			if err != nil {
@@ -227,8 +259,56 @@ func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel := b.Rels[ri]
-		a, _ := rel.Table.Attr(cond.Left.Column)
+		c := constCond{cond: i, rel: ri, acc: -1}
+		c.attr, _ = b.Rels[ri].Table.Attr(cond.Left.Column)
+		if !cond.IsIn() {
+			for _, o := range s.consts {
+				if o.acc >= 0 && o.rel == ri && strings.EqualFold(q.Where[o.cond].Left.Column, cond.Left.Column) {
+					c.acc = o.acc
+					break
+				}
+			}
+			if c.acc < 0 {
+				c.acc = s.ranges
+				s.ranges++
+			}
+		}
+		s.consts = append(s.consts, c)
+	}
+	s.err = b.bindOutput()
+	return s, nil
+}
+
+// Bind is the literal half of binding: it derives each relation's pushable
+// predicates, boxes and residuals from q's literals. q must have the shape's
+// statement shape — the same AST but for literal values.
+func (s *Shape) Bind(q *sqlparse.Query) (*BoundQuery, error) {
+	b := s.proto
+	b.Query = q
+	rels := make([]Rel, len(s.proto.Rels))
+	b.Rels = make([]*Rel, len(rels))
+	for i, r := range s.proto.Rels {
+		rels[i] = Rel{Ref: r.Ref, Table: r.Table, Schema: r.Schema,
+			Query: catalog.AccessQuery{Dataset: r.Table.Dataset, Table: r.Table.Name}}
+		b.Rels[i] = &rels[i]
+	}
+	// Range accumulation per (relation, attribute), kept in the order the
+	// attribute's first constant non-IN condition appears in WHERE: that is
+	// the order the ranges join the access query's predicates.
+	type rangeAcc struct {
+		rel          int
+		attr         string
+		ranged       bool
+		lo, hi       int64
+		hasLo, hasHi bool
+	}
+	var ranges []rangeAcc
+	if s.ranges > 0 {
+		ranges = make([]rangeAcc, s.ranges)
+	}
+	for _, c := range s.consts {
+		cond := q.Where[c.cond]
+		rel, a := b.Rels[c.rel], c.attr
 		if cond.IsIn() {
 			if pushableIn(a, cond) {
 				rel.In = append(rel.In, InPred{Attr: a.Name, Values: dedupValues(cond.InVals)})
@@ -237,46 +317,49 @@ func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 			}
 			continue
 		}
-		acc := -1
-		for i := range ranges {
-			if ranges[i].rel == ri && strings.EqualFold(ranges[i].attr, cond.Left.Column) {
-				acc = i
-				break
-			}
-		}
-		if acc < 0 {
-			acc = len(ranges)
-			ranges = append(ranges, rangeAcc{rel: ri, attr: cond.Left.Column})
-		}
 		if !pushable(a, cond) {
 			rel.Residual = append(rel.Residual, cond)
 			continue
 		}
 		if cond.Op == sqlparse.OpEq {
-			v := *cond.RightVal
-			rel.Query.Preds = append(rel.Query.Preds, catalog.Pred{Attr: a.Name, Eq: &v})
+			rel.Query.Preds = append(rel.Query.Preds, catalog.Pred{Attr: a.Name, Eq: cond.RightVal})
 			continue
 		}
-		r := &ranges[acc]
+		r := &ranges[c.acc]
 		if !r.ranged {
-			r.ranged, r.p = true, catalog.Pred{Attr: a.Name}
+			r.rel, r.attr, r.ranged = c.rel, a.Name, true
 		}
 		v := cond.RightVal.AsInt()
 		switch cond.Op {
-		case sqlparse.OpGe:
-			setLo(&r.p, v)
 		case sqlparse.OpGt:
-			setLo(&r.p, v+1)
-		case sqlparse.OpLe:
-			setHi(&r.p, v)
+			v++
+			fallthrough
+		case sqlparse.OpGe:
+			if !r.hasLo || r.lo < v {
+				r.lo, r.hasLo = v, true
+			}
 		case sqlparse.OpLt:
-			setHi(&r.p, v-1)
+			v--
+			fallthrough
+		case sqlparse.OpLe:
+			if !r.hasHi || r.hi > v {
+				r.hi, r.hasHi = v, true
+			}
 		}
 	}
-	for _, r := range ranges {
-		if r.ranged {
-			b.Rels[r.rel].Query.Preds = append(b.Rels[r.rel].Query.Preds, r.p)
+	for i := range ranges {
+		r := &ranges[i]
+		if !r.ranged {
+			continue
 		}
+		p := catalog.Pred{Attr: r.attr}
+		if r.hasLo {
+			p.Lo = &r.lo
+		}
+		if r.hasHi {
+			p.Hi = &r.hi
+		}
+		b.Rels[r.rel].Query.Preds = append(b.Rels[r.rel].Query.Preds, p)
 	}
 	for _, r := range b.Rels {
 		// Equality predicates on values outside the attribute's domain can
@@ -309,10 +392,10 @@ func Bind(q *sqlparse.Query, cat *catalog.Catalog) (*BoundQuery, error) {
 			return nil, fmt.Errorf("table %s: %w", r.Alias(), err)
 		}
 	}
-	if err := b.bindOutput(); err != nil {
-		return nil, err
+	if s.err != nil {
+		return nil, s.err
 	}
-	return b, nil
+	return &b, nil
 }
 
 // bindOutput resolves the SELECT list and GROUP BY, names the output
@@ -430,6 +513,10 @@ func (b *BoundQuery) outputSuffix(col string) (first, n int) {
 // residual evaluation; values outside the attribute's domain contribute no
 // box (they can match nothing).
 func expandInBoxes(r *Rel) error {
+	if len(r.In) == 0 {
+		r.Boxes = []region.Box{r.Box}
+		return nil
+	}
 	boxes := []region.Box{r.Box}
 	var kept []InPred
 	for _, p := range r.In {
@@ -474,17 +561,17 @@ func expandInBoxes(r *Rel) error {
 	return nil
 }
 
-// dedupValues removes duplicate IN values, preserving order.
+// dedupValues removes duplicate IN values (value.ExactKey), preserving
+// order.
 func dedupValues(vals []value.Value) []value.Value {
-	seen := make(map[string]bool, len(vals))
-	var out []value.Value
+	seen := make(map[value.Value]bool, 8)
+	out := make([]value.Value, 0, len(vals))
 	for _, v := range vals {
-		k := fmt.Sprintf("%d|%s", v.K, v.String())
-		if seen[k] {
-			continue
+		k := value.ExactKey.Canonical(v)
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, v)
 		}
-		seen[k] = true
-		out = append(out, v)
 	}
 	return out
 }
@@ -521,17 +608,5 @@ func pushable(a catalog.Attribute, cond sqlparse.Condition) bool {
 		return a.Class == catalog.NumericAttr && cond.RightVal.K == value.Int
 	default:
 		return false
-	}
-}
-
-func setLo(p *catalog.Pred, v int64) {
-	if p.Lo == nil || *p.Lo < v {
-		p.Lo = &v
-	}
-}
-
-func setHi(p *catalog.Pred, v int64) {
-	if p.Hi == nil || *p.Hi > v {
-		p.Hi = &v
 	}
 }

@@ -24,6 +24,11 @@
 // a lookup discards the entry when either moved — new coverage or new
 // estimates can flip the winning plan, exactly the situations the
 // invalidation regression tests pin.
+//
+// In front of the plans sits a statement cache keyed by the SQL's token
+// skeleton (sqlparse.Scan). Its entries hold what no literal and no store
+// state moves — the parsed template, the bound shape and the plan key — so
+// a stale plan never drops one.
 package core
 
 import (
@@ -33,6 +38,7 @@ import (
 
 	"payless/internal/obs"
 	"payless/internal/semstore"
+	"payless/internal/sqlparse"
 )
 
 // DefaultPlanCacheSize is the LRU capacity used when a positive size is not
@@ -134,23 +140,78 @@ func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Op
 	return &p, true
 }
 
-// PlanCache is a bounded LRU of optimized plans keyed by normalized shape.
-// Safe for concurrent use.
+// Statement is a statement-cache entry: what every statement of one
+// skeleton compiles to before its literals. It is immutable, so concurrent
+// hits share it.
+type Statement struct {
+	// Template patches a statement's literals into the parsed AST.
+	Template *sqlparse.Template
+	// Shape binds the patched AST.
+	Shape *Shape
+	// Key is the plan-cache key: Normalize of the AST.
+	Key string
+}
+
+// PlanCache is a bounded LRU of optimized plans keyed by normalized shape,
+// and a bounded LRU of statements keyed by skeleton, each holding at most
+// the capacity. Safe for concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
 	cap     int
-	ll      *list.List
-	entries map[string]*list.Element
+	plans   lru[*CachedPlan]
+	stmts   lru[*Statement]
 	metrics *obs.Metrics
 }
 
-// NewPlanCache returns an empty cache holding at most capacity plans;
-// capacity <= 0 means DefaultPlanCacheSize.
+// lru is a least-recently-used map; its owner holds the lock.
+type lru[V any] struct {
+	ll      list.List
+	entries map[string]*list.Element
+}
+
+type lruItem[V any] struct {
+	key string
+	val V
+}
+
+// touch marks el most recently used and returns its value.
+func (l *lru[V]) touch(el *list.Element) V {
+	l.ll.MoveToFront(el)
+	return el.Value.(*lruItem[V]).val
+}
+
+// remove drops el.
+func (l *lru[V]) remove(el *list.Element) {
+	l.ll.Remove(el)
+	delete(l.entries, el.Value.(*lruItem[V]).key)
+}
+
+// put sets key to v, evicting the least recently used entry when the map
+// would exceed capacity; it reports whether it evicted one.
+func (l *lru[V]) put(key string, v V, capacity int) bool {
+	if el, ok := l.entries[key]; ok {
+		el.Value.(*lruItem[V]).val = v
+		l.ll.MoveToFront(el)
+		return false
+	}
+	if l.entries == nil {
+		l.entries = make(map[string]*list.Element)
+	}
+	l.entries[key] = l.ll.PushFront(&lruItem[V]{key: key, val: v})
+	if l.ll.Len() <= capacity {
+		return false
+	}
+	l.remove(l.ll.Back())
+	return true
+}
+
+// NewPlanCache returns an empty cache holding at most capacity plans and
+// capacity statements; capacity <= 0 means DefaultPlanCacheSize.
 func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		capacity = DefaultPlanCacheSize
 	}
-	return &PlanCache{cap: capacity, ll: list.New(), entries: make(map[string]*list.Element)}
+	return &PlanCache{cap: capacity}
 }
 
 // SetMetrics attaches the metrics sink that counts hits, misses,
@@ -163,21 +224,19 @@ func (c *PlanCache) SetMetrics(m *obs.Metrics) { c.metrics = m }
 // time) is discarded and counted as an invalidation plus a miss.
 func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVersion uint64) *CachedPlan {
 	c.mu.Lock()
-	el, ok := c.entries[key]
+	el, ok := c.plans.entries[key]
 	if !ok {
 		c.mu.Unlock()
 		c.metrics.ObservePlanCacheLookup(false, false)
 		return nil
 	}
-	cp := el.Value.(*CachedPlan)
+	cp := c.plans.touch(el)
 	if cp.stale(epochOf, statsVersion) {
-		c.ll.Remove(el)
-		delete(c.entries, key)
+		c.plans.remove(el)
 		c.mu.Unlock()
 		c.metrics.ObservePlanCacheLookup(false, true)
 		return nil
 	}
-	c.ll.MoveToFront(el)
 	c.mu.Unlock()
 	c.metrics.ObservePlanCacheLookup(true, false)
 	return cp
@@ -212,27 +271,36 @@ func (c *PlanCache) Put(key string, p *Plan, epochOf func(table string) uint64, 
 		cp.epochs = append(cp.epochs, tableEpoch{table: rel.Table.Name, epoch: epochOf(rel.Table.Name)})
 	}
 	c.mu.Lock()
-	var evicted bool
-	if el, ok := c.entries[key]; ok {
-		el.Value = cp
-		c.ll.MoveToFront(el)
-	} else {
-		c.entries[key] = c.ll.PushFront(cp)
-		if c.ll.Len() > c.cap {
-			old := c.ll.Remove(c.ll.Back()).(*CachedPlan)
-			delete(c.entries, old.key)
-			evicted = true
-		}
-	}
+	evicted := c.plans.put(key, cp, c.cap)
 	c.mu.Unlock()
 	if evicted {
 		c.metrics.ObservePlanCacheEviction()
 	}
 }
 
+// Statement returns the statement cached under a skeleton, or nil. A hit
+// compares the whole skeleton, never a hash of it alone.
+func (c *PlanCache) Statement(skel []byte) *Statement {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.stmts.entries[string(skel)]; ok {
+		return c.stmts.touch(el)
+	}
+	return nil
+}
+
+// PutStatement caches st under its skeleton, evicting the least recently
+// used statement when over capacity. Only a statement that parsed and bound
+// belongs here.
+func (c *PlanCache) PutStatement(skel []byte, st *Statement) {
+	c.mu.Lock()
+	c.stmts.put(string(skel), st, c.cap)
+	c.mu.Unlock()
+}
+
 // Len returns the number of cached plans.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.plans.ll.Len()
 }

@@ -113,7 +113,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 			return storage.Relation{}, report, err
 		}
 		fetched = applyResidual(fetched, rel)
-		fetched.Schema = qualify(rel.Alias(), rel.Table.Schema)
+		fetched.Schema = rel.Schema
 		if i == 0 {
 			cur = fetched
 			continue
@@ -469,15 +469,6 @@ func evalCompare(v value.Value, op sqlparse.CompareOp, rhs value.Value) bool {
 	}
 }
 
-// qualify prefixes every column with "alias." for unambiguous joins.
-func qualify(alias string, schema value.Schema) value.Schema {
-	out := make(value.Schema, len(schema))
-	for i, c := range schema {
-		out[i] = value.Column{Name: alias + "." + c.Name, Type: c.Type}
-	}
-	return out
-}
-
 // prefixColumn finds "alias.attr" in a qualified schema.
 func prefixColumn(schema value.Schema, alias, attr string) int {
 	return schema.IndexOf(alias + "." + attr)
@@ -590,14 +581,23 @@ func project(rel storage.Relation, b *core.BoundQuery) storage.Relation {
 	// SELECT * output order follows the FROM clause, not the join order the
 	// optimizer happened to choose.
 	idx := make([]int, len(b.Output))
+	identity := len(idx) == len(rel.Schema)
 	for i := range idx {
 		if b.Star != nil {
 			idx[i] = rel.Schema.IndexOf(b.Star[i])
 		} else {
 			idx[i] = rel.Schema.IndexOf(b.Cols[q.Select[i].Col])
 		}
+		identity = identity && idx[i] == i
 	}
-	out := rel.Project(idx)
+	// Rows are immutable: a projection that keeps every column in place
+	// (SELECT * over one relation) returns them under a fresh schema.
+	var out storage.Relation
+	if identity {
+		out = storage.Relation{Schema: rel.Schema.Clone(), Rows: rel.Rows}
+	} else {
+		out = rel.Project(idx)
+	}
 	for i, name := range b.Output {
 		out.Schema[i].Name = name
 	}

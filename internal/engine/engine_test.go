@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -488,5 +489,50 @@ func TestCoalesceBindingsPricesSubRowEstimates(t *testing.T) {
 	if rep.Transactions != 1 || rep.Calls != 1 {
 		t.Errorf("bind join over a = 1..20 minus the bought 9..10 billed %d transactions in %d calls, want 1 in 1",
 			rep.Transactions, rep.Calls)
+	}
+}
+
+// TestSelectStarOverOneRelationKeepsRows: SELECT * over one relation
+// returns its input rows row for row and uncopied — the result's rows alias
+// the input's — under a fresh schema named by the output, while DISTINCT,
+// ORDER BY and LIMIT still apply and the input schema stays as it was.
+func TestSelectStarOverOneRelationKeepsRows(t *testing.T) {
+	f := newFixture(t)
+	bind := func(sql string) *core.BoundQuery {
+		q, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := core.Bind(q, f.cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b := bind("SELECT * FROM R r")
+	in := storage.Relation{Schema: b.Rels[0].Schema, Rows: []value.Row{
+		{value.NewInt(2), value.NewInt(1), value.NewFloat(2.1)},
+		{value.NewInt(1), value.NewInt(4), value.NewFloat(1.4)},
+		{value.NewInt(2), value.NewInt(1), value.NewFloat(2.1)},
+	}}
+	schema := in.Schema.Clone()
+	out := project(in, b)
+	if !reflect.DeepEqual(out.Rows, in.Rows) {
+		t.Fatalf("rows %v, want %v", out.Rows, in.Rows)
+	}
+	for i := range out.Rows {
+		if &out.Rows[i][0] != &in.Rows[i][0] {
+			t.Errorf("row %d was copied", i)
+		}
+	}
+	if !reflect.DeepEqual(out.Schema.Names(), b.Output) || !reflect.DeepEqual(in.Schema, schema) {
+		t.Errorf("output schema %v (want %v), input schema now %v (was %v)", out.Schema.Names(), b.Output, in.Schema, schema)
+	}
+	if got := project(in, bind("SELECT DISTINCT * FROM R r")); len(got.Rows) != 2 {
+		t.Errorf("DISTINCT *: %v", got.Rows)
+	}
+	got := project(in, bind("SELECT * FROM R r ORDER BY a LIMIT 2"))
+	if len(got.Rows) != 2 || got.Rows[0][0].Int64() != 1 || in.Rows[0][0].Int64() != 2 {
+		t.Errorf("ORDER BY a LIMIT 2: %v; input now %v", got.Rows, in.Rows)
 	}
 }

@@ -19,6 +19,16 @@ import (
 	"payless/internal/workload"
 )
 
+// qualify prefixes every column with "alias.", as the binder names a
+// relation's columns once fetched.
+func qualify(alias string, schema value.Schema) value.Schema {
+	out := make(value.Schema, len(schema))
+	for i, c := range schema {
+		out[i] = value.Column{Name: alias + "." + c.Name, Type: c.Type}
+	}
+	return out
+}
+
 // refExecute is the executor as it was before joins learnt to copy only the
 // columns the plan reads and to stream into the aggregate: every join keeps
 // every column of both sides and the SELECT list runs over the materialised

@@ -1060,10 +1060,11 @@ func (ts *tableStore) rowsIn(q region.Box) []value.Row {
 }
 
 // RowsIn returns the materialised rows of the table whose queryable
-// coordinates fall inside box q, in insertion order. The rows are the
-// store's own: callers must not write to them.
+// coordinates fall inside box q, in insertion order, under the table's
+// schema. The rows are the store's own and the schema the catalog's:
+// callers must not write to either.
 func (s *Store) RowsIn(meta *catalog.Table, q region.Box) (storage.Relation, error) {
-	out := storage.Relation{Schema: meta.Schema.Clone()}
+	out := storage.Relation{Schema: meta.Schema}
 	if ts := s.table(meta.Name); ts != nil {
 		out.Rows = ts.rowsIn(q)
 	}

@@ -40,73 +40,79 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
+// lexer reads the tokens of src one at a time: Parse collects them into a
+// slice, Scan consumes them as they come, so both read one token stream.
 type lexer struct {
-	src    string
-	pos    int
-	tokens []token
+	src string
+	pos int
 }
 
 // lex tokenises the input. Errors carry the byte offset of the offence.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := lexer{src: src}
+	var toks []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
+// next returns the next token, tokEOF at the end of the input.
+func (l *lexer) next() (token, error) {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			l.pos++
 		case c == ',':
-			l.emit(tokComma, ",")
+			return l.emit(tokComma, 1), nil
 		case c == '.':
-			l.emit(tokDot, ".")
+			return l.emit(tokDot, 1), nil
 		case c == '(':
-			l.emit(tokLParen, "(")
+			return l.emit(tokLParen, 1), nil
 		case c == ')':
-			l.emit(tokRParen, ")")
+			return l.emit(tokRParen, 1), nil
 		case c == '*':
-			l.emit(tokStar, "*")
+			return l.emit(tokStar, 1), nil
 		case c == '=':
-			l.emit(tokOp, "=")
+			return l.emit(tokOp, 1), nil
 		case c == '<':
-			if l.peek(1) == '=' {
-				l.emit2(tokOp, "<=")
-			} else if l.peek(1) == '>' {
-				l.emit2(tokOp, "<>")
-			} else {
-				l.emit(tokOp, "<")
+			if l.peek(1) == '=' || l.peek(1) == '>' {
+				return l.emit(tokOp, 2), nil
 			}
+			return l.emit(tokOp, 1), nil
 		case c == '>':
 			if l.peek(1) == '=' {
-				l.emit2(tokOp, ">=")
-			} else {
-				l.emit(tokOp, ">")
+				return l.emit(tokOp, 2), nil
 			}
+			return l.emit(tokOp, 1), nil
 		case c == '!':
 			if l.peek(1) == '=' {
-				l.emit2(tokOp, "!=")
-			} else {
-				return nil, fmt.Errorf("pos %d: unexpected '!'", l.pos)
+				return l.emit(tokOp, 2), nil
 			}
+			return token{}, fmt.Errorf("pos %d: unexpected '!'", l.pos)
 		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
+			return l.lexString()
 		case c == '-' && l.peek(1) == '-':
 			// SQL line comment: skip to end of line.
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
 		case c == '-' || (c >= '0' && c <= '9'):
-			if err := l.lexNumber(); err != nil {
-				return nil, err
-			}
+			return l.lexNumber()
 		case unicode.IsLetter(rune(c)) || c == '_':
-			l.lexIdent()
+			return l.lexIdent(), nil
 		default:
-			return nil, fmt.Errorf("pos %d: unexpected character %q", l.pos, c)
+			return token{}, fmt.Errorf("pos %d: unexpected character %q", l.pos, c)
 		}
 	}
-	l.tokens = append(l.tokens, token{kind: tokEOF, pos: l.pos})
-	return l.tokens, nil
+	return token{kind: tokEOF, pos: l.pos}, nil
 }
 
 func (l *lexer) peek(ahead int) byte {
@@ -116,45 +122,38 @@ func (l *lexer) peek(ahead int) byte {
 	return l.src[l.pos+ahead]
 }
 
-func (l *lexer) emit(k tokenKind, s string) {
-	l.tokens = append(l.tokens, token{kind: k, text: s, pos: l.pos})
-	l.pos++
+// emit returns the next n bytes as a token of kind k.
+func (l *lexer) emit(k tokenKind, n int) token {
+	t := token{kind: k, text: l.src[l.pos : l.pos+n], pos: l.pos}
+	l.pos += n
+	return t
 }
 
-func (l *lexer) emit2(k tokenKind, s string) {
-	l.tokens = append(l.tokens, token{kind: k, text: s, pos: l.pos})
-	l.pos += 2
-}
-
-func (l *lexer) lexString() error {
+// lexString reads a quoted literal. Its text is the literal's content, a
+// substring of the source unless it has an escaped quote.
+func (l *lexer) lexString() (token, error) {
 	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			// '' escapes a quote.
-			if l.peek(1) == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.tokens = append(l.tokens, token{kind: tokString, text: b.String(), pos: start})
-			return nil
+	for l.pos++; l.pos < len(l.src); l.pos++ {
+		if l.src[l.pos] != '\'' {
+			continue
 		}
-		b.WriteByte(c)
+		if l.peek(1) == '\'' { // '' escapes a quote
+			l.pos++
+			continue
+		}
 		l.pos++
+		text := strings.ReplaceAll(l.src[start+1:l.pos-1], "''", "'")
+		return token{kind: tokString, text: text, pos: start}, nil
 	}
-	return fmt.Errorf("pos %d: unterminated string literal", start)
+	return token{}, fmt.Errorf("pos %d: unterminated string literal", start)
 }
 
-func (l *lexer) lexNumber() error {
+func (l *lexer) lexNumber() (token, error) {
 	start := l.pos
 	if l.src[l.pos] == '-' {
 		l.pos++
 		if l.pos >= len(l.src) || l.src[l.pos] < '0' || l.src[l.pos] > '9' {
-			return fmt.Errorf("pos %d: '-' not followed by a digit", start)
+			return token{}, fmt.Errorf("pos %d: '-' not followed by a digit", start)
 		}
 	}
 	dots := 0
@@ -171,11 +170,10 @@ func (l *lexer) lexNumber() error {
 		}
 		break
 	}
-	l.tokens = append(l.tokens, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
-	return nil
+	return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
 }
 
-func (l *lexer) lexIdent() {
+func (l *lexer) lexIdent() token {
 	start := l.pos
 	for l.pos < len(l.src) {
 		c := rune(l.src[l.pos])
@@ -185,5 +183,5 @@ func (l *lexer) lexIdent() {
 		}
 		break
 	}
-	l.tokens = append(l.tokens, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
+	return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}
 }

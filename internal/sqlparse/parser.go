@@ -2,7 +2,6 @@ package sqlparse
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"payless/internal/value"
@@ -10,24 +9,46 @@ import (
 
 // Parse parses one SQL statement into a Query.
 func Parse(src string) (*Query, error) {
+	q, _, _, err := parse(src, false)
+	return q, err
+}
+
+// parse parses src; with mark set, every literal reads as its ordinal among
+// the statement's literals (see NewTemplate). It also returns the number of
+// literals and the LIMIT count's ordinal, -1 when there is none.
+func parse(src string, mark bool) (q *Query, lits, limit int, err error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	p := &parser{toks: toks}
-	q, err := p.parseQuery()
-	if err != nil {
-		return nil, err
+	p := &parser{toks: toks, mark: mark, limit: -1}
+	if q, err = p.parseQuery(); err != nil {
+		return nil, 0, 0, err
 	}
 	if !p.at(tokEOF) {
-		return nil, fmt.Errorf("unexpected %s after end of query", p.cur())
+		return nil, 0, 0, fmt.Errorf("unexpected %s after end of query", p.cur())
 	}
-	return q, nil
+	return q, p.lits, p.limit, nil
 }
 
 type parser struct {
 	toks []token
 	i    int
+	// lits counts the literals read so far; with mark set, each one reads
+	// as value.NewInt(its ordinal). limit is the LIMIT count's ordinal.
+	lits  int
+	mark  bool
+	limit int
+}
+
+// literal reads a literal token as Scan does (see literal), counting it.
+func (p *parser) literal(t token) (value.Value, error) {
+	v, err := literal(t)
+	if p.mark && err == nil {
+		v = value.NewInt(int64(p.lits))
+	}
+	p.lits++
+	return v, err
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -206,11 +227,11 @@ func (p *parser) parseQuery() (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := strconv.Atoi(t.text)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("invalid LIMIT %q", t.text)
+		if q.Limit, err = limitOf(t.text); err != nil {
+			return nil, err
 		}
-		q.Limit = n
+		p.limit = p.lits
+		p.lits++
 	}
 	return q, nil
 }
@@ -317,25 +338,11 @@ type operand struct {
 
 func (p *parser) parseOperand() (operand, error) {
 	switch p.cur().kind {
-	case tokNumber:
-		t := p.next()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return operand{}, fmt.Errorf("invalid number %q", t.text)
-			}
-			v := value.NewFloat(f)
-			return operand{val: &v}, nil
-		}
-		i, err := strconv.ParseInt(t.text, 10, 64)
+	case tokNumber, tokString:
+		v, err := p.literal(p.next())
 		if err != nil {
-			return operand{}, fmt.Errorf("invalid number %q", t.text)
+			return operand{}, err
 		}
-		v := value.NewInt(i)
-		return operand{val: &v}, nil
-	case tokString:
-		t := p.next()
-		v := value.NewString(t.text)
 		return operand{val: &v}, nil
 	case tokIdent:
 		c, err := p.parseColRef()

@@ -48,6 +48,13 @@ func (k Key) canon(v Value) (Kind, uint64) {
 	return Float, v.x
 }
 
+// Canonical returns the value k compares v as: v and w are equal under k iff
+// their Canonical values are ==.
+func (k Key) Canonical(v Value) Value {
+	kind, x := k.canon(v)
+	return Value{K: kind, x: x}
+}
+
 func (k Key) mix(h uint64, v Value) uint64 {
 	kind, bits := k.canon(v)
 	h = (h ^ uint64(kind)) * hashPrime

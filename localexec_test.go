@@ -23,31 +23,7 @@ import (
 // join output put this query above 10 000 — and the timing itself is
 // benchmarks/run.sh's business.
 func TestCoveredQueryAllocations(t *testing.T) {
-	d := workload.GenerateTPCH(workload.DefaultTPCHConfig())
-	m := market.New()
-	if err := d.Install(m, storage.NewDB(), 100, 1); err != nil {
-		t.Fatal(err)
-	}
-	m.RegisterAccount("k")
-	c, err := Open(Config{
-		Tables:        append(m.ExportCatalog(), d.Nation, d.Region),
-		Caller:        market.AccountCaller{Market: m, Key: "k"},
-		PlanCacheSize: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LoadLocal("Nation", d.NationRows); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LoadLocal("Region", d.RegionRows); err != nil {
-		t.Fatal(err)
-	}
-	for _, table := range []string{"Customer", "Orders"} {
-		if _, err := c.Query("SELECT COUNT(*) FROM " + table); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c, d := tpchClient(t, 256, "Customer", "Orders")
 	sql := d.Templates()[2].Instantiate(rand.New(rand.NewSource(3)))
 	res, err := c.Query(sql) // also compiles the plan template
 	if err != nil {
@@ -66,7 +42,7 @@ func TestCoveredQueryAllocations(t *testing.T) {
 	})
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
-	const pinned, pinnedBytes = 400, 124 << 10
+	const pinned, pinnedBytes = 120, 124 << 10
 	if allocs > pinned {
 		t.Errorf("covered T3: %v allocations per query, pinned at %d", allocs, pinned)
 	}
@@ -74,6 +50,39 @@ func TestCoveredQueryAllocations(t *testing.T) {
 		t.Errorf("covered T3: %d bytes per query, pinned at %d", bytes, pinnedBytes)
 	}
 	t.Logf("covered T3: %v allocations, %d bytes per query", allocs, bytes)
+}
+
+// tpchClient opens a client with the given plan-cache size over a TPC-H
+// market, with Nation and Region loaded locally and the named market tables
+// bought whole.
+func tpchClient(t testing.TB, planCache int, buy ...string) (*Client, *workload.TPCH) {
+	t.Helper()
+	d := workload.GenerateTPCH(workload.DefaultTPCHConfig())
+	m := market.New()
+	if err := d.Install(m, storage.NewDB(), 100, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.RegisterAccount("k")
+	c, err := Open(Config{
+		Tables:        append(m.ExportCatalog(), d.Nation, d.Region),
+		Caller:        market.AccountCaller{Market: m, Key: "k"},
+		PlanCacheSize: planCache,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LoadLocal("Nation", d.NationRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LoadLocal("Region", d.RegionRows); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range buy {
+		if _, err := c.Query("SELECT COUNT(*) FROM " + table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, d
 }
 
 // TestRenderRowsIsValueString: the slab rendering of a result equals the

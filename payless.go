@@ -631,31 +631,22 @@ func (c *Client) finishTrace(tr *obs.Trace) {
 }
 
 // compile runs the parse → bind → optimize preamble shared by Query,
-// Explain and QueryBatch: each stage is recorded as a span on tr (which
-// may be nil) and failures come back as typed *QueryError values. cache is
-// the plan-template cache to use (the client's, a statement's private one,
-// or nil for none); on a hit the optimize stage is skipped entirely: the
-// cached plan is re-bound onto the freshly parsed literals.
+// Explain and Prepare: each stage is recorded as a span on tr (which may be
+// nil) and failures come back as typed *QueryError values. cache is the
+// plan-template cache to use (the client's, a statement's private one, or
+// nil for none); on a hit the optimize stage is skipped entirely: the
+// cached plan is re-bound onto the freshly bound literals.
 func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.Plan, core.Options, error) {
-	end := tr.StartSpan("parse")
-	parsed, err := sqlparse.Parse(sql)
-	end(err)
+	bound, key, err := c.front(sql, tr, cache)
 	if err != nil {
-		return nil, core.Options{}, stageErr(StageParse, err)
+		return nil, core.Options{}, err
 	}
 	opts := c.options()
 	// A moving consistency horizon (Window) makes coverage decisions
 	// time-dependent in a way epochs cannot capture; those queries always
 	// re-optimize.
-	var key string
-	if cache != nil && opts.Since.IsZero() {
-		key = core.Normalize(parsed)
-	}
-	end = tr.StartSpan("bind")
-	bound, err := core.Bind(parsed, c.cat)
-	end(err)
-	if err != nil {
-		return nil, core.Options{}, stageErr(StageBind, err)
+	if !opts.Since.IsZero() {
+		key = ""
 	}
 	if key != "" {
 		if cp := cache.Get(key, c.store.Epoch, c.stats.Version()); cp != nil {
@@ -679,6 +670,64 @@ func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*cor
 		cache.Put(key, plan, c.store.Epoch, c.stats.Version())
 	}
 	return plan, opts, nil
+}
+
+// front parses and binds sql, the front end every statement passes, and
+// returns its plan-cache key ("" without a cache). With a cache, a statement
+// whose token skeleton is cached skips the parse and the name resolution:
+// its literals are patched into the cached AST and bound against the cached
+// shape, under the "parse" and "bind" spans. Any other statement is parsed
+// and bound in full; if it binds, its skeleton's entry is filled.
+func (c *Client) front(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.BoundQuery, string, error) {
+	var skelBuf [512]byte
+	var litBuf [16]sqlparse.Literal
+	var skel []byte
+	end := tr.StartSpan("parse")
+	if cache != nil {
+		s, lits, err := sqlparse.Scan(sql, skelBuf[:0], litBuf[:0])
+		if err == nil {
+			if st := cache.Statement(s); st != nil {
+				q, err := st.Template.Instance(lits)
+				end(err)
+				if err != nil {
+					return nil, "", stageErr(StageParse, err)
+				}
+				end = tr.StartSpan("bind")
+				bound, err := st.Shape.Bind(q)
+				end(err)
+				if err != nil {
+					return nil, "", stageErr(StageBind, err)
+				}
+				return bound, st.Key, nil
+			}
+			skel = s
+		}
+	}
+	parsed, err := sqlparse.Parse(sql)
+	end(err)
+	if err != nil {
+		return nil, "", stageErr(StageParse, err)
+	}
+	var key string
+	if cache != nil {
+		key = core.Normalize(parsed)
+	}
+	end = tr.StartSpan("bind")
+	shape, err := core.NewShape(parsed, c.cat)
+	var bound *core.BoundQuery
+	if err == nil {
+		bound, err = shape.Bind(parsed)
+	}
+	end(err)
+	if err != nil {
+		return nil, "", stageErr(StageBind, err)
+	}
+	if skel != nil {
+		if tmpl, err := sqlparse.NewTemplate(sql); err == nil {
+			cache.PutStatement(skel, &core.Statement{Template: tmpl, Shape: shape, Key: key})
+		}
+	}
+	return bound, key, nil
 }
 
 // bookPlan records the plan a statement will run: its plan line, planner
