@@ -1,8 +1,8 @@
 // Planning hot path experiment: how many plans per second the dynamic
 // program and the plan-template cache produce over a pool of distinct query
 // templates. The cached series measures exactly what the cache substitutes
-// for the dynamic program on a hit — normalize + lookup + instantiation — so
-// the ratio to the DP series is the end-to-end planning speedup.
+// for the dynamic program on a hit — skeleton scan + lookup + instantiation
+// — so the ratio to the DP series is the end-to-end planning speedup.
 package bench
 
 import (
@@ -46,7 +46,7 @@ func DefaultPlanParams() PlanParams {
 // planningTemplates generates n structurally distinct SQL templates over the
 // WHW schema: a Pollution–ZipMap–Station–Weather join chain with every
 // combination of selective conditions, select list and IN-list arity. Each
-// combination normalizes to its own plan-cache key.
+// combination has its own skeleton, so its own plan-cache entry.
 func planningTemplates(n int) []string {
 	conds := []string{
 		"Weather.Date >= 20140601",
@@ -92,13 +92,14 @@ func planningTemplates(n int) []string {
 }
 
 // planningEnv is the catalog/statistics/store triple the planners run
-// against, plus every template parsed and bound once up front.
+// against, plus every template compiled and bound once up front.
 type planningEnv struct {
-	cat    *catalog.Catalog
-	store  *semstore.Store
-	st     *stats.Store
-	parsed []*sqlparse.Query
-	bound  []*core.BoundQuery
+	cat   *catalog.Catalog
+	store *semstore.Store
+	st    *stats.Store
+	sqls  []string
+	stmts []*core.Statement
+	bound []*core.BoundQuery
 }
 
 func newPlanningEnv(p PlanParams, n int) (*planningEnv, error) {
@@ -128,11 +129,20 @@ func newPlanningEnv(p PlanParams, n int) (*planningEnv, error) {
 		if err != nil {
 			return nil, fmt.Errorf("template %q: %w", sql, err)
 		}
-		b, err := core.Bind(q, env.cat)
+		shape, err := core.NewShape(q, env.cat)
 		if err != nil {
 			return nil, fmt.Errorf("template %q: %w", sql, err)
 		}
-		env.parsed = append(env.parsed, q)
+		b, err := shape.Bind(q)
+		if err != nil {
+			return nil, fmt.Errorf("template %q: %w", sql, err)
+		}
+		tmpl, err := sqlparse.NewTemplate(sql)
+		if err != nil {
+			return nil, fmt.Errorf("template %q: %w", sql, err)
+		}
+		env.sqls = append(env.sqls, sql)
+		env.stmts = append(env.stmts, &core.Statement{Template: tmpl, Shape: shape})
 		env.bound = append(env.bound, b)
 	}
 	return env, nil
@@ -177,23 +187,32 @@ func (e *planningEnv) planDP(i int) (*core.Plan, error) {
 // warmCache optimizes every template once and fills a cache with the
 // plans, exactly as the client does on a miss.
 func (e *planningEnv) warmCache() (*core.PlanCache, error) {
-	cache := core.NewPlanCache(len(e.bound))
+	cache := core.NewPlanCache(len(e.bound), nil)
 	for i := range e.bound {
 		plan, err := e.planDP(i)
 		if err != nil {
 			return nil, err
 		}
-		cache.Put(core.Normalize(e.parsed[i]), plan, e.store.Epoch, e.st.Version())
+		skel, _, _ := sqlparse.Scan(e.sqls[i], nil, nil) // it parsed
+		st := cache.Put(skel, &core.Statement{Template: e.stmts[i].Template, Shape: e.stmts[i].Shape})
+		cache.SetPlan(st, plan, e.store.Epoch, e.st.Version())
 	}
 	return cache, nil
 }
 
-// planCached is the cache-hit planning path for template i: normalize the
-// parsed statement, look the shape up, instantiate the cached plan.
+// planCached is the cache-hit planning path for template i: scan the
+// statement's skeleton, look its entry up, instantiate the cached plan.
 func (e *planningEnv) planCached(cache *core.PlanCache, i int) (*core.Plan, error) {
-	cp := cache.Get(core.Normalize(e.parsed[i]), e.store.Epoch, e.st.Version())
-	if cp == nil {
+	var skelBuf [512]byte
+	var litBuf [16]sqlparse.Literal
+	skel, _, _ := sqlparse.Scan(e.sqls[i], skelBuf[:0], litBuf[:0]) // it parsed
+	st := cache.Lookup(skel)
+	if st == nil {
 		return nil, fmt.Errorf("template %d missed a warmed cache", i)
+	}
+	cp := cache.Plan(st, e.store.Epoch, e.st.Version())
+	if cp == nil {
+		return nil, fmt.Errorf("template %d's cached plan went stale", i)
 	}
 	opts := core.Options{}
 	plan, ok := cp.Instantiate(e.bound[i], e.store, &opts)

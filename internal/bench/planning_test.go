@@ -3,7 +3,7 @@ package bench
 import (
 	"testing"
 
-	"payless/internal/core"
+	"payless/internal/sqlparse"
 )
 
 // planningBenchEnv builds the 1k-template environment once per benchmark.
@@ -29,7 +29,7 @@ func BenchmarkDPPlanner(b *testing.B) {
 }
 
 // BenchmarkPlanCache times the cache-hit path at 1k cached templates:
-// normalize + lookup + instantiation.
+// skeleton scan + lookup + instantiation.
 func BenchmarkPlanCache(b *testing.B) {
 	env := planningBenchEnv(b, 1000)
 	cache, err := env.warmCache()
@@ -80,8 +80,8 @@ func TestPlanCacheSkipsTheSearch(t *testing.T) {
 }
 
 // TestPlanCacheHitAllocs gates the garbage of the cache-hit planning path:
-// normalizing a 4-relation template, looking its shape up and instantiating
-// the cached plan makes at most 2 allocations: the key and the plan copy.
+// scanning a 4-relation template's skeleton, looking its entry up and
+// instantiating the cached plan makes at most 1 allocation: the plan copy.
 func TestPlanCacheHitAllocs(t *testing.T) {
 	env := planningBenchEnv(t, 16)
 	cache, err := env.warmCache()
@@ -95,22 +95,28 @@ func TestPlanCacheHitAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if allocs > 2 {
-		t.Errorf("cache-hit planning made %.1f allocations per plan, want <= 2", allocs)
+	t.Logf("%v allocations per cache-hit plan", allocs)
+	if allocs > 1 {
+		t.Errorf("cache-hit planning made %.1f allocations per plan, want <= 1", allocs)
 	}
 }
 
 // TestPlanningTemplatesDistinct guards the generator the sweep relies on:
-// every generated template must normalize to its own cache key (otherwise
-// the "1k cached templates" claim would be quietly measuring fewer).
+// every generated template must have its own skeleton, so its own cache
+// entry (otherwise the "1k cached templates" claim would be quietly
+// measuring fewer).
 func TestPlanningTemplatesDistinct(t *testing.T) {
 	env := planningBenchEnv(t, 1000)
-	if got := len(env.parsed); got != 1000 {
+	if got := len(env.sqls); got != 1000 {
 		t.Fatalf("generated %d templates, want 1000", got)
 	}
-	keys := make(map[string]bool, len(env.parsed))
-	for _, q := range env.parsed {
-		keys[core.Normalize(q)] = true
+	keys := make(map[string]bool, len(env.sqls))
+	for _, sql := range env.sqls {
+		skel, _, err := sqlparse.Scan(sql, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[string(skel)] = true
 	}
 	if len(keys) != 1000 {
 		t.Fatalf("1000 templates produced %d cache keys — shapes collide", len(keys))

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"payless/internal/catalog"
@@ -39,8 +40,7 @@ type Rel struct {
 	// In holds the pushable membership predicates behind Boxes.
 	In []InPred
 	// Residual holds constant predicates that cannot be pushed (output
-	// attributes, <>, float comparisons, oversized IN lists); they are
-	// applied locally.
+	// attributes, <>, oversized IN lists); they are applied locally.
 	Residual []sqlparse.Condition
 }
 
@@ -311,7 +311,7 @@ func (s *Shape) Bind(q *sqlparse.Query) (*BoundQuery, error) {
 		rel, a := b.Rels[c.rel], c.attr
 		if cond.IsIn() {
 			if pushableIn(a, cond) {
-				rel.In = append(rel.In, InPred{Attr: a.Name, Values: dedupValues(cond.InVals)})
+				rel.In = append(rel.In, InPred{Attr: a.Name, Values: dedupValues(a, cond.InVals)})
 			} else {
 				rel.Residual = append(rel.Residual, cond)
 			}
@@ -322,26 +322,27 @@ func (s *Shape) Bind(q *sqlparse.Query) (*BoundQuery, error) {
 			continue
 		}
 		if cond.Op == sqlparse.OpEq {
-			rel.Query.Preds = append(rel.Query.Preds, catalog.Pred{Attr: a.Name, Eq: cond.RightVal})
+			eq := cond.RightVal
+			if v, ok := numericPoint(a, *eq); ok && v != *eq {
+				eq = new(value.Value)
+				*eq = v
+			}
+			// A Float left here (non-integral) has no coordinate: the
+			// relation matches nothing below.
+			rel.Query.Preds = append(rel.Query.Preds, catalog.Pred{Attr: a.Name, Eq: eq})
 			continue
 		}
 		r := &ranges[c.acc]
 		if !r.ranged {
 			r.rel, r.attr, r.ranged = c.rel, a.Name, true
 		}
-		v := cond.RightVal.AsInt()
+		v := rangeBound(a, cond.Op, *cond.RightVal)
 		switch cond.Op {
-		case sqlparse.OpGt:
-			v++
-			fallthrough
-		case sqlparse.OpGe:
+		case sqlparse.OpGe, sqlparse.OpGt:
 			if !r.hasLo || r.lo < v {
 				r.lo, r.hasLo = v, true
 			}
-		case sqlparse.OpLt:
-			v--
-			fallthrough
-		case sqlparse.OpLe:
+		case sqlparse.OpLe, sqlparse.OpLt:
 			if !r.hasHi || r.hi > v {
 				r.hi, r.hasHi = v, true
 			}
@@ -562,11 +563,16 @@ func expandInBoxes(r *Rel) error {
 }
 
 // dedupValues removes duplicate IN values (value.ExactKey), preserving
-// order.
-func dedupValues(vals []value.Value) []value.Value {
+// order. On a numeric attribute an integral Float becomes its Int and a
+// non-integral one, which matches nothing, is dropped.
+func dedupValues(a catalog.Attribute, vals []value.Value) []value.Value {
 	seen := make(map[value.Value]bool, 8)
 	out := make([]value.Value, 0, len(vals))
 	for _, v := range vals {
+		v, ok := numericPoint(a, v)
+		if !ok {
+			continue
+		}
 		k := value.ExactKey.Canonical(v)
 		if !seen[k] {
 			seen[k] = true
@@ -578,13 +584,13 @@ func dedupValues(vals []value.Value) []value.Value {
 
 // pushableIn reports whether a membership predicate can decompose into
 // market calls: the attribute must be queryable and the values must be
-// point-bindable (strings for categorical, ints for numeric).
+// point-bindable (strings for categorical, numbers for numeric).
 func pushableIn(a catalog.Attribute, cond sqlparse.Condition) bool {
 	if a.Name == "" || a.Binding == catalog.Output {
 		return false
 	}
 	for _, v := range cond.InVals {
-		if a.Class == catalog.NumericAttr && v.K != value.Int {
+		if a.Class == catalog.NumericAttr && v.K == value.String {
 			return false
 		}
 	}
@@ -593,7 +599,8 @@ func pushableIn(a catalog.Attribute, cond sqlparse.Condition) bool {
 
 // pushable reports whether a constant condition can travel to the market as
 // part of an access query: the attribute must be queryable, the operator
-// must map onto point/range access, and range bounds must be integers.
+// must map onto point/range access, and a numeric attribute's literal must
+// be a number (a literal is a number or a string).
 func pushable(a catalog.Attribute, cond sqlparse.Condition) bool {
 	if a.Name == "" || a.Binding == catalog.Output {
 		return false
@@ -603,10 +610,48 @@ func pushable(a catalog.Attribute, cond sqlparse.Condition) bool {
 		if a.Class == catalog.CategoricalAttr {
 			return true
 		}
-		return cond.RightVal.K == value.Int
+		return cond.RightVal.K != value.String
 	case sqlparse.OpGe, sqlparse.OpGt, sqlparse.OpLe, sqlparse.OpLt:
-		return a.Class == catalog.NumericAttr && cond.RightVal.K == value.Int
+		return a.Class == catalog.NumericAttr && cond.RightVal.K != value.String
 	default:
 		return false
 	}
+}
+
+// numericPoint returns the coordinate value a numeric attribute's equality
+// literal v names: an integral Float becomes its Int. ok is false for a
+// Float no int64 equals, which matches nothing. Any other value is itself.
+func numericPoint(a catalog.Attribute, v value.Value) (value.Value, bool) {
+	if a.Class != catalog.NumericAttr || v.K != value.Float {
+		return v, true
+	}
+	f := v.Float64()
+	if f != math.Trunc(f) || f < math.MinInt64 || f >= math.MaxInt64 {
+		return v, false
+	}
+	return value.NewInt(int64(f)), true
+}
+
+// rangeBound returns the inclusive integer bound a range condition sets on
+// a numeric attribute: the low bound for >= and >, the high one for <= and
+// <. Coordinates are int64, so a Float rounds inward (>= 1.5 is >= 2, < 2.0
+// is <= 1), clamped to just outside the attribute's domain, which bounds it
+// as any farther value would.
+func rangeBound(a catalog.Attribute, op sqlparse.CompareOp, v value.Value) int64 {
+	var step int64 // past a strict low bound, before a strict high one
+	switch op {
+	case sqlparse.OpGt:
+		step = 1
+	case sqlparse.OpLt:
+		step = -1
+	}
+	if v.K == value.Int {
+		return v.Int64() + step
+	}
+	f := math.Floor(v.Float64())
+	if op == sqlparse.OpGe || op == sqlparse.OpLt {
+		f = math.Ceil(v.Float64())
+	}
+	full := a.FullInterval()
+	return int64(max(float64(full.Lo-1), min(f+float64(step), float64(full.Hi))))
 }

@@ -1,10 +1,10 @@
-// Template normalization for the plan cache: a parsed query is reduced to
-// its *shape* — everything that can influence the optimizer's choice of
-// join order and access paths except the literal constant values. Two
-// instantiations of one application template ("parameterized queries issued
-// by specifying the parameter values", paper §2.2) normalize to the same
-// key, so the second one can reuse the first one's cached plan instead of
-// re-running the dynamic program.
+// Template normalization: a parsed query reduced to its *shape* —
+// everything that can influence the optimizer's choice of join order and
+// access paths except the literal constant values. The plan cache keys on
+// the statement's token skeleton instead (plancache.go), so no product
+// code calls Normalize; it stays only because the ledger's trace run
+// (benchmarks/ledger/tracerun.go) times it, and goes when that run stops
+// calling it.
 package core
 
 import (
@@ -14,8 +14,8 @@ import (
 	"payless/internal/value"
 )
 
-// Normalize reduces a parsed query to its plan-cache key: the canonical
-// shape rendering with typed placeholders. It pins the select list, table
+// Normalize reduces a parsed query to its shape key: the canonical shape
+// rendering with typed placeholders. It pins the select list, table
 // set, every condition's columns and operator, IN-list arity, GROUP
 // BY/HAVING/ORDER BY structure and the literal *types* — but no literal
 // values, so distinct shapes render to distinct keys. The walk order is

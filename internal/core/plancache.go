@@ -1,17 +1,15 @@
-// Parameterized plan-template cache. Queries that share a normalized shape
-// (see normalize.go) share their optimal join order and access paths almost
-// always — the literals move the boxes, not the structure — so the client
-// caches the optimized plan's steps under the shape key and lays them over
-// each freshly bound instance, skipping the per-relation coverage rewrites
-// and the dynamic program entirely.
+// Parameterized plan-template cache, keyed by the SQL's token skeleton
+// (sqlparse.Scan). Statements of one skeleton differ only in literals, which
+// move the boxes, not the optimal join order or access paths, so one entry
+// per skeleton holds the parsed template, the bound shape and the DP's plan
+// steps, and a hit skips parse, name resolution, the per-relation coverage
+// rewrites and the dynamic program.
 //
-// What makes plan reuse sound here is that a plan carries no remainder
-// boxes: every MarketScan derives the remainder of its access boxes against
-// the live semantic store at fetch time, and every MarketBind re-checks
-// coverage per binding value. The cached steps are the DP's steps as made,
-// and they pin only structure — join order, access kinds, join edges — all
-// of which are functions of the query shape, with two literal-dependent
-// exceptions re-verified at instantiation time:
+// Plan reuse is sound because a plan carries no remainder boxes: every
+// MarketScan derives the remainder of its access boxes against the live
+// semantic store at fetch time, and every MarketBind re-checks coverage per
+// binding value. The cached steps pin only structure, with two
+// literal-dependent exceptions re-verified per instance:
 //
 //   - a LocalScan over a market table was chosen because the warm query's
 //     boxes were fully covered (Theorem 2); the fresh literals' boxes must
@@ -19,21 +17,14 @@
 //   - a MarketScan over a relation with an unsatisfied bound attribute was
 //     only valid because it was fully covered; same re-check.
 //
-// Staleness is handled at lookup: each entry snapshots the semantic store's
-// per-table coverage epochs and the statistics version at compile time, and
-// a lookup discards the entry when either moved — new coverage or new
-// estimates can flip the winning plan, exactly the situations the
-// invalidation regression tests pin.
-//
-// In front of the plans sits a statement cache keyed by the SQL's token
-// skeleton (sqlparse.Scan). Its entries hold what no literal and no store
-// state moves — the parsed template, the bound shape and the plan key — so
-// a stale plan never drops one.
+// Staleness is handled at lookup: a plan snapshots the per-table coverage
+// epochs and the statistics version at compile time, and a lookup empties
+// the plan slot when either moved (new coverage or estimates can flip the
+// winning plan). The template and shape stay: no store state moves them.
 package core
 
 import (
 	"container/list"
-	"slices"
 	"sync"
 
 	"payless/internal/obs"
@@ -51,28 +42,21 @@ type tableEpoch struct {
 	epoch uint64
 }
 
-// CachedPlan is one plan-cache entry: an optimized plan without its bound
-// query, plus the invalidation snapshot it was compiled under.
+// CachedPlan is a statement's cached plan: an optimized plan without its
+// bound query, plus the invalidation snapshot it was compiled under. It is
+// immutable, so concurrent hits share it.
 type CachedPlan struct {
-	key string
 	// plan is the template every instance copies: Bound nil, Planner
 	// PlannerCached, no search counters or timing. Its steps are the
-	// optimizer's own, shared read-only by every instance.
+	// optimizer's own, shared read-only by every instance, and so is its
+	// line: a skeleton fixes how every alias is spelled.
 	plan *Plan
-	// numRels/numJoins guard against key collisions: an instantiation whose
-	// bound arity differs is refused outright.
-	numRels, numJoins int
 	// epochs and statsVersion are the invalidation snapshot.
 	epochs       []tableEpoch
 	statsVersion uint64
-	// line is the compiled plan's String, and aliases the relation aliases
-	// it names. Normalize lowercases names, so an instance may spell them
-	// differently; only one that spells them the same reuses the line.
-	line    string
-	aliases []string
 }
 
-// stale reports whether the entry's invalidation snapshot has moved.
+// stale reports whether the plan's invalidation snapshot has moved.
 func (cp *CachedPlan) stale(epochOf func(table string) uint64, statsVersion uint64) bool {
 	if cp.statsVersion != statsVersion {
 		return true
@@ -85,14 +69,11 @@ func (cp *CachedPlan) stale(epochOf func(table string) uint64, statsVersion uint
 	return false
 }
 
-// Instantiate rebinds the cached plan onto a freshly bound instance of the
-// same shape. It returns ok=false — caller falls back to the optimizer —
-// when the bound arity does not match or a coverage-dependent access choice
-// no longer holds for the new literals.
+// Instantiate rebinds the cached plan onto a freshly bound instance of its
+// statement, whose Shape bound every instance alike. It returns ok=false —
+// caller falls back to the optimizer — when a coverage-dependent access
+// choice no longer holds for the new literals.
 func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Options) (*Plan, bool) {
-	if len(b.Rels) != cp.numRels || len(b.Joins) != cp.numJoins {
-		return nil, false
-	}
 	covered := func(rel *Rel) bool {
 		for _, ab := range rel.AccessBoxes() {
 			if opts.DisableSQR || !store.Covered(rel.Table.Name, ab, opts.Since) {
@@ -102,9 +83,6 @@ func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Op
 		return true
 	}
 	for _, s := range cp.plan.Steps {
-		if s.Rel < 0 || s.Rel >= len(b.Rels) {
-			return nil, false
-		}
 		rel := b.Rels[s.Rel]
 		switch s.Kind {
 		case LocalScan:
@@ -121,146 +99,116 @@ func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Op
 			if len(rel.UnboundAttrs()) > 0 && len(rel.AccessBoxes()) > 0 && !covered(rel) {
 				return nil, false
 			}
-		case MarketBind:
-			if s.BindJoin < 0 || s.BindJoin >= len(b.Joins) {
-				return nil, false
-			}
-		}
-		for _, e := range s.Joins {
-			if e < 0 || e >= len(b.Joins) {
-				return nil, false
-			}
 		}
 	}
 	p := *cp.plan
 	p.Bound = b
-	if slices.EqualFunc(b.Rels, cp.aliases, func(rel *Rel, alias string) bool { return rel.Alias() == alias }) {
-		p.line = cp.line
-	}
 	return &p, true
 }
 
-// Statement is a statement-cache entry: what every statement of one
-// skeleton compiles to before its literals. It is immutable, so concurrent
-// hits share it.
+// Statement is a cache entry: what every statement of one skeleton
+// compiles to. Template and Shape are immutable, so concurrent hits share
+// them; the plan slot belongs to the cache.
 type Statement struct {
 	// Template patches a statement's literals into the parsed AST.
 	Template *sqlparse.Template
 	// Shape binds the patched AST.
 	Shape *Shape
-	// Key is the plan-cache key: Normalize of the AST.
-	Key string
+	// skel is the key Put stored the statement under.
+	skel string
+	// plan is the statement's live plan, nil before one is cached and after
+	// it went stale. The owning cache's mu guards it.
+	plan *CachedPlan
 }
 
-// PlanCache is a bounded LRU of optimized plans keyed by normalized shape,
-// and a bounded LRU of statements keyed by skeleton, each holding at most
-// the capacity. Safe for concurrent use.
+// PlanCache is a bounded LRU of statements keyed by skeleton, each with its
+// plan slot. Safe for concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
 	cap     int
-	plans   lru[*CachedPlan]
-	stmts   lru[*Statement]
+	ll      list.List // of *Statement, most recently used first
+	entries map[string]*list.Element
+	// metrics counts hits, misses, invalidations and evictions; the cache
+	// keeps no counters of its own.
 	metrics *obs.Metrics
 }
 
-// lru is a least-recently-used map; its owner holds the lock.
-type lru[V any] struct {
-	ll      list.List
-	entries map[string]*list.Element
-}
-
-type lruItem[V any] struct {
-	key string
-	val V
-}
-
-// touch marks el most recently used and returns its value.
-func (l *lru[V]) touch(el *list.Element) V {
-	l.ll.MoveToFront(el)
-	return el.Value.(*lruItem[V]).val
-}
-
-// remove drops el.
-func (l *lru[V]) remove(el *list.Element) {
-	l.ll.Remove(el)
-	delete(l.entries, el.Value.(*lruItem[V]).key)
-}
-
-// put sets key to v, evicting the least recently used entry when the map
-// would exceed capacity; it reports whether it evicted one.
-func (l *lru[V]) put(key string, v V, capacity int) bool {
-	if el, ok := l.entries[key]; ok {
-		el.Value.(*lruItem[V]).val = v
-		l.ll.MoveToFront(el)
-		return false
-	}
-	if l.entries == nil {
-		l.entries = make(map[string]*list.Element)
-	}
-	l.entries[key] = l.ll.PushFront(&lruItem[V]{key: key, val: v})
-	if l.ll.Len() <= capacity {
-		return false
-	}
-	l.remove(l.ll.Back())
-	return true
-}
-
-// NewPlanCache returns an empty cache holding at most capacity plans and
-// capacity statements; capacity <= 0 means DefaultPlanCacheSize.
-func NewPlanCache(capacity int) *PlanCache {
+// NewPlanCache returns an empty cache holding at most capacity statements
+// (capacity <= 0 means DefaultPlanCacheSize) that counts its activity in m,
+// which may be nil.
+func NewPlanCache(capacity int, m *obs.Metrics) *PlanCache {
 	if capacity <= 0 {
 		capacity = DefaultPlanCacheSize
 	}
-	return &PlanCache{cap: capacity}
+	return &PlanCache{cap: capacity, entries: make(map[string]*list.Element), metrics: m}
 }
 
-// SetMetrics attaches the metrics sink that counts hits, misses,
-// invalidations and evictions; the cache keeps no counters of its own. Call
-// before the cache is shared across goroutines.
-func (c *PlanCache) SetMetrics(m *obs.Metrics) { c.metrics = m }
-
-// Get returns the live entry for the key, or nil on a miss. An entry whose
-// invalidation snapshot moved (epochOf/statsVersion disagree with compile
-// time) is discarded and counted as an invalidation plus a miss.
-func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVersion uint64) *CachedPlan {
+// Lookup returns the statement cached under a skeleton, or nil. It
+// compares the whole skeleton, never a hash of it alone.
+func (c *PlanCache) Lookup(skel []byte) *Statement {
 	c.mu.Lock()
-	el, ok := c.plans.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		c.metrics.ObservePlanCacheLookup(false, false)
-		return nil
+	defer c.mu.Unlock()
+	if el, ok := c.entries[string(skel)]; ok {
+		c.ll.MoveToFront(el)
+		return el.Value.(*Statement)
 	}
-	cp := c.plans.touch(el)
-	if cp.stale(epochOf, statsVersion) {
-		c.plans.remove(el)
-		c.mu.Unlock()
-		c.metrics.ObservePlanCacheLookup(false, true)
-		return nil
+	return nil
+}
+
+// Plan returns st's live plan, or nil, and counts the lookup as a hit or a
+// miss. A plan whose invalidation snapshot moved (epochOf and statsVersion
+// disagree with compile time) empties the slot, keeps the statement and
+// counts an invalidation plus a miss.
+func (c *PlanCache) Plan(st *Statement, epochOf func(table string) uint64, statsVersion uint64) *CachedPlan {
+	c.mu.Lock()
+	cp := st.plan
+	stale := cp != nil && cp.stale(epochOf, statsVersion)
+	if stale {
+		st.plan, cp = nil, nil
 	}
 	c.mu.Unlock()
-	c.metrics.ObservePlanCacheLookup(true, false)
+	c.metrics.ObservePlanCacheLookup(cp != nil, stale)
 	return cp
 }
 
-// Put caches a freshly optimized plan under key, replacing any entry there
-// and evicting the least recently used one when over capacity. epochOf
-// reports the current coverage epoch of a market table (the caller
-// snapshots it BEFORE executing the plan, so the plan's own purchases
-// invalidate the entry — a cached plan must describe the store state it was
-// costed against). statsVersion is the statistics mutation counter at the
-// same instant. p itself is not modified.
-func (c *PlanCache) Put(key string, p *Plan, epochOf func(table string) uint64, statsVersion uint64) {
-	cp := &CachedPlan{
-		key:          key,
-		plan:         &Plan{Steps: p.Steps, EstTrans: p.EstTrans, EstRows: p.EstRows, Planner: PlannerCached},
-		numRels:      len(p.Bound.Rels),
-		numJoins:     len(p.Bound.Joins),
-		statsVersion: statsVersion,
-		line:         p.String(),
-		aliases:      make([]string, len(p.Bound.Rels)),
+// Put caches a new statement under its skeleton and returns the entry the
+// skeleton now has: st, or the one a concurrent miss cached first, whose
+// plan slot st's compilers then share. Caching st evicts the least recently
+// used statement when over capacity; evicting one that holds a plan counts
+// an eviction. Only a statement that parsed and bound belongs here.
+func (c *PlanCache) Put(skel []byte, st *Statement) *Statement {
+	c.mu.Lock()
+	if el, ok := c.entries[string(skel)]; ok {
+		c.ll.MoveToFront(el)
+		st = el.Value.(*Statement)
+		c.mu.Unlock()
+		return st
 	}
-	for i, rel := range p.Bound.Rels {
-		cp.aliases[i] = rel.Alias()
+	st.skel = string(skel)
+	c.entries[st.skel] = c.ll.PushFront(st)
+	var evicted *Statement
+	if c.ll.Len() > c.cap {
+		evicted = c.ll.Remove(c.ll.Back()).(*Statement)
+		delete(c.entries, evicted.skel)
+	}
+	dropped := evicted != nil && evicted.plan != nil
+	c.mu.Unlock()
+	if dropped {
+		c.metrics.ObservePlanCacheEviction()
+	}
+	return st
+}
+
+// SetPlan caches a freshly optimized plan in st's slot, replacing any plan
+// there. epochOf reports the current coverage epoch of a market table (the
+// caller snapshots it BEFORE executing the plan, so the plan's own
+// purchases invalidate it — a cached plan must describe the store state it
+// was costed against). statsVersion is the statistics mutation counter at
+// the same instant. p itself is not modified.
+func (c *PlanCache) SetPlan(st *Statement, p *Plan, epochOf func(table string) uint64, statsVersion uint64) {
+	cp := &CachedPlan{
+		plan:         &Plan{Steps: p.Steps, EstTrans: p.EstTrans, EstRows: p.EstRows, Planner: PlannerCached, line: p.String()},
+		statsVersion: statsVersion,
 	}
 	seen := make(map[string]bool)
 	for _, rel := range p.Bound.Rels {
@@ -271,36 +219,6 @@ func (c *PlanCache) Put(key string, p *Plan, epochOf func(table string) uint64, 
 		cp.epochs = append(cp.epochs, tableEpoch{table: rel.Table.Name, epoch: epochOf(rel.Table.Name)})
 	}
 	c.mu.Lock()
-	evicted := c.plans.put(key, cp, c.cap)
+	st.plan = cp
 	c.mu.Unlock()
-	if evicted {
-		c.metrics.ObservePlanCacheEviction()
-	}
-}
-
-// Statement returns the statement cached under a skeleton, or nil. A hit
-// compares the whole skeleton, never a hash of it alone.
-func (c *PlanCache) Statement(skel []byte) *Statement {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.stmts.entries[string(skel)]; ok {
-		return c.stmts.touch(el)
-	}
-	return nil
-}
-
-// PutStatement caches st under its skeleton, evicting the least recently
-// used statement when over capacity. Only a statement that parsed and bound
-// belongs here.
-func (c *PlanCache) PutStatement(skel []byte, st *Statement) {
-	c.mu.Lock()
-	c.stmts.put(string(skel), st, c.cap)
-	c.mu.Unlock()
-}
-
-// Len returns the number of cached plans.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.plans.ll.Len()
 }

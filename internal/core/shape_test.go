@@ -16,7 +16,6 @@ type statement struct {
 	skel  string
 	tmpl  *sqlparse.Template
 	shape *Shape
-	key   string
 }
 
 // compileStatement builds the cache entry for sql, as a miss does.
@@ -38,12 +37,11 @@ func compileStatement(t *testing.T, sql string, cat *catalog.Catalog) *statement
 	if err != nil {
 		t.Fatalf("NewTemplate(%s): %v", sql, err)
 	}
-	return &statement{skel: string(skel), tmpl: tmpl, shape: shape, key: Normalize(q)}
+	return &statement{skel: string(skel), tmpl: tmpl, shape: shape}
 }
 
 // checkHit binds sql through st, as a hit does, and checks the result
-// against the full path: Bind(Parse(sql)) and its Normalize key, or the same
-// error.
+// against the full path: Bind(Parse(sql)), or the same error.
 func checkHit(t *testing.T, st *statement, sql string, cat *catalog.Catalog) {
 	t.Helper()
 	skel, lits, err := sqlparse.Scan(sql, nil, nil)
@@ -68,9 +66,6 @@ func checkHit(t *testing.T, st *statement, sql string, cat *catalog.Catalog) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: hit path bound\n%+v\nfull path\n%+v", sql, got, want)
-	}
-	if k := Normalize(inst); k != st.key || k != Normalize(q) {
-		t.Fatalf("%s: key %q, entry %q, full path %q", sql, k, st.key, Normalize(q))
 	}
 }
 

@@ -62,9 +62,13 @@ type Config struct {
 }
 
 // account is one spending cap enforced by reservation: a query's estimate
-// is held from admission to settlement, so concurrent queries can never
-// jointly overshoot the limit. It has no lock of its own; callers hold the
-// lock that guards it.
+// is held from admission to settlement, so the spent and reserved
+// transactions together never pass the limit — a bound on the sum of
+// *estimates*. A query's actual bill can exceed its estimate, so spend can
+// pass the limit by the estimates' error (measured on random TPC-H
+// statements: 27 of 160 budgeted runs ended over budget, worst by 11
+// transactions). It has no lock of its own; callers hold the lock that
+// guards it.
 type account struct {
 	limit    int64 // cap in transactions; 0 unlimited
 	spent    int64 // transactions actually billed

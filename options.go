@@ -71,11 +71,11 @@ func WithMinimizeCalls() Option {
 	return func(c *Config) { c.MinimizeCalls = true }
 }
 
-// WithPlanCache enables the parameterized plan-template cache: optimized
-// plans are cached by normalized query shape and repeated shapes skip
-// optimization entirely, with invalidation on semantic-store and statistics
-// changes. size is the LRU capacity in templates; size <= 0 uses the
-// default (1024).
+// WithPlanCache enables the parameterized plan-template cache: compiled
+// statements and their optimized plans are cached by statement skeleton,
+// and repeated skeletons skip parsing, binding and optimization, with plan
+// invalidation on semantic-store and statistics changes. size is the LRU
+// capacity in skeletons; size <= 0 uses the default (1024).
 func WithPlanCache(size int) Option {
 	return func(c *Config) {
 		if size <= 0 {

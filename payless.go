@@ -90,15 +90,15 @@ type Config struct {
 	// DisableBoxPruning turns off Algorithm 1's pruning rules (Fig. 15).
 	DisableBoxPruning bool
 	// PlanCacheSize enables the parameterized plan-template cache when
-	// positive: optimized plans are cached by normalized query shape (an LRU
-	// of at most this many templates) and repeated shapes skip optimization
-	// entirely. Cached plans are invalidated when semantic-store
-	// coverage or statistics change, and coverage-dependent access choices
-	// are re-verified per instantiation, so cached plans never bill more
-	// than a re-optimized run would beyond the shape-reuse assumption
-	// itself. 0 (the default) disables the cache. Queries under a Window
-	// consistency bypass the cache (a moving freshness horizon cannot be
-	// captured by epochs).
+	// positive: statements and their optimized plans are cached by statement
+	// skeleton (an LRU of at most this many), and a repeated skeleton skips
+	// parsing, name resolution and optimization. Cached plans are
+	// invalidated when semantic-store coverage or statistics change, and
+	// coverage-dependent access choices are re-verified per instantiation,
+	// so cached plans never bill more than a re-optimized run would beyond
+	// the shape-reuse assumption itself. 0 (the default) disables the
+	// cache. Queries under a Window consistency reuse no plan (a moving
+	// freshness horizon cannot be captured by epochs).
 	PlanCacheSize int
 	// Admitter is the client's one spend gate: Reserve before execution
 	// (rejecting unbilled on error), Settle with the actual spend after.
@@ -395,8 +395,7 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 		Metrics:              metrics,
 	})
 	if cfg.PlanCacheSize > 0 {
-		c.plans = core.NewPlanCache(cfg.PlanCacheSize)
-		c.plans.SetMetrics(metrics)
+		c.plans = core.NewPlanCache(cfg.PlanCacheSize, metrics)
 	}
 	return c, nil
 }
@@ -637,19 +636,17 @@ func (c *Client) finishTrace(tr *obs.Trace) {
 // nil for none); on a hit the optimize stage is skipped entirely: the
 // cached plan is re-bound onto the freshly bound literals.
 func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.Plan, core.Options, error) {
-	bound, key, err := c.front(sql, tr, cache)
+	bound, st, err := c.front(sql, tr, cache)
 	if err != nil {
 		return nil, core.Options{}, err
 	}
 	opts := c.options()
 	// A moving consistency horizon (Window) makes coverage decisions
-	// time-dependent in a way epochs cannot capture; those queries always
-	// re-optimize.
-	if !opts.Since.IsZero() {
-		key = ""
-	}
-	if key != "" {
-		if cp := cache.Get(key, c.store.Epoch, c.stats.Version()); cp != nil {
+	// time-dependent in a way epochs cannot capture; those queries skip the
+	// plan slot and always re-optimize.
+	plans := st != nil && opts.Since.IsZero()
+	if plans {
+		if cp := cache.Plan(st, c.store.Epoch, c.stats.Version()); cp != nil {
 			if plan, ok := cp.Instantiate(bound, c.store, &opts); ok {
 				c.bookPlan(tr, plan)
 				return plan, opts, nil
@@ -662,23 +659,24 @@ func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*cor
 		return nil, core.Options{}, stageErr(StageOptimize, err)
 	}
 	c.bookPlan(tr, plan)
-	if key != "" {
+	if plans {
 		// The epochs snapshot is taken here, BEFORE execution: if this very
-		// query buys data, its purchases bump the table epochs and the entry
-		// correctly invalidates — the cached plan describes the store state it
-		// was costed against, nothing newer.
-		cache.Put(key, plan, c.store.Epoch, c.stats.Version())
+		// query buys data, its purchases bump the table epochs and the plan
+		// correctly invalidates — the cached plan describes the store state
+		// it was costed against, nothing newer.
+		cache.SetPlan(st, plan, c.store.Epoch, c.stats.Version())
 	}
 	return plan, opts, nil
 }
 
 // front parses and binds sql, the front end every statement passes, and
-// returns its plan-cache key ("" without a cache). With a cache, a statement
-// whose token skeleton is cached skips the parse and the name resolution:
-// its literals are patched into the cached AST and bound against the cached
-// shape, under the "parse" and "bind" spans. Any other statement is parsed
-// and bound in full; if it binds, its skeleton's entry is filled.
-func (c *Client) front(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.BoundQuery, string, error) {
+// returns its statement-cache entry (nil without a cache). With a cache, a
+// statement whose token skeleton is cached skips the parse and the name
+// resolution: its literals are patched into the cached AST and bound
+// against the cached shape, under the "parse" and "bind" spans. Any other
+// statement is parsed and bound in full; if it binds, its skeleton's entry
+// is filled.
+func (c *Client) front(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.BoundQuery, *core.Statement, error) {
 	var skelBuf [512]byte
 	var litBuf [16]sqlparse.Literal
 	var skel []byte
@@ -686,19 +684,19 @@ func (c *Client) front(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.
 	if cache != nil {
 		s, lits, err := sqlparse.Scan(sql, skelBuf[:0], litBuf[:0])
 		if err == nil {
-			if st := cache.Statement(s); st != nil {
+			if st := cache.Lookup(s); st != nil {
 				q, err := st.Template.Instance(lits)
 				end(err)
 				if err != nil {
-					return nil, "", stageErr(StageParse, err)
+					return nil, nil, stageErr(StageParse, err)
 				}
 				end = tr.StartSpan("bind")
 				bound, err := st.Shape.Bind(q)
 				end(err)
 				if err != nil {
-					return nil, "", stageErr(StageBind, err)
+					return nil, nil, stageErr(StageBind, err)
 				}
-				return bound, st.Key, nil
+				return bound, st, nil
 			}
 			skel = s
 		}
@@ -706,11 +704,7 @@ func (c *Client) front(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.
 	parsed, err := sqlparse.Parse(sql)
 	end(err)
 	if err != nil {
-		return nil, "", stageErr(StageParse, err)
-	}
-	var key string
-	if cache != nil {
-		key = core.Normalize(parsed)
+		return nil, nil, stageErr(StageParse, err)
 	}
 	end = tr.StartSpan("bind")
 	shape, err := core.NewShape(parsed, c.cat)
@@ -720,14 +714,15 @@ func (c *Client) front(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.
 	}
 	end(err)
 	if err != nil {
-		return nil, "", stageErr(StageBind, err)
+		return nil, nil, stageErr(StageBind, err)
 	}
+	var st *core.Statement
 	if skel != nil {
 		if tmpl, err := sqlparse.NewTemplate(sql); err == nil {
-			cache.PutStatement(skel, &core.Statement{Template: tmpl, Shape: shape, Key: key})
+			st = cache.Put(skel, &core.Statement{Template: tmpl, Shape: shape})
 		}
 	}
-	return bound, key, nil
+	return bound, st, nil
 }
 
 // bookPlan records the plan a statement will run: its plan line, planner

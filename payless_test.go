@@ -398,3 +398,44 @@ func TestTablesIntrospection(t *testing.T) {
 		t.Errorf("weather info: %+v", byName["Weather"])
 	}
 }
+
+// TestFloatBoundsBillAsInts: a float literal on an integer attribute is
+// pushed to the market rounded inward, so it returns the rows and pays the
+// bill of the integer statement it equals — not a whole-table purchase with
+// the condition applied locally. A non-integral equality matches nothing
+// and calls nothing.
+func TestFloatBoundsBillAsInts(t *testing.T) {
+	const q = "SELECT * FROM Weather WHERE "
+	for _, pair := range [][2]string{
+		{"Weather.Date >= 20140601 AND Weather.Date <= 20140602", "Weather.Date >= 20140601.0 AND Weather.Date <= 20140602.0"},
+		{"Weather.Date >= 20140601 AND Weather.Date <= 20140602", "Weather.Date >= 20140600.5 AND Weather.Date <= 20140602.5"},
+		{"Weather.Date >= 20140601 AND Weather.Date <= 20140602", "Weather.Date > 20140600.5 AND Weather.Date < 20140602.5"},
+		{"Weather.Date >= 20140602 AND Weather.Date <= 20140602", "Weather.Date > 20140601.0 AND Weather.Date < 20140603.0"},
+		{"Weather.Date = 20140601", "Weather.Date = 20140601.0"},
+		{"Weather.Date IN (20140601, 20140603)", "Weather.Date IN (20140601.0, 20140603.0, 20140603, 20140602.5)"},
+		{"Weather.Date >= 20140601 AND Weather.Date <= 20140602", "Weather.Date >= -100000000000000000000000.5 AND Weather.Date >= 20140601.0 AND Weather.Date <= 20140602.0 AND Weather.Date <= 99999999999999999999.0"},
+	} {
+		intForm, _, _ := testSetup(t, nil)
+		floatForm, _, _ := testSetup(t, nil)
+		want, err := intForm.Query(q + pair[0])
+		if err != nil {
+			t.Fatalf("%s: %v", pair[0], err)
+		}
+		got, err := floatForm.Query(q + pair[1])
+		if err != nil {
+			t.Fatalf("%s: %v", pair[1], err)
+		}
+		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || got.Report.Transactions != want.Report.Transactions || got.Report.Records != want.Report.Records {
+			t.Errorf("%s: %d rows for %d tx (%d records); %s: %d rows for %d tx (%d records)",
+				pair[1], len(got.Rows), got.Report.Transactions, got.Report.Records,
+				pair[0], len(want.Rows), want.Report.Transactions, want.Report.Records)
+		}
+	}
+	c, _, _ := testSetup(t, nil)
+	for _, cond := range []string{"Weather.Date = 20140601.5", "Weather.Date IN (20140601.5, 20140602.25)"} {
+		res, err := c.Query(q + cond)
+		if err != nil || len(res.Rows) != 0 || res.Report.Transactions != 0 || res.Report.Calls != 0 {
+			t.Errorf("%s: %v; want no rows, no call", cond, err)
+		}
+	}
+}

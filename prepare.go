@@ -3,6 +3,8 @@ package payless
 import (
 	"context"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"payless/internal/core"
@@ -26,8 +28,9 @@ type Stmt struct {
 }
 
 // Prepare splits a SQL template on its `?` placeholders. Placeholders
-// inside string literals are ignored. Validation of the SQL happens at
-// execution time, once parameters give the statement a concrete form.
+// inside string literals and `--` comments are ignored. Validation of the
+// SQL happens at execution time, once parameters give the statement a
+// concrete form.
 func (c *Client) Prepare(template string) (*Stmt, error) {
 	var segments []string
 	var cur strings.Builder
@@ -44,6 +47,12 @@ func (c *Client) Prepare(template string) (*Stmt, error) {
 			}
 			inString = !inString
 			cur.WriteByte(ch)
+		case ch == '-' && !inString && strings.HasPrefix(template[i:], "--"):
+			// A line comment, skipped as the lexer skips it: a `?` or a quote
+			// in it is text.
+			comment, _, _ := strings.Cut(template[i:], "\n")
+			cur.WriteString(comment)
+			i += len(comment) - 1
 		case ch == '?' && !inString:
 			segments = append(segments, cur.String())
 			cur.Reset()
@@ -57,10 +66,9 @@ func (c *Client) Prepare(template string) (*Stmt, error) {
 	segments = append(segments, cur.String())
 	cache := c.plans
 	if cache == nil {
-		// One template usually normalizes to one shape; a handful of slots
-		// absorbs shape variants (e.g. IN lists of different arity).
-		cache = core.NewPlanCache(8)
-		cache.SetMetrics(c.metrics)
+		// One template usually renders to one skeleton; a handful of slots
+		// absorbs variants (an argument of another kind).
+		cache = core.NewPlanCache(8, c.metrics)
 	}
 	return &Stmt{client: c, segments: segments, cache: cache}, nil
 }
@@ -88,8 +96,9 @@ func (s *Stmt) render(args []any) (string, error) {
 	return b.String(), nil
 }
 
-// renderArg converts a Go value into a SQL literal. Strings are quoted with
-// ” escaping, so arbitrary argument content cannot alter the statement.
+// renderArg converts a Go value into a SQL literal that parses back to the
+// same value. Strings are quoted with each quote doubled, so arbitrary
+// argument content cannot alter the statement.
 func renderArg(arg any) (string, error) {
 	switch v := arg.(type) {
 	case int:
@@ -99,14 +108,26 @@ func renderArg(arg any) (string, error) {
 	case int64:
 		return fmt.Sprintf("%d", v), nil
 	case float32:
-		return fmt.Sprintf("%g", v), nil
+		return renderArg(float64(v))
 	case float64:
-		return fmt.Sprintf("%g", v), nil
+		// Plain decimal with a '.', the only number syntax the lexer reads
+		// as a Float; NaN and infinities have none.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return "", fmt.Errorf("%v has no SQL literal", v)
+		}
+		s := strconv.FormatFloat(v, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s, nil
 	case string:
 		return "'" + strings.ReplaceAll(v, "'", "''") + "'", nil
 	case value.Value:
-		if v.K == value.String {
-			return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'", nil
+		switch v.K {
+		case value.String:
+			return renderArg(v.Str())
+		case value.Float:
+			return renderArg(v.Float64())
 		}
 		return v.String(), nil
 	default:

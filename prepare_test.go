@@ -1,8 +1,11 @@
 package payless
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"payless/internal/sqlparse"
 	"payless/internal/value"
 )
 
@@ -47,13 +50,34 @@ func TestPrepareArgumentTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := stmt.Query(1, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]any{
 		{int(1), int64(50)},
 		{int32(1), int64(50)},
 		{value.NewInt(1), value.NewInt(50)},
+		{1.0, 50.0},
+		{0.5, float32(50.5)},
+		{value.NewFloat(1), value.NewFloat(50)},
 	} {
+		res, err := stmt.Query(args...)
+		if err != nil {
+			t.Errorf("args %v: %v", args, err)
+		} else if fmt.Sprint(res.Rows) != fmt.Sprint(want.Rows) {
+			t.Errorf("args %v: rows %v, want %v", args, res.Rows, want.Rows)
+		}
+	}
+	// Floats whose %g rendering has an exponent the lexer cannot read.
+	for _, args := range [][]any{{1.0, 1e6}, {float32(1), float32(2e7)}, {value.NewFloat(1e-5), value.NewFloat(1e6)}} {
 		if _, err := stmt.Query(args...); err != nil {
 			t.Errorf("args %v: %v", args, err)
+		}
+	}
+	for _, bad := range []any{math.NaN(), math.Inf(1), float32(math.Inf(-1)), value.NewFloat(math.NaN())} {
+		if _, err := stmt.Query(1, bad); err == nil {
+			t.Errorf("argument %v: want an argument error", bad)
 		}
 	}
 	if _, err := stmt.Query(1); err == nil {
@@ -100,6 +124,23 @@ func TestPreparePlaceholderInsideLiteral(t *testing.T) {
 	}
 	if stmt2.NumParams() != 1 {
 		t.Errorf("escaped-quote literal: %d params", stmt2.NumParams())
+	}
+	// A ? or a quote inside a -- comment is comment text, as the lexer
+	// reads it.
+	for _, tmpl := range []string{
+		"SELECT COUNT(*) FROM Pollution -- rank?\nWHERE Rank >= ? AND Rank <= ?",
+		"SELECT COUNT(*) FROM Pollution -- it's a rank?\nWHERE Rank >= ? AND Rank <= ? -- the end?",
+	} {
+		stmt, err := client.Prepare(tmpl)
+		if err != nil {
+			t.Fatalf("%q: %v", tmpl, err)
+		}
+		if stmt.NumParams() != 2 {
+			t.Fatalf("%q: %d parameters, want 2", tmpl, stmt.NumParams())
+		}
+		if _, err := stmt.Query(1, 50); err != nil {
+			t.Errorf("%q: %v", tmpl, err)
+		}
 	}
 	if _, err := client.Prepare("SELECT * FROM T WHERE a = 'oops"); err == nil {
 		t.Error("unterminated literal should error at Prepare")
@@ -173,4 +214,45 @@ func TestStmtExplainUsesStatementCache(t *testing.T) {
 	if planners[2] != PlannerCached || ex.Planner != planners[2] {
 		t.Errorf("Query planners %v, Explain planner %q", planners, ex.Planner)
 	}
+}
+
+// FuzzPrepareArgs: every finite float64, every int64 and every string a
+// statement is given renders to a literal that lexes and parses back to the
+// identical value of the same kind; a non-finite float is an argument error.
+func FuzzPrepareArgs(f *testing.F) {
+	f.Add(int64(0), 0.0, "")
+	f.Add(int64(-1), 1e6, "it's")
+	f.Add(int64(math.MinInt64), -1e-5, "-- ? ''")
+	f.Add(int64(math.MaxInt64), math.Copysign(0, -1), "\n'")
+	f.Add(int64(20140601), 5e-324, "United States")
+	f.Add(int64(7), math.MaxFloat64, "\x00\xff")
+	f.Fuzz(func(t *testing.T, i int64, fl float64, s string) {
+		for _, arg := range []any{i, fl, s} {
+			want, ok := value.NewInt(i), true
+			switch arg.(type) {
+			case float64:
+				want = value.NewFloat(fl)
+				ok = !math.IsNaN(fl) && !math.IsInf(fl, 0)
+			case string:
+				want = value.NewString(s)
+			}
+			lit, err := renderArg(arg)
+			if !ok {
+				if err == nil {
+					t.Fatalf("%v rendered as %q, want an argument error", arg, lit)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%#v: %v", arg, err)
+			}
+			q, err := sqlparse.Parse("SELECT * FROM T WHERE a = " + lit)
+			if err != nil {
+				t.Fatalf("%#v rendered as %q: %v", arg, lit, err)
+			}
+			if got := *q.Where[0].RightVal; got != want {
+				t.Fatalf("%#v rendered as %q parses to %v (%v), want %v (%v)", arg, lit, got, got.K, want, want.K)
+			}
+		}
+	})
 }

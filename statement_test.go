@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"payless/internal/core"
 	"payless/internal/market"
@@ -48,35 +49,44 @@ func whwClient(t testing.TB, planCache int, buy ...string) (*Client, *workload.W
 	return c, w
 }
 
-// fullFront is the front end without a statement cache: Parse, Bind and
-// the plan key.
-func fullFront(c *Client, sql string) (*core.BoundQuery, string, error) {
+// fullFront is the front end without a statement cache: Parse and Bind.
+func fullFront(c *Client, sql string) (*core.BoundQuery, error) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
-		return nil, "", stageErr(StageParse, err)
+		return nil, stageErr(StageParse, err)
 	}
 	b, err := core.Bind(q, c.cat)
 	if err != nil {
-		return nil, "", stageErr(StageBind, err)
+		return nil, stageErr(StageBind, err)
 	}
-	return b, core.Normalize(q), nil
+	return b, nil
+}
+
+// cachedStatement returns the statement cache's entry for sql's skeleton,
+// or nil, without looking at its plan.
+func cachedStatement(cache *core.PlanCache, sql string) *core.Statement {
+	skel, _, err := sqlparse.Scan(sql, nil, nil)
+	if err != nil {
+		return nil
+	}
+	return cache.Lookup(skel)
 }
 
 // checkFront compiles sql through cache and checks the front end against
-// the full path: the bound query deep-equals Bind(Parse(sql)), the key is
-// its Normalize, or both fail alike.
+// the full path: the bound query deep-equals Bind(Parse(sql)) and the entry
+// returned is the one cached under its skeleton, or both fail alike.
 func checkFront(t *testing.T, c *Client, cache *core.PlanCache, sql string) *core.BoundQuery {
 	t.Helper()
-	got, key, err := c.front(sql, nil, cache)
-	want, wantKey, wantErr := fullFront(c, sql)
+	got, st, err := c.front(sql, nil, cache)
+	want, wantErr := fullFront(c, sql)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: front error %v, full path %v", sql, err, wantErr)
 	}
 	if err != nil {
 		return nil
 	}
-	if !reflect.DeepEqual(got, want) || key != wantKey {
-		t.Fatalf("%s: front bound\n%+v\nkey %q; full path\n%+v\nkey %q", sql, got, key, want, wantKey)
+	if !reflect.DeepEqual(got, want) || st == nil || st != cachedStatement(cache, sql) {
+		t.Fatalf("%s: front bound\n%+v\nentry %p; full path\n%+v\ncached entry %p", sql, got, st, want, cachedStatement(cache, sql))
 	}
 	return got
 }
@@ -91,23 +101,17 @@ func checkTemplates(t *testing.T, c *Client, templates []workload.Template) {
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 200; i++ {
 			sql := tpl.Instantiate(rng)
-			skel, _, err := sqlparse.Scan(sql, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cached := c.plans.Statement(skel) != nil
-			if i > 0 && !cached {
+			if i > 0 && cachedStatement(c.plans, sql) == nil {
 				t.Fatalf("%s %s: a fixed-format template missed the statement cache", tpl.Name, sql)
 			}
 			b := checkFront(t, c, c.plans, sql)
-			_, key, _ := fullFront(c, sql)
 			plan, opts, err := c.compile(sql, nil, c.plans)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
 			var want *core.Plan
 			if plan.Planner == core.PlannerCached {
-				cp := c.plans.Get(key, c.store.Epoch, c.stats.Version())
+				cp := c.plans.Plan(cachedStatement(c.plans, sql), c.store.Epoch, c.stats.Version())
 				want, _ = cp.Instantiate(b, c.store, &opts)
 			} else {
 				opt := core.Optimizer{Catalog: c.cat, Store: c.store, Stats: c.stats, Options: opts}
@@ -162,7 +166,7 @@ func TestStatementHitErrorParity(t *testing.T) {
 		},
 	} {
 		for i, sql := range fam {
-			if skel, _, err := sqlparse.Scan(sql, nil, nil); i > 0 && err == nil && cached.plans.Statement(skel) == nil {
+			if _, _, err := sqlparse.Scan(sql, nil, nil); i > 0 && err == nil && cachedStatement(cached.plans, sql) == nil {
 				t.Fatalf("%s: not a statement-cache hit", sql)
 			}
 			got, err := cached.Query(sql)
@@ -194,7 +198,7 @@ func TestStatementCacheConcurrentHits(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				sql := tpl.Instantiate(rng)
 				got, _, err := c.front(sql, nil, c.plans)
-				want, _, wantErr := fullFront(c, sql)
+				want, wantErr := fullFront(c, sql)
 				if err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: hit (%v) differs from the full path (%v)", sql, err, wantErr)
 					return
@@ -307,10 +311,10 @@ func FuzzStatementCache(f *testing.F) {
 	}
 	c, _ := whwClient(f, 64)
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
-		skel, _, scanErr := sqlparse.Scan(src, nil, nil)
-		had := scanErr == nil && c.plans.Statement(skel) != nil
+		_, _, scanErr := sqlparse.Scan(src, nil, nil)
+		had := cachedStatement(c.plans, src) != nil
 		if checkFront(t, c, c.plans, src) == nil {
-			if !had && scanErr == nil && c.plans.Statement(skel) != nil {
+			if !had && cachedStatement(c.plans, src) != nil {
 				t.Fatalf("%s: rejected, yet its skeleton now has an entry", src)
 			}
 			return
@@ -318,12 +322,72 @@ func FuzzStatementCache(f *testing.F) {
 		if scanErr != nil {
 			t.Fatalf("%s: compiled, but Scan refused it: %v", src, scanErr)
 		}
-		if c.plans.Statement(skel) == nil {
-			t.Fatalf("%s: compiled, but left no entry", src)
-		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 4; i++ {
 			checkFront(t, c, c.plans, resubstitute(src, rng))
 		}
 	})
+}
+
+// TestInstanceNamesItsOwnAliases: two spellings of one statement's aliases
+// are two skeletons, so two cache entries, and a plan-cache hit on each
+// prints its plan line with its own aliases.
+func TestInstanceNamesItsOwnAliases(t *testing.T) {
+	c, _ := whwClient(t, 256)
+	entries := map[*core.Statement]bool{}
+	for _, alias := range [][2]string{{"S", "W"}, {"s", "w"}} {
+		var sql string
+		for i, day := range []int{20140601, 20140605} {
+			sql = fmt.Sprintf("SELECT * FROM Station %[1]s, Weather %[2]s WHERE %[1]s.StationID = %[2]s.StationID AND %[2]s.Country = 'Country01' AND %[2]s.Date = %[3]d",
+				alias[0], alias[1], day)
+			plan, _, err := c.compile(sql, nil, c.plans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit := plan.Planner == core.PlannerCached; hit != (i > 0) {
+				t.Fatalf("%s: planner %s", sql, plan.Planner)
+			}
+			own := (&core.Plan{Bound: plan.Bound, Steps: plan.Steps, EstTrans: plan.EstTrans}).String()
+			if plan.String() != own || !strings.Contains(own, alias[1]+"(") {
+				t.Errorf("%s: plan line %q, its own aliases render %q", sql, plan.String(), own)
+			}
+		}
+		entries[cachedStatement(c.plans, sql)] = true
+	}
+	if len(entries) != 2 {
+		t.Errorf("two alias spellings share %d entries, want 2", len(entries))
+	}
+}
+
+// TestPlanCacheCountsOneLookupPerCompile: a statement that compiles counts
+// one plan lookup, a hit or a miss; one that fails to parse or bind, on a
+// hit's literals too, counts none, and neither does one under a Window
+// consistency, which reuses no plan.
+func TestPlanCacheCountsOneLookupPerCompile(t *testing.T) {
+	c, _ := whwClient(t, 256)
+	const q = "SELECT Temperature FROM Weather WHERE Weather.Country = 'Country01' AND Weather.Date = %d LIMIT %d"
+	lookups := func() (int64, int64) {
+		m := c.Metrics()
+		return m.PlanCacheHits, m.PlanCacheMisses
+	}
+	for i, step := range []struct {
+		sql          string
+		hits, misses int64
+	}{
+		{fmt.Sprintf(q, 20140601, 5), 0, 1},
+		{fmt.Sprintf(q, 20140602, 5), 1, 1},
+		{fmt.Sprintf(q, 20140602, -5), 1, 1},
+		{"SELECT * FROM Nowhere WHERE a = 1", 1, 1},
+		{"SELECT Nothing FROM Weather WHERE Weather.Date = 20140601", 1, 1},
+	} {
+		c.Explain(step.sql)
+		if hits, misses := lookups(); hits != step.hits || misses != step.misses {
+			t.Fatalf("step %d, %s: %d hits, %d misses; want %d, %d", i, step.sql, hits, misses, step.hits, step.misses)
+		}
+	}
+	c.cfg.Consistency = Window(time.Hour)
+	res, err := c.Explain(fmt.Sprintf(q, 20140603, 5))
+	if hits, misses := lookups(); err != nil || res.Planner == core.PlannerCached || hits != 1 || misses != 1 {
+		t.Fatalf("under Window: %v, planner %s, %d hits, %d misses", err, res.Planner, hits, misses)
+	}
 }
