@@ -155,36 +155,21 @@ func BoxFor(t *Table, q AccessQuery) (region.Box, error) {
 		if a.Binding == Output {
 			continue
 		}
-		full := a.FullInterval()
 		p, ok := q.Pred(a.Name)
 		if !ok {
-			dims = append(dims, full)
+			dims = append(dims, a.FullInterval())
 			continue
 		}
+		iv, err := a.Interval(p)
 		switch {
-		case p.Eq != nil:
-			c, err := a.Coord(*p.Eq)
-			if err != nil {
-				return region.Box{}, err
-			}
-			iv, ok := region.Point(c).Intersect(full)
-			if !ok {
-				return region.Box{}, fmt.Errorf("value %v outside domain of %s.%s", *p.Eq, t.Name, a.Name)
-			}
-			dims = append(dims, iv)
-		default:
-			iv := full
-			if p.Lo != nil && *p.Lo > iv.Lo {
-				iv.Lo = *p.Lo
-			}
-			if p.Hi != nil && *p.Hi+1 < iv.Hi {
-				iv.Hi = *p.Hi + 1
-			}
-			if iv.Empty() {
-				return region.Box{}, fmt.Errorf("empty range on %s.%s", t.Name, a.Name)
-			}
-			dims = append(dims, iv)
+		case err != nil:
+			return region.Box{}, err
+		case iv.Empty() && p.Eq != nil:
+			return region.Box{}, fmt.Errorf("value %v outside domain of %s.%s", *p.Eq, t.Name, a.Name)
+		case iv.Empty():
+			return region.Box{}, fmt.Errorf("empty range on %s.%s", t.Name, a.Name)
 		}
+		dims = append(dims, iv)
 	}
 	return region.Box{Dims: dims}, nil
 }

@@ -102,6 +102,29 @@ func (a Attribute) Coord(v value.Value) (int64, error) {
 	return v.Int64(), nil
 }
 
+// Interval returns the coordinates on the attribute's axis that satisfy p,
+// clipped to its domain: empty when none does. It fails for an equality
+// value with no coordinate.
+func (a Attribute) Interval(p Pred) (region.Interval, error) {
+	full := a.FullInterval()
+	if p.Eq != nil {
+		c, err := a.Coord(*p.Eq)
+		if err != nil {
+			return region.Interval{}, err
+		}
+		iv, _ := region.Point(c).Intersect(full)
+		return iv, nil
+	}
+	iv := full
+	if p.Lo != nil && *p.Lo > iv.Lo {
+		iv.Lo = *p.Lo
+	}
+	if p.Hi != nil && *p.Hi < iv.Hi-1 {
+		iv.Hi = *p.Hi + 1
+	}
+	return iv, nil
+}
+
 // ValueAt maps a coordinate back to the attribute's value.
 func (a Attribute) ValueAt(coord int64) (value.Value, error) {
 	if a.Class == CategoricalAttr {

@@ -363,18 +363,34 @@ func (s *Shape) Bind(q *sqlparse.Query) (*BoundQuery, error) {
 		b.Rels[r.rel].Query.Preds = append(b.Rels[r.rel].Query.Preds, p)
 	}
 	for _, r := range b.Rels {
-		// Equality predicates on values outside the attribute's domain can
-		// never match; the relation contributes no rows and no calls.
+		// A conjunction no value satisfies — a value outside the attribute's
+		// domain, two different points, a point outside the range, an empty
+		// range — matches nothing: the relation contributes no rows and no
+		// calls. Otherwise an attribute keeps its first predicate only, the
+		// one BoxFor reads: ranges follow every equality, one per attribute,
+		// so when there are several the first is a point, which the others
+		// contain.
 		emptyMatch := false
 		kept := r.Query.Preds[:0]
+	preds:
 		for _, p := range r.Query.Preds {
-			if p.Eq != nil {
-				if a, ok := r.Table.Attr(p.Attr); ok && a.Binding != catalog.Output {
-					coord, err := a.Coord(*p.Eq)
-					if err != nil || !a.FullInterval().ContainsCoord(coord) {
+			a, ok := r.Table.Attr(p.Attr)
+			if !ok || a.Binding == catalog.Output {
+				kept = append(kept, p)
+				continue
+			}
+			iv, err := a.Interval(p)
+			if err != nil || iv.Empty() {
+				emptyMatch = true
+				continue
+			}
+			for _, k := range kept {
+				if k.Attr == p.Attr {
+					first, _ := a.Interval(k)
+					if _, ok := first.Intersect(iv); !ok {
 						emptyMatch = true
-						continue
 					}
+					continue preds
 				}
 			}
 			kept = append(kept, p)
@@ -635,8 +651,9 @@ func numericPoint(a catalog.Attribute, v value.Value) (value.Value, bool) {
 // rangeBound returns the inclusive integer bound a range condition sets on
 // a numeric attribute: the low bound for >= and >, the high one for <= and
 // <. Coordinates are int64, so a Float rounds inward (>= 1.5 is >= 2, < 2.0
-// is <= 1), clamped to just outside the attribute's domain, which bounds it
-// as any farther value would.
+// is <= 1). A value past the attribute's domain is clamped to just outside
+// it, which bounds it as any farther value would, and a strict bound on an
+// int64 extreme cannot wrap round to the other one.
 func rangeBound(a catalog.Attribute, op sqlparse.CompareOp, v value.Value) int64 {
 	var step int64 // past a strict low bound, before a strict high one
 	switch op {
@@ -645,13 +662,13 @@ func rangeBound(a catalog.Attribute, op sqlparse.CompareOp, v value.Value) int64
 	case sqlparse.OpLt:
 		step = -1
 	}
+	full := a.FullInterval()
 	if v.K == value.Int {
-		return v.Int64() + step
+		return max(full.Lo-1, min(v.Int64(), full.Hi)) + step
 	}
 	f := math.Floor(v.Float64())
 	if op == sqlparse.OpGe || op == sqlparse.OpLt {
 		f = math.Ceil(v.Float64())
 	}
-	full := a.FullInterval()
 	return int64(max(float64(full.Lo-1), min(f+float64(step), float64(full.Hi))))
 }

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"payless/internal/catalog"
@@ -177,13 +178,31 @@ func (e *Engine) fetch(ctx context.Context, rel *core.Rel, step core.Step, prefi
 	}
 }
 
-// localScan reads a local DBMS table and applies the pushable predicates.
+// localScan reads a local DBMS table and applies the pushable predicates:
+// the access query's and the IN lists'. A relation with no access box —
+// no value satisfies its predicates — reads nothing.
 func (e *Engine) localScan(rel *core.Rel) (storage.Relation, error) {
 	tbl, ok := e.Store.DB().Lookup(rel.Table.Name)
 	if !ok {
 		return storage.Relation{}, fmt.Errorf("local table %s not loaded", rel.Table.Name)
 	}
-	return tbl.Relation().Select(catalog.CompileFilter(rel.Table, rel.Query).Matches), nil
+	all := tbl.Relation()
+	if len(rel.AccessBoxes()) == 0 {
+		return storage.Relation{Schema: all.Schema}, nil
+	}
+	f := catalog.CompileFilter(rel.Table, rel.Query)
+	in := make([]int, len(rel.In))
+	for i, p := range rel.In {
+		in[i] = rel.Table.Schema.IndexOf(p.Attr)
+	}
+	return all.Select(func(row value.Row) bool {
+		for i, p := range rel.In {
+			if in[i] < 0 || !slices.ContainsFunc(p.Values, row[in[i]].Equal) {
+				return false
+			}
+		}
+		return f.Matches(row)
+	}), nil
 }
 
 // storedRows reads the store's rows inside each box, in box order. A single

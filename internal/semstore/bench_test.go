@@ -92,17 +92,17 @@ func BenchmarkSemstoreRowsIn(b *testing.B) {
 		// The naive path is the pre-index linear scan over every
 		// materialised coordinate.
 		ts := s.table("Grid")
-		every := make([]int, q.D())
-		for k := range every {
-			every[k] = k
-		}
 		b.Run(fmt.Sprintf("naive/rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				count := 0
+			scan:
 				for id := range ts.rows {
-					if ts.matches(id, q, every) {
-						count++
+					for k, rd := range ts.rowIdx {
+						if !q.Dims[k].ContainsCoord(rd.col[id]) {
+							continue scan
+						}
 					}
+					count++
 				}
 				if count == 0 {
 					b.Fatal("probe found no rows")

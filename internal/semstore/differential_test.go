@@ -113,46 +113,64 @@ func semanticallyEqual(a, b []region.Box) bool {
 // reference through the same randomized workload and asserts they agree on
 // Remainder (semantically — decompositions may differ in geometry, never in
 // the region they describe), Covered and the exact RowsIn output,
-// after every Record. Two schedules: "sparse" records a few rows per call, so
-// coverage compaction does the work; "bulk" starts from one whole-table
+// after every Record. Three schedules: "sparse" records a few rows per call,
+// so coverage compaction does the work; "bulk" starts from one whole-table
 // Record and follows it with hundreds of calls of 1–100 rows, many of them
 // rows the store already holds, so the row index lives in many runs and
-// merges them again and again.
+// merges them again and again; "bulk3" does the same on a three-dimensional
+// table, so reads filter their candidates through two other columns. The
+// bulk schedules' reads restrict two (and three) dimensions on both sides of
+// rowsIn's bitset cutoff.
 func TestDifferentialOracle(t *testing.T) {
-	const (
-		span     = 120
-		maxWidth = 30
-	)
 	for _, sched := range []struct {
 		name                    string
+		span, maxWidth          int64 // of X and Y
+		zSpan                   int64 // of Z; 0: a two-dimensional grid
 		trials, records, probes int
 		maxRows                 int // rows per Record: uniform in [0, maxRows)
 		wholeTable              int // rows of the whole-table Record each trial starts with
+		minDup                  int // duplicate rows the bulk schedule must record
 	}{
-		{name: "sparse", trials: 20, records: 60, probes: 8, maxRows: 4},
-		{name: "bulk", trials: 2, records: 250, probes: 4, maxRows: 101, wholeTable: 4000},
+		{name: "sparse", span: 120, maxWidth: 30, trials: 20, records: 60, probes: 8, maxRows: 4},
+		{name: "bulk", span: 120, maxWidth: 30, trials: 2, records: 250, probes: 4, maxRows: 101, wholeTable: 4000, minDup: 1000},
+		{name: "bulk3", span: 60, maxWidth: 15, zSpan: 4, trials: 2, records: 250, probes: 4, maxRows: 101, wholeTable: 4000, minDup: 1000},
 	} {
 		t.Run(sched.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			base := time.Unix(1700000000, 0)
+			span, maxWidth := sched.span, sched.maxWidth
 			randBox := func() region.Box {
 				x := rng.Int63n(span)
 				y := rng.Int63n(span)
-				return box2(x, x+1+rng.Int63n(maxWidth), y, y+1+rng.Int63n(maxWidth))
+				b := box2(x, x+1+rng.Int63n(maxWidth), y, y+1+rng.Int63n(maxWidth))
+				if sched.zSpan > 0 {
+					z := rng.Int63n(sched.zSpan)
+					b.Dims = append(b.Dims, region.Interval{Lo: z, Hi: z + 1 + rng.Int63n(sched.zSpan-z)})
+				}
+				return b
 			}
-			// rowsInside samples n grid points of b, repeats allowed.
+			// rowsInside samples n points of b, repeats allowed.
 			rowsInside := func(b region.Box, n int) []value.Row {
 				var rows []value.Row
+				p := make([]int64, b.D())
 				for i := 0; i < n; i++ {
-					x := b.Dims[0].Lo + rng.Int63n(b.Dims[0].Width())
-					y := b.Dims[1].Lo + rng.Int63n(b.Dims[1].Width())
-					rows = append(rows, gridRow(x, y))
+					for k, iv := range b.Dims {
+						p[k] = iv.Lo + rng.Int63n(iv.Width())
+					}
+					rows = append(rows, pointRow(p))
 				}
 				return rows
 			}
+			newMeta := func() *catalog.Table {
+				if sched.zSpan > 0 {
+					return cubeMeta(span+maxWidth+2, sched.zSpan)
+				}
+				return gridMeta(span + maxWidth + 2)
+			}
+			sides := readSides{}
 			maxRuns := 0
 			for trial := 0; trial < sched.trials; trial++ {
-				meta := gridMeta(span + maxWidth + 2)
+				meta := newMeta()
 				idx := New(storage.NewDB())
 				ref := newNaiveStore()
 				var times []time.Time
@@ -167,7 +185,11 @@ func TestDifferentialOracle(t *testing.T) {
 					}
 					if rec == 0 && sched.wholeTable > 0 {
 						b = meta.FullBox()
-						rows = rowsInside(box2(0, span+maxWidth, 0, span+maxWidth), sched.wholeTable)
+						whole := box2(0, span+maxWidth, 0, span+maxWidth)
+						if sched.zSpan > 0 {
+							whole.Dims = append(whole.Dims, region.Interval{Lo: 0, Hi: sched.zSpan})
+						}
+						rows = rowsInside(whole, sched.wholeTable)
 					}
 					times = append(times, at)
 					if _, err := idx.Record(meta, b, rows, at); err != nil {
@@ -176,8 +198,8 @@ func TestDifferentialOracle(t *testing.T) {
 					if err := ref.record(meta, b, rows, at); err != nil {
 						t.Fatalf("trial %d rec %d (naive): %v", trial, rec, err)
 					}
-					checkRunInvariants(t, idx, "Grid")
-					for _, c := range runCounts(idx, "Grid") {
+					checkRunInvariants(t, idx, meta.Name)
+					for _, c := range runCounts(idx, meta.Name) {
 						maxRuns = max(maxRuns, c)
 					}
 
@@ -190,16 +212,17 @@ func TestDifferentialOracle(t *testing.T) {
 						if rng.Intn(3) == 0 && len(times) > 0 {
 							since = times[rng.Intn(len(times))]
 						}
-						gotRem := idx.Remainder("Grid", q, since)
+						gotRem := idx.Remainder(meta.Name, q, since)
 						wantRem := ref.remainder(q, since)
 						if !semanticallyEqual(gotRem, wantRem) {
 							t.Fatalf("trial %d rec %d: Remainder(%v, since=%v) disagrees:\nindexed %v\nnaive   %v",
 								trial, rec, q, since, gotRem, wantRem)
 						}
-						if got, want := idx.Covered("Grid", q, since), len(wantRem) == 0; got != want {
+						if got, want := idx.Covered(meta.Name, q, since), len(wantRem) == 0; got != want {
 							t.Fatalf("trial %d rec %d: Covered(%v, since=%v) = %v, naive %v",
 								trial, rec, q, since, got, want)
 						}
+						sides.note(idx.table(meta.Name), q)
 						gotRows, err := idx.RowsIn(meta, q)
 						if err != nil {
 							t.Fatal(err)
@@ -219,16 +242,22 @@ func TestDifferentialOracle(t *testing.T) {
 				}
 				// The whole point: compaction keeps live entries at or below the
 				// naive one-entry-per-call count.
-				if idx.EntryCount("Grid") > len(ref.boxes) {
+				if idx.EntryCount(meta.Name) > len(ref.boxes) {
 					t.Fatalf("trial %d: compacted store has %d entries, naive %d",
-						trial, idx.EntryCount("Grid"), len(ref.boxes))
+						trial, idx.EntryCount(meta.Name), len(ref.boxes))
 				}
-				if dup := sched.wholeTable + sched.records*sched.maxRows/2 - idx.StoredRowCount("Grid"); sched.wholeTable > 0 && dup < 1000 {
-					t.Fatalf("trial %d: about %d of the recorded rows were duplicates; the schedule wants thousands", trial, dup)
+				if dup := sched.wholeTable + sched.records*sched.maxRows/2 - idx.StoredRowCount(meta.Name); dup < sched.minDup {
+					t.Fatalf("trial %d: about %d of the recorded rows were duplicates; the schedule wants %d", trial, dup, sched.minDup)
 				}
 			}
-			if sched.wholeTable > 0 && maxRuns < 4 {
-				t.Fatalf("the row index never had more than %d runs", maxRuns)
+			if sched.wholeTable > 0 {
+				if maxRuns < 4 {
+					t.Fatalf("the row index never had more than %d runs", maxRuns)
+				}
+				sides.require(t, 2)
+				if sched.zSpan > 0 {
+					sides.require(t, 3)
+				}
 			}
 		})
 	}

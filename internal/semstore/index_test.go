@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"payless/internal/catalog"
 	"payless/internal/diskfault"
@@ -17,39 +18,46 @@ import (
 )
 
 // checkRunInvariants asserts the shape of a table's log-structured row
-// index: on every dimension at most ⌊log₂ n⌋+1 runs, each more than twice as
-// long as the next, each sorted by (coordinate, id) with the coordinates the
-// rows really have, and every stored row id in exactly one run.
+// index: on every dimension a column of one coordinate per stored row, the
+// one the row really has, and at most ⌊log₂ n⌋+1 runs, each more than twice
+// as long as the next, each sorted by (column value, id), and every stored
+// row id in exactly one run.
 func checkRunInvariants(t *testing.T, s *Store, table string) {
 	t.Helper()
 	ts := s.table(table)
 	if ts == nil {
 		return
 	}
-	n, d := len(ts.rows), len(ts.rowIdx)
-	if len(ts.coords) != n*d {
-		t.Fatalf("%d coordinates for %d rows of %d dimensions", len(ts.coords), n, d)
+	n := len(ts.rows)
+	coords, err := rowCoords(ts.meta, ts.rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for k, rd := range ts.rowIdx {
-		if n > 0 && len(rd) > bits.Len(uint(n)) { // bits.Len(n) == ⌊log₂ n⌋+1
-			t.Fatalf("dim %d: %d runs for %d rows, want at most %d", k, len(rd), n, bits.Len(uint(n)))
+		if len(rd.col) != n {
+			t.Fatalf("dim %d: %d coordinates for %d rows", k, len(rd.col), n)
+		}
+		for id, c := range rd.col {
+			if want := coords[id*len(ts.rowIdx)+k]; c != want {
+				t.Fatalf("dim %d: row %d indexed at %d, is at %d", k, id, c, want)
+			}
+		}
+		if n > 0 && len(rd.runs) > bits.Len(uint(n)) { // bits.Len(n) == ⌊log₂ n⌋+1
+			t.Fatalf("dim %d: %d runs for %d rows, want at most %d", k, len(rd.runs), n, bits.Len(uint(n)))
 		}
 		in := make([]int, n)
-		for r, run := range rd {
+		for r, run := range rd.runs {
 			if len(run) == 0 {
 				t.Fatalf("dim %d run %d is empty", k, r)
 			}
-			if r > 0 && len(rd[r-1]) <= 2*len(run) {
-				t.Fatalf("dim %d: run %d has %d rows, the one before only %d", k, r, len(run), len(rd[r-1]))
+			if r > 0 && len(rd.runs[r-1]) <= 2*len(run) {
+				t.Fatalf("dim %d: run %d has %d rows, the one before only %d", k, r, len(run), len(rd.runs[r-1]))
 			}
-			for i, e := range run {
-				if e.coord != ts.coords[e.id*d+k] {
-					t.Fatalf("dim %d run %d: row %d indexed at %d, is at %d", k, r, e.id, e.coord, ts.coords[e.id*d+k])
+			for i, id := range run {
+				if i > 0 && byCoordThenID(rd.col)(run[i-1], id) >= 0 {
+					t.Fatalf("dim %d run %d: out of (column value, id) order at %d", k, r, i)
 				}
-				if i > 0 && byCoordThenID(run[i-1], e) >= 0 {
-					t.Fatalf("dim %d run %d: out of (coord, id) order at %d", k, r, i)
-				}
-				in[e.id]++
+				in[id]++
 			}
 		}
 		for id, c := range in {
@@ -68,7 +76,7 @@ func runCounts(s *Store, table string) []int {
 	}
 	var out []int
 	for _, rd := range ts.rowIdx {
-		out = append(out, len(rd))
+		out = append(out, len(rd.runs))
 	}
 	return out
 }
@@ -121,8 +129,8 @@ func TestRunCountInvariant(t *testing.T) {
 // no more than a fixed multiple of the size of the index they build. Copying
 // the index on every Record — what the flat sorted arrays did — needs about
 // 500 times its final size; the logarithmic method moves each entry
-// ⌊log₂ 1000⌋+1 = 10 times at most, and the rows, their coordinates and the
-// hash index of the dedup set are allocated beside it.
+// ⌊log₂ 1000⌋+1 = 10 times at most, and the rows and the hash index of the
+// dedup set are allocated beside it.
 func TestRecordWriteAmplification(t *testing.T) {
 	const records, batch, span, limit = 1000, 100, 1 << 20, 32
 	meta := gridMeta(span)
@@ -147,12 +155,45 @@ func TestRecordWriteAmplification(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	ts := s.table("Grid")
-	indexBytes := uint64(len(ts.rows) * len(ts.rowIdx) * 16) // an int64 coordinate and an int id per row and dimension
+	indexBytes := uint64(len(ts.rows) * len(ts.rowIdx) * 12) // an int64 coordinate and an int32 id per row and dimension
 	allocated := after.TotalAlloc - before.TotalAlloc
 	t.Logf("allocated %.1f MB for a %.1f MB index: %.1fx", float64(allocated)/1e6, float64(indexBytes)/1e6, float64(allocated)/float64(indexBytes))
 	if allocated > limit*indexBytes {
 		t.Errorf("1000 Records allocated %d bytes, %.0fx the final index (%d bytes); want at most %dx",
 			allocated, float64(allocated)/float64(indexBytes), indexBytes, limit)
+	}
+}
+
+// TestIndexFootprint: the row index costs 12 bytes per stored (row,
+// dimension) — one int64 in the dimension's column and one int32 id in one
+// of its runs — however the rows arrived: one big batch, many small ones
+// merged again and again, batches with duplicates. Counted from the lengths
+// of the columns and runs, so the figure does not depend on the allocator.
+func TestIndexFootprint(t *testing.T) {
+	const span = 1 << 12
+	meta := gridMeta(span)
+	at := time.Unix(1700000000, 0)
+	rng := rand.New(rand.NewSource(17))
+	s := New(storage.NewDB())
+	for _, size := range []int{5000, 1, 3, 70, 2, 900, 1, 1, 40, 300} {
+		rows := make([]value.Row, size)
+		for i := range rows {
+			rows[i] = gridRow(rng.Int63n(span), rng.Int63n(span))
+		}
+		if _, err := s.Record(meta, meta.FullBox(), rows, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := s.table("Grid")
+	entries, bytes := len(ts.rows)*len(ts.rowIdx), 0
+	for _, rd := range ts.rowIdx {
+		bytes += len(rd.col) * int(unsafe.Sizeof(rd.col[0]))
+		for _, run := range rd.runs {
+			bytes += len(run) * int(unsafe.Sizeof(run[0]))
+		}
+	}
+	if entries == 0 || bytes != 12*entries {
+		t.Fatalf("the row index holds %d bytes for %d (row, dimension) pairs, want 12 each", bytes, entries)
 	}
 }
 

@@ -1,6 +1,7 @@
 package semstore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,15 +10,15 @@ import (
 )
 
 // kWayMergeRuns is the previous mergeRuns, kept as the reference: one pass
-// that takes, entry by entry, the smallest head across every run, the
+// that takes, id by id, the run head with the smallest coordinate, the
 // earliest run on a tie.
-func kWayMergeRuns(runs []rowRun, total int) rowRun {
+func kWayMergeRuns(col []int64, runs []idRun, total int) idRun {
 	runs = slices.Clone(runs) // consumed from the front below
-	out := make(rowRun, 0, total)
+	out := make(idRun, 0, total)
 	for len(out) < total {
 		best := -1
 		for r, run := range runs {
-			if len(run) > 0 && (best < 0 || run[0].coord < runs[best][0].coord) {
+			if len(run) > 0 && (best < 0 || col[run[0]] < col[runs[best][0]]) {
 				best = r
 			}
 		}
@@ -27,14 +28,26 @@ func kWayMergeRuns(runs []rowRun, total int) rowRun {
 	return out
 }
 
-// randomRun returns n entries in id order starting at id first, with
-// coordinates drawn by coord: the shape addRows builds before sorting.
-func randomRun(first, n int, coord func() int64) rowRun {
-	run := make(rowRun, n)
-	for i := range run {
-		run[i] = rowEntry{coord: coord(), id: first + i}
+// byCoordThenID orders ids by their coordinate in col, then by id: the
+// order sortRun and mergeRuns must produce.
+func byCoordThenID(col []int64) func(a, b int32) int {
+	return func(a, b int32) int {
+		if c := cmp.Compare(col[a], col[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	}
-	return run
+}
+
+// randomRun appends n coordinates drawn by coord to col and returns it with
+// their ids in id order: the shape addRows builds before sorting.
+func randomRun(col []int64, n int, coord func() int64) ([]int64, idRun) {
+	run := make(idRun, n)
+	for i := range run {
+		run[i] = int32(len(col))
+		col = append(col, coord())
+	}
+	return col, run
 }
 
 // coordDrawers are the coordinate distributions the kernels are checked on:
@@ -65,32 +78,35 @@ func coordDrawers(rng *rand.Rand) map[string]func() int64 {
 func TestSortRunMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sizes := []int{0, 1, 2, 17, radixCutoff - 1, radixCutoff, radixCutoff + 1, 1000, 5000}
-	sentinel := rowEntry{coord: -7, id: -7}
-	scratch := make(rowRun, 5000+1)
+	const sentinel = -7
+	scratch := make(idRun, 5000+1)
 	for i := range scratch {
-		scratch[i] = rowEntry{coord: rng.Int63(), id: i}
+		scratch[i] = rng.Int31()
 	}
 	for name, coord := range coordDrawers(rng) {
 		for _, n := range sizes {
 			for trial := 0; trial < 4; trial++ {
-				in := randomRun(rng.Intn(1<<20), n, coord)
+				// Ids start past a prefix of other rows' coordinates, as a
+				// batch's do in its table's column.
+				col := make([]int64, rng.Intn(1000))
+				col, in := randomRun(col, n, coord)
 				want := slices.Clone(in)
-				slices.SortFunc(want, byCoordThenID)
+				slices.SortFunc(want, byCoordThenID(col))
 				got := slices.Clone(in)
 				scratch[n] = sentinel
-				sortRun(got, scratch)
+				sortRun(col, got, scratch)
 				if !slices.Equal(got, want) {
-					t.Fatalf("%s, %d entries: sortRun differs from SortFunc(byCoordThenID)", name, n)
+					t.Fatalf("%s, %d ids: sortRun differs from SortFunc(byCoordThenID)", name, n)
 				}
 				if n > 0 { // below the cutoff too
 					radix := slices.Clone(in)
-					radixSort(radix, scratch)
+					radixSort(col, radix, scratch)
 					if !slices.Equal(radix, want) {
-						t.Fatalf("%s, %d entries: radixSort differs from SortFunc(byCoordThenID)", name, n)
+						t.Fatalf("%s, %d ids: radixSort differs from SortFunc(byCoordThenID)", name, n)
 					}
 				}
 				if scratch[n] != sentinel {
-					t.Fatalf("%s, %d entries: the sort wrote past its run's length of scratch", name, n)
+					t.Fatalf("%s, %d ids: the sort wrote past its run's length of scratch", name, n)
 				}
 			}
 		}
@@ -104,22 +120,22 @@ func TestMergeRunsMatchesKWayMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for name, coord := range coordDrawers(rng) {
 		for trial := 0; trial < 40; trial++ {
-			runs := make([]rowRun, 2+rng.Intn(5))
-			next, total := 0, 0
+			runs := make([]idRun, 2+rng.Intn(5))
+			var col []int64
+			total := 0
 			for r := range runs {
 				n := 1 + rng.Intn(300)
-				runs[r] = randomRun(next, n, coord)
-				sortRun(runs[r], make(rowRun, n))
-				next += n
+				col, runs[r] = randomRun(col, n, coord)
+				sortRun(col, runs[r], make(idRun, n))
 				total += n
 			}
-			want := kWayMergeRuns(runs, total)
-			got := mergeRuns(slices.Clone(runs), total)
+			want := kWayMergeRuns(col, runs, total)
+			got := mergeRuns(col, slices.Clone(runs), total)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s, trial %d (%d runs): merges differ", name, trial, len(runs))
 			}
 			if len(got) != cap(got) {
-				t.Fatalf("%s: merged run has %d entries in a %d-entry array", name, len(got), cap(got))
+				t.Fatalf("%s: merged run has %d ids in a %d-id array", name, len(got), cap(got))
 			}
 		}
 	}
@@ -134,14 +150,14 @@ func BenchmarkSortRun(b *testing.B) {
 	for _, span := range []int64{1 << 16, 1 << 23} {
 		for _, n := range []int{16, 32, 64, 128, 512} {
 			rng := rand.New(rand.NewSource(1))
-			in := randomRun(0, n, func() int64 { return rng.Int63n(span) })
-			run, scratch := make(rowRun, n), make(rowRun, n)
+			col, in := randomRun(nil, n, func() int64 { return rng.Int63n(span) })
+			run, scratch := make(idRun, n), make(idRun, n)
 			for _, k := range []struct {
 				name string
-				sort func(rowRun)
+				sort func(idRun)
 			}{
-				{"sortfunc", func(r rowRun) { slices.SortFunc(r, byCoordThenID) }},
-				{"radix", func(r rowRun) { radixSort(r, scratch) }},
+				{"sortfunc", func(r idRun) { slices.SortFunc(r, byCoordThenID(col)) }},
+				{"radix", func(r idRun) { radixSort(col, r, scratch) }},
 			} {
 				b.Run(fmt.Sprintf("span=%d/n=%d/%s", span, n, k.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {

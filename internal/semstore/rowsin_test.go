@@ -2,32 +2,65 @@ package semstore
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"payless/internal/catalog"
 	"payless/internal/region"
 	"payless/internal/storage"
 	"payless/internal/value"
 )
 
-// scatteredGrid records n distinct random points of a span×span grid, in
-// random order over calls of four sizes (half, a quarter, an eighth of them,
-// then two sixteenths), so the row index ends up as several runs, and returns
-// them in insertion order.
-func scatteredGrid(t testing.TB, s *Store, n int, span int64) []value.Row {
+// cubeMeta is gridMeta with a third free queryable axis, Z in [0, zMax]:
+// a table on which a read can restrict three dimensions.
+func cubeMeta(max, zMax int64) *catalog.Table {
+	m := gridMeta(max)
+	m.Name = "Cube"
+	m.Schema = value.Schema{m.Schema[0], m.Schema[1], {Name: "Z", Type: value.Int}, m.Schema[2]}
+	m.Attrs = []catalog.Attribute{m.Attrs[0], m.Attrs[1],
+		{Name: "Z", Type: value.Int, Binding: catalog.Free, Class: catalog.NumericAttr, Min: 0, Max: zMax}, m.Attrs[2]}
+	return m
+}
+
+// pointRow is the row of a grid (two coordinates) or cube (three) point.
+func pointRow(p []int64) value.Row {
+	if len(p) == 2 {
+		return gridRow(p[0], p[1])
+	}
+	return value.Row{value.NewInt(p[0]), value.NewInt(p[1]), value.NewInt(p[2]), value.NewFloat(float64(p[0]) + float64(p[1])/1000)}
+}
+
+// boxN is the box of the given [lo, hi) pairs, one per dimension.
+func boxN(bounds ...int64) region.Box {
+	dims := make([]region.Interval, len(bounds)/2)
+	for i := range dims {
+		dims[i] = region.Interval{Lo: bounds[2*i], Hi: bounds[2*i+1]}
+	}
+	return region.Box{Dims: dims}
+}
+
+// scattered records n distinct random points of meta's queryable space (the
+// grid's or the cube's, each axis short of its Max), in random order over calls of four sizes (half, a
+// quarter, an eighth of them, then two sixteenths) with one duplicate each
+// after the first, so the row index ends up as several runs, and returns them
+// in insertion order.
+func scattered(t testing.TB, s *Store, meta *catalog.Table, n int) []value.Row {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
-	meta := gridMeta(span)
-	taken := map[[2]int64]bool{}
+	full := meta.FullBox()
+	taken := map[[3]int64]bool{}
 	var rows []value.Row
 	for len(rows) < n {
-		p := [2]int64{rng.Int63n(span), rng.Int63n(span)}
+		var p [3]int64
+		for k, iv := range full.Dims {
+			p[k] = iv.Lo + rng.Int63n(iv.Width()-1) // below the domain's inclusive Max
+		}
 		if !taken[p] {
 			taken[p] = true
-			rows = append(rows, gridRow(p[0], p[1]))
+			rows = append(rows, pointRow(p[:full.D()]))
 		}
 	}
-	full := box2(0, span, 0, span)
 	from := 0
 	for _, to := range []int{n / 2, n * 3 / 4, n * 7 / 8, n * 15 / 16, n} {
 		batch := rows[from:to]
@@ -39,72 +72,168 @@ func scatteredGrid(t testing.TB, s *Store, n int, span int64) []value.Row {
 		}
 		from = to
 	}
-	if runs := len(s.table("Grid").rowIdx[0]); runs < 3 {
+	if runs := len(s.table(meta.Name).rowIdx[0].runs); runs < 3 {
 		t.Fatalf("the table's index has %d runs; these tests want several", runs)
 	}
 	return rows
 }
 
-// TestRowsInOrderAcrossStrategies reads boxes of every size class out of one
-// large table — the whole table and wide stripes (bitset read-back), a
-// handful of rows (collected and sorted), nothing, and a box of the wrong
-// dimensionality (no usable index: full scan) — plus boxes cut at the
-// stored rows' own extremes, where a dimension stops or starts needing a
-// per-row test, and requires exactly the rows, in exactly the order, of a
-// scan in insertion order.
+// scatteredGrid is scattered over a span×span grid.
+func scatteredGrid(t testing.TB, s *Store, n int, span int64) []value.Row {
+	return scattered(t, s, gridMeta(span), n)
+}
+
+// readSides counts, per number of restricted dimensions, the reads that
+// took each side of rowsIn's cutoff: [k][0] collected and sorted ids,
+// [k][1] marked a bitset.
+type readSides map[int]*[2]int
+
+// note classifies the read of q from ts as rowsIn will perform it.
+func (r readSides) note(ts *tableStore, q region.Box) {
+	if q.D() != len(ts.rowIdx) || len(ts.rows) == 0 {
+		return
+	}
+	dims := ts.restricted(q, nil)
+	if len(dims) == 0 {
+		return
+	}
+	if r[len(dims)] == nil {
+		r[len(dims)] = new([2]int)
+	}
+	if 64*dims[0].n > len(ts.rows) {
+		r[len(dims)][1]++
+	} else {
+		r[len(dims)][0]++
+	}
+}
+
+// require fails unless reads restricting each of ks dimensions took both
+// sides of the cutoff.
+func (r readSides) require(t *testing.T, ks ...int) {
+	t.Helper()
+	for _, k := range ks {
+		if c := r[k]; c == nil || c[0] == 0 || c[1] == 0 {
+			t.Errorf("reads restricting %d dimensions: %v (sorted ids, bitset), want both", k, c)
+		}
+	}
+}
+
+// TestRowsInOrderAcrossStrategies reads boxes of every size class out of
+// one large grid and one large cube — the whole table and wide stripes
+// (bitset read-back), a handful of rows (collected and sorted), nothing, and
+// a box of the wrong dimensionality (no usable index: full scan) — plus
+// boxes cut at the stored rows' own extremes, where a dimension stops or
+// starts needing a per-row test, and boxes restricting two and three
+// dimensions on both sides of the bitset cutoff, and requires exactly the
+// rows, in exactly the order, of a scan in insertion order.
 func TestRowsInOrderAcrossStrategies(t *testing.T) {
 	const n, span = 20000, 1000
-	s := New(storage.NewDB())
-	rows := scatteredGrid(t, s, n, span)
-	meta := gridMeta(span)
-	if got := s.StoredRowCount("Grid"); got != n {
-		t.Fatalf("stored %d rows, want %d", got, n)
+	grid, cube := gridMeta(span), cubeMeta(span, 40)
+	// Cutoff: a narrowest dimension selecting more than n/64 = 312 rows
+	// marks a bitset. A grid stripe one unit wide selects about 20, a cube
+	// one about 20, a cube Z slice about 500.
+	cases := []struct {
+		meta  *catalog.Table
+		boxes []region.Box
+	}{
+		{grid, []region.Box{
+			box2(0, span, 0, span),                          // everything
+			box2(0, span, 100, 900),                         // most of it; narrowest segment is 80 %
+			box2(200, 260, 0, span),                         // a 6 % stripe: above n/64
+			box2(0, span, 500, 515),                         // 1.5 %: just under n/64, sorted
+			box2(300, 305, 300, 340),                        // a handful
+			box2(700, 701, 0, span),                         // one coordinate
+			box2(990, 1000, 995, 1000),                      // a corner, possibly empty
+			box2(5, 5, 0, span),                             // empty interval
+			region.NewBox(region.Interval{Lo: 0, Hi: span}), // one dimension short
+			box2(100, 140, 200, 700),                        // two restricted, 4 % narrowest: bitset
+			box2(100, 110, 200, 700),                        // two restricted, 1 % narrowest: sorted
+		}},
+		{cube, []region.Box{
+			boxN(0, span, 0, span, 0, 40),        // everything
+			boxN(0, span, 0, span, 10, 11),       // one Z slice: 2.5 %, bitset
+			boxN(100, 160, 300, 900, 0, 40),      // two restricted: bitset
+			boxN(100, 110, 300, 900, 0, 40),      // two restricted: sorted
+			boxN(100, 160, 300, 900, 5, 25),      // three restricted: bitset, Z (50 %) filters before Y (60 %)
+			boxN(100, 110, 300, 900, 5, 30),      // three restricted: sorted
+			boxN(0, 500, 400, 402, 20, 21),       // three restricted, narrowest Y: sorted
+			boxN(0, span, 0, span, 5, 5),         // empty interval
+			boxN(900, 1000, 0, 100, 39, 40),      // a corner
+			box2(0, span, 0, span),               // one dimension short
+			boxN(-5, span+5, -5, span+5, -1, 41), // past the domain: restricts nothing
+		}},
 	}
-	boxes := []region.Box{
-		box2(0, span, 0, span),                          // everything
-		box2(0, span, 100, 900),                         // most of it; narrowest segment is 80 %
-		box2(200, 260, 0, span),                         // a 6 % stripe: above n/64
-		box2(0, span, 500, 515),                         // 1.5 %: just under n/64, sorted
-		box2(300, 305, 300, 340),                        // a handful
-		box2(700, 701, 0, span),                         // one coordinate
-		box2(990, 1000, 995, 1000),                      // a corner, possibly empty
-		box2(5, 5, 0, span),                             // empty interval
-		region.NewBox(region.Interval{Lo: 0, Hi: span}), // one dimension short
-	}
-	lo, hi := [2]int64{span, span}, [2]int64{-1, -1}
-	for _, r := range rows {
-		for k := range lo {
-			lo[k], hi[k] = min(lo[k], r[k].Int64()), max(hi[k], r[k].Int64())
+	sides := readSides{}
+	for _, c := range cases {
+		s := New(storage.NewDB())
+		rows := scattered(t, s, c.meta, n)
+		if got := s.StoredRowCount(c.meta.Name); got != n {
+			t.Fatalf("%s: stored %d rows, want %d", c.meta.Name, got, n)
 		}
-	}
-	boxes = append(boxes,
-		box2(-5, span+5, -5, span+5),           // past the domain: restricts nothing
-		box2(lo[0], hi[0]+1, lo[1], hi[1]+1),   // the stored extent exactly: restricts nothing
-		box2(lo[0], hi[0], lo[1], hi[1]+1),     // drops the largest x only: restricts one
-		box2(lo[0], hi[0]+1, lo[1]+1, hi[1]+1), // drops the smallest y only: restricts the other
-		box2(lo[0]+1, hi[0], lo[1]+1, hi[1]),   // trims every edge: restricts both
-		box2(lo[0], hi[0]+1, 400, 600),         // full on x, a stripe on y
-	)
-	for _, q := range boxes {
-		var want []value.Row
-		for _, r := range rows {
-			if q.D() == 2 && q.Dims[0].ContainsCoord(r[0].Int64()) && q.Dims[1].ContainsCoord(r[1].Int64()) {
-				want = append(want, r)
-			}
-		}
-		got, err := s.RowsIn(meta, q)
+		coords, err := rowCoords(c.meta, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Rows) != len(want) {
-			t.Fatalf("RowsIn(%v) = %d rows, scan finds %d", q, len(got.Rows), len(want))
+		d := c.meta.NumDims()
+		lo, hi := make([]int64, d), make([]int64, d)
+		for k := range lo {
+			lo[k], hi[k] = span, -1
 		}
-		for i := range want {
-			if rowKey(got.Rows[i]) != rowKey(want[i]) {
-				t.Fatalf("RowsIn(%v): row %d is %v, scan order has %v", q, i, got.Rows[i], want[i])
+		for i := range rows {
+			for k := range lo {
+				lo[k], hi[k] = min(lo[k], coords[i*d+k]), max(hi[k], coords[i*d+k])
+			}
+		}
+		// Boxes at the stored extent, one edge trimmed at a time.
+		extent := func(trim ...int64) region.Box {
+			b := boxN()
+			for k := range lo {
+				b.Dims = append(b.Dims, region.Interval{Lo: lo[k] + trim[2*k], Hi: hi[k] + 1 - trim[2*k+1]})
+			}
+			return b
+		}
+		zero := make([]int64, 2*d)
+		boxes := append(c.boxes, extent(zero...)) // the stored extent exactly: restricts nothing
+		for e := range zero {
+			trim := slices.Clone(zero)
+			trim[e] = 1
+			boxes = append(boxes, extent(trim...)) // drops one extreme: restricts one
+		}
+		all := make([]int64, 2*d)
+		for e := range all {
+			all[e] = 1
+		}
+		boxes = append(boxes, extent(all...)) // trims every edge: restricts all
+		for _, q := range boxes {
+			var want []value.Row
+		scan:
+			for i, r := range rows {
+				if q.D() != d {
+					break
+				}
+				for k := range q.Dims {
+					if !q.Dims[k].ContainsCoord(coords[i*d+k]) {
+						continue scan
+					}
+				}
+				want = append(want, r)
+			}
+			sides.note(s.table(c.meta.Name), q)
+			got, err := s.RowsIn(c.meta, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Rows) != len(want) {
+				t.Fatalf("%s: RowsIn(%v) = %d rows, scan finds %d", c.meta.Name, q, len(got.Rows), len(want))
+			}
+			for i := range want {
+				if rowKey(got.Rows[i]) != rowKey(want[i]) {
+					t.Fatalf("%s: RowsIn(%v): row %d is %v, scan order has %v", c.meta.Name, q, i, got.Rows[i], want[i])
+				}
 			}
 		}
 	}
+	sides.require(t, 1, 2, 3)
 }
 
 // TestRowsInAllocations is the deterministic guard on the read path: a

@@ -20,9 +20,12 @@
 //   - Lookups are indexed: per-table per-dimension edge indexes prune the
 //     stored boxes to those overlapping the query before any subtraction,
 //     with a fast path when a single stored box contains the query outright.
-//   - RowsIn uses per-dimension sorted coordinate indexes instead of
-//     scanning every materialised row; the indexes are log-structured, so a
-//     Record costs what it adds, not what the table already holds.
+//   - RowsIn reads a per-dimension row index instead of scanning every
+//     materialised row: a column of the rows' coordinates and runs of their
+//     int32 ids sorted by it. The runs are log-structured, so a Record costs
+//     what it adds, not what the table already holds; a read takes the most
+//     selective dimension's ids and filters them in row order through the
+//     other columns.
 //
 // Compaction and indexing never change answers: the union of stored
 // coverage is preserved exactly, and freshness is only ever lost downward
@@ -82,74 +85,69 @@ type dimIdx struct {
 	maxWidth int64
 }
 
-// rowEntry places one materialised row on one dimension.
-type rowEntry struct {
-	coord int64
-	id    int
+// idRun is one sorted run of a dimension's row index: the ids of a
+// contiguous range of rows in (coordinate, id) order, the coordinates read
+// through the dimension's column. A run is never written once its table is
+// published, so any number of snapshots may share it.
+type idRun []int32
+
+// rowDim is the row index on one queryable dimension: col holds every
+// stored row's coordinate there, by row id, and runs sort the ids, oldest
+// first, each more than twice as long as the next (the logarithmic method),
+// so n rows make at most ⌊log₂ n⌋+1 runs. col is append-only, so snapshots
+// share it as they share the rows.
+type rowDim struct {
+	col  []int64
+	runs []idRun
 }
 
-// rowRun is one sorted run of a dimension's coordinate index: the entries of
-// a contiguous range of row ids in (coord, id) order. A run is never written
-// once its table is published, so any number of snapshots may share it.
-type rowRun []rowEntry
-
-func byCoordThenID(a, b rowEntry) int {
-	if c := cmp.Compare(a.coord, b.coord); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.id, b.id)
+// span returns run's ids whose coordinate lies in iv.
+func (rd *rowDim) span(run idRun, iv region.Interval) idRun {
+	col := rd.col
+	l := sort.Search(len(run), func(i int) bool { return col[run[i]] >= iv.Lo })
+	h := l + sort.Search(len(run)-l, func(i int) bool { return col[run[l+i]] >= iv.Hi })
+	return run[l:h]
 }
-
-// span returns the run's entries whose coordinate lies in iv.
-func (r rowRun) span(iv region.Interval) rowRun {
-	l := sort.Search(len(r), func(i int) bool { return r[i].coord >= iv.Lo })
-	h := l + sort.Search(len(r)-l, func(i int) bool { return r[l+i].coord >= iv.Hi })
-	return r[l:h]
-}
-
-// rowDim is the coordinate index of the materialised rows on one queryable
-// dimension: sorted runs, oldest first, each more than twice as long as the
-// next (the logarithmic method), so n rows make at most ⌊log₂ n⌋+1 runs.
-type rowDim []rowRun
 
 // push appends a batch's run and merges the tail while the run before it is
 // at most twice as long, newest first (mergeRuns). The runs shrink
-// geometrically towards the tail, so every row is copied O(log n) times over
+// geometrically towards the tail, so every id is copied O(log n) times over
 // the life of the table. run is the caller's scratch and is never kept: push
 // allocates only what it publishes, an exact copy of a run that stands alone
 // or the exact-size merged run.
-func (rd rowDim) push(run rowRun) rowDim {
-	rd = append(rd, run)
-	j, total := len(rd)-1, len(run)
-	for j > 0 && len(rd[j-1]) <= 2*total {
+func (rd *rowDim) push(run idRun) {
+	runs := append(rd.runs, run)
+	j, total := len(runs)-1, len(run)
+	for j > 0 && len(runs[j-1]) <= 2*total {
 		j--
-		total += len(rd[j])
+		total += len(runs[j])
 	}
-	if j == len(rd)-1 {
-		rd[j] = slices.Clone(run)
-		return rd
+	if j == len(runs)-1 {
+		runs[j] = slices.Clone(run)
+		rd.runs = runs
+		return
 	}
-	rd[j] = mergeRuns(rd[j:], total)
-	clear(rd[j+1:]) // or the header array would keep the inputs alive
-	return rd[:j+1]
+	runs[j] = mergeRuns(rd.col, runs[j:], total)
+	clear(runs[j+1:]) // or the header array would keep the inputs alive
+	rd.runs = runs[:j+1]
 }
 
-// mergeRuns merges adjacent runs, oldest first, into one run of total
-// entries, newest first and two at a time inside the result itself: the
-// newest run is copied to its end, then each older run is merged with what
-// follows it into the space just before. The write position never passes
-// the unread newer entries, so no intermediate run is allocated. Later runs
-// hold higher ids, so taking the older run's entry on a coordinate tie keeps
-// equal coordinates in id order.
-func mergeRuns(runs []rowRun, total int) rowRun {
-	out := make(rowRun, total)
+// mergeRuns merges adjacent runs, oldest first, into one run of total ids,
+// newest first and two at a time inside the result itself: the newest run
+// is copied to its end, then each older run is merged with what follows it
+// into the space just before. The write position never passes the unread
+// newer ids, so no intermediate run is allocated. Later runs hold higher
+// ids, so taking the older run's id on a coordinate tie keeps equal
+// coordinates in id order.
+func mergeRuns(col []int64, runs []idRun, total int) idRun {
+	out := make(idRun, total)
 	start := total - len(runs[len(runs)-1])
 	copy(out[start:], runs[len(runs)-1])
 	for r := len(runs) - 2; r >= 0; r-- {
 		a, b := runs[r], out[start:]
 		w, i, j := start-len(a), 0, 0
 		for ; i < len(a); w++ {
-			if j == len(b) || a[i].coord <= b[j].coord {
+			if j == len(b) || col[a[i]] <= col[b[j]] {
 				out[w] = a[i]
 				i++
 			} else {
@@ -164,27 +162,29 @@ func mergeRuns(runs []rowRun, total int) rowRun {
 
 // radixCutoff is the batch length from which sortRun radix-sorts: below it
 // slices.SortFunc is faster than clearing and walking the digit counts. On
-// BenchmarkSortRun the two cross between 32 and 64 entries.
+// BenchmarkSortRun the two cross between 32 and 64 ids.
 const radixCutoff = 64
 
-// sortRun sorts a batch's run, built in id order, into (coord, id) order.
-// scratch holds at least len(run) entries, which the radix sort overwrites.
-func sortRun(run, scratch rowRun) {
+// sortRun sorts a batch's run, built in id order, into (col[id], id) order.
+// scratch holds at least len(run) ids, which the radix sort overwrites.
+func sortRun(col []int64, run, scratch idRun) {
 	if len(run) < radixCutoff {
-		slices.SortFunc(run, byCoordThenID)
+		slices.SortFunc(run, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(col[a], col[b]), cmp.Compare(a, b))
+		})
 		return
 	}
-	radixSort(run, scratch)
+	radixSort(col, run, scratch)
 }
 
-// radixSort is an LSD radix sort of run on coord−min, one byte per pass over
-// the bytes the run's span needs, ping-ponging between run and the first
-// len(run) entries of scratch. It is stable, so a run built in id order
-// comes out in (coord, id) order.
-func radixSort(run, scratch rowRun) {
-	lo, hi := run[0].coord, run[0].coord
-	for _, e := range run {
-		lo, hi = min(lo, e.coord), max(hi, e.coord)
+// radixSort is an LSD radix sort of run on col[id]−min, one byte per pass
+// over the bytes the run's span needs, ping-ponging between run and the
+// first len(run) ids of scratch. It is stable, so a run built in id order
+// comes out in (coordinate, id) order.
+func radixSort(col []int64, run, scratch idRun) {
+	lo, hi := col[run[0]], col[run[0]]
+	for _, id := range run {
+		lo, hi = min(lo, col[id]), max(hi, col[id])
 	}
 	if lo == hi {
 		return // one coordinate, as on a single-value categorical axis: id order is the order
@@ -193,17 +193,17 @@ func radixSort(run, scratch rowRun) {
 	src, dst := run, scratch[:len(run)]
 	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
 		var count [256]int
-		for _, e := range src {
-			count[uint8(uint64(e.coord-lo)>>shift)]++
+		for _, id := range src {
+			count[uint8(uint64(col[id]-lo)>>shift)]++
 		}
 		pos := 0
 		for b, c := range count {
 			count[b] = pos
 			pos += c
 		}
-		for _, e := range src {
-			b := uint8(uint64(e.coord-lo) >> shift)
-			dst[count[b]] = e
+		for _, id := range src {
+			b := uint8(uint64(col[id]-lo) >> shift)
+			dst[count[b]] = id
 			count[b]++
 		}
 		src, dst = dst, src
@@ -225,13 +225,13 @@ type tableStore struct {
 	// big lists up to bigBoxLimit largest live boxes by volume — the O(1)
 	// containment fast path for queries inside a large stored region.
 	big []int
-	// rows holds the deduplicated materialised rows — the only copy of them —
-	// with their queryable coordinates precomputed: row id's are
-	// coords[id*d:(id+1)*d], d = len(rowIdx) (validateRows resolves exactly
-	// one per dimension). seen keys the rows under value.ExactKey for
-	// deduplication and rowIdx per dimension.
+	// rows holds the deduplicated materialised rows — the only copy of them.
+	// seen keys them under value.ExactKey for deduplication, and rowIdx
+	// indexes them on each queryable dimension: a column of their
+	// coordinates there (validateRows resolves exactly one per dimension)
+	// and runs of their ids, 12 bytes per row and dimension. Ids are int32:
+	// seen already bounds them below 2^29.
 	rows   []value.Row
-	coords []int64
 	seen   *value.KeyTable
 	rowIdx []rowDim
 	// epoch counts the Records applied to this table (including WAL replay).
@@ -314,11 +314,11 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 // clone returns a writable copy of an immutable published tableStore.
 // Everything the mutation path touches in place — coverage entries (appended
 // AND tombstoned), edge indexes, the big-box list — is deep-copied. rows and
-// coords are append-only, so the clone shares their backing arrays: a writer
-// appending at index len(published) never touches a slot any published
-// snapshot can read. The row index's runs are immutable, so only the list of
-// run headers is copied. The seen index is writer-only state (readers never
-// consult it) and is shared across clones.
+// the row index's columns are append-only, so the clone shares their backing
+// arrays: a writer appending at index len(published) never touches a slot
+// any published snapshot can read. The row index's runs are immutable, so
+// only the list of run headers is copied. The seen index is writer-only
+// state (readers never consult it) and is shared across clones.
 func (ts *tableStore) clone() *tableStore {
 	cp := &tableStore{
 		meta:    ts.meta,
@@ -329,7 +329,6 @@ func (ts *tableStore) clone() *tableStore {
 		misc:    append([]int(nil), ts.misc...),
 		big:     append([]int(nil), ts.big...),
 		rows:    ts.rows,
-		coords:  ts.coords,
 		seen:    ts.seen,
 		rowIdx:  make([]rowDim, len(ts.rowIdx)),
 		epoch:   ts.epoch,
@@ -340,8 +339,8 @@ func (ts *tableStore) clone() *tableStore {
 			maxWidth: ts.dims[d].maxWidth,
 		}
 	}
-	for d := range ts.rowIdx {
-		cp.rowIdx[d] = append(rowDim(nil), ts.rowIdx[d]...)
+	for d, rd := range ts.rowIdx {
+		cp.rowIdx[d] = rowDim{col: rd.col, runs: append([]idRun(nil), rd.runs...)}
 	}
 	return cp
 }
@@ -399,9 +398,9 @@ func (r RecordResult) Compacted() int { return r.Absorbed + r.Merged }
 //
 // Record is atomic with respect to the coverage index: every row's
 // coordinates are validated up front, and only when all of them resolve are
-// entries/rows/coords mutated. A mid-batch bad row therefore leaves the
-// store exactly as it was — it can never claim coverage for rows it failed
-// to materialise.
+// entries, rows and the row index mutated. A mid-batch bad row therefore
+// leaves the store exactly as it was — it can never claim coverage for rows
+// it failed to materialise.
 func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at time.Time) (RecordResult, error) {
 	var res RecordResult
 	coords, err := validateRows(meta, b, rows)
@@ -457,13 +456,21 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 // has its new rows copied into one slab. It returns how many rows were new.
 func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
 	first, d := len(ts.rows), len(ts.rowIdx)
+	// Sized once for the batch: row-by-row appends would re-grow the row
+	// list and every column about log₂ n times for a batch of n.
 	ts.seen.Grow(len(rows))
+	ts.rows = slices.Grow(ts.rows, len(rows))
+	for k := range ts.rowIdx {
+		ts.rowIdx[k].col = slices.Grow(ts.rowIdx[k].col, len(rows))
+	}
 	for i, row := range rows {
 		if ts.seen.Insert(ts.rows, row, len(ts.rows)) >= 0 {
 			continue
 		}
 		ts.rows = append(ts.rows, row)
-		ts.coords = append(ts.coords, coords[i*d:(i+1)*d]...)
+		for k := range ts.rowIdx {
+			ts.rowIdx[k].col = append(ts.rowIdx[k].col, coords[i*d+k])
+		}
 	}
 	fresh := ts.rows[first:]
 	n := len(fresh)
@@ -488,14 +495,15 @@ func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
 	// One buffer per batch holds each dimension's run in turn and the sort's
 	// scratch; push copies out only what it publishes, so the buffer dies
 	// with the batch.
-	buf := make(rowRun, 2*n)
+	buf := make(idRun, 2*n)
 	run, scratch := buf[:n], buf[n:]
 	for k := range ts.rowIdx {
+		rd := &ts.rowIdx[k]
 		for i := range run {
-			run[i] = rowEntry{ts.coords[(first+i)*d+k], first + i}
+			run[i] = int32(first + i)
 		}
-		sortRun(run, scratch)
-		ts.rowIdx[k] = ts.rowIdx[k].push(run)
+		sortRun(rd.col, run, scratch)
+		rd.push(run)
 	}
 	return n
 }
@@ -948,113 +956,104 @@ func rowCoords(meta *catalog.Table, rows []value.Row) ([]int64, error) {
 	return coords, nil
 }
 
+// dimSpan is a dimension on which a read excludes stored rows, with how
+// many rows its interval selects there.
+type dimSpan struct{ k, n int }
+
 // restricted appends to dims the dimensions on which q excludes some stored
-// row. A dimension whose interval holds every stored coordinate — the run
-// ends give the extremes — needs no per-row test. q must have the table's
-// dimensionality.
-func (ts *tableStore) restricted(q region.Box, dims []int) []int {
-	for k, rd := range ts.rowIdx {
+// row, each with its candidate count, most selective first: a row inside q
+// is among the first one's candidates, which the others then filter. A
+// dimension whose interval holds every stored coordinate — the run ends give
+// the extremes — needs no per-row test. q must have the table's
+// dimensionality. It only counts, so a read over many runs allocates nothing
+// here.
+func (ts *tableStore) restricted(q region.Box, dims []dimSpan) []dimSpan {
+	for k := range ts.rowIdx {
+		rd := &ts.rowIdx[k]
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for _, run := range rd {
-			lo, hi = min(lo, run[0].coord), max(hi, run[len(run)-1].coord)
+		for _, run := range rd.runs {
+			lo, hi = min(lo, rd.col[run[0]]), max(hi, rd.col[run[len(run)-1]])
 		}
 		if lo < q.Dims[k].Lo || hi >= q.Dims[k].Hi {
-			dims = append(dims, k)
+			n := 0
+			for _, run := range rd.runs {
+				n += len(rd.span(run, q.Dims[k]))
+			}
+			dims = append(dims, dimSpan{k, n})
 		}
 	}
+	slices.SortFunc(dims, func(a, b dimSpan) int { return cmp.Compare(a.n, b.n) })
 	return dims
 }
 
-// matches reports whether row id's coordinates on dims fall inside q.
-func (ts *tableStore) matches(id int, q region.Box, dims []int) bool {
-	row := ts.coords[id*len(q.Dims):]
-	for _, k := range dims {
-		if !q.Dims[k].ContainsCoord(row[k]) {
-			return false
-		}
-	}
-	return true
-}
-
-// narrowest picks among dims the dimension on which q's coordinate range
-// selects the fewest rows and returns it, that count — every row inside q
-// is among them — and dims without it: the dimensions its candidates must
-// still be tested on. dims must not be empty. It only counts — callers walk
-// the chosen dimension's runs again — so a read over many runs allocates
-// nothing here.
-func (ts *tableStore) narrowest(q region.Box, dims []int) (dim, n int, rest []int) {
-	at := 0
-	n = -1
-	for i, k := range dims {
-		c := 0
-		for _, run := range ts.rowIdx[k] {
-			c += len(run.span(q.Dims[k]))
-		}
-		if n < 0 || c < n {
-			at, n = i, c
-		}
-	}
-	dim = dims[at]
-	return dim, n, slices.Delete(dims, at, at+1)
-}
-
 // rowsIn returns the rows inside q in insertion order (the order a scan of
-// the whole table finds them in) without sorting the table's worth of ids a
-// large read used to. A box that restricts no dimension gets the table's own
-// row list, uncopied. Otherwise a candidate set of more than 1/64 of the
-// table marks its matches in a transient bitset over the table — one bit per
-// row, so never more memory than the ids themselves — and reads that back in
-// order; a smaller one collects and sorts its few matches, which is cheaper
-// than clearing and walking table-sized bits for a handful of rows.
+// the whole table finds them in). A box that restricts no dimension gets the
+// table's own row list, uncopied. Otherwise the most selective dimension's
+// span gives the candidates and each other restricted dimension filters
+// them in ascending id order, most selective first, reading its column
+// forwards. More than 1/64 of the table is marked in a transient bitset —
+// one bit per row — whose set bits the filters clear word by word; fewer
+// are collected as ids and sorted, which is cheaper than clearing and
+// walking table-sized bits for a handful of rows.
 func (ts *tableStore) rowsIn(q region.Box) []value.Row {
 	n := len(ts.rows)
 	if q.D() != len(ts.rowIdx) || n == 0 {
 		return nil // no row has a box of another dimensionality's coordinates
 	}
-	var buf [8]int
+	var buf [8]dimSpan
 	dims := ts.restricted(q, buf[:0])
 	if len(dims) == 0 {
 		return ts.rows[:n:n]
 	}
-	dim, cand, check := ts.narrowest(q, dims)
-	var out []value.Row
-	if 64*cand > n {
-		bits := make([]uint64, (n+63)/64)
-		count := 0
-		for _, run := range ts.rowIdx[dim] {
-			for _, e := range run.span(q.Dims[dim]) {
-				if ts.matches(e.id, q, check) {
-					bits[e.id/64] |= 1 << (e.id % 64)
-					count++
-				}
-			}
+	first := &ts.rowIdx[dims[0].k]
+	if cand := dims[0].n; 64*cand <= n {
+		ids := make([]int32, 0, cand)
+		for _, run := range first.runs {
+			ids = append(ids, first.span(run, q.Dims[dims[0].k])...)
 		}
-		if count == 0 {
+		slices.Sort(ids)
+		for _, d := range dims[1:] {
+			col, iv := ts.rowIdx[d.k].col, q.Dims[d.k]
+			ids = slices.DeleteFunc(ids, func(id int32) bool { return !iv.ContainsCoord(col[id]) })
+		}
+		if len(ids) == 0 {
 			return nil
 		}
-		out = make([]value.Row, 0, count)
-		for w, word := range bits {
-			for ; word != 0; word &= word - 1 {
-				out = append(out, ts.rows[w*64+mathbits.TrailingZeros64(word)])
-			}
+		out := make([]value.Row, len(ids))
+		for i, id := range ids {
+			out[i] = ts.rows[id]
 		}
 		return out
 	}
-	ids := make([]int, 0, cand)
-	for _, run := range ts.rowIdx[dim] {
-		for _, e := range run.span(q.Dims[dim]) {
-			if ts.matches(e.id, q, check) {
-				ids = append(ids, e.id)
-			}
+	bits := make([]uint64, (n+63)/64)
+	for _, run := range first.runs {
+		for _, id := range first.span(run, q.Dims[dims[0].k]) {
+			bits[id/64] |= 1 << (id % 64)
 		}
 	}
-	if len(ids) == 0 {
+	for _, d := range dims[1:] {
+		col, iv := ts.rowIdx[d.k].col, q.Dims[d.k]
+		for w, word := range bits {
+			for set := word; set != 0; set &= set - 1 {
+				if b := mathbits.TrailingZeros64(set); !iv.ContainsCoord(col[w*64+b]) {
+					word &^= 1 << b
+				}
+			}
+			bits[w] = word
+		}
+	}
+	count := 0
+	for _, word := range bits {
+		count += mathbits.OnesCount64(word)
+	}
+	if count == 0 {
 		return nil
 	}
-	sort.Ints(ids)
-	out = make([]value.Row, len(ids))
-	for i, id := range ids {
-		out[i] = ts.rows[id]
+	out := make([]value.Row, 0, count)
+	for w, word := range bits {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, ts.rows[w*64+mathbits.TrailingZeros64(word)])
+		}
 	}
 	return out
 }
