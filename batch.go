@@ -43,7 +43,7 @@ func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 	}
 	var todo []pending
 	for i, sql := range sqls {
-		bound, _, err := c.front(sql, nil, c.plans)
+		bound, _, err := c.front(sql, nil, nil, nil)
 		if err != nil {
 			return nil, &BatchError{Index: i, Err: err}
 		}

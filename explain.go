@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"payless/internal/core"
+	"payless/internal/sqlparse"
 )
 
 // ExplainOption adjusts what Explain reports.
@@ -29,12 +30,13 @@ func (c *Client) Explain(sql string, opts ...ExplainOption) (*Result, error) {
 
 // ExplainContext is Explain under a caller-supplied context.
 func (c *Client) ExplainContext(ctx context.Context, sql string, opts ...ExplainOption) (*Result, error) {
-	return c.explain(ctx, sql, c.plans, opts...)
+	return c.explain(ctx, sql, nil, nil, opts...)
 }
 
-// explain plans sql through cache — the cache the statement's executions
-// plan through — so the plan reported is the plan a query would run.
-func (c *Client) explain(ctx context.Context, sql string, cache *core.PlanCache, opts ...ExplainOption) (*Result, error) {
+// explain plans sql, or the prepared statement st given lits, through the
+// plan slot its executions plan through, so the plan reported is the plan a
+// query would run.
+func (c *Client) explain(ctx context.Context, sql string, st *core.Statement, lits []sqlparse.Literal, opts ...ExplainOption) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -43,7 +45,7 @@ func (c *Client) explain(ctx context.Context, sql string, cache *core.PlanCache,
 		o(&ec)
 	}
 	tr := c.beginTrace(sql)
-	plan, _, err := c.compile(sql, tr, cache)
+	plan, _, err := c.compile(sql, st, lits, tr)
 	if err != nil {
 		c.finishTrace(tr)
 		return nil, err

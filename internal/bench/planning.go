@@ -6,8 +6,12 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"payless/internal/catalog"
@@ -184,20 +188,35 @@ func (e *planningEnv) planDP(i int) (*core.Plan, error) {
 	return o.Optimize(e.bound[i])
 }
 
-// warmCache optimizes every template once and fills a cache with the
-// plans, exactly as the client does on a miss.
-func (e *planningEnv) warmCache() (*core.PlanCache, error) {
+// warmCache optimizes every template once, on GOMAXPROCS goroutines (the
+// optimizer only reads the store and the statistics), and fills a cache
+// with the plans, exactly as the client does on a miss. It returns the
+// dynamic program's plans too, by template.
+func (e *planningEnv) warmCache() (*core.PlanCache, []*core.Plan, error) {
+	plans := make([]*core.Plan, len(e.bound))
+	errs := make([]error, len(e.bound))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(plans); i = int(next.Add(1)) - 1 {
+				plans[i], errs[i] = e.planDP(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
+	}
 	cache := core.NewPlanCache(len(e.bound), nil)
-	for i := range e.bound {
-		plan, err := e.planDP(i)
-		if err != nil {
-			return nil, err
-		}
+	for i, plan := range plans {
 		skel, _, _ := sqlparse.Scan(e.sqls[i], nil, nil) // it parsed
 		st := cache.Put(skel, &core.Statement{Template: e.stmts[i].Template, Shape: e.stmts[i].Shape})
-		cache.SetPlan(st, plan, e.store.Epoch, e.st.Version())
+		st.SetPlan(plan, e.store.Epoch, e.st.Version())
 	}
-	return cache, nil
+	return cache, plans, nil
 }
 
 // planCached is the cache-hit planning path for template i: scan the
@@ -210,7 +229,7 @@ func (e *planningEnv) planCached(cache *core.PlanCache, i int) (*core.Plan, erro
 	if st == nil {
 		return nil, fmt.Errorf("template %d missed a warmed cache", i)
 	}
-	cp := cache.Plan(st, e.store.Epoch, e.st.Version())
+	cp := st.Plan(e.store.Epoch, e.st.Version(), nil)
 	if cp == nil {
 		return nil, fmt.Errorf("template %d's cached plan went stale", i)
 	}
@@ -244,7 +263,7 @@ func FigPlan(p PlanParams) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		cache, err := env.warmCache()
+		cache, _, err := env.warmCache()
 		if err != nil {
 			return nil, err
 		}

@@ -183,17 +183,15 @@ type Shape struct {
 	// accumulators they fill.
 	consts []constCond
 	ranges int
-	// err is the output's binding error, which Bind reports after any error
-	// of the literal half, as a single pass over the statement would.
-	err error
 }
 
 // constCond is one constant WHERE condition: its position, its relation,
-// the attribute it compares (zero for a column that is not one) and, for a
-// non-IN condition, its range accumulator — one per (relation, attribute),
-// numbered in order of first appearance.
+// its column's type, the attribute it compares (zero for a column that is
+// not one) and, for a non-IN condition, its range accumulator — one per
+// (relation, attribute), numbered in order of first appearance.
 type constCond struct {
 	cond, rel, acc int
+	typ            value.Kind
 	attr           catalog.Attribute
 }
 
@@ -255,11 +253,11 @@ func NewShape(q *sqlparse.Query, cat *catalog.Catalog) (*Shape, error) {
 			b.Joins = append(b.Joins, Join{L: li, R: ri, LAttr: lattr, RAttr: rattr})
 			continue
 		}
-		ri, _, err := b.RelIndex(cond.Left)
+		ri, ci, err := b.RelIndex(cond.Left)
 		if err != nil {
 			return nil, err
 		}
-		c := constCond{cond: i, rel: ri, acc: -1}
+		c := constCond{cond: i, rel: ri, acc: -1, typ: b.Rels[ri].Schema[ci].Type}
 		c.attr, _ = b.Rels[ri].Table.Attr(cond.Left.Column)
 		if !cond.IsIn() {
 			for _, o := range s.consts {
@@ -275,7 +273,9 @@ func NewShape(q *sqlparse.Query, cat *catalog.Catalog) (*Shape, error) {
 		}
 		s.consts = append(s.consts, c)
 	}
-	s.err = b.bindOutput()
+	if err := b.bindOutput(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -308,9 +308,12 @@ func (s *Shape) Bind(q *sqlparse.Query) (*BoundQuery, error) {
 	}
 	for _, c := range s.consts {
 		cond := q.Where[c.cond]
+		if err := typeCheck(c.typ, cond); err != nil {
+			return nil, err
+		}
 		rel, a := b.Rels[c.rel], c.attr
 		if cond.IsIn() {
-			if pushableIn(a, cond) {
+			if pushable(a, cond) {
 				rel.In = append(rel.In, InPred{Attr: a.Name, Values: dedupValues(a, cond.InVals)})
 			} else {
 				rel.Residual = append(rel.Residual, cond)
@@ -408,9 +411,6 @@ func (s *Shape) Bind(q *sqlparse.Query) (*BoundQuery, error) {
 		if err := expandInBoxes(r); err != nil {
 			return nil, fmt.Errorf("table %s: %w", r.Alias(), err)
 		}
-	}
-	if s.err != nil {
-		return nil, s.err
 	}
 	return &b, nil
 }
@@ -598,37 +598,35 @@ func dedupValues(a catalog.Attribute, vals []value.Value) []value.Value {
 	return out
 }
 
-// pushableIn reports whether a membership predicate can decompose into
-// market calls: the attribute must be queryable and the values must be
-// point-bindable (strings for categorical, numbers for numeric).
-func pushableIn(a catalog.Attribute, cond sqlparse.Condition) bool {
-	if a.Name == "" || a.Binding == catalog.Output {
-		return false
+// typeCheck refuses a constant condition whose literal cannot compare
+// with its column, of type typ: a string with a number or a number with a
+// string. Numbers of either kind compare with each other.
+func typeCheck(typ value.Kind, cond sqlparse.Condition) error {
+	vals := cond.InVals
+	if !cond.IsIn() {
+		vals = []value.Value{*cond.RightVal}
 	}
-	for _, v := range cond.InVals {
-		if a.Class == catalog.NumericAttr && v.K == value.String {
-			return false
+	for _, v := range vals {
+		if (v.K == value.String) != (typ == value.String) {
+			return fmt.Errorf("%s is %s and cannot compare with %s %s", cond.Left, typ, v.K, v)
 		}
 	}
-	return true
+	return nil
 }
 
-// pushable reports whether a constant condition can travel to the market as
-// part of an access query: the attribute must be queryable, the operator
-// must map onto point/range access, and a numeric attribute's literal must
-// be a number (a literal is a number or a string).
+// pushable reports whether a constant condition can travel to the market
+// as part of an access query: the attribute must be queryable, and a
+// comparison's operator must map onto point/range access. Its literal
+// compares with the attribute's column (see typeCheck).
 func pushable(a catalog.Attribute, cond sqlparse.Condition) bool {
 	if a.Name == "" || a.Binding == catalog.Output {
 		return false
 	}
 	switch cond.Op {
 	case sqlparse.OpEq:
-		if a.Class == catalog.CategoricalAttr {
-			return true
-		}
-		return cond.RightVal.K != value.String
+		return true
 	case sqlparse.OpGe, sqlparse.OpGt, sqlparse.OpLe, sqlparse.OpLt:
-		return a.Class == catalog.NumericAttr && cond.RightVal.K != value.String
+		return a.Class == catalog.NumericAttr
 	default:
 		return false
 	}

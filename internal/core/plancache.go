@@ -3,7 +3,10 @@
 // move the boxes, not the optimal join order or access paths, so one entry
 // per skeleton holds the parsed template, the bound shape and the DP's plan
 // steps, and a hit skips parse, name resolution, the per-relation coverage
-// rewrites and the dynamic program.
+// rewrites and the dynamic program. A prepared statement owns one such
+// Statement outside the cache; its plan slot serves arguments of any kind
+// (Int or Float alike), as a skeleton's serves any values, because a literal
+// of the wrong type for its column fails to bind.
 //
 // Plan reuse is sound because a plan carries no remainder boxes: every
 // MarketScan derives the remainder of its access boxes against the live
@@ -26,6 +29,7 @@ package core
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"payless/internal/obs"
 	"payless/internal/semstore"
@@ -106,9 +110,10 @@ func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Op
 	return &p, true
 }
 
-// Statement is a cache entry: what every statement of one skeleton
-// compiles to. Template and Shape are immutable, so concurrent hits share
-// them; the plan slot belongs to the cache.
+// Statement is what every statement of one skeleton compiles to, or a
+// prepared statement: a parsed template, its bound shape and a plan slot.
+// Template and Shape are immutable, so concurrent instances share them; the
+// slot is swapped atomically.
 type Statement struct {
 	// Template patches a statement's literals into the parsed AST.
 	Template *sqlparse.Template
@@ -117,25 +122,61 @@ type Statement struct {
 	// skel is the key Put stored the statement under.
 	skel string
 	// plan is the statement's live plan, nil before one is cached and after
-	// it went stale. The owning cache's mu guards it.
-	plan *CachedPlan
+	// it went stale.
+	plan atomic.Pointer[CachedPlan]
 }
 
-// PlanCache is a bounded LRU of statements keyed by skeleton, each with its
-// plan slot. Safe for concurrent use.
+// Plan returns the statement's live plan, or nil, and counts the lookup in
+// m (which may be nil) as a hit or a miss. A plan whose invalidation
+// snapshot moved (epochOf and statsVersion disagree with compile time)
+// empties the slot and counts an invalidation plus a miss.
+func (st *Statement) Plan(epochOf func(table string) uint64, statsVersion uint64, m *obs.Metrics) *CachedPlan {
+	cp := st.plan.Load()
+	stale := cp != nil && cp.stale(epochOf, statsVersion)
+	if stale {
+		st.plan.CompareAndSwap(cp, nil)
+		cp = nil
+	}
+	m.ObservePlanCacheLookup(cp != nil, stale)
+	return cp
+}
+
+// SetPlan caches a freshly optimized plan in the statement's slot,
+// replacing any plan there. epochOf reports the current coverage epoch of a
+// market table (the caller snapshots it BEFORE executing the plan, so the
+// plan's own purchases invalidate it — a cached plan must describe the
+// store state it was costed against). statsVersion is the statistics
+// mutation counter at the same instant. p itself is not modified.
+func (st *Statement) SetPlan(p *Plan, epochOf func(table string) uint64, statsVersion uint64) {
+	cp := &CachedPlan{
+		plan:         &Plan{Steps: p.Steps, EstTrans: p.EstTrans, EstRows: p.EstRows, Planner: PlannerCached, line: p.String()},
+		statsVersion: statsVersion,
+	}
+	seen := make(map[string]bool)
+	for _, rel := range p.Bound.Rels {
+		if rel.Table.Local || seen[rel.Table.Name] {
+			continue
+		}
+		seen[rel.Table.Name] = true
+		cp.epochs = append(cp.epochs, tableEpoch{table: rel.Table.Name, epoch: epochOf(rel.Table.Name)})
+	}
+	st.plan.Store(cp)
+}
+
+// PlanCache is a bounded LRU of statements keyed by skeleton. Safe for
+// concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
 	cap     int
 	ll      list.List // of *Statement, most recently used first
 	entries map[string]*list.Element
-	// metrics counts hits, misses, invalidations and evictions; the cache
-	// keeps no counters of its own.
+	// metrics counts evictions; the cache keeps no counters of its own.
 	metrics *obs.Metrics
 }
 
 // NewPlanCache returns an empty cache holding at most capacity statements
-// (capacity <= 0 means DefaultPlanCacheSize) that counts its activity in m,
-// which may be nil.
+// (capacity <= 0 means DefaultPlanCacheSize) that counts its evictions in
+// m, which may be nil.
 func NewPlanCache(capacity int, m *obs.Metrics) *PlanCache {
 	if capacity <= 0 {
 		capacity = DefaultPlanCacheSize
@@ -153,22 +194,6 @@ func (c *PlanCache) Lookup(skel []byte) *Statement {
 		return el.Value.(*Statement)
 	}
 	return nil
-}
-
-// Plan returns st's live plan, or nil, and counts the lookup as a hit or a
-// miss. A plan whose invalidation snapshot moved (epochOf and statsVersion
-// disagree with compile time) empties the slot, keeps the statement and
-// counts an invalidation plus a miss.
-func (c *PlanCache) Plan(st *Statement, epochOf func(table string) uint64, statsVersion uint64) *CachedPlan {
-	c.mu.Lock()
-	cp := st.plan
-	stale := cp != nil && cp.stale(epochOf, statsVersion)
-	if stale {
-		st.plan, cp = nil, nil
-	}
-	c.mu.Unlock()
-	c.metrics.ObservePlanCacheLookup(cp != nil, stale)
-	return cp
 }
 
 // Put caches a new statement under its skeleton and returns the entry the
@@ -191,34 +216,9 @@ func (c *PlanCache) Put(skel []byte, st *Statement) *Statement {
 		evicted = c.ll.Remove(c.ll.Back()).(*Statement)
 		delete(c.entries, evicted.skel)
 	}
-	dropped := evicted != nil && evicted.plan != nil
 	c.mu.Unlock()
-	if dropped {
+	if evicted != nil && evicted.plan.Load() != nil {
 		c.metrics.ObservePlanCacheEviction()
 	}
 	return st
-}
-
-// SetPlan caches a freshly optimized plan in st's slot, replacing any plan
-// there. epochOf reports the current coverage epoch of a market table (the
-// caller snapshots it BEFORE executing the plan, so the plan's own
-// purchases invalidate it — a cached plan must describe the store state it
-// was costed against). statsVersion is the statistics mutation counter at
-// the same instant. p itself is not modified.
-func (c *PlanCache) SetPlan(st *Statement, p *Plan, epochOf func(table string) uint64, statsVersion uint64) {
-	cp := &CachedPlan{
-		plan:         &Plan{Steps: p.Steps, EstTrans: p.EstTrans, EstRows: p.EstRows, Planner: PlannerCached, line: p.String()},
-		statsVersion: statsVersion,
-	}
-	seen := make(map[string]bool)
-	for _, rel := range p.Bound.Rels {
-		if rel.Table.Local || seen[rel.Table.Name] {
-			continue
-		}
-		seen[rel.Table.Name] = true
-		cp.epochs = append(cp.epochs, tableEpoch{table: rel.Table.Name, epoch: epochOf(rel.Table.Name)})
-	}
-	c.mu.Lock()
-	st.plan = cp
-	c.mu.Unlock()
 }

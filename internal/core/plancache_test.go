@@ -43,7 +43,7 @@ func putPlan(t *testing.T, f *fixture, cache *PlanCache, sql, skel string, epoch
 	t.Helper()
 	st := &Statement{}
 	cache.Put([]byte(skel), st)
-	cache.SetPlan(st, f.optimize(t, sql, Options{}), epochsAt(epoch), statsVersion)
+	st.SetPlan(f.optimize(t, sql, Options{}), epochsAt(epoch), statsVersion)
 	return st
 }
 
@@ -55,7 +55,7 @@ func TestPlanCacheHitReturnsSameSkeleton(t *testing.T) {
 	if st != put {
 		t.Fatalf("a cached skeleton must hit: %v", st)
 	}
-	if cp := cache.Plan(st, epochsAt(3), 7); cp == nil || cp != put.plan {
+	if cp := st.Plan(epochsAt(3), 7, metrics); cp == nil || cp != put.plan.Load() {
 		t.Fatalf("a fresh plan must hit: %v", cp)
 	}
 	if cache.Lookup([]byte("missing")) != nil {
@@ -68,7 +68,7 @@ func TestPlanCacheHitReturnsSameSkeleton(t *testing.T) {
 	// A statement without a plan misses; a statement lookup counts nothing.
 	bare := &Statement{}
 	cache.Put([]byte("k2"), bare)
-	if cache.Plan(bare, epochsAt(3), 7) != nil {
+	if bare.Plan(epochsAt(3), 7, metrics) != nil {
 		t.Fatal("a statement without a plan must miss")
 	}
 	m := metrics.Snapshot()
@@ -91,17 +91,17 @@ func TestPlanCacheInvalidatesOnEpochAndStats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cache, metrics := meteredCache(4)
 			put := putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k1", 3, 7)
-			if cp := cache.Plan(put, epochsAt(tc.epoch), tc.statsVersion); cp != nil {
+			if cp := put.Plan(epochsAt(tc.epoch), tc.statsVersion, metrics); cp != nil {
 				t.Fatalf("stale plan served: %+v", cp)
 			}
 			st := cache.Lookup([]byte("k1"))
-			if m := metrics.Snapshot(); m.PlanCacheInvalidations != 1 || m.PlanCacheMisses != 1 || st != put || put.plan != nil || cache.ll.Len() != 1 {
+			if m := metrics.Snapshot(); m.PlanCacheInvalidations != 1 || m.PlanCacheMisses != 1 || st != put || put.plan.Load() != nil || cache.ll.Len() != 1 {
 				t.Errorf("a stale plan must empty its slot and keep its statement: %d invalidations, %d misses, statement %v, slot %v, %d entries",
-					m.PlanCacheInvalidations, m.PlanCacheMisses, st, put.plan, cache.ll.Len())
+					m.PlanCacheInvalidations, m.PlanCacheMisses, st, put.plan.Load(), cache.ll.Len())
 			}
 			// The slot is free again: a plan set at the new state hits.
-			cache.SetPlan(put, f.optimize(t, "SELECT * FROM R WHERE a >= 10", Options{}), epochsAt(tc.epoch), tc.statsVersion)
-			if cache.Plan(put, epochsAt(tc.epoch), tc.statsVersion) == nil {
+			put.SetPlan(f.optimize(t, "SELECT * FROM R WHERE a >= 10", Options{}), epochsAt(tc.epoch), tc.statsVersion)
+			if put.Plan(epochsAt(tc.epoch), tc.statsVersion, metrics) == nil {
 				t.Error("re-cached plan must hit")
 			}
 		})
@@ -143,11 +143,9 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 // and returns the plan a lookup serves.
 func cachedFor(t *testing.T, f *fixture, plan *Plan) *CachedPlan {
 	t.Helper()
-	cache := NewPlanCache(1, nil)
 	st := &Statement{}
-	cache.Put([]byte("k"), st)
-	cache.SetPlan(st, plan, f.store.Epoch, 1)
-	cp := cache.Plan(st, f.store.Epoch, 1)
+	st.SetPlan(plan, f.store.Epoch, 1)
+	cp := st.Plan(f.store.Epoch, 1, nil)
 	if cp == nil {
 		t.Fatal("a fresh plan must hit")
 	}

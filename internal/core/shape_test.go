@@ -159,9 +159,9 @@ func TestShapeBindSpecialForms(t *testing.T) {
 			"SELECT * FROM Weather WHERE Date > -1.0 AND Temperature < 0.0",
 		},
 		{
-			"SELECT City, AVG(Temperature) AS t FROM Station S, Weather AS W WHERE S.StationID = W.StationID AND W.Date >= 20140402 GROUP BY City HAVING t > 1 AND COUNT(*) >= 2 ORDER BY City DESC LIMIT 4",
-			"SELECT City, AVG(Temperature) AS t FROM Station S, Weather AS W WHERE S.StationID = W.StationID AND W.Date >= 20140410 GROUP BY City HAVING t > -10 AND COUNT(*) >= 0 ORDER BY City DESC LIMIT 0",
-			"SELECT City, AVG(Temperature) AS t FROM Station S, Weather AS W WHERE S.StationID = W.StationID AND W.Date >= 20140410 GROUP BY City HAVING t > -10 AND COUNT(*) >= 0 ORDER BY City DESC LIMIT -1",
+			"SELECT City, AVG(Temperature) AS t, COUNT(*) FROM Station S, Weather AS W WHERE S.StationID = W.StationID AND W.Date >= 20140402 GROUP BY City HAVING t > 1 AND COUNT(*) >= 2 ORDER BY City DESC LIMIT 4",
+			"SELECT City, AVG(Temperature) AS t, COUNT(*) FROM Station S, Weather AS W WHERE S.StationID = W.StationID AND W.Date >= 20140410 GROUP BY City HAVING t > -10 AND COUNT(*) >= 0 ORDER BY City DESC LIMIT 0",
+			"SELECT City, AVG(Temperature) AS t, COUNT(*) FROM Station S, Weather AS W WHERE S.StationID = W.StationID AND W.Date >= 20140410 GROUP BY City HAVING t > -10 AND COUNT(*) >= 0 ORDER BY City DESC LIMIT -1",
 		},
 		{
 			"select distinct s.city from station s where S.COUNTRY = 'Country01' order by CITY limit 3",

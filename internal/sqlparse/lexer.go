@@ -24,7 +24,8 @@ const (
 	tokLParen
 	tokRParen
 	tokStar
-	tokOp // = <> != < <= > >=
+	tokOp    // = <> != < <= > >=
+	tokParam // ?, a prepared statement's placeholder (see Prepare)
 )
 
 type token struct {
@@ -41,15 +42,17 @@ func (t token) String() string {
 }
 
 // lexer reads the tokens of src one at a time: Parse collects them into a
-// slice, Scan consumes them as they come, so both read one token stream.
+// slice, Scan consumes them as they come, so both read one token stream. A
+// `?` is a token only with params set.
 type lexer struct {
-	src string
-	pos int
+	src    string
+	pos    int
+	params bool
 }
 
 // lex tokenises the input. Errors carry the byte offset of the offence.
-func lex(src string) ([]token, error) {
-	l := lexer{src: src}
+func lex(src string, params bool) ([]token, error) {
+	l := lexer{src: src, params: params}
 	var toks []token
 	for {
 		t, err := l.next()
@@ -97,6 +100,8 @@ func (l *lexer) next() (token, error) {
 				return l.emit(tokOp, 2), nil
 			}
 			return token{}, fmt.Errorf("pos %d: unexpected '!'", l.pos)
+		case c == '?' && l.params:
+			return l.emit(tokParam, 1), nil
 		case c == '\'':
 			return l.lexString()
 		case c == '-' && l.peek(1) == '-':

@@ -9,43 +9,52 @@ import (
 
 // Parse parses one SQL statement into a Query.
 func Parse(src string) (*Query, error) {
-	q, _, _, err := parse(src, false)
-	return q, err
+	var p parser
+	if err := p.parse(src, false); err != nil {
+		return nil, err
+	}
+	return p.q, nil
 }
 
-// parse parses src; with mark set, every literal reads as its ordinal among
-// the statement's literals (see NewTemplate). It also returns the number of
-// literals and the LIMIT count's ordinal, -1 when there is none.
-func parse(src string, mark bool) (q *Query, lits, limit int, err error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, 0, 0, err
+// parse parses src into p.q. With p.mark set, every literal reads as its
+// ordinal among the statement's literals (see NewTemplate); with params set
+// too, so does a `?` at a literal position (see Prepare).
+func (p *parser) parse(src string, params bool) (err error) {
+	p.limit = -1
+	if p.toks, err = lex(src, params); err == nil {
+		p.q, err = p.parseQuery()
 	}
-	p := &parser{toks: toks, mark: mark, limit: -1}
-	if q, err = p.parseQuery(); err != nil {
-		return nil, 0, 0, err
+	if err == nil && !p.at(tokEOF) {
+		err = fmt.Errorf("unexpected %s after end of query", p.cur())
 	}
-	if !p.at(tokEOF) {
-		return nil, 0, 0, fmt.Errorf("unexpected %s after end of query", p.cur())
-	}
-	return q, p.lits, p.limit, nil
+	return err
 }
 
 type parser struct {
 	toks []token
 	i    int
+	q    *Query
 	// lits counts the literals read so far; with mark set, each one reads
-	// as value.NewInt(its ordinal). limit is the LIMIT count's ordinal.
-	lits  int
-	mark  bool
-	limit int
+	// as value.NewInt(its ordinal), vals keeps it by ordinal (zero for a
+	// `?`) and qmarks the ordinals of the `?`s. limit is the LIMIT count's
+	// ordinal.
+	lits   int
+	mark   bool
+	vals   []Literal
+	qmarks []int
+	limit  int
 }
 
-// literal reads a literal token as Scan does (see literal), counting it.
-func (p *parser) literal(t token) (value.Value, error) {
-	v, err := literal(t)
-	if p.mark && err == nil {
-		v = value.NewInt(int64(p.lits))
+// value reads a literal token as Scan does (see literal), or a `?` as the
+// zero Value, and counts it.
+func (p *parser) value(t token) (v value.Value, err error) {
+	if t.kind == tokParam {
+		p.qmarks = append(p.qmarks, p.lits)
+	} else {
+		v, err = literal(t)
+	}
+	if p.mark {
+		p.vals = append(p.vals, Literal{Val: v})
 	}
 	p.lits++
 	return v, err
@@ -223,15 +232,17 @@ func (p *parser) parseQuery() (*Query, error) {
 	}
 	if p.atKeyword("LIMIT") {
 		p.next()
-		t, err := p.expect(tokNumber, "LIMIT count")
+		if !p.at(tokNumber) && !p.at(tokParam) {
+			return nil, fmt.Errorf("expected LIMIT count, got %s", p.cur())
+		}
+		p.limit = p.lits
+		v, err := p.value(p.next())
+		if err == nil && v.K != value.Null { // not a `?`
+			q.Limit, err = limitOf(v)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if q.Limit, err = limitOf(t.text); err != nil {
-			return nil, err
-		}
-		p.limit = p.lits
-		p.lits++
 	}
 	return q, nil
 }
@@ -338,10 +349,13 @@ type operand struct {
 
 func (p *parser) parseOperand() (operand, error) {
 	switch p.cur().kind {
-	case tokNumber, tokString:
-		v, err := p.literal(p.next())
+	case tokNumber, tokString, tokParam:
+		v, err := p.value(p.next())
 		if err != nil {
 			return operand{}, err
+		}
+		if p.mark {
+			v = value.NewInt(int64(p.lits - 1))
 		}
 		return operand{val: &v}, nil
 	case tokIdent:

@@ -2,6 +2,9 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -17,7 +20,8 @@ import (
 
 // Literal is one literal of a statement, in source order: its value, as
 // Parse reads it, its text (a string's without quotes or escapes) and the
-// byte offset it starts at.
+// byte offset it starts at. Instance reads only the value, the one field
+// Args sets.
 type Literal struct {
 	Val  value.Value
 	Text string
@@ -46,13 +50,12 @@ func literal(t token) (value.Value, error) {
 	}
 }
 
-// limitOf reads a LIMIT count.
-func limitOf(text string) (int, error) {
-	n, err := strconv.Atoi(text)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid LIMIT %q", text)
+// limitOf reads a LIMIT count: a non-negative Int.
+func limitOf(v value.Value) (int, error) {
+	if v.K != value.Int || v.Int64() < 0 {
+		return 0, fmt.Errorf("invalid LIMIT %s %v", v.K, v)
 	}
-	return n, nil
+	return int(v.Int64()), nil
 }
 
 // Scan appends the skeleton of src to skel and its literals to lits. Each
@@ -93,16 +96,29 @@ type Template struct {
 	// RightVal, or one IN value each); limit the LIMIT count's ordinal, -1
 	// when there is none.
 	lits, slots, limit int
+	// vals are the literals as written, by ordinal (zero at a `?`); qmarks
+	// the ordinals of the `?`s.
+	vals   []Literal
+	qmarks []int
 }
 
-// NewTemplate parses src for Instance. It fails where Parse fails.
-func NewTemplate(src string) (*Template, error) {
-	q, lits, limit, err := parse(src, true)
-	if err != nil {
+// NewTemplate parses src for Instance. It fails where Parse fails, with
+// Parse's error.
+func NewTemplate(src string) (*Template, error) { return newTemplate(src, false) }
+
+// Prepare parses a prepared statement for Instance: as NewTemplate, but a
+// `?` at a literal position — a WHERE or HAVING value, an IN value, the
+// LIMIT count — is a placeholder, whose value each execution gives (see
+// Args). A `?` in a string or a comment is text.
+func Prepare(src string) (*Template, error) { return newTemplate(src, true) }
+
+func newTemplate(src string, params bool) (*Template, error) {
+	p := parser{mark: true}
+	if err := p.parse(src, params); err != nil {
 		return nil, err
 	}
-	t := &Template{q: q, lits: lits, limit: limit}
-	for _, c := range q.Where {
+	t := &Template{q: p.q, lits: p.lits, limit: p.limit, vals: p.vals, qmarks: p.qmarks}
+	for _, c := range p.q.Where {
 		if c.RightVal != nil {
 			t.slots++
 		}
@@ -111,17 +127,53 @@ func NewTemplate(src string) (*Template, error) {
 	return t, nil
 }
 
+// Query returns the template's AST, each literal slot holding its ordinal:
+// the statement's literal-free part, on which names resolve. It must not be
+// modified.
+func (t *Template) Query() *Query { return t.q }
+
+// NumParams returns the number of `?` placeholders.
+func (t *Template) NumParams() int { return len(t.qmarks) }
+
+// Args returns the literals Instance takes for the statement whose `?`s
+// are args, in order: an int, int32, int64, finite float32 or float64,
+// string or non-NULL value.Value each, which binds as a literal of its
+// value does.
+func (t *Template) Args(args []any) ([]Literal, error) {
+	if len(args) != len(t.qmarks) {
+		return nil, fmt.Errorf("statement has %d parameters, got %d arguments", len(t.qmarks), len(args))
+	}
+	lits := slices.Clone(t.vals)
+	for i, arg := range args {
+		v := &lits[t.qmarks[i]].Val
+		switch a := arg.(type) {
+		case int, int32, int64:
+			*v = value.NewInt(reflect.ValueOf(a).Int())
+		case float32, float64:
+			*v = value.NewFloat(reflect.ValueOf(a).Float())
+		case string:
+			*v = value.NewString(a)
+		case value.Value:
+			*v = a
+		}
+		if f := v.Float64(); v.K == value.Null || v.K == value.Float && (math.IsNaN(f) || math.IsInf(f, 0)) {
+			return nil, fmt.Errorf("argument %d: %v (%T) is not a finite number, a string or a non-NULL value", i+1, arg, arg)
+		}
+	}
+	return lits, nil
+}
+
 // Instance returns the AST Parse returns for a statement of the template's
-// skeleton whose literals are lits (from Scan). It shares every literal-free
-// part with the template and puts the WHERE values in one slab. A LIMIT
-// count Parse refuses fails here with Parse's error.
+// skeleton whose literals are lits (from Scan or Args). It shares every
+// literal-free part with the template and puts the WHERE values in one
+// slab. A LIMIT count Parse refuses fails here with Parse's error.
 func (t *Template) Instance(lits []Literal) (*Query, error) {
 	if len(lits) != t.lits {
 		return nil, fmt.Errorf("template of %d literals given %d", t.lits, len(lits))
 	}
 	q := *t.q
 	if t.limit >= 0 {
-		n, err := limitOf(lits[t.limit].Text)
+		n, err := limitOf(lits[t.limit].Val)
 		if err != nil {
 			return nil, err
 		}

@@ -199,7 +199,7 @@ func FuzzTemplate(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
 		if _, err := Parse(src); err != nil {
-			if _, err := lex(src); err != nil {
+			if _, err := lex(src, false); err != nil {
 				if _, _, serr := Scan(src, nil, nil); serr == nil {
 					t.Fatalf("Scan(%q) accepts what the lexer refuses: %v", src, err)
 				}

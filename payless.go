@@ -630,13 +630,14 @@ func (c *Client) finishTrace(tr *obs.Trace) {
 }
 
 // compile runs the parse → bind → optimize preamble shared by Query,
-// Explain and Prepare: each stage is recorded as a span on tr (which may be
-// nil) and failures come back as typed *QueryError values. cache is the
-// plan-template cache to use (the client's, a statement's private one, or
-// nil for none); on a hit the optimize stage is skipped entirely: the
-// cached plan is re-bound onto the freshly bound literals.
-func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.Plan, core.Options, error) {
-	bound, st, err := c.front(sql, tr, cache)
+// Explain, QueryBatch and Stmt: each stage is recorded as a span on tr
+// (which may be nil) and failures come back as typed *QueryError values. It
+// compiles sql, or — with st set — the prepared statement st given the
+// literals lits. A statement with a live plan in its slot skips the
+// optimize stage entirely: the cached plan is re-bound onto the freshly
+// bound literals.
+func (c *Client) compile(sql string, st *core.Statement, lits []sqlparse.Literal, tr *obs.Trace) (*core.Plan, core.Options, error) {
+	bound, st, err := c.front(sql, st, lits, tr)
 	if err != nil {
 		return nil, core.Options{}, err
 	}
@@ -646,7 +647,7 @@ func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*cor
 	// plan slot and always re-optimize.
 	plans := st != nil && opts.Since.IsZero()
 	if plans {
-		if cp := cache.Plan(st, c.store.Epoch, c.stats.Version()); cp != nil {
+		if cp := st.Plan(c.store.Epoch, c.stats.Version(), c.metrics); cp != nil {
 			if plan, ok := cp.Instantiate(bound, c.store, &opts); ok {
 				c.bookPlan(tr, plan)
 				return plan, opts, nil
@@ -664,63 +665,65 @@ func (c *Client) compile(sql string, tr *obs.Trace, cache *core.PlanCache) (*cor
 		// query buys data, its purchases bump the table epochs and the plan
 		// correctly invalidates — the cached plan describes the store state
 		// it was costed against, nothing newer.
-		cache.SetPlan(st, plan, c.store.Epoch, c.stats.Version())
+		st.SetPlan(plan, c.store.Epoch, c.stats.Version())
 	}
 	return plan, opts, nil
 }
 
-// front parses and binds sql, the front end every statement passes, and
-// returns its statement-cache entry (nil without a cache). With a cache, a
-// statement whose token skeleton is cached skips the parse and the name
-// resolution: its literals are patched into the cached AST and bound
-// against the cached shape, under the "parse" and "bind" spans. Any other
-// statement is parsed and bound in full; if it binds, its skeleton's entry
-// is filled.
-func (c *Client) front(sql string, tr *obs.Trace, cache *core.PlanCache) (*core.BoundQuery, *core.Statement, error) {
+// front parses and binds a statement, the front end every statement
+// passes: sql, or — with st set — the prepared statement st given the
+// literals lits. It returns the statement whose plan slot it plans through:
+// st, sql's statement-cache entry, or nil on a client without a cache. A
+// statement's literals are patched into its parsed template and bound
+// against its shape, under the "parse" and "bind" spans. A statement-cache
+// miss first parses sql into a new template and resolves its names into a
+// new shape; once it binds, its skeleton's entry is filled.
+func (c *Client) front(sql string, st *core.Statement, lits []sqlparse.Literal, tr *obs.Trace) (*core.BoundQuery, *core.Statement, error) {
 	var skelBuf [512]byte
 	var litBuf [16]sqlparse.Literal
-	var skel []byte
+	var skel []byte // a miss's skeleton, the key its statement is cached under
+	fresh := false
 	end := tr.StartSpan("parse")
-	if cache != nil {
-		s, lits, err := sqlparse.Scan(sql, skelBuf[:0], litBuf[:0])
-		if err == nil {
-			if st := cache.Lookup(s); st != nil {
-				q, err := st.Template.Instance(lits)
-				end(err)
-				if err != nil {
-					return nil, nil, stageErr(StageParse, err)
-				}
-				end = tr.StartSpan("bind")
-				bound, err := st.Shape.Bind(q)
-				end(err)
-				if err != nil {
-					return nil, nil, stageErr(StageBind, err)
-				}
-				return bound, st, nil
+	if st == nil {
+		s, l, err := sqlparse.Scan(sql, skelBuf[:0], litBuf[:0])
+		if lits = l; err == nil && c.plans != nil {
+			if st = c.plans.Lookup(s); st == nil {
+				skel = s
 			}
-			skel = s
+		}
+		if st == nil {
+			// Scan refuses only what Parse refuses, and NewTemplate fails as
+			// Parse does.
+			tmpl, err := sqlparse.NewTemplate(sql)
+			if err != nil {
+				end(err)
+				return nil, nil, stageErr(StageParse, err)
+			}
+			st, fresh = &core.Statement{Template: tmpl}, true
 		}
 	}
-	parsed, err := sqlparse.Parse(sql)
+	q, err := st.Template.Instance(lits)
 	end(err)
 	if err != nil {
 		return nil, nil, stageErr(StageParse, err)
 	}
 	end = tr.StartSpan("bind")
-	shape, err := core.NewShape(parsed, c.cat)
+	if fresh {
+		st.Shape, err = core.NewShape(st.Template.Query(), c.cat)
+	}
 	var bound *core.BoundQuery
 	if err == nil {
-		bound, err = shape.Bind(parsed)
+		bound, err = st.Shape.Bind(q)
 	}
 	end(err)
 	if err != nil {
 		return nil, nil, stageErr(StageBind, err)
 	}
-	var st *core.Statement
-	if skel != nil {
-		if tmpl, err := sqlparse.NewTemplate(sql); err == nil {
-			st = cache.Put(skel, &core.Statement{Template: tmpl, Shape: shape})
-		}
+	switch {
+	case fresh && skel != nil:
+		st = c.plans.Put(skel, st)
+	case fresh:
+		st = nil
 	}
 	return bound, st, nil
 }
@@ -747,13 +750,12 @@ func (c *Client) Query(sql string) (*Result, error) {
 // cancellation stay recorded in the semantic store, so a retry does not
 // re-bill them.
 func (c *Client) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return c.queryCached(ctx, sql, c.plans)
+	return c.query(ctx, sql, nil, nil)
 }
 
-// queryCached is QueryContext with an explicit plan-template cache —
-// prepared statements route through here with their own cache when the
-// client-wide one is disabled.
-func (c *Client) queryCached(ctx context.Context, sql string, cache *core.PlanCache) (*Result, error) {
+// query runs sql, or — with st set — the prepared statement st, whose
+// template sql is, given the literals lits.
+func (c *Client) query(ctx context.Context, sql string, st *core.Statement, lits []sqlparse.Literal) (*Result, error) {
 	if err := c.begin(); err != nil {
 		return nil, err
 	}
@@ -764,7 +766,7 @@ func (c *Client) queryCached(ctx context.Context, sql string, cache *core.PlanCa
 	defer closeQuery()
 	start := time.Now()
 	tr := c.beginTrace(sql)
-	plan, opts, err := c.compile(sql, tr, cache)
+	plan, opts, err := c.compile(sql, st, lits, tr)
 	if err != nil {
 		return nil, c.failed(tr, err)
 	}

@@ -1,6 +1,7 @@
 package payless
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -103,4 +104,67 @@ func TestUnsatisfiablePredicatesMatchNothing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLiteralOfWrongTypeIsABindError: a constant condition whose literal
+// cannot compare with its column — a string against a number column or a
+// number against a string column, IN values included — fails at bind and
+// bills nothing, where it used to leave the condition as a residual and buy
+// the whole table. Each statement runs as a statement-cache miss and then
+// with another literal of its kinds, the hit path had the first been
+// cached; a failed statement caches nothing, so a prepared statement checks
+// the hit path, its plan slot filled by a first execution.
+func TestLiteralOfWrongTypeIsABindError(t *testing.T) {
+	client, m, _ := testSetup(t, func(c *Config) { c.PlanCacheSize = 64 })
+	spent := func() int64 {
+		meter, _ := m.MeterOf("acct")
+		return meter.Transactions
+	}
+	check := func(sql string, err error, before int64) {
+		t.Helper()
+		if !errors.Is(err, ErrBind) {
+			t.Errorf("%s: %v, want a bind error", sql, err)
+		}
+		if tx := spent() - before; tx != 0 {
+			t.Errorf("%s: billed %d transactions", sql, tx)
+		}
+	}
+	for _, c := range [][2]string{
+		{"SELECT COUNT(*) FROM Weather WHERE Date = 'x'", "SELECT COUNT(*) FROM Weather WHERE Date = 'y'"},
+		{"SELECT COUNT(*) FROM Weather WHERE Date <= 'x'", "SELECT COUNT(*) FROM Weather WHERE Date <= 'y'"},
+		{"SELECT COUNT(*) FROM Weather WHERE Date <= '20140602'", "SELECT COUNT(*) FROM Weather WHERE Date <= '20140603'"},
+		{"SELECT COUNT(*) FROM Weather WHERE Country >= 5", "SELECT COUNT(*) FROM Weather WHERE Country >= 6"},
+		{"SELECT COUNT(*) FROM Weather WHERE Country = 5", "SELECT COUNT(*) FROM Weather WHERE Country = 6"},
+		{"SELECT COUNT(*) FROM Pollution WHERE Rank = 'x'", "SELECT COUNT(*) FROM Pollution WHERE Rank = 'y'"},
+		{"SELECT COUNT(*) FROM Pollution WHERE Rank IN (1, 'x')", "SELECT COUNT(*) FROM Pollution WHERE Rank IN (2, 'y')"},
+		{"SELECT COUNT(*) FROM Pollution WHERE ZipCode IN ('a', 1.5)", "SELECT COUNT(*) FROM Pollution WHERE ZipCode IN ('b', 2.5)"},
+	} {
+		for _, sql := range c {
+			before := spent()
+			_, err := client.Query(sql)
+			check(sql, err, before)
+			if cachedStatement(client.plans, sql) != nil {
+				t.Errorf("%s: a statement that failed to bind was cached", sql)
+			}
+		}
+	}
+	// Numbers of either kind compare with each other, strings with strings.
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM Weather WHERE Date <= 20140601.5 AND Temperature > 1",
+		"SELECT COUNT(*) FROM Weather WHERE Country >= 'Country01'",
+	} {
+		if _, err := client.Query(sql); err != nil {
+			t.Errorf("%s: %v", sql, err)
+		}
+	}
+	stmt, err := client.Prepare("SELECT COUNT(*) FROM Weather WHERE Date <= ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.Query(20140602); err != nil {
+		t.Fatal(err)
+	}
+	before := spent()
+	_, err = stmt.Query("20140602")
+	check("Date <= ? given \"20140602\"", err, before)
 }

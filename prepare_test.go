@@ -1,11 +1,16 @@
 package payless
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
-	"payless/internal/sqlparse"
+	"payless/internal/core"
 	"payless/internal/value"
 )
 
@@ -216,42 +221,222 @@ func TestStmtExplainUsesStatementCache(t *testing.T) {
 	}
 }
 
-// FuzzPrepareArgs: every finite float64, every int64 and every string a
-// statement is given renders to a literal that lexes and parses back to the
-// identical value of the same kind; a non-finite float is an argument error.
-func FuzzPrepareArgs(f *testing.F) {
+// writeArg writes a statement argument out as the SQL literal it stands
+// for, so a test can run the statement a prepared one instantiates.
+func writeArg(arg any) string {
+	switch v := arg.(type) {
+	case int:
+		return strconv.Itoa(v)
+	case int64:
+		return strconv.FormatInt(v, 10)
+	case float64:
+		s := strconv.FormatFloat(v, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
+	case string:
+		return "'" + strings.ReplaceAll(v, "'", "''") + "'"
+	case value.Value:
+		switch v.K {
+		case value.Int:
+			return writeArg(v.Int64())
+		case value.Float:
+			return writeArg(v.Float64())
+		case value.String:
+			return writeArg(v.Str())
+		}
+	}
+	panic(fmt.Sprintf("writeArg: %T", arg))
+}
+
+// writeOut substitutes each `?` of a template free of quoted `?`s with its
+// argument written out.
+func writeOut(tmpl string, args []any) string {
+	var b strings.Builder
+	for i, seg := range strings.Split(tmpl, "?") {
+		if i > 0 {
+			b.WriteString(writeArg(args[i-1]))
+		}
+		b.WriteString(seg)
+	}
+	return b.String()
+}
+
+// TestStmtBillPinned pins the total bill of a seeded sequence of argument
+// tuples run through two prepared statements on one client, and checks each
+// result's rows against a client without a plan cache running the statement
+// written out. The arguments mix Int, integral and non-integral Float
+// values of several Go types, values outside the attribute's domain and
+// empty ranges, so one statement's plan slot sees every argument kind.
+func TestStmtBillPinned(t *testing.T) {
+	client, _, _ := testSetup(t, nil)
+	ref, _, _ := testSetup(t, nil)
+	type slot struct{ lo, hi int64 }
+	stmts := []struct {
+		sql   string
+		slots []slot
+	}{
+		{"SELECT COUNT(*), MIN(Temperature), MAX(Temperature) FROM Weather WHERE Date >= ? AND Date <= ? AND StationID <= ?",
+			[]slot{{20140601, 20140630}, {20140601, 20140630}, {1001, 1160}}},
+		{"SELECT COUNT(*), MIN(Pollution.Rank) FROM Pollution, ZipMap, Station WHERE Pollution.ZipCode = ZipMap.ZipCode AND ZipMap.City = Station.City AND Pollution.Rank >= ? AND Pollution.Rank <= ?",
+			[]slot{{1, 100}, {1, 100}}},
+	}
+	rng := rand.New(rand.NewSource(43))
+	arg := func(s slot, prev int64, follow bool) (any, int64) {
+		var x int64
+		switch r := rng.Intn(8); {
+		case r == 0:
+			x = s.lo - 1 - rng.Int63n(50)
+		case r == 1:
+			x = s.hi + 1 + rng.Int63n(50)
+		case follow && r < 6:
+			x = prev + rng.Int63n(8)
+		default:
+			x = s.lo + rng.Int63n(s.hi-s.lo+1)
+		}
+		switch rng.Intn(6) {
+		case 0:
+			return int(x), x
+		case 1:
+			return x, x
+		case 2:
+			return float64(x), x
+		case 3:
+			return float64(x) + 0.5, x
+		case 4:
+			return value.NewInt(x), x
+		default:
+			return value.NewFloat(float64(x) - 0.25), x
+		}
+	}
+	var total int64
+	for k, st := range stmts {
+		stmt, err := client.Prepare(st.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			args := make([]any, len(st.slots))
+			var prev int64
+			for j, s := range st.slots {
+				args[j], prev = arg(s, prev, j == 1)
+			}
+			res, err := stmt.Query(args...)
+			if err != nil {
+				t.Fatalf("statement %d %v: %v", k, args, err)
+			}
+			sql := writeOut(st.sql, args)
+			want, err := ref.Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if fmt.Sprint(res.Rows) != fmt.Sprint(want.Rows) {
+				t.Fatalf("%s: rows %v, written out %v", sql, res.Rows, want.Rows)
+			}
+			total += res.Report.Transactions
+		}
+	}
+	// The total the statements billed when each argument was rendered into
+	// SQL text and every kind of argument compiled to its own skeleton.
+	if total != 55 {
+		t.Errorf("the sequence billed %d transactions, pinned at 55", total)
+	}
+}
+
+// TestPrepareValidatesUpFront: a template that does not parse, or whose
+// names do not resolve, fails at Prepare with its stage's *QueryError; a
+// `?` is a placeholder only where a literal may stand. LIMIT takes one.
+func TestPrepareValidatesUpFront(t *testing.T) {
+	client, _, _ := testSetup(t, nil)
+	for _, c := range []struct {
+		sql   string
+		stage error
+	}{
+		{"SELECT * FROM Nowhere WHERE a = ?", ErrBind},
+		{"SELECT Nothing FROM Weather WHERE Date = ?", ErrBind},
+		{"SELECT * FROM Weather WHERE Nothing = ?", ErrBind},
+		{"SELECT * FROM Weather ORDER BY Nothing LIMIT ?", ErrBind},
+		{"SELECT ? FROM Weather", ErrParse},
+		{"SELECT * FROM ? WHERE Date = 1", ErrParse},
+		{"SELECT * FROM Weather WHERE ? = ?", ErrParse},
+		{"SELECT * FROM Weather WHERE Date = ?? ", ErrParse},
+	} {
+		_, err := client.Prepare(c.sql)
+		var qe *QueryError
+		if !errors.Is(err, c.stage) || !errors.As(err, &qe) {
+			t.Errorf("%s: Prepare error %v, want a %v *QueryError", c.sql, err, c.stage)
+		}
+	}
+	stmt, err := client.Prepare("SELECT Rank FROM Pollution WHERE Rank >= ? ORDER BY Rank LIMIT ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := stmt.Query(1, 3)
+	if err != nil || len(res.Rows) != 3 {
+		t.Fatalf("LIMIT 3: %v, %v", res, err)
+	}
+	for _, bad := range []any{-1, 2.0, 2.5, "3"} {
+		if _, err := stmt.Query(1, bad); !errors.Is(err, ErrParse) {
+			t.Errorf("LIMIT %#v: %v, want a parse error", bad, err)
+		}
+	}
+}
+
+// FuzzStmtArgs: any int64 and any finite float64 in a numeric slot, and
+// any string in a string slot, bind to the bound query — predicates, boxes,
+// empty matches — of the statement with those literals written out; a
+// non-finite float, NULL and an unsupported type are argument errors; and a
+// string in a numeric slot is a bind error, as written out.
+func FuzzStmtArgs(f *testing.F) {
 	f.Add(int64(0), 0.0, "")
 	f.Add(int64(-1), 1e6, "it's")
 	f.Add(int64(math.MinInt64), -1e-5, "-- ? ''")
 	f.Add(int64(math.MaxInt64), math.Copysign(0, -1), "\n'")
 	f.Add(int64(20140601), 5e-324, "United States")
 	f.Add(int64(7), math.MaxFloat64, "\x00\xff")
+	f.Add(int64(1001), math.NaN(), "Country01")
+	c, _ := whwClient(f, 0)
+	const sql = "SELECT * FROM Weather WHERE Weather.Date >= ? AND Weather.Date <= ? AND Weather.StationID IN (?, ?) AND Weather.Country = ?"
+	stmt, err := c.Prepare(sql)
+	if err != nil {
+		f.Fatal(err)
+	}
+	bind := func(args ...any) (*core.BoundQuery, error) {
+		lits, err := stmt.literals(args)
+		if err != nil {
+			return nil, err
+		}
+		b, _, err := c.front(sql, stmt.st, lits, nil)
+		return b, err
+	}
 	f.Fuzz(func(t *testing.T, i int64, fl float64, s string) {
-		for _, arg := range []any{i, fl, s} {
-			want, ok := value.NewInt(i), true
-			switch arg.(type) {
-			case float64:
-				want = value.NewFloat(fl)
-				ok = !math.IsNaN(fl) && !math.IsInf(fl, 0)
-			case string:
-				want = value.NewString(s)
-			}
-			lit, err := renderArg(arg)
-			if !ok {
-				if err == nil {
-					t.Fatalf("%v rendered as %q, want an argument error", arg, lit)
+		for _, args := range [][]any{{i, fl, fl, i, s}, {fl, i, i, value.NewFloat(fl), value.NewString(s)}} {
+			got, err := bind(args...)
+			if math.IsNaN(fl) || math.IsInf(fl, 0) {
+				var qe *QueryError
+				if err == nil || errors.As(err, &qe) {
+					t.Fatalf("%v: %v, want an argument error", args, err)
 				}
 				continue
 			}
-			if err != nil {
-				t.Fatalf("%#v: %v", arg, err)
+			want, wantErr := fullFront(c, writeOut(sql, args))
+			if err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: bound %+v (%v), written out %+v (%v)", args, got, err, want, wantErr)
 			}
-			q, err := sqlparse.Parse("SELECT * FROM T WHERE a = " + lit)
-			if err != nil {
-				t.Fatalf("%#v rendered as %q: %v", arg, lit, err)
-			}
-			if got := *q.Where[0].RightVal; got != want {
-				t.Fatalf("%#v rendered as %q parses to %v (%v), want %v (%v)", arg, lit, got, got.K, want, want.K)
+		}
+		args := []any{i, fl, s, i, s}
+		if math.IsNaN(fl) || math.IsInf(fl, 0) {
+			args[1] = i
+		}
+		_, err := bind(args...)
+		_, wantErr := fullFront(c, writeOut(sql, args))
+		if !errors.Is(err, ErrBind) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%v: %v, written out %v; want one bind error", args, err, wantErr)
+		}
+		for _, bad := range []any{value.NewNull(), struct{}{}, float32(math.Inf(1)), []byte(s)} {
+			if _, err := bind(i, i, i, i, bad); err == nil || errors.Is(err, ErrBind) {
+				t.Fatalf("%#v: %v, want an argument error", bad, err)
 			}
 		}
 	})

@@ -72,12 +72,13 @@ func cachedStatement(cache *core.PlanCache, sql string) *core.Statement {
 	return cache.Lookup(skel)
 }
 
-// checkFront compiles sql through cache and checks the front end against
-// the full path: the bound query deep-equals Bind(Parse(sql)) and the entry
-// returned is the one cached under its skeleton, or both fail alike.
-func checkFront(t *testing.T, c *Client, cache *core.PlanCache, sql string) *core.BoundQuery {
+// checkFront compiles sql through the client's statement cache and checks
+// the front end against the full path: the bound query deep-equals
+// Bind(Parse(sql)) and the entry returned is the one cached under its
+// skeleton, or both fail alike.
+func checkFront(t *testing.T, c *Client, sql string) *core.BoundQuery {
 	t.Helper()
-	got, st, err := c.front(sql, nil, cache)
+	got, st, err := c.front(sql, nil, nil, nil)
 	want, wantErr := fullFront(c, sql)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: front error %v, full path %v", sql, err, wantErr)
@@ -85,8 +86,8 @@ func checkFront(t *testing.T, c *Client, cache *core.PlanCache, sql string) *cor
 	if err != nil {
 		return nil
 	}
-	if !reflect.DeepEqual(got, want) || st == nil || st != cachedStatement(cache, sql) {
-		t.Fatalf("%s: front bound\n%+v\nentry %p; full path\n%+v\ncached entry %p", sql, got, st, want, cachedStatement(cache, sql))
+	if !reflect.DeepEqual(got, want) || st == nil || st != cachedStatement(c.plans, sql) {
+		t.Fatalf("%s: front bound\n%+v\nentry %p; full path\n%+v\ncached entry %p", sql, got, st, want, cachedStatement(c.plans, sql))
 	}
 	return got
 }
@@ -104,14 +105,14 @@ func checkTemplates(t *testing.T, c *Client, templates []workload.Template) {
 			if i > 0 && cachedStatement(c.plans, sql) == nil {
 				t.Fatalf("%s %s: a fixed-format template missed the statement cache", tpl.Name, sql)
 			}
-			b := checkFront(t, c, c.plans, sql)
-			plan, opts, err := c.compile(sql, nil, c.plans)
+			b := checkFront(t, c, sql)
+			plan, opts, err := c.compile(sql, nil, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
 			var want *core.Plan
 			if plan.Planner == core.PlannerCached {
-				cp := c.plans.Plan(cachedStatement(c.plans, sql), c.store.Epoch, c.stats.Version())
+				cp := cachedStatement(c.plans, sql).Plan(c.store.Epoch, c.stats.Version(), nil)
 				want, _ = cp.Instantiate(b, c.store, &opts)
 			} else {
 				opt := core.Optimizer{Catalog: c.cat, Store: c.store, Stats: c.stats, Options: opts}
@@ -188,7 +189,7 @@ func TestStatementHitErrorParity(t *testing.T) {
 func TestStatementCacheConcurrentHits(t *testing.T) {
 	c, w := whwClient(t, 256)
 	tpl := w.Templates()[3]
-	checkFront(t, c, c.plans, tpl.Instantiate(rand.New(rand.NewSource(1))))
+	checkFront(t, c, tpl.Instantiate(rand.New(rand.NewSource(1))))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -197,7 +198,7 @@ func TestStatementCacheConcurrentHits(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				sql := tpl.Instantiate(rng)
-				got, _, err := c.front(sql, nil, c.plans)
+				got, _, err := c.front(sql, nil, nil, nil)
 				want, wantErr := fullFront(c, sql)
 				if err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: hit (%v) differs from the full path (%v)", sql, err, wantErr)
@@ -313,7 +314,7 @@ func FuzzStatementCache(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
 		_, _, scanErr := sqlparse.Scan(src, nil, nil)
 		had := cachedStatement(c.plans, src) != nil
-		if checkFront(t, c, c.plans, src) == nil {
+		if checkFront(t, c, src) == nil {
 			if !had && cachedStatement(c.plans, src) != nil {
 				t.Fatalf("%s: rejected, yet its skeleton now has an entry", src)
 			}
@@ -324,7 +325,7 @@ func FuzzStatementCache(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 4; i++ {
-			checkFront(t, c, c.plans, resubstitute(src, rng))
+			checkFront(t, c, resubstitute(src, rng))
 		}
 	})
 }
@@ -340,7 +341,7 @@ func TestInstanceNamesItsOwnAliases(t *testing.T) {
 		for i, day := range []int{20140601, 20140605} {
 			sql = fmt.Sprintf("SELECT * FROM Station %[1]s, Weather %[2]s WHERE %[1]s.StationID = %[2]s.StationID AND %[2]s.Country = 'Country01' AND %[2]s.Date = %[3]d",
 				alias[0], alias[1], day)
-			plan, _, err := c.compile(sql, nil, c.plans)
+			plan, _, err := c.compile(sql, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
