@@ -12,8 +12,8 @@ import (
 
 // Pred is a conjunctive predicate over a single attribute of a call.
 // At most one of Eq or (Lo, Hi) is set. Numeric ranges are inclusive on both
-// ends, matching the paper's "Date >= ? AND Date <= ?" templates; the
-// half-open coordinate conversion happens in BoxFor.
+// ends, matching the paper's "Date >= ? AND Date <= ?" templates; boxes
+// are half-open (see QueryForBox).
 type Pred struct {
 	Attr string
 	// Eq binds the attribute to a single value.
@@ -145,37 +145,8 @@ func ValidateBinding(t *Table, q AccessQuery) error {
 	return nil
 }
 
-// BoxFor maps the call onto the table's queryable coordinate space.
-// Unconstrained attributes span their full domain; range bounds are clipped
-// to the domain. An error is returned for predicates whose values fall
-// outside a categorical domain.
-func BoxFor(t *Table, q AccessQuery) (region.Box, error) {
-	dims := make([]region.Interval, 0, t.NumDims())
-	for _, a := range t.Attrs {
-		if a.Binding == Output {
-			continue
-		}
-		p, ok := q.Pred(a.Name)
-		if !ok {
-			dims = append(dims, a.FullInterval())
-			continue
-		}
-		iv, err := a.Interval(p)
-		switch {
-		case err != nil:
-			return region.Box{}, err
-		case iv.Empty() && p.Eq != nil:
-			return region.Box{}, fmt.Errorf("value %v outside domain of %s.%s", *p.Eq, t.Name, a.Name)
-		case iv.Empty():
-			return region.Box{}, fmt.Errorf("empty range on %s.%s", t.Name, a.Name)
-		}
-		dims = append(dims, iv)
-	}
-	return region.Box{Dims: dims}, nil
-}
-
-// QueryForBox converts a box back into an AccessQuery — the inverse of
-// BoxFor, used to turn remainder bounding boxes into RESTful calls.
+// QueryForBox converts a box into the AccessQuery that retrieves it: the
+// call for a remainder or an access box, and the filter of a local scan.
 // Dimensions that span the full domain produce no predicate; unit-width
 // dimensions become equality predicates; other numeric spans become ranges.
 // A multi-value, non-full span on a categorical attribute is rejected

@@ -102,29 +102,6 @@ func (a Attribute) Coord(v value.Value) (int64, error) {
 	return v.Int64(), nil
 }
 
-// Interval returns the coordinates on the attribute's axis that satisfy p,
-// clipped to its domain: empty when none does. It fails for an equality
-// value with no coordinate.
-func (a Attribute) Interval(p Pred) (region.Interval, error) {
-	full := a.FullInterval()
-	if p.Eq != nil {
-		c, err := a.Coord(*p.Eq)
-		if err != nil {
-			return region.Interval{}, err
-		}
-		iv, _ := region.Point(c).Intersect(full)
-		return iv, nil
-	}
-	iv := full
-	if p.Lo != nil && *p.Lo > iv.Lo {
-		iv.Lo = *p.Lo
-	}
-	if p.Hi != nil && *p.Hi < iv.Hi-1 {
-		iv.Hi = *p.Hi + 1
-	}
-	return iv, nil
-}
-
 // ValueAt maps a coordinate back to the attribute's value.
 func (a Attribute) ValueAt(coord int64) (value.Value, error) {
 	if a.Class == CategoricalAttr {
@@ -248,9 +225,13 @@ func New() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
 
+// MaxDims bounds a table's queryable attributes, the dimensions of its
+// boxes: a binder tracks a relation's constrained dimensions in one word.
+const MaxDims = 64
+
 // Register adds a table. It returns an error on duplicate names or invalid
 // metadata (bound output attributes, empty categorical domains, inverted
-// numeric domains).
+// numeric domains, more than MaxDims queryable attributes).
 func (c *Catalog) Register(t *Table) error {
 	key := strings.ToLower(t.Name)
 	if _, dup := c.tables[key]; dup {
@@ -276,6 +257,9 @@ func (c *Catalog) Register(t *Table) error {
 				return fmt.Errorf("table %s: numeric attribute %s has inverted domain [%d,%d]", t.Name, a.Name, a.Min, a.Max)
 			}
 		}
+	}
+	if n := t.NumDims(); n > MaxDims {
+		return fmt.Errorf("table %s: %d queryable attributes, at most %d", t.Name, n, MaxDims)
 	}
 	c.tables[key] = t
 	c.order = append(c.order, key)

@@ -144,6 +144,19 @@ func TestCatalogRegisterValidation(t *testing.T) {
 	if err := c.Register(bad4); err == nil {
 		t.Error("inverted numeric domain should error")
 	}
+	wide := &Table{Name: "Wide"}
+	for i := 0; i <= MaxDims; i++ {
+		name := fmt.Sprintf("a%d", i)
+		wide.Schema = append(wide.Schema, value.Column{Name: name, Type: value.Int})
+		wide.Attrs = append(wide.Attrs, Attribute{Name: name, Type: value.Int, Binding: Free, Class: NumericAttr, Max: 9})
+	}
+	if err := c.Register(wide); err == nil {
+		t.Errorf("%d queryable attributes should error", MaxDims+1)
+	}
+	wide.Attrs[0].Binding = Output
+	if err := c.Register(wide); err != nil {
+		t.Errorf("%d queryable attributes: %v", MaxDims, err)
+	}
 }
 
 func TestValidateBinding(t *testing.T) {
@@ -185,31 +198,19 @@ func TestValidateBinding(t *testing.T) {
 	}
 }
 
-func TestBoxForAndBack(t *testing.T) {
+func TestQueryForBox(t *testing.T) {
 	w := weatherTable()
-	us := value.NewString("United States")
-	q := AccessQuery{Dataset: "WHW", Table: "Weather", Preds: []Pred{
-		{Attr: "Country", Eq: &us},
-		{Attr: "Date", Lo: IntPtr(20140601), Hi: IntPtr(20140630)},
-	}}
-	b, err := BoxFor(w, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := region.NewBox(
+	b := region.NewBox(
 		region.Point(2),                             // United States
 		region.Interval{Lo: 1, Hi: 4001},            // StationID full
-		region.Interval{Lo: 20140601, Hi: 20140631}, // Date inclusive -> half-open
+		region.Interval{Lo: 20140601, Hi: 20140631}, // Date half-open -> inclusive
 	)
-	if !b.Equal(want) {
-		t.Fatalf("BoxFor = %v, want %v", b, want)
-	}
 	back, err := QueryForBox(w, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Preds) != 2 {
-		t.Fatalf("QueryForBox preds: %v", back.Preds)
+	if back.Dataset != "WHW" || back.Table != "Weather" || len(back.Preds) != 2 {
+		t.Fatalf("QueryForBox: %+v", back)
 	}
 	cp, _ := back.Pred("Country")
 	if cp.Eq == nil || cp.Eq.Str() != "United States" {
@@ -219,25 +220,60 @@ func TestBoxForAndBack(t *testing.T) {
 	if dp.Lo == nil || *dp.Lo != 20140601 || dp.Hi == nil || *dp.Hi != 20140630 {
 		t.Errorf("date pred: %v", dp)
 	}
+	if !boxOf(t, w, back).Equal(b) {
+		t.Errorf("box of %v = %v, want %v", back, boxOf(t, w, back), b)
+	}
 }
 
-func TestBoxForErrors(t *testing.T) {
-	w := weatherTable()
-	mars := value.NewString("Mars")
-	if _, err := BoxFor(w, AccessQuery{Table: "Weather", Preds: []Pred{{Attr: "Country", Eq: &mars}}}); err == nil {
-		t.Error("out-of-domain equality should error")
+// boxOf maps a query QueryForBox wrote back onto t's queryable space: an
+// equality is its value's coordinate, a range its inclusive bounds and an
+// attribute without a predicate its domain.
+func boxOf(t *testing.T, tb *Table, q AccessQuery) region.Box {
+	t.Helper()
+	b := tb.FullBox()
+	for _, p := range q.Preds {
+		d, a := tb.Dim(p.Attr)
+		switch {
+		case d < 0:
+			t.Fatalf("%v: %s is not queryable", q, p.Attr)
+		case p.Eq != nil:
+			c, err := a.Coord(*p.Eq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Dims[d] = region.Point(c)
+		default:
+			if p.Lo != nil {
+				b.Dims[d].Lo = *p.Lo
+			}
+			if p.Hi != nil {
+				b.Dims[d].Hi = *p.Hi + 1
+			}
+		}
 	}
-	if _, err := BoxFor(w, AccessQuery{Table: "Weather", Preds: []Pred{{Attr: "Date", Lo: IntPtr(20150101)}}}); err == nil {
-		t.Error("empty clipped range should error")
+	return b
+}
+
+// randomBox returns a box over the weather table's queryable space that a
+// call can express: a country or all, a station span or all, a date, a date
+// span or all.
+func randomBox(rng *rand.Rand, w *Table) region.Box {
+	b := w.FullBox()
+	if rng.Intn(2) == 0 {
+		b.Dims[0] = region.Point(int64(rng.Intn(len(w.Attrs[0].Domain))))
 	}
-	// Clipping: range wider than domain narrows to the domain.
-	b, err := BoxFor(w, AccessQuery{Table: "Weather", Preds: []Pred{{Attr: "Date", Lo: IntPtr(0), Hi: IntPtr(99999999)}}})
-	if err != nil {
-		t.Fatal(err)
+	if rng.Intn(2) == 0 {
+		lo := int64(1 + rng.Intn(3000))
+		b.Dims[1] = region.Interval{Lo: lo, Hi: lo + 1 + int64(rng.Intn(int(4000-lo)))}
 	}
-	if b.Dims[2] != (region.Interval{Lo: 20140101, Hi: 20141232}) {
-		t.Errorf("clipped range: %v", b.Dims[2])
+	switch rng.Intn(3) {
+	case 0:
+		b.Dims[2] = region.Point(int64(20140101 + rng.Intn(300)))
+	case 1:
+		lo := int64(20140101 + rng.Intn(300))
+		b.Dims[2] = region.Interval{Lo: lo, Hi: lo + 1 + int64(rng.Intn(60))}
 	}
+	return b
 }
 
 func TestQueryForBoxErrors(t *testing.T) {
@@ -415,66 +451,44 @@ func TestPredAndQueryString(t *testing.T) {
 	}
 }
 
-// TestBoxQueryRoundTripProperty: BoxFor and QueryForBox are inverses on
-// random valid access queries.
+// TestBoxQueryRoundTripProperty: QueryForBox of a random expressible box
+// passes the binding check and maps back onto the same box.
 func TestBoxQueryRoundTripProperty(t *testing.T) {
 	w := weatherTable()
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 200; trial++ {
-		q := AccessQuery{Dataset: "WHW", Table: "Weather"}
-		if rng.Intn(2) == 0 {
-			c := w.Attrs[0].Domain[rng.Intn(len(w.Attrs[0].Domain))]
-			q.Preds = append(q.Preds, Pred{Attr: "Country", Eq: &c})
-		}
-		if rng.Intn(2) == 0 {
-			lo := int64(1 + rng.Intn(3000))
-			hi := lo + int64(rng.Intn(int(4000-lo)))
-			q.Preds = append(q.Preds, Pred{Attr: "StationID", Lo: &lo, Hi: &hi})
-		}
-		if rng.Intn(2) == 0 {
-			d := int64(20140101 + rng.Intn(300))
-			q.Preds = append(q.Preds, Pred{Attr: "Date", Eq: ValPtr(value.NewInt(d))})
-		}
-		box, err := BoxFor(w, q)
+		box := randomBox(rng, w)
+		q, err := QueryForBox(w, box)
 		if err != nil {
-			t.Fatalf("trial %d: BoxFor: %v", trial, err)
+			t.Fatalf("trial %d: QueryForBox(%v): %v", trial, box, err)
 		}
-		back, err := QueryForBox(w, box)
-		if err != nil {
-			t.Fatalf("trial %d: QueryForBox: %v", trial, err)
+		if err := ValidateBinding(w, q); err != nil {
+			t.Fatalf("trial %d: %v: %v", trial, q, err)
 		}
-		box2, err := BoxFor(w, back)
-		if err != nil {
-			t.Fatalf("trial %d: BoxFor(back): %v", trial, err)
-		}
-		if !box.Equal(box2) {
-			t.Fatalf("trial %d: round trip %v -> %v", trial, box, box2)
+		if back := boxOf(t, w, q); !back.Equal(box) {
+			t.Fatalf("trial %d: round trip %v -> %v -> %v", trial, box, q, back)
 		}
 	}
 }
 
-// TestMatchesRowAgreesWithBox: a row matches an access query iff its
-// coordinate point lies inside the query's box.
+// TestMatchesRowAgreesWithBox: a row matches the call QueryForBox writes
+// for a box iff its coordinate point lies inside the box — a local scan of
+// a box and a market call for it keep the same rows.
 func TestMatchesRowAgreesWithBox(t *testing.T) {
 	w := weatherTable()
 	rng := rand.New(rand.NewSource(31))
+	var verdicts [2]int
 	for trial := 0; trial < 200; trial++ {
 		country := w.Attrs[0].Domain[rng.Intn(3)]
 		sid := int64(1 + rng.Intn(4000))
 		date := int64(20140101 + rng.Intn(365))
 		row := value.Row{country, value.NewInt(sid), value.NewInt(date), value.NewFloat(1)}
 
-		lo := int64(1 + rng.Intn(3000))
-		hi := lo + int64(rng.Intn(900))
-		q := AccessQuery{Table: "Weather", Preds: []Pred{
-			{Attr: "Country", Eq: &w.Attrs[0].Domain[rng.Intn(3)]},
-			{Attr: "StationID", Lo: &lo, Hi: &hi},
-		}}
-		box, err := BoxFor(w, q)
+		box := randomBox(rng, w)
+		q, err := QueryForBox(w, box)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Row point box.
 		cCoord, _ := w.Attrs[0].Coord(country)
 		pt := region.NewBox(region.Point(cCoord), region.Point(sid), region.Point(date))
 		inBox := box.Contains(pt)
@@ -482,6 +496,14 @@ func TestMatchesRowAgreesWithBox(t *testing.T) {
 		if inBox != matches {
 			t.Fatalf("trial %d: box says %v, MatchesRow says %v (q=%v row=%v)", trial, inBox, matches, q, row)
 		}
+		if inBox {
+			verdicts[1]++
+		} else {
+			verdicts[0]++
+		}
+	}
+	if verdicts[0] == 0 || verdicts[1] == 0 {
+		t.Errorf("rows outside and inside their box: %v, want both", verdicts)
 	}
 }
 

@@ -9,8 +9,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"payless/internal/catalog"
@@ -28,20 +30,22 @@ type Rel struct {
 	// Schema is Table's schema with every column named "alias.Column": the
 	// names its rows carry once fetched. Instances of one shape share it.
 	Schema value.Schema
-	// Query carries the constant predicates pushable to the data market.
-	Query catalog.AccessQuery
-	// Box is the bounding box of the relation's access region.
+	// Box is the bounding box of the relation's access region: the table's
+	// full box with every pushed equality and range intersected into its
+	// attribute's dimension, then narrowed to the hull of Boxes.
 	Box region.Box
 	// Boxes are the disjoint access boxes the relation decomposes into —
 	// one per combination of pushable IN values (the market cannot express
-	// disjunction, §1/§4.2); length 1 without IN predicates, and possibly 0
-	// when every IN value falls outside the attribute's domain.
+	// disjunction, §1/§4.2); length 1 without IN predicates, and 0 when no
+	// value satisfies the pushed conditions. Every call and local scan of
+	// the relation reads one of them.
 	Boxes []region.Box
-	// In holds the pushable membership predicates behind Boxes.
-	In []InPred
 	// Residual holds constant predicates that cannot be pushed (output
 	// attributes, <>, oversized IN lists); they are applied locally.
 	Residual []sqlparse.Condition
+	// narrowed has bit d set once a satisfiable equality or range narrowed
+	// box dimension d.
+	narrowed uint64
 }
 
 // AccessBoxes returns the disjoint boxes the relation's access decomposes
@@ -54,26 +58,34 @@ func (r *Rel) AccessBoxes() []region.Box {
 	return []region.Box{r.Box}
 }
 
-// UnboundAttrs lists the table's bound attributes that no pushed predicate
-// gives a value; a plain market scan of the relation is invalid while any
-// remain.
+// UnboundAttrs lists the table's bound attributes that no satisfiable
+// pushed equality or range gives a value (an IN list does not); a plain
+// market scan of the relation is invalid while any remain.
 func (r *Rel) UnboundAttrs() []string {
 	var out []string
+	d := 0
 	for _, a := range r.Table.Attrs {
-		if a.Binding != catalog.Bound {
+		if a.Binding == catalog.Output {
 			continue
 		}
-		if _, ok := r.Query.Pred(a.Name); !ok {
+		if a.Binding == catalog.Bound && r.narrowed&(1<<d) == 0 {
 			out = append(out, a.Name)
 		}
+		d++
 	}
 	return out
 }
 
-// InPred is a pushable membership predicate on one attribute.
-type InPred struct {
-	Attr   string
-	Values []value.Value
+// narrow intersects iv, the coordinates a pushed equality or range allows,
+// into box dimension d. When nothing is left the relation matches nothing
+// and the dimension keeps its extent: the first satisfiable condition's.
+func (r *Rel) narrow(d int, iv region.Interval) {
+	if x, ok := r.Box.Dims[d].Intersect(iv); ok {
+		r.Box.Dims[d] = x
+		r.narrowed |= 1 << d
+	} else {
+		r.Boxes = []region.Box{}
+	}
 }
 
 // maxDisjuncts caps the per-relation box expansion of IN predicates;
@@ -172,27 +184,30 @@ func (b *BoundQuery) read(ref sqlparse.ColRef) (int, error) {
 
 // Shape is the half of binding that no literal moves: the relations, join
 // edges, cross residuals, every column read after the scans and the output,
-// plus where each constant WHERE condition applies. One statement shape
-// binds once; Shape.Bind then derives predicates and boxes per instance. A
-// Shape is immutable, so instances share it and everything it resolved.
+// plus where each constant condition applies. One statement shape binds
+// once; Shape.Bind then derives boxes per instance. A Shape is immutable,
+// so instances share it and everything it resolved.
 type Shape struct {
 	// proto is every instance's BoundQuery but for Query and Rels; its Rels
 	// carry only Ref, Table and Schema.
 	proto BoundQuery
-	// consts are the constant WHERE conditions; ranges the number of range
-	// accumulators they fill.
+	// consts are the constant WHERE conditions in the order Bind applies
+	// them: per relation, the residuals, then each attribute's equalities
+	// and then its ranges, then the IN lists; WHERE order within each.
 	consts []constCond
-	ranges int
+	// having is the type of the output column each HAVING conjunct reads.
+	having []value.Kind
 }
 
 // constCond is one constant WHERE condition: its position, its relation,
 // its column's type, the attribute it compares (zero for a column that is
-// not one) and, for a non-IN condition, its range accumulator — one per
-// (relation, attribute), numbered in order of first appearance.
+// not one) and, when pushed, the box dimension it narrows. rank orders a
+// relation's conditions for Bind: -1 for a residual, 2·dim for an equality,
+// 2·dim+1 for a range bound and MaxInt for an IN list.
 type constCond struct {
-	cond, rel, acc int
-	typ            value.Kind
-	attr           catalog.Attribute
+	cond, rel, dim, rank int
+	typ                  value.Kind
+	attr                 catalog.Attribute
 }
 
 // Bind resolves a parsed query against the catalog: tables, join edges,
@@ -257,162 +272,136 @@ func NewShape(q *sqlparse.Query, cat *catalog.Catalog) (*Shape, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := constCond{cond: i, rel: ri, acc: -1, typ: b.Rels[ri].Schema[ci].Type}
+		c := constCond{cond: i, rel: ri, rank: -1, typ: b.Rels[ri].Schema[ci].Type}
 		c.attr, _ = b.Rels[ri].Table.Attr(cond.Left.Column)
-		if !cond.IsIn() {
-			for _, o := range s.consts {
-				if o.acc >= 0 && o.rel == ri && strings.EqualFold(q.Where[o.cond].Left.Column, cond.Left.Column) {
-					c.acc = o.acc
-					break
-				}
-			}
-			if c.acc < 0 {
-				c.acc = s.ranges
-				s.ranges++
+		if pushable(c.attr, cond) {
+			c.dim, _ = b.Rels[ri].Table.Dim(c.attr.Name)
+			switch {
+			case cond.IsIn():
+				c.rank = math.MaxInt
+			case cond.Op == sqlparse.OpEq:
+				c.rank = 2 * c.dim
+			default:
+				c.rank = 2*c.dim + 1
 			}
 		}
 		s.consts = append(s.consts, c)
 	}
-	if err := b.bindOutput(); err != nil {
+	slices.SortStableFunc(s.consts, func(x, y constCond) int {
+		return cmp.Or(cmp.Compare(x.rel, y.rel), cmp.Compare(x.rank, y.rank))
+	})
+	var err error
+	if s.having, err = b.bindOutput(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Bind is the literal half of binding: it derives each relation's pushable
-// predicates, boxes and residuals from q's literals. q must have the shape's
-// statement shape — the same AST but for literal values.
+// Bind is the literal half of binding: it derives each relation's boxes and
+// residuals from q's literals. Each relation starts at its table's full box;
+// an equality or an attribute's accumulated range intersects into its
+// dimension, and the IN lists then split the box into one per value. A
+// condition no value satisfies — a literal with no coordinate, two
+// different points, a point outside the range, an empty range — leaves the
+// relation no boxes: it contributes no rows and no calls. q must have the
+// shape's statement shape — the same AST but for literal values.
 func (s *Shape) Bind(q *sqlparse.Query) (*BoundQuery, error) {
+	for i, h := range q.Having {
+		if !compares(s.having[i], h.Val) {
+			return nil, typeError(h.Item, s.having[i], h.Val)
+		}
+	}
 	b := s.proto
 	b.Query = q
 	rels := make([]Rel, len(s.proto.Rels))
 	b.Rels = make([]*Rel, len(rels))
 	for i, r := range s.proto.Rels {
-		rels[i] = Rel{Ref: r.Ref, Table: r.Table, Schema: r.Schema,
-			Query: catalog.AccessQuery{Dataset: r.Table.Dataset, Table: r.Table.Name}}
+		rels[i] = Rel{Ref: r.Ref, Table: r.Table, Schema: r.Schema, Box: r.Table.FullBox()}
 		b.Rels[i] = &rels[i]
 	}
-	// Range accumulation per (relation, attribute), kept in the order the
-	// attribute's first constant non-IN condition appears in WHERE: that is
-	// the order the ranges join the access query's predicates.
-	type rangeAcc struct {
-		rel          int
-		attr         string
-		ranged       bool
-		lo, hi       int64
-		hasLo, hasHi bool
-	}
-	var ranges []rangeAcc
-	if s.ranges > 0 {
-		ranges = make([]rangeAcc, s.ranges)
-	}
-	for _, c := range s.consts {
+	var rng region.Interval // the range accumulating on one attribute
+	for i := range s.consts {
+		c := &s.consts[i]
 		cond := q.Where[c.cond]
 		if err := typeCheck(c.typ, cond); err != nil {
 			return nil, err
 		}
-		rel, a := b.Rels[c.rel], c.attr
-		if cond.IsIn() {
-			if pushable(a, cond) {
-				rel.In = append(rel.In, InPred{Attr: a.Name, Values: dedupValues(a, cond.InVals)})
+		r := b.Rels[c.rel]
+		switch {
+		case c.rank < 0:
+			r.Residual = append(r.Residual, cond)
+		case cond.IsIn():
+			if r.Boxes == nil {
+				r.Boxes = []region.Box{r.Box}
+			}
+			vals := dedupValues(c.attr, cond.InVals)
+			if len(r.Boxes)*len(vals) > maxDisjuncts {
+				cond = sqlparse.Condition{Left: sqlparse.ColRef{Column: c.attr.Name}, Op: sqlparse.OpEq, InVals: vals}
+				r.Residual = append(r.Residual, cond)
+				continue
+			}
+			r.Boxes = split(r.Boxes, c.dim, c.attr, vals)
+		case cond.Op == sqlparse.OpEq:
+			// A Float numericPoint leaves (non-integral) has no coordinate.
+			v, _ := numericPoint(c.attr, *cond.RightVal)
+			if coord, err := c.attr.Coord(v); err == nil {
+				r.narrow(c.dim, region.Point(coord))
 			} else {
-				rel.Residual = append(rel.Residual, cond)
+				r.Boxes = []region.Box{}
 			}
-			continue
-		}
-		if !pushable(a, cond) {
-			rel.Residual = append(rel.Residual, cond)
-			continue
-		}
-		if cond.Op == sqlparse.OpEq {
-			eq := cond.RightVal
-			if v, ok := numericPoint(a, *eq); ok && v != *eq {
-				eq = new(value.Value)
-				*eq = v
+		default:
+			// An attribute's range bounds are adjacent: the first starts
+			// the accumulated range, the last intersects it into the box.
+			if i == 0 || !s.adjacent(i-1) {
+				rng = c.attr.FullInterval()
 			}
-			// A Float left here (non-integral) has no coordinate: the
-			// relation matches nothing below.
-			rel.Query.Preds = append(rel.Query.Preds, catalog.Pred{Attr: a.Name, Eq: eq})
-			continue
-		}
-		r := &ranges[c.acc]
-		if !r.ranged {
-			r.rel, r.attr, r.ranged = c.rel, a.Name, true
-		}
-		v := rangeBound(a, cond.Op, *cond.RightVal)
-		switch cond.Op {
-		case sqlparse.OpGe, sqlparse.OpGt:
-			if !r.hasLo || r.lo < v {
-				r.lo, r.hasLo = v, true
+			v := rangeBound(c.attr, cond.Op, *cond.RightVal)
+			if cond.Op == sqlparse.OpGe || cond.Op == sqlparse.OpGt {
+				rng.Lo = max(rng.Lo, v)
+			} else if v < rng.Hi-1 {
+				rng.Hi = v + 1
 			}
-		case sqlparse.OpLe, sqlparse.OpLt:
-			if !r.hasHi || r.hi > v {
-				r.hi, r.hasHi = v, true
+			if i+1 == len(s.consts) || !s.adjacent(i) {
+				r.narrow(c.dim, rng)
 			}
 		}
-	}
-	for i := range ranges {
-		r := &ranges[i]
-		if !r.ranged {
-			continue
-		}
-		p := catalog.Pred{Attr: r.attr}
-		if r.hasLo {
-			p.Lo = &r.lo
-		}
-		if r.hasHi {
-			p.Hi = &r.hi
-		}
-		b.Rels[r.rel].Query.Preds = append(b.Rels[r.rel].Query.Preds, p)
 	}
 	for _, r := range b.Rels {
-		// A conjunction no value satisfies — a value outside the attribute's
-		// domain, two different points, a point outside the range, an empty
-		// range — matches nothing: the relation contributes no rows and no
-		// calls. Otherwise an attribute keeps its first predicate only, the
-		// one BoxFor reads: ranges follow every equality, one per attribute,
-		// so when there are several the first is a point, which the others
-		// contain.
-		emptyMatch := false
-		kept := r.Query.Preds[:0]
-	preds:
-		for _, p := range r.Query.Preds {
-			a, ok := r.Table.Attr(p.Attr)
-			if !ok || a.Binding == catalog.Output {
-				kept = append(kept, p)
-				continue
-			}
-			iv, err := a.Interval(p)
-			if err != nil || iv.Empty() {
-				emptyMatch = true
-				continue
-			}
-			for _, k := range kept {
-				if k.Attr == p.Attr {
-					first, _ := a.Interval(k)
-					if _, ok := first.Intersect(iv); !ok {
-						emptyMatch = true
-					}
-					continue preds
-				}
-			}
-			kept = append(kept, p)
-		}
-		r.Query.Preds = kept
-		box, err := catalog.BoxFor(r.Table, r.Query)
-		if err != nil {
-			return nil, fmt.Errorf("table %s: %w", r.Alias(), err)
-		}
-		r.Box = box
-		if emptyMatch {
-			r.Boxes = []region.Box{}
-			continue
-		}
-		if err := expandInBoxes(r); err != nil {
-			return nil, fmt.Errorf("table %s: %w", r.Alias(), err)
+		if r.Boxes == nil {
+			r.Boxes = []region.Box{r.Box}
+		} else if len(r.Boxes) > 0 {
+			r.Box, _ = region.BoundingBox(r.Boxes)
 		}
 	}
 	return &b, nil
+}
+
+// adjacent reports whether constant conditions i and i+1 are applied
+// together: the same relation and rank, so the same kind of condition on
+// the same attribute.
+func (s *Shape) adjacent(i int) bool {
+	return s.consts[i].rel == s.consts[i+1].rel && s.consts[i].rank == s.consts[i+1].rank
+}
+
+// split returns, for each box and then each value, the box narrowed on
+// dimension d to the value's coordinate; a value outside the box or the
+// attribute's domain contributes none.
+func split(boxes []region.Box, d int, a catalog.Attribute, vals []value.Value) []region.Box {
+	next := make([]region.Box, 0, len(boxes)*len(vals))
+	for _, b := range boxes {
+		for _, v := range vals {
+			coord, err := a.Coord(v)
+			if err != nil {
+				continue
+			}
+			if iv, ok := region.Point(coord).Intersect(b.Dims[d]); ok {
+				nb := b.Clone()
+				nb.Dims[d] = iv
+				next = append(next, nb)
+			}
+		}
+	}
+	return next
 }
 
 // bindOutput resolves the SELECT list and GROUP BY, names the output
@@ -420,20 +409,29 @@ func (s *Shape) Bind(q *sqlparse.Query) (*BoundQuery, error) {
 // Group columns are named by their query text and aggregates by their alias
 // or SELECT text; an aggregate query drops plain items that are not
 // grouped. A plain item is named by its alias or joined-schema name, and
-// SELECT * lists every column in FROM order.
-func (b *BoundQuery) bindOutput() error {
+// SELECT * lists every column in FROM order. It returns the type of the
+// output column each HAVING conjunct reads: a group column's, MIN's and
+// MAX's argument's, an int for COUNT and a float for SUM and AVG.
+func (b *BoundQuery) bindOutput() ([]value.Kind, error) {
 	q := b.Query
 	agg := q.HasAggregates()
 	if !agg && len(q.Having) > 0 {
-		return fmt.Errorf("HAVING requires aggregation")
+		return nil, fmt.Errorf("HAVING requires aggregation")
 	}
 	b.Output = make([]string, 0, len(q.GroupBy)+len(q.Select))
+	// kinds parallels Output while HAVING can read it: in an aggregate query.
+	var kinds []value.Kind
+	typeOf := func(ref sqlparse.ColRef) value.Kind {
+		rel, col, _ := b.RelIndex(ref)
+		return b.Rels[rel].Schema[col].Type
+	}
 	for _, g := range q.GroupBy {
 		if _, err := b.read(g); err != nil {
-			return err
+			return nil, err
 		}
 		if agg {
 			b.Output = append(b.Output, g.String())
+			kinds = append(kinds, typeOf(g))
 		}
 	}
 	star := false
@@ -444,7 +442,7 @@ func (b *BoundQuery) bindOutput() error {
 		}
 		if !item.AggStar {
 			if _, err := b.read(item.Col); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		// An aggregate query outputs its aggregates after the group columns
@@ -459,6 +457,14 @@ func (b *BoundQuery) bindOutput() error {
 			name = b.Cols[item.Col]
 		}
 		b.Output = append(b.Output, name)
+		switch item.Agg {
+		case sqlparse.AggMin, sqlparse.AggMax:
+			kinds = append(kinds, typeOf(item.Col))
+		case sqlparse.AggCount:
+			kinds = append(kinds, value.Int)
+		default:
+			kinds = append(kinds, value.Float)
+		}
 	}
 	if star && !agg {
 		for _, r := range b.Rels {
@@ -468,6 +474,7 @@ func (b *BoundQuery) bindOutput() error {
 		}
 		b.Output = b.Star
 	}
+	var having []value.Kind
 	for _, h := range q.Having {
 		i := b.outputIndex(h.Item.String())
 		if i < 0 && h.Item.Agg == sqlparse.AggNone {
@@ -477,9 +484,10 @@ func (b *BoundQuery) bindOutput() error {
 			}
 		}
 		if i < 0 {
-			return fmt.Errorf("HAVING column %s not in output", h.Item)
+			return nil, fmt.Errorf("HAVING column %s not in output", h.Item)
 		}
 		b.HavingIdx = append(b.HavingIdx, i)
+		having = append(having, kinds[i])
 	}
 	for _, o := range q.OrderBy {
 		i := b.outputIndex(o.Col.Column)
@@ -491,11 +499,11 @@ func (b *BoundQuery) bindOutput() error {
 			}
 		}
 		if i < 0 {
-			return fmt.Errorf("ORDER BY column %s not in output", o.Col)
+			return nil, fmt.Errorf("ORDER BY column %s not in output", o.Col)
 		}
 		b.OrderIdx = append(b.OrderIdx, i)
 	}
-	return nil
+	return having, nil
 }
 
 // outputIndex returns the position of the first output column named name,
@@ -525,59 +533,6 @@ func (b *BoundQuery) outputSuffix(col string) (first, n int) {
 	return first, n
 }
 
-// expandInBoxes decomposes the relation's base box along its IN predicates
-// into one box per value combination. Oversized expansions fall back to
-// residual evaluation; values outside the attribute's domain contribute no
-// box (they can match nothing).
-func expandInBoxes(r *Rel) error {
-	if len(r.In) == 0 {
-		r.Boxes = []region.Box{r.Box}
-		return nil
-	}
-	boxes := []region.Box{r.Box}
-	var kept []InPred
-	for _, p := range r.In {
-		dim, attr := r.Table.Dim(p.Attr)
-		if dim < 0 {
-			return fmt.Errorf("IN attribute %s is not queryable", p.Attr)
-		}
-		if len(boxes)*len(p.Values) > maxDisjuncts {
-			// Too many disjuncts: evaluate this membership locally.
-			cond := sqlparse.Condition{Left: sqlparse.ColRef{Column: p.Attr}, Op: sqlparse.OpEq, InVals: p.Values}
-			r.Residual = append(r.Residual, cond)
-			continue
-		}
-		var next []region.Box
-		for _, b := range boxes {
-			for _, v := range p.Values {
-				coord, err := attr.Coord(v)
-				if err != nil {
-					continue // outside the domain: matches nothing
-				}
-				iv, ok := region.Point(coord).Intersect(b.Dims[dim])
-				if !ok {
-					continue // excluded by another predicate on the attribute
-				}
-				nb := b.Clone()
-				nb.Dims[dim] = iv
-				next = append(next, nb)
-			}
-		}
-		boxes = next
-		kept = append(kept, p)
-	}
-	r.In = kept
-	r.Boxes = boxes
-	if bb, ok := region.BoundingBox(boxes); ok {
-		r.Box = bb
-	} else {
-		// Nothing can match; keep the base box for width arithmetic but
-		// remember the empty access set.
-		r.Boxes = []region.Box{}
-	}
-	return nil
-}
-
 // dedupValues removes duplicate IN values (value.ExactKey), preserving
 // order. On a numeric attribute an integral Float becomes its Int and a
 // non-integral one, which matches nothing, is dropped.
@@ -599,19 +554,30 @@ func dedupValues(a catalog.Attribute, vals []value.Value) []value.Value {
 }
 
 // typeCheck refuses a constant condition whose literal cannot compare
-// with its column, of type typ: a string with a number or a number with a
-// string. Numbers of either kind compare with each other.
+// with its column, of type typ (see compares).
 func typeCheck(typ value.Kind, cond sqlparse.Condition) error {
 	vals := cond.InVals
 	if !cond.IsIn() {
 		vals = []value.Value{*cond.RightVal}
 	}
 	for _, v := range vals {
-		if (v.K == value.String) != (typ == value.String) {
-			return fmt.Errorf("%s is %s and cannot compare with %s %s", cond.Left, typ, v.K, v)
+		if !compares(typ, v) {
+			return typeError(cond.Left, typ, v)
 		}
 	}
 	return nil
+}
+
+// compares reports whether a literal v can compare with a column of type
+// typ: a string with a string, a number of either kind with a number.
+func compares(typ value.Kind, v value.Value) bool {
+	return (v.K == value.String) == (typ == value.String)
+}
+
+// typeError refuses the literal v that column (or output column) what, of
+// type typ, cannot compare with.
+func typeError(what any, typ value.Kind, v value.Value) error {
+	return fmt.Errorf("%s is %s and cannot compare with %s %s", what, typ, v.K, v)
 }
 
 // pushable reports whether a constant condition can travel to the market

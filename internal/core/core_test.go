@@ -95,17 +95,14 @@ func TestBindResolvesPredsJoinsResiduals(t *testing.T) {
 		t.Errorf("joins: %+v", b.Joins)
 	}
 	r := b.Rels[0]
-	p, ok := r.Query.Pred("b")
-	if !ok || *p.Lo != 10 || *p.Hi != 20 {
-		t.Errorf("range pred: %+v", r.Query.Preds)
+	// The b range narrows b's dimension alone, into the one access box.
+	want := region.NewBox(region.Interval{Lo: 1, Hi: 101}, region.Interval{Lo: 10, Hi: 21})
+	if !r.Box.Equal(want) || len(r.Boxes) != 1 || !r.Boxes[0].Equal(want) {
+		t.Errorf("box %v, boxes %v, want %v", r.Box, r.Boxes, want)
 	}
 	// out > 5 (output attr) and a <> 3 (Ne) are residuals.
 	if len(r.Residual) != 2 {
 		t.Errorf("residuals: %+v", r.Residual)
-	}
-	// Box reflects the b range.
-	if r.Box.Dims[1] != (region.Interval{Lo: 10, Hi: 21}) {
-		t.Errorf("box: %v", r.Box)
 	}
 }
 
@@ -485,8 +482,8 @@ func TestBindInHugeListResidual(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := b.Rels[0]
-	if len(rel.In) != 0 || len(rel.Residual) != 1 {
-		t.Errorf("oversized IN should fall back to residual: in=%v residual=%v", rel.In, rel.Residual)
+	if len(rel.Residual) != 1 || len(rel.Residual[0].InVals) != 70 {
+		t.Errorf("oversized IN should fall back to residual: residual=%v", rel.Residual)
 	}
 	if rel.Boxes != nil && len(rel.Boxes) != 1 {
 		t.Errorf("boxes should stay whole: %v", rel.Boxes)

@@ -124,15 +124,18 @@ func FuzzNormalize(f *testing.F) {
 	})
 }
 
-// FuzzBind checks that Bind never panics on what the parser accepts, and
-// that a statement it binds names only columns of its FROM relations and
-// orders and filters only by output columns.
+// FuzzBind checks that Bind never panics on what the parser accepts, that
+// a statement it binds names only columns of its FROM relations and orders
+// and filters only by output columns, and that its boxes, residuals and
+// unbound attributes equal the reference derivation's (bind_ref_test.go).
 func FuzzBind(f *testing.F) {
 	for _, sql := range normalizeCorpus {
 		f.Add(sql)
 	}
 	f.Add("SELECT City, AVG(Temperature) AS t FROM Station S, Weather W WHERE S.StationID = W.StationID AND W.Date >= 20140402 GROUP BY City HAVING t > 1 ORDER BY City DESC")
 	f.Add("SELECT * FROM Weather, Station WHERE Weather.StationID < Station.StationID ORDER BY Country LIMIT 3")
+	f.Add("SELECT * FROM Weather WHERE Date >= 20140402 AND Date = 20140401 AND Country IN ('Country01', 'x', 'Country01')")
+	f.Add("SELECT * FROM Weather WHERE Date IN (20140401, 20140402.0, 7) AND Date <= 20140401.5 AND StationID = 2")
 	whw := workload.GenerateWHW(workload.WHWConfig{Seed: 1, Countries: 2, StationsPerCountry: 2, CitiesPerCountry: 2, Days: 3, StartDate: 20140401, Zips: 4, MaxRank: 10})
 	cat := catalog.New()
 	for _, tb := range []*catalog.Table{whw.Station, whw.Weather, whw.Pollution, whw.ZipMap} {
@@ -145,6 +148,7 @@ func FuzzBind(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
+		checkBindRef(t, q, cat)
 		b, err := Bind(q, cat)
 		if err != nil {
 			return

@@ -85,13 +85,7 @@ func whwCatalog(t testing.TB) (*workload.WHW, *catalog.Catalog) {
 // path's binding.
 func TestShapeBindIsBind(t *testing.T) {
 	w, whwCat := whwCatalog(t)
-	d := workload.GenerateTPCH(workload.DefaultTPCHConfig())
-	tpchCat := catalog.New()
-	for _, tb := range []*catalog.Table{d.Customer, d.Orders, d.Lineitem, d.Part, d.Supplier, d.PartSupp, d.Nation, d.Region} {
-		if err := tpchCat.Register(tb); err != nil {
-			t.Fatal(err)
-		}
-	}
+	d, tpchCat := tpchCatalog(t)
 	for _, set := range []struct {
 		templates []workload.Template
 		cat       *catalog.Catalog

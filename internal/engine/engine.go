@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"payless/internal/catalog"
@@ -178,30 +177,30 @@ func (e *Engine) fetch(ctx context.Context, rel *core.Rel, step core.Step, prefi
 	}
 }
 
-// localScan reads a local DBMS table and applies the pushable predicates:
-// the access query's and the IN lists'. A relation with no access box —
-// no value satisfies its predicates — reads nothing.
+// localScan reads a local DBMS table as the calls for the relation's access
+// boxes would: a row is kept when any box's call matches it, so a relation
+// without boxes reads nothing.
 func (e *Engine) localScan(rel *core.Rel) (storage.Relation, error) {
 	tbl, ok := e.Store.DB().Lookup(rel.Table.Name)
 	if !ok {
 		return storage.Relation{}, fmt.Errorf("local table %s not loaded", rel.Table.Name)
 	}
-	all := tbl.Relation()
-	if len(rel.AccessBoxes()) == 0 {
-		return storage.Relation{Schema: all.Schema}, nil
+	boxes := rel.AccessBoxes()
+	filters := make([]catalog.Filter, len(boxes))
+	for i, ab := range boxes {
+		q, err := catalog.QueryForBox(rel.Table, ab)
+		if err != nil {
+			return storage.Relation{}, err
+		}
+		filters[i] = catalog.CompileFilter(rel.Table, q)
 	}
-	f := catalog.CompileFilter(rel.Table, rel.Query)
-	in := make([]int, len(rel.In))
-	for i, p := range rel.In {
-		in[i] = rel.Table.Schema.IndexOf(p.Attr)
-	}
-	return all.Select(func(row value.Row) bool {
-		for i, p := range rel.In {
-			if in[i] < 0 || !slices.ContainsFunc(p.Values, row[in[i]].Equal) {
-				return false
+	return tbl.Relation().Select(func(row value.Row) bool {
+		for _, f := range filters {
+			if f.Matches(row) {
+				return true
 			}
 		}
-		return f.Matches(row)
+		return false
 	}), nil
 }
 

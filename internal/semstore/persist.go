@@ -256,6 +256,11 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 			}
 			kinds[i] = kind
 		}
+		for _, pe := range pt.Entries {
+			if err := checkDims(meta, len(pe.Dims)); err != nil {
+				return nil, err
+			}
+		}
 		rows, err := decodeRows(meta, kinds, pt.Rows)
 		if err != nil {
 			return nil, err

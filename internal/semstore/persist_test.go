@@ -301,3 +301,49 @@ func TestLoadRejectsPreVersion3Files(t *testing.T) {
 		t.Errorf("rows = %d, want 2", got)
 	}
 }
+
+// TestBoxOfWrongDimensionalityRefused: a coverage box whose dimension count
+// is not the table's is refused where it enters — by Record, which WAL
+// replay shares, and by Load, as a content error rather than ErrBadSnapshot
+// — and the store is left as it was.
+func TestBoxOfWrongDimensionalityRefused(t *testing.T) {
+	meta := pollutionMeta()
+	s := New(storage.NewDB())
+	at := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
+	good := region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51})
+	if _, err := s.Record(meta, good, []value.Row{row("A", 10, 1.5)}, at); err != nil {
+		t.Fatal(err)
+	}
+	var before bytes.Buffer
+	if err := s.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []region.Box{
+		region.NewBox(region.Point(0)),
+		region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51}, region.Point(3)),
+		{},
+	} {
+		if _, err := s.Record(meta, b, nil, at); err == nil {
+			t.Errorf("Record of a %d-dimensional box: no error", b.D())
+		}
+		if _, err := s.Record(meta, b, []value.Row{row("B", 20, 1)}, at); err == nil {
+			t.Errorf("Record of a %d-dimensional box with a row: no error", b.D())
+		}
+	}
+	lookup := func(string) (*catalog.Table, bool) { return meta, true }
+	for _, dims := range []string{`[[0,1]]`, `[[0,1],[1,51],[0,4]]`, `[]`} {
+		snap := `{"magic":"payless-semstore","version":3,"tables":[{"table":"Pollution","kinds":["string","int","float"],` +
+			`"entries":[{"dims":` + dims + `,"at":"2026-07-01T12:00:00Z"}],"rows":[["B","20","1"]]}]}`
+		err := s.Load(strings.NewReader(snap), lookup)
+		if err == nil || errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("Load of an entry with dims %s: %v, want a content error", dims, err)
+		}
+	}
+	var after bytes.Buffer
+	if err := s.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("refused boxes changed the store:\n%s\n%s", before.Bytes(), after.Bytes())
+	}
+}

@@ -218,10 +218,10 @@ type tableStore struct {
 	entries []entry
 	alive   int
 	dead    int
-	// dims index entries whose box dimensionality matches the table's
-	// queryable space; misc holds the (rare) rest, always scanned.
+	// dims index the entries on each dimension of the table's queryable
+	// space, which every entry's box has (validateRows and decodeSnapshot
+	// refuse any other).
 	dims []dimIdx
-	misc []int
 	// big lists up to bigBoxLimit largest live boxes by volume — the O(1)
 	// containment fast path for queries inside a large stored region.
 	big []int
@@ -326,7 +326,6 @@ func (ts *tableStore) clone() *tableStore {
 		alive:   ts.alive,
 		dead:    ts.dead,
 		dims:    make([]dimIdx, len(ts.dims)),
-		misc:    append([]int(nil), ts.misc...),
 		big:     append([]int(nil), ts.big...),
 		rows:    ts.rows,
 		seen:    ts.seen,
@@ -419,6 +418,9 @@ func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at t
 // queryable coordinates without touching any state: a bad batch fails here
 // or not at all.
 func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) ([]int64, error) {
+	if err := checkDims(meta, b.D()); err != nil {
+		return nil, err
+	}
 	if b.Empty() && len(rows) > 0 {
 		return nil, fmt.Errorf("semstore: non-empty result for empty box on %s", meta.Name)
 	}
@@ -429,6 +431,15 @@ func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) ([]int64,
 		}
 	}
 	return rowCoords(meta, rows)
+}
+
+// checkDims refuses a coverage box of d dimensions unless the table's boxes
+// have d.
+func checkDims(meta *catalog.Table, d int) error {
+	if n := meta.NumDims(); d != n {
+		return fmt.Errorf("semstore: %s: box has %d dimensions, the table's have %d", meta.Name, d, n)
+	}
+	return nil
 }
 
 // applyRecord installs one validated call — the state-mutating half of
@@ -511,14 +522,6 @@ func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
 // insertEntry adds a coverage box, compacting as it goes. Caller holds the
 // write lock and passes an owned (cloned) box.
 func (ts *tableStore) insertEntry(b region.Box, at time.Time) (dropped bool, absorbed, merged int) {
-	if b.D() != len(ts.dims) {
-		// Mismatched dimensionality: store un-indexed, skip compaction.
-		id := len(ts.entries)
-		ts.entries = append(ts.entries, entry{box: b, at: at})
-		ts.alive++
-		ts.misc = append(ts.misc, id)
-		return false, 0, 0
-	}
 	// Drop-new: if a stored box at least as fresh already contains the new
 	// box, the new entry adds no coverage and no freshness.
 	for _, id := range ts.candidates(b) {
@@ -690,14 +693,9 @@ func (ts *tableStore) maybeRebuild() bool {
 	for d := range ts.dims {
 		ts.dims[d] = dimIdx{}
 	}
-	ts.misc = nil
 	ts.big = nil
 	for id := range ts.entries {
 		e := &ts.entries[id]
-		if e.box.D() != len(ts.dims) {
-			ts.misc = append(ts.misc, id)
-			continue
-		}
 		for d := range ts.dims {
 			di := &ts.dims[d]
 			di.byLo = insertSorted(di.byLo, id, func(o int) int64 { return ts.entries[o].box.Dims[d].Lo })
@@ -711,11 +709,9 @@ func (ts *tableStore) maybeRebuild() bool {
 		id  int
 		vol float64
 	}
-	var bigs []bv
+	bigs := make([]bv, len(ts.entries))
 	for id := range ts.entries {
-		if ts.entries[id].box.D() == len(ts.dims) {
-			bigs = append(bigs, bv{id, ts.entries[id].box.Volume()})
-		}
+		bigs[id] = bv{id, ts.entries[id].box.Volume()}
 	}
 	sort.SliceStable(bigs, func(i, j int) bool { return bigs[i].vol > bigs[j].vol })
 	if len(bigs) > bigBoxLimit {
@@ -729,17 +725,14 @@ func (ts *tableStore) maybeRebuild() bool {
 
 // candidates returns live-or-dead entry ids whose box could overlap q, by
 // walking the cheapest (dimension, edge) segment of the per-dimension
-// indexes. Callers must still check dead flags and true overlap. The
-// returned ids never include misc (dimension-mismatched) entries.
+// indexes. Callers must still check dead flags and true overlap.
 func (ts *tableStore) candidates(q region.Box) []int {
 	d := len(ts.dims)
 	if q.D() != d || d == 0 {
-		// No usable index: every indexed entry is a candidate.
-		out := make([]int, 0, len(ts.entries))
-		for id := range ts.entries {
-			if ts.entries[id].box.D() == d {
-				out = append(out, id)
-			}
+		// No usable index: every entry is a candidate.
+		out := make([]int, len(ts.entries))
+		for id := range out {
+			out[id] = id
 		}
 		return out
 	}
@@ -848,17 +841,6 @@ func (s *Store) Coverage(table string, q region.Box, since time.Time) ([]region.
 				out = append(out, e.box.Clone())
 			}
 			if !st.FastPath {
-				// Misc entries bypass the index; mismatched dimensionality
-				// is ignored by subtraction but kept for faithfulness.
-				for _, id := range ts.misc {
-					e := &ts.entries[id]
-					if e.dead || (!since.IsZero() && e.at.Before(since)) {
-						continue
-					}
-					if e.box.Overlaps(q) {
-						out = append(out, e.box.Clone())
-					}
-				}
 				st.Candidates = len(out)
 			}
 		}

@@ -3,6 +3,7 @@ package payless
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -66,6 +67,9 @@ func TestUnsatisfiablePredicatesMatchNothing(t *testing.T) {
 		{sql: zipMap + fmt.Sprintf("ZipCode IN ('nowhere', '%s')", z(1)),
 			warm: zipMap + fmt.Sprintf("ZipCode IN ('%s', '%s')", z(0), z(2)),
 			want: zip(z(1))},
+		{sql: zipMap + fmt.Sprintf("ZipCode IN ('%s', 'nowhere', '%s')", z(1), z(3)),
+			warm: zipMap + fmt.Sprintf("ZipCode IN ('%s', '%s', '%s')", z(0), z(2), z(4)),
+			want: zip(z(1), z(3))},
 	} {
 		rows := w.WeatherRows
 		if strings.HasPrefix(c.sql, zipMap) {
@@ -167,4 +171,85 @@ func TestLiteralOfWrongTypeIsABindError(t *testing.T) {
 	before := spent()
 	_, err = stmt.Query("20140602")
 	check("Date <= ? given \"20140602\"", err, before)
+}
+
+// TestHavingLiteralOfWrongTypeIsABindError: a HAVING conjunct whose literal
+// cannot compare with its output column — a string against COUNT, a number
+// against a group column — fails at bind and bills nothing, as a miss, as a
+// hit on a cached shape and as a prepared statement's argument, where it
+// used to compare by kind order and keep every group or none. Legal
+// conjuncts keep exactly the groups they name.
+func TestHavingLiteralOfWrongTypeIsABindError(t *testing.T) {
+	client, m, _ := testSetup(t, func(c *Config) { c.PlanCacheSize = 64 })
+	spent := func() int64 {
+		meter, _ := m.MeterOf("acct")
+		return meter.Transactions
+	}
+	const groups = "SELECT Country, COUNT(*) AS n FROM Weather WHERE Date = 20140601 GROUP BY Country"
+	all, err := client.Query(groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		having string
+		keep   func(country string, n int64) bool // nil: a bind error
+	}{
+		{having: "n < 'x'"},
+		{having: "n > 'x'"},
+		{having: "Country > 5"},
+		{having: "n > 41", keep: func(_ string, n int64) bool { return n > 41 }},
+		{having: "Country > 'Country02'", keep: func(c string, _ int64) bool { return c > "Country02" }},
+	} {
+		sql := groups + " HAVING " + c.having
+		// A legal statement's second run is a statement-cache hit; a failed
+		// one caches nothing, and the hit path is checked below.
+		for run := 0; run < 2; run++ {
+			before := spent()
+			res, err := client.Query(sql)
+			if c.keep == nil {
+				if !errors.Is(err, ErrBind) {
+					t.Errorf("%s: %v, want a bind error", sql, err)
+				}
+				if tx := spent() - before; tx != 0 {
+					t.Errorf("%s: billed %d transactions", sql, tx)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			var want int
+			for _, row := range all.Rows {
+				n, err := strconv.ParseInt(row[1], 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.keep(row[0], n) {
+					want++
+				}
+			}
+			if len(res.Rows) != want || want == 0 || want == len(all.Rows) {
+				t.Errorf("%s: %d of %d groups, want %d (neither none nor all)", sql, len(res.Rows), len(all.Rows), want)
+			}
+		}
+	}
+	// A cached shape binds a wrong-typed literal through its entry.
+	if _, err := client.Query(groups + " HAVING n > 3"); err != nil {
+		t.Fatal(err)
+	}
+	before := spent()
+	if _, err := client.Query(groups + " HAVING n > 'y'"); !errors.Is(err, ErrBind) || spent() != before {
+		t.Errorf("hit with n > 'y': %v, billed %d", err, spent()-before)
+	}
+	stmt, err := client.Prepare(groups + " HAVING n > ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.Query(1); err != nil {
+		t.Fatal(err)
+	}
+	before = spent()
+	if _, err := stmt.Query("x"); !errors.Is(err, ErrBind) || spent() != before {
+		t.Errorf("HAVING n > ? given \"x\": %v, billed %d", err, spent()-before)
+	}
 }
