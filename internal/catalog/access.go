@@ -147,8 +147,9 @@ func ValidateBinding(t *Table, q AccessQuery) error {
 
 // QueryForBox converts a box into the AccessQuery that retrieves it: the
 // call for a remainder or an access box, and the filter of a local scan.
-// Dimensions that span the full domain produce no predicate; unit-width
-// dimensions become equality predicates; other numeric spans become ranges.
+// Dimensions that span the full domain produce no predicate, except on a
+// Bound attribute, which every call must constrain; unit-width dimensions
+// become equality predicates; other numeric spans become ranges.
 // A multi-value, non-full span on a categorical attribute is rejected
 // because the market cannot express it (§4.2, Fig. 8).
 func QueryForBox(t *Table, b region.Box) (AccessQuery, error) {
@@ -164,7 +165,7 @@ func QueryForBox(t *Table, b region.Box) (AccessQuery, error) {
 		i++
 		iv := b.Dims[i]
 		full := a.FullInterval()
-		if iv.Equal(full) {
+		if iv.Equal(full) && a.Binding != Bound {
 			continue
 		}
 		if !full.Contains(iv) || iv.Empty() {

@@ -88,29 +88,35 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 	}
 	// Nothing but the aggregate reads the last join of an aggregate query
 	// (a cross residual would: it filters joined rows), so that join streams
-	// into it; every join before it copies only the columns the binder
-	// recorded as read after the scans (SELECT * reads them all).
+	// into it; every join before it copies only the columns a later step
+	// reads (SELECT * reads them all).
 	streamLast := len(plan.Steps) > 1 && b.Query.HasAggregates() && len(b.CrossResidual) == 0
-	var need map[string]bool
+	var need map[string]int
 	if b.Star == nil && (len(plan.Steps) > 2 || (len(plan.Steps) == 2 && !streamLast)) {
-		need = make(map[string]bool, len(b.Cols))
-		for _, name := range b.Cols {
-			need[name] = true
+		need = lastReads(plan)
+	}
+	// A partial batch failure carries the query-level billed totals, so the
+	// caller can account the spend without unpacking Report out-of-band.
+	fail := func(err error) (storage.Relation, Report, error) {
+		var pe *PartialError
+		if errors.As(err, &pe) {
+			pe.Billed = report
 		}
+		return storage.Relation{}, report, err
+	}
+	if step := plan.Steps[0]; len(plan.Steps) == 1 && b.Query.HasAggregates() && len(b.CrossResidual) == 0 && e.fromStore(b.Rels[step.Rel], step) {
+		out, err := e.aggregateScan(ctx, b.Rels[step.Rel], step, b, &report)
+		if err != nil {
+			return fail(err)
+		}
+		return out, report, nil
 	}
 	var cur storage.Relation
 	for i, step := range plan.Steps {
 		rel := b.Rels[step.Rel]
 		fetched, err := e.fetch(ctx, rel, step, cur, b, &report)
 		if err != nil {
-			// A partial batch failure carries the query-level billed totals,
-			// so the caller can account the spend without unpacking Report
-			// out-of-band.
-			var pe *PartialError
-			if errors.As(err, &pe) {
-				pe.Billed = report
-			}
-			return storage.Relation{}, report, err
+			return fail(err)
 		}
 		fetched = applyResidual(fetched, rel)
 		fetched.Schema = rel.Schema
@@ -125,25 +131,63 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 		if streamLast && i == len(plan.Steps)-1 {
 			return aggregateJoin(cur, fetched, lc, rc, b), report, nil
 		}
-		cur = storage.HashJoinKeep(cur, fetched, lc, rc, keepColumns(need, cur.Schema, fetched.Schema))
+		cur = storage.HashJoinKeep(cur, fetched, lc, rc, keepColumns(need, i, cur.Schema, fetched.Schema))
 	}
 	return project(applyCrossResidual(cur, b), b), report, nil
 }
 
-// keepColumns lists the needed columns of a join's concatenated schema l++r,
-// or nil when all of them are.
-func keepColumns(need map[string]bool, l, r value.Schema) []int {
+// lastReads maps every column the binder recorded as read after the scans
+// to the last step that reads it: its relation's join edges are read by
+// the steps that join or bind on them, and the output, its aggregates and
+// the cross residuals after the last step, len(plan.Steps).
+func lastReads(plan *core.Plan) map[string]int {
+	b, end := plan.Bound, len(plan.Steps)
+	need := make(map[string]int, len(b.Cols))
+	for _, item := range b.Query.Select {
+		if !item.AggStar {
+			need[b.Cols[item.Col]] = end
+		}
+	}
+	for _, g := range b.Query.GroupBy {
+		need[b.Cols[g]] = end
+	}
+	for _, c := range b.CrossResidual {
+		need[b.Cols[c.Left]], need[b.Cols[*c.RightCol]] = end, end
+	}
+	read := func(j, e int) {
+		for _, rel := range [2]int{b.Joins[e].L, b.Joins[e].R} {
+			attr, _, _ := b.Joins[e].Toward(rel)
+			sch := b.Rels[rel].Schema
+			if c := prefixColumn(sch, b.Rels[rel].Alias(), attr); c >= 0 && need[sch[c].Name] < j {
+				need[sch[c].Name] = j
+			}
+		}
+	}
+	for j, step := range plan.Steps {
+		for _, e := range step.Joins {
+			read(j, e)
+		}
+		if step.Kind == core.MarketBind && step.BindJoin >= 0 && step.BindJoin < len(b.Joins) {
+			read(j, step.BindJoin)
+		}
+	}
+	return need
+}
+
+// keepColumns lists the columns of a join's concatenated schema l++r that a
+// step after step reads, or nil when all of them are.
+func keepColumns(need map[string]int, step int, l, r value.Schema) []int {
 	if need == nil {
 		return nil
 	}
 	keep := make([]int, 0, len(need))
 	for i, c := range l {
-		if need[c.Name] {
+		if need[c.Name] > step {
 			keep = append(keep, i)
 		}
 	}
 	for i, c := range r {
-		if need[c.Name] {
+		if need[c.Name] > step {
 			keep = append(keep, len(l)+i)
 		}
 	}
@@ -245,20 +289,7 @@ func (e *Engine) buy(ctx context.Context, meta *catalog.Table, calls, reads []re
 		}
 		return out, nil
 	}
-	// Call boxes are pairwise disjoint (IN lists split an access region into
-	// separate intervals; binding groups are distinct on the bind dimension),
-	// so their remainder plans cannot overlap and one coverage snapshot
-	// serves them all.
-	cfg := core.RewriteConfig(meta, &e.Options)
-	var rem []region.Box
-	for _, cb := range calls {
-		rem = append(rem, core.Remainder(e.Store, e.Stats, meta.Name, cb, cfg, e.Options.Since, e.Trace).Boxes...)
-	}
-	specs, err := specsForBoxes(meta, rem, true)
-	if err != nil {
-		return storage.Relation{}, err
-	}
-	results, err := e.runBatch(ctx, specs, report)
+	n, results, err := e.buyRemainders(ctx, meta, calls, report)
 	if err != nil {
 		return storage.Relation{}, err
 	}
@@ -266,8 +297,67 @@ func (e *Engine) buy(ctx context.Context, meta *catalog.Table, calls, reads []re
 	if err != nil {
 		return storage.Relation{}, err
 	}
-	e.noteStoreServed(len(specs), len(out.Rows), results)
+	e.noteStoreServed(n, len(out.Rows), results)
 	return out, nil
+}
+
+// buyRemainders plans the remainder of each calls box against the live
+// store, then buys and records those remainders as one batch through the
+// worker pool. It returns how many calls it issued and their results. Call
+// boxes are pairwise disjoint (IN lists split an access region into
+// separate intervals; binding groups are distinct on the bind dimension),
+// so their remainder plans cannot overlap and one coverage snapshot serves
+// them all.
+func (e *Engine) buyRemainders(ctx context.Context, meta *catalog.Table, calls []region.Box, report *Report) (int, []*market.Result, error) {
+	cfg := core.RewriteConfig(meta, &e.Options)
+	var rem []region.Box
+	for _, cb := range calls {
+		rem = append(rem, core.Remainder(e.Store, e.Stats, meta.Name, cb, cfg, e.Options.Since, e.Trace).Boxes...)
+	}
+	specs, err := specsForBoxes(meta, rem, true)
+	if err != nil {
+		return 0, nil, err
+	}
+	results, err := e.runBatch(ctx, specs, report)
+	return len(specs), results, err
+}
+
+// fromStore reports whether a scan's rows are the store's rows inside its
+// access boxes: a covered market relation's, or a market scan's once SQR has
+// recorded its remainders.
+func (e *Engine) fromStore(rel *core.Rel, step core.Step) bool {
+	return step.Kind == core.LocalScan && !rel.Table.Local || step.Kind == core.MarketScan && !e.Options.DisableSQR
+}
+
+// aggregateScan is project over the one relation of an aggregate query
+// whose rows come from the store (fromStore), without those rows in
+// between: after a market scan's remainders are bought, the store's rows
+// inside each access box go, in storedRows order, through the relation's
+// residual straight into the aggregator.
+func (e *Engine) aggregateScan(ctx context.Context, rel *core.Rel, step core.Step, b *core.BoundQuery, report *Report) (storage.Relation, error) {
+	boxes := rel.AccessBoxes()
+	calls := 0
+	var results []*market.Result
+	if step.Kind == core.MarketScan {
+		var err error
+		if calls, results, err = e.buyRemainders(ctx, rel.Table, boxes, report); err != nil {
+			return storage.Relation{}, err
+		}
+	}
+	groupIdx, aggs := aggregatePlan(rel.Schema, b)
+	agg := storage.NewAggregator(rel.Schema, groupIdx, aggs)
+	keep := residualFilter(rel.Table.Schema, rel)
+	add := func(row value.Row) {
+		if keep == nil || keep(row) {
+			agg.Add(row, nil)
+		}
+	}
+	rows := 0
+	for _, ab := range boxes {
+		rows += e.Store.EachIn(rel.Table, ab, add)
+	}
+	e.noteStoreServed(calls, rows, results)
+	return finishAggregate(agg.Result(), b), nil
 }
 
 // bindScan accesses a relation one call per distinct binding value flowing
@@ -433,14 +523,23 @@ func (e *Engine) account(report *Report, res market.Result) {
 // applyResidual filters fetched rows by the relation's non-pushable
 // constant predicates.
 func applyResidual(rel storage.Relation, r *core.Rel) storage.Relation {
+	if keep := residualFilter(rel.Schema, r); keep != nil {
+		return rel.Select(keep)
+	}
+	return rel
+}
+
+// residualFilter is the test of r's non-pushable constant predicates on a
+// row of schema, or nil when r has none.
+func residualFilter(schema value.Schema, r *core.Rel) func(value.Row) bool {
 	if len(r.Residual) == 0 {
-		return rel
+		return nil
 	}
 	cols := make([]int, len(r.Residual))
 	for i, cond := range r.Residual {
-		cols[i] = rel.Schema.IndexOf(cond.Left.Column)
+		cols[i] = schema.IndexOf(cond.Left.Column)
 	}
-	return rel.Select(func(row value.Row) bool {
+	return func(row value.Row) bool {
 		for i, cond := range r.Residual {
 			idx := cols[i]
 			if idx < 0 {
@@ -464,7 +563,7 @@ func applyResidual(rel storage.Relation, r *core.Rel) storage.Relation {
 			}
 		}
 		return true
-	})
+	}
 }
 
 func evalCompare(v value.Value, op sqlparse.CompareOp, rhs value.Value) bool {
@@ -562,7 +661,7 @@ func aggregatePlan(schema value.Schema, b *core.BoundQuery) (groupIdx []int, agg
 // aggregateJoin is project over HashJoin(l, r, lc, rc) for an aggregate
 // query, without the joined relation in between.
 func aggregateJoin(l, r storage.Relation, lc, rc []int, b *core.BoundQuery) storage.Relation {
-	joined := append(l.Schema.Clone(), r.Schema...)
+	joined := storage.JoinSchema(l.Schema, r.Schema, nil)
 	groupIdx, aggs := aggregatePlan(joined, b)
 	agg := storage.NewAggregator(joined, groupIdx, aggs)
 	storage.EachJoined(l, r, lc, rc, agg.Add)

@@ -1,6 +1,7 @@
 package semstore
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -291,4 +292,102 @@ func TestRecordKeepsRowsTheStringKeysMerged(t *testing.T) {
 	if res, _ := s.Record(meta, box2(0, 10, 0, 10), rows[:1], time.Unix(1700000001, 0)); res.Added != 0 {
 		t.Errorf("a repeated row was added again (%d)", res.Added)
 	}
+}
+
+// TestSelectInMatchesScan is the differential test of rowsIn's two filters
+// and their unsigned width test c−lo < hi−lo: RowsIn and EachIn against a
+// per-row scan, on a table whose X axis is all of int64 (Min to MaxInt64−1)
+// and holds coordinates at both of its edges, and on boxes whose bounds are
+// the int64 edges, the domain edges, stored coordinates and their
+// neighbours, so intervals come empty, inverted, one wide, wider than the
+// domain and 2^64−1 wide, and filter on both sides of the 64·cand ≤ n cutoff.
+func TestSelectInMatchesScan(t *testing.T) {
+	const n = 3000
+	meta := cubeMeta(63, 7)
+	meta.Name = "Wide"
+	meta.Attrs[0].Min, meta.Attrs[0].Max = math.MinInt64, math.MaxInt64-1
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -2, -1, 0, 1, 2, math.MaxInt64 - 2, math.MaxInt64 - 1}
+	rng := rand.New(rand.NewSource(45))
+	taken := map[[3]int64]bool{}
+	var rows []value.Row
+	for len(rows) < n {
+		p := [3]int64{int64(rng.Uint64() >> 1), rng.Int63n(64), rng.Int63n(8)}
+		if rng.Intn(2) == 0 {
+			p[0] = -p[0]
+		}
+		if rng.Intn(3) == 0 {
+			p[0] = edges[rng.Intn(len(edges))]
+		}
+		if p[0] == math.MaxInt64 || taken[p] {
+			continue
+		}
+		taken[p] = true
+		rows = append(rows, pointRow(p[:]))
+	}
+	s := New(storage.NewDB())
+	from := 0
+	for _, to := range []int{1700, 2500, 2850, n} { // four runs
+		if _, err := s.Record(meta, meta.FullBox(), rows[from:to], time.Unix(1700000000, 0)); err != nil {
+			t.Fatal(err)
+		}
+		from = to
+	}
+	coords, err := rowCoords(meta, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := s.table(meta.Name)
+	if len(ts.rowIdx[0].runs) < 3 {
+		t.Fatalf("the index has %d runs; the test wants several", len(ts.rowIdx[0].runs))
+	}
+	// bound draws an interval end on axis k.
+	bound := func(k int) int64 {
+		full := meta.FullBox().Dims[k]
+		switch rng.Intn(5) {
+		case 0:
+			return []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]
+		case 1:
+			return []int64{full.Lo, full.Lo + 1, full.Hi - 1, full.Hi}[rng.Intn(4)]
+		case 2:
+			return edges[rng.Intn(len(edges))]
+		default:
+			c := coords[rng.Intn(n)*3+k]
+			return c + int64(rng.Intn(3)-1) // wraps at the int64 edges, which is another edge
+		}
+	}
+	sides := readSides{}
+	for trial := 0; trial < 3000; trial++ {
+		q := meta.FullBox()
+		for k := range q.Dims {
+			if rng.Intn(3) > 0 {
+				q.Dims[k] = region.Interval{Lo: bound(k), Hi: bound(k)}
+				if rng.Intn(4) > 0 && q.Dims[k].Lo > q.Dims[k].Hi {
+					q.Dims[k].Lo, q.Dims[k].Hi = q.Dims[k].Hi, q.Dims[k].Lo
+				}
+			}
+		}
+		var want []value.Row
+	scan:
+		for i, r := range rows {
+			for k := range q.Dims {
+				if !q.Dims[k].ContainsCoord(coords[i*3+k]) {
+					continue scan
+				}
+			}
+			want = append(want, r)
+		}
+		sides.note(ts, q)
+		got, _ := s.RowsIn(meta, q)
+		var each []value.Row
+		visited := s.EachIn(meta, q, func(r value.Row) { each = append(each, r) })
+		if visited != len(want) || len(got.Rows) != len(want) || len(each) != len(want) {
+			t.Fatalf("box %v: RowsIn %d rows, EachIn %d (reports %d), scan %d", q, len(got.Rows), len(each), visited, len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got.Rows[i], want[i]) || !slices.Equal(each[i], want[i]) {
+				t.Fatalf("box %v: row %d is %v (RowsIn) and %v (EachIn), the scan has %v", q, i, got.Rows[i], each[i], want[i])
+			}
+		}
+	}
+	sides.require(t, 2, 3)
 }

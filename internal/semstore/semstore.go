@@ -25,7 +25,7 @@
 //     int32 ids sorted by it. The runs are log-structured, so a Record costs
 //     what it adds, not what the table already holds; a read takes the most
 //     selective dimension's ids and filters them in row order through the
-//     other columns.
+//     other columns. EachIn visits the same rows without listing them.
 //
 // Compaction and indexing never change answers: the union of stored
 // coverage is preserved exactly, and freshness is only ever lost downward
@@ -968,24 +968,65 @@ func (ts *tableStore) restricted(q region.Box, dims []dimSpan) []dimSpan {
 	return dims
 }
 
-// rowsIn returns the rows inside q in insertion order (the order a scan of
-// the whole table finds them in). A box that restricts no dimension gets the
-// table's own row list, uncopied. Otherwise the most selective dimension's
-// span gives the candidates and each other restricted dimension filters
-// them in ascending id order, most selective first, reading its column
-// forwards. More than 1/64 of the table is marked in a transient bitset —
-// one bit per row — whose set bits the filters clear word by word; fewer
-// are collected as ids and sorted, which is cheaper than clearing and
-// walking table-sized bits for a handful of rows.
-func (ts *tableStore) rowsIn(q region.Box) []value.Row {
+// selection is the ids of the rows a read keeps, in ascending order: the
+// first all rows of the table, or the listed ids, or the set bits of a
+// bitset, one bit per row.
+type selection struct {
+	all  int
+	ids  []int32
+	bits []uint64
+}
+
+// each calls fn on rows[id] for every selected id, in ascending order, and
+// returns how many it called it on.
+func (sel selection) each(rows []value.Row, fn func(value.Row)) int {
+	n := sel.all + len(sel.ids)
+	for _, row := range rows[:sel.all] {
+		fn(row)
+	}
+	for _, id := range sel.ids {
+		fn(rows[id])
+	}
+	for w, word := range sel.bits {
+		n += mathbits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			fn(rows[w*64+mathbits.TrailingZeros64(word)])
+		}
+	}
+	return n
+}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// selectIn selects the rows inside q in insertion order (the order a scan
+// of the whole table finds them in). A box that restricts no dimension
+// selects them all. Otherwise the most selective dimension's span gives the
+// candidates and each other restricted dimension filters them in ascending
+// id order, most selective first, reading its column forwards. More than
+// 1/64 of the table is marked in a transient bitset, whose words the filters
+// rebuild bit by bit; fewer are collected as ids, sorted and compacted in
+// place, which is cheaper than clearing and walking table-sized bits for a
+// handful of rows. Neither filter branches on a row's coordinate: the test
+// lo ≤ c < hi is the one unsigned comparison c−lo < hi−lo, whose result is
+// added to a count or shifted into a word. A filter only sees candidates
+// when the most selective interval selects a row, and each filtering
+// interval selects at least as many, so none is empty: hi−lo, taken modulo
+// 2^64, is its width.
+func (ts *tableStore) selectIn(q region.Box) selection {
 	n := len(ts.rows)
 	if q.D() != len(ts.rowIdx) || n == 0 {
-		return nil // no row has a box of another dimensionality's coordinates
+		return selection{} // no row has a box of another dimensionality's coordinates
 	}
 	var buf [8]dimSpan
 	dims := ts.restricted(q, buf[:0])
 	if len(dims) == 0 {
-		return ts.rows[:n:n]
+		return selection{all: n}
 	}
 	first := &ts.rowIdx[dims[0].k]
 	if cand := dims[0].n; 64*cand <= n {
@@ -995,17 +1036,15 @@ func (ts *tableStore) rowsIn(q region.Box) []value.Row {
 		}
 		slices.Sort(ids)
 		for _, d := range dims[1:] {
-			col, iv := ts.rowIdx[d.k].col, q.Dims[d.k]
-			ids = slices.DeleteFunc(ids, func(id int32) bool { return !iv.ContainsCoord(col[id]) })
+			col, lo, w := ts.rowIdx[d.k].col, q.Dims[d.k].Lo, uint64(q.Dims[d.k].Hi-q.Dims[d.k].Lo)
+			kept := 0
+			for _, id := range ids {
+				ids[kept] = id
+				kept += int(b2u(uint64(col[id]-lo) < w))
+			}
+			ids = ids[:kept]
 		}
-		if len(ids) == 0 {
-			return nil
-		}
-		out := make([]value.Row, len(ids))
-		for i, id := range ids {
-			out[i] = ts.rows[id]
-		}
-		return out
+		return selection{ids: ids}
 	}
 	bits := make([]uint64, (n+63)/64)
 	for _, run := range first.runs {
@@ -1014,25 +1053,38 @@ func (ts *tableStore) rowsIn(q region.Box) []value.Row {
 		}
 	}
 	for _, d := range dims[1:] {
-		col, iv := ts.rowIdx[d.k].col, q.Dims[d.k]
-		for w, word := range bits {
+		col, lo, w := ts.rowIdx[d.k].col, q.Dims[d.k].Lo, uint64(q.Dims[d.k].Hi-q.Dims[d.k].Lo)
+		for i, word := range bits {
+			keep := uint64(0)
 			for set := word; set != 0; set &= set - 1 {
-				if b := mathbits.TrailingZeros64(set); !iv.ContainsCoord(col[w*64+b]) {
-					word &^= 1 << b
-				}
+				b := mathbits.TrailingZeros64(set)
+				keep |= b2u(uint64(col[i*64+b]-lo) < w) << b
 			}
-			bits[w] = word
+			bits[i] = keep
 		}
 	}
-	count := 0
-	for _, word := range bits {
+	return selection{bits: bits}
+}
+
+// rowsIn returns the rows selectIn selects, as one list. A selection of the
+// whole table is the table's own row list, uncopied.
+func (ts *tableStore) rowsIn(q region.Box) []value.Row {
+	sel := ts.selectIn(q)
+	if sel.all > 0 {
+		return ts.rows[:sel.all:sel.all]
+	}
+	count := len(sel.ids)
+	for _, word := range sel.bits {
 		count += mathbits.OnesCount64(word)
 	}
 	if count == 0 {
 		return nil
 	}
 	out := make([]value.Row, 0, count)
-	for w, word := range bits {
+	for _, id := range sel.ids {
+		out = append(out, ts.rows[id])
+	}
+	for w, word := range sel.bits {
 		for ; word != 0; word &= word - 1 {
 			out = append(out, ts.rows[w*64+mathbits.TrailingZeros64(word)])
 		}
@@ -1050,6 +1102,17 @@ func (s *Store) RowsIn(meta *catalog.Table, q region.Box) (storage.Relation, err
 		out.Rows = ts.rowsIn(q)
 	}
 	return out, nil
+}
+
+// EachIn calls fn on each row RowsIn would return, in the same order,
+// without building the list, and returns how many rows it visited. The rows
+// are the store's own: fn must not write to them.
+func (s *Store) EachIn(meta *catalog.Table, q region.Box, fn func(value.Row)) int {
+	ts := s.table(meta.Name)
+	if ts == nil {
+		return 0
+	}
+	return ts.selectIn(q).each(ts.rows, fn)
 }
 
 // StoredRowCount returns the total number of materialised rows for a table.

@@ -407,3 +407,83 @@ func TestTypedKeysMatchStringKeysAtScale(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseKeysMatchStringKeys is the differential property of match's
+// direct-indexed path: build keys that are integers under value.NumericKey
+// (Int, or an integral Float) in a range up to its 9-per-row limit and just
+// past it, near zero and at both int64 edges, against probe keys inside and
+// outside the range, written as Int or Float, non-integral and NaN floats,
+// -0.0, NULL and strings, with either side the build. Rows and their order
+// must be the string-key reference's, and both paths must run.
+func TestDenseKeysMatchStringKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var paths [2]int // hashed, direct
+	for iter := 0; iter < 400; iter++ {
+		n := []int{1, 2, 9, 60, 300}[rng.Intn(5)]
+		lo := []int64{0, -30, 1 << 40, math.MinInt64, math.MaxInt64 - 9*300 - 64}[rng.Intn(5)]
+		span := []int64{int64(n), int64(9*n + 64), int64(9*n + 65), 1}[rng.Intn(3+min(1, 9/n))] // one key: up to 9 rows
+		num := func(k int64) value.Value {
+			if k > -(1<<53) && k < 1<<53 && rng.Intn(3) == 0 {
+				return value.NewFloat(float64(k))
+			}
+			return value.NewInt(k)
+		}
+		build := func(rows int) Relation {
+			rel := randomRelation(rng, "b", 2, 0, 0)
+			for i := 0; i < rows; i++ {
+				k := num(lo + rng.Int63n(span))
+				if i == 0 {
+					k = num(lo) // the range's ends are taken
+				} else if i == 1 {
+					k = num(lo + span - 1)
+				}
+				rel.Rows = append(rel.Rows, value.Row{k, value.NewInt(int64(i))})
+			}
+			if rows > 0 && rng.Intn(8) == 0 { // a key that is no integer: hashed
+				rel.Rows[rng.Intn(rows)][0] = keyValues[rng.Intn(len(keyValues))]
+			}
+			return rel
+		}
+		probe := func(rows int) Relation {
+			rel := randomRelation(rng, "p", 2, 0, 0)
+			for i := 0; i < rows; i++ {
+				var k value.Value
+				switch rng.Intn(4) {
+				case 0:
+					k = keyValues[rng.Intn(len(keyValues))]
+				case 1:
+					k = num(lo + span + rng.Int63n(3) - 1) // at and past the top
+				case 2:
+					k = num(lo + rng.Int63n(3) - 1) // at and below the bottom
+				default:
+					k = num(lo + rng.Int63n(span))
+				}
+				rel.Rows = append(rel.Rows, value.Row{value.NewInt(int64(i)), k})
+			}
+			return rel
+		}
+		b, p := build(n), probe(n+rng.Intn(2*n+1))
+		l, r, lc, rc := p, b, []int{1}, []int{0}
+		if rng.Intn(2) == 0 { // the build side on the left: probe rows must outnumber it
+			l, r, lc, rc = b, probe(n+1+rng.Intn(2*n)), []int{0}, []int{1}
+		}
+		bRows := r.Rows
+		if len(l.Rows) < len(r.Rows) {
+			bRows = l.Rows
+		}
+		_, _, dense := denseKeys(bRows, []int{0})
+		if bRows[0][0] != b.Rows[0][0] { // the build is b whenever the test means it to be
+			t.Fatalf("iter %d: the build side is not the dense-keyed relation", iter)
+		}
+		paths[map[bool]int{false: 0, true: 1}[dense]]++
+		what := fmt.Sprintf("iter %d (%d x %d rows, keys from %d over %d)", iter, l.Len(), r.Len(), lo, span)
+		want := refHashJoin(l, r, lc, rc)
+		sameRelation(t, what+" HashJoin", HashJoin(l, r, lc, rc), want)
+		streamed := NewAggregator(want.Schema, []int{0}, []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 3}})
+		EachJoined(l, r, lc, rc, streamed.Add)
+		sameRelation(t, what+" streamed Aggregate", streamed.Result(), refAggregate(want, []int{0}, []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 3}}))
+	}
+	if paths[0] < 50 || paths[1] < 50 {
+		t.Errorf("%d joins hashed and %d indexed their keys directly; the test wants both paths", paths[0], paths[1])
+	}
+}

@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -202,16 +203,26 @@ func (r Relation) DistinctValues(col int) []value.Value {
 // probe row's matches in build-row order. With no key columns, or lists of
 // different lengths, every pair is emitted, left-major.
 func EachJoined(left, right Relation, lc, rc []int, emit func(l, r value.Row)) {
-	match(left, right, lc, rc).each(emit)
+	m := match(left, right, lc, rc)
+	m.each(emit)
+	m.release()
 }
 
-// matches are EachJoined's pairs: probe row p meets build rows first[p],
-// next[first[p]] and so on, until -1.
+// matches are EachJoined's pairs: the i-th probe row with a match,
+// probe[hit[i]], meets build rows first[i], next[first[i]] and so on, until
+// -1. The three lists are carved from links, which release gives back.
 type matches struct {
-	build, probe []value.Row
-	first, next  []int32
-	swapped      bool // the build side is the left input
+	build, probe     []value.Row
+	hit, first, next []int32
+	links            *[]int32
+	swapped          bool // the build side is the left input
 }
+
+// links recycles matches' lists: they die with their join, and a query joins
+// over and over.
+var links = sync.Pool{New: func() any { return new([]int32) }}
+
+func (m matches) release() { links.Put(m.links) }
 
 func match(left, right Relation, lc, rc []int) matches {
 	m := matches{build: right.Rows, probe: left.Rows}
@@ -223,23 +234,83 @@ func match(left, right Relation, lc, rc []int) matches {
 	}
 	// Filled from the back, the table ends up holding each key's first
 	// build row, and next[i] is the build row after i with its key.
-	ht := value.NewKeyTable(value.NumericKey, bc, len(m.build))
-	links := make([]int32, len(m.build)+len(m.probe))
-	m.next, m.first = links[:len(m.build)], links[len(m.build):]
-	for i := len(m.build) - 1; i >= 0; i-- {
-		m.next[i] = int32(ht.Put(m.build, m.build[i], i))
+	lo, span, dense := denseKeys(m.build, bc)
+	nb, np := len(m.build), len(m.probe)
+	m.links = links.Get().(*[]int32)
+	if need := nb + 2*np + 1 + span; cap(*m.links) < need {
+		*m.links = make([]int32, need)
 	}
-	ht.Find(m.build, m.probe, pc, m.first)
+	buf := (*m.links)[:cap(*m.links)]
+	m.next, m.first, m.hit = buf[:nb], buf[nb:nb+np], buf[nb+np:nb+2*np+1]
+	if dense {
+		// Integer keys in a short range index an array of each key's first
+		// build row + 1 directly: no hash and no probe loop. Its last entry
+		// stays 0, the miss every key outside the range reads.
+		heads, c := buf[nb+2*np+1:nb+2*np+1+span], bc[0]
+		clear(heads)
+		for i := nb - 1; i >= 0; i-- {
+			k := value.NumericKey.Canonical(m.build[i][c]).Int64() - lo
+			m.next[i], heads[k] = heads[k]-1, int32(i+1)
+		}
+		c, last := pc[0], uint64(span-1)
+		for p, r := range m.probe {
+			v, k := value.NumericKey.Canonical(r[c]), last
+			if v.K == value.Int {
+				k = min(uint64(v.Int64()-lo), last)
+			}
+			m.first[p] = heads[k] - 1
+		}
+	} else {
+		ht := value.NewKeyTable(value.NumericKey, bc, nb)
+		for i := nb - 1; i >= 0; i-- {
+			m.next[i] = int32(ht.Put(m.build, m.build[i], i))
+		}
+		ht.Find(m.build, m.probe, pc, m.first)
+	}
+	// Keep the probe rows that met a build row, in order, without a branch
+	// on each: every row is written at the end of the kept ones, and only a
+	// hit (first ≥ 0, sign bit clear) moves the end on. hit has one spare
+	// slot, for the misses after the last hit.
+	n := 0
+	for p, b := range m.first {
+		m.first[n], m.hit[n] = b, int32(p)
+		n += int(^uint32(b) >> 31)
+	}
+	m.first, m.hit = m.first[:n], m.hit[:n]
 	return m
 }
 
+// denseKeys reports whether match can index its build rows' keys directly:
+// a key of one column, an integer under value.NumericKey in every build row,
+// the keys spanning no more values than 9 per row (4 bytes a value, never
+// more than a key table's 36 bytes a row, plus 256). span counts the values
+// from lo up, plus one for the miss.
+func denseKeys(build []value.Row, bc []int) (lo int64, span int, ok bool) {
+	if len(bc) != 1 || len(build) == 0 {
+		return 0, 0, false
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, r := range build {
+		v := value.NumericKey.Canonical(r[bc[0]])
+		if v.K != value.Int {
+			return 0, 0, false
+		}
+		lo, hi = min(lo, v.Int64()), max(hi, v.Int64())
+	}
+	if w := uint64(hi - lo); w < uint64(9*len(build)+64) {
+		return lo, int(w) + 2, true
+	}
+	return 0, 0, false
+}
+
 func (m matches) each(emit func(l, r value.Row)) {
-	for p, b := range m.first {
+	for i, b := range m.first {
+		p := m.probe[m.hit[i]]
 		for ; b >= 0; b = m.next[b] {
 			if m.swapped {
-				emit(m.build[b], m.probe[p])
+				emit(m.build[b], p)
 			} else {
-				emit(m.probe[p], m.build[b])
+				emit(p, m.build[b])
 			}
 		}
 	}
@@ -257,12 +328,14 @@ func HashJoin(r, s Relation, lc, rc []int) Relation {
 // exactly the output's size; like every relation's rows they must not be
 // written to.
 func HashJoinKeep(r, s Relation, lc, rc, keep []int) Relation {
-	sch := append(r.Schema.Clone(), s.Schema...)
-	if keep != nil {
-		sch = projectSchema(sch, keep)
-	}
+	sch := JoinSchema(r.Schema, s.Schema, keep)
 	m, n, w := match(r, s, lc, rc), 0, len(sch)
-	m.each(func(l, r value.Row) { n++ })
+	defer m.release()
+	for _, b := range m.first {
+		for ; b >= 0; b = m.next[b] {
+			n++
+		}
+	}
 	out := Relation{Schema: sch, Rows: make([]value.Row, 0, n)}
 	slab := make([]value.Value, n*w)
 	m.each(func(l, r value.Row) {
@@ -276,6 +349,23 @@ func HashJoinKeep(r, s Relation, lc, rc, keep []int) Relation {
 		}
 		out.Rows = append(out.Rows, row)
 	})
+	return out
+}
+
+// JoinSchema is the schema of the rows l++r, restricted to the columns keep
+// of it, in that order; nil keeps every column.
+func JoinSchema(l, r value.Schema, keep []int) value.Schema {
+	if keep == nil {
+		return append(append(make(value.Schema, 0, len(l)+len(r)), l...), r...)
+	}
+	out := make(value.Schema, len(keep))
+	for i, c := range keep {
+		if c < len(l) {
+			out[i] = l[c]
+		} else {
+			out[i] = r[c-len(l)]
+		}
+	}
 	return out
 }
 

@@ -230,8 +230,11 @@ func (t *KeyTable) inlineSlot(v Value) (*keySlot, keySlot) {
 func split(h uint64) (lo, hi uint32) { return uint32(h), uint32(h >> 32) }
 
 // match returns the first slot from i on that is empty or holds key's bits.
+// A slot ends the probe when its tag or its difference from key is 0: one
+// test, so whether the home slot is empty (as a join's probe mostly finds
+// it) is not a branch to predict.
 func (t *KeyTable) match(i int, key keySlot) int {
-	for s := &t.slots[i]; s.tag != 0 && (s.lo != key.lo || s.hi != key.hi || s.tag&7 != key.tag); s = &t.slots[i] {
+	for s := &t.slots[i]; min(s.tag, (s.lo^key.lo)|(s.hi^key.hi)|(s.tag&7^key.tag)) != 0; s = &t.slots[i] {
 		i = t.after(i)
 	}
 	return i

@@ -219,3 +219,69 @@ func TestKeyTableAgainstMap(t *testing.T) {
 		t.Errorf("Find past a shared hash = %d, want 1", ids[0])
 	}
 }
+
+// TestKeyTableFindUnderCollisions: Find against a map on tables of 8 slots,
+// where most keys share a home slot with another, so probes end on slots
+// holding other keys' bits, on slots of other kinds with the same payload and
+// on empty slots after a run. The keys are NumericKey's hard cases: NaNs of
+// several payloads, 0.0 and −0.0, integral floats that meet ints, the int64
+// edges and non-integral floats. A table is filled from the back with Put, as
+// a join's build side is, so each key must find its first row; the inline
+// path (one column) and the hashed path (two) both run.
+func TestKeyTableFindUnderCollisions(t *testing.T) {
+	pool := []Value{
+		NewNull(), NewInt(0), NewFloat(0), NewFloat(math.Copysign(0, -1)), NewInt(2), NewFloat(2), NewFloat(2.5),
+		NewFloat(math.NaN()), NewFloat(math.Float64frombits(0x7ff8000000000123)), NewFloat(math.Float64frombits(0xfff0000000000001)),
+		NewInt(math.MinInt64), NewFloat(-(1 << 63)), NewInt(math.MaxInt64), NewFloat(1 << 63),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewInt(1 << 53), NewFloat(1 << 53), NewInt(-7), NewFloat(-7),
+		NewString("a"), NewString("2"),
+	}
+	rng := rand.New(rand.NewSource(45))
+	shared := 0
+	for round := 0; round < 2000; round++ {
+		cols := []int{0}
+		if round%2 == 1 {
+			cols = []int{0, 1}
+		}
+		rows := make([]Row, 2+rng.Intn(5)) // at most 6 ids: a table of 8 slots never grows
+		for i := range rows {
+			rows[i] = Row{pool[rng.Intn(len(pool))], NewInt(int64(rng.Intn(2)))}
+		}
+		x := NewKeyTable(NumericKey, cols, 2)
+		if len(x.slots) != 8 {
+			t.Fatalf("a table for 2 entries has %d slots, want 8", len(x.slots))
+		}
+		for i := len(rows) - 1; i >= 0; i-- {
+			x.Put(rows, rows[i], i)
+		}
+		first := map[string]int32{}
+		for i := len(rows) - 1; i >= 0; i-- {
+			first[refKey(NumericKey, Row{rows[i][0], rows[i][1]}[:len(cols)])] = int32(i)
+		}
+		probes := make([]Row, len(pool)*2)
+		for i := range probes {
+			probes[i] = Row{NewInt(9), pool[i/2], NewInt(int64(i % 2))} // the key in columns 1 and 2
+		}
+		pc := []int{1, 2}[:len(cols)]
+		ids := make([]int32, len(probes))
+		x.Find(rows, probes, pc, ids)
+		for p, got := range ids {
+			want, ok := first[refKey(NumericKey, probes[p][1:1+len(cols)])]
+			if !ok {
+				want = -1
+			}
+			if got != want {
+				t.Fatalf("round %d, cols %v, rows %v: Find(%v) = %d, a map says %d", round, cols, rows, probes[p][1:], got, want)
+			}
+		}
+		for i, s := range x.slots {
+			if s.tag != 0 && x.home(s.hash()) != i {
+				shared++
+			}
+		}
+	}
+	t.Logf("%d keys sat away from their home slot", shared)
+	if shared < 500 {
+		t.Errorf("only %d keys sat away from their home slot; the test wants collisions", shared)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"payless/internal/market"
@@ -21,9 +22,12 @@ import (
 // Allocation counts are deterministic where wall-clock ratios are not: this
 // is the regression guard on the local executor — string keys or per-row
 // join output put this query above 10 000 — and the timing itself is
-// benchmarks/run.sh's business.
+// benchmarks/run.sh's business. A covered T1 (one relation under an
+// aggregate) streams the store's rows into the aggregator, so it allocates
+// the same whether its box holds a dozen rows or twenty thousand.
 func TestCoveredQueryAllocations(t *testing.T) {
-	c, d := tpchClient(t, 256, "Customer", "Orders")
+	c, d := tpchClient(t, 256, "Customer", "Orders", "Lineitem")
+	t.Run("T1", func(t *testing.T) { coveredT1Allocations(t, c) })
 	sql := d.Templates()[2].Instantiate(rand.New(rand.NewSource(3)))
 	res, err := c.Query(sql) // also compiles the plan template
 	if err != nil {
@@ -50,6 +54,51 @@ func TestCoveredQueryAllocations(t *testing.T) {
 		t.Errorf("covered T3: %d bytes per query, pinned at %d", bytes, pinnedBytes)
 	}
 	t.Logf("covered T3: %v allocations, %d bytes per query", allocs, bytes)
+}
+
+// coveredT1Allocations runs two instances of T1 over a covered Lineitem,
+// one selecting a single ship date and one most of the table, and requires
+// the same allocations of both, and bytes apart by no more than the wide
+// read's transient selection: a bit per stored row, under 8 KB. Both boxes
+// restrict the table, so each read builds one selection; a row list of the
+// wide read's rows alone would be 500 KB.
+func coveredT1Allocations(t *testing.T, c *Client) {
+	const t1 = "SELECT COUNT(*), SUM(ExtendedPrice) FROM Lineitem WHERE ShipDate >= %d AND ShipDate <= %d AND Discount >= 0 AND Discount <= %d AND Quantity <= 50"
+	const runs = 20
+	var rows [2]int64
+	var allocs [2]float64
+	var bytes [2]uint64
+	for i, sql := range []string{fmt.Sprintf(t1, 1000, 1000, 10), fmt.Sprintf(t1, 1, 2000, 9)} {
+		res, err := c.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.Transactions != 0 {
+			t.Fatalf("%s: billed %d transactions over a covered Lineitem", sql, res.Report.Transactions)
+		}
+		if rows[i], err = strconv.ParseInt(res.Rows[0][0], 10, 64); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs[i] = testing.AllocsPerRun(runs, func() {
+			if _, err := c.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		bytes[i] = (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	}
+	if rows[0] == 0 || rows[1] < 10*rows[0] {
+		t.Fatalf("T1 matched %d and %d rows; the gate wants a non-empty read and one at least 10x larger", rows[0], rows[1])
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("covered T1: %v allocations at %d rows, %v at %d rows; want the same", allocs[0], rows[0], allocs[1], rows[1])
+	}
+	if bytes[1] > bytes[0]+8<<10 {
+		t.Errorf("covered T1: %d bytes at %d rows, %d at %d rows; want at most 8 KB more", bytes[0], rows[0], bytes[1], rows[1])
+	}
+	t.Logf("covered T1: %v allocations and %d bytes at %d rows, %v and %d at %d rows", allocs[0], bytes[0], rows[0], allocs[1], bytes[1], rows[1])
 }
 
 // tpchClient opens a client with the given plan-cache size over a TPC-H
@@ -134,5 +183,34 @@ func TestRenderRowsIsValueString(t *testing.T) {
 				t.Fatalf("trial %d: appending to row 0 overwrote row 1: %q", trial, got[1])
 			}
 		}
+	}
+}
+
+// BenchmarkCoveredTPCH times one covered TPC-H query per iteration, per
+// template, in process: the ledger's tpch_covered setup (SF 1, every market
+// table bought whole, plan cache 256) without the daemon and the wire. Each
+// iteration runs the next of 64 instances drawn once from seed 1, so the
+// plan cache hits as it does under the ledger.
+func BenchmarkCoveredTPCH(b *testing.B) {
+	c, d := tpchClient(b, 256, "Customer", "Orders", "Lineitem", "Part", "Supplier", "PartSupp")
+	for _, ti := range []int{0, 2, 3, 4} {
+		tpl := d.Templates()[ti]
+		rng := rand.New(rand.NewSource(1))
+		sqls := make([]string, 64)
+		for i := range sqls {
+			sqls[i] = tpl.Instantiate(rng)
+		}
+		b.Run(tpl.Name[:2], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := c.Query(sqls[i%len(sqls)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Report.Transactions != 0 {
+					b.Fatalf("%s billed %d transactions over a covered store", sqls[i%len(sqls)], res.Report.Transactions)
+				}
+			}
+		})
 	}
 }

@@ -3,10 +3,13 @@ package payless
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"payless/internal/catalog"
+	"payless/internal/market"
 	"payless/internal/value"
 )
 
@@ -251,5 +254,77 @@ func TestHavingLiteralOfWrongTypeIsABindError(t *testing.T) {
 	before = spent()
 	if _, err := stmt.Query("x"); !errors.Is(err, ErrBind) || spent() != before {
 		t.Errorf("HAVING n > ? given \"x\": %v, billed %d", err, spent()-before)
+	}
+}
+
+// TestBoundAttributeOverItsWholeDomain: a range that covers all of a Bound
+// attribute's domain (K >= 0 with K in [0, 9]) still binds it, so the call
+// must carry it: the statement returns every row and bills what a call with
+// K in [0,9] bills, and a narrower range (K >= 1) its own rows at its own
+// price. A call that left the full dimension out was refused by the market
+// ("must be bound in every call").
+func TestBoundAttributeOverItsWholeDomain(t *testing.T) {
+	locked := &catalog.Table{
+		Name:   "Locked",
+		Schema: value.Schema{{Name: "K", Type: value.Int}, {Name: "V", Type: value.Int}},
+		Attrs: []catalog.Attribute{
+			{Name: "K", Type: value.Int, Binding: catalog.Bound, Class: catalog.NumericAttr, Min: 0, Max: 9},
+			{Name: "V", Type: value.Int, Binding: catalog.Output},
+		},
+	}
+	var rows []value.Row
+	for i := int64(0); i < 20; i++ {
+		rows = append(rows, value.Row{value.NewInt(i % 10), value.NewInt(i)})
+	}
+	m := market.New()
+	ds, err := m.AddDataset("D", 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.AddTable(locked, rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql    string
+		lo, hi int64
+	}{
+		{"SELECT * FROM Locked WHERE K >= 0", 0, 9},
+		{"SELECT * FROM Locked WHERE K >= 1", 1, 9},
+	} {
+		ref := "ref" + strconv.FormatInt(c.lo, 10)
+		m.RegisterAccount(ref)
+		want, err := m.Execute(ref, catalog.AccessQuery{Dataset: "D", Table: "Locked",
+			Preds: []catalog.Pred{{Attr: "K", Lo: catalog.IntPtr(c.lo), Hi: catalog.IntPtr(c.hi)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := "k" + strconv.FormatInt(c.lo, 10)
+		m.RegisterAccount(key)
+		client, err := Open(Config{Tables: m.ExportCatalog(), Caller: market.AccountCaller{Market: m, Key: key}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := client.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if res.Report.Transactions != want.Transactions {
+			t.Errorf("%s: billed %d transactions, a call with K in [%d,%d] bills %d", c.sql, res.Report.Transactions, c.lo, c.hi, want.Transactions)
+		}
+		var got []string
+		for _, r := range res.Rows {
+			got = append(got, strings.Join(r, ","))
+		}
+		var exp []string
+		for _, r := range rows {
+			if k := r[0].Int64(); k >= c.lo && k <= c.hi {
+				exp = append(exp, r[0].String()+","+r[1].String())
+			}
+		}
+		slices.Sort(got)
+		slices.Sort(exp)
+		if !slices.Equal(got, exp) {
+			t.Errorf("%s: rows %v, want %v", c.sql, got, exp)
+		}
 	}
 }
