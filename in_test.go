@@ -2,6 +2,8 @@ package payless
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -150,5 +152,52 @@ func TestInHugeListFallsBackToResidual(t *testing.T) {
 	}
 	if res.Rows[0][0] != want.Rows[0][0] {
 		t.Errorf("huge IN = %s, range = %s", res.Rows[0][0], want.Rows[0][0])
+	}
+}
+
+// TestBindJoinUnderCategoricalInList: a bind join into a relation whose IN
+// list on a categorical attribute splits its access region groups its
+// bindings within each access box, since the hull of the boxes spans the
+// list's values and no call can. The statement used to buy Station and then
+// fail; its rows now equal the answer computed from the full data.
+func TestBindJoinUnderCategoricalInList(t *testing.T) {
+	client, _, w := testSetup(t, nil)
+	sch := w.Station.Schema
+	country, sidCol, city := sch.IndexOf("Country"), sch.IndexOf("StationID"), sch.IndexOf("City")
+	cities := map[int64]string{}
+	var sid int64
+	for _, r := range w.StationRows {
+		cities[r[sidCol].Int64()] = r[city].Str()
+		if sid == 0 && r[country].Str() == "Country01" {
+			sid = r[sidCol].Int64()
+		}
+	}
+	sql := fmt.Sprintf("SELECT City, COUNT(*) FROM Weather, Station WHERE Weather.StationID = Station.StationID "+
+		"AND Weather.StationID = %d AND Weather.Country IN ('Country01', 'United States') GROUP BY City", sid)
+	ex, err := client.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ex.Plan, "Weather(bind") {
+		t.Fatalf("plan %s binds no Weather: the test no longer reaches the bind join", ex.Plan)
+	}
+	res, err := client.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	wsch := w.Weather.Schema
+	for _, r := range w.WeatherRows {
+		c := r[wsch.IndexOf("Country")].Str()
+		if r[wsch.IndexOf("StationID")].Int64() == sid && (c == "Country01" || c == "United States") {
+			counts[cities[sid]]++
+		}
+	}
+	var want [][]string
+	for c, n := range counts {
+		want = append(want, []string{c, strconv.Itoa(n)})
+	}
+	if len(want) == 0 || canon(res.Rows) != canon(want) {
+		t.Errorf("rows %v, the full data says %v", res.Rows, want)
 	}
 }

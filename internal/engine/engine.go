@@ -19,7 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"payless/internal/catalog"
 	"payless/internal/core"
@@ -80,6 +80,11 @@ type Engine struct {
 // relation plus the market cost actually incurred. Cancelling ctx stops
 // in-flight market fan-out, keeping whatever partial results were already
 // paid for.
+//
+// Relations are joined as row ids (storage.Tuples): a relation read from the
+// store is the store's rows and a selection of their ids, a join writes the
+// ids of its pairs into lists of a per-query arena, and values are read only
+// by the aggregator, the cross residual and the projection.
 func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.Relation, Report, error) {
 	var report Report
 	b := plan.Bound
@@ -87,332 +92,186 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 		return storage.Relation{}, report, fmt.Errorf("plan has no steps")
 	}
 	// Nothing but the aggregate reads the last join of an aggregate query
-	// (a cross residual would: it filters joined rows), so that join streams
-	// into it; every join before it copies only the columns a later step
-	// reads (SELECT * reads them all).
-	streamLast := len(plan.Steps) > 1 && b.Query.HasAggregates() && len(b.CrossResidual) == 0
-	var need map[string]int
-	if b.Star == nil && (len(plan.Steps) > 2 || (len(plan.Steps) == 2 && !streamLast)) {
-		need = lastReads(plan)
-	}
-	// A partial batch failure carries the query-level billed totals, so the
-	// caller can account the spend without unpacking Report out-of-band.
-	fail := func(err error) (storage.Relation, Report, error) {
-		var pe *PartialError
-		if errors.As(err, &pe) {
-			pe.Billed = report
-		}
-		return storage.Relation{}, report, err
-	}
-	if step := plan.Steps[0]; len(plan.Steps) == 1 && b.Query.HasAggregates() && len(b.CrossResidual) == 0 && e.fromStore(b.Rels[step.Rel], step) {
-		out, err := e.aggregateScan(ctx, b.Rels[step.Rel], step, b, &report)
-		if err != nil {
-			return fail(err)
-		}
-		return out, report, nil
-	}
-	var cur storage.Relation
+	// (a cross residual would: it filters joined rows), so that join
+	// streams into it.
+	stream := b.Query.HasAggregates() && len(b.CrossResidual) == 0
+	a := storage.NewArena()
+	defer a.Release()
+	var cur storage.Tuples
 	for i, step := range plan.Steps {
 		rel := b.Rels[step.Rel]
-		fetched, err := e.fetch(ctx, rel, step, cur, b, &report)
+		in, err := e.fetch(ctx, a, rel, step, cur, b, &report)
 		if err != nil {
-			return fail(err)
+			// A partial batch failure carries the query-level billed totals,
+			// so the caller can account the spend without unpacking Report.
+			if pe := (*PartialError)(nil); errors.As(err, &pe) {
+				pe.Billed = report
+			}
+			return storage.Relation{}, report, err
 		}
-		fetched = applyResidual(fetched, rel)
-		fetched.Schema = rel.Schema
+		in = filter(a, in, rel.Residual, func(c sqlparse.ColRef) storage.Col {
+			return storage.Col{In: 0, Col: rel.Table.Schema.IndexOf(c.Column)}
+		})
 		if i == 0 {
-			cur = fetched
+			cur = in
 			continue
 		}
-		lc, rc, err := joinColumns(b, step, cur.Schema, fetched.Schema)
+		lk, rk, err := joinColumns(b, step, cur, in)
 		if err != nil {
 			return storage.Relation{}, report, err
 		}
-		if streamLast && i == len(plan.Steps)-1 {
-			return aggregateJoin(cur, fetched, lc, rc, b), report, nil
+		if stream && i == len(plan.Steps)-1 {
+			return aggregate(a, b, cur, in, lk, rk), report, nil
 		}
-		cur = storage.HashJoinKeep(cur, fetched, lc, rc, keepColumns(need, i, cur.Schema, fetched.Schema))
+		cur = a.Join(cur, in, lk, rk)
 	}
-	return project(applyCrossResidual(cur, b), b), report, nil
-}
-
-// lastReads maps every column the binder recorded as read after the scans
-// to the last step that reads it: its relation's join edges are read by
-// the steps that join or bind on them, and the output, its aggregates and
-// the cross residuals after the last step, len(plan.Steps).
-func lastReads(plan *core.Plan) map[string]int {
-	b, end := plan.Bound, len(plan.Steps)
-	need := make(map[string]int, len(b.Cols))
-	for _, item := range b.Query.Select {
-		if !item.AggStar {
-			need[b.Cols[item.Col]] = end
-		}
-	}
-	for _, g := range b.Query.GroupBy {
-		need[b.Cols[g]] = end
-	}
-	for _, c := range b.CrossResidual {
-		need[b.Cols[c.Left]], need[b.Cols[*c.RightCol]] = end, end
-	}
-	read := func(j, e int) {
-		for _, rel := range [2]int{b.Joins[e].L, b.Joins[e].R} {
-			attr, _, _ := b.Joins[e].Toward(rel)
-			sch := b.Rels[rel].Schema
-			if c := prefixColumn(sch, b.Rels[rel].Alias(), attr); c >= 0 && need[sch[c].Name] < j {
-				need[sch[c].Name] = j
-			}
-		}
-	}
-	for j, step := range plan.Steps {
-		for _, e := range step.Joins {
-			read(j, e)
-		}
-		if step.Kind == core.MarketBind && step.BindJoin >= 0 && step.BindJoin < len(b.Joins) {
-			read(j, step.BindJoin)
-		}
-	}
-	return need
-}
-
-// keepColumns lists the columns of a join's concatenated schema l++r that a
-// step after step reads, or nil when all of them are.
-func keepColumns(need map[string]int, step int, l, r value.Schema) []int {
-	if need == nil {
-		return nil
-	}
-	keep := make([]int, 0, len(need))
-	for i, c := range l {
-		if need[c.Name] > step {
-			keep = append(keep, i)
-		}
-	}
-	for i, c := range r {
-		if need[c.Name] > step {
-			keep = append(keep, len(l)+i)
-		}
-	}
-	if len(keep) == len(l)+len(r) {
-		return nil
-	}
-	return keep
+	cur = filter(a, cur, b.CrossResidual, func(c sqlparse.ColRef) storage.Col { return cur.Column(b.Cols[c]) })
+	return project(cur, b), report, nil
 }
 
 // fetch obtains the rows of one relation according to its access path.
-func (e *Engine) fetch(ctx context.Context, rel *core.Rel, step core.Step, prefix storage.Relation, b *core.BoundQuery, report *Report) (storage.Relation, error) {
+func (e *Engine) fetch(ctx context.Context, a *storage.Arena, rel *core.Rel, step core.Step, prefix storage.Tuples, b *core.BoundQuery, report *Report) (storage.Tuples, error) {
 	switch step.Kind {
 	case core.LocalScan:
 		if rel.Table.Local {
-			return e.localScan(rel)
+			return e.localScan(a, rel)
 		}
 		// A fully covered market relation is a zero-price access (Theorem
 		// 2): the whole read is a semantic-store hit.
-		out, err := e.storedRows(rel.Table, rel.AccessBoxes())
-		if err == nil {
-			e.storeServed(true, int64(len(out.Rows)))
-		}
-		return out, err
+		out := e.stored(a, rel, rel.AccessBoxes())
+		e.noteStoreServed(0, out.N, nil)
+		return out, nil
 	case core.MarketScan:
 		boxes := rel.AccessBoxes()
-		return e.buy(ctx, rel.Table, boxes, boxes, report)
+		return e.buy(ctx, a, rel, boxes, boxes, report)
 	case core.MarketBind:
-		return e.bindScan(ctx, rel, step, prefix, b, report)
+		return e.bindScan(ctx, a, rel, step, prefix, b, report)
 	default:
-		return storage.Relation{}, fmt.Errorf("unknown access kind %v", step.Kind)
+		return storage.Tuples{}, fmt.Errorf("unknown access kind %v", step.Kind)
 	}
 }
 
 // localScan reads a local DBMS table as the calls for the relation's access
 // boxes would: a row is kept when any box's call matches it, so a relation
 // without boxes reads nothing.
-func (e *Engine) localScan(rel *core.Rel) (storage.Relation, error) {
+func (e *Engine) localScan(a *storage.Arena, rel *core.Rel) (storage.Tuples, error) {
 	tbl, ok := e.Store.DB().Lookup(rel.Table.Name)
 	if !ok {
-		return storage.Relation{}, fmt.Errorf("local table %s not loaded", rel.Table.Name)
+		return storage.Tuples{}, fmt.Errorf("local table %s not loaded", rel.Table.Name)
 	}
 	boxes := rel.AccessBoxes()
 	filters := make([]catalog.Filter, len(boxes))
 	for i, ab := range boxes {
 		q, err := catalog.QueryForBox(rel.Table, ab)
 		if err != nil {
-			return storage.Relation{}, err
+			return storage.Tuples{}, err
 		}
 		filters[i] = catalog.CompileFilter(rel.Table, q)
 	}
-	return tbl.Relation().Select(func(row value.Row) bool {
-		for _, f := range filters {
-			if f.Matches(row) {
-				return true
-			}
-		}
-		return false
+	t := a.Source(rel.Schema, tbl.Relation().Rows, a.List(0), true)
+	return a.Filter(t, func(i int) bool {
+		return slices.ContainsFunc(filters, func(f catalog.Filter) bool { return f.Matches(t.Row(0, i)) })
 	}), nil
 }
 
-// storedRows reads the store's rows inside each box, in box order. A single
-// box's rows come back as the store handed them out, uncopied.
-func (e *Engine) storedRows(meta *catalog.Table, boxes []region.Box) (storage.Relation, error) {
-	out := storage.Relation{Schema: meta.Schema}
-	for _, ab := range boxes {
-		got, err := e.Store.RowsIn(meta, ab)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		if len(boxes) == 1 {
-			return got, nil
-		}
-		out.Rows = append(out.Rows, got.Rows...)
-	}
-	return out, nil
+// stored reads the store's rows of rel inside each box, in box order, as
+// ids into the store's row list.
+func (e *Engine) stored(a *storage.Arena, rel *core.Rel, boxes []region.Box) storage.Tuples {
+	list := a.List(0)
+	rows, all := e.Store.SelectIn(rel.Table, boxes, list)
+	return a.Source(rel.Schema, rows, list, all)
 }
 
 // buy obtains one market relation's rows inside the reads boxes. With SQR
 // (§4.2) it plans the remainder of each calls box against the live store,
 // buys and records those remainders as one batch through the worker pool,
 // then reads the rows back from the store over reads; a plan holds no
-// remainders, so a cached plan and a fresh one buy alike. A scan's calls
-// are its reads; a bind join's calls are its coalesced binding groups.
-// Without SQR each read box is issued as-is and the rows are concatenated:
-// the paper's baseline buys call by call.
-func (e *Engine) buy(ctx context.Context, meta *catalog.Table, calls, reads []region.Box, report *Report) (storage.Relation, error) {
-	if e.Options.DisableSQR {
-		specs, err := specsForBoxes(meta, reads, false)
-		if err != nil {
-			return storage.Relation{}, err
+// remainders, so a cached plan and a fresh one buy alike. Call boxes are
+// pairwise disjoint (IN lists split an access region into separate
+// intervals; binding groups are distinct on the bind dimension), so their
+// remainder plans cannot overlap and one coverage snapshot serves them all.
+// A scan's calls are its reads; a bind join's calls are its coalesced
+// binding groups. Without SQR each read box is issued as-is and the rows
+// are concatenated: the paper's baseline buys call by call.
+func (e *Engine) buy(ctx context.Context, a *storage.Arena, rel *core.Rel, calls, reads []region.Box, report *Report) (storage.Tuples, error) {
+	sqr, boxes := !e.Options.DisableSQR, reads
+	if sqr {
+		cfg := core.RewriteConfig(rel.Table, &e.Options)
+		boxes = nil
+		for _, cb := range calls {
+			boxes = append(boxes, core.Remainder(e.Store, e.Stats, rel.Table.Name, cb, cfg, e.Options.Since, e.Trace).Boxes...)
 		}
-		results, err := e.runBatch(ctx, specs, report)
-		if err != nil {
-			return storage.Relation{}, err
-		}
-		out := storage.Relation{Schema: meta.Schema.Clone()}
-		for _, res := range results {
-			out.Rows = append(out.Rows, res.Rows...)
-		}
-		return out, nil
 	}
-	n, results, err := e.buyRemainders(ctx, meta, calls, report)
+	specs, err := specsForBoxes(rel.Table, boxes, sqr)
 	if err != nil {
-		return storage.Relation{}, err
-	}
-	out, err := e.storedRows(meta, reads)
-	if err != nil {
-		return storage.Relation{}, err
-	}
-	e.noteStoreServed(n, len(out.Rows), results)
-	return out, nil
-}
-
-// buyRemainders plans the remainder of each calls box against the live
-// store, then buys and records those remainders as one batch through the
-// worker pool. It returns how many calls it issued and their results. Call
-// boxes are pairwise disjoint (IN lists split an access region into
-// separate intervals; binding groups are distinct on the bind dimension),
-// so their remainder plans cannot overlap and one coverage snapshot serves
-// them all.
-func (e *Engine) buyRemainders(ctx context.Context, meta *catalog.Table, calls []region.Box, report *Report) (int, []*market.Result, error) {
-	cfg := core.RewriteConfig(meta, &e.Options)
-	var rem []region.Box
-	for _, cb := range calls {
-		rem = append(rem, core.Remainder(e.Store, e.Stats, meta.Name, cb, cfg, e.Options.Since, e.Trace).Boxes...)
-	}
-	specs, err := specsForBoxes(meta, rem, true)
-	if err != nil {
-		return 0, nil, err
+		return storage.Tuples{}, err
 	}
 	results, err := e.runBatch(ctx, specs, report)
-	return len(specs), results, err
-}
-
-// fromStore reports whether a scan's rows are the store's rows inside its
-// access boxes: a covered market relation's, or a market scan's once SQR has
-// recorded its remainders.
-func (e *Engine) fromStore(rel *core.Rel, step core.Step) bool {
-	return step.Kind == core.LocalScan && !rel.Table.Local || step.Kind == core.MarketScan && !e.Options.DisableSQR
-}
-
-// aggregateScan is project over the one relation of an aggregate query
-// whose rows come from the store (fromStore), without those rows in
-// between: after a market scan's remainders are bought, the store's rows
-// inside each access box go, in storedRows order, through the relation's
-// residual straight into the aggregator.
-func (e *Engine) aggregateScan(ctx context.Context, rel *core.Rel, step core.Step, b *core.BoundQuery, report *Report) (storage.Relation, error) {
-	boxes := rel.AccessBoxes()
-	calls := 0
-	var results []*market.Result
-	if step.Kind == core.MarketScan {
-		var err error
-		if calls, results, err = e.buyRemainders(ctx, rel.Table, boxes, report); err != nil {
-			return storage.Relation{}, err
+	if err != nil {
+		return storage.Tuples{}, err
+	}
+	if !sqr {
+		var rows []value.Row
+		for _, res := range results {
+			rows = append(rows, res.Rows...)
 		}
+		return a.Source(rel.Schema, rows, a.List(0), true), nil
 	}
-	groupIdx, aggs := aggregatePlan(rel.Schema, b)
-	agg := storage.NewAggregator(rel.Schema, groupIdx, aggs)
-	keep := residualFilter(rel.Table.Schema, rel)
-	add := func(row value.Row) {
-		if keep == nil || keep(row) {
-			agg.Add(row, nil)
-		}
-	}
-	rows := 0
-	for _, ab := range boxes {
-		rows += e.Store.EachIn(rel.Table, ab, add)
-	}
-	e.noteStoreServed(calls, rows, results)
-	return finishAggregate(agg.Result(), b), nil
+	out := e.stored(a, rel, reads)
+	e.noteStoreServed(len(specs), out.N, results)
+	return out, nil
 }
 
 // bindScan accesses a relation one call per distinct binding value flowing
 // from the prefix (the paper's bind join, Fig. 1c). The per-binding calls
 // are independent — binding coordinates are distinct, so their call boxes
 // are disjoint on the bind dimension — and issue as one batch.
-func (e *Engine) bindScan(ctx context.Context, rel *core.Rel, step core.Step, prefix storage.Relation, b *core.BoundQuery, report *Report) (storage.Relation, error) {
+func (e *Engine) bindScan(ctx context.Context, a *storage.Arena, rel *core.Rel, step core.Step, prefix storage.Tuples, b *core.BoundQuery, report *Report) (storage.Tuples, error) {
 	if step.BindJoin < 0 || step.BindJoin >= len(b.Joins) {
-		return storage.Relation{}, fmt.Errorf("bind join index out of range")
+		return storage.Tuples{}, fmt.Errorf("bind join index out of range")
 	}
 	myAttr, other, otherAttr := b.Joins[step.BindJoin].Toward(step.Rel)
-	srcCol := prefixColumn(prefix.Schema, b.Rels[other].Alias(), otherAttr)
-	if srcCol < 0 {
-		return storage.Relation{}, fmt.Errorf("binding column %s.%s not in prefix", b.Rels[other].Alias(), otherAttr)
+	src := prefix.Column(b.Rels[other].Alias() + "." + otherAttr)
+	if src.In < 0 {
+		return storage.Tuples{}, fmt.Errorf("binding column %s.%s not in prefix", b.Rels[other].Alias(), otherAttr)
 	}
-	bindings := prefix.DistinctValues(srcCol)
-
 	dim, attr := rel.Table.Dim(myAttr)
 	if dim < 0 {
-		return storage.Relation{}, fmt.Errorf("attribute %s.%s is not queryable", rel.Table.Name, myAttr)
+		return storage.Tuples{}, fmt.Errorf("attribute %s.%s is not queryable", rel.Table.Name, myAttr)
 	}
 
-	// Map binding values onto valid coordinates inside the relation's box.
+	// Map the distinct binding values (value.ExactKey; a one-column key
+	// table reads no row) onto valid coordinates inside the relation's box.
 	// Values outside the attribute's domain or the relation's own predicate
 	// range are skipped: the join would reject their rows anyway.
 	var coords []int64
-	seen := make(map[int64]bool)
-	for _, v := range bindings {
-		coord, err := attr.Coord(normalizeBinding(attr, v))
+	seen := value.NewKeyTable(value.ExactKey, nil, 0)
+	for i := range prefix.N {
+		v := prefix.Row(src.In, i)[src.Col : src.Col+1]
+		if seen.Insert(nil, v, i) >= 0 {
+			continue
+		}
+		coord, err := attr.Coord(normalizeBinding(attr, v[0]))
 		if err != nil {
 			continue
 		}
-		if _, ok := region.Point(coord).Intersect(rel.Box.Dims[dim]); !ok {
-			continue
+		if _, ok := region.Point(coord).Intersect(rel.Box.Dims[dim]); ok {
+			coords = append(coords, coord)
 		}
-		if seen[coord] {
-			continue
-		}
-		seen[coord] = true
-		coords = append(coords, coord)
 	}
-	sort.Slice(coords, func(i, j int) bool { return coords[i] < coords[j] })
+	slices.Sort(coords)
+	coords = slices.Compact(coords)
 
 	// Each binding coordinate reads its point box within every access box
 	// (IN predicates may split the relation's access region).
 	var reads []region.Box
 	for _, coord := range coords {
 		for _, ab := range rel.AccessBoxes() {
-			iv, ok := region.Point(coord).Intersect(ab.Dims[dim])
-			if !ok {
-				continue
+			if iv, ok := region.Point(coord).Intersect(ab.Dims[dim]); ok {
+				pb := ab.Clone()
+				pb.Dims[dim] = iv
+				reads = append(reads, pb)
 			}
-			pb := ab.Clone()
-			pb.Dims[dim] = iv
-			reads = append(reads, pb)
 		}
 	}
 	// With SQR, adjacent binding values may be coalesced into a single
@@ -423,31 +282,21 @@ func (e *Engine) bindScan(ctx context.Context, rel *core.Rel, step core.Step, pr
 	if !e.Options.DisableSQR {
 		calls = e.coalesceBindings(rel, attr, dim, coords)
 	}
-	return e.buy(ctx, rel.Table, calls, reads, report)
+	return e.buy(ctx, a, rel, calls, reads, report)
 }
 
-// noteStoreServed attributes a SQR access's output rows between freshly
-// bought records and rows the semantic store already owned. With zero
-// remainder calls the access was fully covered — a store hit; otherwise
-// the store served approximately the rows beyond the fresh records (an
-// estimate: overlap dedup can make fresh rows and stored rows coincide).
+// noteStoreServed books the rows the semantic store served an access of
+// outRows rows on the trace and the metrics. With zero remainder calls the
+// access was fully covered — a store hit; otherwise the store served
+// approximately the rows beyond the fresh records (an estimate: overlap
+// dedup can make fresh rows and stored rows coincide).
 func (e *Engine) noteStoreServed(specCount, outRows int, results []*market.Result) {
-	if specCount == 0 {
-		e.storeServed(true, int64(outRows))
-		return
-	}
-	var fresh int
+	hit, rows := specCount == 0, int64(outRows)
 	for _, res := range results {
 		if res != nil {
-			fresh += res.Records
+			rows -= int64(res.Records)
 		}
 	}
-	e.storeServed(false, int64(outRows-fresh))
-}
-
-// storeServed books rows the semantic store served one access on the trace
-// and the metrics; hit marks an access served entirely from the store.
-func (e *Engine) storeServed(hit bool, rows int64) {
 	if hit {
 		e.Trace.AddStoreHit(rows)
 	} else {
@@ -456,14 +305,36 @@ func (e *Engine) storeServed(hit bool, rows int64) {
 	e.Metrics.ObserveStoreServed(hit, rows)
 }
 
-// coalesceBindings groups sorted binding coordinates into call boxes.
-// Only runs of consecutive coordinates may merge (the paper's Fig. 9 box B2
-// spans known values): merging across gaps would bet the bill on estimates
-// for unknown in-between values. Within a consecutive run the merge still
-// has to be estimated no more expensive than the per-value calls.
+// coalesceBindings groups sorted binding coordinates into call boxes over
+// the relation's box, the hull of its access boxes. When the hull makes no
+// call — a categorical attribute whose IN list split the access region
+// cannot span its values — it groups them within each access box instead.
 func (e *Engine) coalesceBindings(rel *core.Rel, attr catalog.Attribute, dim int, coords []int64) []region.Box {
+	out := e.coalesce(rel, rel.Box, attr, dim, coords)
+	if len(out) == 0 {
+		return out
+	}
+	if _, err := catalog.QueryForBox(rel.Table, out[0]); err == nil {
+		return out
+	}
+	out = out[:0]
+	for _, ab := range rel.AccessBoxes() { // coords is sorted: ab's are a run
+		i, _ := slices.BinarySearch(coords, ab.Dims[dim].Lo)
+		j, _ := slices.BinarySearch(coords, ab.Dims[dim].Hi)
+		out = append(out, e.coalesce(rel, ab, attr, dim, coords[i:j])...)
+	}
+	return out
+}
+
+// coalesce groups sorted binding coordinates into call boxes, each base
+// with the bind dimension narrowed to the group. Only runs of consecutive
+// coordinates may merge (the paper's Fig. 9 box B2 spans known values):
+// merging across gaps would bet the bill on estimates for unknown
+// in-between values. Within a consecutive run the merge still has to be
+// estimated no more expensive than the per-value calls.
+func (e *Engine) coalesce(rel *core.Rel, base region.Box, attr catalog.Attribute, dim int, coords []int64) []region.Box {
 	boxFor := func(lo, hi int64) region.Box {
-		b := rel.Box.Clone()
+		b := base.Clone()
 		b.Dims[dim] = region.Interval{Lo: lo, Hi: hi + 1}
 		return b
 	}
@@ -520,52 +391,6 @@ func (e *Engine) account(report *Report, res market.Result) {
 	report.Price += res.Price
 }
 
-// applyResidual filters fetched rows by the relation's non-pushable
-// constant predicates.
-func applyResidual(rel storage.Relation, r *core.Rel) storage.Relation {
-	if keep := residualFilter(rel.Schema, r); keep != nil {
-		return rel.Select(keep)
-	}
-	return rel
-}
-
-// residualFilter is the test of r's non-pushable constant predicates on a
-// row of schema, or nil when r has none.
-func residualFilter(schema value.Schema, r *core.Rel) func(value.Row) bool {
-	if len(r.Residual) == 0 {
-		return nil
-	}
-	cols := make([]int, len(r.Residual))
-	for i, cond := range r.Residual {
-		cols[i] = schema.IndexOf(cond.Left.Column)
-	}
-	return func(row value.Row) bool {
-		for i, cond := range r.Residual {
-			idx := cols[i]
-			if idx < 0 {
-				return false
-			}
-			if cond.IsIn() {
-				hit := false
-				for _, v := range cond.InVals {
-					if row[idx].Equal(v) {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					return false
-				}
-				continue
-			}
-			if !evalCompare(row[idx], cond.Op, *cond.RightVal) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 func evalCompare(v value.Value, op sqlparse.CompareOp, rhs value.Value) bool {
 	cmp := v.Compare(rhs)
 	switch op {
@@ -586,45 +411,47 @@ func evalCompare(v value.Value, op sqlparse.CompareOp, rhs value.Value) bool {
 	}
 }
 
-// prefixColumn finds "alias.attr" in a qualified schema.
-func prefixColumn(schema value.Schema, alias, attr string) int {
-	return schema.IndexOf(alias + "." + attr)
-}
-
-// joinColumns maps the step's join edges onto column index pairs between
-// the prefix schema and the newly fetched relation's schema.
-func joinColumns(b *core.BoundQuery, step core.Step, prefixSchema, newSchema value.Schema) (lc, rc []int, err error) {
-	for _, eIdx := range step.Joins {
-		newAttr, prefixRel, prefixAttr := b.Joins[eIdx].Toward(step.Rel)
-		pc := prefixColumn(prefixSchema, b.Rels[prefixRel].Alias(), prefixAttr)
-		nc := prefixColumn(newSchema, b.Rels[step.Rel].Alias(), newAttr)
-		if pc < 0 || nc < 0 {
-			return nil, nil, fmt.Errorf("join columns not found for edge %d", eIdx)
+// joinColumns maps the step's join edges onto key columns of the prefix
+// and of the newly fetched relation.
+func joinColumns(b *core.BoundQuery, step core.Step, prefix, fetched storage.Tuples) (lk, rk []storage.Col, err error) {
+	for _, e := range step.Joins {
+		newAttr, prefixRel, prefixAttr := b.Joins[e].Toward(step.Rel)
+		lk = append(lk, prefix.Column(b.Rels[prefixRel].Alias()+"."+prefixAttr))
+		rk = append(rk, fetched.Column(b.Rels[step.Rel].Alias()+"."+newAttr))
+		if lk[len(lk)-1].In < 0 || rk[len(rk)-1].In < 0 {
+			return nil, nil, fmt.Errorf("join columns not found for edge %d", e)
 		}
-		lc = append(lc, pc)
-		rc = append(rc, nc)
 	}
-	return lc, rc, nil
+	return lk, rk, nil
 }
 
-// applyCrossResidual evaluates non-equi column-to-column conditions on the
-// joined relation.
-func applyCrossResidual(rel storage.Relation, b *core.BoundQuery) storage.Relation {
-	if len(b.CrossResidual) == 0 {
-		return rel
+// filter keeps t's tuples on which every condition holds: a column of col's
+// compared to a literal, to an IN list or, in a cross residual, to another
+// column.
+func filter(a *storage.Arena, t storage.Tuples, conds []sqlparse.Condition, col func(sqlparse.ColRef) storage.Col) storage.Tuples {
+	if len(conds) == 0 {
+		return t
 	}
-	type pair struct {
-		l, r int
-		op   sqlparse.CompareOp
+	cols := make([][2]storage.Col, len(conds))
+	for i, c := range conds {
+		if cols[i][0] = col(c.Left); c.IsJoin() {
+			cols[i][1] = col(*c.RightCol)
+		}
 	}
-	pairs := make([]pair, len(b.CrossResidual))
-	for i, cond := range b.CrossResidual {
-		l, r := b.Cols[cond.Left], b.Cols[*cond.RightCol]
-		pairs[i] = pair{l: rel.Schema.IndexOf(l), r: rel.Schema.IndexOf(r), op: cond.Op}
-	}
-	return rel.Select(func(row value.Row) bool {
-		for _, p := range pairs {
-			if !evalCompare(row[p.l], p.op, row[p.r]) {
+	return a.Filter(t, func(i int) bool {
+		for x, c := range conds {
+			l, r := cols[x][0], cols[x][1]
+			v := t.Row(l.In, i)[l.Col]
+			switch {
+			case c.IsIn():
+				if !slices.ContainsFunc(c.InVals, v.Equal) {
+					return false
+				}
+			case c.IsJoin():
+				if !evalCompare(v, c.Op, t.Row(r.In, i)[r.Col]) {
+					return false
+				}
+			case !evalCompare(v, c.Op, *c.RightVal):
 				return false
 			}
 		}
@@ -639,11 +466,11 @@ var aggFuncs = map[sqlparse.AggName]storage.AggFunc{
 }
 
 // aggregatePlan locates the GROUP BY columns and the SELECT list's
-// aggregates in the schema of the rows to be aggregated.
-func aggregatePlan(schema value.Schema, b *core.BoundQuery) (groupIdx []int, aggs []storage.AggSpec) {
+// aggregates in the rows to be aggregated, at says where a named column is.
+func aggregatePlan(at func(name string) int, b *core.BoundQuery) (groupIdx []int, aggs []storage.AggSpec) {
 	q := b.Query
 	for _, g := range q.GroupBy {
-		groupIdx = append(groupIdx, schema.IndexOf(b.Cols[g]))
+		groupIdx = append(groupIdx, at(b.Cols[g]))
 	}
 	for _, item := range q.Select {
 		if item.Agg == sqlparse.AggNone {
@@ -651,20 +478,48 @@ func aggregatePlan(schema value.Schema, b *core.BoundQuery) (groupIdx []int, agg
 		}
 		spec := storage.AggSpec{Func: aggFuncs[item.Agg], Col: -1, As: b.Output[len(groupIdx)+len(aggs)]}
 		if !item.AggStar {
-			spec.Col = schema.IndexOf(b.Cols[item.Col])
+			spec.Col = at(b.Cols[item.Col])
 		}
 		aggs = append(aggs, spec)
 	}
 	return groupIdx, aggs
 }
 
-// aggregateJoin is project over HashJoin(l, r, lc, rc) for an aggregate
-// query, without the joined relation in between.
-func aggregateJoin(l, r storage.Relation, lc, rc []int, b *core.BoundQuery) storage.Relation {
-	joined := storage.JoinSchema(l.Schema, r.Schema, nil)
-	groupIdx, aggs := aggregatePlan(joined, b)
-	agg := storage.NewAggregator(joined, groupIdx, aggs)
-	storage.EachJoined(l, r, lc, rc, agg.Add)
+// aggregate is project for an aggregate query over l's tuples or, when r
+// has inputs, over the pairs EachPair joins on the keys lk and rk: the
+// columns the groups and the aggregates read are gathered into a row for
+// the aggregator, the only values it reads.
+func aggregate(a *storage.Arena, b *core.BoundQuery, l, r storage.Tuples, lk, rk []storage.Col) storage.Relation {
+	both := storage.Tuples{In: append(l.In[:len(l.In):len(l.In)], r.In...)}
+	var cols []storage.Col
+	var in value.Schema
+	groupIdx, aggs := aggregatePlan(func(name string) int {
+		c := both.Column(name)
+		if i := slices.Index(cols, c); i >= 0 || c.In < 0 {
+			return i
+		}
+		cols, in = append(cols, c), append(in, both.In[c.In].Schema[c.Col])
+		return len(cols) - 1
+	}, b)
+	agg := storage.NewAggregator(in, groupIdx, aggs)
+	row := make(value.Row, len(cols))
+	add := func(li, ri int) {
+		for j, c := range cols {
+			if c.In < len(l.In) {
+				row[j] = l.Row(c.In, li)[c.Col]
+			} else {
+				row[j] = r.Row(c.In-len(l.In), ri)[c.Col]
+			}
+		}
+		agg.Add(row)
+	}
+	if len(r.In) > 0 {
+		a.EachPair(l, r, lk, rk, add)
+	} else {
+		for i := range l.N {
+			add(i, 0)
+		}
+	}
 	return finishAggregate(agg.Result(), b)
 }
 
@@ -687,34 +542,24 @@ func finishAggregate(out storage.Relation, b *core.BoundQuery) storage.Relation 
 	return orderLimit(out, b)
 }
 
-// project applies the SELECT list: aggregation with GROUP BY, or plain
-// projection, then ORDER BY and LIMIT.
-func project(rel storage.Relation, b *core.BoundQuery) storage.Relation {
+// project applies the SELECT list to the tuples t: aggregation with GROUP
+// BY, or plain projection, then ORDER BY and LIMIT.
+func project(t storage.Tuples, b *core.BoundQuery) storage.Relation {
 	q := b.Query
 	if q.HasAggregates() {
-		groupIdx, aggs := aggregatePlan(rel.Schema, b)
-		return finishAggregate(storage.Aggregate(rel, groupIdx, aggs), b)
+		return aggregate(nil, b, t, storage.Tuples{}, nil, nil)
 	}
 	// SELECT * output order follows the FROM clause, not the join order the
 	// optimizer happened to choose.
-	idx := make([]int, len(b.Output))
-	identity := len(idx) == len(rel.Schema)
-	for i := range idx {
+	cols := make([]storage.Col, len(b.Output))
+	for i := range cols {
 		if b.Star != nil {
-			idx[i] = rel.Schema.IndexOf(b.Star[i])
+			cols[i] = t.Column(b.Star[i])
 		} else {
-			idx[i] = rel.Schema.IndexOf(b.Cols[q.Select[i].Col])
+			cols[i] = t.Column(b.Cols[q.Select[i].Col])
 		}
-		identity = identity && idx[i] == i
 	}
-	// Rows are immutable: a projection that keeps every column in place
-	// (SELECT * over one relation) returns them under a fresh schema.
-	var out storage.Relation
-	if identity {
-		out = storage.Relation{Schema: rel.Schema.Clone(), Rows: rel.Rows}
-	} else {
-		out = rel.Project(idx)
-	}
+	out := t.Project(cols)
 	for i, name := range b.Output {
 		out.Schema[i].Name = name
 	}

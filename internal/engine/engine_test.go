@@ -403,16 +403,18 @@ func TestFetchErrorPaths(t *testing.T) {
 
 	// Unknown access kind.
 	e := Engine{Store: f.store, Stats: f.st, Sched: f.sched}
-	if _, err := e.fetch(context.Background(), rel, core.Step{Kind: core.AccessKind(99)}, storage.Relation{}, bq, &Report{}); err == nil {
+	a := storage.NewArena()
+	defer a.Release()
+	if _, err := e.fetch(context.Background(), a, rel, core.Step{Kind: core.AccessKind(99)}, storage.Tuples{}, bq, &Report{}); err == nil {
 		t.Error("unknown kind should error")
 	}
 	// Bind join with a bad join index.
-	if _, err := e.bindScan(context.Background(), rel, core.Step{Kind: core.MarketBind, BindJoin: 5}, storage.Relation{}, bq, &Report{}); err == nil {
+	if _, err := e.bindScan(context.Background(), a, rel, core.Step{Kind: core.MarketBind, BindJoin: 5}, storage.Tuples{}, bq, &Report{}); err == nil {
 		t.Error("bad bind join index should error")
 	}
 	// Local table not loaded into the DBMS.
 	ghost := &core.Rel{Table: &catalog.Table{Name: "GhostLocal", Local: true}}
-	if _, err := e.localScan(ghost); err == nil {
+	if _, err := e.localScan(a, ghost); err == nil {
 		t.Error("missing local table should error")
 	}
 }
@@ -518,7 +520,7 @@ func TestSelectStarOverOneRelationKeepsRows(t *testing.T) {
 		{value.NewInt(2), value.NewInt(1), value.NewFloat(2.1)},
 	}}
 	schema := in.Schema.Clone()
-	out := project(in, b)
+	out := project(whole(in), b)
 	if !reflect.DeepEqual(out.Rows, in.Rows) {
 		t.Fatalf("rows %v, want %v", out.Rows, in.Rows)
 	}
@@ -530,10 +532,10 @@ func TestSelectStarOverOneRelationKeepsRows(t *testing.T) {
 	if !reflect.DeepEqual(out.Schema.Names(), b.Output) || !reflect.DeepEqual(in.Schema, schema) {
 		t.Errorf("output schema %v (want %v), input schema now %v (was %v)", out.Schema.Names(), b.Output, in.Schema, schema)
 	}
-	if got := project(in, bind("SELECT DISTINCT * FROM R r")); len(got.Rows) != 2 {
+	if got := project(whole(in), bind("SELECT DISTINCT * FROM R r")); len(got.Rows) != 2 {
 		t.Errorf("DISTINCT *: %v", got.Rows)
 	}
-	got := project(in, bind("SELECT * FROM R r ORDER BY a LIMIT 2"))
+	got := project(whole(in), bind("SELECT * FROM R r ORDER BY a LIMIT 2"))
 	if len(got.Rows) != 2 || got.Rows[0][0].Int64() != 1 || in.Rows[0][0].Int64() != 2 {
 		t.Errorf("ORDER BY a LIMIT 2: %v; input now %v", got.Rows, in.Rows)
 	}

@@ -29,33 +29,138 @@ func qualify(alias string, schema value.Schema) value.Schema {
 	return out
 }
 
-// refExecute is the executor as it was before joins learnt to copy only the
-// columns the plan reads and to stream into the aggregate: every join keeps
-// every column of both sides and the SELECT list runs over the materialised
-// result. The differential reference for ExecuteContext.
+// refExecute is the row executor the id pipeline replaced, kept as the
+// differential reference for ExecuteContext: every relation is fetched into
+// a row list, every join copies every column of both sides (a string-keyed
+// map join of its own, building on the smaller side, right on a tie), and
+// the SELECT list runs over the materialised result. Only the fetch, the
+// comparison of two values and the aggregator are shared with the executor.
 func (e *Engine) refExecute(ctx context.Context, plan *core.Plan) (storage.Relation, Report, error) {
 	var report Report
 	b := plan.Bound
+	a := storage.NewArena()
+	defer a.Release()
 	var cur storage.Relation
 	for i, step := range plan.Steps {
 		rel := b.Rels[step.Rel]
-		fetched, err := e.fetch(ctx, rel, step, cur, b, &report)
+		src, err := e.fetch(ctx, a, rel, step, whole(cur), b, &report)
 		if err != nil {
 			return storage.Relation{}, report, err
 		}
-		fetched = applyResidual(fetched, rel)
-		fetched.Schema = qualify(rel.Alias(), fetched.Schema)
+		fetched := storage.Relation{Schema: qualify(rel.Alias(), rel.Table.Schema)}
+		for i := range src.N {
+			if row := src.Row(0, i); refResidual(row, rel) {
+				fetched.Rows = append(fetched.Rows, row)
+			}
+		}
 		if i == 0 {
 			cur = fetched
 			continue
 		}
-		lc, rc, err := joinColumns(b, step, cur.Schema, fetched.Schema)
-		if err != nil {
-			return storage.Relation{}, report, err
+		var lc, rc []int
+		for _, eIdx := range step.Joins {
+			newAttr, prefixRel, prefixAttr := b.Joins[eIdx].Toward(step.Rel)
+			lc = append(lc, cur.Schema.IndexOf(b.Rels[prefixRel].Alias()+"."+prefixAttr))
+			rc = append(rc, fetched.Schema.IndexOf(rel.Alias()+"."+newAttr))
 		}
-		cur = storage.HashJoin(cur, fetched, lc, rc)
+		cur = refJoin(cur, fetched, lc, rc)
 	}
-	return project(applyCrossResidual(cur, b), b), report, nil
+	return refProject(refCrossResidual(cur, b), b), report, nil
+}
+
+// whole is r as the tuples of one input, every row in order.
+func whole(r storage.Relation) storage.Tuples {
+	return storage.Tuples{In: []storage.Input{{Schema: r.Schema, Rows: r.Rows}}, N: len(r.Rows)}
+}
+
+// refResidual tests rel's constant predicates on one of its rows.
+func refResidual(row value.Row, rel *core.Rel) bool {
+	for _, c := range rel.Residual {
+		v, in := row[rel.Table.Schema.IndexOf(c.Left.Column)], false
+		for _, w := range c.InVals {
+			in = in || v.Equal(w)
+		}
+		if c.IsIn() && !in || !c.IsIn() && !evalCompare(v, c.Op, *c.RightVal) {
+			return false
+		}
+	}
+	return true
+}
+
+// refJoin equi-joins l and r on a map of rendered value.NumericKey keys:
+// the build side is the smaller (right on a tie), pairs come in probe-row
+// order and each probe row's matches in build-row order; with no keys every
+// pair is emitted, left-major.
+func refJoin(l, r storage.Relation, lc, rc []int) storage.Relation {
+	out := storage.Relation{Schema: append(l.Schema.Clone(), r.Schema...)}
+	key := func(row value.Row, cols []int) string {
+		var b strings.Builder
+		for _, c := range cols {
+			v := value.NumericKey.Canonical(row[c])
+			fmt.Fprintf(&b, "%d:%q|", v.K, v.String())
+		}
+		return b.String()
+	}
+	build, probe, bc, pc, swapped := r, l, rc, lc, false
+	if len(lc) > 0 && len(l.Rows) < len(r.Rows) {
+		build, probe, bc, pc, swapped = l, r, lc, rc, true
+	}
+	ht := map[string][]value.Row{}
+	for _, row := range build.Rows {
+		ht[key(row, bc)] = append(ht[key(row, bc)], row)
+	}
+	for _, p := range probe.Rows {
+		for _, m := range ht[key(p, pc)] {
+			lrow, rrow := p, m
+			if swapped {
+				lrow, rrow = m, p
+			}
+			out.Rows = append(out.Rows, append(append(value.Row{}, lrow...), rrow...))
+		}
+	}
+	return out
+}
+
+// refCrossResidual keeps the joined rows every cross residual accepts.
+func refCrossResidual(rel storage.Relation, b *core.BoundQuery) storage.Relation {
+	return rel.Select(func(row value.Row) bool {
+		for _, c := range b.CrossResidual {
+			if !evalCompare(row[rel.Schema.IndexOf(b.Cols[c.Left])], c.Op, row[rel.Schema.IndexOf(b.Cols[*c.RightCol])]) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// refProject applies the SELECT list to materialised rows.
+func refProject(rel storage.Relation, b *core.BoundQuery) storage.Relation {
+	q := b.Query
+	if q.HasAggregates() {
+		groupIdx, aggs := aggregatePlan(rel.Schema.IndexOf, b)
+		return finishAggregate(storage.Aggregate(rel, groupIdx, aggs), b)
+	}
+	out := storage.Relation{Schema: make(value.Schema, len(b.Output))}
+	idx := make([]int, len(b.Output))
+	for i, name := range b.Output {
+		if b.Star != nil {
+			idx[i] = rel.Schema.IndexOf(b.Star[i])
+		} else {
+			idx[i] = rel.Schema.IndexOf(b.Cols[q.Select[i].Col])
+		}
+		out.Schema[i] = value.Column{Name: name, Type: rel.Schema[idx[i]].Type}
+	}
+	for _, row := range rel.Rows {
+		p := make(value.Row, len(idx))
+		for i, c := range idx {
+			p[i] = row[c]
+		}
+		out.Rows = append(out.Rows, p)
+	}
+	if q.Distinct {
+		out = out.Distinct()
+	}
+	return orderLimit(out, b)
 }
 
 // side is one buyer: its own store, statistics and account on a shared

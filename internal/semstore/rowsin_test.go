@@ -295,7 +295,7 @@ func TestRecordKeepsRowsTheStringKeysMerged(t *testing.T) {
 }
 
 // TestSelectInMatchesScan is the differential test of rowsIn's two filters
-// and their unsigned width test c−lo < hi−lo: RowsIn and EachIn against a
+// and their unsigned width test c−lo < hi−lo: RowsIn and SelectIn against a
 // per-row scan, on a table whose X axis is all of int64 (Min to MaxInt64−1)
 // and holds coordinates at both of its edges, and on boxes whose bounds are
 // the int64 edges, the domain edges, stored coordinates and their
@@ -378,14 +378,21 @@ func TestSelectInMatchesScan(t *testing.T) {
 		}
 		sides.note(ts, q)
 		got, _ := s.RowsIn(meta, q)
-		var each []value.Row
-		visited := s.EachIn(meta, q, func(r value.Row) { each = append(each, r) })
-		if visited != len(want) || len(got.Rows) != len(want) || len(each) != len(want) {
-			t.Fatalf("box %v: RowsIn %d rows, EachIn %d (reports %d), scan %d", q, len(got.Rows), len(each), visited, len(want))
+		ids := []int32{7, 7} // the selection goes after them
+		stored, all := s.SelectIn(meta, []region.Box{q}, &ids)
+		selected := stored
+		if !all {
+			selected = nil
+			for _, id := range ids[2:] {
+				selected = append(selected, stored[id])
+			}
+		}
+		if len(ids) < 2 || ids[0] != 7 || ids[1] != 7 || len(got.Rows) != len(want) || len(selected) != len(want) {
+			t.Fatalf("box %v: RowsIn %d rows, SelectIn %d (after %v), scan %d", q, len(got.Rows), len(selected), ids[:min(2, len(ids))], len(want))
 		}
 		for i := range want {
-			if !slices.Equal(got.Rows[i], want[i]) || !slices.Equal(each[i], want[i]) {
-				t.Fatalf("box %v: row %d is %v (RowsIn) and %v (EachIn), the scan has %v", q, i, got.Rows[i], each[i], want[i])
+			if !slices.Equal(got.Rows[i], want[i]) || !slices.Equal(selected[i], want[i]) {
+				t.Fatalf("box %v: row %d is %v (RowsIn) and %v (SelectIn), the scan has %v", q, i, got.Rows[i], selected[i], want[i])
 			}
 		}
 	}

@@ -25,7 +25,7 @@
 //     int32 ids sorted by it. The runs are log-structured, so a Record costs
 //     what it adds, not what the table already holds; a read takes the most
 //     selective dimension's ids and filters them in row order through the
-//     other columns. EachIn visits the same rows without listing them.
+//     other columns. SelectIn lists the same rows' ids instead.
 //
 // Compaction and indexing never change answers: the union of stored
 // coverage is preserved exactly, and freshness is only ever lost downward
@@ -251,9 +251,9 @@ type storeSnap struct {
 }
 
 // Store is the semantic store. It is safe for concurrent use: reads
-// (Coverage, Remainder, Covered, RowsIn, Boxes, Save and the entry, epoch
-// and row counts) are lock-free snapshot reads that scale with cores,
-// writes (Record, Load) serialise on a writer mutex and publish
+// (Coverage, Remainder, Covered, RowsIn, SelectIn, Boxes, Save and the
+// entry, epoch and row counts) are lock-free snapshot reads that scale with
+// cores, writes (Record, Load) serialise on a writer mutex and publish
 // copy-on-write snapshots.
 type Store struct {
 	db      *storage.DB
@@ -970,28 +970,29 @@ func (ts *tableStore) restricted(q region.Box, dims []dimSpan) []dimSpan {
 
 // selection is the ids of the rows a read keeps, in ascending order: the
 // first all rows of the table, or the listed ids, or the set bits of a
-// bitset, one bit per row.
+// bitset, one bit per row, which release hands back to bitsets.
 type selection struct {
-	all  int
-	ids  []int32
-	bits []uint64
+	all    int
+	ids    []int32
+	bits   []uint64
+	pooled *[]uint64
 }
 
-// each calls fn on rows[id] for every selected id, in ascending order, and
-// returns how many it called it on.
-func (sel selection) each(rows []value.Row, fn func(value.Row)) int {
+// bitsets recycles selections' bitsets: each dies with its read.
+var bitsets = sync.Pool{New: func() any { return new([]uint64) }}
+
+func (sel selection) release() {
+	if sel.pooled != nil {
+		*sel.pooled = sel.bits
+		bitsets.Put(sel.pooled)
+	}
+}
+
+// count is the number of ids selected.
+func (sel selection) count() int {
 	n := sel.all + len(sel.ids)
-	for _, row := range rows[:sel.all] {
-		fn(row)
-	}
-	for _, id := range sel.ids {
-		fn(rows[id])
-	}
-	for w, word := range sel.bits {
+	for _, word := range sel.bits {
 		n += mathbits.OnesCount64(word)
-		for ; word != 0; word &= word - 1 {
-			fn(rows[w*64+mathbits.TrailingZeros64(word)])
-		}
 	}
 	return n
 }
@@ -1018,19 +1019,21 @@ func b2u(b bool) uint64 {
 // when the most selective interval selects a row, and each filtering
 // interval selects at least as many, so none is empty: hi−lo, taken modulo
 // 2^64, is its width.
-func (ts *tableStore) selectIn(q region.Box) selection {
+//
+// Listed ids go into the spare room of buf, which is grown as needed.
+func (ts *tableStore) selectIn(q region.Box, buf []int32) selection {
 	n := len(ts.rows)
 	if q.D() != len(ts.rowIdx) || n == 0 {
 		return selection{} // no row has a box of another dimensionality's coordinates
 	}
-	var buf [8]dimSpan
-	dims := ts.restricted(q, buf[:0])
+	var dimBuf [8]dimSpan
+	dims := ts.restricted(q, dimBuf[:0])
 	if len(dims) == 0 {
 		return selection{all: n}
 	}
 	first := &ts.rowIdx[dims[0].k]
 	if cand := dims[0].n; 64*cand <= n {
-		ids := make([]int32, 0, cand)
+		ids := slices.Grow(buf[len(buf):], cand)
 		for _, run := range first.runs {
 			ids = append(ids, first.span(run, q.Dims[dims[0].k])...)
 		}
@@ -1046,7 +1049,9 @@ func (ts *tableStore) selectIn(q region.Box) selection {
 		}
 		return selection{ids: ids}
 	}
-	bits := make([]uint64, (n+63)/64)
+	pooled := bitsets.Get().(*[]uint64)
+	bits := slices.Grow((*pooled)[:0], (n+63)/64)[:(n+63)/64]
+	clear(bits)
 	for _, run := range first.runs {
 		for _, id := range first.span(run, q.Dims[dims[0].k]) {
 			bits[id/64] |= 1 << (id % 64)
@@ -1063,20 +1068,33 @@ func (ts *tableStore) selectIn(q region.Box) selection {
 			bits[i] = keep
 		}
 	}
-	return selection{bits: bits}
+	return selection{bits: bits, pooled: pooled}
+}
+
+// appendTo appends the selected ids to ids, in order.
+func (sel selection) appendTo(ids []int32) []int32 {
+	ids = slices.Grow(ids, sel.count())
+	for id := range sel.all {
+		ids = append(ids, int32(id))
+	}
+	ids = append(ids, sel.ids...)
+	for w, word := range sel.bits {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, int32(w*64+mathbits.TrailingZeros64(word)))
+		}
+	}
+	return ids
 }
 
 // rowsIn returns the rows selectIn selects, as one list. A selection of the
 // whole table is the table's own row list, uncopied.
 func (ts *tableStore) rowsIn(q region.Box) []value.Row {
-	sel := ts.selectIn(q)
+	sel := ts.selectIn(q, nil)
+	defer sel.release()
 	if sel.all > 0 {
 		return ts.rows[:sel.all:sel.all]
 	}
-	count := len(sel.ids)
-	for _, word := range sel.bits {
-		count += mathbits.OnesCount64(word)
-	}
+	count := sel.count()
 	if count == 0 {
 		return nil
 	}
@@ -1104,15 +1122,25 @@ func (s *Store) RowsIn(meta *catalog.Table, q region.Box) (storage.Relation, err
 	return out, nil
 }
 
-// EachIn calls fn on each row RowsIn would return, in the same order,
-// without building the list, and returns how many rows it visited. The rows
-// are the store's own: fn must not write to them.
-func (s *Store) EachIn(meta *catalog.Table, q region.Box, fn func(value.Row)) int {
+// SelectIn appends to *ids the ids of the table's rows inside each box in
+// turn, each box's in RowsIn's order, and returns the rows they index: the
+// store's own, as one snapshot holds them, which callers must not write to.
+// A single box that selects every row appends nothing and reports all.
+func (s *Store) SelectIn(meta *catalog.Table, boxes []region.Box, ids *[]int32) (rows []value.Row, all bool) {
 	ts := s.table(meta.Name)
 	if ts == nil {
-		return 0
+		return nil, false
 	}
-	return ts.selectIn(q).each(ts.rows, fn)
+	n := len(ts.rows)
+	for _, q := range boxes {
+		sel := ts.selectIn(q, *ids)
+		if sel.all > 0 && len(boxes) == 1 {
+			return ts.rows[:n:n], true
+		}
+		*ids = sel.appendTo(*ids)
+		sel.release()
+	}
+	return ts.rows[:n:n], false
 }
 
 // StoredRowCount returns the total number of materialised rows for a table.

@@ -47,6 +47,21 @@ func TestHashJoinAllocations(t *testing.T) {
 	t.Logf("HashJoin(Orders, Lineitem): %v allocations, %d bytes (%.3f x output) for %d rows", allocs, bytes, float64(bytes)/float64(exact), out.Len())
 }
 
+// streamNations streams the id join of d's Customer and Orders into agg,
+// fed each pair's Customer.NationKey, as the engine runs an aggregate's
+// last join.
+func streamNations(d *workload.TPCH, agg *storage.Aggregator) {
+	a := storage.NewArena()
+	defer a.Release()
+	cust := a.Source(d.Customer.Schema, d.CustomerRows, a.List(0), true)
+	orders := a.Source(d.Orders.Schema, d.OrdersRows, a.List(0), true)
+	row := make(value.Row, 1)
+	a.EachPair(cust, orders, []storage.Col{{In: 0, Col: 0}}, []storage.Col{{In: 0, Col: 1}}, func(c, _ int) {
+		row[0] = d.CustomerRows[c][1]
+		agg.Add(row)
+	})
+}
+
 // TestStreamedGroupByAllocations gates the aggregating plan's last step, a
 // T5-shaped Customer ⋈ Orders streamed into a GROUP BY NationKey: its
 // allocations are the key tables and the groups, so they do not grow with
@@ -58,13 +73,10 @@ func TestStreamedGroupByAllocations(t *testing.T) {
 	}
 	run := func(scale float64) float64 {
 		d := workload.GenerateTPCH(workload.TPCHConfig{Seed: 1, ScaleFactor: scale})
-		cust := storage.Relation{Schema: d.Customer.Schema, Rows: d.CustomerRows}
-		orders := storage.Relation{Schema: d.Orders.Schema, Rows: d.OrdersRows}
-		joined := append(cust.Schema.Clone(), orders.Schema...)
 		var res storage.Relation
 		allocs := testing.AllocsPerRun(5, func() {
-			agg := storage.NewAggregator(joined, []int{1}, []storage.AggSpec{{Func: storage.Count, Col: -1}})
-			storage.EachJoined(cust, orders, []int{0}, []int{1}, agg.Add)
+			agg := storage.NewAggregator(d.Customer.Schema[1:2], []int{0}, []storage.AggSpec{{Func: storage.Count, Col: -1}})
+			streamNations(d, agg)
 			res = agg.Result()
 		})
 		if res.Len() != 25 {
@@ -88,9 +100,9 @@ func TestStreamedGroupByAllocations(t *testing.T) {
 
 var sink storage.Relation
 
-// BenchmarkJoinTPCH times the joins of the covered TPC-H templates at SF 1:
-// a T5-shaped Customer ⋈ Orders keeping the two columns the plan reads on,
-// T4's Part ⋈ PartSupp and T2's Orders ⋈ Lineitem.
+// BenchmarkJoinTPCH times the id joins of the covered TPC-H templates at SF
+// 1, whole tables on both sides, in one arena: T5's Customer ⋈ Orders, T4's
+// Part ⋈ PartSupp and T2's Orders ⋈ Lineitem. Values are not read.
 func BenchmarkJoinTPCH(b *testing.B) {
 	d := workload.GenerateTPCH(workload.DefaultTPCHConfig())
 	rel := func(s value.Schema, rows []value.Row) storage.Relation {
@@ -98,18 +110,24 @@ func BenchmarkJoinTPCH(b *testing.B) {
 	}
 	cust, orders := rel(d.Customer.Schema, d.CustomerRows), rel(d.Orders.Schema, d.OrdersRows)
 	for _, c := range []struct {
-		name         string
-		l, r         storage.Relation
-		lc, rc, keep []int
+		name   string
+		l, r   storage.Relation
+		lc, rc int
 	}{
-		{"CustomerOrdersKeep2", cust, orders, []int{0}, []int{1}, []int{1, 6}},
-		{"PartPartSupp", rel(d.Part.Schema, d.PartRows), rel(d.PartSupp.Schema, d.PartSuppRows), []int{0}, []int{0}, nil},
-		{"OrdersLineitem", orders, rel(d.Lineitem.Schema, d.LineitemRows), []int{0}, []int{0}, nil},
+		{"CustomerOrders", cust, orders, 0, 1},
+		{"PartPartSupp", rel(d.Part.Schema, d.PartRows), rel(d.PartSupp.Schema, d.PartSuppRows), 0, 0},
+		{"OrdersLineitem", orders, rel(d.Lineitem.Schema, d.LineitemRows), 0, 0},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			a := storage.NewArena()
+			defer a.Release()
 			for i := 0; i < b.N; i++ {
-				sink = storage.HashJoinKeep(c.l, c.r, c.lc, c.rc, c.keep)
+				l := a.Source(c.l.Schema, c.l.Rows, a.List(0), true)
+				r := a.Source(c.r.Schema, c.r.Rows, a.List(0), true)
+				if t := a.Join(l, r, []storage.Col{{In: 0, Col: c.lc}}, []storage.Col{{In: 0, Col: c.rc}}); t.N == 0 {
+					b.Fatal("empty join")
+				}
 			}
 		})
 	}
@@ -120,16 +138,13 @@ func BenchmarkJoinTPCH(b *testing.B) {
 // a two-column key (SuppKey, Discount: 880 groups).
 func BenchmarkAggregateGroupBy(b *testing.B) {
 	d := workload.GenerateTPCH(workload.DefaultTPCHConfig())
-	cust := storage.Relation{Schema: d.Customer.Schema, Rows: d.CustomerRows}
-	orders := storage.Relation{Schema: d.Orders.Schema, Rows: d.OrdersRows}
 	lineitem := storage.Relation{Schema: d.Lineitem.Schema, Rows: d.LineitemRows}
-	joined := append(cust.Schema.Clone(), orders.Schema...)
 	count := []storage.AggSpec{{Func: storage.Count, Col: -1}, {Func: storage.Sum, Col: 6}}
 	b.Run("StreamedJoin", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			agg := storage.NewAggregator(joined, []int{1}, count)
-			storage.EachJoined(cust, orders, []int{0}, []int{1}, agg.Add)
+			agg := storage.NewAggregator(d.Customer.Schema[1:2], []int{0}, count[:1])
+			streamNations(d, agg)
 			sink = agg.Result()
 		}
 	})

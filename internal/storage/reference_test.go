@@ -60,21 +60,6 @@ func refDistinct(r Relation) Relation {
 	return out
 }
 
-func refDistinctValues(r Relation, col int) []value.Value {
-	seen := make(map[string]struct{})
-	var out []value.Value
-	for _, row := range r.Rows {
-		v := row[col]
-		k := fmt.Sprintf("%d|%s", v.K, v.String())
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, v)
-	}
-	return out
-}
-
 func refCross(r, s Relation) Relation {
 	out := Relation{Schema: append(r.Schema.Clone(), s.Schema.Clone()...)}
 	for _, a := range r.Rows {
@@ -260,6 +245,65 @@ func randomCols(rng *rand.Rand, n, width int) []int {
 	return cols
 }
 
+// refProject is r restricted to the columns keep, in that order.
+func refProject(r Relation, keep []int) Relation {
+	out := Relation{Schema: make(value.Schema, len(keep))}
+	for i, c := range keep {
+		out.Schema[i] = r.Schema[c]
+	}
+	for _, row := range r.Rows {
+		p := make(value.Row, len(keep))
+		for i, c := range keep {
+			p[i] = row[c]
+		}
+		out.Rows = append(out.Rows, p)
+	}
+	return out
+}
+
+// flat maps the columns of the concatenated schema of t's inputs onto t's
+// columns.
+func flat(t Tuples, cols []int) []Col {
+	out := make([]Col, len(cols))
+	for i, c := range cols {
+		k := 0
+		for c >= len(t.In[k].Schema) {
+			c -= len(t.In[k].Schema)
+			k++
+		}
+		out[i] = Col{k, c}
+	}
+	return out
+}
+
+// whole is r as the tuples of one input, every row in order.
+func whole(r Relation) Tuples {
+	return Tuples{In: []Input{{Schema: r.Schema, Rows: r.Rows}}, N: len(r.Rows)}
+}
+
+// streamJoin feeds agg the rows l++r of every pair EachPair visits over l
+// and r, as the engine streams an aggregate's last join.
+func streamJoin(l, r Relation, lc, rc []int, agg *Aggregator) {
+	a := NewArena()
+	defer a.Release()
+	lt, rt := whole(l), whole(r)
+	row := make(value.Row, len(l.Schema)+len(r.Schema))
+	a.EachPair(lt, rt, flat(lt, lc), flat(rt, rc), func(li, ri int) {
+		copy(row[copy(row, l.Rows[li]):], r.Rows[ri])
+		agg.Add(row)
+	})
+}
+
+// joinKeep is the Join of l and r, materialised on the columns keep of the
+// concatenated schema.
+func joinKeep(l, r Relation, lc, rc, keep []int) Relation {
+	a := NewArena()
+	defer a.Release()
+	lt, rt := a.Source(l.Schema, l.Rows, a.List(0), true), a.Source(r.Schema, r.Rows, a.List(0), true)
+	t := a.Join(lt, rt, flat(lt, lc), flat(rt, rc))
+	return t.Project(flat(t, keep))
+}
+
 // TestTypedKeysMatchStringKeys is the seeded differential property: over
 // random relations with mixed-kind, multi-column, duplicated keys, empty
 // sides and both build sides, the typed-key operators return the string-key
@@ -285,7 +329,7 @@ func TestTypedKeysMatchStringKeys(t *testing.T) {
 		sameRelation(t, what+" HashJoin", HashJoin(l, r, lc, rc), want)
 
 		keep := randomCols(rng, rng.Intn(lw+rw+1), lw+rw)
-		sameRelation(t, what+" HashJoinKeep", HashJoinKeep(l, r, lc, rc, keep), want.Project(keep))
+		sameRelation(t, what+" Join", joinKeep(l, r, lc, rc, keep), refProject(want, keep))
 
 		groupBy := randomCols(rng, rng.Intn(3), lw+rw)
 		aggs := []AggSpec{
@@ -295,15 +339,10 @@ func TestTypedKeysMatchStringKeys(t *testing.T) {
 		wantAgg := refAggregate(want, groupBy, aggs)
 		sameRelation(t, what+" Aggregate", Aggregate(want, groupBy, aggs), wantAgg)
 		streamed := NewAggregator(want.Schema, groupBy, aggs)
-		EachJoined(l, r, lc, rc, streamed.Add)
+		streamJoin(l, r, lc, rc, streamed)
 		sameRelation(t, what+" streamed Aggregate", streamed.Result(), wantAgg)
 
 		sameRelation(t, what+" Distinct", l.Distinct(), refDistinct(l))
-		col := rng.Intn(lw)
-		got, wantVals := l.DistinctValues(col), refDistinctValues(l, col)
-		if g, w := render([]value.Row{got}), render([]value.Row{wantVals}); !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s DistinctValues(%d): got %q want %q", what, col, g, w)
-		}
 	}
 }
 
@@ -387,24 +426,18 @@ func TestTypedKeysMatchStringKeysAtScale(t *testing.T) {
 		want := refHashJoin(l, r, c.lc, c.rc)
 		sameRelation(t, what+" HashJoin", HashJoin(l, r, c.lc, c.rc), want)
 		keep := []int{4, 0, 2}
-		sameRelation(t, what+" HashJoinKeep", HashJoinKeep(l, r, c.lc, c.rc, keep), want.Project(keep))
+		sameRelation(t, what+" Join", joinKeep(l, r, c.lc, c.rc, keep), refProject(want, keep))
 
 		aggs := []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 2}, {Func: Min, Col: 4}, {Func: Max, Col: 1}}
 		for _, groupBy := range [][]int{{0}, {1, 5}, {3, 1, 2}} {
 			wantAgg := refAggregate(want, groupBy, aggs)
 			sameRelation(t, fmt.Sprintf("%s Aggregate by %v", what, groupBy), Aggregate(want, groupBy, aggs), wantAgg)
 			streamed := NewAggregator(want.Schema, groupBy, aggs)
-			EachJoined(l, r, c.lc, c.rc, streamed.Add)
+			streamJoin(l, r, c.lc, c.rc, streamed)
 			sameRelation(t, fmt.Sprintf("%s streamed Aggregate by %v", what, groupBy), streamed.Result(), wantAgg)
 		}
 
 		sameRelation(t, what+" Distinct", l.Distinct(), refDistinct(l))
-		for col := range l.Schema {
-			got, wantVals := l.DistinctValues(col), refDistinctValues(l, col)
-			if g, w := render([]value.Row{got}), render([]value.Row{wantVals}); !reflect.DeepEqual(g, w) {
-				t.Fatalf("%s DistinctValues(%d): got %q want %q", what, col, g, w)
-			}
-		}
 	}
 }
 
@@ -480,10 +513,84 @@ func TestDenseKeysMatchStringKeys(t *testing.T) {
 		want := refHashJoin(l, r, lc, rc)
 		sameRelation(t, what+" HashJoin", HashJoin(l, r, lc, rc), want)
 		streamed := NewAggregator(want.Schema, []int{0}, []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 3}})
-		EachJoined(l, r, lc, rc, streamed.Add)
+		streamJoin(l, r, lc, rc, streamed)
 		sameRelation(t, what+" streamed Aggregate", streamed.Result(), refAggregate(want, []int{0}, []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 3}}))
 	}
 	if paths[0] < 50 || paths[1] < 50 {
 		t.Errorf("%d joins hashed and %d indexed their keys directly; the test wants both paths", paths[0], paths[1])
 	}
+}
+
+// TestTupleChainsMatchRowJoins is the differential property of chains of id
+// joins: two to four random relations joined one after the other, keys drawn
+// from any input of the tuples so far (so a key may span inputs), a filter
+// compacting the ids between joins, the last join streamed by EachPair, the
+// arena reused across chains. Rows and their order must be the string-key
+// reference's over materialised relations.
+func TestTupleChainsMatchRowJoins(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	sizes := []int{0, 1, 3, 8, 30}
+	for iter := 0; iter < 500; iter++ {
+		pool := 2 + rng.Intn(6)
+		a := NewArena()
+		rel := func(i int) Relation {
+			return randomRelation(rng, fmt.Sprintf("t%d_", i), 1+rng.Intn(3), sizes[rng.Intn(len(sizes))], pool)
+		}
+		ref := rel(0)
+		cur := a.Source(ref.Schema, ref.Rows, a.List(0), true)
+		if rng.Intn(2) == 0 { // a selection of ids, not every row
+			ids := a.List(0)
+			for i := range ref.Rows {
+				if rng.Intn(3) > 0 {
+					*ids = append(*ids, int32(i))
+				}
+			}
+			cur = a.Source(ref.Schema, ref.Rows, ids, false)
+			ref = refSelect(ref, *ids)
+		}
+		steps := 1 + rng.Intn(3)
+		for step := 1; step <= steps; step++ {
+			next := rel(step)
+			nk := rng.Intn(3)
+			lc, rc := randomCols(rng, nk, len(ref.Schema)), randomCols(rng, nk, len(next.Schema))
+			what := fmt.Sprintf("iter %d step %d (%d x %d rows, lc=%v rc=%v)", iter, step, ref.Len(), next.Len(), lc, rc)
+			want := refHashJoin(ref, next, lc, rc)
+			in := a.Source(next.Schema, next.Rows, a.List(0), true)
+			if step == steps && iter%2 == 0 {
+				var got []value.Row
+				a.EachPair(cur, in, flat(cur, lc), flat(in, rc), func(li, ri int) {
+					var row value.Row
+					for k := range cur.In {
+						row = append(row, cur.Row(k, li)...)
+					}
+					got = append(got, append(row, next.Rows[ri]...))
+				})
+				sameRelation(t, what+" EachPair", Relation{Schema: want.Schema, Rows: got}, want)
+				break
+			}
+			cur, ref = a.Join(cur, in, flat(cur, lc), flat(in, rc)), want
+			all := make([]int, len(ref.Schema))
+			for i := range all {
+				all[i] = i
+			}
+			sameRelation(t, what+" Join", cur.Project(flat(cur, all)), ref)
+			if rng.Intn(2) == 0 {
+				c, v := rng.Intn(len(ref.Schema)), keyValues[rng.Intn(pool)]
+				at, src := flat(cur, []int{c})[0], cur
+				cur = a.Filter(src, func(i int) bool { return !src.Row(at.In, i)[at.Col].Equal(v) })
+				ref = ref.Select(func(row value.Row) bool { return !row[c].Equal(v) })
+				sameRelation(t, what+" Filter", cur.Project(flat(cur, all)), ref)
+			}
+		}
+		a.Release()
+	}
+}
+
+// refSelect is r's rows ids, in that order.
+func refSelect(r Relation, ids []int32) Relation {
+	out := Relation{Schema: r.Schema}
+	for _, id := range ids {
+		out.Rows = append(out.Rows, r.Rows[id])
+	}
+	return out
 }

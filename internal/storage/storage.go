@@ -9,6 +9,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -147,29 +148,6 @@ func (r Relation) Select(pred func(value.Row) bool) Relation {
 	return out
 }
 
-// Project returns the relation restricted to the given column indexes.
-func (r Relation) Project(idx []int) Relation {
-	out := Relation{Schema: projectSchema(r.Schema, idx), Rows: make([]value.Row, len(r.Rows))}
-	w := len(idx)
-	vals := make([]value.Value, len(r.Rows)*w)
-	for i, row := range r.Rows {
-		p := vals[i*w : (i+1)*w : (i+1)*w]
-		for k, j := range idx {
-			p[k] = row[j]
-		}
-		out.Rows[i] = p
-	}
-	return out
-}
-
-func projectSchema(s value.Schema, idx []int) value.Schema {
-	out := make(value.Schema, len(idx))
-	for i, j := range idx {
-		out[i] = s[j]
-	}
-	return out
-}
-
 // Distinct removes duplicate rows (value.ExactKey), preserving first-seen
 // order.
 func (r Relation) Distinct() Relation {
@@ -183,64 +161,239 @@ func (r Relation) Distinct() Relation {
 	return out
 }
 
-// DistinctValues returns the distinct values (value.ExactKey) of one column
-// in first-seen order — used to collect bind-join binding values.
-func (r Relation) DistinctValues(col int) []value.Value {
-	seen := value.NewKeyTable(value.ExactKey, []int{col}, 0)
-	var out []value.Value
-	for i, row := range r.Rows {
-		if seen.Insert(r.Rows, row, i) < 0 {
-			out = append(out, row[col])
+// Col is column Col of input In of a Tuples.
+type Col struct{ In, Col int }
+
+// Input is one relation a Tuples reads: its rows, through the ids that
+// select them, or every row in order where Ids is nil.
+type Input struct {
+	Schema value.Schema
+	Rows   []value.Row
+	Ids    []int32
+}
+
+// Tuples is a relation held as row ids: its i-th tuple is, for every input
+// k, the i-th row In[k] selects, and its schema is its inputs' schemas one
+// after the other. A join writes only the ids of its pairs, 4 bytes an input
+// whatever the rows' width; values are read through them where they are
+// needed.
+type Tuples struct {
+	In  []Input
+	N   int
+	own *[]int32 // the arena list the ids are carved from
+}
+
+// Row is input k's row in tuple i.
+func (t Tuples) Row(k, i int) value.Row { return t.In[k].Rows[t.id(k, i)] }
+
+func (t Tuples) id(k, i int) int32 {
+	if ids := t.In[k].Ids; ids != nil {
+		return ids[i]
+	}
+	return int32(i)
+}
+
+// Column finds the column named name; In is -1 when there is none.
+func (t Tuples) Column(name string) Col {
+	for k, in := range t.In {
+		if c := in.Schema.IndexOf(name); c >= 0 {
+			return Col{k, c}
 		}
+	}
+	return Col{-1, -1}
+}
+
+// Project materialises the columns cols of every tuple, in order. All the
+// columns of one input, in their own order, are its rows, uncopied: only
+// the list is new.
+func (t Tuples) Project(cols []Col) Relation {
+	w := len(cols)
+	out := Relation{Schema: make(value.Schema, w), Rows: make([]value.Row, t.N)}
+	whole := len(t.In) == 1 && w == len(t.In[0].Schema)
+	for i, c := range cols {
+		out.Schema[i] = t.In[c.In].Schema[c.Col]
+		whole = whole && c.Col == i
+	}
+	var vals []value.Value
+	if !whole {
+		vals = make([]value.Value, t.N*w)
+	}
+	for i := range out.Rows {
+		if whole {
+			out.Rows[i] = t.Row(0, i)
+			continue
+		}
+		row := vals[i*w : (i+1)*w : (i+1)*w]
+		for j, c := range cols {
+			row[j] = t.Row(c.In, i)[c.Col]
+		}
+		out.Rows[i] = row
 	}
 	return out
 }
 
-// EachJoined calls emit(l, r) for every row l of left and row r of right
-// whose key columns agree (left[lc[i]] meets right[rc[i]] for all i under
-// value.NumericKey). The hash table is built over the smaller input (right on
-// a tie) and the other one probes it: pairs come in probe-row order, each
-// probe row's matches in build-row order. With no key columns, or lists of
-// different lengths, every pair is emitted, left-major.
-func EachJoined(left, right Relation, lc, rc []int, emit func(l, r value.Row)) {
-	m := match(left, right, lc, rc)
-	m.each(emit)
-	m.release()
+// Arena is a query's join memory: the id lists of its tuples, the inputs
+// they read and a join's scratch. A join takes a list for its result and
+// gives back the lists of the tuples it consumed, so a chain of joins cycles
+// through three lists, and a pool hands the arena, all its lists free, on to
+// the next query. Nothing a query returns may point into it.
+type Arena struct {
+	lists  []*[]int32       // every list the arena has
+	free   []*[]int32       // the lists no tuples use
+	inputs []Input          // carved into Tuples.In until Release
+	rows   [2][]value.Row   // a join's key rows, a list a side
+	keys   [2][]value.Value // key values gathered from several inputs
+	cols   [2][]int         // a join's key columns in its key rows
+	links  []int32          // a join's match lists
 }
 
-// matches are EachJoined's pairs: the i-th probe row with a match,
+var arenas = sync.Pool{New: func() any { return new(Arena) }}
+
+// NewArena returns an arena from the pool.
+func NewArena() *Arena { return arenas.Get().(*Arena) }
+
+// Release hands a back to the pool, unless its buffers grew past 512 KB (a
+// cold plan's big join): the pool keeps what covered queries reuse, not
+// the largest query's. Tuples of a's, and the lists it handed out, must not
+// be used afterwards.
+func (a *Arena) Release() {
+	clear(a.inputs)
+	clear(a.rows[0])
+	clear(a.rows[1])
+	a.inputs, a.free = a.inputs[:0], append(a.free[:0], a.lists...)
+	size := 4*cap(a.links) + 24*(cap(a.rows[0])+cap(a.rows[1])) + 16*(cap(a.keys[0])+cap(a.keys[1]))
+	for _, l := range a.lists {
+		size += 4 * cap(*l)
+	}
+	if size <= 512<<10 {
+		arenas.Put(a)
+	}
+}
+
+// List returns a free list of a's, emptied, with room for n ids: an input's
+// ids are filled in place and handed to Source.
+func (a *Arena) List(n int) *[]int32 {
+	if len(a.free) == 0 {
+		a.free = append(a.free, new([]int32))
+		a.lists = append(a.lists, a.free[0])
+	}
+	l := a.free[len(a.free)-1]
+	a.free = a.free[:len(a.free)-1]
+	*l = slices.Grow((*l)[:0], n)
+	return l
+}
+
+func (a *Arena) carve(n int) []Input {
+	a.inputs = slices.Grow(a.inputs, n)[:len(a.inputs)+n]
+	return a.inputs[len(a.inputs)-n : len(a.inputs) : len(a.inputs)]
+}
+
+// Source is the tuples of one input: the rows of schema that the ids in
+// list, from List, select, or every row when all.
+func (a *Arena) Source(schema value.Schema, rows []value.Row, list *[]int32, all bool) Tuples {
+	t := Tuples{In: a.carve(1), N: len(rows), own: list}
+	t.In[0] = Input{Schema: schema, Rows: rows}
+	if !all {
+		t.In[0].Ids, t.N = *list, len(*list)
+	}
+	return t
+}
+
+// Filter keeps the tuples keep accepts, in order, compacting t's ids in
+// place (a whole input's rows are listed in its list from List first): t
+// must not be used afterwards.
+func (a *Arena) Filter(t Tuples, keep func(i int) bool) Tuples {
+	if in := &t.In[0]; in.Ids == nil {
+		ids := slices.Grow((*t.own)[:0], t.N)[:t.N]
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		in.Ids, *t.own = ids, ids
+	}
+	n := 0
+	for i := range t.N {
+		if keep(i) {
+			for k := range t.In {
+				t.In[k].Ids[n] = t.In[k].Ids[i]
+			}
+			n++
+		}
+	}
+	for k := range t.In {
+		t.In[k].Ids = t.In[k].Ids[:n]
+	}
+	t.N = n
+	return t
+}
+
+// Join equi-joins l and r in EachPair's order: a result tuple is a pair's l
+// tuple, then its r tuple. The result's ids take a list of a's, and l's and
+// r's go back to a: neither may be used afterwards.
+func (a *Arena) Join(l, r Tuples, lk, rk []Col) Tuples {
+	m, n, w := a.match(l, r, lk, rk), 0, len(l.In)+len(r.In)
+	for _, b := range m.first {
+		for ; b >= 0; b = m.next[b] {
+			n++
+		}
+	}
+	out := Tuples{In: a.carve(w), N: n, own: a.List(n * w)}
+	ids := (*out.own)[:n*w]
+	copy(out.In[copy(out.In, l.In):], r.In)
+	for k := range out.In {
+		out.In[k].Ids = ids[k*n : (k+1)*n : (k+1)*n]
+	}
+	j, right := 0, out.In[len(l.In):]
+	m.each(func(li, ri int) {
+		for k := range l.In {
+			out.In[k].Ids[j] = l.id(k, li)
+		}
+		for k := range right {
+			right[k].Ids[j] = r.id(k, ri)
+		}
+		j++
+	})
+	a.free = append(a.free, l.own, r.own)
+	return out
+}
+
+// EachPair calls fn on the tuple numbers of every pair of l's and r's tuples
+// whose key columns lk and rk agree pairwise under value.NumericKey; with no
+// keys, or lists of different lengths, on every pair, left-major. The hash
+// table is built over the smaller input (right on a tie) and the other one
+// probes it: pairs come in probe order, each probe tuple's matches in build
+// order.
+func (a *Arena) EachPair(l, r Tuples, lk, rk []Col, fn func(li, ri int)) {
+	a.match(l, r, lk, rk).each(fn)
+}
+
+// matches are a join's pairs: the i-th probe row with a match,
 // probe[hit[i]], meets build rows first[i], next[first[i]] and so on, until
-// -1. The three lists are carved from links, which release gives back.
+// -1. The three lists are carved from the arena's links.
 type matches struct {
-	build, probe     []value.Row
 	hit, first, next []int32
-	links            *[]int32
 	swapped          bool // the build side is the left input
 }
 
-// links recycles matches' lists: they die with their join, and a query joins
-// over and over.
-var links = sync.Pool{New: func() any { return new([]int32) }}
-
-func (m matches) release() { links.Put(m.links) }
-
-func match(left, right Relation, lc, rc []int) matches {
-	m := matches{build: right.Rows, probe: left.Rows}
-	bc, pc := rc, lc
-	if len(lc) != len(rc) || len(lc) == 0 { // the empty key: every row meets every row
+func (a *Arena) match(l, r Tuples, lk, rk []Col) matches {
+	var m matches
+	if len(lk) != len(rk) {
+		lk, rk = nil, nil
+	}
+	probe, pc := a.keyRows(0, l, lk)
+	build, bc := a.keyRows(1, r, rk)
+	if len(pc) == 0 { // the empty key: every row meets every row
 		bc, pc = []int{}, []int{}
-	} else if m.swapped = len(left.Rows) < len(right.Rows); m.swapped {
-		m.build, m.probe, bc, pc = left.Rows, right.Rows, lc, rc
+	} else if m.swapped = len(probe) < len(build); m.swapped {
+		build, probe, bc, pc = probe, build, pc, bc
 	}
 	// Filled from the back, the table ends up holding each key's first
 	// build row, and next[i] is the build row after i with its key.
-	lo, span, dense := denseKeys(m.build, bc)
-	nb, np := len(m.build), len(m.probe)
-	m.links = links.Get().(*[]int32)
-	if need := nb + 2*np + 1 + span; cap(*m.links) < need {
-		*m.links = make([]int32, need)
+	lo, span, dense := denseKeys(build, bc)
+	nb, np := len(build), len(probe)
+	if need := nb + 2*np + 1 + span; cap(a.links) < need {
+		a.links = make([]int32, need)
 	}
-	buf := (*m.links)[:cap(*m.links)]
+	buf := a.links[:cap(a.links)]
 	m.next, m.first, m.hit = buf[:nb], buf[nb:nb+np], buf[nb+np:nb+2*np+1]
 	if dense {
 		// Integer keys in a short range index an array of each key's first
@@ -249,11 +402,11 @@ func match(left, right Relation, lc, rc []int) matches {
 		heads, c := buf[nb+2*np+1:nb+2*np+1+span], bc[0]
 		clear(heads)
 		for i := nb - 1; i >= 0; i-- {
-			k := value.NumericKey.Canonical(m.build[i][c]).Int64() - lo
+			k := value.NumericKey.Canonical(build[i][c]).Int64() - lo
 			m.next[i], heads[k] = heads[k]-1, int32(i+1)
 		}
 		c, last := pc[0], uint64(span-1)
-		for p, r := range m.probe {
+		for p, r := range probe {
 			v, k := value.NumericKey.Canonical(r[c]), last
 			if v.K == value.Int {
 				k = min(uint64(v.Int64()-lo), last)
@@ -263,9 +416,9 @@ func match(left, right Relation, lc, rc []int) matches {
 	} else {
 		ht := value.NewKeyTable(value.NumericKey, bc, nb)
 		for i := nb - 1; i >= 0; i-- {
-			m.next[i] = int32(ht.Put(m.build, m.build[i], i))
+			m.next[i] = int32(ht.Put(build, build[i], i))
 		}
-		ht.Find(m.build, m.probe, pc, m.first)
+		ht.Find(build, probe, pc, m.first)
 	}
 	// Keep the probe rows that met a build row, in order, without a branch
 	// on each: every row is written at the end of the kept ones, and only a
@@ -278,6 +431,46 @@ func match(left, right Relation, lc, rc []int) matches {
 	}
 	m.first, m.hit = m.first[:n], m.hit[:n]
 	return m
+}
+
+// keyRows returns a row per tuple of t holding its key columns ks, and
+// where in the rows they are: when ks are one input's, its rows, read
+// through its ids; else ks' values, gathered. The lists are the arena's,
+// one set a side.
+func (a *Arena) keyRows(side int, t Tuples, ks []Col) ([]value.Row, []int) {
+	k, rows, cols := 0, a.rows[side][:0], a.cols[side][:0] // k: the input holding every key, or -1
+	for _, c := range ks {
+		cols = append(cols, c.Col)
+		if k = ks[0].In; c.In != k {
+			k = -1
+			break
+		}
+	}
+	switch {
+	case k >= 0 && t.In[k].Ids == nil:
+		rows = t.In[k].Rows[:t.N]
+	case k >= 0:
+		rows = slices.Grow(rows, t.N)
+		for _, id := range t.In[k].Ids[:t.N] {
+			rows = append(rows, t.In[k].Rows[id])
+		}
+		a.rows[side] = rows
+	default:
+		keys := slices.Grow(a.keys[side][:0], t.N*len(ks)) // never regrown: rows point into it
+		rows, cols = slices.Grow(rows, t.N), cols[:0]
+		for i := range t.N {
+			for _, c := range ks {
+				keys = append(keys, t.Row(c.In, i)[c.Col])
+			}
+			rows = append(rows, keys[len(keys)-len(ks):len(keys):len(keys)])
+		}
+		for j := range ks {
+			cols = append(cols, j)
+		}
+		a.rows[side], a.keys[side] = rows, keys
+	}
+	a.cols[side] = cols
+	return rows, cols
 }
 
 // denseKeys reports whether match can index its build rows' keys directly:
@@ -303,78 +496,39 @@ func denseKeys(build []value.Row, bc []int) (lo int64, span int, ok bool) {
 	return 0, 0, false
 }
 
-func (m matches) each(emit func(l, r value.Row)) {
+// each calls fn(l, r) on the tuple numbers of every pair, in order.
+func (m matches) each(fn func(l, r int)) {
 	for i, b := range m.first {
-		p := m.probe[m.hit[i]]
+		p := int(m.hit[i])
 		for ; b >= 0; b = m.next[b] {
 			if m.swapped {
-				emit(m.build[b], p)
+				fn(int(b), p)
 			} else {
-				emit(p, m.build[b])
+				fn(p, int(b))
 			}
 		}
 	}
 }
 
-// HashJoin equi-joins r and s on the given column pairs, in EachJoined's
-// order. The output schema is the concatenation of both schemas.
+// HashJoin equi-joins r and s on the given column pairs: their Join,
+// materialised. The output schema is the concatenation of both schemas.
 func HashJoin(r, s Relation, lc, rc []int) Relation {
-	return HashJoinKeep(r, s, lc, rc, nil)
-}
-
-// HashJoinKeep is HashJoin restricted to the columns keep of the
-// concatenated schema, in that order; nil keeps every column. It counts the
-// matching pairs first, then carves every output row out of one slab of
-// exactly the output's size; like every relation's rows they must not be
-// written to.
-func HashJoinKeep(r, s Relation, lc, rc, keep []int) Relation {
-	sch := JoinSchema(r.Schema, s.Schema, keep)
-	m, n, w := match(r, s, lc, rc), 0, len(sch)
-	defer m.release()
-	for _, b := range m.first {
-		for ; b >= 0; b = m.next[b] {
-			n++
+	a := NewArena()
+	defer a.Release()
+	var lk, rk, all []Col
+	for _, c := range lc {
+		lk = append(lk, Col{0, c})
+	}
+	for _, c := range rc {
+		rk = append(rk, Col{0, c})
+	}
+	t := a.Join(a.Source(r.Schema, r.Rows, a.List(0), true), a.Source(s.Schema, s.Rows, a.List(0), true), lk, rk)
+	for k, in := range t.In {
+		for c := range in.Schema {
+			all = append(all, Col{k, c})
 		}
 	}
-	out := Relation{Schema: sch, Rows: make([]value.Row, 0, n)}
-	slab := make([]value.Value, n*w)
-	m.each(func(l, r value.Row) {
-		row := slab[:w:w]
-		slab = slab[w:]
-		if keep == nil {
-			copy(row[copy(row, l):], r)
-		}
-		for i, c := range keep {
-			row[i] = pairAt(l, r, c)
-		}
-		out.Rows = append(out.Rows, row)
-	})
-	return out
-}
-
-// JoinSchema is the schema of the rows l++r, restricted to the columns keep
-// of it, in that order; nil keeps every column.
-func JoinSchema(l, r value.Schema, keep []int) value.Schema {
-	if keep == nil {
-		return append(append(make(value.Schema, 0, len(l)+len(r)), l...), r...)
-	}
-	out := make(value.Schema, len(keep))
-	for i, c := range keep {
-		if c < len(l) {
-			out[i] = l[c]
-		} else {
-			out[i] = r[c-len(l)]
-		}
-	}
-	return out
-}
-
-// pairAt is column c of the row l++r.
-func pairAt(l, r value.Row, c int) value.Value {
-	if c < len(l) {
-		return l[c]
-	}
-	return r[c-len(l)]
+	return t.Project(all)
 }
 
 // AggFunc enumerates the supported aggregate functions.
@@ -471,13 +625,12 @@ func NewAggregator(in value.Schema, groupBy []int, aggs []AggSpec) *Aggregator {
 	return a
 }
 
-// Add feeds one input row, given as the two halves l++r of a joined pair. A
-// whole row is Add(row, nil).
-func (a *Aggregator) Add(l, r value.Row) {
+// Add feeds one input row.
+func (a *Aggregator) Add(row value.Row) {
 	g := 0
 	if k := len(a.groupBy); k > 0 {
 		for i, c := range a.groupBy {
-			a.key[i] = pairAt(l, r, c)
+			a.key[i] = row[c]
 		}
 		if g = a.groups.Insert(a.keys, a.key, len(a.keys)); g < 0 {
 			g = len(a.keys)
@@ -496,7 +649,7 @@ func (a *Aggregator) Add(l, r value.Row) {
 			st.count++
 			continue
 		}
-		v := pairAt(l, r, spec.Col)
+		v := row[spec.Col]
 		if v.IsNull() {
 			continue
 		}
@@ -555,7 +708,7 @@ func (a *Aggregator) Result() Relation {
 func Aggregate(r Relation, groupBy []int, aggs []AggSpec) Relation {
 	a := NewAggregator(r.Schema, groupBy, aggs)
 	for _, row := range r.Rows {
-		a.Add(row, nil)
+		a.Add(row)
 	}
 	return a.Result()
 }

@@ -15,20 +15,57 @@ import (
 	"payless/internal/workload"
 )
 
-// TestCoveredQueryAllocations pins what one fully covered TPC-H T3 (a
-// four-relation join under a GROUP BY, over a store that owns every table)
-// allocates through Client.Query with the plan cache on, as paylessd runs it:
-// allocations and bytes, the latter bounding the cells the joins copy.
-// Allocation counts are deterministic where wall-clock ratios are not: this
-// is the regression guard on the local executor — string keys or per-row
-// join output put this query above 10 000 — and the timing itself is
-// benchmarks/run.sh's business. A covered T1 (one relation under an
-// aggregate) streams the store's rows into the aggregator, so it allocates
-// the same whether its box holds a dozen rows or twenty thousand.
+// TestCoveredQueryAllocations pins what fully covered TPC-H queries
+// allocate through Client.Query with the plan cache on, as paylessd runs
+// them: allocations and bytes per query. Allocation counts are deterministic
+// where wall-clock ratios are not: this is the regression guard on the local
+// executor, and the timing itself is benchmarks/run.sh's business. A join
+// writes the row ids of its pairs into a pooled arena, so T3 (four
+// relations under a GROUP BY), T4 (three under a COUNT(*)) and T5 (three,
+// grouped) allocate a few KB however many rows they join; a row copied per
+// joined pair would cost tens of KB. T1 (one relation under an aggregate)
+// streams the store's rows into the aggregator, and T5 reads the join
+// through ids, so each allocates the same at a narrow and a wide range.
 func TestCoveredQueryAllocations(t *testing.T) {
-	c, d := tpchClient(t, 256, "Customer", "Orders", "Lineitem")
-	t.Run("T1", func(t *testing.T) { coveredT1Allocations(t, c) })
-	sql := d.Templates()[2].Instantiate(rand.New(rand.NewSource(3)))
+	if raceEnabled {
+		t.Skip("the race detector adds allocations and drops pooled arenas")
+	}
+	c, d := tpchClient(t, 256, "Customer", "Orders", "Lineitem", "Part", "Supplier", "PartSupp")
+	t.Run("T1", func(t *testing.T) {
+		const t1 = "SELECT COUNT(*), SUM(ExtendedPrice) FROM Lineitem WHERE ShipDate >= %d AND ShipDate <= %d AND Discount >= 0 AND Discount <= %d AND Quantity <= 50"
+		coveredAllocationsFlat(t, c, fmt.Sprintf(t1, 1000, 1000, 10), fmt.Sprintf(t1, 1, 2000, 9))
+	})
+	for _, g := range []struct {
+		name   string
+		tpl    int
+		allocs float64
+		bytes  uint64
+	}{
+		{"T3", 2, 70, 6 << 10},
+		{"T4", 3, 44, 13 << 8},
+		{"T5", 4, 68, 13 << 10},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			sql := d.Templates()[g.tpl].Instantiate(rand.New(rand.NewSource(3)))
+			_, allocs, bytes := coveredAllocations(t, c, sql)
+			if allocs > g.allocs {
+				t.Errorf("covered %s: %v allocations per query, pinned at %v", g.name, allocs, g.allocs)
+			}
+			if bytes > g.bytes {
+				t.Errorf("covered %s: %d bytes per query, pinned at %d", g.name, bytes, g.bytes)
+			}
+			t.Logf("covered %s: %v allocations, %d bytes per query", g.name, allocs, bytes)
+		})
+	}
+	t.Run("T5Flat", func(t *testing.T) {
+		const t5 = "SELECT NName, COUNT(*) FROM Customer, Orders, Nation WHERE Customer.CustKey = Orders.CustKey AND Customer.NationKey = Nation.NationKey AND Orders.OrderDate >= %d AND Orders.OrderDate <= %d GROUP BY NName"
+		coveredAllocationsFlat(t, c, fmt.Sprintf(t5, 1000, 1080), fmt.Sprintf(t5, 1, 2400))
+	})
+}
+
+// coveredAllocations runs sql over a covered store, requiring a non-empty
+// answer and no bill, and measures its allocations and bytes per query.
+func coveredAllocations(t *testing.T, c *Client, sql string) (res *Result, allocs float64, bytes uint64) {
 	res, err := c.Query(sql) // also compiles the plan template
 	if err != nil {
 		t.Fatal(err)
@@ -37,68 +74,55 @@ func TestCoveredQueryAllocations(t *testing.T) {
 		t.Fatalf("%s: billed %d transactions for %d rows, want a covered, non-empty answer", sql, res.Report.Transactions, len(res.Rows))
 	}
 	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, func() {
+	query := func() {
 		if _, err := c.Query(sql); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	// AllocsPerRun runs on one P, whose pooled arena the first pass sizes
+	// for sql; the second pass, warm-up run included, measures the bytes.
+	allocs = testing.AllocsPerRun(runs, query)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	testing.AllocsPerRun(runs, query)
 	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
-	const pinned, pinnedBytes = 120, 124 << 10
-	if allocs > pinned {
-		t.Errorf("covered T3: %v allocations per query, pinned at %d", allocs, pinned)
-	}
-	if bytes > pinnedBytes {
-		t.Errorf("covered T3: %d bytes per query, pinned at %d", bytes, pinnedBytes)
-	}
-	t.Logf("covered T3: %v allocations, %d bytes per query", allocs, bytes)
+	return res, allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
 }
 
-// coveredT1Allocations runs two instances of T1 over a covered Lineitem,
-// one selecting a single ship date and one most of the table, and requires
-// the same allocations of both, and bytes apart by no more than the wide
-// read's transient selection: a bit per stored row, under 8 KB. Both boxes
-// restrict the table, so each read builds one selection; a row list of the
-// wide read's rows alone would be 500 KB.
-func coveredT1Allocations(t *testing.T, c *Client) {
-	const t1 = "SELECT COUNT(*), SUM(ExtendedPrice) FROM Lineitem WHERE ShipDate >= %d AND ShipDate <= %d AND Discount >= 0 AND Discount <= %d AND Quantity <= 50"
-	const runs = 20
+// coveredAllocationsFlat runs a narrow and a wide instance of one statement,
+// whose first output column counts the rows read, and requires the same
+// allocations of both and bytes apart by no more than 1 KB, though the wide
+// one reads at least ten times the rows: a row list of the wide read's rows
+// alone would be tens of KB. Both restrict the table they read, so each
+// builds one selection.
+func coveredAllocationsFlat(t *testing.T, c *Client, narrow, wide string) {
 	var rows [2]int64
 	var allocs [2]float64
 	var bytes [2]uint64
-	for i, sql := range []string{fmt.Sprintf(t1, 1000, 1000, 10), fmt.Sprintf(t1, 1, 2000, 9)} {
-		res, err := c.Query(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Report.Transactions != 0 {
-			t.Fatalf("%s: billed %d transactions over a covered Lineitem", sql, res.Report.Transactions)
-		}
-		if rows[i], err = strconv.ParseInt(res.Rows[0][0], 10, 64); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs[i] = testing.AllocsPerRun(runs, func() {
-			if _, err := c.Query(sql); err != nil {
+	for i, sql := range []string{narrow, wide} {
+		res, a, b := coveredAllocations(t, c, sql)
+		for _, r := range res.Rows {
+			n, err := strconv.ParseInt(r[len(r)-1], 10, 64)
+			if err != nil {
+				n, err = strconv.ParseInt(r[0], 10, 64)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		runtime.ReadMemStats(&after)
-		bytes[i] = (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+			rows[i] += n
+		}
+		allocs[i], bytes[i] = a, b
 	}
 	if rows[0] == 0 || rows[1] < 10*rows[0] {
-		t.Fatalf("T1 matched %d and %d rows; the gate wants a non-empty read and one at least 10x larger", rows[0], rows[1])
+		t.Fatalf("the instances matched %d and %d rows; the gate wants a non-empty read and one at least 10x larger", rows[0], rows[1])
 	}
 	if allocs[0] != allocs[1] {
-		t.Errorf("covered T1: %v allocations at %d rows, %v at %d rows; want the same", allocs[0], rows[0], allocs[1], rows[1])
+		t.Errorf("%v allocations at %d rows, %v at %d rows; want the same", allocs[0], rows[0], allocs[1], rows[1])
 	}
-	if bytes[1] > bytes[0]+8<<10 {
-		t.Errorf("covered T1: %d bytes at %d rows, %d at %d rows; want at most 8 KB more", bytes[0], rows[0], bytes[1], rows[1])
+	if bytes[1] > bytes[0]+1<<10 {
+		t.Errorf("%d bytes at %d rows, %d at %d rows; want at most 1 KB more", bytes[0], rows[0], bytes[1], rows[1])
 	}
-	t.Logf("covered T1: %v allocations and %d bytes at %d rows, %v and %d at %d rows", allocs[0], bytes[0], rows[0], allocs[1], bytes[1], rows[1])
+	t.Logf("%v allocations and %d bytes at %d rows, %v and %d at %d rows", allocs[0], bytes[0], rows[0], allocs[1], bytes[1], rows[1])
 }
 
 // tpchClient opens a client with the given plan-cache size over a TPC-H
