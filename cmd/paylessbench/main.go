@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 10, 11, 12, 13, 14, 15, conc, shared, store, faults, durability, plan, federation, overload or all")
+		fig      = flag.String("fig", "all", "figure to regenerate: 10, 11, 12, 13, 14, 15 or all")
 		dataset  = flag.String("dataset", "all", "dataset: real, tpch, tpch-skew or all")
 		qReal    = flag.Int("qreal", 40, "query instances per template (real data)")
 		qTPCH    = flag.Int("qtpch", 10, "query instances per template (TPC-H)")
@@ -29,7 +29,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload seed")
 		sample   = flag.Int("sample", 10, "sample the cumulative series every N queries")
 		markdown = flag.Bool("markdown", false, "emit markdown tables instead of text")
-		trace    = flag.Bool("trace", false, "trace every query in the concurrency figure and emit traced-call/retry series")
 	)
 	flag.Parse()
 
@@ -48,7 +47,7 @@ func main() {
 		datasets = []string{*dataset}
 	}
 
-	req := bench.Request{Params: p, Figures: figures, Datasets: datasets, ConcTrace: *trace}
+	req := bench.Request{Params: p, Figures: figures, Datasets: datasets}
 	var err error
 	if *markdown {
 		err = bench.Each(req, func(f *bench.Figure, _ time.Duration) { fmt.Println(f.Markdown()) })

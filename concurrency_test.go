@@ -2,9 +2,12 @@ package payless
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,17 +87,22 @@ func TestOracleConcurrencyBillParity(t *testing.T) {
 			stored:  make(map[string]map[string]int),
 		}
 		rng := rand.New(rand.NewSource(23))
+		var sqls []string
 		for _, tpl := range w.Templates() {
 			for i := 0; i < 2; i++ {
-				sql := tpl.Instantiate(rng)
-				for _, md := range modes {
-					res, err := clients[md.name].Query(sql)
-					if err != nil {
-						t.Fatalf("conc=%d %s / %s: %v\n%s", conc, md.name, tpl.Name, err, sql)
-					}
-					s.queries[md.name] = append(s.queries[md.name],
-						record{rows: canon(res.Rows), trans: res.Report.Transactions})
+				sqls = append(sqls, tpl.Instantiate(rng))
+			}
+		}
+		// Fan-out statements: their batches run across the worker pool.
+		sqls = append(sqls, fanoutQueries(w, rng, 3)...)
+		for _, sql := range sqls {
+			for _, md := range modes {
+				res, err := clients[md.name].Query(sql)
+				if err != nil {
+					t.Fatalf("conc=%d %s: %v\n%s", conc, md.name, err, sql)
 				}
+				s.queries[md.name] = append(s.queries[md.name],
+					record{rows: canon(res.Rows), trans: res.Report.Transactions})
 			}
 		}
 		for _, md := range modes {
@@ -237,5 +245,141 @@ func TestParallelFetchStress(t *testing.T) {
 	}
 	if reqs.Load() == 0 {
 		t.Fatal("stress test issued no HTTP requests")
+	}
+}
+
+// fanoutQueries returns n statements that each read every country over a
+// random date range: an IN over every country decomposes the access region
+// into one disjoint box per country — one independent market call each,
+// the engine's fan-out unit.
+func fanoutQueries(w *workload.WHW, rng *rand.Rand, n int) []string {
+	in := "'" + strings.Join(w.Countries, "', '") + "'"
+	sqls := make([]string, n)
+	for i := range sqls {
+		lo, hi := w.Dates[rng.Intn(len(w.Dates)/2)], w.Dates[len(w.Dates)/2+rng.Intn(len(w.Dates)/2)]
+		sqls[i] = fmt.Sprintf("SELECT * FROM Weather WHERE Country IN (%s) AND Date >= %d AND Date <= %d", in, lo, hi)
+	}
+	return sqls
+}
+
+// fanoutEnv is a live HTTP market that answers every call latency late,
+// plus a fan-out workload over it.
+type fanoutEnv struct {
+	w    *workload.WHW
+	m    *market.Market
+	srv  *httptest.Server
+	sql  []string
+	warm bool // replayAllocs has replayed the workload once unmeasured
+}
+
+// newFanoutEnv builds the 8-way fan-out: at the allocation guards' scale,
+// or at the benchmarks' (5 ms a call, where the serial engine pays ~8
+// round-trips a query and the concurrent one ~1).
+func newFanoutEnv(tb testing.TB, bench bool) *fanoutEnv {
+	tb.Helper()
+	cfg := workload.DefaultWHWConfig()
+	cfg.Countries = 8
+	cfg.StationsPerCountry, cfg.CitiesPerCountry, cfg.Days, cfg.Zips = 5, 2, 10, 20
+	latency, queries := 2*time.Millisecond, 3
+	if bench {
+		cfg = workload.DefaultWHWConfig()
+		cfg.Countries, cfg.StationsPerCountry, cfg.Days = 8, 10, 20
+		latency, queries = 5*time.Millisecond, 6
+	}
+	w := workload.GenerateWHW(cfg)
+	m := market.New()
+	if err := w.Install(m, storage.NewDB(), 100, 1); err != nil {
+		tb.Fatal(err)
+	}
+	inner := m.Handler()
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		time.Sleep(latency)
+		inner.ServeHTTP(rw, r)
+	}))
+	market.ConfigureServer(srv.Config) // market timeout defaults, as in production
+	srv.Start()
+	tb.Cleanup(srv.Close)
+	return &fanoutEnv{w: w, m: m, srv: srv, sql: fanoutQueries(w, rand.New(rand.NewSource(42)), queries)}
+}
+
+// client registers account key and opens a fresh client over caller. SQR
+// is disabled so every query pays its full fan-out of calls: the workload
+// measures the transport, not semantic reuse.
+func (env *fanoutEnv) client(tb testing.TB, key string, caller market.Caller, conc int, opts ...Option) *Client {
+	tb.Helper()
+	env.m.RegisterAccount(key)
+	c, err := Open(Config{
+		Tables:           append(env.m.ExportCatalog(), env.w.ZipMap),
+		Caller:           caller,
+		Consistency:      Strong(),
+		FetchConcurrency: conc,
+	}, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.LoadLocal("ZipMap", env.w.ZipMapRows); err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// replayAllocs returns what one full pass over the fan-out workload
+// allocates on a fresh client built with opts. The client calls the market
+// in process and one call at a time, so — unlike a wall-clock ratio, which a
+// loaded host moves by tens of percent — the count repeats. The collector is
+// off while it counts: a GC emptying a sync.Pool mid-run would otherwise
+// move the count by a couple of allocations in six thousand. The first
+// client on an environment also pays one-time costs as its calls first run
+// concurrently (threads, goroutine stacks, per-P pools), about 20
+// allocations over a measured run, so the first call on each environment
+// replays the workload once unmeasured before it measures.
+func (env *fanoutEnv) replayAllocs(t *testing.T, key string, opts ...Option) (float64, *Client) {
+	t.Helper()
+	if !env.warm {
+		env.warm = true
+		env.replayAllocs(t, "alloc-warmup")
+	}
+	client := env.client(t, key, market.AccountCaller{Market: env.m, Key: key}, 1, opts...)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(10, func() {
+		for _, sql := range env.sql {
+			if _, err := client.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}), client
+}
+
+// sameAllocs reports whether two replayAllocs counts agree to 0.1 %: one
+// allocation per market call (24 calls a pass) is four times that.
+func sameAllocs(a, b float64) bool { return math.Abs(a-b) <= a/1000 }
+
+// BenchmarkFetchConcurrency measures one fan-out query end to end over the
+// HTTP transport with 5ms injected per-call latency. The 8-way fan-out
+// means conc=8 should run several times faster than conc=1:
+//
+//	go test . -run xxx -bench FetchConcurrency -benchtime 10x
+func BenchmarkFetchConcurrency(b *testing.B) { benchmarkFetch(b, []int{1, 2, 4, 8}) }
+
+// BenchmarkFetchConcurrencyTraced is BenchmarkFetchConcurrency with a
+// CollectTracer attached — compare the two to quantify the cost of full
+// tracing.
+func BenchmarkFetchConcurrencyTraced(b *testing.B) {
+	benchmarkFetch(b, []int{1, 8}, WithTracer(&CollectTracer{}))
+}
+
+func benchmarkFetch(b *testing.B, levels []int, opts ...Option) {
+	env := newFanoutEnv(b, true)
+	for _, conc := range levels {
+		b.Run(fmt.Sprintf("conc=%d", conc), func(b *testing.B) {
+			key := fmt.Sprintf("bench-%d-%d", conc, b.N)
+			client := env.client(b, key, connector.New(env.srv.URL, key), conc, opts...)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := client.Query(env.sql[i%len(env.sql)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

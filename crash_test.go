@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"payless/internal/diskfault"
@@ -421,5 +422,34 @@ func TestPowerCutBatchedStrictMatrix(t *testing.T) {
 			label += " op=" + h.ops[k].String()
 		}
 		h.checkImage(t, diskfault.ImageStrict(h.ops, k), true, k, label)
+	}
+}
+
+// TestFsyncPolicyKeepsTheBill: the WAL fsync policy changes when bytes reach
+// disk, never what is bought. The workload bills the same, query by query,
+// under every policy, and the store recovered after a clean close answers
+// the whole workload again for 0 transactions.
+func TestFsyncPolicyKeepsTheBill(t *testing.T) {
+	var want []int64
+	for _, policy := range []StoreSyncPolicy{StoreSyncPerCall, StoreSyncBatched, StoreSyncOff} {
+		h := newCrashHarnessSync(t, policy, 0)
+		if want == nil {
+			want = h.cleanTx
+		} else if !slices.Equal(h.cleanTx, want) {
+			t.Fatalf("%s billed %v per query, %s %v", policy, h.cleanTx, StoreSyncPerCall, want)
+		}
+		c := crashClient(t, h.base, h.m, h.w, diskfault.Image(h.ops, len(h.ops), -1), h.account("recovered"), policy, 0)
+		for i, sql := range crashQueries(h.w) {
+			res, err := c.Query(sql)
+			if err != nil {
+				t.Fatalf("%s: recovered query %d: %v", policy, i, err)
+			}
+			if res.Report.Transactions != 0 {
+				t.Fatalf("%s: recovered store re-billed %d transactions on query %d", policy, res.Report.Transactions, i)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

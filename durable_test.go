@@ -334,3 +334,29 @@ func TestLoadStoreAtomicityFuzz(t *testing.T) {
 		tryLoad(fmt.Sprintf("flip@%d", i), corrupt)
 	}
 }
+
+// TestIdleDurableStoreCostsNothing is the regression guard for the
+// Record-path refactor: on a workload that records nothing (SQR off, as in
+// the fan-out workload) a durable client must do exactly the work of a
+// memory-only one — no WAL append, no fsync, no allocations of its own —
+// so the nil-WAL branch every default client takes is free a fortiori.
+// (What an fsync policy costs when records do flow is the ledger's whw_buy
+// workload to measure.) Under the race detector the two allocation counts
+// drift apart in either direction, so the gate runs only without it.
+func TestIdleDurableStoreCostsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	env := newFanoutEnv(t, false)
+	base, _ := env.replayAllocs(t, "alloc-memory")
+	durable, client := env.replayAllocs(t, "alloc-durable",
+		WithDurableStore(filepath.Join(t.TempDir(), "store")),
+		WithStoreSync(StoreSyncOff))
+	t.Logf("%v allocations a pass memory-only, %v durable", base, durable)
+	if m := client.Metrics(); m.WALAppends != 0 || m.WALSyncedAppends != 0 {
+		t.Fatalf("an idle durable store appended %d WAL frames and fsynced %d", m.WALAppends, m.WALSyncedAppends)
+	}
+	if !sameAllocs(base, durable) {
+		t.Fatalf("an idle durable store changes the workload's allocations: %v memory-only, %v durable", base, durable)
+	}
+}

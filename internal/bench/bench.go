@@ -21,32 +21,16 @@ import (
 	"payless/internal/workload"
 )
 
-// SystemKind names one of the compared systems.
-type SystemKind int
+// SystemKind names one of the compared systems by its legend label.
+type SystemKind string
 
 // The four systems of Fig. 10.
 const (
-	PayLess SystemKind = iota
-	PayLessNoSQR
-	MinimizingCalls
-	DownloadAll
+	PayLess         SystemKind = "PayLess"
+	PayLessNoSQR    SystemKind = "PayLess w/o SQR"
+	MinimizingCalls SystemKind = "Minimizing Calls"
+	DownloadAll     SystemKind = "Download All"
 )
-
-// String returns the paper's legend label.
-func (k SystemKind) String() string {
-	switch k {
-	case PayLess:
-		return "PayLess"
-	case PayLessNoSQR:
-		return "PayLess w/o SQR"
-	case MinimizingCalls:
-		return "Minimizing Calls"
-	case DownloadAll:
-		return "Download All"
-	default:
-		return fmt.Sprintf("system(%d)", int(k))
-	}
-}
 
 // Env is one prepared experiment environment: a market holding the dataset,
 // the catalog a buyer registers, local table contents, and the query list.
@@ -60,76 +44,52 @@ type Env struct {
 	Queries []string
 	// T is the dataset page size (tuples per transaction).
 	T int
-	// MarketRows is the total number of rows behind the paywall.
-	MarketRows int
 
 	accounts int
 }
 
-// NewRealEnv builds the real-data (WHW + EHR + ZipMap) environment with q
-// instances per Table 1 template.
-func NewRealEnv(cfg workload.WHWConfig, q, t int, seed int64) (*Env, error) {
-	w := workload.GenerateWHW(cfg)
+// envFor builds the environment of one dataset — "real" (WHW + EHR +
+// ZipMap, QReal instances per Table 1 template), "tpch" or "tpch-skew"
+// (QTPCH instances per template) — at the parameters' page size and seed.
+func envFor(p Params, dataset string) (*Env, error) {
 	m := market.New()
-	if err := w.Install(m, storage.NewDB(), t, 1); err != nil {
-		return nil, err
+	env := &Env{Market: m, T: p.T}
+	switch dataset {
+	case "real":
+		w := workload.GenerateWHW(p.RealCfg)
+		if err := w.Install(m, storage.NewDB(), p.T, 1); err != nil {
+			return nil, err
+		}
+		env.Tables = append(m.ExportCatalog(), w.ZipMap)
+		env.LocalData = map[string][]value.Row{"ZipMap": w.ZipMapRows}
+		env.Queries = workload.Mix(w.Templates(), p.QReal, p.Seed)
+	case "tpch", "tpch-skew":
+		cfg := p.TPCHCfg
+		if dataset == "tpch-skew" {
+			cfg.Zipf = 1
+		}
+		d := workload.GenerateTPCH(cfg)
+		if err := d.Install(m, storage.NewDB(), p.T, 1); err != nil {
+			return nil, err
+		}
+		env.Tables = append(m.ExportCatalog(), d.Nation, d.Region)
+		env.LocalData = map[string][]value.Row{"Nation": d.NationRows, "Region": d.RegionRows}
+		env.Queries = workload.Mix(d.Templates(), p.QTPCH, p.Seed)
+	default:
+		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
-	return &Env{
-		Market:     m,
-		Tables:     append(m.ExportCatalog(), w.ZipMap),
-		LocalData:  map[string][]value.Row{"ZipMap": w.ZipMapRows},
-		Queries:    workload.Mix(w.Templates(), q, seed),
-		T:          t,
-		MarketRows: len(w.StationRows) + len(w.WeatherRows) + len(w.PollutionRows),
-	}, nil
+	return env, nil
 }
 
-// NewTPCHEnv builds the TPC-H environment (set cfg.Zipf = 1 for the skewed
-// variant) with q instances per template.
-func NewTPCHEnv(cfg workload.TPCHConfig, q, t int, seed int64) (*Env, error) {
-	d := workload.GenerateTPCH(cfg)
-	m := market.New()
-	if err := d.Install(m, storage.NewDB(), t, 1); err != nil {
-		return nil, err
-	}
-	return &Env{
-		Market:     m,
-		Tables:     append(m.ExportCatalog(), d.Nation, d.Region),
-		LocalData:  map[string][]value.Row{"Nation": d.NationRows, "Region": d.RegionRows},
-		Queries:    workload.Mix(d.Templates(), q, seed),
-		T:          t,
-		MarketRows: d.MarketRowCount(),
-	}, nil
-}
-
-// Runner replays queries and reports per-query market transactions.
-type Runner interface {
-	Run(sql string) (transactions int64, counters core.Counters, err error)
-}
-
-type clientRunner struct{ c *payless.Client }
-
-func (r clientRunner) Run(sql string) (int64, core.Counters, error) {
-	res, err := r.c.Query(sql)
-	if err != nil {
-		return 0, core.Counters{}, err
-	}
-	return res.Report.Transactions, res.Counters, nil
-}
-
-type downloadRunner struct{ d *baseline.DownloadAll }
-
-func (r downloadRunner) Run(sql string) (int64, core.Counters, error) {
-	rep, err := r.d.Query(sql)
-	return rep.Transactions, core.Counters{}, err
-}
+// Runner replays one query and reports its market transactions.
+type Runner func(sql string) (transactions int64, counters core.Counters, err error)
 
 // NewSystem builds a fresh runner of the given kind over the environment,
 // with its own market account and empty semantic store. mutate, if non-nil,
 // adjusts the PayLess configuration (used by the ablation experiments).
 func (e *Env) NewSystem(kind SystemKind, mutate func(*payless.Config)) (Runner, error) {
 	e.accounts++
-	key := fmt.Sprintf("acct-%d-%d", kind, e.accounts)
+	key := fmt.Sprintf("acct-%d", e.accounts)
 	e.Market.RegisterAccount(key)
 	caller := market.AccountCaller{Market: e.Market, Key: key}
 	if kind == DownloadAll {
@@ -142,7 +102,10 @@ func (e *Env) NewSystem(kind SystemKind, mutate func(*payless.Config)) (Runner, 
 				return nil, err
 			}
 		}
-		return downloadRunner{d}, nil
+		return func(sql string) (int64, core.Counters, error) {
+			rep, err := d.Query(sql)
+			return rep.Transactions, core.Counters{}, err
+		}, nil
 	}
 	cfg := payless.Config{
 		Tables:                      e.Tables,
@@ -167,7 +130,13 @@ func (e *Env) NewSystem(kind SystemKind, mutate func(*payless.Config)) (Runner, 
 			return nil, err
 		}
 	}
-	return clientRunner{c}, nil
+	return func(sql string) (int64, core.Counters, error) {
+		res, err := c.Query(sql)
+		if err != nil {
+			return 0, core.Counters{}, err
+		}
+		return res.Report.Transactions, res.Counters, nil
+	}, nil
 }
 
 // Series is one cumulative-transactions curve (a line of Figs. 10–13).
@@ -188,10 +157,10 @@ func (e *Env) Cumulative(kind SystemKind, sampleEvery int, mutate func(*payless.
 	if sampleEvery <= 0 {
 		sampleEvery = 1
 	}
-	s := Series{System: kind.String()}
+	s := Series{System: string(kind)}
 	var total int64
 	for i, q := range e.Queries {
-		trans, _, err := r.Run(q)
+		trans, _, err := r(q)
 		if err != nil {
 			return Series{}, fmt.Errorf("%s query %d (%s): %w", kind, i, q, err)
 		}
@@ -207,14 +176,10 @@ func (e *Env) Cumulative(kind SystemKind, sampleEvery int, mutate func(*payless.
 // Effort is the Fig. 14 / Fig. 15 measurement: average optimizer search
 // effort per query.
 type Effort struct {
-	System          string
-	AvgPlans        float64
-	AvgBoxes        float64
-	AvgKeptBoxes    float64
-	TotalQueries    int
-	TotalBoxesEnum  int
-	TotalBoxesKept  int
-	TotalPlansCount int
+	System       string
+	AvgPlans     float64
+	AvgBoxes     float64
+	AvgKeptBoxes float64
 }
 
 // SearchEffort replays the workload and averages the optimizer counters.
@@ -225,22 +190,22 @@ func (e *Env) SearchEffort(mutate func(*payless.Config)) (Effort, error) {
 	if err != nil {
 		return Effort{}, err
 	}
-	var eff Effort
+	var plans, boxes, kept int
 	for i, q := range e.Queries {
-		_, counters, err := r.Run(q)
+		_, counters, err := r(q)
 		if err != nil {
 			return Effort{}, fmt.Errorf("query %d (%s): %w", i, q, err)
 		}
-		eff.TotalPlansCount += counters.PlansEvaluated
-		eff.TotalBoxesEnum += counters.BoxesEnumerated
-		eff.TotalBoxesKept += counters.BoxesKept
-		eff.TotalQueries++
+		plans += counters.PlansEvaluated
+		boxes += counters.BoxesEnumerated
+		kept += counters.BoxesKept
 	}
-	n := float64(eff.TotalQueries)
-	eff.AvgPlans = float64(eff.TotalPlansCount) / n
-	eff.AvgBoxes = float64(eff.TotalBoxesEnum) / n
-	eff.AvgKeptBoxes = float64(eff.TotalBoxesKept) / n
-	return eff, nil
+	n := float64(len(e.Queries))
+	return Effort{
+		AvgPlans:     float64(plans) / n,
+		AvgBoxes:     float64(boxes) / n,
+		AvgKeptBoxes: float64(kept) / n,
+	}, nil
 }
 
 // DownloadAllCost is the horizontal "Download All" reference line: the

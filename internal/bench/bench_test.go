@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"payless/internal/workload"
 )
@@ -248,10 +247,9 @@ func TestDownloadAllCost(t *testing.T) {
 func TestRenderAll(t *testing.T) {
 	var buf strings.Builder
 	req := Request{
-		Figures:     []string{"10", "14"},
-		Datasets:    []string{"real"},
-		Params:      tinyParams(),
-		QRealValues: []int{2},
+		Figures:  []string{"10", "14"},
+		Datasets: []string{"real"},
+		Params:   tinyParams(),
 	}
 	if err := RenderAll(req, &buf); err != nil {
 		t.Fatal(err)
@@ -262,8 +260,12 @@ func TestRenderAll(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
-	if err := RenderAll(Request{Figures: []string{"99"}, Datasets: []string{"real"}, Params: tinyParams()}, &buf); err == nil {
-		t.Error("unknown figure should error")
+	// The extension figures are tests now: "daemon" is as unknown as "99".
+	for _, name := range []string{"99", "daemon"} {
+		err := RenderAll(Request{Figures: []string{name}, Datasets: []string{"real"}, Params: tinyParams()}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "unknown figure") {
+			t.Errorf("figure %q: err = %v, want unknown figure", name, err)
+		}
 	}
 }
 
@@ -275,24 +277,6 @@ func TestRenderAllSkipsFig13Real(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("Fig13 on real data should be skipped: %q", buf.String())
-	}
-}
-
-// TestEachRunsDatasetFreeFigureOnce: a figure that does not run per dataset
-// is emitted exactly once, whichever datasets the request names.
-func TestEachRunsDatasetFreeFigureOnce(t *testing.T) {
-	defer func(saved []runner) { runners = saved }(runners)
-	runs := 0
-	runners = []runner{{"store", false, func(Request, string) (*Figure, error) {
-		runs++
-		return &Figure{ID: "FigStore"}, nil
-	}}}
-	var emitted []string
-	err := Each(Request{Figures: []string{"store"}, Datasets: []string{"tpch"}}, func(f *Figure, _ time.Duration) {
-		emitted = append(emitted, f.ID)
-	})
-	if err != nil || runs != 1 || len(emitted) != 1 || emitted[0] != "FigStore" {
-		t.Fatalf("runs %d, emitted %v, err %v", runs, emitted, err)
 	}
 }
 
@@ -309,10 +293,6 @@ func TestRequestDefaults(t *testing.T) {
 	}
 	if len(r.tValues()) != 3 || len(r.dValues()) != 3 {
 		t.Error("sweep defaults")
-	}
-	r2 := Request{TValues: []int{7}, QRealValues: []int{1}, QTPCHValues: []int{2}, DValues: []float64{3}}
-	if r2.tValues()[0] != 7 || r2.qValues("real")[0] != 1 || r2.qValues("tpch")[0] != 2 || r2.dValues()[0] != 3 {
-		t.Error("overrides")
 	}
 }
 

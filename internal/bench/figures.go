@@ -38,20 +38,12 @@ func DefaultParams() Params {
 
 // Figure is one regenerated evaluation artifact.
 type Figure struct {
-	ID     string
-	Title  string
+	ID    string
+	Title string
+	// Series are plotted against the number of queries replayed.
 	Series []Series
-	// XLabel names the swept variable; empty means "#queries".
-	XLabel string
 	// Efforts is used by Figs. 14 and 15 instead of Series.
 	Efforts []Effort
-}
-
-func (f *Figure) xLabel() string {
-	if f.XLabel != "" {
-		return f.XLabel
-	}
-	return "#queries"
 }
 
 // Render prints the figure as aligned text rows (the same series the paper
@@ -66,7 +58,7 @@ func (f *Figure) Render() string {
 		}
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%-10s", f.xLabel())
+	fmt.Fprintf(&b, "%-10s", "#queries")
 	for _, s := range f.Series {
 		fmt.Fprintf(&b, " %22s", s.System)
 	}
@@ -84,22 +76,6 @@ func (f *Figure) Render() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// envFor builds the real or TPC-H environment for the parameters.
-func envFor(p Params, dataset string) (*Env, error) {
-	switch dataset {
-	case "real":
-		return NewRealEnv(p.RealCfg, p.QReal, p.T, p.Seed)
-	case "tpch":
-		return NewTPCHEnv(p.TPCHCfg, p.QTPCH, p.T, p.Seed)
-	case "tpch-skew":
-		cfg := p.TPCHCfg
-		cfg.Zipf = 1
-		return NewTPCHEnv(cfg, p.QTPCH, p.T, p.Seed)
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
 }
 
 // Fig10 reproduces the overall-effectiveness figure: cumulative
@@ -124,113 +100,85 @@ func Fig10(p Params, dataset string) (*Figure, error) {
 // Fig11 varies the tuples-per-transaction page size t; PayLess vs Download
 // All, as in the paper.
 func Fig11(p Params, dataset string, ts []int) (*Figure, error) {
-	fig := &Figure{ID: "Fig11-" + dataset, Title: "Varying tuples per transaction t"}
-	for _, t := range ts {
-		pt := p
-		pt.T = t
-		env, err := envFor(pt, dataset)
-		if err != nil {
-			return nil, err
-		}
-		for _, kind := range []SystemKind{PayLess, DownloadAll} {
-			s, err := env.Cumulative(kind, pt.SampleEvery, nil)
-			if err != nil {
-				return nil, err
-			}
-			s.System = fmt.Sprintf("%s t=%d", kind, t)
-			fig.Series = append(fig.Series, s)
-		}
-	}
-	return fig, nil
+	return sweep(&Figure{ID: "Fig11-" + dataset, Title: "Varying tuples per transaction t"}, dataset, len(ts),
+		func(i int) (Params, string) {
+			p.T = ts[i]
+			return p, fmt.Sprintf("t=%d", ts[i])
+		})
 }
 
 // Fig12 varies q, the number of query instances per template.
 func Fig12(p Params, dataset string, qs []int) (*Figure, error) {
-	fig := &Figure{ID: "Fig12-" + dataset, Title: "Varying query instances per template q"}
-	for _, q := range qs {
-		pq := p
-		if dataset == "real" {
-			pq.QReal = q
-		} else {
-			pq.QTPCH = q
-		}
-		env, err := envFor(pq, dataset)
+	return sweep(&Figure{ID: "Fig12-" + dataset, Title: "Varying query instances per template q"}, dataset, len(qs),
+		func(i int) (Params, string) {
+			if dataset == "real" {
+				p.QReal = qs[i]
+			} else {
+				p.QTPCH = qs[i]
+			}
+			return p, fmt.Sprintf("q=%d", qs[i])
+		})
+}
+
+// Fig13 varies the data size D (TPC-H scale factor).
+func Fig13(p Params, dataset string, ds []float64) (*Figure, error) {
+	return sweep(&Figure{ID: "Fig13-" + dataset, Title: "Varying data size D"}, dataset, len(ds),
+		func(i int) (Params, string) {
+			p.TPCHCfg.ScaleFactor = ds[i]
+			return p, fmt.Sprintf("D=%.1f", ds[i])
+		})
+}
+
+// sweep adds a PayLess and a Download All series to fig for each of n
+// points; point i runs at the parameters at(i) returns, and its series are
+// labelled with the system and the point's label.
+func sweep(fig *Figure, dataset string, n int, at func(i int) (Params, string)) (*Figure, error) {
+	for i := 0; i < n; i++ {
+		p, label := at(i)
+		env, err := envFor(p, dataset)
 		if err != nil {
 			return nil, err
 		}
 		for _, kind := range []SystemKind{PayLess, DownloadAll} {
-			s, err := env.Cumulative(kind, pq.SampleEvery, nil)
+			s, err := env.Cumulative(kind, p.SampleEvery, nil)
 			if err != nil {
 				return nil, err
 			}
-			s.System = fmt.Sprintf("%s q=%d", kind, q)
+			s.System = fmt.Sprintf("%s %s", kind, label)
 			fig.Series = append(fig.Series, s)
 		}
 	}
 	return fig, nil
 }
 
-// Fig13 varies the data size D (TPC-H scale factor).
-func Fig13(p Params, dataset string, ds []float64) (*Figure, error) {
-	fig := &Figure{ID: "Fig13-" + dataset, Title: "Varying data size D"}
-	for _, d := range ds {
-		pd := p
-		pd.TPCHCfg.ScaleFactor = d
-		env, err := envFor(pd, dataset)
-		if err != nil {
-			return nil, err
-		}
-		for _, kind := range []SystemKind{PayLess, DownloadAll} {
-			s, err := env.Cumulative(kind, pd.SampleEvery, nil)
-			if err != nil {
-				return nil, err
-			}
-			s.System = fmt.Sprintf("%s D=%.1f", kind, d)
-			fig.Series = append(fig.Series, s)
-		}
-	}
-	return fig, nil
+// variant is one configuration of an ablation figure.
+type variant struct {
+	name   string
+	mutate func(*payless.Config)
 }
 
 // Fig14 reproduces the search-space reduction ablation: average number of
 // evaluated (sub)plans for PayLess, Disable SQR and Disable All (SQR and
 // Theorems 1–3 both off).
 func Fig14(p Params, dataset string) (*Figure, error) {
-	fig := &Figure{ID: "Fig14-" + dataset, Title: "Search space reduction (avg evaluated plans)"}
-	variants := []struct {
-		name   string
-		mutate func(*payless.Config)
-	}{
+	return ablation(&Figure{ID: "Fig14-" + dataset, Title: "Search space reduction (avg evaluated plans)"}, p, dataset, []variant{
 		{"PayLess", nil},
 		{"Disable SQR", func(c *payless.Config) { c.Consistency = payless.Strong() }},
 		{"Disable All", func(c *payless.Config) { c.Consistency = payless.Strong(); c.DisableTheorems = true }},
-	}
-	for _, v := range variants {
-		env, err := envFor(p, dataset)
-		if err != nil {
-			return nil, err
-		}
-		eff, err := env.SearchEffort(v.mutate)
-		if err != nil {
-			return nil, err
-		}
-		eff.System = v.name
-		fig.Efforts = append(fig.Efforts, eff)
-	}
-	return fig, nil
+	})
 }
 
 // Fig15 reproduces the bounding-box pruning ablation: average number of
 // bounding boxes generated with and without Algorithm 1's pruning rules.
 func Fig15(p Params, dataset string) (*Figure, error) {
-	fig := &Figure{ID: "Fig15-" + dataset, Title: "Bounding box pruning (avg generated boxes)"}
-	variants := []struct {
-		name   string
-		mutate func(*payless.Config)
-	}{
+	return ablation(&Figure{ID: "Fig15-" + dataset, Title: "Bounding box pruning (avg generated boxes)"}, p, dataset, []variant{
 		{"PayLess", nil},
 		{"No Pruning", func(c *payless.Config) { c.DisableBoxPruning = true }},
-	}
+	})
+}
+
+// ablation adds each variant's search effort, on a fresh environment, to fig.
+func ablation(fig *Figure, p Params, dataset string, variants []variant) (*Figure, error) {
 	for _, v := range variants {
 		env, err := envFor(p, dataset)
 		if err != nil {

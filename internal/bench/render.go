@@ -9,21 +9,11 @@ import (
 
 // Request selects which figures and datasets Each regenerates.
 type Request struct {
-	// Figures lists figure names ("10".."15", "conc", "store", ...); empty
-	// means all of them.
+	// Figures lists figure names ("10".."15"); empty means all of them.
 	Figures []string
 	// Datasets lists "real", "tpch", "tpch-skew"; empty means all.
 	Datasets []string
 	Params   Params
-	// TValues, QRealValues, QTPCHValues and DValues override the swept
-	// parameter grids; nil picks the defaults used in EXPERIMENTS.md.
-	TValues     []int
-	QRealValues []int
-	QTPCHValues []int
-	DValues     []float64
-	// ConcTrace enables per-query tracing in the concurrency figure and
-	// adds traced-call/retry series (paylessbench -trace).
-	ConcTrace bool
 }
 
 func (r *Request) figures() []string {
@@ -44,68 +34,37 @@ func (r *Request) datasets() []string {
 	return []string{"real", "tpch", "tpch-skew"}
 }
 
-func (r *Request) tValues() []int {
-	if len(r.TValues) > 0 {
-		return r.TValues
-	}
-	return []int{50, 100, 500}
-}
+// The swept grids of Figs. 11–13, as recorded in EXPERIMENTS.md.
+func (r *Request) tValues() []int { return []int{50, 100, 500} }
 
 func (r *Request) qValues(dataset string) []int {
 	if dataset == "real" {
-		if len(r.QRealValues) > 0 {
-			return r.QRealValues
-		}
 		return []int{10, 20, 30}
-	}
-	if len(r.QTPCHValues) > 0 {
-		return r.QTPCHValues
 	}
 	return []int{5, 10, 20}
 }
 
-func (r *Request) dValues() []float64 {
-	if len(r.DValues) > 0 {
-		return r.DValues
-	}
-	return []float64{0.5, 1, 2}
-}
+func (r *Request) dValues() []float64 { return []float64{0.5, 1, 2} }
 
-// runner regenerates one figure. A per-dataset runner runs once for each
-// requested dataset and may return a nil figure to skip one; the others run
-// once per request and get an empty dataset.
+// runner regenerates one figure for one dataset; a nil figure skips it.
 type runner struct {
-	name       string
-	perDataset bool
-	run        func(req Request, ds string) (*Figure, error)
+	name string
+	run  func(req Request, ds string) (*Figure, error)
 }
 
 // runners is every figure paylessbench regenerates, in "all" order.
 var runners = []runner{
-	{"10", true, func(r Request, ds string) (*Figure, error) { return Fig10(r.Params, ds) }},
-	{"11", true, func(r Request, ds string) (*Figure, error) { return Fig11(r.Params, ds, r.tValues()) }},
-	{"12", true, func(r Request, ds string) (*Figure, error) { return Fig12(r.Params, ds, r.qValues(ds)) }},
-	{"13", true, func(r Request, ds string) (*Figure, error) {
+	{"10", func(r Request, ds string) (*Figure, error) { return Fig10(r.Params, ds) }},
+	{"11", func(r Request, ds string) (*Figure, error) { return Fig11(r.Params, ds, r.tValues()) }},
+	{"12", func(r Request, ds string) (*Figure, error) { return Fig12(r.Params, ds, r.qValues(ds)) }},
+	{"13", func(r Request, ds string) (*Figure, error) {
 		if ds == "real" {
 			return nil, nil // Fig. 13 varies the synthetic data size only
 		}
 		return Fig13(r.Params, ds, r.dValues())
 	}},
-	{"14", true, func(r Request, ds string) (*Figure, error) { return Fig14(r.Params, ds) }},
-	{"15", true, func(r Request, ds string) (*Figure, error) { return Fig15(r.Params, ds) }},
-	{"conc", false, func(r Request, _ string) (*Figure, error) {
-		cp := DefaultConcurrencyParams()
-		cp.Trace = r.ConcTrace
-		return FigConcurrency(cp)
-	}},
-	{"shared", false, func(Request, string) (*Figure, error) { return FigShared(DefaultSharedParams()) }},
-	{"daemon", false, func(Request, string) (*Figure, error) { return FigDaemon(DefaultDaemonParams()) }},
-	{"store", false, func(Request, string) (*Figure, error) { return FigStore(DefaultStoreParams()) }},
-	{"faults", false, func(Request, string) (*Figure, error) { return FigFaults(DefaultFaultParams()) }},
-	{"durability", false, func(Request, string) (*Figure, error) { return FigDurability(DefaultDurabilityParams()) }},
-	{"plan", false, func(Request, string) (*Figure, error) { return FigPlan(DefaultPlanParams()) }},
-	{"federation", false, func(Request, string) (*Figure, error) { return FigFederation(DefaultFederationParams()) }},
-	{"overload", false, func(Request, string) (*Figure, error) { return FigOverload(DefaultOverloadParams()) }},
+	{"14", func(r Request, ds string) (*Figure, error) { return Fig14(r.Params, ds) }},
+	{"15", func(r Request, ds string) (*Figure, error) { return Fig15(r.Params, ds) }},
 }
 
 // Each regenerates the requested figures in request order and hands each
@@ -116,19 +75,13 @@ func Each(req Request, emit func(fig *Figure, took time.Duration)) error {
 		if i < 0 {
 			return fmt.Errorf("unknown figure %q", name)
 		}
-		rn, datasets := runners[i], []string{""}
-		if rn.perDataset {
-			datasets = req.datasets()
-		}
-		for _, ds := range datasets {
+		for _, ds := range req.datasets() {
 			start := time.Now()
-			fig, err := rn.run(req, ds)
-			switch {
-			case err != nil && ds != "":
+			fig, err := runners[i].run(req, ds)
+			if err != nil {
 				return fmt.Errorf("fig %s (%s): %w", name, ds, err)
-			case err != nil:
-				return fmt.Errorf("fig %s: %w", name, err)
-			case fig != nil:
+			}
+			if fig != nil {
 				emit(fig, time.Since(start))
 			}
 		}
@@ -155,7 +108,7 @@ func (f *Figure) Markdown() string {
 		}
 		return out
 	}
-	out += fmt.Sprintf("| %s |", f.xLabel())
+	out += "| #queries |"
 	for _, s := range f.Series {
 		out += fmt.Sprintf(" %s |", s.System)
 	}

@@ -91,10 +91,6 @@ type Client struct {
 	// attempts: base<<attempt capped at max, then jittered to 50–100%.
 	backoffBase time.Duration
 	backoffMax  time.Duration
-	// noCallIDs disables per-call idempotency IDs; retried calls may then
-	// be billed again by the market (the pre-ledger behaviour, kept for the
-	// fault-overhead ablation).
-	noCallIDs bool
 	// sleep waits between attempts; replaced in tests.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -132,13 +128,6 @@ func WithPerCallTimeout(d time.Duration) Option {
 // WithBackoff sets the exponential backoff shape between retry attempts.
 func WithBackoff(base, max time.Duration) Option {
 	return func(c *Client) { c.backoffBase = base; c.backoffMax = max }
-}
-
-// WithoutCallIDs disables the per-call idempotency IDs, so a retried call
-// may be billed again. Only the fault-overhead ablation wants this; leave
-// IDs on everywhere else.
-func WithoutCallIDs() Option {
-	return func(c *Client) { c.noCallIDs = true }
 }
 
 // New returns a client for the market at baseURL authenticating with key.
@@ -427,15 +416,9 @@ func (c *Client) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		// assigned it (the federation fan-out).
 		overload.Grant(ctx, overload.GrantPerCall)
 	}
-	if c.noCallIDs {
-		// The ablation sends no ID at all, not even one assigned above the
-		// transport (federation assigns one to every call).
-		q.CallID = ""
-	} else {
-		// One idempotency ID per logical call, shared by every retry of
-		// every page: the market bills it once and replays thereafter.
-		market.EnsureCallID(&q)
-	}
+	// One idempotency ID per logical call, shared by every retry of every
+	// page: the market bills it once and replays thereafter.
+	market.EnsureCallID(&q)
 	params := url.Values{}
 	for _, p := range q.Preds {
 		switch {

@@ -165,22 +165,20 @@ func TestCallIDStableAcrossRetriesAndPages(t *testing.T) {
 	}
 }
 
-func TestWithoutCallIDsSendsNoHeader(t *testing.T) {
+// TestInheritedCallIDSentAndNotGrantedAgain: a call that arrives carrying
+// an ID — federation assigns one above the transport — sends that ID, and,
+// already funded by the layer that assigned it, does not deposit into the
+// retry budget again.
+func TestInheritedCallIDSentAndNotGrantedAgain(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if id := r.Header.Get(market.CallIDHeader); id != "" {
-			t.Errorf("unexpected %s header: %q", market.CallIDHeader, id)
+		if id := r.Header.Get(market.CallIDHeader); id != "assigned-above" {
+			t.Errorf("%s header %q, want the inherited ID", market.CallIDHeader, id)
 		}
 		w.Write([]byte(`{"Calls":1,"Records":0,"Transactions":0,"Price":0,"Rows":[],"NextPage":0}`))
 	}))
 	defer srv.Close()
 
-	c := New(srv.URL, "k", WithoutCallIDs(), fastBackoff())
-	if _, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"}); err != nil {
-		t.Fatal(err)
-	}
-	// A call that arrives carrying an ID — federation assigns one above the
-	// transport — must not send it either, and, already funded by the layer
-	// that assigned it, must not deposit into the retry budget again.
+	c := New(srv.URL, "k", fastBackoff())
 	b := overload.NewRetryBudget(0)
 	ctx := overload.WithBudget(context.Background(), b)
 	if _, err := c.Call(ctx, catalog.AccessQuery{Dataset: "DS", Table: "T", CallID: "assigned-above"}); err != nil {

@@ -43,7 +43,7 @@ type fixture struct {
 	st    *stats.Store
 }
 
-func newFixture(t *testing.T, tables ...*catalog.Table) *fixture {
+func newFixture(t testing.TB, tables ...*catalog.Table) *fixture {
 	t.Helper()
 	cat := catalog.New()
 	st := stats.New()

@@ -384,9 +384,9 @@ func TestDaemonAdmissionControl(t *testing.T) {
 // gatedCaller blocks wire calls until the gate closes, counting arrivals.
 type gatedCaller struct {
 	inner market.Caller
-	gate  chan struct{}
 
 	mu      sync.Mutex
+	gate    chan struct{}
 	arrived int64
 }
 
@@ -396,16 +396,103 @@ func (g *gatedCaller) arrivals() int64 {
 	return g.arrived
 }
 
+// setGate makes later calls wait for gate instead.
+func (g *gatedCaller) setGate(gate chan struct{}) {
+	g.mu.Lock()
+	g.gate = gate
+	g.mu.Unlock()
+}
+
 func (g *gatedCaller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
 	g.mu.Lock()
 	g.arrived++
+	gate := g.gate
 	g.mu.Unlock()
 	select {
-	case <-g.gate:
+	case <-gate:
 	case <-ctx.Done():
 		return market.Result{}, ctx.Err()
 	}
 	return g.inner.Call(ctx, q)
+}
+
+// TestDaemonFlatMeterAtN4 is the shared store's load gate: four tenants
+// replaying the same queries through one daemon bill at most 1.2x what one
+// tenant bills, and at every N the tenant ledgers sum to the seller meter
+// (first-payer attribution loses and double-books nothing). A gate holds
+// each round's wire call open until every other tenant has joined the
+// flight, so N tenants buying the same box at once is a fact of the test
+// rather than a timing accident.
+func TestDaemonFlatMeterAtN4(t *testing.T) {
+	var single int64
+	for _, n := range []int{1, 4} {
+		acct := fmt.Sprintf("flat-%d", n)
+		m := rangeMarket(t, acct)
+		cfgs := make([]tenant.Config, n)
+		for i := range cfgs {
+			cfgs[i] = tenant.Config{Name: fmt.Sprintf("t%02d", i), Key: fmt.Sprintf("key-%02d", i)}
+		}
+		reg, err := tenant.NewRegistry(0, cfgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc := &gatedCaller{inner: market.AccountCaller{Market: m, Key: acct}}
+		client, err := payless.Open(payless.Config{
+			Tables:               m.ExportCatalog(),
+			Caller:               gc,
+			TuplesPerTransaction: map[string]int{"DS": 10},
+			FetchConcurrency:     4,
+		}, payless.WithAdmitter(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		h := newDaemon(t, client, reg, func(c *daemon.Config) { c.MaxInflight = 4 * n }).Handler()
+		for _, lo := range []int{1, 31, 61} {
+			sql := fmt.Sprintf("SELECT v FROM T WHERE a >= %d AND a <= %d", lo, lo+29)
+			gate := make(chan struct{})
+			gc.setGate(gate)
+			hitsBefore := client.Metrics().SchedSingleflightHits
+			var wg sync.WaitGroup
+			for _, c := range cfgs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if code, _, rec := post(h, c.Key, sql); code != http.StatusOK {
+						t.Errorf("tenant %s: HTTP %d: %s", c.Name, code, rec.Body.String())
+					}
+				}()
+			}
+			for deadline := time.Now().Add(10 * time.Second); client.Metrics().SchedSingleflightHits < hitsBefore+int64(n-1); {
+				if time.Now().After(deadline) {
+					close(gate)
+					t.Fatalf("n=%d: tenants never overlapped on one flight", n)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(gate)
+			wg.Wait()
+		}
+
+		billed, ledger := meterOf(t, m, acct).Transactions, int64(0)
+		for _, c := range cfgs {
+			tn, _ := reg.Lookup(c.Name)
+			ledger += tn.Spend()
+		}
+		t.Logf("n=%d: seller billed %d, tenant ledgers sum to %d", n, billed, ledger)
+		if ledger != billed {
+			t.Fatalf("n=%d: tenant ledgers sum to %d but the seller billed %d", n, ledger, billed)
+		}
+		if n == 1 {
+			single = billed
+			if single == 0 {
+				t.Fatal("single tenant billed nothing — the test bought no data")
+			}
+		}
+		if float64(billed) > 1.2*float64(single) {
+			t.Fatalf("n=%d tenants billed %d, over the 1.2x gate on the single-tenant bill %d", n, billed, single)
+		}
+	}
 }
 
 // TestDaemonBudgetRejections maps budget errors onto 402: a tenant whose

@@ -4,9 +4,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/chaos"
 	"payless/internal/market"
+	"payless/internal/storage"
 )
 
 // The routing suite pins where a federated client's routing state lives:
@@ -205,5 +208,84 @@ func TestRoutingPinnedTableWithoutEndpointsFails(t *testing.T) {
 	}
 	if transactionsAt(mirrors[1]) == 0 {
 		t.Fatal("unpinned Station did not route to b")
+	}
+}
+
+// TestRoutingSpendStaysAtTheCheapestMirror sweeps the price skew s across
+// three mirrors selling at 1×, (1+s)× and (1+2s)× the base price. Federated
+// spend stays at the cheapest mirror's bill whatever the skew; a client
+// pinned to the dearest mirror pays more at every s > 0; and with the
+// cheapest mirror erroring every call, failover spend stays within 1.3× the
+// federated spend (the second-cheapest mirror is at most 1.25×).
+func TestRoutingSpendStaysAtTheCheapestMirror(t *testing.T) {
+	_, w := buildChaosMarket(t)
+	queries := chaosQueries(w)
+	// spend replays the workload over fresh mirrors at skew%, through a
+	// client federated over all three or pinned to the dearest, and returns
+	// the combined seller-side price.
+	spend := func(skew int, pinned bool, wrap func(i int, inner market.Caller) market.Caller) float64 {
+		t.Helper()
+		factors := []float64{1, 1 + float64(skew)/100, 1 + 2*float64(skew)/100}
+		mirrors := make([]*market.Market, len(factors))
+		for i, f := range factors {
+			mirrors[i] = market.New()
+			if err := w.Install(mirrors[i], storage.NewDB(), 100, f); err != nil {
+				t.Fatal(err)
+			}
+			mirrors[i].RegisterAccount("acct")
+		}
+		cfg := Config{
+			Tables:      mirrors[0].ExportCatalog(),
+			Calls:       CallPolicy{BreakAfter: 2, Cooldown: time.Minute},
+			Consistency: Strong(), // every query pays its full fan-out
+		}
+		if pinned {
+			cfg.Caller = market.AccountCaller{Market: mirrors[2], Key: "acct"}
+		} else {
+			cfg.FederationEndpoints = mirrorEndpoints(mirrors, wrap)
+			for i := range cfg.FederationEndpoints {
+				cfg.FederationEndpoints[i].PriceFactor = factors[i]
+			}
+		}
+		client, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		for _, q := range queries {
+			if _, err := client.Query(q); err != nil {
+				t.Fatalf("skew=%d%% pinned=%v: %v", skew, pinned, err)
+			}
+		}
+		return sumMeters(mirrors).Price
+	}
+	down := chaos.NewSchedule(17)
+	down.Target(func(string) bool { return true }, chaos.ServerError, -1)
+	cheapestDown := func(i int, inner market.Caller) market.Caller {
+		if i == 0 {
+			return chaos.Caller{Inner: inner, Schedule: down}
+		}
+		return inner
+	}
+
+	var base float64
+	for _, skew := range []int{0, 10, 25} {
+		fed, pinned, degraded := spend(skew, false, nil), spend(skew, true, nil), spend(skew, false, cheapestDown)
+		t.Logf("skew=%d%%: spend %.2f federated, %.2f pinned to the dearest, %.2f with the cheapest down", skew, fed, pinned, degraded)
+		if fed == 0 {
+			t.Fatalf("skew=%d%%: federated spend is zero; the checks would be vacuous", skew)
+		}
+		if skew == 0 {
+			base = fed
+		}
+		if fed != base {
+			t.Errorf("skew=%d%%: federated spend moved off the cheapest mirror: %.2f vs %.2f", skew, fed, base)
+		}
+		if skew > 0 && pinned <= fed {
+			t.Errorf("skew=%d%%: pinned spend %.2f not above federated %.2f", skew, pinned, fed)
+		}
+		if degraded > 1.3*fed {
+			t.Errorf("skew=%d%%: degraded spend %.2f exceeds 1.3x federated %.2f", skew, degraded, fed)
+		}
 	}
 }

@@ -276,3 +276,30 @@ func TestUntracedQueryHasNoTrace(t *testing.T) {
 		t.Errorf("metrics must count untraced queries: %+v", snap)
 	}
 }
+
+// noopTracer opts every query out of tracing: Begin returns nil, so the
+// engine runs the same nil-trace path as a client with no Tracer at all.
+type noopTracer struct{}
+
+func (noopTracer) Begin(string) *Trace { return nil }
+func (noopTracer) Finish(*Trace)       {}
+
+// TestNoopTracerAllocatesNothing is the guard on the tracing hooks: a client
+// whose Tracer declines every query runs the same nil-trace path as an
+// untraced one, so the fan-out workload allocates as much either way. (What
+// tracing costs in time is BenchmarkFetchConcurrencyTraced's and the
+// ledger's trace.overhead_ratio to measure.) The race detector makes
+// sync.Pool drop items at random, which moves the counts apart by more than
+// the comparison allows, so the gate runs only without it.
+func TestNoopTracerAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomises sync.Pool reuse, and with it allocation counts")
+	}
+	env := newFanoutEnv(t, false)
+	base, _ := env.replayAllocs(t, "alloc-untraced")
+	declined, _ := env.replayAllocs(t, "alloc-declined", WithTracer(noopTracer{}))
+	t.Logf("%v allocations a pass untraced, %v declined", base, declined)
+	if !sameAllocs(base, declined) {
+		t.Fatalf("a declining tracer changes the workload's allocations: %v untraced, %v declined", base, declined)
+	}
+}
