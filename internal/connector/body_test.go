@@ -9,6 +9,7 @@ import (
 	"net/http/httptrace"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -202,5 +203,74 @@ func TestOversizedContentLengthIsNotPreallocated(t *testing.T) {
 	_, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"})
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("a body that stops short of a terabyte Content-Length: %v, want an unexpected EOF", err)
+	}
+}
+
+// taggedPage returns the wire body of a page of n rows whose string cells
+// start with tag: pages of tags of one length have bodies of one length.
+func taggedPage(tag string, n int) []byte {
+	res := market.Result{Schema: value.Schema{{Name: "K", Type: value.Int}, {Name: "Name", Type: value.String}}}
+	for i := range n {
+		res.Rows = append(res.Rows, value.Row{value.NewInt(int64(i)), value.NewString(tag + strconv.Itoa(i))})
+	}
+	res.Records, res.Transactions, res.Price = n, 1, 1
+	return market.AppendResultPage(nil, res, 0, n, 0)
+}
+
+// TestDecodedPageOutlivesItsBuffer: a body's buffer goes back to the pool
+// once its page is decoded, so a decoded Result must hold nothing of it.
+// Two pages of one length and different cells are served in turn: the
+// second call reads into the buffer the first one gave back (unless the
+// race detector's pool dropped it), and the first result must still be the
+// first page's. Then a buffer get handed a decoder is overwritten by hand
+// after get returns, and the result decoded from it must not change.
+func TestDecodedPageOutlivesItsBuffer(t *testing.T) {
+	pages := [][]byte{taggedPage("first-", 200), taggedPage("other-", 200)}
+	if len(pages[0]) != len(pages[1]) || len(pages[0]) > maxPooledBody {
+		t.Fatalf("page bodies of %d and %d bytes; the test wants one length, at most %d", len(pages[0]), len(pages[1]), maxPooledBody)
+	}
+	var served atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body := pages[(served.Add(1)-1)%2]
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+	}))
+	defer srv.Close()
+	want := make([]market.Result, 2)
+	for i, page := range pages {
+		var err error
+		if want[i], _, err = market.DecodeResultPage(slices.Clone(page)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New(srv.URL, "k", WithHTTPClient(srv.Client()))
+	q := catalog.AccessQuery{Dataset: "DS", Table: "T"}
+	first, err := c.Call(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Call(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, want[0]) || !reflect.DeepEqual(second, want[1]) {
+		t.Fatal("a page read into a recycled buffer changed the result decoded from the page before it")
+	}
+
+	var kept []byte
+	var res market.Result
+	if err := c.get(context.Background(), "/page", "", func(body []byte) (err error) {
+		kept = body
+		res, _, err = market.DecodeResultPage(body)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	kept = kept[:cap(kept)]
+	for i := range kept {
+		kept[i] = '#'
+	}
+	if !reflect.DeepEqual(res, want[0]) { // the third request is served the first page
+		t.Fatal("overwriting a decoded body's buffer changed the decoded result")
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"payless/internal/catalog"
@@ -180,6 +181,8 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // cancellation return immediately. callID, when non-empty, travels as the
 // X-Call-Id idempotency header on every attempt. decode reads a 200's body.
 func (c *Client) get(ctx context.Context, path, callID string, decode func(body []byte) error) error {
+	buf := bodies.Get().(*[]byte)
+	defer putBody(buf)
 	var lastErr error
 	var retryAfter time.Duration
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -215,7 +218,8 @@ func (c *Client) get(ctx context.Context, path, callID string, decode func(body 
 				return fmt.Errorf("market call aborted after %d attempts: %w (last error: %v)", attempt, err, lastErr)
 			}
 		}
-		body, code, hdr, err := c.attempt(ctx, path, callID)
+		code, hdr, err := c.attempt(ctx, path, callID, buf)
+		body := *buf
 		if err != nil {
 			if ctx.Err() != nil {
 				// The caller's context expired or was cancelled: the engine
@@ -292,8 +296,9 @@ func parseRetryAfter(h http.Header) time.Duration {
 	return 0
 }
 
-// attempt performs one HTTP round-trip under the per-call deadline.
-func (c *Client) attempt(ctx context.Context, path, callID string) ([]byte, int, http.Header, error) {
+// attempt performs one HTTP round-trip under the per-call deadline, reading
+// the response body into *buf.
+func (c *Client) attempt(ctx context.Context, path, callID string, buf *[]byte) (int, http.Header, error) {
 	actx := ctx
 	cancel := func() {}
 	if c.perCallTimeout > 0 {
@@ -302,7 +307,7 @@ func (c *Client) attempt(ctx context.Context, path, callID string) ([]byte, int,
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.baseURL+path, nil)
 	if err != nil {
-		return nil, 0, nil, err
+		return 0, nil, err
 	}
 	req.Header.Set(market.AuthHeader, c.key)
 	if callID != "" {
@@ -310,38 +315,59 @@ func (c *Client) attempt(ctx context.Context, path, callID string) ([]byte, int,
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, 0, nil, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := readBody(resp)
-	if err != nil {
-		return nil, 0, nil, err
+	if err := readBody(resp, buf); err != nil {
+		return 0, nil, err
 	}
-	return body, resp.StatusCode, resp.Header, nil
+	return resp.StatusCode, resp.Header, nil
 }
 
 // maxExactRead bounds the Content-Length readBody trusts with an up-front
 // allocation: a larger claim is read as it arrives instead.
 const maxExactRead = 64 << 20
 
-// readBody reads a response body. A body of known length — what the market
-// sends — is read into one buffer of exactly that size; a body of unknown
-// length (a third-party market, or a proxy that strips the header) grows as
-// it arrives. A body shorter than its length is io.ErrUnexpectedEOF: a
-// transport error, which get retries under the same call ID.
-func readBody(resp *http.Response) ([]byte, error) {
+// maxPooledBody is the largest body buffer get hands back to bodies: the
+// pages of a bulk purchase are reused, a rare huge one is not kept.
+const maxPooledBody = 64 << 10
+
+// bodies recycles response buffers. Nothing a decoder returns points into
+// the body it read (market.DecodeResultPage carves rows from its own slab
+// and interns strings; encoding/json copies), so get hands its buffer back
+// once it returns, on every path.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodies.Put(buf)
+	}
+}
+
+// readBody reads a response body into *buf. A body of known length — what
+// the market sends — is read into one buffer of exactly that size, *buf's
+// own when it has room; a body of unknown length (a third-party market, or
+// a proxy that strips the header) grows as it arrives. A body shorter than
+// its length is io.ErrUnexpectedEOF: a transport error, which get retries
+// under the same call ID.
+func readBody(resp *http.Response, buf *[]byte) error {
 	n := resp.ContentLength
 	if n < 0 || n > maxExactRead {
-		return io.ReadAll(resp.Body)
+		body, err := io.ReadAll(resp.Body)
+		*buf = body
+		return err
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, body); err != nil {
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	*buf = (*buf)[:n]
+	if _, err := io.ReadFull(resp.Body, *buf); err != nil {
 		if err == io.EOF { // nothing at all arrived
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return err
 	}
-	return body, nil
+	return nil
 }
 
 // Catalog fetches the market's public table metadata — the registration

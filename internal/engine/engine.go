@@ -168,7 +168,7 @@ func (e *Engine) localScan(a *storage.Arena, rel *core.Rel) (storage.Tuples, err
 		}
 		filters[i] = catalog.CompileFilter(rel.Table, q)
 	}
-	t := a.Source(rel.Schema, tbl.Relation().Rows, a.List(0), true)
+	t := a.Source(rel.Schema, a.View(tbl.Relation().Rows), a.List(0), true)
 	return a.Filter(t, func(i int) bool {
 		return slices.ContainsFunc(filters, func(f catalog.Filter) bool { return f.Matches(t.Row(0, i)) })
 	}), nil
@@ -215,7 +215,7 @@ func (e *Engine) buy(ctx context.Context, a *storage.Arena, rel *core.Rel, calls
 		for _, res := range results {
 			rows = append(rows, res.Rows...)
 		}
-		return a.Source(rel.Schema, rows, a.List(0), true), nil
+		return a.Source(rel.Schema, a.View(rows), a.List(0), true), nil
 	}
 	out := e.stored(a, rel, reads)
 	e.noteStoreServed(len(specs), out.N, results)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"payless/internal/catalog"
+	"payless/internal/chunk"
 	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/sched"
@@ -70,7 +71,7 @@ func (e *Engine) refExecute(ctx context.Context, plan *core.Plan) (storage.Relat
 
 // whole is r as the tuples of one input, every row in order.
 func whole(r storage.Relation) storage.Tuples {
-	return storage.Tuples{In: []storage.Input{{Schema: r.Schema, Rows: r.Rows}}, N: len(r.Rows)}
+	return storage.Tuples{In: []storage.Input{{Schema: r.Schema, Rows: chunk.View(nil, r.Rows)}}, N: len(r.Rows)}
 }
 
 // refResidual tests rel's constant predicates on one of its rows.

@@ -96,9 +96,9 @@ func BenchmarkSemstoreRowsIn(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				count := 0
 			scan:
-				for id := range ts.rows {
+				for id := range ts.rows.Len() {
 					for k, rd := range ts.rowIdx {
-						if !q.Dims[k].ContainsCoord(rd.col[id]) {
+						if !q.Dims[k].ContainsCoord(rd.col.At(id)) {
 							continue scan
 						}
 					}

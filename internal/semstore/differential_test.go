@@ -1,6 +1,7 @@
 package semstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -8,9 +9,12 @@ import (
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/chunk"
+	"payless/internal/diskfault"
 	"payless/internal/region"
 	"payless/internal/storage"
 	"payless/internal/value"
+	"payless/internal/wal"
 )
 
 // rowKey renders a row exactly (kind and quoted payload per value): the
@@ -120,26 +124,33 @@ func semanticallyEqual(a, b []region.Box) bool {
 // merges them again and again; "bulk3" does the same on a three-dimensional
 // table, so reads filter their candidates through two other columns. The
 // bulk schedules' reads restrict two (and three) dimensions on both sides of
-// rowsIn's bitset cutoff.
+// rowsIn's bitset cutoff. "chunk" starts from a Record of exactly one full
+// chunk of rows, probed as such, and grows past it. Rows and columns are
+// chunk lists: the bulk and chunk schedules must record batches that start
+// inside a chunk and end in a later one. Each trial's store is durable, and
+// at its end a copy loaded from its snapshot and one rebuilt by WAL replay
+// must answer like the naive store too.
 func TestDifferentialOracle(t *testing.T) {
 	for _, sched := range []struct {
 		name                    string
 		span, maxWidth          int64 // of X and Y
 		zSpan                   int64 // of Z; 0: a two-dimensional grid
 		trials, records, probes int
-		maxRows                 int // rows per Record: uniform in [0, maxRows)
-		wholeTable              int // rows of the whole-table Record each trial starts with
-		minDup                  int // duplicate rows the bulk schedule must record
+		maxRows                 int  // rows per Record: uniform in [0, maxRows)
+		wholeTable              int  // rows of the whole-table Record each trial starts with
+		minDup                  int  // duplicate rows the bulk schedule must record
+		oneChunk                bool // the first Record is exactly chunk.Len distinct rows
 	}{
 		{name: "sparse", span: 120, maxWidth: 30, trials: 20, records: 60, probes: 8, maxRows: 4},
 		{name: "bulk", span: 120, maxWidth: 30, trials: 2, records: 250, probes: 4, maxRows: 101, wholeTable: 4000, minDup: 1000},
 		{name: "bulk3", span: 60, maxWidth: 15, zSpan: 4, trials: 2, records: 250, probes: 4, maxRows: 101, wholeTable: 4000, minDup: 1000},
+		{name: "chunk", span: 120, maxWidth: 30, trials: 2, records: 60, probes: 8, maxRows: 41, oneChunk: true},
 	} {
 		t.Run(sched.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			base := time.Unix(1700000000, 0)
 			span, maxWidth := sched.span, sched.maxWidth
-			randBox := func() region.Box {
+			boxFrom := func(rng *rand.Rand) region.Box {
 				x := rng.Int63n(span)
 				y := rng.Int63n(span)
 				b := box2(x, x+1+rng.Int63n(maxWidth), y, y+1+rng.Int63n(maxWidth))
@@ -149,6 +160,10 @@ func TestDifferentialOracle(t *testing.T) {
 				}
 				return b
 			}
+			randBox := func() region.Box { return boxFrom(rng) }
+			// The recovered stores' probes draw from their own source, so
+			// the schedules' draws are those of a memory-only store.
+			recoveryRng := rand.New(rand.NewSource(7))
 			// rowsInside samples n points of b, repeats allowed.
 			rowsInside := func(b region.Box, n int) []value.Row {
 				var rows []value.Row
@@ -168,10 +183,19 @@ func TestDifferentialOracle(t *testing.T) {
 				return gridMeta(span + maxWidth + 2)
 			}
 			sides := readSides{}
-			maxRuns := 0
+			maxRuns, straddles := 0, 0
 			for trial := 0; trial < sched.trials; trial++ {
 				meta := newMeta()
-				idx := New(storage.NewDB())
+				lookup := func(name string) (*catalog.Table, bool) { return meta, name == meta.Name }
+				fsys := diskfault.New()
+				open := func() *Store {
+					s := New(storage.NewDB())
+					if _, err := s.EnableDurability("/store", DurableOptions{FS: fsys, Policy: wal.SyncOff, Lookup: lookup, CheckpointEvery: -1}); err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+				idx := open()
 				ref := newNaiveStore()
 				var times []time.Time
 				for rec := 0; rec < sched.records; rec++ {
@@ -191,9 +215,22 @@ func TestDifferentialOracle(t *testing.T) {
 						}
 						rows = rowsInside(whole, sched.wholeTable)
 					}
+					if rec == 0 && sched.oneChunk {
+						b, rows = meta.FullBox(), nil
+						for i := range int64(chunk.Len) {
+							rows = append(rows, gridRow(i%span, i/span))
+						}
+					}
 					times = append(times, at)
+					before := idx.StoredRowCount(meta.Name)
 					if _, err := idx.Record(meta, b, rows, at); err != nil {
 						t.Fatalf("trial %d rec %d: %v", trial, rec, err)
+					}
+					if after := idx.StoredRowCount(meta.Name); before%chunk.Len != 0 && (after-1)/chunk.Len > before/chunk.Len {
+						straddles++
+					}
+					if rec == 0 && sched.oneChunk && idx.StoredRowCount(meta.Name) != chunk.Len {
+						t.Fatalf("trial %d: the first Record stored %d rows, want one chunk's %d", trial, idx.StoredRowCount(meta.Name), chunk.Len)
 					}
 					if err := ref.record(meta, b, rows, at); err != nil {
 						t.Fatalf("trial %d rec %d (naive): %v", trial, rec, err)
@@ -240,15 +277,19 @@ func TestDifferentialOracle(t *testing.T) {
 						}
 					}
 				}
+				checkRecovered(t, fmt.Sprintf("trial %d", trial), idx, open, lookup, meta, ref, func() region.Box { return boxFrom(recoveryRng) })
 				// The whole point: compaction keeps live entries at or below the
 				// naive one-entry-per-call count.
 				if idx.EntryCount(meta.Name) > len(ref.boxes) {
 					t.Fatalf("trial %d: compacted store has %d entries, naive %d",
 						trial, idx.EntryCount(meta.Name), len(ref.boxes))
 				}
-				if dup := sched.wholeTable + sched.records*sched.maxRows/2 - idx.StoredRowCount(meta.Name); dup < sched.minDup {
+				if dup := sched.wholeTable + sched.records*sched.maxRows/2 - idx.StoredRowCount(meta.Name); sched.minDup > 0 && dup < sched.minDup {
 					t.Fatalf("trial %d: about %d of the recorded rows were duplicates; the schedule wants %d", trial, dup, sched.minDup)
 				}
+			}
+			if (sched.wholeTable > 0 || sched.oneChunk) && straddles == 0 {
+				t.Fatal("no Record started inside a chunk and ended in a later one")
 			}
 			if sched.wholeTable > 0 {
 				if maxRuns < 4 {
@@ -260,5 +301,51 @@ func TestDifferentialOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkRecovered closes the durable store idx and requires a copy loaded
+// from its snapshot and one rebuilt from its WAL by open to read rows
+// exactly like the naive store ref, and to hold as many rows as idx, on
+// the full box and on boxes from randBox.
+func checkRecovered(t *testing.T, what string, idx *Store, open func() *Store, lookup func(string) (*catalog.Table, bool),
+	meta *catalog.Table, ref *naiveStore, randBox func() region.Box) {
+	t.Helper()
+	var snap bytes.Buffer
+	if err := idx.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded := New(storage.NewDB())
+	if err := loaded.Load(&snap, lookup); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := open()
+	defer replayed.Close()
+	for name, s := range map[string]*Store{"loaded": loaded, "replayed": replayed} {
+		if got, want := s.StoredRowCount(meta.Name), idx.StoredRowCount(meta.Name); got != want {
+			t.Fatalf("%s: %s store holds %d rows, the live one %d", what, name, got, want)
+		}
+		for p := 0; p < 20; p++ {
+			q := meta.FullBox()
+			if p > 0 {
+				q = randBox()
+			}
+			got, err := s.RowsIn(meta, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.rowsIn(q)
+			if len(got.Rows) != len(want) {
+				t.Fatalf("%s: %s RowsIn(%v) = %d rows, naive %d", what, name, q, len(got.Rows), len(want))
+			}
+			for i := range want {
+				if rowKey(got.Rows[i]) != rowKey(want[i]) {
+					t.Fatalf("%s: %s RowsIn(%v) row %d differs (order must match the naive scan)", what, name, q, i)
+				}
+			}
+		}
 	}
 }

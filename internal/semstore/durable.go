@@ -272,19 +272,18 @@ func (s *Store) replayRecord(rec *walRecord, lookup func(string) (*catalog.Table
 	if err != nil {
 		return err
 	}
-	coords, err := validateRows(meta, b, rows)
-	if err != nil {
+	if err := validateRows(meta, b, rows); err != nil {
 		return err
 	}
 	var res RecordResult
-	s.applyRecord(meta, b, rows, coords, rec.At, &res)
+	s.applyRecord(meta, b, rows, rec.At, &res)
 	return nil
 }
 
 // record is the durable Record path: append to the log, then apply, then
 // maybe checkpoint — all under the durability mutex so the log order is the
 // application order and checkpoints see a record-aligned state.
-func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []value.Row, coords []int64, at time.Time) (RecordResult, error) {
+func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []value.Row, at time.Time) (RecordResult, error) {
 	var res RecordResult
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -311,7 +310,7 @@ func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []va
 	if m := s.metrics; m != nil {
 		m.ObserveWALAppend(n, synced, res.WALMicros)
 	}
-	s.applyRecord(meta, b, rows, coords, at, &res)
+	s.applyRecord(meta, b, rows, at, &res)
 	d.sinceCkpt++
 	if d.ckptEvery > 0 && d.sinceCkpt >= d.ckptEvery {
 		// A failed checkpoint must not fail the Record: the log still holds

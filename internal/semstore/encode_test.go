@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/chunk"
 	"payless/internal/diskfault"
 	"payless/internal/region"
 	"payless/internal/storage"
@@ -54,7 +55,7 @@ func jsonDims(b region.Box) [][2]int64 {
 func jsonSnapshot(snap *storeSnap, records int64) ([]byte, error) {
 	out := persistFile{Magic: snapshotMagic, Version: persistVersion, Records: records}
 	for name, ts := range snap.tables {
-		pt := persistTable{Table: name, Rows: jsonRows(ts.rows)}
+		pt := persistTable{Table: name, Rows: jsonRows(ts.rows.AppendTo(nil))}
 		for _, c := range ts.meta.Schema {
 			pt.Kinds = append(pt.Kinds, c.Type.String())
 		}
@@ -315,7 +316,7 @@ func TestSnapshotIsEncodingJSON(t *testing.T) {
 	}
 	at := time.Date(2026, 8, 1, 0, 0, 0, 5, time.FixedZone("PDT", -7*3600))
 	table := func(meta *catalog.Table, entries []entry, rows []value.Row) *tableStore {
-		return &tableStore{meta: meta, entries: entries, rows: rows}
+		return &tableStore{meta: meta, entries: entries, rows: chunk.View(nil, rows)}
 	}
 	meta := pollutionMeta()
 	flat := &catalog.Table{Name: "Flat", Schema: value.Schema{{Name: "V", Type: value.Float}},

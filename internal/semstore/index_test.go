@@ -6,13 +6,16 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
 	"payless/internal/catalog"
+	"payless/internal/chunk"
 	"payless/internal/diskfault"
+	"payless/internal/region"
 	"payless/internal/storage"
 	"payless/internal/value"
 )
@@ -28,16 +31,17 @@ func checkRunInvariants(t *testing.T, s *Store, table string) {
 	if ts == nil {
 		return
 	}
-	n := len(ts.rows)
-	coords, err := rowCoords(ts.meta, ts.rows)
+	n := ts.rows.Len()
+	coords, err := rowCoords(ts.meta, ts.rows.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, rd := range ts.rowIdx {
-		if len(rd.col) != n {
-			t.Fatalf("dim %d: %d coordinates for %d rows", k, len(rd.col), n)
+		col := rd.col.AppendTo(nil)
+		if len(col) != n {
+			t.Fatalf("dim %d: %d coordinates for %d rows", k, len(col), n)
 		}
-		for id, c := range rd.col {
+		for id, c := range col {
 			if want := coords[id*len(ts.rowIdx)+k]; c != want {
 				t.Fatalf("dim %d: row %d indexed at %d, is at %d", k, id, c, want)
 			}
@@ -54,7 +58,7 @@ func checkRunInvariants(t *testing.T, s *Store, table string) {
 				t.Fatalf("dim %d: run %d has %d rows, the one before only %d", k, r, len(run), len(rd.runs[r-1]))
 			}
 			for i, id := range run {
-				if i > 0 && byCoordThenID(rd.col)(run[i-1], id) >= 0 {
+				if i > 0 && byCoordThenID(col)(run[i-1], id) >= 0 {
 					t.Fatalf("dim %d run %d: out of (column value, id) order at %d", k, r, i)
 				}
 				in[id]++
@@ -155,7 +159,7 @@ func TestRecordWriteAmplification(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	ts := s.table("Grid")
-	indexBytes := uint64(len(ts.rows) * len(ts.rowIdx) * 12) // an int64 coordinate and an int32 id per row and dimension
+	indexBytes := uint64(ts.rows.Len() * len(ts.rowIdx) * 12) // an int64 coordinate and an int32 id per row and dimension
 	allocated := after.TotalAlloc - before.TotalAlloc
 	t.Logf("allocated %.1f MB for a %.1f MB index: %.1fx", float64(allocated)/1e6, float64(indexBytes)/1e6, float64(allocated)/float64(indexBytes))
 	if allocated > limit*indexBytes {
@@ -185,9 +189,9 @@ func TestIndexFootprint(t *testing.T) {
 		}
 	}
 	ts := s.table("Grid")
-	entries, bytes := len(ts.rows)*len(ts.rowIdx), 0
+	entries, bytes := ts.rows.Len()*len(ts.rowIdx), 0
 	for _, rd := range ts.rowIdx {
-		bytes += len(rd.col) * int(unsafe.Sizeof(rd.col[0]))
+		bytes += rd.col.Len() * int(unsafe.Sizeof(rd.col.At(0)))
 		for _, run := range rd.runs {
 			bytes += len(run) * int(unsafe.Sizeof(run[0]))
 		}
@@ -229,8 +233,8 @@ func TestSnapshotReadersSeeConsistentStateAcrossMerges(t *testing.T) {
 					continue
 				}
 				all, half := len(ts.rowsIn(full)), len(ts.rowsIn(probe))
-				if all != len(ts.rows) {
-					errc <- fmt.Errorf("snapshot of %d rows reads %d through its index", len(ts.rows), all)
+				if all != ts.rows.Len() {
+					errc <- fmt.Errorf("snapshot of %d rows reads %d through its index", ts.rows.Len(), all)
 					return
 				}
 				runtime.Gosched() // let the writer merge this snapshot's runs away
@@ -270,6 +274,99 @@ func TestSnapshotReadersSeeConsistentStateAcrossMerges(t *testing.T) {
 		t.Fatalf("only %d of 400 Records merged runs", merges)
 	}
 	checkRunInvariants(t, s, "Grid")
+}
+
+// TestTailChunkSharedWithOldSnapshots: a published snapshot shares its tail
+// chunk with the writer, which appends the next Records' rows and
+// coordinates into that chunk's free slots and then into new chunks.
+// Readers hold a snapshot taken with its tail chunk part filled and read it
+// while the writer fills the chunk: every read returns exactly the rows it
+// returned when the snapshot was taken. Readers of the live store see whole
+// Records only: a row count on a batch boundary, each row the one the
+// writer recorded at its id. Each later batch repeats a stored row, so its
+// new rows are rewritten into a slab in place. -race sees any write to a
+// slot a published snapshot can read.
+func TestTailChunkSharedWithOldSnapshots(t *testing.T) {
+	const batch = 37 // batches start and end inside chunks
+	meta := cubeMeta(1<<20, 64)
+	full, probe := meta.FullBox(), meta.FullBox()
+	probe.Dims[2] = region.Interval{Lo: 0, Hi: 32}
+	rows := make([]value.Row, 16*chunk.Len/batch*batch)
+	for k := range rows {
+		rows[k] = pointRow([]int64{int64(k) * 7919 % (1 << 20), int64(k % 1000), int64(k % 64)})
+	}
+	at := time.Unix(1700000000, 0)
+	s := New(storage.NewDB())
+	if _, err := s.Record(meta, full, rows[:batch], at); err != nil {
+		t.Fatal(err)
+	}
+	old := s.table(meta.Name)
+	oldAll, oldHalf := old.rowsIn(full), old.rowsIn(probe)
+	if len(oldAll) != batch || len(oldHalf) == 0 || len(oldHalf) == batch {
+		t.Fatalf("the snapshot reads %d rows, %d of them in the probe", len(oldAll), len(oldHalf))
+	}
+	same := func(a, b []value.Row) bool { return slices.EqualFunc(a, b, slices.Equal[value.Row]) }
+
+	readers := max(2, runtime.GOMAXPROCS(0))
+	var wg, started sync.WaitGroup
+	errc := make(chan error, readers)
+	done := make(chan struct{})
+	// read reads the held snapshot and the live store once.
+	read := func() error {
+		if !same(old.rowsIn(full), oldAll) || !same(old.rowsIn(probe), oldHalf) {
+			return fmt.Errorf("a snapshot of %d rows changed while the writer filled its tail chunk", batch)
+		}
+		var ids []int32
+		live, _ := s.SelectIn(meta, []region.Box{probe}, &ids)
+		if live.Len()%batch != 0 {
+			return fmt.Errorf("a reader sees %d rows, not a whole number of %d-row Records", live.Len(), batch)
+		}
+		for id := range live.Len() {
+			if !slices.Equal(live.At(id), rows[id]) {
+				return fmt.Errorf("row %d reads %v, the writer recorded %v", id, live.At(id), rows[id])
+			}
+		}
+		for _, id := range ids {
+			if got := live.At(int(id)); got[2].Int64() >= 32 {
+				return fmt.Errorf("row %d (%v) read inside the probe", id, got)
+			}
+		}
+		return nil
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			err := read()
+			started.Done()
+			for err == nil {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				runtime.Gosched()
+				err = read()
+			}
+			errc <- err
+		}()
+	}
+	started.Wait() // every reader has read once
+	for from := batch; from < len(rows); from += batch {
+		if _, err := s.Record(meta, full, append(rows[from:from+batch:from+batch], rows[from-1]), at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if got := s.table(meta.Name).rows; got.Len() != len(rows) || got.Chunks() < 3 {
+		t.Fatalf("the table holds %d rows in %d chunks", got.Len(), got.Chunks())
+	}
 }
 
 // TestRecoveredIndexAnswersLikeLive: a store rebuilt from a snapshot (one

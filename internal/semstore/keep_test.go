@@ -2,6 +2,7 @@ package semstore
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestAllNewBatchKeptAsHandedIn(t *testing.T) {
 	if res, err := s.Record(meta, meta.FullBox(), rows, time.Unix(1700000000, 0)); err != nil || res.Added != len(rows) {
 		t.Fatalf("added %d (%v), want %d", res.Added, err, len(rows))
 	}
-	stored := s.table("Grid").rows
+	stored := s.table("Grid").rows.AppendTo(nil)
 	for i, r := range stored {
 		if &r[0] != &rows[i][0] {
 			t.Fatalf("stored row %d is a copy of the caller's row, not the row itself", i)
@@ -70,7 +71,7 @@ func TestBatchWithDuplicatesKeepsNoAlias(t *testing.T) {
 			inBatch[&r[:cap(r)][i]] = true
 		}
 	}
-	stored := s.table("Grid").rows
+	stored := s.table("Grid").rows.AppendTo(nil)
 	for id, r := range stored {
 		for i := range r {
 			if inBatch[&r[i]] {
@@ -88,10 +89,10 @@ func TestBatchWithDuplicatesKeepsNoAlias(t *testing.T) {
 
 // TestRecordAllNewBatchAllocations: recording a full page of TPC-H Lineitem
 // rows (5 000 rows, 7 columns, 6 queryable dimensions) into an empty table
-// allocates at most 190 bytes a row, about 172 on linux/amd64. The cells are
+// allocates at most 190 bytes a row, about 122 on linux/amd64. The cells are
 // kept, not copied, the row list and each dimension's coordinate column are
-// sized once for the batch, and the dimensions' runs of int32 ids are built
-// and sorted in one buffer.
+// filled chunk by chunk, and the dimensions' runs of int32 ids are built and
+// sorted in one pooled buffer.
 func TestRecordAllNewBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
@@ -116,5 +117,43 @@ func TestRecordAllNewBatchAllocations(t *testing.T) {
 	t.Logf("an all-new %d-row Lineitem Record allocates %d bytes a row", n, perRow)
 	if perRow > limit {
 		t.Errorf("an all-new %d-row Lineitem Record allocates %d bytes a row; want at most %d", n, perRow, limit)
+	}
+}
+
+// TestRecordAllocatesWhatItAdds: a Record costs what it adds, not what the
+// table already holds. 1 000 Records of 100 new rows each go into one
+// three-dimensional table, and what they allocate, counted with the
+// collector off (a GC emptying a pool mid-run would move the count), is at
+// most 210 bytes per added row, about 194 on linux/amd64: a row header and
+// three coordinates in their chunks (48 bytes), the runs of ids the
+// logarithmic method merges (each id is copied about log₂ of the batches
+// times on each dimension), the dedup table's doublings and each Record's
+// copy of the coverage entries. A row list and columns regrown by append
+// would copy every row and coordinate held at each regrowth.
+func TestRecordAllocatesWhatItAdds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	const records, batch, limit = 1000, 100, 210
+	meta := cubeMeta(1<<20, 64)
+	rows := make([]value.Row, records*batch)
+	for k := range rows {
+		rows[k] = pointRow([]int64{int64(k) * 7919 % (1 << 20), int64(k) * 31 % 1000, int64(k) % 64})
+	}
+	s := New(storage.NewDB())
+	at := time.Unix(1700000000, 0)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := range records {
+		if res, err := s.Record(meta, meta.FullBox(), rows[r*batch:(r+1)*batch], at); err != nil || res.Added != batch {
+			t.Fatalf("record %d: added %d (%v), want %d", r, res.Added, err, batch)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRow := (after.TotalAlloc - before.TotalAlloc) / uint64(len(rows))
+	t.Logf("%d Records of %d rows allocate %d bytes per added row", records, batch, perRow)
+	if perRow > limit {
+		t.Errorf("%d Records of %d rows allocate %d bytes per added row; want at most %d", records, batch, perRow, limit)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"payless/internal/chunk"
 )
 
 // kWayMergeRuns is the previous mergeRuns, kept as the reference: one pass
@@ -94,13 +96,13 @@ func TestSortRunMatchesSortFunc(t *testing.T) {
 				slices.SortFunc(want, byCoordThenID(col))
 				got := slices.Clone(in)
 				scratch[n] = sentinel
-				sortRun(col, got, scratch)
+				sortRun(chunk.View(nil, col), got, scratch)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s, %d ids: sortRun differs from SortFunc(byCoordThenID)", name, n)
 				}
 				if n > 0 { // below the cutoff too
 					radix := slices.Clone(in)
-					radixSort(col, radix, scratch)
+					radixSort(chunk.View(nil, col), radix, scratch)
 					if !slices.Equal(radix, want) {
 						t.Fatalf("%s, %d ids: radixSort differs from SortFunc(byCoordThenID)", name, n)
 					}
@@ -126,11 +128,11 @@ func TestMergeRunsMatchesKWayMerge(t *testing.T) {
 			for r := range runs {
 				n := 1 + rng.Intn(300)
 				col, runs[r] = randomRun(col, n, coord)
-				sortRun(col, runs[r], make(idRun, n))
+				sortRun(chunk.View(nil, col), runs[r], make(idRun, n))
 				total += n
 			}
 			want := kWayMergeRuns(col, runs, total)
-			got := mergeRuns(col, slices.Clone(runs), total)
+			got := mergeRuns(chunk.View(nil, col), slices.Clone(runs), total)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s, trial %d (%d runs): merges differ", name, trial, len(runs))
 			}
@@ -151,13 +153,13 @@ func BenchmarkSortRun(b *testing.B) {
 		for _, n := range []int{16, 32, 64, 128, 512} {
 			rng := rand.New(rand.NewSource(1))
 			col, in := randomRun(nil, n, func() int64 { return rng.Int63n(span) })
-			run, scratch := make(idRun, n), make(idRun, n)
+			run, scratch, chunked := make(idRun, n), make(idRun, n), chunk.View(nil, col)
 			for _, k := range []struct {
 				name string
 				sort func(idRun)
 			}{
 				{"sortfunc", func(r idRun) { slices.SortFunc(r, byCoordThenID(col)) }},
-				{"radix", func(r idRun) { radixSort(col, r, scratch) }},
+				{"radix", func(r idRun) { radixSort(chunked, r, scratch) }},
 			} {
 				b.Run(fmt.Sprintf("span=%d/n=%d/%s", span, n, k.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {

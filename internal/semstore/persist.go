@@ -120,11 +120,11 @@ func saveSnap(w io.Writer, snap *storeSnap, records int64) (int64, error) {
 			c.spill(snapChunk)
 		}
 		c.buf = append(listEnd(c.buf, live), `,"rows":`...)
-		for k, row := range ts.rows {
-			c.buf = row.AppendJSON(listSep(c.buf, k))
+		for k := range ts.rows.Len() {
+			c.buf = ts.rows.At(k).AppendJSON(listSep(c.buf, k))
 			c.spill(snapChunk)
 		}
-		c.buf = append(listEnd(c.buf, len(ts.rows)), '}')
+		c.buf = append(listEnd(c.buf, ts.rows.Len()), '}')
 	}
 	c.buf = append(listEnd(c.buf, len(names)), "}\n"...)
 	c.spill(1)
@@ -203,7 +203,6 @@ type stagedTable struct {
 	meta    *catalog.Table
 	entries []persistEntry
 	rows    []value.Row
-	coords  []int64
 }
 
 // stagedSnapshot is a decoded, fully validated snapshot.
@@ -265,11 +264,10 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 		if err != nil {
 			return nil, err
 		}
-		coords, err := rowCoords(meta, rows)
-		if err != nil {
+		if err := checkCoords(meta, rows); err != nil {
 			return nil, err
 		}
-		st.tables = append(st.tables, stagedTable{meta: meta, entries: pt.Entries, rows: rows, coords: coords})
+		st.tables = append(st.tables, stagedTable{meta: meta, entries: pt.Entries, rows: rows})
 	}
 	return st, nil
 }
@@ -327,7 +325,7 @@ func (s *Store) apply(st *stagedSnapshot) {
 			ts.insertEntry(b, pe.At)
 			ts.maybeRebuild()
 		}
-		ts.addRows(t.rows, t.coords)
+		ts.addRows(t.rows)
 	}
 	s.publish(snap, staged...)
 }

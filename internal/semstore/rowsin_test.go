@@ -1,6 +1,7 @@
 package semstore
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -8,9 +9,12 @@ import (
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/chunk"
+	"payless/internal/diskfault"
 	"payless/internal/region"
 	"payless/internal/storage"
 	"payless/internal/value"
+	"payless/internal/wal"
 )
 
 // cubeMeta is gridMeta with a third free queryable axis, Z in [0, zMax]:
@@ -91,7 +95,7 @@ type readSides map[int]*[2]int
 
 // note classifies the read of q from ts as rowsIn will perform it.
 func (r readSides) note(ts *tableStore, q region.Box) {
-	if q.D() != len(ts.rowIdx) || len(ts.rows) == 0 {
+	if q.D() != len(ts.rowIdx) || ts.rows.Len() == 0 {
 		return
 	}
 	dims := ts.restricted(q, nil)
@@ -101,7 +105,7 @@ func (r readSides) note(ts *tableStore, q region.Box) {
 	if r[len(dims)] == nil {
 		r[len(dims)] = new([2]int)
 	}
-	if 64*dims[0].n > len(ts.rows) {
+	if 64*dims[0].n > ts.rows.Len() {
 		r[len(dims)][1]++
 	} else {
 		r[len(dims)][0]++
@@ -301,6 +305,12 @@ func TestRecordKeepsRowsTheStringKeysMerged(t *testing.T) {
 // the int64 edges, the domain edges, stored coordinates and their
 // neighbours, so intervals come empty, inverted, one wide, wider than the
 // domain and 2^64−1 wide, and filter on both sides of the 64·cand ≤ n cutoff.
+//
+// The rows and columns are chunk lists, so the same reads also run where
+// chunks meet: batches start inside a chunk and end in a later one, reads
+// select ids in several chunks, a second table holds exactly one full
+// chunk, and each table is read again after a snapshot load (one batch)
+// and after WAL replay (the live store's batches).
 func TestSelectInMatchesScan(t *testing.T) {
 	const n = 3000
 	meta := cubeMeta(63, 7)
@@ -324,77 +334,145 @@ func TestSelectInMatchesScan(t *testing.T) {
 		taken[p] = true
 		rows = append(rows, pointRow(p[:]))
 	}
-	s := New(storage.NewDB())
-	from := 0
-	for _, to := range []int{1700, 2500, 2850, n} { // four runs
-		if _, err := s.Record(meta, meta.FullBox(), rows[from:to], time.Unix(1700000000, 0)); err != nil {
-			t.Fatal(err)
-		}
-		from = to
-	}
 	coords, err := rowCoords(meta, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := s.table(meta.Name)
-	if len(ts.rowIdx[0].runs) < 3 {
+	// Four runs; the second batch starts inside a chunk and ends in another.
+	ends := []int{1700, 2500, 2850, n}
+	if 1700%chunk.Len == 0 || 1700/chunk.Len == 2499/chunk.Len || n < 4*chunk.Len {
+		t.Fatalf("with %d-row chunks the batches do not straddle chunk boundaries", chunk.Len)
+	}
+	var batches [][]value.Row
+	from := 0
+	for _, to := range ends {
+		batches = append(batches, rows[from:to])
+		from = to
+	}
+	stores := recordedAndRecovered(t, meta, batches)
+	if ts := stores["live"].table(meta.Name); len(ts.rowIdx[0].runs) < 3 {
 		t.Fatalf("the index has %d runs; the test wants several", len(ts.rowIdx[0].runs))
 	}
-	// bound draws an interval end on axis k.
-	bound := func(k int) int64 {
-		full := meta.FullBox().Dims[k]
-		switch rng.Intn(5) {
-		case 0:
-			return []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]
-		case 1:
-			return []int64{full.Lo, full.Lo + 1, full.Hi - 1, full.Hi}[rng.Intn(4)]
-		case 2:
-			return edges[rng.Intn(len(edges))]
-		default:
-			c := coords[rng.Intn(n)*3+k]
-			return c + int64(rng.Intn(3)-1) // wraps at the int64 edges, which is another edge
-		}
+	one := recordedAndRecovered(t, meta, [][]value.Row{rows[:100], rows[100:chunk.Len]})
+	if got := one["live"].table(meta.Name).rows; got.Len() != chunk.Len || got.Chunks() != 1 {
+		t.Fatalf("the one-chunk table holds %d rows in %d chunks", got.Len(), got.Chunks())
 	}
-	sides := readSides{}
-	for trial := 0; trial < 3000; trial++ {
-		q := meta.FullBox()
-		for k := range q.Dims {
-			if rng.Intn(3) > 0 {
-				q.Dims[k] = region.Interval{Lo: bound(k), Hi: bound(k)}
-				if rng.Intn(4) > 0 && q.Dims[k].Lo > q.Dims[k].Hi {
-					q.Dims[k].Lo, q.Dims[k].Hi = q.Dims[k].Hi, q.Dims[k].Lo
-				}
+
+	// check runs trials reads of s, which holds rows[:m], against the scan.
+	check := func(name string, s *Store, m, trials int) {
+		// bound draws an interval end on axis k.
+		bound := func(k int) int64 {
+			full := meta.FullBox().Dims[k]
+			switch rng.Intn(5) {
+			case 0:
+				return []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]
+			case 1:
+				return []int64{full.Lo, full.Lo + 1, full.Hi - 1, full.Hi}[rng.Intn(4)]
+			case 2:
+				return edges[rng.Intn(len(edges))]
+			default:
+				c := coords[rng.Intn(m)*3+k]
+				return c + int64(rng.Intn(3)-1) // wraps at the int64 edges, which is another edge
 			}
 		}
-		var want []value.Row
-	scan:
-		for i, r := range rows {
+		ts := s.table(meta.Name)
+		sides, spanning := readSides{}, 0
+		for trial := 0; trial < trials; trial++ {
+			q := meta.FullBox()
 			for k := range q.Dims {
-				if !q.Dims[k].ContainsCoord(coords[i*3+k]) {
-					continue scan
+				if rng.Intn(3) > 0 {
+					q.Dims[k] = region.Interval{Lo: bound(k), Hi: bound(k)}
+					if rng.Intn(4) > 0 && q.Dims[k].Lo > q.Dims[k].Hi {
+						q.Dims[k].Lo, q.Dims[k].Hi = q.Dims[k].Hi, q.Dims[k].Lo
+					}
 				}
 			}
-			want = append(want, r)
-		}
-		sides.note(ts, q)
-		got, _ := s.RowsIn(meta, q)
-		ids := []int32{7, 7} // the selection goes after them
-		stored, all := s.SelectIn(meta, []region.Box{q}, &ids)
-		selected := stored
-		if !all {
-			selected = nil
-			for _, id := range ids[2:] {
-				selected = append(selected, stored[id])
+			var want []value.Row
+		scan:
+			for i, r := range rows[:m] {
+				for k := range q.Dims {
+					if !q.Dims[k].ContainsCoord(coords[i*3+k]) {
+						continue scan
+					}
+				}
+				want = append(want, r)
+			}
+			sides.note(ts, q)
+			got, _ := s.RowsIn(meta, q)
+			ids := []int32{7, 7} // the selection goes after them
+			stored, all := s.SelectIn(meta, []region.Box{q}, &ids)
+			selected := stored.AppendTo(nil)
+			if !all {
+				selected = nil
+				for _, id := range ids[2:] {
+					selected = append(selected, stored.At(int(id)))
+				}
+				if len(ids) > 3 && ids[2]/chunk.Len != ids[len(ids)-1]/chunk.Len {
+					spanning++
+				}
+			}
+			if len(ids) < 2 || ids[0] != 7 || ids[1] != 7 || len(got.Rows) != len(want) || len(selected) != len(want) {
+				t.Fatalf("%s: box %v: RowsIn %d rows, SelectIn %d (after %v), scan %d", name, q, len(got.Rows), len(selected), ids[:min(2, len(ids))], len(want))
+			}
+			for i := range want {
+				if !slices.Equal(got.Rows[i], want[i]) || !slices.Equal(selected[i], want[i]) {
+					t.Fatalf("%s: box %v: row %d is %v (RowsIn) and %v (SelectIn), the scan has %v", name, q, i, got.Rows[i], selected[i], want[i])
+				}
 			}
 		}
-		if len(ids) < 2 || ids[0] != 7 || ids[1] != 7 || len(got.Rows) != len(want) || len(selected) != len(want) {
-			t.Fatalf("box %v: RowsIn %d rows, SelectIn %d (after %v), scan %d", q, len(got.Rows), len(selected), ids[:min(2, len(ids))], len(want))
+		if m > chunk.Len && spanning < trials/20 {
+			t.Errorf("%s: %d of %d reads listed ids in more than one chunk", name, spanning, trials)
 		}
-		for i := range want {
-			if !slices.Equal(got.Rows[i], want[i]) || !slices.Equal(selected[i], want[i]) {
-				t.Fatalf("box %v: row %d is %v (RowsIn) and %v (SelectIn), the scan has %v", q, i, got.Rows[i], selected[i], want[i])
-			}
+		if name == "live" {
+			sides.require(t, 2, 3)
 		}
 	}
-	sides.require(t, 2, 3)
+	for _, name := range []string{"live", "loaded", "replayed"} {
+		trials := 1000
+		if name == "live" {
+			trials = 3000
+		}
+		check(name, stores[name], n, trials)
+		check(name+" one chunk", one[name], chunk.Len, 300)
+	}
+}
+
+// recordedAndRecovered records each batch, over the full box, into a
+// durable store on an in-memory file system, and returns it as "live" with
+// two stores rebuilt from it: "loaded" from its snapshot, one batch per
+// table, and "replayed" from its WAL, one batch per Record as live got them.
+func recordedAndRecovered(t *testing.T, meta *catalog.Table, batches [][]value.Row) map[string]*Store {
+	t.Helper()
+	lookup := func(name string) (*catalog.Table, bool) { return meta, name == meta.Name }
+	fsys := diskfault.New()
+	open := func() *Store {
+		s := New(storage.NewDB())
+		if _, err := s.EnableDurability("/store", DurableOptions{FS: fsys, Policy: wal.SyncOff, Lookup: lookup, CheckpointEvery: -1}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	live := open()
+	for _, b := range batches {
+		if _, err := live.Record(meta, meta.FullBox(), b, time.Unix(1700000000, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := live.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded := New(storage.NewDB())
+	if err := loaded.Load(&snap, lookup); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := open()
+	t.Cleanup(func() { replayed.Close() })
+	if info := replayed.Recovery(); info.Replayed != len(batches) {
+		t.Fatalf("replayed %d records, want %d", info.Replayed, len(batches))
+	}
+	return map[string]*Store{"live": live, "loaded": loaded, "replayed": replayed}
 }

@@ -22,10 +22,15 @@
 //     with a fast path when a single stored box contains the query outright.
 //   - RowsIn reads a per-dimension row index instead of scanning every
 //     materialised row: a column of the rows' coordinates and runs of their
-//     int32 ids sorted by it. The runs are log-structured, so a Record costs
-//     what it adds, not what the table already holds; a read takes the most
-//     selective dimension's ids and filters them in row order through the
-//     other columns. SelectIn lists the same rows' ids instead.
+//     int32 ids sorted by it; a read takes the most selective dimension's ids
+//     and filters them in row order through the other columns. SelectIn
+//     lists the same rows' ids instead.
+//   - A Record costs what it adds, not what the table already holds. The
+//     rows and each column are append-only chunk lists (package chunk):
+//     a chunk is allocated once and never copied, and a snapshot shares
+//     every chunk with the writer, which writes only past the snapshot's
+//     length. The runs are log-structured, so each id is copied O(log n)
+//     times over the table's life.
 //
 // Compaction and indexing never change answers: the union of stored
 // coverage is preserved exactly, and freshness is only ever lost downward
@@ -45,6 +50,7 @@ import (
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/chunk"
 	"payless/internal/obs"
 	"payless/internal/region"
 	"payless/internal/storage"
@@ -94,18 +100,18 @@ type idRun []int32
 // rowDim is the row index on one queryable dimension: col holds every
 // stored row's coordinate there, by row id, and runs sort the ids, oldest
 // first, each more than twice as long as the next (the logarithmic method),
-// so n rows make at most ⌊log₂ n⌋+1 runs. col is append-only, so snapshots
-// share it as they share the rows.
+// so n rows make at most ⌊log₂ n⌋+1 runs. col is an append-only chunk
+// list, so snapshots share it as they share the rows.
 type rowDim struct {
-	col  []int64
+	col  chunk.List[int64]
 	runs []idRun
 }
 
 // span returns run's ids whose coordinate lies in iv.
 func (rd *rowDim) span(run idRun, iv region.Interval) idRun {
 	col := rd.col
-	l := sort.Search(len(run), func(i int) bool { return col[run[i]] >= iv.Lo })
-	h := l + sort.Search(len(run)-l, func(i int) bool { return col[run[l+i]] >= iv.Hi })
+	l := sort.Search(len(run), func(i int) bool { return col.At(int(run[i])) >= iv.Lo })
+	h := l + sort.Search(len(run)-l, func(i int) bool { return col.At(int(run[l+i])) >= iv.Hi })
 	return run[l:h]
 }
 
@@ -139,7 +145,7 @@ func (rd *rowDim) push(run idRun) {
 // newer ids, so no intermediate run is allocated. Later runs hold higher
 // ids, so taking the older run's id on a coordinate tie keeps equal
 // coordinates in id order.
-func mergeRuns(col []int64, runs []idRun, total int) idRun {
+func mergeRuns(col chunk.List[int64], runs []idRun, total int) idRun {
 	out := make(idRun, total)
 	start := total - len(runs[len(runs)-1])
 	copy(out[start:], runs[len(runs)-1])
@@ -147,7 +153,7 @@ func mergeRuns(col []int64, runs []idRun, total int) idRun {
 		a, b := runs[r], out[start:]
 		w, i, j := start-len(a), 0, 0
 		for ; i < len(a); w++ {
-			if j == len(b) || col[a[i]] <= col[b[j]] {
+			if j == len(b) || col.At(int(a[i])) <= col.At(int(b[j])) {
 				out[w] = a[i]
 				i++
 			} else {
@@ -167,10 +173,10 @@ const radixCutoff = 64
 
 // sortRun sorts a batch's run, built in id order, into (col[id], id) order.
 // scratch holds at least len(run) ids, which the radix sort overwrites.
-func sortRun(col []int64, run, scratch idRun) {
+func sortRun(col chunk.List[int64], run, scratch idRun) {
 	if len(run) < radixCutoff {
 		slices.SortFunc(run, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(col[a], col[b]), cmp.Compare(a, b))
+			return cmp.Or(cmp.Compare(col.At(int(a)), col.At(int(b))), cmp.Compare(a, b))
 		})
 		return
 	}
@@ -181,10 +187,10 @@ func sortRun(col []int64, run, scratch idRun) {
 // over the bytes the run's span needs, ping-ponging between run and the
 // first len(run) ids of scratch. It is stable, so a run built in id order
 // comes out in (coordinate, id) order.
-func radixSort(col []int64, run, scratch idRun) {
-	lo, hi := col[run[0]], col[run[0]]
+func radixSort(col chunk.List[int64], run, scratch idRun) {
+	lo, hi := col.At(int(run[0])), col.At(int(run[0]))
 	for _, id := range run {
-		lo, hi = min(lo, col[id]), max(hi, col[id])
+		lo, hi = min(lo, col.At(int(id))), max(hi, col.At(int(id)))
 	}
 	if lo == hi {
 		return // one coordinate, as on a single-value categorical axis: id order is the order
@@ -194,7 +200,7 @@ func radixSort(col []int64, run, scratch idRun) {
 	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
 		var count [256]int
 		for _, id := range src {
-			count[uint8(uint64(col[id]-lo)>>shift)]++
+			count[uint8(uint64(col.At(int(id))-lo)>>shift)]++
 		}
 		pos := 0
 		for b, c := range count {
@@ -202,7 +208,7 @@ func radixSort(col []int64, run, scratch idRun) {
 			pos += c
 		}
 		for _, id := range src {
-			b := uint8(uint64(col[id]-lo) >> shift)
+			b := uint8(uint64(col.At(int(id))-lo) >> shift)
 			dst[count[b]] = id
 			count[b]++
 		}
@@ -225,13 +231,13 @@ type tableStore struct {
 	// big lists up to bigBoxLimit largest live boxes by volume — the O(1)
 	// containment fast path for queries inside a large stored region.
 	big []int
-	// rows holds the deduplicated materialised rows — the only copy of them.
-	// seen keys them under value.ExactKey for deduplication, and rowIdx
-	// indexes them on each queryable dimension: a column of their
-	// coordinates there (validateRows resolves exactly one per dimension)
-	// and runs of their ids, 12 bytes per row and dimension. Ids are int32:
-	// seen already bounds them below 2^29.
-	rows   []value.Row
+	// rows holds the deduplicated materialised rows — the only copy of them,
+	// in an append-only chunk list. seen keys them under value.ExactKey for
+	// deduplication, and rowIdx indexes them on each queryable dimension: a
+	// column of their coordinates there (validateRows resolves exactly one
+	// per dimension) and runs of their ids, 12 bytes per row and dimension.
+	// Ids are int32: seen already bounds them below 2^29.
+	rows   chunk.List[value.Row]
 	seen   *value.KeyTable
 	rowIdx []rowDim
 	// epoch counts the Records applied to this table (including WAL replay).
@@ -314,11 +320,12 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 // clone returns a writable copy of an immutable published tableStore.
 // Everything the mutation path touches in place — coverage entries (appended
 // AND tombstoned), edge indexes, the big-box list — is deep-copied. rows and
-// the row index's columns are append-only, so the clone shares their backing
-// arrays: a writer appending at index len(published) never touches a slot
-// any published snapshot can read. The row index's runs are immutable, so
-// only the list of run headers is copied. The seen index is writer-only
-// state (readers never consult it) and is shared across clones.
+// the row index's columns are append-only chunk lists, so the clone shares
+// their chunks and directories: a writer appending past the published
+// length never touches a slot any published snapshot can read
+// (chunk.List). The row index's runs are immutable, so only the list of run
+// headers is copied. The seen index is writer-only state (readers never
+// consult it) and is shared across clones.
 func (ts *tableStore) clone() *tableStore {
 	cp := &tableStore{
 		meta:    ts.meta,
@@ -402,35 +409,35 @@ func (r RecordResult) Compacted() int { return r.Absorbed + r.Merged }
 // it failed to materialise.
 func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at time.Time) (RecordResult, error) {
 	var res RecordResult
-	coords, err := validateRows(meta, b, rows)
-	if err != nil {
+	if err := validateRows(meta, b, rows); err != nil {
 		return res, err
 	}
 	if d := s.dur; d != nil {
-		return d.record(s, meta, b, rows, coords, at)
+		return d.record(s, meta, b, rows, at)
 	}
-	s.applyRecord(meta, b, rows, coords, at, &res)
+	s.applyRecord(meta, b, rows, at, &res)
 	s.recorded.Add(1)
 	return res, nil
 }
 
-// validateRows checks a Record call's shape and resolves every row's
-// queryable coordinates without touching any state: a bad batch fails here
-// or not at all.
-func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) ([]int64, error) {
+// validateRows checks a Record call's shape and that every row's
+// queryable coordinates resolve, without touching any state: a bad batch
+// fails here or not at all. addRows resolves them again, for the new rows
+// alone, straight into the columns.
+func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) error {
 	if err := checkDims(meta, b.D()); err != nil {
-		return nil, err
+		return err
 	}
 	if b.Empty() && len(rows) > 0 {
-		return nil, fmt.Errorf("semstore: non-empty result for empty box on %s", meta.Name)
+		return fmt.Errorf("semstore: non-empty result for empty box on %s", meta.Name)
 	}
 	for _, row := range rows {
 		if len(row) != len(meta.Schema) {
-			return nil, fmt.Errorf("semstore: %s: row has %d values, schema has %d",
+			return fmt.Errorf("semstore: %s: row has %d values, schema has %d",
 				meta.Name, len(row), len(meta.Schema))
 		}
 	}
-	return rowCoords(meta, rows)
+	return checkCoords(meta, rows)
 }
 
 // checkDims refuses a coverage box of d dimensions unless the table's boxes
@@ -444,13 +451,13 @@ func checkDims(meta *catalog.Table, d int) error {
 
 // applyRecord installs one validated call — the state-mutating half of
 // Record, also the WAL replay entry point (replay must not re-append).
-func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row, coords []int64, at time.Time, res *RecordResult) {
+func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row, at time.Time, res *RecordResult) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	snap := s.snap.Load()
 	ts := cloneTableFor(snap, meta)
 	ts.epoch++
-	res.Added = ts.addRows(rows, coords)
+	res.Added = ts.addRows(rows)
 	if !b.Empty() {
 		res.Dropped, res.Absorbed, res.Merged = ts.insertEntry(b.Clone(), at)
 		ts.maybeRebuild()
@@ -463,51 +470,43 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 
 // addRows stores the validated rows the table does not hold yet
 // (value.ExactKey) and indexes them as one batch, sorted into one run per
-// dimension. An all-new batch is kept as handed in; a batch with duplicates
-// has its new rows copied into one slab. It returns how many rows were new.
-func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
-	first, d := len(ts.rows), len(ts.rowIdx)
-	// Sized once for the batch: row-by-row appends would re-grow the row
-	// list and every column about log₂ n times for a batch of n.
+// dimension. Rows and their coordinates are appended to chunk lists, so
+// nothing the table already holds is copied. An all-new batch is kept as
+// handed in, each row capped at its length; a batch with duplicates has its
+// new rows copied into one slab, so the discarded duplicates' backing array
+// is not pinned. It returns how many rows were new.
+func (ts *tableStore) addRows(rows []value.Row) int {
+	first := ts.rows.Len()
+	var coords [8]int64
 	ts.seen.Grow(len(rows))
-	ts.rows = slices.Grow(ts.rows, len(rows))
-	for k := range ts.rowIdx {
-		ts.rowIdx[k].col = slices.Grow(ts.rowIdx[k].col, len(rows))
-	}
-	for i, row := range rows {
-		if ts.seen.Insert(ts.rows, row, len(ts.rows)) >= 0 {
+	for _, row := range rows {
+		if ts.seen.Insert(ts.rows.At, row, ts.rows.Len()) >= 0 {
 			continue
 		}
-		ts.rows = append(ts.rows, row)
-		for k := range ts.rowIdx {
-			ts.rowIdx[k].col = append(ts.rowIdx[k].col, coords[i*d+k])
+		ts.rows.Append(row[:len(row):len(row)])
+		cs, _ := appendCoords(coords[:0], ts.meta, row) // validateRows resolved them
+		for k, c := range cs {
+			ts.rowIdx[k].col.Append(c)
 		}
 	}
-	fresh := ts.rows[first:]
-	n := len(fresh)
+	n := ts.rows.Len() - first
 	if n == 0 {
 		return 0
 	}
-	// No published snapshot reaches an index at or past first, so the new
-	// rows are rewritten in place: capped at their length when the whole
-	// batch is kept, or replaced by copies in one slab when some of it was
-	// not, so the discarded duplicates' backing array is not pinned.
-	if n == len(rows) {
-		for i, row := range fresh {
-			fresh[i] = row[:len(row):len(row)]
-		}
-	} else {
-		slab := make([]value.Value, 0, n*len(ts.meta.Schema))
-		for i, row := range fresh {
-			slab = append(slab, row...)
-			fresh[i] = slab[len(slab)-len(row) : len(slab) : len(slab)]
+	// No published snapshot reaches an id at or past first, so the new rows
+	// are rewritten in place.
+	if w := len(ts.meta.Schema); n < len(rows) {
+		slab := make([]value.Value, 0, n*w)
+		for id := first; id < first+n; id++ {
+			slab = append(slab, ts.rows.At(id)...)
+			ts.rows.Set(id, slab[len(slab)-w:len(slab):len(slab)])
 		}
 	}
-	// One buffer per batch holds each dimension's run in turn and the sort's
-	// scratch; push copies out only what it publishes, so the buffer dies
-	// with the batch.
-	buf := make(idRun, 2*n)
-	run, scratch := buf[:n], buf[n:]
+	// One pooled buffer holds each dimension's run in turn and the sort's
+	// scratch; push copies out only what it publishes.
+	buf := runBufs.Get().(*[]int32)
+	*buf = slices.Grow((*buf)[:0], 2*n)[:2*n]
+	run, scratch := idRun((*buf)[:n]), idRun((*buf)[n:])
 	for k := range ts.rowIdx {
 		rd := &ts.rowIdx[k]
 		for i := range run {
@@ -516,8 +515,17 @@ func (ts *tableStore) addRows(rows []value.Row, coords []int64) int {
 		sortRun(rd.col, run, scratch)
 		rd.push(run)
 	}
+	if cap(*buf) <= maxPooledRunBuf {
+		runBufs.Put(buf)
+	}
 	return n
 }
+
+// runBufs recycles addRows' run buffers, up to maxPooledRunBuf ids: a
+// Record of a full market page reuses the last one's.
+var runBufs = sync.Pool{New: func() any { return new([]int32) }}
+
+const maxPooledRunBuf = 16 << 10
 
 // insertEntry adds a coverage box, compacting as it goes. Caller holds the
 // write lock and passes an owned (cloned) box.
@@ -918,24 +926,32 @@ func (s *Store) Covered(table string, q region.Box, since time.Time) bool {
 	return len(s.Remainder(table, q, since)) == 0
 }
 
-// rowCoords maps each row onto its queryable-space coordinates, one after
-// the other in a single array: meta.NumDims() per row.
-func rowCoords(meta *catalog.Table, rows []value.Row) ([]int64, error) {
-	coords := make([]int64, 0, len(rows)*meta.NumDims())
+// appendCoords appends row's queryable-space coordinates to dst, one per
+// dimension.
+func appendCoords(dst []int64, meta *catalog.Table, row value.Row) ([]int64, error) {
+	for i := range meta.Attrs {
+		a := &meta.Attrs[i]
+		if a.Binding == catalog.Output {
+			continue
+		}
+		c, err := a.Coord(row[i])
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, c)
+	}
+	return dst, nil
+}
+
+// checkCoords fails unless every row's queryable coordinates resolve.
+func checkCoords(meta *catalog.Table, rows []value.Row) error {
+	var coords [8]int64
 	for _, row := range rows {
-		for i := range meta.Attrs {
-			a := &meta.Attrs[i]
-			if a.Binding == catalog.Output {
-				continue
-			}
-			c, err := a.Coord(row[i])
-			if err != nil {
-				return nil, err
-			}
-			coords = append(coords, c)
+		if _, err := appendCoords(coords[:0], meta, row); err != nil {
+			return err
 		}
 	}
-	return coords, nil
+	return nil
 }
 
 // dimSpan is a dimension on which a read excludes stored rows, with how
@@ -954,7 +970,7 @@ func (ts *tableStore) restricted(q region.Box, dims []dimSpan) []dimSpan {
 		rd := &ts.rowIdx[k]
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		for _, run := range rd.runs {
-			lo, hi = min(lo, rd.col[run[0]]), max(hi, rd.col[run[len(run)-1]])
+			lo, hi = min(lo, rd.col.At(int(run[0]))), max(hi, rd.col.At(int(run[len(run)-1])))
 		}
 		if lo < q.Dims[k].Lo || hi >= q.Dims[k].Hi {
 			n := 0
@@ -1022,7 +1038,7 @@ func b2u(b bool) uint64 {
 //
 // Listed ids go into the spare room of buf, which is grown as needed.
 func (ts *tableStore) selectIn(q region.Box, buf []int32) selection {
-	n := len(ts.rows)
+	n := ts.rows.Len()
 	if q.D() != len(ts.rowIdx) || n == 0 {
 		return selection{} // no row has a box of another dimensionality's coordinates
 	}
@@ -1043,7 +1059,7 @@ func (ts *tableStore) selectIn(q region.Box, buf []int32) selection {
 			kept := 0
 			for _, id := range ids {
 				ids[kept] = id
-				kept += int(b2u(uint64(col[id]-lo) < w))
+				kept += int(b2u(uint64(col.At(int(id))-lo) < w))
 			}
 			ids = ids[:kept]
 		}
@@ -1059,13 +1075,16 @@ func (ts *tableStore) selectIn(q region.Box, buf []int32) selection {
 	}
 	for _, d := range dims[1:] {
 		col, lo, w := ts.rowIdx[d.k].col, q.Dims[d.k].Lo, uint64(q.Dims[d.k].Hi-q.Dims[d.k].Lo)
-		for i, word := range bits {
-			keep := uint64(0)
-			for set := word; set != 0; set &= set - 1 {
-				b := mathbits.TrailingZeros64(set)
-				keep |= b2u(uint64(col[i*64+b]-lo) < w) << b
+		for ch := range col.Chunks() { // a chunk's rows are whole words: chunk.Len is a multiple of 64
+			c, words := col.Chunk(ch), bits[ch*chunk.Len/64:min(len(bits), (ch+1)*chunk.Len/64)]
+			for i, word := range words {
+				keep := uint64(0)
+				for set := word; set != 0; set &= set - 1 {
+					b := mathbits.TrailingZeros64(set)
+					keep |= b2u(uint64(c[i*64+b]-lo) < w) << b
+				}
+				words[i] = keep
 			}
-			bits[i] = keep
 		}
 	}
 	return selection{bits: bits, pooled: pooled}
@@ -1086,25 +1105,24 @@ func (sel selection) appendTo(ids []int32) []int32 {
 	return ids
 }
 
-// rowsIn returns the rows selectIn selects, as one list. A selection of the
-// whole table is the table's own row list, uncopied.
+// rowsIn returns the rows selectIn selects, as one list.
 func (ts *tableStore) rowsIn(q region.Box) []value.Row {
 	sel := ts.selectIn(q, nil)
 	defer sel.release()
-	if sel.all > 0 {
-		return ts.rows[:sel.all:sel.all]
-	}
 	count := sel.count()
 	if count == 0 {
 		return nil
 	}
 	out := make([]value.Row, 0, count)
+	if sel.all > 0 {
+		return ts.rows.AppendTo(out)
+	}
 	for _, id := range sel.ids {
-		out = append(out, ts.rows[id])
+		out = append(out, ts.rows.At(int(id)))
 	}
 	for w, word := range sel.bits {
 		for ; word != 0; word &= word - 1 {
-			out = append(out, ts.rows[w*64+mathbits.TrailingZeros64(word)])
+			out = append(out, ts.rows.At(w*64+mathbits.TrailingZeros64(word)))
 		}
 	}
 	return out
@@ -1124,23 +1142,23 @@ func (s *Store) RowsIn(meta *catalog.Table, q region.Box) (storage.Relation, err
 
 // SelectIn appends to *ids the ids of the table's rows inside each box in
 // turn, each box's in RowsIn's order, and returns the rows they index: the
-// store's own, as one snapshot holds them, which callers must not write to.
-// A single box that selects every row appends nothing and reports all.
-func (s *Store) SelectIn(meta *catalog.Table, boxes []region.Box, ids *[]int32) (rows []value.Row, all bool) {
+// store's own chunk list, as one snapshot holds it, which callers must not
+// write to or append to. A single box that selects every row appends
+// nothing and reports all.
+func (s *Store) SelectIn(meta *catalog.Table, boxes []region.Box, ids *[]int32) (rows chunk.List[value.Row], all bool) {
 	ts := s.table(meta.Name)
 	if ts == nil {
-		return nil, false
+		return rows, false
 	}
-	n := len(ts.rows)
 	for _, q := range boxes {
 		sel := ts.selectIn(q, *ids)
 		if sel.all > 0 && len(boxes) == 1 {
-			return ts.rows[:n:n], true
+			return ts.rows, true
 		}
 		*ids = sel.appendTo(*ids)
 		sel.release()
 	}
-	return ts.rows[:n:n], false
+	return ts.rows, false
 }
 
 // StoredRowCount returns the total number of materialised rows for a table.
@@ -1149,5 +1167,5 @@ func (s *Store) StoredRowCount(table string) int {
 	if ts == nil {
 		return 0
 	}
-	return len(ts.rows)
+	return ts.rows.Len()
 }

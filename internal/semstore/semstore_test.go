@@ -135,6 +135,19 @@ func TestConsistencyWindow(t *testing.T) {
 	}
 }
 
+// rowCoords maps each row onto its queryable-space coordinates, one after
+// the other in a single array: meta.NumDims() per row.
+func rowCoords(meta *catalog.Table, rows []value.Row) ([]int64, error) {
+	var coords []int64
+	for _, row := range rows {
+		var err error
+		if coords, err = appendCoords(coords, meta, row); err != nil {
+			return nil, err
+		}
+	}
+	return coords, nil
+}
+
 func TestRowCoords(t *testing.T) {
 	meta := pollutionMeta()
 	got, err := rowCoords(meta, []value.Row{row("B", 42, 9.5), row("A", 7, 0)})

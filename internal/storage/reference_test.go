@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"payless/internal/chunk"
 	"payless/internal/value"
 )
 
@@ -278,7 +279,7 @@ func flat(t Tuples, cols []int) []Col {
 
 // whole is r as the tuples of one input, every row in order.
 func whole(r Relation) Tuples {
-	return Tuples{In: []Input{{Schema: r.Schema, Rows: r.Rows}}, N: len(r.Rows)}
+	return Tuples{In: []Input{{Schema: r.Schema, Rows: chunk.View(nil, r.Rows)}}, N: len(r.Rows)}
 }
 
 // streamJoin feeds agg the rows l++r of every pair EachPair visits over l
@@ -299,7 +300,7 @@ func streamJoin(l, r Relation, lc, rc []int, agg *Aggregator) {
 func joinKeep(l, r Relation, lc, rc, keep []int) Relation {
 	a := NewArena()
 	defer a.Release()
-	lt, rt := a.Source(l.Schema, l.Rows, a.List(0), true), a.Source(r.Schema, r.Rows, a.List(0), true)
+	lt, rt := a.Source(l.Schema, a.View(l.Rows), a.List(0), true), a.Source(r.Schema, a.View(r.Rows), a.List(0), true)
 	t := a.Join(lt, rt, flat(lt, lc), flat(rt, rc))
 	return t.Project(flat(t, keep))
 }
@@ -504,7 +505,7 @@ func TestDenseKeysMatchStringKeys(t *testing.T) {
 		if len(l.Rows) < len(r.Rows) {
 			bRows = l.Rows
 		}
-		_, _, dense := denseKeys(bRows, []int{0})
+		_, _, dense := denseKeys(chunk.View(nil, bRows), []int{0})
 		if bRows[0][0] != b.Rows[0][0] { // the build is b whenever the test means it to be
 			t.Fatalf("iter %d: the build side is not the dense-keyed relation", iter)
 		}
@@ -537,7 +538,7 @@ func TestTupleChainsMatchRowJoins(t *testing.T) {
 			return randomRelation(rng, fmt.Sprintf("t%d_", i), 1+rng.Intn(3), sizes[rng.Intn(len(sizes))], pool)
 		}
 		ref := rel(0)
-		cur := a.Source(ref.Schema, ref.Rows, a.List(0), true)
+		cur := a.Source(ref.Schema, a.View(ref.Rows), a.List(0), true)
 		if rng.Intn(2) == 0 { // a selection of ids, not every row
 			ids := a.List(0)
 			for i := range ref.Rows {
@@ -545,7 +546,7 @@ func TestTupleChainsMatchRowJoins(t *testing.T) {
 					*ids = append(*ids, int32(i))
 				}
 			}
-			cur = a.Source(ref.Schema, ref.Rows, ids, false)
+			cur = a.Source(ref.Schema, a.View(ref.Rows), ids, false)
 			ref = refSelect(ref, *ids)
 		}
 		steps := 1 + rng.Intn(3)
@@ -555,7 +556,7 @@ func TestTupleChainsMatchRowJoins(t *testing.T) {
 			lc, rc := randomCols(rng, nk, len(ref.Schema)), randomCols(rng, nk, len(next.Schema))
 			what := fmt.Sprintf("iter %d step %d (%d x %d rows, lc=%v rc=%v)", iter, step, ref.Len(), next.Len(), lc, rc)
 			want := refHashJoin(ref, next, lc, rc)
-			in := a.Source(next.Schema, next.Rows, a.List(0), true)
+			in := a.Source(next.Schema, a.View(next.Rows), a.List(0), true)
 			if step == steps && iter%2 == 0 {
 				var got []value.Row
 				a.EachPair(cur, in, flat(cur, lc), flat(in, rc), func(li, ri int) {

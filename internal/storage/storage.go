@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"payless/internal/chunk"
 	"payless/internal/value"
 )
 
@@ -110,7 +111,7 @@ func (t *Table) Insert(rows []value.Row) (int, error) {
 		if len(r) != len(t.schema) {
 			return added, fmt.Errorf("table %s: row width %d, want %d", t.name, len(r), len(t.schema))
 		}
-		if t.index.Insert(t.rows, r, len(t.rows)) >= 0 {
+		if t.index.Insert(value.RowsOf(t.rows), r, len(t.rows)) >= 0 {
 			continue
 		}
 		t.rows = append(t.rows, r.Clone())
@@ -154,7 +155,7 @@ func (r Relation) Distinct() Relation {
 	seen := value.NewKeyTable(value.ExactKey, nil, 0)
 	out := Relation{Schema: r.Schema}
 	for i, row := range r.Rows {
-		if seen.Insert(r.Rows, row, i) < 0 {
+		if seen.Insert(value.RowsOf(r.Rows), row, i) < 0 {
 			out.Rows = append(out.Rows, row)
 		}
 	}
@@ -165,10 +166,11 @@ func (r Relation) Distinct() Relation {
 type Col struct{ In, Col int }
 
 // Input is one relation a Tuples reads: its rows, through the ids that
-// select them, or every row in order where Ids is nil.
+// select them, or every row in order where Ids is nil. The rows are a
+// chunk list: the store's own, or a view of a flat list.
 type Input struct {
 	Schema value.Schema
-	Rows   []value.Row
+	Rows   chunk.List[value.Row]
 	Ids    []int32
 }
 
@@ -184,7 +186,7 @@ type Tuples struct {
 }
 
 // Row is input k's row in tuple i.
-func (t Tuples) Row(k, i int) value.Row { return t.In[k].Rows[t.id(k, i)] }
+func (t Tuples) Row(k, i int) value.Row { return t.In[k].Rows.At(int(t.id(k, i))) }
 
 func (t Tuples) id(k, i int) int32 {
 	if ids := t.In[k].Ids; ids != nil {
@@ -241,7 +243,8 @@ type Arena struct {
 	lists  []*[]int32       // every list the arena has
 	free   []*[]int32       // the lists no tuples use
 	inputs []Input          // carved into Tuples.In until Release
-	rows   [2][]value.Row   // a join's key rows, a list a side
+	dirs   [][]value.Row    // carved into View's chunk directories until Release
+	rows   [2][]value.Row   // a join's gathered key rows, a list a side
 	keys   [2][]value.Value // key values gathered from several inputs
 	cols   [2][]int         // a join's key columns in its key rows
 	links  []int32          // a join's match lists
@@ -258,10 +261,11 @@ func NewArena() *Arena { return arenas.Get().(*Arena) }
 // be used afterwards.
 func (a *Arena) Release() {
 	clear(a.inputs)
+	clear(a.dirs)
 	clear(a.rows[0])
 	clear(a.rows[1])
-	a.inputs, a.free = a.inputs[:0], append(a.free[:0], a.lists...)
-	size := 4*cap(a.links) + 24*(cap(a.rows[0])+cap(a.rows[1])) + 16*(cap(a.keys[0])+cap(a.keys[1]))
+	a.inputs, a.dirs, a.free = a.inputs[:0], a.dirs[:0], append(a.free[:0], a.lists...)
+	size := 4*cap(a.links) + 24*(cap(a.dirs)+cap(a.rows[0])+cap(a.rows[1])) + 16*(cap(a.keys[0])+cap(a.keys[1]))
 	for _, l := range a.lists {
 		size += 4 * cap(*l)
 	}
@@ -288,10 +292,19 @@ func (a *Arena) carve(n int) []Input {
 	return a.inputs[len(a.inputs)-n : len(a.inputs) : len(a.inputs)]
 }
 
+// View returns rows as a chunk list sub-sliced from them, its directory
+// carved from a's: a local table, or rows bought without the store, read
+// as the store's are.
+func (a *Arena) View(rows []value.Row) chunk.List[value.Row] {
+	n, k := len(a.dirs), (len(rows)+chunk.Len-1)>>chunk.Bits
+	a.dirs = slices.Grow(a.dirs, k)[:n+k]
+	return chunk.View(a.dirs[n:n+k:n+k], rows)
+}
+
 // Source is the tuples of one input: the rows of schema that the ids in
 // list, from List, select, or every row when all.
-func (a *Arena) Source(schema value.Schema, rows []value.Row, list *[]int32, all bool) Tuples {
-	t := Tuples{In: a.carve(1), N: len(rows), own: list}
+func (a *Arena) Source(schema value.Schema, rows chunk.List[value.Row], list *[]int32, all bool) Tuples {
+	t := Tuples{In: a.carve(1), N: rows.Len(), own: list}
 	t.In[0] = Input{Schema: schema, Rows: rows}
 	if !all {
 		t.In[0].Ids, t.N = *list, len(*list)
@@ -383,13 +396,13 @@ func (a *Arena) match(l, r Tuples, lk, rk []Col) matches {
 	build, bc := a.keyRows(1, r, rk)
 	if len(pc) == 0 { // the empty key: every row meets every row
 		bc, pc = []int{}, []int{}
-	} else if m.swapped = len(probe) < len(build); m.swapped {
+	} else if m.swapped = probe.Len() < build.Len(); m.swapped {
 		build, probe, bc, pc = probe, build, pc, bc
 	}
 	// Filled from the back, the table ends up holding each key's first
 	// build row, and next[i] is the build row after i with its key.
 	lo, span, dense := denseKeys(build, bc)
-	nb, np := len(build), len(probe)
+	nb, np := build.Len(), probe.Len()
 	if need := nb + 2*np + 1 + span; cap(a.links) < need {
 		a.links = make([]int32, need)
 	}
@@ -401,24 +414,35 @@ func (a *Arena) match(l, r Tuples, lk, rk []Col) matches {
 		// stays 0, the miss every key outside the range reads.
 		heads, c := buf[nb+2*np+1:nb+2*np+1+span], bc[0]
 		clear(heads)
-		for i := nb - 1; i >= 0; i-- {
-			k := value.NumericKey.Canonical(build[i][c]).Int64() - lo
-			m.next[i], heads[k] = heads[k]-1, int32(i+1)
+		for ch := build.Chunks() - 1; ch >= 0; ch-- {
+			rows, next := build.Chunk(ch), m.next[ch<<chunk.Bits:]
+			for j := len(rows) - 1; j >= 0; j-- {
+				k := value.NumericKey.Canonical(rows[j][c]).Int64() - lo
+				next[j], heads[k] = heads[k]-1, int32(ch<<chunk.Bits+j+1)
+			}
 		}
 		c, last := pc[0], uint64(span-1)
-		for p, r := range probe {
-			v, k := value.NumericKey.Canonical(r[c]), last
-			if v.K == value.Int {
-				k = min(uint64(v.Int64()-lo), last)
+		for ch := range probe.Chunks() {
+			first := m.first[ch<<chunk.Bits:]
+			for p, r := range probe.Chunk(ch) {
+				v, k := value.NumericKey.Canonical(r[c]), last
+				if v.K == value.Int {
+					k = min(uint64(v.Int64()-lo), last)
+				}
+				first[p] = heads[k] - 1
 			}
-			m.first[p] = heads[k] - 1
 		}
 	} else {
-		ht := value.NewKeyTable(value.NumericKey, bc, nb)
-		for i := nb - 1; i >= 0; i-- {
-			m.next[i] = int32(ht.Put(build, build[i], i))
+		ht, rowAt := value.NewKeyTable(value.NumericKey, bc, nb), build.At
+		for ch := build.Chunks() - 1; ch >= 0; ch-- {
+			rows, next := build.Chunk(ch), m.next[ch<<chunk.Bits:]
+			for j := len(rows) - 1; j >= 0; j-- {
+				next[j] = int32(ht.Put(rowAt, rows[j], ch<<chunk.Bits+j))
+			}
 		}
-		ht.Find(build, probe, pc, m.first)
+		for ch := range probe.Chunks() {
+			ht.Find(rowAt, probe.Chunk(ch), pc, m.first[ch<<chunk.Bits:])
+		}
 	}
 	// Keep the probe rows that met a build row, in order, without a branch
 	// on each: every row is written at the end of the kept ones, and only a
@@ -434,10 +458,10 @@ func (a *Arena) match(l, r Tuples, lk, rk []Col) matches {
 }
 
 // keyRows returns a row per tuple of t holding its key columns ks, and
-// where in the rows they are: when ks are one input's, its rows, read
-// through its ids; else ks' values, gathered. The lists are the arena's,
-// one set a side.
-func (a *Arena) keyRows(side int, t Tuples, ks []Col) ([]value.Row, []int) {
+// where in the rows they are: when ks are one input's, its rows, as they
+// are when it reads them all, else gathered through its ids; else ks'
+// values, gathered. The lists are the arena's, one set a side.
+func (a *Arena) keyRows(side int, t Tuples, ks []Col) (chunk.List[value.Row], []int) {
 	k, rows, cols := 0, a.rows[side][:0], a.cols[side][:0] // k: the input holding every key, or -1
 	for _, c := range ks {
 		cols = append(cols, c.Col)
@@ -447,12 +471,13 @@ func (a *Arena) keyRows(side int, t Tuples, ks []Col) ([]value.Row, []int) {
 		}
 	}
 	switch {
-	case k >= 0 && t.In[k].Ids == nil:
-		rows = t.In[k].Rows[:t.N]
+	case k >= 0 && t.In[k].Ids == nil && t.N == t.In[k].Rows.Len(): // not an empty list of ids
+		a.cols[side] = cols
+		return t.In[k].Rows, cols
 	case k >= 0:
 		rows = slices.Grow(rows, t.N)
 		for _, id := range t.In[k].Ids[:t.N] {
-			rows = append(rows, t.In[k].Rows[id])
+			rows = append(rows, t.In[k].Rows.At(int(id)))
 		}
 		a.rows[side] = rows
 	default:
@@ -470,7 +495,7 @@ func (a *Arena) keyRows(side int, t Tuples, ks []Col) ([]value.Row, []int) {
 		a.rows[side], a.keys[side] = rows, keys
 	}
 	a.cols[side] = cols
-	return rows, cols
+	return a.View(rows), cols
 }
 
 // denseKeys reports whether match can index its build rows' keys directly:
@@ -478,19 +503,21 @@ func (a *Arena) keyRows(side int, t Tuples, ks []Col) ([]value.Row, []int) {
 // the keys spanning no more values than 9 per row (4 bytes a value, never
 // more than a key table's 36 bytes a row, plus 256). span counts the values
 // from lo up, plus one for the miss.
-func denseKeys(build []value.Row, bc []int) (lo int64, span int, ok bool) {
-	if len(bc) != 1 || len(build) == 0 {
+func denseKeys(build chunk.List[value.Row], bc []int) (lo int64, span int, ok bool) {
+	if len(bc) != 1 || build.Len() == 0 {
 		return 0, 0, false
 	}
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, r := range build {
-		v := value.NumericKey.Canonical(r[bc[0]])
-		if v.K != value.Int {
-			return 0, 0, false
+	for ch := range build.Chunks() {
+		for _, r := range build.Chunk(ch) {
+			v := value.NumericKey.Canonical(r[bc[0]])
+			if v.K != value.Int {
+				return 0, 0, false
+			}
+			lo, hi = min(lo, v.Int64()), max(hi, v.Int64())
 		}
-		lo, hi = min(lo, v.Int64()), max(hi, v.Int64())
 	}
-	if w := uint64(hi - lo); w < uint64(9*len(build)+64) {
+	if w := uint64(hi - lo); w < uint64(9*build.Len()+64) {
 		return lo, int(w) + 2, true
 	}
 	return 0, 0, false
@@ -522,7 +549,7 @@ func HashJoin(r, s Relation, lc, rc []int) Relation {
 	for _, c := range rc {
 		rk = append(rk, Col{0, c})
 	}
-	t := a.Join(a.Source(r.Schema, r.Rows, a.List(0), true), a.Source(s.Schema, s.Rows, a.List(0), true), lk, rk)
+	t := a.Join(a.Source(r.Schema, a.View(r.Rows), a.List(0), true), a.Source(s.Schema, a.View(s.Rows), a.List(0), true), lk, rk)
 	for k, in := range t.In {
 		for c := range in.Schema {
 			all = append(all, Col{k, c})
@@ -583,12 +610,25 @@ type Aggregator struct {
 	schema  value.Schema // of the result
 	groupBy []int
 	aggs    []AggSpec
-	groups  *value.KeyTable // over keys
-	keys    []value.Row     // each group's key, carved from slab
-	slab    []value.Value
-	states  []aggState // len(aggs) per group
-	key     value.Row  // scratch: the current row's group key
+	*groups
 }
+
+// groups is what an Aggregator grows as groups arrive. Result copies the
+// groups out, so a pool hands it on to the next Aggregator, unless it grew
+// past maxPooledGroups: a covered query's GROUP BY reuses the last one's.
+type groups struct {
+	table  *value.KeyTable // over keys
+	keys   []value.Row     // each group's key, carved from slab
+	slab   []value.Value
+	states []aggState // len(aggs) per group
+	key    value.Row  // the current row's group key
+}
+
+const maxPooledGroups = 1 << 10
+
+var groupPool = sync.Pool{New: func() any { return &groups{table: value.NewKeyTable(value.NumericKey, nil, 0)} }}
+
+func (g *groups) keyAt(id int) value.Row { return g.keys[id] }
 
 // NewAggregator prepares to aggregate rows of the schema in, grouped by the
 // columns groupBy. The result schema is the group-by columns followed by one
@@ -616,11 +656,10 @@ func NewAggregator(in value.Schema, groupBy []int, aggs []AggSpec) *Aggregator {
 		}
 		sch = append(sch, value.Column{Name: name, Type: typ})
 	}
-	a := &Aggregator{schema: sch, groupBy: groupBy, aggs: aggs, key: make(value.Row, len(groupBy))}
+	a := &Aggregator{schema: sch, groupBy: groupBy, aggs: aggs, groups: groupPool.Get().(*groups)}
+	a.key = slices.Grow(a.key[:0], len(groupBy))[:len(groupBy)]
 	if len(groupBy) == 0 { // one global group, with the empty key
-		a.keys, a.states = []value.Row{nil}, make([]aggState, len(aggs))
-	} else {
-		a.groups = value.NewKeyTable(value.NumericKey, nil, 0)
+		a.keys, a.states = append(a.keys, nil), append(a.states, make([]aggState, len(aggs))...)
 	}
 	return a
 }
@@ -632,7 +671,7 @@ func (a *Aggregator) Add(row value.Row) {
 		for i, c := range a.groupBy {
 			a.key[i] = row[c]
 		}
-		if g = a.groups.Insert(a.keys, a.key, len(a.keys)); g < 0 {
+		if g = a.table.Insert(a.keyAt, a.key, len(a.keys)); g < 0 {
 			g = len(a.keys)
 			if cap(a.slab)-len(a.slab) < k {
 				a.slab = make([]value.Value, 0, k*max(8, len(a.keys)))
@@ -669,8 +708,9 @@ func (a *Aggregator) Add(row value.Row) {
 	}
 }
 
-// Result returns one row per group.
+// Result returns one row per group. The Aggregator is not used afterwards.
 func (a *Aggregator) Result() Relation {
+	defer a.release()
 	k, n := len(a.groupBy), len(a.aggs)
 	groups := len(a.keys)
 	out := Relation{Schema: a.schema}
@@ -701,6 +741,17 @@ func (a *Aggregator) Result() Relation {
 		out.Rows[g] = vals[len(vals)-k-n : len(vals) : len(vals)]
 	}
 	return out
+}
+
+// release hands a's groups, emptied, back to the pool.
+func (a *Aggregator) release() {
+	if g := a.groups; len(g.keys) <= maxPooledGroups {
+		clear(g.keys) // they point into earlier slabs
+		g.table.Reset()
+		g.keys, g.slab, g.states = g.keys[:0], g.slab[:0], g.states[:0]
+		groupPool.Put(g)
+	}
+	a.groups = nil
 }
 
 // Aggregate groups r by the given columns and computes the aggregates; see

@@ -112,12 +112,14 @@ func (k Key) EqualCols(a Row, ac []int, b Row, bc []int) bool {
 }
 
 // KeyTable is an open-addressing hash table from row keys to ids below 2^29
-// that the caller assigns; id stands for rows[id] of the rows it passes in,
-// keyed on the table's columns (nil: the whole row). A slot holds its key
-// inline: a one-column key's canonical (kind, payload), so a hit reads no
-// row, or a wider key's 64-bit hash, checked on the row. Slots are 12 bytes,
-// probed linearly, at most 3/4 full as the table grows and 1/3 full in a
-// join's build side, sized up front, where most probes miss.
+// that the caller assigns; id stands for the row rows(id) returns, rows
+// being what the caller passes in, so a table compares rows by id however
+// they are held. Keys are on the table's columns (nil: the whole row). A
+// slot holds its key inline: a one-column key's canonical (kind, payload),
+// so a hit reads no row, or a wider key's 64-bit hash, checked on the row.
+// Slots are 12 bytes, probed linearly, at most 3/4 full as the table grows
+// and 1/3 full in a join's build side, sized up front, where most probes
+// miss.
 type KeyTable struct {
 	key   Key
 	cols  []int
@@ -138,7 +140,7 @@ func NewKeyTable(k Key, cols []int, n int) *KeyTable {
 
 // Find sets ids[p] to the id under probe[p]'s key on rc (paired with the
 // table's columns), or -1.
-func (t *KeyTable) Find(rows, probe []Row, rc []int, ids []int32) {
+func (t *KeyTable) Find(rows func(id int) Row, probe []Row, rc []int, ids []int32) {
 	for p, r := range probe {
 		var s *keySlot
 		if len(rc) == 1 {
@@ -151,11 +153,20 @@ func (t *KeyTable) Find(rows, probe []Row, rc []int, ids []int32) {
 }
 
 // Insert stores id under r's key unless it holds one, and returns the id it
-// held, or -1; a new rows[id] must have r's key before the next call.
-func (t *KeyTable) Insert(rows []Row, r Row, id int) int { return t.put(rows, r, id, false) }
+// held, or -1; a new rows(id) must have r's key before the next call.
+func (t *KeyTable) Insert(rows func(id int) Row, r Row, id int) int { return t.put(rows, r, id, false) }
 
 // Put is Insert, except that id replaces the id the key holds.
-func (t *KeyTable) Put(rows []Row, r Row, id int) int { return t.put(rows, r, id, true) }
+func (t *KeyTable) Put(rows func(id int) Row, r Row, id int) int { return t.put(rows, r, id, true) }
+
+// RowsOf returns the rows func of a list: id stands for rows[id].
+func RowsOf(rows []Row) func(id int) Row { return func(id int) Row { return rows[id] } }
+
+// Reset empties t, keeping its slots for the next keys.
+func (t *KeyTable) Reset() {
+	clear(t.slots)
+	t.n = 0
+}
 
 // Grow makes room for m more entries, sizing the table for them at once.
 func (t *KeyTable) Grow(m int) {
@@ -171,7 +182,7 @@ func (t *KeyTable) Grow(m int) {
 	}
 }
 
-func (t *KeyTable) put(rows []Row, r Row, id int, replace bool) int {
+func (t *KeyTable) put(rows func(id int) Row, r Row, id int, replace bool) int {
 	if 4*t.n >= 3*len(t.slots) {
 		t.Grow(1)
 	}
@@ -199,7 +210,7 @@ func (s keySlot) hash() uint64 {
 
 // slot returns the slot holding the key r has on its columns rc, or the
 // empty slot where it would go, and that key as a slot holds it, id unset.
-func (t *KeyTable) slot(rows []Row, r Row, rc []int) (*keySlot, keySlot) {
+func (t *KeyTable) slot(rows func(id int) Row, r Row, rc []int) (*keySlot, keySlot) {
 	var key keySlot
 	switch {
 	case len(rc) == 1:
@@ -213,8 +224,8 @@ func (t *KeyTable) slot(rows []Row, r Row, rc []int) (*keySlot, keySlot) {
 	}
 	for i := t.match(t.home(key.hash()), key); ; i = t.match(t.after(i), key) {
 		s := &t.slots[i]
-		if s.tag == 0 || rc == nil && t.key.EqualRows(rows[s.tag>>3-1], r) ||
-			rc != nil && t.key.EqualCols(rows[s.tag>>3-1], t.cols, r, rc) {
+		if s.tag == 0 || rc == nil && t.key.EqualRows(rows(int(s.tag>>3-1)), r) ||
+			rc != nil && t.key.EqualCols(rows(int(s.tag>>3-1)), t.cols, r, rc) {
 			return s, key
 		}
 	}

@@ -160,7 +160,7 @@ func TestKeyTableAgainstMap(t *testing.T) {
 				first = len(rows)
 				want[name] = first
 			}
-			if got := x.Insert(rows, r, len(rows)); got != first && (seen || got != -1) {
+			if got := x.Insert(RowsOf(rows), r, len(rows)); got != first && (seen || got != -1) {
 				t.Fatalf("cols %v: Insert(%v) = %d, want %d", c.cols, r, got, first)
 			}
 			if !seen {
@@ -190,7 +190,7 @@ func TestKeyTableAgainstMap(t *testing.T) {
 		absent := Row{NewInt(1 << 40), NewInt(1), NewInt(1)}[:len(keyOf(rows[0], c.cols))]
 		probes = append(probes, probe(absent))
 		ids := make([]int32, len(probes))
-		x.Find(rows, probes, c.pc, ids)
+		x.Find(RowsOf(rows), probes, c.pc, ids)
 		for p, got := range ids {
 			want := p
 			if p == len(rows) {
@@ -206,16 +206,16 @@ func TestKeyTableAgainstMap(t *testing.T) {
 	// for {3, 4}, so that {1, 2} meets a slot with its hash and another row.
 	rows := []Row{{NewInt(1), NewInt(2)}}
 	x := NewKeyTable(ExactKey, nil, 0)
-	x.Insert(rows, rows[0], 0)
+	x.Insert(RowsOf(rows), rows[0], 0)
 	rows = []Row{{NewInt(3), NewInt(4)}, {NewInt(1), NewInt(2)}}
 	ids := []int32{7}
-	if x.Find(rows, rows[1:], nil, ids); ids[0] != -1 {
+	if x.Find(RowsOf(rows), rows[1:], nil, ids); ids[0] != -1 {
 		t.Errorf("a key found through another key's row: id %d", ids[0])
 	}
-	if got := x.Insert(rows, rows[1], 1); got != -1 {
+	if got := x.Insert(RowsOf(rows), rows[1], 1); got != -1 {
 		t.Errorf("Insert past a shared hash = %d, want -1", got)
 	}
-	if x.Find(rows, rows[1:], nil, ids); ids[0] != 1 {
+	if x.Find(RowsOf(rows), rows[1:], nil, ids); ids[0] != 1 {
 		t.Errorf("Find past a shared hash = %d, want 1", ids[0])
 	}
 }
@@ -252,7 +252,7 @@ func TestKeyTableFindUnderCollisions(t *testing.T) {
 			t.Fatalf("a table for 2 entries has %d slots, want 8", len(x.slots))
 		}
 		for i := len(rows) - 1; i >= 0; i-- {
-			x.Put(rows, rows[i], i)
+			x.Put(RowsOf(rows), rows[i], i)
 		}
 		first := map[string]int32{}
 		for i := len(rows) - 1; i >= 0; i-- {
@@ -264,7 +264,7 @@ func TestKeyTableFindUnderCollisions(t *testing.T) {
 		}
 		pc := []int{1, 2}[:len(cols)]
 		ids := make([]int32, len(probes))
-		x.Find(rows, probes, pc, ids)
+		x.Find(RowsOf(rows), probes, pc, ids)
 		for p, got := range ids {
 			want, ok := first[refKey(NumericKey, probes[p][1:1+len(cols)])]
 			if !ok {

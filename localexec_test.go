@@ -43,7 +43,7 @@ func TestCoveredQueryAllocations(t *testing.T) {
 	}{
 		{"T3", 2, 70, 6 << 10},
 		{"T4", 3, 44, 13 << 8},
-		{"T5", 4, 68, 13 << 10},
+		{"T5", 4, 48, 7 << 10},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			sql := d.Templates()[g.tpl].Instantiate(rand.New(rand.NewSource(3)))
