@@ -24,9 +24,8 @@
 // each fresh logical call deposits credit, each extra attempt here (and
 // each federation failover or hedge above) withdraws it, and an exhausted
 // budget fails the call with overload.ErrRetryBudget instead of piling on.
-// A retry wait that would outlast the caller's deadline is not slept at
-// all — the call returns context.DeadlineExceeded immediately, because a
-// backoff the caller will never see the end of is pure queueing.
+// A retry wait ends as soon as the call's context does; the call
+// scheduler cancels a wire call once its last waiter detaches.
 package connector
 
 import (
@@ -196,14 +195,6 @@ func (c *Client) get(ctx context.Context, path, callID string, decode func(body 
 					delay = c.backoffMax
 				}
 				retryAfter = 0
-			}
-			// Deadline propagation: a backoff the caller's deadline cannot
-			// survive is never slept — fail now with the deadline error the
-			// query was about to hit anyway.
-			if overload.ShortOf(ctx, delay) {
-				rem, _ := overload.Remaining(ctx)
-				return fmt.Errorf("market: abandoning retry after %d attempts: %v backoff exceeds the %v left of the caller's deadline: %w (last error: %v)",
-					attempt, delay, rem.Round(time.Millisecond), context.DeadlineExceeded, lastErr)
 			}
 			// Retry budget: every extra attempt, at any layer, withdraws one
 			// token from the query's shared pool.

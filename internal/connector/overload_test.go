@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"payless/internal/catalog"
 	"payless/internal/overload"
 )
 
@@ -59,46 +58,6 @@ func TestRetryBudgetErrDistinctFromCircuitOpen(t *testing.T) {
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		t.Fatalf("a budget denial is not a context error: %v", err)
-	}
-}
-
-// TestDeadlineShortCircuitsRetryWait: a retry backoff longer than the time
-// left before the caller's deadline is never slept, on the meter path and on
-// the data-call path alike. The deadline is seconds away, so the first
-// attempt always fits inside it; the backoff is minutes, so the retry never
-// does.
-func TestDeadlineShortCircuitsRetryWait(t *testing.T) {
-	const deadline = 10 * time.Second
-	paths := map[string]func(*Client, context.Context) error{
-		"MeterContext": func(c *Client, ctx context.Context) error {
-			_, err := c.MeterContext(ctx)
-			return err
-		},
-		"Call": func(c *Client, ctx context.Context) error {
-			_, err := c.Call(ctx, catalog.AccessQuery{Dataset: "DS", Table: "T"})
-			return err
-		},
-	}
-	for name, call := range paths {
-		t.Run(name, func(t *testing.T) {
-			srv, attempts := failingServer(t)
-			c := New(srv.URL, "k", WithRetries(3), WithBackoff(10*time.Minute, 10*time.Minute))
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-
-			start := time.Now()
-			err := call(c, ctx)
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			if elapsed > deadline/2 {
-				t.Fatalf("returned after %v: the backoff was slept instead of short-circuited", elapsed)
-			}
-			if *attempts != 1 {
-				t.Fatalf("attempts = %d, want 1 (the retry was abandoned before launch)", *attempts)
-			}
-		})
 	}
 }
 

@@ -20,10 +20,12 @@
 //   - a MarketScan over a relation with an unsatisfied bound attribute was
 //     only valid because it was fully covered; same re-check.
 //
-// Staleness is handled at lookup: a plan snapshots the per-table coverage
-// epochs and the statistics version at compile time, and a lookup empties
-// the plan slot when either moved (new coverage or estimates can flip the
-// winning plan). The template and shape stay: no store state moves them.
+// Staleness is handled at lookup: a plan snapshots the statistics version of
+// each market table it reads at compile time, and a lookup empties the plan
+// slot once any of them moved (new estimates can flip the winning plan). A
+// purchase feeds its table's statistics, so buying a table moves its
+// version; buying another table leaves the plan alone. The template and
+// shape stay: no store state moves them.
 package core
 
 import (
@@ -34,17 +36,12 @@ import (
 	"payless/internal/obs"
 	"payless/internal/semstore"
 	"payless/internal/sqlparse"
+	"payless/internal/stats"
 )
 
 // DefaultPlanCacheSize is the LRU capacity used when a positive size is not
 // configured.
 const DefaultPlanCacheSize = 1024
-
-// tableEpoch snapshots one market table's coverage epoch at compile time.
-type tableEpoch struct {
-	table string
-	epoch uint64
-}
 
 // CachedPlan is a statement's cached plan: an optimized plan without its
 // bound query, plus the invalidation snapshot it was compiled under. It is
@@ -55,18 +52,15 @@ type CachedPlan struct {
 	// optimizer's own, shared read-only by every instance, and so is its
 	// line: a skeleton fixes how every alias is spelled.
 	plan *Plan
-	// epochs and statsVersion are the invalidation snapshot.
-	epochs       []tableEpoch
-	statsVersion uint64
+	// versions is the invalidation snapshot: the statistics version of each
+	// market table the plan reads, once per relation.
+	versions []stats.Version
 }
 
-// stale reports whether the plan's invalidation snapshot has moved.
-func (cp *CachedPlan) stale(epochOf func(table string) uint64, statsVersion uint64) bool {
-	if cp.statsVersion != statsVersion {
-		return true
-	}
-	for _, e := range cp.epochs {
-		if epochOf(e.table) != e.epoch {
+// stale reports whether any of the plan's tables has moved its statistics.
+func (cp *CachedPlan) stale() bool {
+	for _, v := range cp.versions {
+		if v.Moved() {
 			return true
 		}
 	}
@@ -127,12 +121,12 @@ type Statement struct {
 }
 
 // Plan returns the statement's live plan, or nil, and counts the lookup in
-// m (which may be nil) as a hit or a miss. A plan whose invalidation
-// snapshot moved (epochOf and statsVersion disagree with compile time)
-// empties the slot and counts an invalidation plus a miss.
-func (st *Statement) Plan(epochOf func(table string) uint64, statsVersion uint64, m *obs.Metrics) *CachedPlan {
+// m (which may be nil) as a hit or a miss. A plan one of whose tables moved
+// its statistics since compile time empties the slot and counts an
+// invalidation plus a miss.
+func (st *Statement) Plan(m *obs.Metrics) *CachedPlan {
 	cp := st.plan.Load()
-	stale := cp != nil && cp.stale(epochOf, statsVersion)
+	stale := cp != nil && cp.stale()
 	if stale {
 		st.plan.CompareAndSwap(cp, nil)
 		cp = nil
@@ -142,23 +136,19 @@ func (st *Statement) Plan(epochOf func(table string) uint64, statsVersion uint64
 }
 
 // SetPlan caches a freshly optimized plan in the statement's slot,
-// replacing any plan there. epochOf reports the current coverage epoch of a
-// market table (the caller snapshots it BEFORE executing the plan, so the
-// plan's own purchases invalidate it — a cached plan must describe the
-// store state it was costed against). statsVersion is the statistics
-// mutation counter at the same instant. p itself is not modified.
-func (st *Statement) SetPlan(p *Plan, epochOf func(table string) uint64, statsVersion uint64) {
+// replacing any plan there, under the current statistics versions in sv of
+// the market tables it reads. The caller snapshots them BEFORE executing
+// the plan, so the plan's own purchases invalidate it: a cached plan must
+// describe the estimates it was costed against. p itself is not modified.
+func (st *Statement) SetPlan(p *Plan, sv *stats.Store) {
 	cp := &CachedPlan{
-		plan:         &Plan{Steps: p.Steps, EstTrans: p.EstTrans, EstRows: p.EstRows, Planner: PlannerCached, line: p.String()},
-		statsVersion: statsVersion,
+		plan:     &Plan{Steps: p.Steps, EstTrans: p.EstTrans, EstRows: p.EstRows, Planner: PlannerCached, line: p.String()},
+		versions: make([]stats.Version, 0, len(p.Bound.Rels)),
 	}
-	seen := make(map[string]bool)
 	for _, rel := range p.Bound.Rels {
-		if rel.Table.Local || seen[rel.Table.Name] {
-			continue
+		if !rel.Table.Local {
+			cp.versions = append(cp.versions, sv.Version(rel.Table.Name))
 		}
-		seen[rel.Table.Name] = true
-		cp.epochs = append(cp.epochs, tableEpoch{table: rel.Table.Name, epoch: epochOf(rel.Table.Name)})
 	}
 	st.plan.Store(cp)
 }

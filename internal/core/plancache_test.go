@@ -32,30 +32,25 @@ func meteredCache(capacity int) (*PlanCache, *obs.Metrics) {
 	return NewPlanCache(capacity, metrics), metrics
 }
 
-// epochsAt builds an epoch lookup returning one fixed value for every table.
-func epochsAt(e uint64) func(string) uint64 {
-	return func(string) uint64 { return e }
-}
-
 // putPlan caches a statement under skel and optimizes sql into its plan
-// slot at the given epochs.
-func putPlan(t *testing.T, f *fixture, cache *PlanCache, sql, skel string, epoch, statsVersion uint64) *Statement {
+// slot at the fixture's current statistics versions.
+func putPlan(t *testing.T, f *fixture, cache *PlanCache, sql, skel string) *Statement {
 	t.Helper()
 	st := &Statement{}
 	cache.Put([]byte(skel), st)
-	st.SetPlan(f.optimize(t, sql, Options{}), epochsAt(epoch), statsVersion)
+	st.SetPlan(f.optimize(t, sql, Options{}), f.st)
 	return st
 }
 
 func TestPlanCacheHitReturnsSameSkeleton(t *testing.T) {
 	f := newFixture(t, numTable("R", 1000, "a", "b"))
 	cache, metrics := meteredCache(4)
-	put := putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k1", 3, 7)
+	put := putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k1")
 	st := cache.Lookup([]byte("k1"))
 	if st != put {
 		t.Fatalf("a cached skeleton must hit: %v", st)
 	}
-	if cp := st.Plan(epochsAt(3), 7, metrics); cp == nil || cp != put.plan.Load() {
+	if cp := st.Plan(metrics); cp == nil || cp != put.plan.Load() {
 		t.Fatalf("a fresh plan must hit: %v", cp)
 	}
 	if cache.Lookup([]byte("missing")) != nil {
@@ -68,7 +63,7 @@ func TestPlanCacheHitReturnsSameSkeleton(t *testing.T) {
 	// A statement without a plan misses; a statement lookup counts nothing.
 	bare := &Statement{}
 	cache.Put([]byte("k2"), bare)
-	if bare.Plan(epochsAt(3), 7, metrics) != nil {
+	if bare.Plan(metrics) != nil {
 		t.Fatal("a statement without a plan must miss")
 	}
 	m := metrics.Snapshot()
@@ -77,42 +72,44 @@ func TestPlanCacheHitReturnsSameSkeleton(t *testing.T) {
 	}
 }
 
+// TestPlanCacheInvalidatesOnEpochAndStats: a plan goes stale once the
+// statistics of a table it reads move, and only then. Coverage epochs no
+// longer invalidate plans, so only the stats case is left. Feedback on S,
+// which an R-only plan does not read, leaves it a hit; feedback on R empties
+// its slot but keeps the statement, and a plan set at the new versions hits.
 func TestPlanCacheInvalidatesOnEpochAndStats(t *testing.T) {
-	f := newFixture(t, numTable("R", 1000, "a", "b"))
-	cases := []struct {
-		name         string
-		epoch        uint64
-		statsVersion uint64
-	}{
-		{"epoch-moved", 4, 7},
-		{"stats-moved", 3, 8},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cache, metrics := meteredCache(4)
-			put := putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k1", 3, 7)
-			if cp := put.Plan(epochsAt(tc.epoch), tc.statsVersion, metrics); cp != nil {
-				t.Fatalf("stale plan served: %+v", cp)
-			}
-			st := cache.Lookup([]byte("k1"))
-			if m := metrics.Snapshot(); m.PlanCacheInvalidations != 1 || m.PlanCacheMisses != 1 || st != put || put.plan.Load() != nil || cache.ll.Len() != 1 {
-				t.Errorf("a stale plan must empty its slot and keep its statement: %d invalidations, %d misses, statement %v, slot %v, %d entries",
-					m.PlanCacheInvalidations, m.PlanCacheMisses, st, put.plan.Load(), cache.ll.Len())
-			}
-			// The slot is free again: a plan set at the new state hits.
-			put.SetPlan(f.optimize(t, "SELECT * FROM R WHERE a >= 10", Options{}), epochsAt(tc.epoch), tc.statsVersion)
-			if put.Plan(epochsAt(tc.epoch), tc.statsVersion, metrics) == nil {
-				t.Error("re-cached plan must hit")
-			}
-		})
-	}
+	t.Run("stats-moved", func(t *testing.T) {
+		r, other := numTable("R", 1000, "a", "b"), numTable("S", 1000, "a", "c")
+		f := newFixture(t, r, other)
+		cache, metrics := meteredCache(4)
+		const sql = "SELECT * FROM R WHERE a >= 10"
+		put := putPlan(t, f, cache, sql, "k1")
+		f.st.Feedback("S", other.FullBox(), 400)
+		if put.Plan(metrics) == nil {
+			t.Fatal("feedback on a table the plan does not read must leave it a hit")
+		}
+		f.st.Feedback("R", r.FullBox(), 900)
+		if cp := put.Plan(metrics); cp != nil {
+			t.Fatalf("stale plan served: %+v", cp)
+		}
+		st := cache.Lookup([]byte("k1"))
+		if m := metrics.Snapshot(); m.PlanCacheInvalidations != 1 || m.PlanCacheMisses != 1 || st != put || put.plan.Load() != nil || cache.ll.Len() != 1 {
+			t.Errorf("a stale plan must empty its slot and keep its statement: %d invalidations, %d misses, statement %v, slot %v, %d entries",
+				m.PlanCacheInvalidations, m.PlanCacheMisses, st, put.plan.Load(), cache.ll.Len())
+		}
+		// The slot is free again: a plan set at the new versions hits.
+		put.SetPlan(f.optimize(t, sql, Options{}), f.st)
+		if put.Plan(metrics) == nil {
+			t.Error("re-cached plan must hit")
+		}
+	})
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	f := newFixture(t, numTable("R", 1000, "a", "b"))
 	cache, metrics := meteredCache(2)
 	for i := 0; i < 3; i++ {
-		putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", fmt.Sprintf("k%d", i), 1, 1)
+		putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", fmt.Sprintf("k%d", i))
 	}
 	if cache.ll.Len() != 2 || len(cache.entries) != 2 {
 		t.Fatalf("capacity 2, holds %d", cache.ll.Len())
@@ -126,7 +123,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 	// k2 and k1 were both touched; inserting k3 now evicts the least
 	// recently used skeleton, k2.
-	putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k3", 1, 1)
+	putPlan(t, f, cache, "SELECT * FROM R WHERE a >= 10", "k3")
 	if lookup("k2") != nil {
 		t.Error("LRU order must follow hits, not insertion")
 	}
@@ -139,13 +136,13 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// cachedFor caches plan in a statement's slot at the store's current epochs
-// and returns the plan a lookup serves.
+// cachedFor caches plan in a statement's slot at the current statistics
+// versions and returns the plan a lookup serves.
 func cachedFor(t *testing.T, f *fixture, plan *Plan) *CachedPlan {
 	t.Helper()
 	st := &Statement{}
-	st.SetPlan(plan, f.store.Epoch, 1)
-	cp := st.Plan(f.store.Epoch, 1, nil)
+	st.SetPlan(plan, f.st)
+	cp := st.Plan(nil)
 	if cp == nil {
 		t.Fatal("a fresh plan must hit")
 	}

@@ -181,7 +181,7 @@ func (e *planningEnv) warmCache(tb testing.TB) (*PlanCache, []*Plan) {
 	for i, plan := range plans {
 		skel, _, _ := sqlparse.Scan(e.sqls[i], nil, nil) // it parsed
 		st := cache.Put(skel, &Statement{Template: e.stmts[i].Template, Shape: e.stmts[i].Shape})
-		st.SetPlan(plan, e.store.Epoch, e.st.Version())
+		st.SetPlan(plan, e.st)
 	}
 	return cache, plans
 }
@@ -196,7 +196,7 @@ func (e *planningEnv) planCached(tb testing.TB, cache *PlanCache, i int) *Plan {
 	if st == nil {
 		tb.Fatalf("template %d missed a warmed cache", i)
 	}
-	cp := st.Plan(e.store.Epoch, e.st.Version(), nil)
+	cp := st.Plan(nil)
 	if cp == nil {
 		tb.Fatalf("template %d's cached plan went stale", i)
 	}

@@ -67,9 +67,7 @@ type Endpoint struct {
 type Policy struct {
 	// HedgeAfter, when positive, is how long the chosen endpoint may stay
 	// silent before the next-ranked one is raced against it; <= 0 never
-	// hedges. A hedge that cannot fire before the caller's deadline is never
-	// armed: hedging exists to cut tail latency the caller will still
-	// experience.
+	// hedges.
 	HedgeAfter time.Duration
 	// BreakAfter consecutive failures of one dataset at one endpoint open
 	// that circuit; 0 never opens one.
@@ -390,7 +388,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 	}
 
 	var hedgeC <-chan time.Time
-	if d := f.cfg.Policy.HedgeAfter; d > 0 && len(ranked) > 1 && !overload.ShortOf(ctx, d) {
+	if d := f.cfg.Policy.HedgeAfter; d > 0 && len(ranked) > 1 {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		hedgeC = t.C

@@ -145,7 +145,7 @@ type Snapshot struct {
 	// Planning: plan-cache lookups (an invalidation is also a miss).
 	PlanCacheHits          int64 `prom:"plan_cache_hits_total,counter" help:"Plan-template cache lookups served from cache."`
 	PlanCacheMisses        int64 `prom:"plan_cache_misses_total,counter" help:"Plan-template cache lookups that missed."`
-	PlanCacheInvalidations int64 `prom:"plan_cache_invalidations_total,counter" help:"Cached plan skeletons discarded as stale (coverage epoch or stats version moved)."`
+	PlanCacheInvalidations int64 `prom:"plan_cache_invalidations_total,counter" help:"Cached plan skeletons discarded as stale (a table the plan reads moved its statistics)."`
 	PlanCacheEvictions     int64 `prom:"plan_cache_evictions_total,counter" help:"Cached plan skeletons displaced by the LRU capacity."`
 	PlansCached            int64 `prom:"plans_cached_total,counter" help:"Queries planned from the plan-template cache."`
 	PlansDP                int64 `prom:"plans_dp_total,counter" help:"Queries planned by the full dynamic program."`

@@ -1,7 +1,7 @@
 // Package overload is the buyer stack's overload-protection layer: the
-// per-query retry budget and the deadline-propagation helpers every
-// retrying layer consults before it spends another attempt or sleeps
-// another backoff.
+// per-query retry budget every retrying layer consults before it spends
+// another attempt, and the deadline check of the call scheduler's coalesce
+// window.
 //
 // The problem it solves is retry multiplication. The stack retries at
 // three layers — the HTTP connector retries transport failures, the
@@ -16,11 +16,10 @@
 // protect the system" from a tripped breaker's ErrCircuitOpen.
 //
 // Deadline propagation is the second half: a per-request deadline rides
-// the query context (context.WithTimeout already intersects with every
-// downstream per-call timeout), and the helpers here let retry loops,
-// coalesce windows, and hedge timers check the remaining budget BEFORE
-// sleeping — no layer is allowed to sleep past the instant the caller
-// stops listening.
+// the query context down to the call scheduler, which never parks a
+// request for a window its deadline cannot outlast (ShortOf). Below the
+// scheduler a wire call carries no deadline, since other queries may share
+// it; it ends when its last waiter detaches.
 package overload
 
 import (
@@ -174,25 +173,12 @@ func Spend(ctx context.Context, n float64) bool {
 	return BudgetFrom(ctx).Spend(n)
 }
 
-// Remaining reports the time left until ctx's deadline; ok is false when
-// the context carries none.
-func Remaining(ctx context.Context) (time.Duration, bool) {
-	if ctx == nil {
-		return 0, false
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0, false
-	}
-	return time.Until(dl), true
-}
-
 // ShortOf reports whether ctx carries a deadline with less than d left: a
 // sleep or park of length d would outlive the caller. Deadline-free
 // contexts are never short.
 func ShortOf(ctx context.Context, d time.Duration) bool {
-	rem, ok := Remaining(ctx)
-	return ok && rem < d
+	dl, ok := ctx.Deadline()
+	return ok && time.Until(dl) < d
 }
 
 // Jitter spreads d uniformly into [d×(1-f), d×(1+f)] so synchronized

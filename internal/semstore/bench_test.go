@@ -74,17 +74,16 @@ func BenchmarkSemstoreRemainder(b *testing.B) {
 	}
 }
 
-func BenchmarkSemstoreRowsIn(b *testing.B) {
+func BenchmarkSemstoreSelectIn(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		s, meta := buildTiledStore(b, n)
 		q := tileQuery(n)
+		boxes := []region.Box{q}
 		b.Run(fmt.Sprintf("indexed/rows=%d", n), func(b *testing.B) {
+			var ids []int32
 			for i := 0; i < b.N; i++ {
-				rel, err := s.RowsIn(meta, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rel.Rows) == 0 {
+				ids = ids[:0]
+				if _, all := s.SelectIn(meta, boxes, &ids); !all && len(ids) == 0 {
 					b.Fatal("probe found no rows")
 				}
 			}

@@ -41,7 +41,7 @@ func box2(x0, x1, y0, y1 int64) region.Box {
 // TestRecordAtomicOnBadRow is the regression test for the non-atomic Record
 // bug: a row whose value falls outside its catalog domain must leave the
 // store completely untouched — no coverage entry, no materialised rows — so
-// Covered/RowsIn can never claim rows that were not stored.
+// Covered/SelectIn can never claim rows that were not stored.
 func TestRecordAtomicOnBadRow(t *testing.T) {
 	s := New(storage.NewDB())
 	meta := pollutionMeta()
@@ -66,9 +66,8 @@ func TestRecordAtomicOnBadRow(t *testing.T) {
 	if got := s.StoredRowCount("Pollution"); got != 0 {
 		t.Errorf("StoredRowCount after failed Record = %d, want 0", got)
 	}
-	rel, err := s.RowsIn(meta, b)
-	if err != nil || len(rel.Rows) != 0 {
-		t.Errorf("RowsIn after failed Record = %d rows, err %v", len(rel.Rows), err)
+	if got := rowsIn(s, meta, b); len(got) != 0 {
+		t.Errorf("%d rows in the box after failed Record", len(got))
 	}
 	// The store still works after the failed call.
 	if _, err := s.Record(meta, b, []value.Row{row("A", 10, 1)}, time.Now()); err != nil {

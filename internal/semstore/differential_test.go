@@ -29,7 +29,7 @@ func rowKey(r value.Row) string {
 
 // naiveStore replicates the pre-index, pre-compaction semantic store: one
 // entry per recorded call forever, remainders via full-scan subtraction,
-// RowsIn via a linear coordinate scan. It is the differential oracle's
+// rows in a box via a linear coordinate scan. It is the differential oracle's
 // ground truth.
 type naiveStore struct {
 	boxes  []region.Box
@@ -116,7 +116,7 @@ func semanticallyEqual(a, b []region.Box) bool {
 // TestDifferentialOracle drives the indexed+compacted store and the naive
 // reference through the same randomized workload and asserts they agree on
 // Remainder (semantically — decompositions may differ in geometry, never in
-// the region they describe), Covered and the exact RowsIn output,
+// the region they describe), Covered and the exact SelectIn output,
 // after every Record. Three schedules: "sparse" records a few rows per call,
 // so coverage compaction does the work; "bulk" starts from one whole-table
 // Record and follows it with hundreds of calls of 1–100 rows, many of them
@@ -260,18 +260,15 @@ func TestDifferentialOracle(t *testing.T) {
 								trial, rec, q, since, got, want)
 						}
 						sides.note(idx.table(meta.Name), q)
-						gotRows, err := idx.RowsIn(meta, q)
-						if err != nil {
-							t.Fatal(err)
-						}
+						gotRows := rowsIn(idx, meta, q)
 						wantRows := ref.rowsIn(q)
-						if len(gotRows.Rows) != len(wantRows) {
-							t.Fatalf("trial %d rec %d: RowsIn(%v) = %d rows, naive %d",
-								trial, rec, q, len(gotRows.Rows), len(wantRows))
+						if len(gotRows) != len(wantRows) {
+							t.Fatalf("trial %d rec %d: SelectIn(%v) = %d rows, naive %d",
+								trial, rec, q, len(gotRows), len(wantRows))
 						}
 						for i := range wantRows {
-							if rowKey(gotRows.Rows[i]) != rowKey(wantRows[i]) {
-								t.Fatalf("trial %d rec %d: RowsIn(%v) row %d differs (order must match the naive scan)",
+							if rowKey(gotRows[i]) != rowKey(wantRows[i]) {
+								t.Fatalf("trial %d rec %d: SelectIn(%v) row %d differs (order must match the naive scan)",
 									trial, rec, q, i)
 							}
 						}
@@ -333,17 +330,14 @@ func checkRecovered(t *testing.T, what string, idx *Store, open func() *Store, l
 			if p > 0 {
 				q = randBox()
 			}
-			got, err := s.RowsIn(meta, q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := rowsIn(s, meta, q)
 			want := ref.rowsIn(q)
-			if len(got.Rows) != len(want) {
-				t.Fatalf("%s: %s RowsIn(%v) = %d rows, naive %d", what, name, q, len(got.Rows), len(want))
+			if len(got) != len(want) {
+				t.Fatalf("%s: %s SelectIn(%v) = %d rows, naive %d", what, name, q, len(got), len(want))
 			}
 			for i := range want {
-				if rowKey(got.Rows[i]) != rowKey(want[i]) {
-					t.Fatalf("%s: %s RowsIn(%v) row %d differs (order must match the naive scan)", what, name, q, i)
+				if rowKey(got[i]) != rowKey(want[i]) {
+					t.Fatalf("%s: %s SelectIn(%v) row %d differs (order must match the naive scan)", what, name, q, i)
 				}
 			}
 		}

@@ -141,15 +141,12 @@ func TestDurableReplayKeepsNulls(t *testing.T) {
 	if info.Replayed != 1 {
 		t.Fatalf("recovery: %+v, want 1 replayed", info)
 	}
-	got, err := s2.RowsIn(meta, meta.FullBox())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := rowsIn(s2, meta, meta.FullBox())
 	want := map[string]bool{rowKey(rows[0]): true, rowKey(rows[1]): true}
-	if len(got.Rows) != len(rows) {
-		t.Fatalf("replayed %d rows, want %d", len(got.Rows), len(rows))
+	if len(got) != len(rows) {
+		t.Fatalf("replayed %d rows, want %d", len(got), len(rows))
 	}
-	for _, r := range got.Rows {
+	for _, r := range got {
 		if !want[rowKey(r)] {
 			t.Errorf("row %v changed in WAL replay", r)
 		}

@@ -371,7 +371,7 @@ func TestTailChunkSharedWithOldSnapshots(t *testing.T) {
 
 // TestRecoveredIndexAnswersLikeLive: a store rebuilt from a snapshot (one
 // batch per table) and one rebuilt by WAL replay (one batch per record, so the
-// same runs as the live store) must both answer RowsIn exactly like the live,
+// same runs as the live store) must both answer SelectIn exactly like the live,
 // many-run store they came from — same rows, same order.
 func TestRecoveredIndexAnswersLikeLive(t *testing.T) {
 	const span = 400
@@ -429,14 +429,13 @@ func TestRecoveredIndexAnswersLikeLive(t *testing.T) {
 			if p == 0 {
 				q = meta.FullBox()
 			}
-			want, _ := live.RowsIn(meta, q)
-			got, _ := s.RowsIn(meta, q)
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("%s: RowsIn(%v) = %d rows, live %d", name, q, len(got.Rows), len(want.Rows))
+			want, got := rowsIn(live, meta, q), rowsIn(s, meta, q)
+			if len(got) != len(want) {
+				t.Fatalf("%s: SelectIn(%v) = %d rows, live %d", name, q, len(got), len(want))
 			}
-			for i := range want.Rows {
-				if rowKey(got.Rows[i]) != rowKey(want.Rows[i]) {
-					t.Fatalf("%s: RowsIn(%v) row %d is %v, live %v", name, q, i, got.Rows[i], want.Rows[i])
+			for i := range want {
+				if rowKey(got[i]) != rowKey(want[i]) {
+					t.Fatalf("%s: SelectIn(%v) row %d is %v, live %v", name, q, i, got[i], want[i])
 				}
 			}
 		}

@@ -59,9 +59,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("fresh entry should satisfy the window after reload")
 	}
 	// Rows are queryable with correct coordinates.
-	got, err := s2.RowsIn(meta, b1)
-	if err != nil || got.Len() != 1 {
-		t.Errorf("RowsIn after load: %v %v", got.Len(), err)
+	if got := rowsIn(s2, meta, b1); len(got) != 1 {
+		t.Errorf("rows in the box after load: %d", len(got))
 	}
 }
 
@@ -230,18 +229,15 @@ func TestSaveLoadRoundTripAllKinds(t *testing.T) {
 	if !s2.Covered("Kinds", full, time.Time{}) {
 		t.Error("coverage lost in round trip")
 	}
-	got, err := s2.RowsIn(meta, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != len(rows) {
-		t.Fatalf("round trip returned %d rows, want %d", len(got.Rows), len(rows))
+	got := rowsIn(s2, meta, full)
+	if len(got) != len(rows) {
+		t.Fatalf("round trip returned %d rows, want %d", len(got), len(rows))
 	}
 	want := map[string]bool{}
 	for _, r := range rows {
 		want[rowKey(r)] = true
 	}
-	for _, r := range got.Rows {
+	for _, r := range got {
 		if !want[rowKey(r)] {
 			t.Errorf("row %v corrupted in round trip", r)
 		}

@@ -20,11 +20,11 @@
 //   - Lookups are indexed: per-table per-dimension edge indexes prune the
 //     stored boxes to those overlapping the query before any subtraction,
 //     with a fast path when a single stored box contains the query outright.
-//   - RowsIn reads a per-dimension row index instead of scanning every
+//   - SelectIn reads a per-dimension row index instead of scanning every
 //     materialised row: a column of the rows' coordinates and runs of their
 //     int32 ids sorted by it; a read takes the most selective dimension's ids
-//     and filters them in row order through the other columns. SelectIn
-//     lists the same rows' ids instead.
+//     and filters them in row order through the other columns, and lists
+//     the ids of the rows it keeps.
 //   - A Record costs what it adds, not what the table already holds. The
 //     rows and each column are append-only chunk lists (package chunk):
 //     a chunk is allocated once and never copied, and a snapshot shares
@@ -240,10 +240,6 @@ type tableStore struct {
 	rows   chunk.List[value.Row]
 	seen   *value.KeyTable
 	rowIdx []rowDim
-	// epoch counts the Records applied to this table (including WAL replay).
-	// The plan cache snapshots it at compile time and discards any plan
-	// whose tables have moved on — new coverage can flip the winning plan.
-	epoch uint64
 }
 
 // storeSnap is one immutable published state of the store: a map from market
@@ -257,10 +253,10 @@ type storeSnap struct {
 }
 
 // Store is the semantic store. It is safe for concurrent use: reads
-// (Coverage, Remainder, Covered, RowsIn, SelectIn, Boxes, Save and the
-// entry, epoch and row counts) are lock-free snapshot reads that scale with
-// cores, writes (Record, Load) serialise on a writer mutex and publish
-// copy-on-write snapshots.
+// (Coverage, Remainder, Covered, SelectIn, Boxes, Save and the entry and
+// row counts) are lock-free snapshot reads that scale with cores, writes
+// (Record, Load) serialise on a writer mutex and publish copy-on-write
+// snapshots.
 type Store struct {
 	db      *storage.DB
 	metrics *obs.Metrics
@@ -337,7 +333,6 @@ func (ts *tableStore) clone() *tableStore {
 		rows:    ts.rows,
 		seen:    ts.seen,
 		rowIdx:  make([]rowDim, len(ts.rowIdx)),
-		epoch:   ts.epoch,
 	}
 	for d := range ts.dims {
 		cp.dims[d] = dimIdx{
@@ -456,7 +451,6 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 	defer s.wmu.Unlock()
 	snap := s.snap.Load()
 	ts := cloneTableFor(snap, meta)
-	ts.epoch++
 	res.Added = ts.addRows(rows)
 	if !b.Empty() {
 		res.Dropped, res.Absorbed, res.Merged = ts.insertEntry(b.Clone(), at)
@@ -896,18 +890,6 @@ func (s *Store) EntryCount(table string) int {
 	return ts.alive
 }
 
-// Epoch returns the table's coverage epoch: the number of Records applied
-// to it over the store's lifetime (including WAL replay). It only ever
-// increases; a cached plan compiled at epoch e is stale once the
-// table's epoch differs. Unknown tables are at epoch 0.
-func (s *Store) Epoch(table string) uint64 {
-	ts := s.table(table)
-	if ts == nil {
-		return 0
-	}
-	return ts.epoch
-}
-
 // Remainder returns the part of box q not covered by the table's stored
 // boxes fetched at or after since — the region V of §4.2, decomposed into
 // disjoint elementary boxes. The stored boxes are pruned through the
@@ -1105,43 +1087,8 @@ func (sel selection) appendTo(ids []int32) []int32 {
 	return ids
 }
 
-// rowsIn returns the rows selectIn selects, as one list.
-func (ts *tableStore) rowsIn(q region.Box) []value.Row {
-	sel := ts.selectIn(q, nil)
-	defer sel.release()
-	count := sel.count()
-	if count == 0 {
-		return nil
-	}
-	out := make([]value.Row, 0, count)
-	if sel.all > 0 {
-		return ts.rows.AppendTo(out)
-	}
-	for _, id := range sel.ids {
-		out = append(out, ts.rows.At(int(id)))
-	}
-	for w, word := range sel.bits {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, ts.rows.At(w*64+mathbits.TrailingZeros64(word)))
-		}
-	}
-	return out
-}
-
-// RowsIn returns the materialised rows of the table whose queryable
-// coordinates fall inside box q, in insertion order, under the table's
-// schema. The rows are the store's own and the schema the catalog's:
-// callers must not write to either.
-func (s *Store) RowsIn(meta *catalog.Table, q region.Box) (storage.Relation, error) {
-	out := storage.Relation{Schema: meta.Schema}
-	if ts := s.table(meta.Name); ts != nil {
-		out.Rows = ts.rowsIn(q)
-	}
-	return out, nil
-}
-
 // SelectIn appends to *ids the ids of the table's rows inside each box in
-// turn, each box's in RowsIn's order, and returns the rows they index: the
+// turn, each box's in insertion order, and returns the rows they index: the
 // store's own chunk list, as one snapshot holds it, which callers must not
 // write to or append to. A single box that selects every row appends
 // nothing and reports all.

@@ -169,18 +169,13 @@ func TestRowsIn(t *testing.T) {
 	s.Record(meta, meta.FullBox(), rows, time.Now())
 
 	q := region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51}) // Zip=A, Rank 1..50
-	got, err := s.RowsIn(meta, q)
-	if err != nil {
-		t.Fatal(err)
+	if got := rowsIn(s, meta, q); len(got) != 1 || got[0][1].Int64() != 10 {
+		t.Errorf("rows in the box: %v", got)
 	}
-	if got.Len() != 1 || got.Rows[0][1].Int64() != 10 {
-		t.Errorf("RowsIn: %v", got.Rows)
-	}
-	// Unknown table yields an empty relation, not an error.
+	// An unknown table selects nothing.
 	other := pollutionMeta()
 	other.Name = "Other"
-	rel, err := s.RowsIn(other, other.FullBox())
-	if err != nil || rel.Len() != 0 {
-		t.Errorf("RowsIn unknown: %v %v", rel, err)
+	if got := rowsIn(s, other, other.FullBox()); len(got) != 0 {
+		t.Errorf("rows of an unknown table: %v", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"payless/internal/region"
 	"payless/internal/storage"
 	"payless/internal/value"
 )
@@ -38,19 +39,18 @@ func BenchmarkSemstoreParallelCoverage(b *testing.B) {
 	}
 }
 
-// BenchmarkSemstoreParallelRowsIn is the materialised-row analogue: parallel
-// RowsIn probes over a 10k-row store.
-func BenchmarkSemstoreParallelRowsIn(b *testing.B) {
+// BenchmarkSemstoreParallelSelectIn is the materialised-row analogue:
+// parallel SelectIn probes over a 10k-row store.
+func BenchmarkSemstoreParallelSelectIn(b *testing.B) {
 	s, meta := buildTiledStore(b, 10000)
-	q := tileQuery(10000)
+	boxes := []region.Box{tileQuery(10000)}
 	b.ReportAllocs()
+	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		var ids []int32
 		for pb.Next() {
-			rel, err := s.RowsIn(meta, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rel.Rows) == 0 {
+			ids = ids[:0]
+			if _, all := s.SelectIn(meta, boxes, &ids); !all && len(ids) == 0 {
 				b.Fatal("probe found no rows")
 			}
 		}
@@ -142,12 +142,7 @@ func TestSnapshotReadersSeeConsistentState(t *testing.T) {
 					if rem := s.Remainder("Grid", b, time.Time{}); len(rem) != 0 {
 						continue
 					}
-					rel, err := s.RowsIn(meta, b)
-					if err != nil {
-						errc <- err
-						return
-					}
-					if len(rel.Rows) == 0 {
+					if len(rowsIn(s, meta, b)) == 0 {
 						errc <- fmt.Errorf("tile %d covered but row invisible", i)
 						return
 					}

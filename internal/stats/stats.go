@@ -41,7 +41,24 @@ type bucket struct {
 type tableStats struct {
 	full    region.Box
 	buckets []bucket
+	// version counts the table's mutations: every Register of it, and
+	// every Feedback on it with a non-empty box, whether or not the
+	// feedback changed an estimate. A table keeps its tableStats for the
+	// store's lifetime, so a Version snapshot follows re-registration.
+	version atomic.Uint64
 }
+
+// Version is a snapshot of one table's statistics version. The plan cache
+// keeps one per market table a plan reads: once any of them has moved, the
+// table's estimates may have changed enough to flip the winning plan.
+type Version struct {
+	t *tableStats
+	v uint64
+}
+
+// Moved reports whether the table's statistics changed since the snapshot.
+// A snapshot of a table the store did not know has always moved.
+func (v Version) Moved() bool { return v.t == nil || v.t.version.Load() != v.v }
 
 // Store is the feedback-histogram Estimator. It refines bucket partitions
 // from feedback; before any feedback it is the plain uniform estimator the
@@ -52,10 +69,6 @@ type Store struct {
 	// maxBuckets caps the partition size per table; feedback that would
 	// exceed the cap degrades to proportional rescaling without splitting.
 	maxBuckets int
-	// version counts mutations (Register and effective Feedback). The plan
-	// cache snapshots it: a moved version means estimates may have changed
-	// enough to flip the winning plan, so cached plans are discarded.
-	version atomic.Uint64
 }
 
 // New returns an empty statistics store.
@@ -68,15 +81,27 @@ func New() *Store {
 func (s *Store) Register(table string, full region.Box, card int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tables[table] = &tableStats{
-		full:    full.Clone(),
-		buckets: []bucket{{box: full.Clone(), count: float64(card)}},
+	t := s.tables[table]
+	if t == nil {
+		t = new(tableStats)
+		s.tables[table] = t
 	}
-	s.version.Add(1)
+	t.full = full.Clone()
+	t.buckets = []bucket{{box: full.Clone(), count: float64(card)}}
+	t.version.Add(1)
 }
 
-// Version returns the store's mutation counter.
-func (s *Store) Version() uint64 { return s.version.Load() }
+// Version snapshots the table's statistics version. Reading a snapshot back
+// (Version.Moved) takes no lock.
+func (s *Store) Version(table string) Version {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t := s.tables[table]
+	if t == nil {
+		return Version{}
+	}
+	return Version{t: t, v: t.version.Load()}
+}
 
 // Registered reports whether the table is known to the store.
 func (s *Store) Registered(table string) bool {
@@ -133,7 +158,7 @@ func (s *Store) Feedback(table string, b region.Box, n int64) {
 	if !ok || b.Empty() {
 		return
 	}
-	s.version.Add(1)
+	t.version.Add(1)
 	canSplit := len(t.buckets) < s.maxBuckets
 	// A split bucket becomes at most 1+2d pieces; most buckets pass as they are.
 	next := make([]bucket, 0, len(t.buckets)+2*b.D())

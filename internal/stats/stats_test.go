@@ -156,3 +156,32 @@ func TestReRegisterResets(t *testing.T) {
 		t.Errorf("re-register must reset: %v", got)
 	}
 }
+
+// TestVersionsArePerTable: a version snapshot moves with its own table's
+// Register and non-empty Feedback only; a snapshot of an unknown table has
+// always moved.
+func TestVersionsArePerTable(t *testing.T) {
+	s := New()
+	s.Register("R", box1d(0, 100), 1000)
+	s.Register("S", box1d(0, 100), 1000)
+	r, sv := s.Version("R"), s.Version("S")
+	if r.Moved() || sv.Moved() {
+		t.Fatal("fresh snapshots must not have moved")
+	}
+	s.Feedback("S", box1d(0, 10), 5)
+	if r.Moved() || !sv.Moved() {
+		t.Errorf("feedback on S: R moved %v, S moved %v; want only S", r.Moved(), sv.Moved())
+	}
+	s.Feedback("R", box1d(5, 5), 0)  // an empty box teaches nothing
+	s.Feedback("X", box1d(0, 10), 3) // nor does an unknown table
+	if r.Moved() {
+		t.Error("feedback that changes nothing moved R")
+	}
+	s.Register("R", box1d(0, 100), 2000)
+	if !r.Moved() || s.Version("R").Moved() {
+		t.Error("re-registering R must move its old snapshot, not a new one")
+	}
+	if !s.Version("X").Moved() {
+		t.Error("a snapshot of an unknown table must have moved")
+	}
+}

@@ -92,13 +92,13 @@ type Config struct {
 	// PlanCacheSize enables the parameterized plan-template cache when
 	// positive: statements and their optimized plans are cached by statement
 	// skeleton (an LRU of at most this many), and a repeated skeleton skips
-	// parsing, name resolution and optimization. Cached plans are
-	// invalidated when semantic-store coverage or statistics change, and
-	// coverage-dependent access choices are re-verified per instantiation,
-	// so cached plans never bill more than a re-optimized run would beyond
-	// the shape-reuse assumption itself. 0 (the default) disables the
-	// cache. Queries under a Window consistency reuse no plan (a moving
-	// freshness horizon cannot be captured by epochs).
+	// parsing, name resolution and optimization. A cached plan is
+	// invalidated once the statistics of a table it reads change (buying
+	// the table does), and coverage-dependent access choices are
+	// re-verified per instantiation, so a cached plan never returns a
+	// wrong answer; at worst it is costed on older estimates. 0 (the
+	// default) disables the cache. Queries under a Window consistency reuse
+	// no plan (no version captures a moving freshness horizon).
 	PlanCacheSize int
 	// Admitter is the client's one spend gate: Reserve before execution
 	// (rejecting unbilled on error), Settle with the actual spend after.
@@ -643,11 +643,11 @@ func (c *Client) compile(sql string, st *core.Statement, lits []sqlparse.Literal
 	}
 	opts := c.options()
 	// A moving consistency horizon (Window) makes coverage decisions
-	// time-dependent in a way epochs cannot capture; those queries skip the
-	// plan slot and always re-optimize.
+	// time-dependent in a way no statistics version captures; those queries
+	// skip the plan slot and always re-optimize.
 	plans := st != nil && opts.Since.IsZero()
 	if plans {
-		if cp := st.Plan(c.store.Epoch, c.stats.Version(), c.metrics); cp != nil {
+		if cp := st.Plan(c.metrics); cp != nil {
 			if plan, ok := cp.Instantiate(bound, c.store, &opts); ok {
 				c.bookPlan(tr, plan)
 				return plan, opts, nil
@@ -661,11 +661,11 @@ func (c *Client) compile(sql string, st *core.Statement, lits []sqlparse.Literal
 	}
 	c.bookPlan(tr, plan)
 	if plans {
-		// The epochs snapshot is taken here, BEFORE execution: if this very
-		// query buys data, its purchases bump the table epochs and the plan
-		// correctly invalidates — the cached plan describes the store state
-		// it was costed against, nothing newer.
-		st.SetPlan(plan, c.store.Epoch, c.stats.Version())
+		// The versions are snapshotted here, BEFORE execution: if this very
+		// query buys data, the purchase's feedback moves its tables'
+		// versions and the plan is invalidated — the cached plan describes
+		// the estimates it was costed against, nothing newer.
+		st.SetPlan(plan, c.stats)
 	}
 	return plan, opts, nil
 }

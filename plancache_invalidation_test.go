@@ -35,7 +35,7 @@ func TestPlanCacheInvalidationOnCoverageFlip(t *testing.T) {
 	// the template twice more.
 	sequence := []string{
 		shape(2, 5), shape(2, 5), shape(2, 5), // run 1 misses, run 2 re-caches, run 3 hits
-		"SELECT * FROM Weather",  // buys the rest of the table: epoch bump, plan flip
+		"SELECT * FROM Weather",  // buys the rest of the table: stats move, plan flip
 		shape(1, 8),              // same shape, post-flip: must NOT serve the stale skeleton
 		shape(1, 8), shape(1, 8), // re-cached flipped plan serves from here
 	}
@@ -91,10 +91,53 @@ func TestPlanCacheInvalidationOnCoverageFlip(t *testing.T) {
 	}
 }
 
+// TestPlanCacheKeepsPlansOfTablesNotBought: a cached plan goes stale only
+// when the statistics of a table it reads move. Buying Station leaves a
+// cached Weather-only plan a hit; buying Weather invalidates it.
+func TestPlanCacheKeepsPlansOfTablesNotBought(t *testing.T) {
+	_, open, _ := newWHWOracleEnv(t)
+	c := open("per-table", func(c *Config) { c.PlanCacheSize = 64 })
+	const weather = "SELECT * FROM Weather WHERE Country = 'Country00' AND Date >= 20140603 AND Date <= 20140606"
+	run := func(sql string) *Result {
+		t.Helper()
+		res, err := c.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	// Run 1 buys the range, so its plan goes stale at once; run 2, covered,
+	// re-caches it and run 3 hits.
+	run(weather)
+	run(weather)
+	if res := run(weather); res.Planner != PlannerCached {
+		t.Fatalf("setup: the warmed Weather plan planned via %q", res.Planner)
+	}
+	before := c.Metrics().PlanCacheInvalidations
+	if res := run("SELECT * FROM Station WHERE Country = 'Country01'"); res.Report.Transactions == 0 {
+		t.Fatal("setup: the Station query bought nothing")
+	}
+	if res := run(weather); res.Planner != PlannerCached {
+		t.Errorf("after buying Station the Weather-only plan planned via %q, want %q", res.Planner, PlannerCached)
+	}
+	if n := c.Metrics().PlanCacheInvalidations - before; n != 0 {
+		t.Errorf("buying Station invalidated %d plans", n)
+	}
+	if res := run("SELECT * FROM Weather WHERE Date >= 20140610 AND Date <= 20140611"); res.Report.Transactions == 0 {
+		t.Fatal("setup: the second Weather query bought nothing")
+	}
+	if res := run(weather); res.Planner == PlannerCached {
+		t.Error("after buying Weather the stale Weather plan was served")
+	}
+	if n := c.Metrics().PlanCacheInvalidations - before; n != 1 {
+		t.Errorf("buying Weather invalidated %d plans, want 1", n)
+	}
+}
+
 // TestPlanCacheConcurrentQueryRecord hammers one cached client from many
 // goroutines issuing overlapping template instances. Every query both looks
-// up the cache and (on a purchase) bumps table epochs through the semantic
-// store, so this is the Get/Put/invalidate race the -race build must clear.
+// up the cache and (on a purchase) moves its tables' statistics versions,
+// so this is the Get/Put/invalidate race the -race build must clear.
 func TestPlanCacheConcurrentQueryRecord(t *testing.T) {
 	_, open, templates := newWHWOracleEnv(t)
 	client := open("inv-race", func(c *Config) { c.PlanCacheSize = 32 })

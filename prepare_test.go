@@ -155,7 +155,7 @@ func TestPreparePlaceholderInsideLiteral(t *testing.T) {
 // TestStmtPlansOncePerTemplate asserts the prepared-statement fast path: N
 // executions of one template shape must run the optimizer exactly once. The
 // template's data is bought up front so executions themselves change nothing
-// (no purchase, no epoch bump), and every post-warmup execution re-binds the
+// (no purchase, no statistics move), and every post-warmup execution re-binds the
 // cached plan — zero optimize spans in its trace.
 func TestStmtPlansOncePerTemplate(t *testing.T) {
 	client, _, _ := testSetup(t, func(c *Config) {

@@ -112,7 +112,7 @@ func checkTemplates(t *testing.T, c *Client, templates []workload.Template) {
 			}
 			var want *core.Plan
 			if plan.Planner == core.PlannerCached {
-				cp := cachedStatement(c.plans, sql).Plan(c.store.Epoch, c.stats.Version(), nil)
+				cp := cachedStatement(c.plans, sql).Plan(nil)
 				want, _ = cp.Instantiate(b, c.store, &opts)
 			} else {
 				opt := core.Optimizer{Catalog: c.cat, Store: c.store, Stats: c.stats, Options: opts}
