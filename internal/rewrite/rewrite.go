@@ -21,7 +21,6 @@ package rewrite
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"payless/internal/region"
 )
@@ -235,23 +234,25 @@ func extentsOf(q region.Box, elems []region.Box, cfg Config) ([][]region.Interva
 		case Categorical:
 			// Single values present in some elementary box, plus the whole
 			// domain (Fig. 8).
-			seen := make(map[int64]struct{})
+			n := 0
+			for _, e := range elems {
+				n += int(e.Dims[i].Width())
+			}
+			vals := make([]int64, 0, n)
 			for _, e := range elems {
 				for v := e.Dims[i].Lo; v < e.Dims[i].Hi; v++ {
-					seen[v] = struct{}{}
+					vals = append(vals, v)
 				}
 			}
-			vals := make([]int64, 0, len(seen))
-			for v := range seen {
-				vals = append(vals, v)
-			}
-			sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-			for _, v := range vals {
-				exts = append(exts, region.Point(v))
-			}
+			slices.Sort(vals)
+			vals = slices.Compact(vals)
 			full := q.Dims[i]
 			if i < cfg.Full.D() {
 				full = cfg.Full.Dims[i]
+			}
+			exts = make([]region.Interval, len(vals), len(vals)+1)
+			for k, v := range vals {
+				exts[k] = region.Point(v)
 			}
 			if full.Width() > 1 {
 				exts = append(exts, full)

@@ -59,8 +59,8 @@ func jsonSnapshot(snap *storeSnap, records int64) ([]byte, error) {
 		for _, c := range ts.meta.Schema {
 			pt.Kinds = append(pt.Kinds, c.Type.String())
 		}
-		for _, e := range ts.entries {
-			if !e.dead {
+		for id, e := range ts.entries {
+			if !ts.isDead(id) {
 				pt.Entries = append(pt.Entries, persistEntry{Dims: jsonDims(e.box), At: e.at})
 			}
 		}
@@ -315,8 +315,12 @@ func TestSnapshotIsEncodingJSON(t *testing.T) {
 		return true
 	}
 	at := time.Date(2026, 8, 1, 0, 0, 0, 5, time.FixedZone("PDT", -7*3600))
-	table := func(meta *catalog.Table, entries []entry, rows []value.Row) *tableStore {
-		return &tableStore{meta: meta, entries: entries, rows: chunk.View(nil, rows)}
+	table := func(meta *catalog.Table, entries []entry, rows []value.Row, dead ...int) *tableStore {
+		ts := &tableStore{meta: meta, entries: entries, rows: chunk.View(nil, rows)}
+		for _, id := range dead {
+			ts.tombstone(id)
+		}
+		return ts
 	}
 	meta := pollutionMeta()
 	flat := &catalog.Table{Name: "Flat", Schema: value.Schema{{Name: "V", Type: value.Float}},
@@ -327,12 +331,12 @@ func TestSnapshotIsEncodingJSON(t *testing.T) {
 	check("corpus", &storeSnap{tables: map[string]*tableStore{
 		"Pollution": table(meta, []entry{
 			{box: box2(0, 1, 1, 11), at: at},
-			{box: box2(1, 2, 1, 11), at: at, dead: true},
+			{box: box2(1, 2, 1, 11), at: at},
 			{box: box2(2, 3, 5, 6), at: time.Time{}},
-		}, []value.Row{row("A", 1, math.NaN()), {value.NewNull(), value.NewNull(), value.NewNull()}, row("<&>", 3, math.Copysign(0, -1))}),
+		}, []value.Row{row("A", 1, math.NaN()), {value.NewNull(), value.NewNull(), value.NewNull()}, row("<&>", 3, math.Copysign(0, -1))}, 1),
 		"Flat":  table(flat, []entry{{box: region.Box{}, at: at}}, []value.Row{{value.NewFloat(0x1p63)}}),
 		"Empty": table(empty, nil, nil),
-		"Dead":  table(meta, []entry{{box: box2(0, 1, 1, 2), at: at, dead: true}}, nil),
+		"Dead":  table(meta, []entry{{box: box2(0, 1, 1, 2), at: at}}, nil, 0),
 	}}, 7)
 	check("year 10000", &storeSnap{tables: map[string]*tableStore{
 		"Pollution": table(meta, []entry{{box: box2(0, 1, 1, 2), at: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}}, nil),
@@ -360,11 +364,15 @@ func TestSnapshotIsEncodingJSON(t *testing.T) {
 				m.Schema = append(m.Schema, value.Column{Name: string(rune('a' + k)), Type: kind})
 			}
 			var entries []entry
+			var dead []int
 			d := rng.Intn(3)
 			for e := rng.Intn(5); e > 0; e-- {
-				entries = append(entries, entry{box: randBox(rng, d), at: randTime(rng), dead: rng.Intn(3) == 0})
+				entries = append(entries, entry{box: randBox(rng, d), at: randTime(rng)})
+				if rng.Intn(3) == 0 {
+					dead = append(dead, len(entries)-1)
+				}
 			}
-			snap.tables[m.Name] = table(m, entries, randRows(rng, kinds, rng.Intn(6)))
+			snap.tables[m.Name] = table(m, entries, randRows(rng, kinds, rng.Intn(6)), dead...)
 		}
 		if !check("random", snap, rng.Int63n(3)*rng.Int63()) {
 			break

@@ -1,6 +1,7 @@
 package semstore
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -124,12 +125,12 @@ func TestRecordAllNewBatchAllocations(t *testing.T) {
 // table already holds. 1 000 Records of 100 new rows each go into one
 // three-dimensional table, and what they allocate, counted with the
 // collector off (a GC emptying a pool mid-run would move the count), is at
-// most 210 bytes per added row, about 194 on linux/amd64: a row header and
+// most 210 bytes per added row, about 191 on linux/amd64: a row header and
 // three coordinates in their chunks (48 bytes), the runs of ids the
 // logarithmic method merges (each id is copied about log₂ of the batches
 // times on each dimension), the dedup table's doublings and each Record's
-// copy of the coverage entries. A row list and columns regrown by append
-// would copy every row and coordinate held at each regrowth.
+// copy of the run headers. A row list and columns regrown by append would
+// copy every row and coordinate held at each regrowth.
 func TestRecordAllocatesWhatItAdds(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
@@ -155,5 +156,50 @@ func TestRecordAllocatesWhatItAdds(t *testing.T) {
 	t.Logf("%d Records of %d rows allocate %d bytes per added row", records, batch, perRow)
 	if perRow > limit {
 		t.Errorf("%d Records of %d rows allocate %d bytes per added row; want at most %d", records, batch, perRow, limit)
+	}
+}
+
+// TestRecordCostFlatInEntryCount: a Record costs what it adds, however much
+// coverage the table holds. On tiled stores of 1 000 and 10 000 live
+// entries (buildTiledStore), 32 more one-tile Records allocate within 2x of
+// each other per Record; a Record that copied the table's entries and edge
+// indexes would allocate about 10x more at 10 000. Building the 10 000-entry
+// store allocates at most 5 % of the 3.75 GB such copies cost. Counted with
+// the collector off, so that no pool is emptied mid-run.
+func TestRecordCostFlatInEntryCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	const more, buildLimit = 32, 3749 << 20 / 20
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perRecord := make(map[int]uint64)
+	for _, n := range []int{1000, 10000} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, meta := buildTiledStore(t, n)
+		runtime.ReadMemStats(&after)
+		built := after.TotalAlloc - before.TotalAlloc
+		t.Logf("building %d tiles allocates %.1f MB", n, float64(built)/(1<<20))
+		if n == 10000 && built > buildLimit {
+			t.Errorf("building %d tiles allocates %d MB, want at most %d MB", n, built>>20, buildLimit>>20)
+		}
+		side := int64(math.Ceil(math.Sqrt(float64(n))))
+		at := time.Unix(1700000000, 0)
+		runtime.ReadMemStats(&before)
+		for i := range int64(more) { // one row of tiles past the grid's last
+			x, y := 4*i, 4*side
+			if _, err := s.Record(meta, box2(x, x+2, y, y+2), []value.Row{gridRow(x, y)}, at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := s.EntryCount("Grid"); got != n+more {
+			t.Fatalf("%d entries after %d more tiles on %d, want %d", got, more, n, n+more)
+		}
+		perRecord[n] = (after.TotalAlloc - before.TotalAlloc) / more
+		t.Logf("one more Record on %d entries allocates %d bytes", n, perRecord[n])
+	}
+	if small, large := perRecord[1000], perRecord[10000]; large >= 2*small {
+		t.Errorf("a Record allocates %d bytes on 1 000 entries and %d on 10 000: want less than 2x", small, large)
 	}
 }

@@ -106,8 +106,8 @@ func saveSnap(w io.Writer, snap *storeSnap, records int64) (int64, error) {
 		}
 		c.buf = append(listEnd(c.buf, len(ts.meta.Schema)), `,"entries":`...)
 		live := 0
-		for _, e := range ts.entries {
-			if e.dead {
+		for id, e := range ts.entries {
+			if ts.isDead(id) {
 				continue
 			}
 			c.buf = appendDims(append(listSep(c.buf, live), `{"dims":`...), e.box.Dims)

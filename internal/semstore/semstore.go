@@ -26,11 +26,13 @@
 //     and filters them in row order through the other columns, and lists
 //     the ids of the rows it keeps.
 //   - A Record costs what it adds, not what the table already holds. The
-//     rows and each column are append-only chunk lists (package chunk):
-//     a chunk is allocated once and never copied, and a snapshot shares
-//     every chunk with the writer, which writes only past the snapshot's
-//     length. The runs are log-structured, so each id is copied O(log n)
-//     times over the table's life.
+//     rows and each column are append-only chunk lists (package chunk),
+//     whose chunks are allocated once and never copied, and the coverage
+//     entries are append-only too: a snapshot shares them with the writer,
+//     which writes only past the snapshot's length. The row and edge
+//     indexes are log-structured runs, so each id is copied O(log n) times
+//     over the table's life, and the tombstone bitset is copied only by a
+//     Record that kills an entry a snapshot can see.
 //
 // Compaction and indexing never change answers: the union of stored
 // coverage is preserved exactly, and freshness is only ever lost downward
@@ -73,19 +75,17 @@ const (
 type entry struct {
 	box region.Box
 	at  time.Time
-	// dead marks an entry absorbed or merged away by compaction. Tombstones
-	// keep entry ids stable between index rebuilds.
-	dead bool
 }
 
-// dimIdx holds, for one queryable dimension, the entry ids ordered by their
-// box's low edge on that axis, plus an upper bound on any stored box's
-// width there. A box overlaps the query on the axis only if its Lo falls in
-// [q.Lo - maxWidth, q.Hi), so the candidate set is a contiguous byLo
-// segment found by two binary searches — the lookup walks whichever
-// dimension yields the shortest segment.
+// dimIdx is the coverage index on one queryable dimension: a rowDim over
+// the entries' low edges there (col holds entry id's Lo, runs sort the ids
+// by (Lo, id)), plus an upper bound on any stored box's width on the axis.
+// A box overlaps the query on the axis only if its Lo falls in
+// [q.Lo - maxWidth, q.Hi), so each run's candidates are one contiguous span
+// found by two binary searches — the lookup walks whichever dimension
+// yields the fewest.
 type dimIdx struct {
-	byLo []int // entry ids sorted by (Dims[d].Lo, id)
+	rowDim
 	// maxWidth bounds the width of every indexed (live or dead) box on this
 	// axis; tombstoning never shrinks it, rebuilds recompute it.
 	maxWidth int64
@@ -122,34 +122,32 @@ func (rd *rowDim) span(run idRun, iv region.Interval) idRun {
 // allocates only what it publishes, an exact copy of a run that stands alone
 // or the exact-size merged run.
 func (rd *rowDim) push(run idRun) {
-	runs := append(rd.runs, run)
-	j, total := len(runs)-1, len(run)
-	for j > 0 && len(runs[j-1]) <= 2*total {
+	j, total := len(rd.runs), len(run)
+	for j > 0 && len(rd.runs[j-1]) <= 2*total {
 		j--
-		total += len(runs[j])
+		total += len(rd.runs[j])
 	}
-	if j == len(runs)-1 {
-		runs[j] = slices.Clone(run)
-		rd.runs = runs
+	if j == len(rd.runs) {
+		rd.runs = append(rd.runs, slices.Clone(run))
 		return
 	}
-	runs[j] = mergeRuns(rd.col, runs[j:], total)
-	clear(runs[j+1:]) // or the header array would keep the inputs alive
-	rd.runs = runs[:j+1]
+	merged := mergeRuns(rd.col, rd.runs[j:], run, total)
+	clear(rd.runs[j+1:]) // or the header array would keep the inputs alive
+	rd.runs = append(rd.runs[:j], merged)
 }
 
-// mergeRuns merges adjacent runs, oldest first, into one run of total ids,
-// newest first and two at a time inside the result itself: the newest run
-// is copied to its end, then each older run is merged with what follows it
-// into the space just before. The write position never passes the unread
-// newer ids, so no intermediate run is allocated. Later runs hold higher
-// ids, so taking the older run's id on a coordinate tie keeps equal
-// coordinates in id order.
-func mergeRuns(col chunk.List[int64], runs []idRun, total int) idRun {
+// mergeRuns merges adjacent runs, oldest first, and then newest into one
+// run of total ids, newest first and two at a time inside the result
+// itself: newest is copied to its end, then each older run is merged with
+// what follows it into the space just before. The write position never
+// passes the unread newer ids, so no intermediate run is allocated. Later
+// runs hold higher ids, so taking the older run's id on a coordinate tie
+// keeps equal coordinates in id order.
+func mergeRuns(col chunk.List[int64], runs []idRun, newest idRun, total int) idRun {
 	out := make(idRun, total)
-	start := total - len(runs[len(runs)-1])
-	copy(out[start:], runs[len(runs)-1])
-	for r := len(runs) - 2; r >= 0; r-- {
+	start := total - len(newest)
+	copy(out[start:], newest)
+	for r := len(runs) - 1; r >= 0; r-- {
 		a, b := runs[r], out[start:]
 		w, i, j := start-len(a), 0, 0
 		for ; i < len(a); w++ {
@@ -220,10 +218,18 @@ func radixSort(col chunk.List[int64], run, scratch idRun) {
 }
 
 type tableStore struct {
-	meta    *catalog.Table
-	entries []entry
-	alive   int
-	dead    int
+	meta *catalog.Table
+	// entries is the stored coverage, appended to until a rebuild compacts
+	// it. The writer appends past the published length, into spare capacity
+	// no snapshot reads, so clones share the array. tombs marks the dead
+	// entries, bit id%64 of word id/64 (words past its end are all live);
+	// the writer copies it before it sets a bit in one of its first
+	// sharedTombs words, the ones a published snapshot can read.
+	entries     []entry
+	tombs       []uint64
+	sharedTombs int
+	alive       int
+	dead        int
 	// dims index the entries on each dimension of the table's queryable
 	// space, which every entry's box has (validateRows and decodeSnapshot
 	// refuse any other).
@@ -313,37 +319,33 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 	}
 }
 
-// clone returns a writable copy of an immutable published tableStore.
-// Everything the mutation path touches in place — coverage entries (appended
-// AND tombstoned), edge indexes, the big-box list — is deep-copied. rows and
-// the row index's columns are append-only chunk lists, so the clone shares
-// their chunks and directories: a writer appending past the published
-// length never touches a slot any published snapshot can read
-// (chunk.List). The row index's runs are immutable, so only the list of run
-// headers is copied. The seen index is writer-only state (readers never
-// consult it) and is shared across clones.
+// clone returns a writable copy of an immutable published tableStore. It
+// copies only the big-box list and the headers of the index runs: the
+// entries and tombs arrays, the runs themselves, rows and the columns are
+// shared. The writer appends to entries and to the append-only chunk lists
+// (rows, columns) only past the published length, which no snapshot reads
+// (chunk.List), never writes a published run, and copies tombs before
+// setting a bit a snapshot can read (tombstone). The seen index is
+// writer-only state (readers never consult it) and is shared across clones.
 func (ts *tableStore) clone() *tableStore {
-	cp := &tableStore{
-		meta:    ts.meta,
-		entries: append([]entry(nil), ts.entries...),
-		alive:   ts.alive,
-		dead:    ts.dead,
-		dims:    make([]dimIdx, len(ts.dims)),
-		big:     append([]int(nil), ts.big...),
-		rows:    ts.rows,
-		seen:    ts.seen,
-		rowIdx:  make([]rowDim, len(ts.rowIdx)),
+	cp := *ts
+	cp.sharedTombs = len(ts.tombs)
+	cp.big = slices.Clone(ts.big)
+	cp.dims = make([]dimIdx, len(ts.dims))
+	for d, di := range ts.dims {
+		cp.dims[d] = dimIdx{di.clone(), di.maxWidth}
 	}
-	for d := range ts.dims {
-		cp.dims[d] = dimIdx{
-			byLo:     append([]int(nil), ts.dims[d].byLo...),
-			maxWidth: ts.dims[d].maxWidth,
-		}
-	}
+	cp.rowIdx = make([]rowDim, len(ts.rowIdx))
 	for d, rd := range ts.rowIdx {
-		cp.rowIdx[d] = rowDim{col: rd.col, runs: append([]idRun(nil), rd.runs...)}
+		cp.rowIdx[d] = rd.clone()
 	}
-	return cp
+	return &cp
+}
+
+// clone shares the column and the runs and copies the run headers, with
+// room for the one more run a push may append.
+func (rd *rowDim) clone() rowDim {
+	return rowDim{col: rd.col, runs: append(make([]idRun, 0, len(rd.runs)+1), rd.runs...)}
 }
 
 // publish installs a new snapshot that replaces (or adds) the given tables.
@@ -528,7 +530,7 @@ func (ts *tableStore) insertEntry(b region.Box, at time.Time) (dropped bool, abs
 	// box, the new entry adds no coverage and no freshness.
 	for _, id := range ts.candidates(b) {
 		e := &ts.entries[id]
-		if !e.dead && !e.at.Before(at) && e.box.Contains(b) {
+		if !ts.isDead(id) && !e.at.Before(at) && e.box.Contains(b) {
 			return true, 0, 0
 		}
 	}
@@ -536,7 +538,7 @@ func (ts *tableStore) insertEntry(b region.Box, at time.Time) (dropped bool, abs
 	// are now redundant.
 	for _, id := range ts.candidates(b) {
 		e := &ts.entries[id]
-		if !e.dead && !at.Before(e.at) && b.Contains(e.box) {
+		if !ts.isDead(id) && !at.Before(e.at) && b.Contains(e.box) {
 			ts.tombstone(id)
 			absorbed++
 		}
@@ -550,10 +552,10 @@ func (ts *tableStore) insertEntry(b region.Box, at time.Time) (dropped bool, abs
 		found := -1
 		var mergedBox region.Box
 		for _, id := range ts.candidates(expand(e.box)) {
-			o := &ts.entries[id]
-			if id == cur || o.dead {
+			if id == cur || ts.isDead(id) {
 				continue
 			}
+			o := &ts.entries[id]
 			if mb, ok := mergeBoxes(e.box, o.box); ok {
 				found, mergedBox = id, mb
 				break
@@ -618,17 +620,18 @@ func expand(b region.Box) region.Box {
 	return out
 }
 
-// addEntry appends a live entry and indexes it. Caller holds the write lock.
+// addEntry appends a live entry and pushes its id onto each dimension's
+// runs. Caller holds the write lock.
 func (ts *tableStore) addEntry(b region.Box, at time.Time) int {
 	id := len(ts.entries)
 	ts.entries = append(ts.entries, entry{box: b, at: at})
 	ts.alive++
+	one := idRun{int32(id)}
 	for d := range ts.dims {
 		di := &ts.dims[d]
-		di.byLo = insertSorted(di.byLo, id, func(o int) int64 { return ts.entries[o].box.Dims[d].Lo })
-		if w := b.Dims[d].Width(); w > di.maxWidth {
-			di.maxWidth = w
-		}
+		di.col.Append(b.Dims[d].Lo)
+		di.push(one)
+		di.maxWidth = max(di.maxWidth, b.Dims[d].Width())
 	}
 	// Maintain the big-box fast-path list.
 	vol := b.Volume()
@@ -650,62 +653,70 @@ func (ts *tableStore) addEntry(b region.Box, at time.Time) int {
 	return id
 }
 
-// insertSorted inserts id into ids keeping them ordered by (key, id).
-func insertSorted(ids []int, id int, key func(int) int64) []int {
-	k := key(id)
-	pos := sort.Search(len(ids), func(i int) bool {
-		ki := key(ids[i])
-		return ki > k || (ki == k && ids[i] > id)
-	})
-	ids = append(ids, 0)
-	copy(ids[pos+1:], ids[pos:])
-	ids[pos] = id
-	return ids
+// isDead reports whether entry id is a tombstone.
+func (ts *tableStore) isDead(id int) bool {
+	w := id >> 6
+	return w < len(ts.tombs) && ts.tombs[w]&(1<<(id&63)) != 0
 }
 
+// tombstone marks entry id dead. Tombstones keep entry ids stable between
+// index rebuilds. The bit's word is copied first if a published snapshot
+// can read it; a word past the snapshots' is the writer's already.
 func (ts *tableStore) tombstone(id int) {
-	if !ts.entries[id].dead {
-		ts.entries[id].dead = true
-		ts.alive--
-		ts.dead++
-		for i, bid := range ts.big {
-			if bid == id {
-				ts.big = append(ts.big[:i], ts.big[i+1:]...)
-				break
-			}
+	if ts.isDead(id) {
+		return
+	}
+	w := id >> 6
+	if w < ts.sharedTombs {
+		ts.tombs, ts.sharedTombs = slices.Clone(ts.tombs), 0
+	}
+	if n := len(ts.tombs); w >= n {
+		ts.tombs = slices.Grow(ts.tombs, w+1-n)[:w+1]
+		clear(ts.tombs[n:])
+	}
+	ts.tombs[w] |= 1 << (id & 63)
+	ts.alive--
+	ts.dead++
+	for i, bid := range ts.big {
+		if bid == id {
+			ts.big = append(ts.big[:i], ts.big[i+1:]...)
+			break
 		}
 	}
 }
 
 // maybeRebuild compacts the entry slice and rebuilds the edge indexes once
-// tombstones dominate. Reports whether a rebuild happened.
+// tombstones dominate: the survivors are renumbered in order, and each
+// dimension's ids are sorted into one run. Reports whether a rebuild
+// happened.
 func (ts *tableStore) maybeRebuild() bool {
 	if ts.dead < rebuildMinDead || ts.dead*rebuildDeadFraction <= len(ts.entries) {
 		return false
 	}
 	live := make([]entry, 0, ts.alive)
-	for _, e := range ts.entries {
-		if !e.dead {
+	for id, e := range ts.entries {
+		if !ts.isDead(id) {
 			live = append(live, e)
 		}
 	}
-	ts.entries = live
+	ts.entries, ts.tombs, ts.sharedTombs = live, nil, 0
 	ts.dead = 0
 	ts.alive = len(live)
+	n := len(live)
+	buf := make(idRun, 2*n)
+	run, scratch := buf[:n], buf[n:]
 	for d := range ts.dims {
-		ts.dims[d] = dimIdx{}
+		di := dimIdx{} // new chunks: snapshots keep reading the old ones
+		for id := range live {
+			di.col.Append(live[id].box.Dims[d].Lo)
+			di.maxWidth = max(di.maxWidth, live[id].box.Dims[d].Width())
+			run[id] = int32(id)
+		}
+		sortRun(di.col, run, scratch)
+		di.push(run)
+		ts.dims[d] = di
 	}
 	ts.big = nil
-	for id := range ts.entries {
-		e := &ts.entries[id]
-		for d := range ts.dims {
-			di := &ts.dims[d]
-			di.byLo = insertSorted(di.byLo, id, func(o int) int64 { return ts.entries[o].box.Dims[d].Lo })
-			if w := e.box.Dims[d].Width(); w > di.maxWidth {
-				di.maxWidth = w
-			}
-		}
-	}
 	// Recompute the big-box list over the survivors.
 	type bv struct {
 		id  int
@@ -725,12 +736,12 @@ func (ts *tableStore) maybeRebuild() bool {
 	return true
 }
 
-// candidates returns live-or-dead entry ids whose box could overlap q, by
-// walking the cheapest (dimension, edge) segment of the per-dimension
-// indexes. Callers must still check dead flags and true overlap.
+// candidates returns live-or-dead entry ids whose box could overlap q, in
+// (Lo, id) order on the dimension whose runs hold the fewest ids with a Lo
+// that allows an overlap. Callers must still check tombstones and true
+// overlap.
 func (ts *tableStore) candidates(q region.Box) []int {
-	d := len(ts.dims)
-	if q.D() != d || d == 0 {
+	if q.D() != len(ts.dims) || len(ts.dims) == 0 {
 		// No usable index: every entry is a candidate.
 		out := make([]int, len(ts.entries))
 		for id := range out {
@@ -740,33 +751,44 @@ func (ts *tableStore) candidates(q region.Box) []int {
 	}
 	// On each axis an overlapping box must have Lo < q.Hi and Lo > q.Lo -
 	// maxWidth (else even the widest stored box would end at or before
-	// q.Lo). That is a contiguous byLo segment; pick the smallest one.
-	bestLen := -1
-	var bestSeg []int
-	for k := 0; k < d; k++ {
+	// q.Lo): one span of each run. Pick the axis with the fewest.
+	best, bestLen := 0, -1
+	var bestIv region.Interval
+	for k := range ts.dims {
 		di := &ts.dims[k]
-		qd := q.Dims[k]
-		start := 0
-		if loMin := qd.Lo - di.maxWidth; loMin <= qd.Lo { // no underflow
-			start = sort.Search(len(di.byLo), func(i int) bool {
-				return ts.entries[di.byLo[i]].box.Dims[k].Lo > loMin
-			})
+		iv := region.Interval{Lo: math.MinInt64, Hi: q.Dims[k].Hi}
+		if loMin := q.Dims[k].Lo - di.maxWidth; loMin <= q.Dims[k].Lo { // no underflow
+			iv.Lo = loMin + 1
 		}
-		end := sort.Search(len(di.byLo), func(i int) bool {
-			return ts.entries[di.byLo[i]].box.Dims[k].Lo >= qd.Hi
-		})
-		if end < start {
-			end = start
+		n := 0
+		for _, run := range di.runs {
+			if n += len(di.span(run, iv)); bestLen >= 0 && n >= bestLen {
+				break // this axis cannot win
+			}
 		}
-		if n := end - start; bestLen < 0 || n < bestLen {
-			bestLen, bestSeg = n, di.byLo[start:end]
+		if bestLen < 0 || n < bestLen {
+			best, bestLen, bestIv = k, n, iv
 		}
 	}
+	di := &ts.dims[best]
 	out := make([]int, 0, bestLen)
-	for _, id := range bestSeg {
-		if boxesOverlap(ts.entries[id].box, q) {
-			out = append(out, id)
+	spans := 0
+	for _, run := range di.runs {
+		span := di.span(run, bestIv)
+		if len(span) > 0 {
+			spans++
 		}
+		for _, id := range span {
+			if boxesOverlap(ts.entries[id].box, q) {
+				out = append(out, int(id))
+			}
+		}
+	}
+	if spans > 1 {
+		col := di.col
+		slices.SortFunc(out, func(a, b int) int {
+			return cmp.Or(cmp.Compare(col.At(a), col.At(b)), cmp.Compare(a, b))
+		})
 	}
 	return out
 }
@@ -809,16 +831,41 @@ type LookupStats struct {
 // consistent point in the Record history and never blocks behind a writer.
 func (s *Store) Coverage(table string, q region.Box, since time.Time) ([]region.Box, LookupStats) {
 	start := time.Now()
-	var st LookupStats
-	ts := s.table(table)
 	var out []region.Box
-	if ts != nil {
-		st.Entries = ts.alive
-		// Big-box fast path first: a handful of containment checks against
-		// the largest stored regions.
-		for _, id := range ts.big {
+	var st LookupStats
+	if ts := s.table(table); ts != nil {
+		out, st = ts.coverage(q, since)
+	}
+	st.Micros = time.Since(start).Microseconds()
+	if m := s.metrics; m != nil {
+		m.ObserveStoreLookup(st.Micros, st.Pruned, st.FastPath)
+	}
+	return out, st
+}
+
+// coverage is Coverage's read of one published table state, without the
+// timing.
+func (ts *tableStore) coverage(q region.Box, since time.Time) ([]region.Box, LookupStats) {
+	st := LookupStats{Entries: ts.alive}
+	var out []region.Box
+	// Big-box fast path first: a handful of containment checks against the
+	// largest stored regions.
+	for _, id := range ts.big {
+		e := &ts.entries[id]
+		if ts.isDead(id) || (!since.IsZero() && e.at.Before(since)) {
+			continue
+		}
+		if e.box.Contains(q) {
+			st.FastPath = true
+			st.Candidates = 1
+			out = []region.Box{e.box.Clone()}
+			break
+		}
+	}
+	if !st.FastPath {
+		for _, id := range ts.candidates(q) {
 			e := &ts.entries[id]
-			if e.dead || (!since.IsZero() && e.at.Before(since)) {
+			if ts.isDead(id) || (!since.IsZero() && e.at.Before(since)) {
 				continue
 			}
 			if e.box.Contains(q) {
@@ -827,34 +874,13 @@ func (s *Store) Coverage(table string, q region.Box, since time.Time) ([]region.
 				out = []region.Box{e.box.Clone()}
 				break
 			}
+			out = append(out, e.box.Clone())
 		}
 		if !st.FastPath {
-			for _, id := range ts.candidates(q) {
-				e := &ts.entries[id]
-				if e.dead || (!since.IsZero() && e.at.Before(since)) {
-					continue
-				}
-				if e.box.Contains(q) {
-					st.FastPath = true
-					st.Candidates = 1
-					out = []region.Box{e.box.Clone()}
-					break
-				}
-				out = append(out, e.box.Clone())
-			}
-			if !st.FastPath {
-				st.Candidates = len(out)
-			}
-		}
-		st.Pruned = st.Entries - st.Candidates
-		if st.Pruned < 0 {
-			st.Pruned = 0
+			st.Candidates = len(out)
 		}
 	}
-	st.Micros = time.Since(start).Microseconds()
-	if m := s.metrics; m != nil {
-		m.ObserveStoreLookup(st.Micros, st.Pruned, st.FastPath)
-	}
+	st.Pruned = max(st.Entries-st.Candidates, 0)
 	return out, st
 }
 
@@ -866,12 +892,13 @@ func (s *Store) Boxes(table string, since time.Time) []region.Box {
 	if ts == nil {
 		return nil
 	}
+	return ts.boxes(since)
+}
+
+func (ts *tableStore) boxes(since time.Time) []region.Box {
 	var out []region.Box
-	for _, e := range ts.entries {
-		if e.dead {
-			continue
-		}
-		if !since.IsZero() && e.at.Before(since) {
+	for id, e := range ts.entries {
+		if ts.isDead(id) || (!since.IsZero() && e.at.Before(since)) {
 			continue
 		}
 		out = append(out, e.box.Clone())
@@ -1018,8 +1045,9 @@ func b2u(b bool) uint64 {
 // interval selects at least as many, so none is empty: hi−lo, taken modulo
 // 2^64, is its width.
 //
-// Listed ids go into the spare room of buf, which is grown as needed.
-func (ts *tableStore) selectIn(q region.Box, buf []int32) selection {
+// Listed ids go into the spare room of *ids, which is first grown to hold
+// every candidate, so the filters drop ids in place.
+func (ts *tableStore) selectIn(q region.Box, ids *[]int32) selection {
 	n := ts.rows.Len()
 	if q.D() != len(ts.rowIdx) || n == 0 {
 		return selection{} // no row has a box of another dimensionality's coordinates
@@ -1031,21 +1059,22 @@ func (ts *tableStore) selectIn(q region.Box, buf []int32) selection {
 	}
 	first := &ts.rowIdx[dims[0].k]
 	if cand := dims[0].n; 64*cand <= n {
-		ids := slices.Grow(buf[len(buf):], cand)
+		*ids = slices.Grow(*ids, cand)
+		list := (*ids)[len(*ids):]
 		for _, run := range first.runs {
-			ids = append(ids, first.span(run, q.Dims[dims[0].k])...)
+			list = append(list, first.span(run, q.Dims[dims[0].k])...)
 		}
-		slices.Sort(ids)
+		slices.Sort(list)
 		for _, d := range dims[1:] {
 			col, lo, w := ts.rowIdx[d.k].col, q.Dims[d.k].Lo, uint64(q.Dims[d.k].Hi-q.Dims[d.k].Lo)
 			kept := 0
-			for _, id := range ids {
-				ids[kept] = id
+			for _, id := range list {
+				list[kept] = id
 				kept += int(b2u(uint64(col.At(int(id))-lo) < w))
 			}
-			ids = ids[:kept]
+			list = list[:kept]
 		}
-		return selection{ids: ids}
+		return selection{ids: list}
 	}
 	pooled := bitsets.Get().(*[]uint64)
 	bits := slices.Grow((*pooled)[:0], (n+63)/64)[:(n+63)/64]
@@ -1098,7 +1127,7 @@ func (s *Store) SelectIn(meta *catalog.Table, boxes []region.Box, ids *[]int32) 
 		return rows, false
 	}
 	for _, q := range boxes {
-		sel := ts.selectIn(q, *ids)
+		sel := ts.selectIn(q, ids)
 		if sel.all > 0 && len(boxes) == 1 {
 			return ts.rows, true
 		}

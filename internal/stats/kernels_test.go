@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"payless/internal/region"
@@ -181,6 +183,70 @@ func splitStore(tb testing.TB, n int) (*Store, region.Box) {
 		s.Feedback("T", randomBox(rng, full), rng.Int63n(100000))
 	}
 	return s, full
+}
+
+// TestFeedbackAllocatesOnlyItsPieces is the allocation gate on learning:
+// Feedback builds the next partition in the array the previous one lived
+// in, so a feedback that splits one bucket of a 1 000-bucket table
+// allocates its new pieces (the inside box and the remainders Subtract
+// cuts), a few hundred bytes, not a copy of the 1 000 buckets — unless the
+// partition has just outgrown that array, which happens once in a few
+// dozen feedbacks. Every partition on the way, from the first feedback,
+// equals bit for bit the one intersectFeedback, which builds a fresh list,
+// produces from the same feedback. Counted with the collector off.
+func TestFeedbackAllocatesOnlyItsPieces(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	full := region.NewBox(region.Interval{Lo: 0, Hi: 6_000_000}, region.Interval{Lo: 19920101, Hi: 19981231})
+	got, want := New(), New()
+	got.Register("T", full, 6_000_000)
+	want.Register("T", full, 6_000_000)
+	var m0, m1 runtime.MemStats
+	feedback := func(b region.Box, n int64) {
+		runtime.ReadMemStats(&m0)
+		got.Feedback("T", b, n)
+		runtime.ReadMemStats(&m1)
+		want.intersectFeedback("T", b, n)
+		if err := sameBuckets(got.tables["T"].buckets, want.tables["T"].buckets); err != nil {
+			t.Fatalf("after %d buckets: %v", got.BucketCount("T"), err)
+		}
+	}
+	for got.BucketCount("T") < 1000 {
+		feedback(randomBox(rng, full), rng.Int63n(100000))
+	}
+	if raceEnabled {
+		return // the race detector perturbs allocation counts
+	}
+	const limit = 1024
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	measured, regrown := 0, 0
+	for measured < 16 {
+		// A box a thousandth of the table's on each axis mostly falls
+		// inside one bucket.
+		b := full.Clone()
+		for d, iv := range full.Dims {
+			lo := iv.Lo + rng.Int63n(iv.Width()-iv.Width()/1000)
+			b.Dims[d] = region.Interval{Lo: lo, Hi: lo + iv.Width()/1000}
+		}
+		ts, before := got.tables["T"], got.BucketCount("T")
+		spare := ts.spare[:cap(ts.spare)]
+		feedback(b, rng.Int63n(1000))
+		if got.BucketCount("T") == before {
+			continue // nothing split
+		}
+		measured++
+		if len(spare) == 0 || &ts.buckets[0] != &spare[0] {
+			regrown++
+			continue
+		}
+		bytes := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("a feedback splitting %d buckets into %d allocates %d bytes", before, got.BucketCount("T"), bytes)
+		if bytes > limit {
+			t.Errorf("a feedback splitting %d buckets into %d allocates %d bytes, want at most %d", before, got.BucketCount("T"), bytes, limit)
+		}
+	}
+	if regrown > 2 {
+		t.Errorf("%d of 16 splitting feedbacks outgrew their spare array", regrown)
+	}
 }
 
 // TestEstimateAllocatesNothing is the allocation gate on the histogram: an

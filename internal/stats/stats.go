@@ -14,6 +14,7 @@
 package stats
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,6 +42,14 @@ type bucket struct {
 type tableStats struct {
 	full    region.Box
 	buckets []bucket
+	// spare is the array Feedback builds the next partition in: the one
+	// the partition before this one lived in. Nothing reads either array
+	// outside Store.mu, so Feedback swaps the two instead of allocating.
+	// A partition never shrinks between Registers, so the next one
+	// overwrites every bucket of the one before. inside is Feedback's
+	// scratch list of the pieces inside its box.
+	spare  []bucket
+	inside []int
 	// version counts the table's mutations: every Register of it, and
 	// every Feedback on it with a non-empty box, whether or not the
 	// feedback changed an estimate. A table keeps its tableStats for the
@@ -87,7 +96,7 @@ func (s *Store) Register(table string, full region.Box, card int64) {
 		s.tables[table] = t
 	}
 	t.full = full.Clone()
-	t.buckets = []bucket{{box: full.Clone(), count: float64(card)}}
+	t.buckets, t.spare = []bucket{{box: full.Clone(), count: float64(card)}}, nil
 	t.version.Add(1)
 }
 
@@ -161,8 +170,8 @@ func (s *Store) Feedback(table string, b region.Box, n int64) {
 	t.version.Add(1)
 	canSplit := len(t.buckets) < s.maxBuckets
 	// A split bucket becomes at most 1+2d pieces; most buckets pass as they are.
-	next := make([]bucket, 0, len(t.buckets)+2*b.D())
-	var inside []int // indexes into next of pieces inside b
+	next := slices.Grow(t.spare[:0], len(t.buckets)+2*b.D())
+	inside := t.inside[:0] // indexes into next of pieces inside b
 	for _, bk := range t.buckets {
 		if !bk.box.Overlaps(b) {
 			next = append(next, bk)
@@ -226,7 +235,7 @@ func (s *Store) Feedback(table string, b region.Box, n int64) {
 			next[i].count *= scale
 		}
 	}
-	t.buckets = next
+	t.buckets, t.spare, t.inside = next, t.buckets, inside
 }
 
 // Total returns the store's current estimate of the table's cardinality.
