@@ -4,7 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
+	"strings"
+	"sync"
 
 	"payless/internal/catalog"
 	"payless/internal/value"
@@ -43,10 +47,6 @@ var PageRows = 5000
 type WireError struct {
 	Error string `json:"error"`
 }
-
-func kindName(k value.Kind) string { return k.String() }
-
-func bindingName(b catalog.BindingClass) string { return b.String() }
 
 // BindingOf parses a wire binding tag.
 func BindingOf(s string) (catalog.BindingClass, error) {
@@ -94,8 +94,8 @@ func WireTableOf(t *catalog.Table, tuplesPerTransaction int) WireTable {
 		a := t.Attrs[i]
 		wc := WireColumn{
 			Name:    c.Name,
-			Type:    kindName(c.Type),
-			Binding: bindingName(a.Binding),
+			Type:    c.Type.String(),
+			Binding: a.Binding.String(),
 			Class:   className(a.Class),
 			Min:     a.Min,
 			Max:     a.Max,
@@ -172,18 +172,10 @@ func (m *Market) Handler() http.Handler {
 			return
 		}
 		var out []WireTable
-		m.mu.RLock()
-		for _, ds := range m.datasets {
-			ds.mu.RLock()
-			for _, t := range ds.tables {
-				t.mu.RLock()
-				wt := WireTableOf(t.meta, ds.TuplesPerTransaction)
-				t.mu.RUnlock()
-				out = append(out, wt)
-			}
-			ds.mu.RUnlock()
+		for _, t := range m.ExportCatalog() {
+			ds, _ := m.Dataset(t.Dataset)
+			out = append(out, WireTableOf(t, ds.TuplesPerTransaction))
 		}
-		m.mu.RUnlock()
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("GET /v1/meter", func(w http.ResponseWriter, r *http.Request) {
@@ -212,17 +204,17 @@ func (m *Market) Handler() http.Handler {
 			httpError(w, http.StatusNotFound, err.Error())
 			return
 		}
+		params := r.URL.Query()
 		mt.mu.RLock()
-		meta := cloneMeta(mt.meta)
+		q, err := decodeQuery(mt.meta, dataset, table, params)
 		mt.mu.RUnlock()
-		q, err := decodeQuery(meta, dataset, table, r)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		q.CallID = r.Header.Get(CallIDHeader)
 		page := 0
-		if p := r.URL.Query().Get("page"); p != "" {
+		if p := params.Get("page"); p != "" {
 			page, err = strconv.Atoi(p)
 			if err != nil || page < 0 {
 				httpError(w, http.StatusBadRequest, "invalid page")
@@ -231,12 +223,16 @@ func (m *Market) Handler() http.Handler {
 		}
 		var res Result
 		if page == 0 {
-			res, _, err = m.execute(key, q)
+			res, err = m.Execute(key, q)
 		} else {
 			// Follow-up pages never bill: they are served from the replay
 			// ledger's billed snapshot when the call carries an ID the
-			// ledger still holds, or by re-running the scan unbilled.
-			res, err = m.replayOrUnbilled(key, q)
+			// ledger still holds — so a paginated result stays consistent
+			// while the table is appended to — or by re-reading unbilled.
+			var replayed bool
+			if res, replayed, err = m.replay(key, q); err == nil && !replayed {
+				res, _, err = m.serve(q)
+			}
 		}
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
@@ -248,55 +244,59 @@ func (m *Market) Handler() http.Handler {
 		if end < len(res.Rows) {
 			next = page + 1
 		}
-		body := AppendResultPage(nil, res, start, end, next)
+		buf := pageBufs.Get().(*[]byte)
+		body := AppendResultPage((*buf)[:0], res, start, end, next)
 		w.Header().Set("Content-Type", "application/json")
 		// The whole page is in hand: its length lets the buyer read it into
 		// one buffer of exactly that size.
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		// Headers are sent; nothing more to do about a failed write.
 		_, _ = w.Write(body)
+		if *buf = body[:0]; cap(body) <= maxPooledPage {
+			pageBufs.Put(buf)
+		}
 	})
 	return mux
 }
 
+// pageBufs recycles page bodies once written, up to maxPooledPage bytes:
+// a full page of a wide table fits.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledPage = 4 << 20
+
 // decodeQuery parses URL query parameters into an AccessQuery using the
-// table's schema to type equality values.
-func decodeQuery(meta *catalog.Table, dataset, table string, r *http.Request) (catalog.AccessQuery, error) {
+// table's schema to type equality values. The caller holds the table's
+// lock (shared suffices). The two ends of a range meet in one predicate.
+func decodeQuery(meta *catalog.Table, dataset, table string, params url.Values) (catalog.AccessQuery, error) {
 	q := catalog.AccessQuery{Dataset: dataset, Table: table}
-	type rangeAcc struct {
-		lo, hi *int64
-	}
-	ranges := make(map[string]*rangeAcc)
-	for key, vals := range r.URL.Query() {
+	for key, vals := range params {
 		if len(vals) == 0 || key == "page" {
 			// "page" is the transport's paging cursor, not a predicate.
 			continue
 		}
 		raw := vals[0]
-		if attr, found := cutSuffix(key, ".gte"); found {
-			n, err := strconv.ParseInt(raw, 10, 64)
-			if err != nil {
-				return q, fmt.Errorf("invalid %s: %v", key, err)
-			}
-			acc := ranges[attr]
-			if acc == nil {
-				acc = &rangeAcc{}
-				ranges[attr] = acc
-			}
-			acc.lo = &n
-			continue
+		attr, lo := strings.CutSuffix(key, ".gte")
+		if !lo {
+			attr, _ = strings.CutSuffix(key, ".lte")
 		}
-		if attr, found := cutSuffix(key, ".lte"); found {
+		if attr != key {
 			n, err := strconv.ParseInt(raw, 10, 64)
 			if err != nil {
 				return q, fmt.Errorf("invalid %s: %v", key, err)
 			}
-			acc := ranges[attr]
-			if acc == nil {
-				acc = &rangeAcc{}
-				ranges[attr] = acc
+			if _, ok := meta.Attr(attr); !ok {
+				return q, fmt.Errorf("unknown attribute %q", attr)
 			}
-			acc.hi = &n
+			i := slices.IndexFunc(q.Preds, func(p catalog.Pred) bool { return p.Eq == nil && p.Attr == attr })
+			if i < 0 {
+				i, q.Preds = len(q.Preds), append(q.Preds, catalog.Pred{Attr: attr})
+			}
+			if lo {
+				q.Preds[i].Lo = &n
+			} else {
+				q.Preds[i].Hi = &n
+			}
 			continue
 		}
 		a, ok := meta.Attr(key)
@@ -309,20 +309,7 @@ func decodeQuery(meta *catalog.Table, dataset, table string, r *http.Request) (c
 		}
 		q.Preds = append(q.Preds, catalog.Pred{Attr: key, Eq: &v})
 	}
-	for attr, acc := range ranges {
-		if _, ok := meta.Attr(attr); !ok {
-			return q, fmt.Errorf("unknown attribute %q", attr)
-		}
-		q.Preds = append(q.Preds, catalog.Pred{Attr: attr, Lo: acc.lo, Hi: acc.hi})
-	}
 	return q, nil
-}
-
-func cutSuffix(s, suffix string) (string, bool) {
-	if len(s) > len(suffix) && s[len(s)-len(suffix):] == suffix {
-		return s[:len(s)-len(suffix)], true
-	}
-	return s, false
 }
 
 func (m *Market) authed(r *http.Request) bool {

@@ -16,12 +16,16 @@ package market
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"payless/internal/catalog"
 	"payless/internal/obs"
+	"payless/internal/region"
+	"payless/internal/rowidx"
 	"payless/internal/value"
 )
 
@@ -106,18 +110,142 @@ func (ds *Dataset) bill(schema value.Schema, rows []value.Row) Result {
 	}
 }
 
+// marketTable is one published table and its row index. A call is a box
+// in coordinate space, one interval per queryable attribute, and the index
+// (package rowidx) narrows the rows to the box's candidates, which the
+// call's compiled filter then decides, so the index changes no answer:
+//   - a numeric attribute's coordinate is the Value.AsInt() the filter
+//     tests, held below MaxInt64 so an inclusive Hi is the half-open Hi+1;
+//   - a categorical attribute's is the value's domain index, and every value
+//     without one (Null, or a row appended outside the domain) shares
+//     coordinate −1, which an equality on any such value selects.
+//
+// The index is built, radix-sorted, by the first call with a predicate, so
+// a table only ever bought whole is never indexed; once built, Append pushes
+// one run per dimension, so it is never rebuilt.
 type marketTable struct {
-	// mu guards meta and rows: shared by concurrent scans, exclusive for
-	// owner-side appends.
+	// mu guards meta, rows and the index: shared by concurrent calls,
+	// exclusive for owner-side appends.
 	mu   sync.RWMutex
 	meta *catalog.Table
 	rows []value.Row
-	// eqIndex[attrName][valueKey] lists row indexes; built lazily for
-	// attributes used in equality predicates (bind joins hit these hard).
-	// idxMu guards it separately so concurrent readers can share mu while
-	// one of them builds the index. Lock order: mu before idxMu.
-	idxMu   sync.Mutex
-	eqIndex map[string]map[string][]int
+	// dims[k] indexes the rows on the k-th queryable attribute, schema
+	// column cols[k], once built (nil before). codes[k] maps a categorical
+	// attribute's domain values, under value.NumericKey, to their indexes;
+	// it is nil on a numeric one.
+	built sync.Once
+	dims  []rowidx.Dim
+	cols  []int
+	codes []map[value.Value]int64
+}
+
+// newMarketTable publishes rows under meta, to be indexed on its queryable
+// attributes.
+func newMarketTable(meta *catalog.Table, rows []value.Row) *marketTable {
+	mt := &marketTable{meta: meta, rows: rows}
+	for col, a := range meta.Attrs {
+		if a.Binding == catalog.Output {
+			continue
+		}
+		var codes map[value.Value]int64
+		if a.Class == catalog.CategoricalAttr {
+			codes = make(map[value.Value]int64, len(a.Domain))
+			for i := len(a.Domain) - 1; i >= 0; i-- { // the first of equal values wins, as in Attribute.Coord
+				codes[value.NumericKey.Canonical(a.Domain[i])] = int64(i)
+			}
+		}
+		mt.cols, mt.codes = append(mt.cols, col), append(mt.codes, codes)
+	}
+	return mt
+}
+
+// coord is v's coordinate on dimension k.
+func (mt *marketTable) coord(k int, v value.Value) int64 {
+	if codes := mt.codes[k]; codes != nil {
+		if c, ok := codes[value.NumericKey.Canonical(v)]; ok {
+			return c
+		}
+		return -1
+	}
+	return min(v.AsInt(), math.MaxInt64-1)
+}
+
+// index adds the rows from id first on to every dimension, as one run.
+func (mt *marketTable) index(first int) {
+	for _, r := range mt.rows[first:] {
+		for k := range mt.dims {
+			mt.dims[k].Col.Append(mt.coord(k, r[mt.cols[k]]))
+		}
+	}
+	for k := range mt.dims {
+		mt.dims[k].Add(first, len(mt.rows)-first)
+	}
+}
+
+// box appends to ivs the call's coordinate box: [Lo, Hi] is [Lo, Hi+1), an
+// equality on c is [c, c+1), and predicates on one attribute intersect. An
+// equality on a number beyond ±2^53, where Value.Equal may hold between an
+// Int and a Float of different AsInt, restricts nothing.
+func (mt *marketTable) box(q catalog.AccessQuery, ivs []region.Interval) region.Box {
+	for range mt.cols {
+		ivs = append(ivs, region.Interval{Lo: math.MinInt64, Hi: math.MaxInt64})
+	}
+	for _, p := range q.Preds {
+		k, _ := mt.meta.Dim(p.Attr)
+		if c := p.Eq; k < 0 || c != nil && (c.AsInt() <= -1<<53 || c.AsInt() >= 1<<53) {
+			continue
+		}
+		iv := &ivs[k]
+		if p.Eq != nil {
+			c := mt.coord(k, *p.Eq)
+			iv.Lo, iv.Hi = max(iv.Lo, c), min(iv.Hi, c+1)
+			continue
+		}
+		if p.Lo != nil {
+			iv.Lo = max(iv.Lo, min(*p.Lo, math.MaxInt64-1))
+		}
+		if p.Hi != nil {
+			iv.Hi = min(iv.Hi, min(*p.Hi, math.MaxInt64-1)+1)
+		}
+	}
+	return region.Box{Dims: ivs}
+}
+
+// idBufs recycles read's candidate ids, up to maxPooledIDs of them.
+var idBufs = sync.Pool{New: func() any { return new([]int32) }}
+
+const maxPooledIDs = 1 << 16
+
+// read returns the rows the call selects, in table order, and how many rows
+// its filter tested. A call without predicates returns the rows themselves,
+// capped at their length, untested. Any other tests the index's candidates,
+// in ascending id order, into an output sized once. The caller holds the
+// table lock (shared suffices).
+func (mt *marketTable) read(q catalog.AccessQuery) (rows []value.Row, examined int) {
+	n := len(mt.rows)
+	if len(q.Preds) == 0 {
+		return mt.rows[:n:n], 0
+	}
+	mt.built.Do(func() {
+		mt.dims = make([]rowidx.Dim, len(mt.cols))
+		mt.index(0)
+	})
+	var ivs [8]region.Interval
+	buf := idBufs.Get().(*[]int32)
+	sel := rowidx.Select(mt.dims, n, mt.box(q, ivs[:0]), buf)
+	ids := sel.AppendTo((*buf)[:0])
+	sel.Release()
+	f := catalog.CompileFilter(mt.meta, q)
+	rows = make([]value.Row, 0, len(ids))
+	for _, id := range ids {
+		if r := mt.rows[id]; f.Matches(r) {
+			rows = append(rows, r)
+		}
+	}
+	if *buf = ids[:0]; cap(ids) <= maxPooledIDs {
+		idBufs.Put(buf)
+	}
+	return rows, len(ids)
 }
 
 // account is one registered buyer: its spending meter and the replay
@@ -192,12 +320,10 @@ func (ds *Dataset) AddTable(meta *catalog.Table, rows []value.Row) error {
 	if _, dup := ds.tables[keyOf(meta.Name)]; dup {
 		return fmt.Errorf("table %s already exists in dataset %s", meta.Name, ds.Name)
 	}
-	mcopy := *meta
-	mcopy.Dataset = ds.Name
-	mcopy.Cardinality = int64(len(rows))
-	mcopy.Local = false
+	mcopy := cloneMeta(meta) // Append widens its domains
+	mcopy.Dataset, mcopy.Cardinality, mcopy.Local = ds.Name, int64(len(rows)), false
 	mcopy.PricePerTransaction = ds.PricePerTransaction
-	ds.tables[keyOf(meta.Name)] = &marketTable{meta: &mcopy, rows: rows, eqIndex: make(map[string]map[string][]int)}
+	ds.tables[keyOf(meta.Name)] = newMarketTable(mcopy, rows)
 	return nil
 }
 
@@ -227,23 +353,13 @@ func (ds *Dataset) Append(table string, rows []value.Row) error {
 			if a.Binding == catalog.Output || a.Class != catalog.NumericAttr {
 				continue
 			}
-			v := r[i].AsInt()
-			if v < a.Min {
-				a.Min = v
-			}
-			if v > a.Max {
-				a.Max = v
-			}
+			a.Min, a.Max = min(a.Min, r[i].AsInt()), max(a.Max, r[i].AsInt())
 		}
 	}
+	first := len(mt.rows)
 	mt.rows = append(mt.rows, rows...)
 	mt.meta.Cardinality = int64(len(mt.rows))
-	// Equality indexes are rebuilt lazily on next use. Readers waiting on
-	// mt.mu cannot observe the stale index: it is cleared before the write
-	// lock is released, and index reads require at least mt.mu.RLock.
-	mt.idxMu.Lock()
-	mt.eqIndex = make(map[string]map[string][]int)
-	mt.idxMu.Unlock()
+	mt.index(first) // no dimension before the index is built
 	return nil
 }
 
@@ -257,17 +373,8 @@ func cloneMeta(t *catalog.Table) *catalog.Table {
 	return &c
 }
 
-func keyOf(s string) string {
-	out := make([]byte, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out[i] = c
-	}
-	return string(out)
-}
+// keyOf is a table's key in its dataset: names match case-insensitively.
+func keyOf(s string) string { return strings.ToLower(s) }
 
 // table returns the dataset's table under the dataset lock.
 func (ds *Dataset) table(name string) (*marketTable, bool) {
@@ -382,42 +489,17 @@ func (m *Market) ExportCatalog() []*catalog.Table {
 // touching the meter. A response lost after billing — the expensive failure
 // mode — therefore costs the buyer nothing extra on retry.
 func (m *Market) Execute(accountKey string, q catalog.AccessQuery) (Result, error) {
-	res, _, err := m.execute(accountKey, q)
-	return res, err
-}
-
-// execute is Execute plus a flag reporting whether the result was replayed
-// from the ledger instead of freshly billed.
-func (m *Market) execute(accountKey string, q catalog.AccessQuery) (Result, bool, error) {
 	start := time.Now()
-	m.accMu.RLock()
-	acc := m.accounts[accountKey]
-	var prev Result
-	replayed := false
-	if acc != nil && q.CallID != "" {
-		prev, replayed = acc.ledger.get(q.CallID)
+	if prev, ok, err := m.replay(accountKey, q); err != nil || ok {
+		if ok {
+			m.metrics.ObserveReplayedCall()
+		}
+		return prev, err
 	}
-	m.accMu.RUnlock()
-	if acc == nil {
-		return Result{}, false, fmt.Errorf("unknown account key %q", accountKey)
-	}
-	if replayed {
-		m.metrics.ObserveReplayedCall()
-		return prev, true, nil
-	}
-	ds, mt, err := m.lookup(q.Dataset, q.Table)
+	res, examined, err := m.serve(q)
 	if err != nil {
-		return Result{}, false, err
+		return Result{}, err
 	}
-	// The shared per-table lock lets parallel buyer calls scan concurrently
-	// while still excluding owner-side appends mid-scan.
-	mt.mu.RLock()
-	if err := catalog.ValidateBinding(mt.meta, q); err != nil {
-		mt.mu.RUnlock()
-		return Result{}, false, err
-	}
-	res := ds.bill(mt.meta.Schema.Clone(), mt.scan(q))
-	mt.mu.RUnlock()
 
 	// Re-resolve the account under the write lock: billing must hit the
 	// account's current meter even if it was re-registered mid-call, and the
@@ -427,132 +509,50 @@ func (m *Market) execute(accountKey string, q catalog.AccessQuery) (Result, bool
 	// CallID can never both bill.
 	m.accMu.Lock()
 	if acc := m.accounts[accountKey]; acc != nil {
-		if q.CallID != "" {
-			if prev, ok := acc.ledger.get(q.CallID); ok {
-				m.accMu.Unlock()
-				m.metrics.ObserveReplayedCall()
-				return prev, true, nil
-			}
+		if prev, ok := acc.ledger.get(q.CallID); ok {
+			m.accMu.Unlock()
+			m.metrics.ObserveReplayedCall()
+			return prev, nil
 		}
 		acc.meter.Calls++
 		acc.meter.Records += int64(res.Records)
 		acc.meter.Transactions += res.Transactions
 		acc.meter.Price += res.Price
-		if q.CallID != "" {
-			acc.ledger.put(q.CallID, res)
-		}
+		acc.ledger.put(q.CallID, res) // a call without an ID is not remembered
 	}
 	m.accMu.Unlock()
-	m.metrics.ObserveCall(time.Since(start), int64(res.Records), res.Transactions, res.Price)
-
-	return res, false, nil
+	m.metrics.ObserveCall(time.Since(start), int64(res.Records), res.Transactions, res.Price, int64(examined))
+	return res, nil
 }
 
-// replayOrUnbilled serves the call from the replay ledger when its CallID is
-// known there, falling back to an unbilled re-scan. The HTTP transport uses
-// it for follow-up pages: serving pages out of the billed snapshot keeps a
-// paginated result internally consistent even if the table is appended to
-// between pages.
-func (m *Market) replayOrUnbilled(accountKey string, q catalog.AccessQuery) (Result, error) {
-	if q.CallID != "" {
-		m.accMu.RLock()
-		acc := m.accounts[accountKey]
-		if acc != nil {
-			if prev, ok := acc.ledger.get(q.CallID); ok {
-				m.accMu.RUnlock()
-				return prev, nil
-			}
-		}
-		m.accMu.RUnlock()
-	}
-	return m.executeUnbilled(accountKey, q)
-}
-
-// scan returns the rows matching the call, using a lazily built equality
-// index when the call has an equality predicate. The caller holds the table
-// lock (shared suffices).
-func (mt *marketTable) scan(q catalog.AccessQuery) []value.Row {
-	// Pick the first equality predicate as the index key.
-	var idxAttr string
-	var idxVal value.Value
-	for _, p := range q.Preds {
-		if p.Eq != nil {
-			idxAttr = p.Attr
-			idxVal = *p.Eq
-			break
-		}
-	}
-	var candidates []int
-	if idxAttr != "" {
-		candidates = mt.indexLookup(idxAttr, idxVal)
-	}
-	f := catalog.CompileFilter(mt.meta, q)
-	var out []value.Row
-	if candidates != nil {
-		for _, i := range candidates {
-			if f.Matches(mt.rows[i]) {
-				out = append(out, mt.rows[i])
-			}
-		}
-		return out
-	}
-	for _, r := range mt.rows {
-		if f.Matches(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// indexLookup returns candidate row indexes for attr == v, building the
-// index on first use. It returns nil (not empty) when the attribute cannot
-// be indexed, which signals "fall back to a full scan". The caller holds the
-// table lock (shared suffices: idxMu serialises concurrent index builds, and
-// rows cannot change while any table lock is held).
-func (mt *marketTable) indexLookup(attr string, v value.Value) []int {
-	col := mt.meta.Schema.IndexOf(attr)
-	if col < 0 {
-		return nil
-	}
-	key := keyOf(attr)
-	mt.idxMu.Lock()
-	defer mt.idxMu.Unlock()
-	idx, ok := mt.eqIndex[key]
-	if !ok {
-		idx = make(map[string][]int)
-		for i, r := range mt.rows {
-			k := r[col].String()
-			idx[k] = append(idx[k], i)
-		}
-		mt.eqIndex[key] = idx
-	}
-	hits := idx[v.String()]
-	if hits == nil {
-		hits = []int{}
-	}
-	return hits
-}
-
-// executeUnbilled re-runs a call's scan without touching the meter; the
-// HTTP transport uses it to serve follow-up pages of an already-billed
-// result.
-func (m *Market) executeUnbilled(accountKey string, q catalog.AccessQuery) (Result, error) {
+// replay authenticates the account and returns the billed result of the
+// call's ID when the account's replay ledger holds it.
+func (m *Market) replay(accountKey string, q catalog.AccessQuery) (prev Result, ok bool, err error) {
 	m.accMu.RLock()
-	_, authed := m.accounts[accountKey]
-	m.accMu.RUnlock()
-	if !authed {
-		return Result{}, fmt.Errorf("unknown account key %q", accountKey)
+	defer m.accMu.RUnlock()
+	acc := m.accounts[accountKey]
+	if acc == nil {
+		return Result{}, false, fmt.Errorf("unknown account key %q", accountKey)
 	}
+	prev, ok = acc.ledger.get(q.CallID)
+	return prev, ok, nil
+}
+
+// serve answers the call without touching any meter: its rows, their bill
+// and how many rows the filter tested. The shared per-table lock lets
+// parallel calls read concurrently while excluding owner-side appends.
+func (m *Market) serve(q catalog.AccessQuery) (Result, int, error) {
 	ds, mt, err := m.lookup(q.Dataset, q.Table)
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
 	mt.mu.RLock()
 	defer mt.mu.RUnlock()
 	if err := catalog.ValidateBinding(mt.meta, q); err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
-	return ds.bill(mt.meta.Schema.Clone(), mt.scan(q)), nil
+	rows, examined := mt.read(q)
+	return ds.bill(mt.meta.Schema.Clone(), rows), examined, nil
 }
 
 // AccountCaller binds a Market and an account key into a Caller — the

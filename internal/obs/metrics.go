@@ -105,6 +105,7 @@ type Snapshot struct {
 	QueryErrors  int64   `prom:"query_errors_total,counter" help:"Queries that failed."`
 	Calls        int64   `prom:"calls_total,counter" help:"RESTful market calls."`
 	Records      int64   `prom:"records_total,counter" help:"Records returned by market calls."`
+	RowsExamined int64   `prom:"rows_examined_total,counter" help:"Rows the seller's filter tested to answer billed market calls."`
 	Transactions int64   `prom:"transactions_total,counter" help:"Transactions billed (ceil(records/t) per call)."`
 	Price        float64 `prom:"price_total,counter" help:"Money billed across all calls."`
 	Retries      int64   `prom:"call_retries_total,counter" help:"Extra transport attempts beyond the first."`
@@ -420,11 +421,13 @@ func (m *Metrics) ObserveCallRetries(n int) {
 }
 
 // ObserveCall folds one served market call into the registry — the
-// seller-side entry point used by Market.Execute.
-func (m *Metrics) ObserveCall(latency time.Duration, records, transactions int64, price float64) {
+// seller-side entry point used by Market.Execute — with the rows its filter
+// tested.
+func (m *Metrics) ObserveCall(latency time.Duration, records, transactions int64, price float64, examined int64) {
 	m.update(func(s *Snapshot) {
 		s.Calls++
 		s.Records += records
+		s.RowsExamined += examined
 		s.Transactions += transactions
 		s.Price += price
 		m.callLatency.observe(latency)

@@ -27,7 +27,7 @@ func fillEveryFamily(m *Metrics) {
 	m.ObserveQuery(40*time.Millisecond, 3*time.Millisecond, 11, 1301, 17, 19.25)
 	repeat(11, m.ObserveQueryError)
 	m.ObserveFailedQuerySpend(5, 211, 13, 14.5)
-	m.ObserveCall(7*time.Millisecond, 97, 4, 4.75)
+	m.ObserveCall(7*time.Millisecond, 97, 4, 4.75, 977)
 
 	m.ObserveCallRetries(23)
 	repeat(4, func() { m.ObserveStoreServed(true, 100) })
@@ -147,7 +147,7 @@ var observers = []struct {
 	{"ObserveSchedDelayedCall", (*Metrics).ObserveSchedDelayedCall},
 	{"ObserveCallLatency", func(m *Metrics) { m.ObserveCallLatency(3 * time.Millisecond) }},
 	{"ObserveCallRetries", func(m *Metrics) { m.ObserveCallRetries(2) }},
-	{"ObserveCall", func(m *Metrics) { m.ObserveCall(time.Millisecond, 100, 1, 1) }},
+	{"ObserveCall", func(m *Metrics) { m.ObserveCall(time.Millisecond, 100, 1, 1, 100) }},
 }
 
 // TestObserversAllocateNothing: the observers sit on every query's and

@@ -133,8 +133,8 @@ func TestCallDurationMetricsFamilies(t *testing.T) {
 
 func TestMetricsObserveCallSellerSide(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveCall(2*time.Millisecond, 150, 2, 2)
-	m.ObserveCall(3*time.Millisecond, 50, 1, 1)
+	m.ObserveCall(2*time.Millisecond, 150, 2, 2, 150)
+	m.ObserveCall(3*time.Millisecond, 50, 1, 1, 50)
 	s := m.Snapshot()
 	if s.Calls != 2 || s.Records != 200 || s.Transactions != 3 || s.Price != 3 {
 		t.Errorf("seller-side counters: %+v", s)

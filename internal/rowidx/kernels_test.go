@@ -1,4 +1,4 @@
-package semstore
+package rowidx
 
 import (
 	"cmp"
@@ -14,9 +14,9 @@ import (
 // kWayMergeRuns is the previous mergeRuns, kept as the reference: one pass
 // that takes, id by id, the run head with the smallest coordinate, the
 // earliest run on a tie.
-func kWayMergeRuns(col []int64, runs []idRun, total int) idRun {
+func kWayMergeRuns(col []int64, runs []Run, total int) Run {
 	runs = slices.Clone(runs) // consumed from the front below
-	out := make(idRun, 0, total)
+	out := make(Run, 0, total)
 	for len(out) < total {
 		best := -1
 		for r, run := range runs {
@@ -42,9 +42,9 @@ func byCoordThenID(col []int64) func(a, b int32) int {
 }
 
 // randomRun appends n coordinates drawn by coord to col and returns it with
-// their ids in id order: the shape addRows builds before sorting.
-func randomRun(col []int64, n int, coord func() int64) ([]int64, idRun) {
-	run := make(idRun, n)
+// their ids in id order: the shape Add builds before sorting.
+func randomRun(col []int64, n int, coord func() int64) ([]int64, Run) {
+	run := make(Run, n)
 	for i := range run {
 		run[i] = int32(len(col))
 		col = append(col, coord())
@@ -75,13 +75,13 @@ func coordDrawers(rng *rand.Rand) map[string]func() int64 {
 // TestSortRunMatchesSortFunc checks sortRun against the comparison sort it
 // replaces, on batches on both sides of radixCutoff, sorting in a scratch
 // buffer that is longer than the run and left dirty between trials, as
-// addRows' per-batch buffer is between dimensions: the sort must not read
+// Add's pooled buffer is between batches: the sort must not read
 // what it finds there, nor write past len(run) of it.
 func TestSortRunMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sizes := []int{0, 1, 2, 17, radixCutoff - 1, radixCutoff, radixCutoff + 1, 1000, 5000}
 	const sentinel = -7
-	scratch := make(idRun, 5000+1)
+	scratch := make(Run, 5000+1)
 	for i := range scratch {
 		scratch[i] = rng.Int31()
 	}
@@ -122,13 +122,13 @@ func TestMergeRunsMatchesKWayMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for name, coord := range coordDrawers(rng) {
 		for trial := 0; trial < 40; trial++ {
-			runs := make([]idRun, 2+rng.Intn(5))
+			runs := make([]Run, 2+rng.Intn(5))
 			var col []int64
 			total := 0
 			for r := range runs {
 				n := 1 + rng.Intn(300)
 				col, runs[r] = randomRun(col, n, coord)
-				sortRun(chunk.View(nil, col), runs[r], make(idRun, n))
+				sortRun(chunk.View(nil, col), runs[r], make(Run, n))
 				total += n
 			}
 			want := kWayMergeRuns(col, runs, total)
@@ -147,19 +147,19 @@ func TestMergeRunsMatchesKWayMerge(t *testing.T) {
 // radixCutoff, on a date-like span (two byte passes) and a key-like one
 // (three):
 //
-//	go test ./internal/semstore/ -run '^$' -bench SortRun -benchmem
+//	go test ./internal/rowidx/ -run '^$' -bench SortRun -benchmem
 func BenchmarkSortRun(b *testing.B) {
 	for _, span := range []int64{1 << 16, 1 << 23} {
 		for _, n := range []int{16, 32, 64, 128, 512} {
 			rng := rand.New(rand.NewSource(1))
 			col, in := randomRun(nil, n, func() int64 { return rng.Int63n(span) })
-			run, scratch, chunked := make(idRun, n), make(idRun, n), chunk.View(nil, col)
+			run, scratch, chunked := make(Run, n), make(Run, n), chunk.View(nil, col)
 			for _, k := range []struct {
 				name string
-				sort func(idRun)
+				sort func(Run)
 			}{
-				{"sortfunc", func(r idRun) { slices.SortFunc(r, byCoordThenID(col)) }},
-				{"radix", func(r idRun) { radixSort(chunked, r, scratch) }},
+				{"sortfunc", func(r Run) { slices.SortFunc(r, byCoordThenID(col)) }},
+				{"radix", func(r Run) { radixSort(chunked, r, scratch) }},
 			} {
 				b.Run(fmt.Sprintf("span=%d/n=%d/%s", span, n, k.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {

@@ -97,7 +97,7 @@ func BenchmarkSemstoreSelectIn(b *testing.B) {
 			scan:
 				for id := range ts.rows.Len() {
 					for k, rd := range ts.rowIdx {
-						if !q.Dims[k].ContainsCoord(rd.col.At(id)) {
+						if !q.Dims[k].ContainsCoord(rd.Col.At(id)) {
 							continue scan
 						}
 					}

@@ -2,6 +2,7 @@ package semstore
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -37,7 +38,7 @@ func checkRunInvariants(t *testing.T, s *Store, table string) {
 		t.Fatal(err)
 	}
 	for k, rd := range ts.rowIdx {
-		col := rd.col.AppendTo(nil)
+		col := rd.Col.AppendTo(nil)
 		if len(col) != n {
 			t.Fatalf("dim %d: %d coordinates for %d rows", k, len(col), n)
 		}
@@ -46,19 +47,19 @@ func checkRunInvariants(t *testing.T, s *Store, table string) {
 				t.Fatalf("dim %d: row %d indexed at %d, is at %d", k, id, c, want)
 			}
 		}
-		if n > 0 && len(rd.runs) > bits.Len(uint(n)) { // bits.Len(n) == ⌊log₂ n⌋+1
-			t.Fatalf("dim %d: %d runs for %d rows, want at most %d", k, len(rd.runs), n, bits.Len(uint(n)))
+		if n > 0 && len(rd.Runs) > bits.Len(uint(n)) { // bits.Len(n) == ⌊log₂ n⌋+1
+			t.Fatalf("dim %d: %d runs for %d rows, want at most %d", k, len(rd.Runs), n, bits.Len(uint(n)))
 		}
 		in := make([]int, n)
-		for r, run := range rd.runs {
+		for r, run := range rd.Runs {
 			if len(run) == 0 {
 				t.Fatalf("dim %d run %d is empty", k, r)
 			}
-			if r > 0 && len(rd.runs[r-1]) <= 2*len(run) {
-				t.Fatalf("dim %d: run %d has %d rows, the one before only %d", k, r, len(run), len(rd.runs[r-1]))
+			if r > 0 && len(rd.Runs[r-1]) <= 2*len(run) {
+				t.Fatalf("dim %d: run %d has %d rows, the one before only %d", k, r, len(run), len(rd.Runs[r-1]))
 			}
 			for i, id := range run {
-				if i > 0 && byCoordThenID(col)(run[i-1], id) >= 0 {
+				if i > 0 && cmp.Or(cmp.Compare(col[run[i-1]], col[id]), cmp.Compare(run[i-1], id)) >= 0 {
 					t.Fatalf("dim %d run %d: out of (column value, id) order at %d", k, r, i)
 				}
 				in[id]++
@@ -80,7 +81,7 @@ func runCounts(s *Store, table string) []int {
 	}
 	var out []int
 	for _, rd := range ts.rowIdx {
-		out = append(out, len(rd.runs))
+		out = append(out, len(rd.Runs))
 	}
 	return out
 }
@@ -191,8 +192,8 @@ func TestIndexFootprint(t *testing.T) {
 	ts := s.table("Grid")
 	entries, bytes := ts.rows.Len()*len(ts.rowIdx), 0
 	for _, rd := range ts.rowIdx {
-		bytes += rd.col.Len() * int(unsafe.Sizeof(rd.col.At(0)))
-		for _, run := range rd.runs {
+		bytes += rd.Col.Len() * int(unsafe.Sizeof(rd.Col.At(0)))
+		for _, run := range rd.Runs {
 			bytes += len(run) * int(unsafe.Sizeof(run[0]))
 		}
 	}

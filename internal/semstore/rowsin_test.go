@@ -12,6 +12,7 @@ import (
 	"payless/internal/chunk"
 	"payless/internal/diskfault"
 	"payless/internal/region"
+	"payless/internal/rowidx"
 	"payless/internal/storage"
 	"payless/internal/value"
 	"payless/internal/wal"
@@ -77,7 +78,7 @@ func scattered(t testing.TB, s *Store, meta *catalog.Table, n int) []value.Row {
 		}
 		from = to
 	}
-	if runs := len(s.table(meta.Name).rowIdx[0].runs); runs < 3 {
+	if runs := len(s.table(meta.Name).rowIdx[0].Runs); runs < 3 {
 		t.Fatalf("the table's index has %d runs; these tests want several", runs)
 	}
 	return rows
@@ -106,36 +107,44 @@ func rowsIn(s *Store, meta *catalog.Table, q region.Box) []value.Row {
 // a test holds while the writer moves on.
 func (ts *tableStore) rowsIn(q region.Box) []value.Row {
 	var ids []int32
-	sel := ts.selectIn(q, &ids)
-	defer sel.release()
-	if sel.all > 0 {
+	sel := rowidx.Select(ts.rowIdx, ts.rows.Len(), q, &ids)
+	defer sel.Release()
+	if sel.All > 0 {
 		return ts.rows.AppendTo(nil)
 	}
 	var out []value.Row
-	for _, id := range sel.appendTo(nil) {
+	for _, id := range sel.AppendTo(nil) {
 		out = append(out, ts.rows.At(int(id)))
 	}
 	return out
 }
 
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // readSides counts, per number of restricted dimensions, the reads that
-// took each side of selectIn's cutoff: [k][0] collected and sorted ids,
+// took each side of rowidx.Select's cutoff: [k][0] collected and sorted ids,
 // [k][1] marked a bitset.
 type readSides map[int]*[2]int
 
-// note classifies the read of q from ts as selectIn will perform it.
+// note classifies the read of q from ts as rowidx.Select will perform it.
 func (r readSides) note(ts *tableStore, q region.Box) {
 	if q.D() != len(ts.rowIdx) || ts.rows.Len() == 0 {
 		return
 	}
-	dims := ts.restricted(q, nil)
+	dims := rowidx.Restricted(ts.rowIdx, q, nil)
 	if len(dims) == 0 {
 		return
 	}
 	if r[len(dims)] == nil {
 		r[len(dims)] = new([2]int)
 	}
-	if 64*dims[0].n > ts.rows.Len() {
+	if 64*dims[0].N > ts.rows.Len() {
 		r[len(dims)][1]++
 	} else {
 		r[len(dims)][0]++
@@ -331,7 +340,7 @@ func TestRecordKeepsRowsTheStringKeysMerged(t *testing.T) {
 	}
 }
 
-// TestSelectInMatchesScan is the differential test of selectIn's two filters
+// TestSelectInMatchesScan is the differential test of rowidx.Select's two filters
 // and their unsigned width test c−lo < hi−lo: SelectIn, gathered and with
 // ids appended after others, against a
 // per-row scan, on a table whose X axis is all of int64 (Min to MaxInt64−1)
@@ -384,8 +393,8 @@ func TestSelectInMatchesScan(t *testing.T) {
 		from = to
 	}
 	stores := recordedAndRecovered(t, meta, batches)
-	if ts := stores["live"].table(meta.Name); len(ts.rowIdx[0].runs) < 3 {
-		t.Fatalf("the index has %d runs; the test wants several", len(ts.rowIdx[0].runs))
+	if ts := stores["live"].table(meta.Name); len(ts.rowIdx[0].Runs) < 3 {
+		t.Fatalf("the index has %d runs; the test wants several", len(ts.rowIdx[0].Runs))
 	}
 	one := recordedAndRecovered(t, meta, [][]value.Row{rows[:100], rows[100:chunk.Len]})
 	if got := one["live"].table(meta.Name).rows; got.Len() != chunk.Len || got.Chunks() != 1 {

@@ -20,11 +20,8 @@
 //   - Lookups are indexed: per-table per-dimension edge indexes prune the
 //     stored boxes to those overlapping the query before any subtraction,
 //     with a fast path when a single stored box contains the query outright.
-//   - SelectIn reads a per-dimension row index instead of scanning every
-//     materialised row: a column of the rows' coordinates and runs of their
-//     int32 ids sorted by it; a read takes the most selective dimension's ids
-//     and filters them in row order through the other columns, and lists
-//     the ids of the rows it keeps.
+//   - SelectIn lists the ids of the rows in a box through a row index per
+//     dimension (package rowidx) instead of scanning every stored row.
 //   - A Record costs what it adds, not what the table already holds. The
 //     rows and each column are append-only chunk lists (package chunk),
 //     whose chunks are allocated once and never copied, and the coverage
@@ -44,7 +41,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	mathbits "math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -55,6 +51,7 @@ import (
 	"payless/internal/chunk"
 	"payless/internal/obs"
 	"payless/internal/region"
+	"payless/internal/rowidx"
 	"payless/internal/storage"
 	"payless/internal/value"
 )
@@ -77,144 +74,18 @@ type entry struct {
 	at  time.Time
 }
 
-// dimIdx is the coverage index on one queryable dimension: a rowDim over
-// the entries' low edges there (col holds entry id's Lo, runs sort the ids
-// by (Lo, id)), plus an upper bound on any stored box's width on the axis.
-// A box overlaps the query on the axis only if its Lo falls in
+// dimIdx is the coverage index on one queryable dimension: a rowidx.Dim
+// over the entries' low edges there (Col holds entry id's Lo, Runs sort the
+// ids by (Lo, id)), plus an upper bound on any stored box's width on the
+// axis. A box overlaps the query on the axis only if its Lo falls in
 // [q.Lo - maxWidth, q.Hi), so each run's candidates are one contiguous span
 // found by two binary searches — the lookup walks whichever dimension
 // yields the fewest.
 type dimIdx struct {
-	rowDim
+	rowidx.Dim
 	// maxWidth bounds the width of every indexed (live or dead) box on this
 	// axis; tombstoning never shrinks it, rebuilds recompute it.
 	maxWidth int64
-}
-
-// idRun is one sorted run of a dimension's row index: the ids of a
-// contiguous range of rows in (coordinate, id) order, the coordinates read
-// through the dimension's column. A run is never written once its table is
-// published, so any number of snapshots may share it.
-type idRun []int32
-
-// rowDim is the row index on one queryable dimension: col holds every
-// stored row's coordinate there, by row id, and runs sort the ids, oldest
-// first, each more than twice as long as the next (the logarithmic method),
-// so n rows make at most ⌊log₂ n⌋+1 runs. col is an append-only chunk
-// list, so snapshots share it as they share the rows.
-type rowDim struct {
-	col  chunk.List[int64]
-	runs []idRun
-}
-
-// span returns run's ids whose coordinate lies in iv.
-func (rd *rowDim) span(run idRun, iv region.Interval) idRun {
-	col := rd.col
-	l := sort.Search(len(run), func(i int) bool { return col.At(int(run[i])) >= iv.Lo })
-	h := l + sort.Search(len(run)-l, func(i int) bool { return col.At(int(run[l+i])) >= iv.Hi })
-	return run[l:h]
-}
-
-// push appends a batch's run and merges the tail while the run before it is
-// at most twice as long, newest first (mergeRuns). The runs shrink
-// geometrically towards the tail, so every id is copied O(log n) times over
-// the life of the table. run is the caller's scratch and is never kept: push
-// allocates only what it publishes, an exact copy of a run that stands alone
-// or the exact-size merged run.
-func (rd *rowDim) push(run idRun) {
-	j, total := len(rd.runs), len(run)
-	for j > 0 && len(rd.runs[j-1]) <= 2*total {
-		j--
-		total += len(rd.runs[j])
-	}
-	if j == len(rd.runs) {
-		rd.runs = append(rd.runs, slices.Clone(run))
-		return
-	}
-	merged := mergeRuns(rd.col, rd.runs[j:], run, total)
-	clear(rd.runs[j+1:]) // or the header array would keep the inputs alive
-	rd.runs = append(rd.runs[:j], merged)
-}
-
-// mergeRuns merges adjacent runs, oldest first, and then newest into one
-// run of total ids, newest first and two at a time inside the result
-// itself: newest is copied to its end, then each older run is merged with
-// what follows it into the space just before. The write position never
-// passes the unread newer ids, so no intermediate run is allocated. Later
-// runs hold higher ids, so taking the older run's id on a coordinate tie
-// keeps equal coordinates in id order.
-func mergeRuns(col chunk.List[int64], runs []idRun, newest idRun, total int) idRun {
-	out := make(idRun, total)
-	start := total - len(newest)
-	copy(out[start:], newest)
-	for r := len(runs) - 1; r >= 0; r-- {
-		a, b := runs[r], out[start:]
-		w, i, j := start-len(a), 0, 0
-		for ; i < len(a); w++ {
-			if j == len(b) || col.At(int(a[i])) <= col.At(int(b[j])) {
-				out[w] = a[i]
-				i++
-			} else {
-				out[w] = b[j]
-				j++
-			}
-		}
-		start -= len(a) // b[j:] is already in place
-	}
-	return out
-}
-
-// radixCutoff is the batch length from which sortRun radix-sorts: below it
-// slices.SortFunc is faster than clearing and walking the digit counts. On
-// BenchmarkSortRun the two cross between 32 and 64 ids.
-const radixCutoff = 64
-
-// sortRun sorts a batch's run, built in id order, into (col[id], id) order.
-// scratch holds at least len(run) ids, which the radix sort overwrites.
-func sortRun(col chunk.List[int64], run, scratch idRun) {
-	if len(run) < radixCutoff {
-		slices.SortFunc(run, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(col.At(int(a)), col.At(int(b))), cmp.Compare(a, b))
-		})
-		return
-	}
-	radixSort(col, run, scratch)
-}
-
-// radixSort is an LSD radix sort of run on col[id]−min, one byte per pass
-// over the bytes the run's span needs, ping-ponging between run and the
-// first len(run) ids of scratch. It is stable, so a run built in id order
-// comes out in (coordinate, id) order.
-func radixSort(col chunk.List[int64], run, scratch idRun) {
-	lo, hi := col.At(int(run[0])), col.At(int(run[0]))
-	for _, id := range run {
-		lo, hi = min(lo, col.At(int(id))), max(hi, col.At(int(id)))
-	}
-	if lo == hi {
-		return // one coordinate, as on a single-value categorical axis: id order is the order
-	}
-	span := uint64(hi - lo) // exact even when hi−lo overflows int64
-	src, dst := run, scratch[:len(run)]
-	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
-		var count [256]int
-		for _, id := range src {
-			count[uint8(uint64(col.At(int(id))-lo)>>shift)]++
-		}
-		pos := 0
-		for b, c := range count {
-			count[b] = pos
-			pos += c
-		}
-		for _, id := range src {
-			b := uint8(uint64(col.At(int(id))-lo) >> shift)
-			dst[count[b]] = id
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &run[0] { // an odd number of passes
-		copy(run, src)
-	}
 }
 
 type tableStore struct {
@@ -245,7 +116,7 @@ type tableStore struct {
 	// Ids are int32: seen already bounds them below 2^29.
 	rows   chunk.List[value.Row]
 	seen   *value.KeyTable
-	rowIdx []rowDim
+	rowIdx []rowidx.Dim
 }
 
 // storeSnap is one immutable published state of the store: a map from market
@@ -315,7 +186,7 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 		meta:   meta,
 		seen:   value.NewKeyTable(value.ExactKey, nil, 0),
 		dims:   make([]dimIdx, d),
-		rowIdx: make([]rowDim, d),
+		rowIdx: make([]rowidx.Dim, d),
 	}
 }
 
@@ -333,19 +204,13 @@ func (ts *tableStore) clone() *tableStore {
 	cp.big = slices.Clone(ts.big)
 	cp.dims = make([]dimIdx, len(ts.dims))
 	for d, di := range ts.dims {
-		cp.dims[d] = dimIdx{di.clone(), di.maxWidth}
+		cp.dims[d] = dimIdx{di.Clone(), di.maxWidth}
 	}
-	cp.rowIdx = make([]rowDim, len(ts.rowIdx))
+	cp.rowIdx = make([]rowidx.Dim, len(ts.rowIdx))
 	for d, rd := range ts.rowIdx {
-		cp.rowIdx[d] = rd.clone()
+		cp.rowIdx[d] = rd.Clone()
 	}
 	return &cp
-}
-
-// clone shares the column and the runs and copies the run headers, with
-// room for the one more run a push may append.
-func (rd *rowDim) clone() rowDim {
-	return rowDim{col: rd.col, runs: append(make([]idRun, 0, len(rd.runs)+1), rd.runs...)}
 }
 
 // publish installs a new snapshot that replaces (or adds) the given tables.
@@ -482,7 +347,7 @@ func (ts *tableStore) addRows(rows []value.Row) int {
 		ts.rows.Append(row[:len(row):len(row)])
 		cs, _ := appendCoords(coords[:0], ts.meta, row) // validateRows resolved them
 		for k, c := range cs {
-			ts.rowIdx[k].col.Append(c)
+			ts.rowIdx[k].Col.Append(c)
 		}
 	}
 	n := ts.rows.Len() - first
@@ -498,30 +363,11 @@ func (ts *tableStore) addRows(rows []value.Row) int {
 			ts.rows.Set(id, slab[len(slab)-w:len(slab):len(slab)])
 		}
 	}
-	// One pooled buffer holds each dimension's run in turn and the sort's
-	// scratch; push copies out only what it publishes.
-	buf := runBufs.Get().(*[]int32)
-	*buf = slices.Grow((*buf)[:0], 2*n)[:2*n]
-	run, scratch := idRun((*buf)[:n]), idRun((*buf)[n:])
 	for k := range ts.rowIdx {
-		rd := &ts.rowIdx[k]
-		for i := range run {
-			run[i] = int32(first + i)
-		}
-		sortRun(rd.col, run, scratch)
-		rd.push(run)
-	}
-	if cap(*buf) <= maxPooledRunBuf {
-		runBufs.Put(buf)
+		ts.rowIdx[k].Add(first, n)
 	}
 	return n
 }
-
-// runBufs recycles addRows' run buffers, up to maxPooledRunBuf ids: a
-// Record of a full market page reuses the last one's.
-var runBufs = sync.Pool{New: func() any { return new([]int32) }}
-
-const maxPooledRunBuf = 16 << 10
 
 // insertEntry adds a coverage box, compacting as it goes. Caller holds the
 // write lock and passes an owned (cloned) box.
@@ -626,11 +472,11 @@ func (ts *tableStore) addEntry(b region.Box, at time.Time) int {
 	id := len(ts.entries)
 	ts.entries = append(ts.entries, entry{box: b, at: at})
 	ts.alive++
-	one := idRun{int32(id)}
+	one := rowidx.Run{int32(id)}
 	for d := range ts.dims {
 		di := &ts.dims[d]
-		di.col.Append(b.Dims[d].Lo)
-		di.push(one)
+		di.Col.Append(b.Dims[d].Lo)
+		di.Push(one)
 		di.maxWidth = max(di.maxWidth, b.Dims[d].Width())
 	}
 	// Maintain the big-box fast-path list.
@@ -702,18 +548,13 @@ func (ts *tableStore) maybeRebuild() bool {
 	ts.entries, ts.tombs, ts.sharedTombs = live, nil, 0
 	ts.dead = 0
 	ts.alive = len(live)
-	n := len(live)
-	buf := make(idRun, 2*n)
-	run, scratch := buf[:n], buf[n:]
 	for d := range ts.dims {
 		di := dimIdx{} // new chunks: snapshots keep reading the old ones
 		for id := range live {
-			di.col.Append(live[id].box.Dims[d].Lo)
+			di.Col.Append(live[id].box.Dims[d].Lo)
 			di.maxWidth = max(di.maxWidth, live[id].box.Dims[d].Width())
-			run[id] = int32(id)
 		}
-		sortRun(di.col, run, scratch)
-		di.push(run)
+		di.Add(0, len(live))
 		ts.dims[d] = di
 	}
 	ts.big = nil
@@ -761,8 +602,8 @@ func (ts *tableStore) candidates(q region.Box) []int {
 			iv.Lo = loMin + 1
 		}
 		n := 0
-		for _, run := range di.runs {
-			if n += len(di.span(run, iv)); bestLen >= 0 && n >= bestLen {
+		for _, run := range di.Runs {
+			if n += len(di.Span(run, iv)); bestLen >= 0 && n >= bestLen {
 				break // this axis cannot win
 			}
 		}
@@ -773,8 +614,8 @@ func (ts *tableStore) candidates(q region.Box) []int {
 	di := &ts.dims[best]
 	out := make([]int, 0, bestLen)
 	spans := 0
-	for _, run := range di.runs {
-		span := di.span(run, bestIv)
+	for _, run := range di.Runs {
+		span := di.Span(run, bestIv)
 		if len(span) > 0 {
 			spans++
 		}
@@ -785,7 +626,7 @@ func (ts *tableStore) candidates(q region.Box) []int {
 		}
 	}
 	if spans > 1 {
-		col := di.col
+		col := di.Col
 		slices.SortFunc(out, func(a, b int) int {
 			return cmp.Or(cmp.Compare(col.At(a), col.At(b)), cmp.Compare(a, b))
 		})
@@ -963,159 +804,6 @@ func checkCoords(meta *catalog.Table, rows []value.Row) error {
 	return nil
 }
 
-// dimSpan is a dimension on which a read excludes stored rows, with how
-// many rows its interval selects there.
-type dimSpan struct{ k, n int }
-
-// restricted appends to dims the dimensions on which q excludes some stored
-// row, each with its candidate count, most selective first: a row inside q
-// is among the first one's candidates, which the others then filter. A
-// dimension whose interval holds every stored coordinate — the run ends give
-// the extremes — needs no per-row test. q must have the table's
-// dimensionality. It only counts, so a read over many runs allocates nothing
-// here.
-func (ts *tableStore) restricted(q region.Box, dims []dimSpan) []dimSpan {
-	for k := range ts.rowIdx {
-		rd := &ts.rowIdx[k]
-		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for _, run := range rd.runs {
-			lo, hi = min(lo, rd.col.At(int(run[0]))), max(hi, rd.col.At(int(run[len(run)-1])))
-		}
-		if lo < q.Dims[k].Lo || hi >= q.Dims[k].Hi {
-			n := 0
-			for _, run := range rd.runs {
-				n += len(rd.span(run, q.Dims[k]))
-			}
-			dims = append(dims, dimSpan{k, n})
-		}
-	}
-	slices.SortFunc(dims, func(a, b dimSpan) int { return cmp.Compare(a.n, b.n) })
-	return dims
-}
-
-// selection is the ids of the rows a read keeps, in ascending order: the
-// first all rows of the table, or the listed ids, or the set bits of a
-// bitset, one bit per row, which release hands back to bitsets.
-type selection struct {
-	all    int
-	ids    []int32
-	bits   []uint64
-	pooled *[]uint64
-}
-
-// bitsets recycles selections' bitsets: each dies with its read.
-var bitsets = sync.Pool{New: func() any { return new([]uint64) }}
-
-func (sel selection) release() {
-	if sel.pooled != nil {
-		*sel.pooled = sel.bits
-		bitsets.Put(sel.pooled)
-	}
-}
-
-// count is the number of ids selected.
-func (sel selection) count() int {
-	n := sel.all + len(sel.ids)
-	for _, word := range sel.bits {
-		n += mathbits.OnesCount64(word)
-	}
-	return n
-}
-
-// b2u is 1 for true and 0 for false, without a branch.
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// selectIn selects the rows inside q in insertion order (the order a scan
-// of the whole table finds them in). A box that restricts no dimension
-// selects them all. Otherwise the most selective dimension's span gives the
-// candidates and each other restricted dimension filters them in ascending
-// id order, most selective first, reading its column forwards. More than
-// 1/64 of the table is marked in a transient bitset, whose words the filters
-// rebuild bit by bit; fewer are collected as ids, sorted and compacted in
-// place, which is cheaper than clearing and walking table-sized bits for a
-// handful of rows. Neither filter branches on a row's coordinate: the test
-// lo ≤ c < hi is the one unsigned comparison c−lo < hi−lo, whose result is
-// added to a count or shifted into a word. A filter only sees candidates
-// when the most selective interval selects a row, and each filtering
-// interval selects at least as many, so none is empty: hi−lo, taken modulo
-// 2^64, is its width.
-//
-// Listed ids go into the spare room of *ids, which is first grown to hold
-// every candidate, so the filters drop ids in place.
-func (ts *tableStore) selectIn(q region.Box, ids *[]int32) selection {
-	n := ts.rows.Len()
-	if q.D() != len(ts.rowIdx) || n == 0 {
-		return selection{} // no row has a box of another dimensionality's coordinates
-	}
-	var dimBuf [8]dimSpan
-	dims := ts.restricted(q, dimBuf[:0])
-	if len(dims) == 0 {
-		return selection{all: n}
-	}
-	first := &ts.rowIdx[dims[0].k]
-	if cand := dims[0].n; 64*cand <= n {
-		*ids = slices.Grow(*ids, cand)
-		list := (*ids)[len(*ids):]
-		for _, run := range first.runs {
-			list = append(list, first.span(run, q.Dims[dims[0].k])...)
-		}
-		slices.Sort(list)
-		for _, d := range dims[1:] {
-			col, lo, w := ts.rowIdx[d.k].col, q.Dims[d.k].Lo, uint64(q.Dims[d.k].Hi-q.Dims[d.k].Lo)
-			kept := 0
-			for _, id := range list {
-				list[kept] = id
-				kept += int(b2u(uint64(col.At(int(id))-lo) < w))
-			}
-			list = list[:kept]
-		}
-		return selection{ids: list}
-	}
-	pooled := bitsets.Get().(*[]uint64)
-	bits := slices.Grow((*pooled)[:0], (n+63)/64)[:(n+63)/64]
-	clear(bits)
-	for _, run := range first.runs {
-		for _, id := range first.span(run, q.Dims[dims[0].k]) {
-			bits[id/64] |= 1 << (id % 64)
-		}
-	}
-	for _, d := range dims[1:] {
-		col, lo, w := ts.rowIdx[d.k].col, q.Dims[d.k].Lo, uint64(q.Dims[d.k].Hi-q.Dims[d.k].Lo)
-		for ch := range col.Chunks() { // a chunk's rows are whole words: chunk.Len is a multiple of 64
-			c, words := col.Chunk(ch), bits[ch*chunk.Len/64:min(len(bits), (ch+1)*chunk.Len/64)]
-			for i, word := range words {
-				keep := uint64(0)
-				for set := word; set != 0; set &= set - 1 {
-					b := mathbits.TrailingZeros64(set)
-					keep |= b2u(uint64(c[i*64+b]-lo) < w) << b
-				}
-				words[i] = keep
-			}
-		}
-	}
-	return selection{bits: bits, pooled: pooled}
-}
-
-// appendTo appends the selected ids to ids, in order.
-func (sel selection) appendTo(ids []int32) []int32 {
-	ids = slices.Grow(ids, sel.count())
-	for id := range sel.all {
-		ids = append(ids, int32(id))
-	}
-	ids = append(ids, sel.ids...)
-	for w, word := range sel.bits {
-		for ; word != 0; word &= word - 1 {
-			ids = append(ids, int32(w*64+mathbits.TrailingZeros64(word)))
-		}
-	}
-	return ids
-}
-
 // SelectIn appends to *ids the ids of the table's rows inside each box in
 // turn, each box's in insertion order, and returns the rows they index: the
 // store's own chunk list, as one snapshot holds it, which callers must not
@@ -1127,12 +815,12 @@ func (s *Store) SelectIn(meta *catalog.Table, boxes []region.Box, ids *[]int32) 
 		return rows, false
 	}
 	for _, q := range boxes {
-		sel := ts.selectIn(q, ids)
-		if sel.all > 0 && len(boxes) == 1 {
+		sel := rowidx.Select(ts.rowIdx, ts.rows.Len(), q, ids)
+		if sel.All > 0 && len(boxes) == 1 {
 			return ts.rows, true
 		}
-		*ids = sel.appendTo(*ids)
-		sel.release()
+		*ids = sel.AppendTo(*ids)
+		sel.Release()
 	}
 	return ts.rows, false
 }
