@@ -132,7 +132,7 @@ func (d *DownloadAll) Query(sql string) (engine.Report, error) {
 		return engine.Report{}, err
 	}
 	eng := engine.Engine{Store: semstore.New(d.db), Stats: st}
-	if _, _, err := eng.ExecuteContext(context.Background(), plan); err != nil {
+	if _, _, _, err := eng.ExecuteText(context.Background(), plan); err != nil {
 		return engine.Report{}, err
 	}
 	marginal := engine.Report{

@@ -66,7 +66,3 @@ func (l *List[T]) Append(v T) {
 	l.dir[c][l.n&(Len-1)] = v
 	l.n++
 }
-
-// Set replaces item i. Like Append, it is the writer's: i must lie past
-// the length of every copy readers hold.
-func (l List[T]) Set(i int, v T) { l.dir[i>>Bits][i&(Len-1)] = v }

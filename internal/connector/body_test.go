@@ -116,6 +116,39 @@ func TestKnownLengthPageReadOnce(t *testing.T) {
 	}
 }
 
+// TestLargePageReusesItsBody: a page of about 150 KB, past the 64 KB that
+// bodies once kept and short of a full TPC-H page, is read into the buffer
+// the call before it handed back: a Call allocates less than a quarter of
+// the body beyond decoding the page, where reading it into a new buffer
+// costs the whole body.
+func TestLargePageReusesItsBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers")
+	}
+	body := taggedPage("a-page-of-about-150-KB-", 4000)
+	if len(body) < 128<<10 || len(body) > 192<<10 {
+		t.Fatalf("a %d-byte page; the test wants 128 KB to 192 KB", len(body))
+	}
+	srv := pageServer(body, true)
+	defer srv.Close()
+	c := New(srv.URL, "k", WithHTTPClient(srv.Client()))
+	perCall := allocatedPerRun(10, func() {
+		if _, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decode := allocatedPerRun(10, func() {
+		if _, _, err := market.DecodeResultPage(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	over := perCall - decode
+	t.Logf("%d-byte page: a Call allocates %d bytes beyond its decode (%.2f bodies)", len(body), over, float64(over)/float64(len(body)))
+	if over > uint64(len(body)/4) {
+		t.Errorf("a Call allocates %d bytes beyond decoding its %d-byte page; want under a quarter body", over, len(body))
+	}
+}
+
 // TestChunkedPageDecodesIdentically: a page of unknown length is read as it
 // arrives and decodes to the same result as the same page with a length.
 func TestChunkedPageDecodesIdentically(t *testing.T) {

@@ -320,8 +320,9 @@ func (c *Client) attempt(ctx context.Context, path, callID string, buf *[]byte) 
 const maxExactRead = 64 << 20
 
 // maxPooledBody is the largest body buffer get hands back to bodies: the
-// pages of a bulk purchase are reused, a rare huge one is not kept.
-const maxPooledBody = 64 << 10
+// pages of a bulk purchase are reused — a full 5 000-row TPC-H page is at
+// most 192 KB — and a rare huge one is not kept.
+const maxPooledBody = 256 << 10
 
 // bodies recycles response buffers. Nothing a decoder returns points into
 // the body it read (market.DecodeResultPage carves rows from its own slab

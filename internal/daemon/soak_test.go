@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"payless"
+	"payless/internal/catalog"
 	"payless/internal/chaos"
 	"payless/internal/daemon"
 	"payless/internal/market"
@@ -96,8 +97,15 @@ func overloadSoak(p soakParams) (accepted int64, err error) {
 		mirrors[i].RegisterAccount(acct)
 	}
 	slow := chaos.NewSchedule(seed).Rate(chaos.Latency, 1).WithLatency(degradedLatency)
+	// held keeps the fast mirror's answers back at the start of phase 1
+	// until a second request has joined one of its calls, or 20 ms pass:
+	// the tenants then share a flight whatever the goroutines' timing.
+	held, fast := make(chan struct{}), market.AccountCaller{Market: mirrors[0], Key: acct}
 	eps := []payless.MarketEndpoint{
-		{Name: "fast", Caller: market.AccountCaller{Market: mirrors[0], Key: acct}},
+		{Name: "fast", Caller: market.CallerFunc(func(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
+			<-held
+			return fast.Call(ctx, q)
+		})},
 		{Name: "slow", Caller: chaos.Caller{
 			Inner:    market.AccountCaller{Market: mirrors[1], Key: acct},
 			Schedule: slow,
@@ -157,30 +165,49 @@ func overloadSoak(p soakParams) (accepted int64, err error) {
 		mu.Unlock()
 		return nil
 	}
-	// phase runs every worker closed-loop over the query list.
-	// The batch tenant's workers send batch priority.
-	phase := func(herd []string) error {
+	// phase runs every worker closed-loop over the query list, the batch
+	// tenant's workers at batch priority, all starting together. Each worker
+	// starts from its own place in the list or, in step, every worker's r-th
+	// request is the same query: requests of both tenants then share the
+	// scheduler's flights, and only the first to collect a flight's result
+	// may carry its bill.
+	phase := func(herd []string, inStep bool) error {
 		var wg sync.WaitGroup
+		start := make(chan struct{})
 		errs := make([]error, len(herd))
 		for i, key := range herd {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				<-start
 				for r := 0; r < p.requestsPerWorker && errs[i] == nil; r++ {
-					errs[i] = do(key, sqls[(i+r*len(herd))%len(sqls)], key == "key-batch")
+					q := (i + r*len(herd)) % len(sqls)
+					if inStep {
+						q = r % len(sqls)
+					}
+					errs[i] = do(key, sqls[q], key == "key-batch")
 				}
 			}()
 		}
+		close(start)
 		wg.Wait()
 		return errors.Join(errs...)
 	}
 
-	// Phase 1: the base herd, half of it batch-priority.
+	// Phase 1: the base herd, half of it batch-priority, in step.
 	herd := make([]string, p.workers)
 	for i := range herd {
 		herd[i] = []string{"key-online", "key-batch"}[i%2]
 	}
-	if err := phase(herd); err != nil {
+	go func() {
+		for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); time.Sleep(10 * time.Microsecond) {
+			if client.Metrics().SchedSingleflightHits > 0 {
+				break
+			}
+		}
+		close(held)
+	}()
+	if err := phase(herd, true); err != nil {
 		return 0, fmt.Errorf("phase 1: %w", err)
 	}
 	// Mid-soak hot reload: add a tenant while the daemon keeps serving.
@@ -189,7 +216,7 @@ func overloadSoak(p soakParams) (accepted int64, err error) {
 		return 0, err
 	}
 	herd = append(herd, "key-late", "key-late")
-	if err := phase(herd); err != nil {
+	if err := phase(herd, false); err != nil {
 		return 0, fmt.Errorf("phase 2: %w", err)
 	}
 	// On the now-idle daemon the hot-added tenant must be served, not shed:

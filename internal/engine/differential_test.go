@@ -12,6 +12,7 @@ import (
 	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/sqlparse"
+	"payless/internal/storage"
 	"payless/internal/value"
 )
 
@@ -168,10 +169,11 @@ func chainPlan(rng *rand.Rand, b *core.BoundQuery) *core.Plan {
 
 // TestExecutorMatchesRowReference is the differential property of the id
 // pipeline: random statements over 2 to 4 chain relations, each run through
-// a random hand-built plan by ExecuteContext on one buyer and by refExecute,
-// the row executor, on another, the two buyers' stores kept alike by
-// running the same sequence. Same bill, same error, same columns and the
-// same rows in the same order.
+// a random hand-built plan by ExecuteContext (every other one by
+// ExecuteText) on one buyer and by refExecute, the row executor, on
+// another, the two buyers' stores kept alike by running the same sequence.
+// Same bill, same error, same columns and the same rows in the same order:
+// ExecuteText's are the reference's rendered by storage.RenderRows.
 func TestExecutorMatchesRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	m := chainMarket(t, rng)
@@ -193,7 +195,16 @@ func TestExecutorMatchesRowReference(t *testing.T) {
 		plan := chainPlan(rng, bind(got, sql))
 		refPlan := *plan
 		refPlan.Bound = bind(ref, sql)
-		gotRel, gotRep, gotErr := got.eng.ExecuteContext(context.Background(), plan)
+		var gotRel storage.Relation
+		var gotText [][]string
+		var gotCols []string
+		var gotRep Report
+		var gotErr error
+		if i%2 == 0 {
+			gotRel, gotRep, gotErr = got.eng.ExecuteContext(context.Background(), plan)
+		} else {
+			gotCols, gotText, gotRep, gotErr = got.eng.ExecuteText(context.Background(), plan)
+		}
 		wantRel, wantRep, wantErr := ref.eng.refExecute(context.Background(), &refPlan)
 		what := fmt.Sprintf("query %d %q, plan %v", i, sql, plan)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotRep != wantRep {
@@ -202,13 +213,19 @@ func TestExecutorMatchesRowReference(t *testing.T) {
 		if gotErr != nil {
 			continue
 		}
-		if !reflect.DeepEqual(gotRel.Schema, wantRel.Schema) {
+		if i%2 == 1 {
+			if !reflect.DeepEqual(gotCols, wantRel.Schema.Names()) {
+				t.Fatalf("%s: text columns %v, reference %v", what, gotCols, wantRel.Schema.Names())
+			}
+			if w := storage.RenderRows(wantRel.Rows); !reflect.DeepEqual(gotText, w) {
+				t.Fatalf("%s: text rows differ (order counts)\n got %q\nwant %q", what, gotText, w)
+			}
+		} else if !reflect.DeepEqual(gotRel.Schema, wantRel.Schema) {
 			t.Fatalf("%s: columns %v, reference %v", what, gotRel.Schema, wantRel.Schema)
-		}
-		if g, w := renderRows(gotRel.Rows), renderRows(wantRel.Rows); !reflect.DeepEqual(g, w) {
+		} else if g, w := renderRows(gotRel.Rows), renderRows(wantRel.Rows); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: rows differ (order counts)\n got %q\nwant %q", what, g, w)
 		}
-		if len(gotRel.Rows) == 0 {
+		if len(wantRel.Rows) == 0 {
 			empty++
 		} else {
 			rows++

@@ -76,38 +76,57 @@ type Engine struct {
 	Metrics *obs.Metrics
 }
 
-// ExecuteContext runs the plan under ctx and returns the final result
-// relation plus the market cost actually incurred. Cancelling ctx stops
-// in-flight market fan-out, keeping whatever partial results were already
-// paid for.
+// ExecuteText runs the plan under ctx and returns the result's column names
+// and its rows rendered as text (storage.RenderRows), plus the market cost
+// actually incurred. A plain projection renders straight from the columns
+// its tuples read, without a row of values. Cancelling ctx stops in-flight
+// market fan-out, keeping whatever partial results were already paid for.
+func (e *Engine) ExecuteText(ctx context.Context, plan *core.Plan) (columns []string, rows [][]string, report Report, err error) {
+	a := storage.NewArena()
+	defer a.Release()
+	t, rel, err := e.run(ctx, a, plan, &report)
+	switch b := plan.Bound; {
+	case err != nil:
+		return nil, nil, report, err
+	case plain(b.Query):
+		return b.Output, t.Render(outputColumns(t, b)), report, nil
+	}
+	return rel.Schema.Names(), storage.RenderRows(rel.Rows), report, nil
+}
+
+// plain reports a query whose result is its SELECT list's columns as they
+// are: no aggregate, DISTINCT or ORDER BY.
+func plain(q *sqlparse.Query) bool {
+	return !q.HasAggregates() && !q.Distinct && len(q.OrderBy) == 0
+}
+
+// run executes the plan's steps in a. A plain query's result is the tuples
+// returned, at most LIMIT of them, and any other query's the relation.
 //
 // Relations are joined as row ids (storage.Tuples): a relation read from the
-// store is the store's rows and a selection of their ids, a join writes the
-// ids of its pairs into lists of a per-query arena, and values are read only
-// by the aggregator, the cross residual and the projection.
-func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.Relation, Report, error) {
-	var report Report
+// store is the store's columns and a selection of their row ids, a join
+// writes the ids of its pairs into lists of a per-query arena, and values
+// are read only by the aggregator, the residuals and the projection.
+func (e *Engine) run(ctx context.Context, a *storage.Arena, plan *core.Plan, report *Report) (storage.Tuples, storage.Relation, error) {
 	b := plan.Bound
 	if len(plan.Steps) == 0 {
-		return storage.Relation{}, report, fmt.Errorf("plan has no steps")
+		return storage.Tuples{}, storage.Relation{}, fmt.Errorf("plan has no steps")
 	}
 	// Nothing but the aggregate reads the last join of an aggregate query
 	// (a cross residual would: it filters joined rows), so that join
 	// streams into it.
 	stream := b.Query.HasAggregates() && len(b.CrossResidual) == 0
-	a := storage.NewArena()
-	defer a.Release()
 	var cur storage.Tuples
 	for i, step := range plan.Steps {
 		rel := b.Rels[step.Rel]
-		in, err := e.fetch(ctx, a, rel, step, cur, b, &report)
+		in, err := e.fetch(ctx, a, rel, step, cur, b, report)
 		if err != nil {
 			// A partial batch failure carries the query-level billed totals,
 			// so the caller can account the spend without unpacking Report.
 			if pe := (*PartialError)(nil); errors.As(err, &pe) {
-				pe.Billed = report
+				pe.Billed = *report
 			}
-			return storage.Relation{}, report, err
+			return cur, storage.Relation{}, err
 		}
 		in = filter(a, in, rel.Residual, func(c sqlparse.ColRef) storage.Col {
 			return storage.Col{In: 0, Col: rel.Table.Schema.IndexOf(c.Column)}
@@ -118,15 +137,21 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 		}
 		lk, rk, err := joinColumns(b, step, cur, in)
 		if err != nil {
-			return storage.Relation{}, report, err
+			return cur, storage.Relation{}, err
 		}
 		if stream && i == len(plan.Steps)-1 {
-			return aggregate(a, b, cur, in, lk, rk), report, nil
+			return cur, aggregate(a, b, cur, in, lk, rk), nil
 		}
 		cur = a.Join(cur, in, lk, rk)
 	}
 	cur = filter(a, cur, b.CrossResidual, func(c sqlparse.ColRef) storage.Col { return cur.Column(b.Cols[c]) })
-	return project(cur, b), report, nil
+	if !plain(b.Query) {
+		return cur, project(cur, b), nil
+	}
+	if b.Query.Limit >= 0 {
+		cur.N = min(cur.N, b.Query.Limit)
+	}
+	return cur, storage.Relation{}, nil
 }
 
 // fetch obtains the rows of one relation according to its access path.
@@ -168,18 +193,18 @@ func (e *Engine) localScan(a *storage.Arena, rel *core.Rel) (storage.Tuples, err
 		}
 		filters[i] = catalog.CompileFilter(rel.Table, q)
 	}
-	t := a.Source(rel.Schema, a.View(tbl.Relation().Rows), a.List(0), true)
-	return a.Filter(t, func(i int) bool {
-		return slices.ContainsFunc(filters, func(f catalog.Filter) bool { return f.Matches(t.Row(0, i)) })
+	rows := tbl.Relation().Rows
+	return a.Filter(a.Whole(rel.Schema, rows), func(i int) bool {
+		return slices.ContainsFunc(filters, func(f catalog.Filter) bool { return f.Matches(rows[i]) })
 	}), nil
 }
 
 // stored reads the store's rows of rel inside each box, in box order, as
-// ids into the store's row list.
+// ids into the store's columns.
 func (e *Engine) stored(a *storage.Arena, rel *core.Rel, boxes []region.Box) storage.Tuples {
-	list := a.List(0)
-	rows, all := e.Store.SelectIn(rel.Table, boxes, list)
-	return a.Source(rel.Schema, rows, list, all)
+	list, cols := a.List(0), a.Columns(len(rel.Schema))
+	n, all := e.Store.SelectIn(rel.Table, boxes, list, cols)
+	return a.Source(rel.Schema, cols, n, list, all)
 }
 
 // buy obtains one market relation's rows inside the reads boxes. With SQR
@@ -215,7 +240,7 @@ func (e *Engine) buy(ctx context.Context, a *storage.Arena, rel *core.Rel, calls
 		for _, res := range results {
 			rows = append(rows, res.Rows...)
 		}
-		return a.Source(rel.Schema, a.View(rows), a.List(0), true), nil
+		return a.Whole(rel.Schema, rows), nil
 	}
 	out := e.stored(a, rel, reads)
 	e.noteStoreServed(len(specs), out.N, results)
@@ -246,9 +271,9 @@ func (e *Engine) bindScan(ctx context.Context, a *storage.Arena, rel *core.Rel, 
 	// range are skipped: the join would reject their rows anyway.
 	var coords []int64
 	seen := value.NewKeyTable(value.ExactKey, nil, 0)
+	var v [1]value.Value
 	for i := range prefix.N {
-		v := prefix.Row(src.In, i)[src.Col : src.Col+1]
-		if seen.Insert(nil, v, i) >= 0 {
+		if v[0] = prefix.Value(src, i); seen.Insert(nil, v[:], i) >= 0 {
 			continue
 		}
 		coord, err := attr.Coord(normalizeBinding(attr, v[0]))
@@ -441,14 +466,14 @@ func filter(a *storage.Arena, t storage.Tuples, conds []sqlparse.Condition, col 
 	return a.Filter(t, func(i int) bool {
 		for x, c := range conds {
 			l, r := cols[x][0], cols[x][1]
-			v := t.Row(l.In, i)[l.Col]
+			v := t.Value(l, i)
 			switch {
 			case c.IsIn():
 				if !slices.ContainsFunc(c.InVals, v.Equal) {
 					return false
 				}
 			case c.IsJoin():
-				if !evalCompare(v, c.Op, t.Row(r.In, i)[r.Col]) {
+				if !evalCompare(v, c.Op, t.Value(r, i)) {
 					return false
 				}
 			case !evalCompare(v, c.Op, *c.RightVal):
@@ -506,9 +531,9 @@ func aggregate(a *storage.Arena, b *core.BoundQuery, l, r storage.Tuples, lk, rk
 	add := func(li, ri int) {
 		for j, c := range cols {
 			if c.In < len(l.In) {
-				row[j] = l.Row(c.In, li)[c.Col]
+				row[j] = l.Value(c, li)
 			} else {
-				row[j] = r.Row(c.In-len(l.In), ri)[c.Col]
+				row[j] = r.Value(storage.Col{In: c.In - len(l.In), Col: c.Col}, ri)
 			}
 		}
 		agg.Add(row)
@@ -549,17 +574,7 @@ func project(t storage.Tuples, b *core.BoundQuery) storage.Relation {
 	if q.HasAggregates() {
 		return aggregate(nil, b, t, storage.Tuples{}, nil, nil)
 	}
-	// SELECT * output order follows the FROM clause, not the join order the
-	// optimizer happened to choose.
-	cols := make([]storage.Col, len(b.Output))
-	for i := range cols {
-		if b.Star != nil {
-			cols[i] = t.Column(b.Star[i])
-		} else {
-			cols[i] = t.Column(b.Cols[q.Select[i].Col])
-		}
-	}
-	out := t.Project(cols)
+	out := t.Project(outputColumns(t, b))
 	for i, name := range b.Output {
 		out.Schema[i].Name = name
 	}
@@ -567,6 +582,21 @@ func project(t storage.Tuples, b *core.BoundQuery) storage.Relation {
 		out = out.Distinct()
 	}
 	return orderLimit(out, b)
+}
+
+// outputColumns locates a plain projection's SELECT list in t. SELECT *
+// output order follows the FROM clause, not the join order the optimizer
+// happened to choose.
+func outputColumns(t storage.Tuples, b *core.BoundQuery) []storage.Col {
+	cols := make([]storage.Col, len(b.Output))
+	for i := range cols {
+		if b.Star != nil {
+			cols[i] = t.Column(b.Star[i])
+		} else {
+			cols[i] = t.Column(b.Cols[b.Query.Select[i].Col])
+		}
+	}
+	return cols
 }
 
 // orderLimit applies ORDER BY, at the output positions the binder resolved,

@@ -240,7 +240,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 	if err := batchError(errs); err != nil {
 		// Wrap the root cause with the salvage accounting: how many paid-for
 		// results survived into the store, how many calls died, how many
-		// never ran. ExecuteContext fills in the billed totals.
+		// never ran. The executor fills in the billed totals.
 		pe := &PartialError{Err: err}
 		for i := range specs {
 			switch {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"payless/internal/catalog"
-	"payless/internal/chunk"
 	"payless/internal/core"
 	"payless/internal/market"
 	"payless/internal/sched"
@@ -28,6 +27,19 @@ func qualify(alias string, schema value.Schema) value.Schema {
 		out[i] = value.Column{Name: alias + "." + c.Name, Type: c.Type}
 	}
 	return out
+}
+
+// ExecuteContext is ExecuteText with the result as a relation of values,
+// which the tests compare.
+func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.Relation, Report, error) {
+	var report Report
+	a := storage.NewArena()
+	defer a.Release()
+	t, rel, err := e.run(ctx, a, plan, &report)
+	if err == nil && plain(plan.Bound.Query) {
+		rel = project(t, plan.Bound)
+	}
+	return rel, report, err
 }
 
 // refExecute is the row executor the id pipeline replaced, kept as the
@@ -50,7 +62,11 @@ func (e *Engine) refExecute(ctx context.Context, plan *core.Plan) (storage.Relat
 		}
 		fetched := storage.Relation{Schema: qualify(rel.Alias(), rel.Table.Schema)}
 		for i := range src.N {
-			if row := src.Row(0, i); refResidual(row, rel) {
+			row := make(value.Row, len(fetched.Schema))
+			for c := range row {
+				row[c] = src.Value(storage.Col{In: 0, Col: c}, i)
+			}
+			if refResidual(row, rel) {
 				fetched.Rows = append(fetched.Rows, row)
 			}
 		}
@@ -69,10 +85,9 @@ func (e *Engine) refExecute(ctx context.Context, plan *core.Plan) (storage.Relat
 	return refProject(refCrossResidual(cur, b), b), report, nil
 }
 
-// whole is r as the tuples of one input, every row in order.
-func whole(r storage.Relation) storage.Tuples {
-	return storage.Tuples{In: []storage.Input{{Schema: r.Schema, Rows: chunk.View(nil, r.Rows)}}, N: len(r.Rows)}
-}
+// whole is r as the tuples of one input, every row in order, in an arena
+// of its own.
+func whole(r storage.Relation) storage.Tuples { return storage.NewArena().Whole(r.Schema, r.Rows) }
 
 // refResidual tests rel's constant predicates on one of its rows.
 func refResidual(row value.Row, rel *core.Rel) bool {

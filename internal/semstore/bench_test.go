@@ -81,9 +81,10 @@ func BenchmarkSemstoreSelectIn(b *testing.B) {
 		boxes := []region.Box{q}
 		b.Run(fmt.Sprintf("indexed/rows=%d", n), func(b *testing.B) {
 			var ids []int32
+			cols := make([]storage.Column, len(meta.Schema))
 			for i := 0; i < b.N; i++ {
 				ids = ids[:0]
-				if _, all := s.SelectIn(meta, boxes, &ids); !all && len(ids) == 0 {
+				if _, all := s.SelectIn(meta, boxes, &ids, cols); !all && len(ids) == 0 {
 					b.Fatal("probe found no rows")
 				}
 			}
@@ -95,7 +96,7 @@ func BenchmarkSemstoreSelectIn(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				count := 0
 			scan:
-				for id := range ts.rows.Len() {
+				for id := range ts.n {
 					for k, rd := range ts.rowIdx {
 						if !q.Dims[k].ContainsCoord(rd.Col.At(id)) {
 							continue scan

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"payless/internal/catalog"
-	"payless/internal/chunk"
 	"payless/internal/diskfault"
 	"payless/internal/region"
 	"payless/internal/storage"
@@ -55,7 +54,7 @@ func jsonDims(b region.Box) [][2]int64 {
 func jsonSnapshot(snap *storeSnap, records int64) ([]byte, error) {
 	out := persistFile{Magic: snapshotMagic, Version: persistVersion, Records: records}
 	for name, ts := range snap.tables {
-		pt := persistTable{Table: name, Rows: jsonRows(ts.rows.AppendTo(nil))}
+		pt := persistTable{Table: name, Rows: jsonRows(ts.storedRows())}
 		for _, c := range ts.meta.Schema {
 			pt.Kinds = append(pt.Kinds, c.Type.String())
 		}
@@ -315,8 +314,22 @@ func TestSnapshotIsEncodingJSON(t *testing.T) {
 		return true
 	}
 	at := time.Date(2026, 8, 1, 0, 0, 0, 5, time.FixedZone("PDT", -7*3600))
+	// table holds rows as they are, every column as values: the snapshot
+	// encodes any cell a column may hold, whether or not it is a coordinate.
 	table := func(meta *catalog.Table, entries []entry, rows []value.Row, dead ...int) *tableStore {
-		ts := &tableStore{meta: meta, entries: entries, rows: chunk.View(nil, rows)}
+		values := *meta
+		values.Attrs = make([]catalog.Attribute, len(meta.Schema))
+		for i, c := range meta.Schema {
+			values.Attrs[i] = catalog.Attribute{Name: c.Name, Type: c.Type, Binding: catalog.Output}
+		}
+		ts := cloneTableFor(&storeSnap{}, &values)
+		ts.entries = entries
+		for _, r := range rows {
+			for i, v := range r {
+				ts.vals[i].Append(v)
+			}
+			ts.n++
+		}
 		for _, id := range dead {
 			ts.tombstone(id)
 		}

@@ -32,8 +32,8 @@ func checkRunInvariants(t *testing.T, s *Store, table string) {
 	if ts == nil {
 		return
 	}
-	n := ts.rows.Len()
-	coords, err := rowCoords(ts.meta, ts.rows.AppendTo(nil))
+	n := ts.n
+	coords, err := rowCoords(ts.meta, ts.storedRows())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRecordWriteAmplification(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	ts := s.table("Grid")
-	indexBytes := uint64(ts.rows.Len() * len(ts.rowIdx) * 12) // an int64 coordinate and an int32 id per row and dimension
+	indexBytes := uint64(ts.n * len(ts.rowIdx) * 12) // an int64 coordinate and an int32 id per row and dimension
 	allocated := after.TotalAlloc - before.TotalAlloc
 	t.Logf("allocated %.1f MB for a %.1f MB index: %.1fx", float64(allocated)/1e6, float64(indexBytes)/1e6, float64(allocated)/float64(indexBytes))
 	if allocated > limit*indexBytes {
@@ -190,7 +190,7 @@ func TestIndexFootprint(t *testing.T) {
 		}
 	}
 	ts := s.table("Grid")
-	entries, bytes := ts.rows.Len()*len(ts.rowIdx), 0
+	entries, bytes := ts.n*len(ts.rowIdx), 0
 	for _, rd := range ts.rowIdx {
 		bytes += rd.Col.Len() * int(unsafe.Sizeof(rd.Col.At(0)))
 		for _, run := range rd.Runs {
@@ -234,8 +234,8 @@ func TestSnapshotReadersSeeConsistentStateAcrossMerges(t *testing.T) {
 					continue
 				}
 				all, half := len(ts.rowsIn(full)), len(ts.rowsIn(probe))
-				if all != ts.rows.Len() {
-					errc <- fmt.Errorf("snapshot of %d rows reads %d through its index", ts.rows.Len(), all)
+				if all != ts.n {
+					errc <- fmt.Errorf("snapshot of %d rows reads %d through its index", ts.n, all)
 					return
 				}
 				runtime.Gosched() // let the writer merge this snapshot's runs away
@@ -278,15 +278,15 @@ func TestSnapshotReadersSeeConsistentStateAcrossMerges(t *testing.T) {
 }
 
 // TestTailChunkSharedWithOldSnapshots: a published snapshot shares its tail
-// chunk with the writer, which appends the next Records' rows and
-// coordinates into that chunk's free slots and then into new chunks.
-// Readers hold a snapshot taken with its tail chunk part filled and read it
-// while the writer fills the chunk: every read returns exactly the rows it
-// returned when the snapshot was taken. Readers of the live store see whole
-// Records only: a row count on a batch boundary, each row the one the
-// writer recorded at its id. Each later batch repeats a stored row, so its
-// new rows are rewritten into a slab in place. -race sees any write to a
-// slot a published snapshot can read.
+// chunks with the writer, which appends the next Records' coordinates and
+// output cells into those chunks' free slots and then into new chunks.
+// Readers hold a snapshot taken with its tail chunks part filled and read
+// it while the writer fills them: every read returns exactly the rows it
+// returned when the snapshot was taken. Readers of the live store read
+// through the columns SelectIn hands out and see whole Records only: a row
+// count on a batch boundary, each row, output column included, the one the
+// writer recorded at its id. Each later batch repeats a stored row. -race
+// sees any write to a slot a published snapshot can read.
 func TestTailChunkSharedWithOldSnapshots(t *testing.T) {
 	const batch = 37 // batches start and end inside chunks
 	meta := cubeMeta(1<<20, 64)
@@ -318,18 +318,23 @@ func TestTailChunkSharedWithOldSnapshots(t *testing.T) {
 			return fmt.Errorf("a snapshot of %d rows changed while the writer filled its tail chunk", batch)
 		}
 		var ids []int32
-		live, _ := s.SelectIn(meta, []region.Box{probe}, &ids)
-		if live.Len()%batch != 0 {
-			return fmt.Errorf("a reader sees %d rows, not a whole number of %d-row Records", live.Len(), batch)
+		cols := make([]storage.Column, len(meta.Schema))
+		n, _ := s.SelectIn(meta, []region.Box{probe}, &ids, cols)
+		if n%batch != 0 {
+			return fmt.Errorf("a reader sees %d rows, not a whole number of %d-row Records", n, batch)
 		}
-		for id := range live.Len() {
-			if !slices.Equal(live.At(id), rows[id]) {
-				return fmt.Errorf("row %d reads %v, the writer recorded %v", id, live.At(id), rows[id])
+		every := make([]int32, n)
+		for id := range every {
+			every[id] = int32(id)
+		}
+		for id, got := range gather(cols, every) {
+			if !slices.Equal(got, rows[id]) {
+				return fmt.Errorf("row %d reads %v, the writer recorded %v", id, got, rows[id])
 			}
 		}
-		for _, id := range ids {
-			if got := live.At(int(id)); got[2].Int64() >= 32 {
-				return fmt.Errorf("row %d (%v) read inside the probe", id, got)
+		for i, got := range gather(cols, ids) {
+			if got[2].Int64() >= 32 {
+				return fmt.Errorf("row %d (%v) read inside the probe", ids[i], got)
 			}
 		}
 		return nil
@@ -365,8 +370,8 @@ func TestTailChunkSharedWithOldSnapshots(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if got := s.table(meta.Name).rows; got.Len() != len(rows) || got.Chunks() < 3 {
-		t.Fatalf("the table holds %d rows in %d chunks", got.Len(), got.Chunks())
+	if ts := s.table(meta.Name); ts.n != len(rows) || ts.vals[3].Chunks() < 3 {
+		t.Fatalf("the table holds %d rows, its output column %d chunks", ts.n, ts.vals[3].Chunks())
 	}
 }
 

@@ -120,11 +120,12 @@ func saveSnap(w io.Writer, snap *storeSnap, records int64) (int64, error) {
 			c.spill(snapChunk)
 		}
 		c.buf = append(listEnd(c.buf, live), `,"rows":`...)
-		for k := range ts.rows.Len() {
-			c.buf = ts.rows.At(k).AppendJSON(listSep(c.buf, k))
+		row := make(value.Row, len(ts.cols))
+		for k := range ts.n {
+			c.buf = ts.row(row, k).AppendJSON(listSep(c.buf, k))
 			c.spill(snapChunk)
 		}
-		c.buf = append(listEnd(c.buf, ts.rows.Len()), '}')
+		c.buf = append(listEnd(c.buf, ts.n), '}')
 	}
 	c.buf = append(listEnd(c.buf, len(names)), "}\n"...)
 	c.spill(1)
@@ -273,8 +274,7 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 }
 
 // decodeRows parses encoded rows (see value.Value.AppendJSON) against the
-// table's kinds, carving them from one slab: the store keeps an all-new
-// batch as it is handed in.
+// table's kinds, carving them from one slab.
 func decodeRows(meta *catalog.Table, kinds []value.Kind, enc [][]*string) ([]value.Row, error) {
 	w := len(kinds)
 	rows := make([]value.Row, 0, len(enc))

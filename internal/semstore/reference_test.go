@@ -13,7 +13,56 @@ import (
 	"payless/internal/catalog"
 	"payless/internal/region"
 	"payless/internal/storage"
+	"payless/internal/value"
 )
+
+// RowReference is the rows a store of one table holds, kept as a list of
+// rows: Record keeps the first copy it is handed of each row under
+// value.ExactKey, and In scans every row's coordinates. It is the reference
+// the columnar store's reads are tested against, from outside the package
+// too.
+type RowReference struct {
+	meta *catalog.Table
+	rows []value.Row
+	seen map[string]bool
+}
+
+// NewRowReference returns an empty reference for meta's rows.
+func NewRowReference(meta *catalog.Table) *RowReference {
+	return &RowReference{meta: meta, seen: map[string]bool{}}
+}
+
+// Record adds the rows not held yet, each a copy of its first occurrence.
+func (r *RowReference) Record(rows []value.Row) {
+	for _, row := range rows {
+		if k := rowKey(row); !r.seen[k] {
+			r.seen[k] = true
+			r.rows = append(r.rows, row.Clone())
+		}
+	}
+}
+
+// Rows returns the rows held, in the order they were first recorded.
+func (r *RowReference) Rows() []value.Row { return r.rows }
+
+// In returns the rows whose coordinates lie inside q, in recorded order.
+func (r *RowReference) In(q region.Box) []value.Row {
+	var out []value.Row
+scan:
+	for _, row := range r.rows {
+		cs, err := rowCoords(r.meta, []value.Row{row})
+		if err != nil || len(cs) != q.D() {
+			continue
+		}
+		for k, c := range cs {
+			if !q.Dims[k].ContainsCoord(c) {
+				continue scan
+			}
+		}
+		out = append(out, row)
+	}
+	return out
+}
 
 // refTable is the coverage index as it was before entries and their index
 // were shared between snapshots, kept as the reference for order: entries

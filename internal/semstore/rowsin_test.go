@@ -89,16 +89,37 @@ func scatteredGrid(t testing.TB, s *Store, n int, span int64) []value.Row {
 	return scattered(t, s, gridMeta(span), n)
 }
 
-// rowsIn gathers the rows SelectIn selects inside q, in SelectIn's order.
+// rowsIn gathers the rows SelectIn selects inside q, in SelectIn's order,
+// read through the columns it fills.
 func rowsIn(s *Store, meta *catalog.Table, q region.Box) []value.Row {
 	var ids []int32
-	stored, all := s.SelectIn(meta, []region.Box{q}, &ids)
+	cols := make([]storage.Column, len(meta.Schema))
+	n, all := s.SelectIn(meta, []region.Box{q}, &ids, cols)
 	if all {
-		return stored.AppendTo(nil)
+		for id := range n {
+			ids = append(ids, int32(id))
+		}
 	}
-	var out []value.Row
-	for _, id := range ids {
-		out = append(out, stored.At(int(id)))
+	return gather(cols, ids)
+}
+
+// gather reads the rows ids of the columns cols.
+func gather(cols []storage.Column, ids []int32) []value.Row {
+	out := make([]value.Row, len(ids))
+	for i, id := range ids {
+		out[i] = make(value.Row, len(cols))
+		for c := range cols {
+			out[i][c] = cols[c].At(int(id))
+		}
+	}
+	return out
+}
+
+// storedRows rebuilds every row of a published table state, in id order.
+func (ts *tableStore) storedRows() []value.Row {
+	out := make([]value.Row, ts.n)
+	for id := range out {
+		out[id] = ts.row(make(value.Row, len(ts.cols)), id)
 	}
 	return out
 }
@@ -107,14 +128,14 @@ func rowsIn(s *Store, meta *catalog.Table, q region.Box) []value.Row {
 // a test holds while the writer moves on.
 func (ts *tableStore) rowsIn(q region.Box) []value.Row {
 	var ids []int32
-	sel := rowidx.Select(ts.rowIdx, ts.rows.Len(), q, &ids)
+	sel := rowidx.Select(ts.rowIdx, ts.n, q, &ids)
 	defer sel.Release()
 	if sel.All > 0 {
-		return ts.rows.AppendTo(nil)
+		return ts.storedRows()
 	}
 	var out []value.Row
 	for _, id := range sel.AppendTo(nil) {
-		out = append(out, ts.rows.At(int(id)))
+		out = append(out, ts.row(make(value.Row, len(ts.cols)), int(id)))
 	}
 	return out
 }
@@ -134,7 +155,7 @@ type readSides map[int]*[2]int
 
 // note classifies the read of q from ts as rowidx.Select will perform it.
 func (r readSides) note(ts *tableStore, q region.Box) {
-	if q.D() != len(ts.rowIdx) || ts.rows.Len() == 0 {
+	if q.D() != len(ts.rowIdx) || ts.n == 0 {
 		return
 	}
 	dims := rowidx.Restricted(ts.rowIdx, q, nil)
@@ -144,7 +165,7 @@ func (r readSides) note(ts *tableStore, q region.Box) {
 	if r[len(dims)] == nil {
 		r[len(dims)] = new([2]int)
 	}
-	if 64*dims[0].N > ts.rows.Len() {
+	if 64*dims[0].N > ts.n {
 		r[len(dims)][1]++
 	} else {
 		r[len(dims)][0]++
@@ -301,10 +322,10 @@ func TestSelectInAllocations(t *testing.T) {
 		{box2(300, 305, 300, 340), 0}, // sorted ids, filtered
 	} {
 		var ids []int32
-		boxes := []region.Box{c.q}
+		boxes, cols := []region.Box{c.q}, make([]storage.Column, len(meta.Schema))
 		allocs := testing.AllocsPerRun(10, func() {
 			ids = ids[:0]
-			s.SelectIn(meta, boxes, &ids)
+			s.SelectIn(meta, boxes, &ids, cols)
 		})
 		if allocs > c.limit {
 			t.Errorf("SelectIn(%v): %v allocations, want at most %v", c.q, allocs, c.limit)
@@ -319,6 +340,8 @@ func TestSelectInAllocations(t *testing.T) {
 func TestRecordKeepsRowsTheStringKeysMerged(t *testing.T) {
 	meta := gridMeta(10)
 	meta.Schema = append(meta.Schema.Clone(), value.Column{Name: "A", Type: value.String}, value.Column{Name: "B", Type: value.String})
+	meta.Attrs = append(meta.Attrs, catalog.Attribute{Name: "A", Type: value.String, Binding: catalog.Output},
+		catalog.Attribute{Name: "B", Type: value.String, Binding: catalog.Output})
 	row := func(x int64, a, b string) value.Row {
 		return append(gridRow(x, x), value.NewString(a), value.NewString(b))
 	}
@@ -397,7 +420,7 @@ func TestSelectInMatchesScan(t *testing.T) {
 		t.Fatalf("the index has %d runs; the test wants several", len(ts.rowIdx[0].Runs))
 	}
 	one := recordedAndRecovered(t, meta, [][]value.Row{rows[:100], rows[100:chunk.Len]})
-	if got := one["live"].table(meta.Name).rows; got.Len() != chunk.Len || got.Chunks() != 1 {
+	if got := one["live"].table(meta.Name).vals[3]; got.Len() != chunk.Len || got.Chunks() != 1 {
 		t.Fatalf("the one-chunk table holds %d rows in %d chunks", got.Len(), got.Chunks())
 	}
 
@@ -443,13 +466,13 @@ func TestSelectInMatchesScan(t *testing.T) {
 			sides.note(ts, q)
 			got := rowsIn(s, meta, q)
 			ids := []int32{7, 7} // the selection goes after them
-			stored, all := s.SelectIn(meta, []region.Box{q}, &ids)
-			selected := stored.AppendTo(nil)
-			if !all {
-				selected = nil
-				for _, id := range ids[2:] {
-					selected = append(selected, stored.At(int(id)))
-				}
+			cols := make([]storage.Column, len(meta.Schema))
+			n, all := s.SelectIn(meta, []region.Box{q}, &ids, cols)
+			var selected []value.Row
+			if all {
+				selected = ts.storedRows()[:n]
+			} else {
+				selected = gather(cols, ids[2:])
 				if len(ids) > 3 && ids[2]/chunk.Len != ids[len(ids)-1]/chunk.Len {
 					spanning++
 				}

@@ -22,14 +22,18 @@
 //     with a fast path when a single stored box contains the query outright.
 //   - SelectIn lists the ids of the rows in a box through a row index per
 //     dimension (package rowidx) instead of scanning every stored row.
-//   - A Record costs what it adds, not what the table already holds. The
-//     rows and each column are append-only chunk lists (package chunk),
-//     whose chunks are allocated once and never copied, and the coverage
-//     entries are append-only too: a snapshot shares them with the writer,
-//     which writes only past the snapshot's length. The row and edge
-//     indexes are log-structured runs, so each id is copied O(log n) times
-//     over the table's life, and the tombstone bitset is copied only by a
-//     Record that kills an entry a snapshot can see.
+//   - The rows are stored as columns, each cell once: a queryable column
+//     is the coordinate column its row index keeps (a numeric coordinate is
+//     the value, a String domain's is the value's index in the domain), any
+//     other column a list of values.
+//   - A Record costs what it adds, not what the table already holds. Each
+//     column is an append-only chunk list (package chunk), whose chunks are
+//     allocated once and never copied, and the coverage entries are
+//     append-only too: a snapshot shares them with the writer, which writes
+//     only past the snapshot's length. The row and edge indexes are
+//     log-structured runs, so each id is copied O(log n) times over the
+//     table's life, and the tombstone bitset is copied only by a Record that
+//     kills an entry a snapshot can see.
 //
 // Compaction and indexing never change answers: the union of stored
 // coverage is preserved exactly, and freshness is only ever lost downward
@@ -108,15 +112,49 @@ type tableStore struct {
 	// big lists up to bigBoxLimit largest live boxes by volume — the O(1)
 	// containment fast path for queries inside a large stored region.
 	big []int
-	// rows holds the deduplicated materialised rows — the only copy of them,
-	// in an append-only chunk list. seen keys them under value.ExactKey for
-	// deduplication, and rowIdx indexes them on each queryable dimension: a
-	// column of their coordinates there (validateRows resolves exactly one
-	// per dimension) and runs of their ids, 12 bytes per row and dimension.
-	// Ids are int32: seen already bounds them below 2^29.
-	rows   chunk.List[value.Row]
-	seen   *value.KeyTable
-	rowIdx []rowidx.Dim
+	// The n deduplicated materialised rows are held as columns, column i
+	// where cols[i] places it. rowIdx indexes the rows on each queryable
+	// dimension: a column of their coordinates there (validateRows resolves
+	// exactly one per dimension) and runs of their ids, 12 bytes per row and
+	// dimension. vals[i] holds column i's cells when it is no coordinate
+	// column. seen keys the rows under value.ExactKey for deduplication, and
+	// scratch is the writer's row, rebuilt from the columns for seen to
+	// compare with. Ids are int32: seen already bounds them below 2^29.
+	n       int
+	cols    []column
+	rowIdx  []rowidx.Dim
+	vals    []chunk.List[value.Value]
+	seen    *value.KeyTable
+	scratch value.Row
+}
+
+// column places a stored column: on coordinate column dim of the row
+// index, read back through dom for a categorical attribute whose domain is
+// all String values (equal strings are one dictionary id, so the domain
+// index gives back the very value); or, with dim −1, in its value column.
+type column struct {
+	dim int
+	dom []value.Value
+}
+
+// layout places every queryable numeric or String-domain column on its
+// coordinate column, and every other in a value column.
+func layout(meta *catalog.Table) []column {
+	cols, dim := make([]column, len(meta.Attrs)), 0
+	for i := range meta.Attrs {
+		a := &meta.Attrs[i]
+		cols[i].dim = -1
+		if a.Binding == catalog.Output {
+			continue
+		}
+		if a.Class == catalog.NumericAttr {
+			cols[i].dim = dim
+		} else if !slices.ContainsFunc(a.Domain, func(v value.Value) bool { return v.K != value.String }) {
+			cols[i] = column{dim, a.Domain}
+		}
+		dim++
+	}
+	return cols
 }
 
 // storeSnap is one immutable published state of the store: a map from market
@@ -183,21 +221,25 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 	}
 	d := meta.NumDims()
 	return &tableStore{
-		meta:   meta,
-		seen:   value.NewKeyTable(value.ExactKey, nil, 0),
-		dims:   make([]dimIdx, d),
-		rowIdx: make([]rowidx.Dim, d),
+		meta:    meta,
+		dims:    make([]dimIdx, d),
+		cols:    layout(meta),
+		rowIdx:  make([]rowidx.Dim, d),
+		vals:    make([]chunk.List[value.Value], len(meta.Schema)),
+		seen:    value.NewKeyTable(value.ExactKey, nil, 0),
+		scratch: make(value.Row, len(meta.Schema)),
 	}
 }
 
 // clone returns a writable copy of an immutable published tableStore. It
-// copies only the big-box list and the headers of the index runs: the
-// entries and tombs arrays, the runs themselves, rows and the columns are
-// shared. The writer appends to entries and to the append-only chunk lists
-// (rows, columns) only past the published length, which no snapshot reads
-// (chunk.List), never writes a published run, and copies tombs before
-// setting a bit a snapshot can read (tombstone). The seen index is
-// writer-only state (readers never consult it) and is shared across clones.
+// copies only the big-box list, the headers of the index runs and of the
+// value columns: the entries and tombs arrays, the runs themselves and the
+// columns' chunks are shared. The writer appends to entries and to the
+// append-only chunk lists (the columns) only past the published length,
+// which no snapshot reads (chunk.List), never writes a published run, and
+// copies tombs before setting a bit a snapshot can read (tombstone). The
+// seen index and the scratch row are writer-only state (readers never
+// consult them) and are shared across clones.
 func (ts *tableStore) clone() *tableStore {
 	cp := *ts
 	cp.sharedTombs = len(ts.tombs)
@@ -210,6 +252,7 @@ func (ts *tableStore) clone() *tableStore {
 	for d, rd := range ts.rowIdx {
 		cp.rowIdx[d] = rd.Clone()
 	}
+	cp.vals = slices.Clone(ts.vals)
 	return &cp
 }
 
@@ -257,16 +300,13 @@ type RecordResult struct {
 func (r RecordResult) Compacted() int { return r.Absorbed + r.Merged }
 
 // Record stores the outcome of an executed call: its box as coverage, and
-// the rows themselves, deduplicated. Rows are immutable once handed in (see
-// DESIGN "Immutability"): when every row is new the store keeps the caller's
-// rows as they are, each capped at its length, so the caller must not write
-// to them afterwards; a batch with duplicates has its new rows copied into
-// one slab, so the store never pins a page it mostly discarded. The rows
-// slice itself stays the caller's.
+// the rows themselves, deduplicated. The new rows' cells are copied into the
+// table's columns, so the store keeps nothing of the caller's rows. Every
+// cell must be NULL or of its column's type.
 //
-// Record is atomic with respect to the coverage index: every row's
-// coordinates are validated up front, and only when all of them resolve are
-// entries, rows and the row index mutated. A mid-batch bad row therefore
+// Record is atomic with respect to the coverage index: every row's cells and
+// coordinates are validated up front, and only when all of them are good are
+// entries, columns and the row index mutated. A mid-batch bad row therefore
 // leaves the store exactly as it was — it can never claim coverage for rows
 // it failed to materialise.
 func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at time.Time) (RecordResult, error) {
@@ -282,10 +322,11 @@ func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at t
 	return res, nil
 }
 
-// validateRows checks a Record call's shape and that every row's
-// queryable coordinates resolve, without touching any state: a bad batch
-// fails here or not at all. addRows resolves them again, for the new rows
-// alone, straight into the columns.
+// validateRows checks a Record call's shape, that every cell is NULL or of
+// its column's type and that every row's queryable coordinates resolve,
+// without touching any state: a bad batch fails here or not at all. addRows
+// resolves the coordinates again, for the new rows alone, straight into the
+// columns.
 func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) error {
 	if err := checkDims(meta, b.D()); err != nil {
 		return err
@@ -297,6 +338,12 @@ func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) error {
 		if len(row) != len(meta.Schema) {
 			return fmt.Errorf("semstore: %s: row has %d values, schema has %d",
 				meta.Name, len(row), len(meta.Schema))
+		}
+		for i, v := range row {
+			if v.K != value.Null && v.K != meta.Schema[i].Type {
+				return fmt.Errorf("semstore: %s: %s cell in %s column %s",
+					meta.Name, v.K, meta.Schema[i].Type, meta.Schema[i].Name)
+			}
 		}
 	}
 	return checkCoords(meta, rows)
@@ -331,42 +378,55 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 
 // addRows stores the validated rows the table does not hold yet
 // (value.ExactKey) and indexes them as one batch, sorted into one run per
-// dimension. Rows and their coordinates are appended to chunk lists, so
-// nothing the table already holds is copied. An all-new batch is kept as
-// handed in, each row capped at its length; a batch with duplicates has its
-// new rows copied into one slab, so the discarded duplicates' backing array
-// is not pinned. It returns how many rows were new.
+// dimension. Their coordinates and other cells are appended to the columns'
+// chunk lists, so nothing the table already holds is copied. It returns how
+// many rows were new.
 func (ts *tableStore) addRows(rows []value.Row) int {
-	first := ts.rows.Len()
+	first := ts.n
 	var coords [8]int64
+	stored := func(id int) value.Row { return ts.row(ts.scratch, id) }
 	ts.seen.Grow(len(rows))
 	for _, row := range rows {
-		if ts.seen.Insert(ts.rows.At, row, ts.rows.Len()) >= 0 {
+		if ts.seen.Insert(stored, row, ts.n) >= 0 {
 			continue
 		}
-		ts.rows.Append(row[:len(row):len(row)])
 		cs, _ := appendCoords(coords[:0], ts.meta, row) // validateRows resolved them
 		for k, c := range cs {
 			ts.rowIdx[k].Col.Append(c)
 		}
-	}
-	n := ts.rows.Len() - first
-	if n == 0 {
-		return 0
-	}
-	// No published snapshot reaches an id at or past first, so the new rows
-	// are rewritten in place.
-	if w := len(ts.meta.Schema); n < len(rows) {
-		slab := make([]value.Value, 0, n*w)
-		for id := first; id < first+n; id++ {
-			slab = append(slab, ts.rows.At(id)...)
-			ts.rows.Set(id, slab[len(slab)-w:len(slab):len(slab)])
+		for i, c := range ts.cols {
+			if c.dim < 0 {
+				ts.vals[i].Append(row[i])
+			}
 		}
+		ts.n++
 	}
+	n := ts.n - first
 	for k := range ts.rowIdx {
 		ts.rowIdx[k].Add(first, n)
 	}
 	return n
+}
+
+// column returns column i as the table holds it.
+func (ts *tableStore) column(i int) storage.Column {
+	switch c := ts.cols[i]; {
+	case c.dim < 0:
+		return storage.ValueColumn(ts.vals[i])
+	case c.dom != nil:
+		return storage.DomainColumn(ts.rowIdx[c.dim].Col, c.dom)
+	default:
+		return storage.IntColumn(ts.rowIdx[c.dim].Col)
+	}
+}
+
+// row rebuilds stored row id into dst, which has a cell per column.
+func (ts *tableStore) row(dst value.Row, id int) value.Row {
+	for i := range dst {
+		c := ts.column(i)
+		dst[i] = c.At(id)
+	}
+	return dst
 }
 
 // insertEntry adds a coverage box, compacting as it goes. Caller holds the
@@ -805,24 +865,27 @@ func checkCoords(meta *catalog.Table, rows []value.Row) error {
 }
 
 // SelectIn appends to *ids the ids of the table's rows inside each box in
-// turn, each box's in insertion order, and returns the rows they index: the
-// store's own chunk list, as one snapshot holds it, which callers must not
-// write to or append to. A single box that selects every row appends
-// nothing and reports all.
-func (s *Store) SelectIn(meta *catalog.Table, boxes []region.Box, ids *[]int32) (rows chunk.List[value.Row], all bool) {
+// turn, each box's in insertion order, fills cols, a column per schema
+// column, with the table's columns as one snapshot holds them, and returns
+// how many rows that snapshot holds. A single box that selects every row
+// appends nothing and reports all.
+func (s *Store) SelectIn(meta *catalog.Table, boxes []region.Box, ids *[]int32, cols []storage.Column) (n int, all bool) {
 	ts := s.table(meta.Name)
 	if ts == nil {
-		return rows, false
+		return 0, false
+	}
+	for i := range cols {
+		cols[i] = ts.column(i)
 	}
 	for _, q := range boxes {
-		sel := rowidx.Select(ts.rowIdx, ts.rows.Len(), q, ids)
+		sel := rowidx.Select(ts.rowIdx, ts.n, q, ids)
 		if sel.All > 0 && len(boxes) == 1 {
-			return ts.rows, true
+			return ts.n, true
 		}
 		*ids = sel.AppendTo(*ids)
 		sel.Release()
 	}
-	return ts.rows, false
+	return ts.n, false
 }
 
 // StoredRowCount returns the total number of materialised rows for a table.
@@ -831,5 +894,5 @@ func (s *Store) StoredRowCount(table string) int {
 	if ts == nil {
 		return 0
 	}
-	return ts.rows.Len()
+	return ts.n
 }

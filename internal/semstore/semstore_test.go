@@ -89,6 +89,14 @@ func TestRecordErrors(t *testing.T) {
 	if _, err := s.Record(meta, meta.FullBox(), []value.Row{{value.NewInt(1)}}, time.Now()); err == nil {
 		t.Error("bad row width should error")
 	}
+	// An output cell of another kind than its column's: a column holds
+	// only what its snapshot encoding can parse back.
+	if _, err := s.Record(meta, meta.FullBox(), []value.Row{{value.NewString("A"), value.NewInt(1), value.NewInt(2)}}, time.Now()); err == nil {
+		t.Error("an Int cell in a Float column should error")
+	}
+	if s.StoredRowCount(meta.Name) != 0 {
+		t.Error("a refused Record stored rows")
+	}
 }
 
 func TestRemainderAndCovered(t *testing.T) {

@@ -48,9 +48,10 @@ func BenchmarkSemstoreParallelSelectIn(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		var ids []int32
+		cols := make([]storage.Column, len(meta.Schema))
 		for pb.Next() {
 			ids = ids[:0]
-			if _, all := s.SelectIn(meta, boxes, &ids); !all && len(ids) == 0 {
+			if _, all := s.SelectIn(meta, boxes, &ids, cols); !all && len(ids) == 0 {
 				b.Fatal("probe found no rows")
 			}
 		}

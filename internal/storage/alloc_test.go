@@ -53,8 +53,7 @@ func TestHashJoinAllocations(t *testing.T) {
 func streamNations(d *workload.TPCH, agg *storage.Aggregator) {
 	a := storage.NewArena()
 	defer a.Release()
-	cust := a.Source(d.Customer.Schema, a.View(d.CustomerRows), a.List(0), true)
-	orders := a.Source(d.Orders.Schema, a.View(d.OrdersRows), a.List(0), true)
+	cust, orders := a.Whole(d.Customer.Schema, d.CustomerRows), a.Whole(d.Orders.Schema, d.OrdersRows)
 	row := make(value.Row, 1)
 	a.EachPair(cust, orders, []storage.Col{{In: 0, Col: 0}}, []storage.Col{{In: 0, Col: 1}}, func(c, _ int) {
 		row[0] = d.CustomerRows[c][1]
@@ -123,8 +122,7 @@ func BenchmarkJoinTPCH(b *testing.B) {
 			a := storage.NewArena()
 			defer a.Release()
 			for i := 0; i < b.N; i++ {
-				l := a.Source(c.l.Schema, a.View(c.l.Rows), a.List(0), true)
-				r := a.Source(c.r.Schema, a.View(c.r.Rows), a.List(0), true)
+				l, r := a.Whole(c.l.Schema, c.l.Rows), a.Whole(c.r.Schema, c.r.Rows)
 				if t := a.Join(l, r, []storage.Col{{In: 0, Col: c.lc}}, []storage.Col{{In: 0, Col: c.rc}}); t.N == 0 {
 					b.Fatal("empty join")
 				}

@@ -5,10 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"payless/internal/chunk"
 	"payless/internal/value"
 )
 
@@ -277,10 +277,9 @@ func flat(t Tuples, cols []int) []Col {
 	return out
 }
 
-// whole is r as the tuples of one input, every row in order.
-func whole(r Relation) Tuples {
-	return Tuples{In: []Input{{Schema: r.Schema, Rows: chunk.View(nil, r.Rows)}}, N: len(r.Rows)}
-}
+// whole is r as the tuples of one input, every row in order, in an arena
+// of its own.
+func whole(r Relation) Tuples { return NewArena().Whole(r.Schema, r.Rows) }
 
 // streamJoin feeds agg the rows l++r of every pair EachPair visits over l
 // and r, as the engine streams an aggregate's last join.
@@ -300,7 +299,7 @@ func streamJoin(l, r Relation, lc, rc []int, agg *Aggregator) {
 func joinKeep(l, r Relation, lc, rc, keep []int) Relation {
 	a := NewArena()
 	defer a.Release()
-	lt, rt := a.Source(l.Schema, a.View(l.Rows), a.List(0), true), a.Source(r.Schema, a.View(r.Rows), a.List(0), true)
+	lt, rt := a.Whole(l.Schema, l.Rows), a.Whole(r.Schema, r.Rows)
 	t := a.Join(lt, rt, flat(lt, lc), flat(rt, rc))
 	return t.Project(flat(t, keep))
 }
@@ -505,7 +504,7 @@ func TestDenseKeysMatchStringKeys(t *testing.T) {
 		if len(l.Rows) < len(r.Rows) {
 			bRows = l.Rows
 		}
-		_, _, dense := denseKeys(chunk.View(nil, bRows), []int{0})
+		_, _, dense := denseKeys(&keys{t: whole(Relation{Schema: r.Schema, Rows: bRows}), ks: []Col{{0, 0}}})
 		if bRows[0][0] != b.Rows[0][0] { // the build is b whenever the test means it to be
 			t.Fatalf("iter %d: the build side is not the dense-keyed relation", iter)
 		}
@@ -538,16 +537,16 @@ func TestTupleChainsMatchRowJoins(t *testing.T) {
 			return randomRelation(rng, fmt.Sprintf("t%d_", i), 1+rng.Intn(3), sizes[rng.Intn(len(sizes))], pool)
 		}
 		ref := rel(0)
-		cur := a.Source(ref.Schema, a.View(ref.Rows), a.List(0), true)
+		cur := a.Whole(ref.Schema, ref.Rows)
 		if rng.Intn(2) == 0 { // a selection of ids, not every row
-			ids := a.List(0)
+			var ids []int32
 			for i := range ref.Rows {
 				if rng.Intn(3) > 0 {
-					*ids = append(*ids, int32(i))
+					ids = append(ids, int32(i))
 				}
 			}
-			cur = a.Source(ref.Schema, a.View(ref.Rows), ids, false)
-			ref = refSelect(ref, *ids)
+			cur = a.Filter(cur, func(i int) bool { _, ok := slices.BinarySearch(ids, int32(i)); return ok })
+			ref = refSelect(ref, ids)
 		}
 		steps := 1 + rng.Intn(3)
 		for step := 1; step <= steps; step++ {
@@ -556,13 +555,15 @@ func TestTupleChainsMatchRowJoins(t *testing.T) {
 			lc, rc := randomCols(rng, nk, len(ref.Schema)), randomCols(rng, nk, len(next.Schema))
 			what := fmt.Sprintf("iter %d step %d (%d x %d rows, lc=%v rc=%v)", iter, step, ref.Len(), next.Len(), lc, rc)
 			want := refHashJoin(ref, next, lc, rc)
-			in := a.Source(next.Schema, a.View(next.Rows), a.List(0), true)
+			in := a.Whole(next.Schema, next.Rows)
 			if step == steps && iter%2 == 0 {
 				var got []value.Row
 				a.EachPair(cur, in, flat(cur, lc), flat(in, rc), func(li, ri int) {
 					var row value.Row
 					for k := range cur.In {
-						row = append(row, cur.Row(k, li)...)
+						for c := range cur.In[k].Schema {
+							row = append(row, cur.Value(Col{k, c}, li))
+						}
 					}
 					got = append(got, append(row, next.Rows[ri]...))
 				})
@@ -578,7 +579,7 @@ func TestTupleChainsMatchRowJoins(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				c, v := rng.Intn(len(ref.Schema)), keyValues[rng.Intn(pool)]
 				at, src := flat(cur, []int{c})[0], cur
-				cur = a.Filter(src, func(i int) bool { return !src.Row(at.In, i)[at.Col].Equal(v) })
+				cur = a.Filter(src, func(i int) bool { return !src.Value(at, i).Equal(v) })
 				ref = ref.Select(func(row value.Row) bool { return !row[c].Equal(v) })
 				sameRelation(t, what+" Filter", cur.Project(flat(cur, all)), ref)
 			}

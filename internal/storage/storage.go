@@ -165,12 +165,58 @@ func (r Relation) Distinct() Relation {
 // Col is column Col of input In of a Tuples.
 type Col struct{ In, Col int }
 
-// Input is one relation a Tuples reads: its rows, through the ids that
-// select them, or every row in order where Ids is nil. The rows are a
-// chunk list: the store's own, or a view of a flat list.
+// Column is one column of a relation, read by row id. The semantic store's
+// columns are typed: an Int column of int64s (IntColumn), a categorical
+// column of indexes into its domain (DomainColumn), any other of values
+// (ValueColumn). A row list — a local table, or rows bought without the
+// store — is read a column of its rows at a time (Arena.Whole).
+type Column struct {
+	ints chunk.List[int64]
+	vals chunk.List[value.Value]
+	dom  []value.Value
+	rows []value.Row
+	col  int32
+	kind colKind
+}
+
+type colKind uint8
+
+const (
+	valCol colKind = iota // the zero Column holds no values
+	intCol
+	domCol
+	rowCol
+)
+
+// IntColumn is the Int column whose values are ints.
+func IntColumn(ints chunk.List[int64]) Column { return Column{ints: ints, kind: intCol} }
+
+// DomainColumn is the column whose row id holds dom[idx.At(id)].
+func DomainColumn(idx chunk.List[int64], dom []value.Value) Column {
+	return Column{ints: idx, dom: dom, kind: domCol}
+}
+
+// ValueColumn is the column of the values vals.
+func ValueColumn(vals chunk.List[value.Value]) Column { return Column{vals: vals} }
+
+// At returns the value of row id.
+func (c *Column) At(id int) value.Value {
+	switch c.kind {
+	case intCol:
+		return value.NewInt(c.ints.At(id))
+	case domCol:
+		return c.dom[c.ints.At(id)]
+	case rowCol:
+		return c.rows[id][c.col]
+	}
+	return c.vals.At(id)
+}
+
+// Input is one relation a Tuples reads: its columns, through the ids that
+// select their rows, or every row in order where Ids is nil.
 type Input struct {
 	Schema value.Schema
-	Rows   chunk.List[value.Row]
+	Cols   []Column
 	Ids    []int32
 }
 
@@ -185,8 +231,8 @@ type Tuples struct {
 	own *[]int32 // the arena list the ids are carved from
 }
 
-// Row is input k's row in tuple i.
-func (t Tuples) Row(k, i int) value.Row { return t.In[k].Rows.At(int(t.id(k, i))) }
+// Value is column c's value in tuple i.
+func (t Tuples) Value(c Col, i int) value.Value { return t.In[c.In].Cols[c.Col].At(int(t.id(c.In, i))) }
 
 func (t Tuples) id(k, i int) int32 {
 	if ids := t.In[k].Ids; ids != nil {
@@ -206,47 +252,95 @@ func (t Tuples) Column(name string) Col {
 }
 
 // Project materialises the columns cols of every tuple, in order. All the
-// columns of one input, in their own order, are its rows, uncopied: only
-// the list is new.
+// columns of one input read from a row list, in their own order, are its
+// rows, uncopied: only the list is new.
 func (t Tuples) Project(cols []Col) Relation {
 	w := len(cols)
 	out := Relation{Schema: make(value.Schema, w), Rows: make([]value.Row, t.N)}
-	whole := len(t.In) == 1 && w == len(t.In[0].Schema)
+	whole := len(t.In) == 1 && w == len(t.In[0].Schema) && w > 0 && t.In[0].Cols[0].kind == rowCol
 	for i, c := range cols {
 		out.Schema[i] = t.In[c.In].Schema[c.Col]
 		whole = whole && c.Col == i
 	}
-	var vals []value.Value
-	if !whole {
-		vals = make([]value.Value, t.N*w)
+	if whole {
+		rows := t.In[0].Cols[0].rows
+		for i := range out.Rows {
+			out.Rows[i] = rows[t.id(0, i)]
+		}
+		return out
 	}
+	vals := make([]value.Value, t.N*w)
 	for i := range out.Rows {
-		if whole {
-			out.Rows[i] = t.Row(0, i)
-			continue
+		out.Rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
+	}
+	for j, c := range cols {
+		col := &t.In[c.In].Cols[c.Col]
+		for i, row := range out.Rows {
+			row[j] = col.At(int(t.id(c.In, i)))
 		}
-		row := vals[i*w : (i+1)*w : (i+1)*w]
-		for j, c := range cols {
-			row[j] = t.Row(c.In, i)[c.Col]
+	}
+	return out
+}
+
+// Render renders the columns cols of every tuple as RenderRows renders
+// their Project, straight from the columns: no row of values is built.
+func (t Tuples) Render(cols []Col) [][]string {
+	return renderText(t.N, len(cols), func(i, j int) value.Value { return t.Value(cols[j], i) })
+}
+
+// RenderRows renders rows, all of one width, as strings in value.Value.String
+// form. No rows render as nil.
+func RenderRows(rows []value.Row) [][]string {
+	if len(rows) == 0 {
+		return nil
+	}
+	return renderText(len(rows), len(rows[0]), func(i, j int) value.Value { return rows[i][j] })
+}
+
+// renderText renders n rows of w cells, cell(i, j) the j-th of row i, in a
+// fixed number of allocations whatever the row count: one flat cell array
+// the rows slice, and one text slab that numeric cells are substrings of (a
+// strings.Builder never moves or changes bytes it has written). A string
+// cell is the dictionary's own text.
+func renderText(n, w int, cell func(i, j int) value.Value) [][]string {
+	if n == 0 {
+		return nil
+	}
+	out, cells := make([][]string, n), make([]string, n*w)
+	var slab strings.Builder
+	slab.Grow(8 * len(cells))
+	var text [32]byte // the longest Int or Float text is 24 bytes
+	for i := range out {
+		out[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		for j := range out[i] {
+			switch v := cell(i, j); v.K {
+			case value.String:
+				out[i][j] = v.Str()
+			case value.Null:
+				out[i][j] = "NULL"
+			default:
+				from := slab.Len()
+				slab.Write(v.AppendText(text[:0]))
+				out[i][j] = slab.String()[from:]
+			}
 		}
-		out.Rows[i] = row
 	}
 	return out
 }
 
 // Arena is a query's join memory: the id lists of its tuples, the inputs
-// they read and a join's scratch. A join takes a list for its result and
-// gives back the lists of the tuples it consumed, so a chain of joins cycles
-// through three lists, and a pool hands the arena, all its lists free, on to
-// the next query. Nothing a query returns may point into it.
+// and columns they read and a join's scratch. A join takes a list for its
+// result and gives back the lists of the tuples it consumed, so a chain of
+// joins cycles through three lists, and a pool hands the arena, all its
+// lists free, on to the next query. Nothing a query returns may point into
+// it.
 type Arena struct {
 	lists  []*[]int32       // every list the arena has
 	free   []*[]int32       // the lists no tuples use
 	inputs []Input          // carved into Tuples.In until Release
-	dirs   [][]value.Row    // carved into View's chunk directories until Release
-	rows   [2][]value.Row   // a join's gathered key rows, a list a side
-	keys   [2][]value.Value // key values gathered from several inputs
-	cols   [2][]int         // a join's key columns in its key rows
+	cols   []Column         // carved into Input.Cols until Release
+	keys   [2][]value.Value // a join's key values, a list a side
+	rows   [2][]value.Row   // rows of those values, a list a side
 	links  []int32          // a join's match lists
 }
 
@@ -261,11 +355,10 @@ func NewArena() *Arena { return arenas.Get().(*Arena) }
 // be used afterwards.
 func (a *Arena) Release() {
 	clear(a.inputs)
-	clear(a.dirs)
-	clear(a.rows[0])
-	clear(a.rows[1])
-	a.inputs, a.dirs, a.free = a.inputs[:0], a.dirs[:0], append(a.free[:0], a.lists...)
-	size := 4*cap(a.links) + 24*(cap(a.dirs)+cap(a.rows[0])+cap(a.rows[1])) + 16*(cap(a.keys[0])+cap(a.keys[1]))
+	clear(a.cols) // or the pool would keep the columns' chunks alive
+	a.inputs, a.cols, a.free = a.inputs[:0], a.cols[:0], append(a.free[:0], a.lists...)
+	size := 4*cap(a.links) + 24*(cap(a.rows[0])+cap(a.rows[1])) + 16*(cap(a.keys[0])+cap(a.keys[1])) +
+		120*cap(a.cols) // a Column is 120 bytes
 	for _, l := range a.lists {
 		size += 4 * cap(*l)
 	}
@@ -292,24 +385,31 @@ func (a *Arena) carve(n int) []Input {
 	return a.inputs[len(a.inputs)-n : len(a.inputs) : len(a.inputs)]
 }
 
-// View returns rows as a chunk list sub-sliced from them, its directory
-// carved from a's: a local table, or rows bought without the store, read
-// as the store's are.
-func (a *Arena) View(rows []value.Row) chunk.List[value.Row] {
-	n, k := len(a.dirs), (len(rows)+chunk.Len-1)>>chunk.Bits
-	a.dirs = slices.Grow(a.dirs, k)[:n+k]
-	return chunk.View(a.dirs[n:n+k:n+k], rows)
+// Columns returns n columns carved from a's, for the store to fill.
+func (a *Arena) Columns(n int) []Column {
+	a.cols = slices.Grow(a.cols, n)[:len(a.cols)+n]
+	return a.cols[len(a.cols)-n : len(a.cols) : len(a.cols)]
 }
 
-// Source is the tuples of one input: the rows of schema that the ids in
-// list, from List, select, or every row when all.
-func (a *Arena) Source(schema value.Schema, rows chunk.List[value.Row], list *[]int32, all bool) Tuples {
-	t := Tuples{In: a.carve(1), N: rows.Len(), own: list}
-	t.In[0] = Input{Schema: schema, Rows: rows}
+// Source is the tuples of one input: of the n rows of schema held in cols,
+// the ones the ids in list, from List, select, or every row when all.
+func (a *Arena) Source(schema value.Schema, cols []Column, n int, list *[]int32, all bool) Tuples {
+	t := Tuples{In: a.carve(1), N: n, own: list}
+	t.In[0] = Input{Schema: schema, Cols: cols}
 	if !all {
 		t.In[0].Ids, t.N = *list, len(*list)
 	}
 	return t
+}
+
+// Whole is the tuples of every row of rows, in order: column c of the
+// input reads value c of each row.
+func (a *Arena) Whole(schema value.Schema, rows []value.Row) Tuples {
+	cols := a.Columns(len(schema))
+	for c := range cols {
+		cols[c] = Column{rows: rows, col: int32(c), kind: rowCol}
+	}
+	return a.Source(schema, cols, len(rows), a.List(0), true)
 }
 
 // Filter keeps the tuples keep accepts, in order, compacting t's ids in
@@ -392,17 +492,15 @@ func (a *Arena) match(l, r Tuples, lk, rk []Col) matches {
 	if len(lk) != len(rk) {
 		lk, rk = nil, nil
 	}
-	probe, pc := a.keyRows(0, l, lk)
-	build, bc := a.keyRows(1, r, rk)
-	if len(pc) == 0 { // the empty key: every row meets every row
-		bc, pc = []int{}, []int{}
-	} else if m.swapped = probe.Len() < build.Len(); m.swapped {
-		build, probe, bc, pc = probe, build, pc, bc
+	probe, build := keys{l, lk, 0}, keys{r, rk, 1}
+	// With the empty key every row meets every row, left-major.
+	if m.swapped = len(lk) > 0 && l.N < r.N; m.swapped {
+		build, probe = probe, build
 	}
 	// Filled from the back, the table ends up holding each key's first
 	// build row, and next[i] is the build row after i with its key.
-	lo, span, dense := denseKeys(build, bc)
-	nb, np := build.Len(), probe.Len()
+	lo, span, dense := denseKeys(&build)
+	nb, np := build.t.N, probe.t.N
 	if need := nb + 2*np + 1 + span; cap(a.links) < need {
 		a.links = make([]int32, need)
 	}
@@ -412,37 +510,27 @@ func (a *Arena) match(l, r Tuples, lk, rk []Col) matches {
 		// Integer keys in a short range index an array of each key's first
 		// build row + 1 directly: no hash and no probe loop. Its last entry
 		// stays 0, the miss every key outside the range reads.
-		heads, c := buf[nb+2*np+1:nb+2*np+1+span], bc[0]
+		heads, last := buf[nb+2*np+1:nb+2*np+1+span], uint64(span-1)
 		clear(heads)
-		for ch := build.Chunks() - 1; ch >= 0; ch-- {
-			rows, next := build.Chunk(ch), m.next[ch<<chunk.Bits:]
-			for j := len(rows) - 1; j >= 0; j-- {
-				k := value.NumericKey.Canonical(rows[j][c]).Int64() - lo
-				next[j], heads[k] = heads[k]-1, int32(ch<<chunk.Bits+j+1)
-			}
+		for j := nb - 1; j >= 0; j-- {
+			x, _ := build.int(j)
+			m.next[j], heads[x-lo] = heads[x-lo]-1, int32(j+1)
 		}
-		c, last := pc[0], uint64(span-1)
-		for ch := range probe.Chunks() {
-			first := m.first[ch<<chunk.Bits:]
-			for p, r := range probe.Chunk(ch) {
-				v, k := value.NumericKey.Canonical(r[c]), last
-				if v.K == value.Int {
-					k = min(uint64(v.Int64()-lo), last)
-				}
-				first[p] = heads[k] - 1
+		for p := range m.first {
+			k := last
+			if x, ok := probe.int(p); ok {
+				k = min(uint64(x-lo), last)
 			}
+			m.first[p] = heads[k] - 1
 		}
 	} else {
-		ht, rowAt := value.NewKeyTable(value.NumericKey, bc, nb), build.At
-		for ch := build.Chunks() - 1; ch >= 0; ch-- {
-			rows, next := build.Chunk(ch), m.next[ch<<chunk.Bits:]
-			for j := len(rows) - 1; j >= 0; j-- {
-				next[j] = int32(ht.Put(rowAt, rows[j], ch<<chunk.Bits+j))
-			}
+		// A key row holds just the key, so the table keys the whole row.
+		brows, prows := a.keyRows(&build), a.keyRows(&probe)
+		ht, rowAt := value.NewKeyTable(value.NumericKey, nil, nb), value.RowsOf(brows)
+		for j := nb - 1; j >= 0; j-- {
+			m.next[j] = int32(ht.Put(rowAt, brows[j], j))
 		}
-		for ch := range probe.Chunks() {
-			ht.Find(rowAt, probe.Chunk(ch), pc, m.first[ch<<chunk.Bits:])
-		}
+		ht.Find(rowAt, prows, nil, m.first)
 	}
 	// Keep the probe rows that met a build row, in order, without a branch
 	// on each: every row is written at the end of the kept ones, and only a
@@ -457,67 +545,61 @@ func (a *Arena) match(l, r Tuples, lk, rk []Col) matches {
 	return m
 }
 
-// keyRows returns a row per tuple of t holding its key columns ks, and
-// where in the rows they are: when ks are one input's, its rows, as they
-// are when it reads them all, else gathered through its ids; else ks'
-// values, gathered. The lists are the arena's, one set a side.
-func (a *Arena) keyRows(side int, t Tuples, ks []Col) (chunk.List[value.Row], []int) {
-	k, rows, cols := 0, a.rows[side][:0], a.cols[side][:0] // k: the input holding every key, or -1
-	for _, c := range ks {
-		cols = append(cols, c.Col)
-		if k = ks[0].In; c.In != k {
-			k = -1
-			break
-		}
-	}
-	switch {
-	case k >= 0 && t.In[k].Ids == nil && t.N == t.In[k].Rows.Len(): // not an empty list of ids
-		a.cols[side] = cols
-		return t.In[k].Rows, cols
-	case k >= 0:
-		rows = slices.Grow(rows, t.N)
-		for _, id := range t.In[k].Ids[:t.N] {
-			rows = append(rows, t.In[k].Rows.At(int(id)))
-		}
-		a.rows[side] = rows
-	default:
-		keys := slices.Grow(a.keys[side][:0], t.N*len(ks)) // never regrown: rows point into it
-		rows, cols = slices.Grow(rows, t.N), cols[:0]
-		for i := range t.N {
-			for _, c := range ks {
-				keys = append(keys, t.Row(c.In, i)[c.Col])
-			}
-			rows = append(rows, keys[len(keys)-len(ks):len(keys):len(keys)])
-		}
-		for j := range ks {
-			cols = append(cols, j)
-		}
-		a.rows[side], a.keys[side] = rows, keys
-	}
-	a.cols[side] = cols
-	return a.View(rows), cols
+// keys is one side of a join: the key columns ks of the tuples t, whose
+// gathered rows take the arena's lists of side.
+type keys struct {
+	t    Tuples
+	ks   []Col
+	side int
 }
 
-// denseKeys reports whether match can index its build rows' keys directly:
-// a key of one column, an integer under value.NumericKey in every build row,
-// the keys spanning no more values than 9 per row (4 bytes a value, never
-// more than a key table's 36 bytes a row, plus 256). span counts the values
-// from lo up, plus one for the miss.
-func denseKeys(build chunk.List[value.Row], bc []int) (lo int64, span int, ok bool) {
-	if len(bc) != 1 || build.Len() == 0 {
+// int returns tuple i's key, one column's, and whether it is an integer
+// under value.NumericKey: an Int column's value as it is, any other value
+// made canonical.
+func (k *keys) int(i int) (int64, bool) {
+	c := k.ks[0]
+	col, id := &k.t.In[c.In].Cols[c.Col], int(k.t.id(c.In, i))
+	if col.kind == intCol {
+		return col.ints.At(id), true
+	}
+	v := value.NumericKey.Canonical(col.At(id))
+	return v.Int64(), v.K == value.Int
+}
+
+// keyRows gathers a row of k's key values per tuple into the arena's lists
+// of its side.
+func (a *Arena) keyRows(k *keys) []value.Row {
+	n, w := k.t.N, len(k.ks)
+	vals := slices.Grow(a.keys[k.side][:0], n*w) // never regrown: rows point into it
+	rows := slices.Grow(a.rows[k.side][:0], n)
+	for i := range n {
+		for _, c := range k.ks {
+			vals = append(vals, k.t.Value(c, i))
+		}
+		rows = append(rows, vals[len(vals)-w:len(vals):len(vals)])
+	}
+	a.keys[k.side], a.rows[k.side] = vals, rows
+	return rows
+}
+
+// denseKeys reports whether match can index its build keys directly: one
+// key column, an integer in every build tuple, the keys spanning no more
+// values than 9 per tuple (4 bytes a value, never more than a key table's
+// 36 bytes a row, plus 256). span counts the values from lo up, plus one
+// for the miss.
+func denseKeys(build *keys) (lo int64, span int, ok bool) {
+	if len(build.ks) != 1 || build.t.N == 0 {
 		return 0, 0, false
 	}
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for ch := range build.Chunks() {
-		for _, r := range build.Chunk(ch) {
-			v := value.NumericKey.Canonical(r[bc[0]])
-			if v.K != value.Int {
-				return 0, 0, false
-			}
-			lo, hi = min(lo, v.Int64()), max(hi, v.Int64())
+	for i := range build.t.N {
+		x, ok := build.int(i)
+		if !ok {
+			return 0, 0, false
 		}
+		lo, hi = min(lo, x), max(hi, x)
 	}
-	if w := uint64(hi - lo); w < uint64(9*build.Len()+64) {
+	if w := uint64(hi - lo); w < uint64(9*build.t.N+64) {
 		return lo, int(w) + 2, true
 	}
 	return 0, 0, false
@@ -549,7 +631,7 @@ func HashJoin(r, s Relation, lc, rc []int) Relation {
 	for _, c := range rc {
 		rk = append(rk, Col{0, c})
 	}
-	t := a.Join(a.Source(r.Schema, a.View(r.Rows), a.List(0), true), a.Source(s.Schema, a.View(s.Rows), a.List(0), true), lk, rk)
+	t := a.Join(a.Whole(r.Schema, r.Rows), a.Whole(s.Schema, s.Rows), lk, rk)
 	for k, in := range t.In {
 		for c := range in.Schema {
 			all = append(all, Col{k, c})

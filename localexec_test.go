@@ -158,8 +158,8 @@ func tpchClient(t testing.TB, planCache int, buy ...string) (*Client, *workload.
 	return c, d
 }
 
-// TestRenderRowsIsValueString: the slab rendering of a result equals the
-// per-cell value.Value.String rendering, over random relations of every
+// TestRenderRowsIsValueString: the slab rendering of a result
+// (storage.RenderRows) equals the per-cell value.Value.String rendering, over random relations of every
 // kind and the float and integer corners, and keeps rows apart: appending
 // to one row never writes into the next.
 func TestRenderRowsIsValueString(t *testing.T) {
@@ -182,7 +182,7 @@ func TestRenderRowsIsValueString(t *testing.T) {
 			return value.NewString(fmt.Sprintf("s%d", rng.Intn(100)))
 		}
 	}
-	if got := renderRows(nil); got != nil {
+	if got := storage.RenderRows(nil); got != nil {
 		t.Fatalf("no rows render as %#v, want nil", got)
 	}
 	for trial := 0; trial < 200; trial++ {
@@ -197,7 +197,7 @@ func TestRenderRowsIsValueString(t *testing.T) {
 				want[r][i] = rows[r][i].String()
 			}
 		}
-		got := renderRows(rows)
+		got := storage.RenderRows(rows)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: rendered\n%q\nwant\n%q", trial, got, want)
 		}

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -799,7 +798,7 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 		Metrics:     c.metrics,
 	}
 	endExec := tr.StartSpan("execute")
-	rel, report, err := eng.ExecuteContext(ctx, plan)
+	cols, rows, report, err := eng.ExecuteText(ctx, plan)
 	endExec(err)
 	// A failed statement may still have spent money before dying. That
 	// spend is real — and not wasted: every salvaged call's rows were
@@ -817,7 +816,8 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 	}
 
 	res := &Result{
-		Columns:         rel.Schema.Names(),
+		Columns:         cols,
+		Rows:            rows,
 		Report:          report,
 		EstTransactions: plan.EstTrans,
 		Counters:        plan.Counters,
@@ -825,52 +825,12 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 		OptimizeTime:    plan.Optimized,
 		Planner:         plan.Planner,
 	}
-	res.Rows = renderRows(rel.Rows)
 	c.metrics.ObserveQuery(time.Since(start), res.OptimizeTime,
 		report.Calls, report.Records, report.Transactions, report.Price)
 	c.finishTrace(tr)
 	res.Trace = tr
 	c.writeAudit(sql, res)
 	return res, nil
-}
-
-// renderRows renders rows as strings in value.Value.String form, in a fixed
-// number of allocations whatever the row count: one flat cell array the rows
-// slice, and one text slab that numeric cells are substrings of. A string
-// cell is the dictionary's own text. No rows render as nil.
-func renderRows(rows []value.Row) [][]string {
-	if len(rows) == 0 {
-		return nil
-	}
-	n := 0
-	for _, row := range rows {
-		n += len(row)
-	}
-	out := make([][]string, len(rows))
-	cells := make([]string, n)
-	// Bytes a strings.Builder has written never move or change, so a
-	// substring taken before the slab grows stays valid after it.
-	var slab strings.Builder
-	slab.Grow(8 * n)
-	var text [32]byte // the longest Int or Float text is 24 bytes
-	for r, row := range rows {
-		enc := cells[:len(row):len(row)]
-		cells = cells[len(row):]
-		for i, v := range row {
-			switch v.K {
-			case value.String:
-				enc[i] = v.Str()
-			case value.Null:
-				enc[i] = "NULL"
-			default:
-				from := slab.Len()
-				slab.Write(v.AppendText(text[:0]))
-				enc[i] = slab.String()[from:]
-			}
-		}
-		out[r] = enc
-	}
-	return out
 }
 
 // failed books a statement that returns err: the error counter and the
