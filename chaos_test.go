@@ -15,12 +15,13 @@ import (
 
 	"payless/internal/chaos"
 	"payless/internal/connector"
+	"payless/internal/federation"
 	"payless/internal/market"
 	"payless/internal/storage"
 	"payless/internal/workload"
 )
 
-// The chaos suite drives the full HTTP stack — connector retries, the
+// The chaos suite drives the full HTTP stack — federation retries, the
 // market's replay ledger, engine salvage — under seeded fault schedules and
 // checks the billing invariants of ROADMAP's failure model:
 //
@@ -57,19 +58,22 @@ func buildChaosMarket(t *testing.T) (*market.Market, *workload.WHW) {
 	return m, w
 }
 
+// chaosRetry is the suites' retry schedule: 13 attempts per page, backing
+// off 1 → 5 ms, so injected faults are survivable without slowing the suite
+// down.
+var chaosRetry = federation.Retry{Attempts: 13, Base: time.Millisecond, Max: 5 * time.Millisecond}
+
 // openChaosClient opens a client over HTTP with an aggressive retry budget
 // and fast backoff, so injected faults are survivable without slowing the
 // suite down.
 func openChaosClient(t *testing.T, baseURL string, tables *workload.WHW, m *market.Market) *Client {
 	t.Helper()
-	cli := connector.New(baseURL, "acct",
-		connector.WithRetries(12),
-		connector.WithBackoff(time.Millisecond, 5*time.Millisecond))
 	client, err := Open(Config{
 		Tables:                      m.ExportCatalog(),
-		Caller:                      cli,
+		Caller:                      connector.New(baseURL, "acct"),
 		DefaultTuplesPerTransaction: 100,
 		FetchConcurrency:            8,
+		retry:                       chaosRetry,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,13 +214,12 @@ func TestCallRetriesCountedTracedOrNot(t *testing.T) {
 		srv := httptest.NewServer(chaos.Handler(m.Handler(), s))
 		defer srv.Close()
 		client, err := Open(Config{
-			Tables: m.ExportCatalog(),
-			Caller: connector.New(srv.URL, "acct",
-				connector.WithRetries(12),
-				connector.WithBackoff(time.Millisecond, 5*time.Millisecond)),
+			Tables:                      m.ExportCatalog(),
+			Caller:                      connector.New(srv.URL, "acct"),
 			DefaultTuplesPerTransaction: 100,
 			FetchConcurrency:            1,
 			Tracer:                      tracer,
+			retry:                       chaosRetry,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -442,5 +445,61 @@ func TestCancelDuringMultiPageFetch(t *testing.T) {
 	want *= 10 // days
 	if len(res.Rows) != want {
 		t.Fatalf("retry returned %d rows, want %d", len(res.Rows), want)
+	}
+}
+
+// TestRetryWireAttemptsPinned pins what a fault costs on the wire. The 20
+// seeded schedules of TestChaosInvariants run serially (FetchConcurrency 1)
+// over 40-row pages. Under chaosRetry they take 266 data requests, 55 of
+// them retries, and every query succeeds; at three attempts a page, 263
+// requests and 53 retries, and two queries run out of attempts. A retried
+// multi-page call resumes at the page that failed, and each page gets its
+// own allowance of attempts; restarting at page 0 adds requests, and a
+// per-call allowance fails more queries.
+func TestRetryWireAttemptsPinned(t *testing.T) {
+	smallPages(t, 40)
+	_, w := buildChaosMarket(t)
+	for _, tc := range []struct {
+		attempts                  int
+		requests, retries, failed int64
+	}{{chaosRetry.Attempts, 266, 55, 0}, {3, 263, 53, 2}} {
+		retry := chaosRetry
+		retry.Attempts = tc.attempts
+		var requests, retries, failed int64
+		for seed := int64(0); seed < 20; seed++ {
+			m, _ := buildChaosMarket(t)
+			s := chaos.NewSchedule(seed).
+				Rate(chaos.Reject, 0.07).
+				Rate(chaos.ServerError, 0.05).
+				Rate(chaos.Drop, 0.07).
+				Rate(chaos.Truncate, 0.06)
+			inner := chaos.Handler(m.Handler(), s)
+			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				atomic.AddInt64(&requests, 1)
+				inner.ServeHTTP(rw, r)
+			}))
+			client, err := Open(Config{
+				Tables:                      m.ExportCatalog(),
+				Caller:                      connector.New(srv.URL, "acct"),
+				DefaultTuplesPerTransaction: 100,
+				FetchConcurrency:            1,
+				retry:                       retry,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range chaosQueries(w) {
+				if _, err := client.Query(q); err != nil {
+					failed++
+				}
+			}
+			retries += client.Metrics().Retries
+			client.Close()
+			srv.Close()
+		}
+		if requests != tc.requests || retries != tc.retries || failed != tc.failed {
+			t.Errorf("%d attempts a page: %d wire requests, %d retries, %d failed queries; want %d, %d, %d",
+				tc.attempts, requests, retries, failed, tc.requests, tc.retries, tc.failed)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"payless/internal/connector"
+	"payless/internal/federation"
 	"payless/internal/market"
 	"payless/internal/storage"
 	"payless/internal/workload"
@@ -170,7 +171,7 @@ func TestParallelFetchStress(t *testing.T) {
 		time.Sleep(time.Millisecond) // injected network latency
 		if n%9 == 0 {
 			// Transient fault before the market sees the call: nothing is
-			// billed, so the connector's retry is free.
+			// billed, so the retry is free.
 			http.Error(rw, "spurious overload", http.StatusServiceUnavailable)
 			return
 		}
@@ -178,14 +179,12 @@ func TestParallelFetchStress(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	conn := connector.New(srv.URL, "stress",
-		connector.WithRetries(4),
-		connector.WithBackoff(time.Millisecond, 5*time.Millisecond))
 	client, err := Open(Config{
 		Tables:               append(m.ExportCatalog(), w.ZipMap),
-		Caller:               conn,
+		Caller:               connector.New(srv.URL, "stress"),
 		TuplesPerTransaction: map[string]int{"WHW": 100},
 		FetchConcurrency:     8,
+		retry:                federation.Retry{Attempts: 5, Base: time.Millisecond, Max: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

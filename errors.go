@@ -7,7 +7,7 @@ import (
 
 	"payless/internal/connector"
 	"payless/internal/engine"
-	"payless/internal/overload"
+	"payless/internal/market"
 )
 
 // The error taxonomy. Every failure a Client returns is matchable with
@@ -57,18 +57,17 @@ type PartialError = engine.PartialError
 // ErrCircuitOpen marks a call short-circuited by open circuit breakers
 // (see Config.Calls): every endpoint serving the dataset
 // refused. It surfaces wrapped in the execute stage's PartialError.
-var ErrCircuitOpen = overload.ErrCircuitOpen
+var ErrCircuitOpen = market.ErrCircuitOpen
 
 // ErrRetryBudget marks a retry, failover or hedge denied because the
 // query's retry-token budget ran out: transport retries, failovers and
-// hedges each spend one token from a per-query pool of
-// overload.DefaultBaseCredit plus half a token per logical call. It is
-// deliberately distinct from ErrCircuitOpen: the budget says "this query
-// has amplified enough — stop multiplying attempts", the breaker says
-// "this market is known dead — stop calling it at all". It surfaces
-// wrapped in the execute stage, usually inside a PartialError carrying
-// whatever the query billed before giving up.
-var ErrRetryBudget = overload.ErrRetryBudget
+// hedges each spend one token from a per-query pool of 3 tokens plus half a
+// token per logical call. It is deliberately distinct from ErrCircuitOpen:
+// the budget says "this query has amplified enough — stop multiplying
+// attempts", the breaker says "this market is known dead — stop calling it
+// at all". It surfaces wrapped in the execute stage, usually inside a
+// PartialError carrying whatever the query billed before giving up.
+var ErrRetryBudget = market.ErrRetryBudget
 
 // CircuitOpenError is the concrete breaker-refusal error. It matches
 // errors.Is(err, ErrCircuitOpen) and carries how long until a breaker next
@@ -76,7 +75,7 @@ var ErrRetryBudget = overload.ErrRetryBudget
 //
 //	var coe *payless.CircuitOpenError
 //	if errors.As(err, &coe) { wait := coe.RetryAfter }
-type CircuitOpenError = overload.CircuitOpenError
+type CircuitOpenError = market.CircuitOpenError
 
 // Stage names the query-processing phase an error belongs to.
 type Stage string

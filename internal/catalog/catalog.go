@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"payless/internal/region"
 	"payless/internal/value"
@@ -251,6 +252,12 @@ func (c *Catalog) Register(t *Table) error {
 		case CategoricalAttr:
 			if len(a.Domain) == 0 {
 				return fmt.Errorf("table %s: categorical attribute %s has empty domain", t.Name, a.Name)
+			}
+			// The codecs write invalid UTF-8 as U+FFFD: it could not round-trip.
+			for _, v := range a.Domain {
+				if v.K == value.String && !utf8.ValidString(v.Str()) {
+					return fmt.Errorf("table %s: categorical attribute %s: domain value %q is not valid UTF-8", t.Name, a.Name, v.Str())
+				}
 			}
 		case NumericAttr:
 			if a.Min > a.Max {

@@ -580,3 +580,22 @@ func TestQueryStringIsFmtRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterRefusesInvalidUTF8Domain: every codec writes invalid UTF-8 as
+// U+FFFD, so a categorical domain value holding it could never be read back
+// from a snapshot or the wire as itself; Register refuses it.
+func TestRegisterRefusesInvalidUTF8Domain(t *testing.T) {
+	tbl := &Table{
+		Name:   "T",
+		Schema: value.Schema{{Name: "C", Type: value.String}},
+		Attrs: []Attribute{{Name: "C", Type: value.String, Binding: Free, Class: CategoricalAttr,
+			Domain: []value.Value{value.NewString("ok"), value.NewString("\xff")}}},
+	}
+	if err := New().Register(tbl); err == nil || !strings.Contains(err.Error(), "not valid UTF-8") {
+		t.Fatalf("Register: %v, want the invalid domain value refused", err)
+	}
+	tbl.Attrs[0].Domain[1] = value.NewString("�")
+	if err := New().Register(tbl); err != nil {
+		t.Fatalf("Register of a valid domain: %v", err)
+	}
+}

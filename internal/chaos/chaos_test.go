@@ -211,7 +211,7 @@ func TestHandlerTruncateDeliversHalfBody(t *testing.T) {
 		t.Fatal("expected a partial body or a read error")
 	}
 	// Either the read fails (severed mid-body) or the body is undecodable
-	// half-JSON; both force the connector down its retry path.
+	// half-JSON; both make the connector's attempt a retryable Fault.
 	meter, _ := m.MeterOf("acct")
 	if meter.Calls != 1 {
 		t.Fatalf("truncate fires after billing: %+v", meter)

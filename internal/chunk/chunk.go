@@ -1,8 +1,7 @@
 // Package chunk holds append-only lists in chunks of a fixed Len items. A
 // chunk is allocated once, when the list first needs it, and never copied:
 // a list of n items costs its items, one partly filled chunk and a
-// directory of ⌈n/Len⌉ chunk headers, however it grew. A flat slice is
-// viewed as a list by sub-slicing, without a copy.
+// directory of ⌈n/Len⌉ chunk headers, however it grew.
 package chunk
 
 // Bits is log₂ Len.
@@ -22,18 +21,6 @@ const Len = 1 << Bits
 type List[T any] struct {
 	dir [][]T
 	n   int
-}
-
-// View returns flat as a List whose chunks are sub-slices of flat, its
-// chunk directory written over dir's first ⌈len(flat)/Len⌉ headers (dir is
-// grown if it has less room).
-func View[T any](dir [][]T, flat []T) List[T] {
-	dir = dir[:0]
-	for lo := 0; lo < len(flat); lo += Len {
-		hi := min(lo+Len, len(flat))
-		dir = append(dir, flat[lo:hi:hi])
-	}
-	return List[T]{dir, len(flat)}
 }
 
 // Len returns the number of items.
@@ -57,7 +44,7 @@ func (l List[T]) AppendTo(dst []T) []T {
 }
 
 // Append adds v after the last item, allocating a chunk when the last one
-// is full. Only lists grown by Append may be appended to, never a View.
+// is full.
 func (l *List[T]) Append(v T) {
 	c := l.n >> Bits
 	if c == len(l.dir) {

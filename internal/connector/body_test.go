@@ -83,7 +83,7 @@ func TestKnownLengthPageReadOnce(t *testing.T) {
 	body := fullPage()
 	srv := pageServer(body, true)
 	defer srv.Close()
-	c := New(srv.URL, "k", WithHTTPClient(srv.Client()))
+	c := New(srv.URL, "k")
 	reused := 0
 	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
 		GotConn: func(info httptrace.GotConnInfo) {
@@ -131,7 +131,7 @@ func TestLargePageReusesItsBody(t *testing.T) {
 	}
 	srv := pageServer(body, true)
 	defer srv.Close()
-	c := New(srv.URL, "k", WithHTTPClient(srv.Client()))
+	c := New(srv.URL, "k")
 	perCall := allocatedPerRun(10, func() {
 		if _, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"}); err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func TestChunkedPageDecodesIdentically(t *testing.T) {
 		if known := resp.ContentLength >= 0; known != withLength {
 			t.Fatalf("served with length %v, but the client sees Content-Length %d", withLength, resp.ContentLength)
 		}
-		c := New(srv.URL, "k", WithHTTPClient(srv.Client()))
+		c := New(srv.URL, "k")
 		results[i], err = c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"})
 		srv.Close()
 		if err != nil {
@@ -203,8 +203,13 @@ func TestShortBodyRetriedBilledOnce(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := New(srv.URL, "k", WithHTTPClient(srv.Client()), WithRetries(2), fastBackoff())
-	res, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "WHW", Table: "Station"})
+	c := New(srv.URL, "k")
+	_, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "WHW", Table: "Station"})
+	var f *Fault
+	if !errors.As(err, &f) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a short body: %v, want a Fault wrapping an unexpected EOF", err)
+	}
+	res, err := f.Resume(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +237,7 @@ func TestOversizedContentLengthIsNotPreallocated(t *testing.T) {
 		panic(http.ErrAbortHandler)
 	}))
 	defer srv.Close()
-	c := New(srv.URL, "k", WithHTTPClient(srv.Client()), WithRetries(0))
+	c := New(srv.URL, "k")
 	_, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"})
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("a body that stops short of a terabyte Content-Length: %v, want an unexpected EOF", err)
@@ -276,7 +281,7 @@ func TestDecodedPageOutlivesItsBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := New(srv.URL, "k", WithHTTPClient(srv.Client()))
+	c := New(srv.URL, "k")
 	q := catalog.AccessQuery{Dataset: "DS", Table: "T"}
 	first, err := c.Call(context.Background(), q)
 	if err != nil {

@@ -2,7 +2,6 @@ package connector
 
 import (
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -50,7 +49,7 @@ func TestClientCatalogAndCall(t *testing.T) {
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
 
-	c := New(srv.URL, "k", WithHTTPClient(srv.Client()))
+	c := New(srv.URL, "k")
 	tables, err := c.Catalog()
 	if err != nil {
 		t.Fatal(err)
@@ -136,36 +135,8 @@ func TestClientServerErrors(t *testing.T) {
 	}
 }
 
-func TestClientRetriesTransportErrors(t *testing.T) {
-	attempts := 0
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts++
-		if attempts == 1 {
-			// Kill the connection to force a transport error.
-			hj, ok := w.(http.Hijacker)
-			if !ok {
-				t.Fatal("no hijacker")
-			}
-			conn, _, _ := hj.Hijack()
-			conn.Close()
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"Calls":0,"Records":0,"Transactions":0,"Price":0}`))
-	}))
-	defer flaky.Close()
-
-	c := New(flaky.URL, "k", WithRetries(2))
-	if _, err := c.Meter(); err != nil {
-		t.Errorf("retry should recover: %v", err)
-	}
-	if attempts != 2 {
-		t.Errorf("attempts: %d", attempts)
-	}
-}
-
 func TestClientUnreachable(t *testing.T) {
-	c := New("http://127.0.0.1:1", "k", WithRetries(0))
+	c := New("http://127.0.0.1:1", "k")
 	if _, err := c.Meter(); err == nil {
 		t.Error("unreachable server should error")
 	}

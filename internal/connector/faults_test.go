@@ -1,79 +1,13 @@
 package connector
 
 import (
-	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"payless/internal/catalog"
-	"payless/internal/market"
-	"payless/internal/overload"
 )
-
-// recordSleeps replaces the client's backoff sleep with a fake clock that
-// records each requested duration without actually waiting.
-func recordSleeps(c *Client) *[]time.Duration {
-	var mu sync.Mutex
-	slept := &[]time.Duration{}
-	c.sleep = func(ctx context.Context, d time.Duration) error {
-		mu.Lock()
-		*slept = append(*slept, d)
-		mu.Unlock()
-		return ctx.Err()
-	}
-	return slept
-}
-
-func TestRetryAfterHonored(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "slow down", http.StatusTooManyRequests)
-			return
-		}
-		w.Write([]byte(`{"Calls":1,"Records":0,"Transactions":0,"Price":0}`))
-	}))
-	defer srv.Close()
-
-	c := New(srv.URL, "k", WithRetries(2), WithBackoff(time.Millisecond, 2*time.Second))
-	slept := recordSleeps(c)
-	if _, err := c.Meter(); err != nil {
-		t.Fatal(err)
-	}
-	// The server asked for 1s; with backoffMax 2s the request is honoured
-	// exactly — no jitter, no exponential schedule.
-	if len(*slept) != 1 || (*slept)[0] != time.Second {
-		t.Fatalf("sleeps = %v, want exactly [1s]", *slept)
-	}
-}
-
-func TestRetryAfterCappedByBackoffMax(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "3600")
-			http.Error(w, "maintenance", http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte(`{"Calls":1,"Records":0,"Transactions":0,"Price":0}`))
-	}))
-	defer srv.Close()
-
-	c := New(srv.URL, "k", WithRetries(2), WithBackoff(time.Millisecond, 50*time.Millisecond))
-	slept := recordSleeps(c)
-	if _, err := c.Meter(); err != nil {
-		t.Fatal(err)
-	}
-	// An hour-long Retry-After must not stall the client past its own cap.
-	if len(*slept) != 1 || (*slept)[0] != 50*time.Millisecond {
-		t.Fatalf("sleeps = %v, want exactly [50ms]", *slept)
-	}
-}
 
 func TestParseRetryAfter(t *testing.T) {
 	mk := func(v string) http.Header {
@@ -105,86 +39,34 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-func TestMalformedBodyIsRetried(t *testing.T) {
+// TestMetadataCallsMakeOneAttempt: registration and the meter are attempted
+// once — they bill nothing, and a client's registration fails over across
+// endpoints instead — so a 429 comes straight back as a Fault carrying the
+// server's Retry-After, with no wait.
+func TestMetadataCallsMakeOneAttempt(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			// A 200 whose body was truncated mid-flight.
-			w.Write([]byte(`{"Calls":1,"Rec`))
-			return
-		}
-		w.Write([]byte(`{"Calls":1,"Records":0,"Transactions":0,"Price":0}`))
+		hits.Add(1)
+		w.Header().Set("Retry-After", "60")
+		http.Error(w, "come back later", http.StatusTooManyRequests)
 	}))
 	defer srv.Close()
 
-	c := New(srv.URL, "k", WithRetries(2), fastBackoff())
-	if _, err := c.Meter(); err != nil {
-		t.Fatalf("truncated 200 body should be retried: %v", err)
-	}
-	if hits.Load() != 2 {
-		t.Fatalf("attempts: %d, want 2", hits.Load())
-	}
-}
-
-func TestCallIDStableAcrossRetriesAndPages(t *testing.T) {
-	var mu sync.Mutex
-	var seen []string
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		seen = append(seen, r.Header.Get(market.CallIDHeader))
-		mu.Unlock()
-		n := hits.Add(1)
-		switch {
-		case n == 1:
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-		case r.URL.Query().Get("page") == "0":
-			w.Write([]byte(`{"Calls":1,"Records":2,"Transactions":1,"Price":1,"Rows":[],"NextPage":1}`))
-		default:
-			w.Write([]byte(`{"Calls":1,"Records":2,"Transactions":1,"Price":1,"Rows":[],"NextPage":0}`))
-		}
-	}))
-	defer srv.Close()
-
-	c := New(srv.URL, "k", WithRetries(2), fastBackoff())
-	if _, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 3 {
-		t.Fatalf("requests: %d, want 3 (failed attempt + retry + page 1)", len(seen))
-	}
-	if seen[0] == "" {
-		t.Fatal("data call carried no idempotency ID")
-	}
-	for i, id := range seen {
-		if id != seen[0] {
-			t.Fatalf("request %d changed call ID: %q vs %q — retries would be billed as new calls", i, id, seen[0])
+	c := New(srv.URL, "k")
+	start := time.Now()
+	_, errCatalog := c.Catalog()
+	_, errTPT := c.TuplesPerTransaction("WHW")
+	_, errMeter := c.Meter()
+	for _, err := range []error{errCatalog, errTPT, errMeter} {
+		var f *Fault
+		if !errors.As(err, &f) || f.RetryAfter != 60*time.Second {
+			t.Fatalf("want a Fault asking for 60s, got %v", err)
 		}
 	}
-}
-
-// TestInheritedCallIDSentAndNotGrantedAgain: a call that arrives carrying
-// an ID — federation assigns one above the transport — sends that ID, and,
-// already funded by the layer that assigned it, does not deposit into the
-// retry budget again.
-func TestInheritedCallIDSentAndNotGrantedAgain(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if id := r.Header.Get(market.CallIDHeader); id != "assigned-above" {
-			t.Errorf("%s header %q, want the inherited ID", market.CallIDHeader, id)
-		}
-		w.Write([]byte(`{"Calls":1,"Records":0,"Transactions":0,"Price":0,"Rows":[],"NextPage":0}`))
-	}))
-	defer srv.Close()
-
-	c := New(srv.URL, "k", fastBackoff())
-	b := overload.NewRetryBudget(0)
-	ctx := overload.WithBudget(context.Background(), b)
-	if _, err := c.Call(ctx, catalog.AccessQuery{Dataset: "DS", Table: "T", CallID: "assigned-above"}); err != nil {
-		t.Fatal(err)
+	if hits.Load() != 3 {
+		t.Fatalf("%d requests for three metadata calls, want 3", hits.Load())
 	}
-	if _, granted, _, _ := b.Stats(); granted != 0 {
-		t.Fatalf("inherited-ID call granted %v tokens, want 0", granted)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("metadata calls took %v: a Retry-After was waited", elapsed)
 	}
 }

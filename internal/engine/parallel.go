@@ -10,7 +10,6 @@ import (
 	"payless/internal/catalog"
 	"payless/internal/market"
 	"payless/internal/obs"
-	"payless/internal/overload"
 	"payless/internal/region"
 	"payless/internal/sched"
 )
@@ -246,7 +245,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 			switch {
 			case results[i] != nil:
 				pe.Salvaged++
-			case errs[i] != nil && !isContextErr(errs[i]) && !errors.Is(errs[i], overload.ErrCircuitOpen):
+			case errs[i] != nil && !isContextErr(errs[i]) && !errors.Is(errs[i], market.ErrCircuitOpen):
 				pe.Failed++
 			default:
 				// Never issued: cancelled before launch, torn down in

@@ -4,8 +4,8 @@ import (
 	"sync"
 	"time"
 
+	"payless/internal/market"
 	"payless/internal/obs"
-	"payless/internal/overload"
 )
 
 // breakerState is the classic three-state machine: closed (calls flow),
@@ -39,7 +39,7 @@ type Breaker struct {
 }
 
 // Acquire asks permission to issue one call. It returns an error matching
-// overload.ErrCircuitOpen when the circuit is open (or a probe is already in
+// market.ErrCircuitOpen when the circuit is open (or a probe is already in
 // flight half-open); otherwise it returns a release function the caller must
 // invoke exactly once with the call's resulting error: nil counts as
 // success, a context error counts as neither (the call was cancelled, the
@@ -51,7 +51,7 @@ func (b *Breaker) Acquire() (release func(callErr error), err error) {
 	case breakerOpen:
 		if since := b.now().Sub(b.openedAt); since < b.cooldown {
 			b.metrics.ObserveBreakerShortCircuit()
-			return nil, &overload.CircuitOpenError{RetryAfter: b.cooldown - since}
+			return nil, &market.CircuitOpenError{RetryAfter: b.cooldown - since}
 		}
 		// Cooldown elapsed: half-open, this caller is the probe. Concurrent
 		// callers keep short-circuiting until the probe resolves.
@@ -60,7 +60,7 @@ func (b *Breaker) Acquire() (release func(callErr error), err error) {
 		return b.releaseProbe, nil
 	case breakerHalfOpen:
 		b.metrics.ObserveBreakerShortCircuit()
-		return nil, &overload.CircuitOpenError{}
+		return nil, &market.CircuitOpenError{}
 	default:
 		return b.releaseClosed, nil
 	}

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"payless/internal/market"
 	"payless/internal/obs"
-	"payless/internal/overload"
 )
 
 // fakeClock is a manually advanced time source for breaker tests.
@@ -37,8 +37,8 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	} else {
 		release(fmt.Errorf("boom")) // third consecutive failure trips it
 	}
-	if _, err := b.Acquire(); !errors.Is(err, overload.ErrCircuitOpen) {
-		t.Fatalf("after 3 consecutive failures want overload.ErrCircuitOpen, got %v", err)
+	if _, err := b.Acquire(); !errors.Is(err, market.ErrCircuitOpen) {
+		t.Fatalf("after 3 consecutive failures want market.ErrCircuitOpen, got %v", err)
 	}
 }
 
@@ -62,13 +62,13 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	m := obs.NewMetrics()
 	b := NewBreakerSet(2, time.Minute).WithClock(clk.now).WithMetrics(m).For("DS")
 	failN(t, b, 2)
-	if _, err := b.Acquire(); !errors.Is(err, overload.ErrCircuitOpen) {
+	if _, err := b.Acquire(); !errors.Is(err, market.ErrCircuitOpen) {
 		t.Fatalf("want open, got %v", err)
 	}
 	// Cooldown not yet elapsed: still open.
 	clk.advance(59 * time.Second)
-	if _, err := b.Acquire(); !errors.Is(err, overload.ErrCircuitOpen) {
-		t.Fatalf("cooldown not elapsed, want overload.ErrCircuitOpen, got %v", err)
+	if _, err := b.Acquire(); !errors.Is(err, market.ErrCircuitOpen) {
+		t.Fatalf("cooldown not elapsed, want market.ErrCircuitOpen, got %v", err)
 	}
 	// Cooldown elapsed: exactly one probe is admitted, concurrents bounce.
 	clk.advance(2 * time.Second)
@@ -76,12 +76,12 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe should be admitted after cooldown: %v", err)
 	}
-	if _, err := b.Acquire(); !errors.Is(err, overload.ErrCircuitOpen) {
+	if _, err := b.Acquire(); !errors.Is(err, market.ErrCircuitOpen) {
 		t.Fatalf("second caller during probe must bounce, got %v", err)
 	}
 	// Failed probe re-opens for another full cooldown.
 	probe(fmt.Errorf("still down"))
-	if _, err := b.Acquire(); !errors.Is(err, overload.ErrCircuitOpen) {
+	if _, err := b.Acquire(); !errors.Is(err, market.ErrCircuitOpen) {
 		t.Fatalf("failed probe must re-open, got %v", err)
 	}
 	clk.advance(61 * time.Second)
@@ -148,7 +148,7 @@ func TestBreakerPerDatasetIsolation(t *testing.T) {
 	clk := newClock()
 	s := NewBreakerSet(2, time.Minute).WithClock(clk.now)
 	failN(t, s.For("A"), 2)
-	if _, err := s.Acquire("A"); !errors.Is(err, overload.ErrCircuitOpen) {
+	if _, err := s.Acquire("A"); !errors.Is(err, market.ErrCircuitOpen) {
 		t.Fatalf("A should be open: %v", err)
 	}
 	if release, err := s.Acquire("B"); err != nil {

@@ -16,11 +16,12 @@
 // the circuit breakers.
 //
 // Per call it (a) ranks endpoints by a price+latency+health cost model,
-// (b) fails over to the next-cheapest healthy endpoint on a hard error —
-// with circuit breakers keyed endpoint×dataset, so one dead mirror never
-// blacklists the dataset everywhere — and (c) hedges a slow call by racing
-// the next endpoint, cancelling the loser. One Policy value says how hard a
-// call may fight: when it hedges and when a failing endpoint is closed to it.
+// (b) retries an endpoint's connector.Fault with backoff — it owns every
+// attempt of a call — (c) fails over to the next-cheapest healthy endpoint
+// on a hard error, with circuit breakers keyed endpoint×dataset, and (d)
+// hedges a slow call by racing the next endpoint, cancelling the loser. One
+// Policy value says when it hedges and when a failing endpoint is closed to
+// a dataset. Every extra attempt spends a token of the query's RetryBudget.
 //
 // Billing stays exactly-once per endpoint: the federation layer assigns the
 // idempotent CallID once, above every retry and hedge, so a retry against
@@ -34,14 +35,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/connector"
 	"payless/internal/market"
 	"payless/internal/obs"
-	"payless/internal/overload"
 )
 
 // Endpoint configures one market mirror.
@@ -90,6 +92,27 @@ type Config struct {
 	// Metrics receives the payless_federation_* counter families; nil is a
 	// valid no-op sink.
 	Metrics *obs.Metrics
+	// Retry is how a visit retries an endpoint's faults; the zero value
+	// is 3 attempts a page backing off 100 ms → 2 s. Tests shorten it.
+	Retry Retry
+}
+
+// Retry is a visit's schedule: up to Attempts attempts per result page,
+// counted since the last page arrived, each retry after the server's
+// Retry-After capped at Max, or else after Base doubled per earlier retry,
+// capped at Max and jittered into its upper half.
+type Retry struct {
+	Attempts  int
+	Base, Max time.Duration
+}
+
+// delay returns the wait before retry n (n >= 1) of one page.
+func (r Retry) delay(n int, retryAfter time.Duration) time.Duration {
+	if retryAfter > 0 {
+		return min(retryAfter, r.Max)
+	}
+	d := min(r.Base<<min(n-1, 20), r.Max)
+	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
 // latencyUnit converts the cost model's latency term to a dimensionless
@@ -136,17 +159,6 @@ func (e *endpoint) observe(lat time.Duration, err error) {
 	}
 }
 
-// latency returns the endpoint's effective latency for the cost model:
-// observed EWMA when available, the static hint otherwise.
-func (e *endpoint) latency() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ewma > 0 {
-		return e.ewma
-	}
-	return e.LatencyHint
-}
-
 // stats snapshots the endpoint's counters.
 func (e *endpoint) stats() (calls, failures, streak int64, ewma time.Duration) {
 	e.mu.Lock()
@@ -182,6 +194,9 @@ func New(eps []Endpoint, cfg Config) (*Caller, error) {
 	pool, err := buildPool(eps, nil)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Retry == (Retry{}) {
+		cfg.Retry = Retry{Attempts: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second}
 	}
 	f := &Caller{cfg: cfg, eps: pool, pinned: make(map[string]map[string]catalog.Mirror, len(cfg.Mirrors))}
 	for table, ms := range cfg.Mirrors {
@@ -265,7 +280,11 @@ func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 	cands := make([]candidate, 0, len(eps))
 	for _, ep := range eps {
 		factor := ep.PriceFactor
-		lat := ep.latency()
+		_, _, streak, ewma := ep.stats()
+		lat := ewma
+		if lat == 0 {
+			lat = ep.LatencyHint
+		}
 		if mirrors != nil {
 			m, ok := mirrors[ep.Name]
 			if !ok {
@@ -274,11 +293,10 @@ func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 			if m.PriceFactor > 0 {
 				factor = m.PriceFactor
 			}
-			if m.LatencyHint > 0 && ep.observedEWMA() == 0 {
+			if m.LatencyHint > 0 && ewma == 0 {
 				lat = m.LatencyHint
 			}
 		}
-		_, _, streak, _ := ep.stats()
 		if streak > 0 && f.breakers != nil {
 			// A tripped endpoint whose cooldown has elapsed competes at its
 			// own terms: the streak that ranked it down must not also keep
@@ -294,13 +312,6 @@ func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 	return cands
 }
 
-// observedEWMA returns the endpoint's observed latency EWMA (0 if none yet).
-func (e *endpoint) observedEWMA() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ewma
-}
-
 // attemptResult is one endpoint attempt's outcome.
 type attemptResult struct {
 	ep    *endpoint
@@ -313,13 +324,9 @@ type attemptResult struct {
 func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
 	// The idempotent CallID is assigned here, above every endpoint attempt:
 	// retries and hedges all present the same logical call, so any single
-	// endpoint bills it at most once (its replay ledger dedupes).
-	if q.CallID == "" {
-		// One fresh logical call = one deposit into the query's shared
-		// retry budget; the connectors below see the ID already set and
-		// never grant again.
-		overload.Grant(ctx, overload.GrantPerCall)
-	}
+	// endpoint bills it at most once (its replay ledger dedupes). One
+	// logical call is one deposit into the query's shared retry budget.
+	BudgetFrom(ctx).Grant(grantPerCall)
 	market.EnsureCallID(&q)
 	f.cfg.Metrics.ObserveFederationCall()
 
@@ -358,21 +365,21 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 			if berr != nil {
 				refused++
 				lastErr = fmt.Errorf("federation: endpoint %s: %w", ep.Name, berr)
-				var coe *overload.CircuitOpenError
+				var coe *market.CircuitOpenError
 				if errors.As(berr, &coe) && coe.RetryAfter > 0 &&
 					(minRetry < 0 || coe.RetryAfter < minRetry) {
 					minRetry = coe.RetryAfter
 				}
 				continue
 			}
-			if extra && !overload.Spend(ctx, 1) {
+			if extra && !spend(ctx) {
 				release(context.Canceled) // never attempted: no verdict on the endpoint
 				return false, true
 			}
 			inflight++
 			go func() {
 				start := time.Now()
-				res, err := ep.Caller.Call(actx, q)
+				res, err := f.visit(actx, ep, q)
 				ep.observe(time.Since(start), err)
 				release(err)
 				results <- attemptResult{ep: ep, res: res, err: err, hedge: isHedge}
@@ -437,7 +444,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 				launched, denied := launch(true, false)
 				if denied {
 					return market.Result{}, fmt.Errorf("federation: not failing over for %s.%s: %w (last error: %v)",
-						q.Dataset, q.Table, overload.ErrRetryBudget, lastErr)
+						q.Dataset, q.Table, market.ErrRetryBudget, lastErr)
 				}
 				if !launched {
 					return market.Result{}, f.exhausted(q, len(ranked), refused, minRetry, lastErr)
@@ -449,9 +456,44 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 	}
 }
 
+// visit is one endpoint's share of a call: an attempt, then a retry of each
+// connector.Fault on the Retry schedule, resuming at the page that failed,
+// for a budget token each. Any other error (a 4xx, an in-process caller's,
+// a cancelled context) or a page's last allowed attempt ends the visit;
+// Call then fails over. A retry wait ends as soon as ctx does.
+func (f *Caller) visit(ctx context.Context, ep *endpoint, q catalog.AccessQuery) (market.Result, error) {
+	res, err := ep.Caller.Call(ctx, q)
+	for page, tries := 0, 1; err != nil; tries++ {
+		var fault *connector.Fault
+		if !errors.As(err, &fault) {
+			return market.Result{}, err
+		}
+		if fault.Page > page {
+			page, tries = fault.Page, 1 // a page arrived: a fresh allowance
+		}
+		if tries >= f.cfg.Retry.Attempts {
+			return market.Result{}, fmt.Errorf("market unreachable after %d attempts: %w", tries, fault.Err)
+		}
+		if !spend(ctx) {
+			return market.Result{}, fmt.Errorf("market: giving up after %d attempts: %w (last error: %v)",
+				tries, market.ErrRetryBudget, fault.Err)
+		}
+		obs.CallFromContext(ctx).AddRetry() // the call's trace record, if any
+		t := time.NewTimer(f.cfg.Retry.delay(tries, fault.RetryAfter))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return market.Result{}, fmt.Errorf("market call aborted after %d attempts: %w (last error: %v)", tries, ctx.Err(), fault.Err)
+		case <-t.C:
+		}
+		res, err = fault.Resume(ctx)
+	}
+	return res, nil
+}
+
 // exhausted builds the terminal error once every eligible endpoint refused
 // or failed. When breakers refused them all, the error carries the soonest
-// re-probe time and matches errors.Is(err, overload.ErrCircuitOpen) so
+// re-probe time and matches errors.Is(err, market.ErrCircuitOpen) so
 // user-facing transports can answer 503 + Retry-After.
 func (f *Caller) exhausted(q catalog.AccessQuery, total, refused int, minRetry time.Duration, lastErr error) error {
 	f.cfg.Metrics.ObserveFederationExhausted()
@@ -460,7 +502,7 @@ func (f *Caller) exhausted(q catalog.AccessQuery, total, refused int, minRetry t
 			minRetry = 0
 		}
 		return fmt.Errorf("federation: all %d endpoints for dataset %s refused: %w",
-			total, q.Dataset, &overload.CircuitOpenError{RetryAfter: minRetry})
+			total, q.Dataset, &market.CircuitOpenError{RetryAfter: minRetry})
 	}
 	if lastErr == nil {
 		lastErr = errors.New("no endpoint available")

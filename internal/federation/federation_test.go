@@ -12,7 +12,6 @@ import (
 	"payless/internal/catalog"
 	"payless/internal/market"
 	"payless/internal/obs"
-	"payless/internal/overload"
 )
 
 // countingCaller serves every call with a fixed one-transaction result and
@@ -199,10 +198,10 @@ func TestAllEndpointsOpenReturnsCircuitOpenWithRetryAfter(t *testing.T) {
 	// Second call: both refused — a circuit-open error carrying the soonest
 	// re-probe time, for the daemon's 503 + Retry-After.
 	_, err = f.Call(context.Background(), q("DS", "T"))
-	if !errors.Is(err, overload.ErrCircuitOpen) {
+	if !errors.Is(err, market.ErrCircuitOpen) {
 		t.Fatalf("want ErrCircuitOpen, got %v", err)
 	}
-	var coe *overload.CircuitOpenError
+	var coe *market.CircuitOpenError
 	if !errors.As(err, &coe) || coe.RetryAfter <= 0 {
 		t.Fatalf("want CircuitOpenError with positive RetryAfter, got %v", err)
 	}
@@ -445,5 +444,24 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New([]Endpoint{{Name: "a"}}, Config{}); err == nil {
 		t.Fatal("want error for missing transport")
+	}
+}
+
+func TestBackoffDelayShape(t *testing.T) {
+	r := Retry{Attempts: 3, Base: 100 * time.Millisecond, Max: 400 * time.Millisecond}
+	for attempt, max := range map[int]time.Duration{1: 100 * time.Millisecond, 2: 200 * time.Millisecond, 5: 400 * time.Millisecond} {
+		for i := 0; i < 20; i++ {
+			d := r.delay(attempt, 0)
+			if d < max/2 || d > max {
+				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, max/2, max)
+			}
+		}
+	}
+	// A Retry-After is waited as given, capped at Max.
+	if d := r.delay(1, 300*time.Millisecond); d != 300*time.Millisecond {
+		t.Fatalf("Retry-After 300ms: delay %v", d)
+	}
+	if d := r.delay(1, time.Hour); d != r.Max {
+		t.Fatalf("Retry-After 1h: delay %v, want the %v cap", d, r.Max)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"payless/internal/overload"
+	"payless/internal/market"
 )
 
 func TestRetryBudgetBoundsFailovers(t *testing.T) {
@@ -28,9 +28,9 @@ func TestRetryBudgetBoundsFailovers(t *testing.T) {
 
 	// One token: the primary attempt is free, one failover is funded, the
 	// second is denied with ErrRetryBudget — endpoint c is never tried.
-	ctx := overload.WithBudget(context.Background(), overload.NewRetryBudget(1))
+	ctx := WithBudget(context.Background(), NewRetryBudget(1))
 	_, cerr := f.Call(ctx, q("DS", "T"))
-	if !errors.Is(cerr, overload.ErrRetryBudget) {
+	if !errors.Is(cerr, market.ErrRetryBudget) {
 		t.Fatalf("err = %v, want ErrRetryBudget", cerr)
 	}
 	if a.calls.Load() != 1 || b.calls.Load() != 1 || c.calls.Load() != 0 {
@@ -39,7 +39,7 @@ func TestRetryBudgetBoundsFailovers(t *testing.T) {
 
 	// Without a budget every endpoint is tried before the call fails.
 	_, cerr = f.Call(context.Background(), q("DS", "T"))
-	if cerr == nil || errors.Is(cerr, overload.ErrRetryBudget) {
+	if cerr == nil || errors.Is(cerr, market.ErrRetryBudget) {
 		t.Fatalf("budget-free call should exhaust endpoints, got %v", cerr)
 	}
 	if c.calls.Load() != 1 {
@@ -63,9 +63,9 @@ func TestFinalFailureSpendsNoToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := overload.NewRetryBudget(1)
-	_, cerr := f.Call(overload.WithBudget(context.Background(), budget), q("DS", "T"))
-	if cerr == nil || errors.Is(cerr, overload.ErrRetryBudget) || !strings.Contains(cerr.Error(), "endpoint b down") {
+	budget := NewRetryBudget(1)
+	_, cerr := f.Call(WithBudget(context.Background(), budget), q("DS", "T"))
+	if cerr == nil || errors.Is(cerr, market.ErrRetryBudget) || !strings.Contains(cerr.Error(), "endpoint b down") {
 		t.Fatalf("err = %v, want the last endpoint's error", cerr)
 	}
 	if a.calls.Load() != 1 || b.calls.Load() != 1 {
@@ -87,7 +87,7 @@ func TestHedgeSkippedSilentlyOnEmptyBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx := overload.WithBudget(context.Background(), overload.NewRetryBudget(0))
+	ctx := WithBudget(context.Background(), NewRetryBudget(0))
 	done := make(chan error, 1)
 	go func() {
 		_, cerr := f.Call(ctx, q("DS", "T"))

@@ -15,6 +15,7 @@ package market
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -51,6 +52,40 @@ type Result struct {
 type Caller interface {
 	Call(ctx context.Context, q catalog.AccessQuery) (Result, error)
 }
+
+// ErrRetryBudget means the query's retry budget is exhausted: the failing
+// call could have been retried or failed over, but the query already spent
+// its attempt allowance. It lives beside Caller, with the breaker's errors,
+// so the engine classifies them without importing the routing layer.
+var ErrRetryBudget = errors.New("overload: retry budget exhausted")
+
+// ErrCircuitOpen is returned (wrapped) for calls short-circuited by an open
+// circuit breaker: the endpoint failed repeatedly for the dataset and the
+// breaker refuses calls until its cooldown elapses. The query fails fast
+// instead of burning retries — and money — against a seller that is down.
+var ErrCircuitOpen = errors.New("circuit breaker open")
+
+// CircuitOpenError is the concrete error a breaker refusal carries: it
+// matches errors.Is(err, ErrCircuitOpen) and adds how long until the breaker
+// will next admit a probe, so transports facing end users (the daemon) can
+// emit an honest Retry-After instead of a generic failure.
+type CircuitOpenError struct {
+	// RetryAfter is the time remaining until the cooldown elapses. Zero
+	// means a probe is already deciding (half-open): retrying immediately
+	// is allowed but only useful once the probe resolves.
+	RetryAfter time.Duration
+}
+
+// Error implements error.
+func (e *CircuitOpenError) Error() string {
+	if e.RetryAfter > 0 {
+		return "circuit breaker open (retry in " + e.RetryAfter.String() + ")"
+	}
+	return "circuit breaker open (probe in flight)"
+}
+
+// Unwrap makes errors.Is(err, ErrCircuitOpen) hold.
+func (e *CircuitOpenError) Unwrap() error { return ErrCircuitOpen }
 
 // CallerFunc adapts an ordinary function to the Caller interface, the
 // smallest way to build one-off callers in tests and wrappers.

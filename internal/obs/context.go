@@ -4,8 +4,8 @@ import "context"
 
 type callKey struct{}
 
-// ContextWithCall attaches a call record to ctx so transport layers below
-// the engine (the HTTP connector's retry loop) can annotate the in-flight
+// ContextWithCall attaches a call record to ctx so layers below the engine
+// (the federation's retry loop) can annotate the in-flight
 // call without threading trace plumbing through every signature.
 func ContextWithCall(ctx context.Context, rec *CallRecord) context.Context {
 	if rec == nil {

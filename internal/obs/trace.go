@@ -40,8 +40,8 @@ type CallRecord struct {
 	Transactions int64
 	// Price charged for the call.
 	Price float64
-	// Retries counts extra transport attempts beyond the first (HTTP
-	// connector only; the in-process market never retries).
+	// Retries counts extra transport attempts beyond the first (retries of
+	// HTTP connector faults only; the in-process market never retries).
 	Retries int
 	// Latency is the end-to-end call time including retries and paging.
 	Latency time.Duration

@@ -96,13 +96,13 @@ func TestSortRunMatchesSortFunc(t *testing.T) {
 				slices.SortFunc(want, byCoordThenID(col))
 				got := slices.Clone(in)
 				scratch[n] = sentinel
-				sortRun(chunk.View(nil, col), got, scratch)
+				sortRun(listOf(col), got, scratch)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s, %d ids: sortRun differs from SortFunc(byCoordThenID)", name, n)
 				}
 				if n > 0 { // below the cutoff too
 					radix := slices.Clone(in)
-					radixSort(chunk.View(nil, col), radix, scratch)
+					radixSort(listOf(col), radix, scratch)
 					if !slices.Equal(radix, want) {
 						t.Fatalf("%s, %d ids: radixSort differs from SortFunc(byCoordThenID)", name, n)
 					}
@@ -128,11 +128,11 @@ func TestMergeRunsMatchesKWayMerge(t *testing.T) {
 			for r := range runs {
 				n := 1 + rng.Intn(300)
 				col, runs[r] = randomRun(col, n, coord)
-				sortRun(chunk.View(nil, col), runs[r], make(Run, n))
+				sortRun(listOf(col), runs[r], make(Run, n))
 				total += n
 			}
 			want := kWayMergeRuns(col, runs, total)
-			got := mergeRuns(chunk.View(nil, col), slices.Clone(runs[:len(runs)-1]), runs[len(runs)-1], total)
+			got := mergeRuns(listOf(col), slices.Clone(runs[:len(runs)-1]), runs[len(runs)-1], total)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s, trial %d (%d runs): merges differ", name, trial, len(runs))
 			}
@@ -153,7 +153,7 @@ func BenchmarkSortRun(b *testing.B) {
 		for _, n := range []int{16, 32, 64, 128, 512} {
 			rng := rand.New(rand.NewSource(1))
 			col, in := randomRun(nil, n, func() int64 { return rng.Int63n(span) })
-			run, scratch, chunked := make(Run, n), make(Run, n), chunk.View(nil, col)
+			run, scratch, chunked := make(Run, n), make(Run, n), listOf(col)
 			for _, k := range []struct {
 				name string
 				sort func(Run)
@@ -170,4 +170,12 @@ func BenchmarkSortRun(b *testing.B) {
 			}
 		}
 	}
+}
+
+// listOf returns a chunk list holding items.
+func listOf[T any](items []T) (l chunk.List[T]) {
+	for _, v := range items {
+		l.Append(v)
+	}
+	return l
 }

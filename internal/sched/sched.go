@@ -53,7 +53,6 @@ import (
 	"payless/internal/catalog"
 	"payless/internal/market"
 	"payless/internal/obs"
-	"payless/internal/overload"
 	"payless/internal/region"
 	"payless/internal/rewrite"
 	"payless/internal/semstore"
@@ -273,7 +272,8 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 	// whose deadline cannot outlive the window is dispatched immediately
 	// instead: parking it would spend its entire remaining budget waiting
 	// for company it will never get to bill with.
-	if s.cfg.Window > 0 && s.open > 1 && s.parkable(req) && !overload.ShortOf(ctx, s.cfg.Window) {
+	dl, hasDL := ctx.Deadline()
+	if s.cfg.Window > 0 && s.open > 1 && s.parkable(req) && (!hasDL || time.Until(dl) >= s.cfg.Window) {
 		pr := s.park(ctx, req)
 		s.mu.Unlock()
 		s.cfg.Metrics.ObserveSchedDelayedCall()

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/federation"
 	"payless/internal/market"
 	"payless/internal/obs"
-	"payless/internal/overload"
 	"payless/internal/region"
 	"payless/internal/semstore"
 	"payless/internal/storage"
@@ -241,12 +241,12 @@ func TestLastWaiterCancelTearsDownTheCall(t *testing.T) {
 func TestFlightCarriesTheLaunchingRequestsValues(t *testing.T) {
 	meta := tTable()
 	for _, window := range []time.Duration{0, time.Millisecond} {
-		budget := overload.NewRetryBudget(1)
+		budget := federation.NewRetryBudget(1)
 		rec := &obs.CallRecord{}
-		ctx := obs.ContextWithCall(overload.WithBudget(context.Background(), budget), rec)
+		ctx := obs.ContextWithCall(federation.WithBudget(context.Background(), budget), rec)
 		var sawBudget, sawRec bool
 		caller := market.CallerFunc(func(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
-			sawBudget = overload.BudgetFrom(ctx) == budget
+			sawBudget = federation.BudgetFrom(ctx) == budget
 			sawRec = obs.CallFromContext(ctx) == rec
 			obs.CallFromContext(ctx).AddRetry() // what a retrying transport does
 			return (&fakeCaller{meta: meta, t: 10}).Call(ctx, q)
@@ -734,4 +734,34 @@ func inflightCount(s *Scheduler) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.inflight)
+}
+
+// TestShortDeadlineNeverParks: the coalesce window parks a small fetch only
+// when the caller's deadline outlasts the window. With another query open,
+// a deadline-free request and one with a deadline past the window park; one
+// whose deadline ends inside the window is dispatched at once.
+func TestShortDeadlineNeverParks(t *testing.T) {
+	meta := tTable()
+	s := newSched(&fakeCaller{meta: meta, t: 10}, Config{Window: 200 * time.Millisecond})
+	_, closeOther := s.Open(context.Background())
+	defer closeOther()
+	for i, tc := range []struct {
+		timeout time.Duration // 0: no deadline
+		parks   bool
+	}{{0, true}, {time.Minute, true}, {100 * time.Millisecond, false}} {
+		ctx := context.Background()
+		if tc.timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, tc.timeout)
+			defer cancel()
+		}
+		lo := int64(10 * (i + 1))
+		_, info, err := s.Fetch(ctx, reqFor(t, meta, lo, lo+2, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Delayed != tc.parks {
+			t.Errorf("deadline %v: parked %v, want %v", tc.timeout, info.Delayed, tc.parks)
+		}
+	}
 }

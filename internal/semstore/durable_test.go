@@ -320,3 +320,59 @@ func TestDurableBadSnapshotFallsBack(t *testing.T) {
 		t.Fatal("fallback snapshot state differs")
 	}
 }
+
+// TestInvalidUTF8OutputRoundTrips: a String output cell holding invalid
+// UTF-8 is stored as the codecs write it — each stray byte U+FFFD, what the
+// wire would have delivered — so it reads back the same live, from a loaded
+// snapshot and from WAL replay. The caller's rows are left as they were.
+func TestInvalidUTF8OutputRoundTrips(t *testing.T) {
+	meta := kindsMeta()
+	lookup := func(table string) (*catalog.Table, bool) { return meta, table == meta.Name }
+	raw := "a\xff\xfeb\xc3"
+	rows := []value.Row{{value.NewString("plain"), value.NewInt(1), value.NewNull(), value.NewString(raw), value.NewNull()}}
+	var wire string
+	if err := json.Unmarshal(value.AppendJSONString(nil, raw), &wire); err != nil {
+		t.Fatal(err)
+	}
+	if wire != "a��b�" {
+		t.Fatalf("the codec writes %q as %q", raw, wire)
+	}
+	check := func(how string, s *Store) {
+		t.Helper()
+		got := rowsIn(s, meta, meta.FullBox())
+		if len(got) != 1 || got[0][3].Str() != wire {
+			t.Fatalf("%s: rows %q, want the one cell %q", how, got, wire)
+		}
+	}
+
+	fs := diskfault.New()
+	s1, _ := durableStore(t, fs, DurableOptions{Policy: wal.SyncPerCall, CheckpointEvery: -1, Lookup: lookup})
+	at := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	if _, err := s1.Record(meta, meta.FullBox(), rows, at); err != nil {
+		t.Fatal(err)
+	}
+	if rows[0][3].Str() != raw {
+		t.Fatal("Record changed the caller's row")
+	}
+	check("live", s1)
+	// Recording the same row again adds nothing: it is the stored row.
+	if res, err := s1.Record(meta, meta.FullBox(), rows, at); err != nil || res.Added != 0 {
+		t.Fatalf("second Record added %d (%v), want 0", res.Added, err)
+	}
+	snapshot := saveString(t, s1)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, info := durableStore(t, fs, DurableOptions{Policy: wal.SyncPerCall, Lookup: lookup})
+	if info.Replayed != 2 {
+		t.Fatalf("recovery: %+v, want 2 replayed", info)
+	}
+	check("WAL replay", s2)
+
+	s3 := New(storage.NewDB())
+	if err := s3.Load(bytes.NewReader([]byte(snapshot)), lookup); err != nil {
+		t.Fatal(err)
+	}
+	check("snapshot Load", s3)
+}

@@ -47,9 +47,11 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"payless/internal/catalog"
 	"payless/internal/chunk"
@@ -314,6 +316,7 @@ func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at t
 	if err := validateRows(meta, b, rows); err != nil {
 		return res, err
 	}
+	rows = validUTF8(meta, rows)
 	if d := s.dur; d != nil {
 		return d.record(s, meta, b, rows, at)
 	}
@@ -347,6 +350,31 @@ func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) error {
 		}
 	}
 	return checkCoords(meta, rows)
+}
+
+// validUTF8 returns rows with each String output cell that is not valid
+// UTF-8 written as the wire, snapshot and WAL codecs write it, every stray
+// byte U+FFFD, so it reads back the same live, loaded and replayed. Rows
+// are copied only where a cell changes. Queryable String cells are domain
+// values, which catalog.Register holds to valid UTF-8.
+func validUTF8(meta *catalog.Table, rows []value.Row) []value.Row {
+	copied := false
+	for i, a := range meta.Attrs {
+		if a.Binding != catalog.Output || meta.Schema[i].Type != value.String {
+			continue
+		}
+		for j, row := range rows {
+			if s := row[i].Str(); !utf8.ValidString(s) {
+				if !copied {
+					rows, copied = slices.Clone(rows), true
+				}
+				row = slices.Clone(row)
+				row[i] = value.NewString(strings.Map(func(r rune) rune { return r }, s))
+				rows[j] = row
+			}
+		}
+	}
+	return rows
 }
 
 // checkDims refuses a coverage box of d dimensions unless the table's boxes

@@ -14,8 +14,8 @@ import (
 
 	"payless/internal/catalog"
 	"payless/internal/connector"
+	"payless/internal/federation"
 	"payless/internal/market"
-	"payless/internal/overload"
 )
 
 // scopeProbe wraps a market.Caller and records the query scope each call
@@ -26,22 +26,22 @@ type scopeProbe struct {
 
 	mu        sync.Mutex
 	deadlines []bool
-	budgets   []*overload.RetryBudget
+	budgets   []*federation.RetryBudget
 }
 
 func (p *scopeProbe) Call(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
 	_, has := ctx.Deadline()
 	p.mu.Lock()
 	p.deadlines = append(p.deadlines, has)
-	p.budgets = append(p.budgets, overload.BudgetFrom(ctx))
+	p.budgets = append(p.budgets, federation.BudgetFrom(ctx))
 	p.mu.Unlock()
 	return p.inner.Call(ctx, q)
 }
 
-func (p *scopeProbe) seen() (deadlines []bool, budgets []*overload.RetryBudget) {
+func (p *scopeProbe) seen() (deadlines []bool, budgets []*federation.RetryBudget) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]bool(nil), p.deadlines...), append([]*overload.RetryBudget(nil), p.budgets...)
+	return append([]bool(nil), p.deadlines...), append([]*federation.RetryBudget(nil), p.budgets...)
 }
 
 func TestQueryScopeAttachesDeadlineAndBudget(t *testing.T) {
@@ -93,7 +93,7 @@ func TestQueryScopeAttachesDeadlineAndBudget(t *testing.T) {
 
 // TestScheduledCallCarriesQueryBudgetAndTrace: the wire call the scheduler
 // runs for a query — here one fired by the coalesce window — carries that
-// query's retry budget, and the query's trace counts the connector's retry.
+// query's retry budget, and the query's trace counts the call's retry.
 func TestScheduledCallCarriesQueryBudgetAndTrace(t *testing.T) {
 	m, w := buildChaosMarket(t)
 	var failed atomic.Bool
@@ -106,8 +106,9 @@ func TestScheduledCallCarriesQueryBudgetAndTrace(t *testing.T) {
 		inner.ServeHTTP(rw, r)
 	}))
 	defer srv.Close()
-	probe := &scopeProbe{inner: connector.New(srv.URL, "acct", connector.WithBackoff(time.Millisecond, time.Millisecond))}
-	client, err := Open(Config{Tables: m.ExportCatalog(), Caller: probe},
+	probe := &scopeProbe{inner: connector.New(srv.URL, "acct")}
+	client, err := Open(Config{Tables: m.ExportCatalog(), Caller: probe,
+		retry: federation.Retry{Attempts: 3, Base: time.Millisecond, Max: time.Millisecond}},
 		WithCoalesceWindow(time.Millisecond), WithTracer(&CollectTracer{}))
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestScheduledCallCarriesQueryBudgetAndTrace(t *testing.T) {
 		}
 	}
 	if _, _, spent, _ := budgets[0].Stats(); spent != 1 {
-		t.Fatalf("the connector's retry spent %d tokens, want 1", spent)
+		t.Fatalf("the call's retry spent %d tokens, want 1", spent)
 	}
 	retries := 0
 	for _, c := range res.Trace.Calls {

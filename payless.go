@@ -34,7 +34,6 @@ import (
 	"payless/internal/federation"
 	"payless/internal/market"
 	"payless/internal/obs"
-	"payless/internal/overload"
 	"payless/internal/sched"
 	"payless/internal/semstore"
 	"payless/internal/sqlparse"
@@ -158,6 +157,10 @@ type Config struct {
 	// the zero value is the real filesystem and the default cadence.
 	// Unexported: only the crash-injection suites set it.
 	store semstore.DurableOptions
+	// retry overrides how the federation retries an endpoint's transient
+	// faults; the zero value is three attempts per page backing off
+	// 100 ms → 2 s. Unexported: only tests shorten it.
+	retry federation.Retry
 }
 
 // CallPolicy is how hard one market call may fight for an answer; see
@@ -371,6 +374,7 @@ func Open(cfg Config, opts ...Option) (*Client, error) {
 		Policy:  cfg.Calls,
 		Metrics: metrics,
 		Mirrors: pinned,
+		Retry:   cfg.retry,
 	})
 	if err != nil {
 		return nil, err
@@ -454,14 +458,16 @@ func (c *Client) StoreRecovery() StoreRecoveryInfo { return c.store.Recovery() }
 // it fetches the public catalog and per-dataset page sizes automatically.
 // Extra local tables may be passed alongside. The fetched catalog, caller,
 // and page sizes overwrite any Tables/Caller/TuplesPerTransaction an option
-// may have set.
+// may have set. Registration is one request, attempted once: it bills
+// nothing, and a market that fails it fails OpenHTTP at once (OpenFederated
+// moves on to the next endpoint instead).
 func OpenHTTP(baseURL, accountKey string, localTables []*catalog.Table, opts ...Option) (*Client, error) {
 	var cfg Config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	cli := connector.New(baseURL, accountKey)
-	tables, tpt, err := fetchRegistration(cli)
+	tables, tpt, err := cli.Register()
 	if err != nil {
 		return nil, err
 	}
@@ -499,7 +505,7 @@ func OpenFederated(endpoints []MarketEndpoint, localTables []*catalog.Table, opt
 			if !ok {
 				continue
 			}
-			tables, tpt, err := fetchRegistration(cli)
+			tables, tpt, err := cli.Register()
 			if err != nil {
 				lastErr = fmt.Errorf("endpoint %s: %w", ep.Name, err)
 				continue
@@ -546,25 +552,6 @@ func fedEndpoints(eps []MarketEndpoint) []federation.Endpoint {
 		out[i] = federation.Endpoint{Name: me.Name, Caller: me.Caller, PriceFactor: me.PriceFactor, LatencyHint: me.LatencyHint}
 	}
 	return out
-}
-
-// fetchRegistration pulls one endpoint's catalog and page sizes.
-func fetchRegistration(cli *connector.Client) ([]*catalog.Table, map[string]int, error) {
-	tables, err := cli.Catalog()
-	if err != nil {
-		return nil, nil, err
-	}
-	tpt := make(map[string]int)
-	for _, t := range tables {
-		if _, ok := tpt[t.Dataset]; !ok {
-			pt, err := cli.TuplesPerTransaction(t.Dataset)
-			if err != nil {
-				return nil, nil, err
-			}
-			tpt[t.Dataset] = pt
-		}
-	}
-	return tables, tpt, nil
 }
 
 // FederationHealth reports each market endpoint's health — calls,
@@ -785,9 +772,9 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 			return nil, c.failed(tr, err)
 		}
 	}
-	// Transport retries, federation failovers and hedges anywhere under this
-	// statement draw on one fresh budget instead of multiplying per layer.
-	ctx = overload.WithBudget(ctx, overload.NewRetryBudget(overload.DefaultBaseCredit))
+	// Retries, failovers and hedges of every call under this statement draw
+	// on one fresh budget.
+	ctx = federation.WithBudget(ctx, federation.NewRetryBudget(federation.DefaultBaseCredit))
 	eng := engine.Engine{
 		Store:       c.store,
 		Stats:       c.stats,

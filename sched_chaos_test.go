@@ -10,13 +10,14 @@ import (
 
 	"payless/internal/chaos"
 	"payless/internal/connector"
+	"payless/internal/federation"
 )
 
 // TestSchedulerMidMergeFaultNeverDoubleBills drives a cross-query merge
 // through the full HTTP stack while chaos faults the merged wire call. The
 // merged call runs under one idempotent CallID, so however the fault lands
 // — post-billing (Drop/Truncate: the market billed, the response died) or
-// pre-billing (ServerError) — the connector's retry must replay, not
+// pre-billing (ServerError) — the federation's retry must replay, not
 // repurchase: the seller meter ends at exactly one bill for the union box,
 // and both requesters still get their rows. A third query held open makes
 // both fetches park, however their queries interleave.
@@ -32,14 +33,12 @@ func TestSchedulerMidMergeFaultNeverDoubleBills(t *testing.T) {
 			srv := httptest.NewServer(chaos.Handler(m.Handler(), s))
 			defer srv.Close()
 
-			cli := connector.New(srv.URL, "acct",
-				connector.WithRetries(8),
-				connector.WithBackoff(time.Millisecond, 5*time.Millisecond))
 			client, err := Open(Config{
 				Tables:               m.ExportCatalog(),
-				Caller:               cli,
+				Caller:               connector.New(srv.URL, "acct"),
 				TuplesPerTransaction: map[string]int{"DS": 10},
 				FetchConcurrency:     4,
+				retry:                federation.Retry{Attempts: 9, Base: time.Millisecond, Max: 5 * time.Millisecond},
 			}, WithCoalesceWindow(150*time.Millisecond))
 			if err != nil {
 				t.Fatal(err)
