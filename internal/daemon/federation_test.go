@@ -157,6 +157,35 @@ func TestHealthzReportsPerEndpointHealth(t *testing.T) {
 	}
 }
 
+// TestHealthzDegradedWhenANeighbourSharesTheNamePrefix: an endpoint is
+// judged by its own circuits only. With "eu|b" dead and "eu" serving, the
+// daemon is 200 "degraded", not 503 "down".
+func TestHealthzDegradedWhenANeighbourSharesTheNamePrefix(t *testing.T) {
+	m := rangeMarket(t, "acct")
+	client, err := payless.Open(payless.Config{
+		Tables: m.ExportCatalog(),
+		FederationEndpoints: []payless.MarketEndpoint{
+			{Name: "eu|b", Caller: downCaller{}, PriceFactor: 1},
+			{Name: "eu", Caller: market.AccountCaller{Market: m, Key: "acct"}, PriceFactor: 2},
+		},
+		TuplesPerTransaction: map[string]int{"DS": 10},
+	}, payless.WithCallPolicy(payless.CallPolicy{BreakAfter: 1, Cooldown: 30 * time.Second}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newDaemon(t, client, singleTenant(t), nil).Handler()
+	if code, _, _ := post(h, "demo", "SELECT v FROM T WHERE a >= 1 AND a <= 20"); code != http.StatusOK {
+		t.Fatalf("query through failover returned %d, want 200", code)
+	}
+	code, body := healthz(t, h)
+	if code != http.StatusOK || body.Status != "degraded" {
+		t.Fatalf("/healthz = %d %q, want 200 degraded: %+v", code, body.Status, body.Endpoints)
+	}
+	if len(body.Endpoints) != 2 || body.Endpoints[1].Name != "eu" || !body.Endpoints[1].Healthy {
+		t.Fatalf("serving endpoint \"eu\" reported unhealthy: %+v", body.Endpoints)
+	}
+}
+
 // TestHealthzNonFederatedStaysPlain pins the single-market contract: a
 // fresh daemon on one market answers 200 "ok", reporting that market as its
 // one endpoint.

@@ -17,7 +17,40 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newClock() *fakeClock                   { return &fakeClock{t: time.Unix(1000, 0)} }
-func failN(t *testing.T, b *Breaker, n int) {
+
+// breaker is one endpoint×dataset circuit of a federation of one endpoint,
+// driven the way the attempt loop drives it: admit a visit, then settle its
+// outcome once.
+type breaker struct {
+	f  *Caller
+	ds string
+}
+
+// newBreakers builds a federation of one endpoint whose circuits open after
+// threshold consecutive failures and re-probe after cooldown on clk.
+func newBreakers(t *testing.T, threshold int, cooldown time.Duration, clk *fakeClock, m *obs.Metrics) *Caller {
+	t.Helper()
+	f, err := New([]Endpoint{{Name: "e", Caller: &countingCaller{name: "e"}}},
+		Config{Policy: Policy{BreakAfter: threshold, Cooldown: cooldown}, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.now = clk.now
+	return f
+}
+
+// Acquire admits one visit and returns the function that settles it: nil
+// is a success, a context error no verdict, any other error a failure.
+func (b breaker) Acquire() (release func(callErr error), err error) {
+	h := b.f.endpoints()[0].health
+	probe, err := b.f.admit(h, b.ds)
+	if err != nil {
+		return nil, err
+	}
+	return func(callErr error) { b.f.settle(h, b.ds, probe, 0, callErr) }, nil
+}
+
+func failN(t *testing.T, b breaker, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		release, err := b.Acquire()
@@ -30,7 +63,7 @@ func failN(t *testing.T, b *Breaker, n int) {
 
 func TestBreakerOpensAfterThreshold(t *testing.T) {
 	clk := newClock()
-	b := NewBreakerSet(3, time.Minute).WithClock(clk.now).For("DS")
+	b := breaker{newBreakers(t, 3, time.Minute, clk, nil), "DS"}
 	failN(t, b, 2)
 	if release, err := b.Acquire(); err != nil {
 		t.Fatalf("below threshold must stay closed: %v", err)
@@ -44,7 +77,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 
 func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 	clk := newClock()
-	b := NewBreakerSet(3, time.Minute).WithClock(clk.now).For("DS")
+	b := breaker{newBreakers(t, 3, time.Minute, clk, nil), "DS"}
 	failN(t, b, 2)
 	release, err := b.Acquire()
 	if err != nil {
@@ -60,7 +93,7 @@ func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	clk := newClock()
 	m := obs.NewMetrics()
-	b := NewBreakerSet(2, time.Minute).WithClock(clk.now).WithMetrics(m).For("DS")
+	b := breaker{newBreakers(t, 2, time.Minute, clk, m), "DS"}
 	failN(t, b, 2)
 	if _, err := b.Acquire(); !errors.Is(err, market.ErrCircuitOpen) {
 		t.Fatalf("want open, got %v", err)
@@ -101,7 +134,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 
 func TestBreakerIgnoresContextErrors(t *testing.T) {
 	clk := newClock()
-	b := NewBreakerSet(2, time.Minute).WithClock(clk.now).For("DS")
+	b := breaker{newBreakers(t, 2, time.Minute, clk, nil), "DS"}
 	// Teardown-induced cancellations must not trip the breaker: the engine
 	// cancelled those calls itself, the seller never failed.
 	for i := 0; i < 10; i++ {
@@ -130,30 +163,67 @@ func TestBreakerIgnoresContextErrors(t *testing.T) {
 	}
 }
 
+// TestNilBreakerSetAdmitsEverything: BreakAfter 0 never opens a circuit,
+// and keeps none.
 func TestNilBreakerSetAdmitsEverything(t *testing.T) {
-	var s *BreakerSet
+	b := breaker{newBreakers(t, 0, time.Minute, newClock(), nil), "DS"}
 	for i := 0; i < 5; i++ {
-		release, err := s.Acquire("DS")
+		release, err := b.Acquire()
 		if err != nil {
-			t.Fatalf("nil set must admit: %v", err)
+			t.Fatalf("BreakAfter 0 must admit: %v", err)
 		}
 		release(fmt.Errorf("boom"))
 	}
-	if got := NewBreakerSet(0, time.Minute); got != nil {
-		t.Fatal("threshold<=0 must return a nil (disabled) set")
+	if h := b.f.endpoints()[0].health; h.circuits != nil || h.failures != 5 {
+		t.Fatalf("BreakAfter 0 must keep no circuits (%v) and still count failures (%d, want 5)", h.circuits, h.failures)
 	}
 }
 
 func TestBreakerPerDatasetIsolation(t *testing.T) {
 	clk := newClock()
-	s := NewBreakerSet(2, time.Minute).WithClock(clk.now)
-	failN(t, s.For("A"), 2)
-	if _, err := s.Acquire("A"); !errors.Is(err, market.ErrCircuitOpen) {
+	f := newBreakers(t, 2, time.Minute, clk, nil)
+	failN(t, breaker{f, "A"}, 2)
+	if _, err := (breaker{f, "A"}).Acquire(); !errors.Is(err, market.ErrCircuitOpen) {
 		t.Fatalf("A should be open: %v", err)
 	}
-	if release, err := s.Acquire("B"); err != nil {
+	if release, err := (breaker{f, "B"}).Acquire(); err != nil {
 		t.Fatalf("B must be unaffected by A's failures: %v", err)
 	} else {
 		release(nil)
+	}
+}
+
+// TestBreakerLateSuccessKeepsCircuitOpen: a visit admitted while the circuit
+// was closed may succeed after concurrent failures opened it. Its success
+// only resets the failure count: it neither closes the circuit nor clears
+// the probe in flight; only the probe decides.
+func TestBreakerLateSuccessKeepsCircuitOpen(t *testing.T) {
+	clk := newClock()
+	b := breaker{newBreakers(t, 2, time.Minute, clk, nil), "DS"}
+	early, err := b.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	during, err := b.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	failN(t, b, 2)
+	early(nil)
+	if _, err := b.Acquire(); !errors.Is(err, market.ErrCircuitOpen) {
+		t.Fatalf("a late success of a closed-admitted visit closed the circuit: %v", err)
+	}
+	clk.advance(2 * time.Minute)
+	probe, err := b.Acquire()
+	if err != nil {
+		t.Fatalf("probe should be admitted after cooldown: %v", err)
+	}
+	during(nil)
+	if _, err := b.Acquire(); !errors.Is(err, market.ErrCircuitOpen) {
+		t.Fatalf("a late success of a closed-admitted visit cleared the probe: %v", err)
+	}
+	probe(nil)
+	if _, err := b.Acquire(); err != nil {
+		t.Fatalf("the probe's success must close the circuit: %v", err)
 	}
 }

@@ -13,12 +13,12 @@
 //
 // It is the only path to the market: a client opened on a single market is
 // a federation of one endpoint, so this package is also the one home of
-// the circuit breakers.
+// the circuit breakers, kept in each endpoint's health record.
 //
 // Per call it (a) ranks endpoints by a price+latency+health cost model,
 // (b) retries an endpoint's connector.Fault with backoff — it owns every
 // attempt of a call — (c) fails over to the next-cheapest healthy endpoint
-// on a hard error, with circuit breakers keyed endpoint×dataset, and (d)
+// on a hard error, with a circuit per endpoint×dataset, and (d)
 // hedges a slow call by racing the next endpoint, cancelling the loser. One
 // Policy value says when it hedges and when a failing endpoint is closed to
 // a dataset. Every extra attempt spends a token of the query's RetryBudget.
@@ -126,50 +126,16 @@ const latencyUnit = time.Second
 // (alpha = 1/4: new = (3*old + obs) / 4).
 const ewmaAlpha = 4
 
-// endpoint is the runtime state behind one configured Endpoint.
+// endpoint is one configured Endpoint of the pool and its health record.
 type endpoint struct {
 	Endpoint
-
-	mu       sync.Mutex
-	ewma     time.Duration // observed round-trip EWMA; 0 until the first success
-	calls    int64         // attempts issued (excluding breaker refusals)
-	failures int64         // hard failures (context cancellations excluded)
-	streak   int64         // consecutive hard failures, reset on success
-}
-
-// observe folds one attempt's outcome into the endpoint's health state.
-func (e *endpoint) observe(lat time.Duration, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.calls++
-	switch {
-	case err == nil:
-		e.streak = 0
-		if e.ewma == 0 {
-			e.ewma = lat
-		} else {
-			e.ewma = (time.Duration(ewmaAlpha-1)*e.ewma + lat) / ewmaAlpha
-		}
-	case isContextErr(err):
-		// Cancelled by the caller or a lost hedge: no verdict on the mirror.
-		e.calls--
-	default:
-		e.failures++
-		e.streak++
-	}
-}
-
-// stats snapshots the endpoint's counters.
-func (e *endpoint) stats() (calls, failures, streak int64, ewma time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.calls, e.failures, e.streak, e.ewma
+	health *health
 }
 
 // Caller is the federated market.Caller.
 type Caller struct {
-	cfg      Config
-	breakers *BreakerSet // keyed endpoint + "|" + dataset
+	cfg Config
+	now func() time.Time // the circuits' clock; tests substitute it
 	// pinned is Config.Mirrors indexed table → endpoint name; fixed at New,
 	// so rank reads it without a lock.
 	pinned map[string]map[string]catalog.Mirror
@@ -198,7 +164,10 @@ func New(eps []Endpoint, cfg Config) (*Caller, error) {
 	if cfg.Retry == (Retry{}) {
 		cfg.Retry = Retry{Attempts: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second}
 	}
-	f := &Caller{cfg: cfg, eps: pool, pinned: make(map[string]map[string]catalog.Mirror, len(cfg.Mirrors))}
+	if cfg.Policy.Cooldown <= 0 {
+		cfg.Policy.Cooldown = 5 * time.Second
+	}
+	f := &Caller{cfg: cfg, now: time.Now, eps: pool, pinned: make(map[string]map[string]catalog.Mirror, len(cfg.Mirrors))}
 	for table, ms := range cfg.Mirrors {
 		if len(ms) == 0 {
 			continue
@@ -209,15 +178,13 @@ func New(eps []Endpoint, cfg Config) (*Caller, error) {
 		}
 		f.pinned[table] = byName
 	}
-	f.breakers = NewBreakerSet(cfg.Policy.BreakAfter, cfg.Policy.Cooldown).
-		WithMetrics(cfg.Metrics)
 	return f, nil
 }
 
 // buildPool validates an endpoint set and builds its runtime state: names
 // must be non-empty and unique, every endpoint needs a transport, and a
-// PriceFactor <= 0 becomes 1. An endpoint whose name is in old carries its
-// observed health (latency EWMA, counters, streak) over.
+// PriceFactor <= 0 becomes 1. An endpoint whose name is in old keeps its
+// health record; any other starts a fresh one.
 func buildPool(eps []Endpoint, old []*endpoint) ([]*endpoint, error) {
 	if len(eps) == 0 {
 		return nil, errors.New("federation: no endpoints configured")
@@ -242,20 +209,13 @@ func buildPool(eps []Endpoint, old []*endpoint) ([]*endpoint, error) {
 		if e.PriceFactor <= 0 {
 			e.PriceFactor = 1
 		}
-		ne := &endpoint{Endpoint: e}
+		ne := &endpoint{Endpoint: e, health: &health{}}
 		if p, ok := prev[e.Name]; ok {
-			ne.calls, ne.failures, ne.streak, ne.ewma = p.stats()
+			ne.health = p.health
 		}
 		pool = append(pool, ne)
 	}
 	return pool, nil
-}
-
-// breakerKey qualifies the breaker by endpoint AND dataset: a dead mirror
-// trips only its own breakers, never the dataset's standing at healthy
-// mirrors.
-func breakerKey(endpointName, dataset string) string {
-	return endpointName + "|" + dataset
 }
 
 // candidate is one rankable (endpoint, effective terms) pair for a call.
@@ -271,7 +231,7 @@ type candidate struct {
 //
 // where latency is the endpoint's observed EWMA (falling back to its static
 // hint) and failureStreak is the run of consecutive hard failures — a
-// flaky-but-not-yet-tripped mirror is deprioritized before its breaker ever
+// flaky-but-not-yet-tripped mirror is deprioritized before its circuit ever
 // opens. A pinned table (Config.Mirrors) is offered only by its listed
 // endpoints still in the pool, at the terms its entries override.
 func (f *Caller) rank(q catalog.AccessQuery) []candidate {
@@ -280,7 +240,17 @@ func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 	cands := make([]candidate, 0, len(eps))
 	for _, ep := range eps {
 		factor := ep.PriceFactor
-		_, _, streak, ewma := ep.stats()
+		h := ep.health
+		h.mu.Lock()
+		ewma, streak := h.ewma, h.streak
+		// A tripped endpoint whose cooldown has elapsed competes at its own
+		// terms: the streak that ranked it down must not also keep the
+		// circuit's probe from ever reaching it.
+		if c := h.circuits[q.Dataset]; streak > 0 && !c.openedAt.IsZero() && !c.probing &&
+			c.retryIn(f.now(), f.cfg.Policy.Cooldown) == 0 {
+			streak = 0
+		}
+		h.mu.Unlock()
 		lat := ewma
 		if lat == 0 {
 			lat = ep.LatencyHint
@@ -295,14 +265,6 @@ func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 			}
 			if m.LatencyHint > 0 && ewma == 0 {
 				lat = m.LatencyHint
-			}
-		}
-		if streak > 0 && f.breakers != nil {
-			// A tripped endpoint whose cooldown has elapsed competes at its
-			// own terms: the streak that ranked it down must not also keep
-			// the breaker's probe from ever reaching it.
-			if st := f.breakers.For(breakerKey(ep.Name, q.Dataset)).Status(); st.State == "open" && st.RetryIn == 0 {
-				streak = 0
 			}
 		}
 		score := factor * (1 + lat.Seconds()/latencyUnit.Seconds()) * float64(1+streak)
@@ -351,7 +313,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		lastErr   error
 	)
 
-	// launch starts the next endpoint whose breaker admits the call and
+	// launch starts the next endpoint whose circuit admits the call and
 	// reports whether it did. An extra attempt — a failover or a hedge —
 	// must be funded by the query's retry budget, or layered retries
 	// multiply; the token is spent only once an endpoint is there to try,
@@ -361,7 +323,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		for next < len(ranked) {
 			ep := ranked[next].ep
 			next++
-			release, berr := f.breakers.Acquire(breakerKey(ep.Name, q.Dataset))
+			probe, berr := f.admit(ep.health, q.Dataset)
 			if berr != nil {
 				refused++
 				lastErr = fmt.Errorf("federation: endpoint %s: %w", ep.Name, berr)
@@ -373,15 +335,14 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 				continue
 			}
 			if extra && !spend(ctx) {
-				release(context.Canceled) // never attempted: no verdict on the endpoint
+				f.settle(ep.health, q.Dataset, probe, 0, context.Canceled) // never attempted: no verdict
 				return false, true
 			}
 			inflight++
 			go func() {
 				start := time.Now()
 				res, err := f.visit(actx, ep, q)
-				ep.observe(time.Since(start), err)
-				release(err)
+				f.settle(ep.health, q.Dataset, probe, time.Since(start), err)
 				results <- attemptResult{ep: ep, res: res, err: err, hedge: isHedge}
 			}()
 			return true, false
@@ -390,7 +351,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 	}
 
 	if launched, _ := launch(false, false); !launched {
-		// Every endpoint refused up front: all breakers open.
+		// Every endpoint refused up front: all circuits open.
 		return market.Result{}, f.exhausted(q, len(ranked), refused, minRetry, lastErr)
 	}
 
@@ -405,7 +366,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		select {
 		case <-ctx.Done():
 			// Caller gave up: in-flight attempts see actx cancelled (their
-			// breakers record no verdict) and drain into the buffer.
+			// settle records no verdict) and drain into the buffer.
 			return market.Result{}, ctx.Err()
 		case <-hedgeC:
 			hedgeC = nil
@@ -492,7 +453,7 @@ func (f *Caller) visit(ctx context.Context, ep *endpoint, q catalog.AccessQuery)
 }
 
 // exhausted builds the terminal error once every eligible endpoint refused
-// or failed. When breakers refused them all, the error carries the soonest
+// or failed. When circuits refused them all, the error carries the soonest
 // re-probe time and matches errors.Is(err, market.ErrCircuitOpen) so
 // user-facing transports can answer 503 + Retry-After.
 func (f *Caller) exhausted(q catalog.AccessQuery, total, refused int, minRetry time.Duration, lastErr error) error {
@@ -517,36 +478,17 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// EndpointHealth is a point-in-time view of one endpoint, surfaced by the
-// daemon's /healthz and the client's FederationHealth.
-type EndpointHealth struct {
-	Name string `json:"name"`
-	// Healthy means no circuit on this endpoint is currently open.
-	Healthy bool `json:"healthy"`
-	// Calls and Failures count attempts issued to the endpoint and the hard
-	// failures among them; ConsecutiveFailures is the current streak.
-	Calls               int64 `json:"calls"`
-	Failures            int64 `json:"failures"`
-	ConsecutiveFailures int64 `json:"consecutive_failures"`
-	// EWMALatencyMillis is the observed round-trip EWMA (0 until the first
-	// success).
-	EWMALatencyMillis int64 `json:"ewma_latency_ms"`
-	// OpenCircuits counts this endpoint's datasets with an open breaker;
-	// RetryInMillis is the soonest re-probe among them.
-	OpenCircuits  int   `json:"open_circuits"`
-	RetryInMillis int64 `json:"retry_in_ms,omitempty"`
-}
-
 // UpdateEndpoints hot-swaps the endpoint pool without dropping in-flight
-// calls: attempts already racing keep their endpoint handles (their
-// outcomes settle into the old state structs and drain normally), while
-// every later rank() sees the new pool. Endpoints surviving the swap by
-// name keep their observed health — latency EWMA, failure counters,
-// streak — so a reload never resets source selection to cold hints. The
-// pinned tables of Config.Mirrors are untouched: a pinned endpoint that
-// leaves the pool stops offering its tables until it comes back. On an
-// invalid set (see New) the pool is left untouched. Breakers keyed to
-// removed endpoints linger unused until the set is next tripped.
+// calls: attempts already racing keep their endpoint handles and settle
+// into their health records, while every later rank() sees the new pool.
+// An endpoint surviving the swap by name keeps its health record — latency
+// EWMA, failure counters, streak, circuits — so a reload never resets
+// source selection to cold hints. A removed endpoint's record, its open
+// circuits included, goes with it: one re-added later under the same name
+// starts fresh and closed. The pinned tables of Config.Mirrors are
+// untouched: a pinned endpoint that leaves the pool stops offering its
+// tables until it comes back. On an invalid set (see New) the pool is left
+// untouched.
 func (f *Caller) UpdateEndpoints(eps []Endpoint) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -556,37 +498,4 @@ func (f *Caller) UpdateEndpoints(eps []Endpoint) error {
 	}
 	f.eps = pool
 	return nil
-}
-
-// Health reports every endpoint's state, in configuration order.
-func (f *Caller) Health() []EndpointHealth {
-	states := f.breakers.States()
-	eps := f.endpoints()
-	out := make([]EndpointHealth, 0, len(eps))
-	for _, ep := range eps {
-		calls, failures, streak, ewma := ep.stats()
-		h := EndpointHealth{
-			Name:                ep.Name,
-			Healthy:             true,
-			Calls:               calls,
-			Failures:            failures,
-			ConsecutiveFailures: streak,
-			EWMALatencyMillis:   ewma.Milliseconds(),
-		}
-		prefix := ep.Name + "|"
-		for key, st := range states {
-			if len(key) <= len(prefix) || key[:len(prefix)] != prefix {
-				continue
-			}
-			if st.State == "open" || st.State == "half-open" {
-				h.OpenCircuits++
-				h.Healthy = false
-				if ms := st.RetryIn.Milliseconds(); h.RetryInMillis == 0 || (ms > 0 && ms < h.RetryInMillis) {
-					h.RetryInMillis = ms
-				}
-			}
-		}
-		out = append(out, h)
-	}
-	return out
 }

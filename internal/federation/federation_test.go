@@ -465,3 +465,65 @@ func TestBackoffDelayShape(t *testing.T) {
 		t.Fatalf("Retry-After 1h: delay %v, want the %v cap", d, r.Max)
 	}
 }
+
+// TestHealthCountsOnlyItsOwnCircuits: an endpoint's report counts its own
+// circuits only, even when another endpoint's name starts with its name and
+// a '|' — a name the daemon accepts.
+func TestHealthCountsOnlyItsOwnCircuits(t *testing.T) {
+	down := &countingCaller{name: "eu|b"}
+	down.fail.Store(true)
+	up := &countingCaller{name: "eu"}
+	f, err := New([]Endpoint{
+		{Name: "eu|b", Caller: down, PriceFactor: 1},
+		{Name: "eu", Caller: up, PriceFactor: 2},
+	}, Config{Policy: Policy{BreakAfter: 1, Cooldown: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Call(context.Background(), q("DS", "T")); err != nil {
+		t.Fatal(err)
+	}
+	h := f.Health()
+	if h[0].Name != "eu|b" || h[0].Healthy || h[0].OpenCircuits != 1 {
+		t.Fatalf("failing endpoint: %+v, want one open circuit", h[0])
+	}
+	if h[1].Name != "eu" || !h[1].Healthy || h[1].OpenCircuits != 0 || h[1].Calls != 1 || h[1].Failures != 0 {
+		t.Fatalf("serving endpoint blamed for its neighbour's circuit: %+v", h[1])
+	}
+}
+
+// TestReaddedEndpointStartsClosed: a removed endpoint's circuits leave with
+// it, so one re-added under its name starts with fresh health and closed
+// circuits instead of serving out the old cooldown.
+func TestReaddedEndpointStartsClosed(t *testing.T) {
+	a := &countingCaller{name: "a"}
+	a.fail.Store(true)
+	b := &countingCaller{name: "b"}
+	both := []Endpoint{{Name: "a", Caller: a, PriceFactor: 1}, {Name: "b", Caller: b, PriceFactor: 2}}
+	f, err := New(both, Config{Policy: Policy{BreakAfter: 1, Cooldown: time.Minute}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Call(context.Background(), q("DS", "T")); err != nil {
+		t.Fatal(err)
+	}
+	if h := f.Health()[0]; h.OpenCircuits != 1 {
+		t.Fatalf("a's circuit did not open: %+v", h)
+	}
+	if err := f.UpdateEndpoints(both[1:]); err != nil {
+		t.Fatal(err)
+	}
+	a.fail.Store(false)
+	if err := f.UpdateEndpoints(both); err != nil {
+		t.Fatal(err)
+	}
+	if h := f.Health()[0]; h.Name != "a" || !h.Healthy || h.Calls != 0 || h.OpenCircuits != 0 || h.RetryInMillis != 0 {
+		t.Fatalf("re-added endpoint: %+v, want fresh health and closed circuits", h)
+	}
+	if _, err := f.Call(context.Background(), q("DS", "T")); err != nil {
+		t.Fatal(err)
+	}
+	if a.calls.Load() != 2 {
+		t.Fatalf("re-added endpoint attempted %d times, want 2: its circuit must be closed", a.calls.Load())
+	}
+}
