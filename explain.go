@@ -50,13 +50,7 @@ func (c *Client) explain(ctx context.Context, sql string, st *core.Statement, li
 		c.finishTrace(tr)
 		return nil, err
 	}
-	res := &Result{
-		EstTransactions: plan.EstTrans,
-		Counters:        plan.Counters,
-		Plan:            plan.String(),
-		OptimizeTime:    plan.Optimized,
-		Planner:         plan.Planner,
-	}
+	res := planResult(plan)
 	if ec.verbose {
 		res.PlanDetail = plan.Describe()
 	}

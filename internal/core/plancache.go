@@ -69,9 +69,12 @@ func (cp *CachedPlan) stale() bool {
 
 // Instantiate rebinds the cached plan onto a freshly bound instance of its
 // statement, whose Shape bound every instance alike. It returns ok=false —
-// caller falls back to the optimizer — when a coverage-dependent access
-// choice no longer holds for the new literals.
+// caller falls back to the optimizer — when there is no plan (cp is nil) or
+// a coverage-dependent access choice no longer holds for the new literals.
 func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Options) (*Plan, bool) {
+	if cp == nil {
+		return nil, false
+	}
 	covered := func(rel *Rel) bool {
 		for _, ab := range rel.AccessBoxes() {
 			if opts.DisableSQR || !store.Covered(rel.Table.Name, ab, opts.Since) {
@@ -107,7 +110,8 @@ func (cp *CachedPlan) Instantiate(b *BoundQuery, store *semstore.Store, opts *Op
 // Statement is what every statement of one skeleton compiles to, or a
 // prepared statement: a parsed template, its bound shape and a plan slot.
 // Template and Shape are immutable, so concurrent instances share them; the
-// slot is swapped atomically.
+// slot is swapped atomically, and planned by one compiler at a time (see
+// Replan).
 type Statement struct {
 	// Template patches a statement's literals into the parsed AST.
 	Template *sqlparse.Template
@@ -118,6 +122,8 @@ type Statement struct {
 	// plan is the statement's live plan, nil before one is cached and after
 	// it went stale.
 	plan atomic.Pointer[CachedPlan]
+	// planning is held by the compiler planning the slot after a miss.
+	planning sync.Mutex
 }
 
 // Plan returns the statement's live plan, or nil, and counts the lookup in
@@ -134,6 +140,24 @@ func (st *Statement) Plan(m *obs.Metrics) *CachedPlan {
 	m.ObservePlanCacheLookup(cp != nil, stale)
 	return cp
 }
+
+// Replan is a compile's way past a miss: it waits until no other compiler
+// is planning the slot, then returns the slot's live plan — one a concurrent
+// miss stored meanwhile, or nil — uncounted. The caller instantiates that
+// plan, or optimizes and calls SetPlan, and then calls EndReplan to let the
+// next compiler in, so concurrent misses run the optimizer once. Hits never
+// wait here.
+func (st *Statement) Replan() *CachedPlan {
+	st.planning.Lock()
+	cp := st.plan.Load()
+	if cp != nil && cp.stale() {
+		cp = nil
+	}
+	return cp
+}
+
+// EndReplan ends the Replan that the caller began.
+func (st *Statement) EndReplan() { st.planning.Unlock() }
 
 // SetPlan caches a freshly optimized plan in the statement's slot,
 // replacing any plan there, under the current statistics versions in sv of

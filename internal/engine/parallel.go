@@ -126,16 +126,14 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 	defer cancel()
 	results := make([]*market.Result, len(specs))
 	errs := make([]error, len(specs))
-	// Per-call trace records live alongside the results. Each record is
-	// written by its own call only — the wire call the scheduler runs for it
-	// (transport retries and routing, via obs.ContextWithCall) finishes
-	// before Fetch returns, then the fetching goroutine stamps the latency —
-	// and is appended to the trace in the plan-order merge below, so traced
-	// call order is deterministic at every concurrency level.
+	// A traced call's latency is timed by its fetching goroutine; its trace
+	// record is built from that, the result and its route in the plan-order
+	// merge below, so traced call order is deterministic at every
+	// concurrency level.
 	traced := e.Trace != nil
-	var recs []*obs.CallRecord
+	var latencies []time.Duration
 	if traced {
-		recs = make([]*obs.CallRecord, len(specs))
+		latencies = make([]time.Duration, len(specs))
 	}
 	// infos holds the scheduler's verdict per call (shared, merged,
 	// recorded-on-our-behalf).
@@ -159,18 +157,11 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 				<-sem
 				wg.Done()
 			}()
-			callCtx := cctx
 			var start time.Time
 			if traced {
-				recs[i] = &obs.CallRecord{
-					Dataset: specs[i].meta.Dataset,
-					Table:   specs[i].meta.Name,
-					Query:   specs[i].q.String(),
-				}
-				callCtx = obs.ContextWithCall(cctx, recs[i])
 				start = time.Now()
 			}
-			res, info, err := e.Sched.Fetch(callCtx, sched.Request{
+			res, info, err := e.Sched.Fetch(cctx, sched.Request{
 				Meta:   specs[i].meta,
 				Box:    specs[i].box,
 				Query:  specs[i].q,
@@ -179,7 +170,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 			})
 			infos[i] = info
 			if traced {
-				recs[i].Latency = time.Since(start)
+				latencies[i] = time.Since(start)
 			}
 			if err != nil {
 				errs[i] = err
@@ -222,18 +213,28 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 			}
 		}
 		if traced {
-			rec := recs[i]
-			rec.Records = int64(res.Records)
-			rec.Transactions = res.Transactions
-			rec.Price = res.Price
-			rec.Recorded = spec.record
-			rec.Coalesced = infos[i].Shared || infos[i].Merged
-			rec.SharedWith = infos[i].SharedWith
-			rec.NewRows = added
-			rec.Compacted = compacted
-			rec.WALMicros = walMicros
-			rec.WALSynced = walSynced
-			e.Trace.AddCall(*rec)
+			rt := res.Route
+			e.Trace.AddCall(obs.CallRecord{
+				Dataset:      spec.meta.Dataset,
+				Table:        spec.meta.Name,
+				Query:        spec.q.String(),
+				Records:      int64(res.Records),
+				Transactions: res.Transactions,
+				Price:        res.Price,
+				Retries:      rt.Retries,
+				Latency:      latencies[i],
+				Recorded:     spec.record,
+				NewRows:      added,
+				Compacted:    compacted,
+				WALMicros:    walMicros,
+				WALSynced:    walSynced,
+				Coalesced:    infos[i].Shared || infos[i].Merged,
+				SharedWith:   infos[i].SharedWith,
+				Endpoint:     rt.Endpoint,
+				Failovers:    rt.Failovers,
+				Hedged:       rt.Hedged,
+				HedgeWon:     rt.HedgeWon,
+			})
 		}
 	}
 	if err := batchError(errs); err != nil {

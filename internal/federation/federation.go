@@ -274,12 +274,13 @@ func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 	return cands
 }
 
-// attemptResult is one endpoint attempt's outcome.
+// attemptResult is one endpoint attempt's outcome and the retries it took.
 type attemptResult struct {
-	ep    *endpoint
-	res   market.Result
-	err   error
-	hedge bool
+	ep      *endpoint
+	res     market.Result
+	err     error
+	retries int
+	hedge   bool
 }
 
 // Call implements market.Caller: rank, try, fail over, optionally hedge.
@@ -309,6 +310,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		failovers int
 		refused   int
 		hedged    bool
+		retries   int
 		minRetry  time.Duration = -1
 		lastErr   error
 	)
@@ -341,9 +343,9 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 			inflight++
 			go func() {
 				start := time.Now()
-				res, err := f.visit(actx, ep, q)
+				res, n, err := f.visit(actx, ep, q)
 				f.settle(ep.health, q.Dataset, probe, time.Since(start), err)
-				results <- attemptResult{ep: ep, res: res, err: err, hedge: isHedge}
+				results <- attemptResult{ep: ep, res: res, err: err, retries: n, hedge: isHedge}
 			}()
 			return true, false
 		}
@@ -379,12 +381,14 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 			}
 		case r := <-results:
 			inflight--
+			retries += r.retries
 			if r.err == nil {
 				cancel() // the losing hedge is abandoned; any bill it landed is the lost-call remainder
 				if r.hedge {
 					f.cfg.Metrics.ObserveFederationHedgeWin()
 				}
-				obs.CallFromContext(ctx).SetFederation(r.ep.Name, failovers, hedged, r.hedge)
+				r.res.Route = market.Route{Endpoint: r.ep.Name, Failovers: failovers,
+					Hedged: hedged, HedgeWon: r.hedge, Retries: retries}
 				return r.res, nil
 			}
 			if ctx.Err() != nil {
@@ -421,35 +425,38 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 // connector.Fault on the Retry schedule, resuming at the page that failed,
 // for a budget token each. Any other error (a 4xx, an in-process caller's,
 // a cancelled context) or a page's last allowed attempt ends the visit;
-// Call then fails over. A retry wait ends as soon as ctx does.
-func (f *Caller) visit(ctx context.Context, ep *endpoint, q catalog.AccessQuery) (market.Result, error) {
+// Call then fails over. A retry wait ends as soon as ctx does. It returns
+// how many retries it made, each counted into the metrics as it happens.
+func (f *Caller) visit(ctx context.Context, ep *endpoint, q catalog.AccessQuery) (market.Result, int, error) {
 	res, err := ep.Caller.Call(ctx, q)
+	retries := 0
 	for page, tries := 0, 1; err != nil; tries++ {
 		var fault *connector.Fault
 		if !errors.As(err, &fault) {
-			return market.Result{}, err
+			return market.Result{}, retries, err
 		}
 		if fault.Page > page {
 			page, tries = fault.Page, 1 // a page arrived: a fresh allowance
 		}
 		if tries >= f.cfg.Retry.Attempts {
-			return market.Result{}, fmt.Errorf("market unreachable after %d attempts: %w", tries, fault.Err)
+			return market.Result{}, retries, fmt.Errorf("market unreachable after %d attempts: %w", tries, fault.Err)
 		}
 		if !spend(ctx) {
-			return market.Result{}, fmt.Errorf("market: giving up after %d attempts: %w (last error: %v)",
+			return market.Result{}, retries, fmt.Errorf("market: giving up after %d attempts: %w (last error: %v)",
 				tries, market.ErrRetryBudget, fault.Err)
 		}
-		obs.CallFromContext(ctx).AddRetry() // the call's trace record, if any
+		retries++
+		f.cfg.Metrics.ObserveCallRetries(1)
 		t := time.NewTimer(f.cfg.Retry.delay(tries, fault.RetryAfter))
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return market.Result{}, fmt.Errorf("market call aborted after %d attempts: %w (last error: %v)", tries, ctx.Err(), fault.Err)
+			return market.Result{}, retries, fmt.Errorf("market call aborted after %d attempts: %w (last error: %v)", tries, ctx.Err(), fault.Err)
 		case <-t.C:
 		}
 		res, err = fault.Resume(ctx)
 	}
-	return res, nil
+	return res, retries, nil
 }
 
 // exhausted builds the terminal error once every eligible endpoint refused

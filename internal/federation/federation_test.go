@@ -111,9 +111,7 @@ func TestFailoverToNextCheapestEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &obs.CallRecord{}
-	ctx := obs.ContextWithCall(context.Background(), rec)
-	res, err := f.Call(ctx, q("DS", "T"))
+	res, err := f.Call(context.Background(), q("DS", "T"))
 	if err != nil {
 		t.Fatalf("failover should have served the call: %v", err)
 	}
@@ -123,8 +121,8 @@ func TestFailoverToNextCheapestEndpoint(t *testing.T) {
 	if cheap.calls.Load() != 1 || costly.calls.Load() != 1 {
 		t.Fatalf("cheap=%d costly=%d, want one attempt each", cheap.calls.Load(), costly.calls.Load())
 	}
-	if rec.Endpoint != "costly" || rec.Failovers != 1 {
-		t.Fatalf("trace endpoint=%q failovers=%d, want costly/1", rec.Endpoint, rec.Failovers)
+	if rt := res.Route; rt.Endpoint != "costly" || rt.Failovers != 1 {
+		t.Fatalf("route endpoint=%q failovers=%d, want costly/1", rt.Endpoint, rt.Failovers)
 	}
 	s := m.Snapshot()
 	if s.FederationCalls != 1 || s.FederationFailovers != 1 {
@@ -299,18 +297,16 @@ func TestHedgeWinsWhenPrimaryIsSlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &obs.CallRecord{}
-	ctx := obs.ContextWithCall(context.Background(), rec)
-	res, err := f.Call(ctx, q("DS", "T"))
+	res, err := f.Call(context.Background(), q("DS", "T"))
 	if err != nil {
 		t.Fatalf("hedge should have served the call: %v", err)
 	}
 	if res.Transactions != 1 {
 		t.Fatalf("transactions=%d, want 1", res.Transactions)
 	}
-	if !rec.Hedged || !rec.HedgeWon || rec.Endpoint != "fast" {
-		t.Fatalf("trace hedged=%v won=%v endpoint=%q, want true/true/fast",
-			rec.Hedged, rec.HedgeWon, rec.Endpoint)
+	if rt := res.Route; !rt.Hedged || !rt.HedgeWon || rt.Endpoint != "fast" {
+		t.Fatalf("route hedged=%v won=%v endpoint=%q, want true/true/fast",
+			rt.Hedged, rt.HedgeWon, rt.Endpoint)
 	}
 	s := m.Snapshot()
 	if s.FederationHedges != 1 || s.FederationHedgeWins != 1 {
@@ -340,14 +336,13 @@ func TestHedgeLosesWhenPrimaryAnswersFirst(t *testing.T) {
 		}
 		close(primary.block)
 	}()
-	rec := &obs.CallRecord{}
-	ctx := obs.ContextWithCall(context.Background(), rec)
-	if _, err := f.Call(ctx, q("DS", "T")); err != nil {
+	res, err := f.Call(context.Background(), q("DS", "T"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Hedged || rec.HedgeWon || rec.Endpoint != "primary" {
-		t.Fatalf("trace hedged=%v won=%v endpoint=%q, want true/false/primary",
-			rec.Hedged, rec.HedgeWon, rec.Endpoint)
+	if rt := res.Route; !rt.Hedged || rt.HedgeWon || rt.Endpoint != "primary" {
+		t.Fatalf("route hedged=%v won=%v endpoint=%q, want true/false/primary",
+			rt.Hedged, rt.HedgeWon, rt.Endpoint)
 	}
 	if s := m.Snapshot(); s.FederationHedgeWins != 0 {
 		t.Fatalf("hedge wins=%d, want 0", s.FederationHedgeWins)

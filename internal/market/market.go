@@ -41,6 +41,25 @@ type Result struct {
 	Transactions int64
 	// Price charged: Transactions * the dataset's price per transaction.
 	Price float64
+	// Route is how the federation served the call; a bare transport leaves
+	// it zero.
+	Route Route
+}
+
+// Route is where a call was bought and what reaching it took.
+type Route struct {
+	// Endpoint names the mirror that answered. Failovers counts the
+	// endpoints that hard-failed before it; Hedged reports that a second
+	// endpoint was raced after the hedge delay, and HedgeWon that the hedge
+	// answered.
+	Endpoint  string
+	Failovers int
+	Hedged    bool
+	HedgeWon  bool
+	// Retries counts the transport retries of every attempt the call
+	// waited for: the endpoints it failed over from and the one that
+	// answered. A losing hedge's retries are in the metrics only.
+	Retries int
 }
 
 // Caller abstracts "something that executes RESTful calls": the in-process

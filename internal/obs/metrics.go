@@ -411,8 +411,9 @@ func (m *Metrics) ObserveCallLatency(d time.Duration) {
 	m.update(func(*Snapshot) { m.callLatency.observe(d) })
 }
 
-// ObserveCallRetries counts the extra transport attempts one buyer-side
-// wire call made. The scheduler feeds it for every wire call, traced or not.
+// ObserveCallRetries counts extra transport attempts of buyer-side wire
+// calls. The federation feeds it once per retry, as the retry happens,
+// traced or not.
 func (m *Metrics) ObserveCallRetries(n int) {
 	if n == 0 {
 		return

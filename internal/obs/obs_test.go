@@ -64,25 +64,6 @@ func TestSpanRecordsError(t *testing.T) {
 	}
 }
 
-func TestContextCallPropagation(t *testing.T) {
-	rec := &CallRecord{}
-	ctx := ContextWithCall(context.Background(), rec)
-	got := CallFromContext(ctx)
-	if got != rec {
-		t.Fatal("record did not round-trip through context")
-	}
-	got.AddRetry()
-	got.AddRetry()
-	if rec.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", rec.Retries)
-	}
-	if CallFromContext(context.Background()) != nil {
-		t.Error("empty context should yield nil record")
-	}
-	var nilRec *CallRecord
-	nilRec.AddRetry() // must not panic
-}
-
 func TestMetricsCountersAndPrometheus(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveQuery(10*time.Millisecond, time.Millisecond, 2, 150, 3, 3)

@@ -41,7 +41,8 @@ type CallRecord struct {
 	// Price charged for the call.
 	Price float64
 	// Retries counts extra transport attempts beyond the first (retries of
-	// HTTP connector faults only; the in-process market never retries).
+	// HTTP connector faults only; the in-process market never retries), on
+	// the record that carries the bill of a shared call.
 	Retries int
 	// Latency is the end-to-end call time including retries and paging.
 	Latency time.Duration
@@ -64,11 +65,11 @@ type CallRecord struct {
 	// bill is attributed to exactly one participant.
 	Coalesced  bool
 	SharedWith int
-	// Endpoint names the federation endpoint that served the call (empty
-	// when the client is not federated). Failovers counts the endpoints
-	// that hard-failed before this one answered; Hedged reports that a
-	// second endpoint was raced after the hedge delay, and HedgeWon that the
-	// hedge (not the primary) delivered the result.
+	// Endpoint names the federation endpoint that served the call.
+	// Failovers counts the endpoints that hard-failed before this one
+	// answered; Hedged reports that a second endpoint was raced after the
+	// hedge delay, and HedgeWon that the hedge (not the primary) delivered
+	// the result. Copied from the call's market.Result.Route.
 	Endpoint  string
 	Failovers int
 	Hedged    bool

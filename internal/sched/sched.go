@@ -40,8 +40,10 @@
 // engines skip the duplicate.
 //
 // A wire call runs under its launching request's context values — the
-// query's retry budget and trace record reach the transport — but not under
-// its cancellation: it is torn down only when its last waiter detaches.
+// query's retry budget reaches the transport — but not under its
+// cancellation: it is torn down only when its last waiter detaches. Its
+// route (market.Result.Route) comes back to every requester; its retries,
+// like its bill, to the one that pays.
 package sched
 
 import (
@@ -112,7 +114,7 @@ type Config struct {
 	// abandoned record-path calls — exactly once per wire call.
 	Store *semstore.Store
 	// Metrics, when non-nil, receives the scheduler counter families and
-	// every wire call's latency and transport retries.
+	// every wire call's latency.
 	Metrics *obs.Metrics
 }
 
@@ -168,9 +170,6 @@ type flight struct {
 	err    error
 	// recorded is set before done closes; read only after <-done.
 	recorded bool
-	// rec is the call record an untraced wire call's transport annotates,
-	// so its retries are counted like a traced call's.
-	rec obs.CallRecord
 
 	mu      sync.Mutex
 	waiters int
@@ -314,10 +313,10 @@ func (f *flight) join(record bool) {
 
 // launch registers and starts a wire call for the given box on behalf of
 // the request whose context is reqCtx. The call keeps reqCtx's values (the
-// query's retry budget, its trace record) but not its cancellation: other
-// requesters may join, so only the last waiter detaching cancels it. Caller
-// holds s.mu. parts lists the fused queries (see flight.parts); requesters
-// counts the parked requests a window merge launches for at once.
+// query's retry budget) but not its cancellation: other requesters may
+// join, so only the last waiter detaching cancels it. Caller holds s.mu.
+// parts lists the fused queries (see flight.parts); requesters counts the
+// parked requests a window merge launches for at once.
 func (s *Scheduler) launch(reqCtx context.Context, meta *catalog.Table, box region.Box, q catalog.AccessQuery, record bool, parts []catalog.AccessQuery, requesters int) *flight {
 	ctx, cancel := context.WithCancel(context.WithoutCancel(reqCtx))
 	f := &flight{
@@ -341,15 +340,9 @@ func (s *Scheduler) launch(reqCtx context.Context, meta *catalog.Table, box regi
 // run issues the wire call, settles the flight, and performs the
 // scheduler-side semantic-store recording when it is the scheduler's job.
 func (s *Scheduler) run(ctx context.Context, f *flight) {
-	rec := obs.CallFromContext(ctx)
-	if rec == nil {
-		rec = &f.rec
-		ctx = obs.ContextWithCall(ctx, rec)
-	}
 	start := time.Now()
 	res, err := s.caller.Call(ctx, f.query)
 	s.cfg.Metrics.ObserveCallLatency(time.Since(start))
-	s.cfg.Metrics.ObserveCallRetries(rec.Retries)
 
 	s.mu.Lock()
 	if s.inflight[f.key] == f {
@@ -409,8 +402,8 @@ func (s *Scheduler) noteMerge(f *flight, res market.Result) {
 }
 
 // wait blocks on the flight and assembles this requester's view of the
-// shared result: rows filtered to its own query, the bill attributed to
-// exactly one requester.
+// shared result: rows filtered to its own query, the route for every
+// requester, the bill and the retries attributed to exactly one.
 func (s *Scheduler) wait(ctx context.Context, req Request, f *flight, info Info) (market.Result, Info, error) {
 	select {
 	case <-f.done:
@@ -457,7 +450,8 @@ func (s *Scheduler) wait(ctx context.Context, req Request, f *flight, info Info)
 	info.Recorded = f.recorded
 
 	res := f.res
-	out := market.Result{Schema: res.Schema, Rows: res.Rows}
+	out := market.Result{Schema: res.Schema, Rows: res.Rows, Route: res.Route}
+	out.Route.Retries = 0
 	if f.merged || flightKey(req.Query) != f.key {
 		// Merged union or piggybacked superset: hand back only the rows the
 		// requester asked for.
@@ -466,9 +460,11 @@ func (s *Scheduler) wait(ctx context.Context, req Request, f *flight, info Info)
 	out.Records = len(out.Rows)
 	if first {
 		// The first requester to collect carries the whole bill, so the sum
-		// of client-side reports equals the seller's meter exactly.
+		// of client-side reports equals the seller's meter exactly. The
+		// call's retries ride with the bill.
 		out.Transactions = res.Transactions
 		out.Price = res.Price
+		out.Route.Retries = res.Route.Retries
 	}
 	return out, info, nil
 }

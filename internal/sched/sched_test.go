@@ -49,11 +49,12 @@ func reqFor(t *testing.T, meta *catalog.Table, lo, hi int64, record bool) Reques
 }
 
 // fakeCaller synthesizes one row per coordinate of the queried a-range and
-// bills ceil(rows/t) transactions. gate, when non-nil, blocks every wire
-// call until released (or the call context dies).
+// bills ceil(rows/t) transactions, routed as route says. gate, when non-nil,
+// blocks every wire call until released (or the call context dies).
 type fakeCaller struct {
 	meta  *catalog.Table
 	t     int64
+	route market.Route
 	gate  chan struct{}
 	mu    sync.Mutex
 	calls []catalog.AccessQuery
@@ -87,7 +88,7 @@ func (f *fakeCaller) Call(ctx context.Context, q catalog.AccessQuery) (market.Re
 			}
 		}
 	}
-	res := market.Result{Schema: f.meta.Schema.Clone()}
+	res := market.Result{Schema: f.meta.Schema.Clone(), Route: f.route}
 	for a := lo; a <= hi; a++ {
 		res.Rows = append(res.Rows, value.Row{value.NewInt(a), value.NewInt(a * 10)})
 	}
@@ -234,26 +235,24 @@ func TestLastWaiterCancelTearsDownTheCall(t *testing.T) {
 }
 
 // TestFlightCarriesTheLaunchingRequestsValues: a wire call runs under its
-// launching request's context values — the query's retry budget and trace
-// record reach the transport — whether it launched at once or was fired by
-// the coalesce window (a second open query that never fetches keeps the
-// request parked until the window expires).
+// launching request's context values — the query's retry budget reaches the
+// transport — and its route comes back with the result, whether it launched
+// at once or was fired by the coalesce window (a second open query that
+// never fetches keeps the request parked until the window expires).
 func TestFlightCarriesTheLaunchingRequestsValues(t *testing.T) {
 	meta := tTable()
 	for _, window := range []time.Duration{0, time.Millisecond} {
 		budget := federation.NewRetryBudget(1)
-		rec := &obs.CallRecord{}
-		ctx := obs.ContextWithCall(federation.WithBudget(context.Background(), budget), rec)
-		var sawBudget, sawRec bool
+		ctx := federation.WithBudget(context.Background(), budget)
+		var sawBudget bool
 		caller := market.CallerFunc(func(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
 			sawBudget = federation.BudgetFrom(ctx) == budget
-			sawRec = obs.CallFromContext(ctx) == rec
-			obs.CallFromContext(ctx).AddRetry() // what a retrying transport does
-			return (&fakeCaller{meta: meta, t: 10}).Call(ctx, q)
+			// What a federation that retried once returns.
+			return (&fakeCaller{meta: meta, t: 10, route: market.Route{Endpoint: "m", Retries: 1}}).Call(ctx, q)
 		})
 		s := newSched(caller, Config{Window: window})
 		_, closeOther := s.Open(context.Background())
-		_, info, err := s.Fetch(ctx, reqFor(t, meta, 1, 5, false))
+		res, info, err := s.Fetch(ctx, reqFor(t, meta, 1, 5, false))
 		closeOther()
 		if err != nil {
 			t.Fatal(err)
@@ -261,10 +260,55 @@ func TestFlightCarriesTheLaunchingRequestsValues(t *testing.T) {
 		if info.Delayed != (window > 0) {
 			t.Fatalf("window %v: delayed = %v", window, info.Delayed)
 		}
-		if !sawBudget || !sawRec || rec.Retries != 1 {
-			t.Fatalf("window %v: wire call saw budget=%v record=%v, record retries %d (want true true 1)",
-				window, sawBudget, sawRec, rec.Retries)
+		if !sawBudget || res.Route.Endpoint != "m" || res.Route.Retries != 1 {
+			t.Fatalf("window %v: wire call saw budget=%v, route %+v (want true, m with 1 retry)",
+				window, sawBudget, res.Route)
 		}
+	}
+}
+
+// TestSharedFlightRouteRetriesGoToThePayer: every requester of a shared
+// call learns which endpoint served it, but only the one that carries the
+// bill carries the call's retries, so the retries summed over requesters'
+// traces are the retries the wire call made.
+func TestSharedFlightRouteRetriesGoToThePayer(t *testing.T) {
+	meta := tTable()
+	route := market.Route{Endpoint: "east", Failovers: 1, Retries: 2}
+	fc := &fakeCaller{meta: meta, t: 10, route: route, gate: make(chan struct{})}
+	s := newSched(fc, Config{})
+	outs := make([]market.Result, 2)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, _, err := s.Fetch(context.Background(), reqFor(t, meta, 1, 20, false))
+			if err != nil {
+				t.Error(err)
+			}
+			outs[i] = res
+		}()
+	}
+	waitFor(t, func() bool { return counters(s).SchedSingleflightHits == 1 })
+	close(fc.gate)
+	wg.Wait()
+	if fc.callCount() != 1 {
+		t.Fatalf("wire calls: %d, want 1", fc.callCount())
+	}
+	retries := 0
+	for i, res := range outs {
+		payer := res.Transactions > 0
+		want := route
+		if !payer {
+			want.Retries = 0
+		}
+		if res.Route != want {
+			t.Errorf("requester %d (payer %v): route %+v, want %+v", i, payer, res.Route, want)
+		}
+		retries += res.Route.Retries
+	}
+	if retries != route.Retries {
+		t.Fatalf("requesters carry %d retries, the wire call made %d", retries, route.Retries)
 	}
 }
 

@@ -213,7 +213,8 @@ func (v Value) Equal(w Value) bool {
 
 // GobEncode encodes v as its kind byte followed by its payload: eight
 // little-endian bytes for Int and Float, the text for String, nothing for
-// Null. Dictionary ids never leave the process.
+// Null. Dictionary ids never leave the process. The benchmark ledger hands
+// its daemon the local tables' rows this way (benchmarks/ledger/roles.go).
 func (v Value) GobEncode() ([]byte, error) {
 	switch v.K {
 	case Null:

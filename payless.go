@@ -278,6 +278,19 @@ type Result struct {
 	Trace *Trace
 }
 
+// planResult starts a statement's Result with what its plan says: the
+// estimate, the search counters, the rendering, the optimize time and the
+// planner.
+func planResult(plan *core.Plan) *Result {
+	return &Result{
+		EstTransactions: plan.EstTrans,
+		Counters:        plan.Counters,
+		Plan:            plan.String(),
+		OptimizeTime:    plan.Optimized,
+		Planner:         plan.Planner,
+	}
+}
+
 // Client is a PayLess instance serving one data-buyer organisation. It is
 // safe for concurrent use: the paper's setting has one PayLess installation
 // serving all end users of the buyer (Fig. 2).
@@ -305,6 +318,9 @@ type Client struct {
 	// admit reserves every plan's estimate before execution and settles
 	// its actual spend after; nil admits everything.
 	admit Admitter
+	// beforeOptimize, when set, runs before each optimizer run; tests hold
+	// a compile there to line up concurrent misses.
+	beforeOptimize func()
 
 	mu    sync.Mutex
 	audit io.Writer
@@ -621,7 +637,7 @@ func (c *Client) finishTrace(tr *obs.Trace) {
 // compiles sql, or — with st set — the prepared statement st given the
 // literals lits. A statement with a live plan in its slot skips the
 // optimize stage entirely: the cached plan is re-bound onto the freshly
-// bound literals.
+// bound literals. Concurrent misses of one statement optimize once.
 func (c *Client) compile(sql string, st *core.Statement, lits []sqlparse.Literal, tr *obs.Trace) (*core.Plan, core.Options, error) {
 	bound, st, err := c.front(sql, st, lits, tr)
 	if err != nil {
@@ -633,12 +649,24 @@ func (c *Client) compile(sql string, st *core.Statement, lits []sqlparse.Literal
 	// skip the plan slot and always re-optimize.
 	plans := st != nil && opts.Since.IsZero()
 	if plans {
-		if cp := st.Plan(c.metrics); cp != nil {
-			if plan, ok := cp.Instantiate(bound, c.store, &opts); ok {
+		cp := st.Plan(c.metrics)
+		if plan, ok := cp.Instantiate(bound, c.store, &opts); ok {
+			c.bookPlan(tr, plan)
+			return plan, opts, nil
+		}
+		// A miss plans the slot one compiler at a time: a concurrent miss
+		// of this statement instantiates what the first one stored.
+		live := st.Replan()
+		defer st.EndReplan()
+		if live != cp {
+			if plan, ok := live.Instantiate(bound, c.store, &opts); ok {
 				c.bookPlan(tr, plan)
 				return plan, opts, nil
 			}
 		}
+	}
+	if c.beforeOptimize != nil {
+		c.beforeOptimize()
 	}
 	opt := core.Optimizer{Catalog: c.cat, Store: c.store, Stats: c.stats, Options: opts, Trace: tr}
 	plan, err := opt.Optimize(bound)
@@ -802,16 +830,8 @@ func (c *Client) execute(ctx context.Context, sql string, plan *core.Plan, opts 
 		return nil, c.failed(tr, stageErr(StageExecute, err))
 	}
 
-	res := &Result{
-		Columns:         cols,
-		Rows:            rows,
-		Report:          report,
-		EstTransactions: plan.EstTrans,
-		Counters:        plan.Counters,
-		Plan:            plan.String(),
-		OptimizeTime:    plan.Optimized,
-		Planner:         plan.Planner,
-	}
+	res := planResult(plan)
+	res.Columns, res.Rows, res.Report = cols, rows, report
 	c.metrics.ObserveQuery(time.Since(start), res.OptimizeTime,
 		report.Calls, report.Records, report.Transactions, report.Price)
 	c.finishTrace(tr)

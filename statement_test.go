@@ -392,3 +392,46 @@ func TestPlanCacheCountsOneLookupPerCompile(t *testing.T) {
 		t.Fatalf("under Window: %v, planner %s, %d hits, %d misses", err, res.Planner, hits, misses)
 	}
 }
+
+// TestConcurrentMissesPlanOnce: compiles of one new skeleton that all miss
+// its plan slot together run the optimizer once. The first optimizer run is
+// held until a second compile has missed, so without the slot's planning
+// lock both would plan; with it, every later miss instantiates the plan the
+// first one stored.
+func TestConcurrentMissesPlanOnce(t *testing.T) {
+	c, w := whwClient(t, 256)
+	const n = 4
+	var first sync.Once
+	c.beforeOptimize = func() {
+		first.Do(func() {
+			for deadline := time.Now().Add(10 * time.Second); c.Metrics().PlanCacheMisses < 2 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+	plans := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := c.Explain(fmt.Sprintf("SELECT Temperature FROM Weather WHERE Weather.Country = 'Country01' AND Weather.Date = %d", w.Dates[i]))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			plans[i] = res.Plan
+		}()
+	}
+	wg.Wait()
+	m := c.Metrics()
+	if m.PlansDP != 1 || m.PlansCached != n-1 || m.PlanCacheHits+m.PlanCacheMisses != n {
+		t.Fatalf("%d compiles: %d DP runs, %d cached plans, %d lookups; want 1, %d, %d",
+			n, m.PlansDP, m.PlansCached, m.PlanCacheHits+m.PlanCacheMisses, n-1, n)
+	}
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Errorf("compile %d planned %q, compile 0 %q", i, p, plans[0])
+		}
+	}
+}
