@@ -16,7 +16,7 @@
 //     is lost. Without idempotent retries this is the double-billing
 //     fault; with the replay ledger the retry is free.
 //   - Truncate also fires after billing: the client receives a 200 whose
-//     JSON body was cut mid-flight and must treat it as retryable.
+//     body was cut mid-flight and must treat it as retryable.
 //   - Latency delays the response without failing it.
 package chaos
 

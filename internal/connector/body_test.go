@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -45,7 +46,7 @@ func fullPage() []byte {
 // its pages would.
 func pageServer(body []byte, withLength bool) *httptest.Server {
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", market.PageMediaType)
 		if withLength {
 			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 			w.Write(body)
@@ -116,18 +117,18 @@ func TestKnownLengthPageReadOnce(t *testing.T) {
 	}
 }
 
-// TestLargePageReusesItsBody: a page of about 150 KB, past the 64 KB that
-// bodies once kept and short of a full TPC-H page, is read into the buffer
-// the call before it handed back: a Call allocates less than a quarter of
-// the body beyond decoding the page, where reading it into a new buffer
-// costs the whole body.
+// TestLargePageReusesItsBody: a page of about 117 KB, the size of the
+// largest full TPC-H page, is read into the buffer the call before it
+// handed back: a Call allocates less than a quarter of the body beyond
+// decoding the page, where reading it into a new buffer costs the whole
+// body.
 func TestLargePageReusesItsBody(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers")
 	}
-	body := taggedPage("a-page-of-about-150-KB-", 4000)
-	if len(body) < 128<<10 || len(body) > 192<<10 {
-		t.Fatalf("a %d-byte page; the test wants 128 KB to 192 KB", len(body))
+	body := taggedPage("a-page-of-about-117-KB-", 4000)
+	if len(body) < 112<<10 || len(body) > 118<<10 {
+		t.Fatalf("a %d-byte page; the test wants 112 KB to 118 KB", len(body))
 	}
 	srv := pageServer(body, true)
 	defer srv.Close()
@@ -232,7 +233,7 @@ func TestShortBodyRetriedBilledOnce(t *testing.T) {
 func TestOversizedContentLengthIsNotPreallocated(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(1<<40))
-		w.Write([]byte(`{"schema":`))
+		w.Write(fullPage()[:100])
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler)
 	}))
@@ -310,5 +311,28 @@ func TestDecodedPageOutlivesItsBuffer(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, want[0]) { // the third request is served the first page
 		t.Fatal("overwriting a decoded body's buffer changed the decoded result")
+	}
+}
+
+// TestWrongMediaTypeIsAFault: a 200 that is not a page — the JSON an older
+// market sends, or a proxy's HTML — is a Fault whose error names the type
+// the body came as, and so is a page cut short of its end.
+func TestWrongMediaTypeIsAFault(t *testing.T) {
+	page := taggedPage("x", 3)
+	for _, tc := range []struct{ contentType, body, want string }{
+		{"application/json", `{"schema":[{"name":"K","type":"int"}],"rows":[["1"]],"records":1}`, `"application/json"`},
+		{"text/html; charset=utf-8", "<html><body>502 Bad Gateway</body></html>", `"text/html; charset=utf-8"`},
+		{market.PageMediaType, string(page[:len(page)-1]), "unexpected end"},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", tc.contentType)
+			w.Write([]byte(tc.body))
+		}))
+		_, err := New(srv.URL, "k").Call(context.Background(), catalog.AccessQuery{Dataset: "DS", Table: "T"})
+		srv.Close()
+		var f *Fault
+		if !errors.As(err, &f) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("a %s body: %v, want a Fault naming %s", tc.contentType, err, tc.want)
+		}
 	}
 }

@@ -25,6 +25,7 @@ package connector
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -141,6 +142,9 @@ func (c *Client) get(ctx context.Context, path, callID string, decode func(body 
 		// A 200 with an undecodable body is a corrupted or truncated
 		// response, not a server verdict: as retryable as a transport
 		// error. The idempotency ID makes the retry billing-safe.
+		if errors.Is(err, market.ErrNotAPage) {
+			err = fmt.Errorf("%w: the market answered with %q", err, resp.Header.Get("Content-Type"))
+		}
 		return &Fault{Err: fmt.Errorf("malformed market response: %w", err)}
 	}
 	return nil
@@ -197,8 +201,8 @@ const maxExactRead = 64 << 20
 
 // maxPooledBody is the largest body buffer get hands back to bodies: the
 // pages of a bulk purchase are reused — a full 5 000-row TPC-H page is at
-// most 192 KB — and a rare huge one is not kept.
-const maxPooledBody = 256 << 10
+// most 118 KB — and a rare huge one is not kept.
+const maxPooledBody = 128 << 10
 
 // bodies recycles response buffers. Nothing a decoder returns points into
 // the body it read (market.DecodeResultPage carves rows from its own slab

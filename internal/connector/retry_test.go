@@ -39,7 +39,7 @@ func retrying(t *testing.T, c *connector.Client, attempts int, max time.Duration
 var dataQ = catalog.AccessQuery{Dataset: "DS", Table: "T"}
 
 // emptyPage is the wire body of a one-page result with no rows.
-const emptyPage = `{"Calls":1,"Records":0,"Transactions":0,"Price":0,"Rows":[],"NextPage":0}`
+var emptyPage = market.AppendResultPage(nil, market.Result{}, 0, 0, 0)
 
 func TestPermanent4xxFailsFastWithoutRetry(t *testing.T) {
 	var hits atomic.Int64
@@ -71,7 +71,7 @@ func TestRetryable5xxRecovers(t *testing.T) {
 			http.Error(w, "overloaded", http.StatusServiceUnavailable)
 			return
 		}
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer srv.Close()
 
@@ -90,7 +90,7 @@ func TestTooManyRequestsIsRetryable(t *testing.T) {
 			http.Error(w, "slow down", http.StatusTooManyRequests)
 			return
 		}
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer srv.Close()
 
@@ -115,7 +115,7 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 			conn.Close()
 			return
 		}
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer flaky.Close()
 
@@ -132,10 +132,10 @@ func TestMalformedBodyIsRetried(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hits.Add(1) == 1 {
 			// A 200 whose body was truncated mid-flight.
-			w.Write([]byte(`{"Calls":1,"Rec`))
+			w.Write(emptyPage[:len(emptyPage)-1])
 			return
 		}
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer srv.Close()
 
@@ -152,7 +152,7 @@ func TestContextCancellationStopsRetrying(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		time.Sleep(200 * time.Millisecond)
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer srv.Close()
 
@@ -177,7 +177,7 @@ func TestPerCallTimeoutRetriesSlowAttempts(t *testing.T) {
 		if hits.Add(1) == 1 {
 			time.Sleep(150 * time.Millisecond) // first attempt exceeds the per-call deadline
 		}
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer srv.Close()
 
@@ -199,7 +199,7 @@ func TestRetryAfterHonored(t *testing.T) {
 			http.Error(w, "slow down", http.StatusTooManyRequests)
 			return
 		}
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer srv.Close()
 
@@ -222,7 +222,7 @@ func TestRetryAfterCappedByBackoffMax(t *testing.T) {
 			http.Error(w, "maintenance", http.StatusServiceUnavailable)
 			return
 		}
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer srv.Close()
 
@@ -299,9 +299,9 @@ func TestCallIDStableAcrossRetriesAndPages(t *testing.T) {
 		case n == 1:
 			http.Error(w, "overloaded", http.StatusServiceUnavailable)
 		case r.URL.Query().Get("page") == "0":
-			w.Write([]byte(`{"Calls":1,"Records":2,"Transactions":1,"Price":1,"Rows":[],"NextPage":1}`))
+			w.Write(market.AppendResultPage(nil, market.Result{Records: 2, Transactions: 1, Price: 1}, 0, 0, 1))
 		default:
-			w.Write([]byte(`{"Calls":1,"Records":2,"Transactions":1,"Price":1,"Rows":[],"NextPage":0}`))
+			w.Write(market.AppendResultPage(nil, market.Result{Records: 2}, 0, 0, 0))
 		}
 	}))
 	defer srv.Close()
@@ -372,7 +372,7 @@ func TestInheritedCallIDSentAndNotGrantedAgain(t *testing.T) {
 		if id := r.Header.Get(market.CallIDHeader); id != "assigned-above" {
 			t.Errorf("%s header %q, want the inherited ID", market.CallIDHeader, id)
 		}
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer srv.Close()
 
@@ -450,7 +450,7 @@ func TestDeadlineSurvivesAffordableBackoff(t *testing.T) {
 			http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
 			return
 		}
-		w.Write([]byte(emptyPage))
+		w.Write(emptyPage)
 	}))
 	defer srv.Close()
 

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"payless/internal/connector"
+	"payless/internal/market"
 	"payless/internal/obs"
 )
 
@@ -54,7 +54,7 @@ func TestHedgedRetriesCountedWhereTheyHappen(t *testing.T) {
 			case <-r.Context().Done():
 				return
 			}
-			fmt.Fprintf(w, `{"Calls":1,"Records":0,"Transactions":%d,"Price":%d,"Rows":[],"NextPage":0}`, transactions, transactions)
+			w.Write(market.AppendResultPage(nil, market.Result{Transactions: int64(transactions), Price: float64(transactions)}, 0, 0, 0))
 		}))
 	}
 	a, b := server("a", 1), server("b", 2)

@@ -246,7 +246,7 @@ func (m *Market) Handler() http.Handler {
 		}
 		buf := pageBufs.Get().(*[]byte)
 		body := AppendResultPage((*buf)[:0], res, start, end, next)
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", PageMediaType)
 		// The whole page is in hand: its length lets the buyer read it into
 		// one buffer of exactly that size.
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
@@ -259,8 +259,9 @@ func (m *Market) Handler() http.Handler {
 	return mux
 }
 
-// pageBufs recycles page bodies once written, up to maxPooledPage bytes:
-// a full page of a wide table fits.
+// pageBufs recycles page bodies once written, up to maxPooledPage bytes: a
+// full page fits while its rows take under 800 bytes each on the wire (a
+// full TPC-H page is at most 118 KB).
 var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledPage = 4 << 20

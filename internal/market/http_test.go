@@ -2,6 +2,7 @@ package market
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -179,14 +180,32 @@ func TestWireDecodeErrors(t *testing.T) {
 	if _, err := ClassOf("z"); err == nil {
 		t.Error("ClassOf invalid")
 	}
+	// A valid page: one Int column "a" holding 5, one row, no bill, the
+	// last page. Each case below spoils one part of it.
+	const head, tail = "PLP\x01\x01\x01a\x01", "\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+	if res, _, err := DecodeResultPage([]byte(head + "\x01\x00\x0a" + tail)); err != nil || res.Rows[0][0] != value.NewInt(5) {
+		t.Fatalf("the valid page: %v (%v)", res.Rows, err)
+	}
 	for what, body := range map[string]string{
-		"bad schema type":    `{"schema":[{"name":"a","type":"nope"}]}`,
-		"row width mismatch": `{"schema":[{"name":"a","type":"int"}],"rows":[["1","2"]]}`,
-		"bad cell value":     `{"schema":[{"name":"a","type":"int"}],"rows":[["xyz"]]}`,
+		"a JSON body":                 `{"schema":[{"name":"a","type":"int"}],"rows":[["5"]]}`,
+		"unknown kind":                "PLP\x01\x01\x01a\x07\x01\x00\x0a" + tail,
+		"name not UTF-8":              "PLP\x01\x01\x01\xff\x01\x01\x00\x0a" + tail,
+		"overlong varint":             head + "\x01\x00\x8a\x00" + tail,
+		"more rows than bytes":        head + "\x80\x80\x80\x80\x80\x80\x01\x00\x0a" + tail,
+		"rows of no columns":          "PLP\x01\x00\x01" + tail,
+		"bitmap padding set":          head + "\x01\x02\x0a" + tail,
+		"a value in a null column":    "PLP\x01\x01\x01a\x00\x01\x00" + tail,
+		"a string that is not UTF-8":  "PLP\x01\x01\x01a\x03\x01\x00\x01\xff" + tail,
+		"a string past the end":       "PLP\x01\x01\x01a\x03\x01\x00\x7f" + tail,
+		"bytes after the page":        head + "\x01\x00\x0a" + tail + "\x00",
+		"a page cut before its price": head + "\x01\x00\x0a\x01\x00\x00\x00",
 	} {
 		if _, _, err := DecodeResultPage([]byte(body)); err == nil {
 			t.Error(what)
 		}
+	}
+	if _, _, err := DecodeResultPage([]byte(`{"rows":[]}`)); !errors.Is(err, ErrNotAPage) {
+		t.Errorf("a JSON body: %v, want ErrNotAPage", err)
 	}
 	if _, err := TableOfWire(WireTable{Columns: []WireColumn{{Name: "a", Type: "zzz"}}}); err == nil {
 		t.Error("bad column type")

@@ -344,9 +344,10 @@ func recordedCalls(b *testing.B, d *workload.TPCH, m *market.Market, passes int)
 }
 
 // BenchmarkMarketServe replays the recorded calls of three tpch_buy-style
-// passes against the seller and reports the microseconds per call spent in
-// Execute (index read, filter, bill) and in encoding every page of the
-// result:
+// passes against the seller and reports, per call, the microseconds spent in
+// Execute (index read, filter, bill), in encoding every page of the result
+// and in decoding those pages as the buyer does, and the kilobytes of the
+// pages' bodies:
 //
 //	go test ./internal/market -run '^$' -bench MarketServe -benchtime 20x
 func BenchmarkMarketServe(b *testing.B) {
@@ -357,9 +358,9 @@ func BenchmarkMarketServe(b *testing.B) {
 	}
 	calls := recordedCalls(b, d, m, 3)
 	m.RegisterAccount("bench")
-	var exec, encode time.Duration
+	var exec, encode, decode time.Duration
 	var buf []byte
-	rows := 0
+	rows, bytes := 0, 0
 	b.ResetTimer()
 	for range b.N {
 		for _, q := range calls {
@@ -368,7 +369,7 @@ func BenchmarkMarketServe(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			mid := time.Now()
+			exec += time.Since(start)
 			rows += res.Records
 			for from, page := 0, 0; from == 0 || from < len(res.Rows); from, page = from+market.PageRows, page+1 {
 				to := min(from+market.PageRows, len(res.Rows))
@@ -376,9 +377,15 @@ func BenchmarkMarketServe(b *testing.B) {
 				if to == len(res.Rows) {
 					next = 0
 				}
+				start := time.Now()
 				buf = market.AppendResultPage(buf[:0], res, from, to, next)
+				mid := time.Now()
+				if _, _, err := market.DecodeResultPage(buf); err != nil {
+					b.Fatal(err)
+				}
+				encode, decode = encode+mid.Sub(start), decode+time.Since(mid)
+				bytes += len(buf)
 			}
-			exec, encode = exec+mid.Sub(start), encode+time.Since(mid)
 		}
 	}
 	n := float64(b.N * len(calls))
@@ -386,4 +393,6 @@ func BenchmarkMarketServe(b *testing.B) {
 	b.ReportMetric(float64(rows)/n, "rows/call")
 	b.ReportMetric(float64(exec.Microseconds())/n, "execute_us/call")
 	b.ReportMetric(float64(encode.Microseconds())/n, "encode_us/call")
+	b.ReportMetric(float64(decode.Microseconds())/n, "decode_us/call")
+	b.ReportMetric(float64(bytes)/1024/n, "KB/call")
 }

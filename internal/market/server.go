@@ -6,7 +6,7 @@ import (
 )
 
 // Server timeout defaults. A market data call is a bounded scan plus one
-// JSON page (PageRows rows), so generous-but-finite limits protect the
+// page (PageRows rows), so generous-but-finite limits protect the
 // server from slow-loris clients and stuck connections without ever cutting
 // off a legitimate page.
 const (

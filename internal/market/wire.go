@@ -2,390 +2,340 @@ package market
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"payless/internal/value"
 )
 
-// The body of a data call is the JSON object
+// The body of a data call is one column batch, sent as PageMediaType:
 //
-//	{"schema":[{"name":"a","type":"int"},…],"rows":[["1","x"],…],
-//	 "records":2,"transactions":1,"price":1,"nextPage":1}
+//	magic     "PLP\x01": PayLess page, version 1
+//	schema    a uvarint column count; per column a text name and a kind byte
+//	rows      a uvarint row count
+//	columns   per column, a NULL bitmap of ⌈rows/8⌉ bytes (bit r%8 of byte r/8
+//	          set when row r is NULL, every bit of a null-kind column), then its
+//	          non-NULL cells in row order: an Int as a zigzag varint, a Float as
+//	          its 8 IEEE bits, little-endian, a String as text
+//	records   a uvarint
+//	bill      transactions as a zigzag varint and the price's 8 IEEE bits,
+//	          both 0 after page 0
+//	nextPage  a uvarint, 0 on the last page
 //
-// Cells are JSON strings in value.Value.String form, typed by the schema's
-// kind tags; a NULL cell is the JSON null, so the string "NULL" stays a
-// string. Large results are paged: nextPage is the index of the next page when
-// more rows remain and the client re-issues the call with page=N. Billing
-// happens once, on page 0. Every purchased row crosses this format in both
-// directions, so both are written by hand: no reflection, no string per cell.
+// Text is a uvarint length and that many bytes of UTF-8. Large results are
+// paged: nextPage is the index of the next page when more rows remain, and
+// the client re-issues the call with page=N. Billing happens once, on page 0.
+//
+// Every purchased cell crosses this format, so no float is formatted and no
+// cell is parsed. The format has one spelling per page: varints are minimal,
+// bitmap padding is zero, and the writer replaces each byte of a string that
+// is not UTF-8 with U+FFFD, as the JSON cell encoding and the store do. A
+// body that decodes therefore re-encodes to the same bytes.
+
+// PageMediaType is the Content-Type of a data call's body.
+const PageMediaType = "application/vnd.payless.page"
+
+var pageMagic = []byte("PLP\x01")
+
+// ErrNotAPage is DecodeResultPage's error for a body that does not begin
+// with the page magic: a JSON body from an older market, say, or a proxy's
+// HTML error page.
+var ErrNotAPage = errors.New("market page: body is not " + PageMediaType)
 
 // AppendResultPage appends the wire body of one page of res, its rows
-// [from, to), to buf. Pages after the first carry no bill.
+// [from, to), to buf. Pages after the first carry no bill. A column is
+// written in its kind: a cell of another kind, which a generated table never
+// holds, goes as AsInt, AsFloat or Str reads it.
 func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
-	buf = slices.Grow(buf, 128+(to-from+2)*len(res.Schema)*16) // a guess that spares most regrowth
-	buf = append(buf, `{"schema":[`...)
-	for i, c := range res.Schema {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = value.AppendJSONString(append(buf, `{"name":`...), c.Name)
-		buf = value.AppendJSONString(append(buf, `,"type":`...), c.Type.String())
-		buf = append(buf, '}')
+	rows := res.Rows[from:to]
+	buf = append(buf, pageMagic...)
+	buf = binary.AppendUvarint(buf, uint64(len(res.Schema)))
+	for _, c := range res.Schema {
+		buf = append(appendText(buf, c.Name), byte(c.Type))
 	}
-	buf = append(buf, `],"rows":[`...)
-	for r, row := range res.Rows[from:to] {
-		if r > 0 {
-			buf = append(buf, ',')
-		}
-		buf = row.AppendJSON(buf)
-	}
-	buf = strconv.AppendInt(append(buf, `],"records":`...), int64(res.Records), 10)
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	buf = appendColumns(buf, rows, res.Schema)
+	buf = binary.AppendUvarint(buf, uint64(res.Records))
+	var transactions int64
+	var price float64
 	if from == 0 {
-		buf = strconv.AppendInt(append(buf, `,"transactions":`...), res.Transactions, 10)
-		buf = strconv.AppendFloat(append(buf, `,"price":`...), res.Price, 'g', -1, 64)
+		transactions, price = res.Transactions, res.Price
 	}
-	if nextPage > 0 {
-		buf = strconv.AppendInt(append(buf, `,"nextPage":`...), int64(nextPage), 10)
+	buf = binary.AppendVarint(buf, transactions)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(price))
+	return binary.AppendUvarint(buf, uint64(nextPage))
+}
+
+// appendColumns appends the columns of rows. It first copies the cells
+// into one column-major scratch slab, reading each row once in row order:
+// the seller's rows are scattered, and reading them a column at a time
+// would fetch every row once a column.
+func appendColumns(buf []byte, rows []value.Row, schema value.Schema) []byte {
+	n := len(rows)
+	scratch := cellBufs.Get().(*[]value.Value)
+	cells := slices.Grow((*scratch)[:0], n*len(schema))[:n*len(schema)]
+	for r, row := range rows {
+		for c, v := range row[:len(schema)] {
+			cells[c*n+r] = v
+		}
 	}
-	return append(buf, "}\n"...)
+	for c, col := range schema {
+		buf = appendColumn(buf, cells[c*n:(c+1)*n], col.Type)
+	}
+	if *scratch = cells; cap(cells)*16 <= maxPooledPage {
+		cellBufs.Put(scratch)
+	}
+	return buf
+}
+
+// cellBufs recycles appendColumns' slabs, as pageBufs does pages.
+var cellBufs = sync.Pool{New: func() any { return new([]value.Value) }}
+
+// appendColumn appends one column, of kind k: its NULL bitmap, then its
+// other cells.
+func appendColumn(buf []byte, cells []value.Value, k value.Kind) []byte {
+	nulls := len(buf)
+	buf = append(buf, make([]byte, (len(cells)+7)/8)...)
+	for r, v := range cells {
+		if v.K == value.Null || k == value.Null {
+			buf[nulls+r/8] |= 1 << (r % 8)
+		}
+	}
+	for _, v := range cells {
+		switch {
+		case v.K == value.Null || k == value.Null:
+		case k == value.Int:
+			buf = binary.AppendVarint(buf, v.AsInt())
+		case k == value.Float:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.AsFloat()))
+		default:
+			buf = appendText(buf, v.Str())
+		}
+	}
+	return buf
+}
+
+// appendText appends s as text, one U+FFFD for each byte that is not UTF-8.
+func appendText(buf []byte, s string) []byte {
+	if !utf8.ValidString(s) {
+		s = strings.Map(func(r rune) rune { return r }, s)
+	}
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
 // DecodeResultPage decodes one page of a data call from its wire body: the
 // result, with this page's rows, and the index of the next page (0 after the
-// last).
+// last). It accepts exactly the bodies AppendResultPage writes.
 //
-// It accepts what encoding/json accepts into the same fields — keys in any
-// order and any case, unknown keys skipped, null leaving a field at its zero
-// value, invalid UTF-8 replaced — with one deliberate exception: a body that
-// repeats a key the decoder reads is malformed, not merged. Rows are carved
-// from one slab per page, numeric cells are parsed from the body's bytes and
-// string cells are interned from it, so a stored row never keeps a response
-// body alive.
+// Rows are carved from one slab a page and filled column by column; strings
+// are interned, so a stored row never keeps a response body alive. Before it
+// allocates for a count, the decoder checks that the bytes left could hold
+// what the count describes, so a body cannot claim more memory than it
+// could fill: each column at least 2 bytes, each row a bitmap bit in every
+// column.
 func DecodeResultPage(body []byte) (res Result, nextPage int, err error) {
-	d := wireDecoder{buf: body}
-	defer func() {
-		// Malformed input panics with a wireError: no error plumbing per cell.
-		if r := recover(); r != nil {
-			we, ok := r.(wireError)
-			if !ok {
-				panic(r)
-			}
-			res, nextPage, err = Result{}, 0, we.err
-		}
-	}()
-	var kinds []value.Kind
-	rowsAt := -1 // offset of a rows array met before the schema, parsed last
-	d.object(1, []string{"schema", "rows", "records", "transactions", "price", "nextPage"}, func(field int) {
-		switch field {
-		case 0:
-			res.Schema, kinds = d.schema()
-		case 1:
-			if rowsAt = d.pos; kinds == nil {
-				d.skip(2)
-			} else {
-				res.Rows, rowsAt = d.rows(kinds), -1
-			}
-		case 2:
-			res.Records = int(d.integer())
-		case 3:
-			res.Transactions = d.integer()
-		case 4:
-			if res.Price, err = strconv.ParseFloat(d.number(), 64); err != nil {
-				d.fail("%v", err)
-			}
-		case 5:
-			nextPage = int(d.integer())
-		}
-	})
-	if d.space() != 0 || d.pos < len(d.buf) {
-		d.fail("data after the top-level value")
+	if !bytes.HasPrefix(body, pageMagic) {
+		return Result{}, 0, ErrNotAPage
 	}
-	if rowsAt >= 0 {
-		d.pos = rowsAt
-		res.Rows = d.rows(kinds)
+	d := pageReader{buf: body, pos: len(pageMagic)}
+	res.Schema = d.schema()
+	res.Rows = d.rows(res.Schema)
+	res.Records = d.count()
+	res.Transactions = d.varint()
+	res.Price = math.Float64frombits(d.fixed64())
+	nextPage = d.count()
+	if d.err == nil && d.pos != len(d.buf) {
+		d.fail("%d bytes after the page", len(d.buf)-d.pos)
+	}
+	if d.err != nil {
+		return Result{}, 0, d.err
 	}
 	return res, nextPage, nil
 }
 
-type wireError struct{ err error }
-
-// wireDecoder is a cursor over one response body.
-type wireDecoder struct {
+// pageReader is a cursor over one page. The first failure sticks, and reads
+// after it return zeros or stay in bounds; callers check err before they
+// trust a count.
+type pageReader struct {
 	buf []byte
 	pos int
+	err error
 }
 
-func (d *wireDecoder) fail(format string, args ...any) {
-	panic(wireError{fmt.Errorf("wire result: offset %d: "+format, append([]any{d.pos}, args...)...)})
+func (d *pageReader) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("market page: offset %d: "+format, append([]any{d.pos}, args...)...)
+	}
 }
 
-// space skips whitespace and returns the byte at the cursor, 0 at the end of
-// the body.
-func (d *wireDecoder) space() byte {
-	for d.pos < len(d.buf) {
-		switch c := d.buf[d.pos]; c {
-		case ' ', '\t', '\r', '\n':
-			d.pos++
-		default:
-			return c
-		}
+func (d *pageReader) left() int { return len(d.buf) - d.pos }
+
+// uvarint reads a minimal uvarint.
+func (d *pageReader) uvarint() uint64 {
+	x, n := binary.Uvarint(d.buf[d.pos:])
+	switch {
+	case n == 0:
+		d.fail("unexpected end")
+	case n < 0 || n > 1 && d.buf[d.pos+n-1] == 0:
+		d.fail("malformed varint")
+	default:
+		d.pos += n
+		return x
 	}
 	return 0
 }
 
-// expect consumes the byte c, after whitespace.
-func (d *wireDecoder) expect(c byte) {
-	if d.space() != c {
-		d.fail("want %q", c)
-	}
-	d.pos++
+// varint reads a minimal zigzag varint.
+func (d *pageReader) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
-// literal consumes lit if the cursor, after whitespace, is at it. A null
-// where a value is expected leaves the field as it is, as in encoding/json.
-func (d *wireDecoder) literal(lit string) bool {
-	d.space()
-	if !bytes.HasPrefix(d.buf[d.pos:], []byte(lit)) {
-		return false
+// count reads a uvarint that must fit an int.
+func (d *pageReader) count() int {
+	n := d.uvarint()
+	if n > math.MaxInt {
+		d.fail("count %d out of range", n)
+		return 0
 	}
-	d.pos += len(lit)
-	return true
+	return int(n)
 }
 
-// more steps over the separator of an object or array that ends in closer and
-// reports false once the closer is consumed. first is true before the first
-// element.
-func (d *wireDecoder) more(first bool, closer byte) bool {
-	c := d.space()
-	if c == closer {
-		d.pos++
-		return false
+func (d *pageReader) fixed64() uint64 {
+	if d.err != nil {
+		return 0
 	}
-	if !first {
-		if c != ',' {
-			d.fail("want ',' or %q", closer)
-		}
-		d.pos++
-		if d.space() == closer {
-			d.fail("trailing comma")
-		}
-	}
-	if d.pos == len(d.buf) {
+	if d.left() < 8 {
 		d.fail("unexpected end")
+		return 0
 	}
-	return true
+	x := binary.LittleEndian.Uint64(d.buf[d.pos:])
+	d.pos += 8
+	return x
 }
 
-// object walks a JSON object (or null) nested depth deep. For a key that is
-// one of fields — in any case, like encoding/json — it calls read with the
-// field's index and the cursor on the member's value, which read consumes;
-// such a key must not repeat. Other members are skipped.
-func (d *wireDecoder) object(depth int, fields []string, read func(field int)) {
-	if d.literal("null") {
-		return
-	}
-	d.expect('{')
-	seen := 0
-	for first := true; d.more(first, '}'); first = false {
-		start := d.pos
-		key, plain := d.rawString()
-		if !plain {
-			d.pos = start
-			key = []byte(d.str())
-		}
-		d.expect(':')
-		field := slices.IndexFunc(fields, func(f string) bool { return strings.EqualFold(f, string(key)) })
-		if field < 0 {
-			d.skip(depth + 1)
-			continue
-		}
-		if seen&(1<<field) != 0 {
-			d.fail("duplicate key %q", key)
-		}
-		seen |= 1 << field
-		read(field)
-	}
-}
-
-// rawString consumes a string token and returns its bytes between the quotes,
-// and whether they are the string's value as they stand: no escapes, valid
-// UTF-8.
-func (d *wireDecoder) rawString() (raw []byte, plain bool) {
-	d.expect('"')
-	plain = true
-	for i := d.pos; i < len(d.buf); i++ {
-		switch c := d.buf[i]; {
-		case c == '"':
-			raw, d.pos = d.buf[d.pos:i], i+1
-			return raw, plain && utf8.Valid(raw)
-		case c == '\\':
-			plain = false
-			i++
-		case c < 0x20:
-			d.fail("control character in string")
-		}
-	}
-	d.fail("unterminated string")
-	return nil, false
-}
-
-// str consumes a string token and returns its value, a copy.
-func (d *wireDecoder) str() string {
-	d.space()
-	start := d.pos
-	raw, plain := d.rawString()
-	if plain {
-		return string(raw)
-	}
-	// Escapes, surrogate pairs and invalid UTF-8 are rare in market data:
-	// leave their rules to encoding/json.
-	var s string
-	if err := json.Unmarshal(d.buf[start:d.pos], &s); err != nil {
-		d.fail("%v", err)
-	}
-	return s
-}
-
-// number consumes a JSON number token and returns its text (or null: "0").
-func (d *wireDecoder) number() string {
-	if d.literal("null") {
-		return "0"
-	}
-	start := d.pos
-	for d.pos < len(d.buf) && strings.IndexByte("+-.0123456789Ee", d.buf[d.pos]) >= 0 {
-		d.pos++
-	}
-	if !json.Valid(d.buf[start:d.pos]) { // of these bytes, only a number is valid JSON
-		d.fail("want a value")
-	}
-	return string(d.buf[start:d.pos])
-}
-
-// integer consumes a number that must be an int64.
-func (d *wireDecoder) integer() int64 {
-	n, err := strconv.ParseInt(d.number(), 10, 64)
-	if err != nil {
-		d.fail("%v", err)
-	}
-	return n
-}
-
-// skip consumes and validates one value of any type, depth levels deep.
-// encoding/json nests no deeper than 10 000; neither does this.
-func (d *wireDecoder) skip(depth int) {
-	switch c := d.space(); {
-	case c == '{' || c == '[':
-		if depth > 10000 {
-			d.fail("exceeded max depth")
-		}
-		d.pos++
-		for first := true; d.more(first, c+2); first = false { // '{'+2 == '}', '['+2 == ']'
-			if c == '{' {
-				d.str()
-				d.expect(':')
-			}
-			d.skip(depth + 1)
-		}
-	case c == '"':
-		d.str()
-	case d.literal("null") || d.literal("true") || d.literal("false"):
-	default:
-		d.number()
-	}
-}
-
-// schema consumes the schema array (or null) and returns the columns and
-// their kinds. kinds is non-nil even for an empty schema.
-func (d *wireDecoder) schema() (value.Schema, []value.Kind) {
-	schema, kinds := value.Schema{}, []value.Kind{}
-	if d.literal("null") {
-		return nil, kinds
-	}
-	d.expect('[')
-	for first := true; d.more(first, ']'); first = false {
-		var col [2]string
-		d.object(3, []string{"name", "type"}, func(field int) {
-			if !d.literal("null") {
-				col[field] = d.str()
-			}
-		})
-		k, err := value.ParseKind(col[1])
-		if err != nil {
-			d.fail("column %q: %v", col[0], err)
-		}
-		schema, kinds = append(schema, value.Column{Name: col[0], Type: k}), append(kinds, k)
-	}
-	return schema, kinds
-}
-
-// rows consumes the rows array (or null). Rows are carved from one slab sized
-// by counting row separators — exact for a compactly written body, never more
-// than the body could fill; a body written any other way makes the slab grow
-// in doubling chunks instead.
-func (d *wireDecoder) rows(kinds []value.Kind) []value.Row {
-	if d.literal("null") {
+// bytes reads n bytes, a slice of the body.
+func (d *pageReader) bytes(n int) []byte {
+	if d.err != nil {
 		return nil
 	}
-	d.expect('[')
-	width, rest := len(kinds), d.buf[d.pos:]
-	hint := min(bytes.Count(rest, []byte("],["))+1, len(rest)/(2*width+1)+1)
-	rows := make([]value.Row, 0, hint)
-	slab := make([]value.Value, 0, hint*width)
-	for first := true; d.more(first, ']'); first = false {
-		if cap(slab)-len(slab) < width {
-			slab = make([]value.Value, 0, 2*cap(slab)+width)
+	if n > d.left() {
+		d.fail("unexpected end")
+		return nil
+	}
+	b := d.buf[d.pos : d.pos+n]
+	d.pos += n
+	return b
+}
+
+// text reads text, a slice of the body.
+func (d *pageReader) text() []byte {
+	n := d.uvarint()
+	if n > uint64(d.left()) {
+		d.fail("unexpected end")
+		return nil
+	}
+	b := d.bytes(int(n))
+	if !utf8.Valid(b) {
+		d.fail("text is not UTF-8")
+	}
+	return b
+}
+
+// schema reads the column count and the columns. Names are interned: a
+// page's names are those of the pages before it.
+func (d *pageReader) schema() value.Schema {
+	n := d.uvarint()
+	if n > uint64(d.left()/2) {
+		d.fail("%d columns in %d bytes", n, d.left())
+	}
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	schema := make(value.Schema, n)
+	for i := range schema {
+		schema[i].Name = value.NewStringBytes(d.text()).Str()
+		k := d.bytes(1)
+		if d.err != nil {
+			return nil
 		}
-		row := slab[len(slab) : len(slab) : len(slab)+width]
-		if !d.literal("null") { // a null row is an empty one
-			d.expect('[')
-			for first := true; d.more(first, ']'); first = false {
-				if len(row) == width {
-					d.fail("row wider than the schema's %d columns", width)
-				}
-				row = append(row, d.cell(kinds[len(row)]))
-			}
+		if k[0] > byte(value.String) {
+			d.fail("unknown kind %d", k[0])
+			return nil
 		}
-		if len(row) != width {
-			d.fail("row width %d, want %d", len(row), width)
+		schema[i].Type = value.Kind(k[0])
+	}
+	return schema
+}
+
+// rows reads the row count and the columns into rows carved from one slab.
+func (d *pageReader) rows(schema value.Schema) []value.Row {
+	n := d.uvarint()
+	width := len(schema)
+	switch {
+	case d.err != nil || n == 0:
+		return nil
+	case width == 0:
+		d.fail("%d rows of no columns", n)
+		return nil
+	case n > 8*uint64(d.left()) || int(n+7)/8 > d.left()/width:
+		d.fail("%d rows of %d columns in %d bytes", n, width, d.left())
+		return nil
+	}
+	rows, slab := make([]value.Row, n), make([]value.Value, int(n)*width)
+	for r := range rows {
+		rows[r] = slab[r*width : (r+1)*width : (r+1)*width]
+	}
+	for c, col := range schema {
+		if d.column(slab, len(rows), width, c, col.Type); d.err != nil {
+			return nil
 		}
-		slab = slab[:len(slab)+width]
-		rows = append(rows, row)
 	}
 	return rows
 }
 
-// cell consumes one cell — a string in value.Value.String form, or null — of
-// a column of kind k: what value.Parse parses, but numbers straight from the
-// body's bytes.
-func (d *wireDecoder) cell(k value.Kind) (v value.Value) {
-	if d.buf[d.pos] == 'n' && d.literal("null") {
-		return v
+// column reads column c, of kind k, of n rows into slab, whose rows are
+// width cells apart. NULL cells are the slab's zero Values.
+func (d *pageReader) column(slab []value.Value, n, width, c int, k value.Kind) {
+	nulls := d.bytes((n + 7) / 8)
+	if d.err != nil {
+		return
 	}
-	start := d.pos
-	raw, plain := d.rawString()
-	var err error
-	switch {
-	case !plain:
-		d.pos = start
-		v, err = value.Parse(k, d.str())
-	case k == value.Int:
-		var i int64
-		i, err = strconv.ParseInt(string(raw), 10, 64)
-		v = value.NewInt(i)
-	case k == value.Float:
-		var f float64
-		f, err = strconv.ParseFloat(string(raw), 64)
-		v = value.NewFloat(f)
-	case k == value.String:
-		v = value.NewStringBytes(raw)
+	last, pad := nulls[len(nulls)-1], uint(n%8)
+	if pad > 0 && last>>pad != 0 {
+		d.fail("bitmap padding is not zero")
+		return
 	}
-	if err != nil {
-		d.fail("%v", err)
+	if k == value.Null {
+		full := pad == 0 && last == 0xff || pad > 0 && last == 1<<pad-1
+		for _, b := range nulls[:len(nulls)-1] {
+			full = full && b == 0xff
+		}
+		if !full {
+			d.fail("a null-kind column holds a value")
+		}
+		return
 	}
-	return v
+	for r, at := 0, c; r < n; r, at = r+1, at+width {
+		if nulls[r/8]&(1<<(r%8)) != 0 {
+			continue
+		}
+		switch k {
+		case value.Int:
+			slab[at] = value.NewInt(d.varint())
+		case value.Float:
+			slab[at] = value.NewFloat(math.Float64frombits(d.fixed64()))
+		default:
+			slab[at] = value.NewStringBytes(d.text())
+		}
+		if d.err != nil {
+			return
+		}
+	}
 }

@@ -2,13 +2,13 @@ package value
 
 import "unicode/utf8"
 
-// The JSON cell encoding is the one every writer of rows shares: the market
-// wire, paylessd's responses, and the semantic store's log frames and
-// snapshots. A cell is its String rendering as a JSON string, typed by a
-// schema kept beside it; NULL of any kind is the JSON null, so it stays
-// distinct from the string "NULL". Everything here appends exactly the bytes
-// encoding/json writes for the same strings, with no reflection and no
-// string per cell.
+// The JSON cell encoding is the one the JSON writers of rows share:
+// paylessd's responses and the semantic store's log frames and snapshots
+// (the market's data pages are binary column batches, market/wire.go). A
+// cell is its String rendering as a JSON string, typed by a schema kept
+// beside it; NULL of any kind is the JSON null, so it stays distinct from
+// the string "NULL". Everything here appends exactly the bytes encoding/json
+// writes for the same strings, with no reflection and no string per cell.
 
 // AppendJSON appends v as a JSON cell: null for NULL, a String's text as a
 // JSON string, and an Int's or Float's AppendText rendering in quotes.
