@@ -95,7 +95,7 @@ func (d *DownloadAll) ensureDownloaded(t *catalog.Table) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tbl.Insert(res.Rows); err != nil {
+	if _, err := tbl.Insert(res.Batch.Rows()); err != nil {
 		return err
 	}
 	d.downloaded[t.Name] = true

@@ -212,25 +212,30 @@ func CompileFilter(t *Table, q AccessQuery) Filter {
 // Matches reports whether a row of the table the filter was compiled against
 // satisfies every predicate.
 func (f Filter) Matches(row value.Row) bool {
-	for _, p := range f {
-		if p.col < 0 {
-			return false
-		}
-		v := row[p.col]
-		if p.Eq != nil {
-			if !v.Equal(*p.Eq) {
-				return false
-			}
-			continue
-		}
-		if p.Lo != nil && v.AsInt() < *p.Lo {
-			return false
-		}
-		if p.Hi != nil && v.AsInt() > *p.Hi {
+	for i := range f {
+		if p := &f[i]; p.col < 0 || !p.holds(row[p.col]) {
 			return false
 		}
 	}
 	return true
+}
+
+// MatchesAt is Matches for row r of b, a batch of the table's columns.
+func (f Filter) MatchesAt(b value.Batch, r int) bool {
+	for i := range f {
+		if p := &f[i]; p.col < 0 || !p.holds(b.At(r, p.col)) {
+			return false
+		}
+	}
+	return true
+}
+
+// holds reports whether v, a cell of the predicate's column, satisfies it.
+func (p *colPred) holds(v value.Value) bool {
+	if p.Eq != nil {
+		return v.Equal(*p.Eq)
+	}
+	return (p.Lo == nil || v.AsInt() >= *p.Lo) && (p.Hi == nil || v.AsInt() <= *p.Hi)
 }
 
 // IntPtr returns a pointer to v; a convenience for building range predicates.

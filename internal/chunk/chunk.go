@@ -53,3 +53,16 @@ func (l *List[T]) Append(v T) {
 	l.dir[c][l.n&(Len-1)] = v
 	l.n++
 }
+
+// AppendSlice appends vs, in order, copying a chunk's worth at a time.
+func (l *List[T]) AppendSlice(vs []T) {
+	for len(vs) > 0 {
+		c := l.n >> Bits
+		if c == len(l.dir) {
+			l.dir = append(l.dir, make([]T, Len))
+		}
+		k := copy(l.dir[c][l.n&(Len-1):], vs)
+		l.n += k
+		vs = vs[k:]
+	}
+}

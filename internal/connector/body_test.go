@@ -29,16 +29,18 @@ func fullPage() []byte {
 		{Name: "Price", Type: value.Float},
 		{Name: "Day", Type: value.Int},
 	}}
-	for i := range market.PageRows {
-		res.Rows = append(res.Rows, value.Row{
+	rows := make([]value.Row, market.PageRows)
+	for i := range rows {
+		rows[i] = value.Row{
 			value.NewInt(int64(i)),
 			value.NewString([]string{"A", "N", "R"}[i%3]),
 			value.NewFloat(float64(i) / 7),
 			value.NewInt(int64(1 + i%2400)),
-		})
+		}
 	}
-	res.Records, res.Transactions, res.Price = len(res.Rows), 50, 50
-	return market.AppendResultPage(nil, res, 0, len(res.Rows), 0)
+	res.Batch = value.BatchOf(res.Schema, rows)
+	res.Records, res.Transactions, res.Price = len(rows), 50, 50
+	return market.AppendResultPage(nil, res, 0, len(rows), 0)
 }
 
 // pageServer serves body to every request: with its Content-Length, as the
@@ -172,8 +174,8 @@ func TestChunkedPageDecodesIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(results[0].Rows) != market.PageRows {
-		t.Fatalf("decoded %d rows, want %d", len(results[0].Rows), market.PageRows)
+	if results[0].Batch.N != market.PageRows {
+		t.Fatalf("decoded %d rows, want %d", results[0].Batch.N, market.PageRows)
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Error("the chunked page decodes differently from the same page with a Content-Length")
@@ -249,9 +251,11 @@ func TestOversizedContentLengthIsNotPreallocated(t *testing.T) {
 // start with tag: pages of tags of one length have bodies of one length.
 func taggedPage(tag string, n int) []byte {
 	res := market.Result{Schema: value.Schema{{Name: "K", Type: value.Int}, {Name: "Name", Type: value.String}}}
-	for i := range n {
-		res.Rows = append(res.Rows, value.Row{value.NewInt(int64(i)), value.NewString(tag + strconv.Itoa(i))})
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i)), value.NewString(tag + strconv.Itoa(i))}
 	}
+	res.Batch = value.BatchOf(res.Schema, rows)
 	res.Records, res.Transactions, res.Price = n, 1, 1
 	return market.AppendResultPage(nil, res, 0, n, 0)
 }

@@ -30,6 +30,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -205,8 +206,8 @@ const maxExactRead = 64 << 20
 const maxPooledBody = 128 << 10
 
 // bodies recycles response buffers. Nothing a decoder returns points into
-// the body it read (market.DecodeResultPage carves rows from its own slab
-// and interns strings; encoding/json copies), so get hands its buffer back
+// the body it read (market.DecodeResultPage fills its own column batch and
+// interns strings; encoding/json copies), so get hands its buffer back
 // once it returns, on every path.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -305,9 +306,10 @@ func (c *Client) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 }
 
 // pages reads q's result from page onward into res. Page 0 carries the
-// schema and the bill; later pages only add rows. Each page is decoded
-// inside get, so a page that does not decode is a Fault, which resumes
-// here at the page that failed with the pages before it kept.
+// schema and the bill; later pages only add rows, appended column by
+// column, and must carry page 0's schema. Each page is decoded inside get,
+// so a page that does not decode or whose schema differs is a Fault, which
+// resumes here at the page that failed with the pages before it kept.
 func (c *Client) pages(ctx context.Context, q catalog.AccessQuery, res market.Result, page int) (market.Result, error) {
 	params := url.Values{}
 	for _, p := range q.Preds {
@@ -332,8 +334,12 @@ func (c *Client) pages(ctx context.Context, q catalog.AccessQuery, res market.Re
 		params.Set("page", strconv.Itoa(page))
 		var part market.Result
 		var next int
+		schema := res.Schema
 		err := c.get(ctx, base+"?"+params.Encode(), q.CallID, func(body []byte) (err error) {
 			part, next, err = market.DecodeResultPage(body)
+			if err == nil && page > 0 && !slices.Equal(part.Schema, schema) {
+				err = fmt.Errorf("page %d's schema %v is not page 0's %v", page, part.Schema, schema)
+			}
 			return err
 		})
 		if err != nil {
@@ -347,7 +353,7 @@ func (c *Client) pages(ctx context.Context, q catalog.AccessQuery, res market.Re
 		if page == 0 {
 			res = part
 		} else {
-			res.Rows = append(res.Rows, part.Rows...)
+			res.Batch.Append(part.Batch)
 		}
 		if next == 0 {
 			return res, nil

@@ -77,7 +77,7 @@ func TestClientCatalogAndCall(t *testing.T) {
 	if res2.Records == 0 || res2.Records >= 150 {
 		t.Errorf("filtered call records: %d", res2.Records)
 	}
-	for _, r := range res2.Rows {
+	for _, r := range res2.Batch.Rows() {
 		if r[0].Str() != "Canada" || r[1].Int64() > 50 {
 			t.Errorf("row violates predicate: %v", r)
 		}
@@ -170,8 +170,8 @@ func TestClientPagination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != market.PageRows+123 {
-		t.Fatalf("paged rows: %d, want %d", len(res.Rows), market.PageRows+123)
+	if res.Batch.N != market.PageRows+123 {
+		t.Fatalf("paged rows: %d, want %d", res.Batch.N, market.PageRows+123)
 	}
 	// Billing happened once (on page 0), covering all records.
 	meter, _ := m.MeterOf("k")
@@ -181,7 +181,7 @@ func TestClientPagination(t *testing.T) {
 	}
 	// All keys present exactly once.
 	seen := make(map[int64]bool)
-	for _, r := range res.Rows {
+	for _, r := range res.Batch.Rows() {
 		if seen[r[0].Int64()] {
 			t.Fatalf("duplicate key %d across pages", r[0].Int64())
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -330,7 +331,7 @@ func TestCallIDStableAcrossRetriesAndPages(t *testing.T) {
 // survived.
 func TestFaultResumesAtTheFailedPage(t *testing.T) {
 	full := market.Result{Schema: value.Schema{{Name: "K", Type: value.Int}}, Records: 2, Transactions: 1, Price: 1,
-		Rows: []value.Row{{value.NewInt(1)}, {value.NewInt(2)}}}
+		Batch: value.BatchOf(value.Schema{{Name: "K", Type: value.Int}}, []value.Row{{value.NewInt(1)}, {value.NewInt(2)}})}
 	var mu sync.Mutex
 	var pages []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -359,8 +360,35 @@ func TestFaultResumesAtTheFailedPage(t *testing.T) {
 	if want := []string{"0", "0", "1", "1"}; len(pages) != len(want) || pages[0] != want[0] || pages[1] != want[1] || pages[2] != want[2] || pages[3] != want[3] {
 		t.Fatalf("pages requested %v, want %v", pages, want)
 	}
-	if len(res.Rows) != 2 || res.Rows[0][0].Int64() != 1 || res.Rows[1][0].Int64() != 2 {
-		t.Fatalf("rows %v, want page 0's then page 1's", res.Rows)
+	if got := res.Batch.Rows(); len(got) != 2 || got[0][0].Int64() != 1 || got[1][0].Int64() != 2 {
+		t.Fatalf("rows %v, want page 0's then page 1's", got)
+	}
+}
+
+// TestLaterPageOfAnotherSchemaIsAFault: page 1 carries page 0's two Int
+// columns with their names swapped. Appended column by column, its cells
+// would land in each other's columns without an error; the connector
+// refuses the page as a Fault that names it, and keeps no rows of it.
+func TestLaterPageOfAnotherSchemaIsAFault(t *testing.T) {
+	ab := value.Schema{{Name: "A", Type: value.Int}, {Name: "B", Type: value.Int}}
+	ba := value.Schema{ab[1], ab[0]}
+	rows := []value.Row{{value.NewInt(1), value.NewInt(10)}, {value.NewInt(20), value.NewInt(2)}}
+	page := func(schema value.Schema) market.Result {
+		return market.Result{Schema: schema, Batch: value.BatchOf(schema, rows), Records: 2, Transactions: 1, Price: 1}
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("page") == "0" {
+			w.Write(market.AppendResultPage(nil, page(ab), 0, 1, 1))
+		} else {
+			w.Write(market.AppendResultPage(nil, page(ba), 1, 2, 0))
+		}
+	}))
+	defer srv.Close()
+
+	res, err := connector.New(srv.URL, "k").Call(context.Background(), dataQ)
+	var fault *connector.Fault
+	if !errors.As(err, &fault) || fault.Page != 1 || !strings.Contains(err.Error(), "page 1") {
+		t.Fatalf("a page 1 of another schema: %v rows, error %v; want a Fault naming page 1", res.Batch.Rows(), err)
 	}
 }
 

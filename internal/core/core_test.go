@@ -226,7 +226,7 @@ func TestTheorem2CoveredRelationGoesFirst(t *testing.T) {
 	s := numTable("S", 1000, "c", "d")
 	f := newFixture(t, r, s)
 	// Cover R fully in the semantic store.
-	if _, err := f.store.Record(r, r.FullBox(), nil, time.Now()); err != nil {
+	if _, err := f.store.Record(r, r.FullBox(), value.Batch{}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	plan := f.optimize(t, "SELECT * FROM R, S WHERE R.a = S.c", Options{})

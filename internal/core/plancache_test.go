@@ -9,6 +9,7 @@ import (
 	"payless/internal/semstore"
 	"payless/internal/sqlparse"
 	"payless/internal/storage"
+	"payless/internal/value"
 )
 
 // bind parses and binds a statement against the fixture's catalog.
@@ -193,7 +194,7 @@ func TestSkeletonInstantiateRejectsUncoveredLocalScan(t *testing.T) {
 	r := numTable("R", 1000, "a", "b")
 	s := numTable("S", 1000, "c", "d")
 	f := newFixture(t, r, s)
-	if _, err := f.store.Record(r, r.FullBox(), nil, time.Now()); err != nil {
+	if _, err := f.store.Record(r, r.FullBox(), value.Batch{}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	sql := "SELECT * FROM R, S WHERE R.a = S.c"

@@ -238,7 +238,7 @@ func (e *Engine) buy(ctx context.Context, a *storage.Arena, rel *core.Rel, calls
 	if !sqr {
 		var rows []value.Row
 		for _, res := range results {
-			rows = append(rows, res.Rows...)
+			rows = append(rows, res.Batch.Rows()...)
 		}
 		return a.Whole(rel.Schema, rows), nil
 	}

@@ -194,7 +194,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 		} else {
 			// Statistics learn what each planned piece held, as if it had
 			// been bought on its own.
-			for k, n := range sched.PartCounts(spec.meta, spec.partQueries(), res.Rows) {
+			for k, n := range sched.PartCounts(spec.meta, spec.partQueries(), res.Batch) {
 				e.Stats.Feedback(spec.meta.Name, spec.parts[k].box, n)
 			}
 		}
@@ -205,7 +205,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 		// exactly once per wire call; recording here again would duplicate
 		// the rows' coverage entry.
 		if spec.record && !infos[i].Recorded {
-			rr, err := e.Store.Record(spec.meta, spec.box, res.Rows, time.Now())
+			rr, err := e.Store.Record(spec.meta, spec.box, res.Batch, time.Now())
 			added, compacted = rr.Added, rr.Compacted()
 			walMicros, walSynced = rr.WALMicros, rr.Synced
 			if err != nil && mergeErr == nil {

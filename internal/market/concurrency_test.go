@@ -153,7 +153,7 @@ func TestConcurrentAppendAndCall(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				for _, r := range res.Rows {
+				for _, r := range res.Batch.Rows() {
 					if len(r) != 2 {
 						panic(fmt.Sprintf("torn row: %v", r))
 					}

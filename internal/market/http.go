@@ -238,10 +238,10 @@ func (m *Market) Handler() http.Handler {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		start := min(page*PageRows, len(res.Rows))
-		end := min(start+PageRows, len(res.Rows))
+		start := min(page*PageRows, res.Batch.N)
+		end := min(start+PageRows, res.Batch.N)
 		next := 0
-		if end < len(res.Rows) {
+		if end < res.Batch.N {
 			next = page + 1
 		}
 		buf := pageBufs.Get().(*[]byte)

@@ -59,8 +59,8 @@ func TestHTTPDataCall(t *testing.T) {
 	if res.Records != 250 || res.Transactions != 3 || next != 0 {
 		t.Errorf("records=%d trans=%d next=%d", res.Records, res.Transactions, next)
 	}
-	if len(res.Rows) != 250 || res.Rows[0][1].K != value.Int {
-		t.Errorf("decoded rows: %d, kind %v", len(res.Rows), res.Rows[0][1].K)
+	if res.Batch.N != 250 || res.Batch.At(0, 1).K != value.Int {
+		t.Errorf("decoded rows: %d, kind %v", res.Batch.N, res.Batch.At(0, 1).K)
 	}
 }
 
@@ -155,17 +155,18 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Errorf("domain round trip: %v", back.Attrs[0].Domain)
 	}
 
-	res := Result{Schema: meta.Schema, Rows: rows, Records: len(rows), Transactions: 1, Price: 1}
+	res := Result{Schema: meta.Schema, Batch: value.BatchOf(meta.Schema, rows), Records: len(rows), Transactions: 1, Price: 1}
 	res2, _, err := DecodeResultPage(AppendResultPage(nil, res, 0, len(rows), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Records != res.Records || len(res2.Rows) != len(res.Rows) {
+	got := res2.Batch.Rows()
+	if res2.Records != res.Records || len(got) != len(rows) {
 		t.Errorf("result round trip: %+v", res2)
 	}
-	for i := range res.Rows {
-		if !value.ExactKey.EqualRows(res.Rows[i], res2.Rows[i]) {
-			t.Errorf("row %d: %v vs %v", i, res.Rows[i], res2.Rows[i])
+	for i := range got {
+		if !value.ExactKey.EqualRows(rows[i], got[i]) {
+			t.Errorf("row %d: %v vs %v", i, rows[i], got[i])
 		}
 	}
 }
@@ -183,8 +184,8 @@ func TestWireDecodeErrors(t *testing.T) {
 	// A valid page: one Int column "a" holding 5, one row, no bill, the
 	// last page. Each case below spoils one part of it.
 	const head, tail = "PLP\x01\x01\x01a\x01", "\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
-	if res, _, err := DecodeResultPage([]byte(head + "\x01\x00\x0a" + tail)); err != nil || res.Rows[0][0] != value.NewInt(5) {
-		t.Fatalf("the valid page: %v (%v)", res.Rows, err)
+	if res, _, err := DecodeResultPage([]byte(head + "\x01\x00\x0a" + tail)); err != nil || res.Batch.At(0, 0) != value.NewInt(5) {
+		t.Fatalf("the valid page: %v (%v)", res.Batch, err)
 	}
 	for what, body := range map[string]string{
 		"a JSON body":                 `{"schema":[{"name":"a","type":"int"}],"rows":[["5"]]}`,

@@ -212,8 +212,8 @@ func TestIndexedReadMatchesScan(t *testing.T) {
 							t.Fatalf("%v: %v (repro: %s)", q, err, repro)
 						}
 						examined := m.Metrics().RowsExamined - before.RowsExamined
-						if !slices.EqualFunc(res.Rows, want, slices.Equal) || res.Records != len(want) {
-							t.Fatalf("round %d: %v: %d rows, the scan %d (repro: %s)", round, q, len(res.Rows), len(want), repro)
+						if !slices.EqualFunc(res.Batch.Rows(), want, slices.Equal) || res.Records != len(want) {
+							t.Fatalf("round %d: %v: %d rows, the scan %d (repro: %s)", round, q, res.Batch.N, len(want), repro)
 						}
 						if examined != int64(inBox) {
 							t.Fatalf("round %d: %v: tested %d rows, %d lie in its box (repro: %s)", round, q, examined, inBox, repro)
@@ -265,9 +265,9 @@ func TestIndexedReadDuringAppends(t *testing.T) {
 				}
 				if !slices.ContainsFunc(ends, func(end int) bool {
 					want, _ := scan(shape.meta, history[:end], q)
-					return slices.EqualFunc(res.Rows, want, slices.Equal)
+					return slices.EqualFunc(res.Batch.Rows(), want, slices.Equal)
 				}) {
-					t.Errorf("%v: %d rows match the table after no whole append", q, len(res.Rows))
+					t.Errorf("%v: %d rows match the table after no whole append", q, res.Batch.N)
 				}
 			}
 		}()
@@ -371,10 +371,10 @@ func BenchmarkMarketServe(b *testing.B) {
 			}
 			exec += time.Since(start)
 			rows += res.Records
-			for from, page := 0, 0; from == 0 || from < len(res.Rows); from, page = from+market.PageRows, page+1 {
-				to := min(from+market.PageRows, len(res.Rows))
+			for from, page := 0, 0; from == 0 || from < res.Batch.N; from, page = from+market.PageRows, page+1 {
+				to := min(from+market.PageRows, res.Batch.N)
 				next := page + 1
-				if to == len(res.Rows) {
+				if to == res.Batch.N {
 					next = 0
 				}
 				start := time.Now()

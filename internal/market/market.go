@@ -33,8 +33,10 @@ import (
 // Result is the outcome of one RESTful call.
 type Result struct {
 	Schema value.Schema
-	Rows   []value.Row
-	// Records is len(Rows); kept explicit because it is the billed quantity.
+	// Batch is the rows, column by column in Schema's kinds. It is shared
+	// by everyone the call is handed to, so no one writes to it.
+	Batch value.Batch
+	// Records is Batch.N; kept explicit because it is the billed quantity.
 	Records int
 	// Transactions billed for this call: ceil(Records / t), minimum 1 for a
 	// non-empty result, 0 for an empty one.
@@ -153,12 +155,12 @@ type Dataset struct {
 // ⌈records/t⌉ transactions at p each. It is kept apart from the buyer's
 // estimate (rewrite.Price) on purpose: it is the ground truth the spend
 // oracles check the buyer against.
-func (ds *Dataset) bill(schema value.Schema, rows []value.Row) Result {
-	trans := int64((len(rows) + ds.TuplesPerTransaction - 1) / ds.TuplesPerTransaction)
+func (ds *Dataset) bill(schema value.Schema, rows value.Batch) Result {
+	trans := int64((rows.N + ds.TuplesPerTransaction - 1) / ds.TuplesPerTransaction)
 	return Result{
 		Schema:       schema,
-		Rows:         rows,
-		Records:      len(rows),
+		Batch:        rows,
+		Records:      rows.N,
 		Transactions: trans,
 		Price:        float64(trans) * ds.PricePerTransaction,
 	}
@@ -270,15 +272,15 @@ var idBufs = sync.Pool{New: func() any { return new([]int32) }}
 
 const maxPooledIDs = 1 << 16
 
-// read returns the rows the call selects, in table order, and how many rows
-// its filter tested. A call without predicates returns the rows themselves,
-// capped at their length, untested. Any other tests the index's candidates,
-// in ascending id order, into an output sized once. The caller holds the
-// table lock (shared suffices).
-func (mt *marketTable) read(q catalog.AccessQuery) (rows []value.Row, examined int) {
+// read returns the rows the call selects, in table order, as a batch, and
+// how many rows its filter tested: the rows are copied in once, each read
+// in row order. A call without predicates returns every row, untested. Any
+// other tests the index's candidates, in ascending id order, keeping the
+// ids that pass. The caller holds the table lock (shared suffices).
+func (mt *marketTable) read(q catalog.AccessQuery) (rows value.Batch, examined int) {
 	n := len(mt.rows)
 	if len(q.Preds) == 0 {
-		return mt.rows[:n:n], 0
+		return value.BatchOf(mt.meta.Schema, mt.rows), 0
 	}
 	mt.built.Do(func() {
 		mt.dims = make([]rowidx.Dim, len(mt.cols))
@@ -290,11 +292,15 @@ func (mt *marketTable) read(q catalog.AccessQuery) (rows []value.Row, examined i
 	ids := sel.AppendTo((*buf)[:0])
 	sel.Release()
 	f := catalog.CompileFilter(mt.meta, q)
-	rows = make([]value.Row, 0, len(ids))
+	kept := ids[:0]
 	for _, id := range ids {
-		if r := mt.rows[id]; f.Matches(r) {
-			rows = append(rows, r)
+		if f.Matches(mt.rows[id]) {
+			kept = append(kept, id)
 		}
+	}
+	rows = value.NewBatch(mt.meta.Schema, len(kept))
+	for r, id := range kept {
+		rows.SetRow(r, mt.rows[id])
 	}
 	if *buf = ids[:0]; cap(ids) <= maxPooledIDs {
 		idBufs.Put(buf)

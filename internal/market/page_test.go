@@ -107,13 +107,14 @@ func randomCalls(rng *rand.Rand, n, count int) []catalog.AccessQuery {
 // value.AppendJSONString and the store write them.
 func asWire(res market.Result) market.Result {
 	out := res
-	out.Rows = make([]value.Row, len(res.Rows))
-	for r, row := range res.Rows {
-		out.Rows[r] = row.Clone()
-		for c, v := range row {
+	out.Batch = value.NewBatch(res.Schema, res.Batch.N)
+	for r := range res.Batch.N {
+		for c := range res.Schema {
+			v := res.Batch.At(r, c)
 			if v.K == value.String {
-				out.Rows[r][c] = value.NewString(strings.Map(func(r rune) rune { return r }, v.Str()))
+				v = value.NewString(strings.Map(func(r rune) rune { return r }, v.Str()))
 			}
+			out.Batch.Set(r, c, v)
 		}
 	}
 	return out
@@ -152,7 +153,7 @@ func TestHTTPPagesMatchInProcess(t *testing.T) {
 			if err := market.SameResult(got, asWire(want)); err != nil {
 				t.Fatalf("seed %d, %v: HTTP vs in-process: %v", seed, q, err)
 			}
-			pages += 1 + len(want.Rows)/market.PageRows
+			pages += 1 + want.Batch.N/market.PageRows
 		}
 		srv.Close()
 	}
@@ -174,9 +175,9 @@ func differentialPages(t testing.TB) [][]byte {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for from := 0; from == 0 || from < len(res.Rows); from += 7 {
-				to, next := min(from+7, len(res.Rows)), 0
-				if to < len(res.Rows) {
+			for from := 0; from == 0 || from < res.Batch.N; from += 7 {
+				to, next := min(from+7, res.Batch.N), 0
+				if to < res.Batch.N {
 					next = from/7 + 1
 				}
 				pages = append(pages, market.AppendResultPage(nil, res, from, to, next))
@@ -220,10 +221,11 @@ func binaryUvarint(x uint64) []byte {
 
 // FuzzDecodeWireResult fuzzes the data-call decoder from the differential's
 // pages and the hostile ones. On any body, DecodeResultPage must not panic
-// and must not allocate more than the body could describe: at most 8 rows a
-// byte in each column, each row a 24-byte header and 16 bytes a cell. A
-// body it accepts must re-encode byte for byte: the format has one spelling
-// a page.
+// and must not allocate more than the body could describe: at most 8 cells
+// a byte, 16 bytes a cell, and for each column, which takes at least 2
+// bytes, its schema entry and its vector's header, 128 bytes in all. A body
+// it accepts must re-encode byte for byte: the format has one spelling a
+// page.
 func FuzzDecodeWireResult(f *testing.F) {
 	for _, page := range differentialPages(f) {
 		f.Add(page)
@@ -237,13 +239,13 @@ func FuzzDecodeWireResult(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		res, next, err := market.DecodeResultPage(body)
 		runtime.ReadMemStats(&after)
-		if allocated, limit := after.TotalAlloc-before.TotalAlloc, 16<<10+uint64(len(body))*8*(24+16); allocated > limit {
+		if allocated, limit := after.TotalAlloc-before.TotalAlloc, 16<<10+uint64(len(body))*(8*16+128/2); allocated > limit {
 			t.Fatalf("a %d-byte body allocated %d bytes, more than the %d it could describe (%v)", len(body), allocated, limit, err)
 		}
 		if err != nil {
 			return
 		}
-		if again := market.AppendResultPage(nil, res, 0, len(res.Rows), next); !bytes.Equal(again, body) {
+		if again := market.AppendResultPage(nil, res, 0, res.Batch.N, next); !bytes.Equal(again, body) {
 			t.Fatalf("accepted %q, which re-encodes as %q", body, again)
 		}
 	})

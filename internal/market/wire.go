@@ -8,7 +8,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"payless/internal/value"
@@ -49,18 +48,19 @@ var pageMagic = []byte("PLP\x01")
 var ErrNotAPage = errors.New("market page: body is not " + PageMediaType)
 
 // AppendResultPage appends the wire body of one page of res, its rows
-// [from, to), to buf. Pages after the first carry no bill. A column is
-// written in its kind: a cell of another kind, which a generated table never
-// holds, goes as AsInt, AsFloat or Str reads it.
+// [from, to), to buf. Pages after the first carry no bill.
 func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
-	rows := res.Rows[from:to]
 	buf = append(buf, pageMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(res.Schema)))
 	for _, c := range res.Schema {
 		buf = append(appendText(buf, c.Name), byte(c.Type))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	buf = appendColumns(buf, rows, res.Schema)
+	buf = binary.AppendUvarint(buf, uint64(to-from))
+	if from < to { // no rows, no column bytes, and maybe no columns in the batch
+		for c := range res.Schema {
+			buf = appendColumn(buf, &res.Batch.Cols[c], from, to)
+		}
+	}
 	buf = binary.AppendUvarint(buf, uint64(res.Records))
 	var transactions int64
 	var price float64
@@ -72,50 +72,27 @@ func AppendResultPage(buf []byte, res Result, from, to, nextPage int) []byte {
 	return binary.AppendUvarint(buf, uint64(nextPage))
 }
 
-// appendColumns appends the columns of rows. It first copies the cells
-// into one column-major scratch slab, reading each row once in row order:
-// the seller's rows are scattered, and reading them a column at a time
-// would fetch every row once a column.
-func appendColumns(buf []byte, rows []value.Row, schema value.Schema) []byte {
-	n := len(rows)
-	scratch := cellBufs.Get().(*[]value.Value)
-	cells := slices.Grow((*scratch)[:0], n*len(schema))[:n*len(schema)]
-	for r, row := range rows {
-		for c, v := range row[:len(schema)] {
-			cells[c*n+r] = v
-		}
-	}
-	for c, col := range schema {
-		buf = appendColumn(buf, cells[c*n:(c+1)*n], col.Type)
-	}
-	if *scratch = cells; cap(cells)*16 <= maxPooledPage {
-		cellBufs.Put(scratch)
-	}
-	return buf
-}
-
-// cellBufs recycles appendColumns' slabs, as pageBufs does pages.
-var cellBufs = sync.Pool{New: func() any { return new([]value.Value) }}
-
-// appendColumn appends one column, of kind k: its NULL bitmap, then its
-// other cells.
-func appendColumn(buf []byte, cells []value.Value, k value.Kind) []byte {
+// appendColumn appends rows [from, to) of one column: its NULL bitmap, then
+// its other cells.
+func appendColumn(buf []byte, v *value.Vector, from, to int) []byte {
 	nulls := len(buf)
-	buf = append(buf, make([]byte, (len(cells)+7)/8)...)
-	for r, v := range cells {
-		if v.K == value.Null || k == value.Null {
-			buf[nulls+r/8] |= 1 << (r % 8)
+	buf = append(buf, make([]byte, (to-from+7)/8)...)
+	if v.Kind == value.Null || v.Nulls != nil {
+		for r := from; r < to; r++ {
+			if v.IsNull(r) {
+				buf[nulls+(r-from)/8] |= 1 << ((r - from) % 8)
+			}
 		}
 	}
-	for _, v := range cells {
+	for r := from; r < to && v.Kind != value.Null; r++ {
 		switch {
-		case v.K == value.Null || k == value.Null:
-		case k == value.Int:
-			buf = binary.AppendVarint(buf, v.AsInt())
-		case k == value.Float:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.AsFloat()))
+		case v.Nulls != nil && v.IsNull(r):
+		case v.Kind == value.Int:
+			buf = binary.AppendVarint(buf, v.Ints[r])
+		case v.Kind == value.Float:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Floats[r]))
 		default:
-			buf = appendText(buf, v.Str())
+			buf = appendText(buf, v.Strs[r].Str())
 		}
 	}
 	return buf
@@ -133,8 +110,8 @@ func appendText(buf []byte, s string) []byte {
 // result, with this page's rows, and the index of the next page (0 after the
 // last). It accepts exactly the bodies AppendResultPage writes.
 //
-// Rows are carved from one slab a page and filled column by column; strings
-// are interned, so a stored row never keeps a response body alive. Before it
+// The rows come as one column batch, filled column by column; strings are
+// interned, so a stored row never keeps a response body alive. Before it
 // allocates for a count, the decoder checks that the bytes left could hold
 // what the count describes, so a body cannot claim more memory than it
 // could fill: each column at least 2 bytes, each row a bitmap bit in every
@@ -145,7 +122,7 @@ func DecodeResultPage(body []byte) (res Result, nextPage int, err error) {
 	}
 	d := pageReader{buf: body, pos: len(pageMagic)}
 	res.Schema = d.schema()
-	res.Rows = d.rows(res.Schema)
+	res.Batch = d.batch(res.Schema)
 	res.Records = d.count()
 	res.Transactions = d.varint()
 	res.Price = math.Float64frombits(d.fixed64())
@@ -274,35 +251,31 @@ func (d *pageReader) schema() value.Schema {
 	return schema
 }
 
-// rows reads the row count and the columns into rows carved from one slab.
-func (d *pageReader) rows(schema value.Schema) []value.Row {
+// batch reads the row count and the columns.
+func (d *pageReader) batch(schema value.Schema) value.Batch {
 	n := d.uvarint()
 	width := len(schema)
 	switch {
 	case d.err != nil || n == 0:
-		return nil
+		return value.Batch{}
 	case width == 0:
 		d.fail("%d rows of no columns", n)
-		return nil
+		return value.Batch{}
 	case n > 8*uint64(d.left()) || int(n+7)/8 > d.left()/width:
 		d.fail("%d rows of %d columns in %d bytes", n, width, d.left())
-		return nil
+		return value.Batch{}
 	}
-	rows, slab := make([]value.Row, n), make([]value.Value, int(n)*width)
-	for r := range rows {
-		rows[r] = slab[r*width : (r+1)*width : (r+1)*width]
-	}
-	for c, col := range schema {
-		if d.column(slab, len(rows), width, c, col.Type); d.err != nil {
-			return nil
+	b := value.NewBatch(schema, int(n))
+	for c := range b.Cols {
+		if d.column(&b.Cols[c], b.N); d.err != nil {
+			return value.Batch{}
 		}
 	}
-	return rows
+	return b
 }
 
-// column reads column c, of kind k, of n rows into slab, whose rows are
-// width cells apart. NULL cells are the slab's zero Values.
-func (d *pageReader) column(slab []value.Value, n, width, c int, k value.Kind) {
+// column reads a column of n rows into v, which NewBatch made.
+func (d *pageReader) column(v *value.Vector, n int) {
 	nulls := d.bytes((n + 7) / 8)
 	if d.err != nil {
 		return
@@ -312,7 +285,7 @@ func (d *pageReader) column(slab []value.Value, n, width, c int, k value.Kind) {
 		d.fail("bitmap padding is not zero")
 		return
 	}
-	if k == value.Null {
+	if v.Kind == value.Null {
 		full := pad == 0 && last == 0xff || pad > 0 && last == 1<<pad-1
 		for _, b := range nulls[:len(nulls)-1] {
 			full = full && b == 0xff
@@ -322,20 +295,29 @@ func (d *pageReader) column(slab []value.Value, n, width, c int, k value.Kind) {
 		}
 		return
 	}
-	for r, at := 0, c; r < n; r, at = r+1, at+width {
-		if nulls[r/8]&(1<<(r%8)) != 0 {
-			continue
+	if slices.ContainsFunc(nulls, func(b byte) bool { return b != 0 }) {
+		v.Nulls = slices.Clone(nulls)
+	}
+	// A failed read sticks and later ones read zeros, so a numeric column
+	// reads on and the caller checks d.err; text stops at the failure.
+	switch v.Kind {
+	case value.Int:
+		for r := range v.Ints {
+			if !v.IsNull(r) {
+				v.Ints[r] = d.varint()
+			}
 		}
-		switch k {
-		case value.Int:
-			slab[at] = value.NewInt(d.varint())
-		case value.Float:
-			slab[at] = value.NewFloat(math.Float64frombits(d.fixed64()))
-		default:
-			slab[at] = value.NewStringBytes(d.text())
+	case value.Float:
+		for r := range v.Floats {
+			if !v.IsNull(r) {
+				v.Floats[r] = math.Float64frombits(d.fixed64())
+			}
 		}
-		if d.err != nil {
-			return
+	default:
+		for r := 0; r < n && d.err == nil; r++ {
+			if !v.IsNull(r) {
+				v.Strs[r] = value.NewStringBytes(d.text())
+			}
 		}
 	}
 }

@@ -17,20 +17,21 @@ func sameResult(a, b Result) error {
 		math.Float64bits(a.Price) != math.Float64bits(b.Price) {
 		return fmt.Errorf("scalars %d/%d/%v vs %d/%d/%v", a.Records, a.Transactions, a.Price, b.Records, b.Transactions, b.Price)
 	}
-	if len(a.Schema) != len(b.Schema) || len(a.Rows) != len(b.Rows) {
-		return fmt.Errorf("%d columns x %d rows vs %d x %d", len(a.Schema), len(a.Rows), len(b.Schema), len(b.Rows))
+	ar, br := a.Batch.Rows(), b.Batch.Rows()
+	if len(a.Schema) != len(b.Schema) || len(ar) != len(br) {
+		return fmt.Errorf("%d columns x %d rows vs %d x %d", len(a.Schema), len(ar), len(b.Schema), len(br))
 	}
 	for i := range a.Schema {
 		if a.Schema[i] != b.Schema[i] {
 			return fmt.Errorf("column %d: %v vs %v", i, a.Schema[i], b.Schema[i])
 		}
 	}
-	for r := range a.Rows {
-		if len(a.Rows[r]) != len(b.Rows[r]) {
-			return fmt.Errorf("row %d: width %d vs %d", r, len(a.Rows[r]), len(b.Rows[r]))
+	for r := range ar {
+		if len(ar[r]) != len(br[r]) {
+			return fmt.Errorf("row %d: width %d vs %d", r, len(ar[r]), len(br[r]))
 		}
-		for c, v := range a.Rows[r] {
-			w := b.Rows[r][c]
+		for c, v := range ar[r] {
+			w := br[r][c]
 			if v.K != w.K || v.Int64() != w.Int64() || v.Str() != w.Str() || math.Float64bits(v.Float64()) != math.Float64bits(w.Float64()) {
 				return fmt.Errorf("row %d cell %d: %#v vs %#v", r, c, v, w)
 			}
@@ -52,7 +53,7 @@ func allKinds() Result {
 		{value.NewInt(math.MinInt64), value.NewFloat(math.Inf(-1)), value.NewString("quote\" slash\\ tab\t é 世 \x00 <&>"), value.NewNull()},
 		{value.NewInt(0), value.NewFloat(math.Copysign(0, -1)), value.NewString(""), value.NewNull()},
 	}
-	return Result{Schema: schema, Rows: rows, Records: len(rows), Transactions: 1, Price: 0.25}
+	return Result{Schema: schema, Batch: value.BatchOf(schema, rows), Records: len(rows), Transactions: 1, Price: 0.25}
 }
 
 // TestWireRoundTripKeepsNull: NULL used to travel as the string "NULL", which
@@ -60,7 +61,7 @@ func allKinds() Result {
 // string in a string column.
 func TestWireRoundTripKeepsNull(t *testing.T) {
 	res := allKinds()
-	body := AppendResultPage(nil, res, 0, len(res.Rows), 0)
+	body := AppendResultPage(nil, res, 0, res.Batch.N, 0)
 	back, next, err := DecodeResultPage(body)
 	if err != nil || next != 0 {
 		t.Fatalf("decode: next %d, %v\n%s", next, err, body)
@@ -68,13 +69,13 @@ func TestWireRoundTripKeepsNull(t *testing.T) {
 	if err := sameResult(back, res); err != nil {
 		t.Fatalf("%v\n%s", err, body)
 	}
-	if back.Rows[0][2].K != value.String || back.Rows[1][0].K != value.Null {
-		t.Fatalf(`String("NULL") and NULL must stay apart: %v / %v`, back.Rows[0], back.Rows[1])
+	if back.Batch.At(0, 2).K != value.String || back.Batch.At(1, 0).K != value.Null {
+		t.Fatalf(`String("NULL") and NULL must stay apart: %v / %v`, back.Batch.At(0, 2), back.Batch.At(1, 0))
 	}
 
 	// A follow-up page carries rows and the record count but no bill.
 	page, next, err := DecodeResultPage(AppendResultPage(nil, res, 1, 3, 2))
-	if err != nil || next != 2 || len(page.Rows) != 2 || page.Records != len(res.Rows) || page.Transactions != 0 || page.Price != 0 {
+	if err != nil || next != 2 || page.Batch.N != 2 || page.Records != res.Batch.N || page.Transactions != 0 || page.Price != 0 {
 		t.Fatalf("page 1: %+v next %d (%v)", page, next, err)
 	}
 }
@@ -119,8 +120,8 @@ func TestHTTPAgreesWithInProcessOnNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(local.Rows) != 30 {
-		t.Fatalf("in-process call returned %d rows, want 30", len(local.Rows))
+	if local.Batch.N != 30 {
+		t.Fatalf("in-process call returned %d rows, want 30", local.Batch.N)
 	}
 	if err := sameResult(remote, local); err != nil {
 		t.Fatalf("HTTP vs in-process: %v", err)
@@ -130,42 +131,43 @@ func TestHTTPAgreesWithInProcessOnNulls(t *testing.T) {
 // TestDecodeResultPageAllocations is the deterministic gate on the per-row
 // cost of the wire: a page of 500 rows by 8 columns, 3 of them strings,
 // decodes in a constant number of allocations that does not depend on the
-// number of rows (schema, slab, row headers) once its texts are interned.
-// The race detector adds allocations of its own, so the gate runs only
-// without it.
+// number of rows once its texts are interned: 5, the schema, the batch's
+// vectors and one slab of cells for each of the three kinds. The race detector adds allocations of its
+// own, so the gate runs only without it.
 func TestDecodeResultPageAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
-	const rows, stringCols, pinned = 500, 3, 24
-	res := Result{Records: rows, Transactions: 5, Price: 5}
+	const n, stringCols, pinned = 500, 3, 8
+	res := Result{Records: n, Transactions: 5, Price: 5}
 	for c, k := range []value.Kind{value.Int, value.Int, value.Float, value.Float, value.String, value.String, value.Int, value.String} {
 		res.Schema = append(res.Schema, value.Column{Name: fmt.Sprintf("C%d", c), Type: k})
 	}
-	for r := 0; r < rows; r++ {
-		row := make(value.Row, len(res.Schema))
+	rows := make([]value.Row, n)
+	for r := range rows {
+		rows[r] = make(value.Row, len(res.Schema))
 		for c, col := range res.Schema {
 			switch col.Type {
 			case value.Int:
-				row[c] = value.NewInt(int64(r*1000003 + c))
+				rows[r][c] = value.NewInt(int64(r*1000003 + c))
 			case value.Float:
-				row[c] = value.NewFloat(float64(r) / 7)
+				rows[r][c] = value.NewFloat(float64(r) / 7)
 			default:
-				row[c] = value.NewString(fmt.Sprintf("cell %d of row %d", c, r))
+				rows[r][c] = value.NewString(fmt.Sprintf("cell %d of row %d", c, r))
 			}
 		}
-		res.Rows = append(res.Rows, row)
 	}
-	body := AppendResultPage(nil, res, 0, rows, 0)
+	res.Batch = value.BatchOf(res.Schema, rows)
+	body := AppendResultPage(nil, res, 0, n, 0)
 	allocs := testing.AllocsPerRun(20, func() {
-		if got, _, err := DecodeResultPage(body); err != nil || len(got.Rows) != rows {
-			t.Fatalf("%d rows (%v)", len(got.Rows), err)
+		if got, _, err := DecodeResultPage(body); err != nil || got.Batch.N != n {
+			t.Fatalf("%d rows (%v)", got.Batch.N, err)
 		}
 	})
 	// The first decode interned every text, so the measured ones hit the
 	// dictionary for every string cell and allocate nothing for it.
 	if allocs > pinned {
-		t.Errorf("decoding %d rows: %v allocations, pinned at %d (none per string cell)", rows, allocs, pinned)
+		t.Errorf("decoding %d rows: %v allocations, pinned at %d (none per string cell)", n, allocs, pinned)
 	}
-	t.Logf("%v allocations for %d string cells", allocs, rows*stringCols)
+	t.Logf("%v allocations for %d string cells", allocs, n*stringCols)
 }

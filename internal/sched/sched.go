@@ -366,7 +366,7 @@ func (s *Scheduler) run(ctx context.Context, f *flight) {
 		// live requester of a plain call records through its own engine, in
 		// its plan order.
 		if f.record && s.cfg.Store != nil && (sharedEver || f.merged || abandoned) {
-			if _, rerr := s.cfg.Store.Record(f.meta, f.box, res.Rows, time.Now()); rerr == nil {
+			if _, rerr := s.cfg.Store.Record(f.meta, f.box, res.Batch, time.Now()); rerr == nil {
 				f.recorded = true
 			}
 		}
@@ -375,13 +375,13 @@ func (s *Scheduler) run(ctx context.Context, f *flight) {
 	close(f.done)
 }
 
-// PartCounts counts the rows that fall in each part's query.
-func PartCounts(meta *catalog.Table, parts []catalog.AccessQuery, rows []value.Row) []int64 {
+// PartCounts counts the rows of b that fall in each part's query.
+func PartCounts(meta *catalog.Table, parts []catalog.AccessQuery, b value.Batch) []int64 {
 	counts := make([]int64, len(parts))
 	for i, q := range parts {
 		f := catalog.CompileFilter(meta, q)
-		for _, row := range rows {
-			if f.Matches(row) {
+		for r := range b.N {
+			if f.MatchesAt(b, r) {
 				counts[i]++
 			}
 		}
@@ -395,7 +395,7 @@ func PartCounts(meta *catalog.Table, parts []catalog.AccessQuery, rows []value.R
 func (s *Scheduler) noteMerge(f *flight, res market.Result) {
 	t := s.tuplesPer(f.meta.Dataset)
 	var parts int64
-	for _, n := range PartCounts(f.meta, f.parts, res.Rows) {
+	for _, n := range PartCounts(f.meta, f.parts, res.Batch) {
 		parts += rewrite.Price(float64(n), t)
 	}
 	s.cfg.Metrics.ObserveSchedMerge(parts - res.Transactions)
@@ -450,14 +450,14 @@ func (s *Scheduler) wait(ctx context.Context, req Request, f *flight, info Info)
 	info.Recorded = f.recorded
 
 	res := f.res
-	out := market.Result{Schema: res.Schema, Rows: res.Rows, Route: res.Route}
+	out := market.Result{Schema: res.Schema, Batch: res.Batch, Route: res.Route}
 	out.Route.Retries = 0
 	if f.merged || flightKey(req.Query) != f.key {
 		// Merged union or piggybacked superset: hand back only the rows the
 		// requester asked for.
-		out.Rows = filterRows(f.meta, req.Query, res.Rows)
+		out.Batch = filterRows(f.meta, req.Query, res.Batch)
 	}
-	out.Records = len(out.Rows)
+	out.Records = out.Batch.N
 	if first {
 		// The first requester to collect carries the whole bill, so the sum
 		// of client-side reports equals the seller's meter exactly. The
@@ -469,15 +469,16 @@ func (s *Scheduler) wait(ctx context.Context, req Request, f *flight, info Info)
 	return out, info, nil
 }
 
-func filterRows(meta *catalog.Table, q catalog.AccessQuery, rows []value.Row) []value.Row {
-	out := make([]value.Row, 0, len(rows))
+// filterRows returns the rows of b that q selects, as a batch of their own.
+func filterRows(meta *catalog.Table, q catalog.AccessQuery, b value.Batch) value.Batch {
+	ids := make([]int32, 0, b.N)
 	f := catalog.CompileFilter(meta, q)
-	for _, row := range rows {
-		if f.Matches(row) {
-			out = append(out, row)
+	for r := range b.N {
+		if f.MatchesAt(b, r) {
+			ids = append(ids, int32(r))
 		}
 	}
-	return out
+	return b.Select(ids)
 }
 
 // ---- coalesce window -------------------------------------------------

@@ -89,10 +89,12 @@ func (f *fakeCaller) Call(ctx context.Context, q catalog.AccessQuery) (market.Re
 		}
 	}
 	res := market.Result{Schema: f.meta.Schema.Clone(), Route: f.route}
+	var rows []value.Row
 	for a := lo; a <= hi; a++ {
-		res.Rows = append(res.Rows, value.Row{value.NewInt(a), value.NewInt(a * 10)})
+		rows = append(rows, value.Row{value.NewInt(a), value.NewInt(a * 10)})
 	}
-	res.Records = len(res.Rows)
+	res.Batch = value.BatchOf(res.Schema, rows)
+	res.Records = len(rows)
 	t := f.t
 	if t <= 0 {
 		t = 10
@@ -156,8 +158,8 @@ func TestSingleFlightSharesOneCallAndOneBill(t *testing.T) {
 		if o.err != nil {
 			t.Fatalf("waiter %d: %v", i, o.err)
 		}
-		if len(o.res.Rows) != 20 || o.res.Records != 20 {
-			t.Fatalf("waiter %d rows: %d", i, len(o.res.Rows))
+		if o.res.Batch.N != 20 || o.res.Records != 20 {
+			t.Fatalf("waiter %d rows: %d", i, o.res.Batch.N)
 		}
 		if !o.info.Shared || o.info.SharedWith != n-1 {
 			t.Fatalf("waiter %d info: %+v", i, o.info)
@@ -204,8 +206,8 @@ func TestCanceledWaiterDetachesWithoutKillingSharedCall(t *testing.T) {
 	if err2 != nil {
 		t.Fatalf("surviving waiter: %v", err2)
 	}
-	if len(res.Rows) != 10 || res.Transactions != 1 {
-		t.Fatalf("survivor got %d rows, %d transactions", len(res.Rows), res.Transactions)
+	if res.Batch.N != 10 || res.Transactions != 1 {
+		t.Fatalf("survivor got %d rows, %d transactions", res.Batch.N, res.Transactions)
 	}
 	if fc.callCount() != 1 {
 		t.Fatalf("wire calls: %d", fc.callCount())
@@ -381,11 +383,11 @@ func TestPiggybackOnContainingInFlightCall(t *testing.T) {
 	if fc.callCount() != 1 {
 		t.Fatalf("wire calls: %d", fc.callCount())
 	}
-	if len(wide.Rows) != 50 {
-		t.Fatalf("wide rows: %d", len(wide.Rows))
+	if wide.Batch.N != 50 {
+		t.Fatalf("wide rows: %d", wide.Batch.N)
 	}
-	if len(narrow.Rows) != 10 || narrow.Records != 10 {
-		t.Fatalf("piggybacked rows must be filtered to the narrow query: %d", len(narrow.Rows))
+	if narrow.Batch.N != 10 || narrow.Records != 10 {
+		t.Fatalf("piggybacked rows must be filtered to the narrow query: %d", narrow.Batch.N)
 	}
 	if !infoN.Shared {
 		t.Fatalf("narrow info: %+v", infoN)
@@ -417,8 +419,8 @@ func TestWindowMergesAdjacentBoxesIntoOneCall(t *testing.T) {
 	if fc.callCount() != 1 {
 		t.Fatalf("wire calls: %d, want 1 merged call", fc.callCount())
 	}
-	if len(a.Rows) != 5 || len(b.Rows) != 4 {
-		t.Fatalf("split rows: %d / %d", len(a.Rows), len(b.Rows))
+	if a.Batch.N != 5 || b.Batch.N != 4 {
+		t.Fatalf("split rows: %d / %d", a.Batch.N, b.Batch.N)
 	}
 	if !ia.Merged || !ib.Merged || !ia.Delayed || !ib.Delayed {
 		t.Fatalf("infos: %+v / %+v", ia, ib)
@@ -502,8 +504,8 @@ func TestLargeFetchSkipsTheWindow(t *testing.T) {
 	if info.Delayed {
 		t.Fatal("a super-transaction fetch must dispatch immediately")
 	}
-	if len(res.Rows) != 40 || res.Transactions != 4 {
-		t.Fatalf("rows %d transactions %d", len(res.Rows), res.Transactions)
+	if res.Batch.N != 40 || res.Transactions != 4 {
+		t.Fatalf("rows %d transactions %d", res.Batch.N, res.Transactions)
 	}
 }
 

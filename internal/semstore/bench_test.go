@@ -26,7 +26,7 @@ func buildTiledStore(tb testing.TB, n int) (*Store, *catalog.Table) {
 		x := int64(i%side) * 4
 		y := int64(i/side) * 4
 		b := box2(x, x+2, y, y+2)
-		if _, err := s.Record(meta, b, []value.Row{gridRow(x, y)}, at); err != nil {
+		if _, err := s.Record(meta, b, batchOf(meta, []value.Row{gridRow(x, y)}), at); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -158,13 +158,13 @@ func BenchmarkSemstoreRecord(b *testing.B) {
 			full := meta.FullBox()
 			s := New(storage.NewDB())
 			for from := 0; from < stored; from += batch {
-				if _, err := s.Record(meta, full, rowsAt(from, batch), at); err != nil {
+				if _, err := s.Record(meta, full, batchOf(meta, rowsAt(from, batch)), at); err != nil {
 					b.Fatal(err)
 				}
 			}
-			batches := make([][]value.Row, b.N)
+			batches := make([]value.Batch, b.N)
 			for i := range batches {
-				batches[i] = rowsAt(stored+i*batch, batch)
+				batches[i] = batchOf(meta, rowsAt(stored+i*batch, batch))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -170,7 +170,7 @@ func TestColumnsRoundTripRows(t *testing.T) {
 					}
 				}
 				drawn = append(drawn, batch...)
-				if _, err := live.Record(meta, meta.FullBox(), batch, time.Unix(1700000000, 0)); err != nil {
+				if _, err := live.Record(meta, meta.FullBox(), value.BatchOf(meta.Schema, batch), time.Unix(1700000000, 0)); err != nil {
 					fail("record %d: %v", rec, err)
 				}
 				ref.Record(batch)

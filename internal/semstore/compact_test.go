@@ -51,7 +51,7 @@ func TestRecordAtomicOnBadRow(t *testing.T) {
 		row("Z", 20, 2), // ZipCode "Z" is outside the catalog domain {A,B,C}
 		row("B", 30, 3),
 	}
-	if _, err := s.Record(meta, b, rows, time.Now()); err == nil {
+	if _, err := s.Record(meta, b, batchOf(meta, rows), time.Now()); err == nil {
 		t.Fatal("expected an error for the out-of-domain row")
 	}
 	if got := s.EntryCount("Pollution"); got != 0 {
@@ -70,7 +70,7 @@ func TestRecordAtomicOnBadRow(t *testing.T) {
 		t.Errorf("%d rows in the box after failed Record", len(got))
 	}
 	// The store still works after the failed call.
-	if _, err := s.Record(meta, b, []value.Row{row("A", 10, 1)}, time.Now()); err != nil {
+	if _, err := s.Record(meta, b, batchOf(meta, []value.Row{row("A", 10, 1)}), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if s.EntryCount("Pollution") != 1 || s.StoredRowCount("Pollution") != 1 {
@@ -84,7 +84,7 @@ func TestBoxesAliasing(t *testing.T) {
 	s := New(storage.NewDB())
 	meta := pollutionMeta()
 	b := region.NewBox(region.Interval{Lo: 0, Hi: 2}, region.Interval{Lo: 1, Hi: 51})
-	if _, err := s.Record(meta, b, nil, time.Now()); err != nil {
+	if _, err := s.Record(meta, b, batchOf(meta, nil), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	got := s.Boxes("Pollution", time.Time{})
@@ -112,17 +112,17 @@ func TestCompactionAbsorbsContainedEntries(t *testing.T) {
 	s := New(storage.NewDB())
 	meta := gridMeta(1000)
 	now := time.Now()
-	if _, err := s.Record(meta, box2(10, 20, 10, 20), nil, now); err != nil {
+	if _, err := s.Record(meta, box2(10, 20, 10, 20), batchOf(meta, nil), now); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Record(meta, box2(12, 18, 12, 18), nil, now); err != nil {
+	if _, err := s.Record(meta, box2(12, 18, 12, 18), batchOf(meta, nil), now); err != nil {
 		t.Fatal(err)
 	}
 	// The second box is contained in equally fresh coverage: dropped.
 	if got := s.EntryCount("Grid"); got != 1 {
 		t.Errorf("EntryCount after contained record = %d, want 1", got)
 	}
-	rr, err := s.Record(meta, box2(0, 50, 0, 50), nil, now.Add(time.Second))
+	rr, err := s.Record(meta, box2(0, 50, 0, 50), batchOf(meta, nil), now.Add(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +142,12 @@ func TestCompactionDropsRedundantNewEntry(t *testing.T) {
 	s := New(storage.NewDB())
 	meta := gridMeta(1000)
 	now := time.Now()
-	if _, err := s.Record(meta, box2(0, 100, 0, 100), nil, now); err != nil {
+	if _, err := s.Record(meta, box2(0, 100, 0, 100), batchOf(meta, nil), now); err != nil {
 		t.Fatal(err)
 	}
 	// An older (or equally old) contained box adds neither coverage nor
 	// freshness: the entry is dropped, but its rows are still materialised.
-	rr, err := s.Record(meta, box2(5, 10, 5, 10), []value.Row{gridRow(6, 6)}, now.Add(-time.Hour))
+	rr, err := s.Record(meta, box2(5, 10, 5, 10), batchOf(meta, []value.Row{gridRow(6, 6)}), now.Add(-time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestCompactionDropsRedundantNewEntry(t *testing.T) {
 		t.Error("dropped entry's rows must still be materialised")
 	}
 	// A *fresher* contained box must NOT be dropped: it refreshes its region.
-	rr, err = s.Record(meta, box2(5, 10, 5, 10), nil, now.Add(time.Hour))
+	rr, err = s.Record(meta, box2(5, 10, 5, 10), batchOf(meta, nil), now.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +177,10 @@ func TestCompactionMergesAdjacentBoxes(t *testing.T) {
 	s := New(storage.NewDB())
 	meta := gridMeta(1000)
 	now := time.Now()
-	if _, err := s.Record(meta, box2(0, 10, 0, 10), nil, now); err != nil {
+	if _, err := s.Record(meta, box2(0, 10, 0, 10), batchOf(meta, nil), now); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := s.Record(meta, box2(10, 20, 0, 10), nil, now)
+	rr, err := s.Record(meta, box2(10, 20, 0, 10), batchOf(meta, nil), now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCompactionMergesAdjacentBoxes(t *testing.T) {
 	}
 	// The merge cascades: closing a gap between two merged strips fuses
 	// everything that lines up.
-	if _, err := s.Record(meta, box2(0, 20, 10, 20), nil, now); err != nil {
+	if _, err := s.Record(meta, box2(0, 20, 10, 20), batchOf(meta, nil), now); err != nil {
 		t.Fatal(err)
 	}
 	boxes = s.Boxes("Grid", time.Time{})
@@ -204,7 +204,7 @@ func TestCompactionMergesAdjacentBoxes(t *testing.T) {
 		t.Errorf("Boxes after cascade = %v, want [0,20)x[0,20)", boxes)
 	}
 	// Boxes differing on two dimensions must not merge.
-	if _, err := s.Record(meta, box2(20, 30, 20, 30), nil, now); err != nil {
+	if _, err := s.Record(meta, box2(20, 30, 20, 30), batchOf(meta, nil), now); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.EntryCount("Grid"); got != 2 {
@@ -222,10 +222,10 @@ func TestMergeKeepsOlderTimestamp(t *testing.T) {
 	old := time.Now().Add(-2 * time.Hour)
 	recent := time.Now()
 	cutoff := time.Now().Add(-time.Hour)
-	if _, err := s.Record(meta, box2(0, 10, 0, 10), nil, old); err != nil {
+	if _, err := s.Record(meta, box2(0, 10, 0, 10), batchOf(meta, nil), old); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Record(meta, box2(10, 20, 0, 10), nil, recent); err != nil {
+	if _, err := s.Record(meta, box2(10, 20, 0, 10), batchOf(meta, nil), recent); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.EntryCount("Grid"); got != 1 {
@@ -252,7 +252,7 @@ func TestRebuildCompactsTombstones(t *testing.T) {
 	// gap from origin so nothing merges), absorbing the prior entry.
 	absorbed := 0
 	for i := int64(1); i <= 40; i++ {
-		res, err := s.Record(meta, box2(1, 1+10*i, 1, 1+10*i), nil, now.Add(time.Duration(i)*time.Second))
+		res, err := s.Record(meta, box2(1, 1+10*i, 1, 1+10*i), batchOf(meta, nil), now.Add(time.Duration(i)*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,11 +285,11 @@ func TestCoverageFastPath(t *testing.T) {
 	now := time.Now()
 	// Scattered tiles plus one big region.
 	for i := int64(0); i < 50; i++ {
-		if _, err := s.Record(meta, box2(100+4*i, 102+4*i, 500, 502), nil, now); err != nil {
+		if _, err := s.Record(meta, box2(100+4*i, 102+4*i, 500, 502), batchOf(meta, nil), now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Record(meta, box2(0, 90, 0, 90), nil, now); err != nil {
+	if _, err := s.Record(meta, box2(0, 90, 0, 90), batchOf(meta, nil), now); err != nil {
 		t.Fatal(err)
 	}
 	boxes, st := s.Coverage("Grid", box2(10, 20, 10, 20), time.Time{})
@@ -322,7 +322,7 @@ func TestCoverageSinceFilter(t *testing.T) {
 	meta := gridMeta(1000)
 	old := time.Now().Add(-2 * time.Hour)
 	cutoff := time.Now().Add(-time.Hour)
-	if _, err := s.Record(meta, box2(0, 100, 0, 100), nil, old); err != nil {
+	if _, err := s.Record(meta, box2(0, 100, 0, 100), batchOf(meta, nil), old); err != nil {
 		t.Fatal(err)
 	}
 	if _, st := s.Coverage("Grid", box2(10, 20, 10, 20), cutoff); st.FastPath || st.Candidates != 0 {

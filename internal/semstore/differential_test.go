@@ -223,7 +223,7 @@ func TestDifferentialOracle(t *testing.T) {
 					}
 					times = append(times, at)
 					before := idx.StoredRowCount(meta.Name)
-					if _, err := idx.Record(meta, b, rows, at); err != nil {
+					if _, err := idx.Record(meta, b, batchOf(meta, rows), at); err != nil {
 						t.Fatalf("trial %d rec %d: %v", trial, rec, err)
 					}
 					if after := idx.StoredRowCount(meta.Name); before%chunk.Len != 0 && (after-1)/chunk.Len > before/chunk.Len {

@@ -264,26 +264,26 @@ func (s *Store) replayRecord(rec *walRecord, lookup func(string) (*catalog.Table
 		dims[i] = region.Interval{Lo: dd[0], Hi: dd[1]}
 	}
 	b := region.Box{Dims: dims}
-	kinds := make([]value.Kind, len(meta.Schema))
-	for i, c := range meta.Schema {
-		kinds[i] = c.Type
-	}
-	rows, err := decodeRows(meta, kinds, rec.Rows)
+	batch, err := decodeBatch(meta, rec.Rows)
 	if err != nil {
 		return err
 	}
-	if err := validateRows(meta, b, rows); err != nil {
+	if err := validateBatch(meta, b, batch); err != nil {
+		return err
+	}
+	coords, err := coordsOf(nil, meta, batch)
+	if err != nil {
 		return err
 	}
 	var res RecordResult
-	s.applyRecord(meta, b, rows, rec.At, &res)
+	s.applyRecord(meta, b, batch, coords, rec.At, &res)
 	return nil
 }
 
 // record is the durable Record path: append to the log, then apply, then
 // maybe checkpoint — all under the durability mutex so the log order is the
 // application order and checkpoints see a record-aligned state.
-func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []value.Row, at time.Time) (RecordResult, error) {
+func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, batch value.Batch, coords [][]int64, at time.Time) (RecordResult, error) {
 	var res RecordResult
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -297,7 +297,7 @@ func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []va
 	seq := d.cum + 1
 	start := time.Now()
 	synced, n, err := d.w.AppendFunc(func(buf []byte) []byte {
-		return appendWALRecord(buf, seq, meta.Name, b, atJSON, rows)
+		return appendWALRecord(buf, seq, meta.Name, b, atJSON, batch)
 	})
 	res.WALMicros = time.Since(start).Microseconds()
 	if err != nil {
@@ -310,7 +310,7 @@ func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []va
 	if m := s.metrics; m != nil {
 		m.ObserveWALAppend(n, synced, res.WALMicros)
 	}
-	s.applyRecord(meta, b, rows, at, &res)
+	s.applyRecord(meta, b, batch, coords, at, &res)
 	d.sinceCkpt++
 	if d.ckptEvery > 0 && d.sinceCkpt >= d.ckptEvery {
 		// A failed checkpoint must not fail the Record: the log still holds
@@ -327,17 +327,19 @@ func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []va
 // appendWALRecord appends the frame payload of one Record call, byte for
 // byte what json.Marshal writes for its walRecord: dims and rows omitted when
 // empty. at is the time already in its JSON form.
-func appendWALRecord(buf []byte, seq int64, table string, b region.Box, at []byte, rows []value.Row) []byte {
+func appendWALRecord(buf []byte, seq int64, table string, b region.Box, at []byte, batch value.Batch) []byte {
 	buf = strconv.AppendInt(append(buf, `{"seq":`...), seq, 10)
 	buf = value.AppendJSONString(append(buf, `,"table":`...), table)
 	if len(b.Dims) > 0 {
 		buf = appendDims(append(buf, `,"dims":`...), b.Dims)
 	}
 	buf = append(append(buf, `,"at":`...), at...)
-	if len(rows) > 0 {
+	if batch.N > 0 {
 		buf = append(buf, `,"rows":`...)
-		for i, row := range rows {
-			buf = row.AppendJSON(listSep(buf, i))
+		var cells [16]value.Value // a table this narrow needs no allocation
+		row := append(value.Row(cells[:0]), make(value.Row, len(batch.Cols))...)
+		for r := range batch.N {
+			buf = batch.Row(r, row).AppendJSON(listSep(buf, r))
 		}
 		buf = append(buf, ']')
 	}

@@ -34,7 +34,7 @@ func TestDurableRecordAllocatesLikeMemory(t *testing.T) {
 		}
 		allocs := func(s *Store) float64 {
 			return testing.AllocsPerRun(50, func() {
-				if _, err := s.Record(meta, meta.FullBox(), rows, at); err != nil {
+				if _, err := s.Record(meta, meta.FullBox(), batchOf(meta, rows), at); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -72,7 +72,7 @@ func TestCheckpointAllocationsFlat(t *testing.T) {
 				k := int64(id + i)
 				rows[i] = gridRow(k*7919%span, k)
 			}
-			if _, err := s.Record(meta, meta.FullBox(), rows, at); err != nil {
+			if _, err := s.Record(meta, meta.FullBox(), batchOf(meta, rows), at); err != nil {
 				t.Fatal(err)
 			}
 		}

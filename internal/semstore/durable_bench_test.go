@@ -48,7 +48,7 @@ func BenchmarkDurableRecord(b *testing.B) {
 				lo := int64(i%9)*10 + 1
 				bx := region.NewBox(region.Point(int64(i%3)), region.Interval{Lo: lo, Hi: lo + 9})
 				rows := []value.Row{row("A", lo+4, float64(i%9))}
-				if _, err := s.Record(meta, bx, rows, at); err != nil {
+				if _, err := s.Record(meta, bx, batchOf(meta, rows), at); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -46,7 +46,7 @@ func recordN(t *testing.T, s *Store, n int, at time.Time) {
 	meta := pollutionMeta()
 	for i := 0; i < n; i++ {
 		b := region.NewBox(region.Point(int64(i%3)), region.Interval{Lo: int64(i*10 + 1), Hi: int64(i*10 + 11)})
-		if _, err := s.Record(meta, b, []value.Row{row("A", int64(i*10+5), float64(i))}, at); err != nil {
+		if _, err := s.Record(meta, b, batchOf(meta, []value.Row{row("A", int64(i*10+5), float64(i))}), at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestDurableLoadSurvivesReopen(t *testing.T) {
 	}
 	meta := pollutionMeta()
 	b := region.NewBox(region.Point(2), region.Interval{Lo: 500, Hi: 510})
-	if _, err := s1.Record(meta, b, []value.Row{row("C", 505, 1)}, at); err != nil {
+	if _, err := s1.Record(meta, b, batchOf(meta, []value.Row{row("C", 505, 1)}), at); err != nil {
 		t.Fatal(err)
 	}
 	want := saveString(t, s1)
@@ -130,7 +130,7 @@ func TestDurableReplayKeepsNulls(t *testing.T) {
 	}
 	fs := diskfault.New()
 	s1, _ := durableStore(t, fs, DurableOptions{Policy: wal.SyncPerCall, CheckpointEvery: -1, Lookup: lookup})
-	if _, err := s1.Record(meta, meta.FullBox(), rows, time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+	if _, err := s1.Record(meta, meta.FullBox(), batchOf(meta, rows), time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Close(); err != nil {
@@ -348,7 +348,7 @@ func TestInvalidUTF8OutputRoundTrips(t *testing.T) {
 	fs := diskfault.New()
 	s1, _ := durableStore(t, fs, DurableOptions{Policy: wal.SyncPerCall, CheckpointEvery: -1, Lookup: lookup})
 	at := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	if _, err := s1.Record(meta, meta.FullBox(), rows, at); err != nil {
+	if _, err := s1.Record(meta, meta.FullBox(), batchOf(meta, rows), at); err != nil {
 		t.Fatal(err)
 	}
 	if rows[0][3].Str() != raw {
@@ -356,7 +356,7 @@ func TestInvalidUTF8OutputRoundTrips(t *testing.T) {
 	}
 	check("live", s1)
 	// Recording the same row again adds nothing: it is the stored row.
-	if res, err := s1.Record(meta, meta.FullBox(), rows, at); err != nil || res.Added != 0 {
+	if res, err := s1.Record(meta, meta.FullBox(), batchOf(meta, rows), at); err != nil || res.Added != 0 {
 		t.Fatalf("second Record added %d (%v), want 0", res.Added, err)
 	}
 	snapshot := saveString(t, s1)

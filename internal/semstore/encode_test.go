@@ -203,7 +203,7 @@ func TestWALFrameIsEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("time %v: %v", at, err)
 		}
-		got := appendWALRecord([]byte("frame"), seq, table, b, atJSON, rows)
+		got := appendWALRecord([]byte("frame"), seq, table, b, atJSON, value.BatchOf(schemaOf(nil, rows), rows))
 		if string(got) != "frame"+string(want) {
 			t.Errorf("got  %s\nwant %s", got[len("frame"):], want)
 			return false
@@ -211,7 +211,6 @@ func TestWALFrameIsEncodingJSON(t *testing.T) {
 		return true
 	}
 	at := time.Date(2026, 8, 1, 12, 30, 0, 123456789, time.FixedZone("CEST", 2*3600))
-	nulls := value.Row{value.NewNull(), value.NewNull(), value.NewNull(), value.NewNull()}
 	var cells value.Row
 	for _, s := range awkwardStrings {
 		cells = append(cells, value.NewString(s))
@@ -220,7 +219,8 @@ func TestWALFrameIsEncodingJSON(t *testing.T) {
 		cells = append(cells, value.NewFloat(f))
 	}
 	cells = append(cells, value.NewInt(0), value.NewInt(math.MaxInt64), value.NewInt(math.MinInt64), value.NewNull())
-	check(1, "Weather", box2(0, 3, 20140401, 20140402), at, []value.Row{nulls, cells})
+	nulls := make(value.Row, len(cells))
+	check(1, "Weather", box2(0, 3, 20140401, 20140402), at, []value.Row{nulls, cells, nulls})
 	check(2, "Weather", box2(0, 3, 20140401, 20140402), at, nil)           // an empty batch
 	check(3, "Weather", box2(0, 3, 20140401, 20140402), at, []value.Row{}) // and a non-nil one
 	check(4, "Flat", region.Box{}, at, []value.Row{{value.NewInt(1)}})     // a zero-dimension table
@@ -241,7 +241,7 @@ func TestWALFrameIsEncodingJSON(t *testing.T) {
 	meta := pollutionMeta()
 	rows := []value.Row{row("A", 7, math.Inf(-1)), {value.NewString("B"), value.NewInt(8), value.NewNull()}}
 	b := region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 101})
-	if _, err := s.Record(meta, b, rows, at); err != nil {
+	if _, err := s.Record(meta, b, batchOf(meta, rows), at); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -276,7 +276,7 @@ func TestWALRefusesUnencodableTime(t *testing.T) {
 		if wantErr == nil {
 			t.Fatalf("%v: encoding/json accepts it", at)
 		}
-		_, err := s.Record(meta, b, []value.Row{row("A", 5, 1)}, at)
+		_, err := s.Record(meta, b, batchOf(meta, []value.Row{row("A", 5, 1)}), at)
 		var me *json.MarshalerError
 		if err == nil || !strings.HasSuffix(err.Error(), ": "+wantErr.Error()) || !errors.As(err, &me) {
 			t.Errorf("%v: Record error %v, want %v", at, err, wantErr)
@@ -394,7 +394,7 @@ func TestSnapshotIsEncodingJSON(t *testing.T) {
 
 	// Through Save: a store filled by Record writes what encoding/json would.
 	s := New(storage.NewDB())
-	if _, err := s.Record(meta, box2(0, 2, 1, 51), []value.Row{row("A", 3, 0.5), row("B", 50, math.Inf(1))}, at); err != nil {
+	if _, err := s.Record(meta, box2(0, 2, 1, 51), batchOf(meta, []value.Row{row("A", 3, 0.5), row("B", 50, math.Inf(1))}), at); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := jsonSnapshot(s.snap.Load(), s.recorded.Load())

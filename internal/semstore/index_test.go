@@ -115,7 +115,7 @@ func TestRunCountInvariant(t *testing.T) {
 				rows[i] = gridRow(rng.Int63n(span), next) // y is unique: every row is new
 				next++
 			}
-			if res, err := s.Record(meta, meta.FullBox(), rows, at); err != nil || res.Added != size {
+			if res, err := s.Record(meta, meta.FullBox(), batchOf(meta, rows), at); err != nil || res.Added != size {
 				t.Fatalf("%s: added %d of %d (%v)", name, res.Added, size, err)
 			}
 			checkRunInvariants(t, s, "Grid")
@@ -154,7 +154,7 @@ func TestRecordWriteAmplification(t *testing.T) {
 	for _, rows := range batches {
 		// One box throughout: coverage compacts to a single entry, so what is
 		// measured is the row path.
-		if _, err := s.Record(meta, meta.FullBox(), rows, at); err != nil {
+		if _, err := s.Record(meta, meta.FullBox(), batchOf(meta, rows), at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestIndexFootprint(t *testing.T) {
 		for i := range rows {
 			rows[i] = gridRow(rng.Int63n(span), rng.Int63n(span))
 		}
-		if _, err := s.Record(meta, meta.FullBox(), rows, at); err != nil {
+		if _, err := s.Record(meta, meta.FullBox(), batchOf(meta, rows), at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,7 +258,7 @@ func TestSnapshotReadersSeeConsistentStateAcrossMerges(t *testing.T) {
 			next++
 		}
 		before := runCounts(s, "Grid")
-		if _, err := s.Record(meta, full, rows, at); err != nil {
+		if _, err := s.Record(meta, full, batchOf(meta, rows), at); err != nil {
 			t.Fatal(err)
 		}
 		if after := runCounts(s, "Grid"); len(before) > 0 && after[0] <= before[0] {
@@ -298,7 +298,7 @@ func TestTailChunkSharedWithOldSnapshots(t *testing.T) {
 	}
 	at := time.Unix(1700000000, 0)
 	s := New(storage.NewDB())
-	if _, err := s.Record(meta, full, rows[:batch], at); err != nil {
+	if _, err := s.Record(meta, full, batchOf(meta, rows[:batch]), at); err != nil {
 		t.Fatal(err)
 	}
 	old := s.table(meta.Name)
@@ -360,7 +360,7 @@ func TestTailChunkSharedWithOldSnapshots(t *testing.T) {
 	}
 	started.Wait() // every reader has read once
 	for from := batch; from < len(rows); from += batch {
-		if _, err := s.Record(meta, full, append(rows[from:from+batch:from+batch], rows[from-1]), at); err != nil {
+		if _, err := s.Record(meta, full, batchOf(meta, append(rows[from:from+batch:from+batch], rows[from-1])), at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -401,7 +401,7 @@ func TestRecoveredIndexAnswersLikeLive(t *testing.T) {
 		for i := range rows { // duplicates across records are likely and wanted
 			rows[i] = gridRow(b.Dims[0].Lo+rng.Int63n(b.Dims[0].Width()), b.Dims[1].Lo+rng.Int63n(b.Dims[1].Width()))
 		}
-		if _, err := live.Record(meta, b, rows, at.Add(time.Duration(rec)*time.Second)); err != nil {
+		if _, err := live.Record(meta, b, batchOf(meta, rows), at.Add(time.Duration(rec)*time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,32 +8,39 @@ import (
 	"testing"
 	"time"
 
+	"payless/internal/catalog"
+	"payless/internal/chunk"
 	"payless/internal/market"
 	"payless/internal/storage"
 	"payless/internal/value"
 	"payless/internal/workload"
 )
 
-// slabRows returns grid rows from through from+n−1 carved from one slab and
-// left uncapped, as a decoder might hand them over: each row's capacity runs
-// on into the next row's cells.
-func slabRows(from, n int) []value.Row {
-	slab := make([]value.Value, 0, 3*n)
+// gridBatch returns grid rows from through from+n−1 as one batch.
+func gridBatch(meta *catalog.Table, from, n int) value.Batch {
 	rows := make([]value.Row, n)
 	for i := range rows {
 		k := int64(from + i)
-		slab = append(slab, gridRow(k, k*7%100)...)
-		rows[i] = slab[3*i : 3*i+3]
+		rows[i] = gridRow(k, k*7%100)
 	}
-	return rows
+	return batchOf(meta, rows)
 }
 
-// overwrite sets every cell of the batch's backing arrays, past each row's
-// length too, to −1.
-func overwrite(batch []value.Row) {
-	for _, r := range batch {
-		for i := range r[:cap(r)] {
-			r[:cap(r)][i] = value.NewInt(-1)
+// scribble sets every cell of the batch's vectors, past each vector's
+// length too, to junk: −1 numbers, an empty string and every row NULL.
+func scribble(batch value.Batch) {
+	for _, v := range batch.Cols {
+		for i := range v.Ints[:cap(v.Ints)] {
+			v.Ints[:cap(v.Ints)][i] = -1
+		}
+		for i := range v.Floats[:cap(v.Floats)] {
+			v.Floats[:cap(v.Floats)][i] = -1
+		}
+		for i := range v.Strs[:cap(v.Strs)] {
+			v.Strs[:cap(v.Strs)][i] = value.NewString("")
+		}
+		for i := range v.Nulls[:cap(v.Nulls)] {
+			v.Nulls[:cap(v.Nulls)][i] = 0xff
 		}
 	}
 }
@@ -54,63 +61,67 @@ func checkStoredGrid(t *testing.T, s *Store, n int) {
 }
 
 // TestAllNewBatchKeptAsHandedIn: a batch whose rows are all new is stored
-// with every cell as handed in, copied into the table's columns. Overwriting
-// the caller's backing array after Record leaves every stored row as it was
-// recorded, and Record leaves the caller's row headers uncapped.
+// with every cell as handed in, copied into the table's columns. Scribbling
+// over the batch's vectors after Record leaves every stored row as it was
+// recorded.
 func TestAllNewBatchKeptAsHandedIn(t *testing.T) {
 	meta := gridMeta(1000)
 	s := New(storage.NewDB())
-	rows := slabRows(0, 100)
-	if res, err := s.Record(meta, meta.FullBox(), rows, time.Unix(1700000000, 0)); err != nil || res.Added != len(rows) {
-		t.Fatalf("added %d (%v), want %d", res.Added, err, len(rows))
+	batch := gridBatch(meta, 0, 100)
+	if res, err := s.Record(meta, meta.FullBox(), batch, time.Unix(1700000000, 0)); err != nil || res.Added != batch.N {
+		t.Fatalf("added %d (%v), want %d", res.Added, err, batch.N)
 	}
-	if cap(rows[0]) == len(rows[0]) {
-		t.Fatal("Record capped the caller's row headers: the rows slice stays the caller's")
-	}
-	overwrite(rows)
-	checkStoredGrid(t, s, len(rows))
+	scribble(batch)
+	checkStoredGrid(t, s, 100)
 }
 
 // TestBatchWithDuplicatesKeepsNoAlias: a batch holding rows the table already
 // stores has its new rows copied, so the store keeps no cell of either batch.
-// Overwriting both batches' backing arrays after Record leaves every stored
-// row as it was recorded.
+// Scribbling over both batches' vectors after Record leaves every stored row
+// as it was recorded.
 func TestBatchWithDuplicatesKeepsNoAlias(t *testing.T) {
 	meta := gridMeta(1000)
 	s := New(storage.NewDB())
 	at := time.Unix(1700000000, 0)
-	batches := [][]value.Row{slabRows(0, 50), slabRows(25, 50)} // rows 25..49 are in both
+	// A chunk's worth of rows each, the second half of the first in both:
+	// each batch's new rows start a chunk of the table's columns.
+	batches := []value.Batch{gridBatch(meta, 0, chunk.Len), gridBatch(meta, chunk.Len/2, chunk.Len)}
 	for i, batch := range batches {
-		if res, err := s.Record(meta, meta.FullBox(), batch, at); err != nil || res.Added != 50-25*i {
-			t.Fatalf("batch %d: added %d (%v), want %d", i, res.Added, err, 50-25*i)
+		want := chunk.Len - chunk.Len/2*i
+		if res, err := s.Record(meta, meta.FullBox(), batch, at); err != nil || res.Added != want {
+			t.Fatalf("batch %d: added %d (%v), want %d", i, res.Added, err, want)
 		}
 	}
 	for _, batch := range batches {
-		overwrite(batch)
+		scribble(batch)
 	}
-	checkStoredGrid(t, s, 75)
+	checkStoredGrid(t, s, chunk.Len*3/2)
 }
 
 // TestRecordAllNewBatchAllocations: recording a full page of TPC-H Lineitem
-// rows (5 000 rows, 7 columns, 6 queryable dimensions) into an empty table
-// allocates at most 190 bytes a row, about 113 on linux/amd64. Each
-// dimension's coordinate column and the output column are filled chunk by
-// chunk, and the dimensions' runs of int32 ids are built and sorted in one
-// pooled buffer.
+// rows (5 000 rows, 7 columns, 6 queryable dimensions), handed over as the
+// column batch the wire decodes, into an empty table allocates at most 150
+// bytes a row, about 113 on linux/amd64. The batch is built before the
+// count, so it counts the store's own work: the six Int columns are their
+// own coordinates and are copied into the coordinate columns a chunk at a
+// time, the output column is filled chunk by chunk, the dimensions' runs of
+// int32 ids are built and sorted in one pooled buffer and the dedup table is
+// sized once; with no duplicate, no list of the new rows is made.
 func TestRecordAllNewBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
-	const n, runs, limit = 5000, 5, 190
+	const n, runs, limit = 5000, 5, 150
 	tpch := workload.GenerateTPCH(workload.DefaultTPCHConfig())
 	meta, rows := tpch.Lineitem, tpch.LineitemRows[:n]
+	batch := value.BatchOf(meta.Schema, rows)
 	at := time.Unix(1700000000, 0)
 	var total uint64
 	for range runs {
 		s := New(storage.NewDB())
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := s.Record(meta, meta.FullBox(), rows, at)
+		res, err := s.Record(meta, meta.FullBox(), batch, at)
 		runtime.ReadMemStats(&after)
 		if err != nil || res.Added != n {
 			t.Fatalf("added %d (%v), want %d", res.Added, err, n)
@@ -121,6 +132,45 @@ func TestRecordAllNewBatchAllocations(t *testing.T) {
 	t.Logf("an all-new %d-row Lineitem Record allocates %d bytes a row", n, perRow)
 	if perRow > limit {
 		t.Errorf("an all-new %d-row Lineitem Record allocates %d bytes a row; want at most %d", n, perRow, limit)
+	}
+}
+
+// TestWireToStoreAllocations gates a purchased page's whole trip into the
+// store: a full page of TPC-H Lineitem rows (5 000 rows, 7 columns), decoded
+// from its wire body and then recorded into an empty table, allocates at
+// most 190 bytes a row, about 172 on linux/amd64: the decoded batch's 56
+// (8 a cell) and what TestRecordAllNewBatchAllocations counts. Decoding
+// into rows, a 16-byte Value a cell and a 24-byte header a row, and
+// recording those took 252.
+func TestWireToStoreAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	const n, runs, limit = 5000, 5, 190
+	tpch := workload.GenerateTPCH(workload.DefaultTPCHConfig())
+	meta, rows := tpch.Lineitem, tpch.LineitemRows[:n]
+	body := market.AppendResultPage(nil, market.Result{Schema: meta.Schema, Batch: value.BatchOf(meta.Schema, rows), Records: n}, 0, n, 0)
+	at := time.Unix(1700000000, 0)
+	var total uint64
+	for range runs {
+		s := New(storage.NewDB())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, _, err := market.DecodeResultPage(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := s.Record(meta, meta.FullBox(), res.Batch, at)
+		runtime.ReadMemStats(&after)
+		if err != nil || rr.Added != n {
+			t.Fatalf("added %d (%v), want %d", rr.Added, err, n)
+		}
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	perRow := total / runs / n
+	t.Logf("a %d-row Lineitem page decoded and recorded allocates %d bytes a row", n, perRow)
+	if perRow > limit {
+		t.Errorf("a %d-row Lineitem page decoded and recorded allocates %d bytes a row; want at most %d", n, perRow, limit)
 	}
 }
 
@@ -144,13 +194,17 @@ func TestRecordAllocatesWhatItAdds(t *testing.T) {
 	for k := range rows {
 		rows[k] = pointRow([]int64{int64(k) * 7919 % (1 << 20), int64(k) * 31 % 1000, int64(k) % 64})
 	}
+	batches := make([]value.Batch, records)
+	for r := range batches {
+		batches[r] = value.BatchOf(meta.Schema, rows[r*batch:(r+1)*batch])
+	}
 	s := New(storage.NewDB())
 	at := time.Unix(1700000000, 0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for r := range records {
-		if res, err := s.Record(meta, meta.FullBox(), rows[r*batch:(r+1)*batch], at); err != nil || res.Added != batch {
+		if res, err := s.Record(meta, meta.FullBox(), batches[r], at); err != nil || res.Added != batch {
 			t.Fatalf("record %d: added %d (%v), want %d", r, res.Added, err, batch)
 		}
 	}
@@ -191,7 +245,7 @@ func TestRecordCostFlatInEntryCount(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		for i := range int64(more) { // one row of tiles past the grid's last
 			x, y := 4*i, 4*side
-			if _, err := s.Record(meta, box2(x, x+2, y, y+2), []value.Row{gridRow(x, y)}, at); err != nil {
+			if _, err := s.Record(meta, box2(x, x+2, y, y+2), batchOf(meta, []value.Row{gridRow(x, y)}), at); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -221,7 +275,7 @@ func TestStoreRetainsBytesPerRow(t *testing.T) {
 	const limit = 130
 	tpch := workload.GenerateTPCH(workload.DefaultTPCHConfig())
 	meta, rows := tpch.Lineitem, tpch.LineitemRows
-	all := market.Result{Schema: meta.Schema, Rows: rows, Records: len(rows)}
+	all := market.Result{Schema: meta.Schema, Batch: value.BatchOf(meta.Schema, rows), Records: len(rows)}
 	var pages [][]byte
 	for from := 0; from < len(rows); from += market.PageRows {
 		pages = append(pages, market.AppendResultPage(nil, all, from, min(from+market.PageRows, len(rows)), 0))
@@ -241,7 +295,7 @@ func TestStoreRetainsBytesPerRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Record(meta, meta.FullBox(), res.Rows, at); err != nil {
+		if _, err := s.Record(meta, meta.FullBox(), res.Batch, at); err != nil {
 			t.Fatal(err)
 		}
 	}

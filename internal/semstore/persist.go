@@ -203,7 +203,8 @@ func appendJSONTime(buf []byte, t time.Time) ([]byte, error) {
 type stagedTable struct {
 	meta    *catalog.Table
 	entries []persistEntry
-	rows    []value.Row
+	batch   value.Batch
+	coords  [][]int64
 }
 
 // stagedSnapshot is a decoded, fully validated snapshot.
@@ -244,7 +245,6 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 			return nil, fmt.Errorf("semstore: table %s: %d columns saved, catalog has %d",
 				pt.Table, len(pt.Kinds), len(meta.Schema))
 		}
-		kinds := make([]value.Kind, len(pt.Kinds))
 		for i, k := range pt.Kinds {
 			kind, err := value.ParseKind(k)
 			if err != nil {
@@ -254,51 +254,49 @@ func decodeSnapshot(data []byte, lookup func(table string) (*catalog.Table, bool
 				return nil, fmt.Errorf("semstore: table %s column %d: saved %s, catalog %s",
 					pt.Table, i, k, meta.Schema[i].Type)
 			}
-			kinds[i] = kind
 		}
 		for _, pe := range pt.Entries {
 			if err := checkDims(meta, len(pe.Dims)); err != nil {
 				return nil, err
 			}
 		}
-		rows, err := decodeRows(meta, kinds, pt.Rows)
+		batch, err := decodeBatch(meta, pt.Rows)
 		if err != nil {
 			return nil, err
 		}
-		if err := checkCoords(meta, rows); err != nil {
+		coords, err := coordsOf(nil, meta, batch)
+		if err != nil {
 			return nil, err
 		}
-		st.tables = append(st.tables, stagedTable{meta: meta, entries: pt.Entries, rows: rows})
+		st.tables = append(st.tables, stagedTable{meta: meta, entries: pt.Entries, batch: batch, coords: coords})
 	}
 	return st, nil
 }
 
-// decodeRows parses encoded rows (see value.Value.AppendJSON) against the
-// table's kinds, carving them from one slab.
-func decodeRows(meta *catalog.Table, kinds []value.Kind, enc [][]*string) ([]value.Row, error) {
-	w := len(kinds)
-	rows := make([]value.Row, 0, len(enc))
-	slab := make([]value.Value, len(enc)*w)
+// decodeBatch parses encoded rows (see value.Value.AppendJSON), whose
+// kinds are the table's, into one batch.
+func decodeBatch(meta *catalog.Table, enc [][]*string) (value.Batch, error) {
+	b := value.NewBatch(meta.Schema, len(enc))
 	for r, cells := range enc {
-		if len(cells) != w {
-			return nil, fmt.Errorf("semstore: table %s: row width %d, want %d", meta.Name, len(cells), w)
+		if len(cells) != len(meta.Schema) {
+			return value.Batch{}, fmt.Errorf("semstore: table %s: row width %d, want %d", meta.Name, len(cells), len(meta.Schema))
 		}
-		row := value.Row(slab[r*w : (r+1)*w : (r+1)*w])
 		for i, cell := range cells {
 			// Files written before NULL was encoded as null spell it "NULL",
 			// which no number parses as.
-			if cell == nil || (*cell == "NULL" && kinds[i] != value.String) {
-				continue // the zero Value is NULL
+			k := meta.Schema[i].Type
+			if cell == nil || (*cell == "NULL" && k != value.String) {
+				b.Set(r, i, value.Value{})
+				continue
 			}
-			v, err := value.Parse(kinds[i], *cell)
+			v, err := value.Parse(k, *cell)
 			if err != nil {
-				return nil, fmt.Errorf("semstore: table %s: %w", meta.Name, err)
+				return value.Batch{}, fmt.Errorf("semstore: table %s: %w", meta.Name, err)
 			}
-			row[i] = v
+			b.Set(r, i, v)
 		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return b, nil
 }
 
 // apply installs a fully validated snapshot; nothing in it can fail.
@@ -325,7 +323,7 @@ func (s *Store) apply(st *stagedSnapshot) {
 			ts.insertEntry(b, pe.At)
 			ts.maybeRebuild()
 		}
-		ts.addRows(t.rows)
+		ts.addRows(t.batch, t.coords)
 	}
 	s.publish(snap, staged...)
 }

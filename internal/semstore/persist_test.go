@@ -19,10 +19,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	b1 := region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51})
 	b2 := region.NewBox(region.Point(1), region.Interval{Lo: 1, Hi: 101})
 	at := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
-	if _, err := s1.Record(meta, b1, []value.Row{row("A", 10, 1.5)}, at); err != nil {
+	if _, err := s1.Record(meta, b1, batchOf(meta, []value.Row{row("A", 10, 1.5)}), at); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Record(meta, b2, []value.Row{row("B", 99, 2.5)}, at.Add(time.Hour)); err != nil {
+	if _, err := s1.Record(meta, b2, batchOf(meta, []value.Row{row("B", 99, 2.5)}), at.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,7 +96,7 @@ func TestLoadMergesIntoExistingStore(t *testing.T) {
 	meta := pollutionMeta()
 	s1 := New(storage.NewDB())
 	b := region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 11})
-	s1.Record(meta, b, []value.Row{row("A", 5, 0)}, time.Now())
+	s1.Record(meta, b, batchOf(meta, []value.Row{row("A", 5, 0)}), time.Now())
 	var buf bytes.Buffer
 	if err := s1.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestLoadMergesIntoExistingStore(t *testing.T) {
 	// Load into a store that already holds a different region.
 	s2 := New(storage.NewDB())
 	other := region.NewBox(region.Point(2), region.Interval{Lo: 1, Hi: 11})
-	s2.Record(meta, other, []value.Row{row("C", 7, 0)}, time.Now())
+	s2.Record(meta, other, batchOf(meta, []value.Row{row("C", 7, 0)}), time.Now())
 	lookup := func(string) (*catalog.Table, bool) { return meta, true }
 	if err := s2.Load(bytes.NewReader(buf.Bytes()), lookup); err != nil {
 		t.Fatal(err)
@@ -121,12 +121,11 @@ func TestSaveDeterministic(t *testing.T) {
 		s := New(storage.NewDB())
 		at := time.Unix(1700000000, 0).UTC()
 		metas := []*catalog.Table{gridMeta(1000), pollutionMeta()}
-		if _, err := s.Record(metas[0], box2(0, 10, 0, 10), []value.Row{gridRow(1, 2)}, at); err != nil {
+		if _, err := s.Record(metas[0], box2(0, 10, 0, 10), batchOf(metas[0], []value.Row{gridRow(1, 2)}), at); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Record(metas[1],
-			region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51}),
-			[]value.Row{row("A", 10, 1.5)}, at); err != nil {
+		if _, err := s.Record(metas[1], region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51}),
+			batchOf(metas[1], []value.Row{row("A", 10, 1.5)}), at); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -200,13 +199,13 @@ func TestSaveLoadRoundTripAllKinds(t *testing.T) {
 		{value.NewString("plain"), value.NewInt(43), value.NewFloat(2), value.NewString("NULL"), value.NewNull()},
 	}
 	full := meta.FullBox()
-	if _, err := s1.Record(meta, full, rows, at); err != nil {
+	if _, err := s1.Record(meta, full, batchOf(meta, rows), at); err != nil {
 		t.Fatal(err)
 	}
 	// An empty table (known to the catalog, no entries, no rows) must
 	// survive the trip too.
 	empty := gridMeta(10)
-	if _, err := s1.Record(empty, box2(0, 1, 0, 1), nil, at); err != nil {
+	if _, err := s1.Record(empty, box2(0, 1, 0, 1), batchOf(empty, nil), at); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -307,7 +306,7 @@ func TestBoxOfWrongDimensionalityRefused(t *testing.T) {
 	s := New(storage.NewDB())
 	at := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
 	good := region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51})
-	if _, err := s.Record(meta, good, []value.Row{row("A", 10, 1.5)}, at); err != nil {
+	if _, err := s.Record(meta, good, batchOf(meta, []value.Row{row("A", 10, 1.5)}), at); err != nil {
 		t.Fatal(err)
 	}
 	var before bytes.Buffer
@@ -319,10 +318,10 @@ func TestBoxOfWrongDimensionalityRefused(t *testing.T) {
 		region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51}, region.Point(3)),
 		{},
 	} {
-		if _, err := s.Record(meta, b, nil, at); err == nil {
+		if _, err := s.Record(meta, b, batchOf(meta, nil), at); err == nil {
 			t.Errorf("Record of a %d-dimensional box: no error", b.D())
 		}
-		if _, err := s.Record(meta, b, []value.Row{row("B", 20, 1)}, at); err == nil {
+		if _, err := s.Record(meta, b, batchOf(meta, []value.Row{row("B", 20, 1)}), at); err == nil {
 			t.Errorf("Record of a %d-dimensional box with a row: no error", b.D())
 		}
 	}

@@ -343,7 +343,7 @@ func TestCoverageOrderMatchesReference(t *testing.T) {
 			ref := &refTable{dims: make([]refDim, d)}
 			for rec := range 300 {
 				b, at := randBox(), base.Add(time.Duration(rng.Intn(6))*time.Second)
-				res, err := s.Record(meta, b, nil, at)
+				res, err := s.Record(meta, b, batchOf(meta, nil), at)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -459,7 +459,7 @@ func TestOldSnapshotsKeepTheirCoverage(t *testing.T) {
 	compacting, rebuilds := 0, 0
 	for rec := range 2000 {
 		prev := s.table(meta.Name)
-		res, err := s.Record(meta, randBox(rng), nil, base.Add(time.Duration(rng.Intn(6))*time.Second))
+		res, err := s.Record(meta, randBox(rng), batchOf(meta, nil), base.Add(time.Duration(rng.Intn(6))*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}

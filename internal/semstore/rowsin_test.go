@@ -73,7 +73,7 @@ func scattered(t testing.TB, s *Store, meta *catalog.Table, n int) []value.Row {
 		if from > 0 {
 			batch = append(batch[:len(batch):len(batch)], rows[0]) // a duplicate: stored once
 		}
-		if _, err := s.Record(meta, full, batch, time.Unix(1700000000, 0)); err != nil {
+		if _, err := s.Record(meta, full, batchOf(meta, batch), time.Unix(1700000000, 0)); err != nil {
 			t.Fatal(err)
 		}
 		from = to
@@ -347,7 +347,7 @@ func TestRecordKeepsRowsTheStringKeysMerged(t *testing.T) {
 	}
 	rows := []value.Row{row(1, "a\x1f3b", "c"), row(1, "a", "b\x1f3c")}
 	s := New(storage.NewDB())
-	res, err := s.Record(meta, box2(0, 10, 0, 10), rows, time.Unix(1700000000, 0))
+	res, err := s.Record(meta, box2(0, 10, 0, 10), batchOf(meta, rows), time.Unix(1700000000, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestRecordKeepsRowsTheStringKeysMerged(t *testing.T) {
 		t.Fatalf("SelectIn read %v, want both rows", got)
 	}
 	// An exact duplicate is still stored once.
-	if res, _ := s.Record(meta, box2(0, 10, 0, 10), rows[:1], time.Unix(1700000001, 0)); res.Added != 0 {
+	if res, _ := s.Record(meta, box2(0, 10, 0, 10), batchOf(meta, rows[:1]), time.Unix(1700000001, 0)); res.Added != 0 {
 		t.Errorf("a repeated row was added again (%d)", res.Added)
 	}
 }
@@ -520,7 +520,7 @@ func recordedAndRecovered(t *testing.T, meta *catalog.Table, batches [][]value.R
 	}
 	live := open()
 	for _, b := range batches {
-		if _, err := live.Record(meta, meta.FullBox(), b, time.Unix(1700000000, 0)); err != nil {
+		if _, err := live.Record(meta, meta.FullBox(), batchOf(meta, b), time.Unix(1700000000, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

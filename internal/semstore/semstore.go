@@ -108,7 +108,7 @@ type tableStore struct {
 	alive       int
 	dead        int
 	// dims index the entries on each dimension of the table's queryable
-	// space, which every entry's box has (validateRows and decodeSnapshot
+	// space, which every entry's box has (validateBatch and decodeSnapshot
 	// refuse any other).
 	dims []dimIdx
 	// big lists up to bigBoxLimit largest live boxes by volume — the O(1)
@@ -116,18 +116,19 @@ type tableStore struct {
 	big []int
 	// The n deduplicated materialised rows are held as columns, column i
 	// where cols[i] places it. rowIdx indexes the rows on each queryable
-	// dimension: a column of their coordinates there (validateRows resolves
+	// dimension: a column of their coordinates there (coordsOf resolves
 	// exactly one per dimension) and runs of their ids, 12 bytes per row and
 	// dimension. vals[i] holds column i's cells when it is no coordinate
-	// column. seen keys the rows under value.ExactKey for deduplication, and
-	// scratch is the writer's row, rebuilt from the columns for seen to
-	// compare with. Ids are int32: seen already bounds them below 2^29.
-	n       int
-	cols    []column
-	rowIdx  []rowidx.Dim
-	vals    []chunk.List[value.Value]
-	seen    *value.KeyTable
-	scratch value.Row
+	// column. seen keys the rows under value.ExactKey for deduplication;
+	// in and scratch are the writer's rows, one a recorded row and one
+	// rebuilt for seen to compare with. Ids are int32: seen already bounds
+	// them below 2^29.
+	n           int
+	cols        []column
+	rowIdx      []rowidx.Dim
+	vals        []chunk.List[value.Value]
+	seen        *value.KeyTable
+	in, scratch value.Row
 }
 
 // column places a stored column: on coordinate column dim of the row
@@ -229,6 +230,7 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 		rowIdx:  make([]rowidx.Dim, d),
 		vals:    make([]chunk.List[value.Value], len(meta.Schema)),
 		seen:    value.NewKeyTable(value.ExactKey, nil, 0),
+		in:      make(value.Row, len(meta.Schema)),
 		scratch: make(value.Row, len(meta.Schema)),
 	}
 }
@@ -240,7 +242,7 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 // append-only chunk lists (the columns) only past the published length,
 // which no snapshot reads (chunk.List), never writes a published run, and
 // copies tombs before setting a bit a snapshot can read (tombstone). The
-// seen index and the scratch row are writer-only state (readers never
+// seen index and the scratch rows are writer-only state (readers never
 // consult them) and are shared across clones.
 func (ts *tableStore) clone() *tableStore {
 	cp := *ts
@@ -302,79 +304,131 @@ type RecordResult struct {
 func (r RecordResult) Compacted() int { return r.Absorbed + r.Merged }
 
 // Record stores the outcome of an executed call: its box as coverage, and
-// the rows themselves, deduplicated. The new rows' cells are copied into the
-// table's columns, so the store keeps nothing of the caller's rows. Every
-// cell must be NULL or of its column's type.
+// the batch's rows, deduplicated. The new rows' cells are copied into the
+// table's columns, so the store keeps nothing of the batch, which it never
+// writes. Each column must be of its schema column's kind or hold only
+// NULLs.
 //
-// Record is atomic with respect to the coverage index: every row's cells and
-// coordinates are validated up front, and only when all of them are good are
-// entries, columns and the row index mutated. A mid-batch bad row therefore
-// leaves the store exactly as it was — it can never claim coverage for rows
-// it failed to materialise.
-func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at time.Time) (RecordResult, error) {
+// Record is atomic with respect to the coverage index: the columns' kinds
+// and every row's coordinates are checked up front, and only when all of
+// them are good are entries, columns and the row index mutated. A mid-batch
+// bad row therefore leaves the store exactly as it was — it can never claim
+// coverage for rows it failed to materialise.
+func (s *Store) Record(meta *catalog.Table, b region.Box, batch value.Batch, at time.Time) (RecordResult, error) {
 	var res RecordResult
-	if err := validateRows(meta, b, rows); err != nil {
+	if err := validateBatch(meta, b, batch); err != nil {
 		return res, err
 	}
-	rows = validUTF8(meta, rows)
-	if d := s.dur; d != nil {
-		return d.record(s, meta, b, rows, at)
+	var buf [8][]int64
+	coords, err := coordsOf(buf[:0], meta, batch)
+	if err != nil {
+		return res, err
 	}
-	s.applyRecord(meta, b, rows, at, &res)
+	batch = validUTF8(meta, batch)
+	if d := s.dur; d != nil {
+		return d.record(s, meta, b, batch, coords, at)
+	}
+	s.applyRecord(meta, b, batch, coords, at, &res)
 	s.recorded.Add(1)
 	return res, nil
 }
 
-// validateRows checks a Record call's shape, that every cell is NULL or of
-// its column's type and that every row's queryable coordinates resolve,
-// without touching any state: a bad batch fails here or not at all. addRows
-// resolves the coordinates again, for the new rows alone, straight into the
-// columns.
-func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) error {
+// validateBatch checks a Record call's shape and that each column is of its
+// schema column's kind or all NULL, once a column.
+func validateBatch(meta *catalog.Table, b region.Box, batch value.Batch) error {
 	if err := checkDims(meta, b.D()); err != nil {
 		return err
 	}
-	if b.Empty() && len(rows) > 0 {
+	switch {
+	case batch.N == 0:
+		return nil
+	case b.Empty():
 		return fmt.Errorf("semstore: non-empty result for empty box on %s", meta.Name)
+	case len(batch.Cols) != len(meta.Schema):
+		return fmt.Errorf("semstore: %s: batch has %d columns, schema has %d",
+			meta.Name, len(batch.Cols), len(meta.Schema))
 	}
-	for _, row := range rows {
-		if len(row) != len(meta.Schema) {
-			return fmt.Errorf("semstore: %s: row has %d values, schema has %d",
-				meta.Name, len(row), len(meta.Schema))
-		}
-		for i, v := range row {
-			if v.K != value.Null && v.K != meta.Schema[i].Type {
-				return fmt.Errorf("semstore: %s: %s cell in %s column %s",
-					meta.Name, v.K, meta.Schema[i].Type, meta.Schema[i].Name)
+	for i, col := range meta.Schema {
+		if v := &batch.Cols[i]; v.Kind != col.Type {
+			for r := range batch.N {
+				if !v.IsNull(r) {
+					return fmt.Errorf("semstore: %s: %s cell in %s column %s", meta.Name, v.Kind, col.Type, col.Name)
+				}
 			}
 		}
 	}
-	return checkCoords(meta, rows)
+	return nil
 }
 
-// validUTF8 returns rows with each String output cell that is not valid
-// UTF-8 written as the wire, snapshot and WAL codecs write it, every stray
-// byte U+FFFD, so it reads back the same live, loaded and replayed. Rows
-// are copied only where a cell changes. Queryable String cells are domain
-// values, which catalog.Register holds to valid UTF-8.
-func validUTF8(meta *catalog.Table, rows []value.Row) []value.Row {
-	copied := false
-	for i, a := range meta.Attrs {
-		if a.Binding != catalog.Output || meta.Schema[i].Type != value.String {
-			continue
-		}
-		for j, row := range rows {
-			if s := row[i].Str(); !utf8.ValidString(s) {
-				if !copied {
-					rows, copied = slices.Clone(rows), true
-				}
-				row = slices.Clone(row)
-				row[i] = value.NewString(strings.Map(func(r rune) rune { return r }, s))
-				rows[j] = row
-			}
+// coordsOf appends to dst every row's queryable coordinates, a column at a
+// time: coords[k] holds each row's on dimension k. A numeric column of Ints
+// without NULLs is its own coordinates; the others are resolved into one
+// slab. It fails unless every coordinate resolves, touching no state.
+func coordsOf(dst [][]int64, meta *catalog.Table, batch value.Batch) ([][]int64, error) {
+	n, own := batch.N, func(a *catalog.Attribute, v *value.Vector) bool {
+		return a.Class == catalog.NumericAttr && v.Kind == value.Int && !v.HasNulls(batch.N)
+	}
+	if n == 0 {
+		return dst, nil
+	}
+	resolved := 0
+	for i := range meta.Attrs {
+		if a := &meta.Attrs[i]; a.Binding != catalog.Output && !own(a, &batch.Cols[i]) {
+			resolved++
 		}
 	}
-	return rows
+	slab := make([]int64, resolved*n)
+	for i := range meta.Attrs {
+		a, v := &meta.Attrs[i], &batch.Cols[i]
+		switch {
+		case a.Binding == catalog.Output:
+			continue
+		case own(a, v):
+			dst = append(dst, v.Ints[:n])
+			continue
+		}
+		cs := slab[:n:n]
+		for r := range cs {
+			c, err := a.Coord(v.At(r))
+			if err != nil {
+				return nil, err
+			}
+			cs[r] = c
+		}
+		dst, slab = append(dst, cs), slab[n:]
+	}
+	return dst, nil
+}
+
+// validUTF8 returns batch with each String output cell that is not valid
+// UTF-8 written as the wire, snapshot and WAL codecs write it, every stray
+// byte U+FFFD, so it reads back the same live, loaded and replayed. A column
+// is copied only where a cell changes, and the batch's own are never
+// written. Queryable String cells are domain values, which catalog.Register
+// holds to valid UTF-8.
+func validUTF8(meta *catalog.Table, batch value.Batch) value.Batch {
+	copied := false
+	for i, a := range meta.Attrs {
+		if a.Binding != catalog.Output || batch.N == 0 || batch.Cols[i].Kind != value.String {
+			continue
+		}
+		strs := batch.Cols[i].Strs[:batch.N]
+		r := slices.IndexFunc(strs, func(v value.Value) bool { return !utf8.ValidString(v.Str()) })
+		if r < 0 {
+			continue
+		}
+		if !copied {
+			batch.Cols, copied = slices.Clone(batch.Cols), true
+		}
+		strs = slices.Clone(strs)
+		for ; r < len(strs); r++ {
+			if s := strs[r].Str(); !utf8.ValidString(s) {
+				strs[r] = value.NewString(strings.Map(func(r rune) rune { return r }, s))
+			}
+		}
+		batch.Cols[i].Strs = strs
+	}
+	return batch
 }
 
 // checkDims refuses a coverage box of d dimensions unless the table's boxes
@@ -388,12 +442,12 @@ func checkDims(meta *catalog.Table, d int) error {
 
 // applyRecord installs one validated call — the state-mutating half of
 // Record, also the WAL replay entry point (replay must not re-append).
-func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row, at time.Time, res *RecordResult) {
+func (s *Store) applyRecord(meta *catalog.Table, b region.Box, batch value.Batch, coords [][]int64, at time.Time, res *RecordResult) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	snap := s.snap.Load()
 	ts := cloneTableFor(snap, meta)
-	res.Added = ts.addRows(rows)
+	res.Added = ts.addRows(batch, coords)
 	if !b.Empty() {
 		res.Dropped, res.Absorbed, res.Merged = ts.insertEntry(b.Clone(), at)
 		ts.maybeRebuild()
@@ -404,32 +458,63 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 	s.publish(snap, ts)
 }
 
-// addRows stores the validated rows the table does not hold yet
-// (value.ExactKey) and indexes them as one batch, sorted into one run per
-// dimension. Their coordinates and other cells are appended to the columns'
-// chunk lists, so nothing the table already holds is copied. It returns how
-// many rows were new.
-func (ts *tableStore) addRows(rows []value.Row) int {
-	first := ts.n
-	var coords [8]int64
-	stored := func(id int) value.Row { return ts.row(ts.scratch, id) }
-	ts.seen.Grow(len(rows))
-	for _, row := range rows {
-		if ts.seen.Insert(stored, row, ts.n) >= 0 {
-			continue
+// addRows stores the rows of the validated batch the table does not hold
+// yet (value.ExactKey), given coords[k], every row's coordinate on
+// dimension k, and indexes them as one batch, sorted into one run per
+// dimension. Their coordinates and other cells are appended to the
+// columns' chunk lists a column at a time, so nothing the table already
+// holds is copied. It returns how many rows were new.
+func (ts *tableStore) addRows(batch value.Batch, coords [][]int64) int {
+	// The i-th new row is batch row keep[i], or row i while keep is nil: the
+	// list is made at the first duplicate, so a batch of new rows makes none.
+	first, n := ts.n, 0
+	var keep []int32
+	row := func(i int) int {
+		if keep == nil {
+			return i
 		}
-		cs, _ := appendCoords(coords[:0], ts.meta, row) // validateRows resolved them
-		for k, c := range cs {
-			ts.rowIdx[k].Col.Append(c)
+		return int(keep[i])
+	}
+	stored := func(id int) value.Row {
+		if id >= first {
+			return batch.Row(row(id-first), ts.scratch)
 		}
-		for i, c := range ts.cols {
-			if c.dim < 0 {
-				ts.vals[i].Append(row[i])
+		return ts.row(ts.scratch, id)
+	}
+	ts.seen.Grow(batch.N)
+	for r := range batch.N {
+		switch {
+		case ts.seen.Insert(stored, batch.Row(r, ts.in), first+n) < 0:
+			if keep != nil {
+				keep = append(keep, int32(r))
+			}
+			n++
+		case keep == nil:
+			keep = make([]int32, n, batch.N)
+			for i := range keep {
+				keep[i] = int32(i)
 			}
 		}
-		ts.n++
 	}
-	n := ts.n - first
+	for k, cs := range coords {
+		col := &ts.rowIdx[k].Col
+		if keep == nil {
+			col.AppendSlice(cs)
+			continue
+		}
+		for _, r := range keep {
+			col.Append(cs[r])
+		}
+	}
+	for i, c := range ts.cols {
+		if c.dim >= 0 {
+			continue
+		}
+		for j := range n {
+			ts.vals[i].Append(batch.At(row(j), i))
+		}
+	}
+	ts.n += n
 	for k := range ts.rowIdx {
 		ts.rowIdx[k].Add(first, n)
 	}
@@ -862,34 +947,6 @@ func (s *Store) Remainder(table string, q region.Box, since time.Time) []region.
 // a zero-price relation in the sense of Theorem 2.
 func (s *Store) Covered(table string, q region.Box, since time.Time) bool {
 	return len(s.Remainder(table, q, since)) == 0
-}
-
-// appendCoords appends row's queryable-space coordinates to dst, one per
-// dimension.
-func appendCoords(dst []int64, meta *catalog.Table, row value.Row) ([]int64, error) {
-	for i := range meta.Attrs {
-		a := &meta.Attrs[i]
-		if a.Binding == catalog.Output {
-			continue
-		}
-		c, err := a.Coord(row[i])
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, c)
-	}
-	return dst, nil
-}
-
-// checkCoords fails unless every row's queryable coordinates resolve.
-func checkCoords(meta *catalog.Table, rows []value.Row) error {
-	var coords [8]int64
-	for _, row := range rows {
-		if _, err := appendCoords(coords[:0], meta, row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SelectIn appends to *ids the ids of the table's rows inside each box in

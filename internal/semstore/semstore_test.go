@@ -38,7 +38,7 @@ func TestRecordAndBoxes(t *testing.T) {
 	meta := pollutionMeta()
 	b1 := region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51})
 	now := time.Now()
-	if _, err := s.Record(meta, b1, []value.Row{row("A", 10, 1), row("A", 20, 2)}, now); err != nil {
+	if _, err := s.Record(meta, b1, batchOf(meta, []value.Row{row("A", 10, 1), row("A", 20, 2)}), now); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Boxes("Pollution", time.Time{}); len(got) != 1 || !got[0].Equal(b1) {
@@ -61,8 +61,8 @@ func TestRecordDedup(t *testing.T) {
 	b := region.NewBox(region.Interval{Lo: 0, Hi: 3}, region.Interval{Lo: 1, Hi: 101})
 	rows := []value.Row{row("A", 10, 1), row("B", 20, 2)}
 	now := time.Now()
-	s.Record(meta, b, rows, now)
-	rr, err := s.Record(meta, b, rows, now.Add(time.Second))
+	s.Record(meta, b, batchOf(meta, rows), now)
+	rr, err := s.Record(meta, b, batchOf(meta, rows), now.Add(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,19 +79,43 @@ func TestRecordDedup(t *testing.T) {
 	}
 }
 
+// batchOf returns rows as the batch Record takes, in schemaOf's kinds, so
+// rows of the wrong kind or width make a batch Record refuses.
+func batchOf(meta *catalog.Table, rows []value.Row) value.Batch {
+	return value.BatchOf(schemaOf(meta.Schema, rows), rows)
+}
+
+// schemaOf returns base fitted to rows: as wide as the first row, each
+// column of the kind of its first non-NULL cell, base's where it has none.
+func schemaOf(base value.Schema, rows []value.Row) value.Schema {
+	schema := base.Clone()
+	if len(rows) > 0 {
+		schema = slices.Grow(schema, len(rows[0]))[:len(rows[0])]
+	}
+	for c := range schema {
+		for _, row := range rows {
+			if row[c].K != value.Null {
+				schema[c].Type = row[c].K
+				break
+			}
+		}
+	}
+	return schema
+}
+
 func TestRecordErrors(t *testing.T) {
 	s := New(storage.NewDB())
 	meta := pollutionMeta()
 	empty := region.NewBox(region.Interval{Lo: 5, Hi: 5}, region.Interval{Lo: 1, Hi: 2})
-	if _, err := s.Record(meta, empty, []value.Row{row("A", 1, 0)}, time.Now()); err == nil {
+	if _, err := s.Record(meta, empty, batchOf(meta, []value.Row{row("A", 1, 0)}), time.Now()); err == nil {
 		t.Error("rows in empty box should error")
 	}
-	if _, err := s.Record(meta, meta.FullBox(), []value.Row{{value.NewInt(1)}}, time.Now()); err == nil {
+	if _, err := s.Record(meta, meta.FullBox(), batchOf(meta, []value.Row{{value.NewInt(1)}}), time.Now()); err == nil {
 		t.Error("bad row width should error")
 	}
 	// An output cell of another kind than its column's: a column holds
 	// only what its snapshot encoding can parse back.
-	if _, err := s.Record(meta, meta.FullBox(), []value.Row{{value.NewString("A"), value.NewInt(1), value.NewInt(2)}}, time.Now()); err == nil {
+	if _, err := s.Record(meta, meta.FullBox(), batchOf(meta, []value.Row{{value.NewString("A"), value.NewInt(1), value.NewInt(2)}}), time.Now()); err == nil {
 		t.Error("an Int cell in a Float column should error")
 	}
 	if s.StoredRowCount(meta.Name) != 0 {
@@ -104,7 +128,7 @@ func TestRemainderAndCovered(t *testing.T) {
 	meta := pollutionMeta()
 	full := meta.FullBox()
 	left := region.NewBox(region.Interval{Lo: 0, Hi: 3}, region.Interval{Lo: 1, Hi: 51})
-	s.Record(meta, left, nil, time.Now())
+	s.Record(meta, left, batchOf(meta, nil), time.Now())
 	rem := s.Remainder("Pollution", full, time.Time{})
 	if len(rem) != 1 || !rem[0].Equal(region.NewBox(region.Interval{Lo: 0, Hi: 3}, region.Interval{Lo: 51, Hi: 101})) {
 		t.Errorf("Remainder: %v", rem)
@@ -113,7 +137,7 @@ func TestRemainderAndCovered(t *testing.T) {
 		t.Error("full box should not be covered")
 	}
 	right := region.NewBox(region.Interval{Lo: 0, Hi: 3}, region.Interval{Lo: 51, Hi: 101})
-	s.Record(meta, right, nil, time.Now())
+	s.Record(meta, right, batchOf(meta, nil), time.Now())
 	if !s.Covered("Pollution", full, time.Time{}) {
 		t.Error("full box should now be covered")
 	}
@@ -129,7 +153,7 @@ func TestConsistencyWindow(t *testing.T) {
 	old := time.Now().Add(-48 * time.Hour)
 	recent := time.Now()
 	b := meta.FullBox()
-	s.Record(meta, b, nil, old)
+	s.Record(meta, b, batchOf(meta, nil), old)
 	if !s.Covered("Pollution", b, time.Time{}) {
 		t.Error("weak consistency should see the old entry")
 	}
@@ -137,7 +161,7 @@ func TestConsistencyWindow(t *testing.T) {
 	if s.Covered("Pollution", b, cutoff) {
 		t.Error("windowed consistency must ignore stale entries")
 	}
-	s.Record(meta, b, nil, recent)
+	s.Record(meta, b, batchOf(meta, nil), recent)
 	if !s.Covered("Pollution", b, cutoff) {
 		t.Error("fresh entry should satisfy the window")
 	}
@@ -146,11 +170,14 @@ func TestConsistencyWindow(t *testing.T) {
 // rowCoords maps each row onto its queryable-space coordinates, one after
 // the other in a single array: meta.NumDims() per row.
 func rowCoords(meta *catalog.Table, rows []value.Row) ([]int64, error) {
+	cols, err := coordsOf(nil, meta, batchOf(meta, rows))
+	if err != nil {
+		return nil, err
+	}
 	var coords []int64
-	for _, row := range rows {
-		var err error
-		if coords, err = appendCoords(coords, meta, row); err != nil {
-			return nil, err
+	for r := range rows {
+		for _, cs := range cols {
+			coords = append(coords, cs[r])
 		}
 	}
 	return coords, nil
@@ -174,7 +201,7 @@ func TestRowsIn(t *testing.T) {
 	s := New(storage.NewDB())
 	meta := pollutionMeta()
 	rows := []value.Row{row("A", 10, 1), row("A", 60, 2), row("B", 10, 3), row("C", 99, 4)}
-	s.Record(meta, meta.FullBox(), rows, time.Now())
+	s.Record(meta, meta.FullBox(), batchOf(meta, rows), time.Now())
 
 	q := region.NewBox(region.Point(0), region.Interval{Lo: 1, Hi: 51}) // Zip=A, Rank 1..50
 	if got := rowsIn(s, meta, q); len(got) != 1 || got[0][1].Int64() != 10 {

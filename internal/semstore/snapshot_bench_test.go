@@ -82,7 +82,7 @@ func BenchmarkSemstoreReadersDuringWrites(b *testing.B) {
 			x := 1000 + (i%side)*4
 			y := 1000 + (i/side)*4
 			b := box2(x, x+2, y, y+2)
-			if _, err := s.Record(meta, b, []value.Row{gridRow(x, y)}, at); err != nil {
+			if _, err := s.Record(meta, b, batchOf(meta, []value.Row{gridRow(x, y)}), at); err != nil {
 				return
 			}
 		}
@@ -155,7 +155,7 @@ func TestSnapshotReadersSeeConsistentState(t *testing.T) {
 		x := int64(i%100) * 4
 		y := int64(i/100) * 4
 		b := box2(x, x+2, y, y+2)
-		if _, err := s.Record(meta, b, []value.Row{gridRow(x, y)}, at); err != nil {
+		if _, err := s.Record(meta, b, batchOf(meta, []value.Row{gridRow(x, y)}), at); err != nil {
 			t.Fatal(err)
 		}
 	}
