@@ -146,7 +146,7 @@ func (e *Engine) run(ctx context.Context, a *storage.Arena, plan *core.Plan, rep
 	}
 	cur = filter(a, cur, b.CrossResidual, func(c sqlparse.ColRef) storage.Col { return cur.Column(b.Cols[c]) })
 	if !plain(b.Query) {
-		return cur, project(cur, b), nil
+		return cur, project(a, cur, b), nil
 	}
 	if b.Query.Limit >= 0 {
 		cur.N = min(cur.N, b.Query.Limit)
@@ -511,9 +511,9 @@ func aggregatePlan(at func(name string) int, b *core.BoundQuery) (groupIdx []int
 }
 
 // aggregate is project for an aggregate query over l's tuples or, when r
-// has inputs, over the pairs EachPair joins on the keys lk and rk: the
-// columns the groups and the aggregates read are gathered into a row for
-// the aggregator, the only values it reads.
+// has inputs, over the pairs of l's and r's joined on the keys lk and rk:
+// a.Fold reads the columns the groups and the aggregates read a block at a
+// time, the only values the aggregator reads.
 func aggregate(a *storage.Arena, b *core.BoundQuery, l, r storage.Tuples, lk, rk []storage.Col) storage.Relation {
 	both := storage.Tuples{In: append(l.In[:len(l.In):len(l.In)], r.In...)}
 	var cols []storage.Col
@@ -527,24 +527,7 @@ func aggregate(a *storage.Arena, b *core.BoundQuery, l, r storage.Tuples, lk, rk
 		return len(cols) - 1
 	}, b)
 	agg := storage.NewAggregator(in, groupIdx, aggs)
-	row := make(value.Row, len(cols))
-	add := func(li, ri int) {
-		for j, c := range cols {
-			if c.In < len(l.In) {
-				row[j] = l.Value(c, li)
-			} else {
-				row[j] = r.Value(storage.Col{In: c.In - len(l.In), Col: c.Col}, ri)
-			}
-		}
-		agg.Add(row)
-	}
-	if len(r.In) > 0 {
-		a.EachPair(l, r, lk, rk, add)
-	} else {
-		for i := range l.N {
-			add(i, 0)
-		}
-	}
+	a.Fold(agg, l, r, lk, rk, cols)
 	return finishAggregate(agg.Result(), b)
 }
 
@@ -569,10 +552,10 @@ func finishAggregate(out storage.Relation, b *core.BoundQuery) storage.Relation 
 
 // project applies the SELECT list to the tuples t: aggregation with GROUP
 // BY, or plain projection, then ORDER BY and LIMIT.
-func project(t storage.Tuples, b *core.BoundQuery) storage.Relation {
+func project(a *storage.Arena, t storage.Tuples, b *core.BoundQuery) storage.Relation {
 	q := b.Query
 	if q.HasAggregates() {
-		return aggregate(nil, b, t, storage.Tuples{}, nil, nil)
+		return aggregate(a, b, t, storage.Tuples{}, nil, nil)
 	}
 	out := t.Project(outputColumns(t, b))
 	for i, name := range b.Output {

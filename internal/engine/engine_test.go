@@ -520,7 +520,7 @@ func TestSelectStarOverOneRelationKeepsRows(t *testing.T) {
 		{value.NewInt(2), value.NewInt(1), value.NewFloat(2.1)},
 	}}
 	schema := in.Schema.Clone()
-	out := project(whole(in), b)
+	out := project(nil, whole(in), b)
 	if !reflect.DeepEqual(out.Rows, in.Rows) {
 		t.Fatalf("rows %v, want %v", out.Rows, in.Rows)
 	}
@@ -532,10 +532,10 @@ func TestSelectStarOverOneRelationKeepsRows(t *testing.T) {
 	if !reflect.DeepEqual(out.Schema.Names(), b.Output) || !reflect.DeepEqual(in.Schema, schema) {
 		t.Errorf("output schema %v (want %v), input schema now %v (was %v)", out.Schema.Names(), b.Output, in.Schema, schema)
 	}
-	if got := project(whole(in), bind("SELECT DISTINCT * FROM R r")); len(got.Rows) != 2 {
+	if got := project(nil, whole(in), bind("SELECT DISTINCT * FROM R r")); len(got.Rows) != 2 {
 		t.Errorf("DISTINCT *: %v", got.Rows)
 	}
-	got := project(whole(in), bind("SELECT * FROM R r ORDER BY a LIMIT 2"))
+	got := project(nil, whole(in), bind("SELECT * FROM R r ORDER BY a LIMIT 2"))
 	if len(got.Rows) != 2 || got.Rows[0][0].Int64() != 1 || in.Rows[0][0].Int64() != 2 {
 		t.Errorf("ORDER BY a LIMIT 2: %v; input now %v", got.Rows, in.Rows)
 	}

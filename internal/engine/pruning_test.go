@@ -37,7 +37,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, plan *core.Plan) (storage.R
 	defer a.Release()
 	t, rel, err := e.run(ctx, a, plan, &report)
 	if err == nil && plain(plan.Bound.Query) {
-		rel = project(t, plan.Bound)
+		rel = project(a, t, plan.Bound)
 	}
 	return rel, report, err
 }

@@ -47,18 +47,14 @@ func TestHashJoinAllocations(t *testing.T) {
 	t.Logf("HashJoin(Orders, Lineitem): %v allocations, %d bytes (%.3f x output) for %d rows", allocs, bytes, float64(bytes)/float64(exact), out.Len())
 }
 
-// streamNations streams the id join of d's Customer and Orders into agg,
-// fed each pair's Customer.NationKey, as the engine runs an aggregate's
-// last join.
+// streamNations folds the id join of d's Customer and Orders into agg, fed
+// each pair's Customer.NationKey, as the engine runs an aggregate's last
+// join.
 func streamNations(d *workload.TPCH, agg *storage.Aggregator) {
 	a := storage.NewArena()
 	defer a.Release()
 	cust, orders := a.Whole(d.Customer.Schema, d.CustomerRows), a.Whole(d.Orders.Schema, d.OrdersRows)
-	row := make(value.Row, 1)
-	a.EachPair(cust, orders, []storage.Col{{In: 0, Col: 0}}, []storage.Col{{In: 0, Col: 1}}, func(c, _ int) {
-		row[0] = d.CustomerRows[c][1]
-		agg.Add(row)
-	})
+	a.Fold(agg, cust, orders, []storage.Col{{In: 0, Col: 0}}, []storage.Col{{In: 0, Col: 1}}, []storage.Col{{In: 0, Col: 1}})
 }
 
 // TestStreamedGroupByAllocations gates the aggregating plan's last step, a
@@ -67,7 +63,7 @@ func streamNations(d *workload.TPCH, agg *storage.Aggregator) {
 // the input. The race detector adds allocations of its own, so the gate
 // runs only without it.
 func TestStreamedGroupByAllocations(t *testing.T) {
-	if raceEnabled {
+	if storage.RaceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
 	run := func(scale float64) float64 {
@@ -94,6 +90,33 @@ func TestStreamedGroupByAllocations(t *testing.T) {
 		t.Errorf("streamed GROUP BY: %v allocations at 1x input, %v at 4x; want the same", one, four)
 	} else {
 		t.Logf("streamed GROUP BY: %v allocations at 1x and 4x input", one)
+	}
+}
+
+// TestBlockScratchFlatInRows: a streamed aggregate of Orders ⋈ Lineitem
+// over all 30 000 Lineitem rows leaves a new arena's block scratch the size
+// the first 300 rows leave it: a block per column read, whatever the rows.
+func TestBlockScratchFlatInRows(t *testing.T) {
+	d := workload.GenerateTPCH(workload.DefaultTPCHConfig())
+	scratch := func(n int) int {
+		a := new(storage.Arena)
+		orders, items := a.Whole(d.Orders.Schema, d.OrdersRows), a.Whole(d.Lineitem.Schema, d.LineitemRows[:n])
+		in := value.Schema{d.Orders.Schema[3], d.Lineitem.Schema[6]}
+		agg := storage.NewAggregator(in, []int{0}, []storage.AggSpec{{Func: storage.Count, Col: -1}, {Func: storage.Sum, Col: 1}})
+		a.Fold(agg, orders, items, []storage.Col{{In: 0, Col: 0}}, []storage.Col{{In: 0, Col: 0}}, []storage.Col{{In: 0, Col: 3}, {In: 1, Col: 6}})
+		var rows int64
+		for _, row := range agg.Result().Rows {
+			rows += row[1].Int64()
+		}
+		if rows != int64(n) {
+			t.Fatalf("%d Lineitem rows: counted %d joined rows, want one per item", n, rows)
+		}
+		return a.BlockScratch()
+	}
+	if small, all := scratch(300), scratch(len(d.LineitemRows)); small != all {
+		t.Errorf("block scratch: %d bytes after 300 rows, %d after %d; want the same", small, all, len(d.LineitemRows))
+	} else {
+		t.Logf("block scratch: %d bytes after 300 and %d rows", small, len(d.LineitemRows))
 	}
 }
 

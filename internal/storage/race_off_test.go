@@ -1,6 +1,7 @@
 //go:build !race
 
-package storage_test
+package storage
 
-// raceEnabled reports that the test binary was built with -race.
-const raceEnabled = false
+// RaceEnabled reports that the test binary was built with -race; the
+// external tests read it too.
+const RaceEnabled = false

@@ -281,17 +281,19 @@ func flat(t Tuples, cols []int) []Col {
 // of its own.
 func whole(r Relation) Tuples { return NewArena().Whole(r.Schema, r.Rows) }
 
-// streamJoin feeds agg the rows l++r of every pair EachPair visits over l
+// streamJoin folds into agg the rows l++r of every pair Join returns over l
 // and r, as the engine streams an aggregate's last join.
 func streamJoin(l, r Relation, lc, rc []int, agg *Aggregator) {
 	a := NewArena()
 	defer a.Release()
-	lt, rt := whole(l), whole(r)
-	row := make(value.Row, len(l.Schema)+len(r.Schema))
-	a.EachPair(lt, rt, flat(lt, lc), flat(rt, rc), func(li, ri int) {
-		copy(row[copy(row, l.Rows[li]):], r.Rows[ri])
-		agg.Add(row)
-	})
+	lt, rt := a.Whole(l.Schema, l.Rows), a.Whole(r.Schema, r.Rows)
+	var cols []Col
+	for k, in := range []Relation{l, r} {
+		for c := range in.Schema {
+			cols = append(cols, Col{k, c})
+		}
+	}
+	a.Fold(agg, lt, rt, flat(lt, lc), flat(rt, rc), cols)
 }
 
 // joinKeep is the Join of l and r, materialised on the columns keep of the
@@ -504,7 +506,7 @@ func TestDenseKeysMatchStringKeys(t *testing.T) {
 		if len(l.Rows) < len(r.Rows) {
 			bRows = l.Rows
 		}
-		_, _, dense := denseKeys(&keys{t: whole(Relation{Schema: r.Schema, Rows: bRows}), ks: []Col{{0, 0}}})
+		_, _, dense := NewArena().dense(whole(Relation{Schema: r.Schema, Rows: bRows}), []Col{{0, 0}})
 		if bRows[0][0] != b.Rows[0][0] { // the build is b whenever the test means it to be
 			t.Fatalf("iter %d: the build side is not the dense-keyed relation", iter)
 		}
@@ -524,7 +526,7 @@ func TestDenseKeysMatchStringKeys(t *testing.T) {
 // TestTupleChainsMatchRowJoins is the differential property of chains of id
 // joins: two to four random relations joined one after the other, keys drawn
 // from any input of the tuples so far (so a key may span inputs), a filter
-// compacting the ids between joins, the last join streamed by EachPair, the
+// compacting the ids between joins, the last join's pairs read in blocks, the
 // arena reused across chains. Rows and their order must be the string-key
 // reference's over materialised relations.
 func TestTupleChainsMatchRowJoins(t *testing.T) {
@@ -557,17 +559,22 @@ func TestTupleChainsMatchRowJoins(t *testing.T) {
 			want := refHashJoin(ref, next, lc, rc)
 			in := a.Whole(next.Schema, next.Rows)
 			if step == steps && iter%2 == 0 {
+				// The pairs a few at a time, so that a probe tuple's matches
+				// cross the edges.
 				var got []value.Row
-				a.EachPair(cur, in, flat(cur, lc), flat(in, rc), func(li, ri int) {
-					var row value.Row
-					for k := range cur.In {
-						for c := range cur.In[k].Schema {
-							row = append(row, cur.Value(Col{k, c}, li))
+				p, ls, rs := a.match(cur, in, flat(cur, lc), flat(in, rc)), make([]int32, 1+iter%5), make([]int32, 1+iter%5)
+				for n := p.fill(ls, rs); n > 0; n = p.fill(ls, rs) {
+					for j := range n {
+						var row value.Row
+						for k := range cur.In {
+							for c := range cur.In[k].Schema {
+								row = append(row, cur.Value(Col{k, c}, int(ls[j])))
+							}
 						}
+						got = append(got, append(row, next.Rows[rs[j]]...))
 					}
-					got = append(got, append(row, next.Rows[ri]...))
-				})
-				sameRelation(t, what+" EachPair", Relation{Schema: want.Schema, Rows: got}, want)
+				}
+				sameRelation(t, what+" pairs", Relation{Schema: want.Schema, Rows: got}, want)
 				break
 			}
 			cur, ref = a.Join(cur, in, flat(cur, lc), flat(in, rc)), want

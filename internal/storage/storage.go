@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"payless/internal/chunk"
 	"payless/internal/value"
@@ -212,6 +213,38 @@ func (c *Column) At(id int) value.Value {
 	return c.vals.At(id)
 }
 
+// gather sets dst[j] to the value of the row at[j] selects: ids[at[j]], or
+// at[j] itself where ids is nil. The column's kind is switched on once.
+func (c *Column) gather(dst []value.Value, ids, at []int32) {
+	dst = dst[:len(at)]
+	switch c.kind {
+	case intCol:
+		for j, i := range at {
+			dst[j] = value.NewInt(c.ints.At(int(rowOf(ids, i))))
+		}
+	case domCol:
+		for j, i := range at {
+			dst[j] = c.dom[c.ints.At(int(rowOf(ids, i)))]
+		}
+	case rowCol:
+		for j, i := range at {
+			dst[j] = c.rows[rowOf(ids, i)][c.col]
+		}
+	default:
+		for j, i := range at {
+			dst[j] = c.vals.At(int(rowOf(ids, i)))
+		}
+	}
+}
+
+// rowOf is the row id of tuple i of an input with the ids ids.
+func rowOf(ids []int32, i int32) int32 {
+	if ids != nil {
+		return ids[i]
+	}
+	return i
+}
+
 // Input is one relation a Tuples reads: its columns, through the ids that
 // select their rows, or every row in order where Ids is nil.
 type Input struct {
@@ -234,12 +267,7 @@ type Tuples struct {
 // Value is column c's value in tuple i.
 func (t Tuples) Value(c Col, i int) value.Value { return t.In[c.In].Cols[c.Col].At(int(t.id(c.In, i))) }
 
-func (t Tuples) id(k, i int) int32 {
-	if ids := t.In[k].Ids; ids != nil {
-		return ids[i]
-	}
-	return int32(i)
-}
+func (t Tuples) id(k, i int) int32 { return rowOf(t.In[k].Ids, int32(i)) }
 
 // Column finds the column named name; In is -1 when there is none.
 func (t Tuples) Column(name string) Col {
@@ -329,11 +357,11 @@ func renderText(n, w int, cell func(i, j int) value.Value) [][]string {
 }
 
 // Arena is a query's join memory: the id lists of its tuples, the inputs
-// and columns they read and a join's scratch. A join takes a list for its
-// result and gives back the lists of the tuples it consumed, so a chain of
-// joins cycles through three lists, and a pool hands the arena, all its
-// lists free, on to the next query. Nothing a query returns may point into
-// it.
+// and columns they read, a join's scratch and the blocks its kernels read.
+// A join takes a list for its result and gives back the lists of the tuples
+// it consumed, so a chain of joins cycles through three lists, and a pool
+// hands the arena, all its lists free, on to the next query. Nothing a
+// query returns may point into it.
 type Arena struct {
 	lists  []*[]int32       // every list the arena has
 	free   []*[]int32       // the lists no tuples use
@@ -342,29 +370,48 @@ type Arena struct {
 	keys   [2][]value.Value // a join's key values, a list a side
 	rows   [2][]value.Row   // rows of those values, a list a side
 	links  []int32          // a join's match lists
+	vals   []value.Value    // a block of each column Fold reads
+	l, r   [block]int32     // a block's tuple numbers, a side each
+	ints   [block]int64     // a block's integer keys
+	miss   [block]int32     // the positions of the keys that are no integer
 }
+
+// block is how many tuples a kernel reads at a time: a column's kind is
+// switched on once a block.
+const block = 128
+
+// maxPooledArena is the largest footprint Release hands to the pool: what
+// covered queries reuse, not a cold plan's big join.
+const maxPooledArena = 512 << 10
 
 var arenas = sync.Pool{New: func() any { return new(Arena) }}
 
 // NewArena returns an arena from the pool.
 func NewArena() *Arena { return arenas.Get().(*Arena) }
 
-// Release hands a back to the pool, unless its buffers grew past 512 KB (a
-// cold plan's big join): the pool keeps what covered queries reuse, not
-// the largest query's. Tuples of a's, and the lists it handed out, must not
-// be used afterwards.
+// Release hands a back to the pool, unless its footprint grew past
+// maxPooledArena. Tuples of a's, and the lists it handed out, must not be
+// used afterwards.
 func (a *Arena) Release() {
 	clear(a.inputs)
 	clear(a.cols) // or the pool would keep the columns' chunks alive
 	a.inputs, a.cols, a.free = a.inputs[:0], a.cols[:0], append(a.free[:0], a.lists...)
-	size := 4*cap(a.links) + 24*(cap(a.rows[0])+cap(a.rows[1])) + 16*(cap(a.keys[0])+cap(a.keys[1])) +
-		120*cap(a.cols) // a Column is 120 bytes
-	for _, l := range a.lists {
-		size += 4 * cap(*l)
-	}
-	if size <= 512<<10 {
+	if a.footprint() <= maxPooledArena {
 		arenas.Put(a)
 	}
+}
+
+// footprint is the bytes a keeps: itself and every buffer it holds.
+func (a *Arena) footprint() int {
+	size := int(unsafe.Sizeof(*a)) + 4*cap(a.links) +
+		int(unsafe.Sizeof(Input{}))*cap(a.inputs) + int(unsafe.Sizeof(Column{}))*cap(a.cols) +
+		int(unsafe.Sizeof(value.Value{}))*(cap(a.keys[0])+cap(a.keys[1])+cap(a.vals)) +
+		int(unsafe.Sizeof(value.Row{}))*(cap(a.rows[0])+cap(a.rows[1])) +
+		int(unsafe.Sizeof(&[]int32{}))*(cap(a.lists)+cap(a.free))
+	for _, l := range a.lists {
+		size += int(unsafe.Sizeof(*l)) + 4*cap(*l)
+	}
+	return size
 }
 
 // List returns a free list of a's, emptied, with room for n ids: an input's
@@ -417,11 +464,8 @@ func (a *Arena) Whole(schema value.Schema, rows []value.Row) Tuples {
 // must not be used afterwards.
 func (a *Arena) Filter(t Tuples, keep func(i int) bool) Tuples {
 	if in := &t.In[0]; in.Ids == nil {
-		ids := slices.Grow((*t.own)[:0], t.N)[:t.N]
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		in.Ids, *t.own = ids, ids
+		in.Ids = seq(slices.Grow((*t.own)[:0], t.N)[:t.N], 0)
+		*t.own = in.Ids
 	}
 	n := 0
 	for i := range t.N {
@@ -439,103 +483,206 @@ func (a *Arena) Filter(t Tuples, keep func(i int) bool) Tuples {
 	return t
 }
 
-// Join equi-joins l and r in EachPair's order: a result tuple is a pair's l
-// tuple, then its r tuple. The result's ids take a list of a's, and l's and
-// r's go back to a: neither may be used afterwards.
+// Join equi-joins l and r: a result tuple is a pair's l tuple, then its r
+// tuple, in the order pairs.fill writes them. The result's ids take a list
+// of a's, and l's and r's go back to a: neither may be used afterwards.
 func (a *Arena) Join(l, r Tuples, lk, rk []Col) Tuples {
-	m, n, w := a.match(l, r, lk, rk), 0, len(l.In)+len(r.In)
-	for _, b := range m.first {
-		for ; b >= 0; b = m.next[b] {
-			n++
-		}
-	}
+	p, w := a.match(l, r, lk, rk), len(l.In)+len(r.In)
+	n := p.count()
 	out := Tuples{In: a.carve(w), N: n, own: a.List(n * w)}
 	ids := (*out.own)[:n*w]
 	copy(out.In[copy(out.In, l.In):], r.In)
 	for k := range out.In {
 		out.In[k].Ids = ids[k*n : (k+1)*n : (k+1)*n]
 	}
-	j, right := 0, out.In[len(l.In):]
-	m.each(func(li, ri int) {
-		for k := range l.In {
-			out.In[k].Ids[j] = l.id(k, li)
-		}
-		for k := range right {
-			right[k].Ids[j] = r.id(k, ri)
-		}
-		j++
-	})
+	// Each pair's tuple numbers go into the ids of its sides' last inputs;
+	// every input's ids are read through them, the last input's last.
+	p.fill(out.In[len(l.In)-1].Ids, out.In[w-1].Ids)
+	throughTuples(out.In[:len(l.In)], l.In)
+	throughTuples(out.In[len(l.In):], r.In)
 	a.free = append(a.free, l.own, r.own)
 	return out
 }
 
-// EachPair calls fn on the tuple numbers of every pair of l's and r's tuples
-// whose key columns lk and rk agree pairwise under value.NumericKey; with no
-// keys, or lists of different lengths, on every pair, left-major. The hash
-// table is built over the smaller input (right on a tie) and the other one
-// probes it: pairs come in probe order, each probe tuple's matches in build
-// order.
-func (a *Arena) EachPair(l, r Tuples, lk, rk []Col, fn func(li, ri int)) {
-	a.match(l, r, lk, rk).each(fn)
+// throughTuples turns the tuple numbers out's last input holds into the
+// ids of each input of in, the inputs of the tuples they number.
+func throughTuples(out, in []Input) {
+	at := out[len(out)-1].Ids
+	for k := range out {
+		if ids := in[k].Ids; ids != nil {
+			for j, i := range at {
+				out[k].Ids[j] = ids[i]
+			}
+		} else if k < len(out)-1 {
+			copy(out[k].Ids, at)
+		}
+	}
 }
 
-// matches are a join's pairs: the i-th probe row with a match,
-// probe[hit[i]], meets build rows first[i], next[first[i]] and so on, until
-// -1. The three lists are carved from the arena's links.
-type matches struct {
+// Fold feeds agg the columns cols (of l's inputs, then r's; In -1 for a
+// column agg does not read) of every tuple of l or, when r has inputs, of
+// every pair Join would return, in its order, a block at a time: the join
+// is never written. When every GROUP BY column comes from one side, of at
+// most maxRemembered tuples, agg resolves each of its tuples' group once.
+func (a *Arena) Fold(agg *Aggregator, l, r Tuples, lk, rk, cols []Col) {
+	var p pairs
+	var keyed []int32 // the tuple numbers of the side whose tuples key the groups
+	if len(r.In) > 0 {
+		p = a.match(l, r, lk, rk)
+		left, right := true, true
+		for _, g := range agg.groupBy {
+			left, right = left && cols[g].In < len(l.In), right && cols[g].In >= len(l.In)
+		}
+		switch {
+		case len(agg.groupBy) == 0:
+		case left && agg.remember(l.N):
+			keyed = a.l[:]
+		case right && agg.remember(r.N):
+			keyed = a.r[:]
+		}
+	}
+	vals := a.values(len(cols))
+	for from := 0; ; {
+		var n int
+		if len(r.In) > 0 {
+			n = p.fill(a.l[:], a.r[:])
+		} else if n = min(block, l.N-from); n > 0 {
+			seq(a.l[:n], from)
+			from += n
+		}
+		if n <= 0 {
+			return
+		}
+		for j, c := range cols {
+			t, at := l, a.l[:n]
+			if c.In >= len(l.In) {
+				t, at, c.In = r, a.r[:n], c.In-len(l.In)
+			}
+			if c.In >= 0 {
+				in := &t.In[c.In]
+				in.Cols[c.Col].gather(vals[j*block:], in.Ids, at)
+			}
+		}
+		agg.fold(vals, n, keyed)
+	}
+}
+
+// values returns a's value scratch, w blocks long.
+func (a *Arena) values(w int) []value.Value {
+	a.vals = slices.Grow(a.vals[:0], w*block)[:w*block]
+	return a.vals
+}
+
+// seq sets at[j] to from+j.
+func seq(at []int32, from int) []int32 {
+	for j := range at {
+		at[j] = int32(from + j)
+	}
+	return at
+}
+
+// pairs are a join's matches, written out a block at a time: the i-th probe
+// tuple with a match, probe[hit[i]], meets build tuples first[i],
+// next[first[i]] and so on, until -1. The three lists are carved from the
+// arena's links. Pairs come in probe order, each probe tuple's matches in
+// build order; with no keys, every pair, left-major.
+type pairs struct {
 	hit, first, next []int32
-	swapped          bool // the build side is the left input
+	swapped          bool  // the build side is the left input
+	i                int   // the hit fill writes next
+	b                int32 // its build tuple fill writes next, -1 for its first
 }
 
-func (a *Arena) match(l, r Tuples, lk, rk []Col) matches {
-	var m matches
+// count returns the number of pairs.
+func (p *pairs) count() (n int) {
+	for _, b := range p.first {
+		for ; b >= 0; b = p.next[b] {
+			n++
+		}
+	}
+	return n
+}
+
+// fill writes the next pairs' tuple numbers, l's into l and r's into r, as
+// many as fit, and returns how many it wrote: 0 after the last.
+func (p *pairs) fill(l, r []int32) int {
+	probe, build := l, r[:len(l)]
+	if p.swapped {
+		probe, build = build, probe
+	}
+	n := 0
+	for ; n < len(probe) && p.i < len(p.hit); n++ {
+		if p.b < 0 {
+			p.b = p.first[p.i]
+		}
+		probe[n], build[n] = p.hit[p.i], p.b
+		if p.b = p.next[p.b]; p.b < 0 {
+			p.i++
+		}
+	}
+	return n
+}
+
+// match finds the pairs of l's and r's tuples whose key columns lk and rk
+// agree pairwise under value.NumericKey; with no keys, or lists of
+// different lengths, every pair. The build side is the smaller input
+// (right on a tie, and always with no keys), the other one probes it.
+func (a *Arena) match(l, r Tuples, lk, rk []Col) pairs {
+	m := pairs{b: -1}
 	if len(lk) != len(rk) {
 		lk, rk = nil, nil
 	}
-	probe, build := keys{l, lk, 0}, keys{r, rk, 1}
-	// With the empty key every row meets every row, left-major.
+	probe, build, pk, bk := l, r, lk, rk
 	if m.swapped = len(lk) > 0 && l.N < r.N; m.swapped {
-		build, probe = probe, build
+		probe, build, pk, bk = r, l, rk, lk
 	}
-	// Filled from the back, the table ends up holding each key's first
-	// build row, and next[i] is the build row after i with its key.
-	lo, span, dense := denseKeys(&build)
-	nb, np := build.t.N, probe.t.N
+	lo, span, dense := a.dense(build, bk)
+	nb, np := build.N, probe.N
 	if need := nb + 2*np + 1 + span; cap(a.links) < need {
 		a.links = make([]int32, need)
 	}
 	buf := a.links[:cap(a.links)]
 	m.next, m.first, m.hit = buf[:nb], buf[nb:nb+np], buf[nb+np:nb+2*np+1]
+	// Filled from the back, the heads end up holding each key's first build
+	// tuple, and next[j] is the build tuple after j with its key.
 	if dense {
 		// Integer keys in a short range index an array of each key's first
-		// build row + 1 directly: no hash and no probe loop. Its last entry
-		// stays 0, the miss every key outside the range reads.
+		// build tuple + 1 directly: no hash and no probe loop. Its last
+		// entry stays 0, the miss every key outside the range, or no
+		// integer, reads.
 		heads, last := buf[nb+2*np+1:nb+2*np+1+span], uint64(span-1)
 		clear(heads)
-		for j := nb - 1; j >= 0; j-- {
-			x, _ := build.int(j)
-			m.next[j], heads[x-lo] = heads[x-lo]-1, int32(j+1)
-		}
-		for p := range m.first {
-			k := last
-			if x, ok := probe.int(p); ok {
-				k = min(uint64(x-lo), last)
+		for to := nb; to > 0; to -= block {
+			from := max(0, to-block)
+			keys, _ := a.intKeys(build, bk[0], from, to)
+			for j := len(keys) - 1; j >= 0; j-- {
+				m.next[from+j], heads[keys[j]-lo] = heads[keys[j]-lo]-1, int32(from+j+1)
 			}
-			m.first[p] = heads[k] - 1
+		}
+		for from := 0; from < np; from += block {
+			keys, miss := a.intKeys(probe, pk[0], from, min(np, from+block))
+			first := m.first[from : from+len(keys)]
+			for j, x := range keys {
+				first[j] = heads[min(uint64(x-lo), last)] - 1
+			}
+			for _, j := range miss {
+				first[j] = -1
+			}
 		}
 	} else {
-		// A key row holds just the key, so the table keys the whole row.
-		brows, prows := a.keyRows(&build), a.keyRows(&probe)
+		// A key row holds just the key, so the table keys the whole row:
+		// with the empty key every tuple meets every tuple.
+		brows, prows := a.keyRows(0, build, bk), a.keyRows(1, probe, pk)
 		ht, rowAt := value.NewKeyTable(value.NumericKey, nil, nb), value.RowsOf(brows)
 		for j := nb - 1; j >= 0; j-- {
 			m.next[j] = int32(ht.Put(rowAt, brows[j], j))
 		}
 		ht.Find(rowAt, prows, nil, m.first)
 	}
-	// Keep the probe rows that met a build row, in order, without a branch
-	// on each: every row is written at the end of the kept ones, and only a
-	// hit (first ≥ 0, sign bit clear) moves the end on. hit has one spare
-	// slot, for the misses after the last hit.
+	// Keep the probe tuples that met a build tuple, in order, without a
+	// branch on each: every tuple is written at the end of the kept ones,
+	// and only a hit (first ≥ 0, sign bit clear) moves the end on. hit has
+	// one spare slot, for the misses after the last hit.
 	n := 0
 	for p, b := range m.first {
 		m.first[n], m.hit[n] = b, int32(p)
@@ -545,78 +692,84 @@ func (a *Arena) match(l, r Tuples, lk, rk []Col) matches {
 	return m
 }
 
-// keys is one side of a join: the key columns ks of the tuples t, whose
-// gathered rows take the arena's lists of side.
-type keys struct {
-	t    Tuples
-	ks   []Col
-	side int
+// rows returns the row ids of tuples from to to of t's input k: a run of
+// its ids or, where it has none, the tuple numbers, written into at.
+func (t Tuples) rows(k, from, to int, at []int32) []int32 {
+	if ids := t.In[k].Ids; ids != nil {
+		return ids[from:to]
+	}
+	return seq(at[:to-from], from)
 }
 
-// int returns tuple i's key, one column's, and whether it is an integer
-// under value.NumericKey: an Int column's value as it is, any other value
-// made canonical.
-func (k *keys) int(i int) (int64, bool) {
-	c := k.ks[0]
-	col, id := &k.t.In[c.In].Cols[c.Col], int(k.t.id(c.In, i))
+// intKeys reads key column c of tuples from to to of t, at most a block:
+// each key under value.NumericKey as an int64, and the positions of the
+// keys that are no integer. An Int column's keys are its ints; any other
+// column's values are made canonical first.
+func (a *Arena) intKeys(t Tuples, c Col, from, to int) (keys []int64, miss []int32) {
+	col, ids := &t.In[c.In].Cols[c.Col], t.rows(c.In, from, to, a.l[:])
+	keys, miss = a.ints[:len(ids)], a.miss[:0]
 	if col.kind == intCol {
-		return col.ints.At(id), true
-	}
-	v := value.NumericKey.Canonical(col.At(id))
-	return v.Int64(), v.K == value.Int
-}
-
-// keyRows gathers a row of k's key values per tuple into the arena's lists
-// of its side.
-func (a *Arena) keyRows(k *keys) []value.Row {
-	n, w := k.t.N, len(k.ks)
-	vals := slices.Grow(a.keys[k.side][:0], n*w) // never regrown: rows point into it
-	rows := slices.Grow(a.rows[k.side][:0], n)
-	for i := range n {
-		for _, c := range k.ks {
-			vals = append(vals, k.t.Value(c, i))
+		for j, id := range ids {
+			keys[j] = col.ints.At(int(id))
 		}
-		rows = append(rows, vals[len(vals)-w:len(vals):len(vals)])
+		return keys, miss
 	}
-	a.keys[k.side], a.rows[k.side] = vals, rows
-	return rows
-}
-
-// denseKeys reports whether match can index its build keys directly: one
-// key column, an integer in every build tuple, the keys spanning no more
-// values than 9 per tuple (4 bytes a value, never more than a key table's
-// 36 bytes a row, plus 256). span counts the values from lo up, plus one
-// for the miss.
-func denseKeys(build *keys) (lo int64, span int, ok bool) {
-	if len(build.ks) != 1 || build.t.N == 0 {
-		return 0, 0, false
-	}
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for i := range build.t.N {
-		x, ok := build.int(i)
-		if !ok {
-			return 0, 0, false
+	vals := a.values(1)
+	col.gather(vals, nil, ids)
+	for j, v := range vals[:len(ids)] {
+		v = value.NumericKey.Canonical(v)
+		if keys[j] = v.Int64(); v.K != value.Int {
+			miss = append(miss, int32(j))
 		}
-		lo, hi = min(lo, x), max(hi, x)
 	}
-	if w := uint64(hi - lo); w < uint64(9*build.t.N+64) {
-		return lo, int(w) + 2, true
-	}
-	return 0, 0, false
+	return keys, miss
 }
 
-// each calls fn(l, r) on the tuple numbers of every pair, in order.
-func (m matches) each(fn func(l, r int)) {
-	for i, b := range m.first {
-		p := int(m.hit[i])
-		for ; b >= 0; b = m.next[b] {
-			if m.swapped {
-				fn(int(b), p)
-			} else {
-				fn(p, int(b))
+// keyRows gathers a row of t's key values ks per tuple into the arena's
+// lists of side, a column at a time.
+func (a *Arena) keyRows(side int, t Tuples, ks []Col) []value.Row {
+	n, w := t.N, len(ks)
+	vals := slices.Grow(a.keys[side][:0], n*w)[:n*w] // never regrown: rows point into it
+	rows := slices.Grow(a.rows[side][:0], n)[:n]
+	for i := range rows {
+		rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
+	}
+	col := a.values(1)
+	for q, c := range ks {
+		for from := 0; from < n; from += block {
+			to := min(n, from+block)
+			t.In[c.In].Cols[c.Col].gather(col, nil, t.rows(c.In, from, to, a.l[:]))
+			for j, v := range col[:to-from] {
+				vals[(from+j)*w+q] = v
 			}
 		}
 	}
+	a.keys[side], a.rows[side] = vals, rows
+	return rows
+}
+
+// dense reports whether match can index t's build keys ks directly: one key
+// column, an integer in every tuple, the keys spanning no more values than
+// 9 per tuple (4 bytes a value, never more than a key table's 36 bytes a
+// row, plus 256). span counts the values from lo up, plus one for the miss.
+func (a *Arena) dense(t Tuples, ks []Col) (lo int64, span int, ok bool) {
+	if len(ks) != 1 || t.N == 0 {
+		return 0, 0, false
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for from := 0; from < t.N; from += block {
+		keys, miss := a.intKeys(t, ks[0], from, min(t.N, from+block))
+		if len(miss) > 0 {
+			return 0, 0, false
+		}
+		for _, x := range keys {
+			lo, hi = min(lo, x), max(hi, x)
+		}
+	}
+	if w := uint64(hi - lo); w < uint64(9*t.N+64) {
+		return lo, int(w) + 2, true
+	}
+	return 0, 0, false
 }
 
 // HashJoin equi-joins r and s on the given column pairs: their Join,
@@ -685,9 +838,10 @@ type aggState struct {
 }
 
 // Aggregator groups the rows it is fed and folds the aggregates as they
-// arrive, so its input never has to exist as a relation. Groups are matched
-// under value.NumericKey and reported in first-seen order with the first
-// row's key values; sums accumulate in arrival order.
+// arrive, a block at a time (Arena.Fold), so its input never has to exist
+// as a relation. Groups are matched under value.NumericKey and reported in
+// first-seen order with the first row's key values; sums accumulate in
+// arrival order.
 type Aggregator struct {
 	schema  value.Schema // of the result
 	groupBy []int
@@ -704,9 +858,15 @@ type groups struct {
 	slab   []value.Value
 	states []aggState // len(aggs) per group
 	key    value.Row  // the current row's group key
+	gids   [block]int32
+	memo   []int32 // each remembered tuple's group + 1, 0 until resolved
 }
 
 const maxPooledGroups = 1 << 10
+
+// maxRemembered is the most tuples a join side may have for Fold to
+// remember their groups: 16 KB of memo.
+const maxRemembered = 1 << 12
 
 var groupPool = sync.Pool{New: func() any { return &groups{table: value.NewKeyTable(value.NumericKey, nil, 0)} }}
 
@@ -746,46 +906,95 @@ func NewAggregator(in value.Schema, groupBy []int, aggs []AggSpec) *Aggregator {
 	return a
 }
 
-// Add feeds one input row.
-func (a *Aggregator) Add(row value.Row) {
-	g := 0
-	if k := len(a.groupBy); k > 0 {
-		for i, c := range a.groupBy {
-			a.key[i] = row[c]
+// remember readies a to resolve the group of each of n tuples once, if n
+// is at most maxRemembered.
+func (a *Aggregator) remember(n int) bool {
+	if n > maxRemembered {
+		return false
+	}
+	a.memo = slices.Grow(a.memo[:0], n)[:n]
+	clear(a.memo)
+	return true
+}
+
+// fold feeds n input rows, input column c of row i being cols[c*block+i].
+// With tuples, row i comes from tuple tuples[i] of a side whose tuples
+// remember their group, and all of a tuple's rows have its group key.
+func (a *Aggregator) fold(cols []value.Value, n int, tuples []int32) {
+	gs := a.gids[:n]
+	if len(a.groupBy) == 0 {
+		clear(gs) // the one global group
+	} else {
+		a.resolve(cols, gs, tuples)
+	}
+	// Each aggregate folds its column in row order: a group's sum adds its
+	// rows as they came.
+	w := len(a.aggs)
+	for s, spec := range a.aggs {
+		states, col := a.states[s:], []value.Value(nil) // col: the block of the aggregate's column
+		if spec.Col >= 0 {
+			col = cols[spec.Col*block : spec.Col*block+n]
 		}
-		if g = a.table.Insert(a.keyAt, a.key, len(a.keys)); g < 0 {
-			g = len(a.keys)
-			if cap(a.slab)-len(a.slab) < k {
+		switch { // fold only what the function reports
+		case spec.Col < 0 && len(a.groupBy) == 0: // COUNT(*) of the one group
+			states[0].count += int64(n)
+		case spec.Col < 0:
+			for _, g := range gs {
+				states[int(g)*w].count++
+			}
+		case spec.Func == Count:
+			for i, v := range col {
+				if !v.IsNull() {
+					states[int(gs[i])*w].count++
+				}
+			}
+		case spec.Func == Sum || spec.Func == Avg:
+			for i, v := range col {
+				if !v.IsNull() {
+					st := &states[int(gs[i])*w]
+					st.count++
+					st.sum += v.AsFloat()
+				}
+			}
+		default:
+			better := -1 // the sign of Compare(v, best) for a new best: below it for MIN
+			if spec.Func == Max {
+				better = 1
+			}
+			for i, v := range col {
+				if !v.IsNull() {
+					st := &states[int(gs[i])*w]
+					if st.count++; st.count == 1 || v.Compare(st.best)*better > 0 {
+						st.best = v
+					}
+				}
+			}
+		}
+	}
+}
+
+// resolve sets gs[i] to the group of row i of the block cols, adding the
+// groups that are new: a tuple's remembered group where fold has tuples.
+func (a *Aggregator) resolve(cols []value.Value, gs, tuples []int32) {
+	for i := range gs {
+		if tuples != nil && a.memo[tuples[i]] > 0 {
+			gs[i] = a.memo[tuples[i]] - 1
+			continue
+		}
+		for q, c := range a.groupBy {
+			a.key[q] = cols[c*block+i]
+		}
+		g, k := a.table.Insert(a.keyAt, a.key, len(a.keys)), len(a.key)
+		if g < 0 {
+			if g = len(a.keys); cap(a.slab)-len(a.slab) < k {
 				a.slab = make([]value.Value, 0, k*max(8, len(a.keys)))
 			}
 			a.slab = append(a.slab, a.key...)
 			a.keys = append(a.keys, a.slab[len(a.slab)-k:len(a.slab):len(a.slab)])
 			a.states = append(a.states, make([]aggState, len(a.aggs))...)
 		}
-	}
-	states := a.states[g*len(a.aggs):]
-	for i, spec := range a.aggs {
-		st := &states[i]
-		if spec.Col < 0 {
-			st.count++
-			continue
-		}
-		v := row[spec.Col]
-		if v.IsNull() {
-			continue
-		}
-		st.count++
-		switch spec.Func { // fold only what the function reports
-		case Sum, Avg:
-			st.sum += v.AsFloat()
-		case Min:
-			if st.count == 1 || v.Compare(st.best) < 0 {
-				st.best = v
-			}
-		case Max:
-			if st.count == 1 || v.Compare(st.best) > 0 {
-				st.best = v
-			}
+		if gs[i] = int32(g); tuples != nil {
+			a.memo[tuples[i]] = gs[i] + 1
 		}
 	}
 }
@@ -839,11 +1048,18 @@ func (a *Aggregator) release() {
 // Aggregate groups r by the given columns and computes the aggregates; see
 // NewAggregator for the result's shape.
 func Aggregate(r Relation, groupBy []int, aggs []AggSpec) Relation {
-	a := NewAggregator(r.Schema, groupBy, aggs)
-	for _, row := range r.Rows {
-		a.Add(row)
+	a := NewArena()
+	defer a.Release()
+	cols := make([]Col, len(r.Schema))
+	for c := range cols {
+		cols[c] = Col{-1, c} // read only the columns the aggregator reads
+		if slices.Contains(groupBy, c) || slices.ContainsFunc(aggs, func(s AggSpec) bool { return s.Col == c }) {
+			cols[c].In = 0
+		}
 	}
-	return a.Result()
+	agg := NewAggregator(r.Schema, groupBy, aggs)
+	a.Fold(agg, a.Whole(r.Schema, r.Rows), Tuples{}, nil, nil, cols)
+	return agg.Result()
 }
 
 // OrderBy sorts the relation by the given columns; desc[i] flips column i.

@@ -26,6 +26,7 @@ import (
 // joined pair would cost tens of KB. T1 (one relation under an aggregate)
 // streams the store's rows into the aggregator, and T5 reads the join
 // through ids, so each allocates the same at a narrow and a wide range.
+// The pins are the counts read when they were last tightened.
 func TestCoveredQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations and drops pooled arenas")
@@ -33,7 +34,7 @@ func TestCoveredQueryAllocations(t *testing.T) {
 	c, d := tpchClient(t, 256, "Customer", "Orders", "Lineitem", "Part", "Supplier", "PartSupp")
 	t.Run("T1", func(t *testing.T) {
 		const t1 = "SELECT COUNT(*), SUM(ExtendedPrice) FROM Lineitem WHERE ShipDate >= %d AND ShipDate <= %d AND Discount >= 0 AND Discount <= %d AND Quantity <= 50"
-		coveredAllocationsFlat(t, c, fmt.Sprintf(t1, 1000, 1000, 10), fmt.Sprintf(t1, 1, 2000, 9))
+		coveredAllocationsFlat(t, c, 31, fmt.Sprintf(t1, 1000, 1000, 10), fmt.Sprintf(t1, 1, 2000, 9))
 	})
 	for _, g := range []struct {
 		name   string
@@ -41,9 +42,9 @@ func TestCoveredQueryAllocations(t *testing.T) {
 		allocs float64
 		bytes  uint64
 	}{
-		{"T3", 2, 70, 6 << 10},
-		{"T4", 3, 44, 13 << 8},
-		{"T5", 4, 48, 7 << 10},
+		{"T3", 2, 54, 6 << 10},
+		{"T4", 3, 40, 13 << 8},
+		{"T5", 4, 45, 7 << 10},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			sql := d.Templates()[g.tpl].Instantiate(rand.New(rand.NewSource(3)))
@@ -59,7 +60,7 @@ func TestCoveredQueryAllocations(t *testing.T) {
 	}
 	t.Run("T5Flat", func(t *testing.T) {
 		const t5 = "SELECT NName, COUNT(*) FROM Customer, Orders, Nation WHERE Customer.CustKey = Orders.CustKey AND Customer.NationKey = Nation.NationKey AND Orders.OrderDate >= %d AND Orders.OrderDate <= %d GROUP BY NName"
-		coveredAllocationsFlat(t, c, fmt.Sprintf(t5, 1000, 1080), fmt.Sprintf(t5, 1, 2400))
+		coveredAllocationsFlat(t, c, 45, fmt.Sprintf(t5, 1000, 1080), fmt.Sprintf(t5, 1, 2400))
 	})
 }
 
@@ -91,11 +92,11 @@ func coveredAllocations(t *testing.T, c *Client, sql string) (res *Result, alloc
 
 // coveredAllocationsFlat runs a narrow and a wide instance of one statement,
 // whose first output column counts the rows read, and requires the same
-// allocations of both and bytes apart by no more than 1 KB, though the wide
+// allocations of both, at most pin, and bytes apart by no more than 1 KB, though the wide
 // one reads at least ten times the rows: a row list of the wide read's rows
 // alone would be tens of KB. Both restrict the table they read, so each
 // builds one selection.
-func coveredAllocationsFlat(t *testing.T, c *Client, narrow, wide string) {
+func coveredAllocationsFlat(t *testing.T, c *Client, pin float64, narrow, wide string) {
 	var rows [2]int64
 	var allocs [2]float64
 	var bytes [2]uint64
@@ -118,6 +119,9 @@ func coveredAllocationsFlat(t *testing.T, c *Client, narrow, wide string) {
 	}
 	if allocs[0] != allocs[1] {
 		t.Errorf("%v allocations at %d rows, %v at %d rows; want the same", allocs[0], rows[0], allocs[1], rows[1])
+	}
+	if allocs[1] > pin {
+		t.Errorf("%v allocations per query, pinned at %v", allocs[1], pin)
 	}
 	if bytes[1] > bytes[0]+1<<10 {
 		t.Errorf("%d bytes at %d rows, %d at %d rows; want at most 1 KB more", bytes[0], rows[0], bytes[1], rows[1])
@@ -212,13 +216,50 @@ func TestRenderRowsIsValueString(t *testing.T) {
 
 // BenchmarkCoveredTPCH times one covered TPC-H query per iteration, per
 // template, in process: the ledger's tpch_covered setup (SF 1, every market
-// table bought whole, plan cache 256) without the daemon and the wire. Each
-// iteration runs the next of 64 instances drawn once from seed 1, so the
-// plan cache hits as it does under the ledger.
+// table bought whole, plan cache 256) without the daemon and the wire.
 func BenchmarkCoveredTPCH(b *testing.B) {
 	c, d := tpchClient(b, 256, "Customer", "Orders", "Lineitem", "Part", "Supplier", "PartSupp")
-	for _, ti := range []int{0, 2, 3, 4} {
-		tpl := d.Templates()[ti]
+	tpls := d.Templates()
+	benchCovered(b, c, []workload.Template{tpls[0], tpls[2], tpls[3], tpls[4]})
+}
+
+// BenchmarkCoveredWHW is BenchmarkCoveredTPCH over the ledger's whw_covered
+// setup: WHW at 10 stations a country over 365 days, ZipMap local, Station,
+// Weather and Pollution bought whole, plan cache 256; templates Q1–Q4.
+func BenchmarkCoveredWHW(b *testing.B) {
+	cfg := workload.DefaultWHWConfig()
+	cfg.StationsPerCountry, cfg.Days = 10, 365
+	w := workload.GenerateWHW(cfg)
+	m := market.New()
+	if err := w.Install(m, storage.NewDB(), 100, 1); err != nil {
+		b.Fatal(err)
+	}
+	m.RegisterAccount("k")
+	c, err := Open(Config{
+		Tables:        append(m.ExportCatalog(), w.ZipMap),
+		Caller:        market.AccountCaller{Market: m, Key: "k"},
+		PlanCacheSize: 256,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.LoadLocal("ZipMap", w.ZipMapRows); err != nil {
+		b.Fatal(err)
+	}
+	for _, table := range []string{"Station", "Weather", "Pollution"} {
+		if _, err := c.Query("SELECT COUNT(*) FROM " + table); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchCovered(b, c, w.Templates()[:4])
+}
+
+// benchCovered times one query per iteration, per template, over c's
+// covered store, failing on any bill. Each iteration runs the next of 64
+// instances drawn once from seed 1, so the plan cache hits as it does under
+// the ledger.
+func benchCovered(b *testing.B, c *Client, tpls []workload.Template) {
+	for _, tpl := range tpls {
 		rng := rand.New(rand.NewSource(1))
 		sqls := make([]string, 64)
 		for i := range sqls {
